@@ -174,11 +174,27 @@ impl UserSlot {
             }
         }
         self.profile.update_score(index, score)?;
-        self.tree = ProfileTree::from_profile(&self.profile, order.clone())?;
+        // Past the conflict scan no other preference shares a
+        // (state, clause) pair with this one — a sharer would have had
+        // to equal both the old score and the new — so its leaf
+        // entries are its alone and are re-scored where they sit
+        // (`ContextualDb` maintains its tree incrementally on the same
+        // argument). That is the tree a rebuild would give, without
+        // freeing and reallocating every node — hundreds of allocator
+        // calls whose time swings with the machine's state far more
+        // than the rest of the request does.
+        let pref = &self.profile.preferences()[index];
+        let mut in_place = true;
+        for state in pref.descriptor().states(env)? {
+            in_place &= self.tree.update_state_entry(&state, pref.clause(), score);
+        }
+        if !in_place {
+            // The tree had drifted from the profile; start it over.
+            self.tree = ProfileTree::from_profile(&self.profile, order.clone())?;
+        }
         if let Some(c) = &self.cache {
             c.invalidate_all();
         }
-        let pref = &self.profile.preferences()[index];
         self.views.on_mutation(
             &self.tree,
             relation,
@@ -697,6 +713,36 @@ mod tests {
         let bob = db.query_state("bob", &warm).unwrap();
         assert!(!bob.from_cache);
         assert_eq!(bob.results.entries()[0].score, 0.6);
+    }
+
+    #[test]
+    fn a_rescore_in_place_leaves_the_tree_a_rebuild_would() {
+        let mut db = setup();
+        db.add_user("alice").unwrap();
+        for p in [
+            pref(&db, "weather in {cold, warm}", "zoo", 0.5),
+            pref(&db, "weather = warm", "museum", 0.8),
+            pref(&db, "weather = cold", "brewery", 0.3),
+        ] {
+            db.insert_preference("alice", p).unwrap();
+        }
+        db.update_preference_score("alice", 0, 0.9).unwrap();
+        let slot = &db.users["alice"];
+        let rebuilt = ProfileTree::from_profile(&slot.profile, db.order.clone()).unwrap();
+        assert_eq!(slot.tree.paths(), rebuilt.paths());
+        assert_eq!(slot.tree.stats(), rebuilt.stats());
+        let warm = ContextState::parse(db.env(), &["warm"]).unwrap();
+        let top = db.query_state("alice", &warm).unwrap();
+        assert_eq!(top.results.entries()[0].tuple_index, 2); // zoo, now 0.9
+
+        // A re-score that would contradict another preference on a
+        // shared state is refused and changes nothing.
+        db.insert_preference("alice", pref(&db, "weather = warm", "zoo", 0.9))
+            .unwrap();
+        assert!(db.update_preference_score("alice", 0, 0.4).is_err());
+        let slot = &db.users["alice"];
+        let rebuilt = ProfileTree::from_profile(&slot.profile, db.order.clone()).unwrap();
+        assert_eq!(slot.tree.paths(), rebuilt.paths());
     }
 
     #[test]

@@ -39,13 +39,14 @@
 //! never retried: the server made a decision, and the caller gets it
 //! intact to apply its own policy.
 //!
-//! A busy refusal arrives in either dialect, and the dialect carries
-//! meaning: a `ctxpref1` **text** busy is connection admission — the
-//! server refused before it knew which dialect the peer speaks, and
-//! closed the socket — so the client drops its cached connection. A
-//! binary busy is a **request-level** shed on a healthy connection
-//! (admission control refused the request's tier), so the connection
-//! is kept and reused.
+//! A refusal's **request id** says what it is about. Under the
+//! reserved id 0 ([`codec::CONNECTION_ID`]) it is about the connection
+//! — admission turned the socket away before reading a request, or the
+//! server gave up on a torn stream — and the server closes after
+//! sending it, so the client drops its cached connection. Under the
+//! request's own id a busy is a **request-level** shed on a healthy
+//! connection (admission control refused the request's tier), so the
+//! connection is kept and reused.
 //!
 //! [`NetClient::request_enveloped`] threads an **end-to-end budget**
 //! and a [`Priority`] tier through the `ctxpref2` envelope. The budget
@@ -176,19 +177,19 @@ impl NetClient {
 
     /// One request/response exchange on the cached connection,
     /// establishing it if needed. Any failure tears the connection
-    /// down so the next attempt starts from a clean dial. Returns the
-    /// response plus whether it arrived in the binary dialect — the
-    /// caller needs that to tell a request-level busy (connection
-    /// stays healthy) from a connection-admission busy (the server
-    /// closed after the frame).
+    /// down so the next attempt starts from a clean dial — and so does
+    /// a connection-level (id 0) reply, which the server closes
+    /// behind; a reply under the request's own id, even a busy, leaves
+    /// the connection cached.
     fn exchange(
         &mut self,
         req: &Request,
         budget_ms: u64,
         tier: Priority,
-    ) -> Result<(Response, bool), NetError> {
+    ) -> Result<Response, NetError> {
         self.ensure_conn()?;
         let id = self.next_id;
+        // Never 0, even on wrap: that id means "about the connection".
         self.next_id = self.next_id.wrapping_add(1).max(1);
         let stream = self.require_conn()?;
         let result = (|| {
@@ -211,15 +212,21 @@ impl NetClient {
                 return Err(e);
             }
         };
-        match decode_reply(&payload, id) {
-            Ok(reply) => Ok(reply),
-            Err(e) => {
-                // A frame that decoded to the wrong id (or not at all)
-                // means the stream is desynchronized; only a fresh
-                // connection is trustworthy.
-                self.conn = None;
-                Err(e)
-            }
+        let wire = match codec::decode_response(&payload) {
+            Ok(wire) if wire.id == id => return Ok(wire.resp),
+            other => other,
+        };
+        // Anything but the awaited id ends this connection: the server
+        // closes behind a connection-level (id 0) reply, and a frame
+        // for some other id — or one that does not decode — means the
+        // stream is desynchronized.
+        self.conn = None;
+        match wire {
+            Ok(wire) if wire.id == codec::CONNECTION_ID => Ok(wire.resp),
+            Ok(wire) => Err(NetError::UnexpectedResponse {
+                got: format!("response for request id {} while awaiting {id}", wire.id),
+            }),
+            Err(e) => Err(NetError::Proto(ProtoError::from(e))),
         }
     }
 
@@ -310,21 +317,12 @@ impl NetClient {
                 }
             };
             match self.exchange(req, budget_ms, tier) {
-                // The server answered but had no capacity. A text busy
-                // is connection admission — the server closed the
-                // socket after the frame, so drop the cached
-                // connection. A binary busy is a request-level shed on
-                // a connection that stays healthy.
-                Ok((
-                    Response::Busy {
-                        limit,
-                        retry_after_ms,
-                    },
-                    binary,
-                )) => {
-                    if !binary {
-                        self.conn = None;
-                    }
+                // The server answered but had no capacity — for this
+                // request or, at admission, for the connection.
+                Ok(Response::Busy {
+                    limit,
+                    retry_after_ms,
+                }) => {
                     let retry_after = Duration::from_millis(retry_after_ms);
                     busy_attempt += 1;
                     if busy_attempt >= busy_budget {
@@ -334,10 +332,10 @@ impl NetClient {
                 }
                 // Any other decoded response is an answer, even a
                 // refusal: the server made a decision, so no retry.
-                Ok((Response::Err { kind, message }, _)) => {
+                Ok(Response::Err { kind, message }) => {
                     return Err(NetError::Remote { kind, message })
                 }
-                Ok((resp, _)) => return Ok(resp),
+                Ok(resp) => return Ok(resp),
                 Err(e @ (NetError::Io(_) | NetError::Frame(_))) => {
                     attempt += 1;
                     if attempt >= attempt_budget {
@@ -439,49 +437,39 @@ impl NetClient {
                         "server closed the connection mid-pipeline",
                     ))
                 })?;
-                if codec::is_binary(&payload) {
-                    let wire = codec::decode_response(&payload)
-                        .map_err(|e| NetError::Proto(ProtoError::from(e)))?;
-                    let slot = wire
-                        .id
-                        .checked_sub(base)
-                        .and_then(|i| usize::try_from(i).ok())
-                        .and_then(|i| slots.get_mut(i));
-                    match slot {
-                        Some(slot @ None) => {
-                            *slot = Some(wire.resp);
-                            remaining -= 1;
-                        }
-                        // An unknown or duplicated id: the stream is
-                        // not answering what was asked.
-                        _ => {
-                            return Err(NetError::UnexpectedResponse {
-                                got: format!("response for unknown request id {}", wire.id),
-                            })
-                        }
-                    }
-                } else {
-                    // A text frame mid-pipeline is connection-level: a
-                    // busy refusal at admission (typed for retry) or a
-                    // framing refusal.
-                    match Response::decode(&payload)? {
+                let wire = codec::decode_response(&payload)
+                    .map_err(|e| NetError::Proto(ProtoError::from(e)))?;
+                if wire.id == codec::CONNECTION_ID {
+                    // Connection-level mid-pipeline: a busy refusal at
+                    // admission (typed for retry) or a framing refusal.
+                    return Err(match wire.resp {
                         Response::Busy {
                             limit,
                             retry_after_ms,
-                        } => {
-                            return Err(NetError::ServerBusy {
-                                limit,
-                                retry_after: Duration::from_millis(retry_after_ms),
-                            })
-                        }
-                        Response::Err { kind, message } => {
-                            return Err(NetError::Remote { kind, message })
-                        }
-                        other => {
-                            return Err(NetError::UnexpectedResponse {
-                                got: format!("{other:?}"),
-                            })
-                        }
+                        } => NetError::ServerBusy {
+                            limit,
+                            retry_after: Duration::from_millis(retry_after_ms),
+                        },
+                        Response::Err { kind, message } => NetError::Remote { kind, message },
+                        other => unexpected(&other),
+                    });
+                }
+                let slot = wire
+                    .id
+                    .checked_sub(base)
+                    .and_then(|i| usize::try_from(i).ok())
+                    .and_then(|i| slots.get_mut(i));
+                match slot {
+                    Some(slot @ None) => {
+                        *slot = Some(wire.resp);
+                        remaining -= 1;
+                    }
+                    // An unknown or duplicated id: the stream is
+                    // not answering what was asked.
+                    _ => {
+                        return Err(NetError::UnexpectedResponse {
+                            got: format!("response for unknown request id {}", wire.id),
+                        })
                     }
                 }
             }
@@ -815,24 +803,6 @@ impl NetClient {
             other => Err(unexpected(&other)),
         }
     }
-}
-
-/// Decode one reply frame for serial request `id`, reporting whether
-/// it was binary. Binary replies must echo the id; text replies are
-/// connection-level (the busy refusal at admission is sent before the
-/// server knows the peer's dialect).
-fn decode_reply(payload: &[u8], id: u64) -> Result<(Response, bool), NetError> {
-    if codec::is_binary(payload) {
-        let wire =
-            codec::decode_response(payload).map_err(|e| NetError::Proto(ProtoError::from(e)))?;
-        if wire.id != id {
-            return Err(NetError::UnexpectedResponse {
-                got: format!("response for request id {} while awaiting {id}", wire.id),
-            });
-        }
-        return Ok((wire.resp, true));
-    }
-    Ok((Response::decode(payload)?, false))
 }
 
 fn dial_one(addr: &SocketAddr, cfg: &NetClientConfig) -> std::io::Result<TcpStream> {

@@ -17,19 +17,28 @@
 //! overload — end-to-end deadline propagation lives in these two
 //! envelope fields.
 //!
-//! The leading byte `0xC2` can never begin a `ctxpref1` payload (text
-//! messages start with the ASCII `c` of the version token and `0xC2`
-//! alone is not valid UTF-8), so one `match` on the first byte routes
-//! a frame to the right decoder and both dialects coexist on one port.
+//! This is the only dialect the serving port speaks, and this module
+//! is the only place that knows how a [`Request`] or [`Response`]
+//! becomes bytes: [`decode_request`] and [`decode_response`] are the
+//! two functions that turn a payload back into a message. The leading
+//! byte `0xC2` cannot begin well-formed UTF-8, so a peer speaking
+//! anything else (a text protocol, a stray HTTP probe) is recognised
+//! from one byte and refused typed instead of misparsed.
+//!
+//! **Request id 0 is reserved** ([`CONNECTION_ID`]): a response
+//! carrying it is about the *connection*, not about any request — the
+//! admission refusal sent before a single request was read, the
+//! refusal of a torn or foreign frame, the answer to a request whose
+//! header was too damaged to name an id. Clients number their requests
+//! from 1 and treat an id-0 response as the server's last word on that
+//! connection.
 //!
 //! Primitives: LEB128 varints for integers and lengths, raw
-//! length-delimited bytes for strings and record payloads (no hex
-//! doubling — the `ctxpref1`/`repl1` hex encoding cost 2× on every
-//! replication record and snapshot op), IEEE-754 little-endian for
-//! scores. Every length and count is validated against the bytes
-//! actually present **before** any allocation, so a hostile claim
-//! costs a typed [`DecodeError`] — carrying the exact byte offset —
-//! and never memory. The codec fuzz suite drives truncations, bit
+//! length-delimited bytes for strings and record payloads, IEEE-754
+//! little-endian for scores. Every length and count is validated
+//! against the bytes actually present **before** any allocation, so a
+//! hostile claim costs a typed [`DecodeError`] — carrying the exact
+//! byte offset — and never memory. The codec fuzz suite drives truncations, bit
 //! flips, and hostile length claims through every variant under a
 //! counting allocator.
 
@@ -44,8 +53,15 @@ pub const BINARY_MAGIC: u8 = 0xC2;
 /// request envelope gained the deadline budget and priority tier.
 pub const BINARY_VERSION: u8 = 0x03;
 
-/// Whether a frame payload is a `ctxpref2` binary message (as opposed
-/// to `ctxpref1` text).
+/// The request id no request carries: a response with this id is
+/// about the connection itself. The server closes behind the ones it
+/// originates in the reactor (admission refusal, torn or foreign
+/// frame); a worker also falls back to it for a request whose header
+/// was too damaged to name an id. Either way the client redials.
+pub const CONNECTION_ID: u64 = 0;
+
+/// Whether a frame payload leads with the `ctxpref2` magic. The server
+/// refuses anything else at the connection level without decoding it.
 pub fn is_binary(payload: &[u8]) -> bool {
     payload.first() == Some(&BINARY_MAGIC)
 }
@@ -218,50 +234,6 @@ impl<'a> Dec<'a> {
 }
 
 // ---------------------------------------------------------------------------
-// Hex (the shared decoder of the ctxpref1 / repl1 text dialects)
-// ---------------------------------------------------------------------------
-
-/// Encode bytes as lowercase hex (text-dialect compatibility only; the
-/// binary codec ships raw bytes).
-pub(crate) fn hex_encode(bytes: &[u8]) -> String {
-    let mut s = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        s.push(char::from_digit(u32::from(b >> 4), 16).expect("nibble < 16"));
-        s.push(char::from_digit(u32::from(b & 0xf), 16).expect("nibble < 16"));
-    }
-    s
-}
-
-/// Decode a hex string. The one hex decoder of the wire layer: the
-/// odd-length and bad-digit paths both fail with a [`DecodeError`]
-/// carrying the byte offset of the offending digit (the text protocols
-/// used to report these two cases with different error text, one of
-/// them offset-less).
-pub fn hex_decode(s: &str) -> Result<Vec<u8>, DecodeError> {
-    let raw = s.as_bytes();
-    if !raw.len().is_multiple_of(2) {
-        return Err(DecodeError {
-            offset: raw.len() - 1,
-            kind: DecodeKind::OddHexLength,
-        });
-    }
-    let digit = |i: usize| -> Result<u8, DecodeError> {
-        (raw[i] as char)
-            .to_digit(16)
-            .map(|d| d as u8)
-            .ok_or(DecodeError {
-                offset: i,
-                kind: DecodeKind::BadHexDigit,
-            })
-    };
-    let mut out = Vec::with_capacity(raw.len() / 2);
-    for i in (0..raw.len()).step_by(2) {
-        out.push((digit(i)? << 4) | digit(i + 1)?);
-    }
-    Ok(out)
-}
-
-// ---------------------------------------------------------------------------
 // Wire envelopes
 // ---------------------------------------------------------------------------
 
@@ -386,17 +358,8 @@ fn put_request_body(out: &mut Vec<u8>, req: &Request) {
             k,
             deadline_ms,
             state,
-        } => {
-            put_str(out, user);
-            put_str(out, attr);
-            put_uv(out, *k as u64);
-            put_uv(out, *deadline_ms);
-            put_uv(out, state.len() as u64);
-            for v in state {
-                put_str(out, v);
-            }
         }
-        Request::TopK {
+        | Request::TopK {
             user,
             attr,
             k,
@@ -567,7 +530,9 @@ fn decode_request_body(
         RQ_SCRUB => Request::Scrub,
         RQ_SCRUB_STATUS => Request::ScrubStatus,
         RQ_VIEWS_STATUS => Request::ViewsStatus,
-        RQ_TOPK => {
+        // The two ranked verbs share one body; the tag alone says
+        // whether the server pushes `k` down into evaluation.
+        RQ_QUERY | RQ_TOPK => {
             let user = dec.str_()?;
             let attr = dec.str_()?;
             let k = dec.uv_len()?;
@@ -577,30 +542,22 @@ fn decode_request_body(
             for _ in 0..n {
                 state.push(dec.str_()?);
             }
-            Request::TopK {
-                user,
-                attr,
-                k,
-                deadline_ms,
-                state,
-            }
-        }
-        RQ_QUERY => {
-            let user = dec.str_()?;
-            let attr = dec.str_()?;
-            let k = dec.uv_len()?;
-            let deadline_ms = dec.uv()?;
-            let n = dec.checked_count(1)?;
-            let mut state = Vec::with_capacity(n);
-            for _ in 0..n {
-                state.push(dec.str_()?);
-            }
-            Request::Query {
-                user,
-                attr,
-                k,
-                deadline_ms,
-                state,
+            if tag == RQ_TOPK {
+                Request::TopK {
+                    user,
+                    attr,
+                    k,
+                    deadline_ms,
+                    state,
+                }
+            } else {
+                Request::Query {
+                    user,
+                    attr,
+                    k,
+                    deadline_ms,
+                    state,
+                }
             }
         }
         RQ_QUERY_DESC => Request::QueryDescriptor {
@@ -1323,16 +1280,5 @@ mod tests {
         payload.push(0);
         let err = decode_request(&payload).unwrap_err();
         assert_eq!(err.kind, DecodeKind::TrailingBytes);
-    }
-
-    #[test]
-    fn hex_errors_carry_offsets() {
-        assert_eq!(hex_decode("00ff7a").unwrap(), vec![0x00, 0xff, 0x7a]);
-        let odd = hex_decode("abc").unwrap_err();
-        assert_eq!(odd.kind, DecodeKind::OddHexLength);
-        assert_eq!(odd.offset, 2);
-        let bad = hex_decode("aazz").unwrap_err();
-        assert_eq!(bad.kind, DecodeKind::BadHexDigit);
-        assert_eq!(bad.offset, 2);
     }
 }

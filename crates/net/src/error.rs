@@ -66,11 +66,11 @@ impl From<io::Error> for FrameError {
 
 /// Why a byte sequence could not be decoded, with the **byte offset**
 /// at which decoding failed. This is the one decode-failure currency
-/// of the wire layer: the binary `ctxpref2` codec, the hex decoders of
-/// the text protocols, and the frame header parser all report through
-/// it, so every malformed input — odd-length hex, a bad hex digit, a
-/// truncated varint, a hostile length claim — fails with the same
-/// shape and never loses the offset.
+/// of the wire layer: the `ctxpref2` codec, the binary replication
+/// envelope, and the frame header parser all report through it, so
+/// every malformed input — an unknown tag, a truncated varint, a
+/// hostile length claim — fails with the same shape and never loses
+/// the offset.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DecodeError {
     /// Byte offset into the payload at which decoding failed.
@@ -94,11 +94,6 @@ pub enum DecodeKind {
     },
     /// A string field is not valid UTF-8.
     BadUtf8,
-    /// A hex payload has an odd number of digits (offset points at the
-    /// dangling digit).
-    OddHexLength,
-    /// A byte of a hex payload is not a hex digit.
-    BadHexDigit,
     /// A declared length or count exceeds what the input (or a hard
     /// cap) can honour; rejected before any allocation of that size.
     LengthOverflow {
@@ -122,8 +117,6 @@ impl fmt::Display for DecodeError {
                 write!(f, "unknown {what} tag {tag} at byte {offset}")
             }
             DecodeKind::BadUtf8 => write!(f, "invalid utf-8 at byte {offset}"),
-            DecodeKind::OddHexLength => write!(f, "odd-length hex at byte {offset}"),
-            DecodeKind::BadHexDigit => write!(f, "bad hex digit at byte {offset}"),
             DecodeKind::LengthOverflow { declared, max } => write!(
                 f,
                 "declared length {declared} exceeds limit {max} at byte {offset}"
@@ -143,7 +136,7 @@ impl From<DecodeError> for ProtoError {
 }
 
 /// A frame decoded, but its payload is not a well-formed protocol
-/// message (wrong version tag, unknown verb, bad field).
+/// message (wrong version, unknown tag or verb, bad field).
 #[derive(Debug)]
 pub struct ProtoError {
     /// What was wrong.

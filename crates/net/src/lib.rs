@@ -7,9 +7,10 @@
 //!   record framing minus the LSN). The declared length is capped
 //!   **before allocation**, so hostile peers cost a header read, not
 //!   memory.
-//! * [`proto`] + [`server`]/[`client`] — a versioned request/response
-//!   vocabulary over those frames; [`NetServer`] fronts a shared
-//!   [`CtxPrefService`](ctxpref_service::CtxPrefService) with
+//! * [`proto`] + [`codec`] + [`server`]/[`client`] — a request/response
+//!   vocabulary and its one wire encoding (`ctxpref2`: binary,
+//!   id-tagged for pipelining) over those frames; [`NetServer`] fronts
+//!   a shared [`CtxPrefService`](ctxpref_service::CtxPrefService) with
 //!   connection admission, socket deadlines, panic containment, and
 //!   graceful drain; [`NetClient`] is the blocking peer with
 //!   reconnect and idempotent-only retry.
@@ -66,7 +67,7 @@ pub mod server;
 pub use client::{NetClient, NetClientConfig};
 pub use codec::{
     decode_request, decode_response, encode_request, encode_request_enveloped, encode_response,
-    is_binary, WireRequest, WireResponse, BINARY_MAGIC, BINARY_VERSION,
+    is_binary, WireRequest, WireResponse, BINARY_MAGIC, BINARY_VERSION, CONNECTION_ID,
 };
 // The tier vocabulary travels in the wire envelope; re-exported so
 // network callers need not depend on the service crate for it.
@@ -76,8 +77,6 @@ pub use frame::{
     encode_frame, frame_checksum, read_frame, write_frame, FrameDecoder, FRAME_HEADER,
     MAX_FRAME_PAYLOAD,
 };
-pub use proto::{
-    AnswerRow, MigrateAction, RemoteAnswer, Request, Response, WireFallback, PROTO_VERSION,
-};
+pub use proto::{AnswerRow, MigrateAction, RemoteAnswer, Request, Response, WireFallback};
 pub use repl::{ReplServer, TcpTransport, REPL_PROTO_VERSION};
 pub use server::{NetServer, NetServerConfig};

@@ -23,24 +23,20 @@
 //! The hot path — `records` shipments, one per acked write under
 //! pipelining — travels binary: a frame payload of
 //! `[0xC3 | version | from | epoch | shard | n | (lsn, payload)×n]`
-//! with LEB128 varints and raw length-delimited record bytes (no hex
-//! doubling). `0xC3` cannot begin UTF-8 text, so receivers sniff the
-//! first byte. Every other message — and everything a `repl1`-era
-//! peer sends — is one frame of text lines in the storage dialect
-//! (whitespace-escaped tokens; profiles reuse
+//! with LEB128 varints and raw length-delimited record bytes. `0xC3`
+//! cannot begin UTF-8 text, so the receiver tells the two forms apart
+//! by the first byte. Every other message is cold, and each has
+//! exactly one encoding: one frame of text lines in the storage
+//! dialect (whitespace-escaped tokens; profiles reuse
 //! [`write_profile`]/[`read_profile`] verbatim — the same sections the
-//! checkpoint files store):
+//! checkpoint files store), as do all replies:
 //!
 //! ```text
-//! repl1 <from> <epoch> records <shard> <n>      rec <lsn> <hex-payload> ×n
 //! repl1 <from> <epoch> snapshot <stripes>       lsns …, stripe/user/profile…
 //! repl1 <from> <epoch> heartbeat
 //! repl1 <from> <epoch> digest-request
 //! repl1 <from> <epoch> resync <shard> <lsn> <n> user/profile…
 //! ```
-//!
-//! Text `records` stays accepted for one version so a rolling upgrade
-//! never strands a sender.
 
 use std::collections::HashMap;
 use std::io::BufRead;
@@ -63,16 +59,16 @@ use ctxpref_replication::{
 use ctxpref_storage::{escape, read_profile, unescape, write_profile};
 use parking_lot::{Mutex, RwLock};
 
-use crate::codec::{hex_decode, put_bytes, put_uv, Dec};
+use crate::codec::{put_bytes, put_uv, Dec};
 use crate::error::{DecodeError, DecodeKind, ProtoError};
 use crate::frame::{read_frame, write_frame};
 
-/// Version tag of the replication wire dialect.
+/// Version tag leading every text-form replication message.
 pub const REPL_PROTO_VERSION: &str = "repl1";
 
 /// First payload byte of a binary replication envelope. Like the
 /// request codec's `0xC2`, `0xC3` can never begin well-formed UTF-8,
-/// so one byte disambiguates the dialects.
+/// so one byte tells the binary `records` form from the text forms.
 pub const REPL_BINARY_MAGIC: u8 = 0xC3;
 
 /// Version byte following [`REPL_BINARY_MAGIC`].
@@ -182,9 +178,8 @@ pub fn encode_envelope(env: &Envelope, rel: &Relation) -> Result<Vec<u8>, ProtoE
     Ok(out)
 }
 
-/// Decode one frame payload back into an [`Envelope`]. Accepts both
-/// the binary `records` form and all `repl1` text forms (including
-/// text `records` from a pre-upgrade peer).
+/// Decode one frame payload back into an [`Envelope`]: the binary
+/// `records` form, or one of the `repl1` text forms.
 pub fn decode_envelope(
     payload: &[u8],
     env: &ContextEnvironment,
@@ -218,23 +213,6 @@ pub fn decode_envelope(
         }
     };
     let msg = match verb {
-        ["records", shard, n] => {
-            let shard = num::<usize>(shard, "shard")?;
-            let n = num::<usize>(n, "record count")?;
-            let mut records = Vec::with_capacity(n.min(65_536));
-            for _ in 0..n {
-                let line = next_line(&mut cur)?;
-                match line.split_whitespace().collect::<Vec<_>>()[..] {
-                    ["rec", lsn, payload] => records.push((
-                        num::<u64>(lsn, "lsn")?,
-                        hex_decode(payload).map_err(ProtoError::from)?,
-                    )),
-                    ["rec", lsn] => records.push((num::<u64>(lsn, "lsn")?, Vec::new())),
-                    _ => return Err(ProtoError::new(format!("bad record line: {line:?}"))),
-                }
-            }
-            Message::Records { shard, records }
-        }
         ["snapshot", nstripes] => {
             let nstripes = num::<usize>(nstripes, "stripe count")?;
             let line = next_line(&mut cur)?;

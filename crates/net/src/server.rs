@@ -14,13 +14,17 @@
 //! * **Connection admission** — a hard cap on concurrent connections.
 //!   A connection over the cap receives one typed [`Response::Busy`]
 //!   frame and is closed, never parked on an unbounded queue.
-//! * **Pipelining** — a `ctxpref2` (binary) connection may have up to
+//! * **One dialect** — every frame is `ctxpref2` ([`crate::codec`]).
+//!   What the server has to say about the *connection* rather than a
+//!   request — the admission busy, the refusal of a torn frame or of
+//!   a payload that is not `ctxpref2` at all — travels under the
+//!   reserved request id 0 ([`codec::CONNECTION_ID`]), and the
+//!   connection closes once that frame is flushed.
+//! * **Pipelining** — a connection may have up to
 //!   [`NetServerConfig::max_pipeline`] requests in flight; responses
 //!   carry the request's id and may return **out of order**. Past the
 //!   cap the reactor simply stops reading the socket — backpressure
-//!   by TCP, not by queue growth. A `ctxpref1` (text) connection is
-//!   served serially in order, exactly like the previous blocking
-//!   server, for the one-version compatibility window.
+//!   by TCP, not by queue growth.
 //! * **Deadlines** — an idle connection (no bytes either way for
 //!   [`NetServerConfig::read_timeout`], or output unwritable for
 //!   [`NetServerConfig::write_timeout`]) is closed by the reactor's
@@ -79,9 +83,9 @@ pub struct NetServerConfig {
     /// How long [`NetServer::shutdown`] waits for in-flight
     /// connections to finish before cutting them.
     pub drain_timeout: Duration,
-    /// Per-connection cap on pipelined in-flight requests (binary
-    /// protocol). Past it the reactor stops reading the socket until
-    /// completions drain — backpressure by TCP.
+    /// Per-connection cap on pipelined in-flight requests. Past it
+    /// the reactor stops reading the socket until completions drain —
+    /// backpressure by TCP.
     pub max_pipeline: usize,
     /// Dispatch worker threads.
     pub workers: usize,
@@ -172,7 +176,6 @@ impl std::fmt::Debug for NetServer {
 struct Job {
     token: Token,
     payload: Vec<u8>,
-    binary: bool,
 }
 
 /// One finished response on its way back to the reactor.
@@ -330,36 +333,23 @@ fn worker_loop(
         // here — in a worker — so a scripted delay never stalls the
         // reactor thread itself.
         let _ = hit(NET_CONN_DELAY);
-        let payload = if job.binary {
-            match codec::decode_request(&job.payload) {
-                Ok(wire) => codec::encode_response(
-                    wire.id,
-                    &dispatch(service, cfg, &wire.req, wire.budget_ms, wire.tier),
-                ),
-                Err(e) => {
-                    // The body was malformed but the header may still
-                    // name the request — answer typed under its id so
-                    // the pipelined client can match the refusal.
-                    let id = codec::request_id_of(&job.payload).unwrap_or(0);
-                    codec::encode_response(
-                        id,
-                        &Response::Err {
-                            kind: "proto".to_string(),
-                            message: e.to_string(),
-                        },
-                    )
-                }
-            }
-        } else {
-            // The text dialect predates the envelope: no budget, and
-            // the default Interactive tier.
-            match Request::decode(&job.payload) {
-                Ok(request) => dispatch(service, cfg, &request, 0, Priority::Interactive).encode(),
-                Err(e) => Response::Err {
-                    kind: "proto".to_string(),
-                    message: e.to_string(),
-                }
-                .encode(),
+        let payload = match codec::decode_request(&job.payload) {
+            Ok(wire) => codec::encode_response(
+                wire.id,
+                &dispatch(service, cfg, &wire.req, wire.budget_ms, wire.tier),
+            ),
+            Err(e) => {
+                // The body was malformed but the header may still
+                // name the request — answer typed under its id so
+                // the pipelined client can match the refusal.
+                let id = codec::request_id_of(&job.payload).unwrap_or(codec::CONNECTION_ID);
+                codec::encode_response(
+                    id,
+                    &Response::Err {
+                        kind: "proto".to_string(),
+                        message: e.to_string(),
+                    },
+                )
             }
         };
         // Wake the reactor only on the empty→nonempty transition: the
@@ -392,16 +382,6 @@ fn worker_loop(
 const LISTENER_TOKEN: u64 = u64::MAX;
 const WAKER_TOKEN: u64 = u64::MAX - 1;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    /// First frame not seen yet: dialect unknown.
-    Sniff,
-    /// `ctxpref2`: pipelined, out-of-order completions allowed.
-    Binary,
-    /// `ctxpref1`: serial, in-order (compatibility window).
-    Text,
-}
-
 struct Conn {
     stream: TcpStream,
     decoder: FrameDecoder,
@@ -409,11 +389,8 @@ struct Conn {
     /// write offset into the front one.
     out: VecDeque<Vec<u8>>,
     out_pos: usize,
-    mode: Mode,
     /// Dispatched-but-unanswered requests.
     in_flight: usize,
-    /// Parsed text frames queued behind the serial dispatch.
-    text_backlog: VecDeque<Vec<u8>>,
     last_activity: Instant,
     /// Output has been unwritable since this instant (write stall).
     write_stalled_since: Option<Instant>,
@@ -488,7 +465,7 @@ impl Reactor {
                     raw => {
                         let token = Token(raw);
                         if ev.hangup && !ev.readable {
-                            self.close(token, false);
+                            self.close(token);
                             continue;
                         }
                         if ev.readable {
@@ -528,10 +505,10 @@ impl Reactor {
             let idle = self
                 .conns
                 .get_mut(token)
-                .map(|c| c.in_flight == 0 && c.out.is_empty() && c.text_backlog.is_empty())
+                .map(|c| c.in_flight == 0 && c.out.is_empty())
                 .unwrap_or(true);
             if idle {
-                self.close(token, false);
+                self.close(token);
             }
         }
         if self.conns.is_empty() {
@@ -542,7 +519,7 @@ impl Reactor {
             let leftover = self.conns.len();
             self.undrained.store(leftover, Ordering::Release);
             for token in self.conns.tokens() {
-                self.close(token, false);
+                self.close(token);
             }
             return true;
         }
@@ -569,16 +546,16 @@ impl Reactor {
             }
             if self.conns.len() >= self.cfg.max_connections {
                 self.stats.refused_busy.fetch_add(1, Ordering::AcqRel);
-                // Best-effort typed refusal (text: oldest clients must
-                // understand it), then close. The socket is fresh, so
-                // the small frame fits the send buffer.
-                if let Ok(frame) = encode_frame(
+                // Best-effort typed refusal under the connection id
+                // (no request has been read), then close. The socket
+                // is fresh, so the small frame fits the send buffer.
+                if let Ok(frame) = encode_frame(&codec::encode_response(
+                    codec::CONNECTION_ID,
                     &Response::Busy {
                         limit: self.cfg.max_connections,
                         retry_after_ms: self.cfg.busy_retry_after.as_millis() as u64,
-                    }
-                    .encode(),
-                ) {
+                    },
+                )) {
                     let mut stream = stream;
                     let _ = stream.write_all(&frame);
                 }
@@ -597,9 +574,7 @@ impl Reactor {
                 decoder: FrameDecoder::new(),
                 out: VecDeque::new(),
                 out_pos: 0,
-                mode: Mode::Sniff,
                 in_flight: 0,
-                text_backlog: VecDeque::new(),
                 last_activity: Instant::now(),
                 write_stalled_since: None,
                 closing: false,
@@ -631,7 +606,7 @@ impl Reactor {
                 Ok(0) => {
                     // Peer closed. Anything still in flight finishes
                     // into a dead socket; reclaim now.
-                    self.close(token, false);
+                    self.close(token);
                     return;
                 }
                 Ok(n) => {
@@ -641,7 +616,7 @@ impl Reactor {
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(_) => {
-                    self.close(token, false);
+                    self.close(token);
                     return;
                 }
             }
@@ -650,7 +625,7 @@ impl Reactor {
     }
 
     /// Drain complete frames from the connection's decoder into
-    /// dispatch, respecting the pipeline cap and text seriality.
+    /// dispatch, respecting the pipeline cap.
     fn pump_frames(&mut self, token: Token) {
         loop {
             let Some(conn) = self.conns.get_mut(token) else {
@@ -663,16 +638,9 @@ impl Reactor {
                 Ok(Some(p)) => p,
                 Ok(None) => return,
                 Err(e) => {
-                    // Torn/hostile framing: answer typed where the
-                    // socket still works, then close (the stream is
-                    // misaligned beyond recovery).
-                    let refusal = Response::Err {
-                        kind: "frame".to_string(),
-                        message: e.to_string(),
-                    };
-                    self.enqueue_frame(token, &refusal.encode());
-                    self.write_ready(token);
-                    self.shutdown_after_flush(token);
+                    // Torn/hostile framing: the stream is misaligned
+                    // beyond recovery.
+                    self.refuse_connection(token, "frame", e.to_string());
                     return;
                 }
             };
@@ -680,45 +648,46 @@ impl Reactor {
             // inside `read_frame`: an injected read fault or
             // connection drop severs the conversation here too.
             if hit_io(NET_FRAME_READ).is_err() || hit(NET_CONN_DROP).is_err() {
-                self.close(token, false);
+                self.close(token);
                 return;
             }
             self.stats.frames_in.fetch_add(1, Ordering::AcqRel);
+            if !codec::is_binary(&payload) {
+                // A peer speaking something else (a text protocol, a
+                // probe): nothing it sends next can be trusted to be
+                // a request, so it gets one typed answer and no more.
+                self.refuse_connection(
+                    token,
+                    "proto",
+                    format!(
+                        "payload does not start with the ctxpref2 magic {:#04x}",
+                        codec::BINARY_MAGIC
+                    ),
+                );
+                return;
+            }
             let Some(conn) = self.conns.get_mut(token) else {
                 return;
             };
-            if conn.mode == Mode::Sniff {
-                conn.mode = if codec::is_binary(&payload) {
-                    Mode::Binary
-                } else {
-                    Mode::Text
-                };
-            }
-            match conn.mode {
-                Mode::Binary => {
-                    conn.in_flight += 1;
-                    let _ = self.job_tx.send(Job {
-                        token,
-                        payload,
-                        binary: true,
-                    });
-                }
-                Mode::Text | Mode::Sniff => {
-                    // Text is served one request at a time so replies
-                    // stay in request order, as ctxpref1 promises.
-                    if conn.in_flight == 0 {
-                        conn.in_flight = 1;
-                        let _ = self.job_tx.send(Job {
-                            token,
-                            payload,
-                            binary: false,
-                        });
-                    } else {
-                        conn.text_backlog.push_back(payload);
-                    }
-                }
-            }
+            conn.in_flight += 1;
+            let _ = self.job_tx.send(Job { token, payload });
         }
+    }
+
+    /// Answer about the connection itself — one typed error under the
+    /// reserved id — where the socket still works, then close once it
+    /// (and any responses still in flight) has flushed.
+    fn refuse_connection(&mut self, token: Token, kind: &str, message: String) {
+        let refusal = Response::Err {
+            kind: kind.to_string(),
+            message,
+        };
+        self.enqueue_frame(
+            token,
+            &codec::encode_response(codec::CONNECTION_ID, &refusal),
+        );
+        self.write_ready(token);
+        self.shutdown_after_flush(token);
     }
 
     fn drain_completions(&mut self) {
@@ -732,17 +701,6 @@ impl Reactor {
                 continue;
             };
             conn.in_flight = conn.in_flight.saturating_sub(1);
-            // Serial text service: release the next queued request.
-            if conn.mode == Mode::Text && conn.in_flight == 0 {
-                if let Some(next) = conn.text_backlog.pop_front() {
-                    conn.in_flight = 1;
-                    let _ = self.job_tx.send(Job {
-                        token: comp.token,
-                        payload: next,
-                        binary: false,
-                    });
-                }
-            }
             self.enqueue_frame(comp.token, &comp.payload);
             // Freed pipeline budget: frames may be waiting, parsed,
             // in the decoder.
@@ -765,13 +723,13 @@ impl Reactor {
         // The per-frame write fault site the blocking server ran
         // inside `write_frame`.
         if hit_io(NET_FRAME_WRITE).is_err() {
-            self.close(token, false);
+            self.close(token);
             return;
         }
         let frame = match encode_frame(payload) {
             Ok(f) => f,
             Err(_) => {
-                self.close(token, false);
+                self.close(token);
                 return;
             }
         };
@@ -806,7 +764,7 @@ impl Reactor {
             };
             match res {
                 Ok(0) => {
-                    self.close(token, false);
+                    self.close(token);
                     return;
                 }
                 Ok(mut n) => {
@@ -833,7 +791,7 @@ impl Reactor {
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(_) => {
-                    self.close(token, false);
+                    self.close(token);
                     return;
                 }
             }
@@ -842,7 +800,7 @@ impl Reactor {
             return;
         };
         if conn.closing && conn.out.is_empty() && conn.in_flight == 0 {
-            self.close(token, false);
+            self.close(token);
         }
     }
 
@@ -851,7 +809,7 @@ impl Reactor {
         if let Some(conn) = self.conns.get_mut(token) {
             conn.closing = true;
             if conn.out.is_empty() && conn.in_flight == 0 {
-                self.close(token, false);
+                self.close(token);
             }
         }
     }
@@ -884,12 +842,12 @@ impl Reactor {
                 .write_stalled_since
                 .is_some_and(|since| now.duration_since(since) >= self.cfg.write_timeout);
             if idle_too_long || write_wedged {
-                self.close(token, false);
+                self.close(token);
             }
         }
     }
 
-    fn close(&mut self, token: Token, _flush: bool) {
+    fn close(&mut self, token: Token) {
         if let Some(conn) = self.conns.remove(token) {
             let _ = self.epoll.deregister(conn.stream.as_raw_fd());
             // Dropping the stream closes the fd; in-flight worker
@@ -936,7 +894,16 @@ fn dispatch_inner(
 ) -> Response {
     match req {
         Request::Ping => Response::Pong,
+        // The two ranked verbs differ only in the service call: `TopK`
+        // pushes `k` down so only the best rows are evaluated.
         Request::Query {
+            user,
+            attr,
+            k,
+            deadline_ms,
+            state,
+        }
+        | Request::TopK {
             user,
             attr,
             k,
@@ -959,54 +926,12 @@ fn dispatch_inner(
                 deadline_ms = deadline_ms.min(budget_ms);
             }
             let deadline = Duration::from_millis(deadline_ms).min(cfg.max_deadline);
-            let answer = match service.query_tiered(user, &state, deadline, tier) {
-                Ok(a) => a,
-                Err(e) => return err_of(&e),
+            let served = if matches!(req, Request::TopK { .. }) {
+                service.query_topk_tiered(user, &state, *k, deadline, tier)
+            } else {
+                service.query_tiered(user, &state, deadline, tier)
             };
-            let rows = match render_rows(service, &answer.answer, attr, *k) {
-                Ok(rows) => rows,
-                Err(e) => return err_of(&ServiceError::Core(e)),
-            };
-            Response::Answer(RemoteAnswer {
-                step: answer.step.to_string(),
-                elapsed_us: answer.elapsed.as_micros() as u64,
-                resolved_state: answer
-                    .resolved_state
-                    .as_ref()
-                    .map(|s| service.with_db(|db| s.display(db.env()).to_string())),
-                fallbacks: answer
-                    .fallbacks
-                    .iter()
-                    .map(|fb| WireFallback {
-                        step: fb.step.to_string(),
-                        reason: fb.reason.clone(),
-                    })
-                    .collect(),
-                rows,
-            })
-        }
-        Request::TopK {
-            user,
-            attr,
-            k,
-            deadline_ms,
-            state,
-        } => {
-            let state = {
-                let names: Vec<&str> = state.iter().map(String::as_str).collect();
-                match service.with_db(|db| ContextState::parse(db.env(), &names)) {
-                    Ok(s) => s,
-                    Err(e) => return err_of(&ServiceError::Core(CoreError::Context(e))),
-                }
-            };
-            // Same deadline arithmetic as Query: tightest of the
-            // request's ask, the propagated budget, and the cap.
-            let mut deadline_ms = (*deadline_ms).max(1);
-            if budget_ms > 0 {
-                deadline_ms = deadline_ms.min(budget_ms);
-            }
-            let deadline = Duration::from_millis(deadline_ms).min(cfg.max_deadline);
-            let answer = match service.query_topk_tiered(user, &state, *k, deadline, tier) {
+            let answer = match served {
                 Ok(a) => a,
                 Err(e) => return err_of(&e),
             };
@@ -1118,98 +1043,20 @@ fn dispatch_inner(
             Err(e) => err_of(&e),
         },
         Request::WalStatus => match service.wal_status() {
-            Ok(status) => {
-                let mut body = format!(
-                    "appends {}, group-commit batches {}, rotations {}\n",
-                    status.appends, status.batches, status.rotations
-                );
-                for (i, s) in status.shards.iter().enumerate() {
-                    body.push_str(&format!(
-                        "shard {i}: segment {} ({} bytes), last lsn {}, synced lsn {}, pending {}{}\n",
-                        s.seg_no,
-                        s.seg_bytes,
-                        s.last_lsn,
-                        s.synced_lsn,
-                        s.pending,
-                        if s.poisoned { " POISONED" } else { "" }
-                    ));
-                }
-                Response::Text { body }
-            }
+            Ok(status) => Response::Text {
+                body: status.to_string(),
+            },
             Err(e) => err_of(&e),
         },
         Request::ReplStatus => match service.replication_status() {
-            Ok(status) => {
-                let mut body = format!(
-                    "primary {}, epoch {}, max lag {} record(s)\n",
-                    match status.primary {
-                        Some(p) => format!("node {p}"),
-                        None => "none (failover pending)".to_string(),
-                    },
-                    status.epoch,
-                    status.max_lag
-                );
-                for n in &status.nodes {
-                    body.push_str(&format!(
-                        "node {}: {}{}, epoch {}, {} record(s) applied\n",
-                        n.id,
-                        if n.live { "live" } else { "down" },
-                        if n.is_primary { " PRIMARY" } else { "" },
-                        n.epoch,
-                        n.applied
-                    ));
-                }
-                Response::Text { body }
-            }
+            Ok(status) => Response::Text {
+                body: status.to_string(),
+            },
             Err(e) => err_of(&e),
         },
-        Request::Stats => {
-            let s = service.stats();
-            let mut body = format!(
-                "served: {} view, {} cached, {} exact, {} nearest-state, {} default\n\
-                 contained panics {}, deadline misses {}, shed {}, errors {}",
-                s.served_view,
-                s.served_cached,
-                s.served_exact,
-                s.served_nearest,
-                s.served_default,
-                s.panics_contained,
-                s.deadline_exceeded,
-                s.shed,
-                s.errors
-            );
-            body.push_str(&format!(
-                "\ncache: {} hits, {} misses, {} insertions, {} evictions, {} invalidations",
-                s.cache_hits,
-                s.cache_misses,
-                s.cache_insertions,
-                s.cache_evictions,
-                s.cache_invalidations
-            ));
-            body.push_str(&format!(
-                "\nviews: {} materialized, {} pinned, {} hits, {} misses, {} patches, {} rebuilds",
-                s.materialized_views,
-                s.pinned_views,
-                s.view_hits,
-                s.view_misses,
-                s.view_patches,
-                s.view_rebuilds
-            ));
-            body.push_str(&format!(
-                "\nshed by reason: {} admission, {} sojourn, {} expired-at-dequeue\n\
-                 shed by tier: {} interactive, {} bulk, {} maintenance",
-                s.shed_admission,
-                s.shed_sojourn,
-                s.shed_expired,
-                s.shed_interactive,
-                s.shed_bulk,
-                s.shed_maintenance
-            ));
-            for (site, hits) in &s.fault_hits {
-                body.push_str(&format!("\nfault {site} {hits}"));
-            }
-            Response::Text { body }
-        }
+        Request::Stats => Response::Text {
+            body: service.stats().to_string(),
+        },
         Request::Scrub => match service.scrub() {
             Ok(report) => Response::ScrubReport {
                 segments_verified: report.segments_verified,

@@ -61,7 +61,7 @@ fn largest_alloc_during(f: impl FnOnce()) -> usize {
 // ---------------------------------------------------------------------------
 
 /// One of every request shape, with awkward field contents (spaces,
-/// newlines, empty strings) so the token escaping is in the stream.
+/// newlines, empty strings).
 fn recorded_requests() -> Vec<Request> {
     vec![
         Request::Ping,
@@ -118,8 +118,9 @@ fn recorded_requests() -> Vec<Request> {
 
 fn recorded_stream() -> Vec<u8> {
     let mut stream = Vec::new();
-    for req in recorded_requests() {
-        stream.extend_from_slice(&encode_frame(&req.encode()).expect("encodable request"));
+    for (i, req) in recorded_requests().iter().enumerate() {
+        let payload = encode_request(i as u64 + 1, req);
+        stream.extend_from_slice(&encode_frame(&payload).expect("encodable request"));
     }
     stream
 }
@@ -138,8 +139,8 @@ fn drain(bytes: &[u8]) -> (usize, Option<FrameError>) {
                 // Whatever survived the checksum must decode or fail
                 // typed at the protocol layer — both are fine; a panic
                 // is not.
-                let _ = Request::decode(&payload);
-                let _ = Response::decode(&payload);
+                let _ = decode_request(&payload);
+                let _ = decode_response(&payload);
             }
             Ok(None) => return (frames, None),
             Err(e) => return (frames, Some(e)),
@@ -183,9 +184,9 @@ fn flipped_bytes_fail_clean_at_every_offset() {
             // Every outcome is acceptable except a panic or an
             // attacker-sized allocation: a flip may truncate the tail
             // (length field), fail a checksum, claim an oversized
-            // frame, or corrupt only the *content* of a token in ways
-            // the protocol layer tolerates (it still sees valid
-            // tokens). The frame layer's integrity promise is that
+            // frame, or corrupt only the *content* of a field in ways
+            // the codec tolerates (it still sees a well-formed
+            // message). The frame layer's integrity promise is that
             // nothing blows up.
             let largest = largest_alloc_during(|| {
                 let _ = drain(&bad);
@@ -388,10 +389,10 @@ fn binary_flipped_bytes_never_panic_or_overallocate() {
             for bit in [0x01u8, 0x40, 0x80] {
                 let mut bad = payload.clone();
                 bad[i] ^= bit;
-                // A flip may produce a different valid message, a typed
-                // error, or (first byte) demote the payload out of the
-                // binary dialect entirely. It must never panic and
-                // never allocate by a corrupted length claim.
+                // A flip may produce a different valid message or a
+                // typed error (a first-byte flip breaks the magic). It
+                // must never panic and never allocate by a corrupted
+                // length claim.
                 let largest = largest_alloc_during(|| {
                     let _ = decode_request(&bad);
                     let _ = decode_response(&bad);

@@ -8,6 +8,7 @@
 //! reorder; the client test asserts `NetClient::pipeline` un-reorders
 //! by id.
 
+use std::io::Write;
 use std::net::TcpStream;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -15,7 +16,7 @@ use std::time::{Duration, Instant};
 use ctxpref_core::MultiUserDb;
 use ctxpref_faults::sites::NET_CONN_DELAY;
 use ctxpref_faults::FaultPlan;
-use ctxpref_net::frame::{read_frame, write_frame};
+use ctxpref_net::frame::{encode_frame, read_frame, write_frame};
 use ctxpref_net::proto::{Request, Response};
 use ctxpref_net::{
     decode_response, encode_request, NetClient, NetClientConfig, NetError, NetServer,
@@ -223,5 +224,44 @@ fn nested_batches_are_refused_typed() {
     }
     // The refusal did not poison the connection's protocol state.
     client.ping().expect("connection still serviceable");
+    server.shutdown();
+}
+
+#[test]
+fn unservable_streams_are_refused_under_id_zero_and_the_connection_closed() {
+    // ctxpref2 is the only dialect. A peer that opens with anything
+    // else — here the retired text protocol's ping — or whose framing
+    // is torn gets exactly one typed answer under the reserved
+    // connection id, then EOF; the server never tries to serve it,
+    // and nobody else is disturbed.
+    let _guard = plan_lock();
+    let server = spawn_server();
+    let foreign = encode_frame(b"ctxpref1 ping").expect("frame");
+    let mut torn = encode_frame(&encode_request(1, &Request::Ping)).expect("frame");
+    *torn.last_mut().expect("nonempty") ^= 0x40;
+    for (bytes, expected_kind) in [(foreign, "proto"), (torn, "frame")] {
+        let mut stream = TcpStream::connect(server.local_addr()).expect("dial");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("read timeout");
+        stream.write_all(&bytes).expect("write raw bytes");
+        let payload = read_frame(&mut stream)
+            .expect("read frame")
+            .expect("one refusal frame");
+        let wire = decode_response(&payload).expect("the refusal is a ctxpref2 response");
+        assert_eq!(wire.id, 0, "a connection-level reply carries id 0");
+        match wire.resp {
+            Response::Err { kind, .. } => assert_eq!(kind, expected_kind),
+            other => panic!("expected a typed {expected_kind} refusal, got {other:?}"),
+        }
+        assert!(
+            read_frame(&mut stream).expect("clean close").is_none(),
+            "the server must close after the {expected_kind} refusal"
+        );
+    }
+
+    let mut client =
+        NetClient::connect(server.local_addr().to_string(), NetClientConfig::default());
+    client.ping().expect("a ctxpref2 client is still served");
     server.shutdown();
 }

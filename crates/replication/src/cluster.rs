@@ -126,6 +126,39 @@ pub struct ClusterStatus {
     pub scrub_quarantined: u64,
 }
 
+/// The operator's rendering (`repl-status`, local and remote): the
+/// primary and lag, one line per node, then the promotion history.
+impl std::fmt::Display for ClusterStatus {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self.primary {
+            Some(p) => write!(f, "primary node {p}")?,
+            None => write!(f, "primary none (failover pending)")?,
+        }
+        writeln!(
+            f,
+            ", epoch {}, max lag {} record(s)",
+            self.epoch, self.max_lag
+        )?;
+        for n in &self.nodes {
+            writeln!(
+                f,
+                "node {}: {}{}, epoch {}, {} record(s) applied",
+                n.id,
+                if n.live { "live" } else { "down" },
+                if n.is_primary { " PRIMARY" } else { "" },
+                n.epoch,
+                n.applied
+            )?;
+        }
+        write!(f, "promotions: ")?;
+        for (i, (epoch, node)) in self.promotions.iter().enumerate() {
+            let sep = if i == 0 { "" } else { ", " };
+            write!(f, "{sep}epoch {epoch} → node {node}")?;
+        }
+        Ok(())
+    }
+}
+
 /// What one [`Cluster::tick`] did.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TickReport {

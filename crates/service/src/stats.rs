@@ -228,3 +228,70 @@ impl ServiceStats {
         self.served_nearest + self.served_default
     }
 }
+
+/// The operator's rendering (`stats`, local and remote): one labelled
+/// line per concern, then a `fault <site> <hits>` line per fault site
+/// of the installed plan. Durability and replication lines print
+/// unconditionally — all zeros on a service running without them — so
+/// the body has the same lines whichever way the service was built.
+impl std::fmt::Display for ServiceStats {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        writeln!(
+            f,
+            "served: {} view, {} cached, {} exact, {} nearest-state, {} default",
+            self.served_view,
+            self.served_cached,
+            self.served_exact,
+            self.served_nearest,
+            self.served_default
+        )?;
+        writeln!(
+            f,
+            "contained panics {}, deadline misses {}, shed {}, errors {}",
+            self.panics_contained, self.deadline_exceeded, self.shed, self.errors
+        )?;
+        writeln!(
+            f,
+            "cache: {} hits, {} misses, {} insertions, {} evictions, {} invalidations",
+            self.cache_hits,
+            self.cache_misses,
+            self.cache_insertions,
+            self.cache_evictions,
+            self.cache_invalidations
+        )?;
+        writeln!(
+            f,
+            "views: {} materialized, {} pinned, {} hits, {} misses, {} patches, {} rebuilds",
+            self.materialized_views,
+            self.pinned_views,
+            self.view_hits,
+            self.view_misses,
+            self.view_patches,
+            self.view_rebuilds
+        )?;
+        writeln!(
+            f,
+            "shed by reason: {} admission, {} sojourn, {} expired-at-dequeue",
+            self.shed_admission, self.shed_sojourn, self.shed_expired
+        )?;
+        writeln!(
+            f,
+            "shed by tier: {} interactive, {} bulk, {} maintenance",
+            self.shed_interactive, self.shed_bulk, self.shed_maintenance
+        )?;
+        writeln!(
+            f,
+            "wal appends {}, group-commit batches {}, checkpoints {}, recovered lsn {}",
+            self.wal_appends, self.group_commit_batches, self.checkpoints, self.recovered_lsn
+        )?;
+        write!(
+            f,
+            "replication epoch {}, max lag {}, failovers {}",
+            self.replication_epoch, self.replication_max_lag, self.failovers
+        )?;
+        for (site, hits) in &self.fault_hits {
+            write!(f, "\nfault {site} {hits}")?;
+        }
+        Ok(())
+    }
+}

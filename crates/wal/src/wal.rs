@@ -168,6 +168,31 @@ pub struct WalStatus {
     pub disk_full_sheds: u64,
 }
 
+/// The operator's rendering (`wal-status`, local and remote): the
+/// aggregate counters, then one line per shard.
+impl std::fmt::Display for WalStatus {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "appends {}, group-commit batches {}, rotations {}",
+            self.appends, self.batches, self.rotations
+        )?;
+        for (i, s) in self.shards.iter().enumerate() {
+            write!(
+                f,
+                "\nshard {i}: segment {} ({} bytes), last lsn {}, synced lsn {}, pending {}{}",
+                s.seg_no,
+                s.seg_bytes,
+                s.last_lsn,
+                s.synced_lsn,
+                s.pending,
+                if s.poisoned { " POISONED" } else { "" }
+            )?;
+        }
+        Ok(())
+    }
+}
+
 /// A per-shard segmented write-ahead log.
 #[derive(Debug)]
 pub struct Wal {

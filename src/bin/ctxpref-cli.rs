@@ -302,32 +302,7 @@ impl Repl {
             .service()?
             .replication_status()
             .map_err(|e| e.to_string())?;
-        let mut out = format!(
-            "primary {}, epoch {}, max lag {} record(s)\n",
-            match status.primary {
-                Some(p) => format!("node {p}"),
-                None => "none (failover pending)".to_string(),
-            },
-            status.epoch,
-            status.max_lag
-        );
-        for n in &status.nodes {
-            out.push_str(&format!(
-                "node {}: {}{}, epoch {}, {} record(s) applied\n",
-                n.id,
-                if n.live { "live" } else { "down" },
-                if n.is_primary { " PRIMARY" } else { "" },
-                n.epoch,
-                n.applied
-            ));
-        }
-        let history: Vec<String> = status
-            .promotions
-            .iter()
-            .map(|(e, n)| format!("epoch {e} → node {n}"))
-            .collect();
-        out.push_str(&format!("promotions: {}", history.join(", ")));
-        Ok(Some(out))
+        Ok(Some(status.to_string()))
     }
 
     /// Serve the loaded database over TCP: `serve <addr>` binds a
@@ -683,22 +658,7 @@ impl Repl {
 
     fn cmd_wal_status(&self) -> Result<Option<String>, String> {
         let status = self.service()?.wal_status().map_err(|e| e.to_string())?;
-        let mut out = format!(
-            "appends {}, group-commit batches {}, rotations {}\n",
-            status.appends, status.batches, status.rotations
-        );
-        for (i, s) in status.shards.iter().enumerate() {
-            out.push_str(&format!(
-                "shard {i}: segment {} ({} bytes), last lsn {}, synced lsn {}, pending {}{}\n",
-                s.seg_no,
-                s.seg_bytes,
-                s.last_lsn,
-                s.synced_lsn,
-                s.pending,
-                if s.poisoned { " POISONED" } else { "" }
-            ));
-        }
-        Ok(Some(out))
+        Ok(Some(status.to_string()))
     }
 
     fn cmd_scrub(&self) -> Result<Option<String>, String> {
@@ -1007,45 +967,7 @@ impl Repl {
     }
 
     fn cmd_stats(&self) -> Result<Option<String>, String> {
-        let service = self.service()?;
-        let s = service.stats();
-        let mut out = format!(
-            "served: {} view, {} cached, {} exact, {} nearest-state, {} default\n\
-             contained panics {}, deadline misses {}, shed {}, errors {}\n\
-             cache: {} hits, {} misses, {} evictions, {} invalidations\n\
-             views: {} materialized, {} pinned, {} hits, {} patches, {} rebuilds",
-            s.served_view,
-            s.served_cached,
-            s.served_exact,
-            s.served_nearest,
-            s.served_default,
-            s.panics_contained,
-            s.deadline_exceeded,
-            s.shed,
-            s.errors,
-            s.cache_hits,
-            s.cache_misses,
-            s.cache_evictions,
-            s.cache_invalidations,
-            s.materialized_views,
-            s.pinned_views,
-            s.view_hits,
-            s.view_patches,
-            s.view_rebuilds
-        );
-        if service.is_durable() {
-            out.push_str(&format!(
-                "\nwal appends {}, group-commit batches {}, checkpoints {}, recovered lsn {}",
-                s.wal_appends, s.group_commit_batches, s.checkpoints, s.recovered_lsn
-            ));
-        }
-        if service.is_replicated() {
-            out.push_str(&format!(
-                "\nreplication epoch {}, max lag {}, failovers {}",
-                s.replication_epoch, s.replication_max_lag, s.failovers
-            ));
-        }
-        Ok(Some(out))
+        Ok(Some(self.service()?.stats().to_string()))
     }
 }
 
