@@ -146,12 +146,12 @@ fn make_cluster(cfg: &ReplicationBenchConfig, tag: &str, ack: AckMode) -> Cluste
     for i in 0..cfg.users {
         let user = format!("user{i}");
         cluster
-            .write(&WalOp::AddUser { user: user.clone() })
+            .write(WalOp::AddUser { user: user.clone() })
             .expect("seeding a bench user");
         let profile = default_profile(&env, &rel, demos[i % demos.len()]);
         let pref = profile.preferences()[0].clone();
         cluster
-            .write(&WalOp::InsertPreference { user, pref })
+            .write(WalOp::InsertPreference { user, pref })
             .expect("seeding a bench preference");
     }
     if ack == AckMode::Async {
@@ -176,7 +176,7 @@ fn run_ack_mode(cfg: &ReplicationBenchConfig, tag: &str, ack: AckMode) -> AckThr
             0.65
         };
         cluster
-            .write(&WalOp::UpdateScore {
+            .write(WalOp::UpdateScore {
                 user,
                 index: 0,
                 score,
@@ -204,7 +204,7 @@ fn run_failover(cfg: &ReplicationBenchConfig) -> FailoverResult {
     for i in 0..64u64 {
         let user = format!("acked{i}");
         cluster
-            .write(&WalOp::AddUser { user: user.clone() })
+            .write(WalOp::AddUser { user: user.clone() })
             .expect("pre-kill quorum write");
         acked_users.push(user);
     }
@@ -240,7 +240,7 @@ fn run_failover(cfg: &ReplicationBenchConfig) -> FailoverResult {
     let fenced = matches!(
         cluster.write_via(
             0,
-            &WalOp::AddUser {
+            WalOp::AddUser {
                 user: "ghost".into()
             }
         ),

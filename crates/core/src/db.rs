@@ -250,9 +250,15 @@ impl ContextualDb {
         value: Value,
         score: f64,
     ) -> Result<(), CoreError> {
-        let cod = parse_descriptor(&self.env, descriptor)?;
-        let clause = AttributeClause::new(self.relation.schema().require_attr(attr)?, op, value);
-        self.insert_preference(ContextualPreference::new(cod, clause, score)?)
+        self.insert_preference(preference_from_parts(
+            &self.env,
+            &self.relation,
+            descriptor,
+            attr,
+            op,
+            value,
+            score,
+        )?)
     }
 
     /// Remove the preference at `index` (as listed by
@@ -457,6 +463,25 @@ impl ContextualDb {
         }
         Ok(out)
     }
+}
+
+/// Build the preference `descriptor ⇒ attr θ value, score` from its
+/// textual parts, validated against `env` and `relation`'s schema — the
+/// one place the `insert_preference_eq`/`_cmp` conveniences of every
+/// database type (and the serving layer, which must hold the value
+/// before it can log it) turn text into a [`ContextualPreference`].
+pub fn preference_from_parts(
+    env: &ContextEnvironment,
+    relation: &Relation,
+    descriptor: &str,
+    attr: &str,
+    op: CompareOp,
+    value: Value,
+    score: f64,
+) -> Result<ContextualPreference, CoreError> {
+    let cod = parse_descriptor(env, descriptor)?;
+    let clause = AttributeClause::new(relation.schema().require_attr(attr)?, op, value);
+    Ok(ContextualPreference::new(cod, clause, score)?)
 }
 
 /// The descriptor pinning every non-`all` parameter of a state.

@@ -42,7 +42,7 @@ mod error;
 mod multi;
 mod sharded;
 
-pub use db::{ContextualDb, ContextualDbBuilder, QueryAnswer, QueryOptions};
+pub use db::{preference_from_parts, ContextualDb, ContextualDbBuilder, QueryAnswer, QueryOptions};
 pub use error::CoreError;
 pub use multi::MultiUserDb;
 pub use sharded::{

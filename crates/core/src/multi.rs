@@ -9,16 +9,14 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use ctxpref_context::{parse_descriptor, ContextState, ExtendedContextDescriptor};
-use ctxpref_profile::{
-    AttributeClause, ContextualPreference, ParamOrder, Profile, ProfileTree, TreeStats,
-};
+use ctxpref_context::{ContextState, ExtendedContextDescriptor};
+use ctxpref_profile::{ContextualPreference, ParamOrder, Profile, ProfileTree, TreeStats};
 use ctxpref_qcache::ContextQueryTree;
 use ctxpref_relation::{CompareOp, Relation, Value};
 use ctxpref_resolve::{rank_cs, rank_cs_parallel, rank_cs_topk};
 use ctxpref_views::{Change, ViewCatalog, ViewOpts, ViewStats};
 
-use crate::db::{QueryAnswer, QueryOptions};
+use crate::db::{preference_from_parts, QueryAnswer, QueryOptions};
 use crate::error::CoreError;
 use ctxpref_context::ContextEnvironment;
 
@@ -108,17 +106,20 @@ impl UserSlot {
     ) -> Result<(), CoreError> {
         self.tree.insert(&pref)?;
         self.profile.insert_unchecked(pref);
+        let pref = self.profile.preferences().last().expect("just inserted");
+        self.publish(relation, defaults, Change::Insert(pref));
+        Ok(())
+    }
+
+    /// The tail of every mutation, once profile and tree agree again:
+    /// cached rankings are stale, and the views patch themselves from
+    /// the change.
+    fn publish(&self, relation: &Relation, defaults: QueryOptions, change: Change<'_>) {
         if let Some(c) = &self.cache {
             c.invalidate_all();
         }
-        let pref = self.profile.preferences().last().expect("just inserted");
-        self.views.on_mutation(
-            &self.tree,
-            relation,
-            &view_opts(defaults),
-            Change::Insert(pref),
-        );
-        Ok(())
+        self.views
+            .on_mutation(&self.tree, relation, &view_opts(defaults), change);
     }
 
     pub(crate) fn remove_preference(
@@ -133,15 +134,7 @@ impl UserSlot {
         }
         let removed = self.profile.remove(index);
         self.tree = ProfileTree::from_profile(&self.profile, order.clone())?;
-        if let Some(c) = &self.cache {
-            c.invalidate_all();
-        }
-        self.views.on_mutation(
-            &self.tree,
-            relation,
-            &view_opts(defaults),
-            Change::Remove(&removed),
-        );
+        self.publish(relation, defaults, Change::Remove(&removed));
         Ok(removed)
     }
 
@@ -192,15 +185,7 @@ impl UserSlot {
             // The tree had drifted from the profile; start it over.
             self.tree = ProfileTree::from_profile(&self.profile, order.clone())?;
         }
-        if let Some(c) = &self.cache {
-            c.invalidate_all();
-        }
-        self.views.on_mutation(
-            &self.tree,
-            relation,
-            &view_opts(defaults),
-            Change::Rescore { pref, old_score },
-        );
+        self.publish(relation, defaults, Change::Rescore { pref, old_score });
         Ok(())
     }
 
@@ -481,13 +466,16 @@ impl MultiUserDb {
         value: Value,
         score: f64,
     ) -> Result<(), CoreError> {
-        let cod = parse_descriptor(&self.env, descriptor)?;
-        let clause = AttributeClause::new(
-            self.relation.schema().require_attr(attr)?,
+        let pref = preference_from_parts(
+            &self.env,
+            &self.relation,
+            descriptor,
+            attr,
             CompareOp::Eq,
             value,
-        );
-        self.insert_preference(user, ContextualPreference::new(cod, clause, score)?)
+            score,
+        )?;
+        self.insert_preference(user, pref)
     }
 
     /// Remove one user's preference at `index` (as listed by their
@@ -498,13 +486,11 @@ impl MultiUserDb {
         user: &str,
         index: usize,
     ) -> Result<ContextualPreference, CoreError> {
-        let order = self.order.clone();
-        let defaults = self.defaults;
         let slot = self
             .users
             .get_mut(user)
             .ok_or_else(|| CoreError::NoSuchUser(user.to_string()))?;
-        slot.remove_preference(index, &order, &self.relation, defaults)
+        slot.remove_preference(index, &self.order, &self.relation, self.defaults)
     }
 
     /// Update the score of one user's preference at `index`, checking
@@ -515,14 +501,18 @@ impl MultiUserDb {
         index: usize,
         score: f64,
     ) -> Result<(), CoreError> {
-        let env = self.env.clone();
-        let order = self.order.clone();
-        let defaults = self.defaults;
         let slot = self
             .users
             .get_mut(user)
             .ok_or_else(|| CoreError::NoSuchUser(user.to_string()))?;
-        slot.update_preference_score(index, score, &env, &order, &self.relation, defaults)
+        slot.update_preference_score(
+            index,
+            score,
+            &self.env,
+            &self.order,
+            &self.relation,
+            self.defaults,
+        )
     }
 
     /// The query options used for every query on this database.

@@ -30,17 +30,13 @@
 
 use std::collections::HashMap;
 
-use ctxpref_context::{
-    parse_descriptor, ContextEnvironment, ContextState, ExtendedContextDescriptor,
-};
-use ctxpref_profile::{
-    AttributeClause, ContextualPreference, ParamOrder, Profile, ProfileTree, TreeStats,
-};
+use ctxpref_context::{ContextEnvironment, ContextState, ExtendedContextDescriptor};
+use ctxpref_profile::{ContextualPreference, ParamOrder, Profile, ProfileTree, TreeStats};
 use ctxpref_relation::{CompareOp, Relation, Value};
 use ctxpref_views::ViewStats;
 use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use crate::db::{QueryAnswer, QueryOptions};
+use crate::db::{preference_from_parts, QueryAnswer, QueryOptions};
 use crate::error::CoreError;
 use crate::multi::{MultiUserDb, UserSlot};
 
@@ -393,13 +389,16 @@ impl ShardedMultiUserDb {
         value: Value,
         score: f64,
     ) -> Result<(), CoreError> {
-        let cod = parse_descriptor(&self.env, descriptor)?;
-        let clause = AttributeClause::new(
-            self.relation.schema().require_attr(attr)?,
+        let pref = preference_from_parts(
+            &self.env,
+            &self.relation,
+            descriptor,
+            attr,
             CompareOp::Eq,
             value,
-        );
-        self.insert_preference(user, ContextualPreference::new(cod, clause, score)?)
+            score,
+        )?;
+        self.insert_preference(user, pref)
     }
 
     /// Remove one user's preference at `index`.
@@ -669,7 +668,9 @@ fn shard_index(user: &str, shards: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ctxpref_context::parse_descriptor;
     use ctxpref_hierarchy::Hierarchy;
+    use ctxpref_profile::AttributeClause;
     use ctxpref_relation::{AttrType, Schema};
 
     fn setup() -> ShardedMultiUserDb {

@@ -14,7 +14,10 @@ use std::cell::Cell;
 
 use ctxpref_net::frame::{encode_frame, read_frame, FRAME_HEADER, MAX_FRAME_PAYLOAD};
 use ctxpref_net::proto::{AnswerRow, MigrateAction, RemoteAnswer, Request, Response, WireFallback};
-use ctxpref_net::{decode_request, decode_response, encode_request, encode_response, FrameError};
+use ctxpref_net::{
+    decode_request, decode_response, encode_request, encode_response, DecodeKind, FrameError,
+    BINARY_MAGIC, BINARY_VERSION,
+};
 
 // ---------------------------------------------------------------------------
 // A counting allocator: thread-local arming, so parallel tests in this
@@ -410,43 +413,36 @@ fn binary_flipped_bytes_never_panic_or_overallocate() {
 
 #[test]
 fn binary_hostile_length_claim_rejected_before_allocation() {
-    // A hand-built AddUser whose user-string length claims 2^40 bytes.
-    // Tag 4 = add-user in the frozen ctxpref2 vocabulary; the varint
-    // [0x80 ×5, 0x20] encodes 1 << 40.
-    let mut hostile = vec![0xC2, 0x02, 4, 1];
-    hostile.extend_from_slice(&[0x80, 0x80, 0x80, 0x80, 0x80, 0x20]);
-    let largest = largest_alloc_during(|| {
-        decode_request(&hostile).expect_err("terabyte string claim must fail typed");
-    });
-    assert!(
-        largest < 4096,
-        "hostile length claim rejected, but allocated {largest} bytes on the way"
-    );
-
-    // Same discipline for a hostile element *count*: a batch claiming
-    // 2^40 sub-requests (tag 16) in a 10-byte payload.
-    let mut hostile = vec![0xC2, 0x02, 16, 1];
-    hostile.extend_from_slice(&[0x80, 0x80, 0x80, 0x80, 0x80, 0x20]);
-    let largest = largest_alloc_during(|| {
-        decode_request(&hostile).expect_err("terabyte batch claim must fail typed");
-    });
-    assert!(
-        largest < 4096,
-        "hostile count claim rejected, but allocated {largest} bytes on the way"
-    );
-
-    // And for the top-k verb (tag 19): user "a", attr "n", k 1,
-    // deadline 1, then a state-value count claiming 2^40 strings.
-    let mut hostile = vec![0xC2, 0x02, 19, 1];
-    hostile.extend_from_slice(&[1, b'a', 1, b'n', 1, 1]);
-    hostile.extend_from_slice(&[0x80, 0x80, 0x80, 0x80, 0x80, 0x20]);
-    let largest = largest_alloc_during(|| {
-        decode_request(&hostile).expect_err("terabyte state-count claim must fail typed");
-    });
-    assert!(
-        largest < 4096,
-        "hostile top-k state count rejected, but allocated {largest} bytes on the way"
-    );
+    // Hand-built requests under the current envelope — magic, version,
+    // tag, id 1, budget 0, tier 0 — whose first length or count claims
+    // 2^40 (the varint [0x80 ×5, 0x20]). Each must fail on *that claim*
+    // (not earlier, on the header), before allocating for it.
+    let claim_fails = |tag: u8, fields: &[u8], what: &str| {
+        let mut hostile = vec![BINARY_MAGIC, BINARY_VERSION, tag, 1, 0, 0];
+        hostile.extend_from_slice(fields);
+        hostile.extend_from_slice(&[0x80, 0x80, 0x80, 0x80, 0x80, 0x20]);
+        let mut kind = None;
+        let largest = largest_alloc_during(|| {
+            kind = Some(decode_request(&hostile).expect_err(what).kind);
+        });
+        assert!(
+            matches!(kind, Some(DecodeKind::LengthOverflow { declared, .. }) if declared == 1 << 40),
+            "{what}: failed as {kind:?}, not on the length claim"
+        );
+        assert!(
+            largest < 4096,
+            "{what}: rejected, but allocated {largest} bytes on the way"
+        );
+    };
+    // Tag 4 = add-user in the frozen ctxpref2 vocabulary: the claim is
+    // the user string's length.
+    claim_fails(4, &[], "terabyte string claim");
+    // A hostile element *count*: a batch (tag 16) claiming 2^40
+    // sub-requests in a 12-byte payload.
+    claim_fails(16, &[], "terabyte batch claim");
+    // The top-k verb (tag 19): user "a", attr "n", k 1, deadline 1,
+    // then a state-value count claiming 2^40 strings.
+    claim_fails(19, &[1, b'a', 1, b'n', 1, 1], "terabyte state-count claim");
 }
 
 #[test]

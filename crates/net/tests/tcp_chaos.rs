@@ -226,7 +226,7 @@ fn run_tcp_chaos_seed(seed: u64) -> Result<(), String> {
 
     for i in 0..80 {
         let op = workload.next_op();
-        match cluster.write(&op) {
+        match cluster.write(op.clone()) {
             Ok(_) => acked.push(op),
             // Applied on the primary, never acknowledged: allowed to
             // survive, not required to.
@@ -355,7 +355,7 @@ fn run_tcp_chaos_seed(seed: u64) -> Result<(), String> {
 
     // 4. The healed cluster still takes and replicates writes.
     cluster
-        .write(&WalOp::AddUser {
+        .write(WalOp::AddUser {
             user: "post-chaos-probe".into(),
         })
         .map_err(|e| ctx(&format!("healed cluster refused a write: {e}")))?;
@@ -413,7 +413,7 @@ fn tcp_cluster_replicates_and_fails_over() {
     let cluster = Cluster::new_with_transport(&tmp.0, cfg, make_core, make_transport()).unwrap();
 
     cluster
-        .write(&WalOp::AddUser {
+        .write(WalOp::AddUser {
             user: "alice".into(),
         })
         .unwrap();
@@ -444,7 +444,7 @@ fn tcp_cluster_replicates_and_fails_over() {
     assert!(epoch > 1);
 
     cluster
-        .write(&WalOp::AddUser { user: "bob".into() })
+        .write(WalOp::AddUser { user: "bob".into() })
         .unwrap();
     cluster.restart_node(0).unwrap();
     cluster.pump().unwrap();

@@ -385,8 +385,9 @@ impl Cluster {
     }
 
     /// Apply one logged operation through the current primary,
-    /// honouring the configured [`AckMode`].
-    pub fn write(&self, op: &WalOp) -> Result<Ack, ReplicationError> {
+    /// honouring the configured [`AckMode`]. The ack carries what the
+    /// primary's log displaced when it applied the op.
+    pub fn write(&self, op: WalOp) -> Result<Ack, ReplicationError> {
         let mut st = self.state.lock();
         let Some(p) = st.primary else {
             return Err(ReplicationError::NoPrimary);
@@ -398,7 +399,7 @@ impl Cluster {
     /// split-brain probe. A node that no longer believes it is primary
     /// refuses; a deposed one that still believes is fenced by the
     /// first peer it ships to (under quorum acks) and demotes.
-    pub fn write_via(&self, id: NodeId, op: &WalOp) -> Result<Ack, ReplicationError> {
+    pub fn write_via(&self, id: NodeId, op: WalOp) -> Result<Ack, ReplicationError> {
         let mut st = self.state.lock();
         self.write_via_locked(&mut st, id, op)
     }
@@ -407,7 +408,7 @@ impl Cluster {
         &self,
         st: &mut ClusterState,
         id: NodeId,
-        op: &WalOp,
+        op: WalOp,
     ) -> Result<Ack, ReplicationError> {
         let node = st.nodes[id]
             .clone()

@@ -224,7 +224,7 @@ fn run_chaos_seed(seed: u64) -> Result<(), String> {
 
     for i in 0..120 {
         let op = workload.next_op();
-        match cluster.write(&op) {
+        match cluster.write(op.clone()) {
             Ok(_) => {
                 acked.push(op.clone());
                 applied.push(op);
@@ -361,7 +361,8 @@ fn run_chaos_seed(seed: u64) -> Result<(), String> {
     if status.promotions.len() == 1 {
         let mut model = MultiUserDb::new(tiny_env(), tiny_relation(), 2);
         for op in &applied {
-            op.apply_multi(&mut model)
+            op.clone()
+                .apply_multi(&mut model)
                 .map_err(|e| ctx(&format!("model apply: {e}")))?;
         }
         let final_db = cluster.primary_db().expect("primary is live");
@@ -380,7 +381,7 @@ fn run_chaos_seed(seed: u64) -> Result<(), String> {
         }
     }
     cluster
-        .write(&WalOp::AddUser {
+        .write(WalOp::AddUser {
             user: "post-chaos-probe".into(),
         })
         .map_err(|e| ctx(&format!("healed cluster refused a write: {e}")))?;
@@ -433,18 +434,18 @@ fn quorum_write_requires_a_majority() {
     let cluster = Cluster::new(&tmp.0, cfg, make_core).unwrap();
 
     cluster
-        .write(&WalOp::AddUser {
+        .write(WalOp::AddUser {
             user: "alice".into(),
         })
         .unwrap();
     // One replica down: 2 of 3 still ack.
     cluster.crash_node(2);
     cluster
-        .write(&WalOp::AddUser { user: "bob".into() })
+        .write(WalOp::AddUser { user: "bob".into() })
         .unwrap();
     // Both replicas down: the primary refuses to acknowledge.
     cluster.crash_node(1);
-    match cluster.write(&WalOp::AddUser {
+    match cluster.write(WalOp::AddUser {
         user: "carol".into(),
     }) {
         Err(ReplicationError::QuorumFailed {
@@ -466,7 +467,7 @@ fn quorum_write_requires_a_majority() {
     // write replicates with everything else.
     cluster.restart_node(1).unwrap();
     cluster
-        .write(&WalOp::AddUser {
+        .write(WalOp::AddUser {
             user: "dave".into(),
         })
         .unwrap();
@@ -490,7 +491,7 @@ fn failover_fences_the_deposed_primary() {
     cfg.heartbeat_threshold = 2;
     let cluster = Cluster::new(&tmp.0, cfg, make_core).unwrap();
     cluster
-        .write(&WalOp::AddUser {
+        .write(WalOp::AddUser {
             user: "alice".into(),
         })
         .unwrap();
@@ -520,7 +521,7 @@ fn failover_fences_the_deposed_primary() {
     cluster.heal_all();
     match cluster.write_via(
         0,
-        &WalOp::AddUser {
+        WalOp::AddUser {
             user: "split-brain".into(),
         },
     ) {
@@ -606,14 +607,13 @@ fn replica_crash_mid_catchup_does_not_double_apply() {
 
     // One user, many inserts: a double-apply would inflate the count.
     cluster
-        .write(&WalOp::AddUser {
+        .write(WalOp::AddUser {
             user: "counted".into(),
         })
         .unwrap();
     let mut workload = MonotoneWorkload::new(99);
     for _ in 0..40 {
-        let op = workload.next_op();
-        cluster.write(&op).unwrap();
+        cluster.write(workload.next_op()).unwrap();
     }
     cluster.pump().unwrap();
 
@@ -621,7 +621,7 @@ fn replica_crash_mid_catchup_does_not_double_apply() {
     // recovers and re-enters shipping at whatever LSN survived.
     cluster.crash_node(1);
     for _ in 0..20 {
-        cluster.write(&workload.next_op()).unwrap();
+        cluster.write(workload.next_op()).unwrap();
     }
     cluster.restart_node(1).unwrap();
     cluster.pump().unwrap();
@@ -657,12 +657,12 @@ fn gc_lagged_replica_catches_up_by_snapshot() {
     cluster.crash_node(2);
     let mut workload = MonotoneWorkload::new(7);
     for _ in 0..60 {
-        cluster.write(&workload.next_op()).unwrap();
+        cluster.write(workload.next_op()).unwrap();
     }
     // Checkpoint twice: the first GCs segments into the snapshot, the
     // second advances first_live_segment past everything node 2 needs.
     cluster.primary_db().unwrap().checkpoint().unwrap();
-    cluster.write(&workload.next_op()).unwrap();
+    cluster.write(workload.next_op()).unwrap();
     cluster.primary_db().unwrap().checkpoint().unwrap();
 
     cluster.restart_node(2).unwrap();
@@ -674,7 +674,7 @@ fn gc_lagged_replica_catches_up_by_snapshot() {
     );
     // And the replica keeps taking normal record shipping afterwards.
     cluster
-        .write(&WalOp::AddUser {
+        .write(WalOp::AddUser {
             user: "after-snapshot".into(),
         })
         .unwrap();

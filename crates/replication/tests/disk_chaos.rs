@@ -165,7 +165,7 @@ fn run_repair_seed(seed: u64) -> Result<(), String> {
     let mut acked: Vec<WalOp> = Vec::new();
     for i in 0..90 {
         let op = op_for(i);
-        if cluster.write(&op).is_ok() {
+        if cluster.write(op.clone()).is_ok() {
             acked.push(op);
         }
         if i % 4 == 0 {
@@ -312,7 +312,7 @@ fn run_repair_seed(seed: u64) -> Result<(), String> {
 
     // The repaired cluster still takes and replicates a fresh write.
     cluster
-        .write(&WalOp::AddUser {
+        .write(WalOp::AddUser {
             user: "post-repair-probe".into(),
         })
         .map_err(|e| ctx(&format!("repaired cluster refused a write: {e}")))?;
@@ -341,7 +341,7 @@ fn healed_replica_keeps_serving_without_repair() {
     let mut acked = Vec::new();
     for i in 0..90 {
         let op = op_for(i);
-        if cluster.write(&op).is_ok() {
+        if cluster.write(op.clone()).is_ok() {
             acked.push(op);
         }
         if i % 4 == 0 {

@@ -17,17 +17,25 @@
 //!   fallback recorded on the answer,
 //! * **retry-with-backoff** around the atomic, checksummed storage
 //!   layer,
-//! * opt-in **durability**: built with [`CtxPrefService::new_durable`]
-//!   or [`CtxPrefService::recover`], every mutation is appended to a
-//!   per-shard write-ahead log before it is applied, a background
-//!   checkpointer bounds replay time, and recovery replays the log on
-//!   top of the latest checkpoint (`ctxpref-wal`),
-//! * opt-in **replication**: built with
-//!   [`CtxPrefService::new_replicated`], mutations route through a
-//!   primary that ships its WAL to replicas (async or quorum acks),
-//!   a background tick detects primary failure and fails over with
-//!   epoch fencing, and anti-entropy digests verify convergence
-//!   (`ctxpref-replication`).
+//! * one **write path, chosen at construction**: every mutation verb
+//!   builds one [`ctxpref_wal::WalOp`] and hands it to a single
+//!   internal `write`, the only code that knows which of three paths
+//!   the constructor picked —
+//!   - *direct* ([`CtxPrefService::new`]): the op is applied to the
+//!     in-memory core;
+//!   - *logged* ([`CtxPrefService::new_durable`],
+//!     [`CtxPrefService::recover`]): appended to a per-shard
+//!     write-ahead log before it is applied; a background checkpointer
+//!     bounds replay time, and recovery replays the log on top of the
+//!     latest checkpoint (`ctxpref-wal`);
+//!   - *replicated* ([`CtxPrefService::new_replicated`]): logged by a
+//!     primary that ships its WAL to replicas (async or quorum acks);
+//!     a background tick detects primary failure and fails over with
+//!     epoch fencing, and anti-entropy digests verify convergence
+//!     (`ctxpref-replication`).
+//!
+//!   The write hands back what it displaced, so a removal returns the
+//!   value the log applied, not one read beside it.
 //!
 //! Failure modes are driven deterministically in tests by the
 //! `ctxpref-faults` plan (see the chaos suite under `tests/`, and the
@@ -55,22 +63,24 @@
 //! assert!(!answer.is_degraded());
 //! ```
 
+mod admission;
+mod config;
 mod error;
 mod ladder;
 mod migrate;
 mod service;
 mod stats;
 mod tier;
+mod write;
 
+pub use config::{DurabilityConfig, ReplicatedConfig, RetryPolicy, ServiceConfig};
 pub use error::ServiceError;
 pub use ladder::{Fallback, LadderStep, ServiceAnswer};
 pub use migrate::{MigrationEntry, MigrationPhase, RouteInfo, UserExport};
-pub use service::{
-    BulkError, CtxPrefService, DurabilityConfig, ReplicatedConfig, RetryPolicy, ScrubStatus,
-    ServiceConfig,
-};
+pub use service::CtxPrefService;
 pub use stats::ServiceStats;
 pub use tier::Priority;
+pub use write::{BulkError, ScrubStatus};
 
 // Durability and replication vocabulary re-exported so service
 // consumers need not depend on the lower crates directly.

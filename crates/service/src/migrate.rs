@@ -26,9 +26,12 @@
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
+use ctxpref_core::CoreError;
+use ctxpref_wal::WalOp;
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use crate::error::ServiceError;
+use crate::service::CtxPrefService;
 
 /// How long a fence (or import) waits for writers that passed the
 /// write gate before the entry landed. In-flight writes complete in
@@ -346,6 +349,207 @@ pub struct UserExport {
     pub last_lsn: u64,
     /// FNV digest of the profile at the cut (0 when absent).
     pub digest: u64,
+}
+
+impl CtxPrefService {
+    /// A consistent per-user export for the migration driver: whether
+    /// the user exists, their WAL shard, the shard's last applied LSN
+    /// at the cut, and an FNV digest of the profile at the cut. Taken
+    /// under the user's shard mutex, so the digest and the LSN agree
+    /// exactly. Requires durability (migration replays the WAL).
+    pub fn migrate_export(&self, user: &str) -> Result<UserExport, ServiceError> {
+        let d = self.durable_db()?;
+        let cut = d.user_cut(user);
+        let core = d.db();
+        let digest = cut
+            .profile
+            .as_ref()
+            .map(|p| ctxpref_replication::user_digest(core.env(), core.relation(), user, p))
+            .unwrap_or(0);
+        Ok(UserExport {
+            present: cut.profile.is_some(),
+            shard: cut.shard as u64,
+            last_lsn: cut.last_lsn,
+            digest,
+        })
+    }
+
+    /// Snapshot one user for migration: a consistent cut's LSN plus
+    /// the WAL-op payloads (`add` + one `ins` per preference) that
+    /// reconstruct the profile on the destination. The WAL suffix of
+    /// the user's shard strictly after the returned LSN is exactly
+    /// what the snapshot misses.
+    pub fn migrate_snapshot(&self, user: &str) -> Result<(u64, Vec<Vec<u8>>), ServiceError> {
+        let d = self.durable_db()?;
+        let cut = d.user_cut(user);
+        let profile = cut
+            .profile
+            .ok_or_else(|| ServiceError::Core(CoreError::NoSuchUser(user.to_string())))?;
+        let core = d.db();
+        let ops = ctxpref_replication::snapshot_ops(core.env(), core.relation(), user, &profile);
+        Ok((cut.last_lsn, ops))
+    }
+
+    /// One page of the user's WAL suffix for migration catch-up:
+    /// records of the user's shard with LSN ≥ `from_lsn`, filtered to
+    /// the migrating user, plus the highest LSN scanned. `Ok(None)`
+    /// means the suffix was garbage-collected into a checkpoint — the
+    /// driver must restart from a fresh snapshot. Because replicas
+    /// mirror the primary's per-shard LSN sequence, the cursor stays
+    /// valid across a failover of this cluster.
+    pub fn migrate_pull(
+        &self,
+        user: &str,
+        from_lsn: u64,
+        max: usize,
+    ) -> Result<Option<ctxpref_replication::UserSuffix>, ServiceError> {
+        let d = self.durable_db()?;
+        let shard = d.db().shard_of(user);
+        ctxpref_replication::user_suffix(&d, user, shard, from_lsn, max).map_err(ServiceError::from)
+    }
+
+    /// Fence `user` for cut-over at routing epoch `epoch`: client
+    /// writes for that one user are refused with the typed, retry-able
+    /// [`ServiceError::Migrating`] until the migration finishes or
+    /// aborts. Reads keep serving. Idempotent per epoch; an older
+    /// epoch is refused with [`ServiceError::StaleMigration`].
+    pub fn migrate_fence(&self, user: &str, epoch: u64) -> Result<(), ServiceError> {
+        self.migrations.fence(user, epoch)
+    }
+
+    /// Remove whatever copy of `user` this side holds, through the
+    /// write path but past the fence (the caller's entry already blocks
+    /// client writes). A user that is not here is not an error.
+    fn drop_user(&self, user: &str) -> Result<(), ServiceError> {
+        match self.write(WalOp::RemoveUser {
+            user: user.to_string(),
+        }) {
+            Ok(_) | Err(ServiceError::Core(_)) => Ok(()),
+            Err(other) => Err(other),
+        }
+    }
+
+    /// Destination side: begin importing `user` at `epoch`. Drops any
+    /// existing copy of the user (a previous attempt's partial state),
+    /// applies the snapshot ops through the normal write path, and
+    /// sets the catch-up watermark to the snapshot's cut LSN. Client
+    /// writes for the user are refused until [`Self::migrate_activate`].
+    pub fn migrate_import(
+        &self,
+        user: &str,
+        epoch: u64,
+        src_lsn: u64,
+        ops: &[Vec<u8>],
+    ) -> Result<(), ServiceError> {
+        self.migrations.begin_import(user, epoch, src_lsn)?;
+        // Reset: a partial previous attempt may have left the user
+        // behind. The import entry already blocks client writes, so
+        // nothing acked can be deleted here.
+        self.drop_user(user)?;
+        let core = self.core();
+        for payload in ops {
+            let op = WalOp::decode(payload, core.env(), core.relation())?;
+            self.write(op)?;
+        }
+        Ok(())
+    }
+
+    /// Destination side: apply one page of catch-up records. Records
+    /// at or below the import watermark are dropped (a retried page —
+    /// the ops themselves are not idempotent, the watermark makes the
+    /// page so); the watermark then advances to `through`. Returns the
+    /// new watermark.
+    pub fn migrate_apply(
+        &self,
+        user: &str,
+        epoch: u64,
+        through: u64,
+        records: &[(u64, Vec<u8>)],
+    ) -> Result<u64, ServiceError> {
+        let mut watermark = self.migrations.import_watermark(user, epoch)?;
+        let core = self.core();
+        for (lsn, payload) in records {
+            if *lsn <= watermark {
+                continue;
+            }
+            let op = WalOp::decode(payload, core.env(), core.relation())?;
+            if op.user() != user {
+                // The source filters by user; anything else is damage.
+                return Err(ServiceError::Wal(ctxpref_wal::WalError::Payload {
+                    reason: format!("catch-up record for {:?} during {user:?}", op.user()),
+                }));
+            }
+            self.write(op)?;
+            watermark = *lsn;
+            self.migrations.advance_watermark(user, epoch, watermark);
+        }
+        if through > watermark {
+            watermark = through;
+            self.migrations.advance_watermark(user, epoch, watermark);
+        }
+        Ok(watermark)
+    }
+
+    /// Destination side: the routing table flipped — drop the import
+    /// entry so client writes for `user` flow here. Idempotent.
+    pub fn migrate_activate(&self, user: &str, epoch: u64) -> Result<(), ServiceError> {
+        self.migrations.activate(user, epoch)
+    }
+
+    /// Source side: the cut-over completed — remove the user's data
+    /// (still under the fence, so no write can fork it) and leave a
+    /// `Moved` tombstone telling stale clients to refresh their
+    /// routing. Idempotent per epoch.
+    pub fn migrate_finish(&self, user: &str, epoch: u64) -> Result<(), ServiceError> {
+        match self.migrations.phase_of(user, epoch)? {
+            MigrationPhase::Moved => return Ok(()),
+            MigrationPhase::Fenced => {}
+            MigrationPhase::Importing { .. } => {
+                return Err(ServiceError::StaleMigration { current: epoch })
+            }
+        }
+        self.drop_user(user)?;
+        self.migrations.finish(user, epoch).map(|_| ())
+    }
+
+    /// Abort `epoch`'s migration of `user` on this side: a source
+    /// fence lifts (writes flow again), a destination import drops the
+    /// partial copy. A newer migration's entry, a completed move, or
+    /// no entry at all make this a no-op — abort never touches state
+    /// it does not own.
+    pub fn migrate_abort(&self, user: &str, epoch: u64) -> Result<(), ServiceError> {
+        if self.migrations.is_import(user, epoch) {
+            // Drop the partial copy while the entry still blocks
+            // client writes, so nothing acked can slip in and then be
+            // deleted with it.
+            self.drop_user(user)?;
+        }
+        self.migrations.abort(user, epoch);
+        Ok(())
+    }
+
+    /// The migration table: every live fence, import, and tombstone.
+    pub fn migration_entries(&self) -> Vec<(String, MigrationEntry)> {
+        self.migrations.snapshot()
+    }
+
+    /// What a router needs from one probe: whether a primary serves
+    /// writes, the replication epoch, and how much state lives here.
+    pub fn route_info(&self) -> RouteInfo {
+        let (has_primary, epoch) = match self.cluster() {
+            Some(c) => {
+                let s = c.status();
+                (s.primary.is_some(), s.epoch)
+            }
+            None => (true, 0),
+        };
+        RouteInfo {
+            has_primary,
+            epoch,
+            users: self.core().user_count() as u64,
+            migrations: self.migrations.len() as u64,
+        }
+    }
 }
 
 #[cfg(test)]

@@ -1,0 +1,560 @@
+//! The write path: how a mutation reaches the serving core, and the
+//! background upkeep of whichever log that path owns.
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::Ordering;
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
+
+use ctxpref_core::{preference_from_parts, ShardedMultiUserDb};
+use ctxpref_profile::{ContextualPreference, Profile};
+use ctxpref_relation::CompareOp;
+use ctxpref_replication::{Cluster, ClusterStatus, NodeId, ReplicationError, RoleHook, TickReport};
+use ctxpref_wal::{
+    CheckpointReport, Displaced, DurableDb, ScrubReport, SyncPolicy, WalOp, WalStatus,
+};
+
+use parking_lot::RwLock;
+
+use crate::config::{DurabilityConfig, ReplicatedConfig};
+use crate::error::ServiceError;
+use crate::service::CtxPrefService;
+use crate::stats::Counters;
+
+/// How a mutation reaches the serving core — chosen once, by the
+/// constructor, and never changed. [`CtxPrefService::write`] is the
+/// only code that acts on the choice; everything else that looks at it
+/// is inspection (stats, scrub, status).
+pub(crate) enum WritePath {
+    /// Applied straight to the in-memory core ([`CtxPrefService::new`]).
+    Direct,
+    /// Appended to the write-ahead log, then applied
+    /// ([`CtxPrefService::new_durable`], [`CtxPrefService::recover`]).
+    Logged(Arc<DurableDb>),
+    /// Logged and applied by the cluster's current primary, then
+    /// shipped to its replicas ([`CtxPrefService::new_replicated`]).
+    Replicated(Arc<Cluster>),
+}
+
+/// The failure of a bulk mutation: how many items of the batch were
+/// applied before the failure, plus the failure itself. The prefix is
+/// durably applied — a caller resumes after `applied`, it does not
+/// replay the whole batch.
+#[derive(Debug)]
+pub struct BulkError {
+    /// Items applied before the failure.
+    pub applied: usize,
+    /// The first item failure.
+    pub error: ServiceError,
+}
+
+impl std::fmt::Display for BulkError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "bulk write failed after {} item(s): {}",
+            self.applied, self.error
+        )
+    }
+}
+
+impl std::error::Error for BulkError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        Some(&self.error)
+    }
+}
+
+/// Fold one scrub pass's outcome into the service counters.
+pub(crate) fn record_scrub(counters: &Counters, report: &ScrubReport) {
+    counters.scrub_passes.fetch_add(1, Ordering::Relaxed);
+    counters
+        .scrub_quarantined
+        .fetch_add(report.quarantined.len() as u64, Ordering::Relaxed);
+    counters
+        .scrub_read_errors
+        .fetch_add(report.read_errors, Ordering::Relaxed);
+    if report.healed {
+        counters.scrub_heals.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// Re-point the serving slot at the cluster's current local node. A
+/// crash + restart of node 0 recovers into a *new* core instance;
+/// without this, reads would keep serving the orphaned pre-crash one
+/// forever. Called on every control-plane beat, manual and background.
+/// Pointer identity decides — content equality is irrelevant, the slot
+/// must track the cluster's live object.
+fn follow_local_node(slot: &RwLock<Arc<ShardedMultiUserDb>>, cluster: &Cluster) {
+    let Some(local) = cluster.db_of(0) else {
+        return;
+    };
+    if !Arc::ptr_eq(&slot.read(), local.db()) {
+        *slot.write() = Arc::clone(local.db());
+    }
+}
+
+/// The self-healing storage counters, as reported by
+/// [`CtxPrefService::scrub_status`] (and the `scrub-status` wire verb):
+/// what scrubbing has found and done since the service started.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ScrubStatus {
+    /// Scrub passes completed (manual and background).
+    pub passes: u64,
+    /// Files quarantined (corrupt sealed segments or checkpoints).
+    pub quarantined: u64,
+    /// Files skipped on a transient read error (retried next pass).
+    pub read_errors: u64,
+    /// Passes that healed damage with a fresh checkpoint.
+    pub heals: u64,
+    /// WAL shards recovery rescued via quarantine (the node restarted
+    /// clean-but-behind; replication re-fetches the lost suffix).
+    pub rescued_shards: u64,
+    /// Appends shed with a typed retryable disk-full error.
+    pub disk_full_sheds: u64,
+    /// Size-triggered segment rotations that failed (retried later).
+    pub rotate_failures: u64,
+}
+
+impl CtxPrefService {
+    /// Send one operation down the write path, with **no** migration
+    /// fence check (the client verbs below take the fence's write guard
+    /// first; migration itself calls this directly to build and tear
+    /// down per-user state while the fence holds). What comes back is
+    /// what the op displaced, read by the same call that applied it —
+    /// under the WAL shard mutex on the logged and replicated paths —
+    /// so concurrent removals can never report the same value twice.
+    pub(crate) fn write(&self, op: WalOp) -> Result<Displaced, ServiceError> {
+        Ok(match &self.path {
+            WritePath::Direct => op.apply_sharded(&self.core())?,
+            WritePath::Logged(durable) => durable.apply(op)?.displaced,
+            WritePath::Replicated(cluster) => cluster.write(op)?.displaced,
+        })
+    }
+
+    /// Register a user with an empty profile. Like every mutation
+    /// below it is one [`WalOp`] down the write path the service was
+    /// built with: applied directly, logged first, or routed through
+    /// the cluster's current primary honouring the configured ack mode.
+    pub fn add_user(&self, name: &str) -> Result<(), ServiceError> {
+        let _guard = self.migrations.write_guard(name)?;
+        self.write(WalOp::AddUser {
+            user: name.to_string(),
+        })?;
+        Ok(())
+    }
+
+    /// Register a user with an initial profile: the registration, then
+    /// one insert per preference. A rejected preference aborts the
+    /// remainder (the user stays registered with the accepted prefix,
+    /// exactly as a log replay reconstructs it).
+    pub fn add_user_with_profile(&self, name: &str, profile: Profile) -> Result<(), ServiceError> {
+        let _guard = self.migrations.write_guard(name)?;
+        self.write(WalOp::AddUser {
+            user: name.to_string(),
+        })?;
+        for pref in profile.preferences() {
+            self.write(WalOp::InsertPreference {
+                user: name.to_string(),
+                pref: pref.clone(),
+            })?;
+        }
+        Ok(())
+    }
+
+    /// Remove a user, returning the profile the removal took out.
+    pub fn remove_user(&self, name: &str) -> Result<Profile, ServiceError> {
+        let _guard = self.migrations.write_guard(name)?;
+        match self.write(WalOp::RemoveUser {
+            user: name.to_string(),
+        })? {
+            Displaced::Profile(profile) => Ok(profile),
+            other => unreachable!("a user removal displaced {other:?}"),
+        }
+    }
+
+    /// Insert a preference for one user (write-locks only their shard).
+    pub fn insert_preference(
+        &self,
+        user: &str,
+        pref: ContextualPreference,
+    ) -> Result<(), ServiceError> {
+        let _guard = self.migrations.write_guard(user)?;
+        self.write(WalOp::InsertPreference {
+            user: user.to_string(),
+            pref,
+        })?;
+        Ok(())
+    }
+
+    /// Insert an equality preference for one user from its textual
+    /// parts.
+    pub fn insert_preference_eq(
+        &self,
+        user: &str,
+        descriptor: &str,
+        attr: &str,
+        value: ctxpref_relation::Value,
+        score: f64,
+    ) -> Result<(), ServiceError> {
+        let _guard = self.migrations.write_guard(user)?;
+        self.insert_eq(user, descriptor, attr, value, score)
+    }
+
+    /// Insert several equality preferences for one user under a single
+    /// migration write guard — the batched-mutation verb behind the
+    /// wire protocol's batch frames. Items apply in order and the
+    /// batch stops at the first failure: the error reports how many
+    /// items landed, so a caller can resume after the prefix instead
+    /// of replaying (and double-applying) it.
+    ///
+    /// Each item is `(descriptor, attr, value, score)` in the same
+    /// textual form [`Self::insert_preference_eq`] takes.
+    pub fn insert_preferences_eq_bulk(
+        &self,
+        user: &str,
+        items: &[(&str, &str, &str, f64)],
+    ) -> Result<usize, BulkError> {
+        let _guard = self
+            .migrations
+            .write_guard(user)
+            .map_err(|error| BulkError { applied: 0, error })?;
+        let mut applied = 0;
+        for (descriptor, attr, value, score) in items {
+            self.insert_eq(user, descriptor, attr, (*value).into(), *score)
+                .map_err(|error| BulkError { applied, error })?;
+            applied += 1;
+        }
+        Ok(applied)
+    }
+
+    /// Validate an equality preference's textual parts against the live
+    /// environment and schema, then write it. The value is built before
+    /// the write so it can be logged before it is applied; the caller
+    /// holds the user's write guard.
+    fn insert_eq(
+        &self,
+        user: &str,
+        descriptor: &str,
+        attr: &str,
+        value: ctxpref_relation::Value,
+        score: f64,
+    ) -> Result<(), ServiceError> {
+        let core = self.core();
+        let pref = preference_from_parts(
+            core.env(),
+            core.relation(),
+            descriptor,
+            attr,
+            CompareOp::Eq,
+            value,
+            score,
+        )?;
+        self.write(WalOp::InsertPreference {
+            user: user.to_string(),
+            pref,
+        })?;
+        Ok(())
+    }
+
+    /// Remove one user's preference by index, returning the preference
+    /// the removal took out.
+    pub fn remove_preference(
+        &self,
+        user: &str,
+        index: usize,
+    ) -> Result<ContextualPreference, ServiceError> {
+        let _guard = self.migrations.write_guard(user)?;
+        match self.write(WalOp::RemovePreference {
+            user: user.to_string(),
+            index,
+        })? {
+            Displaced::Preference(pref) => Ok(pref),
+            other => unreachable!("a preference removal displaced {other:?}"),
+        }
+    }
+
+    /// Update the score of one user's preference by index.
+    pub fn update_preference_score(
+        &self,
+        user: &str,
+        index: usize,
+        score: f64,
+    ) -> Result<(), ServiceError> {
+        let _guard = self.migrations.write_guard(user)?;
+        self.write(WalOp::UpdateScore {
+            user: user.to_string(),
+            index,
+            score,
+        })?;
+        Ok(())
+    }
+
+    /// Whether mutations are logged to a durable directory (every node
+    /// of a replicated service is durable).
+    pub fn is_durable(&self) -> bool {
+        !matches!(self.path, WritePath::Direct)
+    }
+
+    /// Whether mutations replicate across a primary/replica cluster.
+    pub fn is_replicated(&self) -> bool {
+        matches!(self.path, WritePath::Replicated(_))
+    }
+
+    /// The replication cluster handle (partition scripting, manual
+    /// crash/restart, direct status) — `None` without replication.
+    pub fn cluster(&self) -> Option<&Arc<Cluster>> {
+        match &self.path {
+            WritePath::Replicated(cluster) => Some(cluster),
+            _ => None,
+        }
+    }
+
+    /// The durable database behind mutations: the attached one, or the
+    /// cluster's current primary. The two absent cases are distinct: a
+    /// purely in-memory service is [`ServiceError::NotDurable`]
+    /// (permanent), while a replicated cluster with no elected primary
+    /// is [`ReplicationError::NoPrimary`] — a transient, retryable
+    /// condition that maps to `not-primary` on the wire.
+    pub(crate) fn durable_db(&self) -> Result<Arc<DurableDb>, ServiceError> {
+        match &self.path {
+            WritePath::Direct => Err(ServiceError::NotDurable),
+            WritePath::Logged(durable) => Ok(Arc::clone(durable)),
+            WritePath::Replicated(cluster) => cluster
+                .primary_db()
+                .ok_or(ServiceError::Replication(ReplicationError::NoPrimary)),
+        }
+    }
+
+    /// A point-in-time view of the cluster: roles, epochs, lag,
+    /// promotion history.
+    pub fn replication_status(&self) -> Result<ClusterStatus, ServiceError> {
+        let c = self.cluster().ok_or(ServiceError::NotReplicated)?;
+        Ok(c.status())
+    }
+
+    /// Manually promote node `id` to primary (majority-guarded, with
+    /// pre-serve catch-up — see the replication crate). Returns the
+    /// minted epoch.
+    pub fn promote(&self, id: NodeId) -> Result<u64, ServiceError> {
+        let c = self.cluster().ok_or(ServiceError::NotReplicated)?;
+        Ok(c.promote(id)?)
+    }
+
+    /// One manual control-plane beat: ship pending records, probe the
+    /// primary from every replica, fail over if it is declared dead.
+    pub fn tick_replication(&self) -> Result<TickReport, ServiceError> {
+        let c = self.cluster().ok_or(ServiceError::NotReplicated)?;
+        let report = c.tick();
+        follow_local_node(&self.db, c);
+        Ok(report)
+    }
+
+    /// Ship every live replica as far as the primary's logs reach.
+    pub fn pump_replication(&self) -> Result<bool, ServiceError> {
+        let c = self.cluster().ok_or(ServiceError::NotReplicated)?;
+        let shipped = c.pump()?;
+        follow_local_node(&self.db, c);
+        Ok(shipped)
+    }
+
+    /// Compare per-shard digests across the cluster and resync each
+    /// divergent shard from the primary. Returns the resync count.
+    pub fn anti_entropy(&self) -> Result<usize, ServiceError> {
+        let c = self.cluster().ok_or(ServiceError::NotReplicated)?;
+        let resynced = c.anti_entropy()?;
+        follow_local_node(&self.db, c);
+        Ok(resynced)
+    }
+
+    /// Install a hook fired when a node is promoted to primary.
+    pub fn set_promotion_hook(&self, hook: RoleHook) -> Result<(), ServiceError> {
+        let c = self.cluster().ok_or(ServiceError::NotReplicated)?;
+        c.set_promotion_hook(hook);
+        Ok(())
+    }
+
+    /// Install a hook fired when an acting primary is demoted.
+    pub fn set_demotion_hook(&self, hook: RoleHook) -> Result<(), ServiceError> {
+        let c = self.cluster().ok_or(ServiceError::NotReplicated)?;
+        c.set_demotion_hook(hook);
+        Ok(())
+    }
+
+    /// Take a checkpoint now: snapshot the database next to the log,
+    /// rotate the per-shard segments, atomically swap the manifest, and
+    /// garbage-collect old generations. Fails with
+    /// [`ServiceError::NotDurable`] on a non-durable service.
+    pub fn checkpoint(&self) -> Result<CheckpointReport, ServiceError> {
+        let durable = self.durable_db()?;
+        let report = durable.checkpoint()?;
+        self.counters.checkpoints.fetch_add(1, Ordering::Relaxed);
+        Ok(report)
+    }
+
+    /// Run one scrub pass now: verify every sealed WAL segment and the
+    /// checkpoint snapshot at rest, quarantine what fails its checksum,
+    /// and heal the directory with a fresh checkpoint. On a replicated
+    /// service every **live** node is scrubbed (crashed nodes are
+    /// skipped — quarantine-aware recovery covers them at restart) and
+    /// the per-node reports are merged. Never blocks the append path.
+    pub fn scrub(&self) -> Result<ScrubReport, ServiceError> {
+        match &self.path {
+            WritePath::Direct => Err(ServiceError::NotDurable),
+            WritePath::Logged(durable) => {
+                let report = durable.scrub()?;
+                record_scrub(&self.counters, &report);
+                Ok(report)
+            }
+            WritePath::Replicated(c) => {
+                let mut merged = ScrubReport::default();
+                for id in 0..c.config().nodes {
+                    match c.scrub_node(id) {
+                        Ok(report) => {
+                            record_scrub(&self.counters, &report);
+                            merged.segments_verified += report.segments_verified;
+                            merged.checkpoints_verified += report.checkpoints_verified;
+                            merged.read_errors += report.read_errors;
+                            merged.quarantined.extend(report.quarantined);
+                            merged.healed |= report.healed;
+                        }
+                        Err(ReplicationError::NodeDown { .. }) => {}
+                        Err(e) => return Err(e.into()),
+                    }
+                }
+                Ok(merged)
+            }
+        }
+    }
+
+    /// The self-healing storage counters — scrub passes, quarantined
+    /// files, heals, rescues, disk-full sheds — without running a pass.
+    /// Fails with [`ServiceError::NotDurable`] on a non-durable
+    /// service (there is nothing at rest to scrub).
+    pub fn scrub_status(&self) -> Result<ScrubStatus, ServiceError> {
+        if !self.is_durable() {
+            return Err(ServiceError::NotDurable);
+        }
+        let stats = self.stats();
+        Ok(ScrubStatus {
+            passes: stats.scrub_passes,
+            quarantined: stats.scrub_quarantined,
+            read_errors: stats.scrub_read_errors,
+            heals: stats.scrub_heals,
+            rescued_shards: stats.rescued_shards,
+            disk_full_sheds: stats.wal_disk_full_sheds,
+            rotate_failures: stats.wal_rotate_failures,
+        })
+    }
+
+    /// Fsync all pending group-commit WAL records, returning how many
+    /// became durable.
+    pub fn flush_wal(&self) -> Result<u64, ServiceError> {
+        let durable = self.durable_db()?;
+        Ok(durable.flush()?)
+    }
+
+    /// Per-shard WAL positions plus append/batch/rotation totals (the
+    /// primary's, on a replicated service).
+    pub fn wal_status(&self) -> Result<WalStatus, ServiceError> {
+        let durable = self.durable_db()?;
+        Ok(durable.wal_status())
+    }
+
+    /// Run `tick` on a background thread named `name` every `interval`
+    /// until the service stops. A `tick` that panics is contained and
+    /// the thread keeps its schedule. With `yields_under_pressure` a
+    /// beat that falls in an overload spike is skipped: checkpoints and
+    /// scrubs can wait (replay time grows a little, the serving path
+    /// keeps its cycles); group-commit flushes and the replication
+    /// control plane cannot.
+    fn every(
+        &mut self,
+        name: &str,
+        interval: Duration,
+        yields_under_pressure: bool,
+        mut tick: impl FnMut() + Send + 'static,
+    ) {
+        let admission = Arc::clone(&self.admission);
+        let (stop, stopped) = mpsc::channel::<()>();
+        let handle = std::thread::Builder::new()
+            .name(name.to_string())
+            .spawn(move || {
+                // recv_timeout disconnects when the service drops its
+                // stop sender — that is the shutdown signal.
+                while let Err(mpsc::RecvTimeoutError::Timeout) = stopped.recv_timeout(interval) {
+                    if yields_under_pressure && admission.pressure() >= 1 {
+                        continue;
+                    }
+                    let _ = catch_unwind(AssertUnwindSafe(&mut tick));
+                }
+            })
+            .expect("spawning a maintenance thread");
+        self.maintenance.push((stop, handle));
+    }
+
+    /// Start the background upkeep of a replicated write path: the
+    /// control-plane tick, a flusher when group commit is configured,
+    /// and the scrubber (each only when configured).
+    pub(crate) fn attach_replication(&mut self, cluster: &Arc<Cluster>, rcfg: &ReplicatedConfig) {
+        if let Some(interval) = rcfg.tick_interval {
+            let cluster = Arc::clone(cluster);
+            let slot = Arc::clone(&self.db);
+            self.every("ctxpref-repl-tick", interval, false, move || {
+                let _ = cluster.tick();
+                follow_local_node(&slot, &cluster);
+            });
+        }
+        if let SyncPolicy::GroupCommit { flush_interval } = rcfg.sync {
+            let cluster = Arc::clone(cluster);
+            self.every("ctxpref-repl-flusher", flush_interval, false, move || {
+                if let Some(db) = cluster.primary_db() {
+                    let _ = db.flush();
+                }
+            });
+        }
+        if let Some(interval) = rcfg.scrub_interval {
+            let cluster = Arc::clone(cluster);
+            let counters = Arc::clone(&self.counters);
+            self.every("ctxpref-scrubber", interval, true, move || {
+                for id in 0..cluster.config().nodes {
+                    // Contained per node: one node's failing pass must
+                    // not cost the others theirs.
+                    let outcome = catch_unwind(AssertUnwindSafe(|| cluster.scrub_node(id)));
+                    if let Ok(Ok(report)) = outcome {
+                        record_scrub(&counters, &report);
+                    }
+                }
+            });
+        }
+    }
+
+    /// Start the background upkeep of a logged write path: a
+    /// checkpointer, a flusher when group commit is configured, and the
+    /// scrubber (each only when configured).
+    pub(crate) fn attach_durability(&mut self, durable: &Arc<DurableDb>, dcfg: &DurabilityConfig) {
+        if let Some(interval) = dcfg.checkpoint_interval {
+            let db = Arc::clone(durable);
+            let counters = Arc::clone(&self.counters);
+            self.every("ctxpref-checkpointer", interval, true, move || {
+                if db.checkpoint().is_ok() {
+                    counters.checkpoints.fetch_add(1, Ordering::Relaxed);
+                }
+            });
+        }
+        if let SyncPolicy::GroupCommit { flush_interval } = dcfg.sync {
+            let db = Arc::clone(durable);
+            self.every("ctxpref-wal-flusher", flush_interval, false, move || {
+                let _ = db.flush();
+            });
+        }
+        if let Some(interval) = dcfg.scrub_interval {
+            let db = Arc::clone(durable);
+            let counters = Arc::clone(&self.counters);
+            self.every("ctxpref-scrubber", interval, true, move || {
+                if let Ok(report) = db.scrub() {
+                    record_scrub(&counters, &report);
+                }
+            });
+        }
+    }
+}

@@ -2,17 +2,21 @@
 //! service seeds all nodes, routes mutations through the primary,
 //! survives a primary crash by failing over, and converges after the
 //! crashed node rejoins — plus the `NotReplicated` contract on plain
-//! services and the background control-plane tick.
+//! services, the background control-plane tick, the clean-shutdown
+//! flush of the primary's log, and (on all three write paths) that a
+//! removal returns the value it removed.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use ctxpref_context::ContextState;
 use ctxpref_core::MultiUserDb;
 use ctxpref_replication::node_digests;
-use ctxpref_service::{CtxPrefService, ReplicatedConfig, ServiceConfig, ServiceError, SyncPolicy};
+use ctxpref_service::{
+    CtxPrefService, DurabilityConfig, ReplicatedConfig, ServiceConfig, ServiceError, SyncPolicy,
+};
 use ctxpref_workload::reference::{poi_env, poi_relation};
 
 /// A fresh directory under the system temp dir; removed on drop.
@@ -261,4 +265,126 @@ fn replicated_scrub_covers_every_live_node() {
     let report = service.scrub().unwrap();
     assert_eq!(report.checkpoints_verified, 2, "dead node skipped");
     assert_eq!(service.scrub_status().unwrap().passes, 5);
+}
+
+/// Async acks over group commit with a flush interval no test outlives
+/// and no background threads: records stay pending until something
+/// flushes them explicitly.
+fn unflushed_rcfg(dir: &std::path::Path) -> ReplicatedConfig {
+    ReplicatedConfig {
+        scrub_interval: None,
+        ..manual_rcfg(dir, 2)
+    }
+    .async_acks()
+    .group_commit(Duration::from_secs(3600))
+}
+
+#[test]
+fn clean_shutdown_flushes_the_replicated_primarys_log() {
+    let tmp = TempDir::new("shutdown-flush");
+    let service = CtxPrefService::new_replicated(study_db(), small_cfg(), unflushed_rcfg(&tmp.0))
+        .expect("creating the replicated service");
+    for i in 0..8 {
+        service.add_user(&format!("user{i}")).unwrap();
+    }
+    let cluster = Arc::clone(service.cluster().expect("replicated service"));
+    let pending = |when: &str| -> u64 {
+        let primary = cluster
+            .primary_db()
+            .unwrap_or_else(|| panic!("primary {when}"));
+        primary.wal_status().shards.iter().map(|s| s.pending).sum()
+    };
+    assert!(pending("before") > 0, "acked writes are waiting on a flush");
+    drop(service);
+    assert_eq!(
+        pending("after"),
+        0,
+        "a clean shutdown left records unsynced"
+    );
+}
+
+/// Two threads race 100 removals each at index 0 of one user's profile:
+/// every returned preference must be distinct and together they must be
+/// exactly what left the profile. Then `remove_user` must hand back a
+/// profile holding a preference whose insert was acked before it.
+fn removals_return_what_they_removed(service: CtxPrefService) {
+    const PREFS: usize = 220;
+    const REMOVALS_PER_THREAD: usize = 100;
+    service.add_user("carol").unwrap();
+    for i in 0..PREFS {
+        service
+            .insert_preference_eq("carol", "*", "name", format!("v{i}").into(), 0.5)
+            .unwrap();
+    }
+    let profile_of = |user: &str| service.with_db(|db| db.profile(user)).unwrap();
+    let base = profile_of("carol").preferences().to_vec();
+    assert_eq!(base.len(), PREFS);
+
+    let barrier = Barrier::new(2);
+    let mut removed = std::thread::scope(|scope| {
+        let racers: Vec<_> = (0..2)
+            .map(|_| {
+                scope.spawn(|| {
+                    barrier.wait();
+                    (0..REMOVALS_PER_THREAD)
+                        .map(|_| service.remove_preference("carol", 0).unwrap())
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        racers
+            .into_iter()
+            .flat_map(|racer| racer.join().expect("a racer panicked"))
+            .collect::<Vec<_>>()
+    });
+    let survivors = profile_of("carol").preferences().to_vec();
+    assert_eq!(survivors.len(), PREFS - 2 * REMOVALS_PER_THREAD);
+    for (i, pref) in removed.iter().enumerate() {
+        assert!(
+            !removed[..i].contains(pref),
+            "two removals both returned {pref:?}"
+        );
+    }
+    // returned ∪ survivors = base, as multisets (base has no repeats).
+    removed.extend(survivors);
+    assert_eq!(removed.len(), base.len());
+    for pref in &base {
+        assert!(
+            removed.contains(pref),
+            "{pref:?} vanished without being returned"
+        );
+    }
+
+    service.add_user("dave").unwrap();
+    service
+        .insert_preference_eq("dave", "*", "name", "kept".into(), 0.9)
+        .unwrap();
+    let acked = profile_of("dave").preferences()[0].clone();
+    let profile = service.remove_user("dave").unwrap();
+    assert_eq!(profile.preferences(), [acked]);
+    assert!(
+        service.with_db(|db| db.profile("dave")).is_err(),
+        "dave is gone"
+    );
+}
+
+#[test]
+fn removals_return_what_they_removed_on_every_write_path() {
+    removals_return_what_they_removed(CtxPrefService::new(study_db(), small_cfg()));
+
+    let tmp = TempDir::new("displaced-logged");
+    let dcfg = DurabilityConfig {
+        checkpoint_interval: None,
+        scrub_interval: None,
+        ..DurabilityConfig::new(&tmp.0)
+    }
+    .group_commit(Duration::from_secs(3600));
+    removals_return_what_they_removed(
+        CtxPrefService::new_durable(study_db(), small_cfg(), dcfg).unwrap(),
+    );
+
+    let tmp = TempDir::new("displaced-replicated");
+    removals_return_what_they_removed(
+        CtxPrefService::new_replicated(study_db(), small_cfg(), unflushed_rcfg(&tmp.0)).unwrap(),
+    );
 }

@@ -33,7 +33,7 @@ use parking_lot::Mutex;
 
 use crate::error::{DurableError, WalError};
 use crate::manifest::{checkpoint_file_name, Manifest, ShardManifest};
-use crate::record::WalOp;
+use crate::record::{Displaced, WalOp};
 use crate::scrub::{
     quarantine_has_shard, quarantine_root, quarantine_segment, QuarantinedFile, ScrubReport,
 };
@@ -71,7 +71,7 @@ fn acquire_dir_lock(dir: &Path) -> Result<File, WalError> {
 }
 
 /// The acknowledgement of one durable mutation.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct Ack {
     /// The WAL shard (== core stripe) that logged the op.
     pub shard: usize,
@@ -80,6 +80,9 @@ pub struct Ack {
     /// Whether the op is already on disk (always `true` under
     /// per-record sync; under group commit only after the next flush).
     pub durable: bool,
+    /// What the op took out of the database, read under the shard's
+    /// WAL mutex by the same call that applied it.
+    pub displaced: Displaced,
 }
 
 /// What recovery found and did.
@@ -291,61 +294,38 @@ impl DurableDb {
     }
 
     /// Log one operation, then apply it. The shard's WAL mutex is held
-    /// across both, so replay order equals apply order. If the database
-    /// rejects the op it stays on the log — replay rejects it
-    /// identically, because rejection is deterministic in the db state,
-    /// which is itself determined by the log prefix.
-    pub fn apply(&self, op: &WalOp) -> Result<Ack, DurableError> {
+    /// across both, so replay order equals apply order — and the value
+    /// the ack reports as displaced is the one *this* record removed,
+    /// whatever other writers are doing. If the database rejects the op
+    /// it stays on the log — replay rejects it identically, because
+    /// rejection is deterministic in the db state, which is itself
+    /// determined by the log prefix.
+    pub fn apply(&self, op: WalOp) -> Result<Ack, DurableError> {
         let shard = self.db.shard_of(op.user());
         let payload = op.encode(self.db.env(), self.db.relation());
         let mut guard = self.wal.shard(shard);
         let ack = guard.append(&payload)?;
-        op.apply_sharded(&self.db)?;
+        let displaced = op.apply_sharded(&self.db)?;
         Ok(Ack {
             shard,
             lsn: ack.lsn,
             durable: ack.durable,
+            displaced,
         })
     }
 
     /// Durably register a user with an empty profile.
     pub fn add_user(&self, user: &str) -> Result<Ack, DurableError> {
-        self.apply(&WalOp::AddUser {
+        self.apply(WalOp::AddUser {
             user: user.to_string(),
         })
     }
 
-    /// Durably register a user and insert each preference of `profile`.
-    /// Logged as one `AddUser` plus one `InsertPreference` per
-    /// preference; a rejected preference aborts the remainder (the user
-    /// stays registered with the prefix that was accepted, exactly as
-    /// replay will reconstruct).
-    pub fn add_user_with_profile(&self, user: &str, profile: Profile) -> Result<Ack, DurableError> {
-        let mut ack = self.add_user(user)?;
-        for pref in profile.preferences() {
-            ack = self.insert_preference(user, pref.clone())?;
-        }
-        Ok(ack)
-    }
-
-    /// Durably remove a user, returning their profile.
-    pub fn remove_user(&self, user: &str) -> Result<(Ack, Profile), DurableError> {
-        let op = WalOp::RemoveUser {
+    /// Durably remove a user; the ack carries their profile.
+    pub fn remove_user(&self, user: &str) -> Result<Ack, DurableError> {
+        self.apply(WalOp::RemoveUser {
             user: user.to_string(),
-        };
-        let shard = self.db.shard_of(user);
-        let payload = op.encode(self.db.env(), self.db.relation());
-        let mut guard = self.wal.shard(shard);
-        let ack = guard.append(&payload)?;
-        let profile = self.db.remove_user(user)?;
-        Ok((
-            Ack {
-                shard,
-                lsn: ack.lsn,
-                durable: ack.durable,
-            },
-            profile,
-        ))
+        })
     }
 
     /// Durably insert a preference.
@@ -354,35 +334,18 @@ impl DurableDb {
         user: &str,
         pref: ctxpref_profile::ContextualPreference,
     ) -> Result<Ack, DurableError> {
-        self.apply(&WalOp::InsertPreference {
+        self.apply(WalOp::InsertPreference {
             user: user.to_string(),
             pref,
         })
     }
 
-    /// Durably remove the preference at `index`, returning it.
-    pub fn remove_preference(
-        &self,
-        user: &str,
-        index: usize,
-    ) -> Result<(Ack, ctxpref_profile::ContextualPreference), DurableError> {
-        let op = WalOp::RemovePreference {
+    /// Durably remove the preference at `index`; the ack carries it.
+    pub fn remove_preference(&self, user: &str, index: usize) -> Result<Ack, DurableError> {
+        self.apply(WalOp::RemovePreference {
             user: user.to_string(),
             index,
-        };
-        let shard = self.db.shard_of(user);
-        let payload = op.encode(self.db.env(), self.db.relation());
-        let mut guard = self.wal.shard(shard);
-        let ack = guard.append(&payload)?;
-        let pref = self.db.remove_preference(user, index)?;
-        Ok((
-            Ack {
-                shard,
-                lsn: ack.lsn,
-                durable: ack.durable,
-            },
-            pref,
-        ))
+        })
     }
 
     /// Durably re-score the preference at `index`.
@@ -392,7 +355,7 @@ impl DurableDb {
         index: usize,
         score: f64,
     ) -> Result<Ack, DurableError> {
-        self.apply(&WalOp::UpdateScore {
+        self.apply(WalOp::UpdateScore {
             user: user.to_string(),
             index,
             score,

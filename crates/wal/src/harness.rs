@@ -277,7 +277,7 @@ fn run_workload(dir: &Path, cfg: &FuzzConfig, plan: &Arc<FaultPlan>) -> Result<R
     'workload: for i in 0..cfg.ops {
         let op = workload.next_op();
         let shard = durable.db().shard_of(op.user());
-        match catch_unwind(AssertUnwindSafe(|| durable.apply(&op))) {
+        match catch_unwind(AssertUnwindSafe(|| durable.apply(op.clone()))) {
             Ok(Ok(ack)) => {
                 outcome.ops_by_shard[shard].push(op);
                 debug_assert_eq!(ack.lsn as usize, outcome.ops_by_shard[shard].len());
@@ -359,7 +359,8 @@ fn check_recovery(dir: &Path, cfg: &FuzzConfig, outcome: &RunOutcome) -> Result<
         }
         for op in &outcome.ops_by_shard[shard][..lsn as usize] {
             // Only-valid workload: every recovered op must apply.
-            op.apply_multi(&mut model)
+            op.clone()
+                .apply_multi(&mut model)
                 .map_err(|e| ctx(&format!("model replay rejected {op:?}: {e}")))?;
         }
     }

@@ -49,7 +49,7 @@ pub use durable::{
 pub use error::{DurableError, WalError};
 pub use harness::{run_seed, tiny_env, tiny_relation, FuzzConfig, FuzzReport, Workload};
 pub use manifest::{Manifest, ShardManifest};
-pub use record::WalOp;
+pub use record::{Displaced, WalOp};
 pub use scrub::{QuarantinedFile, ScrubReport, QUARANTINE_DIR};
 pub use segment::ScannedRecord;
 pub use wal::{AppendAck, ShardWalStatus, SyncPolicy, Wal, WalHealth, WalOptions, WalStatus};

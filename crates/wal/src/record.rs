@@ -15,7 +15,7 @@
 
 use ctxpref_context::ContextEnvironment;
 use ctxpref_core::{CoreError, MultiUserDb, ShardedMultiUserDb};
-use ctxpref_profile::ContextualPreference;
+use ctxpref_profile::{ContextualPreference, Profile};
 use ctxpref_relation::Relation;
 use ctxpref_storage::{escape, parse_pref_tokens, pref_tokens, unescape};
 
@@ -114,6 +114,19 @@ pub enum WalOp {
     },
 }
 
+/// What applying a [`WalOp`] took out of the database — read by the
+/// same call that applied the op, so it is the value *that* op removed
+/// and not what some reader saw a moment earlier.
+#[derive(Debug, Clone)]
+pub enum Displaced {
+    /// The op added or changed something; nothing left the database.
+    Nothing,
+    /// A `RemoveUser` took this profile out.
+    Profile(Profile),
+    /// A `RemovePreference` took this preference out.
+    Preference(ContextualPreference),
+}
+
 impl WalOp {
     /// The user this operation targets (every logged op is per-user, so
     /// the WAL shards by it).
@@ -185,18 +198,22 @@ impl WalOp {
         }
     }
 
-    /// Apply to the sharded serving core (the live mutation path).
-    pub fn apply_sharded(&self, db: &ShardedMultiUserDb) -> Result<(), CoreError> {
+    /// Apply to the sharded serving core (the live mutation path),
+    /// handing back what the op took out of it. The op is consumed: an
+    /// inserted preference moves into the profile, it is not copied.
+    pub fn apply_sharded(self, db: &ShardedMultiUserDb) -> Result<Displaced, CoreError> {
         match self {
-            Self::AddUser { user } => db.add_user(user),
-            Self::RemoveUser { user } => db.remove_user(user).map(|_| ()),
-            Self::InsertPreference { user, pref } => db.insert_preference(user, pref.clone()),
-            Self::RemovePreference { user, index } => {
-                db.remove_preference(user, *index).map(|_| ())
-            }
-            Self::UpdateScore { user, index, score } => {
-                db.update_preference_score(user, *index, *score)
-            }
+            Self::AddUser { user } => db.add_user(&user).map(|()| Displaced::Nothing),
+            Self::RemoveUser { user } => db.remove_user(&user).map(Displaced::Profile),
+            Self::InsertPreference { user, pref } => db
+                .insert_preference(&user, pref)
+                .map(|()| Displaced::Nothing),
+            Self::RemovePreference { user, index } => db
+                .remove_preference(&user, index)
+                .map(Displaced::Preference),
+            Self::UpdateScore { user, index, score } => db
+                .update_preference_score(&user, index, score)
+                .map(|()| Displaced::Nothing),
         }
     }
 
@@ -204,16 +221,16 @@ impl WalOp {
     /// Semantically identical to [`Self::apply_sharded`]: both delegate
     /// to the shared `UserSlot` implementation, so a rejected live op
     /// is rejected identically on replay.
-    pub fn apply_multi(&self, db: &mut MultiUserDb) -> Result<(), CoreError> {
+    pub fn apply_multi(self, db: &mut MultiUserDb) -> Result<(), CoreError> {
         match self {
-            Self::AddUser { user } => db.add_user(user),
-            Self::RemoveUser { user } => db.remove_user(user).map(|_| ()),
-            Self::InsertPreference { user, pref } => db.insert_preference(user, pref.clone()),
+            Self::AddUser { user } => db.add_user(&user),
+            Self::RemoveUser { user } => db.remove_user(&user).map(|_| ()),
+            Self::InsertPreference { user, pref } => db.insert_preference(&user, pref),
             Self::RemovePreference { user, index } => {
-                db.remove_preference(user, *index).map(|_| ())
+                db.remove_preference(&user, index).map(|_| ())
             }
             Self::UpdateScore { user, index, score } => {
-                db.update_preference_score(user, *index, *score)
+                db.update_preference_score(&user, index, score)
             }
         }
     }

@@ -80,7 +80,7 @@ fn apply_replicated_applies_duplicates_and_gaps() {
         user: "alice".to_string(),
     };
     let shard = primary.db().shard_of("alice");
-    let ack = primary.apply(&op).unwrap();
+    let ack = primary.apply(op.clone()).unwrap();
     let payload = op.encode(primary.db().env(), primary.db().relation());
 
     // First delivery applies.
@@ -189,7 +189,7 @@ fn resync_shard_discards_a_divergent_suffix() {
         let op = WalOp::AddUser {
             user: format!("u{i}"),
         };
-        a.apply(&op).unwrap();
+        a.apply(op.clone()).unwrap();
         let payload = op.encode(a.db().env(), a.db().relation());
         b.apply_replicated(0, (i + 1) as u64, &payload).unwrap();
     }
