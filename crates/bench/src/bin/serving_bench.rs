@@ -1,137 +1,85 @@
-//! Serving-core benchmark driver: global-lock vs sharded core (PR 2),
-//! WAL fsync policies (PR 3), replication ack modes (PR 4), the
-//! loopback network path (PR 5), and the routing tier with live
-//! migration (PR 6).
+//! Mechanism-gate driver: WAL fsync policies, replication ack modes
+//! with failover, scrub overhead on the append path, and the open-loop
+//! overload storm. Each gate is a relative check against an injected
+//! latency or fault — it proves a mechanism, not speed. Wall-clock
+//! serving performance lives in the standing benchmark (`BENCHMARK.json`,
+//! `benchmark/`), which these modes do not duplicate.
 //!
 //! ```text
-//! cargo run -p ctxpref-bench --release --bin serving_bench               # serving run → BENCH_PR2.json
-//! cargo run -p ctxpref-bench --release --bin serving_bench -- --durability # fsync policies → BENCH_PR3.json
-//! cargo run -p ctxpref-bench --release --bin serving_bench -- --replication # ack modes + failover → BENCH_PR4.json
-//! cargo run -p ctxpref-bench --release --bin serving_bench -- --net      # pipelined loopback vs in-process → BENCH_PR7.json
-//! cargo run -p ctxpref-bench --release --bin serving_bench -- --router   # routing tier + migration → BENCH_PR6.json
-//! cargo run -p ctxpref-bench --release --bin serving_bench -- --scrub    # scrub overhead on the append path → BENCH_PR8.json
-//! cargo run -p ctxpref-bench --release --bin serving_bench -- --storm    # open-loop overload storm with fault timeline → BENCH_PR9.json
-//! cargo run -p ctxpref-bench --release --bin serving_bench -- --views    # materialized top-k views vs qcache → BENCH_PR10.json
-//! cargo run -p ctxpref-bench --release --bin serving_bench -- --quick    # CI smoke (short window, no hard gate)
-//! cargo run -p ctxpref-bench --release --bin serving_bench -- --out path.json
+//! cargo run -p ctxpref-bench --release --bin serving_bench -- --durability  # per-record fsync vs group commit
+//! cargo run -p ctxpref-bench --release --bin serving_bench -- --replication # async vs quorum acks + failover
+//! cargo run -p ctxpref-bench --release --bin serving_bench -- --scrub       # scrub overhead on the append path
+//! cargo run -p ctxpref-bench --release --bin serving_bench -- --storm       # overload storm with fault timeline
+//! cargo run -p ctxpref-bench --release --bin serving_bench -- --quick --storm # CI smoke (short window, no hard gate)
 //! ```
 //!
-//! In a full run a failed check exits non-zero, so regressions in the
-//! serving core's concurrency story (or the log's group-commit
-//! amortization) fail loudly. `--quick` shrinks the measurement window
-//! and reports without gating (short windows on loaded CI machines are
-//! too noisy to gate on).
+//! In a full run a failed check exits non-zero, so a regression in the
+//! log's group-commit amortization, the ack policies, the scrubber's
+//! cost or the shedding order fails loudly. `--quick` shrinks the
+//! measurement window and reports without gating (short windows on
+//! loaded CI machines are too noisy to gate on).
 
 use std::time::Duration;
 
 use ctxpref_bench::durability::{self, DurabilityBenchConfig};
-use ctxpref_bench::net::{self, NetBenchConfig};
 use ctxpref_bench::replication::{self, ReplicationBenchConfig};
-use ctxpref_bench::router::{self, RouterBenchConfig};
 use ctxpref_bench::scrub::{self, ScrubBenchConfig};
-use ctxpref_bench::serving::{self, ServingBenchConfig};
 use ctxpref_bench::storm::{self, StormBenchConfig};
-use ctxpref_bench::views::{self, ViewsBenchConfig};
 use ctxpref_bench::ShapeCheck;
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let durability_mode = args.iter().any(|a| a == "--durability");
-    let replication_mode = args.iter().any(|a| a == "--replication");
-    let net_mode = args.iter().any(|a| a == "--net");
-    let router_mode = args.iter().any(|a| a == "--router");
-    let scrub_mode = args.iter().any(|a| a == "--scrub");
-    let storm_mode = args.iter().any(|a| a == "--storm");
-    let views_mode = args.iter().any(|a| a == "--views");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| {
-            if views_mode {
-                "BENCH_PR10.json"
-            } else if storm_mode {
-                "BENCH_PR9.json"
-            } else if scrub_mode {
-                "BENCH_PR8.json"
-            } else if router_mode {
-                "BENCH_PR6.json"
-            } else if net_mode {
-                "BENCH_PR7.json"
-            } else if replication_mode {
-                "BENCH_PR4.json"
-            } else if durability_mode {
-                "BENCH_PR3.json"
-            } else {
-                "BENCH_PR2.json"
-            }
-            .to_string()
-        });
+fn usage() -> ! {
+    eprintln!("usage: serving_bench [--quick] --durability | --replication | --scrub | --storm");
+    std::process::exit(2);
+}
 
-    let (rendered, json, checks): (String, String, Vec<ShapeCheck>) = if views_mode {
-        let mut cfg = ViewsBenchConfig::default();
-        if quick {
-            cfg.window = Duration::from_millis(250);
+fn main() {
+    let mut quick = false;
+    let mut mode = None;
+    for arg in std::env::args().skip(1) {
+        match arg.as_str() {
+            "--quick" => quick = true,
+            // Exactly one mode; the dispatch below rejects unknown ones.
+            _ if mode.is_none() => mode = Some(arg),
+            _ => usage(),
         }
-        let report = views::run(cfg);
-        (report.render(), report.to_json(), report.checks)
-    } else if storm_mode {
-        let mut cfg = StormBenchConfig::default();
-        if quick {
-            cfg = cfg.quick();
+    }
+
+    let (rendered, checks): (String, Vec<ShapeCheck>) = match mode.as_deref() {
+        Some("--storm") => {
+            let mut cfg = StormBenchConfig::default();
+            if quick {
+                cfg = cfg.quick();
+            }
+            let report = storm::run(cfg);
+            (report.render(), report.checks)
         }
-        let report = storm::run(cfg);
-        (report.render(), report.to_json(), report.checks)
-    } else if scrub_mode {
-        let mut cfg = ScrubBenchConfig::default();
-        if quick {
-            cfg.window = Duration::from_millis(250);
+        Some("--scrub") => {
+            let mut cfg = ScrubBenchConfig::default();
+            if quick {
+                cfg.window = Duration::from_millis(250);
+            }
+            let report = scrub::run(cfg);
+            (report.render(), report.checks)
         }
-        let report = scrub::run(cfg);
-        (report.render(), report.to_json(), report.checks)
-    } else if router_mode {
-        let mut cfg = RouterBenchConfig::default();
-        if quick {
-            cfg.window = Duration::from_millis(250);
-            cfg.write_load = Duration::from_millis(300);
+        Some("--replication") => {
+            let mut cfg = ReplicationBenchConfig::default();
+            if quick {
+                cfg.window = Duration::from_millis(250);
+            }
+            let report = replication::run(cfg);
+            (report.render(), report.checks)
         }
-        let report = router::run(cfg);
-        (report.render(), report.to_json(), report.checks)
-    } else if net_mode {
-        let mut cfg = NetBenchConfig::default();
-        if quick {
-            cfg.window = Duration::from_millis(250);
+        Some("--durability") => {
+            let mut cfg = DurabilityBenchConfig::default();
+            if quick {
+                cfg.window = Duration::from_millis(250);
+            }
+            let report = durability::run(cfg);
+            (report.render(), report.checks)
         }
-        let report = net::run(cfg);
-        (report.render(), report.to_json(), report.checks)
-    } else if replication_mode {
-        let mut cfg = ReplicationBenchConfig::default();
-        if quick {
-            cfg.window = Duration::from_millis(250);
-        }
-        let report = replication::run(cfg);
-        (report.render(), report.to_json(), report.checks)
-    } else if durability_mode {
-        let mut cfg = DurabilityBenchConfig::default();
-        if quick {
-            cfg.window = Duration::from_millis(250);
-        }
-        let report = durability::run(cfg);
-        (report.render(), report.to_json(), report.checks)
-    } else {
-        let mut cfg = ServingBenchConfig::default();
-        if quick {
-            cfg.window = Duration::from_millis(250);
-        }
-        let report = serving::run(cfg);
-        (report.render(), report.to_json(), report.checks)
+        _ => usage(),
     };
     print!("{rendered}");
-
-    std::fs::write(&out_path, json).expect("writing the benchmark JSON");
-    println!("wrote {out_path}");
 
     if !quick && checks.iter().any(|c| !c.pass) {
         eprintln!("benchmark checks failed");

@@ -20,7 +20,7 @@
 //!   durability window.
 //!
 //! Run via `cargo run -p ctxpref-bench --release --bin serving_bench --
-//! --durability`, which emits `BENCH_PR3.json`.
+//! --durability`.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
@@ -280,40 +280,5 @@ impl DurabilityBenchReport {
         ));
         out.push_str(&crate::render_checks(&self.checks));
         out
-    }
-
-    /// Serialize as a small JSON document (hand-rolled; the workspace
-    /// has no serde).
-    pub fn to_json(&self) -> String {
-        let policy = |p: &PolicyThroughput| {
-            format!(
-                "{{\"appends\": {}, \"durable\": {}, \"batches\": {}, \"appends_per_sec\": {:.1}, \"durable_per_sec\": {:.1}}}",
-                p.appends, p.durable, p.batches, p.appends_per_sec, p.durable_per_sec
-            )
-        };
-        let checks: Vec<String> = self
-            .checks
-            .iter()
-            .map(|c| {
-                format!(
-                    "    {{\"name\": {:?}, \"pass\": {}, \"detail\": {:?}}}",
-                    c.name, c.pass, c.detail
-                )
-            })
-            .collect();
-        format!(
-            "{{\n  \"benchmark\": \"durability_pr3\",\n  \"config\": {{\"users\": {}, \"writer_threads\": {}, \"shards\": {}, \"flush_interval_ms\": {}, \"sync_latency_ms\": {}, \"window_ms\": {}, \"seed\": {}}},\n  \"per_record\": {},\n  \"group_commit\": {},\n  \"durable_speedup\": {:.2},\n  \"checks\": [\n{}\n  ]\n}}\n",
-            self.config.users,
-            self.config.writer_threads,
-            self.config.shards,
-            self.config.flush_interval.as_millis(),
-            self.config.sync_latency.as_millis(),
-            self.config.window.as_millis(),
-            self.config.seed,
-            policy(&self.per_record),
-            policy(&self.group_commit),
-            self.durable_speedup,
-            checks.join(",\n")
-        )
     }
 }

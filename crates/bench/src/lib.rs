@@ -19,6 +19,18 @@
 //! | [`ties_exp`] | Distance-function tie-rate ablation (§5.1 discussion) |
 //!
 //! Run everything with `cargo run -p ctxpref-bench --bin repro --release -- all`.
+//!
+//! Beside the paper artifacts sit four mechanism gates for the serving
+//! stack, driven by the `serving_bench` binary — relative checks against
+//! an injected latency or fault, not wall-clock claims (those belong to
+//! the standing benchmark, `BENCHMARK.json` + `benchmark/`):
+//!
+//! | Module | Gate |
+//! |--------|------|
+//! | [`durability`] | WAL group commit vs per-record fsync |
+//! | [`replication`] | async vs quorum acks, failover keeps acked writes |
+//! | [`scrub`] | background scrub overhead on the append path |
+//! | [`storm`] | open-loop overload storm under a fault timeline |
 
 pub mod complexity;
 pub mod dag_exp;
@@ -26,17 +38,13 @@ pub mod durability;
 pub mod fig5;
 pub mod fig6;
 pub mod fig7;
-pub mod net;
 pub mod qcache_exp;
 pub mod replication;
-pub mod router;
 pub mod scrub;
-pub mod serving;
 pub mod storm;
 pub mod table1;
 pub mod tablefmt;
 pub mod ties_exp;
-pub mod views;
 
 /// A named boolean shape check ("who wins, by roughly what factor").
 #[derive(Debug, Clone)]

@@ -18,7 +18,7 @@
 //!   best replica, and every quorum-acked write is still served.
 //!
 //! Run via `cargo run -p ctxpref-bench --release --bin serving_bench --
-//! --replication`, which emits `BENCH_PR4.json`.
+//! --replication`.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -355,45 +355,5 @@ impl ReplicationBenchReport {
         ));
         out.push_str(&crate::render_checks(&self.checks));
         out
-    }
-
-    /// Serialize as a small JSON document (hand-rolled; the workspace
-    /// has no serde).
-    pub fn to_json(&self) -> String {
-        let ack = |a: &AckThroughput| {
-            format!(
-                "{{\"acked\": {}, \"acked_per_sec\": {:.1}, \"end_lag\": {}}}",
-                a.acked, a.acked_per_sec, a.end_lag
-            )
-        };
-        let checks: Vec<String> = self
-            .checks
-            .iter()
-            .map(|c| {
-                format!(
-                    "    {{\"name\": {:?}, \"pass\": {}, \"detail\": {:?}}}",
-                    c.name, c.pass, c.detail
-                )
-            })
-            .collect();
-        format!(
-            "{{\n  \"benchmark\": \"replication_pr4\",\n  \"config\": {{\"nodes\": {}, \"users\": {}, \"shards\": {}, \"send_latency_us\": {}, \"window_ms\": {}, \"heartbeat_threshold\": {}, \"seed\": {}}},\n  \"async\": {},\n  \"quorum\": {},\n  \"async_speedup\": {:.2},\n  \"failover\": {{\"acked_before_kill\": {}, \"promote_ms\": {:.1}, \"first_read_ms\": {:.1}, \"new_epoch\": {}, \"survivors\": {}}},\n  \"checks\": [\n{}\n  ]\n}}\n",
-            self.config.nodes,
-            self.config.users,
-            self.config.shards,
-            self.config.send_latency.as_micros(),
-            self.config.window.as_millis(),
-            self.config.heartbeat_threshold,
-            self.config.seed,
-            ack(&self.async_acks),
-            ack(&self.quorum_acks),
-            self.async_speedup,
-            self.failover.acked_before_kill,
-            self.failover.promote_ms,
-            self.failover.first_read_ms,
-            self.failover.new_epoch,
-            self.failover.survivors,
-            checks.join(",\n")
-        )
     }
 }

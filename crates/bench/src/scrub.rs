@@ -11,7 +11,7 @@
 //! run keeps ≥90% of the bare run's acknowledged throughput.
 //!
 //! Run via `cargo run -p ctxpref-bench --release --bin serving_bench --
-//! --scrub`, which emits `BENCH_PR8.json`.
+//! --scrub`.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
@@ -289,41 +289,5 @@ impl ScrubBenchReport {
         ));
         out.push_str(&crate::render_checks(&self.checks));
         out
-    }
-
-    /// Serialize as a small JSON document (hand-rolled; the workspace
-    /// has no serde).
-    pub fn to_json(&self) -> String {
-        let storm = |s: &StormThroughput| {
-            format!(
-                "{{\"appends\": {}, \"appends_per_sec\": {:.1}, \"scrub_passes\": {}, \"segments_verified\": {}, \"quarantined\": {}, \"read_errors\": {}}}",
-                s.appends, s.appends_per_sec, s.scrub_passes, s.segments_verified, s.quarantined, s.read_errors
-            )
-        };
-        let checks: Vec<String> = self
-            .checks
-            .iter()
-            .map(|c| {
-                format!(
-                    "    {{\"name\": {:?}, \"pass\": {}, \"detail\": {:?}}}",
-                    c.name, c.pass, c.detail
-                )
-            })
-            .collect();
-        format!(
-            "{{\n  \"benchmark\": \"scrub_pr8\",\n  \"config\": {{\"users\": {}, \"writer_threads\": {}, \"shards\": {}, \"segment_max_bytes\": {}, \"flush_interval_ms\": {}, \"checkpoint_interval_ms\": {}, \"scrub_interval_ms\": {}, \"window_ms\": {}}},\n  \"baseline\": {},\n  \"with_scrub\": {},\n  \"throughput_ratio\": {:.3},\n  \"checks\": [\n{}\n  ]\n}}\n",
-            self.config.users,
-            self.config.writer_threads,
-            self.config.shards,
-            self.config.segment_max_bytes,
-            self.config.flush_interval.as_millis(),
-            self.config.checkpoint_interval.as_millis(),
-            self.config.scrub_interval.as_millis(),
-            self.config.window.as_millis(),
-            storm(&self.baseline),
-            storm(&self.with_scrub),
-            self.throughput_ratio,
-            checks.join(",\n")
-        )
     }
 }

@@ -21,7 +21,7 @@
 //! the overload so interactive traffic stays inside its SLO.
 //!
 //! Run via `cargo run -p ctxpref-bench --release --bin serving_bench --
-//! --storm`, which emits `BENCH_PR9.json`.
+//! --storm`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -690,67 +690,5 @@ impl StormBenchReport {
         ));
         out.push_str(&crate::render_checks(&self.checks));
         out
-    }
-
-    /// Serialize as a small JSON document (hand-rolled; the workspace
-    /// has no serde).
-    pub fn to_json(&self) -> String {
-        let tier = |t: &TierOutcome| {
-            format!(
-                "{{\"issued\": {}, \"ok\": {}, \"shed\": {}, \"budget_exhausted\": {}, \
-                 \"deadline\": {}, \"other\": {}, \"p50_us\": {}, \"p99_us\": {}, \
-                 \"p999_us\": {}}}",
-                t.issued,
-                t.ok,
-                t.shed,
-                t.budget_exhausted,
-                t.deadline,
-                t.other,
-                t.p50_us,
-                t.p99_us,
-                t.p999_us
-            )
-        };
-        let checks: Vec<String> = self
-            .checks
-            .iter()
-            .map(|c| {
-                format!(
-                    "    {{\"name\": {:?}, \"pass\": {}, \"detail\": {:?}}}",
-                    c.name, c.pass, c.detail
-                )
-            })
-            .collect();
-        format!(
-            "{{\n  \"benchmark\": \"storm_pr9\",\n  \"config\": {{\"users\": {}, \"zipf_s\": {}, \
-             \"storm_ms\": {}, \"overload_factor\": {}, \"interactive_deadline_ms\": {}, \
-             \"slo_interactive_p99_ms\": {}, \"goodput_floor\": {}, \"kill_at_ms\": {}, \
-             \"disk_full_at_ms\": {}, \"net_delay_at_ms\": {}}},\n  \
-             \"capacity_qps\": {:.1},\n  \"offered_qps\": {:.1},\n  \"goodput_qps\": {:.1},\n  \
-             \"interactive\": {},\n  \"bulk\": {},\n  \"maintenance\": {},\n  \
-             \"writes\": {{\"acked\": {}, \"refused\": {}, \"survived\": {}, \"zero_loss\": {}}},\n  \
-             \"checks\": [\n{}\n  ]\n}}\n",
-            self.config.users,
-            self.config.zipf_s,
-            self.config.storm_duration.as_millis(),
-            self.config.overload_factor,
-            self.config.interactive_deadline.as_millis(),
-            self.config.slo_interactive_p99.as_millis(),
-            self.config.goodput_floor,
-            self.config.kill_at.as_millis(),
-            self.config.disk_full_at.as_millis(),
-            self.config.net_delay_at.as_millis(),
-            self.capacity_qps,
-            self.offered_qps,
-            self.goodput_qps,
-            tier(&self.tiers[0]),
-            tier(&self.tiers[1]),
-            tier(&self.tiers[2]),
-            self.writes.acked,
-            self.writes.refused,
-            self.writes.survived,
-            self.writes.zero_loss,
-            checks.join(",\n")
-        )
     }
 }

@@ -478,7 +478,7 @@ pub fn encode_request_enveloped(id: u64, req: &Request, budget_ms: u64, tier: Pr
     out
 }
 
-fn header<'a>(payload: &'a [u8], what: &'static str) -> Result<(Dec<'a>, u8, u64), DecodeError> {
+fn header(payload: &[u8]) -> Result<(Dec<'_>, u8, u64), DecodeError> {
     let mut dec = Dec::new(payload);
     let magic = dec.u8()?;
     if magic != BINARY_MAGIC {
@@ -500,10 +500,8 @@ fn header<'a>(payload: &'a [u8], what: &'static str) -> Result<(Dec<'a>, u8, u64
             },
         });
     }
-    let tag_at = dec.offset();
     let tag = dec.u8()?;
     let id = dec.uv()?;
-    let _ = (tag_at, what);
     Ok((dec, tag, id))
 }
 
@@ -653,7 +651,7 @@ fn decode_request_body(
 /// Decode a `ctxpref2` request frame payload (header, envelope budget
 /// and tier, then the body).
 pub fn decode_request(payload: &[u8]) -> Result<WireRequest, DecodeError> {
-    let (mut dec, tag, id) = header(payload, "request")?;
+    let (mut dec, tag, id) = header(payload)?;
     let budget_ms = dec.uv()?;
     let tier_at = dec.offset();
     let tier_tag = dec.u8()?;
@@ -678,7 +676,7 @@ pub fn decode_request(payload: &[u8]) -> Result<WireRequest, DecodeError> {
 /// failed to decode, so the refusal can still be matched to the
 /// request that caused it. `None` if even the header is unreadable.
 pub fn request_id_of(payload: &[u8]) -> Option<u64> {
-    let (_, _, id) = header(payload, "request").ok()?;
+    let (_, _, id) = header(payload).ok()?;
     Some(id)
 }
 
@@ -976,7 +974,7 @@ fn decode_response_body(
 
 /// Decode a `ctxpref2` response frame payload.
 pub fn decode_response(payload: &[u8]) -> Result<WireResponse, DecodeError> {
-    let (mut dec, tag, id) = header(payload, "response")?;
+    let (mut dec, tag, id) = header(payload)?;
     let resp = decode_response_body(&mut dec, tag, true)?;
     dec.expect_end()?;
     Ok(WireResponse { id, resp })

@@ -88,6 +88,15 @@ impl Interest {
         readable: true,
         writable: true,
     };
+    /// Neither direction: the fd stays registered and still reports
+    /// error, hangup and peer-closed (`EPOLLERR`/`EPOLLHUP` are
+    /// delivered whatever the mask, and the mask keeps `EPOLLRDHUP`),
+    /// but an idle, writable socket no longer wakes a level-triggered
+    /// wait.
+    pub const NONE: Self = Self {
+        readable: false,
+        writable: false,
+    };
 
     fn mask(self) -> u32 {
         let mut m = EPOLLRDHUP;
@@ -393,6 +402,44 @@ mod tests {
         assert!(events.iter().any(|e| e.token == 42 && e.readable));
 
         epoll.deregister(rx.as_raw_fd()).unwrap();
+    }
+
+    #[test]
+    fn interest_none_is_silent_until_the_peer_goes_away() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let tx = TcpStream::connect(addr).unwrap();
+        let (rx, _) = listener.accept().unwrap();
+        rx.set_nonblocking(true).unwrap();
+        let tick = Some(std::time::Duration::from_millis(30));
+
+        // The control: an idle socket is always writable, so under a
+        // level-triggered `WRITABLE` registration the wait delivers an
+        // event instead of sleeping out the tick, every time — a
+        // reactor parked on it spins.
+        let epoll = Epoll::new().unwrap();
+        epoll
+            .register(rx.as_raw_fd(), 9, Interest::WRITABLE)
+            .unwrap();
+        let mut events = Vec::new();
+        epoll.wait(&mut events, tick).unwrap();
+        assert!(events.iter().any(|e| e.token == 9 && e.writable));
+
+        // Registered `NONE`, the same socket is silent for the tick…
+        epoll.reregister(rx.as_raw_fd(), 9, Interest::NONE).unwrap();
+        let mut events = Vec::new();
+        epoll.wait(&mut events, tick).unwrap();
+        assert!(events.is_empty(), "NONE still woke the wait: {events:?}");
+
+        // …and the peer going away still surfaces for reclamation.
+        drop(tx);
+        let mut events = Vec::new();
+        epoll
+            .wait(&mut events, Some(std::time::Duration::from_secs(5)))
+            .unwrap();
+        assert!(events
+            .iter()
+            .any(|e| e.token == 9 && (e.readable || e.hangup)));
     }
 
     #[test]

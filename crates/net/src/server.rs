@@ -407,9 +407,13 @@ impl Conn {
             (true, true) => Interest::BOTH,
             (true, false) => Interest::READABLE,
             (false, true) => Interest::WRITABLE,
-            // epoll needs *some* registration; an interest-less wait
-            // still surfaces errors/hangups for reclamation.
-            (false, false) => Interest::WRITABLE,
+            // At the pipeline cap (or closing) with nothing queued:
+            // wait for a completion, not the socket. The epoll is
+            // level-triggered and an idle socket is always writable,
+            // so `WRITABLE` here would spin the reactor against the
+            // workers it is waiting for; `NONE` still surfaces
+            // errors/hangups for reclamation.
+            (false, false) => Interest::NONE,
         }
     }
 }

@@ -292,6 +292,11 @@ fn writes_during_migration_are_never_dropped() {
         .migrate_user(user, dst)
         .expect("migration under load");
     assert!(report.moved);
+    assert!(
+        report.fence < Duration::from_millis(250),
+        "cut-over fence stays under 250 ms: fence window {} µs",
+        report.fence.as_micros()
+    );
     let acked = writer.join().expect("writer thread");
 
     // Every acked write (5 seeded + the racers) is on the destination.

@@ -144,10 +144,7 @@ fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
 
 /// Run one rung: a fault-site check followed by the query itself, with
 /// panics contained and reported as the failure reason.
-fn try_rung(
-    site: &str,
-    run: impl FnOnce() -> Result<QueryAnswer, CoreError>,
-) -> Result<QueryAnswer, String> {
+fn try_rung<T>(site: &str, run: impl FnOnce() -> Result<T, CoreError>) -> Result<T, String> {
     match catch_unwind(AssertUnwindSafe(|| {
         ctxpref_faults::hit(site).map_err(|e| e.to_string())?;
         run().map_err(|e| e.to_string())
@@ -160,12 +157,17 @@ fn try_rung(
 
 /// Serve one request by walking the ladder under an already-acquired
 /// shard read guard — the worker paid for the lock once; every rung
-/// reuses it. Returns a typed error only for conditions that
-/// degradation cannot answer (unknown user, deadline exhaustion).
+/// reuses it. With `topk` set, every rung resolves through the user's
+/// materialized views (a current one answers as [`LadderStep::View`],
+/// otherwise early-terminating `rank_cs_topk`); without it, through the
+/// context query tree (a hit answers as [`LadderStep::Cached`]).
+/// Returns a typed error only for conditions that degradation cannot
+/// answer (unknown user, deadline exhaustion).
 pub(crate) fn run_ladder(
     shard: &UserShardRead<'_>,
     user: &str,
     state: &ContextState,
+    topk: Option<usize>,
     deadline: Instant,
     requested_deadline: Duration,
 ) -> Result<ServiceAnswer, ServiceError> {
@@ -175,17 +177,37 @@ pub(crate) fn run_ladder(
         return Err(ServiceError::Core(CoreError::NoSuchUser(user.to_string())));
     }
 
+    // Resolve one state the way the request asked, reporting which of
+    // the healthy rungs answered.
+    let resolve = |state: &ContextState| -> Result<(QueryAnswer, LadderStep), CoreError> {
+        match topk {
+            Some(k) => {
+                let (answer, from_view) = shard.query_state_topk(user, state, k)?;
+                let step = if from_view {
+                    LadderStep::View
+                } else {
+                    LadderStep::Exact
+                };
+                Ok((answer, step))
+            }
+            None => {
+                let answer = shard.query_state(user, state)?;
+                let step = if answer.from_cache {
+                    LadderStep::Cached
+                } else {
+                    LadderStep::Exact
+                };
+                Ok((answer, step))
+            }
+        }
+    };
+
     let mut fallbacks = Vec::new();
 
-    // Rungs 1+2: the cached/exact path (the cache layer internally
-    // degrades its own faults to misses, so one call covers both).
-    match try_rung("service.query.primary", || shard.query_state(user, state)) {
-        Ok(answer) => {
-            let step = if answer.from_cache {
-                LadderStep::Cached
-            } else {
-                LadderStep::Exact
-            };
+    // Rungs 1+2: the view/cached/exact path (the cache layer internally
+    // degrades its own faults to misses, so one call covers them all).
+    match try_rung("service.query.primary", || resolve(state)) {
+        Ok((answer, step)) => {
             return Ok(ServiceAnswer {
                 answer,
                 step,
@@ -207,8 +229,8 @@ pub(crate) fn run_ladder(
                 deadline: requested_deadline,
             });
         }
-        match try_rung("service.query.nearest", || shard.query_state(user, &lifted)) {
-            Ok(answer) => {
+        match try_rung("service.query.nearest", || resolve(&lifted)) {
+            Ok((answer, _)) => {
                 return Ok(ServiceAnswer {
                     answer,
                     step: LadderStep::NearestState,
@@ -226,94 +248,9 @@ pub(crate) fn run_ladder(
         }
     }
 
-    // Rung 4: the pure, non-contextual default. Cannot fail.
-    Ok(ServiceAnswer {
-        answer: default_answer(shard.relation()),
-        step: LadderStep::DefaultAnswer,
-        fallbacks,
-        resolved_state: None,
-        elapsed: started.elapsed(),
-    })
-}
-
-/// The top-k variant of [`run_ladder`]: the primary rung serves from
-/// the user's materialized view when one is current (reported as
-/// [`LadderStep::View`]) and falls back to early-terminating
-/// `rank_cs_topk` otherwise; lifted states and the non-contextual
-/// default degrade exactly like the full ladder.
-pub(crate) fn run_ladder_topk(
-    shard: &UserShardRead<'_>,
-    user: &str,
-    state: &ContextState,
-    k: usize,
-    deadline: Instant,
-    requested_deadline: Duration,
-) -> Result<ServiceAnswer, ServiceError> {
-    let started = Instant::now();
-    if !shard.has_user(user) {
-        return Err(ServiceError::Core(CoreError::NoSuchUser(user.to_string())));
-    }
-
-    let mut fallbacks = Vec::new();
-
-    // Rung 1: view or early-terminating exact evaluation (same fault
-    // site as the full ladder's primary rung — faults degrade both).
-    let mut from_view = false;
-    match try_rung("service.query.primary", || {
-        let (answer, view) = shard.query_state_topk(user, state, k)?;
-        from_view = view;
-        Ok(answer)
-    }) {
-        Ok(answer) => {
-            let step = if from_view {
-                LadderStep::View
-            } else {
-                LadderStep::Exact
-            };
-            return Ok(ServiceAnswer {
-                answer,
-                step,
-                fallbacks,
-                resolved_state: None,
-                elapsed: started.elapsed(),
-            });
-        }
-        Err(reason) => fallbacks.push(Fallback {
-            step: LadderStep::Exact,
-            reason,
-        }),
-    }
-
-    // Rung 3: nearest ancestor state that still resolves.
-    for lifted in lifted_states(shard, state) {
-        if Instant::now() >= deadline {
-            return Err(ServiceError::DeadlineExceeded {
-                deadline: requested_deadline,
-            });
-        }
-        match try_rung("service.query.nearest", || {
-            shard.query_state_topk(user, &lifted, k).map(|(a, _)| a)
-        }) {
-            Ok(answer) => {
-                return Ok(ServiceAnswer {
-                    answer,
-                    step: LadderStep::NearestState,
-                    fallbacks,
-                    resolved_state: Some(lifted),
-                    elapsed: started.elapsed(),
-                });
-            }
-            Err(reason) => {
-                fallbacks.push(Fallback {
-                    step: LadderStep::NearestState,
-                    reason,
-                });
-            }
-        }
-    }
-
-    // Rung 4: the pure, non-contextual default (every tuple ties at
-    // score 0, so trimming to k would keep everything anyway).
+    // Rung 4: the pure, non-contextual default. Cannot fail. (Every
+    // tuple ties at score 0, so trimming to k would keep everything
+    // anyway.)
     Ok(ServiceAnswer {
         answer: default_answer(shard.relation()),
         step: LadderStep::DefaultAnswer,

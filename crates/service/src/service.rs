@@ -16,7 +16,7 @@ use parking_lot::{Mutex, RwLock};
 use crate::admission::{record_shed, Admission};
 use crate::config::{DurabilityConfig, ReplicatedConfig, RetryPolicy, ServiceConfig};
 use crate::error::ServiceError;
-use crate::ladder::{run_ladder, run_ladder_topk, LadderStep, ServiceAnswer};
+use crate::ladder::{run_ladder, LadderStep, ServiceAnswer};
 use crate::migrate::MigrationTable;
 use crate::stats::{Counters, ServiceStats};
 use crate::tier::Priority;
@@ -741,17 +741,14 @@ fn worker_loop(
                     deadline: job.requested,
                 });
             }
-            match job.topk {
-                Some(k) => run_ladder_topk(
-                    &shard,
-                    &job.user,
-                    &job.state,
-                    k,
-                    job.deadline,
-                    job.requested,
-                ),
-                None => run_ladder(&shard, &job.user, &job.state, job.deadline, job.requested),
-            }
+            run_ladder(
+                &shard,
+                &job.user,
+                &job.state,
+                job.topk,
+                job.deadline,
+                job.requested,
+            )
         }))
         .unwrap_or_else(|payload| {
             let message = if let Some(s) = payload.downcast_ref::<&str>() {
