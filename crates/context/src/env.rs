@@ -83,12 +83,6 @@ impl ContextEnvironment {
         &self.params[p.index()]
     }
 
-    /// Shared handle to the hierarchy of one parameter.
-    #[inline]
-    pub fn hierarchy_arc(&self, p: ParamId) -> Arc<Hierarchy> {
-        Arc::clone(&self.params[p.index()])
-    }
-
     /// Resolve a parameter by name.
     pub fn param(&self, name: &str) -> Option<ParamId> {
         self.by_name.get(name).copied()

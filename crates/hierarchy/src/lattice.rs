@@ -472,11 +472,6 @@ impl LatticeHierarchy {
         &self.levels[l.index()].name
     }
 
-    /// Direct parent levels of a level.
-    pub fn level_parents(&self, l: LevelId) -> &[LevelId] {
-        &self.levels[l.index()].parents
-    }
-
     /// The domain of one level.
     pub fn domain(&self, l: LevelId) -> &[ValueId] {
         &self.by_level[l.index()]

@@ -142,11 +142,6 @@ impl NetClient {
         &self.addr
     }
 
-    /// Drop the cached connection; the next request redials.
-    pub fn disconnect(&mut self) {
-        self.conn = None;
-    }
-
     fn dial(&self) -> Result<TcpStream, NetError> {
         let mut last: Option<std::io::Error> = None;
         for resolved in self.addr.to_socket_addrs()? {

@@ -1,7 +1,7 @@
 //! The TCP serving layer: the `ctxpref` serving core over real
 //! sockets.
 //!
-//! Three pillars, one framing discipline:
+//! Two pillars, one framing discipline:
 //!
 //! * [`frame`] — length-prefixed, FNV-1a-checksummed frames (the WAL
 //!   record framing minus the LSN). The declared length is capped
@@ -14,10 +14,6 @@
 //!   connection admission, socket deadlines, panic containment, and
 //!   graceful drain; [`NetClient`] is the blocking peer with
 //!   reconnect and idempotent-only retry.
-//! * [`repl`] — [`TcpTransport`] implements replication's
-//!   [`Transport`](ctxpref_replication::Transport) seam over loopback
-//!   TCP, so a [`Cluster`](ctxpref_replication::Cluster) spans real
-//!   sockets and the existing chaos plans drive it unchanged.
 //!
 //! Every socket operation passes a deterministic fault site
 //! (`net.accept`, `net.frame.read`, `net.frame.write`,
@@ -61,7 +57,6 @@ pub mod error;
 pub mod frame;
 pub mod proto;
 pub mod reactor;
-pub mod repl;
 pub mod server;
 
 pub use client::{NetClient, NetClientConfig};
@@ -78,5 +73,4 @@ pub use frame::{
     MAX_FRAME_PAYLOAD,
 };
 pub use proto::{AnswerRow, MigrateAction, RemoteAnswer, Request, Response, WireFallback};
-pub use repl::{ReplServer, TcpTransport, REPL_PROTO_VERSION};
 pub use server::{NetServer, NetServerConfig};

@@ -89,19 +89,22 @@ impl Interest {
         writable: true,
     };
     /// Neither direction: the fd stays registered and still reports
-    /// error, hangup and peer-closed (`EPOLLERR`/`EPOLLHUP` are
-    /// delivered whatever the mask, and the mask keeps `EPOLLRDHUP`),
-    /// but an idle, writable socket no longer wakes a level-triggered
-    /// wait.
+    /// error and hangup (`EPOLLERR`/`EPOLLHUP` are delivered whatever
+    /// the mask), but neither an idle, writable socket nor a peer's
+    /// half-close wakes a level-triggered wait. The half-close is seen
+    /// by the first read once the fd is `READABLE` again.
     pub const NONE: Self = Self {
         readable: false,
         writable: false,
     };
 
     fn mask(self) -> u32 {
-        let mut m = EPOLLRDHUP;
+        let mut m = 0;
+        // `EPOLLRDHUP` only alongside `EPOLLIN`: a half-closed peer is
+        // level-triggered readable forever, so reporting it while the
+        // owner declines to read would spin the wait.
         if self.readable {
-            m |= EPOLLIN;
+            m |= EPOLLIN | EPOLLRDHUP;
         }
         if self.writable {
             m |= EPOLLOUT;
@@ -431,15 +434,26 @@ mod tests {
         epoll.wait(&mut events, tick).unwrap();
         assert!(events.is_empty(), "NONE still woke the wait: {events:?}");
 
-        // …and the peer going away still surfaces for reclamation.
-        drop(tx);
+        // …including after the peer half-closes: a level-triggered
+        // peer-closed report would wake every wait while the owner
+        // declines to read (a connection at its pipeline cap)…
+        tx.shutdown(std::net::Shutdown::Write).unwrap();
+        let mut events = Vec::new();
+        epoll.wait(&mut events, tick).unwrap();
+        assert!(
+            events.is_empty(),
+            "NONE woke the wait on a half-closed peer: {events:?}"
+        );
+
+        // …and the half-close surfaces as soon as reading resumes.
+        epoll
+            .reregister(rx.as_raw_fd(), 9, Interest::READABLE)
+            .unwrap();
         let mut events = Vec::new();
         epoll
             .wait(&mut events, Some(std::time::Duration::from_secs(5)))
             .unwrap();
-        assert!(events
-            .iter()
-            .any(|e| e.token == 9 && (e.readable || e.hangup)));
+        assert!(events.iter().any(|e| e.token == 9 && e.readable));
     }
 
     #[test]

@@ -412,7 +412,8 @@ impl Conn {
             // level-triggered and an idle socket is always writable,
             // so `WRITABLE` here would spin the reactor against the
             // workers it is waiting for; `NONE` still surfaces
-            // errors/hangups for reclamation.
+            // errors/hangups, and a peer's half-close is read once a
+            // completion re-opens `READABLE`.
             (false, false) => Interest::NONE,
         }
     }

@@ -526,17 +526,16 @@ mod tests {
         cache.insert(&b, Arc::new(results(0.2)));
         // Hold a shared read lock for the duration of the probe hits.
         let guard = cache.inner.read();
-        crossbeam::scope(|scope| {
+        std::thread::scope(|scope| {
             let cache = Arc::clone(&cache);
             let a = a.clone();
-            let handle = scope.spawn(move |_| {
+            let handle = scope.spawn(move || {
                 for _ in 0..100 {
                     assert!(cache.get(&a).is_some());
                 }
             });
             handle.join().unwrap();
-        })
-        .unwrap();
+        });
         drop(guard);
         assert_eq!(cache.stats().hits, 100);
         // The hits under the read lock refreshed `a`'s recency: insert
@@ -569,11 +568,11 @@ mod tests {
         .iter()
         .map(|n| st(&env, n))
         .collect();
-        crossbeam::scope(|scope| {
+        std::thread::scope(|scope| {
             for t in 0..4 {
                 let cache = Arc::clone(&cache);
                 let states = states.clone();
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     for i in 0..200 {
                         let s = &states[(i + t) % states.len()];
                         let _ = cache.get_or_compute(s, || results(i as f64 / 200.0));
@@ -583,8 +582,7 @@ mod tests {
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         assert!(cache.len() <= 4);
         let stats = cache.stats();
         assert!(stats.hits + stats.misses >= 800 - 200);

@@ -4,10 +4,11 @@
 //! A [`Cluster`] owns the full membership view (which nodes exist,
 //! which are live, who is primary) plus the sender-side replication
 //! cursors — per replica, per shard, the next LSN that replica needs.
-//! Everything a node learns from a peer travels through the
-//! [`Transport`], so the chaos suite's injected partitions, drops,
-//! delays, and duplicates exercise exactly the paths a socket
-//! transport would.
+//! Everything a node learns from a peer travels in process, through
+//! the transport's `repl.*` fault gauntlet, so the chaos suite's
+//! injected partitions, drops, delays, and duplicates reach every peer
+//! interaction. The failure-handling half (tick, promotion,
+//! anti-entropy) lives in the child module `failover`.
 //!
 //! Safety properties (asserted by the chaos matrix):
 //!
@@ -30,143 +31,16 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use ctxpref_core::ShardedMultiUserDb;
-use ctxpref_wal::{Ack, DurableDb, ScrubReport, WalError, WalOp, WalOptions};
+use ctxpref_wal::{Ack, DurableDb, ScrubReport, WalError, WalOp};
 use parking_lot::Mutex;
 
-use crate::digest::node_digests;
 use crate::error::ReplicationError;
 use crate::message::{Envelope, Message, NodeId, Reply};
 use crate::node::ReplNode;
-use crate::transport::{InProcessTransport, NodeTransport};
+use crate::status::{AckMode, ClusterConfig, ClusterStatus, NodeStatus};
+use crate::transport::InProcessTransport;
 
-/// When a write is acknowledged to the caller.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AckMode {
-    /// Ack once the primary holds the write; replicas catch up in the
-    /// background. Fast, but a primary failure can lose acked writes.
-    Async,
-    /// Ack only once a majority of the configured cluster holds the
-    /// write durably. Failover then provably preserves it.
-    Quorum,
-}
-
-/// Cluster tuning knobs.
-#[derive(Debug, Clone, Copy)]
-pub struct ClusterConfig {
-    /// Total configured nodes (majorities are computed against this,
-    /// so crashed nodes still count in the denominator).
-    pub nodes: usize,
-    /// WAL shards per node (must match the serving core's stripes).
-    pub shards: usize,
-    /// When writes are acknowledged.
-    pub ack_mode: AckMode,
-    /// Durability options for every node's WAL.
-    pub wal: WalOptions,
-    /// Records per shipped batch.
-    pub batch_max: usize,
-    /// Consecutive missed heartbeats (ticks) before the primary is
-    /// declared dead.
-    pub heartbeat_threshold: u32,
-    /// Whether [`Cluster::tick`] promotes automatically on primary
-    /// failure; off, failover is [`Cluster::promote`]-only.
-    pub auto_failover: bool,
-}
-
-impl ClusterConfig {
-    /// A sensible starting config for `nodes` nodes.
-    pub fn new(nodes: usize) -> Self {
-        Self {
-            nodes,
-            shards: 4,
-            ack_mode: AckMode::Quorum,
-            wal: WalOptions::default(),
-            batch_max: 64,
-            heartbeat_threshold: 3,
-            auto_failover: true,
-        }
-    }
-}
-
-/// A role/liveness snapshot of one node.
-#[derive(Debug, Clone, Copy)]
-pub struct NodeStatus {
-    /// The node.
-    pub id: NodeId,
-    /// Whether the node is currently live (registered, not crashed).
-    pub live: bool,
-    /// Whether the node believes it is primary.
-    pub is_primary: bool,
-    /// The node's current epoch.
-    pub epoch: u64,
-    /// Total applied LSNs across shards (its replication position).
-    pub applied: u64,
-    /// Shards the node's last recovery rescued via quarantine (it came
-    /// back clean-but-behind and repairs through shipping).
-    pub rescued_shards: u64,
-}
-
-/// A point-in-time view of the cluster.
-#[derive(Debug, Clone)]
-pub struct ClusterStatus {
-    /// The node the cluster routes writes to, if any.
-    pub primary: Option<NodeId>,
-    /// The highest epoch any live node holds.
-    pub epoch: u64,
-    /// Every promotion so far as `(epoch, node)`, in order. Strictly
-    /// ascending epochs — the chaos suite asserts it.
-    pub promotions: Vec<(u64, NodeId)>,
-    /// Per-node status.
-    pub nodes: Vec<NodeStatus>,
-    /// How far the laggiest live replica trails the primary, in
-    /// applied records (0 with no primary or no live replica).
-    pub max_lag: u64,
-    /// Scrub passes completed through [`Cluster::scrub_node`].
-    pub scrub_passes: u64,
-    /// Files those passes quarantined, cluster-wide.
-    pub scrub_quarantined: u64,
-}
-
-/// The operator's rendering (`repl-status`, local and remote): the
-/// primary and lag, one line per node, then the promotion history.
-impl std::fmt::Display for ClusterStatus {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self.primary {
-            Some(p) => write!(f, "primary node {p}")?,
-            None => write!(f, "primary none (failover pending)")?,
-        }
-        writeln!(
-            f,
-            ", epoch {}, max lag {} record(s)",
-            self.epoch, self.max_lag
-        )?;
-        for n in &self.nodes {
-            writeln!(
-                f,
-                "node {}: {}{}, epoch {}, {} record(s) applied",
-                n.id,
-                if n.live { "live" } else { "down" },
-                if n.is_primary { " PRIMARY" } else { "" },
-                n.epoch,
-                n.applied
-            )?;
-        }
-        write!(f, "promotions: ")?;
-        for (i, (epoch, node)) in self.promotions.iter().enumerate() {
-            let sep = if i == 0 { "" } else { ", " };
-            write!(f, "{sep}epoch {epoch} → node {node}")?;
-        }
-        Ok(())
-    }
-}
-
-/// What one [`Cluster::tick`] did.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TickReport {
-    /// A failover promoted this node at this epoch.
-    pub promoted: Option<(u64, NodeId)>,
-    /// The acting primary was fenced by a peer this tick (it demoted).
-    pub fenced: bool,
-}
+mod failover;
 
 /// Hook invoked on role changes: `(node, epoch)`.
 pub type RoleHook = Box<dyn Fn(NodeId, u64) + Send + Sync>;
@@ -193,13 +67,12 @@ struct ClusterState {
     scrub_quarantined: u64,
 }
 
-/// A primary/replica group over one [`NodeTransport`] — in-process by
-/// default, or any pluggable implementation (e.g. a socket transport)
-/// via [`Cluster::new_with_transport`].
+/// A primary/replica group whose nodes all live in this process and
+/// talk through one in-process transport.
 pub struct Cluster {
     config: ClusterConfig,
     dirs: Vec<PathBuf>,
-    transport: Arc<dyn NodeTransport>,
+    transport: InProcessTransport,
     state: Mutex<ClusterState>,
     on_promotion: Mutex<Option<RoleHook>>,
     on_demotion: Mutex<Option<RoleHook>>,
@@ -215,20 +88,8 @@ impl Cluster {
         config: ClusterConfig,
         make_core: impl Fn() -> Arc<ShardedMultiUserDb>,
     ) -> Result<Self, ReplicationError> {
-        Self::new_with_transport(root, config, make_core, Arc::new(InProcessTransport::new()))
-    }
-
-    /// [`Cluster::new`] over an explicit transport, so nodes can talk
-    /// through real sockets (`ctxpref-net`'s `TcpTransport`) instead of
-    /// the in-process registry. The control plane is identical either
-    /// way: every peer interaction goes through [`NodeTransport::send`].
-    pub fn new_with_transport(
-        root: &Path,
-        config: ClusterConfig,
-        make_core: impl Fn() -> Arc<ShardedMultiUserDb>,
-        transport: Arc<dyn NodeTransport>,
-    ) -> Result<Self, ReplicationError> {
         assert!(config.nodes >= 1, "a cluster needs at least one node");
+        let transport = InProcessTransport::default();
         let mut nodes = Vec::with_capacity(config.nodes);
         let mut dirs = Vec::with_capacity(config.nodes);
         for id in 0..config.nodes {
@@ -260,11 +121,6 @@ impl Cluster {
     /// The configured knobs.
     pub fn config(&self) -> &ClusterConfig {
         &self.config
-    }
-
-    /// The transport (for direct partition scripting in tests).
-    pub fn transport(&self) -> &Arc<dyn NodeTransport> {
-        &self.transport
     }
 
     /// Install the promotion hook (fired with the promoted node and
@@ -630,286 +486,6 @@ impl Cluster {
             }
         }
         Ok(false)
-    }
-
-    /// One control-plane beat: pump replication, probe the primary
-    /// from every replica, and — with auto-failover on — promote once
-    /// every live replica has missed [`ClusterConfig::heartbeat_threshold`]
-    /// consecutive probes.
-    pub fn tick(&self) -> TickReport {
-        let mut report = TickReport::default();
-        let mut st = self.state.lock();
-        if let Ok(true) = self.pump_locked(&mut st) {
-            report.fenced = true;
-        }
-        let primary = st.primary;
-        let mut any_replica = false;
-        let mut all_past_threshold = true;
-        for id in 0..self.config.nodes {
-            if Some(id) == primary {
-                continue;
-            }
-            let Some(node) = st.nodes[id].clone() else {
-                continue;
-            };
-            any_replica = true;
-            let reachable = match primary {
-                Some(p) => {
-                    let env = Envelope {
-                        from: id,
-                        epoch: node.epoch(),
-                        msg: Message::Heartbeat,
-                    };
-                    matches!(
-                        self.transport.send(p, env),
-                        Ok(Reply::Beat { .. }) | Ok(Reply::Fenced { .. })
-                    )
-                }
-                None => false,
-            };
-            if reachable {
-                st.missed[id] = 0;
-            } else {
-                st.missed[id] = st.missed[id].saturating_add(1);
-            }
-            if st.missed[id] < self.config.heartbeat_threshold {
-                all_past_threshold = false;
-            }
-        }
-        if any_replica && all_past_threshold && self.config.auto_failover {
-            if let Ok(promoted) = self.failover_locked(&mut st) {
-                report.promoted = Some(promoted);
-            }
-        }
-        report
-    }
-
-    /// Manually promote node `id` (same safety rules as auto-failover:
-    /// a reachability majority is required, and the candidate pulls
-    /// every reachable peer's suffix before serving).
-    pub fn promote(&self, id: NodeId) -> Result<u64, ReplicationError> {
-        let mut st = self.state.lock();
-        self.promote_locked(&mut st, id)
-    }
-
-    /// Pick the best live candidate (highest applied LSN total, ties to
-    /// the lowest id) and promote the first that can reach a majority.
-    fn failover_locked(&self, st: &mut ClusterState) -> Result<(u64, NodeId), ReplicationError> {
-        let mut candidates: Vec<(NodeId, u64)> = (0..self.config.nodes)
-            .filter_map(|id| {
-                let node = st.nodes[id].as_ref()?;
-                Some((id, node.applied_lsns().iter().sum::<u64>()))
-            })
-            .collect();
-        candidates.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        let mut last = ReplicationError::NoPrimary;
-        for (id, _) in candidates {
-            match self.promote_locked(st, id) {
-                Ok(epoch) => return Ok((epoch, id)),
-                Err(e) => last = e,
-            }
-        }
-        Err(last)
-    }
-
-    /// The promotion protocol:
-    ///
-    /// 1. Probe every other configured node from the candidate; a
-    ///    majority of the cluster (counting the candidate) must answer,
-    ///    else refuse — promoting on a minority island could strand
-    ///    quorum-acked writes on the other side.
-    /// 2. Pull each reachable peer's log suffix into the candidate,
-    ///    shard by shard (peers ahead on a shard resync it wholesale if
-    ///    their suffix was already checkpointed away). Any quorum-acked
-    ///    write lives on a majority, every majority intersects the
-    ///    reachable set, so the candidate ends up holding them all.
-    /// 3. Mint `max(seen epochs) + 1`, persist it on the candidate,
-    ///    flip it to primary, and broadcast the new epoch so reachable
-    ///    stale primaries demote immediately.
-    fn promote_locked(&self, st: &mut ClusterState, id: NodeId) -> Result<u64, ReplicationError> {
-        let candidate = st.nodes[id]
-            .clone()
-            .ok_or(ReplicationError::NodeDown { node: id })?;
-        // 1. Reachability quorum.
-        let mut reached = 1;
-        let mut peers: Vec<NodeId> = Vec::new();
-        for other in 0..self.config.nodes {
-            if other == id {
-                continue;
-            }
-            for _ in 0..2 {
-                let env = Envelope {
-                    from: id,
-                    epoch: candidate.epoch(),
-                    msg: Message::Heartbeat,
-                };
-                match self.transport.send(other, env) {
-                    Ok(Reply::Beat { epoch, .. }) => {
-                        candidate.adopt_epoch(epoch);
-                        reached += 1;
-                        peers.push(other);
-                        break;
-                    }
-                    Ok(Reply::Fenced { current }) => {
-                        // Reachable, but our epoch was stale: adopt
-                        // theirs and re-probe for their positions.
-                        candidate.adopt_epoch(current);
-                    }
-                    _ => break,
-                }
-            }
-        }
-        let needed = self.config.nodes / 2 + 1;
-        if reached < needed {
-            return Err(ReplicationError::NoQuorumForPromotion { reached, needed });
-        }
-        // 2. Pull every reachable peer's suffix into the candidate.
-        for &peer_id in &peers {
-            let Some(peer) = st.nodes[peer_id].clone() else {
-                continue;
-            };
-            for shard in 0..self.config.shards {
-                self.pull_shard(&candidate, &peer, shard);
-            }
-        }
-        // 3. Mint, persist, serve, broadcast.
-        let epoch = candidate.epoch() + 1;
-        candidate.promote(epoch);
-        let old = st.primary.take();
-        st.primary = Some(id);
-        st.promotions.push((epoch, id));
-        st.cursors.clear();
-        st.missed.iter_mut().for_each(|m| *m = 0);
-        for &peer_id in &peers {
-            let env = Envelope {
-                from: id,
-                epoch,
-                msg: Message::Heartbeat,
-            };
-            let _ = self.transport.send(peer_id, env);
-        }
-        if let Some(old_id) = old {
-            if old_id != id {
-                if let Some(hook) = self.on_demotion.lock().as_ref() {
-                    hook(old_id, epoch);
-                }
-            }
-        }
-        if let Some(hook) = self.on_promotion.lock().as_ref() {
-            hook(id, epoch);
-        }
-        Ok(epoch)
-    }
-
-    /// Pull `shard`'s suffix from `peer` into `candidate` during
-    /// promotion. Messages travel peer → candidate through the
-    /// transport (under the candidate's adopted epoch, so they are not
-    /// self-fenced), with bounded retries against injected faults.
-    fn pull_shard(&self, candidate: &Arc<ReplNode>, peer: &Arc<ReplNode>, shard: usize) {
-        for _ in 0..25 {
-            let cursor = candidate.applied_lsns()[shard] + 1;
-            let batch = match peer
-                .db()
-                .read_shard_from(shard, cursor, self.config.batch_max)
-            {
-                Ok(b) => b,
-                Err(_) => return,
-            };
-            let msg = match batch {
-                None => {
-                    // The peer checkpointed the suffix away; if it is
-                    // genuinely ahead on this shard, resync wholesale.
-                    let (stripes, lsns) = peer.db().snapshot_with_lsns();
-                    if lsns[shard] < cursor {
-                        return;
-                    }
-                    Message::Resync {
-                        shard,
-                        users: stripes.into_iter().nth(shard).unwrap_or_default(),
-                        last_lsn: lsns[shard],
-                    }
-                }
-                Some(records) if records.is_empty() => return,
-                Some(records) => Message::Records {
-                    shard,
-                    records: records.into_iter().map(|r| (r.lsn, r.payload)).collect(),
-                },
-            };
-            let env = Envelope {
-                from: peer.id(),
-                epoch: candidate.epoch(),
-                msg,
-            };
-            match self.transport.send(candidate.id(), env) {
-                Ok(Reply::Progress { .. }) | Ok(Reply::Resynced) => {}
-                _ => continue,
-            }
-        }
-    }
-
-    /// Compare per-shard digests between the primary and every live
-    /// replica; resync each divergent shard from the primary's copy.
-    /// Returns how many shard resyncs were performed. Run this against
-    /// a quiescent (or briefly paused) cluster — concurrent writes make
-    /// digests transiently diverge by design.
-    pub fn anti_entropy(&self) -> Result<usize, ReplicationError> {
-        let mut st = self.state.lock();
-        let Some(p) = st.primary else {
-            return Err(ReplicationError::NoPrimary);
-        };
-        let node = st.nodes[p].clone().ok_or(ReplicationError::NoPrimary)?;
-        let local = node_digests(node.db());
-        let mut resyncs = 0;
-        for other in 0..self.config.nodes {
-            if other == p || st.nodes[other].is_none() {
-                continue;
-            }
-            let env = Envelope {
-                from: p,
-                epoch: node.epoch(),
-                msg: Message::DigestRequest,
-            };
-            let theirs = match self.transport.send(other, env) {
-                Ok(Reply::Digests { digests }) => digests,
-                Ok(Reply::Fenced { current }) => {
-                    self.fence_primary(&mut st, &node, current);
-                    return Err(ReplicationError::Fenced { epoch: current });
-                }
-                _ => continue,
-            };
-            for shard in 0..self.config.shards {
-                if theirs.get(shard) == Some(&local[shard]) {
-                    continue;
-                }
-                // Divergent: replace the replica's shard with the
-                // primary's authoritative copy and watermark.
-                let (stripes, lsns) = node.db().snapshot_with_lsns();
-                let msg = Message::Resync {
-                    shard,
-                    users: stripes.into_iter().nth(shard).unwrap_or_default(),
-                    last_lsn: lsns[shard],
-                };
-                let env = Envelope {
-                    from: p,
-                    epoch: node.epoch(),
-                    msg,
-                };
-                match self.transport.send(other, env) {
-                    Ok(Reply::Resynced) => {
-                        resyncs += 1;
-                        if let Some(c) = st.cursors.get_mut(&other) {
-                            c[shard] = lsns[shard] + 1;
-                        }
-                    }
-                    Ok(Reply::Fenced { current }) => {
-                        self.fence_primary(&mut st, &node, current);
-                        return Err(ReplicationError::Fenced { epoch: current });
-                    }
-                    _ => {}
-                }
-            }
-        }
-        Ok(resyncs)
     }
 
     /// A point-in-time view: roles, epochs, lag, promotion history.

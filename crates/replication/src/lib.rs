@@ -23,13 +23,16 @@
 //! * [`digest`] — canonical per-shard FNV digests for anti-entropy.
 //! * [`migrate`] — the per-user snapshot + catch-up primitives that
 //!   the routing tier composes into live migration between clusters.
-//! * [`transport`] — the [`Transport`] seam and its in-process
-//!   implementation, threaded through the `repl.*` fault sites so a
-//!   seeded [`FaultPlan`](ctxpref_faults::FaultPlan) can partition,
-//!   drop, delay, and duplicate deterministically.
+//! * `transport` — in-process delivery between nodes, threaded through
+//!   the `repl.*` fault sites so a seeded
+//!   [`FaultPlan`](ctxpref_faults::FaultPlan) can partition, drop,
+//!   delay, and duplicate deterministically. Every node of a cluster
+//!   lives in one address space; there is no socket transport.
 //! * [`cluster`] — [`Cluster`]: membership, cursors, quorum writes,
 //!   heartbeat failure detection, majority-guarded promotion with
-//!   pre-serve catch-up, and digest-driven anti-entropy.
+//!   pre-serve catch-up, and digest-driven anti-entropy; its config
+//!   and reporting types ([`ClusterConfig`], [`ClusterStatus`], …)
+//!   live in the private `status` module.
 //!
 //! The replication chaos suite (`tests/chaos.rs`) drives all of it
 //! across a seed matrix and asserts: acked quorum writes survive
@@ -43,15 +46,14 @@ pub mod error;
 pub mod message;
 pub mod migrate;
 pub mod node;
-pub mod transport;
+mod status;
+mod transport;
 
-pub use cluster::{
-    AckMode, Cluster, ClusterConfig, ClusterStatus, NodeStatus, RoleHook, TickReport,
-};
+pub use cluster::{Cluster, RoleHook};
 pub use digest::{node_digests, stripe_digest};
 pub use epoch::{load_epoch, save_epoch, EPOCH_FILE};
 pub use error::{ReplicationError, TransportError};
 pub use message::{Envelope, Message, NodeId, Reply, ShippedRecord};
 pub use migrate::{snapshot_ops, user_cut, user_digest, user_suffix, UserSuffix};
 pub use node::ReplNode;
-pub use transport::{InProcessTransport, NodeTransport, Transport};
+pub use status::{AckMode, ClusterConfig, ClusterStatus, NodeStatus, TickReport};

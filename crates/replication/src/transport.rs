@@ -1,7 +1,6 @@
 //! Message delivery between nodes.
 //!
-//! The [`Transport`] trait is the seam the chaos suite leans on: the
-//! in-process implementation routes an [`Envelope`] straight into the
+//! [`InProcessTransport`] routes an [`Envelope`] straight into the
 //! destination node's `handle`, but every send first walks the
 //! network fault sites (`repl.partition`, `repl.send.drop` /
 //! `repl.heartbeat.drop`, `repl.send.delay`, `repl.send.duplicate`),
@@ -22,73 +21,29 @@ use crate::error::TransportError;
 use crate::message::{Envelope, NodeId, Reply};
 use crate::node::ReplNode;
 
-/// Delivers envelopes to nodes; the cluster is generic over this so a
-/// test double (or a real socket transport) can slot in.
-pub trait Transport: Send + Sync {
-    /// Deliver `env` to node `to` and return its reply.
-    fn send(&self, to: NodeId, env: Envelope) -> Result<Reply, TransportError>;
-}
-
-/// The full membership seam a [`crate::Cluster`] drives: delivery plus
-/// node lifecycle (register on boot/restart, deregister on crash) and
-/// link scripting (partition/heal, used by both the chaos suites and
-/// operational drain). [`InProcessTransport`] routes in memory; a
-/// socket transport (`ctxpref-net`'s `TcpTransport`) spawns one
-/// listener per registered node and dials peers over TCP.
-pub trait NodeTransport: Transport {
-    /// Make `node` reachable (boot or restart).
-    fn register(&self, node: Arc<ReplNode>);
-
-    /// Crash `id`: every future send to it fails
-    /// [`TransportError::Unreachable`].
-    fn deregister(&self, id: NodeId);
-
-    /// Whether `id` is currently registered (live).
-    fn is_registered(&self, id: NodeId) -> bool;
-
-    /// Sever the link between `a` and `b` (both directions).
-    fn partition(&self, a: NodeId, b: NodeId);
-
-    /// Restore the link between `a` and `b`.
-    fn heal(&self, a: NodeId, b: NodeId);
-
-    /// Restore every link.
-    fn heal_all(&self);
-}
-
 /// In-process transport: a registry of live nodes plus an explicit
 /// partition set. Deregistered nodes model crashes (Unreachable);
 /// partitions are symmetric per unordered node pair.
 #[derive(Default)]
-pub struct InProcessTransport {
+pub(crate) struct InProcessTransport {
     nodes: RwLock<HashMap<NodeId, Arc<ReplNode>>>,
     /// Severed links, stored with the smaller id first.
     partitions: Mutex<Vec<(NodeId, NodeId)>>,
 }
 
 impl InProcessTransport {
-    /// An empty transport (no nodes, no partitions).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Make `node` reachable.
-    pub fn register(&self, node: Arc<ReplNode>) {
+    pub(crate) fn register(&self, node: Arc<ReplNode>) {
         self.nodes.write().insert(node.id(), node);
     }
 
     /// Crash `id`: every future send to it fails Unreachable.
-    pub fn deregister(&self, id: NodeId) {
+    pub(crate) fn deregister(&self, id: NodeId) {
         self.nodes.write().remove(&id);
     }
 
-    /// Whether `id` is currently registered (live).
-    pub fn is_registered(&self, id: NodeId) -> bool {
-        self.nodes.read().contains_key(&id)
-    }
-
     /// Sever the link between `a` and `b` (both directions).
-    pub fn partition(&self, a: NodeId, b: NodeId) {
+    pub(crate) fn partition(&self, a: NodeId, b: NodeId) {
         let link = (a.min(b), a.max(b));
         let mut parts = self.partitions.lock();
         if !parts.contains(&link) {
@@ -97,13 +52,13 @@ impl InProcessTransport {
     }
 
     /// Restore the link between `a` and `b`.
-    pub fn heal(&self, a: NodeId, b: NodeId) {
+    pub(crate) fn heal(&self, a: NodeId, b: NodeId) {
         let link = (a.min(b), a.max(b));
         self.partitions.lock().retain(|l| *l != link);
     }
 
     /// Restore every link.
-    pub fn heal_all(&self) {
+    pub(crate) fn heal_all(&self) {
         self.partitions.lock().clear();
     }
 
@@ -111,36 +66,9 @@ impl InProcessTransport {
         let link = (a.min(b), a.max(b));
         self.partitions.lock().contains(&link)
     }
-}
 
-impl NodeTransport for InProcessTransport {
-    fn register(&self, node: Arc<ReplNode>) {
-        InProcessTransport::register(self, node);
-    }
-
-    fn deregister(&self, id: NodeId) {
-        InProcessTransport::deregister(self, id);
-    }
-
-    fn is_registered(&self, id: NodeId) -> bool {
-        InProcessTransport::is_registered(self, id)
-    }
-
-    fn partition(&self, a: NodeId, b: NodeId) {
-        InProcessTransport::partition(self, a, b);
-    }
-
-    fn heal(&self, a: NodeId, b: NodeId) {
-        InProcessTransport::heal(self, a, b);
-    }
-
-    fn heal_all(&self) {
-        InProcessTransport::heal_all(self);
-    }
-}
-
-impl Transport for InProcessTransport {
-    fn send(&self, to: NodeId, env: Envelope) -> Result<Reply, TransportError> {
+    /// Deliver `env` to node `to` and return its reply.
+    pub(crate) fn send(&self, to: NodeId, env: Envelope) -> Result<Reply, TransportError> {
         // 1. Partitions cut the link before anything else: an explicit
         //    partition or an injected one at `repl.partition`.
         if self.is_partitioned(env.from, to) || hit(REPL_PARTITION).is_err() {

@@ -562,6 +562,59 @@ fn failover_fences_the_deposed_primary() {
     );
 }
 
+/// The crash half of failover, without faults: a killed primary is
+/// replaced by auto-failover, and when it restarts it rejoins as a
+/// replica and converges through shipping alone — no anti-entropy.
+#[test]
+fn crashed_primary_rejoins_and_converges_by_shipping() {
+    let _serial = fault_lock();
+    let tmp = TempDir::new("rejoin");
+    let mut cfg = ClusterConfig::new(NODES);
+    cfg.shards = SHARDS;
+    cfg.heartbeat_threshold = 2;
+    let cluster = Cluster::new(&tmp.0, cfg, make_core).unwrap();
+    cluster
+        .write(WalOp::AddUser {
+            user: "alice".into(),
+        })
+        .unwrap();
+    cluster.pump().unwrap();
+    for id in 0..NODES {
+        assert!(
+            cluster
+                .db_of(id)
+                .unwrap()
+                .db()
+                .users_sorted()
+                .contains(&"alice".to_string()),
+            "alice did not replicate to node {id}"
+        );
+    }
+
+    cluster.crash_primary();
+    let mut promoted = None;
+    for _ in 0..10 {
+        if let Some(p) = cluster.tick().promoted {
+            promoted = Some(p);
+            break;
+        }
+    }
+    let (epoch, new_primary) = promoted.expect("auto-failover never promoted");
+    assert!(epoch > 1);
+
+    cluster
+        .write(WalOp::AddUser { user: "bob".into() })
+        .unwrap();
+    cluster.restart_node(0).unwrap();
+    cluster.pump().unwrap();
+    assert_eq!(cluster.primary(), Some(new_primary));
+    assert_eq!(
+        node_digests(&cluster.db_of(0).unwrap()),
+        node_digests(&cluster.db_of(new_primary).unwrap()),
+        "restarted node did not converge by shipping"
+    );
+}
+
 #[test]
 fn promotion_refuses_without_a_majority() {
     let _serial = fault_lock();

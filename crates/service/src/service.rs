@@ -334,13 +334,6 @@ impl CtxPrefService {
         self.in_flight.load(Ordering::Acquire)
     }
 
-    /// The admission controller's current pressure level: 0 admits
-    /// everything, 1 sheds Maintenance, 2 sheds Bulk too. Interactive
-    /// traffic is only ever refused by the hard in-flight backstop.
-    pub fn admission_pressure(&self) -> u8 {
-        self.admission.pressure()
-    }
-
     /// Query `user` under `state` with the default deadline.
     pub fn query_state(
         &self,

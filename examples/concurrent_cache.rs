@@ -47,11 +47,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let threads = 4;
     let queries_per_thread = 400;
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for t in 0..threads {
             let db = &db;
             let contexts = &contexts;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for i in 0..queries_per_thread {
                     let state = &contexts[(t + i / 50) % contexts.len()];
                     let answer = db
@@ -61,8 +61,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 }
             });
         }
-    })
-    .expect("worker threads do not panic");
+    });
 
     let stats = db.cache_stats().expect("cache is enabled");
     println!(

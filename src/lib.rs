@@ -33,9 +33,8 @@
 //!   isolation, admission control, and the degradation ladder.
 //! * [`wal`] — per-shard write-ahead logging, checkpoint manifests,
 //!   and crash recovery for the serving core.
-//! * [`net`] — the TCP serving layer: checksummed wire frames, a
-//!   socket server/client pair in front of the service, and the
-//!   socket-backed replication transport.
+//! * [`net`] — the TCP serving layer: checksummed wire frames and a
+//!   socket server/client pair in front of the service.
 //! * [`router`] — the user-partitioned routing tier: consistent
 //!   hashing across clusters, failure-aware forwarding with circuit
 //!   breakers, and live user migration that never drops an acked
