@@ -64,7 +64,7 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 use crate::codec;
 use crate::error::{NetError, ProtoError};
 use crate::frame::{read_frame, read_frame_buffered, write_frame, write_frames, FrameDecoder};
-use crate::proto::{MigrateAction, RemoteAnswer, Request, Response};
+use crate::proto::{not_the_reply, MigrateAction, RemoteAnswer, Request, Response};
 
 /// Tuning knobs of [`NetClient`].
 #[derive(Debug, Clone, Copy)]
@@ -445,8 +445,7 @@ impl NetClient {
                             limit,
                             retry_after: Duration::from_millis(retry_after_ms),
                         },
-                        Response::Err { kind, message } => NetError::Remote { kind, message },
-                        other => unexpected(&other),
+                        other => not_the_reply(other),
                     });
                 }
                 let slot = wire
@@ -488,10 +487,7 @@ impl NetClient {
     /// the first failing item: the returned vector is then shorter
     /// than `requests`, ending with that item's typed failure.
     pub fn batch(&mut self, requests: Vec<Request>) -> Result<Vec<Response>, NetError> {
-        match self.request(&Request::Batch { requests })? {
-            Response::Batch { responses } => Ok(responses),
-            other => Err(unexpected(&other)),
-        }
+        self.call(&Request::Batch { requests })
     }
 
     /// Bulk-insert equality preferences for one user in a single
@@ -514,35 +510,16 @@ impl NetClient {
             })
             .collect();
         let responses = self.batch(requests)?;
-        let mut applied = 0;
+        let applied = responses.len();
         for resp in responses {
-            match resp {
-                Response::Ok => applied += 1,
-                Response::Err { kind, message } => return Err(NetError::Remote { kind, message }),
-                Response::NotPrimary => {
-                    return Err(NetError::Remote {
-                        kind: "not-primary".to_string(),
-                        message: "write refused: no primary behind this endpoint".to_string(),
-                    })
-                }
-                Response::Migrating { user } => {
-                    return Err(NetError::Remote {
-                        kind: "migrating".to_string(),
-                        message: format!("write refused: user {user:?} is mid-migration"),
-                    })
-                }
-                other => return Err(unexpected(&other)),
-            }
+            <()>::try_from(resp)?;
         }
         Ok(applied)
     }
 
     /// Liveness probe.
     pub fn ping(&mut self) -> Result<(), NetError> {
-        match self.request(&Request::Ping)? {
-            Response::Pong => Ok(()),
-            other => Err(unexpected(&other)),
-        }
+        self.call(&Request::Ping)
     }
 
     /// Rank `user`'s tuples by `attr` under a context state given as
@@ -575,17 +552,9 @@ impl NetClient {
         state: &[&str],
         tier: Priority,
     ) -> Result<RemoteAnswer, NetError> {
-        let req = Request::Query {
-            user: user.to_string(),
-            attr: attr.to_string(),
-            k,
-            deadline_ms: deadline.as_millis().min(u128::from(u64::MAX)) as u64,
-            state: state.iter().map(|s| s.to_string()).collect(),
-        };
-        match self.request_enveloped(&req, Some(deadline), tier)? {
-            Response::Answer(a) => Ok(a),
-            other => Err(unexpected(&other)),
-        }
+        let req = Request::ranked(false, user, attr, k, deadline, state);
+        self.request_enveloped(&req, Some(deadline), tier)?
+            .try_into()
     }
 
     /// Top-k query: the server evaluates only the best `k` rows —
@@ -614,22 +583,14 @@ impl NetClient {
         state: &[&str],
         tier: Priority,
     ) -> Result<RemoteAnswer, NetError> {
-        let req = Request::TopK {
-            user: user.to_string(),
-            attr: attr.to_string(),
-            k,
-            deadline_ms: deadline.as_millis().min(u128::from(u64::MAX)) as u64,
-            state: state.iter().map(|s| s.to_string()).collect(),
-        };
-        match self.request_enveloped(&req, Some(deadline), tier)? {
-            Response::Answer(a) => Ok(a),
-            other => Err(unexpected(&other)),
-        }
+        let req = Request::ranked(true, user, attr, k, deadline, state);
+        self.request_enveloped(&req, Some(deadline), tier)?
+            .try_into()
     }
 
     /// The server's view-catalog status report, rendered.
     pub fn views_status(&mut self) -> Result<String, NetError> {
-        self.expect_text(&Request::ViewsStatus)
+        self.call(&Request::ViewsStatus)
     }
 
     /// Rank `user`'s tuples under an extended context descriptor (the
@@ -641,28 +602,24 @@ impl NetClient {
         k: usize,
         descriptor: &str,
     ) -> Result<RemoteAnswer, NetError> {
-        let req = Request::QueryDescriptor {
+        self.call(&Request::QueryDescriptor {
             user: user.to_string(),
             attr: attr.to_string(),
             k,
             descriptor: descriptor.to_string(),
-        };
-        match self.request(&req)? {
-            Response::Answer(a) => Ok(a),
-            other => Err(unexpected(&other)),
-        }
+        })
     }
 
     /// Create a user with an empty profile.
     pub fn add_user(&mut self, user: &str) -> Result<(), NetError> {
-        self.expect_ok(&Request::AddUser {
+        self.call(&Request::AddUser {
             user: user.to_string(),
         })
     }
 
     /// Remove a user and their profile.
     pub fn remove_user(&mut self, user: &str) -> Result<(), NetError> {
-        self.expect_ok(&Request::RemoveUser {
+        self.call(&Request::RemoveUser {
             user: user.to_string(),
         })
     }
@@ -676,7 +633,7 @@ impl NetClient {
         value: &str,
         score: f64,
     ) -> Result<(), NetError> {
-        self.expect_ok(&Request::InsertPref {
+        self.call(&Request::InsertPref {
             user: user.to_string(),
             descriptor: descriptor.to_string(),
             attr: attr.to_string(),
@@ -687,18 +644,15 @@ impl NetClient {
 
     /// Remove `user`'s preference at `index`, returning its score.
     pub fn remove_preference(&mut self, user: &str, index: usize) -> Result<f64, NetError> {
-        match self.request(&Request::RemovePref {
+        self.call(&Request::RemovePref {
             user: user.to_string(),
             index,
-        })? {
-            Response::Removed { score } => Ok(score),
-            other => Err(unexpected(&other)),
-        }
+        })
     }
 
     /// Re-score `user`'s preference at `index`.
     pub fn update_score(&mut self, user: &str, index: usize, score: f64) -> Result<(), NetError> {
-        self.expect_ok(&Request::UpdateScore {
+        self.call(&Request::UpdateScore {
             user: user.to_string(),
             index,
             score,
@@ -707,65 +661,47 @@ impl NetClient {
 
     /// Force a checkpoint on the server; returns its report, rendered.
     pub fn checkpoint(&mut self) -> Result<String, NetError> {
-        self.expect_text(&Request::Checkpoint)
+        self.call(&Request::Checkpoint)
     }
 
     /// Flush the server's write-ahead log; returns the report, rendered.
     pub fn flush_wal(&mut self) -> Result<String, NetError> {
-        self.expect_text(&Request::FlushWal)
+        self.call(&Request::FlushWal)
     }
 
     /// The server's WAL status, rendered.
     pub fn wal_status(&mut self) -> Result<String, NetError> {
-        self.expect_text(&Request::WalStatus)
+        self.call(&Request::WalStatus)
     }
 
     /// The server's replication status, rendered.
     pub fn repl_status(&mut self) -> Result<String, NetError> {
-        self.expect_text(&Request::ReplStatus)
+        self.call(&Request::ReplStatus)
     }
 
     /// The server's service counters, rendered. Includes one
     /// `fault <site> <hits>` line per fault-injection site of the
     /// currently installed plan, if any.
     pub fn stats(&mut self) -> Result<String, NetError> {
-        self.expect_text(&Request::Stats)
+        self.call(&Request::Stats)
     }
 
     /// One routing probe: whether a primary serves writes, the
     /// replication epoch, and how much state lives behind `addr`.
     pub fn route_status(&mut self) -> Result<ctxpref_service::RouteInfo, NetError> {
-        match self.request(&Request::RouteStatus)? {
-            Response::RouteInfo {
-                has_primary,
-                epoch,
-                users,
-                migrations,
-            } => Ok(ctxpref_service::RouteInfo {
-                has_primary,
-                epoch,
-                users,
-                migrations,
-            }),
-            other => Err(unexpected(&other)),
-        }
+        self.call(&Request::RouteStatus)
     }
 
-    /// Run one scrub pass on the server now; returns the pass's
-    /// verification/quarantine/heal figures.
+    /// Run one scrub pass on the server now; the caller matches the
+    /// pass's figures out of the [`Response::ScrubReport`].
     pub fn scrub(&mut self) -> Result<Response, NetError> {
-        match self.request(&Request::Scrub)? {
-            r @ Response::ScrubReport { .. } => Ok(r),
-            other => Err(unexpected(&other)),
-        }
+        self.request(&Request::Scrub)
     }
 
-    /// The server's self-healing counters, without running a pass.
+    /// The server's self-healing counters, without running a pass, as
+    /// a [`Response::ScrubInfo`] for the caller to match.
     pub fn scrub_status(&mut self) -> Result<Response, NetError> {
-        match self.request(&Request::ScrubStatus)? {
-            r @ Response::ScrubInfo { .. } => Ok(r),
-            other => Err(unexpected(&other)),
-        }
+        self.request(&Request::ScrubStatus)
     }
 
     /// One migration step for `user` under routing epoch `epoch`. The
@@ -785,18 +721,12 @@ impl NetClient {
         })
     }
 
-    fn expect_ok(&mut self, req: &Request) -> Result<(), NetError> {
-        match self.request(req)? {
-            Response::Ok => Ok(()),
-            other => Err(unexpected(&other)),
-        }
-    }
-
-    fn expect_text(&mut self, req: &Request) -> Result<String, NetError> {
-        match self.request(req)? {
-            Response::Text { body } => Ok(body),
-            other => Err(unexpected(&other)),
-        }
+    /// [`Self::request`], answered by the reply `T` it calls for.
+    fn call<T: TryFrom<Response, Error = NetError>>(
+        &mut self,
+        req: &Request,
+    ) -> Result<T, NetError> {
+        self.request(req)?.try_into()
     }
 }
 
@@ -806,12 +736,6 @@ fn dial_one(addr: &SocketAddr, cfg: &NetClientConfig) -> std::io::Result<TcpStre
     stream.set_write_timeout(Some(cfg.write_timeout))?;
     stream.set_nodelay(true)?;
     Ok(stream)
-}
-
-fn unexpected(resp: &Response) -> NetError {
-    NetError::UnexpectedResponse {
-        got: format!("{resp:?}"),
-    }
 }
 
 #[cfg(test)]

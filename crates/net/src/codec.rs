@@ -33,9 +33,19 @@
 //! from 1 and treat an id-0 response as the server's last word on that
 //! connection.
 //!
+//! **The vocabulary table.** Each message kind — [`Request`],
+//! [`Response`] and [`MigrateAction`] — is declared once, further down
+//! this file: one line per variant giving its tag byte and the order
+//! its fields travel in. The tag, the body encoder and the body decoder
+//! are generated from those lines, so adding a verb takes the enum
+//! variant in [`crate::proto`], one table line here, a dispatch arm in
+//! the server and a client method.
+//!
 //! Primitives: LEB128 varints for integers and lengths, raw
 //! length-delimited bytes for strings and record payloads, IEEE-754
-//! little-endian for scores. Every length and count is validated
+//! little-endian for scores, one byte for a bool (any non-zero byte
+//! reads `true`). The one fixed-width integer is `UserCut`'s digest
+//! (8 little-endian bytes). Every length and count is validated
 //! against the bytes actually present **before** any allocation, so a
 //! hostile claim costs a typed [`DecodeError`] — carrying the exact
 //! byte offset — and never memory. The codec fuzz suite drives truncations, bit
@@ -60,6 +70,10 @@ pub const BINARY_VERSION: u8 = 0x03;
 /// was too damaged to name an id. Either way the client redials.
 pub const CONNECTION_ID: u64 = 0;
 
+/// Where every payload's message tag sits: right after the magic and
+/// the version.
+const TAG_AT: usize = 2;
+
 /// Whether a frame payload leads with the `ctxpref2` magic. The server
 /// refuses anything else at the connection level without decoding it.
 pub fn is_binary(payload: &[u8]) -> bool {
@@ -70,7 +84,7 @@ pub fn is_binary(payload: &[u8]) -> bool {
 // Primitives
 // ---------------------------------------------------------------------------
 
-pub(crate) fn put_uv(out: &mut Vec<u8>, mut v: u64) {
+fn put_uv(out: &mut Vec<u8>, mut v: u64) {
     loop {
         let byte = (v & 0x7f) as u8;
         v >>= 7;
@@ -82,33 +96,35 @@ pub(crate) fn put_uv(out: &mut Vec<u8>, mut v: u64) {
     }
 }
 
-pub(crate) fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
+fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
     put_uv(out, b.len() as u64);
     out.extend_from_slice(b);
 }
 
-pub(crate) fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_bytes(out, s.as_bytes());
-}
-
-pub(crate) fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_bits().to_le_bytes());
+fn bad_tag(what: &'static str, tag: u8, offset: usize) -> DecodeError {
+    DecodeError {
+        offset,
+        kind: DecodeKind::BadTag {
+            what,
+            tag: u64::from(tag),
+        },
+    }
 }
 
 /// A bounds-checked binary reader over one payload. Every failure
 /// carries the byte offset at which it occurred.
-pub(crate) struct Dec<'a> {
+struct Dec<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Dec<'a> {
-    pub(crate) fn new(buf: &'a [u8]) -> Self {
+    fn new(buf: &'a [u8]) -> Self {
         Self { buf, pos: 0 }
     }
 
-    pub(crate) fn offset(&self) -> usize {
-        self.pos
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
     }
 
     fn err(&self, kind: DecodeKind) -> DecodeError {
@@ -118,7 +134,7 @@ impl<'a> Dec<'a> {
         }
     }
 
-    pub(crate) fn u8(&mut self) -> Result<u8, DecodeError> {
+    fn u8(&mut self) -> Result<u8, DecodeError> {
         let b = *self
             .buf
             .get(self.pos)
@@ -127,7 +143,7 @@ impl<'a> Dec<'a> {
         Ok(b)
     }
 
-    pub(crate) fn uv(&mut self) -> Result<u64, DecodeError> {
+    fn uv(&mut self) -> Result<u64, DecodeError> {
         let start = self.pos;
         let mut v: u64 = 0;
         let mut shift = 0u32;
@@ -153,28 +169,14 @@ impl<'a> Dec<'a> {
         }
     }
 
-    /// A usize-ranged varint (lengths, counts, indices).
-    pub(crate) fn uv_len(&mut self) -> Result<usize, DecodeError> {
-        let start = self.pos;
-        let v = self.uv()?;
-        usize::try_from(v).map_err(|_| DecodeError {
-            offset: start,
-            kind: DecodeKind::LengthOverflow {
-                declared: v,
-                max: usize::MAX as u64,
-            },
-        })
-    }
-
     /// A declared length or element count, validated against the bytes
     /// that remain (each element occupies at least `min_elem_bytes`):
     /// the one place where a hostile claim is caught before any
     /// allocation is sized by it.
-    pub(crate) fn checked_count(&mut self, min_elem_bytes: usize) -> Result<usize, DecodeError> {
+    fn checked_count(&mut self, min_elem_bytes: usize) -> Result<usize, DecodeError> {
         let start = self.pos;
         let n = self.uv()?;
-        let remaining = (self.buf.len() - self.pos) as u64;
-        let budget = remaining / (min_elem_bytes.max(1) as u64);
+        let budget = self.remaining() as u64 / (min_elem_bytes.max(1) as u64);
         if n > budget {
             return Err(DecodeError {
                 offset: start,
@@ -187,50 +189,381 @@ impl<'a> Dec<'a> {
         Ok(n as usize)
     }
 
-    pub(crate) fn bytes(&mut self) -> Result<Vec<u8>, DecodeError> {
-        let start = self.pos;
-        let len = self.uv()?;
-        let remaining = (self.buf.len() - self.pos) as u64;
-        if len > remaining {
-            return Err(DecodeError {
-                offset: start,
-                kind: DecodeKind::LengthOverflow {
-                    declared: len,
-                    max: remaining,
-                },
-            });
-        }
-        let len = len as usize;
-        let out = self.buf[self.pos..self.pos + len].to_vec();
+    /// A length-delimited byte run, borrowed from the payload.
+    fn bytes(&mut self) -> Result<&'a [u8], DecodeError> {
+        let len = self.checked_count(1)?;
+        let run = &self.buf[self.pos..self.pos + len];
         self.pos += len;
-        Ok(out)
+        Ok(run)
     }
 
-    pub(crate) fn str_(&mut self) -> Result<String, DecodeError> {
-        let start = self.pos;
-        let raw = self.bytes()?;
-        String::from_utf8(raw).map_err(|_| DecodeError {
-            offset: start,
-            kind: DecodeKind::BadUtf8,
-        })
-    }
-
-    pub(crate) fn f64_(&mut self) -> Result<f64, DecodeError> {
-        if self.buf.len() - self.pos < 8 {
-            return Err(self.err(DecodeKind::Truncated));
-        }
-        let mut raw = [0u8; 8];
-        raw.copy_from_slice(&self.buf[self.pos..self.pos + 8]);
-        self.pos += 8;
-        Ok(f64::from_bits(u64::from_le_bytes(raw)))
-    }
-
-    pub(crate) fn expect_end(&self) -> Result<(), DecodeError> {
+    fn expect_end(&self) -> Result<(), DecodeError> {
         if self.pos != self.buf.len() {
             return Err(self.err(DecodeKind::TrailingBytes));
         }
         Ok(())
     }
+}
+
+// ---------------------------------------------------------------------------
+// Field encodings
+// ---------------------------------------------------------------------------
+
+/// How one field type travels.
+trait Wire: Sized {
+    /// The fewest bytes one value occupies: the floor
+    /// `Dec::checked_count` divides the remaining input by before a
+    /// vector of these is allocated.
+    const MIN_BYTES: usize;
+    fn put(&self, out: &mut Vec<u8>);
+    fn get(dec: &mut Dec<'_>) -> Result<Self, DecodeError>;
+}
+
+impl Wire for u64 {
+    const MIN_BYTES: usize = 1;
+    fn put(&self, out: &mut Vec<u8>) {
+        put_uv(out, *self);
+    }
+    fn get(dec: &mut Dec<'_>) -> Result<Self, DecodeError> {
+        dec.uv()
+    }
+}
+
+/// Counts, indices and limits: a varint that must fit a `usize`.
+impl Wire for usize {
+    const MIN_BYTES: usize = 1;
+    fn put(&self, out: &mut Vec<u8>) {
+        put_uv(out, *self as u64);
+    }
+    fn get(dec: &mut Dec<'_>) -> Result<Self, DecodeError> {
+        let start = dec.pos;
+        let v = dec.uv()?;
+        usize::try_from(v).map_err(|_| DecodeError {
+            offset: start,
+            kind: DecodeKind::LengthOverflow {
+                declared: v,
+                max: usize::MAX as u64,
+            },
+        })
+    }
+}
+
+impl Wire for f64 {
+    const MIN_BYTES: usize = 8;
+    fn put(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.to_bits().to_le_bytes());
+    }
+    fn get(dec: &mut Dec<'_>) -> Result<Self, DecodeError> {
+        if dec.remaining() < 8 {
+            return Err(dec.err(DecodeKind::Truncated));
+        }
+        let mut raw = [0u8; 8];
+        raw.copy_from_slice(&dec.buf[dec.pos..dec.pos + 8]);
+        dec.pos += 8;
+        Ok(f64::from_le_bytes(raw))
+    }
+}
+
+impl Wire for bool {
+    const MIN_BYTES: usize = 1;
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(u8::from(*self));
+    }
+    fn get(dec: &mut Dec<'_>) -> Result<Self, DecodeError> {
+        Ok(dec.u8()? != 0)
+    }
+}
+
+impl Wire for String {
+    const MIN_BYTES: usize = 1;
+    fn put(&self, out: &mut Vec<u8>) {
+        put_bytes(out, self.as_bytes());
+    }
+    fn get(dec: &mut Dec<'_>) -> Result<Self, DecodeError> {
+        let start = dec.pos;
+        let raw = dec.bytes()?;
+        String::from_utf8(raw.to_vec()).map_err(|_| DecodeError {
+            offset: start,
+            kind: DecodeKind::BadUtf8,
+        })
+    }
+}
+
+/// A record payload: raw length-delimited bytes.
+impl Wire for Vec<u8> {
+    const MIN_BYTES: usize = 1;
+    fn put(&self, out: &mut Vec<u8>) {
+        put_bytes(out, self);
+    }
+    fn get(dec: &mut Dec<'_>) -> Result<Self, DecodeError> {
+        Ok(dec.bytes()?.to_vec())
+    }
+}
+
+/// A count, then the elements — allocated only once the count is
+/// known to fit the bytes that remain.
+impl<T: Wire> Wire for Vec<T> {
+    const MIN_BYTES: usize = 1;
+    fn put(&self, out: &mut Vec<u8>) {
+        put_uv(out, self.len() as u64);
+        for item in self {
+            item.put(out);
+        }
+    }
+    fn get(dec: &mut Dec<'_>) -> Result<Self, DecodeError> {
+        let n = dec.checked_count(T::MIN_BYTES)?;
+        let mut items = Vec::with_capacity(n);
+        for _ in 0..n {
+            items.push(T::get(dec)?);
+        }
+        Ok(items)
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    const MIN_BYTES: usize = A::MIN_BYTES + B::MIN_BYTES;
+    fn put(&self, out: &mut Vec<u8>) {
+        self.0.put(out);
+        self.1.put(out);
+    }
+    fn get(dec: &mut Dec<'_>) -> Result<Self, DecodeError> {
+        Ok((A::get(dec)?, B::get(dec)?))
+    }
+}
+
+/// `RemoteAnswer`'s resolved state: a presence flag that must be
+/// exactly 0 or 1, then the rendered state.
+impl Wire for Option<String> {
+    const MIN_BYTES: usize = 1;
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            Some(state) => {
+                out.push(1);
+                state.put(out);
+            }
+            None => out.push(0),
+        }
+    }
+    fn get(dec: &mut Dec<'_>) -> Result<Self, DecodeError> {
+        let at = dec.pos;
+        match dec.u8()? {
+            0 => Ok(None),
+            1 => Ok(Some(String::get(dec)?)),
+            flag => Err(bad_tag("resolved-state flag", flag, at)),
+        }
+    }
+}
+
+/// The one fixed-width integer: `UserCut`'s digest, 8 little-endian
+/// bytes.
+struct Le64(u64);
+
+impl Wire for Le64 {
+    const MIN_BYTES: usize = 8;
+    fn put(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.0.to_le_bytes());
+    }
+    fn get(dec: &mut Dec<'_>) -> Result<Self, DecodeError> {
+        // Byte by byte, so a truncated digest is reported at the first
+        // missing byte.
+        let mut raw = [0u8; 8];
+        for b in &mut raw {
+            *b = dec.u8()?;
+        }
+        Ok(Self(u64::from_le_bytes(raw)))
+    }
+}
+
+/// A struct travels as its fields, in the order listed.
+macro_rules! wire_struct {
+    ($name:ident { $($field:ident: $ty:ty),* }) => {
+        impl Wire for $name {
+            const MIN_BYTES: usize = 0 $(+ <$ty as Wire>::MIN_BYTES)*;
+            fn put(&self, out: &mut Vec<u8>) {
+                $(self.$field.put(out);)*
+            }
+            fn get(dec: &mut Dec<'_>) -> Result<Self, DecodeError> {
+                Ok(Self { $($field: <$ty as Wire>::get(dec)?),* })
+            }
+        }
+    };
+}
+
+wire_struct! { AnswerRow { name: String, score: f64 } }
+wire_struct! { WireFallback { step: String, reason: String } }
+wire_struct! {
+    RemoteAnswer {
+        step: String,
+        elapsed_us: u64,
+        resolved_state: Option<String>,
+        fallbacks: Vec<WireFallback>,
+        rows: Vec<AnswerRow>
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The vocabulary
+// ---------------------------------------------------------------------------
+
+/// A message kind: a tag byte naming the variant, then its fields.
+trait Message: Sized {
+    /// What a `BadTag` error calls this kind's tag.
+    const WHAT: &'static str;
+    /// The batch variant's tag: a batch is legal only at top level.
+    const BATCH: Option<u8> = None;
+    fn tag(&self) -> u8;
+    fn put_body(&self, out: &mut Vec<u8>);
+    /// The body of the variant tagged `tag`, which was read at byte
+    /// `at` (where an unknown tag is reported).
+    fn get_body(dec: &mut Dec<'_>, tag: u8, at: usize) -> Result<Self, DecodeError>;
+}
+
+/// A message inside another one — a batch item, a migrate action —
+/// travels as its tag and body.
+impl<M: Message> Wire for M {
+    const MIN_BYTES: usize = 1;
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(self.tag());
+        self.put_body(out);
+    }
+    fn get(dec: &mut Dec<'_>) -> Result<Self, DecodeError> {
+        let at = dec.pos;
+        let tag = dec.u8()?;
+        // Batches do not nest: refused before the body is read, so
+        // hostile nesting costs no recursion.
+        if M::BATCH == Some(tag) {
+            return Err(bad_tag(M::WHAT, tag, at));
+        }
+        M::get_body(dec, tag, at)
+    }
+}
+
+/// Declares one message kind: a line per variant with its tag and the
+/// order its fields travel in (a field written `f as W` travels as the
+/// wire type `W`). The compiler holds each table to its enum: a missing
+/// variant or field does not build, and neither does a tag used twice.
+macro_rules! vocabulary {
+    (
+        $kind:ident, $what:literal $(, batch $batch:ident)?;
+        $($tag:literal => $variant:ident
+            $({ $($field:ident $(as $via:ident)?),* })? $(($inner:ident))?,)*
+    ) => {
+        const _: () = {
+            #[repr(u8)]
+            enum Tag {
+                $($variant = $tag,)*
+            }
+
+            impl Message for $kind {
+                const WHAT: &'static str = $what;
+                $(const BATCH: Option<u8> = Some(Tag::$batch as u8);)?
+
+                fn tag(&self) -> u8 {
+                    match self {
+                        $(Self::$variant { .. } => Tag::$variant as u8,)*
+                    }
+                }
+
+                fn put_body(&self, out: &mut Vec<u8>) {
+                    match self {
+                        $(Self::$variant $({ $($field),* })? $(($inner))? => {
+                            $($(field!(put out, $field $(as $via)?);)*)?
+                            $(field!(put out, $inner);)?
+                        })*
+                    }
+                }
+
+                fn get_body(dec: &mut Dec<'_>, tag: u8, at: usize) -> Result<Self, DecodeError> {
+                    Ok(match tag {
+                        $($tag => Self::$variant
+                            $({ $($field: field!(get dec, $field $(as $via)?)),* })?
+                            $((field!(get dec, $inner)))?,)*
+                        _ => return Err(bad_tag(Self::WHAT, tag, at)),
+                    })
+                }
+            }
+        };
+    };
+}
+
+/// One field of a `vocabulary!` line, written or read as its own
+/// type or `as` the named wire type.
+macro_rules! field {
+    (put $out:ident, $f:ident) => {
+        $f.put($out)
+    };
+    (put $out:ident, $f:ident as $via:ident) => {
+        $via(*$f).put($out)
+    };
+    (get $dec:ident, $f:ident) => {
+        Wire::get($dec)?
+    };
+    (get $dec:ident, $f:ident as $via:ident) => {
+        $via::get($dec)?.0
+    };
+}
+
+vocabulary! {
+    Request, "request", batch Batch;
+    1 => Ping,
+    // The two ranked verbs share one body; the tag alone says whether
+    // the server pushes `k` down into evaluation.
+    2 => Query { user, attr, k, deadline_ms, state },
+    3 => QueryDescriptor { user, attr, k, descriptor },
+    4 => AddUser { user },
+    5 => RemoveUser { user },
+    6 => InsertPref { user, descriptor, attr, value, score },
+    7 => RemovePref { user, index },
+    8 => UpdateScore { user, index, score },
+    9 => Checkpoint,
+    10 => FlushWal,
+    11 => WalStatus,
+    12 => ReplStatus,
+    13 => Stats,
+    14 => RouteStatus,
+    15 => MigrateUser { user, epoch, action },
+    16 => Batch { requests },
+    17 => Scrub,
+    18 => ScrubStatus,
+    19 => TopK { user, attr, k, deadline_ms, state },
+    20 => ViewsStatus,
+}
+
+vocabulary! {
+    MigrateAction, "migrate action";
+    1 => Export,
+    2 => Snapshot,
+    3 => Pull { from_lsn, max },
+    4 => Fence,
+    5 => Import { src_lsn, ops },
+    6 => Apply { through, records },
+    7 => Activate,
+    8 => Finish,
+    9 => Abort,
+}
+
+vocabulary! {
+    Response, "response", batch Batch;
+    1 => Pong,
+    2 => Ok,
+    3 => Removed { score },
+    4 => Answer(answer),
+    5 => Text { body },
+    6 => Busy { limit, retry_after_ms },
+    7 => Err { kind, message },
+    8 => NotPrimary,
+    9 => Migrating { user },
+    10 => UserCut { present, shard, last_lsn, digest as Le64 },
+    11 => Snapshot { src_lsn, ops },
+    12 => Records { through, records },
+    13 => Gone,
+    14 => Applied { watermark },
+    15 => RouteInfo { has_primary, epoch, users, migrations },
+    16 => Batch { responses },
+    17 => ScrubReport { segments_verified, checkpoints_verified, read_errors, quarantined, healed },
+    18 => ScrubInfo {
+        passes, quarantined, read_errors, heals, rescued_shards, disk_full_sheds, rotate_failures
+    },
 }
 
 // ---------------------------------------------------------------------------
@@ -262,201 +595,6 @@ pub struct WireResponse {
     pub resp: Response,
 }
 
-// Request tags.
-const RQ_PING: u8 = 1;
-const RQ_QUERY: u8 = 2;
-const RQ_QUERY_DESC: u8 = 3;
-const RQ_ADD_USER: u8 = 4;
-const RQ_RM_USER: u8 = 5;
-const RQ_PREF: u8 = 6;
-const RQ_DEL: u8 = 7;
-const RQ_SCORE: u8 = 8;
-const RQ_CHECKPOINT: u8 = 9;
-const RQ_FLUSH: u8 = 10;
-const RQ_WAL_STATUS: u8 = 11;
-const RQ_REPL_STATUS: u8 = 12;
-const RQ_STATS: u8 = 13;
-const RQ_ROUTE_STATUS: u8 = 14;
-const RQ_MIGRATE: u8 = 15;
-const RQ_BATCH: u8 = 16;
-const RQ_SCRUB: u8 = 17;
-const RQ_SCRUB_STATUS: u8 = 18;
-const RQ_TOPK: u8 = 19;
-const RQ_VIEWS_STATUS: u8 = 20;
-
-// Migrate action tags.
-const MA_EXPORT: u8 = 1;
-const MA_SNAPSHOT: u8 = 2;
-const MA_PULL: u8 = 3;
-const MA_FENCE: u8 = 4;
-const MA_IMPORT: u8 = 5;
-const MA_APPLY: u8 = 6;
-const MA_ACTIVATE: u8 = 7;
-const MA_FINISH: u8 = 8;
-const MA_ABORT: u8 = 9;
-
-// Response tags.
-const RS_PONG: u8 = 1;
-const RS_OK: u8 = 2;
-const RS_REMOVED: u8 = 3;
-const RS_ANSWER: u8 = 4;
-const RS_TEXT: u8 = 5;
-const RS_BUSY: u8 = 6;
-const RS_ERR: u8 = 7;
-const RS_NOT_PRIMARY: u8 = 8;
-const RS_MIGRATING: u8 = 9;
-const RS_USER_CUT: u8 = 10;
-const RS_SNAPSHOT: u8 = 11;
-const RS_RECORDS: u8 = 12;
-const RS_GONE: u8 = 13;
-const RS_APPLIED: u8 = 14;
-const RS_ROUTE_INFO: u8 = 15;
-const RS_BATCH: u8 = 16;
-const RS_SCRUB_REPORT: u8 = 17;
-const RS_SCRUB_INFO: u8 = 18;
-
-fn req_tag(req: &Request) -> u8 {
-    match req {
-        Request::Ping => RQ_PING,
-        Request::Query { .. } => RQ_QUERY,
-        Request::QueryDescriptor { .. } => RQ_QUERY_DESC,
-        Request::AddUser { .. } => RQ_ADD_USER,
-        Request::RemoveUser { .. } => RQ_RM_USER,
-        Request::InsertPref { .. } => RQ_PREF,
-        Request::RemovePref { .. } => RQ_DEL,
-        Request::UpdateScore { .. } => RQ_SCORE,
-        Request::Checkpoint => RQ_CHECKPOINT,
-        Request::FlushWal => RQ_FLUSH,
-        Request::WalStatus => RQ_WAL_STATUS,
-        Request::ReplStatus => RQ_REPL_STATUS,
-        Request::Stats => RQ_STATS,
-        Request::RouteStatus => RQ_ROUTE_STATUS,
-        Request::MigrateUser { .. } => RQ_MIGRATE,
-        Request::Batch { .. } => RQ_BATCH,
-        Request::Scrub => RQ_SCRUB,
-        Request::ScrubStatus => RQ_SCRUB_STATUS,
-        Request::TopK { .. } => RQ_TOPK,
-        Request::ViewsStatus => RQ_VIEWS_STATUS,
-    }
-}
-
-fn put_request_body(out: &mut Vec<u8>, req: &Request) {
-    match req {
-        Request::Ping
-        | Request::Checkpoint
-        | Request::FlushWal
-        | Request::WalStatus
-        | Request::ReplStatus
-        | Request::Stats
-        | Request::RouteStatus
-        | Request::Scrub
-        | Request::ScrubStatus
-        | Request::ViewsStatus => {}
-        Request::Query {
-            user,
-            attr,
-            k,
-            deadline_ms,
-            state,
-        }
-        | Request::TopK {
-            user,
-            attr,
-            k,
-            deadline_ms,
-            state,
-        } => {
-            put_str(out, user);
-            put_str(out, attr);
-            put_uv(out, *k as u64);
-            put_uv(out, *deadline_ms);
-            put_uv(out, state.len() as u64);
-            for v in state {
-                put_str(out, v);
-            }
-        }
-        Request::QueryDescriptor {
-            user,
-            attr,
-            k,
-            descriptor,
-        } => {
-            put_str(out, user);
-            put_str(out, attr);
-            put_uv(out, *k as u64);
-            put_str(out, descriptor);
-        }
-        Request::AddUser { user } | Request::RemoveUser { user } => put_str(out, user),
-        Request::InsertPref {
-            user,
-            descriptor,
-            attr,
-            value,
-            score,
-        } => {
-            put_str(out, user);
-            put_str(out, descriptor);
-            put_str(out, attr);
-            put_str(out, value);
-            put_f64(out, *score);
-        }
-        Request::RemovePref { user, index } => {
-            put_str(out, user);
-            put_uv(out, *index as u64);
-        }
-        Request::UpdateScore { user, index, score } => {
-            put_str(out, user);
-            put_uv(out, *index as u64);
-            put_f64(out, *score);
-        }
-        Request::MigrateUser {
-            user,
-            epoch,
-            action,
-        } => {
-            put_str(out, user);
-            put_uv(out, *epoch);
-            match action {
-                MigrateAction::Export => out.push(MA_EXPORT),
-                MigrateAction::Snapshot => out.push(MA_SNAPSHOT),
-                MigrateAction::Pull { from_lsn, max } => {
-                    out.push(MA_PULL);
-                    put_uv(out, *from_lsn);
-                    put_uv(out, *max);
-                }
-                MigrateAction::Fence => out.push(MA_FENCE),
-                MigrateAction::Import { src_lsn, ops } => {
-                    out.push(MA_IMPORT);
-                    put_uv(out, *src_lsn);
-                    put_uv(out, ops.len() as u64);
-                    for op in ops {
-                        put_bytes(out, op);
-                    }
-                }
-                MigrateAction::Apply { through, records } => {
-                    out.push(MA_APPLY);
-                    put_uv(out, *through);
-                    put_uv(out, records.len() as u64);
-                    for (lsn, payload) in records {
-                        put_uv(out, *lsn);
-                        put_bytes(out, payload);
-                    }
-                }
-                MigrateAction::Activate => out.push(MA_ACTIVATE),
-                MigrateAction::Finish => out.push(MA_FINISH),
-                MigrateAction::Abort => out.push(MA_ABORT),
-            }
-        }
-        Request::Batch { requests } => {
-            put_uv(out, requests.len() as u64);
-            for sub in requests {
-                out.push(req_tag(sub));
-                put_request_body(out, sub);
-            }
-        }
-    }
-}
-
 /// Encode one request as a `ctxpref2` frame payload with an
 /// unconstrained budget at the Interactive tier.
 pub fn encode_request(id: u64, req: &Request) -> Vec<u8> {
@@ -470,11 +608,11 @@ pub fn encode_request_enveloped(id: u64, req: &Request, budget_ms: u64, tier: Pr
     let mut out = Vec::with_capacity(32);
     out.push(BINARY_MAGIC);
     out.push(BINARY_VERSION);
-    out.push(req_tag(req));
+    out.push(req.tag());
     put_uv(&mut out, id);
     put_uv(&mut out, budget_ms);
     out.push(tier.wire_tag());
-    put_request_body(&mut out, req);
+    req.put_body(&mut out);
     out
 }
 
@@ -482,170 +620,15 @@ fn header(payload: &[u8]) -> Result<(Dec<'_>, u8, u64), DecodeError> {
     let mut dec = Dec::new(payload);
     let magic = dec.u8()?;
     if magic != BINARY_MAGIC {
-        return Err(DecodeError {
-            offset: 0,
-            kind: DecodeKind::BadTag {
-                what: "codec magic",
-                tag: u64::from(magic),
-            },
-        });
+        return Err(bad_tag("codec magic", magic, 0));
     }
     let version = dec.u8()?;
     if version != BINARY_VERSION {
-        return Err(DecodeError {
-            offset: 1,
-            kind: DecodeKind::BadTag {
-                what: "codec version",
-                tag: u64::from(version),
-            },
-        });
+        return Err(bad_tag("codec version", version, 1));
     }
     let tag = dec.u8()?;
     let id = dec.uv()?;
     Ok((dec, tag, id))
-}
-
-fn decode_request_body(
-    dec: &mut Dec<'_>,
-    tag: u8,
-    allow_batch: bool,
-) -> Result<Request, DecodeError> {
-    let tag_err = |dec: &Dec<'_>| DecodeError {
-        offset: dec.offset().saturating_sub(1),
-        kind: DecodeKind::BadTag {
-            what: "request",
-            tag: u64::from(tag),
-        },
-    };
-    Ok(match tag {
-        RQ_PING => Request::Ping,
-        RQ_CHECKPOINT => Request::Checkpoint,
-        RQ_FLUSH => Request::FlushWal,
-        RQ_WAL_STATUS => Request::WalStatus,
-        RQ_REPL_STATUS => Request::ReplStatus,
-        RQ_STATS => Request::Stats,
-        RQ_ROUTE_STATUS => Request::RouteStatus,
-        RQ_SCRUB => Request::Scrub,
-        RQ_SCRUB_STATUS => Request::ScrubStatus,
-        RQ_VIEWS_STATUS => Request::ViewsStatus,
-        // The two ranked verbs share one body; the tag alone says
-        // whether the server pushes `k` down into evaluation.
-        RQ_QUERY | RQ_TOPK => {
-            let user = dec.str_()?;
-            let attr = dec.str_()?;
-            let k = dec.uv_len()?;
-            let deadline_ms = dec.uv()?;
-            let n = dec.checked_count(1)?;
-            let mut state = Vec::with_capacity(n);
-            for _ in 0..n {
-                state.push(dec.str_()?);
-            }
-            if tag == RQ_TOPK {
-                Request::TopK {
-                    user,
-                    attr,
-                    k,
-                    deadline_ms,
-                    state,
-                }
-            } else {
-                Request::Query {
-                    user,
-                    attr,
-                    k,
-                    deadline_ms,
-                    state,
-                }
-            }
-        }
-        RQ_QUERY_DESC => Request::QueryDescriptor {
-            user: dec.str_()?,
-            attr: dec.str_()?,
-            k: dec.uv_len()?,
-            descriptor: dec.str_()?,
-        },
-        RQ_ADD_USER => Request::AddUser { user: dec.str_()? },
-        RQ_RM_USER => Request::RemoveUser { user: dec.str_()? },
-        RQ_PREF => Request::InsertPref {
-            user: dec.str_()?,
-            descriptor: dec.str_()?,
-            attr: dec.str_()?,
-            value: dec.str_()?,
-            score: dec.f64_()?,
-        },
-        RQ_DEL => Request::RemovePref {
-            user: dec.str_()?,
-            index: dec.uv_len()?,
-        },
-        RQ_SCORE => Request::UpdateScore {
-            user: dec.str_()?,
-            index: dec.uv_len()?,
-            score: dec.f64_()?,
-        },
-        RQ_MIGRATE => {
-            let user = dec.str_()?;
-            let epoch = dec.uv()?;
-            let action_tag = dec.u8()?;
-            let action = match action_tag {
-                MA_EXPORT => MigrateAction::Export,
-                MA_SNAPSHOT => MigrateAction::Snapshot,
-                MA_PULL => MigrateAction::Pull {
-                    from_lsn: dec.uv()?,
-                    max: dec.uv()?,
-                },
-                MA_FENCE => MigrateAction::Fence,
-                MA_IMPORT => {
-                    let src_lsn = dec.uv()?;
-                    let n = dec.checked_count(1)?;
-                    let mut ops = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        ops.push(dec.bytes()?);
-                    }
-                    MigrateAction::Import { src_lsn, ops }
-                }
-                MA_APPLY => {
-                    let through = dec.uv()?;
-                    let n = dec.checked_count(2)?;
-                    let mut records = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        records.push((dec.uv()?, dec.bytes()?));
-                    }
-                    MigrateAction::Apply { through, records }
-                }
-                MA_ACTIVATE => MigrateAction::Activate,
-                MA_FINISH => MigrateAction::Finish,
-                MA_ABORT => MigrateAction::Abort,
-                other => {
-                    return Err(DecodeError {
-                        offset: dec.offset().saturating_sub(1),
-                        kind: DecodeKind::BadTag {
-                            what: "migrate action",
-                            tag: u64::from(other),
-                        },
-                    })
-                }
-            };
-            Request::MigrateUser {
-                user,
-                epoch,
-                action,
-            }
-        }
-        RQ_BATCH => {
-            if !allow_batch {
-                return Err(tag_err(dec));
-            }
-            let n = dec.checked_count(1)?;
-            let mut requests = Vec::with_capacity(n);
-            for _ in 0..n {
-                let sub_tag = dec.u8()?;
-                // Batches do not nest.
-                requests.push(decode_request_body(dec, sub_tag, false)?);
-            }
-            Request::Batch { requests }
-        }
-        _ => return Err(tag_err(dec)),
-    })
 }
 
 /// Decode a `ctxpref2` request frame payload (header, envelope budget
@@ -653,16 +636,11 @@ fn decode_request_body(
 pub fn decode_request(payload: &[u8]) -> Result<WireRequest, DecodeError> {
     let (mut dec, tag, id) = header(payload)?;
     let budget_ms = dec.uv()?;
-    let tier_at = dec.offset();
+    let tier_at = dec.pos;
     let tier_tag = dec.u8()?;
-    let tier = Priority::from_wire_tag(tier_tag).ok_or(DecodeError {
-        offset: tier_at,
-        kind: DecodeKind::BadTag {
-            what: "priority tier",
-            tag: u64::from(tier_tag),
-        },
-    })?;
-    let req = decode_request_body(&mut dec, tag, true)?;
+    let tier = Priority::from_wire_tag(tier_tag)
+        .ok_or_else(|| bad_tag("priority tier", tier_tag, tier_at))?;
+    let req = Request::get_body(&mut dec, tag, TAG_AT)?;
     dec.expect_end()?;
     Ok(WireRequest {
         id,
@@ -680,302 +658,21 @@ pub fn request_id_of(payload: &[u8]) -> Option<u64> {
     Some(id)
 }
 
-fn resp_tag(resp: &Response) -> u8 {
-    match resp {
-        Response::Pong => RS_PONG,
-        Response::Ok => RS_OK,
-        Response::Removed { .. } => RS_REMOVED,
-        Response::Answer(_) => RS_ANSWER,
-        Response::Text { .. } => RS_TEXT,
-        Response::Busy { .. } => RS_BUSY,
-        Response::Err { .. } => RS_ERR,
-        Response::NotPrimary => RS_NOT_PRIMARY,
-        Response::Migrating { .. } => RS_MIGRATING,
-        Response::UserCut { .. } => RS_USER_CUT,
-        Response::Snapshot { .. } => RS_SNAPSHOT,
-        Response::Records { .. } => RS_RECORDS,
-        Response::Gone => RS_GONE,
-        Response::Applied { .. } => RS_APPLIED,
-        Response::RouteInfo { .. } => RS_ROUTE_INFO,
-        Response::Batch { .. } => RS_BATCH,
-        Response::ScrubReport { .. } => RS_SCRUB_REPORT,
-        Response::ScrubInfo { .. } => RS_SCRUB_INFO,
-    }
-}
-
-fn put_response_body(out: &mut Vec<u8>, resp: &Response) {
-    match resp {
-        Response::Pong | Response::Ok | Response::NotPrimary | Response::Gone => {}
-        Response::Removed { score } => put_f64(out, *score),
-        Response::Answer(a) => {
-            put_str(out, &a.step);
-            put_uv(out, a.elapsed_us);
-            match &a.resolved_state {
-                Some(s) => {
-                    out.push(1);
-                    put_str(out, s);
-                }
-                None => out.push(0),
-            }
-            put_uv(out, a.fallbacks.len() as u64);
-            for fb in &a.fallbacks {
-                put_str(out, &fb.step);
-                put_str(out, &fb.reason);
-            }
-            put_uv(out, a.rows.len() as u64);
-            for row in &a.rows {
-                put_str(out, &row.name);
-                put_f64(out, row.score);
-            }
-        }
-        Response::Text { body } => put_str(out, body),
-        Response::Busy {
-            limit,
-            retry_after_ms,
-        } => {
-            put_uv(out, *limit as u64);
-            put_uv(out, *retry_after_ms);
-        }
-        Response::Err { kind, message } => {
-            put_str(out, kind);
-            put_str(out, message);
-        }
-        Response::Migrating { user } => put_str(out, user),
-        Response::UserCut {
-            present,
-            shard,
-            last_lsn,
-            digest,
-        } => {
-            out.push(u8::from(*present));
-            put_uv(out, *shard);
-            put_uv(out, *last_lsn);
-            out.extend_from_slice(&digest.to_le_bytes());
-        }
-        Response::Snapshot { src_lsn, ops } => {
-            put_uv(out, *src_lsn);
-            put_uv(out, ops.len() as u64);
-            for op in ops {
-                put_bytes(out, op);
-            }
-        }
-        Response::Records { through, records } => {
-            put_uv(out, *through);
-            put_uv(out, records.len() as u64);
-            for (lsn, payload) in records {
-                put_uv(out, *lsn);
-                put_bytes(out, payload);
-            }
-        }
-        Response::Applied { watermark } => put_uv(out, *watermark),
-        Response::RouteInfo {
-            has_primary,
-            epoch,
-            users,
-            migrations,
-        } => {
-            out.push(u8::from(*has_primary));
-            put_uv(out, *epoch);
-            put_uv(out, *users);
-            put_uv(out, *migrations);
-        }
-        Response::Batch { responses } => {
-            put_uv(out, responses.len() as u64);
-            for sub in responses {
-                out.push(resp_tag(sub));
-                put_response_body(out, sub);
-            }
-        }
-        Response::ScrubReport {
-            segments_verified,
-            checkpoints_verified,
-            read_errors,
-            quarantined,
-            healed,
-        } => {
-            put_uv(out, *segments_verified);
-            put_uv(out, *checkpoints_verified);
-            put_uv(out, *read_errors);
-            put_uv(out, *quarantined);
-            out.push(u8::from(*healed));
-        }
-        Response::ScrubInfo {
-            passes,
-            quarantined,
-            read_errors,
-            heals,
-            rescued_shards,
-            disk_full_sheds,
-            rotate_failures,
-        } => {
-            put_uv(out, *passes);
-            put_uv(out, *quarantined);
-            put_uv(out, *read_errors);
-            put_uv(out, *heals);
-            put_uv(out, *rescued_shards);
-            put_uv(out, *disk_full_sheds);
-            put_uv(out, *rotate_failures);
-        }
-    }
-}
-
 /// Encode one response as a `ctxpref2` frame payload.
 pub fn encode_response(id: u64, resp: &Response) -> Vec<u8> {
     let mut out = Vec::with_capacity(32);
     out.push(BINARY_MAGIC);
     out.push(BINARY_VERSION);
-    out.push(resp_tag(resp));
+    out.push(resp.tag());
     put_uv(&mut out, id);
-    put_response_body(&mut out, resp);
+    resp.put_body(&mut out);
     out
-}
-
-fn decode_response_body(
-    dec: &mut Dec<'_>,
-    tag: u8,
-    allow_batch: bool,
-) -> Result<Response, DecodeError> {
-    let tag_err = |dec: &Dec<'_>| DecodeError {
-        offset: dec.offset().saturating_sub(1),
-        kind: DecodeKind::BadTag {
-            what: "response",
-            tag: u64::from(tag),
-        },
-    };
-    Ok(match tag {
-        RS_PONG => Response::Pong,
-        RS_OK => Response::Ok,
-        RS_NOT_PRIMARY => Response::NotPrimary,
-        RS_GONE => Response::Gone,
-        RS_REMOVED => Response::Removed { score: dec.f64_()? },
-        RS_ANSWER => {
-            let step = dec.str_()?;
-            let elapsed_us = dec.uv()?;
-            let resolved_state = match dec.u8()? {
-                0 => None,
-                1 => Some(dec.str_()?),
-                other => {
-                    return Err(DecodeError {
-                        offset: dec.offset().saturating_sub(1),
-                        kind: DecodeKind::BadTag {
-                            what: "resolved-state flag",
-                            tag: u64::from(other),
-                        },
-                    })
-                }
-            };
-            let nf = dec.checked_count(2)?;
-            let mut fallbacks = Vec::with_capacity(nf);
-            for _ in 0..nf {
-                fallbacks.push(WireFallback {
-                    step: dec.str_()?,
-                    reason: dec.str_()?,
-                });
-            }
-            let nr = dec.checked_count(9)?;
-            let mut rows = Vec::with_capacity(nr);
-            for _ in 0..nr {
-                rows.push(AnswerRow {
-                    name: dec.str_()?,
-                    score: dec.f64_()?,
-                });
-            }
-            Response::Answer(RemoteAnswer {
-                step,
-                elapsed_us,
-                resolved_state,
-                fallbacks,
-                rows,
-            })
-        }
-        RS_TEXT => Response::Text { body: dec.str_()? },
-        RS_BUSY => Response::Busy {
-            limit: dec.uv_len()?,
-            retry_after_ms: dec.uv()?,
-        },
-        RS_ERR => Response::Err {
-            kind: dec.str_()?,
-            message: dec.str_()?,
-        },
-        RS_MIGRATING => Response::Migrating { user: dec.str_()? },
-        RS_USER_CUT => {
-            let present = dec.u8()? != 0;
-            let shard = dec.uv()?;
-            let last_lsn = dec.uv()?;
-            let mut raw = [0u8; 8];
-            for b in &mut raw {
-                *b = dec.u8()?;
-            }
-            Response::UserCut {
-                present,
-                shard,
-                last_lsn,
-                digest: u64::from_le_bytes(raw),
-            }
-        }
-        RS_SNAPSHOT => {
-            let src_lsn = dec.uv()?;
-            let n = dec.checked_count(1)?;
-            let mut ops = Vec::with_capacity(n);
-            for _ in 0..n {
-                ops.push(dec.bytes()?);
-            }
-            Response::Snapshot { src_lsn, ops }
-        }
-        RS_RECORDS => {
-            let through = dec.uv()?;
-            let n = dec.checked_count(2)?;
-            let mut records = Vec::with_capacity(n);
-            for _ in 0..n {
-                records.push((dec.uv()?, dec.bytes()?));
-            }
-            Response::Records { through, records }
-        }
-        RS_APPLIED => Response::Applied {
-            watermark: dec.uv()?,
-        },
-        RS_SCRUB_REPORT => Response::ScrubReport {
-            segments_verified: dec.uv()?,
-            checkpoints_verified: dec.uv()?,
-            read_errors: dec.uv()?,
-            quarantined: dec.uv()?,
-            healed: dec.u8()? != 0,
-        },
-        RS_SCRUB_INFO => Response::ScrubInfo {
-            passes: dec.uv()?,
-            quarantined: dec.uv()?,
-            read_errors: dec.uv()?,
-            heals: dec.uv()?,
-            rescued_shards: dec.uv()?,
-            disk_full_sheds: dec.uv()?,
-            rotate_failures: dec.uv()?,
-        },
-        RS_ROUTE_INFO => Response::RouteInfo {
-            has_primary: dec.u8()? != 0,
-            epoch: dec.uv()?,
-            users: dec.uv()?,
-            migrations: dec.uv()?,
-        },
-        RS_BATCH => {
-            if !allow_batch {
-                return Err(tag_err(dec));
-            }
-            let n = dec.checked_count(1)?;
-            let mut responses = Vec::with_capacity(n);
-            for _ in 0..n {
-                let sub_tag = dec.u8()?;
-                responses.push(decode_response_body(dec, sub_tag, false)?);
-            }
-            Response::Batch { responses }
-        }
-        _ => return Err(tag_err(dec)),
-    })
 }
 
 /// Decode a `ctxpref2` response frame payload.
 pub fn decode_response(payload: &[u8]) -> Result<WireResponse, DecodeError> {
     let (mut dec, tag, id) = header(payload)?;
-    let resp = decode_response_body(&mut dec, tag, true)?;
+    let resp = Response::get_body(&mut dec, tag, TAG_AT)?;
     dec.expect_end()?;
     Ok(WireResponse { id, resp })
 }
@@ -985,27 +682,44 @@ mod tests {
     use super::*;
     use crate::error::DecodeKind;
 
-    fn roundtrip_req(req: Request) {
-        let payload = encode_request(0x1234_5678_9abc, &req);
-        assert!(is_binary(&payload));
-        let back = decode_request(&payload).expect("decode");
-        assert_eq!(back.id, 0x1234_5678_9abc);
-        assert_eq!(back.budget_ms, 0);
-        assert_eq!(back.tier, Priority::Interactive);
-        assert_eq!(back.req, req);
-        // The enveloped form carries the budget and tier through.
-        let payload = encode_request_enveloped(7, &req, 1500, Priority::Bulk);
-        let back = decode_request(&payload).expect("decode enveloped");
-        assert_eq!(back.budget_ms, 1500);
-        assert_eq!(back.tier, Priority::Bulk);
-        assert_eq!(back.req, req);
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
     }
 
-    fn roundtrip_resp(resp: Response) {
-        let payload = encode_response(7, &resp);
-        let back = decode_response(&payload).expect("decode");
-        assert_eq!(back.id, 7);
-        assert_eq!(back.resp, resp);
+    /// `msg.pinned(golden)`: the payload is exactly `golden` (hex) and
+    /// decodes back to `msg`. A change that encode and decode make
+    /// symmetrically passes a round trip, but not this.
+    trait Pinned {
+        fn pinned(self, golden: &str);
+    }
+
+    impl Pinned for Request {
+        fn pinned(self, golden: &str) {
+            let payload = encode_request(0x1234_5678_9abc, &self);
+            assert_eq!(hex(&payload), golden, "wire bytes of {self:?}");
+            assert!(is_binary(&payload));
+            let back = decode_request(&payload).expect("decode");
+            assert_eq!(back.id, 0x1234_5678_9abc);
+            assert_eq!(back.budget_ms, 0);
+            assert_eq!(back.tier, Priority::Interactive);
+            assert_eq!(back.req, self);
+            // The enveloped form carries the budget and tier through.
+            let payload = encode_request_enveloped(7, &self, 1500, Priority::Bulk);
+            let back = decode_request(&payload).expect("decode enveloped");
+            assert_eq!(back.budget_ms, 1500);
+            assert_eq!(back.tier, Priority::Bulk);
+            assert_eq!(back.req, self);
+        }
+    }
+
+    impl Pinned for Response {
+        fn pinned(self, golden: &str) {
+            let payload = encode_response(7, &self);
+            assert_eq!(hex(&payload), golden, "wire bytes of {self:?}");
+            let back = decode_response(&payload).expect("decode");
+            assert_eq!(back.id, 7);
+            assert_eq!(back.resp, self);
+        }
     }
 
     #[test]
@@ -1031,83 +745,102 @@ mod tests {
 
     #[test]
     fn all_requests_roundtrip() {
-        roundtrip_req(Request::Ping);
-        roundtrip_req(Request::Query {
+        Request::Ping.pinned("c20301bcb5e2b3c5c6040000");
+        Request::Query {
             user: "Ano Poli visitor".into(),
             attr: "name".into(),
             k: 10,
             deadline_ms: 250,
             state: vec!["Plaka".into(), "warm".into(), "friends".into()],
-        });
-        roundtrip_req(Request::TopK {
+        }
+        .pinned(
+            "c20302bcb5e2b3c5c604000010416e6f20506f6c692076697369746f72046e616d650afa01030550\
+             6c616b61047761726d07667269656e6473",
+        );
+        Request::TopK {
             user: "Ano Poli visitor".into(),
             attr: "name".into(),
             k: 3,
             deadline_ms: 100,
             state: vec!["Plaka".into(), "warm".into(), "friends".into()],
-        });
-        roundtrip_req(Request::ViewsStatus);
-        roundtrip_req(Request::QueryDescriptor {
+        }
+        .pinned(
+            "c20313bcb5e2b3c5c604000010416e6f20506f6c692076697369746f72046e616d6503640305506c\
+             616b61047761726d07667269656e6473",
+        );
+        Request::ViewsStatus.pinned("c20314bcb5e2b3c5c6040000");
+        Request::QueryDescriptor {
             user: "me".into(),
             attr: "name".into(),
             k: 3,
             descriptor: "location = Athens".into(),
-        });
-        roundtrip_req(Request::AddUser { user: "".into() });
-        roundtrip_req(Request::RemoveUser {
+        }
+        .pinned("c20303bcb5e2b3c5c6040000026d65046e616d6503116c6f636174696f6e203d20417468656e73");
+        Request::AddUser { user: "".into() }.pinned("c20304bcb5e2b3c5c604000000");
+        Request::RemoveUser {
             user: "a\nb".into(),
-        });
-        roundtrip_req(Request::InsertPref {
+        }
+        .pinned("c20305bcb5e2b3c5c604000003610a62");
+        Request::InsertPref {
             user: "me".into(),
             descriptor: "accompanying_people = family".into(),
             attr: "type".into(),
             value: "zoo".into(),
             score: 0.95,
-        });
-        roundtrip_req(Request::RemovePref {
+        }
+        .pinned(
+            "c20306bcb5e2b3c5c6040000026d651c6163636f6d70616e79696e675f70656f706c65203d206661\
+             6d696c790474797065037a6f6f666666666666ee3f",
+        );
+        Request::RemovePref {
             user: "me".into(),
             index: 7,
-        });
-        roundtrip_req(Request::UpdateScore {
+        }
+        .pinned("c20307bcb5e2b3c5c6040000026d6507");
+        Request::UpdateScore {
             user: "me".into(),
             index: 2,
             score: 0.125,
-        });
-        roundtrip_req(Request::Checkpoint);
-        roundtrip_req(Request::FlushWal);
-        roundtrip_req(Request::WalStatus);
-        roundtrip_req(Request::ReplStatus);
-        roundtrip_req(Request::Stats);
-        roundtrip_req(Request::RouteStatus);
-        roundtrip_req(Request::Scrub);
-        roundtrip_req(Request::ScrubStatus);
-        for action in [
-            MigrateAction::Export,
-            MigrateAction::Snapshot,
-            MigrateAction::Pull {
-                from_lsn: 42,
-                max: 64,
-            },
-            MigrateAction::Fence,
-            MigrateAction::Import {
-                src_lsn: 17,
-                ops: vec![b"add user\x01x".to_vec(), vec![]],
-            },
-            MigrateAction::Apply {
-                through: 99,
-                records: vec![(18, b"score user 0 0.5".to_vec()), (21, vec![0, 255, 7])],
-            },
-            MigrateAction::Activate,
-            MigrateAction::Finish,
-            MigrateAction::Abort,
-        ] {
-            roundtrip_req(Request::MigrateUser {
-                user: "u".into(),
-                epoch: 9,
-                action,
-            });
         }
-        roundtrip_req(Request::Batch {
+        .pinned("c20308bcb5e2b3c5c6040000026d6502000000000000c03f");
+        Request::Checkpoint.pinned("c20309bcb5e2b3c5c6040000");
+        Request::FlushWal.pinned("c2030abcb5e2b3c5c6040000");
+        Request::WalStatus.pinned("c2030bbcb5e2b3c5c6040000");
+        Request::ReplStatus.pinned("c2030cbcb5e2b3c5c6040000");
+        Request::Stats.pinned("c2030dbcb5e2b3c5c6040000");
+        Request::RouteStatus.pinned("c2030ebcb5e2b3c5c6040000");
+        Request::Scrub.pinned("c20311bcb5e2b3c5c6040000");
+        Request::ScrubStatus.pinned("c20312bcb5e2b3c5c6040000");
+        let migrate = |action| Request::MigrateUser {
+            user: "u".into(),
+            epoch: 9,
+            action,
+        };
+        migrate(MigrateAction::Export).pinned("c2030fbcb5e2b3c5c604000001750901");
+        migrate(MigrateAction::Snapshot).pinned("c2030fbcb5e2b3c5c604000001750902");
+        migrate(MigrateAction::Pull {
+            from_lsn: 42,
+            max: 64,
+        })
+        .pinned("c2030fbcb5e2b3c5c6040000017509032a40");
+        migrate(MigrateAction::Fence).pinned("c2030fbcb5e2b3c5c604000001750904");
+        migrate(MigrateAction::Import {
+            src_lsn: 17,
+            ops: vec![b"add user\x01x".to_vec(), vec![]],
+        })
+        .pinned("c2030fbcb5e2b3c5c60400000175090511020a6164642075736572017800");
+        migrate(MigrateAction::Apply {
+            through: 99,
+            records: vec![(18, b"score user 0 0.5".to_vec()), (21, vec![0, 255, 7])],
+        })
+        .pinned(
+            "c2030fbcb5e2b3c5c6040000017509066302121073636f72652075736572203020302e35150300ff\
+             07",
+        );
+        migrate(MigrateAction::Activate).pinned("c2030fbcb5e2b3c5c604000001750907");
+        migrate(MigrateAction::Finish).pinned("c2030fbcb5e2b3c5c604000001750908");
+        migrate(MigrateAction::Abort).pinned("c2030fbcb5e2b3c5c604000001750909");
+        Request::Batch {
             requests: vec![
                 Request::AddUser { user: "a".into() },
                 Request::InsertPref {
@@ -1119,15 +852,16 @@ mod tests {
                 },
                 Request::Ping,
             ],
-        });
+        }
+        .pinned("c20310bcb5e2b3c5c6040000030401610601610564203d207801740176000000000000e03f01");
     }
 
     #[test]
     fn all_responses_roundtrip() {
-        roundtrip_resp(Response::Pong);
-        roundtrip_resp(Response::Ok);
-        roundtrip_resp(Response::Removed { score: 0.5 });
-        roundtrip_resp(Response::Answer(RemoteAnswer {
+        Response::Pong.pinned("c2030107");
+        Response::Ok.pinned("c2030207");
+        Response::Removed { score: 0.5 }.pinned("c2030307000000000000e03f");
+        Response::Answer(RemoteAnswer {
             step: "nearest-state".into(),
             elapsed_us: 1234,
             resolved_state: Some("(Athens, warm, all)".into()),
@@ -1145,43 +879,64 @@ mod tests {
                     score: 0.25,
                 },
             ],
-        }));
-        roundtrip_resp(Response::Text {
+        })
+        .pinned(
+            "c20304070d6e6561726573742d7374617465d209011328417468656e732c207761726d2c20616c6c\
+             29010565786163740f70616e69633a20696e6a656374656402104163726f706f6c6973204d757365\
+             756dcdccccccccccec3f0a506c616b612077616c6b000000000000d03f",
+        );
+        // The other resolved-state arm, with empty vectors.
+        Response::Answer(RemoteAnswer {
+            step: "exact".into(),
+            elapsed_us: 0,
+            resolved_state: None,
+            fallbacks: vec![],
+            rows: vec![],
+        })
+        .pinned("c203040705657861637400000000");
+        Response::Text {
             body: "appends 12\nshard 0: …\n".into(),
-        });
-        roundtrip_resp(Response::Busy {
+        }
+        .pinned("c203050718617070656e64732031320a736861726420303a20e280a60a");
+        Response::Busy {
             limit: 4,
             retry_after_ms: 120,
-        });
-        roundtrip_resp(Response::Err {
+        }
+        .pinned("c20306070478");
+        Response::Err {
             kind: "core".into(),
             message: "no such user \"ghost\"".into(),
-        });
-        roundtrip_resp(Response::NotPrimary);
-        roundtrip_resp(Response::Migrating { user: "u".into() });
-        roundtrip_resp(Response::UserCut {
+        }
+        .pinned("c203070704636f7265146e6f20737563682075736572202267686f737422");
+        Response::NotPrimary.pinned("c2030807");
+        Response::Migrating { user: "u".into() }.pinned("c20309070175");
+        Response::UserCut {
             present: true,
             shard: 3,
             last_lsn: 117,
             digest: 0xDEAD_BEEF_DEAD_BEEF,
-        });
-        roundtrip_resp(Response::Snapshot {
+        }
+        .pinned("c2030a07010375efbeaddeefbeadde");
+        Response::Snapshot {
             src_lsn: 12,
             ops: vec![b"add me".to_vec(), vec![1, 2, 3]],
-        });
-        roundtrip_resp(Response::Records {
+        }
+        .pinned("c2030b070c0206616464206d6503010203");
+        Response::Records {
             through: 40,
             records: vec![(39, b"ins me pref".to_vec()), (40, vec![255])],
-        });
-        roundtrip_resp(Response::Gone);
-        roundtrip_resp(Response::Applied { watermark: 88 });
-        roundtrip_resp(Response::RouteInfo {
+        }
+        .pinned("c2030c072802270b696e73206d6520707265662801ff");
+        Response::Gone.pinned("c2030d07");
+        Response::Applied { watermark: 88 }.pinned("c2030e0758");
+        Response::RouteInfo {
             has_primary: true,
             epoch: 4,
             users: 1000,
             migrations: 2,
-        });
-        roundtrip_resp(Response::Batch {
+        }
+        .pinned("c2030f070104e80702");
+        Response::Batch {
             responses: vec![
                 Response::Ok,
                 Response::Err {
@@ -1189,15 +944,17 @@ mod tests {
                     message: "nope".into(),
                 },
             ],
-        });
-        roundtrip_resp(Response::ScrubReport {
+        }
+        .pinned("c203100702020704636f7265046e6f7065");
+        Response::ScrubReport {
             segments_verified: 12,
             checkpoints_verified: 1,
             read_errors: 2,
             quarantined: 1,
             healed: true,
-        });
-        roundtrip_resp(Response::ScrubInfo {
+        }
+        .pinned("c20311070c01020101");
+        Response::ScrubInfo {
             passes: 9,
             quarantined: 1,
             read_errors: 3,
@@ -1205,7 +962,8 @@ mod tests {
             rescued_shards: 2,
             disk_full_sheds: 4,
             rotate_failures: 0,
-        });
+        }
+        .pinned("c203120709010301020400");
     }
 
     #[test]
@@ -1218,13 +976,30 @@ mod tests {
         let payload = encode_request(1, &nested);
         let err = decode_request(&payload).unwrap_err();
         assert!(matches!(err.kind, DecodeKind::BadTag { .. }));
+        // At the inner batch's own tag: header (6 bytes), item count.
+        assert_eq!(err.offset, 7);
+    }
+
+    #[test]
+    fn an_unknown_top_level_tag_is_reported_at_its_own_byte() {
+        let payload = [BINARY_MAGIC, BINARY_VERSION, 99, 1, 0, 0];
+        for err in [
+            decode_request(&payload).unwrap_err(),
+            decode_response(&payload).unwrap_err(),
+        ] {
+            assert!(
+                matches!(err.kind, DecodeKind::BadTag { tag: 99, .. }),
+                "got {err:?}"
+            );
+            assert_eq!(err.offset, 2, "{err}");
+        }
     }
 
     #[test]
     fn hostile_length_claims_fail_typed_before_allocation() {
         // A string claiming u64::MAX bytes in a tiny payload (the two
         // zero bytes after the id are the envelope's budget and tier).
-        let mut payload = vec![BINARY_MAGIC, BINARY_VERSION, RQ_ADD_USER, 0, 0, 0];
+        let mut payload = vec![BINARY_MAGIC, BINARY_VERSION, 4, 0, 0, 0];
         put_uv(&mut payload, u64::MAX);
         let err = decode_request(&payload).unwrap_err();
         assert!(
@@ -1235,7 +1010,7 @@ mod tests {
 
     #[test]
     fn unknown_tier_tag_fails_typed() {
-        let mut payload = vec![BINARY_MAGIC, BINARY_VERSION, RQ_PING, 0, 0, 3];
+        let mut payload = vec![BINARY_MAGIC, BINARY_VERSION, 1, 0, 0, 3];
         let err = decode_request(&payload).unwrap_err();
         assert!(
             matches!(

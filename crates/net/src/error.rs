@@ -66,8 +66,8 @@ impl From<io::Error> for FrameError {
 
 /// Why a byte sequence could not be decoded, with the **byte offset**
 /// at which decoding failed. This is the one decode-failure currency
-/// of the wire layer: the `ctxpref2` codec, the binary replication
-/// envelope, and the frame header parser all report through it, so
+/// of the wire layer: the `ctxpref2` codec and the frame header
+/// parser both report through it, so
 /// every malformed input — an unknown tag, a truncated varint, a
 /// hostile length claim — fails with the same shape and never loses
 /// the offset.

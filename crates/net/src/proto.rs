@@ -4,9 +4,20 @@
 //!
 //! This module knows nothing about bytes. How a message becomes a
 //! frame payload is the business of exactly one module,
-//! [`crate::codec`] (`ctxpref2`: binary, length-delimited, id-tagged);
-//! the server's dispatch and the client's typed methods meet here, on
-//! the enums.
+//! [`crate::codec`] (`ctxpref2`: binary, length-delimited, id-tagged),
+//! whose vocabulary table gives each variant here its tag and field
+//! order; the server's dispatch and the client's typed methods meet
+//! here, on the enums. A typed method's answer is taken out of its
+//! [`Response`] in one place too: the `TryFrom<Response>` impls below.
+//!
+//! Adding a verb takes the variant here, one line in the codec's
+//! table, a dispatch arm in the server and a client method.
+
+use std::time::Duration;
+
+use ctxpref_service::RouteInfo;
+
+use crate::error::NetError;
 
 /// A client request.
 #[derive(Debug, Clone, PartialEq)]
@@ -205,6 +216,40 @@ impl Request {
             _ => true,
         }
     }
+
+    /// A ranked query for `user` under a context state given as value
+    /// names: [`Request::TopK`] when `top_k` (the server evaluates only
+    /// the best `k` rows), [`Request::Query`] otherwise. `deadline`
+    /// travels as whole milliseconds.
+    pub fn ranked(
+        top_k: bool,
+        user: &str,
+        attr: &str,
+        k: usize,
+        deadline: Duration,
+        state: &[&str],
+    ) -> Self {
+        let (user, attr) = (user.to_string(), attr.to_string());
+        let deadline_ms = deadline.as_millis().min(u128::from(u64::MAX)) as u64;
+        let state = state.iter().map(|s| s.to_string()).collect();
+        if top_k {
+            Self::TopK {
+                user,
+                attr,
+                k,
+                deadline_ms,
+                state,
+            }
+        } else {
+            Self::Query {
+                user,
+                attr,
+                k,
+                deadline_ms,
+                state,
+            }
+        }
+    }
 }
 
 /// One result row of a served query.
@@ -381,6 +426,54 @@ pub enum Response {
         /// Per-item responses, in request order.
         responses: Vec<Response>,
     },
+}
+
+/// What a response that is not the awaited reply means: a typed
+/// refusal (`Err`, `NotPrimary`, `Migrating`) is [`NetError::Remote`],
+/// anything else protocol confusion.
+pub(crate) fn not_the_reply(resp: Response) -> NetError {
+    match resp {
+        Response::Err { kind, message } => NetError::Remote { kind, message },
+        Response::NotPrimary => NetError::Remote {
+            kind: "not-primary".to_string(),
+            message: "no primary behind this endpoint".to_string(),
+        },
+        Response::Migrating { user } => NetError::Remote {
+            kind: "migrating".to_string(),
+            message: format!("write refused: user {user:?} is mid-migration"),
+        },
+        other => NetError::UnexpectedResponse {
+            got: format!("{other:?}"),
+        },
+    }
+}
+
+/// A typed method's reply, taken out of the [`Response`] that answered
+/// it; any other response is [`not_the_reply`].
+macro_rules! reply {
+    ($($ty:ty: $pat:pat => $value:expr;)*) => {$(
+        impl TryFrom<Response> for $ty {
+            type Error = NetError;
+
+            fn try_from(resp: Response) -> Result<Self, NetError> {
+                match resp {
+                    $pat => Ok($value),
+                    other => Err(not_the_reply(other)),
+                }
+            }
+        }
+    )*};
+}
+
+reply! {
+    // An acknowledgement: a mutation applied, or a ping answered.
+    (): Response::Ok | Response::Pong => ();
+    f64: Response::Removed { score } => score;
+    String: Response::Text { body } => body;
+    RemoteAnswer: Response::Answer(answer) => answer;
+    Vec<Response>: Response::Batch { responses } => responses;
+    RouteInfo: Response::RouteInfo { has_primary, epoch, users, migrations } =>
+        RouteInfo { has_primary, epoch, users, migrations };
 }
 
 #[cfg(test)]

@@ -355,18 +355,18 @@ impl Router {
         }
     }
 
-    fn expect_ok(&mut self, user: &str, req: &Request) -> Result<(), RouterError> {
-        match self.forward(user, req)? {
-            Response::Ok => Ok(()),
-            other => Err(RouterError::Net(NetError::UnexpectedResponse {
-                got: format!("{other:?}"),
-            })),
-        }
+    /// [`Self::forward`], answered by the reply `T` it calls for.
+    fn call<T: TryFrom<Response, Error = NetError>>(
+        &mut self,
+        user: &str,
+        req: &Request,
+    ) -> Result<T, RouterError> {
+        Ok(self.forward(user, req)?.try_into()?)
     }
 
     /// Create `user` on their owning cluster.
     pub fn add_user(&mut self, user: &str) -> Result<(), RouterError> {
-        self.expect_ok(
+        self.call(
             user,
             &Request::AddUser {
                 user: user.to_string(),
@@ -376,7 +376,7 @@ impl Router {
 
     /// Remove `user` from their owning cluster.
     pub fn remove_user(&mut self, user: &str) -> Result<(), RouterError> {
-        self.expect_ok(
+        self.call(
             user,
             &Request::RemoveUser {
                 user: user.to_string(),
@@ -393,7 +393,7 @@ impl Router {
         value: &str,
         score: f64,
     ) -> Result<(), RouterError> {
-        self.expect_ok(
+        self.call(
             user,
             &Request::InsertPref {
                 user: user.to_string(),
@@ -443,14 +443,9 @@ impl Router {
         loop {
             let cluster = self.cluster_of(user);
             let responses = match self.call_cluster(cluster, &req)? {
-                Response::Batch { responses } => responses,
                 // Whole-batch pre-apply refusals, same as `forward`.
                 Response::Migrating { .. } | Response::NotPrimary => Vec::new(),
-                other => {
-                    return Err(RouterError::Net(NetError::UnexpectedResponse {
-                        got: format!("{other:?}"),
-                    }))
-                }
+                resp => resp.try_into()?,
             };
             let applied = responses
                 .iter()
@@ -499,18 +494,13 @@ impl Router {
 
     /// Remove `user`'s preference at `index`, returning its score.
     pub fn remove_preference(&mut self, user: &str, index: usize) -> Result<f64, RouterError> {
-        match self.forward(
+        self.call(
             user,
             &Request::RemovePref {
                 user: user.to_string(),
                 index,
             },
-        )? {
-            Response::Removed { score } => Ok(score),
-            other => Err(RouterError::Net(NetError::UnexpectedResponse {
-                got: format!("{other:?}"),
-            })),
-        }
+        )
     }
 
     /// Re-score `user`'s preference at `index`.
@@ -520,7 +510,7 @@ impl Router {
         index: usize,
         score: f64,
     ) -> Result<(), RouterError> {
-        self.expect_ok(
+        self.call(
             user,
             &Request::UpdateScore {
                 user: user.to_string(),
@@ -560,19 +550,10 @@ impl Router {
         state: &[&str],
         tier: Priority,
     ) -> Result<RemoteAnswer, RouterError> {
-        let req = Request::Query {
-            user: user.to_string(),
-            attr: attr.to_string(),
-            k,
-            deadline_ms: deadline.as_millis().min(u128::from(u64::MAX)) as u64,
-            state: state.iter().map(|s| s.to_string()).collect(),
-        };
-        match self.forward_enveloped(user, &req, Some(deadline), tier)? {
-            Response::Answer(a) => Ok(a),
-            other => Err(RouterError::Net(NetError::UnexpectedResponse {
-                got: format!("{other:?}"),
-            })),
-        }
+        let req = Request::ranked(false, user, attr, k, deadline, state);
+        Ok(self
+            .forward_enveloped(user, &req, Some(deadline), tier)?
+            .try_into()?)
     }
 
     /// Top-k pushdown variant of [`Self::query`]: the serving shard
@@ -600,30 +581,18 @@ impl Router {
         state: &[&str],
         tier: Priority,
     ) -> Result<RemoteAnswer, RouterError> {
-        let req = Request::TopK {
-            user: user.to_string(),
-            attr: attr.to_string(),
-            k,
-            deadline_ms: deadline.as_millis().min(u128::from(u64::MAX)) as u64,
-            state: state.iter().map(|s| s.to_string()).collect(),
-        };
-        match self.forward_enveloped(user, &req, Some(deadline), tier)? {
-            Response::Answer(a) => Ok(a),
-            other => Err(RouterError::Net(NetError::UnexpectedResponse {
-                got: format!("{other:?}"),
-            })),
-        }
+        let req = Request::ranked(true, user, attr, k, deadline, state);
+        Ok(self
+            .forward_enveloped(user, &req, Some(deadline), tier)?
+            .try_into()?)
     }
 
     /// Materialized-view status report from `cluster`: aggregate
     /// view-serving counters plus per-user pinned states.
     pub fn views_status(&mut self, cluster: usize) -> Result<String, RouterError> {
-        match self.call_cluster(cluster, &Request::ViewsStatus)? {
-            Response::Text { body } => Ok(body),
-            other => Err(RouterError::Net(NetError::UnexpectedResponse {
-                got: format!("{other:?}"),
-            })),
-        }
+        Ok(self
+            .call_cluster(cluster, &Request::ViewsStatus)?
+            .try_into()?)
     }
 
     /// Probe `cluster`: primary presence, replication epoch, state
@@ -633,26 +602,13 @@ impl Router {
         cluster: usize,
     ) -> Result<ctxpref_service::RouteInfo, RouterError> {
         match self.call_cluster(cluster, &Request::RouteStatus)? {
-            Response::RouteInfo {
-                has_primary,
-                epoch,
-                users,
-                migrations,
-            } => Ok(ctxpref_service::RouteInfo {
-                has_primary,
-                epoch,
-                users,
-                migrations,
-            }),
             Response::NotPrimary => Ok(ctxpref_service::RouteInfo {
                 has_primary: false,
                 epoch: 0,
                 users: 0,
                 migrations: 0,
             }),
-            other => Err(RouterError::Net(NetError::UnexpectedResponse {
-                got: format!("{other:?}"),
-            })),
+            resp => Ok(resp.try_into()?),
         }
     }
 }

@@ -64,7 +64,7 @@ impl Drop for InFlightGuard {
 /// * **Admission control** — at most `max_in_flight` requests are
 ///   queued or executing; excess load is shed immediately with
 ///   [`ServiceError::Overloaded`].
-/// * **Degradation ladder** — see [`crate::ladder`]: cached → exact →
+/// * **Degradation ladder** — see [`crate::LadderStep`]: cached → exact →
 ///   nearest-state → non-contextual default, every fallback recorded.
 /// * **Retrying storage** — [`Self::save`] and [`Self::open`] retry
 ///   transient I/O failures with exponential backoff capped by the

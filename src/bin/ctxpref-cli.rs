@@ -403,18 +403,9 @@ impl Repl {
                 Ok(Some(render_remote_answer(&answer)))
             }
             "pref" => {
-                let (cod, clause) = args
-                    .split_once("::")
-                    .ok_or("syntax: pref <descriptor> :: <attr> = <value> @ <score>")?;
-                let (assign, score) = clause
-                    .rsplit_once('@')
-                    .ok_or("syntax: pref <descriptor> :: <attr> = <value> @ <score>")?;
-                let (attr, value) = assign
-                    .split_once('=')
-                    .ok_or("expected `<attr> = <value>`")?;
-                let score: f64 = score.trim().parse().map_err(|_| "bad score")?;
+                let (cod, attr, value, score) = parse_pref(args, PREF_SYNTAX, PREF_SYNTAX)?;
                 client
-                    .insert_preference(USER, cod.trim(), attr.trim(), value.trim(), score)
+                    .insert_preference(USER, cod, attr, value, score)
                     .map_err(run)?;
                 Ok(Some("preference stored remotely".to_string()))
             }
@@ -437,37 +428,22 @@ impl Repl {
             "bulk-pref" => {
                 // Several prefs in one wire frame, `;`-separated:
                 // bulk-pref <desc> :: <attr> = <value> @ <score> ; …
-                let mut items: Vec<(String, String, String, f64)> = Vec::new();
-                for part in args.split(';') {
-                    let part = part.trim();
-                    if part.is_empty() {
-                        continue;
-                    }
-                    let (cod, clause) = part.split_once("::").ok_or(
-                        "syntax: bulk-pref <descriptor> :: <attr> = <value> @ <score> [; …]",
-                    )?;
-                    let (assign, score) = clause
-                        .rsplit_once('@')
-                        .ok_or("each item needs `… @ <score>`")?;
-                    let (attr, value) = assign
-                        .split_once('=')
-                        .ok_or("expected `<attr> = <value>`")?;
-                    let score: f64 = score.trim().parse().map_err(|_| "bad score")?;
-                    items.push((
-                        cod.trim().to_string(),
-                        attr.trim().to_string(),
-                        value.trim().to_string(),
-                        score,
-                    ));
-                }
+                let items = args
+                    .split(';')
+                    .map(str::trim)
+                    .filter(|part| !part.is_empty())
+                    .map(|part| {
+                        parse_pref(
+                            part,
+                            "syntax: bulk-pref <descriptor> :: <attr> = <value> @ <score> [; …]",
+                            "each item needs `… @ <score>`",
+                        )
+                    })
+                    .collect::<Result<Vec<_>, _>>()?;
                 if items.is_empty() {
                     return Err("bulk-pref needs at least one item".to_string());
                 }
-                let borrowed: Vec<(&str, &str, &str, f64)> = items
-                    .iter()
-                    .map(|(c, a, v, s)| (c.as_str(), a.as_str(), v.as_str(), *s))
-                    .collect();
-                let applied = client.insert_preferences(USER, &borrowed).map_err(run)?;
+                let applied = client.insert_preferences(USER, &items).map_err(run)?;
                 Ok(Some(format!(
                     "{applied} preference(s) stored remotely in one batch"
                 )))
@@ -853,19 +829,9 @@ impl Repl {
     }
 
     fn cmd_pref(&mut self, rest: &str) -> Result<Option<String>, String> {
-        // pref <descriptor> :: <attr> = <value> @ <score>
-        let (cod, clause) = rest
-            .split_once("::")
-            .ok_or("syntax: pref <descriptor> :: <attr> = <value> @ <score>")?;
-        let (assign, score) = clause
-            .rsplit_once('@')
-            .ok_or("syntax: pref <descriptor> :: <attr> = <value> @ <score>")?;
-        let (attr, value) = assign
-            .split_once('=')
-            .ok_or("expected `<attr> = <value>`")?;
-        let score: f64 = score.trim().parse().map_err(|_| "bad score")?;
+        let (cod, attr, value, score) = parse_pref(rest, PREF_SYNTAX, PREF_SYNTAX)?;
         self.service()?
-            .insert_preference_eq(USER, cod.trim(), attr.trim(), value.trim().into(), score)
+            .insert_preference_eq(USER, cod, attr, value.into(), score)
             .map_err(|e| e.to_string())?;
         Ok(Some("preference stored".to_string()))
     }
@@ -983,6 +949,25 @@ fn render_answer(
         out.push_str("(no results — no stored preference covers this context)\n");
     }
     Ok(out)
+}
+
+const PREF_SYNTAX: &str = "syntax: pref <descriptor> :: <attr> = <value> @ <score>";
+
+/// Parse one preference clause, `<descriptor> :: <attr> = <value> @
+/// <score>`, into its trimmed parts. `no_clause` and `no_score` are the
+/// errors for a missing `::` and a missing `@`.
+fn parse_pref<'a>(
+    text: &'a str,
+    no_clause: &str,
+    no_score: &str,
+) -> Result<(&'a str, &'a str, &'a str, f64), String> {
+    let (cod, clause) = text.split_once("::").ok_or(no_clause)?;
+    let (assign, score) = clause.rsplit_once('@').ok_or(no_score)?;
+    let (attr, value) = assign
+        .split_once('=')
+        .ok_or("expected `<attr> = <value>`")?;
+    let score: f64 = score.trim().parse().map_err(|_| "bad score")?;
+    Ok((cod.trim(), attr.trim(), value.trim(), score))
 }
 
 fn render_remote_answer(answer: &RemoteAnswer) -> String {
