@@ -58,13 +58,13 @@
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
-use ctxpref_service::Priority;
+use ctxpref_service::{Priority, ScrubStatus};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 use crate::codec;
 use crate::error::{NetError, ProtoError};
 use crate::frame::{read_frame, read_frame_buffered, write_frame, write_frames, FrameDecoder};
-use crate::proto::{not_the_reply, MigrateAction, RemoteAnswer, Request, Response};
+use crate::proto::{not_the_reply, RemoteAnswer, Request, Response};
 
 /// Tuning knobs of [`NetClient`].
 #[derive(Debug, Clone, Copy)]
@@ -617,13 +617,6 @@ impl NetClient {
         })
     }
 
-    /// Remove a user and their profile.
-    pub fn remove_user(&mut self, user: &str) -> Result<(), NetError> {
-        self.call(&Request::RemoveUser {
-            user: user.to_string(),
-        })
-    }
-
     /// Insert an equality preference from its textual parts.
     pub fn insert_preference(
         &mut self,
@@ -642,41 +635,9 @@ impl NetClient {
         })
     }
 
-    /// Remove `user`'s preference at `index`, returning its score.
-    pub fn remove_preference(&mut self, user: &str, index: usize) -> Result<f64, NetError> {
-        self.call(&Request::RemovePref {
-            user: user.to_string(),
-            index,
-        })
-    }
-
-    /// Re-score `user`'s preference at `index`.
-    pub fn update_score(&mut self, user: &str, index: usize, score: f64) -> Result<(), NetError> {
-        self.call(&Request::UpdateScore {
-            user: user.to_string(),
-            index,
-            score,
-        })
-    }
-
     /// Force a checkpoint on the server; returns its report, rendered.
     pub fn checkpoint(&mut self) -> Result<String, NetError> {
         self.call(&Request::Checkpoint)
-    }
-
-    /// Flush the server's write-ahead log; returns the report, rendered.
-    pub fn flush_wal(&mut self) -> Result<String, NetError> {
-        self.call(&Request::FlushWal)
-    }
-
-    /// The server's WAL status, rendered.
-    pub fn wal_status(&mut self) -> Result<String, NetError> {
-        self.call(&Request::WalStatus)
-    }
-
-    /// The server's replication status, rendered.
-    pub fn repl_status(&mut self) -> Result<String, NetError> {
-        self.call(&Request::ReplStatus)
     }
 
     /// The server's service counters, rendered. Includes one
@@ -686,39 +647,15 @@ impl NetClient {
         self.call(&Request::Stats)
     }
 
-    /// One routing probe: whether a primary serves writes, the
-    /// replication epoch, and how much state lives behind `addr`.
-    pub fn route_status(&mut self) -> Result<ctxpref_service::RouteInfo, NetError> {
-        self.call(&Request::RouteStatus)
-    }
-
     /// Run one scrub pass on the server now; the caller matches the
     /// pass's figures out of the [`Response::ScrubReport`].
     pub fn scrub(&mut self) -> Result<Response, NetError> {
         self.request(&Request::Scrub)
     }
 
-    /// The server's self-healing counters, without running a pass, as
-    /// a [`Response::ScrubInfo`] for the caller to match.
-    pub fn scrub_status(&mut self) -> Result<Response, NetError> {
-        self.request(&Request::ScrubStatus)
-    }
-
-    /// One migration step for `user` under routing epoch `epoch`. The
-    /// response shape depends on the action (a cut, a snapshot, a
-    /// record page, a watermark, …), so the raw [`Response`] comes
-    /// back for the migration driver to match on.
-    pub fn migrate(
-        &mut self,
-        user: &str,
-        epoch: u64,
-        action: MigrateAction,
-    ) -> Result<Response, NetError> {
-        self.request(&Request::MigrateUser {
-            user: user.to_string(),
-            epoch,
-            action,
-        })
+    /// The server's self-healing counters, without running a pass.
+    pub fn scrub_status(&mut self) -> Result<ScrubStatus, NetError> {
+        self.call(&Request::ScrubStatus)
     }
 
     /// [`Self::request`], answered by the reply `T` it calls for.

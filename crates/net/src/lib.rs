@@ -53,6 +53,7 @@
 
 pub mod client;
 pub mod codec;
+mod dispatch;
 pub mod error;
 pub mod frame;
 pub mod proto;
@@ -64,6 +65,7 @@ pub use codec::{
     decode_request, decode_response, encode_request, encode_request_enveloped, encode_response,
     is_binary, WireRequest, WireResponse, BINARY_MAGIC, BINARY_VERSION, CONNECTION_ID,
 };
+pub use dispatch::serve_request;
 // The tier vocabulary travels in the wire envelope; re-exported so
 // network callers need not depend on the service crate for it.
 pub use ctxpref_service::Priority;

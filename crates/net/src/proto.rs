@@ -7,15 +7,18 @@
 //! [`crate::codec`] (`ctxpref2`: binary, length-delimited, id-tagged),
 //! whose vocabulary table gives each variant here its tag and field
 //! order; the server's dispatch and the client's typed methods meet
-//! here, on the enums. A typed method's answer is taken out of its
-//! [`Response`] in one place too: the `TryFrom<Response>` impls below.
+//! here, on the enums. Each reply shape is declared once too, in the
+//! `reply!` table below: dispatch turns a service value into its
+//! [`Response`] through it, and a typed client method takes the value
+//! back out through it.
 //!
 //! Adding a verb takes the variant here, one line in the codec's
-//! table, a dispatch arm in the server and a client method.
+//! table, one `reply!` line if its reply has a new shape, and one line
+//! in the server's dispatch.
 
 use std::time::Duration;
 
-use ctxpref_service::RouteInfo;
+use ctxpref_service::{RouteInfo, ScrubReport, ScrubStatus, UserExport};
 
 use crate::error::NetError;
 
@@ -448,32 +451,66 @@ pub(crate) fn not_the_reply(resp: Response) -> NetError {
     }
 }
 
-/// A typed method's reply, taken out of the [`Response`] that answered
-/// it; any other response is [`not_the_reply`].
+/// The reply table: each line pairs one [`Response`] shape with the
+/// value it carries, and the same tokens serve as the match pattern and
+/// as the constructor. A line generates both directions:
+/// `TryFrom<Response> for T`, which a typed client or router method
+/// ends in (any other response is [`not_the_reply`]; an extra
+/// `| (pattern)` widens only this direction), and `From<T> for
+/// Response`, which dispatch answers with.
 macro_rules! reply {
-    ($($ty:ty: $pat:pat => $value:expr;)*) => {$(
+    ($($ty:ty: ($($resp:tt)+) $(| ($($also:tt)+))? <=> ($($value:tt)+);)*) => {$(
         impl TryFrom<Response> for $ty {
             type Error = NetError;
 
             fn try_from(resp: Response) -> Result<Self, NetError> {
                 match resp {
-                    $pat => Ok($value),
+                    $($resp)+ $(| $($also)+)? => Ok($($value)+),
                     other => Err(not_the_reply(other)),
                 }
+            }
+        }
+
+        impl From<$ty> for Response {
+            fn from(value: $ty) -> Self {
+                let $($value)+ = value;
+                $($resp)+
             }
         }
     )*};
 }
 
 reply! {
-    // An acknowledgement: a mutation applied, or a ping answered.
-    (): Response::Ok | Response::Pong => ();
-    f64: Response::Removed { score } => score;
-    String: Response::Text { body } => body;
-    RemoteAnswer: Response::Answer(answer) => answer;
-    Vec<Response>: Response::Batch { responses } => responses;
-    RouteInfo: Response::RouteInfo { has_primary, epoch, users, migrations } =>
-        RouteInfo { has_primary, epoch, users, migrations };
+    // An acknowledgement: a mutation applied (read back, a ping
+    // answered too).
+    (): (Response::Ok) | (Response::Pong) <=> (());
+    f64: (Response::Removed { score }) <=> (score);
+    String: (Response::Text { body }) <=> (body);
+    RemoteAnswer: (Response::Answer(answer)) <=> (answer);
+    Vec<Response>: (Response::Batch { responses }) <=> (responses);
+    RouteInfo: (Response::RouteInfo { has_primary, epoch, users, migrations })
+        <=> (RouteInfo { has_primary, epoch, users, migrations });
+    ScrubStatus: (Response::ScrubInfo {
+        passes, quarantined, read_errors, heals, rescued_shards, disk_full_sheds, rotate_failures,
+    }) <=> (ScrubStatus {
+        passes, quarantined, read_errors, heals, rescued_shards, disk_full_sheds, rotate_failures,
+    });
+    UserExport: (Response::UserCut { present, shard, last_lsn, digest })
+        <=> (UserExport { present, shard, last_lsn, digest });
+}
+
+/// A scrub pass as it travels: the quarantined files are counted, their
+/// paths and reasons stay with the server.
+impl From<ScrubReport> for Response {
+    fn from(report: ScrubReport) -> Self {
+        Response::ScrubReport {
+            segments_verified: report.segments_verified,
+            checkpoints_verified: report.checkpoints_verified,
+            read_errors: report.read_errors,
+            quarantined: report.quarantined.len() as u64,
+            healed: report.healed,
+        }
+    }
 }
 
 #[cfg(test)]

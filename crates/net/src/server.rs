@@ -5,7 +5,8 @@
 //! ([`crate::reactor`]) with nonblocking reads/writes and a
 //! per-connection state machine (incremental frame decoder, pending
 //! output queue, idle clock). Decoded request frames are handed to a
-//! small **worker pool** that runs dispatch against the service;
+//! small **worker pool** that runs dispatch (`dispatch.rs`) against
+//! the service;
 //! completions flow back over a queue and a waker, and the reactor
 //! writes the response frames out. No thread ever blocks on a peer.
 //!
@@ -46,24 +47,22 @@ use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::io::AsRawFd;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use ctxpref_context::ContextState;
-use ctxpref_core::CoreError;
 use ctxpref_faults::sites::{
     NET_ACCEPT, NET_CONN_DELAY, NET_CONN_DROP, NET_FRAME_READ, NET_FRAME_WRITE,
 };
 use ctxpref_faults::{hit, hit_io};
-use ctxpref_service::{CtxPrefService, Priority, ReplicationError, ServiceError};
+use ctxpref_service::CtxPrefService;
 
 use crate::codec;
+use crate::dispatch::dispatch;
 use crate::frame::{encode_frame, FrameDecoder};
-use crate::proto::{AnswerRow, MigrateAction, RemoteAnswer, Request, Response, WireFallback};
+use crate::proto::Response;
 use crate::reactor::{Epoll, Interest, Slab, Token, Waker};
 
 /// Tuning knobs of the TCP front-end.
@@ -860,446 +859,5 @@ impl Reactor {
             // generation check instead of reaching a reused slot.
         }
         self.active.store(self.conns.len(), Ordering::Release);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Dispatch (runs in the worker pool)
-// ---------------------------------------------------------------------------
-
-/// Execute one request against the service, with panics contained.
-/// `budget_ms` and `tier` come off the `ctxpref2` envelope: the
-/// remaining end-to-end deadline budget (0 = unconstrained) that
-/// clamps every query deadline, and the priority tier admission sheds
-/// by.
-fn dispatch(
-    service: &Arc<CtxPrefService>,
-    cfg: &NetServerConfig,
-    req: &Request,
-    budget_ms: u64,
-    tier: Priority,
-) -> Response {
-    match catch_unwind(AssertUnwindSafe(|| {
-        dispatch_inner(service, cfg, req, budget_ms, tier)
-    })) {
-        Ok(resp) => resp,
-        Err(_) => Response::Err {
-            kind: "panic".to_string(),
-            message: "request dispatch panicked (contained at the connection boundary)".to_string(),
-        },
-    }
-}
-
-fn dispatch_inner(
-    service: &CtxPrefService,
-    cfg: &NetServerConfig,
-    req: &Request,
-    budget_ms: u64,
-    tier: Priority,
-) -> Response {
-    match req {
-        Request::Ping => Response::Pong,
-        // The two ranked verbs differ only in the service call: `TopK`
-        // pushes `k` down so only the best rows are evaluated.
-        Request::Query {
-            user,
-            attr,
-            k,
-            deadline_ms,
-            state,
-        }
-        | Request::TopK {
-            user,
-            attr,
-            k,
-            deadline_ms,
-            state,
-        } => {
-            let state = {
-                let names: Vec<&str> = state.iter().map(String::as_str).collect();
-                match service.with_db(|db| ContextState::parse(db.env(), &names)) {
-                    Ok(s) => s,
-                    Err(e) => return err_of(&ServiceError::Core(CoreError::Context(e))),
-                }
-            };
-            // The enforced deadline is the *tightest* of the request's
-            // own ask, the propagated remaining budget, and the
-            // server's cap — a hop-decremented budget wins over a
-            // generous per-request deadline.
-            let mut deadline_ms = (*deadline_ms).max(1);
-            if budget_ms > 0 {
-                deadline_ms = deadline_ms.min(budget_ms);
-            }
-            let deadline = Duration::from_millis(deadline_ms).min(cfg.max_deadline);
-            let served = if matches!(req, Request::TopK { .. }) {
-                service.query_topk_tiered(user, &state, *k, deadline, tier)
-            } else {
-                service.query_tiered(user, &state, deadline, tier)
-            };
-            let answer = match served {
-                Ok(a) => a,
-                Err(e) => return err_of(&e),
-            };
-            let rows = match render_rows(service, &answer.answer, attr, *k) {
-                Ok(rows) => rows,
-                Err(e) => return err_of(&ServiceError::Core(e)),
-            };
-            Response::Answer(RemoteAnswer {
-                step: answer.step.to_string(),
-                elapsed_us: answer.elapsed.as_micros() as u64,
-                resolved_state: answer
-                    .resolved_state
-                    .as_ref()
-                    .map(|s| service.with_db(|db| s.display(db.env()).to_string())),
-                fallbacks: answer
-                    .fallbacks
-                    .iter()
-                    .map(|fb| WireFallback {
-                        step: fb.step.to_string(),
-                        reason: fb.reason.clone(),
-                    })
-                    .collect(),
-                rows,
-            })
-        }
-        Request::ViewsStatus => Response::Text {
-            body: service.views_status(),
-        },
-        Request::QueryDescriptor {
-            user,
-            attr,
-            k,
-            descriptor,
-        } => {
-            // The exploratory library path: a hypothetical context, not
-            // a servable state lookup — no ladder, but still contained
-            // and timed.
-            let started = Instant::now();
-            let answer = service.with_db(|db| {
-                let ecod = ctxpref_context::parse_extended_descriptor(db.env(), descriptor)
-                    .map_err(|e| ServiceError::Core(CoreError::Context(e)))?;
-                db.query(user, &ecod).map_err(ServiceError::Core)
-            });
-            let answer = match answer {
-                Ok(a) => a,
-                Err(e) => return err_of(&e),
-            };
-            let rows = match render_rows(service, &answer, attr, *k) {
-                Ok(rows) => rows,
-                Err(e) => return err_of(&ServiceError::Core(e)),
-            };
-            Response::Answer(RemoteAnswer {
-                step: "exact".to_string(),
-                elapsed_us: started.elapsed().as_micros() as u64,
-                resolved_state: None,
-                fallbacks: Vec::new(),
-                rows,
-            })
-        }
-        Request::AddUser { user } => match service.add_user(user) {
-            Ok(()) => Response::Ok,
-            Err(e) => err_of(&e),
-        },
-        Request::RemoveUser { user } => match service.remove_user(user) {
-            Ok(_) => Response::Ok,
-            Err(e) => err_of(&e),
-        },
-        Request::InsertPref {
-            user,
-            descriptor,
-            attr,
-            value,
-            score,
-        } => match service.insert_preference_eq(
-            user,
-            descriptor,
-            attr,
-            value.as_str().into(),
-            *score,
-        ) {
-            Ok(()) => Response::Ok,
-            Err(e) => err_of(&e),
-        },
-        Request::RemovePref { user, index } => match service.remove_preference(user, *index) {
-            Ok(pref) => Response::Removed {
-                score: pref.score(),
-            },
-            Err(e) => err_of(&e),
-        },
-        Request::UpdateScore { user, index, score } => {
-            match service.update_preference_score(user, *index, *score) {
-                Ok(()) => Response::Ok,
-                Err(e) => err_of(&e),
-            }
-        }
-        Request::Checkpoint => match service.checkpoint() {
-            Ok(report) => Response::Text {
-                body: format!(
-                    "checkpoint generation {} written ({} user(s))",
-                    report.generation, report.users
-                ),
-            },
-            Err(e) => err_of(&e),
-        },
-        Request::FlushWal => match service.flush_wal() {
-            Ok(n) => Response::Text {
-                body: format!("flushed {n} pending record(s)"),
-            },
-            Err(e) => err_of(&e),
-        },
-        Request::WalStatus => match service.wal_status() {
-            Ok(status) => Response::Text {
-                body: status.to_string(),
-            },
-            Err(e) => err_of(&e),
-        },
-        Request::ReplStatus => match service.replication_status() {
-            Ok(status) => Response::Text {
-                body: status.to_string(),
-            },
-            Err(e) => err_of(&e),
-        },
-        Request::Stats => Response::Text {
-            body: service.stats().to_string(),
-        },
-        Request::Scrub => match service.scrub() {
-            Ok(report) => Response::ScrubReport {
-                segments_verified: report.segments_verified,
-                checkpoints_verified: report.checkpoints_verified,
-                read_errors: report.read_errors,
-                quarantined: report.quarantined.len() as u64,
-                healed: report.healed,
-            },
-            Err(e) => err_of(&e),
-        },
-        Request::ScrubStatus => match service.scrub_status() {
-            Ok(s) => Response::ScrubInfo {
-                passes: s.passes,
-                quarantined: s.quarantined,
-                read_errors: s.read_errors,
-                heals: s.heals,
-                rescued_shards: s.rescued_shards,
-                disk_full_sheds: s.disk_full_sheds,
-                rotate_failures: s.rotate_failures,
-            },
-            Err(e) => err_of(&e),
-        },
-        Request::RouteStatus => {
-            let info = service.route_info();
-            Response::RouteInfo {
-                has_primary: info.has_primary,
-                epoch: info.epoch,
-                users: info.users,
-                migrations: info.migrations,
-            }
-        }
-        Request::MigrateUser {
-            user,
-            epoch,
-            action,
-        } => dispatch_migrate(service, user, *epoch, action),
-        Request::Batch { requests } => dispatch_batch(service, cfg, requests, budget_ms, tier),
-    }
-}
-
-/// Execute a batch: items run in order, and execution stops at the
-/// first failure (its typed response is the last element, and the
-/// returned length tells the caller how far the batch got). Items
-/// inherit the batch envelope's budget and tier.
-fn dispatch_batch(
-    service: &CtxPrefService,
-    cfg: &NetServerConfig,
-    requests: &[Request],
-    budget_ms: u64,
-    tier: Priority,
-) -> Response {
-    let mut responses = Vec::with_capacity(requests.len());
-    // Homogeneous insert batches take the service's bulk verb: one
-    // routing/guard acquisition for the whole batch instead of one
-    // per preference.
-    if let Some(bulk) = as_bulk_insert(requests) {
-        let (user, items) = bulk;
-        match service.insert_preferences_eq_bulk(user, &items) {
-            Ok(applied) => {
-                responses.resize(applied, Response::Ok);
-            }
-            Err(bulk_err) => {
-                responses.resize(bulk_err.applied, Response::Ok);
-                responses.push(err_of(&bulk_err.error));
-            }
-        }
-        return Response::Batch { responses };
-    }
-    for sub in requests {
-        if matches!(sub, Request::Batch { .. }) {
-            responses.push(Response::Err {
-                kind: "proto".to_string(),
-                message: "batches do not nest".to_string(),
-            });
-            break;
-        }
-        let resp = dispatch_inner(service, cfg, sub, budget_ms, tier);
-        let failed = matches!(
-            resp,
-            Response::Err { .. } | Response::NotPrimary | Response::Migrating { .. }
-        );
-        responses.push(resp);
-        if failed {
-            break;
-        }
-    }
-    Response::Batch { responses }
-}
-
-/// If every item inserts a preference for one user, extract the bulk
-/// shape the service's batched verb takes.
-#[allow(clippy::type_complexity)]
-fn as_bulk_insert(requests: &[Request]) -> Option<(&str, Vec<(&str, &str, &str, f64)>)> {
-    if requests.is_empty() {
-        return None;
-    }
-    let mut items = Vec::with_capacity(requests.len());
-    let mut batch_user: Option<&str> = None;
-    for sub in requests {
-        let Request::InsertPref {
-            user,
-            descriptor,
-            attr,
-            value,
-            score,
-        } = sub
-        else {
-            return None;
-        };
-        match batch_user {
-            None => batch_user = Some(user),
-            Some(u) if u == user => {}
-            Some(_) => return None,
-        }
-        items.push((descriptor.as_str(), attr.as_str(), value.as_str(), *score));
-    }
-    batch_user.map(|u| (u, items))
-}
-
-/// Execute one migration step. Every step is idempotent (guarded by
-/// the migration epoch and, for catch-up pages, the import watermark),
-/// so a driver may blindly retry any of them over a fresh connection.
-fn dispatch_migrate(
-    service: &CtxPrefService,
-    user: &str,
-    epoch: u64,
-    action: &MigrateAction,
-) -> Response {
-    match action {
-        MigrateAction::Export => match service.migrate_export(user) {
-            Ok(cut) => Response::UserCut {
-                present: cut.present,
-                shard: cut.shard,
-                last_lsn: cut.last_lsn,
-                digest: cut.digest,
-            },
-            Err(e) => err_of(&e),
-        },
-        MigrateAction::Snapshot => match service.migrate_snapshot(user) {
-            Ok((src_lsn, ops)) => Response::Snapshot { src_lsn, ops },
-            Err(e) => err_of(&e),
-        },
-        MigrateAction::Pull { from_lsn, max } => {
-            match service.migrate_pull(user, *from_lsn, *max as usize) {
-                Ok(Some(page)) => Response::Records {
-                    through: page.through,
-                    records: page.records,
-                },
-                Ok(None) => Response::Gone,
-                Err(e) => err_of(&e),
-            }
-        }
-        MigrateAction::Fence => match service.migrate_fence(user, epoch) {
-            Ok(()) => Response::Ok,
-            Err(e) => err_of(&e),
-        },
-        MigrateAction::Import { src_lsn, ops } => {
-            match service.migrate_import(user, epoch, *src_lsn, ops) {
-                Ok(()) => Response::Ok,
-                Err(e) => err_of(&e),
-            }
-        }
-        MigrateAction::Apply { through, records } => {
-            match service.migrate_apply(user, epoch, *through, records) {
-                Ok(watermark) => Response::Applied { watermark },
-                Err(e) => err_of(&e),
-            }
-        }
-        MigrateAction::Activate => match service.migrate_activate(user, epoch) {
-            Ok(()) => Response::Ok,
-            Err(e) => err_of(&e),
-        },
-        MigrateAction::Finish => match service.migrate_finish(user, epoch) {
-            Ok(()) => Response::Ok,
-            Err(e) => err_of(&e),
-        },
-        MigrateAction::Abort => match service.migrate_abort(user, epoch) {
-            Ok(()) => Response::Ok,
-            Err(e) => err_of(&e),
-        },
-    }
-}
-
-fn render_rows(
-    service: &CtxPrefService,
-    answer: &ctxpref_core::QueryAnswer,
-    attr: &str,
-    k: usize,
-) -> Result<Vec<AnswerRow>, CoreError> {
-    service.with_db(|db| {
-        let a = db.relation().schema().require_attr(attr)?;
-        Ok(answer
-            .results
-            .top_k_with_ties(k)
-            .iter()
-            .map(|e| AnswerRow {
-                name: db.relation().tuple(e.tuple_index).value(a).to_string(),
-                score: e.score,
-            })
-            .collect())
-    })
-}
-
-/// Map a [`ServiceError`] to its wire form. Routing-relevant failures
-/// get dedicated response variants (`not-primary`, `migrating`) so a
-/// router can react without parsing messages; everything else is a
-/// stable kind token plus the rendered message.
-fn err_of(e: &ServiceError) -> Response {
-    let kind = match e {
-        // A shed is a typed busy frame carrying the service's live
-        // retry hint, so clients back off cooperatively instead of
-        // hammering (and retry at all — `Err` is never retried).
-        ServiceError::Overloaded { limit, retry_after } => {
-            return Response::Busy {
-                limit: *limit,
-                retry_after_ms: (retry_after.as_millis() as u64).max(1),
-            }
-        }
-        ServiceError::DeadlineExceeded { .. } => "deadline",
-        ServiceError::Cancelled => "cancelled",
-        ServiceError::QueryPanicked { .. } => "panic",
-        ServiceError::Core(_) => "core",
-        ServiceError::Storage(_) => "storage",
-        ServiceError::Wal(_) => "wal",
-        ServiceError::NotDurable => "not-durable",
-        ServiceError::NotReplicated => "not-replicated",
-        ServiceError::Replication(
-            ReplicationError::NoPrimary
-            | ReplicationError::NotPrimary { .. }
-            | ReplicationError::Fenced { .. },
-        ) => return Response::NotPrimary,
-        ServiceError::Replication(_) => "replication",
-        ServiceError::ShuttingDown => "shutting-down",
-        ServiceError::Migrating { user } => return Response::Migrating { user: user.clone() },
-        ServiceError::StaleMigration { .. } => "stale-migration",
-    };
-    Response::Err {
-        kind: kind.to_string(),
-        message: e.to_string(),
     }
 }

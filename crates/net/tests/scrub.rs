@@ -10,7 +10,7 @@ use std::time::Duration;
 
 use ctxpref_core::MultiUserDb;
 use ctxpref_net::{NetClient, NetClientConfig, NetError, NetServer, NetServerConfig, Response};
-use ctxpref_service::{CtxPrefService, DurabilityConfig, ServiceConfig, SyncPolicy};
+use ctxpref_service::{CtxPrefService, DurabilityConfig, ScrubStatus, ServiceConfig, SyncPolicy};
 use ctxpref_workload::reference::{poi_env, poi_relation};
 
 /// A fresh directory under the system temp dir; removed on drop.
@@ -143,7 +143,7 @@ fn remote_scrub_quarantines_heals_and_counts() {
     assert!(
         matches!(
             status,
-            Response::ScrubInfo {
+            ScrubStatus {
                 passes: 2,
                 quarantined: 1,
                 heals: 1,
@@ -174,7 +174,7 @@ fn non_durable_service_refuses_scrub_verbs_typed() {
         .expect("bind loopback");
     let mut client =
         NetClient::connect(server.local_addr().to_string(), NetClientConfig::default());
-    for result in [client.scrub(), client.scrub_status()] {
+    for result in [client.scrub().map(drop), client.scrub_status().map(drop)] {
         match result {
             Err(NetError::Remote { kind, .. }) => assert_eq!(kind, "not-durable"),
             other => panic!("expected a typed not-durable refusal, got {other:?}"),

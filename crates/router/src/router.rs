@@ -374,16 +374,6 @@ impl Router {
         )
     }
 
-    /// Remove `user` from their owning cluster.
-    pub fn remove_user(&mut self, user: &str) -> Result<(), RouterError> {
-        self.call(
-            user,
-            &Request::RemoveUser {
-                user: user.to_string(),
-            },
-        )
-    }
-
     /// Insert an equality preference on `user`'s owning cluster.
     pub fn insert_preference(
         &mut self,
@@ -403,93 +393,6 @@ impl Router {
                 score,
             },
         )
-    }
-
-    /// Bulk-insert equality preferences for `user` —
-    /// `(descriptor, attr, value, score)` per item — as **one**
-    /// [`Request::Batch`] frame to the owning cluster, saving a wire
-    /// round-trip per item. Returns how many applied.
-    ///
-    /// The server stops the batch at its first failing item, so the
-    /// transient refusals need position-aware handling: a refusal
-    /// *before any item applied* is wholly pre-apply and retries with
-    /// the usual bounded backoff (re-resolving the owner each time); a
-    /// refusal *after* a prefix applied must not replay the batch —
-    /// the applied prefix would double-insert — and surfaces as a
-    /// typed `partial-batch` error carrying the applied count.
-    pub fn insert_preferences(
-        &mut self,
-        user: &str,
-        items: &[(&str, &str, &str, f64)],
-    ) -> Result<usize, RouterError> {
-        if items.is_empty() {
-            return Ok(0);
-        }
-        let req = Request::Batch {
-            requests: items
-                .iter()
-                .map(|(descriptor, attr, value, score)| Request::InsertPref {
-                    user: user.to_string(),
-                    descriptor: descriptor.to_string(),
-                    attr: attr.to_string(),
-                    value: value.to_string(),
-                    score: *score,
-                })
-                .collect(),
-        };
-        let retries = self.shared.cfg.transient_retries;
-        let backoff = self.shared.cfg.transient_backoff;
-        let mut attempt = 0u32;
-        loop {
-            let cluster = self.cluster_of(user);
-            let responses = match self.call_cluster(cluster, &req)? {
-                // Whole-batch pre-apply refusals, same as `forward`.
-                Response::Migrating { .. } | Response::NotPrimary => Vec::new(),
-                resp => resp.try_into()?,
-            };
-            let applied = responses
-                .iter()
-                .take_while(|r| matches!(r, Response::Ok))
-                .count();
-            if applied == items.len() {
-                return Ok(applied);
-            }
-            match responses.get(applied) {
-                None | Some(Response::Migrating { .. }) | Some(Response::NotPrimary)
-                    if applied == 0 =>
-                {
-                    attempt += 1;
-                    if attempt > retries {
-                        return Err(RouterError::UserMigrating {
-                            user: user.to_string(),
-                            retries: attempt - 1,
-                        });
-                    }
-                    std::thread::sleep(backoff * attempt.min(8));
-                }
-                Some(Response::Migrating { .. }) | Some(Response::NotPrimary) => {
-                    return Err(RouterError::Remote {
-                        kind: "partial-batch".to_string(),
-                        message: format!(
-                            "{applied} of {} items applied before a transient refusal; \
-                             re-read the profile before re-issuing the remainder",
-                            items.len()
-                        ),
-                    })
-                }
-                Some(Response::Err { kind, message }) => {
-                    return Err(RouterError::Remote {
-                        kind: kind.clone(),
-                        message: format!("after {applied} item(s) applied: {message}"),
-                    })
-                }
-                other => {
-                    return Err(RouterError::Net(NetError::UnexpectedResponse {
-                        got: format!("{other:?}"),
-                    }))
-                }
-            }
-        }
     }
 
     /// Remove `user`'s preference at `index`, returning its score.
@@ -584,14 +487,6 @@ impl Router {
         let req = Request::ranked(true, user, attr, k, deadline, state);
         Ok(self
             .forward_enveloped(user, &req, Some(deadline), tier)?
-            .try_into()?)
-    }
-
-    /// Materialized-view status report from `cluster`: aggregate
-    /// view-serving counters plus per-user pinned states.
-    pub fn views_status(&mut self, cluster: usize) -> Result<String, RouterError> {
-        Ok(self
-            .call_cluster(cluster, &Request::ViewsStatus)?
             .try_into()?)
     }
 

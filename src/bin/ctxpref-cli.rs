@@ -24,7 +24,10 @@ use std::time::Duration;
 
 use ctxpref::context::{ContextState, DistanceKind};
 use ctxpref::core::{MultiUserDb, QueryAnswer, QueryOptions, ShardedMultiUserDb};
-use ctxpref::net::{NetClient, NetClientConfig, NetServer, NetServerConfig, RemoteAnswer};
+use ctxpref::net::{
+    serve_request, NetClient, NetClientConfig, NetError, NetServer, NetServerConfig, RemoteAnswer,
+    Request, Response,
+};
 use ctxpref::prelude::*;
 use ctxpref::router::{Router, RouterConfig};
 use ctxpref::service::{
@@ -97,20 +100,16 @@ impl Repl {
             None => (line, ""),
         };
         match cmd {
-            "help" => Ok(Some(HELP.to_string())),
+            "help" => Ok(Some(help())),
             "quit" | "exit" => Err("__quit__".to_string()),
             "load" => self.cmd_load(rest),
             "save" => self.cmd_save(rest),
             "open" => self.cmd_open(rest),
             "durable" => self.cmd_durable(rest),
             "recover" => self.cmd_recover(rest),
-            "checkpoint" => self.cmd_checkpoint(),
-            "wal-status" => self.cmd_wal_status(),
             "scrub" => self.cmd_scrub(),
-            "scrub-status" => self.cmd_scrub_status(),
             "replicate" => self.cmd_replicate(rest),
             "promote" => self.cmd_promote(rest),
-            "repl-status" => self.cmd_repl_status(),
             "serve" => self.cmd_serve(rest),
             "remote" => self.cmd_remote(rest),
             "route" => self.cmd_route(rest),
@@ -120,16 +119,11 @@ impl Repl {
             "context" => self.cmd_context(rest),
             "query" => self.cmd_query(rest),
             "topk" => self.cmd_topk(rest),
-            "views-status" => self.cmd_views_status(),
             "explain" => self.cmd_explain(rest),
-            "pref" => self.cmd_pref(rest),
             "prefs" => self.cmd_prefs(),
-            "del" => self.cmd_del(rest),
-            "score" => self.cmd_score(rest),
             "tree" => self.cmd_tree(),
             "orders" => self.cmd_orders(),
             "distance" => self.cmd_distance(rest),
-            "stats" => self.cmd_stats(),
             "deadline" => {
                 let ms: u64 = rest
                     .parse()
@@ -144,7 +138,13 @@ impl Repl {
                 self.top_k = rest.parse().map_err(|_| format!("bad k: {rest:?}"))?;
                 Ok(Some(format!("showing top {}", self.top_k)))
             }
-            other => Err(format!("unknown command {other:?} — try `help`")),
+            other => match shared_verb(other) {
+                Some(verb) => {
+                    let req = verb.request(rest)?;
+                    render(&req, serve_request(self.service()?, &req)).map(Some)
+                }
+                None => Err(format!("unknown command {other:?} — try `help`")),
+            },
         }
     }
 
@@ -297,14 +297,6 @@ impl Repl {
         Ok(Some(format!("node {id} promoted at epoch {epoch}")))
     }
 
-    fn cmd_repl_status(&self) -> Result<Option<String>, String> {
-        let status = self
-            .service()?
-            .replication_status()
-            .map_err(|e| e.to_string())?;
-        Ok(Some(status.to_string()))
-    }
-
     /// Serve the loaded database over TCP: `serve <addr>` binds a
     /// framed-protocol listener in front of the service (the REPL
     /// keeps working alongside it), `serve` shows what is being
@@ -352,150 +344,48 @@ impl Repl {
 
     /// Drive a remote server: `remote <addr> <cmd…>` dials the framed
     /// protocol, runs one command against the remote profile, and
-    /// prints the response.
+    /// prints the response. The shared verbs are the local ones, sent
+    /// over the wire; the ranked reads take their state or descriptor
+    /// as arguments and print what the wire carries.
     fn cmd_remote(&mut self, rest: &str) -> Result<Option<String>, String> {
         let (addr, cmd) = rest
             .split_once(char::is_whitespace)
             .map(|(a, c)| (a, c.trim()))
-            .ok_or("usage: remote <addr> <ping|query|topk|views-status|pref|bulk-pref|del|score|checkpoint|flush|wal-status|repl-status|stats>")?;
+            .ok_or_else(|| format!("usage: remote <addr> <cmd> — {}", remote_verbs()))?;
         let mut client = NetClient::connect(addr, NetClientConfig::default());
-        let run = |e: ctxpref::net::NetError| e.to_string();
         let (verb, args) = match cmd.split_once(char::is_whitespace) {
             Some((v, a)) => (v, a.trim()),
             None => (cmd, ""),
         };
-        match verb {
-            "ping" => {
-                client.ping().map_err(run)?;
-                Ok(Some(format!("{addr} is alive")))
-            }
+        let answer = match verb {
             "query" if !args.is_empty() => {
                 let names: Vec<&str> = args.split_whitespace().collect();
-                let answer = client
-                    .query(USER, "name", self.top_k, self.deadline, &names)
-                    .map_err(run)?;
-                Ok(Some(render_remote_answer(&answer)))
+                client.query(USER, "name", self.top_k, self.deadline, &names)
             }
             "topk" => {
+                const USAGE: &str = "usage: remote <addr> topk <user> <k> <state…>";
                 let mut parts = args.split_whitespace();
-                let user = parts
-                    .next()
-                    .ok_or("usage: remote <addr> topk <user> <k> <state…>")?;
-                let k: usize = parts
-                    .next()
-                    .ok_or("usage: remote <addr> topk <user> <k> <state…>")?
-                    .parse()
-                    .map_err(|_| "bad k")?;
+                let user = parts.next().ok_or(USAGE)?;
+                let k: usize = parts.next().ok_or(USAGE)?.parse().map_err(|_| "bad k")?;
                 let names: Vec<&str> = parts.collect();
                 if names.is_empty() {
-                    return Err("usage: remote <addr> topk <user> <k> <state…>".to_string());
+                    return Err(USAGE.to_string());
                 }
-                let answer = client
-                    .query_topk(user, "name", k, self.deadline, &names)
-                    .map_err(run)?;
-                Ok(Some(render_remote_answer(&answer)))
+                client.query_topk(user, "name", k, self.deadline, &names)
             }
-            "views-status" => Ok(Some(client.views_status().map_err(run)?)),
             "query-desc" if !args.is_empty() => {
-                let answer = client
-                    .query_descriptor(USER, "name", self.top_k, args)
-                    .map_err(run)?;
-                Ok(Some(render_remote_answer(&answer)))
+                client.query_descriptor(USER, "name", self.top_k, args)
             }
-            "pref" => {
-                let (cod, attr, value, score) = parse_pref(args, PREF_SYNTAX, PREF_SYNTAX)?;
-                client
-                    .insert_preference(USER, cod, attr, value, score)
-                    .map_err(run)?;
-                Ok(Some("preference stored remotely".to_string()))
+            other => {
+                let verb = shared_verb(other).ok_or_else(|| {
+                    format!("unknown remote command {other:?} — {}", remote_verbs())
+                })?;
+                let req = verb.request(args)?;
+                let resp = client.request(&req).map_err(refusal)?;
+                return render(&req, resp).map(Some);
             }
-            "del" => {
-                let index: usize = args.trim().parse().map_err(|_| "usage: del <index>")?;
-                let score = client.remove_preference(USER, index).map_err(run)?;
-                Ok(Some(format!(
-                    "removed remote preference scoring {score:.2}"
-                )))
-            }
-            "score" => {
-                let (idx, score) = args
-                    .split_once(char::is_whitespace)
-                    .ok_or("usage: score <index> <score>")?;
-                let index: usize = idx.trim().parse().map_err(|_| "bad index")?;
-                let score: f64 = score.trim().parse().map_err(|_| "bad score")?;
-                client.update_score(USER, index, score).map_err(run)?;
-                Ok(Some("remote score updated".to_string()))
-            }
-            "bulk-pref" => {
-                // Several prefs in one wire frame, `;`-separated:
-                // bulk-pref <desc> :: <attr> = <value> @ <score> ; …
-                let items = args
-                    .split(';')
-                    .map(str::trim)
-                    .filter(|part| !part.is_empty())
-                    .map(|part| {
-                        parse_pref(
-                            part,
-                            "syntax: bulk-pref <descriptor> :: <attr> = <value> @ <score> [; …]",
-                            "each item needs `… @ <score>`",
-                        )
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                if items.is_empty() {
-                    return Err("bulk-pref needs at least one item".to_string());
-                }
-                let applied = client.insert_preferences(USER, &items).map_err(run)?;
-                Ok(Some(format!(
-                    "{applied} preference(s) stored remotely in one batch"
-                )))
-            }
-            "checkpoint" => Ok(Some(client.checkpoint().map_err(run)?)),
-            "flush" => Ok(Some(client.flush_wal().map_err(run)?)),
-            "scrub" => match client.scrub().map_err(run)? {
-                ctxpref::net::Response::ScrubReport {
-                    segments_verified,
-                    checkpoints_verified,
-                    read_errors,
-                    quarantined,
-                    healed,
-                } => Ok(Some(format!(
-                    "scrub: {segments_verified} sealed segment(s) + {checkpoints_verified} \
-                     checkpoint(s) verified, {read_errors} transient read error(s), \
-                     {quarantined} file(s) quarantined{}",
-                    if quarantined == 0 {
-                        ""
-                    } else if healed {
-                        " (healed)"
-                    } else {
-                        " (HEAL FAILED — will retry)"
-                    }
-                ))),
-                other => Err(format!("unexpected scrub response {other:?}")),
-            },
-            "scrub-status" => match client.scrub_status().map_err(run)? {
-                ctxpref::net::Response::ScrubInfo {
-                    passes,
-                    quarantined,
-                    read_errors,
-                    heals,
-                    rescued_shards,
-                    disk_full_sheds,
-                    rotate_failures,
-                } => Ok(Some(format!(
-                    "scrub passes {passes}, quarantined {quarantined}, transient read errors \
-                     {read_errors}, heals {heals}\nrescued shards {rescued_shards}, disk-full \
-                     sheds {disk_full_sheds}, rotate failures {rotate_failures}"
-                ))),
-                other => Err(format!("unexpected scrub-status response {other:?}")),
-            },
-            "wal-status" => Ok(Some(client.wal_status().map_err(run)?)),
-            "repl-status" => Ok(Some(client.repl_status().map_err(run)?)),
-            "stats" => Ok(Some(client.stats().map_err(run)?)),
-            other => Err(format!(
-                "unknown remote command {other:?} — ping, query <values>, topk <user> <k> \
-                 <values>, views-status, query-desc <descriptor>, pref, bulk-pref, del, score, \
-                 checkpoint, flush, scrub, scrub-status, wal-status, repl-status, stats"
-            )),
-        }
+        };
+        Ok(Some(render_remote_answer(&answer.map_err(refusal)?)))
     }
 
     /// Connect (or inspect) the routing tier: `route <cluster…>` builds
@@ -624,36 +514,12 @@ impl Repl {
         )))
     }
 
-    fn cmd_checkpoint(&self) -> Result<Option<String>, String> {
-        let report = self.service()?.checkpoint().map_err(|e| e.to_string())?;
-        Ok(Some(format!(
-            "checkpoint generation {} written ({} user(s)); older generations collected",
-            report.generation, report.users
-        )))
-    }
-
-    fn cmd_wal_status(&self) -> Result<Option<String>, String> {
-        let status = self.service()?.wal_status().map_err(|e| e.to_string())?;
-        Ok(Some(status.to_string()))
-    }
-
+    /// `scrub` on the loaded database: the shared summary line, then
+    /// one line per quarantined file — only this side has their paths
+    /// and reasons, so it does not go through the verb table.
     fn cmd_scrub(&self) -> Result<Option<String>, String> {
         let report = self.service()?.scrub().map_err(|e| e.to_string())?;
-        let mut out = format!(
-            "scrub: {} sealed segment(s) + {} checkpoint(s) verified, \
-             {} transient read error(s), {} file(s) quarantined{}",
-            report.segments_verified,
-            report.checkpoints_verified,
-            report.read_errors,
-            report.quarantined.len(),
-            if report.quarantined.is_empty() {
-                ""
-            } else if report.healed {
-                " (healed with a fresh checkpoint)"
-            } else {
-                " (HEAL FAILED — will retry; recovery honours quarantine)"
-            }
-        );
+        let mut out = String::new();
         for q in &report.quarantined {
             out.push_str(&format!(
                 "\nquarantined {} → {}: {}",
@@ -662,22 +528,7 @@ impl Repl {
                 q.reason
             ));
         }
-        Ok(Some(out))
-    }
-
-    fn cmd_scrub_status(&self) -> Result<Option<String>, String> {
-        let s = self.service()?.scrub_status().map_err(|e| e.to_string())?;
-        Ok(Some(format!(
-            "scrub passes {}, quarantined {}, transient read errors {}, heals {}\n\
-             rescued shards {}, disk-full sheds {}, rotate failures {}",
-            s.passes,
-            s.quarantined,
-            s.read_errors,
-            s.heals,
-            s.rescued_shards,
-            s.disk_full_sheds,
-            s.rotate_failures
-        )))
+        Ok(Some(render(&Request::Scrub, report.into())? + &out))
     }
 
     fn cmd_env(&self) -> Result<Option<String>, String> {
@@ -790,12 +641,6 @@ impl Repl {
         })
     }
 
-    /// Materialized-view catalog status: aggregate serving counters
-    /// plus the pinned states per user.
-    fn cmd_views_status(&self) -> Result<Option<String>, String> {
-        Ok(Some(self.service()?.views_status()))
-    }
-
     fn cmd_explain(&mut self, rest: &str) -> Result<Option<String>, String> {
         let current = self.current.clone();
         let service = self.service()?;
@@ -828,14 +673,6 @@ impl Repl {
         })
     }
 
-    fn cmd_pref(&mut self, rest: &str) -> Result<Option<String>, String> {
-        let (cod, attr, value, score) = parse_pref(rest, PREF_SYNTAX, PREF_SYNTAX)?;
-        self.service()?
-            .insert_preference_eq(USER, cod, attr, value.into(), score)
-            .map_err(|e| e.to_string())?;
-        Ok(Some("preference stored".to_string()))
-    }
-
     fn cmd_prefs(&self) -> Result<Option<String>, String> {
         self.service()?.with_db(|db| {
             let profile = db.profile(USER).map_err(|e| e.to_string())?;
@@ -853,30 +690,6 @@ impl Repl {
             }
             Ok(Some(out))
         })
-    }
-
-    fn cmd_del(&mut self, rest: &str) -> Result<Option<String>, String> {
-        let index: usize = rest.trim().parse().map_err(|_| "usage: del <index>")?;
-        let removed = self
-            .service()?
-            .remove_preference(USER, index)
-            .map_err(|e| e.to_string())?;
-        Ok(Some(format!(
-            "removed preference scoring {:.2}",
-            removed.score()
-        )))
-    }
-
-    fn cmd_score(&mut self, rest: &str) -> Result<Option<String>, String> {
-        let (idx, score) = rest
-            .split_once(char::is_whitespace)
-            .ok_or("usage: score <index> <score>")?;
-        let index: usize = idx.trim().parse().map_err(|_| "bad index")?;
-        let score: f64 = score.trim().parse().map_err(|_| "bad score")?;
-        self.service()?
-            .update_preference_score(USER, index, score)
-            .map_err(|e| e.to_string())?;
-        Ok(Some("score updated".to_string()))
     }
 
     fn cmd_tree(&self) -> Result<Option<String>, String> {
@@ -931,10 +744,6 @@ impl Repl {
         }
         Ok(Some(format!("distance set to {}", self.options.distance)))
     }
-
-    fn cmd_stats(&self) -> Result<Option<String>, String> {
-        Ok(Some(self.service()?.stats().to_string()))
-    }
 }
 
 fn render_answer(
@@ -951,23 +760,183 @@ fn render_answer(
     Ok(out)
 }
 
-const PREF_SYNTAX: &str = "syntax: pref <descriptor> :: <attr> = <value> @ <score>";
+/// A verb that means the same thing against the loaded database and
+/// over `remote <addr>`: its usage (the name is the first word), its
+/// `help` text, and how its arguments parse into the one [`Request`]
+/// that [`serve_request`] serves locally, [`NetClient::request`]
+/// remotely, and [`render`] prints either way.
+struct Verb(
+    &'static str,
+    &'static str,
+    fn(&str) -> Result<Request, String>,
+);
 
-/// Parse one preference clause, `<descriptor> :: <attr> = <value> @
-/// <score>`, into its trimmed parts. `no_clause` and `no_score` are the
-/// errors for a missing `::` and a missing `@`.
-fn parse_pref<'a>(
-    text: &'a str,
-    no_clause: &str,
-    no_score: &str,
-) -> Result<(&'a str, &'a str, &'a str, f64), String> {
-    let (cod, clause) = text.split_once("::").ok_or(no_clause)?;
-    let (assign, score) = clause.rsplit_once('@').ok_or(no_score)?;
+impl Verb {
+    fn name(&self) -> &'static str {
+        self.0.split_once(' ').map_or(self.0, |(name, _)| name)
+    }
+
+    /// This verb's request, or why `args` does not parse.
+    fn request(&self, args: &str) -> Result<Request, String> {
+        (self.2)(args).map_err(|why| format!("{why} — usage: {}", self.0))
+    }
+}
+
+/// The shared verbs. Local `scrub` also lists the quarantined files,
+/// which only the local side has, so `Repl::handle` serves it first.
+#[rustfmt::skip]
+const VERBS: &[Verb] = &[
+    Verb("ping", "liveness probe", |_| Ok(Request::Ping)),
+    Verb("pref <cod> :: <attr> = <value> @ <score>", "add a contextual preference", parse_pref),
+    Verb("bulk-pref <cod> :: … @ <score> [; …]", "add several preferences in one batch", parse_bulk),
+    Verb("del <index>", "remove a preference", parse_del),
+    Verb("score <index> <score>", "update a preference's interest score", parse_score),
+    Verb("checkpoint", "snapshot now and shrink the log's replay window", |_| Ok(Request::Checkpoint)),
+    Verb("flush", "write the log's pending records out now", |_| Ok(Request::FlushWal)),
+    Verb("wal-status", "per-shard log positions and durability counters", |_| Ok(Request::WalStatus)),
+    Verb("repl-status", "roles, epochs, lag, and promotion history", |_| Ok(Request::ReplStatus)),
+    Verb("scrub", "verify the log at rest, quarantine + heal damage", |_| Ok(Request::Scrub)),
+    Verb("scrub-status", "self-healing counters (passes, quarantines, heals)", |_| Ok(Request::ScrubStatus)),
+    Verb("views-status", "materialized-view counters and pinned states", |_| Ok(Request::ViewsStatus)),
+    Verb("stats", "serving-layer counters (ladder, panics, deadlines)", |_| Ok(Request::Stats)),
+];
+
+/// The ranked reads `remote` takes besides the shared verbs: the wire
+/// carries rows and provenance, not the local resolution trace, so
+/// they are not the local `query`/`topk`.
+const REMOTE_READS: &[&str] = &[
+    "query <values>",
+    "topk <user> <k> <values>",
+    "query-desc <descriptor>",
+];
+
+fn shared_verb(name: &str) -> Option<&'static Verb> {
+    VERBS.iter().find(|verb| verb.name() == name)
+}
+
+/// Every command `remote` accepts, for its usage and unknown-command
+/// errors and for `help`.
+fn remote_verbs() -> String {
+    let names: Vec<&str> = VERBS.iter().map(Verb::name).collect();
+    format!("{}, {}", names.join(", "), REMOTE_READS.join(", "))
+}
+
+/// `<cod> :: <attr> = <value> @ <score>` as an insert for the shell's
+/// user.
+fn parse_pref(text: &str) -> Result<Request, String> {
+    let (cod, clause) = text
+        .split_once("::")
+        .ok_or("expected `<cod> :: <clause>`")?;
+    let (assign, score) = clause.rsplit_once('@').ok_or("expected `… @ <score>`")?;
     let (attr, value) = assign
         .split_once('=')
         .ok_or("expected `<attr> = <value>`")?;
-    let score: f64 = score.trim().parse().map_err(|_| "bad score")?;
-    Ok((cod.trim(), attr.trim(), value.trim(), score))
+    Ok(Request::InsertPref {
+        user: USER.to_string(),
+        descriptor: cod.trim().to_string(),
+        attr: attr.trim().to_string(),
+        value: value.trim().to_string(),
+        score: parse_num(score)?,
+    })
+}
+
+/// `;`-separated preferences, shipped as one batch.
+fn parse_bulk(text: &str) -> Result<Request, String> {
+    let requests = text
+        .split(';')
+        .map(str::trim)
+        .filter(|item| !item.is_empty())
+        .map(parse_pref)
+        .collect::<Result<Vec<_>, _>>()?;
+    if requests.is_empty() {
+        return Err("no items".to_string());
+    }
+    Ok(Request::Batch { requests })
+}
+
+fn parse_del(text: &str) -> Result<Request, String> {
+    Ok(Request::RemovePref {
+        user: USER.to_string(),
+        index: parse_num(text)?,
+    })
+}
+
+fn parse_score(text: &str) -> Result<Request, String> {
+    let (index, score) = text
+        .split_once(char::is_whitespace)
+        .ok_or("expected two numbers")?;
+    Ok(Request::UpdateScore {
+        user: USER.to_string(),
+        index: parse_num(index)?,
+        score: parse_num(score)?,
+    })
+}
+
+fn parse_num<T: std::str::FromStr>(text: &str) -> Result<T, String> {
+    let text = text.trim();
+    text.parse().map_err(|_| format!("bad number {text:?}"))
+}
+
+/// A shared verb's reply, printed the same whichever side served it.
+/// A refusal prints its message, whether it came back as a
+/// `Response::Err` or as the client's `NetError::Remote`.
+fn render(req: &Request, resp: Response) -> Result<String, String> {
+    Ok(match resp {
+        Response::Pong => "pong".to_string(),
+        Response::Ok if matches!(req, Request::UpdateScore { .. }) => "score updated".to_string(),
+        Response::Ok => "preference stored".to_string(),
+        Response::Removed { score } => format!("removed preference scoring {score:.2}"),
+        Response::Batch { responses } => {
+            let stored = responses.len();
+            for item in responses {
+                <()>::try_from(item).map_err(refusal)?;
+            }
+            format!("{stored} preference(s) stored in one batch")
+        }
+        Response::ScrubReport {
+            segments_verified,
+            checkpoints_verified,
+            read_errors,
+            quarantined,
+            healed,
+        } => format!(
+            "scrub: {segments_verified} sealed segment(s) + {checkpoints_verified} \
+             checkpoint(s) verified, {read_errors} transient read error(s), \
+             {quarantined} file(s) quarantined{}",
+            if quarantined == 0 {
+                ""
+            } else if healed {
+                " (healed with a fresh checkpoint)"
+            } else {
+                " (HEAL FAILED — will retry; recovery honours quarantine)"
+            }
+        ),
+        Response::ScrubInfo {
+            passes,
+            quarantined,
+            read_errors,
+            heals,
+            rescued_shards,
+            disk_full_sheds,
+            rotate_failures,
+        } => format!(
+            "scrub passes {passes}, quarantined {quarantined}, transient read errors \
+             {read_errors}, heals {heals}\nrescued shards {rescued_shards}, disk-full \
+             sheds {disk_full_sheds}, rotate failures {rotate_failures}"
+        ),
+        // A status body; anything else is refused the way a client
+        // reads it.
+        other => String::try_from(other).map_err(refusal)?,
+    })
+}
+
+/// A failed remote call as the shell prints it: a typed refusal by its
+/// message alone, as the local side prints it.
+fn refusal(e: NetError) -> String {
+    match e {
+        NetError::Remote { message, .. } => message,
+        other => other.to_string(),
+    }
 }
 
 fn render_remote_answer(answer: &RemoteAnswer) -> String {
@@ -1050,6 +1019,28 @@ fn open_any(path: &str) -> Result<MultiUserDb, String> {
     }
 }
 
+/// `help`: the local commands, then the verb table (every line of it
+/// also runs over `remote`), then what `remote` accepts.
+fn help() -> String {
+    let mut out = HELP.to_string();
+    out.push_str("\nalso over `remote <addr>`, printing the same:");
+    for Verb(usage, help, _) in VERBS {
+        out.push_str(&format!("\n  {usage:<24}  {help}"));
+    }
+    // The remote line names every command it takes, wrapped at whole
+    // items.
+    let mut line = format!("  {:<25} drive a served database:", "remote <addr> <cmd>");
+    for item in remote_verbs().split(", ") {
+        if line.chars().count() + item.len() > 76 {
+            out.push_str(&format!("\n{line}"));
+            line = " ".repeat(27);
+        }
+        line.push_str(&format!(" {item},"));
+    }
+    out.push_str(&format!("\n{}\n  quit", line.trim_end_matches(',')));
+    out
+}
+
 const HELP: &str = "\
 commands:
   load demo                 load the two-city POI demo + a default profile
@@ -1057,17 +1048,9 @@ commands:
   open <path>               load a persisted database
   durable <dir>             log every mutation to a write-ahead log under <dir>
   recover <dir>             recover a durable database (checkpoint + WAL replay)
-  checkpoint                snapshot now and shrink the log's replay window
-  wal-status                per-shard log positions and durability counters
-  scrub                     verify segments + checkpoint at rest, quarantine + heal damage
-  scrub-status              self-healing counters (passes, quarantines, heals, rescues)
   replicate <dir> [n] [async|quorum]   serve as an n-node primary/replica cluster
   promote <node>            manually promote a node to primary
-  repl-status               roles, epochs, lag, and promotion history
   serve <addr>|stop         serve the database over TCP (framed protocol)
-  remote <addr> <cmd>       drive a remote server (ping, query <values>,
-                            query-desc, pref, bulk-pref, del, score,
-                            checkpoint, flush, wal-status, repl-status, stats)
   route [<addrs…>|off]      connect a routing tier (one arg per cluster,
                             comma-separated endpoints) or show the table
   route-status [cluster]    probe routed clusters: primary, users, breaker
@@ -1076,19 +1059,13 @@ commands:
   context [v1 v2 v3]        set / show the current context state
   query [descriptor]        query the current or a hypothetical context
   topk <user> <k> [state…]  top-k pushdown (materialized view when fresh)
-  views-status              materialized-view counters and pinned states
   explain [descriptor]      trace which stored preferences answered the query
-  pref <cod> :: <attr> = <value> @ <score>   add a contextual preference
   prefs                     list the profile
-  del <index>               remove a preference
-  score <index> <score>     update a preference's interest score
   tree                      profile tree and cache statistics
   orders                    tree size under every parameter ordering
   distance hierarchy|jaccard  pick the state distance
   deadline <ms>             per-query deadline for served queries
-  stats                     serving-layer counters (ladder, panics, deadlines)
-  top <k>                   number of results to display
-  quit";
+  top <k>                   number of results to display";
 
 fn main() {
     std::process::exit(run());

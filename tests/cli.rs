@@ -198,3 +198,125 @@ fn explain_traces_resolution() {
     assert!(stdout.contains("cells accessed"));
     assert!(stdout.contains("(Perama, freezing, all)"), "{stdout}");
 }
+
+/// The set of words in `text`, splitting on anything that cannot be
+/// part of a command name.
+fn words(text: &str) -> std::collections::HashSet<&str> {
+    text.split(|c: char| !(c.is_alphanumeric() || c == '-'))
+        .collect()
+}
+
+#[test]
+fn help_names_every_verb_remote_accepts() {
+    const REMOTE: [&str; 16] = [
+        "ping",
+        "query",
+        "topk",
+        "query-desc",
+        "views-status",
+        "pref",
+        "bulk-pref",
+        "del",
+        "score",
+        "checkpoint",
+        "flush",
+        "wal-status",
+        "repl-status",
+        "scrub",
+        "scrub-status",
+        "stats",
+    ];
+    let (stdout, stderr) = run_script("help\nremote 127.0.0.1:9\nremote 127.0.0.1:9 bogus\nquit\n");
+    // help's `remote` entry: its own line plus the continuation lines
+    // indented under it.
+    let mut lines = stdout
+        .lines()
+        .skip_while(|l| !l.trim_start().starts_with("remote <addr>"));
+    let first = lines.next().expect("help has a remote entry");
+    let help: Vec<&str> = std::iter::once(first)
+        .chain(lines.take_while(|l| l.starts_with("   ")))
+        .collect();
+    let help = help.join(" ");
+    let errors: Vec<&str> = stderr.lines().collect();
+    assert_eq!(
+        errors.len(),
+        2,
+        "usage and unknown-command errors: {stderr}"
+    );
+    for (list, text) in [
+        ("help", help.as_str()),
+        ("remote usage", errors[0]),
+        ("unknown remote command", errors[1]),
+    ] {
+        let named = words(text);
+        for verb in REMOTE {
+            assert!(named.contains(verb), "{list} omits {verb}: {text}");
+        }
+    }
+}
+
+#[test]
+fn local_and_remote_print_the_same() {
+    let port = std::net::TcpListener::bind("127.0.0.1:0")
+        .and_then(|l| l.local_addr())
+        .expect("free port")
+        .port();
+    let addr = format!("127.0.0.1:{port}");
+    // Each pair runs locally, then over the wire against the same
+    // database; the mutations touch distinct preferences given equal
+    // scores, so their replies match too.
+    let pairs = [
+        ("ping", "ping"),
+        (
+            "pref location = Ioannina and temperature = bad :: type = theater @ 0.5",
+            "pref location = Ioannina and temperature = bad :: type = museum @ 0.5",
+        ),
+        (
+            "bulk-pref location = Perama :: type = zoo @ 0.4 ; location = Perama :: type = club @ 0.4",
+            "bulk-pref location = Kastro :: type = zoo @ 0.4 ; location = Kastro :: type = club @ 0.4",
+        ),
+        ("score 58 0.6", "score 59 0.6"),
+        ("del 59", "del 58"),
+        ("views-status", "views-status"),
+        ("stats", "stats"),
+    ];
+    // Typed refusals on a plain (not durable, not replicated) database.
+    let refusals = [
+        "checkpoint",
+        "flush",
+        "wal-status",
+        "repl-status",
+        "scrub-status",
+    ];
+    // `top 10` prints a fixed line: it separates one reply from the next.
+    let mut script = format!("load demo\nserve {addr}\ntop 10\n");
+    for (local, remote) in pairs {
+        script.push_str(&format!(
+            "{local}\ntop 10\nremote {addr} {remote}\ntop 10\n"
+        ));
+    }
+    for verb in refusals {
+        script.push_str(&format!("{verb}\nremote {addr} {verb}\n"));
+    }
+    script.push_str("quit\n");
+    let (stdout, stderr) = run_script(&script);
+
+    let replies: Vec<&str> = stdout.split("showing top 10\n").skip(1).collect();
+    assert_eq!(replies.len(), 2 * pairs.len() + 1, "{stdout}");
+    for (i, (local, _)) in pairs.iter().enumerate() {
+        let (here, there) = (replies[2 * i], replies[2 * i + 1]);
+        assert!(!here.is_empty(), "{local} printed nothing");
+        assert_eq!(here, there, "{local}: local and remote replies differ");
+    }
+    assert!(replies[0].starts_with("pong"), "{stdout}");
+
+    let errors: Vec<&str> = stderr.lines().collect();
+    assert_eq!(errors.len(), 2 * refusals.len(), "{stderr}");
+    for (i, verb) in refusals.iter().enumerate() {
+        assert_eq!(
+            errors[2 * i],
+            errors[2 * i + 1],
+            "{verb}: local and remote refusals differ"
+        );
+    }
+}
