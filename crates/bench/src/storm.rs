@@ -297,12 +297,6 @@ pub fn run(cfg: StormBenchConfig) -> StormBenchReport {
         Arc::clone(&service),
         NetServerConfig {
             max_connections: 256,
-            // More dispatch threads than the service's in-flight cap:
-            // otherwise the net layer's own pool throttles service
-            // concurrency and overload queues invisibly in the
-            // dispatch channel, where the admission controller can't
-            // see (or shed) it. The service must be the authority.
-            workers: 128,
             ..NetServerConfig::default()
         },
     )

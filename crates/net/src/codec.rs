@@ -64,10 +64,10 @@ pub const BINARY_MAGIC: u8 = 0xC2;
 pub const BINARY_VERSION: u8 = 0x03;
 
 /// The request id no request carries: a response with this id is
-/// about the connection itself. The server closes behind the ones it
-/// originates in the reactor (admission refusal, torn or foreign
-/// frame); a worker also falls back to it for a request whose header
-/// was too damaged to name an id. Either way the client redials.
+/// about the connection itself — the admission refusal and the refusal
+/// of a torn or foreign frame, after which the server closes, and the
+/// answer to a request whose header was too damaged to name an id.
+/// Either way the client redials.
 pub const CONNECTION_ID: u64 = 0;
 
 /// Where every payload's message tag sits: right after the magic and

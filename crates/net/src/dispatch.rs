@@ -1,27 +1,29 @@
 //! Dispatch: one [`Request`] executed against the service and answered
-//! with one [`Response`]. The server's workers run it with the budget
-//! and tier their envelope carried; [`serve_request`] runs the same
-//! code in process, for a caller that holds the service itself.
+//! with one [`Response`]. The service's workers run it for the server,
+//! with the budget and tier the envelope carried; [`serve_request`]
+//! runs the same code in process, for a caller that holds the service
+//! itself.
 //!
 //! Each verb is one line: the service call, a `.map(..)` where its value
 //! needs a wire shape, and [`reply`], which turns the value into its
 //! response through the `reply!` table in `proto.rs` and a failure into
 //! its typed refusal ([`err_of`]). Only the ranked reads do more: they
-//! parse the state, clamp the deadline and render rows.
+//! parse the state, clamp the deadline, run inline on the calling
+//! thread ([`CtxPrefService::query_admitted`]) and render rows.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
 use ctxpref_context::ContextState;
 use ctxpref_core::{CoreError, QueryAnswer};
-use ctxpref_service::{CtxPrefService, Priority, ReplicationError, ServiceError};
+use ctxpref_service::{Admitted, CtxPrefService, Priority, ReplicationError, ServiceError};
 
 use crate::proto::{AnswerRow, MigrateAction, RemoteAnswer, Request, Response, WireFallback};
 use crate::server::NetServerConfig;
 
-/// Serve one request in process: the dispatch a server worker runs,
-/// with panics contained, the default deadline cap, no end-to-end
-/// budget and interactive priority.
+/// Serve one request in process, on the calling thread: the dispatch
+/// the server's jobs run, with panics contained, the default deadline
+/// cap, no end-to-end budget and interactive priority.
 pub fn serve_request(service: &CtxPrefService, req: &Request) -> Response {
     dispatch(
         service,
@@ -29,6 +31,7 @@ pub fn serve_request(service: &CtxPrefService, req: &Request) -> Response {
         req,
         0,
         Priority::Interactive,
+        None,
     )
 }
 
@@ -36,16 +39,18 @@ pub fn serve_request(service: &CtxPrefService, req: &Request) -> Response {
 /// `budget_ms` and `tier` come off the `ctxpref2` envelope: the
 /// remaining end-to-end deadline budget (0 = unconstrained) that
 /// clamps every query deadline, and the priority tier admission sheds
-/// by.
+/// by. `admitted` is the ticket of a ranked read the server admitted
+/// before queueing it; without one, a ranked read is admitted here.
 pub(crate) fn dispatch(
     service: &CtxPrefService,
     cfg: &NetServerConfig,
     req: &Request,
     budget_ms: u64,
     tier: Priority,
+    admitted: Option<Admitted>,
 ) -> Response {
     match catch_unwind(AssertUnwindSafe(|| {
-        dispatch_inner(service, cfg, req, budget_ms, tier)
+        dispatch_inner(service, cfg, req, budget_ms, tier, admitted)
     })) {
         Ok(resp) => resp,
         Err(_) => Response::Err {
@@ -61,6 +66,7 @@ fn dispatch_inner(
     req: &Request,
     budget_ms: u64,
     tier: Priority,
+    admitted: Option<Admitted>,
 ) -> Response {
     match req {
         Request::Ping => Response::Pong,
@@ -92,14 +98,11 @@ fn dispatch_inner(
                 let state = service
                     .with_db(|db| ContextState::parse(db.env(), &names))
                     .map_err(CoreError::Context)?;
-                // The two ranked verbs differ only in the service call:
-                // `TopK` pushes `k` down so only the best rows are
-                // evaluated.
-                let answer = if matches!(req, Request::TopK { .. }) {
-                    service.query_topk_tiered(user, &state, *k, deadline, tier)
-                } else {
-                    service.query_tiered(user, &state, deadline, tier)
-                }?;
+                // The two ranked verbs differ only in `topk`: `TopK`
+                // pushes `k` down so only the best rows are evaluated.
+                let topk = matches!(req, Request::TopK { .. }).then_some(*k);
+                let answer =
+                    service.query_admitted(admitted, tier, user, &state, topk, deadline)?;
                 Ok::<_, ServiceError>(RemoteAnswer {
                     rows: render_rows(service, &answer.answer, attr, *k)?,
                     step: answer.step.to_string(),
@@ -237,7 +240,7 @@ fn dispatch_batch(
             });
             break;
         }
-        let resp = dispatch_inner(service, cfg, sub, budget_ms, tier);
+        let resp = dispatch_inner(service, cfg, sub, budget_ms, tier, None);
         let failed = matches!(
             resp,
             Response::Err { .. } | Response::NotPrimary | Response::Migrating { .. }
@@ -346,7 +349,7 @@ fn render_rows(
 /// get dedicated response variants (`not-primary`, `migrating`) so a
 /// router can react without parsing messages; everything else is a
 /// stable kind token plus the rendered message.
-fn err_of(e: &ServiceError) -> Response {
+pub(crate) fn err_of(e: &ServiceError) -> Response {
     let kind = match e {
         // A shed is a typed busy frame carrying the service's live
         // retry hint, so clients back off cooperatively instead of
@@ -358,7 +361,6 @@ fn err_of(e: &ServiceError) -> Response {
             }
         }
         ServiceError::DeadlineExceeded { .. } => "deadline",
-        ServiceError::Cancelled => "cancelled",
         ServiceError::QueryPanicked { .. } => "panic",
         ServiceError::Core(_) => "core",
         ServiceError::Storage(_) => "storage",

@@ -4,11 +4,12 @@
 //! One **reactor thread** owns every socket: a hand-rolled epoll loop
 //! ([`crate::reactor`]) with nonblocking reads/writes and a
 //! per-connection state machine (incremental frame decoder, pending
-//! output queue, idle clock). Decoded request frames are handed to a
-//! small **worker pool** that runs dispatch (`dispatch.rs`) against
-//! the service;
-//! completions flow back over a queue and a waker, and the reactor
-//! writes the response frames out. No thread ever blocks on a peer.
+//! output queue, idle clock). The reactor decodes each request frame
+//! and hands it to the **service's own workers**
+//! ([`CtxPrefService::spawn`]) — there is no second pool — where
+//! dispatch (`dispatch.rs`) runs it; completions flow back over a
+//! queue and a waker, and the reactor writes the response frames out.
+//! No thread ever blocks on a peer.
 //!
 //! Responsibilities, and where each is enforced:
 //!
@@ -31,24 +32,27 @@
 //!   [`NetServerConfig::write_timeout`]) is closed by the reactor's
 //!   sweep; the client-requested query deadline is clamped to
 //!   [`NetServerConfig::max_deadline`] before it reaches
-//!   [`CtxPrefService::query_state_deadline`].
-//! * **Panic isolation** — dispatch runs under `catch_unwind` in the
-//!   workers; a panicking request answers with a typed error.
+//!   [`CtxPrefService::query_admitted`].
+//! * **Request admission** — a `Query`/`TopK` passes the service's
+//!   admission gates on the reactor, before anything is queued: a shed
+//!   is a typed [`Response::Busy`] written without a thread hop.
+//!   A body that fails to decode is answered typed under its id, also
+//!   from the reactor.
+//! * **Panic isolation** — dispatch runs under `catch_unwind` on the
+//!   service's workers; a panicking request answers with a typed error.
 //! * **Graceful drain** — [`NetServer::shutdown`] stops accepting,
 //!   lets in-flight requests finish (bounded by the drain timeout),
-//!   and returns how many connections had to be cut.
+//!   waits until every request it queued on the service has run, and
+//!   returns how many connections had to be cut.
 //!
 //! Socket-option failures on accept (`set_nonblocking`, `set_nodelay`)
-//! close that connection and are counted in [`NetServer::net_stats`] —
-//! the old server dropped these errors on the floor, and a connection
-//! whose options silently failed to apply could hang a worker.
+//! close that connection and are counted in [`NetServer::net_stats`].
 
 use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -57,12 +61,12 @@ use ctxpref_faults::sites::{
     NET_ACCEPT, NET_CONN_DELAY, NET_CONN_DROP, NET_FRAME_READ, NET_FRAME_WRITE,
 };
 use ctxpref_faults::{hit, hit_io};
-use ctxpref_service::CtxPrefService;
+use ctxpref_service::{Admitted, CtxPrefService};
 
-use crate::codec;
-use crate::dispatch::dispatch;
+use crate::codec::{self, WireRequest};
+use crate::dispatch::{dispatch, err_of};
 use crate::frame::{encode_frame, FrameDecoder};
-use crate::proto::Response;
+use crate::proto::{Request, Response};
 use crate::reactor::{Epoll, Interest, Slab, Token, Waker};
 
 /// Tuning knobs of the TCP front-end.
@@ -86,8 +90,6 @@ pub struct NetServerConfig {
     /// the reactor stops reading the socket until completions drain —
     /// backpressure by TCP.
     pub max_pipeline: usize,
-    /// Dispatch worker threads.
-    pub workers: usize,
     /// The retry hint attached to a connection-admission busy frame
     /// (request-level sheds carry the service's live sojourn-derived
     /// hint instead).
@@ -103,7 +105,6 @@ impl Default for NetServerConfig {
             max_deadline: Duration::from_secs(2),
             drain_timeout: Duration::from_secs(5),
             max_pipeline: 128,
-            workers: 4,
             busy_retry_after: Duration::from_millis(100),
         }
     }
@@ -118,8 +119,7 @@ pub struct NetStats {
     /// Connections refused with a typed busy frame.
     pub refused_busy: usize,
     /// Connections closed because a socket option failed to apply on
-    /// accept (`set_nonblocking`/`set_nodelay`). The old server
-    /// swallowed these errors with `let _ =`.
+    /// accept (`set_nonblocking`/`set_nodelay`).
     pub sockopt_failures: usize,
     /// Request frames decoded off sockets.
     pub frames_in: usize,
@@ -136,52 +136,66 @@ struct StatsCells {
     frames_out: AtomicUsize,
 }
 
-impl StatsCells {
-    fn snapshot(&self) -> NetStats {
-        NetStats {
-            accepted: self.accepted.load(Ordering::Acquire),
-            refused_busy: self.refused_busy.load(Ordering::Acquire),
-            sockopt_failures: self.sockopt_failures.load(Ordering::Acquire),
-            frames_in: self.frames_in.load(Ordering::Acquire),
-            frames_out: self.frames_out.load(Ordering::Acquire),
-        }
-    }
-}
-
 /// A running TCP server in front of one shared service.
+#[derive(Debug)]
 pub struct NetServer {
     addr: SocketAddr,
-    cfg: NetServerConfig,
-    shutdown: Arc<AtomicBool>,
-    active: Arc<AtomicUsize>,
-    undrained: Arc<AtomicUsize>,
-    stats: Arc<StatsCells>,
-    waker: Arc<Waker>,
+    shared: Arc<Shared>,
     reactor_thread: Option<JoinHandle<()>>,
-    worker_threads: Vec<JoinHandle<()>>,
 }
 
-impl std::fmt::Debug for NetServer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("NetServer")
-            .field("addr", &self.addr)
-            .field("active", &self.active.load(Ordering::Acquire))
-            .field("config", &self.cfg)
-            .finish()
+/// What the server, its reactor and every request the reactor queues
+/// on the service share. Each queued job holds one handle, so the
+/// server knows its jobs are gone when it holds the last.
+#[derive(Debug)]
+struct Shared {
+    service: Arc<CtxPrefService>,
+    cfg: NetServerConfig,
+    /// Finished responses on their way back to the reactor, each an
+    /// already-encoded frame payload under its connection's token.
+    completions: Mutex<Vec<(Token, Vec<u8>)>>,
+    waker: Waker,
+    shutdown: AtomicBool,
+    /// Connections currently being served.
+    active: AtomicUsize,
+    /// Connections cut when the drain window closed.
+    undrained: AtomicUsize,
+    stats: StatsCells,
+}
+
+impl Shared {
+    /// Run one decoded request on a service worker and post its
+    /// response back to the reactor.
+    fn run(&self, token: Token, wire: &WireRequest, admitted: Option<Admitted>) {
+        // Injected stall: `hit` sleeps inside for Delay rules. Runs
+        // here — on a service worker — so a scripted delay never
+        // stalls the reactor thread itself.
+        let _ = hit(NET_CONN_DELAY);
+        let resp = dispatch(
+            &self.service,
+            &self.cfg,
+            &wire.req,
+            wire.budget_ms,
+            wire.tier,
+            admitted,
+        );
+        let payload = codec::encode_response(wire.id, &resp);
+        // Wake the reactor only on the empty→nonempty transition: it
+        // drains the whole queue per wake, and the push shares the
+        // mutex with the emptiness check, so a completion pushed behind
+        // an undrained one is collected by the wake already pending.
+        let needs_wake = match self.completions.lock() {
+            Ok(mut queue) => {
+                let was_empty = queue.is_empty();
+                queue.push((token, payload));
+                was_empty
+            }
+            Err(_) => true,
+        };
+        if needs_wake {
+            self.waker.wake();
+        }
     }
-}
-
-/// One request frame handed to the worker pool.
-struct Job {
-    token: Token,
-    payload: Vec<u8>,
-}
-
-/// One finished response on its way back to the reactor.
-struct Completion {
-    token: Token,
-    /// The response as a raw frame payload (already protocol-encoded).
-    payload: Vec<u8>,
 }
 
 impl NetServer {
@@ -195,69 +209,31 @@ impl NetServer {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
-        let epoll = Epoll::new()?;
-        let waker = Arc::new(Waker::new()?);
-
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let active = Arc::new(AtomicUsize::new(0));
-        let undrained = Arc::new(AtomicUsize::new(0));
-        let stats = Arc::new(StatsCells::default());
-        let completions: Arc<Mutex<Vec<Completion>>> = Arc::new(Mutex::new(Vec::new()));
-
-        let (job_tx, job_rx) = channel::<Job>();
-        let job_rx = Arc::new(Mutex::new(job_rx));
-
-        let mut worker_threads = Vec::new();
-        for i in 0..cfg.workers.max(1) {
-            let service = Arc::clone(&service);
-            let job_rx = Arc::clone(&job_rx);
-            let completions = Arc::clone(&completions);
-            let waker = Arc::clone(&waker);
-            worker_threads.push(
-                std::thread::Builder::new()
-                    .name(format!("ctxpref-net-worker-{i}"))
-                    .spawn(move || worker_loop(&service, &cfg, &job_rx, &completions, &waker))?,
-            );
-        }
-
-        let reactor_thread = {
-            let shutdown = Arc::clone(&shutdown);
-            let active = Arc::clone(&active);
-            let undrained = Arc::clone(&undrained);
-            let stats = Arc::clone(&stats);
-            let waker = Arc::clone(&waker);
-            let completions = Arc::clone(&completions);
-            std::thread::Builder::new()
-                .name(format!("ctxpref-net-reactor-{}", addr.port()))
-                .spawn(move || {
-                    Reactor {
-                        listener: Some(listener),
-                        epoll,
-                        waker,
-                        cfg,
-                        conns: Slab::new(),
-                        shutdown,
-                        active,
-                        undrained,
-                        stats,
-                        job_tx,
-                        completions,
-                        drain_deadline: None,
-                    }
-                    .run()
-                })?
+        let shared = Arc::new(Shared {
+            service,
+            cfg,
+            completions: Mutex::default(),
+            waker: Waker::new()?,
+            shutdown: AtomicBool::new(false),
+            active: AtomicUsize::new(0),
+            undrained: AtomicUsize::new(0),
+            stats: StatsCells::default(),
+        });
+        let reactor = Reactor {
+            listener: Some(listener),
+            epoll: Epoll::new()?,
+            shared: Arc::clone(&shared),
+            cfg,
+            conns: Slab::new(),
+            drain_deadline: None,
         };
-
+        let reactor_thread = std::thread::Builder::new()
+            .name(format!("ctxpref-net-reactor-{}", addr.port()))
+            .spawn(move || reactor.run())?;
         Ok(Self {
             addr,
-            cfg,
-            shutdown,
-            active,
-            undrained,
-            stats,
-            waker,
+            shared,
             reactor_thread: Some(reactor_thread),
-            worker_threads,
         })
     }
 
@@ -269,107 +245,51 @@ impl NetServer {
 
     /// Connections currently being served.
     pub fn active_connections(&self) -> usize {
-        self.active.load(Ordering::Acquire)
+        self.shared.active.load(Ordering::Acquire)
     }
 
     /// Front-end counters (accepts, busy refusals, socket-option
     /// failures, frames in/out).
     pub fn net_stats(&self) -> NetStats {
-        self.stats.snapshot()
+        let cells = &self.shared.stats;
+        NetStats {
+            accepted: cells.accepted.load(Ordering::Acquire),
+            refused_busy: cells.refused_busy.load(Ordering::Acquire),
+            sockopt_failures: cells.sockopt_failures.load(Ordering::Acquire),
+            frames_in: cells.frames_in.load(Ordering::Acquire),
+            frames_out: cells.frames_out.load(Ordering::Acquire),
+        }
     }
 
     /// Graceful drain: stop accepting, let in-flight requests finish
-    /// (bounded by the configured drain timeout), and return how many
+    /// (bounded by the configured drain timeout), wait until every
+    /// request queued on the service has run, and return how many
     /// connections had to be cut un-drained (0 on a clean drain).
     pub fn shutdown(mut self) -> usize {
         self.begin_shutdown();
-        self.undrained.load(Ordering::Acquire)
+        self.shared.undrained.load(Ordering::Acquire)
     }
 
     fn begin_shutdown(&mut self) {
-        self.shutdown.store(true, Ordering::Release);
-        self.waker.wake();
+        self.shared.shutdown.store(true, Ordering::Release);
+        self.shared.waker.wake();
         if let Some(t) = self.reactor_thread.take() {
             let _ = t.join();
         }
-        // The reactor exiting dropped the job sender; workers see the
-        // channel close and stop.
-        for t in self.worker_threads.drain(..) {
-            let _ = t.join();
+        // Every job still queued on (or running in) the service holds a
+        // handle on `shared`, and through it on the service. Wait them
+        // out: were a job to drop the last service handle, the service
+        // would stop from inside its own worker and join itself.
+        while Arc::strong_count(&self.shared) > 1 {
+            std::thread::sleep(Duration::from_millis(1));
         }
     }
 }
 
 impl Drop for NetServer {
     fn drop(&mut self) {
-        if !self.shutdown.load(Ordering::Acquire) {
+        if !self.shared.shutdown.load(Ordering::Acquire) {
             self.begin_shutdown();
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Worker pool
-// ---------------------------------------------------------------------------
-
-fn worker_loop(
-    service: &Arc<CtxPrefService>,
-    cfg: &NetServerConfig,
-    jobs: &Mutex<Receiver<Job>>,
-    completions: &Mutex<Vec<Completion>>,
-    waker: &Waker,
-) {
-    loop {
-        // Hold the receiver lock only for the dequeue, not the work.
-        let job = match jobs.lock() {
-            Ok(rx) => match rx.recv() {
-                Ok(job) => job,
-                Err(_) => return,
-            },
-            Err(_) => return,
-        };
-        // Injected stall: `hit` sleeps inside for Delay rules. Runs
-        // here — in a worker — so a scripted delay never stalls the
-        // reactor thread itself.
-        let _ = hit(NET_CONN_DELAY);
-        let payload = match codec::decode_request(&job.payload) {
-            Ok(wire) => codec::encode_response(
-                wire.id,
-                &dispatch(service, cfg, &wire.req, wire.budget_ms, wire.tier),
-            ),
-            Err(e) => {
-                // The body was malformed but the header may still
-                // name the request — answer typed under its id so
-                // the pipelined client can match the refusal.
-                let id = codec::request_id_of(&job.payload).unwrap_or(codec::CONNECTION_ID);
-                codec::encode_response(
-                    id,
-                    &Response::Err {
-                        kind: "proto".to_string(),
-                        message: e.to_string(),
-                    },
-                )
-            }
-        };
-        // Wake the reactor only on the empty→nonempty transition: the
-        // reactor drains the whole queue per wake, so a completion
-        // pushed behind an undrained one already has a wake pending.
-        // The push and the emptiness check share the mutex, so any
-        // drain that could consume the pending wake must also collect
-        // this completion.
-        let needs_wake = match completions.lock() {
-            Ok(mut queue) => {
-                let was_empty = queue.is_empty();
-                queue.push(Completion {
-                    token: job.token,
-                    payload,
-                });
-                was_empty
-            }
-            Err(_) => true,
-        };
-        if needs_wake {
-            waker.wake();
         }
     }
 }
@@ -421,15 +341,9 @@ impl Conn {
 struct Reactor {
     listener: Option<TcpListener>,
     epoll: Epoll,
-    waker: Arc<Waker>,
+    shared: Arc<Shared>,
     cfg: NetServerConfig,
     conns: Slab<Conn>,
-    shutdown: Arc<AtomicBool>,
-    active: Arc<AtomicUsize>,
-    undrained: Arc<AtomicUsize>,
-    stats: Arc<StatsCells>,
-    job_tx: Sender<Job>,
-    completions: Arc<Mutex<Vec<Completion>>>,
     drain_deadline: Option<Instant>,
 }
 
@@ -446,7 +360,11 @@ impl Reactor {
         }
         if self
             .epoll
-            .register(self.waker.reader_fd(), WAKER_TOKEN, Interest::READABLE)
+            .register(
+                self.shared.waker.reader_fd(),
+                WAKER_TOKEN,
+                Interest::READABLE,
+            )
             .is_err()
         {
             return;
@@ -465,7 +383,7 @@ impl Reactor {
             for ev in events.iter().copied() {
                 match ev.token {
                     LISTENER_TOKEN => self.accept_ready(),
-                    WAKER_TOKEN => self.waker.drain(),
+                    WAKER_TOKEN => self.shared.waker.drain(),
                     raw => {
                         let token = Token(raw);
                         if ev.hangup && !ev.readable {
@@ -491,7 +409,7 @@ impl Reactor {
                 self.sweep_idle(now);
             }
 
-            if self.shutdown.load(Ordering::Acquire) && self.step_shutdown(now) {
+            if self.shared.shutdown.load(Ordering::Acquire) && self.step_shutdown(now) {
                 return;
             }
         }
@@ -521,7 +439,7 @@ impl Reactor {
         if self.drain_deadline.is_some_and(|d| now >= d) {
             // Drain window over: cut the stragglers and report them.
             let leftover = self.conns.len();
-            self.undrained.store(leftover, Ordering::Release);
+            self.shared.undrained.store(leftover, Ordering::Release);
             for token in self.conns.tokens() {
                 self.close(token);
             }
@@ -535,12 +453,11 @@ impl Reactor {
             let Some(listener) = &self.listener else {
                 return;
             };
-            let (stream, _) = match listener.accept() {
-                Ok(pair) => pair,
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
-                Err(_) => return,
+            // `WouldBlock` (the backlog is empty) or a real failure.
+            let Ok((stream, _)) = listener.accept() else {
+                return;
             };
-            if self.shutdown.load(Ordering::Acquire) {
+            if self.shared.shutdown.load(Ordering::Acquire) {
                 return;
             }
             // Injected accept failure: the connection is refused, the
@@ -549,7 +466,10 @@ impl Reactor {
                 continue;
             }
             if self.conns.len() >= self.cfg.max_connections {
-                self.stats.refused_busy.fetch_add(1, Ordering::AcqRel);
+                self.shared
+                    .stats
+                    .refused_busy
+                    .fetch_add(1, Ordering::AcqRel);
                 // Best-effort typed refusal under the connection id
                 // (no request has been read), then close. The socket
                 // is fresh, so the small frame fits the send buffer.
@@ -569,7 +489,10 @@ impl Reactor {
             // wedge the whole reactor): a failure closes the
             // connection and is counted, not ignored.
             if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
-                self.stats.sockopt_failures.fetch_add(1, Ordering::AcqRel);
+                self.shared
+                    .stats
+                    .sockopt_failures
+                    .fetch_add(1, Ordering::AcqRel);
                 continue;
             }
             let fd = stream.as_raw_fd();
@@ -592,8 +515,10 @@ impl Reactor {
                 self.conns.remove(token);
                 continue;
             }
-            self.stats.accepted.fetch_add(1, Ordering::AcqRel);
-            self.active.store(self.conns.len(), Ordering::Release);
+            self.shared.stats.accepted.fetch_add(1, Ordering::AcqRel);
+            self.shared
+                .active
+                .store(self.conns.len(), Ordering::Release);
         }
     }
 
@@ -626,6 +551,8 @@ impl Reactor {
             }
         }
         self.pump_frames(token);
+        // Flush the answers the reactor gave itself (sheds, bad bodies).
+        self.write_ready(token);
     }
 
     /// Drain complete frames from the connection's decoder into
@@ -655,7 +582,7 @@ impl Reactor {
                 self.close(token);
                 return;
             }
-            self.stats.frames_in.fetch_add(1, Ordering::AcqRel);
+            self.shared.stats.frames_in.fetch_add(1, Ordering::AcqRel);
             if !codec::is_binary(&payload) {
                 // A peer speaking something else (a text protocol, a
                 // probe): nothing it sends next can be trusted to be
@@ -670,11 +597,32 @@ impl Reactor {
                 );
                 return;
             }
-            let Some(conn) = self.conns.get_mut(token) else {
-                return;
+            let wire = match codec::decode_request(&payload) {
+                Ok(wire) => wire,
+                Err(e) => {
+                    // The body was malformed but the header may still
+                    // name the request — answer typed under its id so
+                    // the pipelined client can match the refusal.
+                    let id = codec::request_id_of(&payload).unwrap_or(codec::CONNECTION_ID);
+                    let refusal = Response::Err {
+                        kind: "proto".to_string(),
+                        message: e.to_string(),
+                    };
+                    self.enqueue_frame(token, &codec::encode_response(id, &refusal));
+                    continue;
+                }
             };
-            conn.in_flight += 1;
-            let _ = self.job_tx.send(Job { token, payload });
+            // A ranked read passes admission here, before it is queued:
+            // a shed is answered without a thread hop.
+            let read = matches!(wire.req, Request::Query { .. } | Request::TopK { .. })
+                .then_some(wire.tier);
+            let id = wire.id;
+            let shared = Arc::clone(&self.shared);
+            let job = move |admitted| shared.run(token, &wire, admitted);
+            match self.shared.service.spawn(read, job) {
+                Ok(()) => conn.in_flight += 1,
+                Err(e) => self.enqueue_frame(token, &codec::encode_response(id, &err_of(&e))),
+            }
         }
     }
 
@@ -690,27 +638,29 @@ impl Reactor {
             token,
             &codec::encode_response(codec::CONNECTION_ID, &refusal),
         );
+        if let Some(conn) = self.conns.get_mut(token) {
+            conn.closing = true;
+        }
         self.write_ready(token);
-        self.shutdown_after_flush(token);
     }
 
     fn drain_completions(&mut self) {
-        let done: Vec<Completion> = match self.completions.lock() {
+        let done: Vec<(Token, Vec<u8>)> = match self.shared.completions.lock() {
             Ok(mut queue) => queue.drain(..).collect(),
             Err(_) => return,
         };
         let mut touched: Vec<Token> = Vec::new();
-        for comp in done {
-            let Some(conn) = self.conns.get_mut(comp.token) else {
+        for (token, payload) in done {
+            let Some(conn) = self.conns.get_mut(token) else {
                 continue;
             };
             conn.in_flight = conn.in_flight.saturating_sub(1);
-            self.enqueue_frame(comp.token, &comp.payload);
+            self.enqueue_frame(token, &payload);
             // Freed pipeline budget: frames may be waiting, parsed,
             // in the decoder.
-            self.pump_frames(comp.token);
-            if !touched.contains(&comp.token) {
-                touched.push(comp.token);
+            self.pump_frames(token);
+            if !touched.contains(&token) {
+                touched.push(token);
             }
         }
         // Flush once per connection rather than once per completion:
@@ -730,18 +680,15 @@ impl Reactor {
             self.close(token);
             return;
         }
-        let frame = match encode_frame(payload) {
-            Ok(f) => f,
-            Err(_) => {
-                self.close(token);
-                return;
-            }
+        let Ok(frame) = encode_frame(payload) else {
+            self.close(token);
+            return;
         };
         let Some(conn) = self.conns.get_mut(token) else {
             return;
         };
         conn.out.push_back(frame);
-        self.stats.frames_out.fetch_add(1, Ordering::AcqRel);
+        self.shared.stats.frames_out.fetch_add(1, Ordering::AcqRel);
     }
 
     fn write_ready(&mut self, token: Token) {
@@ -788,9 +735,7 @@ impl Reactor {
                     }
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    if conn.write_stalled_since.is_none() {
-                        conn.write_stalled_since = Some(Instant::now());
-                    }
+                    conn.write_stalled_since.get_or_insert_with(Instant::now);
                     break;
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
@@ -808,29 +753,18 @@ impl Reactor {
         }
     }
 
-    /// Mark a connection to close once queued output flushes.
-    fn shutdown_after_flush(&mut self, token: Token) {
-        if let Some(conn) = self.conns.get_mut(token) {
-            conn.closing = true;
-            if conn.out.is_empty() && conn.in_flight == 0 {
-                self.close(token);
-            }
-        }
-    }
-
     fn refresh_interest(&mut self, token: Token) {
-        let cfg = self.cfg;
         let Some(conn) = self.conns.get_mut(token) else {
             return;
         };
-        let desired = conn.desired_interest(&cfg);
-        if desired != conn.registered {
-            let fd = conn.stream.as_raw_fd();
-            if self.epoll.reregister(fd, token.0, desired).is_ok() {
-                if let Some(conn) = self.conns.get_mut(token) {
-                    conn.registered = desired;
-                }
-            }
+        let desired = conn.desired_interest(&self.cfg);
+        if desired != conn.registered
+            && self
+                .epoll
+                .reregister(conn.stream.as_raw_fd(), token.0, desired)
+                .is_ok()
+        {
+            conn.registered = desired;
         }
     }
 
@@ -858,6 +792,8 @@ impl Reactor {
             // completions for this token die against the slab's
             // generation check instead of reaching a reused slot.
         }
-        self.active.store(self.conns.len(), Ordering::Release);
+        self.shared
+            .active
+            .store(self.conns.len(), Ordering::Release);
     }
 }

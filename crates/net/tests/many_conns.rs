@@ -112,7 +112,6 @@ fn parent() {
             max_connections: total + 256,
             // Idle is the *point* here — don't reap held connections.
             read_timeout: Duration::from_secs(600),
-            workers: 2,
             ..NetServerConfig::default()
         },
     )

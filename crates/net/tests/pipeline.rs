@@ -37,15 +37,7 @@ fn spawn_server() -> NetServer {
     let env = poi_env();
     let db = MultiUserDb::new(env.clone(), poi_relation(&env, 3, 1), 4);
     let service = Arc::new(CtxPrefService::new(db, ServiceConfig::default()));
-    NetServer::bind(
-        "127.0.0.1:0",
-        service,
-        NetServerConfig {
-            workers: 4,
-            ..NetServerConfig::default()
-        },
-    )
-    .expect("bind loopback")
+    NetServer::bind("127.0.0.1:0", service, NetServerConfig::default()).expect("bind loopback")
 }
 
 #[test]

@@ -1,13 +1,33 @@
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::stats::Counters;
 use crate::tier::Priority;
 
-/// CoDel-style admission controller: workers feed it the queue
-/// sojourn time of every job they dequeue; when sojourn stays above
-/// the target for a sustained interval, admission sheds the lowest
-/// tiers first. Maintenance yields at any standing queue, Bulk when
+/// A ranked read that passed admission — the sojourn gate for its
+/// tier, then the `max_in_flight` backstop. It holds one in-flight slot
+/// until dropped, whatever the path out, and the read's queue sojourn
+/// and deadline both count from the instant it was admitted.
+#[derive(Debug)]
+#[must_use = "dropping the ticket gives its in-flight slot back"]
+pub struct Admitted {
+    /// The counter the slot was taken from (and is given back to).
+    pub(crate) in_flight: Arc<AtomicUsize>,
+    pub(crate) tier: Priority,
+    pub(crate) at: Instant,
+}
+
+impl Drop for Admitted {
+    fn drop(&mut self) {
+        self.in_flight.fetch_sub(1, Ordering::AcqRel);
+    }
+}
+
+/// CoDel-style admission controller: workers feed it the queue sojourn
+/// of every ranked read they dequeue; when sojourn stays above the
+/// target for a sustained interval, admission sheds the lowest tiers
+/// first. Maintenance yields at any standing queue, Bulk when
 /// the queue is badly over target, and Interactive is never shed by
 /// sojourn — only by the hard in-flight backstop.
 ///

@@ -25,10 +25,13 @@ impl Default for RetryPolicy {
 /// Configuration of [`crate::CtxPrefService`].
 #[derive(Debug, Clone, Copy)]
 pub struct ServiceConfig {
-    /// Worker threads executing queries.
+    /// Worker threads that run every request: in-process queries, and
+    /// every request a network server queues with
+    /// [`crate::CtxPrefService::spawn`] — reads, writes and status
+    /// verbs alike.
     pub workers: usize,
-    /// Admission-control limit on queued + executing requests; further
-    /// requests are shed with [`crate::ServiceError::Overloaded`].
+    /// Admission-control limit on queued + executing ranked reads;
+    /// further reads are shed with [`crate::ServiceError::Overloaded`].
     pub max_in_flight: usize,
     /// Deadline applied by [`crate::CtxPrefService::query_state`].
     pub default_deadline: Duration,

@@ -29,8 +29,6 @@ pub enum ServiceError {
         /// The deadline the request carried.
         deadline: Duration,
     },
-    /// The request was cancelled before completing.
-    Cancelled,
     /// Query execution panicked; the panic was contained at the service
     /// boundary.
     QueryPanicked {
@@ -85,7 +83,6 @@ impl fmt::Display for ServiceError {
             Self::DeadlineExceeded { deadline } => {
                 write!(f, "deadline of {deadline:?} exceeded")
             }
-            Self::Cancelled => write!(f, "request cancelled"),
             Self::QueryPanicked { message } => {
                 write!(f, "query execution panicked (contained): {message}")
             }

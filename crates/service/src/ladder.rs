@@ -132,7 +132,7 @@ pub(crate) fn default_answer(relation: &Relation) -> QueryAnswer {
     }
 }
 
-fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
+pub(crate) fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

@@ -73,6 +73,7 @@ mod stats;
 mod tier;
 mod write;
 
+pub use admission::Admitted;
 pub use config::{DurabilityConfig, ReplicatedConfig, RetryPolicy, ServiceConfig};
 pub use error::ServiceError;
 pub use ladder::{Fallback, LadderStep, ServiceAnswer};

@@ -13,57 +13,51 @@ use ctxpref_storage::StorageError;
 use ctxpref_wal::{DurableDb, RecoveryReport, WalOp};
 use parking_lot::{Mutex, RwLock};
 
-use crate::admission::{record_shed, Admission};
+use crate::admission::{record_shed, Admission, Admitted};
 use crate::config::{DurabilityConfig, ReplicatedConfig, RetryPolicy, ServiceConfig};
 use crate::error::ServiceError;
-use crate::ladder::{run_ladder, LadderStep, ServiceAnswer};
+use crate::ladder::{panic_text, run_ladder, LadderStep, ServiceAnswer};
 use crate::migrate::MigrationTable;
-use crate::stats::{Counters, ServiceStats};
+use crate::stats::Counters;
 use crate::tier::Priority;
 use crate::write::WritePath;
 
-struct Job {
-    user: String,
-    state: ContextState,
-    /// `Some(k)` routes the job down the top-k ladder (materialized
+/// The one kind of work the pool runs: an in-process caller's ranked
+/// read, or whatever a front-end such as the network server hands to
+/// [`CtxPrefService::spawn`].
+type Job = Box<dyn FnOnce() + Send>;
+
+/// One ranked read as a worker executes it.
+struct Read<'a> {
+    user: &'a str,
+    state: &'a ContextState,
+    /// `Some(k)` routes the read down the top-k ladder (materialized
     /// view first, early-terminating evaluation otherwise); `None` is
     /// a full-ranking query.
     topk: Option<usize>,
-    deadline: Instant,
     requested: Duration,
-    tier: Priority,
-    enqueued: Instant,
-    cancelled: Arc<AtomicBool>,
-    reply: mpsc::SyncSender<Result<ServiceAnswer, ServiceError>>,
-}
-
-/// Decrements the in-flight counter when a request leaves the system,
-/// whatever the path out.
-struct InFlightGuard(Arc<AtomicUsize>);
-
-impl Drop for InFlightGuard {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::AcqRel);
-    }
 }
 
 /// The fault-tolerant serving layer over a sharded multi-user core.
 ///
-/// Requests run on a fixed pool of worker threads behind a
-/// request/response API:
+/// Every request runs on one fixed pool of worker threads: in-process
+/// callers queue their reads and wait for the answer, and a front-end
+/// (the network server) queues whole requests with [`Self::spawn`].
 ///
-/// * **Deadlines & cancellation** — every query carries a deadline; the
-///   caller gets [`ServiceError::DeadlineExceeded`] at the deadline even
-///   if the worker is still grinding, and the worker observes the
-///   cancellation and stops between ladder rungs.
+/// * **Deadlines & cancellation** — every query carries a deadline and
+///   is never executed past it: a worker drops it at dequeue, after the
+///   shard lock, or between ladder rungs. An in-process caller also
+///   gets [`ServiceError::DeadlineExceeded`] at the deadline even if
+///   the worker is still grinding, and the worker drops the cancelled
+///   job when it reaches it.
 /// * **Panic isolation** — each query runs under `catch_unwind`; a panic
 ///   (real or injected) is contained and surfaces as
 ///   [`ServiceError::QueryPanicked`] or a recorded ladder fallback,
 ///   never as a crash. The locks are `parking_lot` locks precisely so a
 ///   contained panic cannot poison shared state.
-/// * **Admission control** — at most `max_in_flight` requests are
+/// * **Admission control** — at most `max_in_flight` ranked reads are
 ///   queued or executing; excess load is shed immediately with
-///   [`ServiceError::Overloaded`].
+///   [`ServiceError::Overloaded`], before anything is queued.
 /// * **Degradation ladder** — see [`crate::LadderStep`]: cached → exact →
 ///   nearest-state → non-contextual default, every fallback recorded.
 /// * **Retrying storage** — [`Self::save`] and [`Self::open`] retry
@@ -101,8 +95,8 @@ pub struct CtxPrefService {
     workers: Vec<JoinHandle<()>>,
     pub(crate) path: WritePath,
     pub(crate) maintenance: Vec<(mpsc::Sender<()>, JoinHandle<()>)>,
-    recovered_lsn: u64,
-    recovered_rescued_shards: u64,
+    pub(crate) recovered_lsn: u64,
+    pub(crate) recovered_rescued_shards: u64,
     pub(crate) migrations: MigrationTable,
 }
 
@@ -178,14 +172,10 @@ impl CtxPrefService {
         let receiver = Arc::new(Mutex::new(receiver));
         let workers = (0..cfg.workers.max(1))
             .map(|i| {
-                let db = Arc::clone(&db);
-                let counters = Arc::clone(&counters);
-                let admission = Arc::clone(&admission);
-                let in_flight = Arc::clone(&in_flight);
                 let receiver = Arc::clone(&receiver);
                 std::thread::Builder::new()
                     .name(format!("ctxpref-worker-{i}"))
-                    .spawn(move || worker_loop(&db, &counters, &admission, &in_flight, &receiver))
+                    .spawn(move || worker_loop(&receiver))
                     .expect("spawning a worker thread")
             })
             .collect();
@@ -280,56 +270,12 @@ impl CtxPrefService {
         &self.cfg
     }
 
-    /// A snapshot of the service counters, with the durability figures
-    /// (WAL appends, group-commit batches, recovered LSN) overlaid when
-    /// the service runs durably.
-    pub fn stats(&self) -> ServiceStats {
-        let mut stats = self.counters.snapshot();
-        if let Ok(d) = self.durable_db() {
-            stats.wal_appends = d.wal_appends();
-            stats.group_commit_batches = d.group_commit_batches();
-            let health = d.wal_health();
-            stats.wal_rotate_failures = health.rotate_failures;
-            stats.wal_disk_full_sheds = health.disk_full_sheds;
-            stats.repl_apply_rejects = d.repl_apply_rejects();
-        }
-        stats.recovered_lsn = self.recovered_lsn;
-        stats.rescued_shards = self.recovered_rescued_shards;
-        if let Some(c) = self.cluster() {
-            let status = c.status();
-            stats.replication_epoch = status.epoch;
-            stats.replication_max_lag = status.max_lag;
-            stats.failovers = (status.promotions.len() as u64).saturating_sub(1);
-            stats.rescued_shards = status.nodes.iter().map(|n| n.rescued_shards).sum();
-        }
-        let core = self.core();
-        let cache = core.cache_totals();
-        stats.cache_hits = cache.hits;
-        stats.cache_misses = cache.misses;
-        stats.cache_insertions = cache.insertions;
-        stats.cache_evictions = cache.evictions;
-        stats.cache_invalidations = cache.invalidations;
-        let views = core.views_totals();
-        stats.view_hits = views.view_hits;
-        stats.view_misses = views.view_misses;
-        stats.view_patches = views.view_patches;
-        stats.view_rebuilds = views.view_rebuilds;
-        stats.materialized_views = views.materialized_views;
-        stats.pinned_views = views.pinned_views;
-        if let Some(plan) = ctxpref_faults::current() {
-            let mut hits: Vec<(String, u64)> = plan.hit_counts().into_iter().collect();
-            hits.sort();
-            stats.fault_hits = hits;
-        }
-        stats
-    }
-
     /// The serving core, resolved through the swappable slot.
     pub(crate) fn core(&self) -> Arc<ShardedMultiUserDb> {
         Arc::clone(&self.db.read())
     }
 
-    /// Requests currently queued or executing.
+    /// Ranked reads currently queued or executing.
     pub fn in_flight(&self) -> usize {
         self.in_flight.load(Ordering::Acquire)
     }
@@ -359,13 +305,9 @@ impl CtxPrefService {
     /// Query `user` under `state` at `tier`, failing with
     /// [`ServiceError::DeadlineExceeded`] if no answer is produced
     /// within `deadline` and with the retryable
-    /// [`ServiceError::Overloaded`] when admission sheds the tier.
-    ///
-    /// Two admission gates run in order. The CoDel-style sojourn
-    /// controller sheds Maintenance (then Bulk) when queue dwell has
-    /// exceeded the target for a sustained interval; Interactive
-    /// passes it unconditionally. The hard `max_in_flight` backstop
-    /// then bounds memory for every tier.
+    /// [`ServiceError::Overloaded`] when admission sheds the tier: the
+    /// sojourn controller sheds Maintenance (then Bulk) under a
+    /// standing queue, and the `max_in_flight` backstop any tier.
     pub fn query_tiered(
         &self,
         user: &str,
@@ -409,6 +351,94 @@ impl CtxPrefService {
         self.submit(user, state, Some(k), deadline, tier)
     }
 
+    /// Queue `job` on the service's workers — the pool every request
+    /// runs on. With `read` set, the job is a ranked read at that tier:
+    /// it passes admission first (a shed returns
+    /// [`ServiceError::Overloaded`] at once and queues nothing), and
+    /// `job` receives the ticket to hand to [`Self::query_admitted`].
+    /// Fails with [`ServiceError::ShuttingDown`] once the service stops.
+    pub fn spawn(
+        &self,
+        read: Option<Priority>,
+        job: impl FnOnce(Option<Admitted>) + Send + 'static,
+    ) -> Result<(), ServiceError> {
+        let admitted = read.map(|tier| self.admit(tier)).transpose()?;
+        self.enqueue(Box::new(move || job(admitted)))
+    }
+
+    /// Run a ranked read on the calling thread — from inside a job on
+    /// the service's workers, so that no worker waits on the pool.
+    /// `admitted` is the ticket [`Self::spawn`] issued for this read;
+    /// `None` admits it here, at `tier`. It is dropped unexecuted if
+    /// `deadline` (counted from admission) has passed by the time it
+    /// runs, after the shard lock, or between ladder rungs — there is
+    /// no waiter to answer early for it.
+    pub fn query_admitted(
+        &self,
+        admitted: Option<Admitted>,
+        tier: Priority,
+        user: &str,
+        state: &ContextState,
+        topk: Option<usize>,
+        deadline: Duration,
+    ) -> Result<ServiceAnswer, ServiceError> {
+        let admitted = match admitted {
+            Some(admitted) => admitted,
+            None => self.admit(tier)?,
+        };
+        let read = Read {
+            user,
+            state,
+            topk,
+            requested: deadline,
+        };
+        let result = execute_read(
+            &self.db,
+            &self.counters,
+            &self.admission,
+            &admitted,
+            &read,
+            None,
+        );
+        self.record(&result);
+        result
+    }
+
+    /// The two admission gates, in order. The CoDel-style sojourn
+    /// controller sheds low tiers while queue dwell has stood above
+    /// target for a sustained interval (never Interactive); the hard
+    /// `max_in_flight` backstop then reserves a slot or sheds.
+    fn admit(&self, tier: Priority) -> Result<Admitted, ServiceError> {
+        if self.shutting_down.load(Ordering::Acquire) {
+            return Err(ServiceError::ShuttingDown);
+        }
+        let reason = if self.admission.sheds(tier) {
+            &self.counters.shed_sojourn
+        } else if self.in_flight.fetch_add(1, Ordering::AcqRel) < self.cfg.max_in_flight {
+            return Ok(Admitted {
+                in_flight: Arc::clone(&self.in_flight),
+                tier,
+                at: Instant::now(),
+            });
+        } else {
+            self.in_flight.fetch_sub(1, Ordering::AcqRel);
+            &self.counters.shed_admission
+        };
+        record_shed(&self.counters, reason, tier);
+        Err(ServiceError::Overloaded {
+            limit: self.cfg.max_in_flight,
+            retry_after: self.admission.retry_after(),
+        })
+    }
+
+    fn enqueue(&self, job: Job) -> Result<(), ServiceError> {
+        match &self.sender {
+            Some(sender) => sender.send(job).map_err(|_| ServiceError::ShuttingDown),
+            None => Err(ServiceError::ShuttingDown),
+        }
+    }
+
+    /// An in-process read: queue it and wait at most its deadline.
     fn submit(
         &self,
         user: &str,
@@ -417,56 +447,31 @@ impl CtxPrefService {
         deadline: Duration,
         tier: Priority,
     ) -> Result<ServiceAnswer, ServiceError> {
-        if self.shutting_down.load(Ordering::Acquire) {
-            return Err(ServiceError::ShuttingDown);
-        }
-        // Sojourn-controller gate: shed low tiers while the queue has
-        // been standing above target.
-        if self.admission.sheds(tier) {
-            record_shed(&self.counters, &self.counters.shed_sojourn, tier);
-            return Err(ServiceError::Overloaded {
-                limit: self.cfg.max_in_flight,
-                retry_after: self.admission.retry_after(),
-            });
-        }
-        // Hard backstop: reserve a slot or shed.
-        if self.in_flight.fetch_add(1, Ordering::AcqRel) >= self.cfg.max_in_flight {
-            self.in_flight.fetch_sub(1, Ordering::AcqRel);
-            record_shed(&self.counters, &self.counters.shed_admission, tier);
-            return Err(ServiceError::Overloaded {
-                limit: self.cfg.max_in_flight,
-                retry_after: self.admission.retry_after(),
-            });
-        }
+        let admitted = self.admit(tier)?;
+        let expires = admitted.at + deadline;
         let cancelled = Arc::new(AtomicBool::new(false));
         let (reply, response) = mpsc::sync_channel(1);
-        let now = Instant::now();
-        let job = Job {
-            user: user.to_string(),
-            state: state.clone(),
-            topk,
-            deadline: now + deadline,
-            requested: deadline,
-            tier,
-            enqueued: now,
-            cancelled: Arc::clone(&cancelled),
-            reply,
-        };
-        let job_deadline = job.deadline;
-        if let Some(sender) = &self.sender {
-            if sender.send(job).is_err() {
-                self.in_flight.fetch_sub(1, Ordering::AcqRel);
-                return Err(ServiceError::ShuttingDown);
-            }
-        } else {
-            self.in_flight.fetch_sub(1, Ordering::AcqRel);
-            return Err(ServiceError::ShuttingDown);
-        }
+        let (db, counters, admission) = (
+            Arc::clone(&self.db),
+            Arc::clone(&self.counters),
+            Arc::clone(&self.admission),
+        );
+        let (user, state, flag) = (user.to_string(), state.clone(), Arc::clone(&cancelled));
+        self.enqueue(Box::new(move || {
+            let read = Read {
+                user: &user,
+                state: &state,
+                topk,
+                requested: deadline,
+            };
+            let result = execute_read(&db, &counters, &admission, &admitted, &read, Some(&flag));
+            let _ = reply.try_send(result);
+        }))?;
         // Wait only the budget that remains: admission and enqueue
         // already consumed part of the requested deadline, and waiting
         // the full duration here would let the caller overstay the
         // instant the workers enforce.
-        match response.recv_timeout(job_deadline.saturating_duration_since(Instant::now())) {
+        match response.recv_timeout(expires.saturating_duration_since(Instant::now())) {
             Ok(result) => {
                 self.record(&result);
                 result
@@ -514,11 +519,8 @@ impl CtxPrefService {
                         .fetch_add(contained_panics, Ordering::Relaxed);
                 }
             }
-            Err(ServiceError::DeadlineExceeded { .. }) => {
-                self.counters
-                    .deadline_exceeded
-                    .fetch_add(1, Ordering::Relaxed);
-            }
+            // Counted where the miss was detected (`execute_read`).
+            Err(ServiceError::DeadlineExceeded { .. }) => {}
             Err(ServiceError::QueryPanicked { .. }) => {
                 self.counters
                     .panics_contained
@@ -552,48 +554,6 @@ impl CtxPrefService {
     /// Unpin a previously pinned view; returns whether it was pinned.
     pub fn unpin_view(&self, user: &str, state: &ContextState) -> Result<bool, ServiceError> {
         Ok(self.core().unpin_view(user, state)?)
-    }
-
-    /// A human-readable view-catalog report: aggregate counters first,
-    /// then one line per user with materialized views (their pinned
-    /// states listed). Served by the `views-status` wire verb.
-    pub fn views_status(&self) -> String {
-        let core = self.core();
-        let totals = core.views_totals();
-        let mut body = format!(
-            "views materialized={} pinned={} hits={} misses={} patches={} rebuilds={}\n",
-            totals.materialized_views,
-            totals.pinned_views,
-            totals.view_hits,
-            totals.view_misses,
-            totals.view_patches,
-            totals.view_rebuilds,
-        );
-        for user in core.users_sorted() {
-            let Ok(s) = core.view_stats(&user) else {
-                continue;
-            };
-            if s.materialized_views == 0 && s.pinned_views == 0 {
-                continue;
-            }
-            let pinned: Vec<String> = core
-                .pinned_views(&user)
-                .unwrap_or_default()
-                .iter()
-                .map(|st| st.display(core.env()).to_string())
-                .collect();
-            body.push_str(&format!(
-                "user {user} materialized={} pinned={} hits={} patches={} rebuilds={}{}{}\n",
-                s.materialized_views,
-                s.pinned_views,
-                s.view_hits,
-                s.view_patches,
-                s.view_rebuilds,
-                if pinned.is_empty() { "" } else { " states=" },
-                pinned.join(";"),
-            ));
-        }
-        body
     }
 
     /// Replace the query options used by every query on the database.
@@ -674,87 +634,95 @@ impl Drop for CtxPrefService {
     }
 }
 
-fn worker_loop(
-    slot: &RwLock<Arc<ShardedMultiUserDb>>,
-    counters: &Counters,
-    admission: &Admission,
-    in_flight: &Arc<AtomicUsize>,
-    receiver: &Mutex<mpsc::Receiver<Job>>,
-) {
+fn worker_loop(receiver: &Mutex<mpsc::Receiver<Job>>) {
     loop {
         // Hold the receiver lock only while picking up a job.
         let job = { receiver.lock().recv() };
         let Ok(job) = job else { return };
-        // Resolve the serving core per job: the slot is re-pointed when
-        // a replicated service's local node recovers from a crash.
-        let db = Arc::clone(&slot.read());
-        let _slot = InFlightGuard(Arc::clone(in_flight));
-        // Feed the admission controller the job's queue dwell — the
-        // signal the sojourn shedder runs on.
-        admission.observe(job.enqueued.elapsed());
-        if job.cancelled.load(Ordering::Acquire) {
-            counters.cancelled.fetch_add(1, Ordering::Relaxed);
-            continue;
-        }
-        if Instant::now() >= job.deadline {
-            // Expired while queued: counted and dropped, never
-            // executed — dead work would only deepen the overload.
-            counters.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-            record_shed(counters, &counters.shed_expired, job.tier);
-            let _ = job.reply.try_send(Err(ServiceError::DeadlineExceeded {
-                deadline: job.requested,
-            }));
-            continue;
-        }
-        // Fault site: an injected delay stalls the pool here, growing
-        // queue sojourn deterministically for the overload tests and
-        // standing in for per-job service time in the storm bench.
-        // Deliberately AFTER the cancel/expiry drops: dropping dead
-        // work is free; only work that will execute pays.
-        let _ = ctxpref_faults::hit(ctxpref_faults::sites::SVC_WORKER_DEQUEUE);
-        // Outer containment: nothing may unwind out of a request, even
-        // a bug outside the per-rung guards.
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            // Acquire only the user's shard, and account the wait: the
-            // time to get the lock is the serving core's contention.
-            let lock_started = Instant::now();
-            let shard = db.read_user_shard(&job.user);
-            let waited = lock_started.elapsed();
-            counters
-                .lock_wait_micros
-                .fetch_add(waited.as_micros() as u64, Ordering::Relaxed);
-            // Re-check the deadline now that the lock is held: a
-            // contended acquisition may have consumed the whole budget,
-            // and running the ladder for a caller that already timed
-            // out would only waste the shard's read capacity.
-            if Instant::now() >= job.deadline {
-                counters.deadline_after_lock.fetch_add(1, Ordering::Relaxed);
-                counters.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-                return Err(ServiceError::DeadlineExceeded {
-                    deadline: job.requested,
-                });
-            }
-            run_ladder(
-                &shard,
-                &job.user,
-                &job.state,
-                job.topk,
-                job.deadline,
-                job.requested,
-            )
-        }))
-        .unwrap_or_else(|payload| {
-            let message = if let Some(s) = payload.downcast_ref::<&str>() {
-                (*s).to_string()
-            } else if let Some(s) = payload.downcast_ref::<String>() {
-                s.clone()
-            } else {
-                "non-string panic payload".to_string()
-            };
-            Err(ServiceError::QueryPanicked { message })
-        });
-        let _ = job.reply.try_send(result);
+        // Outer containment: a panicking job never takes its worker
+        // with it. (A ranked read contains its own panics and reports
+        // them typed; this catches whatever else a job runs.)
+        let _ = catch_unwind(AssertUnwindSafe(job));
     }
+}
+
+/// The one body every ranked read runs on a worker, in-process or from
+/// the network: sojourn observed from admission, the cancel and expiry
+/// drops, the dequeue fault site, the shard lock, the post-lock
+/// re-check and the ladder. Counts every deadline miss it detects.
+fn execute_read(
+    slot: &RwLock<Arc<ShardedMultiUserDb>>,
+    counters: &Counters,
+    admission: &Admission,
+    admitted: &Admitted,
+    read: &Read<'_>,
+    cancelled: Option<&AtomicBool>,
+) -> Result<ServiceAnswer, ServiceError> {
+    let missed = || ServiceError::DeadlineExceeded {
+        deadline: read.requested,
+    };
+    // Resolve the serving core per read: the slot is re-pointed when a
+    // replicated service's local node recovers from a crash.
+    let db = Arc::clone(&slot.read());
+    // Feed the admission controller the read's queue dwell — the signal
+    // the sojourn shedder runs on.
+    admission.observe(admitted.at.elapsed());
+    if cancelled.is_some_and(|c| c.load(Ordering::Acquire)) {
+        // The in-process caller already gave up and counted the miss.
+        counters.cancelled.fetch_add(1, Ordering::Relaxed);
+        return Err(missed());
+    }
+    let deadline = admitted.at + read.requested;
+    if Instant::now() >= deadline {
+        // Expired while queued: counted and dropped, never executed —
+        // dead work would only deepen the overload.
+        counters.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
+        record_shed(counters, &counters.shed_expired, admitted.tier);
+        return Err(missed());
+    }
+    // Fault site: an injected delay stalls the worker here, growing
+    // queue sojourn deterministically for the overload tests and
+    // standing in for per-read service time in the storm bench.
+    // Deliberately AFTER the cancel/expiry drops: dropping dead work is
+    // free; only work that will execute pays.
+    let _ = ctxpref_faults::hit(ctxpref_faults::sites::SVC_WORKER_DEQUEUE);
+    // Nothing may unwind out of a read, even a bug outside the
+    // per-rung guards.
+    let result = catch_unwind(AssertUnwindSafe(|| {
+        // Acquire only the user's shard, and account the wait: the time
+        // to get the lock is the serving core's contention.
+        let lock_started = Instant::now();
+        let shard = db.read_user_shard(read.user);
+        let waited = lock_started.elapsed();
+        counters
+            .lock_wait_micros
+            .fetch_add(waited.as_micros() as u64, Ordering::Relaxed);
+        // Re-check the deadline now that the lock is held: a contended
+        // acquisition may have consumed the whole budget, and running
+        // the ladder for a caller that already timed out would only
+        // waste the shard's read capacity.
+        if Instant::now() >= deadline {
+            counters.deadline_after_lock.fetch_add(1, Ordering::Relaxed);
+            return Err(missed());
+        }
+        run_ladder(
+            &shard,
+            read.user,
+            read.state,
+            read.topk,
+            deadline,
+            read.requested,
+        )
+    }))
+    .unwrap_or_else(|payload| {
+        Err(ServiceError::QueryPanicked {
+            message: panic_text(payload),
+        })
+    });
+    if let Err(ServiceError::DeadlineExceeded { .. }) = result {
+        counters.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
+    }
+    result
 }
 
 /// Run `op` up to `policy.max_attempts` times, sleeping

@@ -1,5 +1,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use crate::service::CtxPrefService;
+
 /// Internal atomic counters of the service.
 #[derive(Debug, Default)]
 pub(crate) struct Counters {
@@ -56,34 +58,11 @@ impl Counters {
             scrub_quarantined: self.scrub_quarantined.load(Ordering::Relaxed),
             scrub_read_errors: self.scrub_read_errors.load(Ordering::Relaxed),
             scrub_heals: self.scrub_heals.load(Ordering::Relaxed),
-            // Durability and replication figures live on the WAL and
-            // the cluster, not in these atomics; `CtxPrefService::stats`
+            // Durability, replication, cache, view and fault figures
+            // live on the WAL, the cluster, the serving core and the
+            // fault plan, not in these atomics; `CtxPrefService::stats`
             // overlays them after this snapshot.
-            wal_appends: 0,
-            group_commit_batches: 0,
-            wal_rotate_failures: 0,
-            wal_disk_full_sheds: 0,
-            repl_apply_rejects: 0,
-            rescued_shards: 0,
-            recovered_lsn: 0,
-            replication_epoch: 0,
-            replication_max_lag: 0,
-            failovers: 0,
-            // Cache and view figures live in the serving core's
-            // per-user structures; `CtxPrefService::stats` overlays
-            // aggregated totals after this snapshot.
-            cache_hits: 0,
-            cache_misses: 0,
-            cache_insertions: 0,
-            cache_evictions: 0,
-            cache_invalidations: 0,
-            view_hits: 0,
-            view_misses: 0,
-            view_patches: 0,
-            view_rebuilds: 0,
-            materialized_views: 0,
-            pinned_views: 0,
-            fault_hits: Vec::new(),
+            ..ServiceStats::default()
         }
     }
 }
@@ -293,5 +272,93 @@ impl std::fmt::Display for ServiceStats {
             write!(f, "\nfault {site} {hits}")?;
         }
         Ok(())
+    }
+}
+
+impl CtxPrefService {
+    /// A snapshot of the service counters, with the durability figures
+    /// (WAL appends, group-commit batches, recovered LSN) overlaid when
+    /// the service runs durably.
+    pub fn stats(&self) -> ServiceStats {
+        let mut stats = self.counters.snapshot();
+        if let Ok(d) = self.durable_db() {
+            stats.wal_appends = d.wal_appends();
+            stats.group_commit_batches = d.group_commit_batches();
+            let health = d.wal_health();
+            stats.wal_rotate_failures = health.rotate_failures;
+            stats.wal_disk_full_sheds = health.disk_full_sheds;
+            stats.repl_apply_rejects = d.repl_apply_rejects();
+        }
+        stats.recovered_lsn = self.recovered_lsn;
+        stats.rescued_shards = self.recovered_rescued_shards;
+        if let Some(c) = self.cluster() {
+            let status = c.status();
+            stats.replication_epoch = status.epoch;
+            stats.replication_max_lag = status.max_lag;
+            stats.failovers = (status.promotions.len() as u64).saturating_sub(1);
+            stats.rescued_shards = status.nodes.iter().map(|n| n.rescued_shards).sum();
+        }
+        let core = self.core();
+        let cache = core.cache_totals();
+        stats.cache_hits = cache.hits;
+        stats.cache_misses = cache.misses;
+        stats.cache_insertions = cache.insertions;
+        stats.cache_evictions = cache.evictions;
+        stats.cache_invalidations = cache.invalidations;
+        let views = core.views_totals();
+        stats.view_hits = views.view_hits;
+        stats.view_misses = views.view_misses;
+        stats.view_patches = views.view_patches;
+        stats.view_rebuilds = views.view_rebuilds;
+        stats.materialized_views = views.materialized_views;
+        stats.pinned_views = views.pinned_views;
+        if let Some(plan) = ctxpref_faults::current() {
+            let mut hits: Vec<(String, u64)> = plan.hit_counts().into_iter().collect();
+            hits.sort();
+            stats.fault_hits = hits;
+        }
+        stats
+    }
+
+    /// A human-readable view-catalog report: aggregate counters first,
+    /// then one line per user with materialized views (their pinned
+    /// states listed). Served by the `views-status` wire verb.
+    pub fn views_status(&self) -> String {
+        let core = self.core();
+        let totals = core.views_totals();
+        let mut body = format!(
+            "views materialized={} pinned={} hits={} misses={} patches={} rebuilds={}\n",
+            totals.materialized_views,
+            totals.pinned_views,
+            totals.view_hits,
+            totals.view_misses,
+            totals.view_patches,
+            totals.view_rebuilds,
+        );
+        for user in core.users_sorted() {
+            let Ok(s) = core.view_stats(&user) else {
+                continue;
+            };
+            if s.materialized_views == 0 && s.pinned_views == 0 {
+                continue;
+            }
+            let pinned: Vec<String> = core
+                .pinned_views(&user)
+                .unwrap_or_default()
+                .iter()
+                .map(|st| st.display(core.env()).to_string())
+                .collect();
+            body.push_str(&format!(
+                "user {user} materialized={} pinned={} hits={} patches={} rebuilds={}{}{}\n",
+                s.materialized_views,
+                s.pinned_views,
+                s.view_hits,
+                s.view_patches,
+                s.view_rebuilds,
+                if pinned.is_empty() { "" } else { " states=" },
+                pinned.join(";"),
+            ));
+        }
+        body
     }
 }

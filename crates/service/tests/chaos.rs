@@ -153,7 +153,6 @@ fn storm_of_mixed_faults_upholds_the_service_guarantees() {
                             Err(
                                 ServiceError::Overloaded { .. }
                                 | ServiceError::DeadlineExceeded { .. }
-                                | ServiceError::Cancelled
                                 | ServiceError::QueryPanicked { .. }
                                 | ServiceError::Core(_)
                                 | ServiceError::Storage(_)
