@@ -1,6 +1,7 @@
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
+use std::sync::OnceLock;
 
 use crate::value::{AttrType, Value};
 
@@ -230,11 +231,23 @@ impl Predicate {
 
 /// An in-memory relation: a schema plus tuples, with schema validation
 /// on insert and θ-selection (`σ_{A θ a}(R)`).
+///
+/// Equality selections are answered from an ordered index: per
+/// attribute, the tuple indices sorted by `(value, tuple index)` under
+/// [`Value`]'s total order, so the tuples equal to a probe value form
+/// one contiguous run found by binary search. The index is built for
+/// every attribute on the first `=` selection and dropped by
+/// [`Relation::insert`] — the only way tuples change — to be rebuilt on
+/// the next one; a clone carries whatever index its source had. The
+/// other operators (`≠ < ≤ > ≥`) scan every tuple: no serving path
+/// issues them. Either way [`Relation::select`] yields the same indices
+/// in the same ascending order.
 #[derive(Debug, Clone)]
 pub struct Relation {
     name: String,
     schema: Schema,
     tuples: Vec<Tuple>,
+    index: OnceLock<Box<[Box<[u32]>]>>,
 }
 
 impl Relation {
@@ -244,6 +257,7 @@ impl Relation {
             name: name.to_string(),
             schema,
             tuples: Vec::new(),
+            index: OnceLock::new(),
         }
     }
 
@@ -296,23 +310,81 @@ impl Relation {
                 });
             }
         }
+        self.index.take();
         self.tuples.push(Tuple::new(values));
         Ok(self.tuples.len() - 1)
     }
 
-    /// θ-selection: indices of tuples satisfying the predicate.
+    /// θ-selection: indices of tuples satisfying the predicate, in
+    /// ascending order.
     pub fn select(&self, pred: &Predicate) -> impl Iterator<Item = usize> + '_ {
-        let pred = pred.clone();
-        self.tuples
-            .iter()
-            .enumerate()
-            .filter(move |(_, t)| pred.matches(t))
-            .map(|(i, _)| i)
+        match pred.op {
+            CompareOp::Eq => Selection::Indexed(self.equal_run(pred.attr, &pred.value).iter()),
+            _ => Selection::Scan(pred.clone(), self.tuples.iter().enumerate()),
+        }
     }
 
     /// Count of tuples satisfying the predicate.
     pub fn count(&self, pred: &Predicate) -> usize {
         self.select(pred).count()
+    }
+
+    /// Indices of the tuples whose `attr` equals `value`, ascending.
+    fn equal_run(&self, attr: AttrId, value: &Value) -> &[u32] {
+        // No tuple holds an attribute outside the schema.
+        let Some(sorted) = self
+            .index
+            .get_or_init(|| self.build_index())
+            .get(attr.index())
+        else {
+            return &[];
+        };
+        let at = |i: &u32| self.tuples[*i as usize].value(attr);
+        let start = sorted.partition_point(|i| at(i) < value);
+        let len = sorted[start..].partition_point(|i| at(i) == value);
+        &sorted[start..start + len]
+    }
+
+    fn build_index(&self) -> Box<[Box<[u32]>]> {
+        let n = u32::try_from(self.tuples.len()).expect("a relation holds at most u32::MAX tuples");
+        (0..self.schema.len())
+            .map(|a| {
+                let attr = AttrId(a as u16);
+                let mut sorted: Box<[u32]> = (0..n).collect();
+                // Stable: equal values keep ascending tuple order.
+                sorted.sort_by(|&i, &j| {
+                    self.tuples[i as usize]
+                        .value(attr)
+                        .cmp(self.tuples[j as usize].value(attr))
+                });
+                sorted
+            })
+            .collect()
+    }
+}
+
+/// The iterator [`Relation::select`] returns: a run of the equality
+/// index, or a scan filtered by the predicate.
+enum Selection<'a> {
+    Indexed(std::slice::Iter<'a, u32>),
+    Scan(Predicate, std::iter::Enumerate<std::slice::Iter<'a, Tuple>>),
+}
+
+impl Iterator for Selection<'_> {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        match self {
+            Self::Indexed(run) => run.next().map(|&i| i as usize),
+            Self::Scan(pred, tuples) => tuples.find(|(_, t)| pred.matches(t)).map(|(i, _)| i),
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        match self {
+            Self::Indexed(run) => run.size_hint(),
+            Self::Scan(_, tuples) => (0, tuples.size_hint().1),
+        }
     }
 }
 
