@@ -179,7 +179,9 @@ impl UserSlot {
         let pref = &self.profile.preferences()[index];
         let mut in_place = true;
         for state in pref.descriptor().states(env)? {
-            in_place &= self.tree.update_state_entry(&state, pref.clause(), score);
+            in_place &= self
+                .tree
+                .update_state_entry(&state, pref.clause(), pref.score());
         }
         if !in_place {
             // The tree had drifted from the profile; start it over.

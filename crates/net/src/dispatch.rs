@@ -337,9 +337,14 @@ fn render_rows(
             .results
             .top_k_with_ties(k)
             .iter()
-            .map(|e| AnswerRow {
-                name: db.relation().tuple(e.tuple_index).value(a).to_string(),
-                score: e.score,
+            .map(|e| {
+                let value = db.relation().tuple(e.tuple_index).value(a);
+                AnswerRow {
+                    name: value
+                        .as_str()
+                        .map_or_else(|| value.to_string(), str::to_owned),
+                    score: e.score,
+                }
             })
             .collect())
     })

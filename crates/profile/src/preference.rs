@@ -75,7 +75,10 @@ pub struct ContextualPreference {
 }
 
 impl ContextualPreference {
-    /// Build a preference, validating the interest score.
+    /// Build a preference, validating the interest score. `-0.0` is
+    /// stored as `0.0`: the two compare equal (so they never conflict),
+    /// and ranking groups and orders scores by value, which must then
+    /// agree bit for bit.
     pub fn new(
         descriptor: ContextDescriptor,
         clause: AttributeClause,
@@ -87,7 +90,7 @@ impl ContextualPreference {
         Ok(Self {
             descriptor,
             clause,
-            score,
+            score: score + 0.0,
         })
     }
 
@@ -164,6 +167,21 @@ mod tests {
             ContextualPreference::new(cod, clause, f64::NAN).unwrap_err(),
             ProfileError::InvalidScore(_)
         ));
+    }
+
+    #[test]
+    fn negative_zero_score_is_stored_as_zero() {
+        let env = env();
+        let cod = ContextDescriptor::empty();
+        let clause = AttributeClause::eq(AttrId(0), "Acropolis".into());
+        let neg = ContextualPreference::new(cod.clone(), clause.clone(), -0.0).unwrap();
+        assert_eq!(neg.score().to_bits(), 0.0f64.to_bits());
+        let rescored = neg.with_score(0.5).unwrap().with_score(-0.0).unwrap();
+        assert_eq!(rescored.score().to_bits(), 0.0f64.to_bits());
+        // Equal to a `0.0` preference, so the two do not conflict.
+        let pos = ContextualPreference::new(cod, clause, 0.0).unwrap();
+        assert_eq!(neg, pos);
+        assert!(!neg.conflicts_with(&pos, &env).unwrap());
     }
 
     #[test]

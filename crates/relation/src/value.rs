@@ -54,6 +54,15 @@ impl Value {
         Self::Str(Arc::from(s))
     }
 
+    /// The string, if this is a [`Value::Str`] — a borrow, where
+    /// `to_string` would go through the formatter.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Self::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
     /// The type of the value.
     pub fn attr_type(&self) -> AttrType {
         match self {
@@ -203,5 +212,7 @@ mod tests {
         assert_eq!(Value::Int(-4).to_string(), "-4");
         assert_eq!(Value::Bool(true).to_string(), "true");
         assert_eq!(AttrType::Float.to_string(), "float");
+        assert_eq!(Value::str("brewery").as_str(), Some("brewery"));
+        assert_eq!(Value::Int(-4).as_str(), None);
     }
 }

@@ -16,7 +16,9 @@
 //!
 //! `Rank_CS` (Algorithm 2) then turns the selected preference entries
 //! into scored selections over the database relation and merges them
-//! into a ranked answer.
+//! into a ranked answer ([`rank_selected`]; under the `Max` combiner a
+//! walk over the entries in score order that emits tuples already
+//! ranked).
 //!
 //! The [`PreferenceStore`] trait abstracts over the two physical stores
 //! the paper compares — [`ctxpref_profile::ProfileTree`] and the
@@ -32,6 +34,6 @@ mod store;
 
 pub use explain::explain_resolution;
 pub use matching::minimal_covering;
-pub use rank::{rank_cs, rank_cs_parallel, rank_cs_topk, RankedQuery};
+pub use rank::{rank_cs, rank_cs_parallel, rank_cs_topk, rank_selected, RankedQuery};
 pub use resolver::{ContextResolver, MatchOutcome, StateResolution, TieBreak};
 pub use store::PreferenceStore;

@@ -1,30 +1,9 @@
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
 use ctxpref_context::{DistanceKind, ExtendedContextDescriptor};
 use ctxpref_profile::ProfileError;
 use ctxpref_relation::{RankedResults, Relation, ScoreCombiner, ScoredTuple};
 
 use crate::resolver::{ContextResolver, MatchOutcome, StateResolution, TieBreak};
 use crate::store::PreferenceStore;
-
-/// A totally ordered f64 (by `total_cmp`) for use in the top-k heap.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct TotalF64(f64);
-
-impl Eq for TotalF64 {}
-
-impl PartialOrd for TotalF64 {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for TotalF64 {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
-    }
-}
 
 /// The answer of a contextual preference query: the ranked tuples plus
 /// the resolution trace — the paper's usability study leans on
@@ -53,19 +32,12 @@ impl RankedQuery {
 }
 
 /// Top-k variant of `Rank_CS`: resolve the query's context states, then
-/// evaluate the selected preference entries in descending-score order,
-/// stopping as soon as the top `k` tuples cannot change.
+/// rank with [`rank_selected`] stopping once the top `k` tuples are
+/// known. The result is exactly [`rank_cs`] followed by
+/// [`RankedResults::top_k_with_ties`]`(k)`.
 ///
-/// With the `Max` combiner, a tuple's final score is the maximum score
-/// of any entry selecting it, so once `k` distinct tuples have been
-/// collected and the next entry's score is no greater than the k-th
-/// collected score, no later entry can alter the top `k` (it could only
-/// add tuples at or below the threshold, or re-select already-collected
-/// tuples without raising their max). Ties with the k-th score are kept,
-/// preserving [`RankedResults::top_k_with_ties`] semantics.
-///
-/// Only the `Max` combiner admits this cutoff; other combiners fall
-/// back to the full [`rank_cs`].
+/// Only the `Max` combiner admits the early stop; other combiners (and
+/// `k == 0`) give the full [`rank_cs`] ranking.
 pub fn rank_cs_topk<S: PreferenceStore + ?Sized>(
     store: &S,
     relation: &Relation,
@@ -75,61 +47,10 @@ pub fn rank_cs_topk<S: PreferenceStore + ?Sized>(
     combiner: ScoreCombiner,
     k: usize,
 ) -> Result<RankedQuery, ProfileError> {
-    if combiner != ScoreCombiner::Max || k == 0 {
-        return rank_cs(store, relation, ecod, kind, tie, combiner);
-    }
-    let resolver = ContextResolver::new(store, kind, tie);
-    let resolutions = resolver.resolve(ecod)?;
-    // Gather entries across all selected candidates, highest score first.
-    let mut entries: Vec<&ctxpref_profile::LeafEntry> = resolutions
-        .iter()
-        .flat_map(|res| res.selected.iter())
-        .flat_map(|cand| store.entries(cand.leaf))
-        .collect();
-    entries.sort_by(|a, b| b.score.total_cmp(&a.score));
-
-    let mut best: std::collections::HashMap<usize, f64> = std::collections::HashMap::new();
-    // Min-heap of the k highest tuple scores seen so far; its root is the
-    // running k-th score. Entries arrive in descending score order, so a
-    // tuple's score is fixed the first time it is selected — the heap
-    // never needs updating, only bounded pushes.
-    let mut topk: BinaryHeap<Reverse<TotalF64>> = BinaryHeap::with_capacity(k + 1);
-    let mut kth_score = f64::NEG_INFINITY;
-    for entry in entries {
-        if best.len() >= k && entry.score < kth_score {
-            break; // no later (lower-scored) entry can affect the top k
-        }
-        let pred = entry.clause.predicate();
-        for tuple_index in relation.select(&pred) {
-            match best.entry(tuple_index) {
-                std::collections::hash_map::Entry::Vacant(slot) => {
-                    slot.insert(entry.score);
-                    topk.push(Reverse(TotalF64(entry.score)));
-                    if topk.len() > k {
-                        topk.pop();
-                    }
-                }
-                std::collections::hash_map::Entry::Occupied(slot) => {
-                    // Descending entry order: the first selection already
-                    // recorded this tuple's maximum.
-                    debug_assert!(*slot.get() >= entry.score);
-                }
-            }
-        }
-        if best.len() >= k {
-            kth_score = topk.peek().expect("k ≥ 1 and best.len() ≥ k").0 .0;
-        }
-    }
-    let raw = best
-        .into_iter()
-        .map(|(tuple_index, score)| ScoredTuple { tuple_index, score });
-    let mut results = RankedResults::from_scores(raw, ScoreCombiner::Max);
-    // Trim to the top-k-with-ties frontier so callers see exactly what a
-    // full ranking would have produced for the first k positions.
-    let keep = results.top_k_with_ties(k).to_vec();
-    results = RankedResults::from_scores(keep, ScoreCombiner::Max);
+    let resolutions = ContextResolver::new(store, kind, tie).resolve(ecod)?;
+    let limit = (k > 0).then_some(k);
     Ok(RankedQuery {
-        results,
+        results: rank_selected(store, relation, &resolutions, combiner, limit),
         resolutions,
     })
 }
@@ -146,46 +67,86 @@ pub fn rank_cs<S: PreferenceStore + ?Sized>(
     tie: TieBreak,
     combiner: ScoreCombiner,
 ) -> Result<RankedQuery, ProfileError> {
-    let resolver = ContextResolver::new(store, kind, tie);
-    let resolutions = resolver.resolve(ecod)?;
-    let mut raw: Vec<ScoredTuple> = Vec::new();
-    for res in &resolutions {
-        select_for_state(store, relation, res, &mut raw);
-    }
+    let resolutions = ContextResolver::new(store, kind, tie).resolve(ecod)?;
     Ok(RankedQuery {
-        results: RankedResults::from_scores(raw, combiner),
+        results: rank_selected(store, relation, &resolutions, combiner, None),
         resolutions,
     })
 }
 
-/// The selection half of `Rank_CS` for one resolved state: turn the
-/// selected preference entries into `σ_{A θ a}(R)` selections, scored.
-fn select_for_state<S: PreferenceStore + ?Sized>(
+/// The ranking half of `Rank_CS`: score the tuples that the selected
+/// leaves' entries of `resolutions` select, merge duplicates with
+/// `combiner`, and rank them (score descending, tuple index ascending).
+///
+/// Under `Max` a tuple's score is that of the *first* entry selecting
+/// it when entries are taken in descending score order, so ranking is
+/// a walk, not a merge: sort the few selected entries by score, and for
+/// each run of equal-scored entries append the tuples no earlier entry
+/// selected, in ascending tuple order. The output is already in rank
+/// order — no score map, no sort of the tuples. With `limit = Some(k)`
+/// the walk stops after the run that brings the output to `k` tuples
+/// or more: every later run scores strictly lower, so that output is
+/// exactly the full ranking's [`RankedResults::top_k_with_ties`]`(k)`.
+///
+/// `Min` and `Avg` depend on every contribution to a tuple, so they
+/// merge all selections with [`RankedResults::from_scores`] and ignore
+/// `limit`.
+pub fn rank_selected<S: PreferenceStore + ?Sized>(
     store: &S,
     relation: &Relation,
-    res: &StateResolution,
-    raw: &mut Vec<ScoredTuple>,
-) {
-    for cand in &res.selected {
-        for entry in store.entries(cand.leaf) {
-            let pred = entry.clause.predicate();
-            for tuple_index in relation.select(&pred) {
-                raw.push(ScoredTuple {
-                    tuple_index,
-                    score: entry.score,
-                });
+    resolutions: &[StateResolution],
+    combiner: ScoreCombiner,
+    limit: Option<usize>,
+) -> RankedResults {
+    let entries = resolutions
+        .iter()
+        .flat_map(|res| &res.selected)
+        .flat_map(|cand| store.entries(cand.leaf));
+    if combiner != ScoreCombiner::Max {
+        let raw = entries.flat_map(|entry| {
+            let score = entry.score;
+            relation
+                .select(&entry.clause.predicate())
+                .map(move |tuple_index| ScoredTuple { tuple_index, score })
+        });
+        return RankedResults::from_scores(raw, combiner);
+    }
+    let mut entries: Vec<_> = entries.collect();
+    entries.sort_by(|a, b| b.score.total_cmp(&a.score));
+    // One bit per tuple of the relation: already ranked, by a higher run
+    // or earlier in this one.
+    let mut seen = vec![0u64; relation.len().div_ceil(64)];
+    let mut ranked: Vec<ScoredTuple> = Vec::new();
+    for run in entries.chunk_by(|a, b| a.score == b.score) {
+        let start = ranked.len();
+        let score = run[0].score;
+        for entry in run {
+            for tuple_index in relation.select(&entry.clause.predicate()) {
+                let (word, bit) = (tuple_index / 64, 1u64 << (tuple_index % 64));
+                if seen[word] & bit == 0 {
+                    seen[word] |= bit;
+                    ranked.push(ScoredTuple { tuple_index, score });
+                }
             }
         }
+        // One entry's selection is ascending already; a run of several
+        // interleaves theirs.
+        if run.len() > 1 {
+            ranked[start..].sort_unstable_by_key(|t| t.tuple_index);
+        }
+        if limit.is_some_and(|k| ranked.len() >= k) {
+            break;
+        }
     }
+    RankedResults::from_sorted(ranked)
 }
 
 /// `Rank_CS` parallelized across the query's context states: each
-/// state's resolution + selection is independent, so the states of an
-/// exploratory (disjunctive) descriptor fan out over up to
-/// `max_threads` scoped threads and the per-state scored tuples are
-/// merged with `combiner` exactly as [`rank_cs`] would. Single-state
-/// queries (and `max_threads < 2`) run serially — the result is
-/// identical either way.
+/// state's resolution is independent, so the states of an exploratory
+/// (disjunctive) descriptor fan out over up to `max_threads` scoped
+/// threads and the resolutions are ranked together with `combiner`
+/// exactly as [`rank_cs`] would. Single-state queries (and
+/// `max_threads < 2`) run serially — the result is identical either way.
 pub fn rank_cs_parallel<S: PreferenceStore + Sync + ?Sized>(
     store: &S,
     relation: &Relation,
@@ -202,41 +163,36 @@ pub fn rank_cs_parallel<S: PreferenceStore + Sync + ?Sized>(
     let resolver = ContextResolver::new(store, kind, tie);
     let threads = max_threads.min(states.len());
     // Strided assignment: thread t takes states t, t+threads, … — then
-    // results are stitched back in state order so the merged ranking is
+    // resolutions are stitched back in state order so the ranking is
     // bit-identical to the serial one.
-    let mut per_state: Vec<Option<(StateResolution, Vec<ScoredTuple>)>> =
-        (0..states.len()).map(|_| None).collect();
+    let mut per_state: Vec<Option<StateResolution>> = (0..states.len()).map(|_| None).collect();
     std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(threads);
         for t in 0..threads {
             let states = &states;
             let resolver = &resolver;
             handles.push(scope.spawn(move || {
-                let mut out: Vec<(usize, StateResolution, Vec<ScoredTuple>)> = Vec::new();
-                for (i, state) in states.iter().enumerate().skip(t).step_by(threads) {
-                    let res = resolver.resolve_state(state);
-                    let mut raw = Vec::new();
-                    select_for_state(store, relation, &res, &mut raw);
-                    out.push((i, res, raw));
-                }
-                out
+                states
+                    .iter()
+                    .enumerate()
+                    .skip(t)
+                    .step_by(threads)
+                    .map(|(i, state)| (i, resolver.resolve_state(state)))
+                    .collect::<Vec<_>>()
             }));
         }
         for handle in handles {
-            for (i, res, raw) in handle.join().expect("rank_cs worker panicked") {
-                per_state[i] = Some((res, raw));
+            for (i, res) in handle.join().expect("rank_cs worker panicked") {
+                per_state[i] = Some(res);
             }
         }
     });
-    let mut resolutions = Vec::with_capacity(states.len());
-    let mut raw: Vec<ScoredTuple> = Vec::new();
-    for slot in per_state {
-        let (res, mut tuples) = slot.expect("every state resolved");
-        resolutions.push(res);
-        raw.append(&mut tuples);
-    }
+    let resolutions: Vec<StateResolution> = per_state
+        .into_iter()
+        .map(|slot| slot.expect("every state resolved"))
+        .collect();
     Ok(RankedQuery {
-        results: RankedResults::from_scores(raw, combiner),
+        results: rank_selected(store, relation, &resolutions, combiner, None),
         resolutions,
     })
 }

@@ -25,7 +25,7 @@ use std::time::{Duration, Instant};
 
 use ctxpref_context::ContextState;
 use ctxpref_core::{CoreError, QueryAnswer, UserShardRead};
-use ctxpref_relation::{RankedResults, Relation, ScoreCombiner, ScoredTuple};
+use ctxpref_relation::{RankedResults, Relation, ScoredTuple};
 
 use crate::error::ServiceError;
 
@@ -119,14 +119,17 @@ pub(crate) fn lifted_states(shard: &UserShardRead<'_>, state: &ContextState) -> 
 }
 
 /// The non-contextual default answer (Section 4.2): every tuple of the
-/// base relation at score 0, in relation order.
+/// base relation at score 0, in relation order — which is already rank
+/// order (ties by ascending tuple index).
 pub(crate) fn default_answer(relation: &Relation) -> QueryAnswer {
-    let raw = (0..relation.len()).map(|i| ScoredTuple {
-        tuple_index: i,
-        score: 0.0,
-    });
+    let entries = (0..relation.len())
+        .map(|tuple_index| ScoredTuple {
+            tuple_index,
+            score: 0.0,
+        })
+        .collect();
     QueryAnswer {
-        results: Arc::new(RankedResults::from_scores(raw, ScoreCombiner::Max)),
+        results: Arc::new(RankedResults::from_sorted(entries)),
         resolutions: Vec::new(),
         from_cache: false,
     }
@@ -258,4 +261,31 @@ pub(crate) fn run_ladder(
         resolved_state: None,
         elapsed: started.elapsed(),
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ctxpref_relation::{AttrType, Schema, ScoreCombiner};
+
+    #[test]
+    fn default_answer_is_every_tuple_at_zero_in_relation_order() {
+        let mut relation = Relation::new("r", Schema::new(&[("v", AttrType::Str)]).unwrap());
+        for v in ["c", "a", "b", "a"] {
+            relation.insert(vec![v.into()]).unwrap();
+        }
+        let raw = (0..relation.len()).map(|tuple_index| ScoredTuple {
+            tuple_index,
+            score: 0.0,
+        });
+        let merged = RankedResults::from_scores(raw, ScoreCombiner::Max);
+        assert_eq!(*default_answer(&relation).results, merged);
+        assert_eq!(
+            default_answer(&relation)
+                .results
+                .tuple_indices()
+                .collect::<Vec<_>>(),
+            vec![0, 1, 2, 3]
+        );
+    }
 }

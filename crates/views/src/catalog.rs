@@ -43,7 +43,7 @@ use parking_lot::RwLock;
 use ctxpref_context::{ContextState, DistanceKind};
 use ctxpref_profile::ContextualPreference;
 use ctxpref_relation::{RankedResults, Relation, ScoreCombiner, ScoredTuple};
-use ctxpref_resolve::{ContextResolver, PreferenceStore, TieBreak};
+use ctxpref_resolve::{rank_selected, ContextResolver, PreferenceStore, StateResolution, TieBreak};
 
 use crate::intern::{StateId, StateTable};
 
@@ -651,7 +651,10 @@ fn selection_signature<P: PreferenceStore>(
     table: &mut StateTable,
 ) -> Vec<StateId> {
     let resolver = ContextResolver::new(store, opts.distance, opts.tie);
-    let res = resolver.resolve_state(state);
+    signature_of(&resolver.resolve_state(state), table)
+}
+
+fn signature_of(res: &StateResolution, table: &mut StateTable) -> Vec<StateId> {
     let mut sig: Vec<StateId> = res
         .selected
         .iter()
@@ -662,7 +665,7 @@ fn selection_signature<P: PreferenceStore>(
     sig
 }
 
-/// Materialize one view: resolve, score the selected leaves' clauses
+/// Materialize one view: resolve, rank the selected leaves' clauses
 /// (exactly as `Rank_CS` does for one state), and retain the top
 /// `k_max + ledger` prefix with all ties at the cut.
 fn build_content<P: PreferenceStore>(
@@ -676,26 +679,14 @@ fn build_content<P: PreferenceStore>(
 ) -> Content {
     let resolver = ContextResolver::new(store, opts.distance, opts.tie);
     let res = resolver.resolve_state(state);
-    let mut sig: Vec<StateId> = res
-        .selected
-        .iter()
-        .map(|c| table.intern(&c.state))
-        .collect();
-    sig.sort_unstable();
-    sig.dedup();
-    let mut raw = Vec::new();
-    for cand in &res.selected {
-        for entry in store.entries(cand.leaf) {
-            let pred = entry.clause.predicate();
-            for ix in relation.select(&pred) {
-                raw.push(ScoredTuple {
-                    tuple_index: ix,
-                    score: entry.score,
-                });
-            }
-        }
-    }
-    let full = RankedResults::from_scores(raw, opts.combiner);
+    let sig = signature_of(&res, table);
+    let full = rank_selected(
+        store,
+        relation,
+        std::slice::from_ref(&res),
+        opts.combiner,
+        None,
+    );
     let cap = k_max + k_max.max(8);
     let retained = full.top_k_with_ties(cap);
     let complete = retained.len() == full.len();
