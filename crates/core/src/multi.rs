@@ -12,7 +12,7 @@ use std::sync::Arc;
 use ctxpref_context::{ContextState, ExtendedContextDescriptor};
 use ctxpref_profile::{ContextualPreference, ParamOrder, Profile, ProfileTree, TreeStats};
 use ctxpref_qcache::ContextQueryTree;
-use ctxpref_relation::{CompareOp, Relation, Value};
+use ctxpref_relation::{CompareOp, RankedResults, Relation, Value};
 use ctxpref_resolve::{rank_cs, rank_cs_parallel, rank_cs_topk};
 use ctxpref_views::{Change, ViewCatalog, ViewOpts, ViewStats};
 
@@ -41,6 +41,15 @@ pub(crate) fn view_opts(defaults: QueryOptions) -> ViewOpts {
         distance: defaults.distance,
         tie: defaults.tie,
         combiner: defaults.combiner,
+    }
+}
+
+/// A ranking a materialized view served, as a query answer.
+pub(crate) fn view_answer(results: RankedResults) -> QueryAnswer {
+    QueryAnswer {
+        results: Arc::new(results),
+        resolutions: Vec::new(),
+        from_cache: false,
     }
 }
 
@@ -243,14 +252,7 @@ impl UserSlot {
     ) -> Result<(QueryAnswer, bool), CoreError> {
         let opts = view_opts(defaults);
         if let Some(results) = self.views.serve(&self.tree, relation, &opts, state, k) {
-            return Ok((
-                QueryAnswer {
-                    results: Arc::new(results),
-                    resolutions: Vec::new(),
-                    from_cache: false,
-                },
-                true,
-            ));
+            return Ok((view_answer(results), true));
         }
         let ecod: ExtendedContextDescriptor = crate::db::descriptor_of_state(env, state).into();
         let q = rank_cs_topk(

@@ -38,7 +38,7 @@ use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::db::{preference_from_parts, QueryAnswer, QueryOptions};
 use crate::error::CoreError;
-use crate::multi::{MultiUserDb, UserSlot};
+use crate::multi::{view_answer, view_opts, MultiUserDb, UserSlot};
 
 /// Default number of stripes. Collisions cost only read-vs-write
 /// contention, so a modest constant far above the worker count is
@@ -503,6 +503,17 @@ impl ShardedMultiUserDb {
         }
     }
 
+    /// [`Self::read_user_shard`] for a caller that must never wait:
+    /// `None` while the shard (or the query defaults) is write-locked
+    /// or has a writer queued.
+    pub fn try_read_user_shard<'a>(&'a self, user: &str) -> Option<UserShardRead<'a>> {
+        Some(UserShardRead {
+            db: self,
+            defaults: *self.defaults.try_read()?,
+            guard: self.shard(user).try_read()?,
+        })
+    }
+
     /// Stripe `ix`'s users and profiles, sorted by name. The stripe's
     /// read lock is held only for the clone. Replication uses this both
     /// to digest a stripe (the sort makes the digest canonical) and to
@@ -615,6 +626,15 @@ impl UserShardRead<'_> {
             .ok_or_else(|| CoreError::NoSuchUser(user.to_string()))?;
         slot.query_state_topk(&self.db.env, &self.db.relation, self.defaults, state, k)
     }
+
+    /// The view-hit probe: `user`'s top-`k` answer under `state` when a
+    /// current materialized view holds it, else `None` — no miss is
+    /// recorded and nothing is materialized.
+    pub fn view_hit(&self, user: &str, state: &ContextState, k: usize) -> Option<QueryAnswer> {
+        let slot = self.guard.get(user)?;
+        let hit = slot.views.hit(&view_opts(self.defaults), state, k);
+        hit.map(view_answer)
+    }
 }
 
 /// Opaque guard returned by [`ShardedMultiUserDb::quiesce_user`].
@@ -636,11 +656,6 @@ pub struct PartialSnapshot {
 }
 
 impl PartialSnapshot {
-    /// Users accumulated so far.
-    pub fn user_count(&self) -> usize {
-        self.users.len()
-    }
-
     /// Assemble the accumulated stripes into a plain [`MultiUserDb`].
     pub fn finish(self) -> MultiUserDb {
         MultiUserDb::from_parts(
@@ -800,43 +815,27 @@ mod tests {
 
     #[test]
     fn quiesced_shard_blocks_only_itself() {
-        let db = std::sync::Arc::new(setup());
+        let db = setup();
         // Find two users on different shards.
-        let users: Vec<String> = (0..32).map(|i| format!("user{i}")).collect();
-        let a = users[0].clone();
-        let b = users
-            .iter()
-            .find(|u| db.shard_of(u) != db.shard_of(&a))
-            .expect("32 users over 4 shards must span ≥ 2 shards")
-            .clone();
-        db.add_user(&a).unwrap();
+        let a = "user0";
+        let b = (1..32)
+            .map(|i| format!("user{i}"))
+            .find(|u| db.shard_of(u) != db.shard_of(a))
+            .expect("32 users over 4 shards must span ≥ 2 shards");
+        db.add_user(a).unwrap();
         db.add_user(&b).unwrap();
         let warm = ContextState::parse(db.env(), &["warm"]).unwrap();
 
-        let guard = db.quiesce_user(&a);
+        let guard = db.quiesce_user(a);
         // `b`'s shard is untouched: queries and even writes proceed.
         db.query_state(&b, &warm).unwrap();
         db.insert_preference(&b, pref(&db, "weather = warm", "zoo", 0.3))
             .unwrap();
-        // `a`'s shard is locked: a try_read-equivalent must fail. We
-        // probe via a thread with a timeout rather than blocking the
-        // test forever.
-        let (tx, rx) = std::sync::mpsc::channel();
-        let db2 = std::sync::Arc::clone(&db);
-        let a2 = a.clone();
-        let warm2 = warm.clone();
-        let h = std::thread::spawn(move || {
-            let _ = db2.query_state(&a2, &warm2);
-            tx.send(()).ok();
-        });
-        assert!(
-            rx.recv_timeout(std::time::Duration::from_millis(100))
-                .is_err(),
-            "query on the quiesced shard should be blocked"
-        );
+        // `a`'s shard is locked: the acquire that never waits refuses.
+        assert!(db.try_read_user_shard(a).is_none());
+        assert!(db.try_read_user_shard(&b).is_some());
         drop(guard);
-        rx.recv_timeout(std::time::Duration::from_secs(5))
-            .expect("query must complete once the shard is released");
-        h.join().unwrap();
+        assert!(db.try_read_user_shard(a).unwrap().has_user(a));
+        db.query_state(a, &warm).unwrap();
     }
 }

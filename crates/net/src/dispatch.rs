@@ -1,7 +1,8 @@
 //! Dispatch: one [`Request`] executed against the service and answered
 //! with one [`Response`]. The service's workers run it for the server,
-//! with the budget and tier the envelope carried; [`serve_request`]
-//! runs the same code in process, for a caller that holds the service
+//! with the budget and tier the envelope carried, except the view hits
+//! the reactor answers through [`probe_view`]; [`serve_request`] runs
+//! the same code in process, for a caller that holds the service
 //! itself.
 //!
 //! Each verb is one line: the service call, a `.map(..)` where its value
@@ -16,7 +17,9 @@ use std::time::{Duration, Instant};
 
 use ctxpref_context::ContextState;
 use ctxpref_core::{CoreError, QueryAnswer};
-use ctxpref_service::{Admitted, CtxPrefService, Priority, ReplicationError, ServiceError};
+use ctxpref_service::{
+    Admitted, CtxPrefService, Priority, ReplicationError, ServiceAnswer, ServiceError,
+};
 
 use crate::proto::{AnswerRow, MigrateAction, RemoteAnswer, Request, Response, WireFallback};
 use crate::server::NetServerConfig;
@@ -49,15 +52,45 @@ pub(crate) fn dispatch(
     tier: Priority,
     admitted: Option<Admitted>,
 ) -> Response {
-    match catch_unwind(AssertUnwindSafe(|| {
-        dispatch_inner(service, cfg, req, budget_ms, tier, admitted)
-    })) {
-        Ok(resp) => resp,
-        Err(_) => Response::Err {
-            kind: "panic".to_string(),
-            message: "request dispatch panicked (contained at the connection boundary)".to_string(),
-        },
-    }
+    contained(|| dispatch_inner(service, cfg, req, budget_ms, tier, admitted))
+}
+
+/// The reactor's probe: answer an admitted `TopK` from a current
+/// materialized view on the calling thread
+/// ([`CtxPrefService::view_hit`]). Anything else — another verb, a
+/// state that does not parse, a miss, a busy shard, a panic before the
+/// view answered — hands the ticket back for a worker to run the read
+/// with.
+pub(crate) fn probe_view(
+    service: &CtxPrefService,
+    req: &Request,
+    admitted: Admitted,
+) -> Result<Response, Admitted> {
+    let Request::TopK {
+        user,
+        attr,
+        k,
+        state,
+        ..
+    } = req
+    else {
+        return Err(admitted);
+    };
+    let Ok(Ok(state)) = catch_unwind(AssertUnwindSafe(|| parse_state(service, state))) else {
+        return Err(admitted);
+    };
+    let answer = service.view_hit(admitted, user, &state, *k)?;
+    Ok(contained(|| {
+        reply(remote_answer(service, &answer, attr, *k))
+    }))
+}
+
+/// Run `serve` with panics contained: a panic answers typed.
+fn contained(serve: impl FnOnce() -> Response) -> Response {
+    catch_unwind(AssertUnwindSafe(serve)).unwrap_or_else(|_| Response::Err {
+        kind: "panic".to_string(),
+        message: "request dispatch panicked (contained at the connection boundary)".to_string(),
+    })
 }
 
 fn dispatch_inner(
@@ -93,33 +126,14 @@ fn dispatch_inner(
                 deadline_ms = deadline_ms.min(budget_ms);
             }
             let deadline = Duration::from_millis(deadline_ms).min(cfg.max_deadline);
-            let names: Vec<&str> = state.iter().map(String::as_str).collect();
             reply((|| {
-                let state = service
-                    .with_db(|db| ContextState::parse(db.env(), &names))
-                    .map_err(CoreError::Context)?;
+                let state = parse_state(service, state)?;
                 // The two ranked verbs differ only in `topk`: `TopK`
                 // pushes `k` down so only the best rows are evaluated.
                 let topk = matches!(req, Request::TopK { .. }).then_some(*k);
                 let answer =
                     service.query_admitted(admitted, tier, user, &state, topk, deadline)?;
-                Ok::<_, ServiceError>(RemoteAnswer {
-                    rows: render_rows(service, &answer.answer, attr, *k)?,
-                    step: answer.step.to_string(),
-                    elapsed_us: answer.elapsed.as_micros() as u64,
-                    resolved_state: answer
-                        .resolved_state
-                        .as_ref()
-                        .map(|s| service.with_db(|db| s.display(db.env()).to_string())),
-                    fallbacks: answer
-                        .fallbacks
-                        .iter()
-                        .map(|fb| WireFallback {
-                            step: fb.step.to_string(),
-                            reason: fb.reason.clone(),
-                        })
-                        .collect(),
-                })
+                remote_answer(service, &answer, attr, *k)
             })())
         }
         Request::QueryDescriptor {
@@ -323,6 +337,43 @@ fn dispatch_migrate(
         MigrateAction::Finish => reply(service.migrate_finish(user, epoch)),
         MigrateAction::Abort => reply(service.migrate_abort(user, epoch)),
     }
+}
+
+/// A wire state — plain value tokens — resolved against the server's
+/// own environment.
+fn parse_state(service: &CtxPrefService, state: &[String]) -> Result<ContextState, ServiceError> {
+    let names: Vec<&str> = state.iter().map(String::as_str).collect();
+    service
+        .with_db(|db| ContextState::parse(db.env(), &names))
+        .map_err(|e| CoreError::Context(e).into())
+}
+
+/// What a remote caller sees of a served ranked read: its top-`k` rows
+/// rendered by `attr`, plus the ladder's provenance. Worker and reactor
+/// answers alike are built here.
+fn remote_answer(
+    service: &CtxPrefService,
+    answer: &ServiceAnswer,
+    attr: &str,
+    k: usize,
+) -> Result<RemoteAnswer, ServiceError> {
+    Ok(RemoteAnswer {
+        rows: render_rows(service, &answer.answer, attr, k)?,
+        step: answer.step.to_string(),
+        elapsed_us: answer.elapsed.as_micros() as u64,
+        resolved_state: answer
+            .resolved_state
+            .as_ref()
+            .map(|s| service.with_db(|db| s.display(db.env()).to_string())),
+        fallbacks: answer
+            .fallbacks
+            .iter()
+            .map(|fb| WireFallback {
+                step: fb.step.to_string(),
+                reason: fb.reason.clone(),
+            })
+            .collect(),
+    })
 }
 
 fn render_rows(

@@ -4,12 +4,20 @@
 //! One **reactor thread** owns every socket: a hand-rolled epoll loop
 //! ([`crate::reactor`]) with nonblocking reads/writes and a
 //! per-connection state machine (incremental frame decoder, pending
-//! output queue, idle clock). The reactor decodes each request frame
-//! and hands it to the **service's own workers**
-//! ([`CtxPrefService::spawn`]) — there is no second pool — where
-//! dispatch (`dispatch.rs`) runs it; completions flow back over a
-//! queue and a waker, and the reactor writes the response frames out.
-//! No thread ever blocks on a peer.
+//! output queue, idle clock). No thread ever blocks on a peer, and
+//! there is no second pool. Who answers what:
+//!
+//! * **The reactor** answers what it can without waiting: the
+//!   connection-level refusals below, a body that fails to decode
+//!   (typed, under its id), a `Query`/`TopK` that admission sheds (a
+//!   typed [`Response::Busy`]), and an admitted `TopK` whose user's
+//!   shard is free and whose answer a current materialized view holds
+//!   ([`CtxPrefService::view_hit`], never under an installed fault
+//!   plan). Admission runs on the reactor before anything is queued.
+//! * **The service's workers** run everything else
+//!   ([`CtxPrefService::spawn`]) through dispatch (`dispatch.rs`);
+//!   completions flow back over a queue and a waker, and the reactor
+//!   writes the response frames out.
 //!
 //! Responsibilities, and where each is enforced:
 //!
@@ -22,24 +30,22 @@
 //!   a payload that is not `ctxpref2` at all — travels under the
 //!   reserved request id 0 ([`codec::CONNECTION_ID`]), and the
 //!   connection closes once that frame is flushed.
-//! * **Pipelining** — a connection may have up to
-//!   [`NetServerConfig::max_pipeline`] requests in flight; responses
-//!   carry the request's id and may return **out of order**. Past the
-//!   cap the reactor simply stops reading the socket — backpressure
-//!   by TCP, not by queue growth.
+//! * **Pipelining** — a connection may hold up to
+//!   [`NetServerConfig::max_pipeline`] requests on the workers plus
+//!   answers queued for its socket; responses carry the request's id
+//!   and may return **out of order**. Past the cap the reactor simply
+//!   stops reading the socket — backpressure by TCP, not by queue
+//!   growth, whoever answered.
 //! * **Deadlines** — an idle connection (no bytes either way for
 //!   [`NetServerConfig::read_timeout`], or output unwritable for
 //!   [`NetServerConfig::write_timeout`]) is closed by the reactor's
 //!   sweep; the client-requested query deadline is clamped to
 //!   [`NetServerConfig::max_deadline`] before it reaches
 //!   [`CtxPrefService::query_admitted`].
-//! * **Request admission** — a `Query`/`TopK` passes the service's
-//!   admission gates on the reactor, before anything is queued: a shed
-//!   is a typed [`Response::Busy`] written without a thread hop.
-//!   A body that fails to decode is answered typed under its id, also
-//!   from the reactor.
 //! * **Panic isolation** — dispatch runs under `catch_unwind` on the
-//!   service's workers; a panicking request answers with a typed error.
+//!   service's workers, and the reactor's view probe contains its own
+//!   (a panicking probe hands its read to a worker); a panicking
+//!   request answers with a typed error.
 //! * **Graceful drain** — [`NetServer::shutdown`] stops accepting,
 //!   lets in-flight requests finish (bounded by the drain timeout),
 //!   waits until every request it queued on the service has run, and
@@ -64,77 +70,14 @@ use ctxpref_faults::{hit, hit_io};
 use ctxpref_service::{Admitted, CtxPrefService};
 
 use crate::codec::{self, WireRequest};
-use crate::dispatch::{dispatch, err_of};
+use crate::dispatch::{dispatch, err_of, probe_view};
 use crate::frame::{encode_frame, FrameDecoder};
 use crate::proto::{Request, Response};
 use crate::reactor::{Epoll, Interest, Slab, Token, Waker};
 
-/// Tuning knobs of the TCP front-end.
-#[derive(Debug, Clone, Copy)]
-pub struct NetServerConfig {
-    /// Concurrent-connection cap. Connection `max_connections + 1`
-    /// gets a typed busy frame and is closed.
-    pub max_connections: usize,
-    /// Idle timeout: how long a connection may sit with no traffic in
-    /// either direction before the reactor reclaims it.
-    pub read_timeout: Duration,
-    /// Write-stall timeout: how long queued output may sit unwritable
-    /// (peer not reading) before the connection is cut.
-    pub write_timeout: Duration,
-    /// Upper bound on the per-query deadline a client may request.
-    pub max_deadline: Duration,
-    /// How long [`NetServer::shutdown`] waits for in-flight
-    /// connections to finish before cutting them.
-    pub drain_timeout: Duration,
-    /// Per-connection cap on pipelined in-flight requests. Past it
-    /// the reactor stops reading the socket until completions drain —
-    /// backpressure by TCP.
-    pub max_pipeline: usize,
-    /// The retry hint attached to a connection-admission busy frame
-    /// (request-level sheds carry the service's live sojourn-derived
-    /// hint instead).
-    pub busy_retry_after: Duration,
-}
-
-impl Default for NetServerConfig {
-    fn default() -> Self {
-        Self {
-            max_connections: 64,
-            read_timeout: Duration::from_secs(30),
-            write_timeout: Duration::from_secs(10),
-            max_deadline: Duration::from_secs(2),
-            drain_timeout: Duration::from_secs(5),
-            max_pipeline: 128,
-            busy_retry_after: Duration::from_millis(100),
-        }
-    }
-}
-
-/// Counters of the serving front-end, exposed via
-/// [`NetServer::net_stats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NetStats {
-    /// Connections accepted and admitted.
-    pub accepted: usize,
-    /// Connections refused with a typed busy frame.
-    pub refused_busy: usize,
-    /// Connections closed because a socket option failed to apply on
-    /// accept (`set_nonblocking`/`set_nodelay`).
-    pub sockopt_failures: usize,
-    /// Request frames decoded off sockets.
-    pub frames_in: usize,
-    /// Response frames written.
-    pub frames_out: usize,
-}
-
-#[derive(Debug, Default)]
-struct StatsCells {
-    accepted: AtomicUsize,
-    refused_busy: AtomicUsize,
-    sockopt_failures: AtomicUsize,
-    frames_in: AtomicUsize,
-    frames_out: AtomicUsize,
-}
+mod config;
+use config::StatsCells;
+pub use config::{NetServerConfig, NetStats};
 
 /// A running TCP server in front of one shared service.
 #[derive(Debug)]
@@ -251,14 +194,7 @@ impl NetServer {
     /// Front-end counters (accepts, busy refusals, socket-option
     /// failures, frames in/out).
     pub fn net_stats(&self) -> NetStats {
-        let cells = &self.shared.stats;
-        NetStats {
-            accepted: cells.accepted.load(Ordering::Acquire),
-            refused_busy: cells.refused_busy.load(Ordering::Acquire),
-            sockopt_failures: cells.sockopt_failures.load(Ordering::Acquire),
-            frames_in: cells.frames_in.load(Ordering::Acquire),
-            frames_out: cells.frames_out.load(Ordering::Acquire),
-        }
+        self.shared.stats.snapshot()
     }
 
     /// Graceful drain: stop accepting, let in-flight requests finish
@@ -319,8 +255,16 @@ struct Conn {
 }
 
 impl Conn {
+    /// Whether the reactor reads and decodes nothing more for now:
+    /// closing, or at the pipeline cap, which counts the frames queued
+    /// for the socket as well as the requests on the workers, so a
+    /// peer that sends without reading stalls its own writes.
+    fn paused(&self, cfg: &NetServerConfig) -> bool {
+        self.closing || self.in_flight + self.out.len() >= cfg.max_pipeline
+    }
+
     fn desired_interest(&self, cfg: &NetServerConfig) -> Interest {
-        let wants_read = !self.closing && self.in_flight < cfg.max_pipeline;
+        let wants_read = !self.paused(cfg);
         let wants_write = !self.out.is_empty();
         match (wants_read, wants_write) {
             (true, true) => Interest::BOTH,
@@ -394,7 +338,7 @@ impl Reactor {
                             self.read_ready(token);
                         }
                         if ev.writable {
-                            self.write_ready(token);
+                            self.serve(token);
                         }
                         self.refresh_interest(token);
                     }
@@ -528,7 +472,7 @@ impl Reactor {
             let Some(conn) = self.conns.get_mut(token) else {
                 return;
             };
-            if conn.closing || conn.in_flight >= self.cfg.max_pipeline {
+            if conn.paused(&self.cfg) {
                 break;
             }
             match conn.stream.read(&mut buf) {
@@ -550,29 +494,44 @@ impl Reactor {
                 }
             }
         }
-        self.pump_frames(token);
-        // Flush the answers the reactor gave itself (sheds, bad bodies).
-        self.write_ready(token);
+        self.serve(token);
     }
 
-    /// Drain complete frames from the connection's decoder into
-    /// dispatch, respecting the pipeline cap.
-    fn pump_frames(&mut self, token: Token) {
+    /// Decode and answer what the connection has buffered, flushing as
+    /// it goes: an answer the reactor gave itself holds a pipeline slot
+    /// until written, so a flush can let decoding resume. Stops once
+    /// the decoder runs dry, or the cap holds after the flush (a
+    /// completion or a writable socket resumes it).
+    fn serve(&mut self, token: Token) {
+        loop {
+            let at_cap = self.pump_frames(token);
+            self.write_ready(token);
+            let cfg = &self.cfg;
+            if !at_cap || self.conns.get_mut(token).is_none_or(|c| c.paused(cfg)) {
+                return;
+            }
+        }
+    }
+
+    /// Drain complete frames from the connection's decoder into the
+    /// reactor's own answers or the workers, respecting the pipeline
+    /// cap. True iff it stopped at the cap with frames possibly left.
+    fn pump_frames(&mut self, token: Token) -> bool {
         loop {
             let Some(conn) = self.conns.get_mut(token) else {
-                return;
+                return false;
             };
-            if conn.closing || conn.in_flight >= self.cfg.max_pipeline {
-                return;
+            if conn.paused(&self.cfg) {
+                return true;
             }
             let payload = match conn.decoder.next_frame() {
                 Ok(Some(p)) => p,
-                Ok(None) => return,
+                Ok(None) => return false,
                 Err(e) => {
                     // Torn/hostile framing: the stream is misaligned
                     // beyond recovery.
                     self.refuse_connection(token, "frame", e.to_string());
-                    return;
+                    return false;
                 }
             };
             // The per-frame fault gauntlet the blocking server ran
@@ -580,7 +539,7 @@ impl Reactor {
             // connection drop severs the conversation here too.
             if hit_io(NET_FRAME_READ).is_err() || hit(NET_CONN_DROP).is_err() {
                 self.close(token);
-                return;
+                return false;
             }
             self.shared.stats.frames_in.fetch_add(1, Ordering::AcqRel);
             if !codec::is_binary(&payload) {
@@ -595,7 +554,7 @@ impl Reactor {
                         codec::BINARY_MAGIC
                     ),
                 );
-                return;
+                return false;
             }
             let wire = match codec::decode_request(&payload) {
                 Ok(wire) => wire,
@@ -612,14 +571,28 @@ impl Reactor {
                     continue;
                 }
             };
-            // A ranked read passes admission here, before it is queued:
-            // a shed is answered without a thread hop.
-            let read = matches!(wire.req, Request::Query { .. } | Request::TopK { .. })
-                .then_some(wire.tier);
             let id = wire.id;
+            let mut admitted = None;
+            if matches!(wire.req, Request::Query { .. } | Request::TopK { .. }) {
+                // A ranked read passes admission here, before it is
+                // queued: a shed is answered without a thread hop, and
+                // so is a view hit.
+                let service = &self.shared.service;
+                let resp = match service.admit(wire.tier) {
+                    Ok(ticket) => probe_view(service, &wire.req, ticket),
+                    Err(e) => Ok(err_of(&e)),
+                };
+                match resp {
+                    Ok(resp) => {
+                        self.enqueue_frame(token, &codec::encode_response(id, &resp));
+                        continue;
+                    }
+                    Err(ticket) => admitted = Some(ticket),
+                }
+            }
             let shared = Arc::clone(&self.shared);
             let job = move |admitted| shared.run(token, &wire, admitted);
-            match self.shared.service.spawn(read, job) {
+            match self.shared.service.spawn(admitted, job) {
                 Ok(()) => conn.in_flight += 1,
                 Err(e) => self.enqueue_frame(token, &codec::encode_response(id, &err_of(&e))),
             }
@@ -656,17 +629,15 @@ impl Reactor {
             };
             conn.in_flight = conn.in_flight.saturating_sub(1);
             self.enqueue_frame(token, &payload);
-            // Freed pipeline budget: frames may be waiting, parsed,
-            // in the decoder.
-            self.pump_frames(token);
             if !touched.contains(&token) {
                 touched.push(token);
             }
         }
         // Flush once per connection rather than once per completion:
-        // responses that completed together leave together.
+        // responses that completed together leave together, and the
+        // pipeline budget they free lets waiting frames be decoded.
         for token in touched {
-            self.write_ready(token);
+            self.serve(token);
             self.refresh_interest(token);
         }
     }

@@ -42,7 +42,9 @@ struct Read<'a> {
 ///
 /// Every request runs on one fixed pool of worker threads: in-process
 /// callers queue their reads and wait for the answer, and a front-end
-/// (the network server) queues whole requests with [`Self::spawn`].
+/// (the network server) queues whole requests with [`Self::spawn`] —
+/// all but the top-k reads a current view answers on its own thread
+/// ([`Self::view_hit`]).
 ///
 /// * **Deadlines & cancellation** — every query carries a deadline and
 ///   is never executed past it: a worker drops it at dequeue, after the
@@ -352,23 +354,68 @@ impl CtxPrefService {
     }
 
     /// Queue `job` on the service's workers — the pool every request
-    /// runs on. With `read` set, the job is a ranked read at that tier:
-    /// it passes admission first (a shed returns
-    /// [`ServiceError::Overloaded`] at once and queues nothing), and
-    /// `job` receives the ticket to hand to [`Self::query_admitted`].
-    /// Fails with [`ServiceError::ShuttingDown`] once the service stops.
+    /// runs on. A ranked read comes with the ticket [`Self::admit`]
+    /// issued for it, and `job` receives that ticket to hand to
+    /// [`Self::query_admitted`]. Fails with
+    /// [`ServiceError::ShuttingDown`] once the service stops (the
+    /// ticket's slot is given back).
     pub fn spawn(
         &self,
-        read: Option<Priority>,
+        admitted: Option<Admitted>,
         job: impl FnOnce(Option<Admitted>) + Send + 'static,
     ) -> Result<(), ServiceError> {
-        let admitted = read.map(|tier| self.admit(tier)).transpose()?;
         self.enqueue(Box::new(move || job(admitted)))
+    }
+
+    /// Answer an admitted top-`k` read from a current materialized
+    /// view on the calling thread, without waiting — a front-end's
+    /// reactor calls it before queueing the read. It only answers when
+    /// the user's shard is free and a view holds the answer: it never
+    /// blocks on a shard lock, passes no fault site, materializes
+    /// nothing and records no miss, and a panic inside it is
+    /// contained. (The user's view catalog is read-locked as on any
+    /// hit, so it can wait out a worker's concurrent build of that
+    /// user's view: bounded compute, never I/O or a fault site.) A hit
+    /// counts as [`LadderStep::View`] and feeds no
+    /// sojourn sample (it never queued). Anything else — a miss, a
+    /// contended shard, an installed fault plan — hands the ticket back
+    /// so the read queues with [`Self::spawn`].
+    pub fn view_hit(
+        &self,
+        admitted: Admitted,
+        user: &str,
+        state: &ContextState,
+        k: usize,
+    ) -> Result<ServiceAnswer, Admitted> {
+        // Under a plan every read runs where its fault sites are.
+        if ctxpref_faults::current().is_some() {
+            return Err(admitted);
+        }
+        let started = Instant::now();
+        let probe = || {
+            let core = Arc::clone(&*self.db.try_read()?);
+            let shard = core.try_read_user_shard(user)?;
+            shard.view_hit(user, state, k)
+        };
+        match catch_unwind(AssertUnwindSafe(probe)) {
+            Ok(Some(answer)) => {
+                let answer = ServiceAnswer {
+                    answer,
+                    step: LadderStep::View,
+                    fallbacks: Vec::new(),
+                    resolved_state: None,
+                    elapsed: started.elapsed(),
+                };
+                self.counters.served_view.fetch_add(1, Ordering::Relaxed);
+                Ok(answer)
+            }
+            Ok(None) | Err(_) => Err(admitted),
+        }
     }
 
     /// Run a ranked read on the calling thread — from inside a job on
     /// the service's workers, so that no worker waits on the pool.
-    /// `admitted` is the ticket [`Self::spawn`] issued for this read;
+    /// `admitted` is the ticket [`Self::admit`] issued for this read;
     /// `None` admits it here, at `tier`. It is dropped unexecuted if
     /// `deadline` (counted from admission) has passed by the time it
     /// runs, after the shard lock, or between ladder rungs — there is
@@ -404,11 +451,14 @@ impl CtxPrefService {
         result
     }
 
-    /// The two admission gates, in order. The CoDel-style sojourn
-    /// controller sheds low tiers while queue dwell has stood above
-    /// target for a sustained interval (never Interactive); the hard
-    /// `max_in_flight` backstop then reserves a slot or sheds.
-    fn admit(&self, tier: Priority) -> Result<Admitted, ServiceError> {
+    /// Admit one ranked read at `tier`: the two admission gates, in
+    /// order. The CoDel-style sojourn controller sheds low tiers while
+    /// queue dwell has stood above target for a sustained interval
+    /// (never Interactive); the hard `max_in_flight` backstop then
+    /// reserves a slot or sheds. A shed is the retryable
+    /// [`ServiceError::Overloaded`]; the ticket holds the slot until
+    /// it drops.
+    pub fn admit(&self, tier: Priority) -> Result<Admitted, ServiceError> {
         if self.shutting_down.load(Ordering::Acquire) {
             return Err(ServiceError::ShuttingDown);
         }

@@ -15,8 +15,10 @@ use ctxpref_storage::{
 use ctxpref_workload::reference::{poi_env, poi_relation};
 use ctxpref_workload::user_study::{all_demographics, default_profile};
 
-/// Fault plans are process-global; tests that install one must not
-/// overlap with each other.
+/// Fault plans are process-global, and every save or load passes the
+/// storage fault sites: a test saving beside one that scripts `fail_at`
+/// hits would consume them. So every test here that saves or loads —
+/// which is every test — holds this lock.
 fn fault_lock() -> MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
     LOCK.get_or_init(Mutex::default)
@@ -89,6 +91,7 @@ fn study_db(users: usize) -> MultiUserDb {
 
 #[test]
 fn save_load_roundtrip_with_checksum() {
+    let _serial = fault_lock();
     let path = TempPath::new("roundtrip");
     let db = study_db(3);
     save_multi_user(&path.0, &db).unwrap();
@@ -110,6 +113,7 @@ fn save_load_roundtrip_with_checksum() {
 
 #[test]
 fn flipped_byte_is_detected_as_corrupt() {
+    let _serial = fault_lock();
     let path = TempPath::new("bitrot");
     save_multi_user(&path.0, &study_db(2)).unwrap();
     let mut bytes = std::fs::read(&path.0).unwrap();
@@ -125,6 +129,7 @@ fn flipped_byte_is_detected_as_corrupt() {
 
 #[test]
 fn files_without_checksum_still_load() {
+    let _serial = fault_lock();
     // Streaming output (and pre-checksum files) has no checksum line.
     let path = TempPath::new("legacy");
     let db = study_db(2);
@@ -144,6 +149,7 @@ fn files_without_checksum_still_load() {
 /// the checksum rejects every strict prefix at load time.
 #[test]
 fn reader_never_panics_on_any_prefix() {
+    let _serial = fault_lock();
     let path = TempPath::new("fuzz");
     // Small relation, three small hand-built profiles: the fuzz is
     // O(file²) since every prefix is parsed, so the file must stay a
@@ -197,6 +203,7 @@ fn reader_never_panics_on_any_prefix() {
 /// accepts the damaged bytes as the saved database.
 #[test]
 fn reader_never_panics_on_flipped_bytes() {
+    let _serial = fault_lock();
     let path = TempPath::new("flip");
     let db = tiny_multi_user_db();
     save_multi_user(&path.0, &db).unwrap();
@@ -293,6 +300,7 @@ fn injected_io_errors_surface_as_storage_errors() {
 /// of the complete snapshots.
 #[test]
 fn concurrent_saves_yield_a_complete_snapshot() {
+    let _serial = fault_lock();
     let path = TempPath::new("race");
     let dbs: Vec<MultiUserDb> = (1..=4).map(study_db).collect();
     std::thread::scope(|s| {

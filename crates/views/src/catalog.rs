@@ -275,36 +275,43 @@ impl ViewCatalog {
         state: &ContextState,
         k: usize,
     ) -> Option<RankedResults> {
+        if let Some(result) = self.hit(opts, state, k) {
+            return Some(result);
+        }
         if !opts.supports_views() || k == 0 {
             return None;
         }
-        {
-            let inner = self.inner.read();
-            if inner.opts.as_ref() == Some(opts) {
-                if let Some(view) = inner
-                    .table
-                    .lookup(state)
-                    .and_then(|id| inner.views.get(&id))
-                {
-                    if let Some(content) = &view.content {
-                        if content.epoch == inner.epoch && (content.complete || k <= content.k_max)
-                        {
-                            let rows = top_k_with_ties(&content.ranked, k);
-                            let result = RankedResults::from_sorted(rows.to_vec());
-                            view.last_used.store(self.now(), Ordering::Relaxed);
-                            let hits = view.hits.fetch_add(1, Ordering::Relaxed) + 1;
-                            if hits >= AUTOPIN_AFTER {
-                                view.pinned.store(true, Ordering::Relaxed);
-                            }
-                            self.hits.fetch_add(1, Ordering::Relaxed);
-                            return Some(result);
-                        }
-                    }
-                }
-            }
-        }
         self.misses.fetch_add(1, Ordering::Relaxed);
         self.note_miss(store, relation, opts, state, k)
+    }
+
+    /// The hit path alone, under the catalog's read lock:
+    /// `top_k_with_ties(k)` for `state` when a view built under `opts`
+    /// is current at this epoch and deep enough for `k`, counted as a
+    /// hit. A miss records nothing and materializes nothing, so a
+    /// caller that cannot afford [`Self::serve`]'s miss path may probe
+    /// and leave the miss to a later `serve`.
+    pub fn hit(&self, opts: &ViewOpts, state: &ContextState, k: usize) -> Option<RankedResults> {
+        if !opts.supports_views() || k == 0 {
+            return None;
+        }
+        let inner = self.inner.read();
+        if inner.opts.as_ref() != Some(opts) {
+            return None;
+        }
+        let view = inner.views.get(&inner.table.lookup(state)?)?;
+        let content = view.content.as_ref()?;
+        if content.epoch != inner.epoch || !(content.complete || k <= content.k_max) {
+            return None;
+        }
+        let result = RankedResults::from_sorted(top_k_with_ties(&content.ranked, k).to_vec());
+        view.last_used.store(self.now(), Ordering::Relaxed);
+        let hits = view.hits.fetch_add(1, Ordering::Relaxed) + 1;
+        if hits >= AUTOPIN_AFTER {
+            view.pinned.store(true, Ordering::Relaxed);
+        }
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        Some(result)
     }
 
     /// Miss path: count the request and materialize (or re-materialize
