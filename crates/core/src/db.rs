@@ -9,7 +9,7 @@ use ctxpref_profile::{
 };
 use ctxpref_qcache::{CacheStats, ContextQueryTree};
 use ctxpref_relation::{CompareOp, RankedResults, Relation, ScoreCombiner, Value};
-use ctxpref_resolve::{rank_cs, StateResolution, TieBreak};
+use ctxpref_resolve::{rank_cs, RankedQuery, StateResolution, TieBreak};
 
 use crate::error::CoreError;
 
@@ -64,6 +64,33 @@ pub struct QueryAnswer {
 }
 
 impl QueryAnswer {
+    /// A freshly resolved answer.
+    pub(crate) fn resolved(q: RankedQuery) -> Self {
+        Self {
+            results: Arc::new(q.results),
+            resolutions: q.resolutions,
+            from_cache: false,
+        }
+    }
+
+    /// Render the top-`k` rows (ties included) as `name (score)` lines,
+    /// naming each tuple of `relation` by its `attr` value — handy for
+    /// examples and CLIs.
+    pub fn render_top(
+        &self,
+        relation: &Relation,
+        attr: &str,
+        k: usize,
+    ) -> Result<String, CoreError> {
+        let a = relation.schema().require_attr(attr)?;
+        let mut out = String::new();
+        for e in self.results.top_k_with_ties(k) {
+            let name = relation.tuple(e.tuple_index).value(a);
+            out.push_str(&format!("{name} ({:.2})\n", e.score));
+        }
+        Ok(out)
+    }
+
     /// Cells accessed by context resolution for this answer (0 when the
     /// answer came from the cache).
     pub fn cells(&self) -> u64 {
@@ -437,31 +464,19 @@ impl ContextualDb {
                 opts.combiner,
             )?,
         };
-        Ok(QueryAnswer {
-            results: Arc::new(q.results),
-            resolutions: q.resolutions,
-            from_cache: false,
-        })
+        Ok(QueryAnswer::resolved(q))
     }
 
     /// Render the top-`k` answer (ties included) as `name (score)` lines
-    /// using the given display attribute — handy for examples and CLIs.
+    /// using the given display attribute — see
+    /// [`QueryAnswer::render_top`].
     pub fn render_top(
         &self,
         answer: &QueryAnswer,
         attr: &str,
         k: usize,
     ) -> Result<String, CoreError> {
-        let a = self.relation.schema().require_attr(attr)?;
-        let mut out = String::new();
-        for e in answer.results.top_k_with_ties(k) {
-            out.push_str(&format!(
-                "{} ({:.2})\n",
-                self.relation.tuple(e.tuple_index).value(a),
-                e.score
-            ));
-        }
-        Ok(out)
+        answer.render_top(&self.relation, attr, k)
     }
 }
 

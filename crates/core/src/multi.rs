@@ -4,27 +4,31 @@
 //! with their own (initially default) profile, against one shared
 //! points-of-interest database. [`MultiUserDb`] is that deployment
 //! shape: a single context environment and relation, with per-user
-//! profiles, profile trees, and query caches.
+//! profiles, profile trees, query caches and materialized views.
+//!
+//! Every verb of the multi-user core is defined here, once. The
+//! concurrent serving core, [`crate::ShardedMultiUserDb`], is an array
+//! of locked `MultiUserDb` stripes sharing one relation, so the two
+//! cannot answer differently.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use ctxpref_context::{ContextState, ExtendedContextDescriptor};
+use ctxpref_context::{ContextEnvironment, ContextState, ExtendedContextDescriptor};
 use ctxpref_profile::{ContextualPreference, ParamOrder, Profile, ProfileTree, TreeStats};
 use ctxpref_qcache::ContextQueryTree;
 use ctxpref_relation::{CompareOp, RankedResults, Relation, Value};
 use ctxpref_resolve::{rank_cs, rank_cs_parallel, rank_cs_topk};
 use ctxpref_views::{Change, ViewCatalog, ViewOpts, ViewStats};
 
-use crate::db::{preference_from_parts, QueryAnswer, QueryOptions};
+use crate::db::{descriptor_of_state, preference_from_parts, QueryAnswer, QueryOptions};
 use crate::error::CoreError;
-use ctxpref_context::ContextEnvironment;
 
 /// Upper bound on worker threads for parallel multi-state `Rank_CS`.
 /// States of one query are fanned out across at most this many threads;
 /// results are stitched back in state order, so the merged ranking is
 /// identical to the serial one.
-pub(crate) fn rank_threads() -> usize {
+fn rank_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
@@ -32,11 +36,11 @@ pub(crate) fn rank_threads() -> usize {
 }
 
 /// Unpinned materialized views a user may hold before LRU eviction.
-pub(crate) const VIEW_CAPACITY: usize = 64;
+const VIEW_CAPACITY: usize = 64;
 
 /// The view-maintenance options implied by the database's query
 /// defaults.
-pub(crate) fn view_opts(defaults: QueryOptions) -> ViewOpts {
+fn view_opts(defaults: QueryOptions) -> ViewOpts {
     ViewOpts {
         distance: defaults.distance,
         tie: defaults.tie,
@@ -45,7 +49,7 @@ pub(crate) fn view_opts(defaults: QueryOptions) -> ViewOpts {
 }
 
 /// A ranking a materialized view served, as a query answer.
-pub(crate) fn view_answer(results: RankedResults) -> QueryAnswer {
+fn view_answer(results: RankedResults) -> QueryAnswer {
     QueryAnswer {
         results: Arc::new(results),
         resolutions: Vec::new(),
@@ -54,32 +58,27 @@ pub(crate) fn view_answer(results: RankedResults) -> QueryAnswer {
 }
 
 /// Per-user state: the logical profile, its tree index, an optional
-/// query cache, and the materialized top-k view catalog. Shared
-/// between [`MultiUserDb`] (single-threaded core) and
-/// [`crate::ShardedMultiUserDb`] (the concurrent serving core), so
-/// mutation and query semantics cannot drift between the two.
+/// query cache, and the materialized top-k view catalog.
 #[derive(Debug)]
-pub(crate) struct UserSlot {
-    pub(crate) profile: Profile,
-    pub(crate) tree: ProfileTree,
-    pub(crate) cache: Option<ContextQueryTree>,
-    pub(crate) views: ViewCatalog,
+struct UserSlot {
+    profile: Profile,
+    tree: ProfileTree,
+    cache: Option<ContextQueryTree>,
+    views: ViewCatalog,
 }
 
 impl UserSlot {
-    pub(crate) fn new(
+    fn new(
         profile: Profile,
         order: &ParamOrder,
         env: &ContextEnvironment,
         cache_capacity: usize,
     ) -> Result<Self, CoreError> {
         let tree = ProfileTree::from_profile(&profile, order.clone())?;
-        let cache =
-            (cache_capacity > 0).then(|| ContextQueryTree::new(env.clone(), cache_capacity));
         Ok(Self {
             profile,
             tree,
-            cache,
+            cache: new_cache(env, cache_capacity),
             views: ViewCatalog::new(VIEW_CAPACITY),
         })
     }
@@ -88,13 +87,7 @@ impl UserSlot {
     /// rankings are derived data and need not survive a snapshot. View
     /// *pins* are carried (the registration is durable state), their
     /// rankings are not: a restored view is rebuilt lazily.
-    pub(crate) fn clone_for_snapshot(
-        &self,
-        env: &ContextEnvironment,
-        cache_capacity: usize,
-    ) -> Self {
-        let cache =
-            (cache_capacity > 0).then(|| ContextQueryTree::new(env.clone(), cache_capacity));
+    fn clone_for_snapshot(&self, env: &ContextEnvironment, cache_capacity: usize) -> Self {
         let views = ViewCatalog::new(VIEW_CAPACITY);
         for state in self.views.pinned_states() {
             views.pin(state);
@@ -102,22 +95,9 @@ impl UserSlot {
         Self {
             profile: self.profile.clone(),
             tree: self.tree.clone(),
-            cache,
+            cache: new_cache(env, cache_capacity),
             views,
         }
-    }
-
-    pub(crate) fn insert_preference(
-        &mut self,
-        pref: ContextualPreference,
-        relation: &Relation,
-        defaults: QueryOptions,
-    ) -> Result<(), CoreError> {
-        self.tree.insert(&pref)?;
-        self.profile.insert_unchecked(pref);
-        let pref = self.profile.preferences().last().expect("just inserted");
-        self.publish(relation, defaults, Change::Insert(pref));
-        Ok(())
     }
 
     /// The tail of every mutation, once profile and tree agree again:
@@ -130,173 +110,21 @@ impl UserSlot {
         self.views
             .on_mutation(&self.tree, relation, &view_opts(defaults), change);
     }
+}
 
-    pub(crate) fn remove_preference(
-        &mut self,
-        index: usize,
-        order: &ParamOrder,
-        relation: &Relation,
-        defaults: QueryOptions,
-    ) -> Result<ContextualPreference, CoreError> {
-        if index >= self.profile.len() {
-            return Err(CoreError::NoSuchPreference(index));
-        }
-        let removed = self.profile.remove(index);
-        self.tree = ProfileTree::from_profile(&self.profile, order.clone())?;
-        self.publish(relation, defaults, Change::Remove(&removed));
-        Ok(removed)
-    }
+fn new_cache(env: &ContextEnvironment, capacity: usize) -> Option<ContextQueryTree> {
+    (capacity > 0).then(|| ContextQueryTree::new(env.clone(), capacity))
+}
 
-    pub(crate) fn update_preference_score(
-        &mut self,
-        index: usize,
-        score: f64,
-        env: &ContextEnvironment,
-        order: &ParamOrder,
-        relation: &Relation,
-        defaults: QueryOptions,
-    ) -> Result<(), CoreError> {
-        if index >= self.profile.len() {
-            return Err(CoreError::NoSuchPreference(index));
-        }
-        let old = &self.profile.preferences()[index];
-        let old_score = old.score();
-        if old_score == score {
-            return Ok(());
-        }
-        let updated = old.with_score(score)?;
-        for (i, other) in self.profile.preferences().iter().enumerate() {
-            if i != index && other.conflicts_with(&updated, env)? {
-                return Err(ctxpref_profile::ProfileError::Conflict {
-                    state: ContextState::all(env),
-                    existing_score: other.score(),
-                    new_score: score,
-                }
-                .into());
-            }
-        }
-        self.profile.update_score(index, score)?;
-        // Past the conflict scan no other preference shares a
-        // (state, clause) pair with this one — a sharer would have had
-        // to equal both the old score and the new — so its leaf
-        // entries are its alone and are re-scored where they sit
-        // (`ContextualDb` maintains its tree incrementally on the same
-        // argument). That is the tree a rebuild would give, without
-        // freeing and reallocating every node — hundreds of allocator
-        // calls whose time swings with the machine's state far more
-        // than the rest of the request does.
-        let pref = &self.profile.preferences()[index];
-        let mut in_place = true;
-        for state in pref.descriptor().states(env)? {
-            in_place &= self
-                .tree
-                .update_state_entry(&state, pref.clause(), pref.score());
-        }
-        if !in_place {
-            // The tree had drifted from the profile; start it over.
-            self.tree = ProfileTree::from_profile(&self.profile, order.clone())?;
-        }
-        self.publish(relation, defaults, Change::Rescore { pref, old_score });
-        Ok(())
-    }
-
-    /// Single-state query through this user's cache (when enabled).
-    pub(crate) fn query_state(
-        &self,
-        env: &ContextEnvironment,
-        relation: &Relation,
-        defaults: QueryOptions,
-        state: &ContextState,
-    ) -> Result<QueryAnswer, CoreError> {
-        if let Some(cache) = &self.cache {
-            if let Some(hit) = cache.get(state) {
-                return Ok(QueryAnswer {
-                    results: hit,
-                    resolutions: Vec::new(),
-                    from_cache: true,
-                });
-            }
-        }
-        let ecod: ExtendedContextDescriptor = crate::db::descriptor_of_state(env, state).into();
-        let q = rank_cs(
-            &self.tree,
-            relation,
-            &ecod,
-            defaults.distance,
-            defaults.tie,
-            defaults.combiner,
-        )?;
-        let answer = QueryAnswer {
-            results: Arc::new(q.results),
-            resolutions: q.resolutions,
-            from_cache: false,
-        };
-        if let Some(cache) = &self.cache {
-            cache.insert(state, Arc::clone(&answer.results));
-        }
-        Ok(answer)
-    }
-
-    /// Single-state top-k query: served from a materialized view when
-    /// one is current (the boolean is true then), falling back to
-    /// early-terminating `rank_cs_topk` resolution. Rows are always
-    /// `top_k_with_ties(k)` of the full ranking, bit-identical between
-    /// the two paths.
-    pub(crate) fn query_state_topk(
-        &self,
-        env: &ContextEnvironment,
-        relation: &Relation,
-        defaults: QueryOptions,
-        state: &ContextState,
-        k: usize,
-    ) -> Result<(QueryAnswer, bool), CoreError> {
-        let opts = view_opts(defaults);
-        if let Some(results) = self.views.serve(&self.tree, relation, &opts, state, k) {
-            return Ok((view_answer(results), true));
-        }
-        let ecod: ExtendedContextDescriptor = crate::db::descriptor_of_state(env, state).into();
-        let q = rank_cs_topk(
-            &self.tree,
-            relation,
-            &ecod,
-            defaults.distance,
-            defaults.tie,
-            defaults.combiner,
-            k,
-        )?;
-        Ok((
-            QueryAnswer {
-                results: Arc::new(q.results),
-                resolutions: q.resolutions,
-                from_cache: false,
-            },
-            false,
-        ))
-    }
-
-    /// Explicit-descriptor query: multi-state (exploratory) descriptors
-    /// fan `Rank_CS` out across the query's context states.
-    pub(crate) fn query(
-        &self,
-        relation: &Relation,
-        defaults: QueryOptions,
-        ecod: &ExtendedContextDescriptor,
-    ) -> Result<QueryAnswer, CoreError> {
-        let q = rank_cs_parallel(
-            &self.tree,
-            relation,
-            ecod,
-            defaults.distance,
-            defaults.tie,
-            defaults.combiner,
-            rank_threads(),
-        )?;
-        Ok(QueryAnswer {
-            results: Arc::new(q.results),
-            resolutions: q.resolutions,
-            from_cache: false,
-        })
-    }
+/// `user`'s slot, borrowing only the user map so the caller can still
+/// read the database's other fields.
+fn slot_mut<'a>(
+    users: &'a mut HashMap<String, UserSlot>,
+    user: &str,
+) -> Result<&'a mut UserSlot, CoreError> {
+    users
+        .get_mut(user)
+        .ok_or_else(|| CoreError::NoSuchUser(user.to_string()))
 }
 
 /// A multi-user contextual preference database: one environment and
@@ -304,7 +132,7 @@ impl UserSlot {
 #[derive(Debug)]
 pub struct MultiUserDb {
     env: ContextEnvironment,
-    relation: Relation,
+    relation: Arc<Relation>,
     order: ParamOrder,
     cache_capacity: usize,
     defaults: QueryOptions,
@@ -319,7 +147,7 @@ impl MultiUserDb {
         let order = ParamOrder::by_ascending_domain(&env);
         Self {
             env,
-            relation,
+            relation: Arc::new(relation),
             order,
             cache_capacity,
             defaults: QueryOptions::default(),
@@ -327,44 +155,56 @@ impl MultiUserDb {
         }
     }
 
-    /// Decompose into raw parts (for conversion into the sharded core).
-    pub(crate) fn into_parts(
-        self,
-    ) -> (
-        ContextEnvironment,
-        Relation,
-        ParamOrder,
-        usize,
-        QueryOptions,
-        HashMap<String, UserSlot>,
-    ) {
-        (
-            self.env,
-            self.relation,
-            self.order,
-            self.cache_capacity,
-            self.defaults,
-            self.users,
-        )
+    /// A database with no users that shares this one's environment,
+    /// relation, tree order, cache capacity and query options — a
+    /// stripe of the sharded core, or a snapshot about to be filled.
+    pub(crate) fn empty_like(&self) -> Self {
+        Self {
+            env: self.env.clone(),
+            relation: Arc::clone(&self.relation),
+            order: self.order.clone(),
+            cache_capacity: self.cache_capacity,
+            defaults: self.defaults,
+            users: HashMap::new(),
+        }
     }
 
-    /// Reassemble from raw parts (the sharded core converting back).
-    pub(crate) fn from_parts(
-        env: ContextEnvironment,
-        relation: Relation,
-        order: ParamOrder,
-        cache_capacity: usize,
-        defaults: QueryOptions,
-        users: HashMap<String, UserSlot>,
-    ) -> Self {
-        Self {
-            env,
-            relation,
-            order,
-            cache_capacity,
-            defaults,
-            users,
+    /// Deal the users out over `n` databases like this one: each user
+    /// moves, with their tree, cache and views, to database
+    /// `pick(name)`.
+    pub(crate) fn split(self, n: usize, pick: impl Fn(&str) -> usize) -> Vec<Self> {
+        let mut parts: Vec<Self> = (0..n).map(|_| self.empty_like()).collect();
+        for (name, slot) in self.users {
+            parts[pick(&name)].users.insert(name, slot);
         }
+        parts
+    }
+
+    /// Move every user of `other` into this database (the inverse of
+    /// [`Self::split`]).
+    pub(crate) fn merge(&mut self, other: Self) {
+        self.users.extend(other.users);
+    }
+
+    /// Copy every user into `snap`, with empty query caches and
+    /// unmaterialized views (view pins are carried).
+    pub(crate) fn snapshot_into(&self, snap: &mut Self) {
+        for (name, slot) in &self.users {
+            let copy = slot.clone_for_snapshot(&self.env, self.cache_capacity);
+            snap.users.insert(name.clone(), copy);
+        }
+    }
+
+    /// Every user with their profile, in arbitrary order.
+    pub(crate) fn profiles(&self) -> impl Iterator<Item = (&str, &Profile)> {
+        self.users
+            .iter()
+            .map(|(name, s)| (name.as_str(), &s.profile))
+    }
+
+    /// The relation, as the handle every copy of this database shares.
+    pub(crate) fn shared_relation(&self) -> Arc<Relation> {
+        Arc::clone(&self.relation)
     }
 
     /// The shared context environment.
@@ -385,6 +225,11 @@ impl MultiUserDb {
     /// Number of registered users.
     pub fn user_count(&self) -> usize {
         self.users.len()
+    }
+
+    /// True iff `user` is registered.
+    pub fn has_user(&self, user: &str) -> bool {
+        self.users.contains_key(user)
     }
 
     /// Per-user cache capacity (0 = caching disabled).
@@ -446,18 +291,18 @@ impl MultiUserDb {
     }
 
     /// Insert a preference for one user (conflicts detected by their
-    /// tree; their cache is invalidated).
+    /// tree; their cache is invalidated and their views patched).
     pub fn insert_preference(
         &mut self,
         user: &str,
         pref: ContextualPreference,
     ) -> Result<(), CoreError> {
-        let defaults = self.defaults;
-        let slot = self
-            .users
-            .get_mut(user)
-            .ok_or_else(|| CoreError::NoSuchUser(user.to_string()))?;
-        slot.insert_preference(pref, &self.relation, defaults)
+        let slot = slot_mut(&mut self.users, user)?;
+        slot.tree.insert(&pref)?;
+        slot.profile.insert_unchecked(pref);
+        let pref = slot.profile.preferences().last().expect("just inserted");
+        slot.publish(&self.relation, self.defaults, Change::Insert(pref));
+        Ok(())
     }
 
     /// Insert an equality preference for one user from its textual
@@ -490,11 +335,14 @@ impl MultiUserDb {
         user: &str,
         index: usize,
     ) -> Result<ContextualPreference, CoreError> {
-        let slot = self
-            .users
-            .get_mut(user)
-            .ok_or_else(|| CoreError::NoSuchUser(user.to_string()))?;
-        slot.remove_preference(index, &self.order, &self.relation, self.defaults)
+        let slot = slot_mut(&mut self.users, user)?;
+        if index >= slot.profile.len() {
+            return Err(CoreError::NoSuchPreference(index));
+        }
+        let removed = slot.profile.remove(index);
+        slot.tree = ProfileTree::from_profile(&slot.profile, self.order.clone())?;
+        slot.publish(&self.relation, self.defaults, Change::Remove(&removed));
+        Ok(removed)
     }
 
     /// Update the score of one user's preference at `index`, checking
@@ -505,18 +353,54 @@ impl MultiUserDb {
         index: usize,
         score: f64,
     ) -> Result<(), CoreError> {
-        let slot = self
-            .users
-            .get_mut(user)
-            .ok_or_else(|| CoreError::NoSuchUser(user.to_string()))?;
-        slot.update_preference_score(
-            index,
-            score,
-            &self.env,
-            &self.order,
+        let env = &self.env;
+        let slot = slot_mut(&mut self.users, user)?;
+        if index >= slot.profile.len() {
+            return Err(CoreError::NoSuchPreference(index));
+        }
+        let old = &slot.profile.preferences()[index];
+        let old_score = old.score();
+        if old_score == score {
+            return Ok(());
+        }
+        let updated = old.with_score(score)?;
+        for (i, other) in slot.profile.preferences().iter().enumerate() {
+            if i != index && other.conflicts_with(&updated, env)? {
+                return Err(ctxpref_profile::ProfileError::Conflict {
+                    state: ContextState::all(env),
+                    existing_score: other.score(),
+                    new_score: score,
+                }
+                .into());
+            }
+        }
+        slot.profile.update_score(index, score)?;
+        // Past the conflict scan no other preference shares a
+        // (state, clause) pair with this one — a sharer would have had
+        // to equal both the old score and the new — so its leaf
+        // entries are its alone and are re-scored where they sit
+        // (`ContextualDb` maintains its tree incrementally on the same
+        // argument). That is the tree a rebuild would give, without
+        // freeing and reallocating every node — hundreds of allocator
+        // calls whose time swings with the machine's state far more
+        // than the rest of the request does.
+        let pref = &slot.profile.preferences()[index];
+        let mut in_place = true;
+        for state in pref.descriptor().states(env)? {
+            in_place &= slot
+                .tree
+                .update_state_entry(&state, pref.clause(), pref.score());
+        }
+        if !in_place {
+            // The tree had drifted from the profile; start it over.
+            slot.tree = ProfileTree::from_profile(&slot.profile, self.order.clone())?;
+        }
+        slot.publish(
             &self.relation,
             self.defaults,
-        )
+            Change::Rescore { pref, old_score },
+        );
+        Ok(())
     }
 
     /// The query options used for every query on this database.
@@ -525,8 +409,8 @@ impl MultiUserDb {
     }
 
     /// Replace the query options used for every query on this database.
-    /// Caches are invalidated: cached answers were computed under the
-    /// old options.
+    /// Caches and view contents are invalidated: both were computed
+    /// under the old options.
     pub fn set_query_defaults(&mut self, options: QueryOptions) {
         self.defaults = options;
         for slot in self.users.values_mut() {
@@ -546,24 +430,75 @@ impl MultiUserDb {
     /// Query one user's profile under a single context state, through
     /// their cache when enabled.
     pub fn query_state(&self, user: &str, state: &ContextState) -> Result<QueryAnswer, CoreError> {
-        self.slot(user)?
-            .query_state(&self.env, &self.relation, self.defaults, state)
+        let slot = self.slot(user)?;
+        if let Some(hit) = slot.cache.as_ref().and_then(|c| c.get(state)) {
+            return Ok(QueryAnswer {
+                results: hit,
+                resolutions: Vec::new(),
+                from_cache: true,
+            });
+        }
+        let ecod: ExtendedContextDescriptor = descriptor_of_state(&self.env, state).into();
+        let d = self.defaults;
+        let q = rank_cs(
+            &slot.tree,
+            &self.relation,
+            &ecod,
+            d.distance,
+            d.tie,
+            d.combiner,
+        )?;
+        let answer = QueryAnswer::resolved(q);
+        if let Some(cache) = &slot.cache {
+            cache.insert(state, Arc::clone(&answer.results));
+        }
+        Ok(answer)
     }
 
-    /// Top-k query under a single context state: materialized view
-    /// when current, `rank_cs_topk` otherwise. The boolean reports
-    /// whether a view answered.
+    /// Top-k query under a single context state: served from the
+    /// user's materialized view when one is current (the boolean is
+    /// true then), early-terminating `rank_cs_topk` otherwise. Rows are
+    /// always `top_k_with_ties(k)` of the full ranking, bit-identical
+    /// between the two paths.
     pub fn query_state_topk(
         &self,
         user: &str,
         state: &ContextState,
         k: usize,
     ) -> Result<(QueryAnswer, bool), CoreError> {
-        self.slot(user)?
-            .query_state_topk(&self.env, &self.relation, self.defaults, state, k)
+        let slot = self.slot(user)?;
+        let d = self.defaults;
+        let opts = view_opts(d);
+        if let Some(results) = slot
+            .views
+            .serve(&slot.tree, &self.relation, &opts, state, k)
+        {
+            return Ok((view_answer(results), true));
+        }
+        let ecod: ExtendedContextDescriptor = descriptor_of_state(&self.env, state).into();
+        let q = rank_cs_topk(
+            &slot.tree,
+            &self.relation,
+            &ecod,
+            d.distance,
+            d.tie,
+            d.combiner,
+            k,
+        )?;
+        Ok((QueryAnswer::resolved(q), false))
     }
 
-    /// Register and pin a materialized top-k view of `(user, state)`.
+    /// The view-hit probe: `user`'s top-`k` answer under `state` when a
+    /// current materialized view holds it, else `None` — no miss is
+    /// recorded and nothing is materialized.
+    pub fn view_hit(&self, user: &str, state: &ContextState, k: usize) -> Option<QueryAnswer> {
+        let slot = self.users.get(user)?;
+        let hit = slot.views.hit(&view_opts(self.defaults), state, k);
+        hit.map(view_answer)
+    }
+
+    /// Register and pin a materialized top-k view of `(user, state)`:
+    /// it is materialized on first use and never evicted.
     pub fn pin_view(&mut self, user: &str, state: &ContextState) -> Result<(), CoreError> {
         self.slot(user)?.views.pin(state.clone());
         Ok(())
@@ -584,33 +519,26 @@ impl MultiUserDb {
         Ok(self.slot(user)?.views.stats())
     }
 
-    /// Render the top-`k` answer (ties included) as `name (score)` lines
-    /// using the given display attribute — handy for examples and CLIs.
-    pub fn render_top(
-        &self,
-        answer: &QueryAnswer,
-        attr: &str,
-        k: usize,
-    ) -> Result<String, CoreError> {
-        let a = self.relation.schema().require_attr(attr)?;
-        let mut out = String::new();
-        for e in answer.results.top_k_with_ties(k) {
-            out.push_str(&format!(
-                "{} ({:.2})\n",
-                self.relation.tuple(e.tuple_index).value(a),
-                e.score
-            ));
-        }
-        Ok(out)
-    }
-
-    /// Query one user's profile with an explicit extended descriptor.
+    /// Query one user's profile with an explicit extended descriptor;
+    /// multi-state (exploratory) descriptors fan `Rank_CS` out across
+    /// the query's context states.
     pub fn query(
         &self,
         user: &str,
         ecod: &ExtendedContextDescriptor,
     ) -> Result<QueryAnswer, CoreError> {
-        self.slot(user)?.query(&self.relation, self.defaults, ecod)
+        let slot = self.slot(user)?;
+        let d = self.defaults;
+        let q = rank_cs_parallel(
+            &slot.tree,
+            &self.relation,
+            ecod,
+            d.distance,
+            d.tie,
+            d.combiner,
+            rank_threads(),
+        )?;
+        Ok(QueryAnswer::resolved(q))
     }
 }
 

@@ -2,63 +2,66 @@
 //!
 //! [`MultiUserDb`] is the paper's deployment shape — one environment and
 //! relation, many user profiles — but it is a plain single-threaded
-//! value: a concurrent server must wrap the whole thing in one
-//! `RwLock`, so a single user's profile edit (which rebuilds *their*
-//! tree and invalidates *their* cache) blocks every other user's
-//! queries, and a snapshot-save blocks all writes for the duration of
-//! the I/O.
+//! value: a concurrent server would have to wrap the whole thing in one
+//! `RwLock`, so a single user's profile edit would block every other
+//! user's queries, and a snapshot-save would block all writes for the
+//! duration of the I/O.
 //!
-//! [`ShardedMultiUserDb`] removes that global chokepoint. Users are
-//! striped over a fixed array of shards by a hash of the user name;
-//! each shard is its own `RwLock` over its users' [`UserSlot`]s. The
-//! environment and relation are immutable after construction and shared
-//! lock-free. Consequences:
+//! [`ShardedMultiUserDb`] removes that global chokepoint by striping:
+//! it is a fixed array of `MultiUserDb`s, each behind its own `RwLock`,
+//! and a user lives on the stripe a hash of their name picks. Every
+//! stripe shares one environment and one `Arc<Relation>`, of which the
+//! sharded core keeps lock-free copies. Each verb here is one call on
+//! the user's stripe under that stripe's lock, so its semantics are
+//! `MultiUserDb`'s by construction. Consequences:
 //!
 //! * a mutation (preference insert/remove/rescore, user add/remove)
-//!   write-locks only the owning shard — queries for users on the other
-//!   shards proceed untouched;
-//! * queries take a shard *read* lock, so queries never block each
+//!   write-locks only the owning stripe — queries for users on the
+//!   other stripes proceed untouched;
+//! * queries take a stripe *read* lock, so queries never block each
 //!   other (the per-user query cache is internally synchronized and
 //!   its hit path is read-lock-only, see `ctxpref-qcache`);
+//! * the query options live in each stripe and change under its write
+//!   lock, so a read in flight can never cache an answer computed under
+//!   options that a concurrent change has already replaced;
 //! * a save works from [`ShardedMultiUserDb::snapshot`], which holds
-//!   each shard's read lock only long enough to clone that shard's
-//!   slots — never across I/O.
+//!   each stripe's read lock only long enough to clone that stripe's
+//!   users (the relation is shared, not copied) — never across I/O.
 //!
-//! Both cores share the same [`UserSlot`] implementation, so query and
-//! mutation semantics are identical by construction; `from_db` /
-//! `into_db` convert losslessly in both directions.
+//! `from_db` / `into_db` convert losslessly in both directions.
 
-use std::collections::HashMap;
+use std::sync::Arc;
 
 use ctxpref_context::{ContextEnvironment, ContextState, ExtendedContextDescriptor};
-use ctxpref_profile::{ContextualPreference, ParamOrder, Profile, ProfileTree, TreeStats};
-use ctxpref_relation::{CompareOp, Relation, Value};
+use ctxpref_profile::{ContextualPreference, Profile, ProfileTree, TreeStats};
+use ctxpref_qcache::CacheStats;
+use ctxpref_relation::{Relation, Value};
 use ctxpref_views::ViewStats;
 use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use crate::db::{preference_from_parts, QueryAnswer, QueryOptions};
+use crate::db::{QueryAnswer, QueryOptions};
 use crate::error::CoreError;
-use crate::multi::{view_answer, view_opts, MultiUserDb, UserSlot};
+use crate::multi::MultiUserDb;
 
 /// Default number of stripes. Collisions cost only read-vs-write
 /// contention, so a modest constant far above the worker count is
 /// plenty; a power of two keeps the modulo cheap.
 pub const DEFAULT_SHARDS: usize = 16;
 
-type Shard = RwLock<HashMap<String, UserSlot>>;
+/// A read guard over one stripe: the [`MultiUserDb`] holding every
+/// user that hashes there, serving any number of queries without
+/// re-locking. See [`ShardedMultiUserDb::read_user_shard`].
+pub type UserShardRead<'a> = RwLockReadGuard<'a, MultiUserDb>;
 
 /// A multi-user contextual preference database sharded for concurrent
-/// serving: user slots are striped over fixed per-shard `RwLock`s, so
-/// one user's mutation never blocks another shard's queries. See the
+/// serving: users are striped over fixed per-stripe `RwLock`s, so one
+/// user's mutation never blocks another stripe's queries. See the
 /// module docs.
 #[derive(Debug)]
 pub struct ShardedMultiUserDb {
     env: ContextEnvironment,
-    relation: Relation,
-    order: ParamOrder,
-    cache_capacity: usize,
-    defaults: RwLock<QueryOptions>,
-    shards: Box<[Shard]>,
+    relation: Arc<Relation>,
+    stripes: Box<[RwLock<MultiUserDb>]>,
 }
 
 impl ShardedMultiUserDb {
@@ -71,101 +74,63 @@ impl ShardedMultiUserDb {
         cache_capacity: usize,
         shards: usize,
     ) -> Self {
-        let order = ParamOrder::by_ascending_domain(&env);
-        let shards = (0..shards.max(1))
-            .map(|_| RwLock::new(HashMap::new()))
-            .collect();
-        Self {
-            env,
-            relation,
-            order,
-            cache_capacity,
-            defaults: RwLock::new(QueryOptions::default()),
-            shards,
-        }
+        Self::from_db(MultiUserDb::new(env, relation, cache_capacity), shards)
     }
 
     /// Convert a plain [`MultiUserDb`] into a sharded one, moving every
-    /// user slot (profiles, trees, and caches are reused, not rebuilt).
+    /// user (profiles, trees, and caches are reused, not rebuilt).
     pub fn from_db(db: MultiUserDb, shards: usize) -> Self {
-        let (env, relation, order, cache_capacity, defaults, users) = db.into_parts();
         let shards = shards.max(1);
-        let mut maps: Vec<HashMap<String, UserSlot>> =
-            (0..shards).map(|_| HashMap::new()).collect();
-        for (name, slot) in users {
-            let ix = shard_index(&name, shards);
-            maps[ix].insert(name, slot);
-        }
+        let (env, relation) = (db.env().clone(), db.shared_relation());
+        let stripes = db.split(shards, |user| shard_index(user, shards));
         Self {
             env,
             relation,
-            order,
-            cache_capacity,
-            defaults: RwLock::new(defaults),
-            shards: maps.into_iter().map(RwLock::new).collect(),
+            stripes: stripes.into_iter().map(RwLock::new).collect(),
         }
     }
 
-    /// Convert back into a plain [`MultiUserDb`], consuming the shards.
+    /// Convert back into a plain [`MultiUserDb`], consuming the stripes.
     pub fn into_db(self) -> MultiUserDb {
-        let mut users = HashMap::new();
-        for shard in self.shards.into_vec() {
-            users.extend(shard.into_inner());
+        let mut stripes = self.stripes.into_vec().into_iter().map(RwLock::into_inner);
+        let mut db = stripes.next().expect("at least one stripe");
+        for stripe in stripes {
+            db.merge(stripe);
         }
-        MultiUserDb::from_parts(
-            self.env,
-            self.relation,
-            self.order,
-            self.cache_capacity,
-            self.defaults.into_inner(),
-            users,
-        )
+        db
     }
 
     /// A point-in-time copy as a plain [`MultiUserDb`] (fresh, empty
-    /// query caches — cached rankings are derived data). Each shard's
-    /// read lock is held only while cloning that shard's slots, so a
+    /// query caches — cached rankings are derived data). Each stripe's
+    /// read lock is held only while cloning that stripe's users, so a
     /// long save never blocks writers for the duration of the I/O.
     pub fn snapshot(&self) -> MultiUserDb {
         let mut snap = self.snapshot_begin();
-        for ix in 0..self.shards.len() {
+        for ix in 0..self.stripes.len() {
             self.snapshot_stripe(ix, &mut snap);
         }
-        snap.finish()
+        snap
     }
 
-    /// Begin an incremental snapshot: captures the shared parts
-    /// (environment, relation, order, defaults) and returns an empty
-    /// accumulator. Feed it stripes via [`Self::snapshot_stripe`] —
-    /// external coordinators (e.g. a write-ahead-log checkpointer) can
-    /// interleave their own per-stripe bookkeeping between clones so
-    /// that each stripe's copy is consistent with a per-stripe cut
-    /// point, without ever quiescing the whole database.
-    pub fn snapshot_begin(&self) -> PartialSnapshot {
-        PartialSnapshot {
-            env: self.env.clone(),
-            relation: self.relation.clone(),
-            order: self.order.clone(),
-            cache_capacity: self.cache_capacity,
-            defaults: *self.defaults.read(),
-            users: HashMap::new(),
-        }
+    /// Begin an incremental snapshot: an empty [`MultiUserDb`] sharing
+    /// this database's environment, relation and options. Feed it
+    /// stripes via [`Self::snapshot_stripe`] — external coordinators
+    /// (e.g. a write-ahead-log checkpointer) can interleave their own
+    /// per-stripe bookkeeping between clones so that each stripe's copy
+    /// is consistent with a per-stripe cut point, without ever
+    /// quiescing the whole database.
+    pub fn snapshot_begin(&self) -> MultiUserDb {
+        self.stripes[0].read().empty_like()
     }
 
-    /// Clone stripe `ix`'s user slots into `snap`, holding that
-    /// stripe's read lock only for the duration of the clone.
+    /// Clone stripe `ix`'s users into `snap`, holding that stripe's read
+    /// lock only for the duration of the clone.
     ///
     /// # Panics
     ///
     /// If `ix >= self.num_shards()`.
-    pub fn snapshot_stripe(&self, ix: usize, snap: &mut PartialSnapshot) {
-        let guard = self.shards[ix].read();
-        for (name, slot) in guard.iter() {
-            snap.users.insert(
-                name.clone(),
-                slot.clone_for_snapshot(&self.env, self.cache_capacity),
-            );
-        }
+    pub fn snapshot_stripe(&self, ix: usize, snap: &mut MultiUserDb) {
+        self.stripes[ix].read().snapshot_into(snap);
     }
 
     /// The shared context environment.
@@ -180,32 +145,36 @@ impl ShardedMultiUserDb {
 
     /// Number of stripes.
     pub fn num_shards(&self) -> usize {
-        self.shards.len()
+        self.stripes.len()
     }
 
     /// The stripe serving `user` — exposed so tests and benchmarks can
     /// reason about collisions deterministically.
     pub fn shard_of(&self, user: &str) -> usize {
-        shard_index(user, self.shards.len())
+        shard_index(user, self.stripes.len())
+    }
+
+    fn stripe(&self, user: &str) -> &RwLock<MultiUserDb> {
+        &self.stripes[self.shard_of(user)]
     }
 
     /// Per-user cache capacity (0 = caching disabled).
     pub fn cache_capacity(&self) -> usize {
-        self.cache_capacity
+        self.stripes[0].read().cache_capacity()
     }
 
     /// Number of registered users (consistent only if no concurrent
     /// user add/remove is in flight).
     pub fn user_count(&self) -> usize {
-        self.shards.iter().map(|s| s.read().len()).sum()
+        self.stripes.iter().map(|s| s.read().user_count()).sum()
     }
 
     /// User names in sorted order.
     pub fn users_sorted(&self) -> Vec<String> {
         let mut names: Vec<String> = self
-            .shards
+            .stripes
             .iter()
-            .flat_map(|s| s.read().keys().cloned().collect::<Vec<_>>())
+            .flat_map(|s| s.read().users().map(str::to_string).collect::<Vec<_>>())
             .collect();
         names.sort_unstable();
         names
@@ -213,130 +182,86 @@ impl ShardedMultiUserDb {
 
     /// The query options used for every query on this database.
     pub fn query_defaults(&self) -> QueryOptions {
-        *self.defaults.read()
+        self.stripes[0].read().query_defaults()
     }
 
     /// Replace the query options; every user's cache and materialized
     /// view contents are invalidated (both were computed under the old
-    /// options).
+    /// options). Each stripe changes under its write lock, so it waits
+    /// for the reads in flight there.
     pub fn set_query_defaults(&self, options: QueryOptions) {
-        *self.defaults.write() = options;
-        for shard in self.shards.iter() {
-            let guard = shard.read();
-            for slot in guard.values() {
-                if let Some(c) = &slot.cache {
-                    c.invalidate_all();
-                }
-                slot.views.invalidate_contents();
-            }
+        for stripe in self.stripes.iter() {
+            stripe.write().set_query_defaults(options);
         }
-    }
-
-    fn shard(&self, user: &str) -> &Shard {
-        &self.shards[shard_index(user, self.shards.len())]
     }
 
     /// Register a user with an empty profile.
     pub fn add_user(&self, name: &str) -> Result<(), CoreError> {
-        self.add_user_with_profile(name, Profile::new(self.env.clone()))
+        self.stripe(name).write().add_user(name)
     }
 
     /// Register a user with an initial profile.
     pub fn add_user_with_profile(&self, name: &str, profile: Profile) -> Result<(), CoreError> {
-        let slot = UserSlot::new(profile, &self.order, &self.env, self.cache_capacity)?;
-        let mut shard = self.shard(name).write();
-        if shard.contains_key(name) {
-            return Err(CoreError::DuplicateUser(name.to_string()));
-        }
-        shard.insert(name.to_string(), slot);
-        Ok(())
+        self.stripe(name)
+            .write()
+            .add_user_with_profile(name, profile)
     }
 
     /// Remove a user and return their profile.
     pub fn remove_user(&self, name: &str) -> Result<Profile, CoreError> {
-        self.shard(name)
-            .write()
-            .remove(name)
-            .map(|slot| slot.profile)
-            .ok_or_else(|| CoreError::NoSuchUser(name.to_string()))
+        self.stripe(name).write().remove_user(name)
     }
 
-    fn with_slot<R>(
-        &self,
-        user: &str,
-        f: impl FnOnce(&UserSlot) -> Result<R, CoreError>,
-    ) -> Result<R, CoreError> {
-        let shard = self.shard(user).read();
-        let slot = shard
-            .get(user)
-            .ok_or_else(|| CoreError::NoSuchUser(user.to_string()))?;
-        f(slot)
-    }
-
-    fn with_slot_mut<R>(
-        &self,
-        user: &str,
-        f: impl FnOnce(&mut UserSlot) -> Result<R, CoreError>,
-    ) -> Result<R, CoreError> {
-        let mut shard = self.shard(user).write();
-        let slot = shard
-            .get_mut(user)
-            .ok_or_else(|| CoreError::NoSuchUser(user.to_string()))?;
-        f(slot)
-    }
-
-    /// A user's profile (an owned clone — the slot lives behind the
-    /// shard lock, so references cannot escape it).
+    /// A user's profile (an owned clone — the user lives behind the
+    /// stripe lock, so references cannot escape it).
     pub fn profile(&self, user: &str) -> Result<Profile, CoreError> {
-        self.with_slot(user, |s| Ok(s.profile.clone()))
+        self.read_user_shard(user).profile(user).cloned()
     }
 
     /// A user's profile tree (owned clone, for display and explanation).
     pub fn tree(&self, user: &str) -> Result<ProfileTree, CoreError> {
-        self.with_slot(user, |s| Ok(s.tree.clone()))
+        self.read_user_shard(user).tree(user).cloned()
     }
 
     /// A user's profile-tree statistics.
     pub fn tree_stats(&self, user: &str) -> Result<TreeStats, CoreError> {
-        self.with_slot(user, |s| Ok(s.tree.stats()))
+        self.read_user_shard(user).tree_stats(user)
     }
 
     /// One user's query-cache statistics (`None` when caching is
     /// disabled).
-    pub fn cache_stats(&self, user: &str) -> Result<Option<ctxpref_qcache::CacheStats>, CoreError> {
-        self.with_slot(user, |s| Ok(s.cache.as_ref().map(|c| c.stats())))
+    pub fn cache_stats(&self, user: &str) -> Result<Option<CacheStats>, CoreError> {
+        self.read_user_shard(user).cache_stats(user)
     }
 
-    /// Query-cache statistics summed over every user on every shard —
+    /// Query-cache statistics summed over every user on every stripe —
     /// the serving layer's `stats` verb surfaces these so operators can
     /// see invalidation and eviction pressure without enumerating
-    /// users. Consistent per-slot; cross-slot skew is possible under
+    /// users. Consistent per user; cross-user skew is possible under
     /// concurrent traffic (like every aggregate counter here).
-    pub fn cache_totals(&self) -> ctxpref_qcache::CacheStats {
-        let mut total = ctxpref_qcache::CacheStats::default();
-        for shard in self.shards.iter() {
-            let guard = shard.read();
-            for slot in guard.values() {
-                if let Some(s) = slot.cache.as_ref().map(|c| c.stats()) {
-                    total.hits += s.hits;
-                    total.misses += s.misses;
-                    total.insertions += s.insertions;
-                    total.evictions += s.evictions;
-                    total.invalidations += s.invalidations;
-                    total.cells_accessed += s.cells_accessed;
-                }
+    pub fn cache_totals(&self) -> CacheStats {
+        let mut total = CacheStats::default();
+        for stripe in self.stripes.iter() {
+            let db = stripe.read();
+            for s in db.users().filter_map(|u| db.cache_stats(u).ok().flatten()) {
+                total.hits += s.hits;
+                total.misses += s.misses;
+                total.insertions += s.insertions;
+                total.evictions += s.evictions;
+                total.invalidations += s.invalidations;
+                total.cells_accessed += s.cells_accessed;
             }
         }
         total
     }
 
-    /// View-serving statistics summed over every user on every shard.
+    /// View-serving statistics summed over every user on every stripe.
     pub fn views_totals(&self) -> ViewStats {
         let mut total = ViewStats::default();
-        for shard in self.shards.iter() {
-            let guard = shard.read();
-            for slot in guard.values() {
-                total.absorb(&slot.views.stats());
+        for stripe in self.stripes.iter() {
+            let db = stripe.read();
+            for s in db.users().filter_map(|u| db.view_stats(u).ok()) {
+                total.absorb(&s);
             }
         }
         total
@@ -344,39 +269,33 @@ impl ShardedMultiUserDb {
 
     /// One user's view-serving counters.
     pub fn view_stats(&self, user: &str) -> Result<ViewStats, CoreError> {
-        self.with_slot(user, |s| Ok(s.views.stats()))
+        self.read_user_shard(user).view_stats(user)
     }
 
     /// Register and pin a materialized top-k view of `(user, state)`:
     /// it is materialized on first use and never evicted.
     pub fn pin_view(&self, user: &str, state: &ContextState) -> Result<(), CoreError> {
-        self.with_slot(user, |s| {
-            s.views.pin(state.clone());
-            Ok(())
-        })
+        self.stripe(user).write().pin_view(user, state)
     }
 
     /// Unpin a previously pinned view; returns whether it was pinned.
     pub fn unpin_view(&self, user: &str, state: &ContextState) -> Result<bool, CoreError> {
-        self.with_slot(user, |s| Ok(s.views.unpin(state)))
+        self.stripe(user).write().unpin_view(user, state)
     }
 
     /// One user's pinned view states (sorted).
     pub fn pinned_views(&self, user: &str) -> Result<Vec<ContextState>, CoreError> {
-        self.with_slot(user, |s| Ok(s.views.pinned_states()))
+        self.read_user_shard(user).pinned_views(user)
     }
 
-    /// Insert a preference for one user; only their shard is
+    /// Insert a preference for one user; only their stripe is
     /// write-locked.
     pub fn insert_preference(
         &self,
         user: &str,
         pref: ContextualPreference,
     ) -> Result<(), CoreError> {
-        let defaults = *self.defaults.read();
-        self.with_slot_mut(user, |s| {
-            s.insert_preference(pref, &self.relation, defaults)
-        })
+        self.stripe(user).write().insert_preference(user, pref)
     }
 
     /// Insert an equality preference for one user from its textual
@@ -389,16 +308,9 @@ impl ShardedMultiUserDb {
         value: Value,
         score: f64,
     ) -> Result<(), CoreError> {
-        let pref = preference_from_parts(
-            &self.env,
-            &self.relation,
-            descriptor,
-            attr,
-            CompareOp::Eq,
-            value,
-            score,
-        )?;
-        self.insert_preference(user, pref)
+        self.stripe(user)
+            .write()
+            .insert_preference_eq(user, descriptor, attr, value, score)
     }
 
     /// Remove one user's preference at `index`.
@@ -407,10 +319,7 @@ impl ShardedMultiUserDb {
         user: &str,
         index: usize,
     ) -> Result<ContextualPreference, CoreError> {
-        let defaults = *self.defaults.read();
-        self.with_slot_mut(user, |s| {
-            s.remove_preference(index, &self.order, &self.relation, defaults)
-        })
+        self.stripe(user).write().remove_preference(user, index)
     }
 
     /// Update the score of one user's preference at `index`.
@@ -420,42 +329,28 @@ impl ShardedMultiUserDb {
         index: usize,
         score: f64,
     ) -> Result<(), CoreError> {
-        let defaults = *self.defaults.read();
-        self.with_slot_mut(user, |s| {
-            s.update_preference_score(
-                index,
-                score,
-                &self.env,
-                &self.order,
-                &self.relation,
-                defaults,
-            )
-        })
+        self.stripe(user)
+            .write()
+            .update_preference_score(user, index, score)
     }
 
     /// Query one user's profile under a single context state, through
-    /// their cache when enabled. Takes the user's shard read lock.
+    /// their cache when enabled. Takes the user's stripe read lock.
     pub fn query_state(&self, user: &str, state: &ContextState) -> Result<QueryAnswer, CoreError> {
-        let defaults = *self.defaults.read();
-        self.with_slot(user, |s| {
-            s.query_state(&self.env, &self.relation, defaults, state)
-        })
+        self.read_user_shard(user).query_state(user, state)
     }
 
     /// Top-k query under a single context state: served from the
     /// user's materialized view when one is current, early-terminating
     /// `rank_cs_topk` otherwise. The boolean reports whether a view
-    /// answered. Takes the user's shard read lock.
+    /// answered. Takes the user's stripe read lock.
     pub fn query_state_topk(
         &self,
         user: &str,
         state: &ContextState,
         k: usize,
     ) -> Result<(QueryAnswer, bool), CoreError> {
-        let defaults = *self.defaults.read();
-        self.with_slot(user, |s| {
-            s.query_state_topk(&self.env, &self.relation, defaults, state, k)
-        })
+        self.read_user_shard(user).query_state_topk(user, state, k)
     }
 
     /// Query one user's profile with an explicit extended descriptor;
@@ -465,53 +360,23 @@ impl ShardedMultiUserDb {
         user: &str,
         ecod: &ExtendedContextDescriptor,
     ) -> Result<QueryAnswer, CoreError> {
-        let defaults = *self.defaults.read();
-        self.with_slot(user, |s| s.query(&self.relation, defaults, ecod))
+        self.read_user_shard(user).query(user, ecod)
     }
 
-    /// Render the top-`k` answer (ties included) as `name (score)` lines
-    /// using the given display attribute.
-    pub fn render_top(
-        &self,
-        answer: &QueryAnswer,
-        attr: &str,
-        k: usize,
-    ) -> Result<String, CoreError> {
-        let a = self.relation.schema().require_attr(attr)?;
-        let mut out = String::new();
-        for e in answer.results.top_k_with_ties(k) {
-            out.push_str(&format!(
-                "{} ({:.2})\n",
-                self.relation.tuple(e.tuple_index).value(a),
-                e.score
-            ));
-        }
-        Ok(out)
-    }
-
-    /// Acquire `user`'s shard for reading, once, and return a handle
-    /// that can serve any number of queries for users on that shard
+    /// Acquire `user`'s stripe for reading, once, and return a guard
+    /// that can serve any number of queries for users on that stripe
     /// without re-acquiring. This is the serving layer's hot path: the
     /// worker pays for the lock exactly once per request, can re-check
     /// its deadline *after* the (possibly contended) acquisition, and
     /// then walks its whole degradation ladder under the one guard.
-    pub fn read_user_shard<'a>(&'a self, user: &str) -> UserShardRead<'a> {
-        UserShardRead {
-            db: self,
-            defaults: *self.defaults.read(),
-            guard: self.shard(user).read(),
-        }
+    pub fn read_user_shard(&self, user: &str) -> UserShardRead<'_> {
+        self.stripe(user).read()
     }
 
     /// [`Self::read_user_shard`] for a caller that must never wait:
-    /// `None` while the shard (or the query defaults) is write-locked
-    /// or has a writer queued.
-    pub fn try_read_user_shard<'a>(&'a self, user: &str) -> Option<UserShardRead<'a>> {
-        Some(UserShardRead {
-            db: self,
-            defaults: *self.defaults.try_read()?,
-            guard: self.shard(user).try_read()?,
-        })
+    /// `None` while the stripe is write-locked or has a writer queued.
+    pub fn try_read_user_shard(&self, user: &str) -> Option<UserShardRead<'_>> {
+        self.stripe(user).try_read()
     }
 
     /// Stripe `ix`'s users and profiles, sorted by name. The stripe's
@@ -523,23 +388,24 @@ impl ShardedMultiUserDb {
     ///
     /// If `ix >= self.num_shards()`.
     pub fn stripe_users(&self, ix: usize) -> Vec<(String, Profile)> {
-        let guard = self.shards[ix].read();
-        let mut users: Vec<(String, Profile)> = guard
-            .iter()
-            .map(|(name, slot)| (name.clone(), slot.profile.clone()))
+        let stripe = self.stripes[ix].read();
+        let mut users: Vec<(String, Profile)> = stripe
+            .profiles()
+            .map(|(name, profile)| (name.to_string(), profile.clone()))
             .collect();
-        drop(guard);
+        drop(stripe);
         users.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         users
     }
 
     /// Replace stripe `ix`'s entire contents with `users`, rebuilding
-    /// each slot (tree and cache) from its profile. Users that hash to
-    /// a different stripe are rejected before anything is replaced, so
-    /// the fold invariant (stripe == FNV(user) % shards) cannot be
-    /// broken. This is the anti-entropy resync path: the stripe's write
-    /// lock is held across the swap, so readers see either the old
-    /// stripe or the new one, never a mix.
+    /// each user's tree and cache from their profile. Users that hash
+    /// to a different stripe are rejected before anything is replaced,
+    /// so the fold invariant (stripe == FNV(user) % shards) cannot be
+    /// broken. This is the anti-entropy resync path: the new stripe is
+    /// built outside every lock and swapped in under the stripe's write
+    /// lock, so readers see either the old stripe or the new one, never
+    /// a mix.
     ///
     /// # Panics
     ///
@@ -549,124 +415,35 @@ impl ShardedMultiUserDb {
         ix: usize,
         users: Vec<(String, Profile)>,
     ) -> Result<(), CoreError> {
-        let mut slots = HashMap::with_capacity(users.len());
+        let mut fresh = self.snapshot_begin();
         for (name, profile) in users {
-            if shard_index(&name, self.shards.len()) != ix {
+            if shard_index(&name, self.stripes.len()) != ix {
                 return Err(CoreError::NoSuchUser(format!(
                     "{name} does not belong to stripe {ix}"
                 )));
             }
-            let slot = UserSlot::new(profile, &self.order, &self.env, self.cache_capacity)?;
-            slots.insert(name, slot);
+            fresh.add_user_with_profile(&name, profile)?;
         }
-        *self.shards[ix].write() = slots;
+        let mut stripe = self.stripes[ix].write();
+        fresh.set_query_defaults(stripe.query_defaults());
+        *stripe = fresh;
         Ok(())
     }
 
-    /// Hold `user`'s shard write lock until the returned guard drops,
-    /// blocking that shard's queries and mutations. Only useful for
+    /// Hold `user`'s stripe write lock until the returned guard drops,
+    /// blocking that stripe's queries and mutations. Only useful for
     /// tests and benchmarks that need deterministic contention (e.g.
-    /// proving that *other* shards keep serving).
-    pub fn quiesce_user<'a>(&'a self, user: &str) -> ShardQuiesceGuard<'a> {
+    /// proving that *other* stripes keep serving).
+    pub fn quiesce_user(&self, user: &str) -> ShardQuiesceGuard<'_> {
         ShardQuiesceGuard {
-            _guard: self.shard(user).write(),
+            _guard: self.stripe(user).write(),
         }
-    }
-}
-
-/// A read guard over one shard, serving queries without re-locking. See
-/// [`ShardedMultiUserDb::read_user_shard`].
-pub struct UserShardRead<'a> {
-    db: &'a ShardedMultiUserDb,
-    defaults: QueryOptions,
-    guard: RwLockReadGuard<'a, HashMap<String, UserSlot>>,
-}
-
-impl UserShardRead<'_> {
-    /// The shared context environment.
-    pub fn env(&self) -> &ContextEnvironment {
-        &self.db.env
-    }
-
-    /// The shared relation.
-    pub fn relation(&self) -> &Relation {
-        &self.db.relation
-    }
-
-    /// True iff `user` is registered on this shard.
-    pub fn has_user(&self, user: &str) -> bool {
-        self.guard.contains_key(user)
-    }
-
-    /// Query `user` under a single context state through their cache,
-    /// re-using the already-held shard read lock. Errors with
-    /// [`CoreError::NoSuchUser`] for users absent from this shard.
-    pub fn query_state(&self, user: &str, state: &ContextState) -> Result<QueryAnswer, CoreError> {
-        let slot = self
-            .guard
-            .get(user)
-            .ok_or_else(|| CoreError::NoSuchUser(user.to_string()))?;
-        slot.query_state(&self.db.env, &self.db.relation, self.defaults, state)
-    }
-
-    /// Top-k query for `user` under a single context state, re-using
-    /// the already-held shard read lock: materialized view when one is
-    /// current (the view catalog's hit path is itself read-lock-only),
-    /// early-terminating `rank_cs_topk` otherwise. The boolean reports
-    /// whether a view answered.
-    pub fn query_state_topk(
-        &self,
-        user: &str,
-        state: &ContextState,
-        k: usize,
-    ) -> Result<(QueryAnswer, bool), CoreError> {
-        let slot = self
-            .guard
-            .get(user)
-            .ok_or_else(|| CoreError::NoSuchUser(user.to_string()))?;
-        slot.query_state_topk(&self.db.env, &self.db.relation, self.defaults, state, k)
-    }
-
-    /// The view-hit probe: `user`'s top-`k` answer under `state` when a
-    /// current materialized view holds it, else `None` — no miss is
-    /// recorded and nothing is materialized.
-    pub fn view_hit(&self, user: &str, state: &ContextState, k: usize) -> Option<QueryAnswer> {
-        let slot = self.guard.get(user)?;
-        let hit = slot.views.hit(&view_opts(self.defaults), state, k);
-        hit.map(view_answer)
     }
 }
 
 /// Opaque guard returned by [`ShardedMultiUserDb::quiesce_user`].
 pub struct ShardQuiesceGuard<'a> {
-    _guard: RwLockWriteGuard<'a, HashMap<String, UserSlot>>,
-}
-
-/// An in-progress incremental snapshot: the shared parts of the
-/// database plus the user slots of every stripe fed in so far. See
-/// [`ShardedMultiUserDb::snapshot_begin`].
-#[derive(Debug)]
-pub struct PartialSnapshot {
-    env: ContextEnvironment,
-    relation: Relation,
-    order: ParamOrder,
-    cache_capacity: usize,
-    defaults: QueryOptions,
-    users: HashMap<String, UserSlot>,
-}
-
-impl PartialSnapshot {
-    /// Assemble the accumulated stripes into a plain [`MultiUserDb`].
-    pub fn finish(self) -> MultiUserDb {
-        MultiUserDb::from_parts(
-            self.env,
-            self.relation,
-            self.order,
-            self.cache_capacity,
-            self.defaults,
-            self.users,
-        )
-    }
+    _guard: RwLockWriteGuard<'a, MultiUserDb>,
 }
 
 /// FNV-1a over the user name, folded onto the stripe count. Stable

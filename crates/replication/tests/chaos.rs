@@ -359,16 +359,16 @@ fn run_chaos_seed(seed: u64) -> Result<(), String> {
     //    failover seeds, first byte-compare the primary against the
     //    model of locally-applied ops.
     if status.promotions.len() == 1 {
-        let mut model = MultiUserDb::new(tiny_env(), tiny_relation(), 2);
+        let model = ShardedMultiUserDb::new(tiny_env(), tiny_relation(), 2, 1);
         for op in &applied {
             op.clone()
-                .apply_multi(&mut model)
+                .apply(&model)
                 .map_err(|e| ctx(&format!("model apply: {e}")))?;
         }
         let final_db = cluster.primary_db().expect("primary is live");
         let mut want = Vec::new();
         let mut got = Vec::new();
-        ctxpref_storage::write_multi_user(&mut want, &model)
+        ctxpref_storage::write_multi_user(&mut want, &model.snapshot())
             .map_err(|e| ctx(&format!("serialize model: {e}")))?;
         ctxpref_storage::write_multi_user(&mut got, &final_db.db().snapshot())
             .map_err(|e| ctx(&format!("serialize primary: {e}")))?;

@@ -125,7 +125,7 @@ impl CtxPrefService {
     /// so concurrent removals can never report the same value twice.
     pub(crate) fn write(&self, op: WalOp) -> Result<Displaced, ServiceError> {
         Ok(match &self.path {
-            WritePath::Direct => op.apply_sharded(&self.core())?,
+            WritePath::Direct => op.apply(&self.core())?,
             WritePath::Logged(durable) => durable.apply(op)?.displaced,
             WritePath::Replicated(cluster) => cluster.write(op)?.displaced,
         })

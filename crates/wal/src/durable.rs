@@ -25,7 +25,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use ctxpref_core::{MultiUserDb, ShardedMultiUserDb};
+use ctxpref_core::ShardedMultiUserDb;
 use ctxpref_faults::sites;
 use ctxpref_profile::Profile;
 use ctxpref_storage::{load_multi_user, save_multi_user};
@@ -222,8 +222,11 @@ impl DurableDb {
     pub fn recover(dir: &Path, opts: WalOptions) -> Result<(Self, RecoveryReport), WalError> {
         let dir_lock = acquire_dir_lock(dir)?;
         let manifest = Manifest::load(dir)?;
-        let mut db = load_multi_user(manifest.checkpoint_path(dir))?;
         let num_shards = manifest.shards.len();
+        let db = ShardedMultiUserDb::from_db(
+            load_multi_user(manifest.checkpoint_path(dir))?,
+            num_shards,
+        );
 
         let mut report = RecoveryReport {
             generation: manifest.generation,
@@ -236,16 +239,15 @@ impl DurableDb {
         };
         let mut positions = Vec::with_capacity(num_shards);
         for (shard, bounds) in manifest.shards.iter().enumerate() {
-            let pos = replay_shard(dir, shard, *bounds, &mut db, &mut report)?;
+            let pos = replay_shard(dir, shard, *bounds, &db, &mut report)?;
             report.shard_lsns[shard] = pos.next_lsn - 1;
             positions.push(pos);
         }
 
         let wal = Wal::open(dir, opts, &positions)?;
-        let db = Arc::new(ShardedMultiUserDb::from_db(db, num_shards));
         let me = Self {
             dir: dir.to_path_buf(),
-            db,
+            db: Arc::new(db),
             wal,
             manifest: Mutex::new(manifest),
             checkpoint_lock: Mutex::new(()),
@@ -305,7 +307,7 @@ impl DurableDb {
         let payload = op.encode(self.db.env(), self.db.relation());
         let mut guard = self.wal.shard(shard);
         let ack = guard.append(&payload)?;
-        let displaced = op.apply_sharded(&self.db)?;
+        let displaced = op.apply(&self.db)?;
         Ok(Ack {
             shard,
             lsn: ack.lsn,
@@ -395,7 +397,7 @@ impl DurableDb {
         }
         let ack = guard.append(payload).map_err(DurableError::Wal)?;
         debug_assert_eq!(ack.lsn, lsn);
-        if op.apply_sharded(&self.db).is_err() {
+        if op.apply(&self.db).is_err() {
             // The primary rejected this op identically when it logged
             // it (rejection is deterministic in the log prefix), so a
             // reject here is expected — but it must be *countable*: a
@@ -563,20 +565,19 @@ impl DurableDb {
         let _one_at_a_time = self.checkpoint_lock.lock();
         let generation = self.manifest.lock().generation + 1;
 
-        let mut snap = self.db.snapshot_begin();
+        let mut snapshot = self.db.snapshot_begin();
         let mut shards = Vec::with_capacity(self.wal.num_shards());
         for ix in 0..self.wal.num_shards() {
             let mut guard = self.wal.shard(ix);
             guard.flush()?;
             let last_lsn = guard.next_lsn() - 1;
             let first_live_segment = guard.rotate()?;
-            self.db.snapshot_stripe(ix, &mut snap);
+            self.db.snapshot_stripe(ix, &mut snapshot);
             shards.push(ShardManifest {
                 last_lsn,
                 first_live_segment,
             });
         }
-        let snapshot = snap.finish();
         let users = snapshot.user_count();
 
         let checkpoint = checkpoint_file_name(generation);
@@ -819,7 +820,7 @@ fn replay_shard(
     dir: &Path,
     shard: usize,
     bounds: ShardManifest,
-    db: &mut MultiUserDb,
+    db: &ShardedMultiUserDb,
     report: &mut RecoveryReport,
 ) -> Result<ShardPosition, WalError> {
     let rescue_allowed = quarantine_has_shard(dir, shard);
@@ -878,7 +879,7 @@ fn replay_shard(
                 });
             }
             let op = WalOp::decode(&rec.payload, db.env(), db.relation())?;
-            if op.apply_multi(db).is_err() {
+            if op.apply(db).is_err() {
                 // The live path rejected this op identically when it
                 // was logged; rejection is deterministic in the state,
                 // which is itself determined by the log prefix.

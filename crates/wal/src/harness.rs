@@ -340,7 +340,7 @@ fn check_recovery(dir: &Path, cfg: &FuzzConfig, outcome: &RunOutcome) -> Result<
     let (recovered, report) =
         DurableDb::recover(dir, cfg.wal_options()).map_err(|e| ctx(&format!("recovery: {e}")))?;
 
-    let mut model = MultiUserDb::new(tiny_env(), tiny_relation(), 2);
+    let model = ShardedMultiUserDb::new(tiny_env(), tiny_relation(), 2, 1);
     for shard in 0..cfg.shards {
         let lsn = report.shard_lsns[shard];
         let attempted = outcome.ops_by_shard[shard].len() as u64;
@@ -360,14 +360,15 @@ fn check_recovery(dir: &Path, cfg: &FuzzConfig, outcome: &RunOutcome) -> Result<
         for op in &outcome.ops_by_shard[shard][..lsn as usize] {
             // Only-valid workload: every recovered op must apply.
             op.clone()
-                .apply_multi(&mut model)
+                .apply(&model)
                 .map_err(|e| ctx(&format!("model replay rejected {op:?}: {e}")))?;
         }
     }
 
     let mut want = Vec::new();
     let mut got = Vec::new();
-    write_multi_user(&mut want, &model).map_err(|e| ctx(&format!("serialize model: {e}")))?;
+    write_multi_user(&mut want, &model.snapshot())
+        .map_err(|e| ctx(&format!("serialize model: {e}")))?;
     write_multi_user(&mut got, &recovered.db().snapshot())
         .map_err(|e| ctx(&format!("serialize recovered: {e}")))?;
     if want != got {

@@ -14,7 +14,7 @@
 //! round-trip-tested serializers.
 
 use ctxpref_context::ContextEnvironment;
-use ctxpref_core::{CoreError, MultiUserDb, ShardedMultiUserDb};
+use ctxpref_core::{CoreError, ShardedMultiUserDb};
 use ctxpref_profile::{ContextualPreference, Profile};
 use ctxpref_relation::Relation;
 use ctxpref_storage::{escape, parse_pref_tokens, pref_tokens, unescape};
@@ -198,10 +198,13 @@ impl WalOp {
         }
     }
 
-    /// Apply to the sharded serving core (the live mutation path),
-    /// handing back what the op took out of it. The op is consumed: an
-    /// inserted preference moves into the profile, it is not copied.
-    pub fn apply_sharded(self, db: &ShardedMultiUserDb) -> Result<Displaced, CoreError> {
+    /// Apply to the serving core — the live mutation path, replication
+    /// and recovery replay alike — handing back what the op took out of
+    /// it. The op is consumed: an inserted preference moves into the
+    /// profile, it is not copied. Rejection is deterministic in the
+    /// database's state, so an op rejected live is rejected identically
+    /// on replay.
+    pub fn apply(self, db: &ShardedMultiUserDb) -> Result<Displaced, CoreError> {
         match self {
             Self::AddUser { user } => db.add_user(&user).map(|()| Displaced::Nothing),
             Self::RemoveUser { user } => db.remove_user(&user).map(Displaced::Profile),
@@ -214,24 +217,6 @@ impl WalOp {
             Self::UpdateScore { user, index, score } => db
                 .update_preference_score(&user, index, score)
                 .map(|()| Displaced::Nothing),
-        }
-    }
-
-    /// Apply to a plain multi-user database (the recovery replay path).
-    /// Semantically identical to [`Self::apply_sharded`]: both delegate
-    /// to the shared `UserSlot` implementation, so a rejected live op
-    /// is rejected identically on replay.
-    pub fn apply_multi(self, db: &mut MultiUserDb) -> Result<(), CoreError> {
-        match self {
-            Self::AddUser { user } => db.add_user(&user),
-            Self::RemoveUser { user } => db.remove_user(&user).map(|_| ()),
-            Self::InsertPreference { user, pref } => db.insert_preference(&user, pref),
-            Self::RemovePreference { user, index } => {
-                db.remove_preference(&user, index).map(|_| ())
-            }
-            Self::UpdateScore { user, index, score } => {
-                db.update_preference_score(&user, index, score)
-            }
         }
     }
 }

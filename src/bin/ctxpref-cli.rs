@@ -751,8 +751,8 @@ fn render_answer(
     answer: &QueryAnswer,
     k: usize,
 ) -> Result<String, String> {
-    let mut out = db
-        .render_top(answer, "name", k)
+    let mut out = answer
+        .render_top(db.relation(), "name", k)
         .map_err(|e| e.to_string())?;
     if answer.results.is_empty() {
         out.push_str("(no results — no stored preference covers this context)\n");
