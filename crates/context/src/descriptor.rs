@@ -177,6 +177,19 @@ impl ContextDescriptor {
     }
 }
 
+/// The descriptor pinning every parameter of `state` that is not `all`:
+/// how a query's implicit current context is written as a descriptor.
+pub fn descriptor_of_state(env: &ContextEnvironment, state: &ContextState) -> ContextDescriptor {
+    let mut cod = ContextDescriptor::empty();
+    for (p, h) in env.iter() {
+        let v = state.value(p);
+        if v != h.all_value() {
+            cod = cod.with(p, ParameterDescriptor::Eq(v));
+        }
+    }
+    cod
+}
+
 fn cartesian(sets: &[Vec<CtxValue>], current: &mut Vec<CtxValue>, out: &mut Vec<ContextState>) {
     if current.len() == sets.len() {
         out.push(ContextState::from_values_unchecked(current.clone()));

@@ -48,7 +48,9 @@ mod state;
 #[cfg(test)]
 pub(crate) mod testutil;
 
-pub use descriptor::{ContextDescriptor, ExtendedContextDescriptor, ParameterDescriptor};
+pub use descriptor::{
+    descriptor_of_state, ContextDescriptor, ExtendedContextDescriptor, ParameterDescriptor,
+};
 pub use distance::{hierarchy_state_dist, jaccard_state_dist, DistanceKind};
 pub use env::{ContextEnvironment, ParamId};
 pub use error::ContextError;

@@ -1,11 +1,12 @@
 use std::sync::Arc;
 
 use ctxpref_context::{
-    parse_descriptor, parse_extended_descriptor, ContextDescriptor, ContextEnvironment,
-    ContextState, DistanceKind, ExtendedContextDescriptor, ParameterDescriptor,
+    descriptor_of_state, parse_descriptor, parse_extended_descriptor, ContextEnvironment,
+    ContextState, DistanceKind, ExtendedContextDescriptor,
 };
 use ctxpref_profile::{
-    AttributeClause, ContextualPreference, ParamOrder, Profile, ProfileTree, TreeStats,
+    AttributeClause, ContextualPreference, IndexedProfile, ParamOrder, Profile, ProfileTree,
+    TreeStats,
 };
 use ctxpref_qcache::{CacheStats, ContextQueryTree};
 use ctxpref_relation::{CompareOp, RankedResults, Relation, ScoreCombiner, Value};
@@ -164,14 +165,13 @@ impl ContextualDbBuilder {
         let order = self
             .order
             .unwrap_or_else(|| ParamOrder::by_ascending_domain(&env));
-        let tree = ProfileTree::new(env.clone(), order)?;
+        let indexed = IndexedProfile::new(Profile::new(env.clone()), order)?;
         let cache = (self.cache_capacity > 0)
             .then(|| ContextQueryTree::new(env.clone(), self.cache_capacity));
         Ok(ContextualDb {
-            profile: Profile::new(env.clone()),
             env,
             relation,
-            tree,
+            indexed,
             cache,
             defaults: self.defaults,
         })
@@ -185,8 +185,7 @@ impl ContextualDbBuilder {
 pub struct ContextualDb {
     env: ContextEnvironment,
     relation: Relation,
-    profile: Profile,
-    tree: ProfileTree,
+    indexed: IndexedProfile,
     cache: Option<ContextQueryTree>,
     defaults: QueryOptions,
 }
@@ -211,25 +210,29 @@ impl ContextualDb {
     pub fn relation_mut(&mut self) -> &mut Relation {
         // Database updates do not affect stored preferences, but they do
         // invalidate cached rankings.
+        self.invalidate_cache();
+        &mut self.relation
+    }
+
+    fn invalidate_cache(&self) {
         if let Some(c) = &self.cache {
             c.invalidate_all();
         }
-        &mut self.relation
     }
 
     /// The logical profile.
     pub fn profile(&self) -> &Profile {
-        &self.profile
+        self.indexed.profile()
     }
 
     /// The profile tree index.
     pub fn tree(&self) -> &ProfileTree {
-        &self.tree
+        self.indexed.tree()
     }
 
     /// Size statistics of the profile tree.
     pub fn tree_stats(&self) -> TreeStats {
-        self.tree.stats()
+        self.indexed.tree().stats()
     }
 
     /// Hit/miss statistics of the context query tree, if enabled.
@@ -246,11 +249,8 @@ impl ContextualDb {
     /// detected by the profile tree on insertion and reported to the
     /// caller; the cache is invalidated on success.
     pub fn insert_preference(&mut self, pref: ContextualPreference) -> Result<(), CoreError> {
-        self.tree.insert(&pref)?;
-        self.profile.insert_unchecked(pref);
-        if let Some(c) = &self.cache {
-            c.invalidate_all();
-        }
+        self.indexed.insert(pref)?;
+        self.invalidate_cache();
         Ok(())
     }
 
@@ -289,85 +289,19 @@ impl ContextualDb {
     }
 
     /// Remove the preference at `index` (as listed by
-    /// [`Profile::preferences`]). The profile tree is maintained
-    /// incrementally: only the paths this preference alone contributed
-    /// are pruned (entries shared with other preferences stay).
+    /// [`Profile::preferences`]), pruning only the tree paths it alone
+    /// contributed.
     pub fn remove_preference(&mut self, index: usize) -> Result<ContextualPreference, CoreError> {
-        if index >= self.profile.len() {
-            return Err(CoreError::NoSuchPreference(index));
-        }
-        let removed = self.profile.remove(index);
-        self.detach_from_tree(&removed)?;
-        if let Some(c) = &self.cache {
-            c.invalidate_all();
-        }
+        let removed = self.indexed.remove(index)?;
+        self.invalidate_cache();
         Ok(removed)
     }
 
     /// Update the score of the preference at `index`, checking the new
-    /// score against the rest of the profile (Definition 6) and
-    /// maintaining the tree incrementally.
+    /// score against the rest of the profile (Definition 6).
     pub fn update_preference_score(&mut self, index: usize, score: f64) -> Result<(), CoreError> {
-        if index >= self.profile.len() {
-            return Err(CoreError::NoSuchPreference(index));
-        }
-        let old = self.profile.preferences()[index].clone();
-        if old.score() == score {
-            return Ok(());
-        }
-        let updated = old.with_score(score)?;
-        for (i, other) in self.profile.preferences().iter().enumerate() {
-            if i != index && other.conflicts_with(&updated, &self.env)? {
-                // Recover a witness state for the error.
-                let state = other
-                    .descriptor()
-                    .states(&self.env)?
-                    .into_iter()
-                    .find(|s| {
-                        updated
-                            .descriptor()
-                            .states(&self.env)
-                            .map(|ss| ss.contains(s))
-                            .unwrap_or(false)
-                    })
-                    .unwrap_or_else(|| ContextState::all(&self.env));
-                return Err(ctxpref_profile::ProfileError::Conflict {
-                    state,
-                    existing_score: other.score(),
-                    new_score: score,
-                }
-                .into());
-            }
-        }
-        self.profile.update_score(index, score)?;
-        // After the conflict check, no other preference shares a
-        // (state, clause) pair with `old`, so detaching and re-inserting
-        // is safe.
-        self.detach_from_tree(&old)?;
-        self.tree.insert(&updated)?;
-        if let Some(c) = &self.cache {
-            c.invalidate_all();
-        }
-        Ok(())
-    }
-
-    /// Remove the tree entries of `pref`, preserving any (state, clause,
-    /// score) triple still contributed by a remaining preference.
-    fn detach_from_tree(&mut self, pref: &ContextualPreference) -> Result<(), CoreError> {
-        for state in pref.descriptor().states(&self.env)? {
-            let still_contributed = self.profile.iter().any(|other| {
-                other.clause() == pref.clause()
-                    && other.score() == pref.score()
-                    && other
-                        .descriptor()
-                        .states(&self.env)
-                        .map(|ss| ss.contains(&state))
-                        .unwrap_or(false)
-            });
-            if !still_contributed {
-                self.tree
-                    .remove_state_entry(&state, pref.clause(), pref.score());
-            }
+        if self.indexed.rescore(index, score)?.is_some() {
+            self.invalidate_cache();
         }
         Ok(())
     }
@@ -445,9 +379,10 @@ impl ContextualDb {
         ecod: &ExtendedContextDescriptor,
         opts: QueryOptions,
     ) -> Result<QueryAnswer, CoreError> {
+        let tree = self.indexed.tree();
         let q = match opts.top_k {
             Some(k) => ctxpref_resolve::rank_cs_topk(
-                &self.tree,
+                tree,
                 &self.relation,
                 ecod,
                 opts.distance,
@@ -456,7 +391,7 @@ impl ContextualDb {
                 k,
             )?,
             None => rank_cs(
-                &self.tree,
+                tree,
                 &self.relation,
                 ecod,
                 opts.distance,
@@ -497,18 +432,6 @@ pub fn preference_from_parts(
     let cod = parse_descriptor(env, descriptor)?;
     let clause = AttributeClause::new(relation.schema().require_attr(attr)?, op, value);
     Ok(ContextualPreference::new(cod, clause, score)?)
-}
-
-/// The descriptor pinning every non-`all` parameter of a state.
-pub(crate) fn descriptor_of_state(env: &ContextEnvironment, s: &ContextState) -> ContextDescriptor {
-    let mut cod = ContextDescriptor::empty();
-    for (p, h) in env.iter() {
-        let v = s.value(p);
-        if v != h.all_value() {
-            cod = cod.with(p, ParameterDescriptor::Eq(v));
-        }
-    }
-    cod
 }
 
 #[cfg(test)]
@@ -633,7 +556,7 @@ mod tests {
         let mut db = db();
         assert!(matches!(
             db.remove_preference(99).unwrap_err(),
-            CoreError::NoSuchPreference(99)
+            CoreError::Profile(ctxpref_profile::ProfileError::NoSuchPreference(99))
         ));
         db.update_preference_score(0, 0.55).unwrap();
         let s = ContextState::parse(db.env(), &["warm", "family"]).unwrap();

@@ -18,8 +18,6 @@ pub enum CoreError {
     Profile(ProfileError),
     /// An error from the relational layer.
     Relation(RelationError),
-    /// A preference index out of bounds.
-    NoSuchPreference(usize),
     /// A user name that is not registered (multi-user database).
     NoSuchUser(String),
     /// A user name that is already registered (multi-user database).
@@ -34,7 +32,6 @@ impl fmt::Display for CoreError {
             Self::Context(e) => write!(f, "{e}"),
             Self::Profile(e) => write!(f, "{e}"),
             Self::Relation(e) => write!(f, "{e}"),
-            Self::NoSuchPreference(i) => write!(f, "no preference at index {i}"),
             Self::NoSuchUser(u) => write!(f, "no user named {u:?}"),
             Self::DuplicateUser(u) => write!(f, "user {u:?} already exists"),
         }

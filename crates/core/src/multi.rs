@@ -14,14 +14,18 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use ctxpref_context::{ContextEnvironment, ContextState, ExtendedContextDescriptor};
-use ctxpref_profile::{ContextualPreference, ParamOrder, Profile, ProfileTree, TreeStats};
+use ctxpref_context::{
+    descriptor_of_state, ContextEnvironment, ContextState, ExtendedContextDescriptor,
+};
+use ctxpref_profile::{
+    ContextualPreference, IndexedProfile, ParamOrder, Profile, ProfileTree, TreeStats,
+};
 use ctxpref_qcache::ContextQueryTree;
 use ctxpref_relation::{CompareOp, RankedResults, Relation, Value};
 use ctxpref_resolve::{rank_cs, rank_cs_parallel, rank_cs_topk};
 use ctxpref_views::{Change, ViewCatalog, ViewOpts, ViewStats};
 
-use crate::db::{descriptor_of_state, preference_from_parts, QueryAnswer, QueryOptions};
+use crate::db::{preference_from_parts, QueryAnswer, QueryOptions};
 use crate::error::CoreError;
 
 /// Upper bound on worker threads for parallel multi-state `Rank_CS`.
@@ -57,12 +61,11 @@ fn view_answer(results: RankedResults) -> QueryAnswer {
     }
 }
 
-/// Per-user state: the logical profile, its tree index, an optional
-/// query cache, and the materialized top-k view catalog.
+/// Per-user state: the profile with its tree index, an optional query
+/// cache, and the materialized top-k view catalog.
 #[derive(Debug)]
 struct UserSlot {
-    profile: Profile,
-    tree: ProfileTree,
+    indexed: IndexedProfile,
     cache: Option<ContextQueryTree>,
     views: ViewCatalog,
 }
@@ -74,10 +77,8 @@ impl UserSlot {
         env: &ContextEnvironment,
         cache_capacity: usize,
     ) -> Result<Self, CoreError> {
-        let tree = ProfileTree::from_profile(&profile, order.clone())?;
         Ok(Self {
-            profile,
-            tree,
+            indexed: IndexedProfile::new(profile, order.clone())?,
             cache: new_cache(env, cache_capacity),
             views: ViewCatalog::new(VIEW_CAPACITY),
         })
@@ -85,30 +86,29 @@ impl UserSlot {
 
     /// A deep copy with a fresh (empty) cache — used by snapshots; cached
     /// rankings are derived data and need not survive a snapshot. View
-    /// *pins* are carried (the registration is durable state), their
-    /// rankings are not: a restored view is rebuilt lazily.
+    /// pins are carried into the copy, their rankings are not: a copied
+    /// view is rebuilt lazily.
     fn clone_for_snapshot(&self, env: &ContextEnvironment, cache_capacity: usize) -> Self {
         let views = ViewCatalog::new(VIEW_CAPACITY);
         for state in self.views.pinned_states() {
             views.pin(state);
         }
         Self {
-            profile: self.profile.clone(),
-            tree: self.tree.clone(),
+            indexed: self.indexed.clone(),
             cache: new_cache(env, cache_capacity),
             views,
         }
     }
 
-    /// The tail of every mutation, once profile and tree agree again:
-    /// cached rankings are stale, and the views patch themselves from
-    /// the change.
+    /// The tail of every mutation, once the edit has applied: cached
+    /// rankings are stale, and the views patch themselves from the
+    /// change.
     fn publish(&self, relation: &Relation, defaults: QueryOptions, change: Change<'_>) {
         if let Some(c) = &self.cache {
             c.invalidate_all();
         }
         self.views
-            .on_mutation(&self.tree, relation, &view_opts(defaults), change);
+            .on_mutation(self.indexed.tree(), relation, &view_opts(defaults), change);
     }
 }
 
@@ -199,7 +199,7 @@ impl MultiUserDb {
     pub(crate) fn profiles(&self) -> impl Iterator<Item = (&str, &Profile)> {
         self.users
             .iter()
-            .map(|(name, s)| (name.as_str(), &s.profile))
+            .map(|(name, s)| (name.as_str(), s.indexed.profile()))
     }
 
     /// The relation, as the handle every copy of this database shares.
@@ -264,7 +264,7 @@ impl MultiUserDb {
     pub fn remove_user(&mut self, name: &str) -> Result<Profile, CoreError> {
         self.users
             .remove(name)
-            .map(|slot| slot.profile)
+            .map(|slot| slot.indexed.into_profile())
             .ok_or_else(|| CoreError::NoSuchUser(name.to_string()))
     }
 
@@ -276,18 +276,18 @@ impl MultiUserDb {
 
     /// A user's profile.
     pub fn profile(&self, user: &str) -> Result<&Profile, CoreError> {
-        Ok(&self.slot(user)?.profile)
+        Ok(self.slot(user)?.indexed.profile())
     }
 
     /// A user's profile-tree statistics.
     pub fn tree_stats(&self, user: &str) -> Result<TreeStats, CoreError> {
-        Ok(self.slot(user)?.tree.stats())
+        Ok(self.slot(user)?.indexed.tree().stats())
     }
 
     /// A user's profile tree (for display, explanation, and reordering
     /// experiments).
     pub fn tree(&self, user: &str) -> Result<&ProfileTree, CoreError> {
-        Ok(&self.slot(user)?.tree)
+        Ok(self.slot(user)?.indexed.tree())
     }
 
     /// Insert a preference for one user (conflicts detected by their
@@ -298,9 +298,13 @@ impl MultiUserDb {
         pref: ContextualPreference,
     ) -> Result<(), CoreError> {
         let slot = slot_mut(&mut self.users, user)?;
-        slot.tree.insert(&pref)?;
-        slot.profile.insert_unchecked(pref);
-        let pref = slot.profile.preferences().last().expect("just inserted");
+        slot.indexed.insert(pref)?;
+        let pref = slot
+            .indexed
+            .profile()
+            .preferences()
+            .last()
+            .expect("just inserted");
         slot.publish(&self.relation, self.defaults, Change::Insert(pref));
         Ok(())
     }
@@ -328,19 +332,15 @@ impl MultiUserDb {
     }
 
     /// Remove one user's preference at `index` (as listed by their
-    /// [`Profile::preferences`]); their tree is rebuilt and their cache
-    /// invalidated.
+    /// [`Profile::preferences`]); only the tree paths it alone
+    /// contributed are pruned.
     pub fn remove_preference(
         &mut self,
         user: &str,
         index: usize,
     ) -> Result<ContextualPreference, CoreError> {
         let slot = slot_mut(&mut self.users, user)?;
-        if index >= slot.profile.len() {
-            return Err(CoreError::NoSuchPreference(index));
-        }
-        let removed = slot.profile.remove(index);
-        slot.tree = ProfileTree::from_profile(&slot.profile, self.order.clone())?;
+        let removed = slot.indexed.remove(index)?;
         slot.publish(&self.relation, self.defaults, Change::Remove(&removed));
         Ok(removed)
     }
@@ -353,53 +353,12 @@ impl MultiUserDb {
         index: usize,
         score: f64,
     ) -> Result<(), CoreError> {
-        let env = &self.env;
         let slot = slot_mut(&mut self.users, user)?;
-        if index >= slot.profile.len() {
-            return Err(CoreError::NoSuchPreference(index));
+        if let Some(old_score) = slot.indexed.rescore(index, score)? {
+            let pref = &slot.indexed.profile().preferences()[index];
+            let change = Change::Rescore { pref, old_score };
+            slot.publish(&self.relation, self.defaults, change);
         }
-        let old = &slot.profile.preferences()[index];
-        let old_score = old.score();
-        if old_score == score {
-            return Ok(());
-        }
-        let updated = old.with_score(score)?;
-        for (i, other) in slot.profile.preferences().iter().enumerate() {
-            if i != index && other.conflicts_with(&updated, env)? {
-                return Err(ctxpref_profile::ProfileError::Conflict {
-                    state: ContextState::all(env),
-                    existing_score: other.score(),
-                    new_score: score,
-                }
-                .into());
-            }
-        }
-        slot.profile.update_score(index, score)?;
-        // Past the conflict scan no other preference shares a
-        // (state, clause) pair with this one — a sharer would have had
-        // to equal both the old score and the new — so its leaf
-        // entries are its alone and are re-scored where they sit
-        // (`ContextualDb` maintains its tree incrementally on the same
-        // argument). That is the tree a rebuild would give, without
-        // freeing and reallocating every node — hundreds of allocator
-        // calls whose time swings with the machine's state far more
-        // than the rest of the request does.
-        let pref = &slot.profile.preferences()[index];
-        let mut in_place = true;
-        for state in pref.descriptor().states(env)? {
-            in_place &= slot
-                .tree
-                .update_state_entry(&state, pref.clause(), pref.score());
-        }
-        if !in_place {
-            // The tree had drifted from the profile; start it over.
-            slot.tree = ProfileTree::from_profile(&slot.profile, self.order.clone())?;
-        }
-        slot.publish(
-            &self.relation,
-            self.defaults,
-            Change::Rescore { pref, old_score },
-        );
         Ok(())
     }
 
@@ -441,7 +400,7 @@ impl MultiUserDb {
         let ecod: ExtendedContextDescriptor = descriptor_of_state(&self.env, state).into();
         let d = self.defaults;
         let q = rank_cs(
-            &slot.tree,
+            slot.indexed.tree(),
             &self.relation,
             &ecod,
             d.distance,
@@ -467,17 +426,15 @@ impl MultiUserDb {
         k: usize,
     ) -> Result<(QueryAnswer, bool), CoreError> {
         let slot = self.slot(user)?;
+        let tree = slot.indexed.tree();
         let d = self.defaults;
         let opts = view_opts(d);
-        if let Some(results) = slot
-            .views
-            .serve(&slot.tree, &self.relation, &opts, state, k)
-        {
+        if let Some(results) = slot.views.serve(tree, &self.relation, &opts, state, k) {
             return Ok((view_answer(results), true));
         }
         let ecod: ExtendedContextDescriptor = descriptor_of_state(&self.env, state).into();
         let q = rank_cs_topk(
-            &slot.tree,
+            tree,
             &self.relation,
             &ecod,
             d.distance,
@@ -527,10 +484,9 @@ impl MultiUserDb {
         user: &str,
         ecod: &ExtendedContextDescriptor,
     ) -> Result<QueryAnswer, CoreError> {
-        let slot = self.slot(user)?;
         let d = self.defaults;
         let q = rank_cs_parallel(
-            &slot.tree,
+            self.tree(user)?,
             &self.relation,
             ecod,
             d.distance,
@@ -545,7 +501,7 @@ impl MultiUserDb {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ctxpref_context::parse_descriptor;
+    use ctxpref_context::{parse_descriptor, ParamId};
     use ctxpref_hierarchy::Hierarchy;
     use ctxpref_profile::AttributeClause;
     use ctxpref_relation::{AttrType, Schema};
@@ -637,6 +593,16 @@ mod tests {
         assert_eq!(bob.results.entries()[0].score, 0.6);
     }
 
+    /// Whether alice's tree is the one a user registered with her
+    /// current profile gets.
+    fn alice_tree_is_rebuilt_alike(db: &mut MultiUserDb) -> bool {
+        let _ = db.remove_user("rebuilt");
+        let profile = db.profile("alice").unwrap().clone();
+        db.add_user_with_profile("rebuilt", profile).unwrap();
+        let (live, rebuilt) = (db.tree("alice").unwrap(), db.tree("rebuilt").unwrap());
+        live.paths() == rebuilt.paths() && live.stats() == rebuilt.stats()
+    }
+
     #[test]
     fn a_rescore_in_place_leaves_the_tree_a_rebuild_would() {
         let mut db = setup();
@@ -649,10 +615,7 @@ mod tests {
             db.insert_preference("alice", p).unwrap();
         }
         db.update_preference_score("alice", 0, 0.9).unwrap();
-        let slot = &db.users["alice"];
-        let rebuilt = ProfileTree::from_profile(&slot.profile, db.order.clone()).unwrap();
-        assert_eq!(slot.tree.paths(), rebuilt.paths());
-        assert_eq!(slot.tree.stats(), rebuilt.stats());
+        assert!(alice_tree_is_rebuilt_alike(&mut db));
         let warm = ContextState::parse(db.env(), &["warm"]).unwrap();
         let top = db.query_state("alice", &warm).unwrap();
         assert_eq!(top.results.entries()[0].tuple_index, 2); // zoo, now 0.9
@@ -661,10 +624,52 @@ mod tests {
         // shared state is refused and changes nothing.
         db.insert_preference("alice", pref(&db, "weather = warm", "zoo", 0.9))
             .unwrap();
+        let before = db.profile("alice").unwrap().preferences().to_vec();
         assert!(db.update_preference_score("alice", 0, 0.4).is_err());
-        let slot = &db.users["alice"];
-        let rebuilt = ProfileTree::from_profile(&slot.profile, db.order.clone()).unwrap();
-        assert_eq!(slot.tree.paths(), rebuilt.paths());
+        assert_eq!(db.profile("alice").unwrap().preferences(), before);
+        assert!(alice_tree_is_rebuilt_alike(&mut db));
+    }
+
+    #[test]
+    fn hot_views_are_evicted_lru_and_never_pinned_on_their_own() {
+        let env = ContextEnvironment::new(vec![
+            Hierarchy::balanced("a", &[16]).unwrap(),
+            Hierarchy::balanced("b", &[8]).unwrap(),
+        ])
+        .unwrap();
+        let schema = Schema::new(&[("type", AttrType::Str)]).unwrap();
+        let mut rel = Relation::new("poi", schema);
+        rel.insert(vec!["museum".into()]).unwrap();
+        let mut db = MultiUserDb::new(env.clone(), rel, 0);
+        db.add_user("alice").unwrap();
+        db.insert_preference_eq("alice", "*", "type", "museum".into(), 0.5)
+            .unwrap();
+        let detailed = |p: u16| {
+            let h = env.hierarchy(ParamId(p));
+            h.domain(h.detailed_level()).to_vec()
+        };
+        let (a, b) = (detailed(0), detailed(1));
+        // 2 × VIEW_CAPACITY states, each made hot: two misses
+        // materialize it, then 64 hits.
+        assert_eq!(a.len() * b.len(), 2 * VIEW_CAPACITY);
+        for &va in &a {
+            for &vb in &b {
+                let state = ContextState::from_values_unchecked(vec![va, vb]);
+                for _ in 0..2 + 64 {
+                    db.query_state_topk("alice", &state, 1).unwrap();
+                }
+            }
+        }
+        let stats = db.view_stats("alice").unwrap();
+        assert!(
+            stats.view_hits >= 64 * 2 * VIEW_CAPACITY as u64,
+            "{stats:?}"
+        );
+        assert!(
+            stats.materialized_views <= VIEW_CAPACITY as u64,
+            "{stats:?}"
+        );
+        assert_eq!(stats.pinned_views, 0, "{stats:?}");
     }
 
     #[test]

@@ -29,6 +29,8 @@ pub enum ProfileError {
     /// The operation mixes objects built over different context
     /// environments.
     EnvironmentMismatch,
+    /// A preference index out of bounds.
+    NoSuchPreference(usize),
 }
 
 impl fmt::Display for ProfileError {
@@ -51,6 +53,7 @@ impl fmt::Display for ProfileError {
             Self::EnvironmentMismatch => {
                 write!(f, "objects belong to different context environments")
             }
+            Self::NoSuchPreference(i) => write!(f, "no preference at index {i}"),
         }
     }
 }

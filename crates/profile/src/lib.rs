@@ -17,6 +17,9 @@
 //!   state. The tree reports exact size statistics ([`TreeStats`]) under
 //!   a documented byte model so the storage experiments of Section 5.2
 //!   (Figures 5 and 6) can be reproduced.
+//! * [`IndexedProfile`] — a profile and its tree, edited together: the
+//!   one way to insert, remove or re-score while keeping the index in
+//!   step.
 //! * [`SerialStore`] — the sequential-scan baseline the paper compares
 //!   against, with the same statistics and access counting.
 //! * [`ParamOrder`] — assignments of context parameters to tree levels,
@@ -29,6 +32,7 @@
 mod access;
 mod dag;
 mod error;
+mod indexed;
 mod ordering;
 mod preference;
 mod profile;
@@ -38,6 +42,7 @@ mod tree;
 pub use access::AccessCounter;
 pub use dag::CompressedProfileTree;
 pub use error::ProfileError;
+pub use indexed::IndexedProfile;
 pub use ordering::ParamOrder;
 pub use preference::{AttributeClause, ContextualPreference};
 pub use profile::Profile;

@@ -1,4 +1,4 @@
-use ctxpref_context::ContextEnvironment;
+use ctxpref_context::{ContextEnvironment, ContextState};
 
 use crate::error::ProfileError;
 use crate::preference::ContextualPreference;
@@ -55,32 +55,40 @@ impl Profile {
     /// one. Exact duplicates (same descriptor, clause, and score) are
     /// ignored, returning `Ok(false)`.
     pub fn insert(&mut self, pref: ContextualPreference) -> Result<bool, ProfileError> {
-        for existing in &self.prefs {
-            if existing.conflicts_with(&pref, &self.env)? {
-                // Recover a witness state for the error message.
-                let state = existing
-                    .descriptor()
-                    .states(&self.env)?
-                    .into_iter()
-                    .find(|s| {
-                        pref.descriptor()
-                            .states(&self.env)
-                            .map(|ss| ss.contains(s))
-                            .unwrap_or(false)
-                    })
-                    .unwrap_or_else(|| ctxpref_context::ContextState::all(&self.env));
-                return Err(ProfileError::Conflict {
-                    state,
-                    existing_score: existing.score(),
-                    new_score: pref.score(),
-                });
-            }
-            if existing == &pref {
-                return Ok(false);
-            }
+        self.check_conflicts(&pref, None)?;
+        if self.prefs.contains(&pref) {
+            return Ok(false);
         }
         self.prefs.push(pref);
         Ok(true)
+    }
+
+    /// The conflict check of Definition 6 against every preference but
+    /// the one at `skip`. A conflict is reported with a witness state
+    /// the two contexts share.
+    pub(crate) fn check_conflicts(
+        &self,
+        pref: &ContextualPreference,
+        skip: Option<usize>,
+    ) -> Result<(), ProfileError> {
+        for (i, existing) in self.prefs.iter().enumerate() {
+            if Some(i) == skip || !existing.conflicts_with(pref, &self.env)? {
+                continue;
+            }
+            let theirs = pref.descriptor().states(&self.env)?;
+            let state = existing
+                .descriptor()
+                .states(&self.env)?
+                .into_iter()
+                .find(|s| theirs.contains(s))
+                .unwrap_or_else(|| ContextState::all(&self.env));
+            return Err(ProfileError::Conflict {
+                state,
+                existing_score: existing.score(),
+                new_score: pref.score(),
+            });
+        }
+        Ok(())
     }
 
     /// Insert without conflict checking (used by generators that are
@@ -101,6 +109,12 @@ impl Profile {
         let updated = self.prefs[index].with_score(score)?;
         self.prefs[index] = updated;
         Ok(())
+    }
+
+    /// Replace the preference at `index` with one its caller has
+    /// already checked against the rest of the profile.
+    pub(crate) fn replace(&mut self, index: usize, pref: ContextualPreference) {
+        self.prefs[index] = pref;
     }
 }
 

@@ -35,8 +35,10 @@ pub enum TieBreak {
     /// one candidate can be selected by the system or the user").
     #[default]
     All,
-    /// Return only the first minimum-distance candidate (deterministic
-    /// system choice).
+    /// Return only the minimum-distance candidate with the smallest
+    /// stored state (deterministic system choice). The pick depends on
+    /// the profile alone, never on the order the tree stores paths in,
+    /// which follows edit history.
     First,
 }
 
@@ -123,8 +125,13 @@ impl<'a, S: PreferenceStore + ?Sized> ContextResolver<'a, S> {
             .filter(|c| (c.distance - min).abs() < 1e-9)
             .cloned()
             .collect();
-        if self.tie == TieBreak::First && selected.len() > 1 {
-            selected.truncate(1);
+        if self.tie == TieBreak::First {
+            let first =
+                (0..selected.len()).min_by(|&a, &b| selected[a].state.cmp(&selected[b].state));
+            if let Some(first) = first {
+                selected.swap(0, first);
+                selected.truncate(1);
+            }
         }
         StateResolution {
             query_state: state.clone(),
@@ -288,6 +295,9 @@ mod tests {
         let first =
             ContextResolver::new(&tree, DistanceKind::Hierarchy, TieBreak::First).resolve_state(&q);
         assert_eq!(first.selected.len(), 1);
+        // The smallest tied state, whatever order the tree stores them in.
+        let smallest = all.selected.iter().map(|c| &c.state).min().unwrap();
+        assert_eq!(&first.selected[0].state, smallest);
         // The Jaccard distance breaks this tie: Greece has 2 city
         // descendants, good has 2 condition descendants — here equal
         // cardinalities, so check both candidates remain.

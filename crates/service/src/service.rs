@@ -594,9 +594,10 @@ impl CtxPrefService {
     }
 
     /// Register and pin a materialized top-k view of `(user, state)`:
-    /// materialized on first use, never evicted, rebuilt lazily after
-    /// recovery (view contents are derived data and are never trusted
-    /// across a WAL replay).
+    /// materialized on first use and never evicted. The pin lives in
+    /// memory only: nothing saved writes it, so a save, a checkpoint and
+    /// a recovery drop it (view contents are derived data and are never
+    /// trusted across a WAL replay either).
     pub fn pin_view(&self, user: &str, state: &ContextState) -> Result<(), ServiceError> {
         Ok(self.core().pin_view(user, state)?)
     }

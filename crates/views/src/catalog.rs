@@ -29,14 +29,16 @@
 //! mutation sequences against a full-recompute oracle.
 //!
 //! Hot states are *auto-materialized* once their top-k request count
-//! crosses a threshold, LRU-evicted beyond a per-user capacity, and
-//! *auto-pinned* (never evicted) once clearly hot. Pinned states
-//! survive checkpoint restore: only the (user, state) registration is
-//! persisted, never the ranking, so a recovered view is rebuilt
-//! lazily and can never be trusted stale across WAL replay.
+//! crosses a threshold and LRU-evicted beyond a per-user capacity; a
+//! view still being hit is never the LRU victim. Only an explicit
+//! [`ViewCatalog::pin`] exempts a view from eviction. Pins live in
+//! memory: an in-process snapshot carries them, but nothing saved to
+//! disk does, so a save, a checkpoint or a recovery drops them. No
+//! ranking is ever persisted, so a recovered view is rebuilt lazily
+//! and can never be trusted stale across WAL replay.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::RwLock;
 
@@ -49,8 +51,6 @@ use crate::intern::{StateId, StateTable};
 
 /// Requests a state must receive before it is materialized.
 pub const MATERIALIZE_AFTER: u64 = 2;
-/// Hits a materialized view must serve before it is auto-pinned.
-pub const AUTOPIN_AFTER: u64 = 64;
 /// Growth bound: a patched ranking may hold at most this many times
 /// its build capacity before the view is rebuilt compactly.
 const GROWTH_FACTOR: usize = 2;
@@ -156,14 +156,13 @@ impl Content {
 }
 
 /// One registered view: a context state, its pin status, and (when
-/// materialized) its ranking. Hit accounting is atomic so the serve
+/// materialized) its ranking. The recency stamp is atomic so the serve
 /// path never takes the catalog's write lock.
 #[derive(Debug)]
 struct View {
     state: ContextState,
-    pinned: AtomicBool,
+    pinned: bool,
     content: Option<Content>,
-    hits: AtomicU64,
     last_used: AtomicU64,
 }
 
@@ -171,9 +170,8 @@ impl View {
     fn new(state: ContextState, pinned: bool, tick: u64) -> Self {
         Self {
             state,
-            pinned: AtomicBool::new(pinned),
+            pinned,
             content: None,
-            hits: AtomicU64::new(0),
             last_used: AtomicU64::new(tick),
         }
     }
@@ -224,13 +222,13 @@ impl ViewCatalog {
     }
 
     /// Register and pin `state`: materialized lazily on first serve,
-    /// never evicted, and carried across snapshots.
+    /// never evicted, and carried into in-memory snapshots.
     pub fn pin(&self, state: ContextState) {
         let tick = self.now();
         let mut inner = self.inner.write();
         let id = inner.table.intern(&state);
         match inner.views.get_mut(&id) {
-            Some(v) => v.pinned.store(true, Ordering::Relaxed),
+            Some(v) => v.pinned = true,
             None => {
                 inner.views.insert(id, View::new(state, true, tick));
             }
@@ -244,20 +242,20 @@ impl ViewCatalog {
         let Some(id) = inner.table.lookup(state) else {
             return false;
         };
-        match inner.views.get_mut(&id) {
-            Some(v) => v.pinned.swap(false, Ordering::Relaxed),
-            None => false,
-        }
+        inner
+            .views
+            .get_mut(&id)
+            .is_some_and(|v| std::mem::replace(&mut v.pinned, false))
     }
 
-    /// The currently pinned states (what snapshot/checkpoint carry —
-    /// registrations only, never contents).
+    /// The currently pinned states (what an in-memory snapshot carries
+    /// — registrations only, never contents).
     pub fn pinned_states(&self) -> Vec<ContextState> {
         let inner = self.inner.read();
         let mut out: Vec<ContextState> = inner
             .views
             .values()
-            .filter(|v| v.pinned.load(Ordering::Relaxed))
+            .filter(|v| v.pinned)
             .map(|v| v.state.clone())
             .collect();
         out.sort();
@@ -306,10 +304,6 @@ impl ViewCatalog {
         }
         let result = RankedResults::from_sorted(top_k_with_ties(&content.ranked, k).to_vec());
         view.last_used.store(self.now(), Ordering::Relaxed);
-        let hits = view.hits.fetch_add(1, Ordering::Relaxed) + 1;
-        if hits >= AUTOPIN_AFTER {
-            view.pinned.store(true, Ordering::Relaxed);
-        }
         self.hits.fetch_add(1, Ordering::Relaxed);
         Some(result)
     }
@@ -368,18 +362,14 @@ impl ViewCatalog {
     /// never the one just registered.
     fn evict_over_capacity(&self, inner: &mut Inner, keep: StateId) {
         loop {
-            let unpinned = inner
-                .views
-                .iter()
-                .filter(|(_, v)| !v.pinned.load(Ordering::Relaxed))
-                .count();
+            let unpinned = inner.views.values().filter(|v| !v.pinned).count();
             if unpinned <= self.capacity {
                 return;
             }
             let victim = inner
                 .views
                 .iter()
-                .filter(|(id, v)| **id != keep && !v.pinned.load(Ordering::Relaxed))
+                .filter(|(id, v)| **id != keep && !v.pinned)
                 .min_by_key(|(_, v)| v.last_used.load(Ordering::Relaxed))
                 .map(|(id, _)| *id);
             match victim {
@@ -551,11 +541,7 @@ impl ViewCatalog {
             view_patches: self.patches.load(Ordering::Relaxed),
             view_rebuilds: self.rebuilds.load(Ordering::Relaxed),
             materialized_views: inner.views.values().filter(|v| v.content.is_some()).count() as u64,
-            pinned_views: inner
-                .views
-                .values()
-                .filter(|v| v.pinned.load(Ordering::Relaxed))
-                .count() as u64,
+            pinned_views: inner.views.values().filter(|v| v.pinned).count() as u64,
         }
     }
 

@@ -15,5 +15,5 @@
 pub mod catalog;
 pub mod intern;
 
-pub use catalog::{Change, ViewCatalog, ViewOpts, ViewStats, AUTOPIN_AFTER, MATERIALIZE_AFTER};
+pub use catalog::{Change, ViewCatalog, ViewOpts, ViewStats, MATERIALIZE_AFTER};
 pub use intern::{StateId, StateTable};

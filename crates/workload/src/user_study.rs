@@ -38,6 +38,9 @@ use rand::{Rng, SeedableRng};
 
 use crate::reference::{is_open_air, poi_env, poi_relation, POI_TYPES};
 
+/// How a query's implicit current context is written as a descriptor.
+pub use ctxpref_context::descriptor_of_state;
+
 /// Age bands of the default-profile grid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AgeBand {
@@ -636,19 +639,6 @@ pub fn run_user_study(seed: u64, num_users: usize, queries_per_class: usize) -> 
         });
     }
     UserStudyReport { rows }
-}
-
-/// The context descriptor pinning every parameter to the state's value
-/// (how a query's implicit current context is written as a descriptor).
-pub fn descriptor_of_state(env: &ContextEnvironment, s: &ContextState) -> ContextDescriptor {
-    let mut cod = ContextDescriptor::empty();
-    for (p, h) in env.iter() {
-        let v = s.value(p);
-        if v != h.all_value() {
-            cod = cod.with(p, ParameterDescriptor::Eq(v));
-        }
-    }
-    cod
 }
 
 #[cfg(test)]

@@ -650,10 +650,9 @@ impl Repl {
                     current.ok_or("no context — use `context <values>` or pass a descriptor")?;
                 // Bypass the cache: an explanation needs the resolution
                 // trace, which cached answers do not carry.
-                let ecod = ctxpref::context::ExtendedContextDescriptor::from(descriptor_of(
-                    db.env(),
-                    &state,
-                ));
+                let ecod = ctxpref::context::ExtendedContextDescriptor::from(
+                    ctxpref::context::descriptor_of_state(db.env(), &state),
+                );
                 db.query(USER, &ecod).map_err(|e| e.to_string())?
             } else {
                 let ecod = ctxpref::context::parse_extended_descriptor(db.env(), rest)
@@ -985,22 +984,6 @@ fn render_ladder(db: &ShardedMultiUserDb, answer: &ServiceAnswer) -> String {
         out.push_str(&format!("[degraded answer: {}{via}]\n", answer.step));
     }
     out
-}
-
-/// The descriptor pinning every non-`all` parameter of a state (used to
-/// replay a state query without the cache, for explanation).
-fn descriptor_of(
-    env: &ctxpref::context::ContextEnvironment,
-    s: &ContextState,
-) -> ctxpref::context::ContextDescriptor {
-    let mut cod = ctxpref::context::ContextDescriptor::empty();
-    for (p, h) in env.iter() {
-        let v = s.value(p);
-        if v != h.all_value() {
-            cod = cod.with(p, ctxpref::context::ParameterDescriptor::Eq(v));
-        }
-    }
-    cod
 }
 
 /// Open a saved database: the multi-user format first, then the

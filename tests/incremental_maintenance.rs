@@ -1,10 +1,10 @@
-//! Incremental profile-tree maintenance (remove / update without
-//! rebuilding) must be indistinguishable from rebuilding the tree from
-//! the edited profile.
+//! Incremental profile-tree maintenance (`IndexedProfile`'s remove /
+//! re-score without rebuilding) must be indistinguishable from
+//! rebuilding the tree from the edited profile.
 
 use ctxpref::context::{ContextState, DistanceKind};
 use ctxpref::core::ContextualDb;
-use ctxpref::profile::{ParamOrder, Profile, ProfileTree};
+use ctxpref::profile::{IndexedProfile, ParamOrder, Profile, ProfileTree};
 use ctxpref::relation::{AttrType, Relation, Schema};
 use ctxpref::resolve::{ContextResolver, TieBreak};
 use ctxpref::workload::synthetic::{random_query_states, SyntheticSpec, ValueDist};
@@ -40,35 +40,20 @@ fn random_edit_sequences_match_rebuild() {
             seed,
         };
         let env = spec.build_env();
-        let mut profile = spec.build_profile(&env);
         let order = ParamOrder::by_ascending_domain(&env);
-        let mut tree = ProfileTree::from_profile(&profile, order.clone()).unwrap();
+        let mut indexed = IndexedProfile::new(spec.build_profile(&env), order.clone()).unwrap();
 
         let mut rng = StdRng::seed_from_u64(seed ^ 0xfeed);
         for _ in 0..60 {
-            if profile.is_empty() {
+            if indexed.profile().is_empty() {
                 break;
             }
-            let idx = rng.random_range(0..profile.len());
-            let victim = profile.preferences()[idx].clone();
-            // Remove from the logical profile, then detach from the
-            // tree only the states no other preference still covers
-            // with the identical entry.
-            let removed = profile.remove(idx);
-            for state in removed.descriptor().states(&env).unwrap() {
-                let still = profile.iter().any(|p| {
-                    p.clause() == removed.clause()
-                        && p.score() == removed.score()
-                        && p.descriptor().states(&env).unwrap().contains(&state)
-                });
-                if !still {
-                    tree.remove_state_entry(&state, removed.clause(), removed.score());
-                }
-            }
-            let _ = victim;
-            let rebuilt = ProfileTree::from_profile(&profile, order.clone()).unwrap();
+            let idx = rng.random_range(0..indexed.profile().len());
+            indexed.remove(idx).unwrap();
+            let (profile, tree) = (indexed.profile(), indexed.tree());
+            let rebuilt = ProfileTree::from_profile(profile, order.clone()).unwrap();
             assert_eq!(
-                tree_fingerprint(&tree),
+                tree_fingerprint(tree),
                 tree_fingerprint(&rebuilt),
                 "divergence after removal (seed {seed})"
             );
@@ -90,31 +75,32 @@ fn removal_prunes_and_slots_are_reused() {
     let env = spec.build_env();
     let profile = spec.build_profile(&env);
     let order = ParamOrder::identity(&env);
-    let mut tree = ProfileTree::from_profile(&profile, order.clone()).unwrap();
-    let full = tree.stats();
+    let mut indexed = IndexedProfile::new(profile.clone(), order).unwrap();
+    let full = indexed.tree().stats();
 
     // Remove everything…
-    for pref in profile.iter() {
-        tree.remove(pref).unwrap();
+    while !indexed.profile().is_empty() {
+        indexed.remove(0).unwrap();
     }
-    let empty = tree.stats();
+    let empty = indexed.tree().stats();
     assert_eq!(empty.leaf_entries, 0);
     assert_eq!(empty.internal_cells, 0, "all paths pruned");
-    assert_eq!(tree.state_count(), 0);
+    assert_eq!(indexed.tree().state_count(), 0);
 
     // …and re-insert: slots are recycled, sizes match the original.
     for pref in profile.iter() {
-        tree.insert(pref).unwrap();
+        indexed.insert(pref.clone()).unwrap();
     }
+    let tree = indexed.tree();
     let again = tree.stats();
     assert_eq!(again.total_cells(), full.total_cells());
-    assert_eq!(tree_fingerprint(&tree).len(), tree.state_count());
+    assert_eq!(tree_fingerprint(tree).len(), tree.state_count());
 
     // Resolution still behaves after heavy churn.
     let q = random_query_states(&env, 10, 0.4, 9);
     for state in &q {
-        let r = ContextResolver::new(&tree, DistanceKind::Hierarchy, TieBreak::All)
-            .resolve_state(state);
+        let r =
+            ContextResolver::new(tree, DistanceKind::Hierarchy, TieBreak::All).resolve_state(state);
         for c in &r.selected {
             assert!(c.state.covers(state, &env));
         }
