@@ -11,7 +11,10 @@
 //! [`NetClient::batch`] goes further and packs N requests into a
 //! single frame ([`Request::Batch`]).
 //!
-//! The client keeps one cached connection. When a request fails at the
+//! The client keeps one cached connection, and with it the
+//! connection's frame decoder: every response is read through it, so
+//! one that has arrived costs one `read`, and bytes beyond what was
+//! awaited mean the stream is confused. When a request fails at the
 //! socket or framing layer it drops the connection and — **only for
 //! idempotent requests** ([`Request::is_idempotent`]) — redials and
 //! retries with linear backoff, up to the configured attempt budget.
@@ -63,7 +66,7 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 
 use crate::codec;
 use crate::error::{NetError, ProtoError};
-use crate::frame::{read_frame, read_frame_buffered, write_frame, write_frames, FrameDecoder};
+use crate::frame::{read_frame_buffered, write_frames, FrameDecoder};
 use crate::proto::{not_the_reply, RemoteAnswer, Request, Response};
 
 /// Tuning knobs of [`NetClient`].
@@ -110,9 +113,41 @@ impl Default for NetClientConfig {
 pub struct NetClient {
     addr: String,
     cfg: NetClientConfig,
-    conn: Option<TcpStream>,
+    conn: Option<Conn>,
     next_id: u64,
     jitter_rng: StdRng,
+}
+
+/// One live connection and the decoder its responses are read through:
+/// made and dropped together, so no byte outlives its connection.
+#[derive(Debug)]
+struct Conn {
+    stream: TcpStream,
+    decoder: FrameDecoder,
+}
+
+impl Conn {
+    /// Read the next response frame through the decoder.
+    fn read_frame(&mut self) -> Result<Vec<u8>, NetError> {
+        read_frame_buffered(&mut self.stream, &mut self.decoder)?.ok_or_else(|| {
+            NetError::Io(std::io::Error::new(
+                std::io::ErrorKind::ConnectionAborted,
+                "server closed the connection before responding",
+            ))
+        })
+    }
+
+    /// Bytes still buffered once every awaited frame was read: the
+    /// server said something nobody asked for, so the stream is not
+    /// answering what was asked.
+    fn expect_drained(&self, after: &str) -> Result<(), NetError> {
+        match self.decoder.buffered() {
+            0 => Ok(()),
+            n => Err(NetError::UnexpectedResponse {
+                got: format!("{n} unsolicited bytes after {after}"),
+            }),
+        }
+    }
 }
 
 impl std::fmt::Debug for NetClient {
@@ -157,7 +192,10 @@ impl NetClient {
 
     fn ensure_conn(&mut self) -> Result<(), NetError> {
         if self.conn.is_none() {
-            self.conn = Some(self.dial()?);
+            self.conn = Some(Conn {
+                stream: self.dial()?,
+                decoder: FrameDecoder::new(),
+            });
         }
         Ok(())
     }
@@ -166,16 +204,18 @@ impl NetClient {
     /// The previous implementation panicked on this path via
     /// `expect("connection just established")` when a connect raced a
     /// concurrent teardown; the caller can redial on the typed error.
-    fn require_conn(&mut self) -> Result<&mut TcpStream, NetError> {
+    fn require_conn(&mut self) -> Result<&mut Conn, NetError> {
         self.conn.as_mut().ok_or(NetError::NotConnected)
     }
 
     /// One request/response exchange on the cached connection,
-    /// establishing it if needed. Any failure tears the connection
-    /// down so the next attempt starts from a clean dial — and so does
-    /// a connection-level (id 0) reply, which the server closes
-    /// behind; a reply under the request's own id, even a busy, leaves
-    /// the connection cached.
+    /// establishing it if needed: the request framed in place and sent
+    /// in one write, the response read through the connection's
+    /// decoder. Any failure tears the connection down so the next
+    /// attempt starts from a clean dial — and so does a
+    /// connection-level (id 0) reply, which the server closes behind,
+    /// or bytes buffered beyond the response; a reply under the
+    /// request's own id, even a busy, leaves the connection cached.
     fn exchange(
         &mut self,
         req: &Request,
@@ -186,19 +226,14 @@ impl NetClient {
         let id = self.next_id;
         // Never 0, even on wrap: that id means "about the connection".
         self.next_id = self.next_id.wrapping_add(1).max(1);
-        let stream = self.require_conn()?;
+        let conn = self.require_conn()?;
         let result = (|| {
-            write_frame(
-                stream,
-                &codec::encode_request_enveloped(id, req, budget_ms, tier),
-            )?;
-            match read_frame(stream)? {
-                Some(payload) => Ok(payload),
-                None => Err(NetError::Io(std::io::Error::new(
-                    std::io::ErrorKind::ConnectionAborted,
-                    "server closed the connection before responding",
-                ))),
-            }
+            let mut frame = Vec::with_capacity(128);
+            codec::put_request_frame(&mut frame, id, req, budget_ms, tier)?;
+            write_frames(&mut conn.stream, &frame, 1)?;
+            let payload = conn.read_frame()?;
+            conn.expect_drained("the response")?;
+            Ok(payload)
         })();
         let payload = match result {
             Ok(payload) => payload,
@@ -410,28 +445,23 @@ impl NetClient {
         self.ensure_conn()?;
         let base = self.next_id;
         self.next_id = self.next_id.wrapping_add(reqs.len() as u64).max(1);
-        let stream = self.require_conn()?;
+        let conn = self.require_conn()?;
         let result = (|| {
-            // One coalesced write for the whole burst, and bulk reads
-            // through a frame decoder on the way back: the syscall
-            // count is per burst, not per request.
-            let payloads: Vec<Vec<u8>> = reqs
-                .iter()
-                .enumerate()
-                .map(|(i, req)| codec::encode_request(base + i as u64, req))
-                .collect();
-            write_frames(stream, &payloads)?;
-            let mut dec = FrameDecoder::new();
+            // The burst framed in place into one buffer and sent in one
+            // write, and bulk reads through the connection's decoder on
+            // the way back: the syscall count is per burst, not per
+            // request.
+            let mut burst = Vec::with_capacity(64 * reqs.len());
+            for (i, req) in reqs.iter().enumerate() {
+                let id = base + i as u64;
+                codec::put_request_frame(&mut burst, id, req, 0, Priority::Interactive)?;
+            }
+            write_frames(&mut conn.stream, &burst, reqs.len())?;
             let mut slots: Vec<Option<Response>> = Vec::new();
             slots.resize_with(reqs.len(), || None);
             let mut remaining = reqs.len();
             while remaining > 0 {
-                let payload = read_frame_buffered(stream, &mut dec)?.ok_or_else(|| {
-                    NetError::Io(std::io::Error::new(
-                        std::io::ErrorKind::ConnectionAborted,
-                        "server closed the connection mid-pipeline",
-                    ))
-                })?;
+                let payload = conn.read_frame()?;
                 let wire = codec::decode_response(&payload)
                     .map_err(|e| NetError::Proto(ProtoError::from(e)))?;
                 if wire.id == codec::CONNECTION_ID {
@@ -467,13 +497,7 @@ impl NetClient {
                     }
                 }
             }
-            // Trailing bytes after the last response would desync the
-            // next exchange's unbuffered reads: protocol confusion.
-            if dec.buffered() != 0 {
-                return Err(NetError::UnexpectedResponse {
-                    got: format!("{} unsolicited bytes after the burst", dec.buffered()),
-                });
-            }
+            conn.expect_drained("the burst")?;
             Ok(slots.into_iter().flatten().collect())
         })();
         if result.is_err() {

@@ -11,26 +11,61 @@
 //! its typed refusal ([`err_of`]). Only the ranked reads do more: they
 //! parse the state, clamp the deadline, run inline on the calling
 //! thread ([`CtxPrefService::query_admitted`]) and render rows.
+//!
+//! What the server sends is a finished frame ([`serve_frame`]). A
+//! ranked answer has one renderer, [`answer_frame`], which encodes its
+//! rows from the relation straight into that frame, with no owned row
+//! in between. An in-process caller ([`serve_request`]) and a ranked
+//! read inside a batch get the owned [`Response::Answer`] by decoding
+//! the same frame.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
 use ctxpref_context::ContextState;
-use ctxpref_core::{CoreError, QueryAnswer};
+use ctxpref_core::CoreError;
 use ctxpref_service::{
-    Admitted, CtxPrefService, Priority, ReplicationError, ServiceAnswer, ServiceError,
+    Admitted, CtxPrefService, LadderStep, Priority, ReplicationError, ServiceAnswer, ServiceError,
 };
 
+use crate::codec::{self, Seq, Shown};
+use crate::error::FrameError;
+use crate::frame::{Framed, FRAME_HEADER};
 use crate::proto::{AnswerRow, MigrateAction, RemoteAnswer, Request, Response, WireFallback};
 use crate::server::NetServerConfig;
 
-/// Serve one request in process, on the calling thread: the dispatch
-/// the server's jobs run, with panics contained, the default deadline
-/// cap, no end-to-end budget and interactive priority.
+/// Serve one request in process, on the calling thread, answered as an
+/// owned [`Response`]: the dispatch the server's workers run, with
+/// panics contained, the default deadline cap, no end-to-end budget and
+/// interactive priority. A ranked answer is the one the server would
+/// send, decoded from its frame.
 pub fn serve_request(service: &CtxPrefService, req: &Request) -> Response {
-    dispatch(
+    contained(|| {
+        dispatch_inner(
+            service,
+            &NetServerConfig::default(),
+            req,
+            0,
+            Priority::Interactive,
+            None,
+        )
+    })
+}
+
+/// Serve one request in process as the server's workers do, on the
+/// calling thread: the response frame, header included, that would
+/// leave for the socket under request id `id`. Same containment, cap,
+/// budget and priority as [`serve_request`]; a ranked answer's rows go
+/// from the relation straight into the frame ([`answer_frame`]).
+pub fn serve_frame(
+    service: &CtxPrefService,
+    id: u64,
+    req: &Request,
+) -> Result<Vec<u8>, FrameError> {
+    dispatch_frame(
         service,
         &NetServerConfig::default(),
+        id,
         req,
         0,
         Priority::Interactive,
@@ -38,34 +73,50 @@ pub fn serve_request(service: &CtxPrefService, req: &Request) -> Response {
     )
 }
 
-/// Execute one request against the service, with panics contained.
-/// `budget_ms` and `tier` come off the `ctxpref2` envelope: the
-/// remaining end-to-end deadline budget (0 = unconstrained) that
-/// clamps every query deadline, and the priority tier admission sheds
-/// by. `admitted` is the ticket of a ranked read the server admitted
-/// before queueing it; without one, a ranked read is admitted here.
-pub(crate) fn dispatch(
+/// Execute one request against the service and frame its response
+/// under `id`, with panics contained. `budget_ms` and `tier` come off
+/// the `ctxpref2` envelope: the remaining end-to-end deadline budget
+/// (0 = unconstrained) that clamps every query deadline, and the
+/// priority tier admission sheds by. `admitted` is the ticket of a
+/// ranked read the server admitted before queueing it; without one, a
+/// ranked read is admitted here.
+pub(crate) fn dispatch_frame(
     service: &CtxPrefService,
     cfg: &NetServerConfig,
+    id: u64,
     req: &Request,
     budget_ms: u64,
     tier: Priority,
     admitted: Option<Admitted>,
-) -> Response {
-    contained(|| dispatch_inner(service, cfg, req, budget_ms, tier, admitted))
+) -> Framed {
+    contained_frame(id, || match req {
+        Request::Query { attr, k, .. }
+        | Request::TopK { attr, k, .. }
+        | Request::QueryDescriptor { attr, k, .. } => {
+            match ranked(service, cfg, req, budget_ms, tier, admitted) {
+                Ok(answer) => answer_frame(service, id, &answer, attr, *k),
+                Err(e) => codec::response_frame(id, &err_of(&e)),
+            }
+        }
+        _ => codec::response_frame(
+            id,
+            &dispatch_inner(service, cfg, req, budget_ms, tier, admitted),
+        ),
+    })
 }
 
 /// The reactor's probe: answer an admitted `TopK` from a current
 /// materialized view on the calling thread
-/// ([`CtxPrefService::view_hit`]). Anything else — another verb, a
-/// state that does not parse, a miss, a busy shard, a panic before the
-/// view answered — hands the ticket back for a worker to run the read
-/// with.
+/// ([`CtxPrefService::view_hit`]), as the response frame under `id`.
+/// Anything else — another verb, a state that does not parse, a miss,
+/// a busy shard, a panic before the view answered — hands the ticket
+/// back for a worker to run the read with.
 pub(crate) fn probe_view(
     service: &CtxPrefService,
+    id: u64,
     req: &Request,
     admitted: Admitted,
-) -> Result<Response, Admitted> {
+) -> Result<Framed, Admitted> {
     let Request::TopK {
         user,
         attr,
@@ -80,17 +131,26 @@ pub(crate) fn probe_view(
         return Err(admitted);
     };
     let answer = service.view_hit(admitted, user, &state, *k)?;
-    Ok(contained(|| {
-        reply(remote_answer(service, &answer, attr, *k))
+    Ok(contained_frame(id, || {
+        answer_frame(service, id, &answer, attr, *k)
     }))
 }
 
 /// Run `serve` with panics contained: a panic answers typed.
 fn contained(serve: impl FnOnce() -> Response) -> Response {
-    catch_unwind(AssertUnwindSafe(serve)).unwrap_or_else(|_| Response::Err {
+    catch_unwind(AssertUnwindSafe(serve)).unwrap_or_else(|_| panicked())
+}
+
+/// [`contained`], for a response that is built as its frame.
+fn contained_frame(id: u64, serve: impl FnOnce() -> Framed) -> Framed {
+    catch_unwind(AssertUnwindSafe(serve)).unwrap_or_else(|_| codec::response_frame(id, &panicked()))
+}
+
+fn panicked() -> Response {
+    Response::Err {
         kind: "panic".to_string(),
         message: "request dispatch panicked (contained at the connection boundary)".to_string(),
-    })
+    }
 }
 
 fn dispatch_inner(
@@ -103,64 +163,10 @@ fn dispatch_inner(
 ) -> Response {
     match req {
         Request::Ping => Response::Pong,
-        Request::Query {
-            user,
-            attr,
-            k,
-            deadline_ms,
-            state,
-        }
-        | Request::TopK {
-            user,
-            attr,
-            k,
-            deadline_ms,
-            state,
-        } => {
-            // The enforced deadline is the *tightest* of the request's
-            // own ask, the propagated remaining budget, and the
-            // server's cap — a hop-decremented budget wins over a
-            // generous per-request deadline.
-            let mut deadline_ms = (*deadline_ms).max(1);
-            if budget_ms > 0 {
-                deadline_ms = deadline_ms.min(budget_ms);
-            }
-            let deadline = Duration::from_millis(deadline_ms).min(cfg.max_deadline);
-            reply((|| {
-                let state = parse_state(service, state)?;
-                // The two ranked verbs differ only in `topk`: `TopK`
-                // pushes `k` down so only the best rows are evaluated.
-                let topk = matches!(req, Request::TopK { .. }).then_some(*k);
-                let answer =
-                    service.query_admitted(admitted, tier, user, &state, topk, deadline)?;
-                remote_answer(service, &answer, attr, *k)
-            })())
-        }
-        Request::QueryDescriptor {
-            user,
-            attr,
-            k,
-            descriptor,
-        } => {
-            // The exploratory library path: a hypothetical context, not
-            // a servable state lookup — no ladder, but still contained
-            // and timed.
-            let started = Instant::now();
-            reply((|| {
-                let answer = service.with_db(|db| {
-                    let ecod = ctxpref_context::parse_extended_descriptor(db.env(), descriptor)
-                        .map_err(CoreError::Context)?;
-                    db.query(user, &ecod)
-                })?;
-                Ok::<_, ServiceError>(RemoteAnswer {
-                    rows: render_rows(service, &answer, attr, *k)?,
-                    step: "exact".to_string(),
-                    elapsed_us: started.elapsed().as_micros() as u64,
-                    resolved_state: None,
-                    fallbacks: Vec::new(),
-                })
-            })())
-        }
+        // The id is dropped with the frame: only the answer is kept.
+        Request::Query { .. } | Request::TopK { .. } | Request::QueryDescriptor { .. } => owned(
+            dispatch_frame(service, cfg, 0, req, budget_ms, tier, admitted),
+        ),
         Request::ViewsStatus => service.views_status().into(),
         Request::AddUser { user } => reply(service.add_user(user)),
         Request::RemoveUser { user } => reply(service.remove_user(user).map(drop)),
@@ -206,6 +212,90 @@ fn dispatch_inner(
             action,
         } => dispatch_migrate(service, user, *epoch, action),
         Request::Batch { requests } => dispatch_batch(service, cfg, requests, budget_ms, tier),
+    }
+}
+
+/// Run a ranked read (`Query`, `TopK` or `QueryDescriptor`) inline on
+/// the calling thread. The enforced deadline is the *tightest* of the
+/// request's own ask, the propagated remaining budget, and the server's
+/// cap — a hop-decremented budget wins over a generous per-request
+/// deadline.
+fn ranked(
+    service: &CtxPrefService,
+    cfg: &NetServerConfig,
+    req: &Request,
+    budget_ms: u64,
+    tier: Priority,
+    admitted: Option<Admitted>,
+) -> Result<ServiceAnswer, ServiceError> {
+    let (user, k, deadline_ms, state) = match req {
+        Request::Query {
+            user,
+            k,
+            deadline_ms,
+            state,
+            ..
+        }
+        | Request::TopK {
+            user,
+            k,
+            deadline_ms,
+            state,
+            ..
+        } => (user, k, deadline_ms, state),
+        Request::QueryDescriptor {
+            user, descriptor, ..
+        } => return explore(service, user, descriptor),
+        _ => unreachable!("only a ranked verb is run as a ranked read"),
+    };
+    let mut deadline_ms = (*deadline_ms).max(1);
+    if budget_ms > 0 {
+        deadline_ms = deadline_ms.min(budget_ms);
+    }
+    let deadline = Duration::from_millis(deadline_ms).min(cfg.max_deadline);
+    let state = parse_state(service, state)?;
+    // The two ranked verbs differ only in `topk`: `TopK` pushes `k`
+    // down so only the best rows are evaluated.
+    let topk = matches!(req, Request::TopK { .. }).then_some(*k);
+    service.query_admitted(admitted, tier, user, &state, topk, deadline)
+}
+
+/// The exploratory library path: a hypothetical context, not a
+/// servable state lookup — no ladder, so it answers as the exact rung,
+/// but still contained and timed.
+fn explore(
+    service: &CtxPrefService,
+    user: &str,
+    descriptor: &str,
+) -> Result<ServiceAnswer, ServiceError> {
+    let started = Instant::now();
+    let answer = service.with_db(|db| {
+        let ecod = ctxpref_context::parse_extended_descriptor(db.env(), descriptor)
+            .map_err(CoreError::Context)?;
+        db.query(user, &ecod)
+    })?;
+    Ok(ServiceAnswer {
+        answer,
+        step: LadderStep::Exact,
+        fallbacks: Vec::new(),
+        resolved_state: None,
+        elapsed: started.elapsed(),
+    })
+}
+
+/// The owned response a frame carries: what an in-process caller, or a
+/// batch, is handed of a ranked read. An answer too large to frame is
+/// refused as the server would refuse to send it.
+fn owned(frame: Framed) -> Response {
+    let decoded = frame.map_err(|e| e.to_string()).and_then(|frame| {
+        codec::decode_response(&frame[FRAME_HEADER..]).map_err(|e| e.to_string())
+    });
+    match decoded {
+        Ok(wire) => wire.resp,
+        Err(message) => Response::Err {
+            kind: "proto".to_string(),
+            message,
+        },
     }
 }
 
@@ -348,56 +438,46 @@ fn parse_state(service: &CtxPrefService, state: &[String]) -> Result<ContextStat
         .map_err(|e| CoreError::Context(e).into())
 }
 
-/// What a remote caller sees of a served ranked read: its top-`k` rows
-/// rendered by `attr`, plus the ladder's provenance. Worker and reactor
-/// answers alike are built here.
-fn remote_answer(
+/// The one renderer of a served ranked read: its response frame under
+/// request id `id`, holding its top-`k` rows rendered by `attr` plus the
+/// ladder's provenance. Each row's value is borrowed from the relation
+/// (a non-string value is rendered once, into the frame), and the rung
+/// travels as its static token. An `attr` the schema lacks answers
+/// typed.
+pub fn answer_frame(
     service: &CtxPrefService,
+    id: u64,
     answer: &ServiceAnswer,
     attr: &str,
     k: usize,
-) -> Result<RemoteAnswer, ServiceError> {
-    Ok(RemoteAnswer {
-        rows: render_rows(service, &answer.answer, attr, k)?,
-        step: answer.step.to_string(),
-        elapsed_us: answer.elapsed.as_micros() as u64,
-        resolved_state: answer
-            .resolved_state
-            .as_ref()
-            .map(|s| service.with_db(|db| s.display(db.env()).to_string())),
-        fallbacks: answer
-            .fallbacks
-            .iter()
-            .map(|fb| WireFallback {
-                step: fb.step.to_string(),
-                reason: fb.reason.clone(),
-            })
-            .collect(),
-    })
-}
-
-fn render_rows(
-    service: &CtxPrefService,
-    answer: &QueryAnswer,
-    attr: &str,
-    k: usize,
-) -> Result<Vec<AnswerRow>, CoreError> {
+) -> Result<Vec<u8>, FrameError> {
     service.with_db(|db| {
-        let a = db.relation().schema().require_attr(attr)?;
-        Ok(answer
-            .results
-            .top_k_with_ties(k)
-            .iter()
-            .map(|e| {
-                let value = db.relation().tuple(e.tuple_index).value(a);
-                AnswerRow {
-                    name: value
-                        .as_str()
-                        .map_or_else(|| value.to_string(), str::to_owned),
-                    score: e.score,
-                }
-            })
-            .collect())
+        let relation = db.relation();
+        let a = match relation.schema().require_attr(attr) {
+            Ok(a) => a,
+            Err(e) => {
+                let e = ServiceError::from(CoreError::from(e));
+                return codec::response_frame(id, &err_of(&e));
+            }
+        };
+        let rows = answer.answer.results.top_k_with_ties(k);
+        codec::answer_frame(id, rows.len(), |out| {
+            RemoteAnswer::put_fields(
+                out,
+                answer.step.as_str(),
+                &(answer.elapsed.as_micros() as u64),
+                answer
+                    .resolved_state
+                    .as_ref()
+                    .map(|s| Shown(s.display(db.env()))),
+                Seq::new(answer.fallbacks.iter(), |out, fb| {
+                    WireFallback::put_fields(out, fb.step.as_str(), fb.reason.as_str())
+                }),
+                Seq::new(rows.iter(), |out, e| {
+                    AnswerRow::put_fields(out, relation.tuple(e.tuple_index).value(a), &e.score)
+                }),
+            )
+        })
     })
 }
 

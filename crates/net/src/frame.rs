@@ -13,6 +13,11 @@
 //! [`MAX_FRAME_PAYLOAD`] **before any allocation**, so a hostile peer
 //! claiming a multi-gigabyte frame costs the server twelve bytes of
 //! header read and one typed error, never memory.
+//!
+//! A frame the program sends is built **in place**: `open_frame`
+//! reserves the twelve header bytes, the codec appends the payload
+//! behind them, and `seal_frame` patches in the length and checksum —
+//! so a payload is never copied into its frame.
 
 use std::io::{Read, Write};
 
@@ -28,6 +33,18 @@ pub const FRAME_HEADER: usize = 4 + 8;
 /// treated as a hostile or damaged frame and rejected before any
 /// buffer is allocated.
 pub const MAX_FRAME_PAYLOAD: u32 = 1 << 24;
+
+/// The most one socket read asks for: a reader never sizes a buffer
+/// by a declared length beyond this before the bytes arrive.
+const READ_WINDOW: usize = 16 * 1024;
+
+/// A drained [`FrameDecoder`] whose buffer grew past this shrinks back
+/// to one read window. Well above the window, so the partial frame a
+/// read leaves behind does not make the buffer shrink and regrow.
+const SHRINK_ABOVE: usize = 4 * READ_WINDOW;
+
+/// A finished frame, or why it could not be built.
+pub(crate) type Framed = Result<Vec<u8>, FrameError>;
 
 fn fnv_update(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
@@ -72,52 +89,76 @@ pub fn decode_header(header: &[u8]) -> Result<(u32, u64), DecodeError> {
     Ok((len, checksum))
 }
 
+/// The payload length a frame header can carry, or `Oversized`.
+fn payload_len(len: usize) -> Result<u32, FrameError> {
+    match u32::try_from(len) {
+        Ok(len) if len <= MAX_FRAME_PAYLOAD => Ok(len),
+        _ => Err(FrameError::Oversized {
+            declared: len as u64,
+            max: MAX_FRAME_PAYLOAD,
+        }),
+    }
+}
+
+/// Start a frame at the end of `out`: reserve its header, behind which
+/// the caller appends the payload. Returns where the frame starts, for
+/// [`seal_frame`].
+pub(crate) fn open_frame(out: &mut Vec<u8>) -> usize {
+    let at = out.len();
+    out.extend_from_slice(&[0; FRAME_HEADER]);
+    at
+}
+
+/// Finish the frame opened at `at`, whose payload runs to the end of
+/// `out`: patch in its length and checksum. A payload over
+/// [`MAX_FRAME_PAYLOAD`] is `Oversized`.
+pub(crate) fn seal_frame(out: &mut [u8], at: usize) -> Result<(), FrameError> {
+    let (header, payload) = out[at..].split_at_mut(FRAME_HEADER);
+    let len = payload_len(payload.len())?;
+    header[..4].copy_from_slice(&len.to_le_bytes());
+    header[4..].copy_from_slice(&frame_checksum(payload).to_le_bytes());
+    Ok(())
+}
+
 /// Encode `payload` as one frame.
 pub fn encode_frame(payload: &[u8]) -> Result<Vec<u8>, FrameError> {
-    if payload.len() as u64 > u64::from(MAX_FRAME_PAYLOAD) {
-        return Err(FrameError::Oversized {
-            declared: payload.len() as u64,
-            max: MAX_FRAME_PAYLOAD,
-        });
-    }
+    payload_len(payload.len())?;
     let mut out = Vec::with_capacity(FRAME_HEADER + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&frame_checksum(payload).to_le_bytes());
+    let at = open_frame(&mut out);
     out.extend_from_slice(payload);
+    seal_frame(&mut out, at)?;
     Ok(out)
 }
 
 /// Write `payload` as one frame onto `w` (single `write_all`, so the
 /// OS sees whole frames). Passes the `net.frame.write` fault site.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), FrameError> {
-    hit_io(NET_FRAME_WRITE)?;
-    let frame = encode_frame(payload)?;
-    w.write_all(&frame)?;
-    w.flush()?;
-    Ok(())
+    write_frames(w, &encode_frame(payload)?, 1)
 }
 
-/// Write many payloads as frames in one coalesced `write_all`, so a
-/// pipelined burst costs one syscall instead of one per frame. Each
-/// frame still passes the `net.frame.write` fault site, so chaos
-/// plans that tear writes see the same hit ordinals as the serial
-/// path.
-pub fn write_frames(w: &mut impl Write, payloads: &[Vec<u8>]) -> Result<(), FrameError> {
-    let mut buf = Vec::new();
-    for p in payloads {
+/// Write `count` finished frames, laid back to back in `frames`, in one
+/// `write_all`: a pipelined burst costs one syscall instead of one per
+/// frame. Each frame still passes the `net.frame.write` fault site, so
+/// chaos plans that tear writes see the same hit ordinals as frames
+/// written one at a time.
+pub(crate) fn write_frames(
+    w: &mut impl Write,
+    frames: &[u8],
+    count: usize,
+) -> Result<(), FrameError> {
+    for _ in 0..count {
         hit_io(NET_FRAME_WRITE)?;
-        buf.extend_from_slice(&encode_frame(p)?);
     }
-    w.write_all(&buf)?;
+    w.write_all(frames)?;
     w.flush()?;
     Ok(())
 }
 
 /// Read one frame through a caller-held [`FrameDecoder`]: each socket
-/// read pulls whatever bytes the kernel has buffered (up to 16 KiB),
-/// so draining a pipelined burst of responses costs a handful of
-/// syscalls instead of two per frame. Passes the `net.frame.read`
-/// fault site once per socket read.
+/// read pulls whatever the kernel has buffered (up to 16 KiB) straight
+/// into the decoder, so a response that has arrived costs one read, and
+/// draining a pipelined burst costs a handful. Passes the
+/// `net.frame.read` fault site once per frame.
 ///
 /// Returns `Ok(None)` only on a clean close at a frame boundary with
 /// nothing buffered; bytes left inside a torn frame are `Truncated`.
@@ -125,16 +166,15 @@ pub fn read_frame_buffered(
     r: &mut impl Read,
     dec: &mut FrameDecoder,
 ) -> Result<Option<Vec<u8>>, FrameError> {
+    hit_io(NET_FRAME_READ)?;
     loop {
         if let Some(payload) = dec.next_frame()? {
             return Ok(Some(payload));
         }
-        hit_io(NET_FRAME_READ)?;
-        let mut chunk = [0u8; 16 * 1024];
-        match r.read(&mut chunk) {
+        match dec.read_from(r) {
             Ok(0) if dec.buffered() == 0 => return Ok(None),
             Ok(0) => return Err(FrameError::Truncated),
-            Ok(n) => dec.extend(&chunk[..n]),
+            Ok(_) => {}
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(e) => return Err(e.into()),
         }
@@ -181,14 +221,22 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, FrameError> {
         }
         Err(_) => return Err(FrameError::Truncated),
     };
-    // Grow the buffer with bytes actually received rather than
-    // trusting the declared length: a torn or lying frame costs what
-    // arrived on the wire, not what the header claimed.
+    // Ask for up to 16 KiB of the declared payload per read, through a
+    // window on the stack, and grow the buffer only with the bytes that
+    // arrived: a payload that has arrived takes one read, and a torn or
+    // lying frame costs what came over the wire, not what the header
+    // claimed.
+    let len = len as usize;
     let mut payload = Vec::new();
-    let mut taken = r.by_ref().take(u64::from(len));
-    taken.read_to_end(&mut payload)?;
-    if payload.len() < len as usize {
-        return Err(FrameError::Truncated);
+    let mut window = [0u8; READ_WINDOW];
+    while payload.len() < len {
+        let want = (len - payload.len()).min(READ_WINDOW);
+        match r.read(&mut window[..want]) {
+            Ok(0) => return Err(FrameError::Truncated),
+            Ok(n) => payload.extend_from_slice(&window[..n]),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e.into()),
+        }
     }
     let computed = frame_checksum(&payload);
     if computed != checksum {
@@ -208,8 +256,11 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, FrameError> {
 /// while the buffer still holds only what actually arrived.
 #[derive(Debug, Default)]
 pub struct FrameDecoder {
+    /// Received bytes not yet consumed sit in `buf[pos..end]`; the rest
+    /// of `buf` is room a socket read fills directly.
     buf: Vec<u8>,
     pos: usize,
+    end: usize,
 }
 
 impl FrameDecoder {
@@ -220,19 +271,38 @@ impl FrameDecoder {
 
     /// Feed bytes read off the socket.
     pub fn extend(&mut self, bytes: &[u8]) {
-        // Compact before growing: drop the consumed prefix once it
-        // dominates the buffer, so a long-lived connection doesn't
-        // accrete every frame it ever carried.
-        if self.pos > 4096 && self.pos * 2 >= self.buf.len() {
-            self.buf.drain(..self.pos);
+        self.make_room(bytes.len());
+        self.buf[self.end..self.end + bytes.len()].copy_from_slice(bytes);
+        self.end += bytes.len();
+    }
+
+    /// One read from `r` straight into the buffer, asking for up to
+    /// 16 KiB; returns what it read (0 at end of stream). The room is
+    /// kept between reads, so the buffer is zeroed only as it grows.
+    pub(crate) fn read_from(&mut self, r: &mut impl Read) -> std::io::Result<usize> {
+        self.make_room(READ_WINDOW);
+        let n = r.read(&mut self.buf[self.end..])?;
+        self.end += n;
+        Ok(n)
+    }
+
+    /// Ensure `n` bytes of room after the buffered ones: move what is
+    /// left of a partly consumed frame to the front first, and grow
+    /// only if that is not enough.
+    fn make_room(&mut self, n: usize) {
+        if self.end + n > self.buf.len() && self.pos > 0 {
+            self.buf.copy_within(self.pos..self.end, 0);
+            self.end -= self.pos;
             self.pos = 0;
         }
-        self.buf.extend_from_slice(bytes);
+        if self.end + n > self.buf.len() {
+            self.buf.resize(self.end + n, 0);
+        }
     }
 
     /// Bytes buffered but not yet consumed as frames.
     pub fn buffered(&self) -> usize {
-        self.buf.len() - self.pos
+        self.end - self.pos
     }
 
     /// Drain one complete frame's payload, if the buffer holds one.
@@ -242,7 +312,7 @@ impl FrameDecoder {
     /// * `Err(_)` — the stream is poisoned (hostile length or failed
     ///   checksum); the connection should be closed.
     pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, FrameError> {
-        let avail = &self.buf[self.pos..];
+        let avail = &self.buf[self.pos..self.end];
         if avail.len() < FRAME_HEADER {
             return Ok(None);
         }
@@ -272,6 +342,18 @@ impl FrameDecoder {
             });
         }
         self.pos += total;
+        // Fully consumed: the next bytes start at the front again, and
+        // a buffer one large frame grew gives its memory back, so a
+        // long-lived connection holds a read window, not its largest
+        // frame.
+        if self.pos == self.end {
+            self.pos = 0;
+            self.end = 0;
+            if self.buf.len() > SHRINK_ABOVE {
+                self.buf.truncate(READ_WINDOW);
+                self.buf.shrink_to(READ_WINDOW);
+            }
+        }
         Ok(Some(payload))
     }
 }
@@ -383,6 +465,95 @@ mod tests {
         let mut dec = FrameDecoder::new();
         dec.extend(&frame);
         assert!(matches!(dec.next_frame(), Err(FrameError::Checksum { .. })));
+    }
+
+    /// A reader over a byte slice that counts its `read` calls.
+    struct CountingReader<'a> {
+        bytes: &'a [u8],
+        reads: usize,
+    }
+
+    impl Read for CountingReader<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.reads += 1;
+            self.bytes.read(buf)
+        }
+    }
+
+    #[test]
+    fn an_arrived_frame_takes_one_read_after_its_header() {
+        let payload: Vec<u8> = (0..3130u32).map(|i| i as u8).collect();
+        let frame = encode_frame(&payload).unwrap();
+        let mut r = CountingReader {
+            bytes: &frame,
+            reads: 0,
+        };
+        assert_eq!(read_frame(&mut r).unwrap(), Some(payload.clone()));
+        assert!(r.reads <= 2, "{} reads for one 3,130 B frame", r.reads);
+
+        // Through a connection's decoder, one read, and a second
+        // response already buffered behind it costs none.
+        let mut two = frame.clone();
+        two.extend_from_slice(&encode_frame(b"next").unwrap());
+        let mut r = CountingReader {
+            bytes: &two,
+            reads: 0,
+        };
+        let mut dec = FrameDecoder::new();
+        assert_eq!(
+            read_frame_buffered(&mut r, &mut dec).unwrap(),
+            Some(payload)
+        );
+        assert_eq!(
+            read_frame_buffered(&mut r, &mut dec).unwrap().as_deref(),
+            Some(&b"next"[..])
+        );
+        assert_eq!((r.reads, dec.buffered()), (1, 0));
+        assert_eq!(read_frame_buffered(&mut r, &mut dec).unwrap(), None);
+    }
+
+    #[test]
+    fn a_drained_decoder_gives_a_large_frames_memory_back() {
+        let payload = vec![0x5a; 1 << 20];
+        let frame = encode_frame(&payload).unwrap();
+        let mut r = &frame[..];
+        let mut dec = FrameDecoder::new();
+        assert_eq!(
+            read_frame_buffered(&mut r, &mut dec).unwrap(),
+            Some(payload)
+        );
+        assert_eq!(dec.buffered(), 0);
+        assert!(
+            dec.buf.capacity() <= READ_WINDOW,
+            "{} bytes held after a 1 MiB frame",
+            dec.buf.capacity()
+        );
+
+        // A buffer that stays within a few windows is kept, not churned.
+        let small = encode_frame(&[1; 20_000]).unwrap();
+        dec.extend(&small);
+        let kept = dec.buf.capacity();
+        assert!(dec.next_frame().unwrap().is_some());
+        assert_eq!(dec.buf.capacity(), kept);
+    }
+
+    #[test]
+    fn a_header_claiming_the_cap_over_ten_bytes_is_truncated() {
+        let mut lying = Vec::new();
+        lying.extend_from_slice(&MAX_FRAME_PAYLOAD.to_le_bytes());
+        lying.extend_from_slice(&0u64.to_le_bytes());
+        lying.extend_from_slice(&[7; 10]);
+        let mut cur = &lying[..];
+        assert!(matches!(read_frame(&mut cur), Err(FrameError::Truncated)));
+    }
+
+    #[test]
+    fn a_frame_built_in_place_equals_an_encoded_one() {
+        let mut out = b"earlier frame bytes".to_vec();
+        let at = open_frame(&mut out);
+        out.extend_from_slice(b"payload");
+        seal_frame(&mut out, at).unwrap();
+        assert_eq!(out[at..], encode_frame(b"payload").unwrap()[..]);
     }
 
     #[test]

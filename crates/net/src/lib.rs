@@ -66,6 +66,11 @@ pub use codec::{
     is_binary, WireRequest, WireResponse, BINARY_MAGIC, BINARY_VERSION, CONNECTION_ID,
 };
 pub use dispatch::serve_request;
+// The framed twins of `serve_request`, exported for the crate's
+// integration tests (`tests/answer_frame.rs`, `tests/answer_allocs.rs`),
+// which check the server's answer bytes and allocations in process.
+#[doc(hidden)]
+pub use dispatch::{answer_frame, serve_frame};
 // The tier vocabulary travels in the wire envelope; re-exported so
 // network callers need not depend on the service crate for it.
 pub use ctxpref_service::Priority;

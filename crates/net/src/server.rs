@@ -15,9 +15,13 @@
 //!   ([`CtxPrefService::view_hit`], never under an installed fault
 //!   plan). Admission runs on the reactor before anything is queued.
 //! * **The service's workers** run everything else
-//!   ([`CtxPrefService::spawn`]) through dispatch (`dispatch.rs`);
-//!   completions flow back over a queue and a waker, and the reactor
-//!   writes the response frames out.
+//!   ([`CtxPrefService::spawn`]) through dispatch (`dispatch.rs`), and
+//!   hand the reactor a finished frame over a queue and a waker; the
+//!   reactor queues it for the socket as it is.
+//!
+//! Either way a response is framed once, where it is produced: the
+//! payload is encoded in place behind the frame header, and a ranked
+//! answer's rows go from the relation straight into it.
 //!
 //! Responsibilities, and where each is enforced:
 //!
@@ -70,8 +74,8 @@ use ctxpref_faults::{hit, hit_io};
 use ctxpref_service::{Admitted, CtxPrefService};
 
 use crate::codec::{self, WireRequest};
-use crate::dispatch::{dispatch, err_of, probe_view};
-use crate::frame::{encode_frame, FrameDecoder};
+use crate::dispatch::{dispatch_frame, err_of, probe_view};
+use crate::frame::{FrameDecoder, Framed};
 use crate::proto::{Request, Response};
 use crate::reactor::{Epoll, Interest, Slab, Token, Waker};
 
@@ -94,9 +98,10 @@ pub struct NetServer {
 struct Shared {
     service: Arc<CtxPrefService>,
     cfg: NetServerConfig,
-    /// Finished responses on their way back to the reactor, each an
-    /// already-encoded frame payload under its connection's token.
-    completions: Mutex<Vec<(Token, Vec<u8>)>>,
+    /// Finished responses on their way back to the reactor, each a
+    /// whole frame (or why none could be built) under its connection's
+    /// token.
+    completions: Mutex<Vec<(Token, Framed)>>,
     waker: Waker,
     shutdown: AtomicBool,
     /// Connections currently being served.
@@ -114,15 +119,15 @@ impl Shared {
         // here — on a service worker — so a scripted delay never
         // stalls the reactor thread itself.
         let _ = hit(NET_CONN_DELAY);
-        let resp = dispatch(
+        let frame = dispatch_frame(
             &self.service,
             &self.cfg,
+            wire.id,
             &wire.req,
             wire.budget_ms,
             wire.tier,
             admitted,
         );
-        let payload = codec::encode_response(wire.id, &resp);
         // Wake the reactor only on the empty→nonempty transition: it
         // drains the whole queue per wake, and the push shares the
         // mutex with the emptiness check, so a completion pushed behind
@@ -130,7 +135,7 @@ impl Shared {
         let needs_wake = match self.completions.lock() {
             Ok(mut queue) => {
                 let was_empty = queue.is_empty();
-                queue.push((token, payload));
+                queue.push((token, frame));
                 was_empty
             }
             Err(_) => true,
@@ -417,13 +422,13 @@ impl Reactor {
                 // Best-effort typed refusal under the connection id
                 // (no request has been read), then close. The socket
                 // is fresh, so the small frame fits the send buffer.
-                if let Ok(frame) = encode_frame(&codec::encode_response(
+                if let Ok(frame) = codec::response_frame(
                     codec::CONNECTION_ID,
                     &Response::Busy {
                         limit: self.cfg.max_connections,
                         retry_after_ms: self.cfg.busy_retry_after.as_millis() as u64,
                     },
-                )) {
+                ) {
                     let mut stream = stream;
                     let _ = stream.write_all(&frame);
                 }
@@ -567,7 +572,7 @@ impl Reactor {
                         kind: "proto".to_string(),
                         message: e.to_string(),
                     };
-                    self.enqueue_frame(token, &codec::encode_response(id, &refusal));
+                    self.enqueue_frame(token, codec::response_frame(id, &refusal));
                     continue;
                 }
             };
@@ -578,13 +583,13 @@ impl Reactor {
                 // queued: a shed is answered without a thread hop, and
                 // so is a view hit.
                 let service = &self.shared.service;
-                let resp = match service.admit(wire.tier) {
-                    Ok(ticket) => probe_view(service, &wire.req, ticket),
-                    Err(e) => Ok(err_of(&e)),
+                let answered = match service.admit(wire.tier) {
+                    Ok(ticket) => probe_view(service, id, &wire.req, ticket),
+                    Err(e) => Ok(codec::response_frame(id, &err_of(&e))),
                 };
-                match resp {
-                    Ok(resp) => {
-                        self.enqueue_frame(token, &codec::encode_response(id, &resp));
+                match answered {
+                    Ok(frame) => {
+                        self.enqueue_frame(token, frame);
                         continue;
                     }
                     Err(ticket) => admitted = Some(ticket),
@@ -594,7 +599,7 @@ impl Reactor {
             let job = move |admitted| shared.run(token, &wire, admitted);
             match self.shared.service.spawn(admitted, job) {
                 Ok(()) => conn.in_flight += 1,
-                Err(e) => self.enqueue_frame(token, &codec::encode_response(id, &err_of(&e))),
+                Err(e) => self.enqueue_frame(token, codec::response_frame(id, &err_of(&e))),
             }
         }
     }
@@ -607,10 +612,7 @@ impl Reactor {
             kind: kind.to_string(),
             message,
         };
-        self.enqueue_frame(
-            token,
-            &codec::encode_response(codec::CONNECTION_ID, &refusal),
-        );
+        self.enqueue_frame(token, codec::response_frame(codec::CONNECTION_ID, &refusal));
         if let Some(conn) = self.conns.get_mut(token) {
             conn.closing = true;
         }
@@ -618,17 +620,17 @@ impl Reactor {
     }
 
     fn drain_completions(&mut self) {
-        let done: Vec<(Token, Vec<u8>)> = match self.shared.completions.lock() {
+        let done: Vec<(Token, Framed)> = match self.shared.completions.lock() {
             Ok(mut queue) => queue.drain(..).collect(),
             Err(_) => return,
         };
         let mut touched: Vec<Token> = Vec::new();
-        for (token, payload) in done {
+        for (token, frame) in done {
             let Some(conn) = self.conns.get_mut(token) else {
                 continue;
             };
             conn.in_flight = conn.in_flight.saturating_sub(1);
-            self.enqueue_frame(token, &payload);
+            self.enqueue_frame(token, frame);
             if !touched.contains(&token) {
                 touched.push(token);
             }
@@ -642,16 +644,18 @@ impl Reactor {
         }
     }
 
-    /// Queue one response frame. The caller flushes (`write_ready`)
-    /// once it has enqueued everything it has for the connection.
-    fn enqueue_frame(&mut self, token: Token, payload: &[u8]) {
+    /// Queue one finished response frame as it is — no copy. The caller
+    /// flushes (`write_ready`) once it has enqueued everything it has
+    /// for the connection. A response too big to frame closes the
+    /// connection.
+    fn enqueue_frame(&mut self, token: Token, frame: Framed) {
         // The per-frame write fault site the blocking server ran
         // inside `write_frame`.
         if hit_io(NET_FRAME_WRITE).is_err() {
             self.close(token);
             return;
         }
-        let Ok(frame) = encode_frame(payload) else {
+        let Ok(frame) = frame else {
             self.close(token);
             return;
         };

@@ -47,15 +47,23 @@ pub enum LadderStep {
     DefaultAnswer,
 }
 
+impl LadderStep {
+    /// The rung's display token, as the wire and the CLI show it —
+    /// borrowed, so naming a rung allocates nothing.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Self::View => "view",
+            Self::Cached => "cached",
+            Self::Exact => "exact",
+            Self::NearestState => "nearest-state",
+            Self::DefaultAnswer => "default-answer",
+        }
+    }
+}
+
 impl std::fmt::Display for LadderStep {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::View => write!(f, "view"),
-            Self::Cached => write!(f, "cached"),
-            Self::Exact => write!(f, "exact"),
-            Self::NearestState => write!(f, "nearest-state"),
-            Self::DefaultAnswer => write!(f, "default-answer"),
-        }
+        f.write_str(self.as_str())
     }
 }
 
