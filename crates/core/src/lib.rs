@@ -45,4 +45,6 @@ mod sharded;
 pub use db::{preference_from_parts, ContextualDb, ContextualDbBuilder, QueryAnswer, QueryOptions};
 pub use error::CoreError;
 pub use multi::MultiUserDb;
-pub use sharded::{ShardQuiesceGuard, ShardedMultiUserDb, UserShardRead, DEFAULT_SHARDS};
+pub use sharded::{
+    ShardQuiesceGuard, ShardedMultiUserDb, UserShardRead, UserShardWrite, DEFAULT_SHARDS,
+};

@@ -53,6 +53,10 @@ pub const DEFAULT_SHARDS: usize = 16;
 /// re-locking. See [`ShardedMultiUserDb::read_user_shard`].
 pub type UserShardRead<'a> = RwLockReadGuard<'a, MultiUserDb>;
 
+/// A write guard over one stripe. See
+/// [`ShardedMultiUserDb::write_user_shard`].
+pub type UserShardWrite<'a> = RwLockWriteGuard<'a, MultiUserDb>;
+
 /// A multi-user contextual preference database sharded for concurrent
 /// serving: users are striped over fixed per-stripe `RwLock`s, so one
 /// user's mutation never blocks another stripe's queries. See the
@@ -379,6 +383,18 @@ impl ShardedMultiUserDb {
         self.stripe(user).try_read()
     }
 
+    /// Acquire `user`'s stripe for writing: the one lock a mutation of
+    /// that user takes (see `WalOp::apply_to` in `ctxpref-wal`).
+    pub fn write_user_shard(&self, user: &str) -> UserShardWrite<'_> {
+        self.stripe(user).write()
+    }
+
+    /// [`Self::write_user_shard`] for a caller that must never wait:
+    /// `None` while the stripe is read- or write-locked.
+    pub fn try_write_user_shard(&self, user: &str) -> Option<UserShardWrite<'_>> {
+        self.stripe(user).try_write()
+    }
+
     /// Stripe `ix`'s users and profiles, sorted by name. The stripe's
     /// read lock is held only for the clone. Replication uses this both
     /// to digest a stripe (the sort makes the digest canonical) and to
@@ -436,14 +452,14 @@ impl ShardedMultiUserDb {
     /// proving that *other* stripes keep serving).
     pub fn quiesce_user(&self, user: &str) -> ShardQuiesceGuard<'_> {
         ShardQuiesceGuard {
-            _guard: self.stripe(user).write(),
+            _guard: self.write_user_shard(user),
         }
     }
 }
 
 /// Opaque guard returned by [`ShardedMultiUserDb::quiesce_user`].
 pub struct ShardQuiesceGuard<'a> {
-    _guard: RwLockWriteGuard<'a, MultiUserDb>,
+    _guard: UserShardWrite<'a>,
 }
 
 /// FNV-1a over the user name, folded onto the stripe count. Stable

@@ -1,7 +1,8 @@
 //! Dispatch: one [`Request`] executed against the service and answered
 //! with one [`Response`]. The service's workers run it for the server,
-//! with the budget and tier the envelope carried, except the view hits
-//! the reactor answers through [`probe_view`]; [`serve_request`] runs
+//! with the budget and tier the envelope carried, except what the
+//! reactor answers on its own thread through [`answer_now`] — sheds,
+//! view hits and direct-path preference edits; [`serve_request`] runs
 //! the same code in process, for a caller that holds the service
 //! itself.
 //!
@@ -28,7 +29,7 @@ use ctxpref_service::{
     Admitted, CtxPrefService, LadderStep, Priority, ReplicationError, ServiceAnswer, ServiceError,
 };
 
-use crate::codec::{self, Seq, Shown};
+use crate::codec::{self, Seq, Shown, WireRequest};
 use crate::error::FrameError;
 use crate::frame::{Framed, FRAME_HEADER};
 use crate::proto::{AnswerRow, MigrateAction, RemoteAnswer, Request, Response, WireFallback};
@@ -105,13 +106,33 @@ pub(crate) fn dispatch_frame(
     })
 }
 
-/// The reactor's probe: answer an admitted `TopK` from a current
-/// materialized view on the calling thread
-/// ([`CtxPrefService::view_hit`]), as the response frame under `id`.
-/// Anything else — another verb, a state that does not parse, a miss,
-/// a busy shard, a panic before the view answered — hands the ticket
-/// back for a worker to run the read with.
-pub(crate) fn probe_view(
+/// The reactor's one question per decoded request: can it be answered
+/// now, on the calling thread, without waiting? It answers, as the
+/// response frame under the request's id, a ranked read that admission
+/// sheds, an admitted `TopK` a current materialized view holds
+/// ([`view_hit`]), and a preference edit the service applies without
+/// waiting ([`edit_now`]). Anything else is handed back for a worker to
+/// run, with the admission ticket a ranked read was issued (`None` for
+/// every other verb).
+pub(crate) fn answer_now(
+    service: &CtxPrefService,
+    wire: &WireRequest,
+) -> Result<Framed, Option<Admitted>> {
+    let (id, req) = (wire.id, &wire.req);
+    if !matches!(req, Request::Query { .. } | Request::TopK { .. }) {
+        return edit_now(service, id, req).ok_or(None);
+    }
+    match service.admit(wire.tier) {
+        Ok(ticket) => view_hit(service, id, req, ticket).map_err(Some),
+        Err(e) => Ok(codec::response_frame(id, &err_of(&e))),
+    }
+}
+
+/// Answer an admitted `TopK` from a current materialized view
+/// ([`CtxPrefService::view_hit`]). Anything else — another verb, a
+/// state that does not parse, a miss, a busy shard, a panic before the
+/// view answered — hands the ticket back.
+fn view_hit(
     service: &CtxPrefService,
     id: u64,
     req: &Request,
@@ -134,6 +155,34 @@ pub(crate) fn probe_view(
     Ok(contained_frame(id, || {
         answer_frame(service, id, &answer, attr, *k)
     }))
+}
+
+/// Apply an `InsertPref`, `UpdateScore` or `RemovePref` through the
+/// service's verbs that never wait (`CtxPrefService::try_*`) and answer
+/// it as the blocking verb would, with a panic contained and answered
+/// typed. `None` for any other verb, or an edit the service hands back
+/// unapplied.
+fn edit_now(service: &CtxPrefService, id: u64, req: &Request) -> Option<Framed> {
+    let answered = catch_unwind(AssertUnwindSafe(|| match req {
+        Request::InsertPref {
+            user,
+            descriptor,
+            attr,
+            value,
+            score,
+        } => service
+            .try_insert_preference_eq(user, descriptor, attr, value, *score)
+            .map(reply),
+        Request::RemovePref { user, index } => service
+            .try_remove_preference(user, *index)
+            .map(|removed| reply(removed.map(|p| p.score()))),
+        Request::UpdateScore { user, index, score } => service
+            .try_update_preference_score(user, *index, *score)
+            .map(reply),
+        _ => None,
+    }));
+    let response = answered.unwrap_or_else(|_| Some(panicked()))?;
+    Some(codec::response_frame(id, &response))
 }
 
 /// Run `serve` with panics contained: a panic answers typed.

@@ -10,14 +10,20 @@
 //! * **The reactor** answers what it can without waiting: the
 //!   connection-level refusals below, a body that fails to decode
 //!   (typed, under its id), a `Query`/`TopK` that admission sheds (a
-//!   typed [`Response::Busy`]), and an admitted `TopK` whose user's
-//!   shard is free and whose answer a current materialized view holds
-//!   ([`CtxPrefService::view_hit`], never under an installed fault
-//!   plan). Admission runs on the reactor before anything is queued.
+//!   typed [`Response::Busy`]), an admitted `TopK` whose user's shard
+//!   is free and whose answer a current materialized view holds
+//!   ([`CtxPrefService::view_hit`]), and an `InsertPref`,
+//!   `UpdateScore` or `RemovePref` on a service that writes directly
+//!   to memory, applied only if the user's stripe write lock is free
+//!   this instant ([`CtxPrefService::try_update_preference_score`] and
+//!   its two siblings). It answers neither under an installed fault
+//!   plan. Admission runs on the reactor before anything is queued.
 //! * **The service's workers** run everything else
-//!   ([`CtxPrefService::spawn`]) through dispatch (`dispatch.rs`), and
-//!   hand the reactor a finished frame over a queue and a waker; the
-//!   reactor queues it for the socket as it is.
+//!   ([`CtxPrefService::spawn`]) through dispatch (`dispatch.rs`) —
+//!   logged and replicated writes, user adds and removals, batches,
+//!   migration and admin verbs, and whatever the reactor handed back —
+//!   and hand the reactor a finished frame over a queue and a waker;
+//!   the reactor queues it for the socket as it is.
 //!
 //! Either way a response is framed once, where it is produced: the
 //! payload is encoded in place behind the frame header, and a ranked
@@ -47,9 +53,10 @@
 //!   [`NetServerConfig::max_deadline`] before it reaches
 //!   [`CtxPrefService::query_admitted`].
 //! * **Panic isolation** — dispatch runs under `catch_unwind` on the
-//!   service's workers, and the reactor's view probe contains its own
-//!   (a panicking probe hands its read to a worker); a panicking
-//!   request answers with a typed error.
+//!   service's workers, and what the reactor answers contains its own
+//!   (a panicking view probe hands its read to a worker, a panicking
+//!   edit answers typed); a panicking request answers with a typed
+//!   error.
 //! * **Graceful drain** — [`NetServer::shutdown`] stops accepting,
 //!   lets in-flight requests finish (bounded by the drain timeout),
 //!   waits until every request it queued on the service has run, and
@@ -59,7 +66,7 @@
 //! close that connection and are counted in [`NetServer::net_stats`].
 
 use std::collections::VecDeque;
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -74,9 +81,9 @@ use ctxpref_faults::{hit, hit_io};
 use ctxpref_service::{Admitted, CtxPrefService};
 
 use crate::codec::{self, WireRequest};
-use crate::dispatch::{dispatch_frame, err_of, probe_view};
+use crate::dispatch::{answer_now, dispatch_frame, err_of};
 use crate::frame::{FrameDecoder, Framed};
-use crate::proto::{Request, Response};
+use crate::proto::Response;
 use crate::reactor::{Epoll, Interest, Slab, Token, Waker};
 
 mod config;
@@ -174,6 +181,8 @@ impl NetServer {
             cfg,
             conns: Slab::new(),
             drain_deadline: None,
+            spare: Vec::new(),
+            touched: Vec::new(),
         };
         let reactor_thread = std::thread::Builder::new()
             .name(format!("ctxpref-net-reactor-{}", addr.port()))
@@ -294,6 +303,11 @@ struct Reactor {
     cfg: NetServerConfig,
     conns: Slab<Conn>,
     drain_deadline: Option<Instant>,
+    /// The completion queue's other half: swapped with it on each wake
+    /// and drained, so neither vector is allocated per wake.
+    spare: Vec<(Token, Framed)>,
+    /// Connections a completion wake touched, reused across wakes.
+    touched: Vec<Token>,
 }
 
 impl Reactor {
@@ -576,25 +590,17 @@ impl Reactor {
                     continue;
                 }
             };
-            let id = wire.id;
-            let mut admitted = None;
-            if matches!(wire.req, Request::Query { .. } | Request::TopK { .. }) {
-                // A ranked read passes admission here, before it is
-                // queued: a shed is answered without a thread hop, and
-                // so is a view hit.
-                let service = &self.shared.service;
-                let answered = match service.admit(wire.tier) {
-                    Ok(ticket) => probe_view(service, id, &wire.req, ticket),
-                    Err(e) => Ok(codec::response_frame(id, &err_of(&e))),
-                };
-                match answered {
-                    Ok(frame) => {
-                        self.enqueue_frame(token, frame);
-                        continue;
-                    }
-                    Err(ticket) => admitted = Some(ticket),
+            // Answered here if it can be without waiting — a shed, a
+            // view hit, a direct-path preference edit — so it takes no
+            // thread hop; otherwise it queues with its admission ticket.
+            let admitted = match answer_now(&self.shared.service, &wire) {
+                Ok(frame) => {
+                    self.enqueue_frame(token, frame);
+                    continue;
                 }
-            }
+                Err(admitted) => admitted,
+            };
+            let id = wire.id;
             let shared = Arc::clone(&self.shared);
             let job = move |admitted| shared.run(token, &wire, admitted);
             match self.shared.service.spawn(admitted, job) {
@@ -620,12 +626,20 @@ impl Reactor {
     }
 
     fn drain_completions(&mut self) {
-        let done: Vec<(Token, Framed)> = match self.shared.completions.lock() {
-            Ok(mut queue) => queue.drain(..).collect(),
-            Err(_) => return,
+        // Swap the queue with the reactor's spare, so the workers push
+        // into an emptied vector that keeps its capacity: once both
+        // have grown to a wake's worth, a wake allocates nothing.
+        let Ok(mut queue) = self.shared.completions.lock() else {
+            return;
         };
-        let mut touched: Vec<Token> = Vec::new();
-        for (token, frame) in done {
+        if queue.is_empty() {
+            return;
+        }
+        std::mem::swap(&mut *queue, &mut self.spare);
+        drop(queue);
+        let mut done = std::mem::take(&mut self.spare);
+        let mut touched = std::mem::take(&mut self.touched);
+        for (token, frame) in done.drain(..) {
             let Some(conn) = self.conns.get_mut(token) else {
                 continue;
             };
@@ -638,10 +652,13 @@ impl Reactor {
         // Flush once per connection rather than once per completion:
         // responses that completed together leave together, and the
         // pipeline budget they free lets waiting frames be decoded.
-        for token in touched {
+        for &token in &touched {
             self.serve(token);
             self.refresh_interest(token);
         }
+        touched.clear();
+        self.spare = done;
+        self.touched = touched;
     }
 
     /// Queue one finished response frame as it is — no copy. The caller
@@ -675,18 +692,18 @@ impl Reactor {
                 conn.write_stalled_since = None;
                 break;
             }
-            // Coalesce every queued frame into one vectored write: a
-            // pipelined burst's responses leave as one syscall, not
-            // one each.
+            // Coalesce up to 64 queued frames into one vectored write,
+            // through slices on the stack: a pipelined burst's
+            // responses leave as one syscall, not one each.
             let res = {
-                let mut slices: Vec<std::io::IoSlice<'_>> =
-                    Vec::with_capacity(conn.out.len().min(64));
-                let mut frames = conn.out.iter();
-                if let Some(front) = frames.next() {
-                    slices.push(std::io::IoSlice::new(&front[conn.out_pos..]));
-                    slices.extend(frames.take(63).map(|f| std::io::IoSlice::new(f)));
+                let mut slices = [IoSlice::new(&[]); 64];
+                let mut used = 0;
+                for (slot, frame) in slices.iter_mut().zip(&conn.out) {
+                    let from = if used == 0 { conn.out_pos } else { 0 };
+                    *slot = IoSlice::new(&frame[from..]);
+                    used += 1;
                 }
-                conn.stream.write_vectored(&slices)
+                conn.stream.write_vectored(&slices[..used])
             };
             match res {
                 Ok(0) => {

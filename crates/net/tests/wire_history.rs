@@ -1,0 +1,334 @@
+//! Wire-level differential test against the paper-faithful
+//! `ContextualDb`. Seeded random histories of user adds, preference
+//! inserts, re-scores and removals, top-k reads and full rankings go
+//! through a real `NetServer` over the POI dataset, one request at a
+//! time, and every answer must be row-identical to what a per-user
+//! `ContextualDb` replay of the same history says; a refusal must be a
+//! refusal there too. Each history runs twice: with no fault plan, so
+//! the reactor applies direct-path edits and answers view hits itself,
+//! and under an empty `FaultPlan`, so every request runs on a worker.
+//! The two runs must answer identically.
+//!
+//! Seeds come from `CTXPREF_FUZZ_SEEDS=start..end` (default `0..8`); a
+//! failing seed prints the command that replays it alone.
+
+use std::collections::BTreeMap;
+use std::sync::Arc;
+use std::time::Duration;
+
+use ctxpref_context::{ContextEnvironment, ContextState};
+use ctxpref_core::{ContextualDb, MultiUserDb};
+use ctxpref_faults::FaultPlan;
+use ctxpref_net::{
+    NetClient, NetClientConfig, NetError, NetServer, NetServerConfig, Request, Response,
+};
+use ctxpref_relation::{Relation, Value};
+use ctxpref_service::{CtxPrefService, ServiceConfig};
+use ctxpref_workload::reference::{poi_env, poi_relation, POI_TYPES};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+/// Requests per history.
+const OPS: usize = 240;
+const USERS: &[&str] = &["ann", "bob", "cat"];
+const K: usize = 5;
+const DEADLINE: Duration = Duration::from_secs(2);
+/// Few descriptors and few values, so inserts conflict now and then.
+const DESCRIPTORS: &[&str] = &[
+    "location = Plaka",
+    "location = Athens",
+    "temperature = good",
+    "temperature in {cold, freezing}",
+    "accompanying_people = friends",
+    "location = Plaka and accompanying_people = family",
+    "location = Thessaloniki and temperature = warm",
+];
+/// Few states, so reads repeat and views materialize.
+const STATES: &[[&str; 3]] = &[
+    ["Plaka", "warm", "friends"],
+    ["Plaka", "cold", "family"],
+    ["Kifisia", "hot", "alone"],
+    ["Ladadika", "warm", "friends"],
+    ["Perama", "mild", "family"],
+];
+
+/// A history's requests, drawn from `seed`: every user is added first
+/// (a later add of the same user is refused), then random steps follow.
+fn history(seed: u64) -> Vec<Request> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    // Scores on a coarse grid, so rankings tie.
+    let score = |rng: &mut StdRng| f64::from(rng.random_range(1..=20u32)) / 20.0;
+    let adds = USERS.iter().map(|user| Request::AddUser {
+        user: user.to_string(),
+    });
+    let steps = (USERS.len()..OPS).map(|_| {
+        let user = USERS[rng.random_range(0..USERS.len())].to_string();
+        let state = STATES[rng.random_range(0..STATES.len())];
+        match rng.random_range(0..100) {
+            0..2 => Request::AddUser { user },
+            2..36 => Request::InsertPref {
+                user,
+                descriptor: DESCRIPTORS[rng.random_range(0..DESCRIPTORS.len())].to_string(),
+                attr: "type".to_string(),
+                value: POI_TYPES[rng.random_range(0..4usize)].to_string(),
+                score: score(&mut rng),
+            },
+            36..50 => Request::UpdateScore {
+                user,
+                index: rng.random_range(0..8),
+                score: score(&mut rng),
+            },
+            50..58 => Request::RemovePref {
+                user,
+                index: rng.random_range(0..8),
+            },
+            58..88 => Request::ranked(true, &user, "name", K, DEADLINE, &state),
+            _ => Request::ranked(false, &user, "name", K, DEADLINE, &state),
+        }
+    });
+    adds.chain(steps).collect()
+}
+
+/// An answer reduced to what must agree: everything but its timing.
+#[derive(Debug, Clone, PartialEq)]
+enum Seen {
+    Ok,
+    Removed(f64),
+    Rows {
+        step: String,
+        rows: Vec<(String, f64)>,
+    },
+    Refused {
+        kind: String,
+        message: String,
+    },
+    Other(String),
+}
+
+fn seen(response: Response) -> Seen {
+    match response {
+        Response::Ok => Seen::Ok,
+        Response::Removed { score } => Seen::Removed(score),
+        Response::Answer(a) => Seen::Rows {
+            step: a.step,
+            rows: a.rows.into_iter().map(|r| (r.name, r.score)).collect(),
+        },
+        other => Seen::Other(format!("{other:?}")),
+    }
+}
+
+/// Run `requests` one at a time through a fresh server, under an empty
+/// fault plan when `planned`.
+fn serve_history(seed: u64, requests: &[Request], planned: bool) -> Vec<Seen> {
+    let env = poi_env();
+    let db = MultiUserDb::new(env.clone(), poi_relation(&env, 2007, 5), 8);
+    let service = Arc::new(CtxPrefService::new(db, ServiceConfig::default()));
+    let server =
+        NetServer::bind("127.0.0.1:0", service, NetServerConfig::default()).expect("bind loopback");
+    let _plan = planned.then(|| ctxpref_faults::install(FaultPlan::builder(seed).build()));
+    let mut client =
+        NetClient::connect(server.local_addr().to_string(), NetClientConfig::default());
+    let answers = requests
+        .iter()
+        .map(|req| match client.request(req) {
+            Ok(response) => seen(response),
+            Err(NetError::Remote { kind, message }) => Seen::Refused { kind, message },
+            Err(e) => panic!("no answer to {req:?}: {e}"),
+        })
+        .collect();
+    drop(client);
+    server.shutdown();
+    answers
+}
+
+/// What the paper's single-user database says of one request, replayed
+/// on the requesting user's own `ContextualDb`.
+#[derive(Debug)]
+enum Expect {
+    Ok,
+    Removed(f64),
+    Rows(Vec<(String, f64)>),
+    /// A typed `core` refusal.
+    Refused,
+}
+
+struct Oracle {
+    env: ContextEnvironment,
+    relation: Relation,
+    users: BTreeMap<String, ContextualDb>,
+}
+
+impl Oracle {
+    fn new() -> Self {
+        let env = poi_env();
+        let relation = poi_relation(&env, 2007, 5);
+        Self {
+            env,
+            relation,
+            users: BTreeMap::new(),
+        }
+    }
+
+    fn apply(&mut self, req: &Request) -> Expect {
+        let refused = |_| Expect::Refused;
+        let (user, state) = match req {
+            Request::AddUser { user } => {
+                if self.users.contains_key(user) {
+                    return Expect::Refused;
+                }
+                let db = ContextualDb::builder()
+                    .env(self.env.clone())
+                    .relation(self.relation.clone())
+                    .build()
+                    .expect("environment and relation given");
+                self.users.insert(user.clone(), db);
+                return Expect::Ok;
+            }
+            // A top-k read and a full ranking agree on their top k.
+            Request::TopK { user, state, .. } | Request::Query { user, state, .. } => (user, state),
+            _ => return self.edit(req).unwrap_or(Expect::Refused),
+        };
+        let Some(db) = self.users.get(user) else {
+            return Expect::Refused;
+        };
+        let names: Vec<&str> = state.iter().map(String::as_str).collect();
+        let state = ContextState::parse(&self.env, &names).expect("the test's states parse");
+        let name = self.relation.schema().attr("name").expect("name attribute");
+        db.query_state(&state).map_or_else(refused, |answer| {
+            Expect::Rows(
+                answer
+                    .results
+                    .top_k_with_ties(K)
+                    .iter()
+                    .map(|e| {
+                        let value = self.relation.tuple(e.tuple_index).value(name);
+                        (value.to_string(), e.score)
+                    })
+                    .collect(),
+            )
+        })
+    }
+
+    /// A preference edit on an existing user; `None` when the user is
+    /// unknown.
+    fn edit(&mut self, req: &Request) -> Option<Expect> {
+        let refused = |_| Expect::Refused;
+        Some(match req {
+            Request::InsertPref {
+                user,
+                descriptor,
+                attr,
+                value,
+                score,
+            } => self
+                .users
+                .get_mut(user)?
+                .insert_preference_eq(descriptor, attr, Value::str(value), *score)
+                .map_or_else(refused, |()| Expect::Ok),
+            Request::UpdateScore { user, index, score } => self
+                .users
+                .get_mut(user)?
+                .update_preference_score(*index, *score)
+                .map_or_else(refused, |()| Expect::Ok),
+            Request::RemovePref { user, index } => self
+                .users
+                .get_mut(user)?
+                .remove_preference(*index)
+                .map_or_else(refused, |p| Expect::Removed(p.score())),
+            other => unreachable!("the history never sends {other:?}"),
+        })
+    }
+}
+
+fn agrees(expect: &Expect, seen: &Seen) -> bool {
+    match (expect, seen) {
+        (Expect::Ok, Seen::Ok) => true,
+        (Expect::Removed(a), Seen::Removed(b)) => a == b,
+        (Expect::Rows(a), Seen::Rows { step, rows }) => {
+            matches!(step.as_str(), "view" | "cached" | "exact") && a == rows
+        }
+        (Expect::Refused, Seen::Refused { kind, .. }) => kind == "core",
+        _ => false,
+    }
+}
+
+/// How a checked history's answers split: ranked answers (and how many
+/// of those a view gave), edits applied, and refusals.
+#[derive(Debug, Default)]
+struct Tally {
+    ranked: usize,
+    from_views: usize,
+    applied: usize,
+    refused: usize,
+}
+
+impl Tally {
+    fn count(&mut self, seen: &Seen) {
+        match seen {
+            Seen::Rows { step, .. } => {
+                self.ranked += 1;
+                self.from_views += usize::from(step == "view");
+            }
+            Seen::Ok | Seen::Removed(_) => self.applied += 1,
+            Seen::Refused { .. } | Seen::Other(_) => self.refused += 1,
+        }
+    }
+}
+
+/// Run one seed's history both ways and check every answer; the error
+/// names the first disagreement.
+fn check_seed(seed: u64, tally: &mut Tally) -> Result<(), String> {
+    let requests = history(seed);
+    let direct = serve_history(seed, &requests, false);
+    let planned = serve_history(seed, &requests, true);
+    let mut oracle = Oracle::new();
+    for (step, req) in requests.iter().enumerate() {
+        let expect = oracle.apply(req);
+        if !agrees(&expect, &direct[step]) {
+            return Err(format!(
+                "step {step}: {req:?}\n  ContextualDb: {expect:?}\n  server:       {:?}",
+                direct[step]
+            ));
+        }
+        if planned[step] != direct[step] {
+            return Err(format!(
+                "step {step}: {req:?}\n  no plan:    {:?}\n  empty plan: {:?}",
+                direct[step], planned[step]
+            ));
+        }
+        tally.count(&direct[step]);
+    }
+    Ok(())
+}
+
+/// `CTXPREF_FUZZ_SEEDS=a..b` overrides the default `0..8`.
+fn seed_range() -> std::ops::Range<u64> {
+    let Ok(spec) = std::env::var("CTXPREF_FUZZ_SEEDS") else {
+        return 0..8;
+    };
+    let parse = |s: &str| s.trim().parse::<u64>().ok();
+    match spec.split_once("..").map(|(a, b)| (parse(a), parse(b))) {
+        Some((Some(a), Some(b))) if a < b => a..b,
+        _ => panic!("CTXPREF_FUZZ_SEEDS must look like '0..32', got {spec:?}"),
+    }
+}
+
+#[test]
+fn every_wire_answer_matches_a_contextual_db_replay() {
+    let seeds = seed_range();
+    let mut tally = Tally::default();
+    for seed in seeds.clone() {
+        if let Err(violation) = check_seed(seed, &mut tally) {
+            panic!(
+                "WIRE HISTORY MISMATCH (replay with CTXPREF_FUZZ_SEEDS={seed}..{} \
+                 cargo test --release -p ctxpref-net --test wire_history):\n{violation}",
+                seed + 1
+            );
+        }
+    }
+    println!(
+        "{} histories of {OPS} requests, each answered alike with and without a plan \
+         and by ContextualDb: {tally:?}",
+        seeds.count()
+    );
+}

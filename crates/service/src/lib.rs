@@ -35,7 +35,11 @@
 //!     (`ctxpref-replication`).
 //!
 //!   The write hands back what it displaced, so a removal returns the
-//!   value the log applied, not one read beside it.
+//!   value the log applied, not one read beside it. A front-end's
+//!   reactor edits preferences through `try_` twins of the verbs that
+//!   never wait: on the direct path, with no fault plan installed and
+//!   the user's stripe free, they apply the edit on the calling thread;
+//!   otherwise they hand it back for the blocking verb.
 //!
 //! Failure modes are driven deterministically in tests by the
 //! `ctxpref-faults` plan (see the chaos suite under `tests/`, and the
@@ -68,6 +72,8 @@ mod config;
 mod error;
 mod ladder;
 mod migrate;
+mod pool;
+mod retry;
 mod service;
 mod stats;
 mod tier;

@@ -95,16 +95,16 @@ pub(crate) struct MigrationTable {
 #[must_use = "the guard must live across the append, or the fence race returns"]
 pub(crate) struct WriteGuard<'a> {
     table: &'a MigrationTable,
-    user: String,
+    user: &'a str,
 }
 
 impl Drop for WriteGuard<'_> {
     fn drop(&mut self) {
         let mut inner = self.table.inner.lock();
-        if let Some(n) = inner.in_flight.get_mut(&self.user) {
+        if let Some(n) = inner.in_flight.get_mut(self.user) {
             *n -= 1;
             if *n == 0 {
-                inner.in_flight.remove(&self.user);
+                inner.in_flight.remove(self.user);
                 self.table.drained.notify_all();
             }
         }
@@ -119,7 +119,7 @@ impl MigrationTable {
     /// for the write to finish before it can treat the WAL as frozen —
     /// no write that passed the gate can append after the fence's
     /// drain cut is taken.
-    pub fn write_guard(&self, user: &str) -> Result<WriteGuard<'_>, ServiceError> {
+    pub fn write_guard<'a>(&'a self, user: &'a str) -> Result<WriteGuard<'a>, ServiceError> {
         let mut inner = self.inner.lock();
         if inner.entries.contains_key(user) {
             return Err(ServiceError::Migrating {
@@ -127,10 +127,7 @@ impl MigrationTable {
             });
         }
         *inner.in_flight.entry(user.to_string()).or_insert(0) += 1;
-        Ok(WriteGuard {
-            table: self,
-            user: user.to_string(),
-        })
+        Ok(WriteGuard { table: self, user })
     }
 
     /// Wait (bounded) for every in-flight write of `user` to finish.

@@ -1,0 +1,123 @@
+//! The service's one worker pool: the job type it runs, the loop each
+//! worker runs, and the body every ranked read runs on a worker.
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc};
+use std::time::{Duration, Instant};
+
+use ctxpref_context::ContextState;
+use ctxpref_core::ShardedMultiUserDb;
+use parking_lot::{Mutex, RwLock};
+
+use crate::admission::{record_shed, Admission, Admitted};
+use crate::error::ServiceError;
+use crate::ladder::{panic_text, run_ladder, ServiceAnswer};
+use crate::stats::Counters;
+
+/// The one kind of work the pool runs: an in-process caller's ranked
+/// read, or whatever a front-end such as the network server hands to
+/// [`crate::CtxPrefService::spawn`].
+pub(crate) type Job = Box<dyn FnOnce() + Send>;
+
+/// One ranked read as a worker executes it.
+pub(crate) struct Read<'a> {
+    pub(crate) user: &'a str,
+    pub(crate) state: &'a ContextState,
+    /// `Some(k)` routes the read down the top-k ladder (materialized
+    /// view first, early-terminating evaluation otherwise); `None` is
+    /// a full-ranking query.
+    pub(crate) topk: Option<usize>,
+    pub(crate) requested: Duration,
+}
+
+pub(crate) fn worker_loop(receiver: &Mutex<mpsc::Receiver<Job>>) {
+    loop {
+        // Hold the receiver lock only while picking up a job.
+        let job = { receiver.lock().recv() };
+        let Ok(job) = job else { return };
+        // Outer containment: a panicking job never takes its worker
+        // with it. (A ranked read contains its own panics and reports
+        // them typed; this catches whatever else a job runs.)
+        let _ = catch_unwind(AssertUnwindSafe(job));
+    }
+}
+
+/// The one body every ranked read runs on a worker, in-process or from
+/// the network: sojourn observed from admission, the cancel and expiry
+/// drops, the dequeue fault site, the shard lock, the post-lock
+/// re-check and the ladder. Counts every deadline miss it detects.
+pub(crate) fn execute_read(
+    slot: &RwLock<Arc<ShardedMultiUserDb>>,
+    counters: &Counters,
+    admission: &Admission,
+    admitted: &Admitted,
+    read: &Read<'_>,
+    cancelled: Option<&AtomicBool>,
+) -> Result<ServiceAnswer, ServiceError> {
+    let missed = || ServiceError::DeadlineExceeded {
+        deadline: read.requested,
+    };
+    // Resolve the serving core per read: the slot is re-pointed when a
+    // replicated service's local node recovers from a crash.
+    let db = Arc::clone(&slot.read());
+    // Feed the admission controller the read's queue dwell — the signal
+    // the sojourn shedder runs on.
+    admission.observe(admitted.at.elapsed());
+    if cancelled.is_some_and(|c| c.load(Ordering::Acquire)) {
+        // The in-process caller already gave up and counted the miss.
+        counters.cancelled.fetch_add(1, Ordering::Relaxed);
+        return Err(missed());
+    }
+    let deadline = admitted.at + read.requested;
+    if Instant::now() >= deadline {
+        // Expired while queued: counted and dropped, never executed —
+        // dead work would only deepen the overload.
+        counters.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
+        record_shed(counters, &counters.shed_expired, admitted.tier);
+        return Err(missed());
+    }
+    // Fault site: an injected delay stalls the worker here, growing
+    // queue sojourn deterministically for the overload tests and
+    // standing in for per-read service time in the storm bench.
+    // Deliberately AFTER the cancel/expiry drops: dropping dead work is
+    // free; only work that will execute pays.
+    let _ = ctxpref_faults::hit(ctxpref_faults::sites::SVC_WORKER_DEQUEUE);
+    // Nothing may unwind out of a read, even a bug outside the
+    // per-rung guards.
+    let result = catch_unwind(AssertUnwindSafe(|| {
+        // Acquire only the user's shard, and account the wait: the time
+        // to get the lock is the serving core's contention.
+        let lock_started = Instant::now();
+        let shard = db.read_user_shard(read.user);
+        let waited = lock_started.elapsed();
+        counters
+            .lock_wait_micros
+            .fetch_add(waited.as_micros() as u64, Ordering::Relaxed);
+        // Re-check the deadline now that the lock is held: a contended
+        // acquisition may have consumed the whole budget, and running
+        // the ladder for a caller that already timed out would only
+        // waste the shard's read capacity.
+        if Instant::now() >= deadline {
+            counters.deadline_after_lock.fetch_add(1, Ordering::Relaxed);
+            return Err(missed());
+        }
+        run_ladder(
+            &shard,
+            read.user,
+            read.state,
+            read.topk,
+            deadline,
+            read.requested,
+        )
+    }))
+    .unwrap_or_else(|payload| {
+        Err(ServiceError::QueryPanicked {
+            message: panic_text(payload),
+        })
+    });
+    if let Err(ServiceError::DeadlineExceeded { .. }) = result {
+        counters.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
+    }
+    result
+}

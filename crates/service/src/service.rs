@@ -9,42 +9,31 @@ use ctxpref_context::ContextState;
 use ctxpref_core::{MultiUserDb, ShardedMultiUserDb};
 use ctxpref_qcache::CacheStats;
 use ctxpref_replication::Cluster;
-use ctxpref_storage::StorageError;
 use ctxpref_wal::{DurableDb, RecoveryReport, WalOp};
 use parking_lot::{Mutex, RwLock};
 
 use crate::admission::{record_shed, Admission, Admitted};
-use crate::config::{DurabilityConfig, ReplicatedConfig, RetryPolicy, ServiceConfig};
+use crate::config::{DurabilityConfig, ReplicatedConfig, ServiceConfig};
 use crate::error::ServiceError;
-use crate::ladder::{panic_text, run_ladder, LadderStep, ServiceAnswer};
+use crate::ladder::{LadderStep, ServiceAnswer};
 use crate::migrate::MigrationTable;
+use crate::pool::{execute_read, worker_loop, Job, Read};
+use crate::retry::retry_storage;
 use crate::stats::Counters;
 use crate::tier::Priority;
 use crate::write::WritePath;
-
-/// The one kind of work the pool runs: an in-process caller's ranked
-/// read, or whatever a front-end such as the network server hands to
-/// [`CtxPrefService::spawn`].
-type Job = Box<dyn FnOnce() + Send>;
-
-/// One ranked read as a worker executes it.
-struct Read<'a> {
-    user: &'a str,
-    state: &'a ContextState,
-    /// `Some(k)` routes the read down the top-k ladder (materialized
-    /// view first, early-terminating evaluation otherwise); `None` is
-    /// a full-ranking query.
-    topk: Option<usize>,
-    requested: Duration,
-}
 
 /// The fault-tolerant serving layer over a sharded multi-user core.
 ///
 /// Every request runs on one fixed pool of worker threads: in-process
 /// callers queue their reads and wait for the answer, and a front-end
 /// (the network server) queues whole requests with [`Self::spawn`] —
-/// all but the top-k reads a current view answers on its own thread
-/// ([`Self::view_hit`]).
+/// all but what it answers on its own thread through the entries that
+/// never wait: the top-k reads a current view holds
+/// ([`Self::view_hit`]) and the direct-path preference edits on a free
+/// stripe ([`Self::try_insert_preference_eq`],
+/// [`Self::try_update_preference_score`],
+/// [`Self::try_remove_preference`]).
 ///
 /// * **Deadlines & cancellation** — every query carries a deadline and
 ///   is never executed past it: a worker drops it at dequeue, after the
@@ -682,128 +671,5 @@ impl CtxPrefService {
 impl Drop for CtxPrefService {
     fn drop(&mut self) {
         self.stop();
-    }
-}
-
-fn worker_loop(receiver: &Mutex<mpsc::Receiver<Job>>) {
-    loop {
-        // Hold the receiver lock only while picking up a job.
-        let job = { receiver.lock().recv() };
-        let Ok(job) = job else { return };
-        // Outer containment: a panicking job never takes its worker
-        // with it. (A ranked read contains its own panics and reports
-        // them typed; this catches whatever else a job runs.)
-        let _ = catch_unwind(AssertUnwindSafe(job));
-    }
-}
-
-/// The one body every ranked read runs on a worker, in-process or from
-/// the network: sojourn observed from admission, the cancel and expiry
-/// drops, the dequeue fault site, the shard lock, the post-lock
-/// re-check and the ladder. Counts every deadline miss it detects.
-fn execute_read(
-    slot: &RwLock<Arc<ShardedMultiUserDb>>,
-    counters: &Counters,
-    admission: &Admission,
-    admitted: &Admitted,
-    read: &Read<'_>,
-    cancelled: Option<&AtomicBool>,
-) -> Result<ServiceAnswer, ServiceError> {
-    let missed = || ServiceError::DeadlineExceeded {
-        deadline: read.requested,
-    };
-    // Resolve the serving core per read: the slot is re-pointed when a
-    // replicated service's local node recovers from a crash.
-    let db = Arc::clone(&slot.read());
-    // Feed the admission controller the read's queue dwell — the signal
-    // the sojourn shedder runs on.
-    admission.observe(admitted.at.elapsed());
-    if cancelled.is_some_and(|c| c.load(Ordering::Acquire)) {
-        // The in-process caller already gave up and counted the miss.
-        counters.cancelled.fetch_add(1, Ordering::Relaxed);
-        return Err(missed());
-    }
-    let deadline = admitted.at + read.requested;
-    if Instant::now() >= deadline {
-        // Expired while queued: counted and dropped, never executed —
-        // dead work would only deepen the overload.
-        counters.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-        record_shed(counters, &counters.shed_expired, admitted.tier);
-        return Err(missed());
-    }
-    // Fault site: an injected delay stalls the worker here, growing
-    // queue sojourn deterministically for the overload tests and
-    // standing in for per-read service time in the storm bench.
-    // Deliberately AFTER the cancel/expiry drops: dropping dead work is
-    // free; only work that will execute pays.
-    let _ = ctxpref_faults::hit(ctxpref_faults::sites::SVC_WORKER_DEQUEUE);
-    // Nothing may unwind out of a read, even a bug outside the
-    // per-rung guards.
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        // Acquire only the user's shard, and account the wait: the time
-        // to get the lock is the serving core's contention.
-        let lock_started = Instant::now();
-        let shard = db.read_user_shard(read.user);
-        let waited = lock_started.elapsed();
-        counters
-            .lock_wait_micros
-            .fetch_add(waited.as_micros() as u64, Ordering::Relaxed);
-        // Re-check the deadline now that the lock is held: a contended
-        // acquisition may have consumed the whole budget, and running
-        // the ladder for a caller that already timed out would only
-        // waste the shard's read capacity.
-        if Instant::now() >= deadline {
-            counters.deadline_after_lock.fetch_add(1, Ordering::Relaxed);
-            return Err(missed());
-        }
-        run_ladder(
-            &shard,
-            read.user,
-            read.state,
-            read.topk,
-            deadline,
-            read.requested,
-        )
-    }))
-    .unwrap_or_else(|payload| {
-        Err(ServiceError::QueryPanicked {
-            message: panic_text(payload),
-        })
-    });
-    if let Err(ServiceError::DeadlineExceeded { .. }) = result {
-        counters.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-    }
-    result
-}
-
-/// Run `op` up to `policy.max_attempts` times, sleeping
-/// `base_backoff · 2ⁿ⁻¹` between attempts, but never sleeping past
-/// `deadline` (measured from entry): when the next backoff would cross
-/// it, give up with [`ServiceError::DeadlineExceeded`] instead. Only
-/// I/O errors are considered transient; parse/model/corruption errors
-/// fail immediately.
-fn retry_storage<T>(
-    policy: &RetryPolicy,
-    deadline: Duration,
-    counters: &Counters,
-    mut op: impl FnMut() -> Result<T, StorageError>,
-) -> Result<T, ServiceError> {
-    let started = Instant::now();
-    let mut attempt = 0u32;
-    loop {
-        attempt += 1;
-        match op() {
-            Ok(v) => return Ok(v),
-            Err(StorageError::Io(_)) if attempt < policy.max_attempts => {
-                let backoff = policy.base_backoff * 2u32.pow(attempt - 1);
-                if started.elapsed() + backoff >= deadline {
-                    counters.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-                    return Err(ServiceError::DeadlineExceeded { deadline });
-                }
-                counters.storage_retries.fetch_add(1, Ordering::Relaxed);
-                std::thread::sleep(backoff);
-            }
-            Err(e) => return Err(ServiceError::Storage(e)),
-        }
     }
 }

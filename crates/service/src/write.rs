@@ -23,8 +23,10 @@ use crate::stats::Counters;
 
 /// How a mutation reaches the serving core — chosen once, by the
 /// constructor, and never changed. [`CtxPrefService::write`] is the
-/// only code that acts on the choice; everything else that looks at it
-/// is inspection (stats, scrub, status).
+/// only code that acts on the choice, apart from the preference edits
+/// that never wait, which run only on the direct path
+/// (`CtxPrefService::edit`); everything else that looks at it is
+/// inspection (stats, scrub, status).
 pub(crate) enum WritePath {
     /// Applied straight to the in-memory core ([`CtxPrefService::new`]).
     Direct,
@@ -61,6 +63,54 @@ impl std::fmt::Display for BulkError {
 impl std::error::Error for BulkError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         Some(&self.error)
+    }
+}
+
+/// How a client preference edit takes its user's stripe lock.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Take {
+    /// Wait for it, on whichever write path the service has: the
+    /// blocking verbs.
+    Wait,
+    /// Never wait: apply only on the direct path with no fault plan
+    /// installed, and only if the stripe is free this instant — the
+    /// `try_` verbs.
+    IfFree,
+}
+
+/// The insert of an equality preference from its textual parts,
+/// validated against the live environment and schema. The value is
+/// built before the write so that it can be logged before it is
+/// applied.
+fn insert_op(
+    core: &ShardedMultiUserDb,
+    user: &str,
+    descriptor: &str,
+    attr: &str,
+    value: ctxpref_relation::Value,
+    score: f64,
+) -> Result<WalOp, ServiceError> {
+    let pref = preference_from_parts(
+        core.env(),
+        core.relation(),
+        descriptor,
+        attr,
+        CompareOp::Eq,
+        value,
+        score,
+    )?;
+    Ok(WalOp::InsertPreference {
+        user: user.to_string(),
+        pref,
+    })
+}
+
+/// What a preference removal applied by [`CtxPrefService::edit`] took
+/// out.
+fn removed(displaced: Option<Displaced>) -> ContextualPreference {
+    match displaced {
+        Some(Displaced::Preference(pref)) => pref,
+        other => unreachable!("a preference removal displaced {other:?}"),
     }
 }
 
@@ -196,8 +246,36 @@ impl CtxPrefService {
         value: ctxpref_relation::Value,
         score: f64,
     ) -> Result<(), ServiceError> {
-        let _guard = self.migrations.write_guard(user)?;
-        self.insert_eq(user, descriptor, attr, value, score)
+        self.edit(Take::Wait, user, |core| {
+            insert_op(core, user, descriptor, attr, value, score)
+        })?;
+        Ok(())
+    }
+
+    /// [`Self::insert_preference_eq`] for a caller that must never wait
+    /// — a front-end's reactor. `None` hands the edit back unapplied,
+    /// to be run with the blocking verb: when the service does not
+    /// write directly to memory (a logged or replicated write holds its
+    /// WAL shard's mutex), under an installed fault plan (the edit runs
+    /// where the fault sites are), or while the user's stripe is read-
+    /// or write-locked. Otherwise the edit applies here, under the same
+    /// migration guard as the blocking verb, and answers as it would.
+    ///
+    /// The value comes in its textual form, as a wire request carries
+    /// it, and is built only once the edit is known to run here.
+    pub fn try_insert_preference_eq(
+        &self,
+        user: &str,
+        descriptor: &str,
+        attr: &str,
+        value: &str,
+        score: f64,
+    ) -> Option<Result<(), ServiceError>> {
+        self.edit(Take::IfFree, user, |core| {
+            insert_op(core, user, descriptor, attr, value.into(), score)
+        })
+        .transpose()
+        .map(|done| done.map(drop))
     }
 
     /// Insert several equality preferences for one user under a single
@@ -218,42 +296,16 @@ impl CtxPrefService {
             .migrations
             .write_guard(user)
             .map_err(|error| BulkError { applied: 0, error })?;
+        let insert = |&(descriptor, attr, value, score): &(&str, &str, &str, f64)| {
+            let op = insert_op(&self.core(), user, descriptor, attr, value.into(), score)?;
+            self.write(op)
+        };
         let mut applied = 0;
-        for (descriptor, attr, value, score) in items {
-            self.insert_eq(user, descriptor, attr, (*value).into(), *score)
-                .map_err(|error| BulkError { applied, error })?;
+        for item in items {
+            insert(item).map_err(|error| BulkError { applied, error })?;
             applied += 1;
         }
         Ok(applied)
-    }
-
-    /// Validate an equality preference's textual parts against the live
-    /// environment and schema, then write it. The value is built before
-    /// the write so it can be logged before it is applied; the caller
-    /// holds the user's write guard.
-    fn insert_eq(
-        &self,
-        user: &str,
-        descriptor: &str,
-        attr: &str,
-        value: ctxpref_relation::Value,
-        score: f64,
-    ) -> Result<(), ServiceError> {
-        let core = self.core();
-        let pref = preference_from_parts(
-            core.env(),
-            core.relation(),
-            descriptor,
-            attr,
-            CompareOp::Eq,
-            value,
-            score,
-        )?;
-        self.write(WalOp::InsertPreference {
-            user: user.to_string(),
-            pref,
-        })?;
-        Ok(())
     }
 
     /// Remove one user's preference by index, returning the preference
@@ -263,14 +315,31 @@ impl CtxPrefService {
         user: &str,
         index: usize,
     ) -> Result<ContextualPreference, ServiceError> {
-        let _guard = self.migrations.write_guard(user)?;
-        match self.write(WalOp::RemovePreference {
-            user: user.to_string(),
-            index,
-        })? {
-            Displaced::Preference(pref) => Ok(pref),
-            other => unreachable!("a preference removal displaced {other:?}"),
-        }
+        let displaced = self.edit(Take::Wait, user, |_| {
+            Ok(WalOp::RemovePreference {
+                user: user.to_string(),
+                index,
+            })
+        })?;
+        Ok(removed(displaced))
+    }
+
+    /// [`Self::remove_preference`] for a caller that must never wait:
+    /// `None` hands it back unapplied, as
+    /// [`Self::try_insert_preference_eq`] does.
+    pub fn try_remove_preference(
+        &self,
+        user: &str,
+        index: usize,
+    ) -> Option<Result<ContextualPreference, ServiceError>> {
+        self.edit(Take::IfFree, user, |_| {
+            Ok(WalOp::RemovePreference {
+                user: user.to_string(),
+                index,
+            })
+        })
+        .transpose()
+        .map(|done| done.map(|displaced| removed(Some(displaced))))
     }
 
     /// Update the score of one user's preference by index.
@@ -280,13 +349,62 @@ impl CtxPrefService {
         index: usize,
         score: f64,
     ) -> Result<(), ServiceError> {
-        let _guard = self.migrations.write_guard(user)?;
-        self.write(WalOp::UpdateScore {
-            user: user.to_string(),
-            index,
-            score,
+        self.edit(Take::Wait, user, |_| {
+            Ok(WalOp::UpdateScore {
+                user: user.to_string(),
+                index,
+                score,
+            })
         })?;
         Ok(())
+    }
+
+    /// [`Self::update_preference_score`] for a caller that must never
+    /// wait: `None` hands it back unapplied, as
+    /// [`Self::try_insert_preference_eq`] does.
+    pub fn try_update_preference_score(
+        &self,
+        user: &str,
+        index: usize,
+        score: f64,
+    ) -> Option<Result<(), ServiceError>> {
+        self.edit(Take::IfFree, user, |_| {
+            Ok(WalOp::UpdateScore {
+                user: user.to_string(),
+                index,
+                score,
+            })
+        })
+        .transpose()
+        .map(|done| done.map(drop))
+    }
+
+    /// The one body of a client preference edit, blocking or not: the
+    /// migration fence's write guard, the op `make` builds against the
+    /// serving core, and the write, taking the user's stripe as `take`
+    /// says. `Ok(None)` means nothing was applied, which only
+    /// [`Take::IfFree`] answers.
+    fn edit(
+        &self,
+        take: Take,
+        user: &str,
+        make: impl FnOnce(&ShardedMultiUserDb) -> Result<WalOp, ServiceError>,
+    ) -> Result<Option<Displaced>, ServiceError> {
+        if take == Take::IfFree
+            && (!matches!(self.path, WritePath::Direct) || ctxpref_faults::current().is_some())
+        {
+            return Ok(None);
+        }
+        let _guard = self.migrations.write_guard(user)?;
+        let core = self.core();
+        let op = make(&core)?;
+        Ok(Some(match take {
+            Take::Wait => self.write(op)?,
+            Take::IfFree => match core.try_write_user_shard(user) {
+                Some(mut stripe) => op.apply_to(&mut stripe)?,
+                None => return Ok(None),
+            },
+        }))
     }
 
     /// Whether mutations are logged to a durable directory (every node

@@ -263,6 +263,51 @@ fn mutations_flow_through_the_service() {
 }
 
 #[test]
+fn edits_that_never_wait_hand_back_what_they_cannot_apply_now() {
+    let _serial = fault_lock();
+    let service = CtxPrefService::new(study_db(1, 8), ServiceConfig::default());
+    let scores = || {
+        service.with_db(|db| {
+            let profile = db.profile("user0").unwrap();
+            profile
+                .preferences()
+                .iter()
+                .map(|p| p.score())
+                .collect::<Vec<_>>()
+        })
+    };
+    // A free stripe on the direct path: applied now, answered as the
+    // blocking verb answers.
+    assert!(matches!(
+        service.try_update_preference_score("user0", 0, 0.5),
+        Some(Ok(()))
+    ));
+    let removed = service.try_remove_preference("user0", 0).unwrap().unwrap();
+    assert_eq!(removed.score(), 0.5);
+    assert!(matches!(
+        service.try_remove_preference("ghost", 0),
+        Some(Err(ServiceError::Core(_)))
+    ));
+    let before = scores();
+
+    // A stripe someone is reading, or an installed fault plan: handed
+    // back, and nothing applied.
+    service.with_db(|db| {
+        let _reading = db.read_user_shard("user0");
+        assert!(service
+            .try_update_preference_score("user0", 0, 0.4)
+            .is_none());
+        assert!(service
+            .try_insert_preference_eq("user0", "location = Plaka", "type", "zoo", 0.3)
+            .is_none());
+    });
+    FaultPlan::builder(5).build().run(|| {
+        assert!(service.try_remove_preference("user0", 0).is_none());
+    });
+    assert_eq!(scores(), before);
+}
+
+#[test]
 fn shutdown_rejects_new_requests() {
     let service = CtxPrefService::new(study_db(1, 8), ServiceConfig::default());
     let s = state(&service, &["Plaka", "warm", "friends"]);

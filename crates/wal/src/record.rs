@@ -14,7 +14,7 @@
 //! round-trip-tested serializers.
 
 use ctxpref_context::ContextEnvironment;
-use ctxpref_core::{CoreError, ShardedMultiUserDb};
+use ctxpref_core::{CoreError, MultiUserDb, ShardedMultiUserDb};
 use ctxpref_profile::{ContextualPreference, Profile};
 use ctxpref_relation::Relation;
 use ctxpref_storage::{escape, parse_pref_tokens, pref_tokens, unescape};
@@ -200,11 +200,20 @@ impl WalOp {
 
     /// Apply to the serving core — the live mutation path, replication
     /// and recovery replay alike — handing back what the op took out of
-    /// it. The op is consumed: an inserted preference moves into the
-    /// profile, it is not copied. Rejection is deterministic in the
-    /// database's state, so an op rejected live is rejected identically
-    /// on replay.
+    /// it: [`Self::apply_to`] the user's stripe, waiting for its write
+    /// lock.
     pub fn apply(self, db: &ShardedMultiUserDb) -> Result<Displaced, CoreError> {
+        let mut stripe = db.write_user_shard(self.user());
+        self.apply_to(&mut stripe)
+    }
+
+    /// Apply to the database holding the op's user — for the serving
+    /// core, its stripe, under a write lock the caller took however it
+    /// may (see [`Self::apply`]). The op is consumed: an inserted
+    /// preference moves into the profile, it is not copied. Rejection
+    /// is deterministic in the database's state, so an op rejected live
+    /// is rejected identically on replay.
+    pub fn apply_to(self, db: &mut MultiUserDb) -> Result<Displaced, CoreError> {
         match self {
             Self::AddUser { user } => db.add_user(&user).map(|()| Displaced::Nothing),
             Self::RemoveUser { user } => db.remove_user(&user).map(Displaced::Profile),
