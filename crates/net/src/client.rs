@@ -118,17 +118,31 @@ pub struct NetClient {
     jitter_rng: StdRng,
 }
 
-/// One live connection and the decoder its responses are read through:
-/// made and dropped together, so no byte outlives its connection.
+/// One live connection, the decoder its responses are read through and
+/// the buffer its requests are framed into: made and dropped together,
+/// so no byte outlives its connection.
 #[derive(Debug)]
 struct Conn {
     stream: TcpStream,
     decoder: FrameDecoder,
+    out: Vec<u8>,
 }
 
+/// A request buffer that one large request grew past this gives the
+/// memory back before the next, like the decoder after a large frame.
+const REQUEST_BUF_KEEP: usize = 16 * 1024;
+
 impl Conn {
-    /// Read the next response frame through the decoder.
-    fn read_frame(&mut self) -> Result<Vec<u8>, NetError> {
+    /// The connection's request buffer, emptied for the next frames.
+    fn request_buf(&mut self) -> &mut Vec<u8> {
+        self.out.clear();
+        self.out.shrink_to(REQUEST_BUF_KEEP);
+        &mut self.out
+    }
+
+    /// Read the next response frame through the decoder; its payload is
+    /// lent out of the decoder's buffer.
+    fn read_frame(&mut self) -> Result<&[u8], NetError> {
         read_frame_buffered(&mut self.stream, &mut self.decoder)?.ok_or_else(|| {
             NetError::Io(std::io::Error::new(
                 std::io::ErrorKind::ConnectionAborted,
@@ -195,6 +209,7 @@ impl NetClient {
             self.conn = Some(Conn {
                 stream: self.dial()?,
                 decoder: FrameDecoder::new(),
+                out: Vec::new(),
             });
         }
         Ok(())
@@ -209,10 +224,10 @@ impl NetClient {
     }
 
     /// One request/response exchange on the cached connection,
-    /// establishing it if needed: the request framed in place and sent
-    /// in one write, the response read through the connection's
-    /// decoder. Any failure tears the connection down so the next
-    /// attempt starts from a clean dial — and so does a
+    /// establishing it if needed: the request framed in place into the
+    /// connection's buffer and sent in one write, the response decoded
+    /// where it landed in the connection's decoder. Any failure tears
+    /// the connection down so the next attempt starts from a clean dial — and so does a
     /// connection-level (id 0) reply, which the server closes behind,
     /// or bytes buffered beyond the response; a reply under the
     /// request's own id, even a busy, leaves the connection cached.
@@ -228,23 +243,19 @@ impl NetClient {
         self.next_id = self.next_id.wrapping_add(1).max(1);
         let conn = self.require_conn()?;
         let result = (|| {
-            let mut frame = Vec::with_capacity(128);
-            codec::put_request_frame(&mut frame, id, req, budget_ms, tier)?;
-            write_frames(&mut conn.stream, &frame, 1)?;
-            let payload = conn.read_frame()?;
+            codec::put_request_frame(conn.request_buf(), id, req, budget_ms, tier)?;
+            write_frames(&mut conn.stream, &conn.out, 1)?;
+            let wire = codec::decode_response(conn.read_frame()?);
             conn.expect_drained("the response")?;
-            Ok(payload)
+            Ok(wire)
         })();
-        let payload = match result {
-            Ok(payload) => payload,
+        let wire = match result {
+            Ok(Ok(wire)) if wire.id == id => return Ok(wire.resp),
+            Ok(decoded) => decoded,
             Err(e) => {
                 self.conn = None;
                 return Err(e);
             }
-        };
-        let wire = match codec::decode_response(&payload) {
-            Ok(wire) if wire.id == id => return Ok(wire.resp),
-            other => other,
         };
         // Anything but the awaited id ends this connection: the server
         // closes behind a connection-level (id 0) reply, and a frame
@@ -447,22 +458,21 @@ impl NetClient {
         self.next_id = self.next_id.wrapping_add(reqs.len() as u64).max(1);
         let conn = self.require_conn()?;
         let result = (|| {
-            // The burst framed in place into one buffer and sent in one
-            // write, and bulk reads through the connection's decoder on
+            // The burst framed in place into the connection's buffer and
+            // sent in one write, and bulk reads through its decoder on
             // the way back: the syscall count is per burst, not per
             // request.
-            let mut burst = Vec::with_capacity(64 * reqs.len());
+            let burst = conn.request_buf();
             for (i, req) in reqs.iter().enumerate() {
                 let id = base + i as u64;
-                codec::put_request_frame(&mut burst, id, req, 0, Priority::Interactive)?;
+                codec::put_request_frame(burst, id, req, 0, Priority::Interactive)?;
             }
-            write_frames(&mut conn.stream, &burst, reqs.len())?;
+            write_frames(&mut conn.stream, &conn.out, reqs.len())?;
             let mut slots: Vec<Option<Response>> = Vec::new();
             slots.resize_with(reqs.len(), || None);
             let mut remaining = reqs.len();
             while remaining > 0 {
-                let payload = conn.read_frame()?;
-                let wire = codec::decode_response(&payload)
+                let wire = codec::decode_response(conn.read_frame()?)
                     .map_err(|e| NetError::Proto(ProtoError::from(e)))?;
                 if wire.id == codec::CONNECTION_ID {
                     // Connection-level mid-pipeline: a busy refusal at

@@ -5,8 +5,8 @@
 //! A `ctxpref2` frame payload is:
 //!
 //! ```text
-//! request:  [0xC2 | 0x03 | tag u8 | request-id varint | budget-ms varint | tier u8 | body…]
-//! response: [0xC2 | 0x03 | tag u8 | request-id varint | body…]
+//! request:  [0xC2 | 0x04 | tag u8 | request-id varint | budget-ms varint | tier u8 | body…]
+//! response: [0xC2 | 0x04 | tag u8 | request-id varint | body…]
 //! ```
 //!
 //! Every request envelope carries the caller's **remaining deadline
@@ -63,9 +63,12 @@ pub(crate) use answer::{answer_frame, Put, Seq, Shown};
 
 /// First byte of every `ctxpref2` payload.
 pub const BINARY_MAGIC: u8 = 0xC2;
-/// Second byte: the binary codec version. Bumped to 0x03 when the
-/// request envelope gained the deadline budget and priority tier.
-pub const BINARY_VERSION: u8 = 0x03;
+/// Second byte: the binary codec version. 0x03 added the request
+/// envelope's deadline budget and priority tier; 0x04 changed the frame
+/// checksum from a byte-at-a-time FNV-1a 64 to the word-at-a-time hash
+/// of [`crate::frame::frame_checksum`]. A peer on another version is
+/// refused typed, never misparsed.
+pub const BINARY_VERSION: u8 = 0x04;
 
 /// The request id no request carries: a response with this id is
 /// about the connection itself — the admission refusal and the refusal

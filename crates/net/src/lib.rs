@@ -3,10 +3,10 @@
 //!
 //! Two pillars, one framing discipline:
 //!
-//! * [`frame`] — length-prefixed, FNV-1a-checksummed frames (the WAL
-//!   record framing minus the LSN). The declared length is capped
-//!   **before allocation**, so hostile peers cost a header read, not
-//!   memory.
+//! * [`frame`] — length-prefixed frames with a word-at-a-time checksum
+//!   (the WAL record framing minus the LSN), verified and decoded where
+//!   they landed. The declared length is capped **before allocation**,
+//!   so hostile peers cost a header read, not memory.
 //! * [`proto`] + [`codec`] + [`server`]/[`client`] — a request/response
 //!   vocabulary and its one wire encoding (`ctxpref2`: binary,
 //!   id-tagged for pipelining) over those frames; [`NetServer`] fronts

@@ -534,7 +534,9 @@ impl Reactor {
 
     /// Drain complete frames from the connection's decoder into the
     /// reactor's own answers or the workers, respecting the pipeline
-    /// cap. True iff it stopped at the cap with frames possibly left.
+    /// cap; each request is decoded from the payload the decoder lends
+    /// where it landed. True iff it stopped at the cap with frames
+    /// possibly left.
     fn pump_frames(&mut self, token: Token) -> bool {
         loop {
             let Some(conn) = self.conns.get_mut(token) else {
@@ -561,7 +563,7 @@ impl Reactor {
                 return false;
             }
             self.shared.stats.frames_in.fetch_add(1, Ordering::AcqRel);
-            if !codec::is_binary(&payload) {
+            if !codec::is_binary(payload) {
                 // A peer speaking something else (a text protocol, a
                 // probe): nothing it sends next can be trusted to be
                 // a request, so it gets one typed answer and no more.
@@ -575,13 +577,13 @@ impl Reactor {
                 );
                 return false;
             }
-            let wire = match codec::decode_request(&payload) {
+            let wire = match codec::decode_request(payload) {
                 Ok(wire) => wire,
                 Err(e) => {
                     // The body was malformed but the header may still
                     // name the request — answer typed under its id so
                     // the pipelined client can match the refusal.
-                    let id = codec::request_id_of(&payload).unwrap_or(codec::CONNECTION_ID);
+                    let id = codec::request_id_of(payload).unwrap_or(codec::CONNECTION_ID);
                     let refusal = Response::Err {
                         kind: "proto".to_string(),
                         message: e.to_string(),

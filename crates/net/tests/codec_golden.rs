@@ -52,7 +52,7 @@ impl Pinned for Response {
 
 #[test]
 fn all_requests_roundtrip() {
-    Request::Ping.pinned("c20301bcb5e2b3c5c6040000");
+    Request::Ping.pinned("c20401bcb5e2b3c5c6040000");
     Request::Query {
         user: "Ano Poli visitor".into(),
         attr: "name".into(),
@@ -61,7 +61,7 @@ fn all_requests_roundtrip() {
         state: vec!["Plaka".into(), "warm".into(), "friends".into()],
     }
     .pinned(
-        "c20302bcb5e2b3c5c604000010416e6f20506f6c692076697369746f72046e616d650afa01030550\
+        "c20402bcb5e2b3c5c604000010416e6f20506f6c692076697369746f72046e616d650afa01030550\
          6c616b61047761726d07667269656e6473",
     );
     Request::TopK {
@@ -72,22 +72,22 @@ fn all_requests_roundtrip() {
         state: vec!["Plaka".into(), "warm".into(), "friends".into()],
     }
     .pinned(
-        "c20313bcb5e2b3c5c604000010416e6f20506f6c692076697369746f72046e616d6503640305506c\
+        "c20413bcb5e2b3c5c604000010416e6f20506f6c692076697369746f72046e616d6503640305506c\
          616b61047761726d07667269656e6473",
     );
-    Request::ViewsStatus.pinned("c20314bcb5e2b3c5c6040000");
+    Request::ViewsStatus.pinned("c20414bcb5e2b3c5c6040000");
     Request::QueryDescriptor {
         user: "me".into(),
         attr: "name".into(),
         k: 3,
         descriptor: "location = Athens".into(),
     }
-    .pinned("c20303bcb5e2b3c5c6040000026d65046e616d6503116c6f636174696f6e203d20417468656e73");
-    Request::AddUser { user: "".into() }.pinned("c20304bcb5e2b3c5c604000000");
+    .pinned("c20403bcb5e2b3c5c6040000026d65046e616d6503116c6f636174696f6e203d20417468656e73");
+    Request::AddUser { user: "".into() }.pinned("c20404bcb5e2b3c5c604000000");
     Request::RemoveUser {
         user: "a\nb".into(),
     }
-    .pinned("c20305bcb5e2b3c5c604000003610a62");
+    .pinned("c20405bcb5e2b3c5c604000003610a62");
     Request::InsertPref {
         user: "me".into(),
         descriptor: "accompanying_people = family".into(),
@@ -96,57 +96,57 @@ fn all_requests_roundtrip() {
         score: 0.95,
     }
     .pinned(
-        "c20306bcb5e2b3c5c6040000026d651c6163636f6d70616e79696e675f70656f706c65203d206661\
+        "c20406bcb5e2b3c5c6040000026d651c6163636f6d70616e79696e675f70656f706c65203d206661\
          6d696c790474797065037a6f6f666666666666ee3f",
     );
     Request::RemovePref {
         user: "me".into(),
         index: 7,
     }
-    .pinned("c20307bcb5e2b3c5c6040000026d6507");
+    .pinned("c20407bcb5e2b3c5c6040000026d6507");
     Request::UpdateScore {
         user: "me".into(),
         index: 2,
         score: 0.125,
     }
-    .pinned("c20308bcb5e2b3c5c6040000026d6502000000000000c03f");
-    Request::Checkpoint.pinned("c20309bcb5e2b3c5c6040000");
-    Request::FlushWal.pinned("c2030abcb5e2b3c5c6040000");
-    Request::WalStatus.pinned("c2030bbcb5e2b3c5c6040000");
-    Request::ReplStatus.pinned("c2030cbcb5e2b3c5c6040000");
-    Request::Stats.pinned("c2030dbcb5e2b3c5c6040000");
-    Request::RouteStatus.pinned("c2030ebcb5e2b3c5c6040000");
-    Request::Scrub.pinned("c20311bcb5e2b3c5c6040000");
-    Request::ScrubStatus.pinned("c20312bcb5e2b3c5c6040000");
+    .pinned("c20408bcb5e2b3c5c6040000026d6502000000000000c03f");
+    Request::Checkpoint.pinned("c20409bcb5e2b3c5c6040000");
+    Request::FlushWal.pinned("c2040abcb5e2b3c5c6040000");
+    Request::WalStatus.pinned("c2040bbcb5e2b3c5c6040000");
+    Request::ReplStatus.pinned("c2040cbcb5e2b3c5c6040000");
+    Request::Stats.pinned("c2040dbcb5e2b3c5c6040000");
+    Request::RouteStatus.pinned("c2040ebcb5e2b3c5c6040000");
+    Request::Scrub.pinned("c20411bcb5e2b3c5c6040000");
+    Request::ScrubStatus.pinned("c20412bcb5e2b3c5c6040000");
     let migrate = |action| Request::MigrateUser {
         user: "u".into(),
         epoch: 9,
         action,
     };
-    migrate(MigrateAction::Export).pinned("c2030fbcb5e2b3c5c604000001750901");
-    migrate(MigrateAction::Snapshot).pinned("c2030fbcb5e2b3c5c604000001750902");
+    migrate(MigrateAction::Export).pinned("c2040fbcb5e2b3c5c604000001750901");
+    migrate(MigrateAction::Snapshot).pinned("c2040fbcb5e2b3c5c604000001750902");
     migrate(MigrateAction::Pull {
         from_lsn: 42,
         max: 64,
     })
-    .pinned("c2030fbcb5e2b3c5c6040000017509032a40");
-    migrate(MigrateAction::Fence).pinned("c2030fbcb5e2b3c5c604000001750904");
+    .pinned("c2040fbcb5e2b3c5c6040000017509032a40");
+    migrate(MigrateAction::Fence).pinned("c2040fbcb5e2b3c5c604000001750904");
     migrate(MigrateAction::Import {
         src_lsn: 17,
         ops: vec![b"add user\x01x".to_vec(), vec![]],
     })
-    .pinned("c2030fbcb5e2b3c5c60400000175090511020a6164642075736572017800");
+    .pinned("c2040fbcb5e2b3c5c60400000175090511020a6164642075736572017800");
     migrate(MigrateAction::Apply {
         through: 99,
         records: vec![(18, b"score user 0 0.5".to_vec()), (21, vec![0, 255, 7])],
     })
     .pinned(
-        "c2030fbcb5e2b3c5c6040000017509066302121073636f72652075736572203020302e35150300ff\
+        "c2040fbcb5e2b3c5c6040000017509066302121073636f72652075736572203020302e35150300ff\
          07",
     );
-    migrate(MigrateAction::Activate).pinned("c2030fbcb5e2b3c5c604000001750907");
-    migrate(MigrateAction::Finish).pinned("c2030fbcb5e2b3c5c604000001750908");
-    migrate(MigrateAction::Abort).pinned("c2030fbcb5e2b3c5c604000001750909");
+    migrate(MigrateAction::Activate).pinned("c2040fbcb5e2b3c5c604000001750907");
+    migrate(MigrateAction::Finish).pinned("c2040fbcb5e2b3c5c604000001750908");
+    migrate(MigrateAction::Abort).pinned("c2040fbcb5e2b3c5c604000001750909");
     Request::Batch {
         requests: vec![
             Request::AddUser { user: "a".into() },
@@ -160,14 +160,14 @@ fn all_requests_roundtrip() {
             Request::Ping,
         ],
     }
-    .pinned("c20310bcb5e2b3c5c6040000030401610601610564203d207801740176000000000000e03f01");
+    .pinned("c20410bcb5e2b3c5c6040000030401610601610564203d207801740176000000000000e03f01");
 }
 
 #[test]
 fn all_responses_roundtrip() {
-    Response::Pong.pinned("c2030107");
-    Response::Ok.pinned("c2030207");
-    Response::Removed { score: 0.5 }.pinned("c2030307000000000000e03f");
+    Response::Pong.pinned("c2040107");
+    Response::Ok.pinned("c2040207");
+    Response::Removed { score: 0.5 }.pinned("c2040307000000000000e03f");
     Response::Answer(RemoteAnswer {
         step: "nearest-state".into(),
         elapsed_us: 1234,
@@ -188,7 +188,7 @@ fn all_responses_roundtrip() {
         ],
     })
     .pinned(
-        "c20304070d6e6561726573742d7374617465d209011328417468656e732c207761726d2c20616c6c\
+        "c20404070d6e6561726573742d7374617465d209011328417468656e732c207761726d2c20616c6c\
          29010565786163740f70616e69633a20696e6a656374656402104163726f706f6c6973204d757365\
          756dcdccccccccccec3f0a506c616b612077616c6b000000000000d03f",
     );
@@ -200,49 +200,49 @@ fn all_responses_roundtrip() {
         fallbacks: vec![],
         rows: vec![],
     })
-    .pinned("c203040705657861637400000000");
+    .pinned("c204040705657861637400000000");
     Response::Text {
         body: "appends 12\nshard 0: …\n".into(),
     }
-    .pinned("c203050718617070656e64732031320a736861726420303a20e280a60a");
+    .pinned("c204050718617070656e64732031320a736861726420303a20e280a60a");
     Response::Busy {
         limit: 4,
         retry_after_ms: 120,
     }
-    .pinned("c20306070478");
+    .pinned("c20406070478");
     Response::Err {
         kind: "core".into(),
         message: "no such user \"ghost\"".into(),
     }
-    .pinned("c203070704636f7265146e6f20737563682075736572202267686f737422");
-    Response::NotPrimary.pinned("c2030807");
-    Response::Migrating { user: "u".into() }.pinned("c20309070175");
+    .pinned("c204070704636f7265146e6f20737563682075736572202267686f737422");
+    Response::NotPrimary.pinned("c2040807");
+    Response::Migrating { user: "u".into() }.pinned("c20409070175");
     Response::UserCut {
         present: true,
         shard: 3,
         last_lsn: 117,
         digest: 0xDEAD_BEEF_DEAD_BEEF,
     }
-    .pinned("c2030a07010375efbeaddeefbeadde");
+    .pinned("c2040a07010375efbeaddeefbeadde");
     Response::Snapshot {
         src_lsn: 12,
         ops: vec![b"add me".to_vec(), vec![1, 2, 3]],
     }
-    .pinned("c2030b070c0206616464206d6503010203");
+    .pinned("c2040b070c0206616464206d6503010203");
     Response::Records {
         through: 40,
         records: vec![(39, b"ins me pref".to_vec()), (40, vec![255])],
     }
-    .pinned("c2030c072802270b696e73206d6520707265662801ff");
-    Response::Gone.pinned("c2030d07");
-    Response::Applied { watermark: 88 }.pinned("c2030e0758");
+    .pinned("c2040c072802270b696e73206d6520707265662801ff");
+    Response::Gone.pinned("c2040d07");
+    Response::Applied { watermark: 88 }.pinned("c2040e0758");
     Response::RouteInfo {
         has_primary: true,
         epoch: 4,
         users: 1000,
         migrations: 2,
     }
-    .pinned("c2030f070104e80702");
+    .pinned("c2040f070104e80702");
     Response::Batch {
         responses: vec![
             Response::Ok,
@@ -252,7 +252,7 @@ fn all_responses_roundtrip() {
             },
         ],
     }
-    .pinned("c203100702020704636f7265046e6f7065");
+    .pinned("c204100702020704636f7265046e6f7065");
     Response::ScrubReport {
         segments_verified: 12,
         checkpoints_verified: 1,
@@ -260,7 +260,7 @@ fn all_responses_roundtrip() {
         quarantined: 1,
         healed: true,
     }
-    .pinned("c20311070c01020101");
+    .pinned("c20411070c01020101");
     Response::ScrubInfo {
         passes: 9,
         quarantined: 1,
@@ -270,7 +270,7 @@ fn all_responses_roundtrip() {
         disk_full_sheds: 4,
         rotate_failures: 0,
     }
-    .pinned("c203120709010301020400");
+    .pinned("c204120709010301020400");
 }
 
 #[test]

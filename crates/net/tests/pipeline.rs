@@ -19,8 +19,8 @@ use ctxpref_faults::FaultPlan;
 use ctxpref_net::frame::{encode_frame, read_frame, write_frame};
 use ctxpref_net::proto::{Request, Response};
 use ctxpref_net::{
-    decode_response, encode_request, NetClient, NetClientConfig, NetError, NetServer,
-    NetServerConfig,
+    decode_request, decode_response, encode_request, encode_response, FrameError, NetClient,
+    NetClientConfig, NetError, NetServer, NetServerConfig,
 };
 use ctxpref_service::{CtxPrefService, ServiceConfig};
 use ctxpref_workload::reference::{poi_env, poi_relation};
@@ -255,5 +255,99 @@ fn unservable_streams_are_refused_under_id_zero_and_the_connection_closed() {
     let mut client =
         NetClient::connect(server.local_addr().to_string(), NetClientConfig::default());
     client.ping().expect("a ctxpref2 client is still served");
+    server.shutdown();
+}
+
+/// A frame as a version-3 peer seals it: the same header, checksummed
+/// with FNV-1a 64 over length and payload.
+fn v3_frame(payload: &[u8]) -> Vec<u8> {
+    let len = (payload.len() as u32).to_le_bytes();
+    let mut sum = 0xcbf2_9ce4_8422_2325u64;
+    for &b in len.iter().chain(payload) {
+        sum ^= u64::from(b);
+        sum = sum.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    let mut frame = len.to_vec();
+    frame.extend_from_slice(&sum.to_le_bytes());
+    frame.extend_from_slice(payload);
+    frame
+}
+
+/// `payload` as a version-3 peer writes it: the version byte says 0x03.
+fn as_v3(mut payload: Vec<u8>) -> Vec<u8> {
+    payload[1] = 0x03;
+    payload
+}
+
+/// Read one reply off a raw socket: its id and its typed refusal.
+fn refusal(stream: &mut TcpStream) -> (u64, String, String) {
+    let payload = read_frame(stream)
+        .expect("read frame")
+        .expect("one refusal frame");
+    let wire = decode_response(&payload).expect("the refusal is a ctxpref2 response");
+    match wire.resp {
+        Response::Err { kind, message } => (wire.id, kind, message),
+        other => panic!("expected a typed refusal, got {other:?}"),
+    }
+}
+
+#[test]
+fn a_v3_peer_is_refused_typed_never_misparsed() {
+    let _guard = plan_lock();
+    let server = spawn_server();
+    let dial = || {
+        let stream = TcpStream::connect(server.local_addr()).expect("dial");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("read timeout");
+        stream
+    };
+
+    // A version-3 frame fails the version-4 checksum: the stream is
+    // refused as torn, under id 0, and closed.
+    let mut stream = dial();
+    let request = as_v3(encode_request(1, &Request::Ping));
+    stream
+        .write_all(&v3_frame(&request))
+        .expect("write v3 frame");
+    let (id, kind, message) = refusal(&mut stream);
+    assert_eq!((id, kind.as_str()), (0, "frame"), "{message}");
+    assert!(message.contains("checksum"), "{message}");
+    assert!(
+        read_frame(&mut stream).expect("clean close").is_none(),
+        "the server must close after the frame refusal"
+    );
+
+    // A version-3 payload in a well-sealed frame reaches the codec,
+    // which refuses its version typed rather than read it as version 4.
+    let mut stream = dial();
+    write_frame(&mut stream, &request).expect("write v4 frame");
+    let (id, kind, message) = refusal(&mut stream);
+    assert_eq!((id, kind.as_str()), (0, "proto"), "{message}");
+    assert!(message.contains("codec version"), "{message}");
+    drop(stream);
+
+    // And a version-4 client reading a version-3 reply: a typed
+    // checksum failure, never a misread answer.
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind v3 peer");
+    let addr = listener.local_addr().expect("v3 peer address");
+    let peer = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().expect("accept");
+        let request = read_frame(&mut stream)
+            .expect("read request")
+            .expect("one request");
+        let id = decode_request(&request).expect("v4 request").id;
+        let reply = as_v3(encode_response(id, &Response::Pong));
+        stream.write_all(&v3_frame(&reply)).expect("write v3 reply");
+    });
+    let cfg = NetClientConfig {
+        attempts: 1,
+        ..NetClientConfig::default()
+    };
+    match NetClient::connect(addr.to_string(), cfg).ping() {
+        Err(NetError::Frame(FrameError::Checksum { .. })) => {}
+        other => panic!("expected a typed checksum error, got {other:?}"),
+    }
+    peer.join().expect("v3 peer");
     server.shutdown();
 }

@@ -1,13 +1,18 @@
 //! Wire-level differential test against the paper-faithful
-//! `ContextualDb`. Seeded random histories of user adds, preference
-//! inserts, re-scores and removals, top-k reads and full rankings go
-//! through a real `NetServer` over the POI dataset, one request at a
-//! time, and every answer must be row-identical to what a per-user
+//! `ContextualDb`. Seeded random histories of user adds and removals
+//! (a removed user is re-added later), preference inserts, re-scores
+//! and removals, top-k reads and full rankings, batch frames mixing
+//! edits and reads, and pipelined bursts of reads go through a real
+//! `NetServer` over the POI dataset. Two clients, each on its own
+//! connection, take turns; each step is answered before the next is
+//! sent. Every answer must be row-identical to what a per-user
 //! `ContextualDb` replay of the same history says; a refusal must be a
 //! refusal there too. Each history runs twice: with no fault plan, so
 //! the reactor applies direct-path edits and answers view hits itself,
 //! and under an empty `FaultPlan`, so every request runs on a worker.
-//! The two runs must answer identically.
+//! The two runs must answer identically — except for which rung
+//! answered a read inside a pipelined burst, since the reads of one
+//! burst may run concurrently and warm each other's caches.
 //!
 //! Seeds come from `CTXPREF_FUZZ_SEEDS=start..end` (default `0..8`); a
 //! failing seed prints the command that replays it alone.
@@ -52,39 +57,84 @@ const STATES: &[[&str; 3]] = &[
     ["Perama", "mild", "family"],
 ];
 
-/// A history's requests, drawn from `seed`: every user is added first
-/// (a later add of the same user is refused), then random steps follow.
-fn history(seed: u64) -> Vec<Request> {
-    let mut rng = StdRng::seed_from_u64(seed);
+/// One step of a history, sent by client 0 or 1.
+#[derive(Debug)]
+enum Step {
+    /// One request (a batch frame among them).
+    One(usize, Request),
+    /// Reads shipped as one pipelined burst.
+    Burst(usize, Vec<Request>),
+}
+
+/// A random user and state.
+fn pick(rng: &mut StdRng) -> (String, [&'static str; 3]) {
+    let user = USERS[rng.random_range(0..USERS.len())].to_string();
+    (user, STATES[rng.random_range(0..STATES.len())])
+}
+
+/// A random preference edit or read.
+fn edit_or_read(rng: &mut StdRng) -> Request {
     // Scores on a coarse grid, so rankings tie.
     let score = |rng: &mut StdRng| f64::from(rng.random_range(1..=20u32)) / 20.0;
-    let adds = USERS.iter().map(|user| Request::AddUser {
-        user: user.to_string(),
+    let (user, _) = pick(rng);
+    match rng.random_range(0..100) {
+        0..36 => Request::InsertPref {
+            user,
+            descriptor: DESCRIPTORS[rng.random_range(0..DESCRIPTORS.len())].to_string(),
+            attr: "type".to_string(),
+            value: POI_TYPES[rng.random_range(0..4usize)].to_string(),
+            score: score(rng),
+        },
+        36..52 => Request::UpdateScore {
+            user,
+            index: rng.random_range(0..8),
+            score: score(rng),
+        },
+        52..62 => Request::RemovePref {
+            user,
+            index: rng.random_range(0..8),
+        },
+        _ => read(rng),
+    }
+}
+
+/// A random top-k read or full ranking.
+fn read(rng: &mut StdRng) -> Request {
+    let (user, state) = pick(rng);
+    let topk = rng.random_range(0..4) != 0;
+    Request::ranked(topk, &user, "name", K, DEADLINE, &state)
+}
+
+/// A history's steps, drawn from `seed`: every user is added first (a
+/// later add of a present user is refused), then random steps follow.
+fn history(seed: u64) -> Vec<Step> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let adds = USERS.iter().map(|user| {
+        Step::One(
+            0,
+            Request::AddUser {
+                user: user.to_string(),
+            },
+        )
     });
     let steps = (USERS.len()..OPS).map(|_| {
-        let user = USERS[rng.random_range(0..USERS.len())].to_string();
-        let state = STATES[rng.random_range(0..STATES.len())];
-        match rng.random_range(0..100) {
-            0..2 => Request::AddUser { user },
-            2..36 => Request::InsertPref {
-                user,
-                descriptor: DESCRIPTORS[rng.random_range(0..DESCRIPTORS.len())].to_string(),
-                attr: "type".to_string(),
-                value: POI_TYPES[rng.random_range(0..4usize)].to_string(),
-                score: score(&mut rng),
+        let client = rng.random_range(0..2);
+        let (user, _) = pick(&mut rng);
+        let request = match rng.random_range(0..100) {
+            0..6 => Request::AddUser { user },
+            6..8 => Request::RemoveUser { user },
+            8..14 => {
+                let items = rng.random_range(2..=6);
+                return Step::Burst(client, (0..items).map(|_| read(&mut rng)).collect());
+            }
+            14..20 => Request::Batch {
+                requests: (0..rng.random_range(1..=6))
+                    .map(|_| edit_or_read(&mut rng))
+                    .collect(),
             },
-            36..50 => Request::UpdateScore {
-                user,
-                index: rng.random_range(0..8),
-                score: score(&mut rng),
-            },
-            50..58 => Request::RemovePref {
-                user,
-                index: rng.random_range(0..8),
-            },
-            58..88 => Request::ranked(true, &user, "name", K, DEADLINE, &state),
-            _ => Request::ranked(false, &user, "name", K, DEADLINE, &state),
-        }
+            _ => edit_or_read(&mut rng),
+        };
+        Step::One(client, request)
     });
     adds.chain(steps).collect()
 }
@@ -102,7 +152,23 @@ enum Seen {
         kind: String,
         message: String,
     },
+    /// A batch's items, or a burst's answers, in request order.
+    Each(Vec<Seen>),
     Other(String),
+}
+
+impl Seen {
+    /// The same answer without the rung that gave its rows.
+    fn unstepped(&self) -> Seen {
+        match self {
+            Seen::Rows { rows, .. } => Seen::Rows {
+                step: String::new(),
+                rows: rows.clone(),
+            },
+            Seen::Each(items) => Seen::Each(items.iter().map(Seen::unstepped).collect()),
+            other => other.clone(),
+        }
+    }
 }
 
 fn seen(response: Response) -> Seen {
@@ -113,30 +179,38 @@ fn seen(response: Response) -> Seen {
             step: a.step,
             rows: a.rows.into_iter().map(|r| (r.name, r.score)).collect(),
         },
+        Response::Err { kind, message } => Seen::Refused { kind, message },
+        Response::Batch { responses } => Seen::Each(responses.into_iter().map(seen).collect()),
         other => Seen::Other(format!("{other:?}")),
     }
 }
 
-/// Run `requests` one at a time through a fresh server, under an empty
+/// Run `steps` one at a time through a fresh server, under an empty
 /// fault plan when `planned`.
-fn serve_history(seed: u64, requests: &[Request], planned: bool) -> Vec<Seen> {
+fn serve_history(seed: u64, steps: &[Step], planned: bool) -> Vec<Seen> {
     let env = poi_env();
     let db = MultiUserDb::new(env.clone(), poi_relation(&env, 2007, 5), 8);
     let service = Arc::new(CtxPrefService::new(db, ServiceConfig::default()));
     let server =
         NetServer::bind("127.0.0.1:0", service, NetServerConfig::default()).expect("bind loopback");
     let _plan = planned.then(|| ctxpref_faults::install(FaultPlan::builder(seed).build()));
-    let mut client =
-        NetClient::connect(server.local_addr().to_string(), NetClientConfig::default());
-    let answers = requests
+    let addr = server.local_addr().to_string();
+    let mut clients = [0, 1].map(|_| NetClient::connect(addr.clone(), NetClientConfig::default()));
+    let answers = steps
         .iter()
-        .map(|req| match client.request(req) {
-            Ok(response) => seen(response),
-            Err(NetError::Remote { kind, message }) => Seen::Refused { kind, message },
-            Err(e) => panic!("no answer to {req:?}: {e}"),
+        .map(|step| match step {
+            Step::One(client, req) => match clients[*client].request(req) {
+                Ok(response) => seen(response),
+                Err(NetError::Remote { kind, message }) => Seen::Refused { kind, message },
+                Err(e) => panic!("no answer to {req:?}: {e}"),
+            },
+            Step::Burst(client, reqs) => match clients[*client].pipeline(reqs) {
+                Ok(responses) => Seen::Each(responses.into_iter().map(seen).collect()),
+                Err(e) => panic!("no answer to the burst {reqs:?}: {e}"),
+            },
         })
         .collect();
-    drop(client);
+    drop(clients);
     server.shutdown();
     answers
 }
@@ -150,6 +224,8 @@ enum Expect {
     Rows(Vec<(String, f64)>),
     /// A typed `core` refusal.
     Refused,
+    /// A batch's items, or a burst's answers, in request order.
+    Each(Vec<Expect>),
 }
 
 struct Oracle {
@@ -169,9 +245,36 @@ impl Oracle {
         }
     }
 
+    /// What a step's answer must be.
+    fn step(&mut self, step: &Step) -> Expect {
+        match step {
+            Step::One(_, req) => self.apply(req),
+            Step::Burst(_, reqs) => Expect::Each(reqs.iter().map(|r| self.apply(r)).collect()),
+        }
+    }
+
     fn apply(&mut self, req: &Request) -> Expect {
         let refused = |_| Expect::Refused;
         let (user, state) = match req {
+            Request::RemoveUser { user } => {
+                return match self.users.remove(user) {
+                    Some(_) => Expect::Ok,
+                    None => Expect::Refused,
+                };
+            }
+            // Items run in order, and the first refusal ends the batch.
+            Request::Batch { requests } => {
+                let mut items = Vec::new();
+                for item in requests {
+                    let expect = self.apply(item);
+                    let refused = matches!(expect, Expect::Refused);
+                    items.push(expect);
+                    if refused {
+                        break;
+                    }
+                }
+                return Expect::Each(items);
+            }
             Request::AddUser { user } => {
                 if self.users.contains_key(user) {
                     return Expect::Refused;
@@ -248,22 +351,46 @@ fn agrees(expect: &Expect, seen: &Seen) -> bool {
             matches!(step.as_str(), "view" | "cached" | "exact") && a == rows
         }
         (Expect::Refused, Seen::Refused { kind, .. }) => kind == "core",
+        (Expect::Each(a), Seen::Each(b)) => {
+            a.len() == b.len() && a.iter().zip(b).all(|(a, b)| agrees(a, b))
+        }
         _ => false,
     }
 }
 
 /// How a checked history's answers split: ranked answers (and how many
-/// of those a view gave), edits applied, and refusals.
+/// of those a view gave), edits applied, refusals, user removals and
+/// re-adds, batch frames and pipelined bursts.
 #[derive(Debug, Default)]
 struct Tally {
     ranked: usize,
     from_views: usize,
     applied: usize,
     refused: usize,
+    users_removed: usize,
+    users_readded: usize,
+    batches: usize,
+    bursts: usize,
 }
 
 impl Tally {
-    fn count(&mut self, seen: &Seen) {
+    /// Count the answer to the history's step `at`.
+    fn count(&mut self, at: usize, step: &Step, seen: &Seen) {
+        match (step, seen) {
+            (Step::One(_, Request::RemoveUser { .. }), Seen::Ok) => self.users_removed += 1,
+            // Every user is added once up front, so a later add that
+            // applies re-adds a removed user.
+            (Step::One(_, Request::AddUser { .. }), Seen::Ok) if at >= USERS.len() => {
+                self.users_readded += 1
+            }
+            (Step::One(_, Request::Batch { .. }), _) => self.batches += 1,
+            (Step::Burst(..), _) => self.bursts += 1,
+            _ => {}
+        }
+        self.count_answer(seen);
+    }
+
+    fn count_answer(&mut self, seen: &Seen) {
         match seen {
             Seen::Rows { step, .. } => {
                 self.ranked += 1;
@@ -271,6 +398,7 @@ impl Tally {
             }
             Seen::Ok | Seen::Removed(_) => self.applied += 1,
             Seen::Refused { .. } | Seen::Other(_) => self.refused += 1,
+            Seen::Each(items) => items.iter().for_each(|item| self.count_answer(item)),
         }
     }
 }
@@ -278,25 +406,29 @@ impl Tally {
 /// Run one seed's history both ways and check every answer; the error
 /// names the first disagreement.
 fn check_seed(seed: u64, tally: &mut Tally) -> Result<(), String> {
-    let requests = history(seed);
-    let direct = serve_history(seed, &requests, false);
-    let planned = serve_history(seed, &requests, true);
+    let steps = history(seed);
+    let direct = serve_history(seed, &steps, false);
+    let planned = serve_history(seed, &steps, true);
     let mut oracle = Oracle::new();
-    for (step, req) in requests.iter().enumerate() {
-        let expect = oracle.apply(req);
-        if !agrees(&expect, &direct[step]) {
+    for (at, step) in steps.iter().enumerate() {
+        let expect = oracle.step(step);
+        if !agrees(&expect, &direct[at]) {
             return Err(format!(
-                "step {step}: {req:?}\n  ContextualDb: {expect:?}\n  server:       {:?}",
-                direct[step]
+                "step {at}: {step:?}\n  ContextualDb: {expect:?}\n  server:       {:?}",
+                direct[at]
             ));
         }
-        if planned[step] != direct[step] {
+        let alike = match step {
+            Step::One(..) => planned[at] == direct[at],
+            Step::Burst(..) => planned[at].unstepped() == direct[at].unstepped(),
+        };
+        if !alike {
             return Err(format!(
-                "step {step}: {req:?}\n  no plan:    {:?}\n  empty plan: {:?}",
-                direct[step], planned[step]
+                "step {at}: {step:?}\n  no plan:    {:?}\n  empty plan: {:?}",
+                direct[at], planned[at]
             ));
         }
-        tally.count(&direct[step]);
+        tally.count(at, step, &direct[at]);
     }
     Ok(())
 }
@@ -327,7 +459,7 @@ fn every_wire_answer_matches_a_contextual_db_replay() {
         }
     }
     println!(
-        "{} histories of {OPS} requests, each answered alike with and without a plan \
+        "{} histories of {OPS} steps, each answered alike with and without a plan \
          and by ContextualDb: {tally:?}",
         seeds.count()
     );
