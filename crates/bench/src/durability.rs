@@ -176,10 +176,10 @@ fn run_policy(cfg: &DurabilityBenchConfig, tag: &str, sync: SyncPolicy) -> Polic
     let durable_records: u64 = status.shards.iter().map(|s| s.synced_lsn).sum();
     let secs = cfg.window.as_secs_f64();
     let out = PolicyThroughput {
-        appends: status.appends,
+        appends: status.totals.appends,
         durable: durable_records,
-        batches: status.batches,
-        appends_per_sec: status.appends as f64 / secs,
+        batches: status.totals.batches,
+        appends_per_sec: status.totals.appends as f64 / secs,
         durable_per_sec: durable_records as f64 / secs,
     };
     drop(durable);

@@ -202,8 +202,8 @@ fn run_storm(cfg: &ScrubBenchConfig, tag: &str, scrub: bool) -> StormThroughput 
     let status = durable.wal_status();
     let secs = cfg.window.as_secs_f64();
     let out = StormThroughput {
-        appends: status.appends,
-        appends_per_sec: status.appends as f64 / secs,
+        appends: status.totals.appends,
+        appends_per_sec: status.totals.appends as f64 / secs,
         scrub_passes: scrub_passes.into_inner(),
         segments_verified: segments_verified.into_inner(),
         quarantined: quarantined.into_inner(),

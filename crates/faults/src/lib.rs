@@ -23,6 +23,8 @@
 //! });
 //! assert!(injected > 20 && injected < 80);
 //! ```
+//!
+//! [`counters!`] is how each layer of the serving stack declares its counters.
 
 use std::collections::HashMap;
 use std::error::Error;
@@ -184,6 +186,73 @@ pub mod sites {
         WAL_ROTATE,
         MANIFEST_SWAP,
     ];
+}
+
+/// Declare a group of event counters once: each is one line of the
+/// table, its doc comment and its name. The macro generates the cells
+/// struct (one `AtomicU64` per counter, bumped with `fetch_add(n,
+/// Relaxed)` where the event happens), the snapshot struct (one `u64`
+/// per counter; `Debug`, `Clone`, `Default`, `PartialEq`, `Eq`, plus a
+/// caller's `#[derive(Copy)]`) and the cells' `snapshot`, which loads
+/// each counter `Relaxed`: a statistic publishes no other data, so a
+/// snapshot is independent reads, not a consistent cut. Fields after a
+/// `;` belong to the snapshot only: figures another layer owns, left at
+/// `Default` for the owner to fill in.
+///
+/// ```
+/// use std::sync::atomic::Ordering;
+///
+/// ctxpref_faults::counters! {
+///     /// Live cells, bumped where the events happen.
+///     struct Cells;
+///     /// A point-in-time copy of the cells.
+///     #[derive(Copy)]
+///     pub struct Totals {
+///         /// Requests answered.
+///         answered,
+///         /// Requests refused.
+///         refused,
+///     }
+/// }
+///
+/// let cells = Cells::default();
+/// cells.answered.fetch_add(2, Ordering::Relaxed);
+/// assert_eq!(cells.snapshot(), Totals { answered: 2, refused: 0 });
+/// ```
+#[macro_export]
+macro_rules! counters {
+    (
+        $(#[$cells_attr:meta])*
+        $cells_vis:vis struct $cells:ident;
+        $(#[$snap_attr:meta])*
+        $snap_vis:vis struct $snap:ident {
+            $( $(#[$doc:meta])* $name:ident, )+
+            $( ; $( $(#[$extra_doc:meta])* $extra_vis:vis $extra:ident : $extra_ty:ty, )+ )?
+        }
+    ) => {
+        $(#[$cells_attr])*
+        #[derive(Debug, Default)]
+        $cells_vis struct $cells {
+            $( $(#[$doc])* pub $name: ::std::sync::atomic::AtomicU64, )+
+        }
+
+        $(#[$snap_attr])*
+        #[derive(Debug, Clone, Default, PartialEq, Eq)]
+        $snap_vis struct $snap {
+            $( $(#[$doc])* pub $name: u64, )+
+            $( $( $(#[$extra_doc])* $extra_vis $extra: $extra_ty, )+ )?
+        }
+
+        impl $cells {
+            /// Load every counter (`Relaxed`: none publishes other data).
+            pub fn snapshot(&self) -> $snap {
+                $snap {
+                    $( $name: self.$name.load(::std::sync::atomic::Ordering::Relaxed), )+
+                    $( $( $extra: ::std::default::Default::default(), )+ )?
+                }
+            }
+        }
+    };
 }
 
 /// What an injected fault did (or would do) at a site.

@@ -120,8 +120,8 @@ fn a_view_hit_needs_no_worker_and_a_busy_shard_waits_for_one() {
     assert_eq!((hit.step.as_str(), &hit.rows), ("view", &free_rows));
     let after = service.stats();
     assert_eq!(after.served_view - before.served_view, 1);
-    assert_eq!(after.view_hits - before.view_hits, 1);
-    assert_eq!(after.view_misses, before.view_misses);
+    assert_eq!(after.views.view_hits - before.views.view_hits, 1);
+    assert_eq!(after.views.view_misses, before.views.view_misses);
 
     // Hold `held`'s shard, and park the only worker on a read of it.
     let before = after;
@@ -151,8 +151,8 @@ fn a_view_hit_needs_no_worker_and_a_busy_shard_waits_for_one() {
     // Two reads, two hits: the reactor's and the worker's.
     let after = service.stats();
     assert_eq!(after.served_view - before.served_view, 2);
-    assert_eq!(after.view_hits - before.view_hits, 2);
-    assert_eq!(after.view_misses, before.view_misses);
+    assert_eq!(after.views.view_hits - before.views.view_hits, 2);
+    assert_eq!(after.views.view_misses, before.views.view_misses);
     drop(c);
     server.shutdown();
 }

@@ -1,19 +1,24 @@
-/// Hit/miss statistics of a [`crate::ContextQueryTree`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Lookups answered from the cache.
-    pub hits: u64,
-    /// Lookups that found no cached result.
-    pub misses: u64,
-    /// Results inserted.
-    pub insertions: u64,
-    /// Cached states evicted to respect the capacity bound.
-    pub evictions: u64,
-    /// Wholesale invalidations (profile changes).
-    pub invalidations: u64,
-    /// Trie cells examined across all lookups (comparable to the
-    /// profile tree's cell-access metric).
-    pub cells_accessed: u64,
+ctxpref_faults::counters! {
+    /// The live statistics of a [`crate::ContextQueryTree`], atomic so
+    /// the hit path can update them under the read lock.
+    pub(crate) struct AtomicStats;
+    /// Hit/miss statistics of a [`crate::ContextQueryTree`].
+    #[derive(Copy)]
+    pub struct CacheStats {
+        /// Lookups answered from the cache.
+        hits,
+        /// Lookups that found no cached result.
+        misses,
+        /// Results inserted.
+        insertions,
+        /// Cached states evicted to respect the capacity bound.
+        evictions,
+        /// Wholesale invalidations (profile changes).
+        invalidations,
+        /// Trie cells examined across all lookups (comparable to the
+        /// profile tree's cell-access metric).
+        cells_accessed,
+    }
 }
 
 impl CacheStats {

@@ -7,7 +7,7 @@ use ctxpref_context::{ContextEnvironment, ContextState, CtxValue, ParamId};
 use ctxpref_relation::RankedResults;
 use parking_lot::RwLock;
 
-use crate::stats::CacheStats;
+use crate::stats::{AtomicStats, CacheStats};
 
 #[derive(Debug, Clone, Copy)]
 struct Cell {
@@ -27,31 +27,6 @@ struct Leaf {
     /// LRU stamp, bumped atomically so cache *hits* need only the
     /// shared read lock.
     last_used: AtomicU64,
-}
-
-/// Statistics counters, atomic so the hit path can update them under
-/// the read lock.
-#[derive(Debug, Default)]
-struct AtomicStats {
-    hits: AtomicU64,
-    misses: AtomicU64,
-    insertions: AtomicU64,
-    evictions: AtomicU64,
-    invalidations: AtomicU64,
-    cells_accessed: AtomicU64,
-}
-
-impl AtomicStats {
-    fn snapshot(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            insertions: self.insertions.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            invalidations: self.invalidations.load(Ordering::Relaxed),
-            cells_accessed: self.cells_accessed.load(Ordering::Relaxed),
-        }
-    }
 }
 
 #[derive(Debug)]

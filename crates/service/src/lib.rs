@@ -17,6 +17,11 @@
 //!   fallback recorded on the answer,
 //! * **retry-with-backoff** around the atomic, checksummed storage
 //!   layer,
+//! * **counters declared once**: [`CtxPrefService::stats`] returns a
+//!   [`ServiceStats`] holding the service's own counters (one
+//!   `ctxpref_faults::counters!` table) and the query cache's, the
+//!   views' and the write-ahead log's snapshots nested whole as
+//!   `cache`, `views` and `wal`; its `Display` is the `stats` body,
 //! * one **write path, chosen at construction**: every mutation verb
 //!   builds one [`ctxpref_wal::WalOp`] and hands it to a single
 //!   internal `write`, the only code that knows which of three paths

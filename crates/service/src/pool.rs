@@ -46,7 +46,8 @@ pub(crate) fn worker_loop(receiver: &Mutex<mpsc::Receiver<Job>>) {
 /// The one body every ranked read runs on a worker, in-process or from
 /// the network: sojourn observed from admission, the cancel and expiry
 /// drops, the dequeue fault site, the shard lock, the post-lock
-/// re-check and the ladder. Counts every deadline miss it detects.
+/// re-check and the ladder. Counts every deadline miss it detects,
+/// unless an in-process caller already counted it.
 pub(crate) fn execute_read(
     slot: &RwLock<Arc<ShardedMultiUserDb>>,
     counters: &Counters,
@@ -57,6 +58,13 @@ pub(crate) fn execute_read(
 ) -> Result<ServiceAnswer, ServiceError> {
     let missed = || ServiceError::DeadlineExceeded {
         deadline: read.requested,
+    };
+    // One miss, one count: whichever side settles the cancel flag first
+    // counts it, so a caller that timed out first has already done so.
+    let count_miss = || {
+        if cancelled.is_none_or(|c| !c.swap(true, Ordering::AcqRel)) {
+            counters.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
+        }
     };
     // Resolve the serving core per read: the slot is re-pointed when a
     // replicated service's local node recovers from a crash.
@@ -73,7 +81,7 @@ pub(crate) fn execute_read(
     if Instant::now() >= deadline {
         // Expired while queued: counted and dropped, never executed —
         // dead work would only deepen the overload.
-        counters.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
+        count_miss();
         record_shed(counters, &counters.shed_expired, admitted.tier);
         return Err(missed());
     }
@@ -117,7 +125,7 @@ pub(crate) fn execute_read(
         })
     });
     if let Err(ServiceError::DeadlineExceeded { .. }) = result {
-        counters.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
+        count_miss();
     }
     result
 }

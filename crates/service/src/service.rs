@@ -518,10 +518,13 @@ impl CtxPrefService {
             Err(mpsc::RecvTimeoutError::Timeout) => {
                 // Cancel: the worker drops the job (or its result) when
                 // it notices; the in-flight slot frees then.
-                cancelled.store(true, Ordering::Release);
-                self.counters
-                    .deadline_exceeded
-                    .fetch_add(1, Ordering::Relaxed);
+                // Whichever side settles the flag first counts the miss:
+                // a worker that already caught it past its deadline did.
+                if !cancelled.swap(true, Ordering::AcqRel) {
+                    self.counters
+                        .deadline_exceeded
+                        .fetch_add(1, Ordering::Relaxed);
+                }
                 Err(ServiceError::DeadlineExceeded { deadline })
             }
             Err(mpsc::RecvTimeoutError::Disconnected) => {
@@ -580,6 +583,48 @@ impl CtxPrefService {
     /// One user's view-serving counters.
     pub fn view_stats(&self, user: &str) -> Result<ctxpref_views::ViewStats, ServiceError> {
         Ok(self.core().view_stats(user)?)
+    }
+
+    /// A human-readable view-catalog report: aggregate counters first,
+    /// then one line per user with materialized views (their pinned
+    /// states listed). Served by the `views-status` wire verb.
+    pub fn views_status(&self) -> String {
+        let core = self.core();
+        let totals = core.views_totals();
+        let mut body = format!(
+            "views materialized={} pinned={} hits={} misses={} patches={} rebuilds={}\n",
+            totals.materialized_views,
+            totals.pinned_views,
+            totals.view_hits,
+            totals.view_misses,
+            totals.view_patches,
+            totals.view_rebuilds,
+        );
+        for user in core.users_sorted() {
+            let Ok(s) = core.view_stats(&user) else {
+                continue;
+            };
+            if s.materialized_views == 0 && s.pinned_views == 0 {
+                continue;
+            }
+            let pinned: Vec<String> = core
+                .pinned_views(&user)
+                .unwrap_or_default()
+                .iter()
+                .map(|st| st.display(core.env()).to_string())
+                .collect();
+            body.push_str(&format!(
+                "user {user} materialized={} pinned={} hits={} patches={} rebuilds={}{}{}\n",
+                s.materialized_views,
+                s.pinned_views,
+                s.view_hits,
+                s.view_patches,
+                s.view_rebuilds,
+                if pinned.is_empty() { "" } else { " states=" },
+                pinned.join(";"),
+            ));
+        }
+        body
     }
 
     /// Register and pin a materialized top-k view of `(user, state)`:

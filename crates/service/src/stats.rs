@@ -1,195 +1,97 @@
-use std::sync::atomic::{AtomicU64, Ordering};
+use ctxpref_qcache::CacheStats;
+use ctxpref_views::ViewStats;
+use ctxpref_wal::WalTotals;
 
 use crate::service::CtxPrefService;
 
-/// Internal atomic counters of the service.
-#[derive(Debug, Default)]
-pub(crate) struct Counters {
-    pub served_view: AtomicU64,
-    pub served_cached: AtomicU64,
-    pub served_exact: AtomicU64,
-    pub served_nearest: AtomicU64,
-    pub served_default: AtomicU64,
-    pub panics_contained: AtomicU64,
-    pub deadline_exceeded: AtomicU64,
-    pub shed: AtomicU64,
-    pub shed_admission: AtomicU64,
-    pub shed_sojourn: AtomicU64,
-    pub shed_expired: AtomicU64,
-    pub shed_interactive: AtomicU64,
-    pub shed_bulk: AtomicU64,
-    pub shed_maintenance: AtomicU64,
-    pub cancelled: AtomicU64,
-    pub storage_retries: AtomicU64,
-    pub errors: AtomicU64,
-    pub lock_wait_micros: AtomicU64,
-    pub deadline_after_lock: AtomicU64,
-    pub checkpoints: AtomicU64,
-    pub scrub_passes: AtomicU64,
-    pub scrub_quarantined: AtomicU64,
-    pub scrub_read_errors: AtomicU64,
-    pub scrub_heals: AtomicU64,
-}
-
-impl Counters {
-    pub fn snapshot(&self) -> ServiceStats {
-        ServiceStats {
-            served_view: self.served_view.load(Ordering::Relaxed),
-            served_cached: self.served_cached.load(Ordering::Relaxed),
-            served_exact: self.served_exact.load(Ordering::Relaxed),
-            served_nearest: self.served_nearest.load(Ordering::Relaxed),
-            served_default: self.served_default.load(Ordering::Relaxed),
-            panics_contained: self.panics_contained.load(Ordering::Relaxed),
-            deadline_exceeded: self.deadline_exceeded.load(Ordering::Relaxed),
-            shed: self.shed.load(Ordering::Relaxed),
-            shed_admission: self.shed_admission.load(Ordering::Relaxed),
-            shed_sojourn: self.shed_sojourn.load(Ordering::Relaxed),
-            shed_expired: self.shed_expired.load(Ordering::Relaxed),
-            shed_interactive: self.shed_interactive.load(Ordering::Relaxed),
-            shed_bulk: self.shed_bulk.load(Ordering::Relaxed),
-            shed_maintenance: self.shed_maintenance.load(Ordering::Relaxed),
-            cancelled: self.cancelled.load(Ordering::Relaxed),
-            storage_retries: self.storage_retries.load(Ordering::Relaxed),
-            errors: self.errors.load(Ordering::Relaxed),
-            lock_wait_micros: self.lock_wait_micros.load(Ordering::Relaxed),
-            deadline_after_lock: self.deadline_after_lock.load(Ordering::Relaxed),
-            checkpoints: self.checkpoints.load(Ordering::Relaxed),
-            scrub_passes: self.scrub_passes.load(Ordering::Relaxed),
-            scrub_quarantined: self.scrub_quarantined.load(Ordering::Relaxed),
-            scrub_read_errors: self.scrub_read_errors.load(Ordering::Relaxed),
-            scrub_heals: self.scrub_heals.load(Ordering::Relaxed),
-            // Durability, replication, cache, view and fault figures
-            // live on the WAL, the cluster, the serving core and the
-            // fault plan, not in these atomics; `CtxPrefService::stats`
-            // overlays them after this snapshot.
-            ..ServiceStats::default()
-        }
+ctxpref_faults::counters! {
+    /// The service's live counters, bumped where each event happens.
+    pub(crate) struct Counters;
+    /// A point-in-time snapshot of service counters, with the layers'
+    /// own snapshots nested whole (`cache`, `views`, `wal`).
+    pub struct ServiceStats {
+        /// Top-k answers served from a current materialized view.
+        served_view,
+        /// Answers served from a user's query cache.
+        served_cached,
+        /// Answers served by exact (uncached) resolution.
+        served_exact,
+        /// Answers served from a lifted (nearest ancestor) state.
+        served_nearest,
+        /// Answers served as the non-contextual default.
+        served_default,
+        /// Panics caught at the service boundary or inside a ladder rung.
+        panics_contained,
+        /// Requests that missed their deadline, each counted once.
+        deadline_exceeded,
+        /// Requests shed by admission control, all reasons combined
+        /// (`shed_admission + shed_sojourn + shed_expired`).
+        shed,
+        /// Requests refused by the hard in-flight backstop (the queue was
+        /// already at `max_in_flight`, regardless of tier).
+        shed_admission,
+        /// Requests the sojourn controller refused at admission: queue
+        /// dwell stayed over target, so the tier was shed (lowest first;
+        /// never Interactive).
+        shed_sojourn,
+        /// Jobs dropped at dequeue because their deadline passed while
+        /// they queued — counted, never executed.
+        shed_expired,
+        /// Shed requests that carried the Interactive tier.
+        shed_interactive,
+        /// Shed requests that carried the Bulk tier.
+        shed_bulk,
+        /// Shed requests that carried the Maintenance tier.
+        shed_maintenance,
+        /// Requests dropped because the caller had already given up.
+        cancelled,
+        /// Storage operations retried after a transient I/O failure.
+        storage_retries,
+        /// Requests that ended in a typed error (other than shed/deadline).
+        errors,
+        /// Total microseconds workers spent waiting to acquire a user's
+        /// shard lock — the direct measure of serving-core contention.
+        lock_wait_micros,
+        /// Requests whose deadline expired *while waiting for the shard
+        /// lock* (caught by the re-check after it, so no query ran).
+        deadline_after_lock,
+        /// Checkpoints taken (manual and background) since start.
+        checkpoints,
+        /// Scrub passes completed (manual and background) since start.
+        scrub_passes,
+        /// Files those passes quarantined (corrupt sealed segments or
+        /// checkpoint snapshots pulled out of service).
+        scrub_quarantined,
+        /// Files a scrub skipped on a transient read error (retried, not quarantined).
+        scrub_read_errors,
+        /// Scrub passes that healed damage with a fresh checkpoint.
+        scrub_heals,
+        ;
+        /// Query-cache statistics summed over every user (zero without caching).
+        pub cache: CacheStats,
+        /// The materialized views' counters summed over every user.
+        pub views: ViewStats,
+        /// The write-ahead log's totals since start: the primary's on a
+        /// replicated service, all zero without durability.
+        pub wal: WalTotals,
+        /// Replicated applies the local database rejected (identically on every node).
+        pub repl_apply_rejects: u64,
+        /// WAL shards recovery rescued via quarantine, summed across the
+        /// cluster's live nodes (0 without replication).
+        pub rescued_shards: u64,
+        /// Sum of per-shard LSNs recovered at startup: how much log survived.
+        pub recovered_lsn: u64,
+        /// The cluster's current fencing epoch (0 without replication).
+        pub replication_epoch: u64,
+        /// Applied records the laggiest live replica trails the primary by.
+        pub replication_max_lag: u64,
+        /// Promotions after the first: how often the primary role moved.
+        pub failovers: u64,
+        /// Per-site hit counters of the installed
+        /// [`FaultPlan`](ctxpref_faults::FaultPlan), sorted by site name;
+        /// empty without a plan. Chaos tests assert a fault fired from these.
+        pub fault_hits: Vec<(String, u64)>,
     }
-}
-
-/// A point-in-time snapshot of service counters.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ServiceStats {
-    /// Top-k answers served from a current materialized view.
-    pub served_view: u64,
-    /// Answers served from a user's query cache.
-    pub served_cached: u64,
-    /// Answers served by exact (uncached) resolution.
-    pub served_exact: u64,
-    /// Answers served from a lifted (nearest ancestor) state.
-    pub served_nearest: u64,
-    /// Answers served as the non-contextual default.
-    pub served_default: u64,
-    /// Panics caught at the service boundary or inside a ladder rung.
-    pub panics_contained: u64,
-    /// Requests that missed their deadline.
-    pub deadline_exceeded: u64,
-    /// Requests shed by admission control, all reasons combined
-    /// (`shed_admission + shed_sojourn + shed_expired`).
-    pub shed: u64,
-    /// Requests refused by the hard in-flight backstop (the queue was
-    /// already at `max_in_flight`, regardless of tier).
-    pub shed_admission: u64,
-    /// Requests the sojourn-time controller refused at admission:
-    /// queue dwell exceeded the target for a sustained interval, so
-    /// the request's tier was shed (lowest tier first; Interactive is
-    /// never sojourn-shed).
-    pub shed_sojourn: u64,
-    /// Jobs dropped at dequeue because their deadline had already
-    /// passed while they waited in the queue — counted, never
-    /// executed, so the queue does no dead work.
-    pub shed_expired: u64,
-    /// Shed requests that carried the Interactive tier.
-    pub shed_interactive: u64,
-    /// Shed requests that carried the Bulk tier.
-    pub shed_bulk: u64,
-    /// Shed requests that carried the Maintenance tier.
-    pub shed_maintenance: u64,
-    /// Requests dropped because the caller had already given up.
-    pub cancelled: u64,
-    /// Storage operations retried after a transient I/O failure.
-    pub storage_retries: u64,
-    /// Requests that ended in a typed error (other than shed/deadline).
-    pub errors: u64,
-    /// Total microseconds workers spent waiting to acquire a user's
-    /// shard lock — the direct measure of serving-core contention.
-    pub lock_wait_micros: u64,
-    /// Requests whose deadline expired *while waiting for the shard
-    /// lock* (caught by the post-acquisition re-check, so no query ran
-    /// against an already-dead request).
-    pub deadline_after_lock: u64,
-    /// Checkpoints taken (manual and background) since start.
-    pub checkpoints: u64,
-    /// Scrub passes completed (manual and background) since start.
-    pub scrub_passes: u64,
-    /// Files those passes quarantined (corrupt sealed segments or
-    /// checkpoint snapshots pulled out of service).
-    pub scrub_quarantined: u64,
-    /// Files a scrub pass skipped on a transient read error (retried
-    /// next pass — not corruption, not quarantined).
-    pub scrub_read_errors: u64,
-    /// Scrub passes that healed damage with a fresh checkpoint.
-    pub scrub_heals: u64,
-    /// Records appended to the write-ahead log since start (0 when the
-    /// service runs without durability).
-    pub wal_appends: u64,
-    /// Group-commit fsync batches that synced at least one record.
-    pub group_commit_batches: u64,
-    /// Size-triggered WAL segment rotations that failed (the full
-    /// segment stayed the append target; a later rotation retries).
-    pub wal_rotate_failures: u64,
-    /// Appends shed with a typed retryable disk-full error.
-    pub wal_disk_full_sheds: u64,
-    /// Replicated applies the local database rejected (logged but
-    /// refused identically on every replica — deterministic).
-    pub repl_apply_rejects: u64,
-    /// WAL shards recovery rescued via quarantine, summed across the
-    /// cluster's live nodes (0 without replication; a rescued node
-    /// restarted clean-but-behind and repairs through shipping).
-    pub rescued_shards: u64,
-    /// Sum of per-shard LSNs recovered at startup (0 for a fresh or
-    /// non-durable service) — how much log survived the last crash.
-    pub recovered_lsn: u64,
-    /// The cluster's current fencing epoch (0 when the service runs
-    /// without replication).
-    pub replication_epoch: u64,
-    /// How far the laggiest live replica trails the primary, in
-    /// applied records (0 without replication or a live primary).
-    pub replication_max_lag: u64,
-    /// Promotions after the initial one — how many times the primary
-    /// role has moved since the cluster was bootstrapped.
-    pub failovers: u64,
-    /// Query-cache hits summed over every user (overlay from the
-    /// serving core; 0 when caching is disabled).
-    pub cache_hits: u64,
-    /// Query-cache misses summed over every user.
-    pub cache_misses: u64,
-    /// Answers inserted into per-user caches.
-    pub cache_insertions: u64,
-    /// Cache cells evicted by per-user capacity pressure.
-    pub cache_evictions: u64,
-    /// Cache cells dropped by mutation or options-change invalidation.
-    pub cache_invalidations: u64,
-    /// Materialized-view hits (view was current and answered) summed
-    /// over every user.
-    pub view_hits: u64,
-    /// Top-k requests that could not be served from a view.
-    pub view_misses: u64,
-    /// Mutations absorbed by an in-place view patch (no recompute).
-    pub view_patches: u64,
-    /// Targeted per-view rebuilds (signature change, heap underflow,
-    /// or growth bound).
-    pub view_rebuilds: u64,
-    /// Views currently materialized, over every user.
-    pub materialized_views: u64,
-    /// Views currently pinned (never evicted), over every user.
-    pub pinned_views: u64,
-    /// Per-site fault-injection hit counters of the currently
-    /// installed [`FaultPlan`](ctxpref_faults::FaultPlan), sorted by
-    /// site name; empty when no plan is installed. Chaos tests assert
-    /// a fault actually fired from these instead of inferring it from
-    /// timing.
-    pub fault_hits: Vec<(String, u64)>,
 }
 
 impl ServiceStats {
@@ -211,8 +113,8 @@ impl ServiceStats {
 /// The operator's rendering (`stats`, local and remote): one labelled
 /// line per concern, then a `fault <site> <hits>` line per fault site
 /// of the installed plan. Durability and replication lines print
-/// unconditionally — all zeros on a service running without them — so
-/// the body has the same lines whichever way the service was built.
+/// unconditionally (all zeros without them), so the body's lines do not
+/// depend on how the service was built.
 impl std::fmt::Display for ServiceStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(
@@ -229,24 +131,21 @@ impl std::fmt::Display for ServiceStats {
             "contained panics {}, deadline misses {}, shed {}, errors {}",
             self.panics_contained, self.deadline_exceeded, self.shed, self.errors
         )?;
+        let (c, v) = (&self.cache, &self.views);
         writeln!(
             f,
             "cache: {} hits, {} misses, {} insertions, {} evictions, {} invalidations",
-            self.cache_hits,
-            self.cache_misses,
-            self.cache_insertions,
-            self.cache_evictions,
-            self.cache_invalidations
+            c.hits, c.misses, c.insertions, c.evictions, c.invalidations
         )?;
         writeln!(
             f,
             "views: {} materialized, {} pinned, {} hits, {} misses, {} patches, {} rebuilds",
-            self.materialized_views,
-            self.pinned_views,
-            self.view_hits,
-            self.view_misses,
-            self.view_patches,
-            self.view_rebuilds
+            v.materialized_views,
+            v.pinned_views,
+            v.view_hits,
+            v.view_misses,
+            v.view_patches,
+            v.view_rebuilds
         )?;
         writeln!(
             f,
@@ -261,12 +160,22 @@ impl std::fmt::Display for ServiceStats {
         writeln!(
             f,
             "wal appends {}, group-commit batches {}, checkpoints {}, recovered lsn {}",
-            self.wal_appends, self.group_commit_batches, self.checkpoints, self.recovered_lsn
+            self.wal.appends, self.wal.batches, self.checkpoints, self.recovered_lsn
         )?;
-        write!(
+        writeln!(
             f,
             "replication epoch {}, max lag {}, failovers {}",
             self.replication_epoch, self.replication_max_lag, self.failovers
+        )?;
+        write!(
+            f,
+            "cancelled {}, storage retries {}, deadline misses after lock {}, lock wait {}µs, \
+             repl apply rejects {}",
+            self.cancelled,
+            self.storage_retries,
+            self.deadline_after_lock,
+            self.lock_wait_micros,
+            self.repl_apply_rejects
         )?;
         for (site, hits) in &self.fault_hits {
             write!(f, "\nfault {site} {hits}")?;
@@ -276,21 +185,21 @@ impl std::fmt::Display for ServiceStats {
 }
 
 impl CtxPrefService {
-    /// A snapshot of the service counters, with the durability figures
-    /// (WAL appends, group-commit batches, recovered LSN) overlaid when
-    /// the service runs durably.
+    /// A snapshot of the service counters, with the core's cache and view
+    /// totals and, when present, the log's and the cluster's figures.
     pub fn stats(&self) -> ServiceStats {
-        let mut stats = self.counters.snapshot();
+        let core = self.core();
+        let mut stats = ServiceStats {
+            cache: core.cache_totals(),
+            views: core.views_totals(),
+            recovered_lsn: self.recovered_lsn,
+            rescued_shards: self.recovered_rescued_shards,
+            ..self.counters.snapshot()
+        };
         if let Ok(d) = self.durable_db() {
-            stats.wal_appends = d.wal_appends();
-            stats.group_commit_batches = d.group_commit_batches();
-            let health = d.wal_health();
-            stats.wal_rotate_failures = health.rotate_failures;
-            stats.wal_disk_full_sheds = health.disk_full_sheds;
+            stats.wal = d.wal_totals();
             stats.repl_apply_rejects = d.repl_apply_rejects();
         }
-        stats.recovered_lsn = self.recovered_lsn;
-        stats.rescued_shards = self.recovered_rescued_shards;
         if let Some(c) = self.cluster() {
             let status = c.status();
             stats.replication_epoch = status.epoch;
@@ -298,67 +207,52 @@ impl CtxPrefService {
             stats.failovers = (status.promotions.len() as u64).saturating_sub(1);
             stats.rescued_shards = status.nodes.iter().map(|n| n.rescued_shards).sum();
         }
-        let core = self.core();
-        let cache = core.cache_totals();
-        stats.cache_hits = cache.hits;
-        stats.cache_misses = cache.misses;
-        stats.cache_insertions = cache.insertions;
-        stats.cache_evictions = cache.evictions;
-        stats.cache_invalidations = cache.invalidations;
-        let views = core.views_totals();
-        stats.view_hits = views.view_hits;
-        stats.view_misses = views.view_misses;
-        stats.view_patches = views.view_patches;
-        stats.view_rebuilds = views.view_rebuilds;
-        stats.materialized_views = views.materialized_views;
-        stats.pinned_views = views.pinned_views;
         if let Some(plan) = ctxpref_faults::current() {
-            let mut hits: Vec<(String, u64)> = plan.hit_counts().into_iter().collect();
-            hits.sort();
-            stats.fault_hits = hits;
+            stats.fault_hits = plan.hit_counts().into_iter().collect();
+            stats.fault_hits.sort();
         }
         stats
     }
+}
 
-    /// A human-readable view-catalog report: aggregate counters first,
-    /// then one line per user with materialized views (their pinned
-    /// states listed). Served by the `views-status` wire verb.
-    pub fn views_status(&self) -> String {
-        let core = self.core();
-        let totals = core.views_totals();
-        let mut body = format!(
-            "views materialized={} pinned={} hits={} misses={} patches={} rebuilds={}\n",
-            totals.materialized_views,
-            totals.pinned_views,
-            totals.view_hits,
-            totals.view_misses,
-            totals.view_patches,
-            totals.view_rebuilds,
-        );
-        for user in core.users_sorted() {
-            let Ok(s) = core.view_stats(&user) else {
-                continue;
-            };
-            if s.materialized_views == 0 && s.pinned_views == 0 {
-                continue;
-            }
-            let pinned: Vec<String> = core
-                .pinned_views(&user)
-                .unwrap_or_default()
-                .iter()
-                .map(|st| st.display(core.env()).to_string())
-                .collect();
-            body.push_str(&format!(
-                "user {user} materialized={} pinned={} hits={} patches={} rebuilds={}{}{}\n",
-                s.materialized_views,
-                s.pinned_views,
-                s.view_hits,
-                s.view_patches,
-                s.view_rebuilds,
-                if pinned.is_empty() { "" } else { " states=" },
-                pinned.join(";"),
-            ));
-        }
-        body
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The operator text, pinned: every field holds a distinct value, so
+    /// a counter printed in the wrong slot, or not at all, changes the
+    /// body. The CLI tests and the views wire test read these lines.
+    #[test]
+    #[rustfmt::skip]
+    fn display_prints_every_line_exactly() {
+        let stats = ServiceStats {
+            served_view: 1, served_cached: 2, served_exact: 3, served_nearest: 4,
+            served_default: 5, panics_contained: 6, deadline_exceeded: 7, shed: 8,
+            shed_admission: 9, shed_sojourn: 10, shed_expired: 11, shed_interactive: 12,
+            shed_bulk: 13, shed_maintenance: 14, cancelled: 15, storage_retries: 16,
+            errors: 17, lock_wait_micros: 18, deadline_after_lock: 19, checkpoints: 20,
+            scrub_passes: 21, scrub_quarantined: 22, scrub_read_errors: 23, scrub_heals: 24,
+            wal: WalTotals { appends: 25, batches: 26, rotate_failures: 27,
+                             disk_full_sheds: 28, rotations: 48 },
+            repl_apply_rejects: 29, rescued_shards: 30,
+            recovered_lsn: 31, replication_epoch: 32, replication_max_lag: 33, failovers: 34,
+            cache: CacheStats { hits: 35, misses: 36, insertions: 37, evictions: 38,
+                                invalidations: 39, cells_accessed: 49 },
+            views: ViewStats { view_hits: 40, view_misses: 41, view_patches: 42,
+                               view_rebuilds: 43, materialized_views: 44, pinned_views: 45 },
+            fault_hits: vec![("disk.full".into(), 46), ("wal.read".into(), 47)],
+        };
+        assert_eq!(stats.to_string(), "\
+served: 1 view, 2 cached, 3 exact, 4 nearest-state, 5 default
+contained panics 6, deadline misses 7, shed 8, errors 17
+cache: 35 hits, 36 misses, 37 insertions, 38 evictions, 39 invalidations
+views: 44 materialized, 45 pinned, 40 hits, 41 misses, 42 patches, 43 rebuilds
+shed by reason: 9 admission, 10 sojourn, 11 expired-at-dequeue
+shed by tier: 12 interactive, 13 bulk, 14 maintenance
+wal appends 25, group-commit batches 26, checkpoints 20, recovered lsn 31
+replication epoch 32, max lag 33, failovers 34
+cancelled 15, storage retries 16, deadline misses after lock 19, lock wait 18µs, repl apply rejects 29
+fault disk.full 46
+fault wal.read 47");
     }
 }

@@ -559,8 +559,8 @@ impl CtxPrefService {
             read_errors: stats.scrub_read_errors,
             heals: stats.scrub_heals,
             rescued_shards: stats.rescued_shards,
-            disk_full_sheds: stats.wal_disk_full_sheds,
-            rotate_failures: stats.wal_rotate_failures,
+            disk_full_sheds: stats.wal.disk_full_sheds,
+            rotate_failures: stats.wal.rotate_failures,
         })
     }
 

@@ -89,10 +89,10 @@ fn durable_service_survives_a_kill_without_checkpoint() {
     assert_eq!(removed.score(), 0.5);
 
     let stats = service.stats();
-    assert_eq!(stats.wal_appends, 6, "six mutations, six log records");
+    assert_eq!(stats.wal.appends, 6, "six mutations, six log records");
     assert_eq!(stats.recovered_lsn, 0, "fresh directory: nothing recovered");
     let status = service.wal_status().unwrap();
-    assert_eq!(status.appends, 6);
+    assert_eq!(status.totals.appends, 6);
     drop(service); // Kill: no checkpoint was ever taken.
 
     let (recovered, report) =
@@ -119,7 +119,7 @@ fn durable_service_survives_a_kill_without_checkpoint() {
     // fresh append on top of the recovered positions.
     recovered.add_user("carol").unwrap();
     assert_eq!(
-        recovered.stats().wal_appends,
+        recovered.stats().wal.appends,
         1,
         "appends count since this start"
     );
@@ -161,7 +161,7 @@ fn group_commit_flush_is_reported() {
         "both pending records flushed"
     );
     assert_eq!(service.flush_wal().unwrap(), 0, "nothing left to flush");
-    assert!(service.stats().group_commit_batches >= 1);
+    assert!(service.stats().wal.batches >= 1);
 }
 
 #[test]
@@ -203,7 +203,7 @@ fn plain_service_rejects_durability_operations() {
         service.wal_status(),
         Err(ServiceError::NotDurable)
     ));
-    assert_eq!(service.stats().wal_appends, 0);
+    assert_eq!(service.stats().wal.appends, 0);
 }
 
 #[test]

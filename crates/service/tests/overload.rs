@@ -117,6 +117,42 @@ fn stalled_pool_executes_nothing_past_the_deadline() {
     );
 }
 
+/// An in-process read its caller gives up on, which the worker then
+/// catches past its deadline after the shard lock, is one deadline
+/// miss, not two: whichever side settles the job's cancel flag first
+/// counts it.
+#[test]
+fn an_in_process_deadline_miss_is_counted_once() {
+    let _serial = fault_lock();
+    let service = CtxPrefService::new(study_db(1, 8), ServiceConfig::default());
+    let s = state(&service, &["Plaka", "warm", "friends"]);
+    let _stalled = ctxpref_faults::install(
+        FaultPlan::builder(23)
+            .delay(sites::SVC_WORKER_DEQUEUE, 1.0, Duration::from_millis(200))
+            .build(),
+    );
+    match service.query_state_deadline("user0", &s, Duration::from_millis(20)) {
+        Err(ServiceError::DeadlineExceeded { .. }) => {}
+        other => panic!("expected DeadlineExceeded, got {other:?}"),
+    }
+    // The worker is still stalled; wait until it has caught the miss
+    // after the lock and let go of the read's in-flight slot.
+    let drained = Instant::now() + Duration::from_secs(5);
+    while service.stats().deadline_after_lock < 1 || service.in_flight() > 0 {
+        assert!(
+            Instant::now() < drained,
+            "the worker never finished the read"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let stats = service.stats();
+    assert_eq!(stats.deadline_after_lock, 1, "{stats:?}");
+    assert_eq!(
+        stats.deadline_exceeded, 1,
+        "one miss, counted once: {stats:?}"
+    );
+}
+
 /// Under a standing queue the sojourn controller sheds Maintenance
 /// and Bulk with the typed retryable `Overloaded` — and never
 /// Interactive, which only the hard in-flight backstop may refuse.

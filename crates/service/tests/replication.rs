@@ -118,7 +118,7 @@ fn replicated_service_seeds_serves_and_replicates() {
     assert_eq!(stats.replication_epoch, 1);
     assert_eq!(stats.failovers, 0);
     assert_eq!(stats.replication_max_lag, 0);
-    assert!(stats.wal_appends > 0, "mutations reached the primary's WAL");
+    assert!(stats.wal.appends > 0, "mutations reached the primary's WAL");
     assert!(service.replication_status().unwrap().primary.is_some());
 }
 

@@ -148,7 +148,7 @@ fn deadlines_are_enforced_under_injected_delay() {
         elapsed < Duration::from_millis(150),
         "returned in {elapsed:?}, well before the delay"
     );
-    assert!(service.stats().deadline_exceeded >= 1);
+    assert_eq!(service.stats().deadline_exceeded, 1);
 }
 
 #[test]

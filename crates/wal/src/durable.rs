@@ -41,7 +41,7 @@ use crate::segment::{
     list_segments, scan_segment, segment_header, segment_path, shard_dir, ScannedRecord,
     SEGMENT_HEADER,
 };
-use crate::wal::{ShardPosition, Wal, WalHealth, WalOptions, WalStatus};
+use crate::wal::{ShardPosition, Wal, WalOptions, WalStatus, WalTotals};
 
 /// The exclusive-ownership lock file inside a durable directory.
 ///
@@ -285,14 +285,15 @@ impl DurableDb {
         self.wal.status()
     }
 
-    /// Total records appended since open.
-    pub fn wal_appends(&self) -> u64 {
-        self.wal.appends()
+    /// The log's totals since open: appends, group-commit batches,
+    /// rotations and failed ones, disk-full sheds.
+    pub fn wal_totals(&self) -> WalTotals {
+        self.wal.totals()
     }
 
-    /// Total group-commit batches synced since open.
-    pub fn group_commit_batches(&self) -> u64 {
-        self.wal.batches()
+    /// Total records appended since open.
+    pub fn wal_appends(&self) -> u64 {
+        self.wal.totals().appends
     }
 
     /// Log one operation, then apply it. The shard's WAL mutex is held
@@ -413,11 +414,6 @@ impl DurableDb {
     /// Replicated records whose apply the database rejected since open.
     pub fn repl_apply_rejects(&self) -> u64 {
         self.repl_apply_rejects.load(Ordering::Relaxed)
-    }
-
-    /// The WAL's health counters (rotate failures, disk-full sheds).
-    pub fn wal_health(&self) -> WalHealth {
-        self.wal.health()
     }
 
     /// A consistent per-shard cut for replica bootstrap: each stripe's

@@ -52,4 +52,4 @@ pub use manifest::{Manifest, ShardManifest};
 pub use record::{Displaced, WalOp};
 pub use scrub::{QuarantinedFile, ScrubReport, QUARANTINE_DIR};
 pub use segment::ScannedRecord;
-pub use wal::{AppendAck, ShardWalStatus, SyncPolicy, Wal, WalHealth, WalOptions, WalStatus};
+pub use wal::{AppendAck, ShardWalStatus, SyncPolicy, Wal, WalOptions, WalStatus, WalTotals};

@@ -27,7 +27,7 @@
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::time::Duration;
 
 use ctxpref_faults::sites;
@@ -138,16 +138,27 @@ pub struct ShardWalStatus {
     pub poisoned: bool,
 }
 
-/// Aggregate counters shared by [`WalStatus`] and the service stats
-/// overlay.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct WalHealth {
-    /// Size-triggered rotations that failed and left a full segment as
-    /// the append target (the append itself succeeded).
-    pub rotate_failures: u64,
-    /// Appends shed with [`WalError::DiskFull`] while the volume was
-    /// out of space.
-    pub disk_full_sheds: u64,
+ctxpref_faults::counters! {
+    /// The log's live totals, bumped by the shard guards.
+    struct WalCounters;
+    /// The log's running totals since open: what `wal-status` and the
+    /// service's `stats` report.
+    #[derive(Copy)]
+    pub struct WalTotals {
+        /// Records appended.
+        appends,
+        /// Group-commit flushes that synced at least one record.
+        batches,
+        /// Segment rotations.
+        rotations,
+        /// Size-triggered rotations that failed and left a full segment
+        /// as the append target (the append itself succeeded; a later
+        /// rotation retries).
+        rotate_failures,
+        /// Appends shed with a typed retryable [`WalError::DiskFull`]
+        /// while the volume was out of space.
+        disk_full_sheds,
+    }
 }
 
 /// Point-in-time status of the whole log.
@@ -155,17 +166,8 @@ pub struct WalHealth {
 pub struct WalStatus {
     /// Per-shard status, indexed by shard.
     pub shards: Vec<ShardWalStatus>,
-    /// Total records appended since open.
-    pub appends: u64,
-    /// Total group-commit flushes that synced at least one record.
-    pub batches: u64,
-    /// Total segment rotations since open.
-    pub rotations: u64,
-    /// Size-triggered rotations that failed (the full segment stayed
-    /// the append target; a later rotation retries).
-    pub rotate_failures: u64,
-    /// Appends shed with a typed retryable [`WalError::DiskFull`].
-    pub disk_full_sheds: u64,
+    /// The log's totals since open.
+    pub totals: WalTotals,
 }
 
 /// The operator's rendering (`wal-status`, local and remote): the
@@ -175,7 +177,7 @@ impl std::fmt::Display for WalStatus {
         write!(
             f,
             "appends {}, group-commit batches {}, rotations {}",
-            self.appends, self.batches, self.rotations
+            self.totals.appends, self.totals.batches, self.totals.rotations
         )?;
         for (i, s) in self.shards.iter().enumerate() {
             write!(
@@ -199,11 +201,7 @@ pub struct Wal {
     dir: PathBuf,
     opts: WalOptions,
     shards: Vec<Mutex<ShardState>>,
-    appends: AtomicU64,
-    batches: AtomicU64,
-    rotations: AtomicU64,
-    rotate_failures: AtomicU64,
-    disk_full_sheds: AtomicU64,
+    counters: WalCounters,
 }
 
 impl Wal {
@@ -230,11 +228,7 @@ impl Wal {
             dir: dir.to_path_buf(),
             opts,
             shards,
-            appends: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            rotations: AtomicU64::new(0),
-            rotate_failures: AtomicU64::new(0),
-            disk_full_sheds: AtomicU64::new(0),
+            counters: WalCounters::default(),
         })
     }
 
@@ -265,11 +259,7 @@ impl Wal {
             dir: dir.to_path_buf(),
             opts,
             shards,
-            appends: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            rotations: AtomicU64::new(0),
-            rotate_failures: AtomicU64::new(0),
-            disk_full_sheds: AtomicU64::new(0),
+            counters: WalCounters::default(),
         })
     }
 
@@ -319,31 +309,14 @@ impl Wal {
                     }
                 })
                 .collect(),
-            appends: self.appends.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
-            rotations: self.rotations.load(Ordering::Relaxed),
-            rotate_failures: self.rotate_failures.load(Ordering::Relaxed),
-            disk_full_sheds: self.disk_full_sheds.load(Ordering::Relaxed),
+            totals: self.totals(),
         }
     }
 
-    /// The log's health counters (rotate failures, disk-full sheds),
-    /// cheap enough for a stats overlay to poll.
-    pub fn health(&self) -> WalHealth {
-        WalHealth {
-            rotate_failures: self.rotate_failures.load(Ordering::Relaxed),
-            disk_full_sheds: self.disk_full_sheds.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Total records appended since open.
-    pub fn appends(&self) -> u64 {
-        self.appends.load(Ordering::Relaxed)
-    }
-
-    /// Total group-commit batches synced since open.
-    pub fn batches(&self) -> u64 {
-        self.batches.load(Ordering::Relaxed)
+    /// The log's totals since open, read without any shard lock, so a
+    /// stats snapshot can poll them cheaply.
+    pub fn totals(&self) -> WalTotals {
+        self.counters.snapshot()
     }
 }
 
@@ -376,7 +349,10 @@ impl ShardGuard<'_> {
             // The volume is (injected-)full. Shed before touching the
             // file: nothing to roll back, the caller retries later, and
             // reads keep serving off the existing log and checkpoints.
-            self.wal.disk_full_sheds.fetch_add(1, Ordering::Relaxed);
+            self.wal
+                .counters
+                .disk_full_sheds
+                .fetch_add(1, Ordering::Relaxed);
             return Err(WalError::DiskFull { shard });
         }
         let s = &mut *self.state;
@@ -415,7 +391,10 @@ impl ShardGuard<'_> {
             if is_enospc(&e) && !s.tail_dirty {
                 // A real ENOSPC whose prefix rolled back cleanly is the
                 // same retryable shed as the injected window above.
-                self.wal.disk_full_sheds.fetch_add(1, Ordering::Relaxed);
+                self.wal
+                    .counters
+                    .disk_full_sheds
+                    .fetch_add(1, Ordering::Relaxed);
                 return Err(WalError::DiskFull { shard });
             }
             return Err(WalError::Io(e));
@@ -449,7 +428,7 @@ impl ShardGuard<'_> {
                 false
             }
         };
-        self.wal.appends.fetch_add(1, Ordering::Relaxed);
+        self.wal.counters.appends.fetch_add(1, Ordering::Relaxed);
 
         if self.state.pos >= self.wal.opts.segment_max_bytes {
             // Rotation failure never fails the append — the record is
@@ -458,7 +437,10 @@ impl ShardGuard<'_> {
             // silent: an ever-growing segment means GC cannot reclaim
             // it, so the failure is counted and surfaced in status.
             if self.rotate().is_err() {
-                self.wal.rotate_failures.fetch_add(1, Ordering::Relaxed);
+                self.wal
+                    .counters
+                    .rotate_failures
+                    .fetch_add(1, Ordering::Relaxed);
             }
         }
         Ok(AppendAck { lsn, durable })
@@ -485,7 +467,7 @@ impl ShardGuard<'_> {
         s.synced_pos = s.pos;
         s.synced_lsn = s.next_lsn - 1;
         if synced > 0 {
-            self.wal.batches.fetch_add(1, Ordering::Relaxed);
+            self.wal.counters.batches.fetch_add(1, Ordering::Relaxed);
         }
         Ok(synced)
     }
@@ -506,7 +488,7 @@ impl ShardGuard<'_> {
         s.pos = SEGMENT_HEADER as u64;
         s.synced_pos = s.pos;
         s.tail_dirty = false;
-        self.wal.rotations.fetch_add(1, Ordering::Relaxed);
+        self.wal.counters.rotations.fetch_add(1, Ordering::Relaxed);
         Ok(seg_no)
     }
 
@@ -602,7 +584,7 @@ mod tests {
         let b1 = wal.shard(1).append(b"add u2").unwrap();
         assert!(a1.durable && a2.durable && b1.durable);
         assert_eq!((a1.lsn, a2.lsn, b1.lsn), (1, 2, 1));
-        assert_eq!(wal.appends(), 3);
+        assert_eq!(wal.totals().appends, 3);
 
         let scan = scan_segment(&segment_path(&dir, 0, 1), 0, 1, true).unwrap();
         assert_eq!(scan.records.len(), 2);
@@ -626,11 +608,11 @@ mod tests {
         assert_eq!(wal.status().shards[0].pending, 4);
         assert_eq!(wal.status().shards[0].synced_lsn, 0);
         assert_eq!(wal.shard(0).flush().unwrap(), 4);
-        assert_eq!(wal.batches(), 1);
+        assert_eq!(wal.totals().batches, 1);
         assert_eq!(wal.status().shards[0].synced_lsn, 4);
         // A second flush with nothing pending is a free no-op.
         assert_eq!(wal.shard(0).flush().unwrap(), 0);
-        assert_eq!(wal.batches(), 1);
+        assert_eq!(wal.totals().batches, 1);
     }
 
     #[test]
@@ -648,7 +630,7 @@ mod tests {
         }
         let segs = list_segments(&dir, 0).unwrap();
         assert!(segs.len() > 1, "expected rotations, got {segs:?}");
-        assert_eq!(wal.status().rotations, segs.len() as u64 - 1);
+        assert_eq!(wal.status().totals.rotations, segs.len() as u64 - 1);
         // Every record is still there, in LSN order across segments.
         let mut lsns = Vec::new();
         for (i, &seg) in segs.iter().enumerate() {
@@ -762,6 +744,25 @@ mod tests {
         let scan = scan_segment(&segment_path(&dir, 0, 1), 0, 1, true).unwrap();
         assert_eq!(scan.records.len(), 3);
         assert_eq!(scan.records[2].lsn, 3);
+    }
+
+    /// The `wal-status` text, pinned: every field holds a distinct
+    /// value, so a figure printed in the wrong slot changes the body.
+    #[test]
+    #[rustfmt::skip]
+    fn status_display_prints_every_line_exactly() {
+        let shard = |n: u64, poisoned| ShardWalStatus {
+            seg_no: n, seg_bytes: n + 1, last_lsn: n + 2, synced_lsn: n + 3, pending: n + 4, poisoned,
+        };
+        let status = WalStatus {
+            shards: vec![shard(1, false), shard(6, true)],
+            totals: WalTotals { appends: 11, batches: 12, rotations: 13, rotate_failures: 14,
+                                disk_full_sheds: 15 },
+        };
+        assert_eq!(status.to_string(), "\
+appends 11, group-commit batches 12, rotations 13
+shard 0: segment 1 (2 bytes), last lsn 3, synced lsn 4, pending 5
+shard 1: segment 6 (7 bytes), last lsn 8, synced lsn 9, pending 10 POISONED");
     }
 
     #[test]

@@ -127,7 +127,7 @@ fn disk_full_window_sheds_typed_and_resumes() {
         !users.iter().any(|u| u.starts_with("shed")),
         "a shed write must not be applied: {users:?}"
     );
-    assert_eq!(durable.wal_health().disk_full_sheds, 3);
+    assert_eq!(durable.wal_totals().disk_full_sheds, 3);
 
     // Shed writes were never logged: recovery sees none of them.
     drop(durable);
@@ -319,20 +319,20 @@ fn group_commit_flush_failure_then_retry_accounts_once() {
         mid.shards[0].synced_lsn, 0,
         "failed flush must not advance synced_lsn"
     );
-    assert_eq!(mid.batches, 0);
+    assert_eq!(mid.totals.batches, 0);
 
     // The retry syncs exactly the once-pending records: no double count.
     assert_eq!(durable.flush().unwrap(), 3);
     let after = durable.wal_status();
     assert_eq!(after.shards[0].pending, 0);
     assert_eq!(after.shards[0].synced_lsn, 3);
-    assert_eq!(after.batches, 1);
+    assert_eq!(after.totals.batches, 1);
     assert_eq!(
         durable.flush().unwrap(),
         0,
         "second retry re-synced records"
     );
-    assert_eq!(durable.wal_status().batches, 1);
+    assert_eq!(durable.wal_status().totals.batches, 1);
 }
 
 #[test]
@@ -378,15 +378,18 @@ fn rotate_failures_are_counted_and_surfaced() {
     });
     let status = durable.wal_status();
     assert!(
-        status.rotate_failures > 0,
+        status.totals.rotate_failures > 0,
         "no rotation failure recorded: {status:?}"
     );
-    assert_eq!(durable.wal_health().rotate_failures, status.rotate_failures);
+    assert_eq!(
+        durable.wal_totals().rotate_failures,
+        status.totals.rotate_failures
+    );
 
     // With the plan gone the stuck segment rotates on the next append
     // past the cap; the failure count stays as history.
     durable.add_user("unstick").unwrap();
-    assert!(durable.wal_status().rotations > 0);
+    assert!(durable.wal_status().totals.rotations > 0);
 }
 
 /// The matrix: `CTXPREF_FUZZ_SEEDS=a..b` overrides the default 0..32.

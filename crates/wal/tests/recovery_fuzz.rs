@@ -91,7 +91,11 @@ fn durable_round_trip_with_checkpoint_and_replay() {
     durable.insert_preference("wendy", pref).unwrap();
     durable.update_preference_score("walter", 0, 0.4).unwrap();
     let status = durable.wal_status();
-    assert!(status.appends >= 5, "appends: {}", status.appends);
+    assert!(
+        status.totals.appends >= 5,
+        "appends: {}",
+        status.totals.appends
+    );
     drop(durable); // Crash: no flush, no checkpoint.
 
     let (recovered, report) = DurableDb::recover(&tmp.0, WalOptions::default()).unwrap();
