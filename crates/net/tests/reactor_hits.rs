@@ -138,14 +138,14 @@ fn a_view_hit_needs_no_worker_and_a_busy_shard_waits_for_one() {
     );
 
     // Released, the worker answers the held read — from the view.
-    let (answer, waited) = parked.release();
+    let ((answer, arrived), released) = parked.release();
     let Ok(Response::Answer(answer)) = answer else {
         panic!("the held read answered {answer:?}");
     };
     assert_eq!((answer.step.as_str(), &answer.rows), ("view", &held_rows));
     assert!(
-        waited >= Duration::from_millis(100),
-        "answered in {waited:?}"
+        arrived > released,
+        "the held read answered before the release"
     );
     assert_eq!(service.in_flight(), 0);
     // Two reads, two hits: the reactor's and the worker's.
@@ -200,8 +200,8 @@ fn first_score(service: &CtxPrefService, user: &str) -> f64 {
     service.with_db(|db| db.profile(user).expect("profile").preferences()[0].score())
 }
 
-/// An answer and how long the client waited for it.
-type Timed = (Result<Response, NetError>, Duration);
+/// An answer and the instant it arrived.
+type Arrival = (Result<Response, NetError>, Instant);
 
 /// The service's only worker, parked: `held`'s shard is write-locked
 /// by a holder thread, and a `TopK` for `held` went to the worker,
@@ -209,7 +209,7 @@ type Timed = (Result<Response, NetError>, Duration);
 struct Parked {
     release: mpsc::Sender<()>,
     holder: JoinHandle<()>,
-    waiter: JoinHandle<Timed>,
+    waiter: JoinHandle<Arrival>,
 }
 
 fn park_the_worker(service: &Arc<CtxPrefService>, server: &NetServer, held: &str) -> Parked {
@@ -229,10 +229,7 @@ fn park_the_worker(service: &Arc<CtxPrefService>, server: &NetServer, held: &str
     let waiter = {
         let mut c = client(server);
         let read = Request::ranked(true, held, "name", K, DEADLINE, &STATE);
-        std::thread::spawn(move || {
-            let started = Instant::now();
-            (c.request(&read), started.elapsed())
-        })
+        std::thread::spawn(move || (c.request(&read), Instant::now()))
     };
     let until = Instant::now() + Duration::from_secs(5);
     while service.in_flight() == 0 {
@@ -251,11 +248,12 @@ fn park_the_worker(service: &Arc<CtxPrefService>, server: &NetServer, held: &str
 
 impl Parked {
     /// Release the shard, and with it the worker; returns the parked
-    /// read's answer.
-    fn release(self) -> Timed {
+    /// read's answer and the instant the release was sent.
+    fn release(self) -> (Arrival, Instant) {
+        let released = Instant::now();
         self.release.send(()).expect("release the shard");
         self.holder.join().expect("holder");
-        self.waiter.join().expect("parked read")
+        (self.waiter.join().expect("parked read"), released)
     }
 }
 
@@ -263,7 +261,7 @@ impl Parked {
 /// parked, and not yet answered.
 struct Pending {
     req: Request,
-    sender: JoinHandle<Timed>,
+    sender: JoinHandle<Arrival>,
 }
 
 /// Send `req` while the only worker is parked, and check that it is
@@ -272,10 +270,7 @@ fn send_while_parked(server: &NetServer, req: Request) -> Pending {
     let sender = {
         let mut c = client(server);
         let req = req.clone();
-        std::thread::spawn(move || {
-            let started = Instant::now();
-            (c.request(&req), started.elapsed())
-        })
+        std::thread::spawn(move || (c.request(&req), Instant::now()))
     };
     std::thread::sleep(Duration::from_millis(100));
     assert!(
@@ -290,11 +285,11 @@ impl Pending {
     /// the release — so nothing of the request ran on the reactor.
     fn answer_after(self, parked: Parked) -> Response {
         // The parked read's own outcome is not under test here.
-        let _ = parked.release();
-        let (answer, waited) = self.sender.join().expect("sender");
+        let (_, released) = parked.release();
+        let (answer, arrived) = self.sender.join().expect("sender");
         assert!(
-            waited >= Duration::from_millis(100),
-            "{:?} answered in {waited:?}",
+            arrived > released,
+            "{:?} answered before the release",
             self.req
         );
         answer.expect("answered")

@@ -8,15 +8,20 @@ use crate::tree::ProfileTree;
 /// through [`insert`](Self::insert), [`remove`](Self::remove) and
 /// [`rescore`](Self::rescore), which keep the two in step.
 ///
-/// The tree holds the entries `ProfileTree::from_profile` would build
-/// from the profile; only the order of cells and entries follows the
-/// edit history. Removal prunes only the `(state, clause, score)`
-/// entries no remaining preference still contributes, and a re-score
-/// rewrites its entries where they sit. Each edit computes everything
-/// it needs before it mutates, so a refused edit changes neither half.
+/// The tree holds the entries and contributor counts
+/// `ProfileTree::from_profile` would build from the profile; only the
+/// order of cells and entries follows the edit history. The tree is the
+/// one authority on conflicts and sharing, so every edit costs one
+/// root-to-leaf walk per state of the edited preference and never scans
+/// the profile: removal drops an entry only when its last contributor
+/// goes, and a re-score is refused when another contributor shares one
+/// of its entries, and otherwise rewrites them where they sit. Each
+/// edit checks everything before it mutates, so a refused edit changes
+/// neither half.
 ///
 /// The profile is a multiset: an exact duplicate is appended to the
-/// profile (and removed again by its index) but adds no tree entry.
+/// profile (and removed again by its index) but adds only a contributor
+/// to the tree, never an entry.
 #[derive(Debug, Clone)]
 pub struct IndexedProfile {
     profile: Profile,
@@ -58,28 +63,18 @@ impl IndexedProfile {
     /// [`Profile::preferences`]), pruning the tree paths it alone
     /// contributed.
     pub fn remove(&mut self, index: usize) -> Result<ContextualPreference, ProfileError> {
-        let (env, prefs) = (self.profile.env(), self.profile.preferences());
-        let gone = prefs
+        let gone = self
+            .profile
+            .preferences()
             .get(index)
             .ok_or(ProfileError::NoSuchPreference(index))?;
-        let mut states = gone.descriptor().states(env)?;
-        for (i, other) in prefs.iter().enumerate() {
-            if i != index && other.clause() == gone.clause() && other.score() == gone.score() {
-                let shared = other.descriptor().states(env)?;
-                states.retain(|s| !shared.contains(s));
-            }
-        }
-        let removed = self.profile.remove(index);
-        for state in &states {
-            self.tree
-                .remove_state_entry(state, removed.clause(), removed.score());
-        }
-        Ok(removed)
+        self.tree.remove(gone)?;
+        Ok(self.profile.remove(index))
     }
 
-    /// Re-score the preference at `index`, checking the new score
-    /// against the rest of the profile (Definition 6). Returns the old
-    /// score, or `None` when the preference already had `score`.
+    /// Re-score the preference at `index`, refused if another
+    /// preference shares one of its entries (Definition 6). Returns the
+    /// old score, or `None` when the preference already had `score`.
     pub fn rescore(&mut self, index: usize, score: f64) -> Result<Option<f64>, ProfileError> {
         let old = self
             .profile
@@ -91,18 +86,104 @@ impl IndexedProfile {
             return Ok(None);
         }
         let updated = old.with_score(score)?;
-        self.profile.check_conflicts(&updated, Some(index))?;
-        // Past the conflict scan no other preference shares a
-        // (state, clause) pair with this one — a sharer would have had
-        // to equal both the old score and the new — so its entries are
-        // its alone and are re-scored where they sit.
-        for state in updated.descriptor().states(self.profile.env())? {
-            let found = self
-                .tree
-                .update_state_entry(&state, updated.clause(), updated.score());
-            debug_assert!(found, "the tree indexes every state of the profile");
-        }
+        self.tree.rescore(old, score)?;
         self.profile.replace(index, updated);
         Ok(Some(old_score))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use ctxpref_context::{parse_descriptor, ContextEnvironment};
+    use ctxpref_hierarchy::{Hierarchy, HierarchyBuilder};
+    use ctxpref_relation::AttrId;
+    use proptest::test_runner::TestRng;
+
+    use super::*;
+    use crate::preference::AttributeClause;
+
+    fn env() -> ContextEnvironment {
+        let mut w = HierarchyBuilder::new("weather", &["Conditions", "Char"]);
+        w.add("Char", "bad", None).unwrap();
+        w.add("Char", "good", None).unwrap();
+        w.add_leaves("bad", &["cold"]).unwrap();
+        w.add_leaves("good", &["warm", "hot"]).unwrap();
+        ContextEnvironment::new(vec![
+            w.build().unwrap(),
+            Hierarchy::flat("company", &["friends", "family"]).unwrap(),
+        ])
+        .unwrap()
+    }
+
+    const DESCRIPTORS: [&str; 5] = [
+        "weather = warm",
+        "weather in {warm, hot}",
+        "weather in {cold, warm}",
+        "weather in {warm, hot} and company in {friends, family}",
+        "company = friends",
+    ];
+
+    /// The counts straight from the profile: for each stored
+    /// `(state, clause, score)`, how many preferences hold it.
+    fn counted(profile: &Profile) -> Vec<(ctxpref_context::ContextState, String, u32)> {
+        let mut out: Vec<(_, String, u32)> = Vec::new();
+        for pref in profile.iter() {
+            for state in pref.descriptor().states(profile.env()).unwrap() {
+                let entry = format!("{:?}@{}", pref.clause(), pref.score());
+                match out.iter_mut().find(|(s, e, _)| *s == state && *e == entry) {
+                    Some((_, _, n)) => *n += 1,
+                    None => out.push((state, entry, 1)),
+                }
+            }
+        }
+        out.sort();
+        out
+    }
+
+    #[test]
+    fn contributor_counts_match_a_rebuild_after_random_histories() {
+        let env = env();
+        let order = ParamOrder::by_ascending_domain(&env);
+        let other_order = ParamOrder::identity(&env);
+        let mut shared = 0;
+        for seed in 0..32u64 {
+            let mut rng = TestRng::from_seed(seed);
+            let mut indexed =
+                IndexedProfile::new(Profile::new(env.clone()), order.clone()).unwrap();
+            for step in 0..120 {
+                let len = indexed.profile().len();
+                let _ = match rng.below(8) {
+                    0..4 => {
+                        let pref = ContextualPreference::new(
+                            parse_descriptor(&env, DESCRIPTORS[rng.below(5)]).unwrap(),
+                            AttributeClause::eq(AttrId(0), ["a", "b"][rng.below(2)].into()),
+                            [0.4, 0.8][rng.below(2)],
+                        )
+                        .unwrap();
+                        indexed.insert(pref)
+                    }
+                    4..6 => indexed.remove(rng.below(len + 1)).map(|_| ()),
+                    _ => indexed
+                        .rescore(rng.below(len + 1), [0.4, 0.8][rng.below(2)])
+                        .map(|_| ()),
+                };
+                let counts = indexed.tree().contributor_counts();
+                let rebuilt = ProfileTree::from_profile(indexed.profile(), order.clone()).unwrap();
+                assert_eq!(
+                    counts,
+                    rebuilt.contributor_counts(),
+                    "seed {seed}, step {step}"
+                );
+                assert_eq!(
+                    counts,
+                    counted(indexed.profile()),
+                    "seed {seed}, step {step}"
+                );
+                let reordered = indexed.tree().reorder(other_order.clone()).unwrap();
+                assert_eq!(reordered.contributor_counts(), counts);
+                shared += counts.iter().filter(|(_, _, n)| *n > 1).count();
+            }
+        }
+        assert!(shared > 0, "no history shared an entry");
     }
 }

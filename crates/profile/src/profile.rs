@@ -55,7 +55,7 @@ impl Profile {
     /// one. Exact duplicates (same descriptor, clause, and score) are
     /// ignored, returning `Ok(false)`.
     pub fn insert(&mut self, pref: ContextualPreference) -> Result<bool, ProfileError> {
-        self.check_conflicts(&pref, None)?;
+        self.check_conflicts(&pref)?;
         if self.prefs.contains(&pref) {
             return Ok(false);
         }
@@ -63,16 +63,11 @@ impl Profile {
         Ok(true)
     }
 
-    /// The conflict check of Definition 6 against every preference but
-    /// the one at `skip`. A conflict is reported with a witness state
-    /// the two contexts share.
-    pub(crate) fn check_conflicts(
-        &self,
-        pref: &ContextualPreference,
-        skip: Option<usize>,
-    ) -> Result<(), ProfileError> {
-        for (i, existing) in self.prefs.iter().enumerate() {
-            if Some(i) == skip || !existing.conflicts_with(pref, &self.env)? {
+    /// The conflict check of Definition 6 against every preference. A
+    /// conflict is reported with a witness state the two contexts share.
+    fn check_conflicts(&self, pref: &ContextualPreference) -> Result<(), ProfileError> {
+        for existing in &self.prefs {
+            if !existing.conflicts_with(pref, &self.env)? {
                 continue;
             }
             let theirs = pref.descriptor().states(&self.env)?;

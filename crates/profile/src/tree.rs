@@ -1,3 +1,4 @@
+use std::collections::HashMap;
 use std::fmt;
 
 use ctxpref_context::{ContextEnvironment, ContextState, CtxValue, DistanceKind};
@@ -99,12 +100,24 @@ impl TreeStats {
 ///   that state.
 /// * Conflicts (Definition 6) are detected during insertion with a
 ///   single root-to-leaf traversal per state.
+/// * Each leaf entry has a contributor count: how many inserted
+///   preferences contribute that `(state, clause, score)`. Removing a
+///   preference takes one contributor from the entry at each of its
+///   states and drops an entry only at zero, and a re-score is refused
+///   (as a Definition 6 conflict) wherever another contributor shares
+///   the entry. So every edit of [`crate::IndexedProfile`] costs one
+///   root-to-leaf walk per state of the edited preference, whatever
+///   the size of the profile.
 #[derive(Debug, Clone)]
 pub struct ProfileTree {
     env: ContextEnvironment,
     order: ParamOrder,
     nodes: Vec<Node>,
     leaves: Vec<Vec<LeafEntry>>,
+    /// Contributor counts above one, keyed by `(leaf, entry position)`;
+    /// every entry missing here has exactly one. Shared entries are
+    /// rare, so this keeps the count out of [`LeafEntry`].
+    shared: HashMap<(u32, u32), u32>,
     /// Arena slots freed by [`ProfileTree::remove_state_entry`], reused
     /// by subsequent insertions.
     free_nodes: Vec<u32>,
@@ -127,12 +140,14 @@ impl ProfileTree {
             order,
             nodes: vec![Node::default()],
             leaves: Vec::new(),
+            shared: HashMap::new(),
             free_nodes: Vec::new(),
             free_leaves: Vec::new(),
         })
     }
 
-    /// Build a tree from a whole profile.
+    /// Build a tree from a whole profile, with the contributor counts
+    /// inserting its preferences one by one leaves.
     pub fn from_profile(profile: &Profile, order: ParamOrder) -> Result<Self, ProfileError> {
         let mut tree = Self::new(profile.env().clone(), order)?;
         for pref in profile.iter() {
@@ -170,7 +185,8 @@ impl ProfileTree {
     /// some state already stores the same attribute clause with a
     /// different score, the whole insertion is rejected (atomically) and
     /// the caller can notify the user. Re-inserting an identical
-    /// `(state, clause, score)` is a no-op.
+    /// `(state, clause, score)` adds a contributor to the stored entry
+    /// instead of a second entry.
     pub fn insert(&mut self, pref: &ContextualPreference) -> Result<(), ProfileError> {
         let states = pref.descriptor().states(&self.env)?;
         // Phase 1: detect conflicts without mutating.
@@ -191,15 +207,60 @@ impl ProfileTree {
         for state in &states {
             let leaf = self.ensure_path(state);
             let entries = &mut self.leaves[leaf.index()];
-            let duplicate = entries
+            match entries
                 .iter()
-                .any(|e| e.clause == *pref.clause() && e.score == pref.score());
-            if !duplicate {
-                entries.push(LeafEntry {
+                .position(|e| e.clause == *pref.clause() && e.score == pref.score())
+            {
+                Some(pos) => *self.shared.entry((leaf.0, pos as u32)).or_insert(1) += 1,
+                None => entries.push(LeafEntry {
                     clause: pref.clause().clone(),
                     score: pref.score(),
+                }),
+            }
+        }
+        Ok(())
+    }
+
+    /// Take `pref`'s contribution out of the entry at each of its
+    /// states, dropping an entry (and pruning emptied nodes) when `pref`
+    /// was its last contributor. `pref` must have been inserted.
+    pub(crate) fn remove(&mut self, pref: &ContextualPreference) -> Result<(), ProfileError> {
+        for state in pref.descriptor().states(&self.env)? {
+            let found = self.remove_state_entry(&state, pref.clause(), pref.score());
+            debug_assert!(found, "the tree indexes every state of its preferences");
+        }
+        Ok(())
+    }
+
+    /// Re-score in place the entries that `pref`, already inserted,
+    /// contributes. Refused with [`ProfileError::Conflict`], changing
+    /// nothing, when another preference shares one of them: that sharer
+    /// keeps `pref`'s old score, which `score` would conflict with.
+    pub(crate) fn rescore(
+        &mut self,
+        pref: &ContextualPreference,
+        score: f64,
+    ) -> Result<(), ProfileError> {
+        let states = pref.descriptor().states(&self.env)?;
+        for state in &states {
+            let Some(leaf) = self.locate_leaf(state) else {
+                continue;
+            };
+            let shared = self.leaves[leaf.index()]
+                .iter()
+                .position(|e| e.clause == *pref.clause())
+                .is_some_and(|pos| self.shared.contains_key(&(leaf.0, pos as u32)));
+            if shared {
+                return Err(ProfileError::Conflict {
+                    state: state.clone(),
+                    existing_score: pref.score(),
+                    new_score: score,
                 });
             }
+        }
+        for state in &states {
+            let found = self.update_state_entry(state, pref.clause(), score);
+            debug_assert!(found, "the tree indexes every state of its preferences");
         }
         Ok(())
     }
@@ -370,26 +431,31 @@ impl ProfileTree {
     /// Enumerate every stored `(state, leaf entries)` pair, in
     /// depth-first order. Used by tests and by tree re-organization.
     pub fn paths(&self) -> Vec<(ContextState, &[LeafEntry])> {
+        self.leaf_paths()
+            .into_iter()
+            .map(|(state, leaf)| (state, self.leaf(leaf)))
+            .collect()
+    }
+
+    /// Every stored `(state, leaf)` pair, in depth-first order.
+    fn leaf_paths(&self) -> Vec<(ContextState, LeafId)> {
         let mut out = Vec::with_capacity(self.leaves.len());
         let mut path = Vec::with_capacity(self.depth());
         self.paths_rec(0, &mut path, &mut out);
         out
     }
 
-    fn paths_rec<'a>(
-        &'a self,
+    fn paths_rec(
+        &self,
         node: usize,
         path: &mut Vec<CtxValue>,
-        out: &mut Vec<(ContextState, &'a [LeafEntry])>,
+        out: &mut Vec<(ContextState, LeafId)>,
     ) {
         let bottom = path.len() + 1 == self.depth();
         for cell in &self.nodes[node].cells {
             path.push(cell.key);
             if bottom {
-                out.push((
-                    self.state_from_path(path),
-                    &self.leaves[cell.child as usize],
-                ));
+                out.push((self.state_from_path(path), LeafId(cell.child)));
             } else {
                 self.paths_rec(cell.child as usize, path, out);
             }
@@ -397,12 +463,19 @@ impl ProfileTree {
         }
     }
 
-    /// Rebuild the same contents under a different parameter order.
+    /// Rebuild the same contents, contributor counts included, under a
+    /// different parameter order.
     pub fn reorder(&self, order: ParamOrder) -> Result<Self, ProfileError> {
         let mut tree = Self::new(self.env.clone(), order)?;
-        for (state, entries) in self.paths() {
+        for (state, old) in self.leaf_paths() {
             let leaf = tree.ensure_path(&state);
-            tree.leaves[leaf.index()].extend(entries.iter().cloned());
+            let entries = self.leaf(old);
+            tree.leaves[leaf.index()] = entries.to_vec();
+            for pos in 0..entries.len() as u32 {
+                if let Some(&n) = self.shared.get(&(old.0, pos)) {
+                    tree.shared.insert((leaf.0, pos), n);
+                }
+            }
         }
         Ok(tree)
     }
@@ -424,11 +497,11 @@ impl ProfileTree {
         self.leaves.len() - self.free_leaves.len()
     }
 
-    /// Remove the `(clause, score)` entry stored under one exact context
-    /// state, pruning emptied nodes. Returns whether an entry existed.
-    /// Entries are shared, so [`crate::IndexedProfile`] calls this only
-    /// for states no remaining preference contributes.
-    pub(crate) fn remove_state_entry(
+    /// Take one contributor from the `(clause, score)` entry stored
+    /// under one exact context state, removing the entry and pruning
+    /// emptied nodes when it was the last. Returns whether an entry
+    /// existed.
+    fn remove_state_entry(
         &mut self,
         state: &ContextState,
         clause: &AttributeClause,
@@ -459,7 +532,20 @@ impl ProfileTree {
         else {
             return false;
         };
+        let key = (leaf, i as u32);
+        if let Some(n) = self.shared.get_mut(&key) {
+            *n -= 1;
+            if *n == 1 {
+                self.shared.remove(&key);
+            }
+            return true;
+        }
+        // The last entry moves into position `i`, and its count with it.
+        let last = entries.len() - 1;
         entries.swap_remove(i);
+        if let Some(n) = self.shared.remove(&(leaf, last as u32)) {
+            self.shared.insert(key, n);
+        }
         if !entries.is_empty() {
             return true;
         }
@@ -482,7 +568,8 @@ impl ProfileTree {
     }
 
     /// Update the score of the `(state, clause)` entry under one exact
-    /// context state. Returns whether an entry was found.
+    /// context state, keeping its contributor count. Returns whether an
+    /// entry was found.
     pub fn update_state_entry(
         &mut self,
         state: &ContextState,
@@ -500,6 +587,35 @@ impl ProfileTree {
             }
             None => false,
         }
+    }
+}
+
+#[cfg(test)]
+impl ProfileTree {
+    /// Every stored entry with its contributor count, keyed by what it
+    /// means rather than where it sits, so trees built by different
+    /// edit histories compare equal. Checks that each recorded count
+    /// names an entry and is above one.
+    pub(crate) fn contributor_counts(&self) -> Vec<(ContextState, String, u32)> {
+        for (&(leaf, pos), &n) in &self.shared {
+            assert!(n > 1, "a count of {n} is recorded");
+            assert!(
+                (pos as usize) < self.leaves[leaf as usize].len(),
+                "a count outlives its entry"
+            );
+        }
+        let mut out: Vec<_> = self
+            .leaf_paths()
+            .into_iter()
+            .flat_map(|(state, leaf)| {
+                self.leaf(leaf).iter().enumerate().map(move |(pos, e)| {
+                    let n = self.shared.get(&(leaf.0, pos as u32)).map_or(1, |&n| n);
+                    (state.clone(), format!("{:?}@{}", e.clause, e.score), n)
+                })
+            })
+            .collect();
+        out.sort();
+        out
     }
 }
 

@@ -5,13 +5,14 @@
 //! descriptors, and refused (conflicting or out-of-range) edits — are
 //! checked after every step: the tree's paths and `TreeStats` must equal
 //! `ProfileTree::from_profile` of the profile, and a refused edit must
-//! change neither the profile nor the tree.
+//! change neither the profile nor the tree. Every re-score verdict is
+//! also held to Definition 6 over the whole profile.
 
 use ctxpref_context::{parse_descriptor, ContextEnvironment};
 use ctxpref_hierarchy::{Hierarchy, HierarchyBuilder};
 use ctxpref_profile::{
-    AttributeClause, ContextualPreference, IndexedProfile, ParamOrder, Profile, ProfileTree,
-    TreeStats,
+    AttributeClause, ContextualPreference, IndexedProfile, ParamOrder, Profile, ProfileError,
+    ProfileTree, TreeStats,
 };
 use ctxpref_relation::AttrId;
 use proptest::test_runner::TestRng;
@@ -70,6 +71,65 @@ fn snapshot(indexed: &IndexedProfile) -> (Vec<ContextualPreference>, Vec<String>
 }
 
 /// What the histories exercised, so the checks cannot pass vacuously.
+/// The verdict Definition 6 gives re-scoring `prefs[index]` to
+/// `score`, checked against the whole profile: refused exactly when some
+/// other preference conflicts with the re-scored one, naming a state
+/// both of their contexts hold and that preference's score.
+fn check_rescore_verdict(
+    env: &ContextEnvironment,
+    prefs: &[ContextualPreference],
+    index: usize,
+    score: f64,
+    verdict: &Result<Option<f64>, ProfileError>,
+) {
+    let Some(old) = prefs.get(index) else {
+        assert!(
+            matches!(verdict, Err(ProfileError::NoSuchPreference(i)) if *i == index),
+            "re-score past the end: {verdict:?}"
+        );
+        return;
+    };
+    if old.score() == score {
+        assert!(matches!(verdict, Ok(None)), "same score: {verdict:?}");
+        return;
+    }
+    let updated = old.with_score(score).unwrap();
+    let conflicting: Vec<&ContextualPreference> = prefs
+        .iter()
+        .enumerate()
+        .filter(|&(i, other)| i != index && other.conflicts_with(&updated, env).unwrap())
+        .map(|(_, other)| other)
+        .collect();
+    match verdict {
+        Ok(Some(was)) => {
+            assert!(
+                conflicting.is_empty(),
+                "re-scored {old:?} to {score} past a conflict with {conflicting:?}"
+            );
+            assert_eq!(*was, old.score());
+        }
+        Err(ProfileError::Conflict {
+            state,
+            existing_score,
+            new_score,
+        }) => {
+            assert_eq!(*new_score, score);
+            assert!(
+                updated.descriptor().states(env).unwrap().contains(state),
+                "witness {state:?} is not a state of {old:?}"
+            );
+            assert!(
+                conflicting
+                    .iter()
+                    .any(|other| other.score() == *existing_score
+                        && other.descriptor().states(env).unwrap().contains(state)),
+                "no conflict with {old:?} at {state:?} scored {existing_score}"
+            );
+        }
+        other => panic!("re-score of {old:?} to {score}: {other:?}"),
+    }
+}
+
 #[derive(Debug, Default)]
 struct Seen {
     duplicates: usize,
@@ -130,7 +190,9 @@ fn edits_keep_the_tree_equal_to_a_rebuild() {
                 }
                 _ => {
                     let index = pick(&mut rng, len + 1);
-                    let r = indexed.rescore(index, SCORES[pick(&mut rng, 3)]);
+                    let score = SCORES[pick(&mut rng, 3)];
+                    let r = indexed.rescore(index, score);
+                    check_rescore_verdict(&env, &before.0, index, score, &r);
                     seen.rescores += usize::from(matches!(r, Ok(Some(_))));
                     seen.refused_rescores += usize::from(r.is_err());
                     r.map(|_| ())
@@ -185,4 +247,59 @@ fn a_duplicate_is_appended_without_a_tree_entry() {
     assert_eq!(indexed.tree().stats(), stats);
     indexed.remove(0).unwrap();
     assert_eq!(indexed.tree().stats().leaf_entries, 0);
+}
+
+#[test]
+fn a_triple_shared_three_ways_lives_until_its_last_contributor() {
+    let env = env();
+    let order = ParamOrder::by_ascending_domain(&env);
+    let mut indexed = IndexedProfile::new(Profile::new(env.clone()), order).unwrap();
+    // All three contribute `(weather = warm, a, 0.5)`.
+    for descriptor in [
+        "weather = warm",
+        "weather in {warm, hot}",
+        "weather in {cold, warm}",
+    ] {
+        let pref = ContextualPreference::new(
+            parse_descriptor(&env, descriptor).unwrap(),
+            AttributeClause::eq(AttrId(0), "a".into()),
+            0.5,
+        )
+        .unwrap();
+        indexed.insert(pref).unwrap();
+    }
+    let warm = parse_descriptor(&env, "weather = warm")
+        .unwrap()
+        .states(&env)
+        .unwrap()
+        .remove(0);
+    let warm_entries = |indexed: &IndexedProfile| {
+        indexed
+            .tree()
+            .paths()
+            .into_iter()
+            .find(|(state, _)| *state == warm)
+            .map_or(0, |(_, entries)| entries.len())
+    };
+    let refused_at_warm = |r: Result<Option<f64>, ProfileError>| {
+        matches!(r, Err(ProfileError::Conflict { state, existing_score, .. })
+            if state == warm && existing_score == 0.5)
+    };
+    assert_eq!(warm_entries(&indexed), 1);
+    // Two sharers, then one: the re-score is refused at the shared state.
+    assert!(refused_at_warm(indexed.rescore(2, 0.8)));
+    indexed.remove(0).unwrap();
+    assert_eq!(warm_entries(&indexed), 1);
+    assert!(refused_at_warm(indexed.rescore(1, 0.8)));
+    indexed.remove(0).unwrap();
+    // Two removed, the last contributor keeps the entry, and may now
+    // re-score it.
+    assert_eq!(warm_entries(&indexed), 1);
+    assert_eq!(indexed.rescore(0, 0.8).unwrap(), Some(0.5));
+    let rebuilt =
+        ProfileTree::from_profile(indexed.profile(), indexed.tree().order().clone()).unwrap();
+    assert_eq!(fingerprint(indexed.tree()), fingerprint(&rebuilt));
+    assert!(fingerprint(indexed.tree())
+        .iter()
+        .all(|path| path.ends_with("@0.8")));
 }

@@ -7,8 +7,8 @@ use ctxpref_context::{
 };
 use ctxpref_hierarchy::{Hierarchy, HierarchyBuilder};
 use ctxpref_profile::{
-    AccessCounter, AttributeClause, ContextualPreference, ParamOrder, Profile, ProfileError,
-    ProfileTree,
+    AccessCounter, AttributeClause, ContextualPreference, LeafEntry, ParamOrder, Profile,
+    ProfileError, ProfileTree,
 };
 use ctxpref_relation::AttrId;
 
@@ -322,4 +322,12 @@ fn order_length_is_validated() {
         ProfileTree::new(env, bad).unwrap_err(),
         ProfileError::InvalidOrder(_)
     ));
+}
+
+/// A leaf entry is a clause and a score and nothing more: how many
+/// preferences contribute it is kept beside the leaves, so the common
+/// single-contributor entry pays nothing for the count.
+#[test]
+fn a_leaf_entry_stays_forty_bytes() {
+    assert_eq!(std::mem::size_of::<LeafEntry>(), 40);
 }

@@ -1,6 +1,11 @@
 //! Functional tests of the serving layer: ladder rungs, deadlines,
 //! admission control, retries — each failure mode driven by a seeded
 //! fault plan.
+//!
+//! A fault plan is process-global, so one installed by a test would hit
+//! the workers of any test running beside it: every test takes
+//! `fault_lock`, including those that install no plan but expect an
+//! undegraded answer.
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
@@ -37,6 +42,7 @@ fn state(db: &CtxPrefService, names: &[&str]) -> ContextState {
 
 #[test]
 fn healthy_path_cached_and_exact() {
+    let _serial = fault_lock();
     let service = CtxPrefService::new(study_db(2, 8), ServiceConfig::default());
     let s = state(&service, &["Plaka", "warm", "friends"]);
     let first = service.query_state("user0", &s).unwrap();
@@ -56,6 +62,7 @@ fn healthy_path_cached_and_exact() {
 
 #[test]
 fn unknown_user_is_a_typed_error_not_a_degradation() {
+    let _serial = fault_lock();
     let service = CtxPrefService::new(study_db(1, 8), ServiceConfig::default());
     let s = state(&service, &["Plaka", "warm", "friends"]);
     match service.query_state("ghost", &s) {
@@ -237,6 +244,7 @@ fn corrupt_files_are_not_retried() {
 
 #[test]
 fn mutations_flow_through_the_service() {
+    let _serial = fault_lock();
     let service = CtxPrefService::new(study_db(1, 8), ServiceConfig::default());
     service.add_user("zoe").unwrap();
     let (pref, s) = service.with_db(|db| {
@@ -309,6 +317,7 @@ fn edits_that_never_wait_hand_back_what_they_cannot_apply_now() {
 
 #[test]
 fn shutdown_rejects_new_requests() {
+    let _serial = fault_lock();
     let service = CtxPrefService::new(study_db(1, 8), ServiceConfig::default());
     let s = state(&service, &["Plaka", "warm", "friends"]);
     let db = service.shutdown();
