@@ -32,7 +32,7 @@ use ctxpref_faults::{sites, FaultPlan};
 use ctxpref_net::{NetClient, NetClientConfig, NetServer, NetServerConfig, Priority};
 use ctxpref_router::{Router, RouterConfig, RouterError};
 use ctxpref_service::{CtxPrefService, ReplicatedConfig, ServiceConfig};
-use ctxpref_wal::{tiny_env, tiny_relation};
+use ctxpref_workload::reference::{tiny_env, tiny_relation};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 use crate::ShapeCheck;

@@ -30,7 +30,7 @@ use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, RwLock};
 use std::time::Duration;
 
 /// The registry of named fault sites threaded through the workspace.
@@ -618,6 +618,16 @@ pub fn install(plan: Arc<FaultPlan>) -> PlanGuard {
     let previous = slot.replace(plan);
     ACTIVE.store(true, Ordering::Release);
     PlanGuard { previous }
+}
+
+/// Exclusive use of the process-wide plan slot. The plan is global but
+/// the test harness runs tests on parallel threads, so any test that
+/// installs a plan, or that depends on none being installed, holds
+/// this guard for its whole body. A test that panicked while holding
+/// it does not poison it for the rest.
+pub fn exclusive() -> MutexGuard<'static, ()> {
+    static SLOT: Mutex<()> = Mutex::new(());
+    SLOT.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// The currently installed plan, if any.

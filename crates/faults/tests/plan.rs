@@ -2,21 +2,11 @@
 //! nothing, rules fire deterministically by hit index, patterns and
 //! nested installs behave, and at-rest damage is reproducible.
 
-use std::sync::{Mutex, MutexGuard};
-
 use ctxpref_faults::*;
-
-/// The installed plan is process-global, and the harness runs tests on
-/// parallel threads: every test here holds this lock, so none sees
-/// another's plan (or its hits).
-fn plan_lock() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 #[test]
 fn no_plan_is_free_and_infallible() {
-    let _serial = plan_lock();
+    let _serial = exclusive();
     assert!(current().is_none());
     for _ in 0..100 {
         assert!(hit("any.site").is_ok());
@@ -26,7 +16,7 @@ fn no_plan_is_free_and_infallible() {
 
 #[test]
 fn probability_rules_are_deterministic() {
-    let _serial = plan_lock();
+    let _serial = exclusive();
     let run = || {
         let plan = FaultPlan::builder(7).fail("s.op", 0.3).build();
         plan.run(|| {
@@ -44,7 +34,7 @@ fn probability_rules_are_deterministic() {
 
 #[test]
 fn at_hits_fire_exactly() {
-    let _serial = plan_lock();
+    let _serial = exclusive();
     let plan = FaultPlan::builder(1).fail_at("s.op", &[2, 4]).build();
     plan.run(|| {
         assert!(hit("s.op").is_ok());
@@ -60,7 +50,7 @@ fn at_hits_fire_exactly() {
 
 #[test]
 fn prefix_patterns_match() {
-    let _serial = plan_lock();
+    let _serial = exclusive();
     let plan = FaultPlan::builder(1).fail_at("storage.*", &[1]).build();
     plan.run(|| {
         assert!(hit("storage.write.flush").is_err());
@@ -70,7 +60,7 @@ fn prefix_patterns_match() {
 
 #[test]
 fn panics_are_forced() {
-    let _serial = plan_lock();
+    let _serial = exclusive();
     let plan = FaultPlan::builder(1).panic_at("s.boom", &[1]).build();
     let caught = plan.run(|| {
         std::panic::catch_unwind(|| {
@@ -83,7 +73,7 @@ fn panics_are_forced() {
 
 #[test]
 fn truncation_scales_length() {
-    let _serial = plan_lock();
+    let _serial = exclusive();
     let plan = FaultPlan::builder(1).truncate_at("w", &[1], 0.5).build();
     plan.run(|| {
         assert_eq!(truncated_len("w", 100), 50);
@@ -93,7 +83,7 @@ fn truncation_scales_length() {
 
 #[test]
 fn hit_counts_track_every_site() {
-    let _serial = plan_lock();
+    let _serial = exclusive();
     let plan = FaultPlan::builder(3).build();
     plan.run(|| {
         for _ in 0..5 {
@@ -111,7 +101,7 @@ fn hit_counts_track_every_site() {
 
 #[test]
 fn hit_window_covers_a_contiguous_range() {
-    let _serial = plan_lock();
+    let _serial = exclusive();
     let plan = FaultPlan::builder(9)
         .fail_between("disk.full", 3, 5)
         .build();
@@ -131,7 +121,7 @@ fn hit_window_covers_a_contiguous_range() {
 
 #[test]
 fn at_rest_damage_is_deterministic() {
-    let _serial = plan_lock();
+    let _serial = exclusive();
     let dir = std::env::temp_dir().join(format!(
         "ctxpref-faults-at-rest-{}-{:?}",
         std::process::id(),
@@ -172,7 +162,7 @@ fn at_rest_damage_is_deterministic() {
 
 #[test]
 fn nested_installs_restore() {
-    let _serial = plan_lock();
+    let _serial = exclusive();
     let outer = FaultPlan::builder(1).fail_at("n.op", &[1]).build();
     let inner = FaultPlan::builder(1).build();
     outer.run(|| {

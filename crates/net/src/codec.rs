@@ -687,7 +687,7 @@ pub fn decode_request(payload: &[u8]) -> Result<WireRequest, DecodeError> {
 /// Extract just the correlation id of a `ctxpref2` request whose body
 /// failed to decode, so the refusal can still be matched to the
 /// request that caused it. `None` if even the header is unreadable.
-pub fn request_id_of(payload: &[u8]) -> Option<u64> {
+pub(crate) fn request_id_of(payload: &[u8]) -> Option<u64> {
     let (_, _, id) = header(payload).ok()?;
     Some(id)
 }

@@ -7,7 +7,7 @@
 //!   (the WAL record framing minus the LSN), verified and decoded where
 //!   they landed. The declared length is capped **before allocation**,
 //!   so hostile peers cost a header read, not memory.
-//! * [`proto`] + [`codec`] + [`server`]/[`client`] — a request/response
+//! * [`proto`] + `codec` + `server`/`client` — a request/response
 //!   vocabulary and its one wire encoding (`ctxpref2`: binary,
 //!   id-tagged for pipelining) over those frames; [`NetServer`] fronts
 //!   a shared [`CtxPrefService`](ctxpref_service::CtxPrefService) with
@@ -51,14 +51,14 @@
 
 #![warn(missing_docs)]
 
-pub mod client;
-pub mod codec;
+mod client;
+mod codec;
 mod dispatch;
-pub mod error;
+mod error;
 pub mod frame;
 pub mod proto;
-pub mod reactor;
-pub mod server;
+mod reactor;
+mod server;
 
 pub use client::{NetClient, NetClientConfig};
 pub use codec::{

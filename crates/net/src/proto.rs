@@ -4,7 +4,7 @@
 //!
 //! This module knows nothing about bytes. How a message becomes a
 //! frame payload is the business of exactly one module,
-//! [`crate::codec`] (`ctxpref2`: binary, length-delimited, id-tagged),
+//! `crate::codec` (`ctxpref2`: binary, length-delimited, id-tagged),
 //! whose vocabulary table gives each variant here its tag and field
 //! order; the server's dispatch and the client's typed methods meet
 //! here, on the enums. Each reply shape is declared once too, in the

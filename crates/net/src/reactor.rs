@@ -67,24 +67,24 @@ struct EpollEvent {
 
 /// Which readiness directions a registration asks for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Interest {
+pub(crate) struct Interest {
     readable: bool,
     writable: bool,
 }
 
 impl Interest {
     /// Notify when the fd has bytes to read (or the peer hung up).
-    pub const READABLE: Self = Self {
+    pub(crate) const READABLE: Self = Self {
         readable: true,
         writable: false,
     };
     /// Notify when the fd can accept writes.
-    pub const WRITABLE: Self = Self {
+    pub(crate) const WRITABLE: Self = Self {
         readable: false,
         writable: true,
     };
     /// Both directions.
-    pub const BOTH: Self = Self {
+    pub(crate) const BOTH: Self = Self {
         readable: true,
         writable: true,
     };
@@ -93,7 +93,7 @@ impl Interest {
     /// the mask), but neither an idle, writable socket nor a peer's
     /// half-close wakes a level-triggered wait. The half-close is seen
     /// by the first read once the fd is `READABLE` again.
-    pub const NONE: Self = Self {
+    pub(crate) const NONE: Self = Self {
         readable: false,
         writable: false,
     };
@@ -115,7 +115,7 @@ impl Interest {
 
 /// One readiness notification out of [`Epoll::wait`].
 #[derive(Debug, Clone, Copy)]
-pub struct Event {
+pub(crate) struct Event {
     /// The token the fd was registered under.
     pub token: u64,
     /// Bytes are readable (or the peer closed — read to find out).
@@ -128,13 +128,13 @@ pub struct Event {
 
 /// A level-triggered epoll readiness queue.
 #[derive(Debug)]
-pub struct Epoll {
+pub(crate) struct Epoll {
     epfd: RawFd,
 }
 
 impl Epoll {
     /// Create the epoll instance (close-on-exec).
-    pub fn new() -> io::Result<Self> {
+    pub(crate) fn new() -> io::Result<Self> {
         let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
         if epfd < 0 {
             return Err(io::Error::last_os_error());
@@ -155,7 +155,7 @@ impl Epoll {
     }
 
     /// Register `fd` under `token` with the given interest.
-    pub fn register(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+    pub(crate) fn register(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
         self.ctl(
             EPOLL_CTL_ADD,
             fd,
@@ -167,7 +167,7 @@ impl Epoll {
     }
 
     /// Change an existing registration's interest (same token).
-    pub fn reregister(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+    pub(crate) fn reregister(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
         self.ctl(
             EPOLL_CTL_MOD,
             fd,
@@ -179,7 +179,7 @@ impl Epoll {
     }
 
     /// Remove `fd` from the readiness queue.
-    pub fn deregister(&self, fd: RawFd) -> io::Result<()> {
+    pub(crate) fn deregister(&self, fd: RawFd) -> io::Result<()> {
         self.ctl(EPOLL_CTL_DEL, fd, None)
     }
 
@@ -187,7 +187,7 @@ impl Epoll {
     /// `out`. A `timeout` of `None` waits indefinitely. Returns the
     /// number of events delivered; `EINTR` is treated as zero events,
     /// not an error.
-    pub fn wait(
+    pub(crate) fn wait(
         &self,
         out: &mut Vec<Event>,
         timeout: Option<std::time::Duration>,
@@ -237,14 +237,14 @@ impl Drop for Epoll {
 /// `socketpair` — `std` exposes one via [`UnixStream::pair`], which
 /// keeps the whole mechanism inside the standard library.
 #[derive(Debug)]
-pub struct Waker {
+pub(crate) struct Waker {
     reader: UnixStream,
     writer: UnixStream,
 }
 
 impl Waker {
     /// Create the pair, both ends nonblocking.
-    pub fn new() -> io::Result<Self> {
+    pub(crate) fn new() -> io::Result<Self> {
         let (reader, writer) = UnixStream::pair()?;
         reader.set_nonblocking(true)?;
         writer.set_nonblocking(true)?;
@@ -252,21 +252,21 @@ impl Waker {
     }
 
     /// The fd the reactor registers for readability.
-    pub fn reader_fd(&self) -> RawFd {
+    pub(crate) fn reader_fd(&self) -> RawFd {
         use std::os::unix::io::AsRawFd;
         self.reader.as_raw_fd()
     }
 
     /// Nudge the reactor. A full pipe means a wake is already
     /// pending, which is all a wake means — not an error.
-    pub fn wake(&self) {
+    pub(crate) fn wake(&self) {
         use std::io::Write;
         let _ = (&self.writer).write(&[1u8]);
     }
 
     /// Swallow pending wake bytes (the wake's meaning is "look at
     /// your queues", not a count).
-    pub fn drain(&self) {
+    pub(crate) fn drain(&self) {
         use std::io::Read;
         let mut sink = [0u8; 64];
         while matches!((&self.reader).read(&mut sink), Ok(n) if n > 0) {}
@@ -277,7 +277,7 @@ impl Waker {
 /// map. Slots are reused, tokens are not — each reuse bumps the
 /// slot's generation, and a lookup with a stale token misses.
 #[derive(Debug)]
-pub struct Slab<T> {
+pub(crate) struct Slab<T> {
     entries: Vec<Entry<T>>,
     free: Vec<u32>,
     len: usize,
@@ -291,7 +291,7 @@ struct Entry<T> {
 
 /// A slab token: slot index in the low 32 bits, generation above.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Token(pub u64);
+pub(crate) struct Token(pub u64);
 
 impl<T> Default for Slab<T> {
     fn default() -> Self {
@@ -305,22 +305,22 @@ impl<T> Default for Slab<T> {
 
 impl<T> Slab<T> {
     /// An empty slab.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Live entries.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
     }
 
     /// Whether no entries are live.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len == 0
     }
 
     /// Insert, returning the slot's token.
-    pub fn insert(&mut self, value: T) -> Token {
+    pub(crate) fn insert(&mut self, value: T) -> Token {
         self.len += 1;
         if let Some(idx) = self.free.pop() {
             let entry = &mut self.entries[idx as usize];
@@ -343,13 +343,13 @@ impl<T> Slab<T> {
     }
 
     /// Look up a live entry; a stale (removed-and-reused) token misses.
-    pub fn get_mut(&mut self, token: Token) -> Option<&mut T> {
+    pub(crate) fn get_mut(&mut self, token: Token) -> Option<&mut T> {
         let idx = self.slot(token)?;
         self.entries[idx].value.as_mut()
     }
 
     /// Remove and return the entry, retiring the token forever.
-    pub fn remove(&mut self, token: Token) -> Option<T> {
+    pub(crate) fn remove(&mut self, token: Token) -> Option<T> {
         let idx = self.slot(token)?;
         let entry = &mut self.entries[idx];
         let value = entry.value.take();
@@ -360,7 +360,7 @@ impl<T> Slab<T> {
     }
 
     /// Tokens of every live entry (drain/shutdown sweeps).
-    pub fn tokens(&self) -> Vec<Token> {
+    pub(crate) fn tokens(&self) -> Vec<Token> {
         self.entries
             .iter()
             .enumerate()

@@ -87,8 +87,8 @@ use crate::proto::Response;
 use crate::reactor::{Epoll, Interest, Slab, Token, Waker};
 
 mod config;
-use config::StatsCells;
-pub use config::{NetServerConfig, NetStats};
+pub use config::NetServerConfig;
+use config::{NetStats, StatsCells};
 
 /// A running TCP server in front of one shared service.
 #[derive(Debug)]

@@ -3,7 +3,7 @@
 //! server enforces, and a client whose budget is already gone fails
 //! typed without touching the wire.
 
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ctxpref_core::MultiUserDb;
@@ -12,15 +12,7 @@ use ctxpref_net::{
     NetClient, NetClientConfig, NetError, NetServer, NetServerConfig, Priority, Request, Response,
 };
 use ctxpref_service::{CtxPrefService, ServiceConfig};
-use ctxpref_wal::{tiny_env, tiny_relation};
-
-/// Fault plans are process-global: serialize tests that install one.
-fn fault_lock() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(Mutex::default)
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-}
+use ctxpref_workload::reference::{tiny_env, tiny_relation};
 
 fn query_request(deadline_ms: u64) -> Request {
     Request::Query {
@@ -34,7 +26,7 @@ fn query_request(deadline_ms: u64) -> Request {
 
 #[test]
 fn server_enforces_the_enveloped_budget_not_the_payload_deadline() {
-    let _serial = fault_lock();
+    let _serial = ctxpref_faults::exclusive();
     let db = MultiUserDb::new(tiny_env(), tiny_relation(), 4);
     let service = Arc::new(CtxPrefService::new(
         db,
@@ -107,6 +99,7 @@ fn server_enforces_the_enveloped_budget_not_the_payload_deadline() {
 
 #[test]
 fn exhausted_budget_fails_typed_without_a_wire_attempt() {
+    let _serial = ctxpref_faults::exclusive();
     let db = MultiUserDb::new(tiny_env(), tiny_relation(), 4);
     let service = Arc::new(CtxPrefService::new(db, ServiceConfig::default()));
     let server =

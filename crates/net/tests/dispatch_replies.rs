@@ -9,8 +9,6 @@
 //! variant does not compile until it is given an arm number, and
 //! `every_arm_is_probed` fails until the script sends it.
 
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use ctxpref_core::MultiUserDb;
@@ -19,6 +17,7 @@ use ctxpref_net::{
     RemoteAnswer, Request, Response,
 };
 use ctxpref_service::{CtxPrefService, DurabilityConfig, ServiceConfig};
+use ctxpref_testkit::TempDir;
 use ctxpref_workload::reference::{poi_env, poi_relation};
 
 /// Dispatch arms: every `Request` variant but `MigrateUser`, plus one
@@ -417,29 +416,6 @@ fn script(durable: bool) -> Vec<(Request, Expect)> {
     ]
 }
 
-/// A fresh directory under the system temp dir; removed on drop.
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new() -> Self {
-        static N: AtomicU64 = AtomicU64::new(0);
-        let dir = std::env::temp_dir().join(format!(
-            "ctxpref-net-dispatch-{}-{}",
-            std::process::id(),
-            N.fetch_add(1, Ordering::Relaxed)
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        Self(dir)
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
-
 fn masked(resp: Response) -> Response {
     match resp {
         Response::Answer(mut a) => {
@@ -507,11 +483,11 @@ fn plain_service_replies() {
 
 #[test]
 fn durable_service_replies() {
-    let tmp = TempDir::new();
+    let tmp = TempDir::new("net-dispatch");
     let dcfg = DurabilityConfig {
         checkpoint_interval: None,
         scrub_interval: None,
-        ..DurabilityConfig::new(&tmp.0)
+        ..DurabilityConfig::new(tmp.path())
     };
     let service = CtxPrefService::new_durable(db(), cfg(), dcfg).expect("durable service");
     run(service, true);

@@ -6,7 +6,7 @@
 //! worker is stalled; and shutdown waits for every request it queued,
 //! so no worker ends up holding the last handle on the service.
 
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ctxpref_core::MultiUserDb;
@@ -16,15 +16,7 @@ use ctxpref_net::{
     NetClient, NetClientConfig, NetError, NetServer, NetServerConfig, Request, Response,
 };
 use ctxpref_service::{CtxPrefService, ServiceConfig};
-use ctxpref_wal::{tiny_env, tiny_relation};
-
-/// Fault plans are process-global: serialize every test here, since
-/// a stall installed by one would slow the others.
-static PLAN_LOCK: Mutex<()> = Mutex::new(());
-
-fn plan_lock() -> MutexGuard<'static, ()> {
-    PLAN_LOCK.lock().unwrap_or_else(|p| p.into_inner())
-}
+use ctxpref_workload::reference::{tiny_env, tiny_relation};
 
 fn service(workers: usize, max_in_flight: usize) -> Arc<CtxPrefService> {
     let db = MultiUserDb::new(tiny_env(), tiny_relation(), 4);
@@ -77,7 +69,7 @@ fn wait_for_hit(plan: &FaultPlan, site: &str) {
 
 #[test]
 fn a_read_inside_a_batch_runs_inline_on_the_only_worker() {
-    let _serial = plan_lock();
+    let _serial = ctxpref_faults::exclusive();
     let server = NetServer::bind("127.0.0.1:0", service(1, 64), NetServerConfig::default())
         .expect("bind loopback");
     let mut client = client(&server, 3);
@@ -111,7 +103,7 @@ fn a_read_inside_a_batch_runs_inline_on_the_only_worker() {
 
 #[test]
 fn a_read_is_shed_on_the_reactor_while_the_only_worker_is_stalled() {
-    let _serial = plan_lock();
+    let _serial = ctxpref_faults::exclusive();
     let service = service(1, 1);
     let server = NetServer::bind(
         "127.0.0.1:0",
@@ -155,7 +147,7 @@ fn a_read_is_shed_on_the_reactor_while_the_only_worker_is_stalled() {
 
 #[test]
 fn shutdown_waits_for_every_request_it_queued() {
-    let _serial = plan_lock();
+    let _serial = ctxpref_faults::exclusive();
     let service = service(2, 64);
     let server = NetServer::bind(
         "127.0.0.1:0",

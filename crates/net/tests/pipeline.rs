@@ -10,7 +10,7 @@
 
 use std::io::Write;
 use std::net::TcpStream;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ctxpref_core::MultiUserDb;
@@ -25,14 +25,6 @@ use ctxpref_net::{
 use ctxpref_service::{CtxPrefService, ServiceConfig};
 use ctxpref_workload::reference::{poi_env, poi_relation};
 
-/// Fault plans are process-global; serialize the tests that install
-/// one so hit ordinals stay deterministic.
-static PLAN_LOCK: Mutex<()> = Mutex::new(());
-
-fn plan_lock() -> MutexGuard<'static, ()> {
-    PLAN_LOCK.lock().unwrap_or_else(|p| p.into_inner())
-}
-
 fn spawn_server() -> NetServer {
     let env = poi_env();
     let db = MultiUserDb::new(env.clone(), poi_relation(&env, 3, 1), 4);
@@ -42,7 +34,7 @@ fn spawn_server() -> NetServer {
 
 #[test]
 fn wire_responses_arrive_out_of_order_and_carry_their_ids() {
-    let _guard = plan_lock();
+    let _guard = ctxpref_faults::exclusive();
     let server = spawn_server();
 
     // Stall exactly the first dispatched job: its response must then
@@ -96,7 +88,7 @@ fn wire_responses_arrive_out_of_order_and_carry_their_ids() {
 
 #[test]
 fn pipeline_client_reorders_responses_back_to_request_order() {
-    let _guard = plan_lock();
+    let _guard = ctxpref_faults::exclusive();
     let server = spawn_server();
     let mut client =
         NetClient::connect(server.local_addr().to_string(), NetClientConfig::default());
@@ -146,7 +138,7 @@ fn pipeline_client_reorders_responses_back_to_request_order() {
 
 #[test]
 fn batched_mutations_travel_as_one_frame_and_answer_per_item() {
-    let _guard = plan_lock();
+    let _guard = ctxpref_faults::exclusive();
     let server = spawn_server();
     let mut client =
         NetClient::connect(server.local_addr().to_string(), NetClientConfig::default());
@@ -201,7 +193,7 @@ fn batched_mutations_travel_as_one_frame_and_answer_per_item() {
 
 #[test]
 fn nested_batches_are_refused_typed() {
-    let _guard = plan_lock();
+    let _guard = ctxpref_faults::exclusive();
     let server = spawn_server();
     let mut client =
         NetClient::connect(server.local_addr().to_string(), NetClientConfig::default());
@@ -226,7 +218,7 @@ fn unservable_streams_are_refused_under_id_zero_and_the_connection_closed() {
     // is torn gets exactly one typed answer under the reserved
     // connection id, then EOF; the server never tries to serve it,
     // and nobody else is disturbed.
-    let _guard = plan_lock();
+    let _guard = ctxpref_faults::exclusive();
     let server = spawn_server();
     let foreign = encode_frame(b"ctxpref1 ping").expect("frame");
     let mut torn = encode_frame(&encode_request(1, &Request::Ping)).expect("frame");
@@ -293,7 +285,7 @@ fn refusal(stream: &mut TcpStream) -> (u64, String, String) {
 
 #[test]
 fn a_v3_peer_is_refused_typed_never_misparsed() {
-    let _guard = plan_lock();
+    let _guard = ctxpref_faults::exclusive();
     let server = spawn_server();
     let dial = || {
         let stream = TcpStream::connect(server.local_addr()).expect("dial");

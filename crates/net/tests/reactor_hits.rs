@@ -12,10 +12,8 @@
 
 use std::io::{ErrorKind, Write};
 use std::net::TcpStream;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -27,19 +25,12 @@ use ctxpref_net::{
     RemoteAnswer, Request, Response,
 };
 use ctxpref_service::{CtxPrefService, DurabilityConfig, ReplicatedConfig, ServiceConfig};
+use ctxpref_testkit::TempDir;
 use ctxpref_workload::reference::{poi_env, poi_relation};
 
 const DEADLINE: Duration = Duration::from_secs(2);
 const STATE: [&str; 3] = ["Plaka", "warm", "friends"];
 const K: usize = 3;
-
-/// Fault plans are process-global, and under one the reactor answers
-/// nothing itself: serialize every test here.
-static PLAN_LOCK: Mutex<()> = Mutex::new(());
-
-fn plan_lock() -> MutexGuard<'static, ()> {
-    PLAN_LOCK.lock().unwrap_or_else(|p| p.into_inner())
-}
 
 fn poi_db() -> MultiUserDb {
     let env = poi_env();
@@ -99,7 +90,7 @@ fn warm_view(client: &mut NetClient, user: &str) {
 
 #[test]
 fn a_view_hit_needs_no_worker_and_a_busy_shard_waits_for_one() {
-    let _serial = plan_lock();
+    let _serial = ctxpref_faults::exclusive();
     let (service, server) = server(1, NetServerConfig::default());
     let mut c = client(&server);
     let (held, free) = two_shards(&service);
@@ -159,7 +150,7 @@ fn a_view_hit_needs_no_worker_and_a_busy_shard_waits_for_one() {
 
 #[test]
 fn under_a_fault_plan_a_hit_passes_the_worker_fault_sites() {
-    let _serial = plan_lock();
+    let _serial = ctxpref_faults::exclusive();
     let (service, server) = server(2, NetServerConfig::default());
     let mut c = client(&server);
     seed(&mut c, "viewer");
@@ -298,7 +289,7 @@ impl Pending {
 
 #[test]
 fn a_direct_rescore_on_a_free_stripe_needs_no_worker_and_a_held_one_waits() {
-    let _serial = plan_lock();
+    let _serial = ctxpref_faults::exclusive();
     let (service, server) = server(1, NetServerConfig::default());
     let mut c = client(&server);
     let (held, free) = two_shards(&service);
@@ -325,7 +316,7 @@ fn a_direct_rescore_on_a_free_stripe_needs_no_worker_and_a_held_one_waits() {
 
 #[test]
 fn under_a_fault_plan_a_write_passes_the_worker_fault_sites() {
-    let _serial = plan_lock();
+    let _serial = ctxpref_faults::exclusive();
     let (service, server) = server(1, NetServerConfig::default());
     let mut c = client(&server);
     let (held, free) = two_shards(&service);
@@ -343,29 +334,6 @@ fn under_a_fault_plan_a_write_passes_the_worker_fault_sites() {
     assert_eq!(plan.hit_count(NET_CONN_DELAY) - before, 2);
     drop(c);
     server.shutdown();
-}
-
-/// A fresh directory under the system temp dir; removed on drop.
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(tag: &str) -> Self {
-        static N: AtomicU64 = AtomicU64::new(0);
-        let n = N.fetch_add(1, Ordering::Relaxed);
-        let dir = std::env::temp_dir().join(format!(
-            "ctxpref-net-reactor-{}-{tag}-{n}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        Self(dir)
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
 }
 
 /// Seed `held` and `free` on `service`, park its only worker, and
@@ -387,9 +355,9 @@ fn a_rescore_waits_for_the_worker(service: CtxPrefService) {
 
 #[test]
 fn a_logged_write_runs_on_a_worker() {
-    let _serial = plan_lock();
+    let _serial = ctxpref_faults::exclusive();
     let tmp = TempDir::new("logged");
-    let dcfg = DurabilityConfig::new(&tmp.0)
+    let dcfg = DurabilityConfig::new(tmp.path())
         .group_commit(Duration::from_secs(3600))
         .scrub_every(None);
     let service = CtxPrefService::new_durable(poi_db(), service_cfg(1), dcfg).expect("durable");
@@ -398,9 +366,9 @@ fn a_logged_write_runs_on_a_worker() {
 
 #[test]
 fn a_replicated_write_runs_on_a_worker() {
-    let _serial = plan_lock();
+    let _serial = ctxpref_faults::exclusive();
     let tmp = TempDir::new("replicated");
-    let rcfg = ReplicatedConfig::new(&tmp.0, 3)
+    let rcfg = ReplicatedConfig::new(tmp.path(), 3)
         .group_commit(Duration::from_secs(3600))
         .scrub_every(None);
     let service =
@@ -410,7 +378,7 @@ fn a_replicated_write_runs_on_a_worker() {
 
 #[test]
 fn a_user_removal_and_a_batch_run_on_a_worker() {
-    let _serial = plan_lock();
+    let _serial = ctxpref_faults::exclusive();
     let (service, server) = server(1, NetServerConfig::default());
     let mut c = client(&server);
     let (held, free) = two_shards(&service);
@@ -484,7 +452,7 @@ fn flood_server() -> (Arc<CtxPrefService>, NetServer) {
 
 #[test]
 fn a_peer_flooding_bad_bodies_without_reading_is_stopped_by_tcp() {
-    let _serial = plan_lock();
+    let _serial = ctxpref_faults::exclusive();
     let (_service, server) = flood_server();
     // A well-formed header, a body with trailing bytes: the reactor
     // answers each one itself, typed, under its id.
@@ -498,7 +466,7 @@ fn a_peer_flooding_bad_bodies_without_reading_is_stopped_by_tcp() {
 
 #[test]
 fn a_peer_flooding_view_hits_without_reading_is_stopped_by_tcp() {
-    let _serial = plan_lock();
+    let _serial = ctxpref_faults::exclusive();
     let (_service, server) = flood_server();
     let mut c = client(&server);
     seed(&mut c, "viewer");

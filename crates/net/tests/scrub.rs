@@ -4,37 +4,14 @@
 //! service refuses both with the typed `not-durable` error.
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use ctxpref_core::MultiUserDb;
 use ctxpref_net::{NetClient, NetClientConfig, NetError, NetServer, NetServerConfig, Response};
 use ctxpref_service::{CtxPrefService, DurabilityConfig, ScrubStatus, ServiceConfig, SyncPolicy};
+use ctxpref_testkit::TempDir;
 use ctxpref_workload::reference::{poi_env, poi_relation};
-
-/// A fresh directory under the system temp dir; removed on drop.
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(tag: &str) -> Self {
-        static N: AtomicU64 = AtomicU64::new(0);
-        let n = N.fetch_add(1, Ordering::Relaxed);
-        let dir = std::env::temp_dir().join(format!(
-            "ctxpref-net-scrub-{}-{tag}-{n}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        Self(dir)
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
 
 fn study_db() -> MultiUserDb {
     let env = poi_env();
@@ -82,7 +59,7 @@ fn remote_scrub_quarantines_heals_and_counts() {
         segment_max_bytes: 256,
         checkpoint_interval: None,
         scrub_interval: None,
-        ..DurabilityConfig::new(&tmp.0)
+        ..DurabilityConfig::new(tmp.path())
     };
     let service = CtxPrefService::new_durable(study_db(), small_cfg(), dcfg).unwrap();
     let server = NetServer::bind("127.0.0.1:0", Arc::new(service), NetServerConfig::default())
@@ -122,7 +99,7 @@ fn remote_scrub_quarantines_heals_and_counts() {
 
     // Rot one sealed segment at rest; the next remote pass quarantines
     // and heals it, and the counters flow through scrub-status.
-    let victim = a_sealed_segment(&tmp.0);
+    let victim = a_sealed_segment(tmp.path());
     let mut bytes = std::fs::read(&victim).unwrap();
     bytes[30] ^= 0x40;
     std::fs::write(&victim, bytes).unwrap();

@@ -433,21 +433,10 @@ fn check_seed(seed: u64, tally: &mut Tally) -> Result<(), String> {
     Ok(())
 }
 
-/// `CTXPREF_FUZZ_SEEDS=a..b` overrides the default `0..8`.
-fn seed_range() -> std::ops::Range<u64> {
-    let Ok(spec) = std::env::var("CTXPREF_FUZZ_SEEDS") else {
-        return 0..8;
-    };
-    let parse = |s: &str| s.trim().parse::<u64>().ok();
-    match spec.split_once("..").map(|(a, b)| (parse(a), parse(b))) {
-        Some((Some(a), Some(b))) if a < b => a..b,
-        _ => panic!("CTXPREF_FUZZ_SEEDS must look like '0..32', got {spec:?}"),
-    }
-}
-
 #[test]
 fn every_wire_answer_matches_a_contextual_db_replay() {
-    let seeds = seed_range();
+    let _serial = ctxpref_faults::exclusive();
+    let seeds = ctxpref_testkit::seeds(0..8);
     let mut tally = Tally::default();
     for seed in seeds.clone() {
         if let Err(violation) = check_seed(seed, &mut tally) {

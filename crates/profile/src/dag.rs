@@ -8,9 +8,10 @@
 //! one physical subtree, and identical leaf entry-sets are stored once.
 //!
 //! Compression is a read-only snapshot: build a [`crate::ProfileTree`],
-//! then [`crate::ProfileTree::compress`] it. Lookups (`exact_lookup`,
-//! `search_cs`) behave identically and use the same cell-access
-//! accounting, so the compressed index slots into every experiment as
+//! then [`crate::ProfileTree::compress`] it. The snapshot *is* a
+//! `ProfileTree` whose arena shares children, so lookups (`exact_lookup`,
+//! `search_cs`) run the tree's own code with the same cell-access
+//! accounting, and the compressed index slots into every experiment as
 //! an ablation (`repro -- dag`).
 
 use std::collections::HashMap;
@@ -19,30 +20,13 @@ use ctxpref_context::{ContextEnvironment, ContextState, CtxValue, DistanceKind};
 
 use crate::access::AccessCounter;
 use crate::ordering::ParamOrder;
-use crate::tree::{Candidate, LeafEntry, LeafId, ProfileTree, TreeStats};
-
-#[derive(Debug, Clone, Copy)]
-struct Cell {
-    key: CtxValue,
-    child: u32,
-}
-
-#[derive(Debug, Clone, Default)]
-struct Node {
-    cells: Vec<Cell>,
-}
+use crate::tree::{Candidate, Cell, LeafEntry, LeafId, Node, ProfileTree, TreeStats};
 
 /// A hash-consed, immutable profile tree: same contents and lookup
 /// behaviour as the [`ProfileTree`] it was compressed from, with
 /// structurally identical subtrees and leaves shared.
 #[derive(Debug, Clone)]
-pub struct CompressedProfileTree {
-    env: ContextEnvironment,
-    order: ParamOrder,
-    nodes: Vec<Node>,
-    leaves: Vec<Vec<LeafEntry>>,
-    root: u32,
-}
+pub struct CompressedProfileTree(ProfileTree);
 
 /// Hashable fingerprint of a leaf: sorted `(clause debug, score bits)`.
 fn leaf_key(entries: &[LeafEntry]) -> Vec<(String, u64)> {
@@ -57,31 +41,41 @@ fn leaf_key(entries: &[LeafEntry]) -> Vec<(String, u64)> {
 impl ProfileTree {
     /// Compress into a shared-subtree DAG (read-only snapshot).
     pub fn compress(&self) -> CompressedProfileTree {
+        // Slot 0 is the root's, as in every `ProfileTree`.
         let mut builder = DagBuilder {
-            nodes: Vec::new(),
+            nodes: vec![Node::default()],
             leaves: Vec::new(),
             node_index: HashMap::new(),
             leaf_index: HashMap::new(),
         };
-        // Recurse over the source tree via its public path enumeration:
-        // rebuild a nested representation first.
         let depth = self.order().len();
         let mut paths = self.paths();
         // Sort for deterministic construction.
         paths.sort_by(|a, b| a.0.cmp(&b.0));
-        let root = builder.build_level(self, &paths, 0, depth);
-        CompressedProfileTree {
-            env: self.env().clone(),
-            order: self.order().clone(),
-            nodes: builder.nodes,
-            leaves: builder.leaves,
-            root,
-        }
+        builder.nodes[0] = node(&builder.cells(self, &paths, 0, depth));
+        CompressedProfileTree(ProfileTree::from_arena(
+            self.env().clone(),
+            self.order().clone(),
+            builder.nodes,
+            builder.leaves,
+        ))
     }
 }
 
 /// Paths grouped under one key at one level.
 type PathGroup<'a> = Vec<(ContextState, &'a [LeafEntry])>;
+
+fn node(cells: &[(u32, u32)]) -> Node {
+    Node {
+        cells: cells
+            .iter()
+            .map(|&(k, c)| Cell {
+                key: ctxpref_hierarchy::ValueId(k),
+                child: c,
+            })
+            .collect(),
+    }
+}
 
 struct DagBuilder {
     nodes: Vec<Node>,
@@ -91,15 +85,15 @@ struct DagBuilder {
 }
 
 impl DagBuilder {
-    /// Build the node covering `paths` (all sharing a key prefix of
-    /// length `level` in tree order), returning its id.
-    fn build_level(
+    /// The sorted `(key, child)` cells of the node covering `paths`
+    /// (all sharing a key prefix of length `level` in tree order).
+    fn cells(
         &mut self,
         tree: &ProfileTree,
         paths: &[(ContextState, &[LeafEntry])],
         level: usize,
         depth: usize,
-    ) -> u32 {
+    ) -> Vec<(u32, u32)> {
         // Group paths by their key at this level (tree order).
         let param = tree.order().param_at(level);
         let mut groups: Vec<(CtxValue, PathGroup)> = Vec::new();
@@ -115,12 +109,13 @@ impl DagBuilder {
             let child = if level + 1 == depth {
                 self.intern_leaf(group[0].1)
             } else {
-                self.build_level(tree, &group, level + 1, depth)
+                let below = self.cells(tree, &group, level + 1, depth);
+                self.intern_node(below)
             };
             cells.push((key.0, child));
         }
         cells.sort();
-        self.intern_node(cells)
+        cells
     }
 
     fn intern_leaf(&mut self, entries: &[LeafEntry]) -> u32 {
@@ -139,15 +134,7 @@ impl DagBuilder {
             return id;
         }
         let id = self.nodes.len() as u32;
-        self.nodes.push(Node {
-            cells: cells
-                .iter()
-                .map(|&(k, c)| Cell {
-                    key: ctxpref_hierarchy::ValueId(k),
-                    child: c,
-                })
-                .collect(),
-        });
+        self.nodes.push(node(&cells));
         self.node_index.insert(cells, id);
         id
     }
@@ -156,21 +143,17 @@ impl DagBuilder {
 impl CompressedProfileTree {
     /// The context environment the DAG indexes.
     pub fn env(&self) -> &ContextEnvironment {
-        &self.env
+        self.0.env()
     }
 
     /// The parameter-to-level assignment (same as the source tree).
     pub fn order(&self) -> &ParamOrder {
-        &self.order
-    }
-
-    fn depth(&self) -> usize {
-        self.order.len()
+        self.0.order()
     }
 
     /// The entries of a (shared) leaf.
     pub fn leaf(&self, id: LeafId) -> &[LeafEntry] {
-        &self.leaves[id.index()]
+        self.0.leaf(id)
     }
 
     /// Exact-match lookup, identical contract to
@@ -180,29 +163,7 @@ impl CompressedProfileTree {
         state: &ContextState,
         counter: &mut AccessCounter,
     ) -> Option<(LeafId, &[LeafEntry])> {
-        let mut node = self.root as usize;
-        for level in 0..self.depth() {
-            let key = state.value(self.order.param_at(level));
-            let cells = &self.nodes[node].cells;
-            let mut found = None;
-            for (i, c) in cells.iter().enumerate() {
-                if c.key == key {
-                    counter.add(i as u64 + 1);
-                    found = Some(c.child);
-                    break;
-                }
-            }
-            let Some(child) = found else {
-                counter.add(cells.len() as u64);
-                return None;
-            };
-            if level + 1 == self.depth() {
-                let leaf = LeafId(child);
-                return Some((leaf, &self.leaves[leaf.index()]));
-            }
-            node = child as usize;
-        }
-        unreachable!("depth ≥ 1 by construction")
+        self.0.exact_lookup(state, counter)
     }
 
     /// `Search_CS` over the DAG, identical contract to
@@ -213,80 +174,19 @@ impl CompressedProfileTree {
         kind: DistanceKind,
         counter: &mut AccessCounter,
     ) -> Vec<Candidate> {
-        let mut out = Vec::new();
-        let mut path: Vec<CtxValue> = Vec::with_capacity(self.depth());
-        self.search_rec(
-            self.root as usize,
-            0.0,
-            state,
-            kind,
-            counter,
-            &mut path,
-            &mut out,
-        );
-        out
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn search_rec(
-        &self,
-        node: usize,
-        dist: f64,
-        state: &ContextState,
-        kind: DistanceKind,
-        counter: &mut AccessCounter,
-        path: &mut Vec<CtxValue>,
-        out: &mut Vec<Candidate>,
-    ) {
-        let level = path.len();
-        let param = self.order.param_at(level);
-        let h = self.env.hierarchy(param);
-        let target = state.value(param);
-        let bottom = level + 1 == self.depth();
-        let cells = &self.nodes[node].cells;
-        counter.add(cells.len() as u64);
-        for cell in cells {
-            if !h.is_ancestor_or_self(cell.key, target) {
-                continue;
-            }
-            let d = dist + kind.value_dist(&self.env, param, cell.key, target);
-            path.push(cell.key);
-            if bottom {
-                out.push(Candidate {
-                    state: self.state_from_path(path),
-                    distance: d,
-                    leaf: LeafId(cell.child),
-                });
-            } else {
-                self.search_rec(cell.child as usize, d, state, kind, counter, path, out);
-            }
-            path.pop();
-        }
-    }
-
-    fn state_from_path(&self, path: &[CtxValue]) -> ContextState {
-        let mut values = vec![ctxpref_hierarchy::ValueId(0); self.depth()];
-        for (level, &v) in path.iter().enumerate() {
-            values[self.order.param_at(level).index()] = v;
-        }
-        ContextState::from_values_unchecked(values)
+        self.0.search_cs(state, kind, counter)
     }
 
     /// Size statistics under the same byte model as [`TreeStats`].
     /// Shared nodes/leaves are counted once — that is the point.
     pub fn stats(&self) -> TreeStats {
-        TreeStats {
-            internal_nodes: self.nodes.len(),
-            internal_cells: self.nodes.iter().map(|n| n.cells.len()).sum(),
-            leaf_nodes: self.leaves.len(),
-            leaf_entries: self.leaves.iter().map(Vec::len).sum(),
-        }
+        self.0.stats()
     }
 
     /// Number of *distinct physical* leaves (≤ the source tree's state
     /// count).
     pub fn unique_leaf_count(&self) -> usize {
-        self.leaves.len()
+        self.0.state_count()
     }
 }
 

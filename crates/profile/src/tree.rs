@@ -33,16 +33,16 @@ pub struct LeafEntry {
 
 /// A `[key, pointer]` cell of an internal node.
 #[derive(Debug, Clone, Copy)]
-struct Cell {
-    key: CtxValue,
+pub(crate) struct Cell {
+    pub(crate) key: CtxValue,
     /// Index into `nodes` for non-bottom levels, into `leaves` for the
     /// bottom parameter level.
-    child: u32,
+    pub(crate) child: u32,
 }
 
 #[derive(Debug, Clone, Default)]
-struct Node {
-    cells: Vec<Cell>,
+pub(crate) struct Node {
+    pub(crate) cells: Vec<Cell>,
 }
 
 /// A candidate path produced by `Search_CS` (Algorithm 1): a stored
@@ -144,6 +144,26 @@ impl ProfileTree {
             free_nodes: Vec::new(),
             free_leaves: Vec::new(),
         })
+    }
+
+    /// A tree over a prebuilt arena: the root at slot 0, children
+    /// possibly shared between parents, every contributor count one and
+    /// no free slots. The DAG compression builds its snapshot this way.
+    pub(crate) fn from_arena(
+        env: ContextEnvironment,
+        order: ParamOrder,
+        nodes: Vec<Node>,
+        leaves: Vec<Vec<LeafEntry>>,
+    ) -> Self {
+        Self {
+            env,
+            order,
+            nodes,
+            leaves,
+            shared: HashMap::new(),
+            free_nodes: Vec::new(),
+            free_leaves: Vec::new(),
+        }
     }
 
     /// Build a tree from a whole profile, with the contributor counts

@@ -11,24 +11,24 @@
 //!
 //! The layers, bottom to top:
 //!
-//! * [`message`] — the wire vocabulary: epoch-stamped [`Envelope`]s
+//! * `message` — the wire vocabulary: epoch-stamped [`Envelope`]s
 //!   carrying record batches, snapshots, heartbeats, digests, and
 //!   resyncs; [`Reply`] closes the loop with cursor progress.
-//! * [`epoch`] — the fencing term, persisted per node like the
+//! * `epoch` — the fencing term, persisted per node like the
 //!   checkpoint manifest, so deposed primaries stay deposed across
 //!   crashes.
-//! * [`node`] — [`ReplNode`]: one participant; symmetric `handle`
+//! * `node` — [`ReplNode`]: one participant; symmetric `handle`
 //!   services shipping, catch-up pulls, and anti-entropy alike, with
 //!   the epoch fence applied before anything else.
-//! * [`digest`] — canonical per-shard FNV digests for anti-entropy.
-//! * [`migrate`] — the per-user snapshot + catch-up primitives that
+//! * `digest` — canonical per-shard FNV digests for anti-entropy.
+//! * `migrate` — the per-user snapshot + catch-up primitives that
 //!   the routing tier composes into live migration between clusters.
 //! * `transport` — in-process delivery between nodes, threaded through
 //!   the `repl.*` fault sites so a seeded
 //!   [`FaultPlan`](ctxpref_faults::FaultPlan) can partition, drop,
 //!   delay, and duplicate deterministically. Every node of a cluster
 //!   lives in one address space; there is no socket transport.
-//! * [`cluster`] — [`Cluster`]: membership, cursors, quorum writes,
+//! * `cluster` — [`Cluster`]: membership, cursors, quorum writes,
 //!   heartbeat failure detection, majority-guarded promotion with
 //!   pre-serve catch-up, and digest-driven anti-entropy; its config
 //!   and reporting types ([`ClusterConfig`], [`ClusterStatus`], …)
@@ -39,13 +39,13 @@
 //! partitions and primary kills, promotions carry strictly ascending
 //! epochs, and healed clusters converge to byte-equal digests.
 
-pub mod cluster;
-pub mod digest;
-pub mod epoch;
-pub mod error;
-pub mod message;
-pub mod migrate;
-pub mod node;
+mod cluster;
+mod digest;
+mod epoch;
+mod error;
+mod message;
+mod migrate;
+mod node;
 mod status;
 mod transport;
 

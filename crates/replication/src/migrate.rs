@@ -121,7 +121,8 @@ pub fn user_digest(env: &ContextEnvironment, rel: &Relation, user: &str, profile
 mod tests {
     use super::*;
     use ctxpref_core::ShardedMultiUserDb;
-    use ctxpref_wal::{tiny_env, tiny_relation, WalOptions};
+    use ctxpref_wal::WalOptions;
+    use ctxpref_workload::reference::{tiny_env, tiny_relation};
     use std::sync::Arc;
 
     fn tmp() -> std::path::PathBuf {

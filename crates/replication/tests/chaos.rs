@@ -24,55 +24,22 @@
 //! Override the matrix with `CTXPREF_FUZZ_SEEDS=start..end` (e.g.
 //! `CTXPREF_FUZZ_SEEDS=7..8` to replay one seed).
 
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 use ctxpref_context::ContextDescriptor;
-use ctxpref_core::{MultiUserDb, ShardedMultiUserDb};
+use ctxpref_core::ShardedMultiUserDb;
 use ctxpref_faults::sites::{
     REPL_HEARTBEAT_DROP, REPL_PARTITION, REPL_SEND_DELAY, REPL_SEND_DROP, REPL_SEND_DUPLICATE,
 };
 use ctxpref_faults::FaultPlan;
 use ctxpref_profile::{AttributeClause, ContextualPreference};
 use ctxpref_replication::{node_digests, AckMode, Cluster, ClusterConfig, ReplicationError};
-use ctxpref_storage::pref_tokens;
-use ctxpref_wal::{tiny_env, tiny_relation, SyncPolicy, WalOp, WalOptions};
+use ctxpref_testkit::{effect_visible, seeds, Model, TempDir};
+use ctxpref_wal::{SyncPolicy, WalOp, WalOptions};
+use ctxpref_workload::reference::{tiny_env, tiny_relation};
 use rand::{rngs::StdRng, Rng, SeedableRng};
-
-/// Fault plans are process-global, so every test that installs one (or
-/// merely sends through the transport while another test's plan is in)
-/// serializes on this lock.
-fn fault_lock() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(Mutex::default)
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-}
-
-/// A fresh directory under the system temp dir; removed on drop.
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(tag: &str) -> Self {
-        static N: AtomicU64 = AtomicU64::new(0);
-        let n = N.fetch_add(1, Ordering::Relaxed);
-        let dir = std::env::temp_dir().join(format!(
-            "ctxpref-repl-chaos-{}-{tag}-{n}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        Self(dir)
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
 
 const NODES: usize = 3;
 const SHARDS: usize = 4;
@@ -156,24 +123,6 @@ impl MonotoneWorkload {
     }
 }
 
-/// Whether `op`'s effect is visible in `db` (monotone workload only).
-fn effect_visible(db: &MultiUserDb, op: &WalOp) -> bool {
-    match op {
-        WalOp::AddUser { user } => db.profile(user).is_ok(),
-        WalOp::InsertPreference { user, pref } => {
-            let Ok(profile) = db.profile(user) else {
-                return false;
-            };
-            let want = pref_tokens(pref, db.env(), db.relation());
-            profile
-                .preferences()
-                .iter()
-                .any(|p| pref_tokens(p, db.env(), db.relation()) == want)
-        }
-        _ => unreachable!("monotone workload only adds"),
-    }
-}
-
 /// One chaos seed: boot, rampage, heal, assert.
 fn run_chaos_seed(seed: u64) -> Result<(), String> {
     let ctx = |what: &str| format!("seed={seed}: {what}");
@@ -181,7 +130,7 @@ fn run_chaos_seed(seed: u64) -> Result<(), String> {
     let cfg = config_for_seed(seed);
     let quorum = cfg.ack_mode == AckMode::Quorum;
     let cluster =
-        Arc::new(Cluster::new(&tmp.0, cfg, make_core).map_err(|e| ctx(&format!("boot: {e}")))?);
+        Arc::new(Cluster::new(tmp.path(), cfg, make_core).map_err(|e| ctx(&format!("boot: {e}")))?);
 
     // The reader thread races queries against every live node while
     // mutations, partitions, and crashes fly.
@@ -320,9 +269,8 @@ fn run_chaos_seed(seed: u64) -> Result<(), String> {
         let final_db = cluster
             .primary_db()
             .ok_or_else(|| ctx("no primary after settling"))?;
-        let snapshot = final_db.db().snapshot();
         for (i, op) in acked.iter().enumerate() {
-            if !effect_visible(&snapshot, op) {
+            if !effect_visible(final_db.db(), op) {
                 return Err(ctx(&format!(
                     "LOST ACKED WRITE: acked op #{i} {op:?} is missing from the \
                      final primary"
@@ -359,26 +307,16 @@ fn run_chaos_seed(seed: u64) -> Result<(), String> {
     //    failover seeds, first byte-compare the primary against the
     //    model of locally-applied ops.
     if status.promotions.len() == 1 {
-        let model = ShardedMultiUserDb::new(tiny_env(), tiny_relation(), 2, 1);
+        let model = Model::new();
         for op in &applied {
-            op.clone()
-                .apply(&model)
+            model
+                .apply(op)
                 .map_err(|e| ctx(&format!("model apply: {e}")))?;
         }
         let final_db = cluster.primary_db().expect("primary is live");
-        let mut want = Vec::new();
-        let mut got = Vec::new();
-        ctxpref_storage::write_multi_user(&mut want, &model.snapshot())
-            .map_err(|e| ctx(&format!("serialize model: {e}")))?;
-        ctxpref_storage::write_multi_user(&mut got, &final_db.db().snapshot())
-            .map_err(|e| ctx(&format!("serialize primary: {e}")))?;
-        if want != got {
-            return Err(ctx(&format!(
-                "STATE DIVERGENCE without failover: model {} bytes vs primary {} bytes",
-                want.len(),
-                got.len()
-            )));
-        }
+        model
+            .matches(final_db.db())
+            .map_err(|e| ctx(&format!("STATE DIVERGENCE without failover: {e}")))?;
     }
     cluster
         .write(WalOp::AddUser {
@@ -399,22 +337,10 @@ fn run_chaos_seed(seed: u64) -> Result<(), String> {
     Ok(())
 }
 
-/// The matrix: `CTXPREF_FUZZ_SEEDS=a..b` overrides the default 0..32.
-fn seed_range() -> std::ops::Range<u64> {
-    let Ok(spec) = std::env::var("CTXPREF_FUZZ_SEEDS") else {
-        return 0..32;
-    };
-    let parse = |s: &str| s.trim().parse::<u64>().ok();
-    match spec.split_once("..").map(|(a, b)| (parse(a), parse(b))) {
-        Some((Some(a), Some(b))) if a < b => a..b,
-        _ => panic!("CTXPREF_FUZZ_SEEDS must look like '0..32', got {spec:?}"),
-    }
-}
-
 #[test]
 fn replication_chaos_matrix() {
-    let _serial = fault_lock();
-    for seed in seed_range() {
+    let _serial = ctxpref_faults::exclusive();
+    for seed in seeds(0..32) {
         if let Err(violation) = run_chaos_seed(seed) {
             panic!(
                 "REPLICATION VIOLATION (reproduce with CTXPREF_FUZZ_SEEDS={seed}..{}):\n\
@@ -427,11 +353,11 @@ fn replication_chaos_matrix() {
 
 #[test]
 fn quorum_write_requires_a_majority() {
-    let _serial = fault_lock();
+    let _serial = ctxpref_faults::exclusive();
     let tmp = TempDir::new("quorum");
     let mut cfg = ClusterConfig::new(NODES);
     cfg.shards = SHARDS;
-    let cluster = Cluster::new(&tmp.0, cfg, make_core).unwrap();
+    let cluster = Cluster::new(tmp.path(), cfg, make_core).unwrap();
 
     cluster
         .write(WalOp::AddUser {
@@ -484,12 +410,12 @@ fn quorum_write_requires_a_majority() {
 
 #[test]
 fn failover_fences_the_deposed_primary() {
-    let _serial = fault_lock();
+    let _serial = ctxpref_faults::exclusive();
     let tmp = TempDir::new("fence");
     let mut cfg = ClusterConfig::new(NODES);
     cfg.shards = SHARDS;
     cfg.heartbeat_threshold = 2;
-    let cluster = Cluster::new(&tmp.0, cfg, make_core).unwrap();
+    let cluster = Cluster::new(tmp.path(), cfg, make_core).unwrap();
     cluster
         .write(WalOp::AddUser {
             user: "alice".into(),
@@ -567,12 +493,12 @@ fn failover_fences_the_deposed_primary() {
 /// replica and converges through shipping alone — no anti-entropy.
 #[test]
 fn crashed_primary_rejoins_and_converges_by_shipping() {
-    let _serial = fault_lock();
+    let _serial = ctxpref_faults::exclusive();
     let tmp = TempDir::new("rejoin");
     let mut cfg = ClusterConfig::new(NODES);
     cfg.shards = SHARDS;
     cfg.heartbeat_threshold = 2;
-    let cluster = Cluster::new(&tmp.0, cfg, make_core).unwrap();
+    let cluster = Cluster::new(tmp.path(), cfg, make_core).unwrap();
     cluster
         .write(WalOp::AddUser {
             user: "alice".into(),
@@ -617,11 +543,11 @@ fn crashed_primary_rejoins_and_converges_by_shipping() {
 
 #[test]
 fn promotion_refuses_without_a_majority() {
-    let _serial = fault_lock();
+    let _serial = ctxpref_faults::exclusive();
     let tmp = TempDir::new("noquorum");
     let mut cfg = ClusterConfig::new(NODES);
     cfg.shards = SHARDS;
-    let cluster = Cluster::new(&tmp.0, cfg, make_core).unwrap();
+    let cluster = Cluster::new(tmp.path(), cfg, make_core).unwrap();
     cluster.crash_primary();
     cluster.crash_node(1);
     match cluster.promote(2) {
@@ -643,7 +569,7 @@ fn promotion_refuses_without_a_majority() {
 /// recovered position without double-applying records it already had.
 #[test]
 fn replica_crash_mid_catchup_does_not_double_apply() {
-    let _serial = fault_lock();
+    let _serial = ctxpref_faults::exclusive();
     let tmp = TempDir::new("idem");
     let mut cfg = ClusterConfig::new(NODES);
     cfg.shards = SHARDS;
@@ -656,7 +582,7 @@ fn replica_crash_mid_catchup_does_not_double_apply() {
         },
         segment_max_bytes: 512,
     };
-    let cluster = Cluster::new(&tmp.0, cfg, make_core).unwrap();
+    let cluster = Cluster::new(tmp.path(), cfg, make_core).unwrap();
 
     // One user, many inserts: a double-apply would inflate the count.
     cluster
@@ -700,12 +626,12 @@ fn replica_crash_mid_catchup_does_not_double_apply() {
 /// via snapshot install instead of record shipping.
 #[test]
 fn gc_lagged_replica_catches_up_by_snapshot() {
-    let _serial = fault_lock();
+    let _serial = ctxpref_faults::exclusive();
     let tmp = TempDir::new("snapcatch");
     let mut cfg = ClusterConfig::new(NODES);
     cfg.shards = SHARDS;
     cfg.ack_mode = AckMode::Async;
-    let cluster = Cluster::new(&tmp.0, cfg, make_core).unwrap();
+    let cluster = Cluster::new(tmp.path(), cfg, make_core).unwrap();
 
     cluster.crash_node(2);
     let mut workload = MonotoneWorkload::new(7);

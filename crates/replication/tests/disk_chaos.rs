@@ -15,49 +15,18 @@
 //!
 //! Override the matrix with `CTXPREF_FUZZ_SEEDS=a..b` (default 0..32).
 
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::Arc;
 use std::time::Duration;
 
 use ctxpref_context::ContextDescriptor;
-use ctxpref_core::{MultiUserDb, ShardedMultiUserDb};
+use ctxpref_core::ShardedMultiUserDb;
 use ctxpref_faults::{at_rest, sites, FaultPlan};
 use ctxpref_profile::{AttributeClause, ContextualPreference};
 use ctxpref_replication::{node_digests, AckMode, Cluster, ClusterConfig};
-use ctxpref_storage::pref_tokens;
+use ctxpref_testkit::{effect_visible, seeds, TempDir};
 use ctxpref_wal::segment::SEGMENT_HEADER;
-use ctxpref_wal::{tiny_env, tiny_relation, SyncPolicy, WalOp, WalOptions};
-
-/// Fault plans are process-global; every test here serializes.
-fn fault_lock() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(Mutex::default)
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-}
-
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(tag: &str) -> Self {
-        static N: AtomicU64 = AtomicU64::new(0);
-        let n = N.fetch_add(1, Ordering::Relaxed);
-        let dir = std::env::temp_dir().join(format!(
-            "ctxpref-repl-disk-{}-{tag}-{n}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        Self(dir)
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
+use ctxpref_wal::{SyncPolicy, WalOp, WalOptions};
+use ctxpref_workload::reference::{tiny_env, tiny_relation};
 
 const NODES: usize = 3;
 const SHARDS: usize = 4;
@@ -121,24 +90,6 @@ fn op_for(i: u64) -> WalOp {
     }
 }
 
-/// Whether `op`'s effect is visible in `db` (monotone workload only).
-fn effect_visible(db: &MultiUserDb, op: &WalOp) -> bool {
-    match op {
-        WalOp::AddUser { user } => db.profile(user).is_ok(),
-        WalOp::InsertPreference { user, pref } => {
-            let Ok(profile) = db.profile(user) else {
-                return false;
-            };
-            let want = pref_tokens(pref, db.env(), db.relation());
-            profile
-                .preferences()
-                .iter()
-                .any(|p| pref_tokens(p, db.env(), db.relation()) == want)
-        }
-        _ => unreachable!("monotone workload only adds"),
-    }
-}
-
 /// Sealed segment numbers of `shard` on the node whose db is `db`.
 fn sealed_segments(db: &ctxpref_wal::DurableDb, shard: usize) -> Vec<u64> {
     let current = db.wal_status().shards[shard].seg_no;
@@ -158,7 +109,7 @@ fn run_repair_seed(seed: u64) -> Result<(), String> {
     let ctx = |what: &str| format!("seed={seed}: {what}");
     let tmp = TempDir::new(&format!("seed{seed}"));
     let cluster = Arc::new(
-        Cluster::new(&tmp.0, config_for_seed(seed), make_core)
+        Cluster::new(tmp.path(), config_for_seed(seed), make_core)
             .map_err(|e| ctx(&format!("boot: {e}")))?,
     );
 
@@ -289,9 +240,8 @@ fn run_repair_seed(seed: u64) -> Result<(), String> {
     // 1. No acked-write loss: every acked op on every node.
     for id in 0..NODES {
         let db = cluster.db_of(id).ok_or_else(|| ctx("node not live"))?;
-        let snapshot = db.db().snapshot();
         for (i, op) in acked.iter().enumerate() {
-            if !effect_visible(&snapshot, op) {
+            if !effect_visible(db.db(), op) {
                 return Err(ctx(&format!(
                     "LOST ACKED WRITE: op #{i} {op:?} missing from node {id} after repair"
                 )));
@@ -335,9 +285,9 @@ fn run_repair_seed(seed: u64) -> Result<(), String> {
 /// serving — and a later crash recovers cleanly with zero rescues.
 #[test]
 fn healed_replica_keeps_serving_without_repair() {
-    let _serial = fault_lock();
+    let _serial = ctxpref_faults::exclusive();
     let tmp = TempDir::new("healed");
-    let cluster = Cluster::new(&tmp.0, config_for_seed(0), make_core).unwrap();
+    let cluster = Cluster::new(tmp.path(), config_for_seed(0), make_core).unwrap();
     let mut acked = Vec::new();
     for i in 0..90 {
         let op = op_for(i);
@@ -374,28 +324,16 @@ fn healed_replica_keeps_serving_without_repair() {
         0,
         "a healed directory must recover without a rescue"
     );
-    let snapshot = cluster.db_of(victim).unwrap().db().snapshot();
+    let db = cluster.db_of(victim).unwrap();
     for op in &acked {
-        assert!(effect_visible(&snapshot, op), "lost {op:?} after heal");
-    }
-}
-
-/// The matrix: `CTXPREF_FUZZ_SEEDS=a..b` overrides the default 0..32.
-fn seed_range() -> std::ops::Range<u64> {
-    let Ok(spec) = std::env::var("CTXPREF_FUZZ_SEEDS") else {
-        return 0..32;
-    };
-    let parse = |s: &str| s.trim().parse::<u64>().ok();
-    match spec.split_once("..").map(|(a, b)| (parse(a), parse(b))) {
-        Some((Some(a), Some(b))) if a < b => a..b,
-        _ => panic!("CTXPREF_FUZZ_SEEDS must look like '0..32', got {spec:?}"),
+        assert!(effect_visible(db.db(), op), "lost {op:?} after heal");
     }
 }
 
 #[test]
 fn replica_repair_matrix() {
-    let _serial = fault_lock();
-    for seed in seed_range() {
+    let _serial = ctxpref_faults::exclusive();
+    for seed in seeds(0..32) {
         let outcome = std::panic::catch_unwind(|| run_repair_seed(seed));
         match outcome {
             Ok(Ok(())) => {}

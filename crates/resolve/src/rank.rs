@@ -467,7 +467,7 @@ mod topk_tests {
         use ctxpref_hierarchy::Hierarchy;
         use ctxpref_profile::{AttributeClause, ContextualPreference, Profile};
 
-        pub fn env3() -> ContextEnvironment {
+        pub(super) fn env3() -> ContextEnvironment {
             ContextEnvironment::new(vec![
                 Hierarchy::balanced("a", &[6, 2]).unwrap(),
                 Hierarchy::balanced("b", &[5]).unwrap(),
@@ -475,7 +475,7 @@ mod topk_tests {
             .unwrap()
         }
 
-        pub fn relation(n: usize) -> Relation {
+        pub(super) fn relation(n: usize) -> Relation {
             let schema = Schema::new(&[("v", AttrType::Str)]).unwrap();
             let mut rel = Relation::new("r", schema);
             for i in 0..n {
@@ -484,7 +484,7 @@ mod topk_tests {
             rel
         }
 
-        pub fn profile(env: &ContextEnvironment, seed: u64) -> Profile {
+        pub(super) fn profile(env: &ContextEnvironment, seed: u64) -> Profile {
             let mut p = Profile::new(env.clone());
             let ha = env.hierarchy(ctxpref_context::ParamId(0));
             let hb = env.hierarchy(ctxpref_context::ParamId(1));

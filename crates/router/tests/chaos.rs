@@ -22,9 +22,8 @@
 //!
 //! Override the matrix with `CTXPREF_FUZZ_SEEDS=start..end`.
 
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ctxpref_context::ContextDescriptor;
@@ -39,40 +38,10 @@ use ctxpref_net::{NetClientConfig, NetServer, NetServerConfig};
 use ctxpref_profile::{AttributeClause, ContextualPreference};
 use ctxpref_router::{Router, RouterConfig, RouterError};
 use ctxpref_service::{CtxPrefService, ReplicatedConfig, ServiceConfig};
-use ctxpref_storage::pref_tokens;
-use ctxpref_wal::{tiny_env, tiny_relation};
+use ctxpref_testkit::{effect_visible, seeds, TempDir};
+use ctxpref_wal::WalOp;
+use ctxpref_workload::reference::{tiny_env, tiny_relation};
 use rand::{rngs::StdRng, Rng, SeedableRng};
-
-/// Fault plans are process-global: serialize every test that installs
-/// one.
-fn fault_lock() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(Mutex::default)
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-}
-
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(tag: &str) -> Self {
-        static N: AtomicU64 = AtomicU64::new(0);
-        let n = N.fetch_add(1, Ordering::Relaxed);
-        let dir = std::env::temp_dir().join(format!(
-            "ctxpref-router-chaos-{}-{tag}-{n}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        Self(dir)
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
 
 const CLUSTERS: usize = 2;
 const NODES: usize = 3;
@@ -147,6 +116,27 @@ impl AckedOp {
             AckedOp::Pref { user, .. } => user,
         }
     }
+
+    /// The logged op this write amounts to, for [`effect_visible`].
+    fn wal_op(&self) -> WalOp {
+        match self {
+            AckedOp::User(user) => WalOp::AddUser { user: user.clone() },
+            AckedOp::Pref { user, value } => {
+                let rel = tiny_relation();
+                let attr = rel.schema().require_attr("name").unwrap();
+                let pref = ContextualPreference::new(
+                    ContextDescriptor::empty(),
+                    AttributeClause::eq(attr, value.clone().into()),
+                    SCORE,
+                )
+                .unwrap();
+                WalOp::InsertPreference {
+                    user: user.clone(),
+                    pref,
+                }
+            }
+        }
+    }
 }
 
 /// A post-storm liveness call. The faults are uninstalled and the
@@ -173,29 +163,6 @@ fn eventually<T>(mut call: impl FnMut() -> Result<T, RouterError>) -> Result<T, 
         }
     }
     last
-}
-
-fn effect_visible(service: &CtxPrefService, op: &AckedOp) -> bool {
-    match op {
-        AckedOp::User(user) => service.with_db(|db| db.profile(user).is_ok()),
-        AckedOp::Pref { user, value } => service.with_db(|db| {
-            let Ok(profile) = db.profile(user) else {
-                return false;
-            };
-            let attr = db.relation().schema().require_attr("name").unwrap();
-            let want = ContextualPreference::new(
-                ContextDescriptor::empty(),
-                AttributeClause::eq(attr, value.clone().into()),
-                SCORE,
-            )
-            .unwrap();
-            let want = pref_tokens(&want, db.env(), db.relation());
-            profile
-                .preferences()
-                .iter()
-                .any(|p| pref_tokens(p, db.env(), db.relation()) == want)
-        }),
-    }
 }
 
 /// Mixed traffic hammered through a cloned router (same routing table,
@@ -288,8 +255,8 @@ fn run_migration_chaos_seed(seed: u64) -> Result<(), String> {
     let quorum = seed.is_multiple_of(2);
     let tmp_a = TempDir::new(&format!("seed{seed}-a"));
     let tmp_b = TempDir::new(&format!("seed{seed}-b"));
-    let (service_a, server_a) = chaos_cluster(&tmp_a.0, seed);
-    let (service_b, server_b) = chaos_cluster(&tmp_b.0, seed);
+    let (service_a, server_a) = chaos_cluster(tmp_a.path(), seed);
+    let (service_b, server_b) = chaos_cluster(tmp_b.path(), seed);
     let services = [&service_a, &service_b];
     let mut router = chaos_router(vec![
         vec![server_a.local_addr().to_string()],
@@ -457,7 +424,7 @@ fn run_migration_chaos_seed(seed: u64) -> Result<(), String> {
     if quorum {
         for (i, op) in acked.iter().enumerate() {
             let owner = router.cluster_of(op.user());
-            if !effect_visible(services[owner], op) {
+            if !services[owner].with_db(|db| effect_visible(db, &op.wal_op())) {
                 return Err(ctx(&format!(
                     "LOST ACKED WRITE: acked op #{i} {op:?} is missing from owning \
                      cluster {owner} ({migrations_ok} migrations, {migrations_failed} \
@@ -504,22 +471,10 @@ fn run_migration_chaos_seed(seed: u64) -> Result<(), String> {
     Ok(())
 }
 
-/// The matrix: `CTXPREF_FUZZ_SEEDS=a..b` overrides the default 0..32.
-fn seed_range() -> std::ops::Range<u64> {
-    let Ok(spec) = std::env::var("CTXPREF_FUZZ_SEEDS") else {
-        return 0..32;
-    };
-    let parse = |s: &str| s.trim().parse::<u64>().ok();
-    match spec.split_once("..").map(|(a, b)| (parse(a), parse(b))) {
-        Some((Some(a), Some(b))) if a < b => a..b,
-        _ => panic!("CTXPREF_FUZZ_SEEDS must look like '0..32', got {spec:?}"),
-    }
-}
-
 #[test]
 fn migration_chaos_matrix() {
-    let _serial = fault_lock();
-    for seed in seed_range() {
+    let _serial = ctxpref_faults::exclusive();
+    for seed in seeds(0..32) {
         if let Err(violation) = run_migration_chaos_seed(seed) {
             panic!(
                 "MIGRATION VIOLATION (reproduce with CTXPREF_FUZZ_SEEDS={seed}..{}):\n\

@@ -1,8 +1,6 @@
 //! Router integration: forwarding, endpoint failover, the circuit
 //! breaker, and the live-migration happy path over real sockets.
 
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -10,27 +8,8 @@ use ctxpref_core::MultiUserDb;
 use ctxpref_net::{NetServer, NetServerConfig};
 use ctxpref_router::{BreakerConfig, BreakerState, Router, RouterConfig, RouterError};
 use ctxpref_service::{CtxPrefService, DurabilityConfig, ServiceConfig};
-use ctxpref_wal::{tiny_env, tiny_relation};
-
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(tag: &str) -> Self {
-        static N: AtomicU64 = AtomicU64::new(0);
-        let n = N.fetch_add(1, Ordering::Relaxed);
-        let dir =
-            std::env::temp_dir().join(format!("ctxpref-router-{}-{tag}-{n}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        Self(dir)
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
+use ctxpref_testkit::TempDir;
+use ctxpref_workload::reference::{tiny_env, tiny_relation};
 
 /// One durable single-node "cluster" under `dir`, fronted by a socket
 /// server.
@@ -65,8 +44,8 @@ fn quick_router(endpoints: Vec<Vec<String>>) -> Router {
 fn router_forwards_to_the_owning_cluster() {
     let tmp_a = TempDir::new("fwd-a");
     let tmp_b = TempDir::new("fwd-b");
-    let (service_a, server_a) = durable_cluster(&tmp_a.0);
-    let (service_b, server_b) = durable_cluster(&tmp_b.0);
+    let (service_a, server_a) = durable_cluster(tmp_a.path());
+    let (service_b, server_b) = durable_cluster(tmp_b.path());
     let mut router = quick_router(vec![
         vec![server_a.local_addr().to_string()],
         vec![server_b.local_addr().to_string()],
@@ -106,7 +85,7 @@ fn router_forwards_to_the_owning_cluster() {
 #[test]
 fn breaker_opens_against_a_dead_cluster_and_recovers() {
     let tmp = TempDir::new("breaker");
-    let (_service, server) = durable_cluster(&tmp.0);
+    let (_service, server) = durable_cluster(tmp.path());
     let live = server.local_addr().to_string();
     // Cluster 0 points at a port nobody listens on.
     let dead = {
@@ -178,8 +157,8 @@ fn breaker_opens_against_a_dead_cluster_and_recovers() {
 fn live_migration_moves_a_user_without_losing_writes() {
     let tmp_a = TempDir::new("mig-a");
     let tmp_b = TempDir::new("mig-b");
-    let (service_a, server_a) = durable_cluster(&tmp_a.0);
-    let (service_b, server_b) = durable_cluster(&tmp_b.0);
+    let (service_a, server_a) = durable_cluster(tmp_a.path());
+    let (service_b, server_b) = durable_cluster(tmp_b.path());
     let mut router = quick_router(vec![
         vec![server_a.local_addr().to_string()],
         vec![server_b.local_addr().to_string()],
@@ -251,8 +230,8 @@ fn writes_during_migration_are_never_dropped() {
     // the destination afterwards, exactly once.
     let tmp_a = TempDir::new("race-a");
     let tmp_b = TempDir::new("race-b");
-    let (service_a, server_a) = durable_cluster(&tmp_a.0);
-    let (service_b, server_b) = durable_cluster(&tmp_b.0);
+    let (service_a, server_a) = durable_cluster(tmp_a.path());
+    let (service_b, server_b) = durable_cluster(tmp_b.path());
     let mut router = quick_router(vec![
         vec![server_a.local_addr().to_string()],
         vec![server_b.local_addr().to_string()],
@@ -322,7 +301,7 @@ fn ambiguous_mutation_is_not_replayed_on_the_next_endpoint() {
     // the next endpoint could double-apply — while an idempotent probe
     // keeps walking and reaches the live endpoint.
     let tmp = TempDir::new("ambig");
-    let (service, server) = durable_cluster(&tmp.0);
+    let (service, server) = durable_cluster(tmp.path());
     let live = server.local_addr().to_string();
     let closer = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
     let closer_addr = closer.local_addr().unwrap().to_string();

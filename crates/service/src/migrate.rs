@@ -119,7 +119,7 @@ impl MigrationTable {
     /// for the write to finish before it can treat the WAL as frozen —
     /// no write that passed the gate can append after the fence's
     /// drain cut is taken.
-    pub fn write_guard<'a>(&'a self, user: &'a str) -> Result<WriteGuard<'a>, ServiceError> {
+    pub(crate) fn write_guard<'a>(&'a self, user: &'a str) -> Result<WriteGuard<'a>, ServiceError> {
         let mut inner = self.inner.lock();
         if inner.entries.contains_key(user) {
             return Err(ServiceError::Migrating {
@@ -161,7 +161,7 @@ impl MigrationTable {
     /// Returns only after every write that passed the gate before the
     /// fence landed has finished its append, so the drain export taken
     /// next reads a `last_lsn` that covers all acked writes.
-    pub fn fence(&self, user: &str, epoch: u64) -> Result<(), ServiceError> {
+    pub(crate) fn fence(&self, user: &str, epoch: u64) -> Result<(), ServiceError> {
         let mut inner = self.inner.lock();
         if let Some(e) = inner.entries.get(user) {
             if epoch < e.epoch || (epoch == e.epoch && e.phase == MigrationPhase::Moved) {
@@ -183,7 +183,12 @@ impl MigrationTable {
     /// [`Self::fence`], waits for straggler writes that passed the
     /// gate before the entry landed, so the import's reset cannot
     /// delete a write acked after it.
-    pub fn begin_import(&self, user: &str, epoch: u64, src_lsn: u64) -> Result<(), ServiceError> {
+    pub(crate) fn begin_import(
+        &self,
+        user: &str,
+        epoch: u64,
+        src_lsn: u64,
+    ) -> Result<(), ServiceError> {
         let mut inner = self.inner.lock();
         if let Some(e) = inner.entries.get(user) {
             if epoch < e.epoch {
@@ -202,7 +207,7 @@ impl MigrationTable {
 
     /// The current import watermark for `user`, verifying the entry is
     /// an import owned by `epoch`.
-    pub fn import_watermark(&self, user: &str, epoch: u64) -> Result<u64, ServiceError> {
+    pub(crate) fn import_watermark(&self, user: &str, epoch: u64) -> Result<u64, ServiceError> {
         match self.inner.lock().entries.get(user) {
             Some(e) if e.epoch == epoch => match e.phase {
                 MigrationPhase::Importing { watermark } => Ok(watermark),
@@ -214,7 +219,7 @@ impl MigrationTable {
     }
 
     /// Advance the import watermark (monotone).
-    pub fn advance_watermark(&self, user: &str, epoch: u64, through: u64) {
+    pub(crate) fn advance_watermark(&self, user: &str, epoch: u64, through: u64) {
         let mut inner = self.inner.lock();
         if let Some(e) = inner.entries.get_mut(user) {
             if e.epoch == epoch {
@@ -226,7 +231,7 @@ impl MigrationTable {
     }
 
     /// The phase of `user`'s entry, verifying `epoch` owns it.
-    pub fn phase_of(&self, user: &str, epoch: u64) -> Result<MigrationPhase, ServiceError> {
+    pub(crate) fn phase_of(&self, user: &str, epoch: u64) -> Result<MigrationPhase, ServiceError> {
         match self.inner.lock().entries.get(user) {
             Some(e) if e.epoch == epoch => Ok(e.phase),
             Some(e) => Err(ServiceError::StaleMigration { current: e.epoch }),
@@ -237,7 +242,7 @@ impl MigrationTable {
     /// Whether `epoch` owns an import entry for `user` (abort uses
     /// this to drop the partial copy *before* releasing the entry, so
     /// no client write can slip in and then be deleted).
-    pub fn is_import(&self, user: &str, epoch: u64) -> bool {
+    pub(crate) fn is_import(&self, user: &str, epoch: u64) -> bool {
         matches!(
             self.inner.lock().entries.get(user),
             Some(e) if e.epoch == epoch && matches!(e.phase, MigrationPhase::Importing { .. })
@@ -247,7 +252,7 @@ impl MigrationTable {
     /// Activate `user` on the destination: drop the import entry so
     /// client writes flow. Idempotent — a missing entry means a retry
     /// of an activation that already landed.
-    pub fn activate(&self, user: &str, epoch: u64) -> Result<(), ServiceError> {
+    pub(crate) fn activate(&self, user: &str, epoch: u64) -> Result<(), ServiceError> {
         let mut inner = self.inner.lock();
         match inner.entries.get(user) {
             None => Ok(()),
@@ -263,7 +268,7 @@ impl MigrationTable {
     /// epoch's fence) becomes a `Moved` tombstone. The caller removes
     /// the user's data *before* flipping the phase, while the fence
     /// still blocks client writes. Idempotent on retry.
-    pub fn finish(&self, user: &str, epoch: u64) -> Result<bool, ServiceError> {
+    pub(crate) fn finish(&self, user: &str, epoch: u64) -> Result<bool, ServiceError> {
         let mut inner = self.inner.lock();
         match inner.entries.get_mut(user) {
             Some(e) if e.epoch == epoch && e.phase == MigrationPhase::Fenced => {
@@ -281,7 +286,7 @@ impl MigrationTable {
     /// user). A newer entry, a completed move, or no entry at all make
     /// this a no-op — abort is best-effort cleanup and never touches
     /// state it does not own.
-    pub fn abort(&self, user: &str, epoch: u64) -> bool {
+    pub(crate) fn abort(&self, user: &str, epoch: u64) -> bool {
         let mut inner = self.inner.lock();
         match inner.entries.get(user) {
             Some(e) if e.epoch == epoch => match e.phase {
@@ -300,12 +305,12 @@ impl MigrationTable {
     }
 
     /// Number of live entries (fences, imports, and tombstones).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.inner.lock().entries.len()
     }
 
     /// Snapshot of the table for status rendering.
-    pub fn snapshot(&self) -> Vec<(String, MigrationEntry)> {
+    pub(crate) fn snapshot(&self) -> Vec<(String, MigrationEntry)> {
         let mut v: Vec<_> = self
             .inner
             .lock()

@@ -11,7 +11,6 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 use ctxpref_context::ContextState;
@@ -22,13 +21,6 @@ use ctxpref_service::{CtxPrefService, LadderStep, ServiceConfig, ServiceError};
 use ctxpref_workload::reference::{poi_env, poi_relation};
 use ctxpref_workload::user_study::{all_demographics, default_profile};
 use rand::{rngs::StdRng, Rng, SeedableRng};
-
-fn fault_lock() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(Mutex::default)
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-}
 
 fn study_db(users: usize, cache: usize) -> MultiUserDb {
     let env = poi_env();
@@ -67,7 +59,7 @@ const QUERIES_PER_CLIENT: usize = 300; // 1200 total — over the ≥1000 bar
 
 #[test]
 fn storm_of_mixed_faults_upholds_the_service_guarantees() {
-    let _serial = fault_lock();
+    let _serial = ctxpref_faults::exclusive();
     // Injected panics unwind through `catch_unwind` hundreds of times;
     // silence the default per-panic backtrace spew for this test.
     let prev_hook = std::panic::take_hook();
@@ -306,7 +298,7 @@ fn storm_of_mixed_faults_upholds_the_service_guarantees() {
 /// faults in the same order at each site, independent of thread timing.
 #[test]
 fn fault_plans_are_deterministic_across_runs() {
-    let _serial = fault_lock();
+    let _serial = ctxpref_faults::exclusive();
     let run = |seed: u64| {
         let plan = FaultPlan::builder(seed)
             .fail("service.query.primary", 0.2)

@@ -4,35 +4,12 @@
 //! services and the background maintenance threads.
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use ctxpref_core::MultiUserDb;
 use ctxpref_service::{CtxPrefService, DurabilityConfig, ServiceConfig, ServiceError, SyncPolicy};
+use ctxpref_testkit::TempDir;
 use ctxpref_workload::reference::{poi_env, poi_relation};
-
-/// A fresh directory under the system temp dir; removed on drop.
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(tag: &str) -> Self {
-        static N: AtomicU64 = AtomicU64::new(0);
-        let n = N.fetch_add(1, Ordering::Relaxed);
-        let dir = std::env::temp_dir().join(format!(
-            "ctxpref-svc-durability-{}-{tag}-{n}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        Self(dir)
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
 
 fn study_db() -> MultiUserDb {
     let env = poi_env();
@@ -60,7 +37,7 @@ fn manual_dcfg(dir: &std::path::Path) -> DurabilityConfig {
 #[test]
 fn durable_service_survives_a_kill_without_checkpoint() {
     let tmp = TempDir::new("kill");
-    let service = CtxPrefService::new_durable(study_db(), small_cfg(), manual_dcfg(&tmp.0))
+    let service = CtxPrefService::new_durable(study_db(), small_cfg(), manual_dcfg(tmp.path()))
         .expect("creating the durable service");
     assert!(service.is_durable());
 
@@ -95,8 +72,8 @@ fn durable_service_survives_a_kill_without_checkpoint() {
     assert_eq!(status.totals.appends, 6);
     drop(service); // Kill: no checkpoint was ever taken.
 
-    let (recovered, report) =
-        CtxPrefService::recover(small_cfg(), manual_dcfg(&tmp.0)).expect("recovering the service");
+    let (recovered, report) = CtxPrefService::recover(small_cfg(), manual_dcfg(tmp.path()))
+        .expect("recovering the service");
     assert_eq!(
         report.generation, 0,
         "recovered from the bootstrap checkpoint"
@@ -128,7 +105,7 @@ fn durable_service_survives_a_kill_without_checkpoint() {
 #[test]
 fn manual_checkpoint_truncates_replay() {
     let tmp = TempDir::new("ckpt");
-    let service = CtxPrefService::new_durable(study_db(), small_cfg(), manual_dcfg(&tmp.0))
+    let service = CtxPrefService::new_durable(study_db(), small_cfg(), manual_dcfg(tmp.path()))
         .expect("creating the durable service");
     service.add_user("alice").unwrap();
     service.add_user("bob").unwrap();
@@ -138,7 +115,8 @@ fn manual_checkpoint_truncates_replay() {
     service.add_user("carol").unwrap();
     drop(service);
 
-    let (recovered, report) = CtxPrefService::recover(small_cfg(), manual_dcfg(&tmp.0)).unwrap();
+    let (recovered, report) =
+        CtxPrefService::recover(small_cfg(), manual_dcfg(tmp.path())).unwrap();
     assert_eq!(report.generation, 1);
     assert_eq!(report.replayed, 1, "only the post-checkpoint write replays");
     assert!(recovered
@@ -149,7 +127,7 @@ fn manual_checkpoint_truncates_replay() {
 #[test]
 fn group_commit_flush_is_reported() {
     let tmp = TempDir::new("group");
-    let dcfg = manual_dcfg(&tmp.0).group_commit(Duration::from_secs(3600));
+    let dcfg = manual_dcfg(tmp.path()).group_commit(Duration::from_secs(3600));
     // An interval this long never fires during the test: the only
     // flushes are the explicit ones, so the counts are deterministic.
     let service = CtxPrefService::new_durable(study_db(), small_cfg(), dcfg).unwrap();
@@ -169,7 +147,7 @@ fn background_checkpointer_runs() {
     let tmp = TempDir::new("bg");
     let dcfg = DurabilityConfig {
         checkpoint_interval: Some(Duration::from_millis(10)),
-        ..DurabilityConfig::new(&tmp.0)
+        ..DurabilityConfig::new(tmp.path())
     };
     let service = CtxPrefService::new_durable(study_db(), small_cfg(), dcfg).unwrap();
     service.add_user("alice").unwrap();
@@ -183,7 +161,7 @@ fn background_checkpointer_runs() {
     }
     drop(service); // Joins the checkpointer; must not hang or panic.
 
-    let (_, report) = CtxPrefService::recover(small_cfg(), manual_dcfg(&tmp.0)).unwrap();
+    let (_, report) = CtxPrefService::recover(small_cfg(), manual_dcfg(tmp.path())).unwrap();
     assert!(
         report.generation >= 1,
         "background checkpoint not published"
@@ -210,7 +188,7 @@ fn plain_service_rejects_durability_operations() {
 fn durable_shutdown_returns_the_database() {
     let tmp = TempDir::new("shutdown");
     let service =
-        CtxPrefService::new_durable(study_db(), small_cfg(), manual_dcfg(&tmp.0)).unwrap();
+        CtxPrefService::new_durable(study_db(), small_cfg(), manual_dcfg(tmp.path())).unwrap();
     service.add_user("alice").unwrap();
     // shutdown() must reclaim the core even though the durable layer
     // held a reference to it until stop().
@@ -226,7 +204,7 @@ fn sync_policy_is_observable_in_acks() {
     let tmp = TempDir::new("policy");
     let dcfg = DurabilityConfig {
         sync: SyncPolicy::PerRecord,
-        ..manual_dcfg(&tmp.0)
+        ..manual_dcfg(tmp.path())
     };
     let service = CtxPrefService::new_durable(study_db(), small_cfg(), dcfg).unwrap();
     service.add_user("alice").unwrap();
@@ -269,7 +247,7 @@ fn manual_scrub_quarantines_and_heals_through_the_service() {
     let dcfg = DurabilityConfig {
         segment_max_bytes: 256, // Seal segments quickly.
         scrub_interval: None,
-        ..manual_dcfg(&tmp.0)
+        ..manual_dcfg(tmp.path())
     };
     let service = CtxPrefService::new_durable(study_db(), small_cfg(), dcfg).unwrap();
     for i in 0..40 {
@@ -293,7 +271,7 @@ fn manual_scrub_quarantines_and_heals_through_the_service() {
     assert_eq!((status.passes, status.quarantined, status.heals), (1, 0, 0));
 
     // Rot one sealed segment at rest, past its 24-byte header.
-    let victim = a_sealed_segment(&tmp.0);
+    let victim = a_sealed_segment(tmp.path());
     let mut bytes = std::fs::read(&victim).unwrap();
     bytes[30] ^= 0x40;
     std::fs::write(&victim, bytes).unwrap();
@@ -315,7 +293,7 @@ fn manual_scrub_quarantines_and_heals_through_the_service() {
     assert!(service.with_db(|db| db.users_sorted().len()) == 40);
     drop(service);
     let (recovered, report) =
-        CtxPrefService::recover(small_cfg(), manual_dcfg(&tmp.0)).expect("healed dir recovers");
+        CtxPrefService::recover(small_cfg(), manual_dcfg(tmp.path())).expect("healed dir recovers");
     assert_eq!(report.rescued_shards, 0, "heal made quarantine moot");
     assert_eq!(recovered.with_db(|db| db.users_sorted().len()), 40);
 }
@@ -326,7 +304,7 @@ fn background_scrubber_runs_and_stays_quiet_on_a_clean_db() {
     let dcfg = DurabilityConfig {
         checkpoint_interval: None,
         scrub_interval: Some(Duration::from_millis(10)),
-        ..DurabilityConfig::new(&tmp.0)
+        ..DurabilityConfig::new(tmp.path())
     };
     let service = CtxPrefService::new_durable(study_db(), small_cfg(), dcfg).unwrap();
     service.add_user("alice").unwrap();

@@ -3,7 +3,6 @@
 //! deadline error on time), and the sojourn controller must shed the
 //! lowest tiers first while Interactive is never sojourn-shed.
 
-use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 use ctxpref_context::ContextState;
@@ -12,13 +11,6 @@ use ctxpref_faults::{sites, FaultPlan};
 use ctxpref_service::{CtxPrefService, Priority, ServiceConfig, ServiceError};
 use ctxpref_workload::reference::{poi_env, poi_relation};
 use ctxpref_workload::user_study::{all_demographics, default_profile};
-
-fn fault_lock() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(Mutex::default)
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-}
 
 fn study_db(users: usize, cache: usize) -> MultiUserDb {
     let env = poi_env();
@@ -43,7 +35,7 @@ fn state(db: &CtxPrefService, names: &[&str]) -> ContextState {
 /// run.
 #[test]
 fn stalled_pool_executes_nothing_past_the_deadline() {
-    let _serial = fault_lock();
+    let _serial = ctxpref_faults::exclusive();
     const CALLERS: usize = 8;
     let stall = Duration::from_millis(150);
     let deadline = Duration::from_millis(30);
@@ -123,7 +115,7 @@ fn stalled_pool_executes_nothing_past_the_deadline() {
 /// counts it.
 #[test]
 fn an_in_process_deadline_miss_is_counted_once() {
-    let _serial = fault_lock();
+    let _serial = ctxpref_faults::exclusive();
     let service = CtxPrefService::new(study_db(1, 8), ServiceConfig::default());
     let s = state(&service, &["Plaka", "warm", "friends"]);
     let _stalled = ctxpref_faults::install(
@@ -158,7 +150,7 @@ fn an_in_process_deadline_miss_is_counted_once() {
 /// Interactive, which only the hard in-flight backstop may refuse.
 #[test]
 fn sojourn_pressure_sheds_lowest_tiers_first_never_interactive() {
-    let _serial = fault_lock();
+    let _serial = ctxpref_faults::exclusive();
     let stall = Duration::from_millis(50);
 
     let service = CtxPrefService::new(

@@ -6,8 +6,6 @@
 //! flush of the primary's log, and (on all three write paths) that a
 //! removal returns the value it removed.
 
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
@@ -17,28 +15,8 @@ use ctxpref_replication::node_digests;
 use ctxpref_service::{
     CtxPrefService, DurabilityConfig, ReplicatedConfig, ServiceConfig, ServiceError, SyncPolicy,
 };
+use ctxpref_testkit::TempDir;
 use ctxpref_workload::reference::{poi_env, poi_relation};
-
-/// A fresh directory under the system temp dir; removed on drop.
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(tag: &str) -> Self {
-        static N: AtomicU64 = AtomicU64::new(0);
-        let n = N.fetch_add(1, Ordering::Relaxed);
-        let dir =
-            std::env::temp_dir().join(format!("ctxpref-svc-repl-{}-{tag}-{n}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        Self(dir)
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
 
 fn study_db() -> MultiUserDb {
     let env = poi_env();
@@ -78,8 +56,9 @@ fn all_digests(service: &CtxPrefService) -> Vec<(usize, Vec<u64>)> {
 #[test]
 fn replicated_service_seeds_serves_and_replicates() {
     let tmp = TempDir::new("basic");
-    let service = CtxPrefService::new_replicated(study_db(), small_cfg(), manual_rcfg(&tmp.0, 3))
-        .expect("creating the replicated service");
+    let service =
+        CtxPrefService::new_replicated(study_db(), small_cfg(), manual_rcfg(tmp.path(), 3))
+            .expect("creating the replicated service");
     assert!(service.is_replicated());
     assert!(service.is_durable());
 
@@ -125,8 +104,9 @@ fn replicated_service_seeds_serves_and_replicates() {
 #[test]
 fn primary_crash_fails_over_and_rejoins() {
     let tmp = TempDir::new("failover");
-    let service = CtxPrefService::new_replicated(study_db(), small_cfg(), manual_rcfg(&tmp.0, 3))
-        .expect("creating the replicated service");
+    let service =
+        CtxPrefService::new_replicated(study_db(), small_cfg(), manual_rcfg(tmp.path(), 3))
+            .expect("creating the replicated service");
     service.add_user("carol").unwrap();
     service.pump_replication().unwrap();
 
@@ -204,7 +184,7 @@ fn background_tick_drains_lag_under_async_group_commit() {
     let tmp = TempDir::new("bg-tick");
     let rcfg = ReplicatedConfig {
         tick_interval: Some(Duration::from_millis(5)),
-        ..ReplicatedConfig::new(&tmp.0, 3)
+        ..ReplicatedConfig::new(tmp.path(), 3)
     }
     .async_acks()
     .group_commit(Duration::from_millis(2));
@@ -240,7 +220,8 @@ fn background_tick_drains_lag_under_async_group_commit() {
 fn replicated_scrub_covers_every_live_node() {
     let tmp = TempDir::new("scrub");
     let service =
-        CtxPrefService::new_replicated(study_db(), small_cfg(), manual_rcfg(&tmp.0, 3)).unwrap();
+        CtxPrefService::new_replicated(study_db(), small_cfg(), manual_rcfg(tmp.path(), 3))
+            .unwrap();
     service
         .insert_preference_eq(
             "alice",
@@ -282,8 +263,9 @@ fn unflushed_rcfg(dir: &std::path::Path) -> ReplicatedConfig {
 #[test]
 fn clean_shutdown_flushes_the_replicated_primarys_log() {
     let tmp = TempDir::new("shutdown-flush");
-    let service = CtxPrefService::new_replicated(study_db(), small_cfg(), unflushed_rcfg(&tmp.0))
-        .expect("creating the replicated service");
+    let service =
+        CtxPrefService::new_replicated(study_db(), small_cfg(), unflushed_rcfg(tmp.path()))
+            .expect("creating the replicated service");
     for i in 0..8 {
         service.add_user(&format!("user{i}")).unwrap();
     }
@@ -376,7 +358,7 @@ fn removals_return_what_they_removed_on_every_write_path() {
     let dcfg = DurabilityConfig {
         checkpoint_interval: None,
         scrub_interval: None,
-        ..DurabilityConfig::new(&tmp.0)
+        ..DurabilityConfig::new(tmp.path())
     }
     .group_commit(Duration::from_secs(3600));
     removals_return_what_they_removed(
@@ -385,6 +367,7 @@ fn removals_return_what_they_removed_on_every_write_path() {
 
     let tmp = TempDir::new("displaced-replicated");
     removals_return_what_they_removed(
-        CtxPrefService::new_replicated(study_db(), small_cfg(), unflushed_rcfg(&tmp.0)).unwrap(),
+        CtxPrefService::new_replicated(study_db(), small_cfg(), unflushed_rcfg(tmp.path()))
+            .unwrap(),
     );
 }

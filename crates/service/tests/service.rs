@@ -4,10 +4,9 @@
 //!
 //! A fault plan is process-global, so one installed by a test would hit
 //! the workers of any test running beside it: every test takes
-//! `fault_lock`, including those that install no plan but expect an
-//! undegraded answer.
+//! `ctxpref_faults::exclusive()`, including those that install no plan
+//! but expect an undegraded answer.
 
-use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 use ctxpref_context::ContextState;
@@ -16,13 +15,6 @@ use ctxpref_faults::FaultPlan;
 use ctxpref_service::{CtxPrefService, LadderStep, ServiceConfig, ServiceError};
 use ctxpref_workload::reference::{poi_env, poi_relation};
 use ctxpref_workload::user_study::{all_demographics, default_profile};
-
-fn fault_lock() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(Mutex::default)
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-}
 
 fn study_db(users: usize, cache: usize) -> MultiUserDb {
     let env = poi_env();
@@ -42,7 +34,7 @@ fn state(db: &CtxPrefService, names: &[&str]) -> ContextState {
 
 #[test]
 fn healthy_path_cached_and_exact() {
-    let _serial = fault_lock();
+    let _serial = ctxpref_faults::exclusive();
     let service = CtxPrefService::new(study_db(2, 8), ServiceConfig::default());
     let s = state(&service, &["Plaka", "warm", "friends"]);
     let first = service.query_state("user0", &s).unwrap();
@@ -62,7 +54,7 @@ fn healthy_path_cached_and_exact() {
 
 #[test]
 fn unknown_user_is_a_typed_error_not_a_degradation() {
-    let _serial = fault_lock();
+    let _serial = ctxpref_faults::exclusive();
     let service = CtxPrefService::new(study_db(1, 8), ServiceConfig::default());
     let s = state(&service, &["Plaka", "warm", "friends"]);
     match service.query_state("ghost", &s) {
@@ -74,7 +66,7 @@ fn unknown_user_is_a_typed_error_not_a_degradation() {
 
 #[test]
 fn primary_failure_degrades_to_nearest_state() {
-    let _serial = fault_lock();
+    let _serial = ctxpref_faults::exclusive();
     let service = CtxPrefService::new(study_db(1, 8), ServiceConfig::default());
     let s = state(&service, &["Plaka", "warm", "friends"]);
     let plan = FaultPlan::builder(3)
@@ -92,7 +84,7 @@ fn primary_failure_degrades_to_nearest_state() {
 
 #[test]
 fn total_failure_degrades_to_default_answer() {
-    let _serial = fault_lock();
+    let _serial = ctxpref_faults::exclusive();
     let service = CtxPrefService::new(study_db(1, 8), ServiceConfig::default());
     let s = state(&service, &["Plaka", "warm", "friends"]);
     let plan = FaultPlan::builder(4)
@@ -116,7 +108,7 @@ fn total_failure_degrades_to_default_answer() {
 
 #[test]
 fn injected_panics_are_contained_and_recorded() {
-    let _serial = fault_lock();
+    let _serial = ctxpref_faults::exclusive();
     let service = CtxPrefService::new(study_db(1, 8), ServiceConfig::default());
     let s = state(&service, &["Plaka", "warm", "friends"]);
     let plan = FaultPlan::builder(5)
@@ -137,7 +129,7 @@ fn injected_panics_are_contained_and_recorded() {
 
 #[test]
 fn deadlines_are_enforced_under_injected_delay() {
-    let _serial = fault_lock();
+    let _serial = ctxpref_faults::exclusive();
     let service = CtxPrefService::new(study_db(1, 8), ServiceConfig::default());
     let s = state(&service, &["Plaka", "warm", "friends"]);
     let plan = FaultPlan::builder(6)
@@ -160,7 +152,7 @@ fn deadlines_are_enforced_under_injected_delay() {
 
 #[test]
 fn admission_control_sheds_excess_load() {
-    let _serial = fault_lock();
+    let _serial = ctxpref_faults::exclusive();
     let cfg = ServiceConfig {
         workers: 1,
         max_in_flight: 1,
@@ -198,7 +190,7 @@ fn admission_control_sheds_excess_load() {
 
 #[test]
 fn storage_retry_recovers_from_transient_faults() {
-    let _serial = fault_lock();
+    let _serial = ctxpref_faults::exclusive();
     let dir = std::env::temp_dir();
     let path = dir.join(format!("ctxpref-service-retry-{}.db", std::process::id()));
     let service = CtxPrefService::new(study_db(2, 8), ServiceConfig::default());
@@ -224,7 +216,7 @@ fn storage_retry_recovers_from_transient_faults() {
 
 #[test]
 fn corrupt_files_are_not_retried() {
-    let _serial = fault_lock();
+    let _serial = ctxpref_faults::exclusive();
     let dir = std::env::temp_dir();
     let path = dir.join(format!("ctxpref-service-corrupt-{}.db", std::process::id()));
     let service = CtxPrefService::new(study_db(1, 8), ServiceConfig::default());
@@ -244,7 +236,7 @@ fn corrupt_files_are_not_retried() {
 
 #[test]
 fn mutations_flow_through_the_service() {
-    let _serial = fault_lock();
+    let _serial = ctxpref_faults::exclusive();
     let service = CtxPrefService::new(study_db(1, 8), ServiceConfig::default());
     service.add_user("zoe").unwrap();
     let (pref, s) = service.with_db(|db| {
@@ -272,7 +264,7 @@ fn mutations_flow_through_the_service() {
 
 #[test]
 fn edits_that_never_wait_hand_back_what_they_cannot_apply_now() {
-    let _serial = fault_lock();
+    let _serial = ctxpref_faults::exclusive();
     let service = CtxPrefService::new(study_db(1, 8), ServiceConfig::default());
     let scores = || {
         service.with_db(|db| {
@@ -317,7 +309,7 @@ fn edits_that_never_wait_hand_back_what_they_cannot_apply_now() {
 
 #[test]
 fn shutdown_rejects_new_requests() {
-    let _serial = fault_lock();
+    let _serial = ctxpref_faults::exclusive();
     let service = CtxPrefService::new(study_db(1, 8), ServiceConfig::default());
     let s = state(&service, &["Plaka", "warm", "friends"]);
     let db = service.shutdown();

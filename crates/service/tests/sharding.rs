@@ -12,7 +12,6 @@
 //!    storage deadline, instead of sleeping the full exponential
 //!    schedule.
 
-use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 use ctxpref_context::ContextState;
@@ -20,13 +19,6 @@ use ctxpref_core::MultiUserDb;
 use ctxpref_faults::FaultPlan;
 use ctxpref_service::{CtxPrefService, RetryPolicy, ServiceConfig, ServiceError};
 use ctxpref_workload::reference::{poi_env, poi_relation};
-
-fn fault_lock() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(Mutex::default)
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-}
 
 fn db_with_users(n: usize) -> MultiUserDb {
     let env = poi_env();
@@ -52,7 +44,7 @@ fn cross_shard_pair(service: &CtxPrefService, n: usize) -> (String, String) {
 
 #[test]
 fn quiesced_shard_does_not_block_other_shards() {
-    let _serial = fault_lock();
+    let _serial = ctxpref_faults::exclusive();
     let n = 32;
     let cfg = ServiceConfig {
         workers: 4,
@@ -111,7 +103,7 @@ fn quiesced_shard_does_not_block_other_shards() {
 
 #[test]
 fn deadline_expiring_during_lock_wait_is_counted_post_lock() {
-    let _serial = fault_lock();
+    let _serial = ctxpref_faults::exclusive();
     let n = 8;
     let cfg = ServiceConfig {
         workers: 2,
@@ -159,7 +151,7 @@ fn deadline_expiring_during_lock_wait_is_counted_post_lock() {
 
 #[test]
 fn storage_backoff_is_capped_by_the_storage_deadline() {
-    let _serial = fault_lock();
+    let _serial = ctxpref_faults::exclusive();
     let cfg = ServiceConfig {
         workers: 1,
         // Without the cap this schedule sleeps 50 + 100 + ... + 3200 ms
@@ -197,7 +189,7 @@ fn storage_backoff_is_capped_by_the_storage_deadline() {
 
 #[test]
 fn saves_do_not_block_queries() {
-    let _serial = fault_lock();
+    let _serial = ctxpref_faults::exclusive();
     let n = 16;
     let cfg = ServiceConfig {
         workers: 2,

@@ -5,7 +5,6 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use ctxpref_core::MultiUserDb;
 use ctxpref_faults::FaultPlan;
@@ -14,17 +13,6 @@ use ctxpref_storage::{
 };
 use ctxpref_workload::reference::{poi_env, poi_relation};
 use ctxpref_workload::user_study::{all_demographics, default_profile};
-
-/// Fault plans are process-global, and every save or load passes the
-/// storage fault sites: a test saving beside one that scripts `fail_at`
-/// hits would consume them. So every test here that saves or loads —
-/// which is every test — holds this lock.
-fn fault_lock() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(Mutex::default)
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-}
 
 /// A fresh path under the system temp dir; removed on drop.
 struct TempPath(PathBuf);
@@ -91,7 +79,7 @@ fn study_db(users: usize) -> MultiUserDb {
 
 #[test]
 fn save_load_roundtrip_with_checksum() {
-    let _serial = fault_lock();
+    let _serial = ctxpref_faults::exclusive();
     let path = TempPath::new("roundtrip");
     let db = study_db(3);
     save_multi_user(&path.0, &db).unwrap();
@@ -113,7 +101,7 @@ fn save_load_roundtrip_with_checksum() {
 
 #[test]
 fn flipped_byte_is_detected_as_corrupt() {
-    let _serial = fault_lock();
+    let _serial = ctxpref_faults::exclusive();
     let path = TempPath::new("bitrot");
     save_multi_user(&path.0, &study_db(2)).unwrap();
     let mut bytes = std::fs::read(&path.0).unwrap();
@@ -129,7 +117,7 @@ fn flipped_byte_is_detected_as_corrupt() {
 
 #[test]
 fn files_without_checksum_still_load() {
-    let _serial = fault_lock();
+    let _serial = ctxpref_faults::exclusive();
     // Streaming output (and pre-checksum files) has no checksum line.
     let path = TempPath::new("legacy");
     let db = study_db(2);
@@ -149,7 +137,7 @@ fn files_without_checksum_still_load() {
 /// the checksum rejects every strict prefix at load time.
 #[test]
 fn reader_never_panics_on_any_prefix() {
-    let _serial = fault_lock();
+    let _serial = ctxpref_faults::exclusive();
     let path = TempPath::new("fuzz");
     // Small relation, three small hand-built profiles: the fuzz is
     // O(file²) since every prefix is parsed, so the file must stay a
@@ -203,7 +191,7 @@ fn reader_never_panics_on_any_prefix() {
 /// accepts the damaged bytes as the saved database.
 #[test]
 fn reader_never_panics_on_flipped_bytes() {
-    let _serial = fault_lock();
+    let _serial = ctxpref_faults::exclusive();
     let path = TempPath::new("flip");
     let db = tiny_multi_user_db();
     save_multi_user(&path.0, &db).unwrap();
@@ -241,7 +229,7 @@ fn reader_never_panics_on_flipped_bytes() {
 /// leaves the previous file intact and loadable.
 #[test]
 fn partial_write_leaves_previous_file_loadable() {
-    let _serial = fault_lock();
+    let _serial = ctxpref_faults::exclusive();
     let path = TempPath::new("partial");
     let old = study_db(2);
     save_multi_user(&path.0, &old).unwrap();
@@ -269,7 +257,7 @@ fn partial_write_leaves_previous_file_loadable() {
 
 #[test]
 fn injected_io_errors_surface_as_storage_errors() {
-    let _serial = fault_lock();
+    let _serial = ctxpref_faults::exclusive();
     let path = TempPath::new("io-faults");
     let db = study_db(2);
     for site in [
@@ -300,7 +288,7 @@ fn injected_io_errors_surface_as_storage_errors() {
 /// of the complete snapshots.
 #[test]
 fn concurrent_saves_yield_a_complete_snapshot() {
-    let _serial = fault_lock();
+    let _serial = ctxpref_faults::exclusive();
     let path = TempPath::new("race");
     let dbs: Vec<MultiUserDb> = (1..=4).map(study_db).collect();
     std::thread::scope(|s| {

@@ -12,8 +12,8 @@
 
 #![warn(missing_docs)]
 
-pub mod catalog;
-pub mod intern;
+mod catalog;
+mod intern;
 
 pub use catalog::{Change, ViewCatalog, ViewOpts, ViewStats, MATERIALIZE_AFTER};
 pub use intern::{StateId, StateTable};

@@ -4,7 +4,7 @@
 //!
 //! The durability story, bottom to top:
 //!
-//! * [`record`] — framed log records: `[len | lsn | checksum | payload]`
+//! * `record` — framed log records: `[len | lsn | checksum | payload]`
 //!   with an FNV-1a 64 checksum over the whole frame, and [`WalOp`],
 //!   the logged mutation vocabulary (text payloads in the `ctxpref v1`
 //!   token dialect).
@@ -13,41 +13,36 @@
 //!   end of a shard's last segment is a crash signature and is
 //!   truncated away; damage anywhere else is corruption and recovery
 //!   refuses to guess.
-//! * [`wal`] — the [`Wal`] itself: one mutex-guarded log per shard
+//! * `wal` — the [`Wal`] itself: one mutex-guarded log per shard
 //!   (shards match the serving core's stripes), with
 //!   [`SyncPolicy::PerRecord`] fsync-per-append or
 //!   [`SyncPolicy::GroupCommit`] batched flushes, plus size-triggered
 //!   segment rotation.
-//! * [`manifest`] — the atomically-swapped [`Manifest`] naming the
+//! * `manifest` — the atomically-swapped [`Manifest`] naming the
 //!   current checkpoint generation and each shard's replay bounds.
-//! * [`durable`] — [`DurableDb`]: log-first mutations over the sharded
+//! * `durable` — [`DurableDb`]: log-first mutations over the sharded
 //!   core, background-checkpointable ([`DurableDb::checkpoint`]
 //!   snapshots stripe-by-stripe under the matching WAL shard mutex,
 //!   rotates segments, swaps the manifest, and garbage-collects), and
 //!   [`DurableDb::recover`] = checkpoint + replay.
-//! * [`harness`] — the deterministic crash-recovery fuzz: seeded
-//!   workloads crashed at every registered fault site, recovered, and
-//!   checked against the acked-durability invariant.
 //!
 //! Fault sites (`wal.append.write`, `wal.append.sync`, `wal.rotate`,
 //! `manifest.swap`, plus the storage crate's `storage.save.*`) are
 //! threaded through [`ctxpref_faults`]; with no plan installed they
 //! cost one atomic load.
 
-pub mod durable;
-pub mod error;
-pub mod harness;
-pub mod manifest;
-pub mod record;
+mod durable;
+mod error;
+mod manifest;
+mod record;
 pub mod scrub;
 pub mod segment;
-pub mod wal;
+mod wal;
 
 pub use durable::{
     Ack, CheckpointReport, DurableDb, RecoveryReport, ReplApply, UserCut, LOCK_FILE,
 };
 pub use error::{DurableError, WalError};
-pub use harness::{run_seed, tiny_env, tiny_relation, FuzzConfig, FuzzReport, Workload};
 pub use manifest::{Manifest, ShardManifest};
 pub use record::{Displaced, WalOp};
 pub use scrub::{QuarantinedFile, ScrubReport, QUARANTINE_DIR};

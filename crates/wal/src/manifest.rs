@@ -20,12 +20,12 @@ use ctxpref_storage::fnv1a64;
 use crate::error::WalError;
 
 /// The manifest's file name inside a durable directory.
-pub const MANIFEST_FILE: &str = "MANIFEST";
+pub(crate) const MANIFEST_FILE: &str = "MANIFEST";
 
 const MANIFEST_HEADER: &str = "ctxwal manifest v1";
 
 /// The checkpoint snapshot file for generation `gen`.
-pub fn checkpoint_file_name(generation: u64) -> String {
+pub(crate) fn checkpoint_file_name(generation: u64) -> String {
     format!("checkpoint-{generation}.db")
 }
 

@@ -23,11 +23,11 @@ use crate::error::WalError;
 
 /// Bytes of the per-record frame header: `u32` payload length, `u64`
 /// LSN, `u64` checksum.
-pub const FRAME_HEADER: usize = 4 + 8 + 8;
+pub(crate) const FRAME_HEADER: usize = 4 + 8 + 8;
 
 /// Sanity cap on a single record payload. A length field above this is
 /// treated as frame damage, never as a real record.
-pub const MAX_PAYLOAD: u32 = 1 << 24;
+pub(crate) const MAX_PAYLOAD: u32 = 1 << 24;
 
 fn fnv_update(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
@@ -38,7 +38,7 @@ fn fnv_update(mut h: u64, bytes: &[u8]) -> u64 {
 }
 
 /// The frame checksum: FNV-1a 64 over length, LSN, and payload.
-pub fn frame_checksum(lsn: u64, payload: &[u8]) -> u64 {
+pub(crate) fn frame_checksum(lsn: u64, payload: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     h = fnv_update(h, &(payload.len() as u32).to_le_bytes());
     h = fnv_update(h, &lsn.to_le_bytes());
@@ -47,7 +47,7 @@ pub fn frame_checksum(lsn: u64, payload: &[u8]) -> u64 {
 
 /// A parsed frame header: declared payload length, LSN, checksum.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FrameHeader {
+pub(crate) struct FrameHeader {
     /// Declared payload length (unvalidated — may exceed the cap).
     pub len: u32,
     /// The record's log sequence number.
@@ -59,7 +59,7 @@ pub struct FrameHeader {
 /// Parse a frame header from the start of `buf` without panicking:
 /// `None` means fewer than [`FRAME_HEADER`] bytes were available (a
 /// truncated header, the signature of a torn tail).
-pub fn parse_frame_header(buf: &[u8]) -> Option<FrameHeader> {
+pub(crate) fn parse_frame_header(buf: &[u8]) -> Option<FrameHeader> {
     let len = u32::from_le_bytes(buf.get(..4)?.try_into().ok()?);
     let lsn = u64::from_le_bytes(buf.get(4..12)?.try_into().ok()?);
     let checksum = u64::from_le_bytes(buf.get(12..20)?.try_into().ok()?);
@@ -67,7 +67,7 @@ pub fn parse_frame_header(buf: &[u8]) -> Option<FrameHeader> {
 }
 
 /// Frame `payload` as the record carrying `lsn`.
-pub fn frame(lsn: u64, payload: &[u8]) -> Vec<u8> {
+pub(crate) fn frame(lsn: u64, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(FRAME_HEADER + payload.len());
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     out.extend_from_slice(&lsn.to_le_bytes());

@@ -554,15 +554,6 @@ mod tests {
     use crate::record::FRAME_HEADER;
     use crate::segment::{list_segments, scan_segment};
     use ctxpref_faults::FaultPlan;
-    use std::sync::{Mutex as StdMutex, OnceLock};
-
-    /// Fault-plan tests share a process-global plan slot; serialize them.
-    fn fault_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: OnceLock<StdMutex<()>> = OnceLock::new();
-        LOCK.get_or_init(|| StdMutex::new(()))
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-    }
 
     fn tempdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -577,6 +568,7 @@ mod tests {
 
     #[test]
     fn per_record_appends_are_durable_and_replayable() {
+        let _serial = ctxpref_faults::exclusive();
         let dir = tempdir("per-record");
         let wal = Wal::create(&dir, 2, WalOptions::default()).unwrap();
         let a1 = wal.shard(0).append(b"add u1").unwrap();
@@ -593,6 +585,7 @@ mod tests {
 
     #[test]
     fn group_commit_buffers_until_flush() {
+        let _serial = ctxpref_faults::exclusive();
         let dir = tempdir("group-commit");
         let opts = WalOptions {
             sync: SyncPolicy::GroupCommit {
@@ -617,6 +610,7 @@ mod tests {
 
     #[test]
     fn segments_rotate_at_the_size_cap() {
+        let _serial = ctxpref_faults::exclusive();
         let dir = tempdir("rotate");
         let opts = WalOptions {
             segment_max_bytes: 128,
@@ -643,7 +637,7 @@ mod tests {
 
     #[test]
     fn injected_sync_failure_rolls_the_record_back() {
-        let _serial = fault_lock();
+        let _serial = ctxpref_faults::exclusive();
         let dir = tempdir("sync-fail");
         let wal = Wal::create(&dir, 1, WalOptions::default()).unwrap();
         wal.shard(0).append(b"keep me").unwrap();
@@ -674,7 +668,7 @@ mod tests {
 
     #[test]
     fn injected_torn_write_leaves_a_recoverable_tail() {
-        let _serial = fault_lock();
+        let _serial = ctxpref_faults::exclusive();
         let dir = tempdir("torn");
         let wal = Wal::create(&dir, 1, WalOptions::default()).unwrap();
         wal.shard(0).append(b"keep me").unwrap();
@@ -706,6 +700,7 @@ mod tests {
 
     #[test]
     fn drop_unsynced_tail_loses_only_unflushed_records() {
+        let _serial = ctxpref_faults::exclusive();
         let dir = tempdir("power-cut");
         let opts = WalOptions {
             sync: SyncPolicy::GroupCommit {
@@ -725,6 +720,7 @@ mod tests {
 
     #[test]
     fn reopen_continues_the_lsn_sequence() {
+        let _serial = ctxpref_faults::exclusive();
         let dir = tempdir("reopen");
         let opts = WalOptions::default();
         let wal = Wal::create(&dir, 1, opts).unwrap();

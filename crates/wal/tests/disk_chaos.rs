@@ -13,46 +13,15 @@
 //!
 //! Override the 32-seed matrix with `CTXPREF_FUZZ_SEEDS=a..b`.
 
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::Arc;
 use std::time::Duration;
 
 use ctxpref_core::{MultiUserDb, ShardedMultiUserDb};
 use ctxpref_faults::{at_rest, sites, FaultPlan};
+use ctxpref_testkit::{seeds, TempDir};
 use ctxpref_wal::segment::SEGMENT_HEADER;
 use ctxpref_wal::{DurableDb, SyncPolicy, WalError, WalOptions};
 use ctxpref_workload::reference::{poi_env, poi_relation};
-
-/// Fault plans are process-global; every test here serializes.
-fn fault_lock() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(Mutex::default)
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-}
-
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(tag: &str) -> Self {
-        static N: AtomicU64 = AtomicU64::new(0);
-        let n = N.fetch_add(1, Ordering::Relaxed);
-        let dir = std::env::temp_dir().join(format!(
-            "ctxpref-disk-chaos-{}-{tag}-{n}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        Self(dir)
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
 
 fn empty_db(shards: usize) -> Arc<ShardedMultiUserDb> {
     let env = poi_env();
@@ -95,9 +64,9 @@ fn sealed_segments(durable: &DurableDb, shard: usize) -> Vec<u64> {
 
 #[test]
 fn disk_full_window_sheds_typed_and_resumes() {
-    let _serial = fault_lock();
+    let _serial = ctxpref_faults::exclusive();
     let tmp = TempDir::new("enospc");
-    let durable = DurableDb::create(&tmp.0, empty_db(2), WalOptions::default()).unwrap();
+    let durable = DurableDb::create(tmp.path(), empty_db(2), WalOptions::default()).unwrap();
     durable.add_user("before").unwrap();
 
     // Appends 2..=4 land inside the full-disk window.
@@ -131,7 +100,7 @@ fn disk_full_window_sheds_typed_and_resumes() {
 
     // Shed writes were never logged: recovery sees none of them.
     drop(durable);
-    let (recovered, _) = DurableDb::recover(&tmp.0, WalOptions::default()).unwrap();
+    let (recovered, _) = DurableDb::recover(tmp.path(), WalOptions::default()).unwrap();
     assert!(
         !recovered
             .db()
@@ -144,10 +113,14 @@ fn disk_full_window_sheds_typed_and_resumes() {
 
 #[test]
 fn scrub_quarantines_bit_rot_and_heals() {
-    let _serial = fault_lock();
+    let _serial = ctxpref_faults::exclusive();
     let tmp = TempDir::new("bitrot");
-    let durable =
-        DurableDb::create(&tmp.0, empty_db(2), small_segments(SyncPolicy::PerRecord)).unwrap();
+    let durable = DurableDb::create(
+        tmp.path(),
+        empty_db(2),
+        small_segments(SyncPolicy::PerRecord),
+    )
+    .unwrap();
     let pref = a_pref(durable.db());
     for i in 0..30 {
         durable.add_user(&format!("user{i}")).unwrap();
@@ -186,17 +159,21 @@ fn scrub_quarantines_bit_rot_and_heals() {
     assert_eq!(durable.db().users_sorted(), users_before);
     drop(durable);
     let (recovered, report) =
-        DurableDb::recover(&tmp.0, small_segments(SyncPolicy::PerRecord)).unwrap();
+        DurableDb::recover(tmp.path(), small_segments(SyncPolicy::PerRecord)).unwrap();
     assert_eq!(recovered.db().users_sorted(), users_before);
     assert_eq!(report.rescued_shards, 0, "clean recovery needed a rescue");
 }
 
 #[test]
 fn scrub_treats_read_errors_as_transient() {
-    let _serial = fault_lock();
+    let _serial = ctxpref_faults::exclusive();
     let tmp = TempDir::new("read-err");
-    let durable =
-        DurableDb::create(&tmp.0, empty_db(2), small_segments(SyncPolicy::PerRecord)).unwrap();
+    let durable = DurableDb::create(
+        tmp.path(),
+        empty_db(2),
+        small_segments(SyncPolicy::PerRecord),
+    )
+    .unwrap();
     for i in 0..30 {
         durable.add_user(&format!("user{i}")).unwrap();
     }
@@ -222,10 +199,10 @@ fn scrub_treats_read_errors_as_transient() {
 
 #[test]
 fn recovery_consults_quarantine_after_crashed_heal() {
-    let _serial = fault_lock();
+    let _serial = ctxpref_faults::exclusive();
     let tmp = TempDir::new("rescue");
     let opts = small_segments(SyncPolicy::PerRecord);
-    let durable = DurableDb::create(&tmp.0, empty_db(2), opts).unwrap();
+    let durable = DurableDb::create(tmp.path(), empty_db(2), opts).unwrap();
     for i in 0..30 {
         durable.add_user(&format!("user{i}")).unwrap();
     }
@@ -237,14 +214,14 @@ fn recovery_consults_quarantine_after_crashed_heal() {
 
     // Simulate a scrub that quarantined a segment and died before its
     // healing checkpoint: move the file by hand, leave no new manifest.
-    let src = ctxpref_wal::segment::segment_path(&tmp.0, shard, seg_no);
-    let qdir = ctxpref_wal::scrub::quarantine_shard_dir(&tmp.0, shard);
+    let src = ctxpref_wal::segment::segment_path(tmp.path(), shard, seg_no);
+    let qdir = ctxpref_wal::scrub::quarantine_shard_dir(tmp.path(), shard);
     std::fs::create_dir_all(&qdir).unwrap();
     std::fs::rename(&src, qdir.join(src.file_name().unwrap())).unwrap();
 
     // Without quarantine this directory shape is a hard error; with it
     // the node restarts clean (but behind on that shard).
-    let (recovered, report) = DurableDb::recover(&tmp.0, opts).unwrap();
+    let (recovered, report) = DurableDb::recover(tmp.path(), opts).unwrap();
     assert_eq!(report.rescued_shards, 1, "{report:?}");
     // The records of the quarantined segment (and everything after it
     // on that shard) are honestly gone — this is the single-node story;
@@ -256,17 +233,17 @@ fn recovery_consults_quarantine_after_crashed_heal() {
     // identical — the node does not keep re-rescuing.
     let after_rescue = recovered.db().users_sorted();
     drop(recovered);
-    let (again, report2) = DurableDb::recover(&tmp.0, opts).unwrap();
+    let (again, report2) = DurableDb::recover(tmp.path(), opts).unwrap();
     assert_eq!(report2.rescued_shards, 0, "{report2:?}");
     assert_eq!(again.db().users_sorted(), after_rescue);
 }
 
 #[test]
 fn unexplained_corruption_still_refuses_to_start() {
-    let _serial = fault_lock();
+    let _serial = ctxpref_faults::exclusive();
     let tmp = TempDir::new("no-rescue");
     let opts = small_segments(SyncPolicy::PerRecord);
-    let durable = DurableDb::create(&tmp.0, empty_db(2), opts).unwrap();
+    let durable = DurableDb::create(tmp.path(), empty_db(2), opts).unwrap();
     for i in 0..30 {
         durable.add_user(&format!("user{i}")).unwrap();
     }
@@ -278,8 +255,13 @@ fn unexplained_corruption_still_refuses_to_start() {
 
     // Same missing-segment shape as the rescue test, but with no
     // quarantine to explain it: recovery must refuse to guess.
-    std::fs::remove_file(ctxpref_wal::segment::segment_path(&tmp.0, shard, seg_no)).unwrap();
-    let err = DurableDb::recover(&tmp.0, opts).unwrap_err();
+    std::fs::remove_file(ctxpref_wal::segment::segment_path(
+        tmp.path(),
+        shard,
+        seg_no,
+    ))
+    .unwrap();
+    let err = DurableDb::recover(tmp.path(), opts).unwrap_err();
     assert!(
         matches!(err, WalError::LsnGap { .. } | WalError::Manifest { .. }),
         "unexplained damage must not be rescued: {err}"
@@ -288,7 +270,7 @@ fn unexplained_corruption_still_refuses_to_start() {
 
 #[test]
 fn group_commit_flush_failure_then_retry_accounts_once() {
-    let _serial = fault_lock();
+    let _serial = ctxpref_faults::exclusive();
     let tmp = TempDir::new("flush-retry");
     let opts = WalOptions {
         sync: SyncPolicy::GroupCommit {
@@ -296,7 +278,7 @@ fn group_commit_flush_failure_then_retry_accounts_once() {
         },
         ..WalOptions::default()
     };
-    let durable = DurableDb::create(&tmp.0, empty_db(1), opts).unwrap();
+    let durable = DurableDb::create(tmp.path(), empty_db(1), opts).unwrap();
     for i in 0..3 {
         durable.add_user(&format!("user{i}")).unwrap();
     }
@@ -337,9 +319,9 @@ fn group_commit_flush_failure_then_retry_accounts_once() {
 
 #[test]
 fn per_record_sync_failure_never_acks_what_the_disk_refused() {
-    let _serial = fault_lock();
+    let _serial = ctxpref_faults::exclusive();
     let tmp = TempDir::new("sync-refuse");
-    let durable = DurableDb::create(&tmp.0, empty_db(1), WalOptions::default()).unwrap();
+    let durable = DurableDb::create(tmp.path(), empty_db(1), WalOptions::default()).unwrap();
     durable.add_user("kept").unwrap();
     let appends_before = durable.wal_appends();
 
@@ -363,10 +345,14 @@ fn per_record_sync_failure_never_acks_what_the_disk_refused() {
 
 #[test]
 fn rotate_failures_are_counted_and_surfaced() {
-    let _serial = fault_lock();
+    let _serial = ctxpref_faults::exclusive();
     let tmp = TempDir::new("rotate-fail");
-    let durable =
-        DurableDb::create(&tmp.0, empty_db(1), small_segments(SyncPolicy::PerRecord)).unwrap();
+    let durable = DurableDb::create(
+        tmp.path(),
+        empty_db(1),
+        small_segments(SyncPolicy::PerRecord),
+    )
+    .unwrap();
 
     let plan = FaultPlan::builder(3)
         .fail_every(sites::WAL_ROTATE, 1)
@@ -392,18 +378,6 @@ fn rotate_failures_are_counted_and_surfaced() {
     assert!(durable.wal_status().totals.rotations > 0);
 }
 
-/// The matrix: `CTXPREF_FUZZ_SEEDS=a..b` overrides the default 0..32.
-fn seed_range() -> std::ops::Range<u64> {
-    let Ok(spec) = std::env::var("CTXPREF_FUZZ_SEEDS") else {
-        return 0..32;
-    };
-    let parse = |s: &str| s.trim().parse::<u64>().ok();
-    match spec.split_once("..").map(|(a, b)| (parse(a), parse(b))) {
-        Some((Some(a), Some(b))) if a < b => a..b,
-        _ => panic!("CTXPREF_FUZZ_SEEDS must look like '0..32', got {spec:?}"),
-    }
-}
-
 /// The 32-seed disk-chaos matrix. Per seed: a workload runs through an
 /// ENOSPC window and scrub passes under injected read errors (no
 /// panic, typed sheds only); then a seed-chosen sealed segment takes
@@ -412,8 +386,8 @@ fn seed_range() -> std::ops::Range<u64> {
 /// must come back with every durably-acked write intact.
 #[test]
 fn disk_chaos_matrix() {
-    let _serial = fault_lock();
-    for seed in seed_range() {
+    let _serial = ctxpref_faults::exclusive();
+    for seed in seeds(0..32) {
         let result = std::panic::catch_unwind(|| run_disk_chaos_seed(seed));
         if let Err(p) = result {
             let msg = p
@@ -436,7 +410,7 @@ fn run_disk_chaos_seed(seed: u64) {
         }
     };
     let opts = small_segments(sync);
-    let durable = DurableDb::create(&tmp.0, empty_db(4), opts).unwrap();
+    let durable = DurableDb::create(tmp.path(), empty_db(4), opts).unwrap();
 
     // Live phase under chaos: an ENOSPC window opens partway in, scrub
     // runs concurrently with injected read errors, and nothing may
@@ -511,7 +485,7 @@ fn run_disk_chaos_seed(seed: u64) {
     // healing checkpoint covers the quarantined range).
     let before = durable.db().users_sorted();
     drop(durable);
-    let (recovered, rec_report) = DurableDb::recover(&tmp.0, opts).unwrap();
+    let (recovered, rec_report) = DurableDb::recover(tmp.path(), opts).unwrap();
     assert_eq!(
         rec_report.rescued_shards, 0,
         "seed {seed}: healed directory still needed a rescue: {rec_report:?}"

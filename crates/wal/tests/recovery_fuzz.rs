@@ -11,45 +11,16 @@
 //! Override the matrix with `CTXPREF_FUZZ_SEEDS=start..end` (e.g.
 //! `CTXPREF_FUZZ_SEEDS=7..8` to replay one seed).
 
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+pub mod harness;
+
 use std::time::Duration;
 
 use ctxpref_core::{MultiUserDb, ShardedMultiUserDb};
-use ctxpref_wal::{run_seed, DurableDb, FuzzConfig, SyncPolicy, WalOptions};
+use ctxpref_testkit::{seeds, TempDir};
+use ctxpref_wal::{DurableDb, SyncPolicy, WalOptions};
 use ctxpref_workload::reference::{poi_env, poi_relation};
 use ctxpref_workload::user_study::{all_demographics, default_profile};
-
-/// Fault plans are process-global: every test here either installs one
-/// or would trip over another test's, so they all serialize.
-fn fault_lock() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(Mutex::default)
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-}
-
-/// A fresh directory under the system temp dir; removed on drop.
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(tag: &str) -> Self {
-        static N: AtomicU64 = AtomicU64::new(0);
-        let n = N.fetch_add(1, Ordering::Relaxed);
-        let dir =
-            std::env::temp_dir().join(format!("ctxpref-recovery-{}-{tag}-{n}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        Self(dir)
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
+use harness::{run_seed, FuzzConfig};
 
 fn study_db(users: usize) -> ShardedMultiUserDb {
     let env = poi_env();
@@ -65,10 +36,10 @@ fn study_db(users: usize) -> ShardedMultiUserDb {
 
 #[test]
 fn durable_round_trip_with_checkpoint_and_replay() {
-    let _serial = fault_lock();
+    let _serial = ctxpref_faults::exclusive();
     let tmp = TempDir::new("roundtrip");
     let db = std::sync::Arc::new(study_db(3));
-    let durable = DurableDb::create(&tmp.0, db, WalOptions::default()).unwrap();
+    let durable = DurableDb::create(tmp.path(), db, WalOptions::default()).unwrap();
 
     // Mutations before the checkpoint land in the snapshot…
     durable.add_user("walter").unwrap();
@@ -98,7 +69,7 @@ fn durable_round_trip_with_checkpoint_and_replay() {
     );
     drop(durable); // Crash: no flush, no checkpoint.
 
-    let (recovered, report) = DurableDb::recover(&tmp.0, WalOptions::default()).unwrap();
+    let (recovered, report) = DurableDb::recover(tmp.path(), WalOptions::default()).unwrap();
     assert_eq!(report.generation, 1);
     assert_eq!(report.replayed, 3);
     assert_eq!(report.rejected, 0);
@@ -113,15 +84,15 @@ fn durable_round_trip_with_checkpoint_and_replay() {
 
 #[test]
 fn checkpoint_garbage_collects_old_generations() {
-    let _serial = fault_lock();
+    let _serial = ctxpref_faults::exclusive();
     let tmp = TempDir::new("gc");
     let db = std::sync::Arc::new(study_db(2));
-    let durable = DurableDb::create(&tmp.0, db, WalOptions::default()).unwrap();
+    let durable = DurableDb::create(tmp.path(), db, WalOptions::default()).unwrap();
     for i in 0..3 {
         durable.add_user(&format!("extra{i}")).unwrap();
         durable.checkpoint().unwrap();
     }
-    let files: Vec<String> = std::fs::read_dir(&tmp.0)
+    let files: Vec<String> = std::fs::read_dir(tmp.path())
         .unwrap()
         .filter_map(|e| e.ok()?.file_name().into_string().ok())
         .filter(|n| n.starts_with("checkpoint-"))
@@ -134,7 +105,7 @@ fn checkpoint_garbage_collects_old_generations() {
     // Old segments are gone too: each shard keeps only its live tail.
     for shard in 0..durable.db().num_shards() {
         let manifest = durable.manifest();
-        let segs: Vec<_> = std::fs::read_dir(tmp.0.join(format!("shard-{shard}")))
+        let segs: Vec<_> = std::fs::read_dir(tmp.path().join(format!("shard-{shard}")))
             .unwrap()
             .filter_map(|e| e.ok()?.file_name().into_string().ok())
             .collect();
@@ -156,7 +127,7 @@ fn checkpoint_garbage_collects_old_generations() {
 
 #[test]
 fn group_commit_recovery_after_power_cut_keeps_flushed_prefix() {
-    let _serial = fault_lock();
+    let _serial = ctxpref_faults::exclusive();
     let tmp = TempDir::new("power-cut");
     let opts = WalOptions {
         sync: SyncPolicy::GroupCommit {
@@ -165,7 +136,7 @@ fn group_commit_recovery_after_power_cut_keeps_flushed_prefix() {
         ..WalOptions::default()
     };
     let db = std::sync::Arc::new(study_db(1));
-    let durable = DurableDb::create(&tmp.0, db, opts).unwrap();
+    let durable = DurableDb::create(tmp.path(), db, opts).unwrap();
     durable.add_user("kept").unwrap();
     durable.flush().unwrap();
     let ack = durable.add_user("lost").unwrap();
@@ -176,7 +147,7 @@ fn group_commit_recovery_after_power_cut_keeps_flushed_prefix() {
     durable.drop_unsynced_tails().unwrap(); // The power cut.
     drop(durable);
 
-    let (recovered, _) = DurableDb::recover(&tmp.0, opts).unwrap();
+    let (recovered, _) = DurableDb::recover(tmp.path(), opts).unwrap();
     let users = recovered.db().users_sorted();
     assert!(users.contains(&"kept".to_string()));
     assert!(
@@ -185,27 +156,15 @@ fn group_commit_recovery_after_power_cut_keeps_flushed_prefix() {
     );
 }
 
-/// The matrix: `CTXPREF_FUZZ_SEEDS=a..b` overrides the default 0..32.
-fn seed_range() -> std::ops::Range<u64> {
-    let Ok(spec) = std::env::var("CTXPREF_FUZZ_SEEDS") else {
-        return 0..32;
-    };
-    let parse = |s: &str| s.trim().parse::<u64>().ok();
-    match spec.split_once("..").map(|(a, b)| (parse(a), parse(b))) {
-        Some((Some(a), Some(b))) if a < b => a..b,
-        _ => panic!("CTXPREF_FUZZ_SEEDS must look like '0..32', got {spec:?}"),
-    }
-}
-
 #[test]
 fn crash_recovery_fuzz_matrix() {
-    let _serial = fault_lock();
+    let _serial = ctxpref_faults::exclusive();
     let tmp = TempDir::new("fuzz");
     let mut sites_covered = std::collections::BTreeSet::new();
     let mut total_replayed = 0;
-    for seed in seed_range() {
+    for seed in seeds(0..32) {
         let cfg = FuzzConfig::for_seed(seed);
-        match run_seed(&tmp.0.join(format!("seed-{seed}")), &cfg) {
+        match run_seed(&tmp.path().join(format!("seed-{seed}")), &cfg) {
             Ok(report) => {
                 assert!(
                     report.sites_missed.is_empty(),

@@ -6,7 +6,8 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use ctxpref_core::ShardedMultiUserDb;
-use ctxpref_wal::{tiny_env, tiny_relation, DurableDb, ReplApply, WalError, WalOp, WalOptions};
+use ctxpref_wal::{DurableDb, ReplApply, WalError, WalOp, WalOptions};
+use ctxpref_workload::reference::{tiny_env, tiny_relation};
 
 fn tempdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(

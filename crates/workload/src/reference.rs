@@ -181,6 +181,24 @@ pub fn poi_relation(env: &ContextEnvironment, seed: u64, per_region_hint: usize)
     rel
 }
 
+/// A one-parameter universe (`mood` ∈ {low, high}) for tests whose
+/// state comparisons serialize the whole database: small on purpose.
+pub fn tiny_env() -> ContextEnvironment {
+    ContextEnvironment::new(vec![
+        Hierarchy::flat("mood", &["low", "high"]).expect("static hierarchy")
+    ])
+    .expect("static environment")
+}
+
+/// The two-tuple relation (`alpha`, `beta`) paired with [`tiny_env`].
+pub fn tiny_relation() -> Relation {
+    let schema = Schema::new(&[("name", AttrType::Str)]).expect("static schema");
+    let mut rel = Relation::new("items", schema);
+    rel.insert(vec!["alpha".into()]).expect("static tuple");
+    rel.insert(vec!["beta".into()]).expect("static tuple");
+    rel
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
