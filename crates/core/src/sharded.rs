@@ -465,12 +465,7 @@ pub struct ShardQuiesceGuard<'a> {
 /// FNV-1a over the user name, folded onto the stripe count. Stable
 /// across processes (used by on-disk-agnostic tests and benches).
 fn shard_index(user: &str, shards: usize) -> usize {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in user.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    (h % shards as u64) as usize
+    (ctxpref_bytes::fnv1a64(user.as_bytes()) % shards as u64) as usize
 }
 
 #[cfg(test)]

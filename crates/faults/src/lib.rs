@@ -349,12 +349,7 @@ impl Rule {
 }
 
 fn fnv(s: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    ctxpref_bytes::fnv1a64(s.as_bytes())
 }
 
 fn mix(seed: u64, n: u64) -> u64 {

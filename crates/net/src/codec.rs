@@ -41,25 +41,28 @@
 //! variant in [`crate::proto`], one table line here, a dispatch arm in
 //! the server and a client method.
 //!
-//! Primitives: LEB128 varints for integers and lengths, raw
-//! length-delimited bytes for strings and record payloads, IEEE-754
-//! little-endian for scores, one byte for a bool (any non-zero byte
-//! reads `true`). The one fixed-width integer is `UserCut`'s digest
-//! (8 little-endian bytes). Every length and count is validated
-//! against the bytes actually present **before** any allocation, so a
-//! hostile claim costs a typed [`DecodeError`] — carrying the exact
-//! byte offset — and never memory. The codec fuzz suite drives truncations, bit
-//! flips, and hostile length claims through every variant under a
-//! counting allocator.
+//! The field encodings, the table macros and the frame are
+//! `ctxpref_bytes`'s, shared with the WAL: LEB128 varints for integers
+//! and lengths, length-delimited bytes for strings and record payloads,
+//! IEEE-754 little-endian for scores, and 8 little-endian bytes for
+//! `UserCut`'s digest. Every length and count is validated against the
+//! bytes present **before** any allocation, so a hostile claim costs a
+//! typed [`DecodeError`] carrying the exact byte offset, never memory.
+//! The codec fuzz suite drives truncations, bit flips, and hostile
+//! length claims through every variant under a counting allocator.
 
+use ctxpref_bytes::{
+    bad_tag, open_frame, put_uv, seal_frame, vocabulary, wire_struct, Dec, DecodeError, Le64,
+    Message, FRAME_HEADER,
+};
 use ctxpref_service::Priority;
 
-use crate::error::{DecodeError, DecodeKind, FrameError};
-use crate::frame::{open_frame, seal_frame, Framed, FRAME_HEADER};
+use crate::error::FrameError;
+use crate::frame::Framed;
 use crate::proto::{AnswerRow, MigrateAction, RemoteAnswer, Request, Response, WireFallback};
 
 mod answer;
-pub(crate) use answer::{answer_frame, Put, Seq, Shown};
+pub(crate) use answer::{answer_frame, Name};
 
 /// First byte of every `ctxpref2` payload.
 pub const BINARY_MAGIC: u8 = 0xC2;
@@ -87,319 +90,6 @@ pub fn is_binary(payload: &[u8]) -> bool {
     payload.first() == Some(&BINARY_MAGIC)
 }
 
-// ---------------------------------------------------------------------------
-// Primitives
-// ---------------------------------------------------------------------------
-
-fn put_uv(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
-}
-
-fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
-    put_uv(out, b.len() as u64);
-    out.extend_from_slice(b);
-}
-
-fn bad_tag(what: &'static str, tag: u8, offset: usize) -> DecodeError {
-    DecodeError {
-        offset,
-        kind: DecodeKind::BadTag {
-            what,
-            tag: u64::from(tag),
-        },
-    }
-}
-
-/// A bounds-checked binary reader over one payload. Every failure
-/// carries the byte offset at which it occurred.
-struct Dec<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Dec<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn err(&self, kind: DecodeKind) -> DecodeError {
-        DecodeError {
-            offset: self.pos,
-            kind,
-        }
-    }
-
-    fn u8(&mut self) -> Result<u8, DecodeError> {
-        let b = *self
-            .buf
-            .get(self.pos)
-            .ok_or_else(|| self.err(DecodeKind::Truncated))?;
-        self.pos += 1;
-        Ok(b)
-    }
-
-    fn uv(&mut self) -> Result<u64, DecodeError> {
-        let start = self.pos;
-        let mut v: u64 = 0;
-        let mut shift = 0u32;
-        loop {
-            let byte = self.u8()?;
-            if shift == 63 && byte > 1 {
-                return Err(DecodeError {
-                    offset: start,
-                    kind: DecodeKind::VarintOverflow,
-                });
-            }
-            v |= u64::from(byte & 0x7f) << shift;
-            if byte & 0x80 == 0 {
-                return Ok(v);
-            }
-            shift += 7;
-            if shift > 63 {
-                return Err(DecodeError {
-                    offset: start,
-                    kind: DecodeKind::VarintOverflow,
-                });
-            }
-        }
-    }
-
-    /// A declared length or element count, validated against the bytes
-    /// that remain (each element occupies at least `min_elem_bytes`):
-    /// the one place where a hostile claim is caught before any
-    /// allocation is sized by it.
-    fn checked_count(&mut self, min_elem_bytes: usize) -> Result<usize, DecodeError> {
-        let start = self.pos;
-        let n = self.uv()?;
-        let budget = self.remaining() as u64 / (min_elem_bytes.max(1) as u64);
-        if n > budget {
-            return Err(DecodeError {
-                offset: start,
-                kind: DecodeKind::LengthOverflow {
-                    declared: n,
-                    max: budget,
-                },
-            });
-        }
-        Ok(n as usize)
-    }
-
-    /// A length-delimited byte run, borrowed from the payload.
-    fn bytes(&mut self) -> Result<&'a [u8], DecodeError> {
-        let len = self.checked_count(1)?;
-        let run = &self.buf[self.pos..self.pos + len];
-        self.pos += len;
-        Ok(run)
-    }
-
-    fn expect_end(&self) -> Result<(), DecodeError> {
-        if self.pos != self.buf.len() {
-            return Err(self.err(DecodeKind::TrailingBytes));
-        }
-        Ok(())
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Field encodings
-// ---------------------------------------------------------------------------
-
-/// How one field type travels.
-trait Wire: Sized {
-    /// The fewest bytes one value occupies: the floor
-    /// `Dec::checked_count` divides the remaining input by before a
-    /// vector of these is allocated.
-    const MIN_BYTES: usize;
-    fn put(&self, out: &mut Vec<u8>);
-    fn get(dec: &mut Dec<'_>) -> Result<Self, DecodeError>;
-}
-
-impl Wire for u64 {
-    const MIN_BYTES: usize = 1;
-    fn put(&self, out: &mut Vec<u8>) {
-        put_uv(out, *self);
-    }
-    fn get(dec: &mut Dec<'_>) -> Result<Self, DecodeError> {
-        dec.uv()
-    }
-}
-
-/// Counts, indices and limits: a varint that must fit a `usize`.
-impl Wire for usize {
-    const MIN_BYTES: usize = 1;
-    fn put(&self, out: &mut Vec<u8>) {
-        put_uv(out, *self as u64);
-    }
-    fn get(dec: &mut Dec<'_>) -> Result<Self, DecodeError> {
-        let start = dec.pos;
-        let v = dec.uv()?;
-        usize::try_from(v).map_err(|_| DecodeError {
-            offset: start,
-            kind: DecodeKind::LengthOverflow {
-                declared: v,
-                max: usize::MAX as u64,
-            },
-        })
-    }
-}
-
-impl Wire for f64 {
-    const MIN_BYTES: usize = 8;
-    fn put(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_bits().to_le_bytes());
-    }
-    fn get(dec: &mut Dec<'_>) -> Result<Self, DecodeError> {
-        if dec.remaining() < 8 {
-            return Err(dec.err(DecodeKind::Truncated));
-        }
-        let mut raw = [0u8; 8];
-        raw.copy_from_slice(&dec.buf[dec.pos..dec.pos + 8]);
-        dec.pos += 8;
-        Ok(f64::from_le_bytes(raw))
-    }
-}
-
-impl Wire for bool {
-    const MIN_BYTES: usize = 1;
-    fn put(&self, out: &mut Vec<u8>) {
-        out.push(u8::from(*self));
-    }
-    fn get(dec: &mut Dec<'_>) -> Result<Self, DecodeError> {
-        Ok(dec.u8()? != 0)
-    }
-}
-
-impl Wire for String {
-    const MIN_BYTES: usize = 1;
-    fn put(&self, out: &mut Vec<u8>) {
-        put_bytes(out, self.as_bytes());
-    }
-    fn get(dec: &mut Dec<'_>) -> Result<Self, DecodeError> {
-        let start = dec.pos;
-        let raw = dec.bytes()?;
-        String::from_utf8(raw.to_vec()).map_err(|_| DecodeError {
-            offset: start,
-            kind: DecodeKind::BadUtf8,
-        })
-    }
-}
-
-/// A record payload: raw length-delimited bytes.
-impl Wire for Vec<u8> {
-    const MIN_BYTES: usize = 1;
-    fn put(&self, out: &mut Vec<u8>) {
-        put_bytes(out, self);
-    }
-    fn get(dec: &mut Dec<'_>) -> Result<Self, DecodeError> {
-        Ok(dec.bytes()?.to_vec())
-    }
-}
-
-/// A count, then the elements — allocated only once the count is
-/// known to fit the bytes that remain.
-impl<T: Wire> Wire for Vec<T> {
-    const MIN_BYTES: usize = 1;
-    fn put(&self, out: &mut Vec<u8>) {
-        put_uv(out, self.len() as u64);
-        for item in self {
-            item.put(out);
-        }
-    }
-    fn get(dec: &mut Dec<'_>) -> Result<Self, DecodeError> {
-        let n = dec.checked_count(T::MIN_BYTES)?;
-        let mut items = Vec::with_capacity(n);
-        for _ in 0..n {
-            items.push(T::get(dec)?);
-        }
-        Ok(items)
-    }
-}
-
-impl<A: Wire, B: Wire> Wire for (A, B) {
-    const MIN_BYTES: usize = A::MIN_BYTES + B::MIN_BYTES;
-    fn put(&self, out: &mut Vec<u8>) {
-        self.0.put(out);
-        self.1.put(out);
-    }
-    fn get(dec: &mut Dec<'_>) -> Result<Self, DecodeError> {
-        Ok((A::get(dec)?, B::get(dec)?))
-    }
-}
-
-/// `RemoteAnswer`'s resolved state: a presence flag that must be
-/// exactly 0 or 1, then the rendered state.
-impl Wire for Option<String> {
-    const MIN_BYTES: usize = 1;
-    fn put(&self, out: &mut Vec<u8>) {
-        self.as_deref().put_into(out);
-    }
-    fn get(dec: &mut Dec<'_>) -> Result<Self, DecodeError> {
-        let at = dec.pos;
-        match dec.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(String::get(dec)?)),
-            flag => Err(bad_tag("resolved-state flag", flag, at)),
-        }
-    }
-}
-
-/// The one fixed-width integer: `UserCut`'s digest, 8 little-endian
-/// bytes.
-struct Le64(u64);
-
-impl Wire for Le64 {
-    const MIN_BYTES: usize = 8;
-    fn put(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.0.to_le_bytes());
-    }
-    fn get(dec: &mut Dec<'_>) -> Result<Self, DecodeError> {
-        // Byte by byte, so a truncated digest is reported at the first
-        // missing byte.
-        let mut raw = [0u8; 8];
-        for b in &mut raw {
-            *b = dec.u8()?;
-        }
-        Ok(Self(u64::from_le_bytes(raw)))
-    }
-}
-
-/// A struct travels as its fields, in the order listed. The encoder is
-/// `put_fields`, generated from the same list: it takes each field as
-/// anything that writes it ([`Put`]), so the owned struct and a borrowed
-/// stand-in for it (the server's answer rows) travel in one order.
-macro_rules! wire_struct {
-    ($name:ident { $($field:ident: $ty:ty),* }) => {
-        impl $name {
-            /// The fields, written in the order they travel.
-            pub(crate) fn put_fields(out: &mut Vec<u8>, $($field: impl Put),*) {
-                $($field.put_into(out);)*
-            }
-        }
-
-        impl Wire for $name {
-            const MIN_BYTES: usize = 0 $(+ <$ty as Wire>::MIN_BYTES)*;
-            fn put(&self, out: &mut Vec<u8>) {
-                Self::put_fields(out, $(&self.$field),*);
-            }
-            fn get(dec: &mut Dec<'_>) -> Result<Self, DecodeError> {
-                Ok(Self { $($field: <$ty as Wire>::get(dec)?),* })
-            }
-        }
-    };
-}
-
 wire_struct! { AnswerRow { name: String, score: f64 } }
 wire_struct! { WireFallback { step: String, reason: String } }
 wire_struct! {
@@ -415,103 +105,6 @@ wire_struct! {
 // ---------------------------------------------------------------------------
 // The vocabulary
 // ---------------------------------------------------------------------------
-
-/// A message kind: a tag byte naming the variant, then its fields.
-trait Message: Sized {
-    /// What a `BadTag` error calls this kind's tag.
-    const WHAT: &'static str;
-    /// The batch variant's tag: a batch is legal only at top level.
-    const BATCH: Option<u8> = None;
-    fn tag(&self) -> u8;
-    fn put_body(&self, out: &mut Vec<u8>);
-    /// The body of the variant tagged `tag`, which was read at byte
-    /// `at` (where an unknown tag is reported).
-    fn get_body(dec: &mut Dec<'_>, tag: u8, at: usize) -> Result<Self, DecodeError>;
-}
-
-/// A message inside another one — a batch item, a migrate action —
-/// travels as its tag and body.
-impl<M: Message> Wire for M {
-    const MIN_BYTES: usize = 1;
-    fn put(&self, out: &mut Vec<u8>) {
-        out.push(self.tag());
-        self.put_body(out);
-    }
-    fn get(dec: &mut Dec<'_>) -> Result<Self, DecodeError> {
-        let at = dec.pos;
-        let tag = dec.u8()?;
-        // Batches do not nest: refused before the body is read, so
-        // hostile nesting costs no recursion.
-        if M::BATCH == Some(tag) {
-            return Err(bad_tag(M::WHAT, tag, at));
-        }
-        M::get_body(dec, tag, at)
-    }
-}
-
-/// Declares one message kind: a line per variant with its tag and the
-/// order its fields travel in (a field written `f as W` travels as the
-/// wire type `W`). The compiler holds each table to its enum: a missing
-/// variant or field does not build, and neither does a tag used twice.
-macro_rules! vocabulary {
-    (
-        $kind:ident, tags $tags:ident, $what:literal $(, batch $batch:ident)?;
-        $($tag:literal => $variant:ident
-            $({ $($field:ident $(as $via:ident)?),* })? $(($inner:ident))?,)*
-    ) => {
-        /// The tag byte of each variant.
-        #[repr(u8)]
-        enum $tags {
-            $($variant = $tag,)*
-        }
-
-        impl Message for $kind {
-            const WHAT: &'static str = $what;
-            $(const BATCH: Option<u8> = Some($tags::$batch as u8);)?
-
-            fn tag(&self) -> u8 {
-                match self {
-                    $(Self::$variant { .. } => $tags::$variant as u8,)*
-                }
-            }
-
-            fn put_body(&self, out: &mut Vec<u8>) {
-                match self {
-                    $(Self::$variant $({ $($field),* })? $(($inner))? => {
-                        $($(field!(put out, $field $(as $via)?);)*)?
-                        $(field!(put out, $inner);)?
-                    })*
-                }
-            }
-
-            fn get_body(dec: &mut Dec<'_>, tag: u8, at: usize) -> Result<Self, DecodeError> {
-                Ok(match tag {
-                    $($tag => Self::$variant
-                        $({ $($field: field!(get dec, $field $(as $via)?)),* })?
-                        $((field!(get dec, $inner)))?,)*
-                    _ => return Err(bad_tag(Self::WHAT, tag, at)),
-                })
-            }
-        }
-    };
-}
-
-/// One field of a `vocabulary!` line, written or read as its own
-/// type or `as` the named wire type.
-macro_rules! field {
-    (put $out:ident, $f:ident) => {
-        $f.put($out)
-    };
-    (put $out:ident, $f:ident as $via:ident) => {
-        $via(*$f).put($out)
-    };
-    (get $dec:ident, $f:ident) => {
-        Wire::get($dec)?
-    };
-    (get $dec:ident, $f:ident as $via:ident) => {
-        $via::get($dec)?.0
-    };
-}
 
 vocabulary! {
     Request, tags RequestTag, "request", batch Batch;
@@ -670,7 +263,7 @@ fn header(payload: &[u8]) -> Result<(Dec<'_>, u8, u64), DecodeError> {
 pub fn decode_request(payload: &[u8]) -> Result<WireRequest, DecodeError> {
     let (mut dec, tag, id) = header(payload)?;
     let budget_ms = dec.uv()?;
-    let tier_at = dec.pos;
+    let tier_at = dec.pos();
     let tier_tag = dec.u8()?;
     let tier = Priority::from_wire_tag(tier_tag)
         .ok_or_else(|| bad_tag("priority tier", tier_tag, tier_at))?;
@@ -734,28 +327,7 @@ pub fn decode_response(payload: &[u8]) -> Result<WireResponse, DecodeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error::DecodeKind;
-
-    #[test]
-    fn varints_roundtrip() {
-        for v in [0u64, 1, 127, 128, 300, u32::MAX as u64, u64::MAX] {
-            let mut out = Vec::new();
-            put_uv(&mut out, v);
-            let mut dec = Dec::new(&out);
-            assert_eq!(dec.uv().unwrap(), v);
-            dec.expect_end().unwrap();
-        }
-    }
-
-    #[test]
-    fn overlong_varint_is_rejected() {
-        // 10 continuation bytes overflow a u64.
-        let overlong = [0xff; 11];
-        let mut dec = Dec::new(&overlong);
-        let err = dec.uv().unwrap_err();
-        assert_eq!(err.kind, DecodeKind::VarintOverflow);
-        assert_eq!(err.offset, 0);
-    }
+    use ctxpref_bytes::DecodeKind;
 
     #[test]
     fn hostile_length_claims_fail_typed_before_allocation() {

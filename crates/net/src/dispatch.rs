@@ -23,13 +23,14 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
+use ctxpref_bytes::{Seq, Shown};
 use ctxpref_context::ContextState;
 use ctxpref_core::CoreError;
 use ctxpref_service::{
     Admitted, CtxPrefService, LadderStep, Priority, ReplicationError, ServiceAnswer, ServiceError,
 };
 
-use crate::codec::{self, Seq, Shown, WireRequest};
+use crate::codec::{self, Name, WireRequest};
 use crate::error::FrameError;
 use crate::frame::{Framed, FRAME_HEADER};
 use crate::proto::{AnswerRow, MigrateAction, RemoteAnswer, Request, Response, WireFallback};
@@ -523,7 +524,11 @@ pub fn answer_frame(
                     WireFallback::put_fields(out, fb.step.as_str(), fb.reason.as_str())
                 }),
                 Seq::new(rows.iter(), |out, e| {
-                    AnswerRow::put_fields(out, relation.tuple(e.tuple_index).value(a), &e.score)
+                    AnswerRow::put_fields(
+                        out,
+                        Name(relation.tuple(e.tuple_index).value(a)),
+                        &e.score,
+                    )
                 }),
             )
         })

@@ -354,7 +354,8 @@ pub enum Response {
         shard: u64,
         /// The shard's last applied LSN at the cut.
         last_lsn: u64,
-        /// FNV digest of the profile at the cut (0 when absent).
+        /// Digest of the profile at the cut — the frame checksum over
+        /// its snapshot-op bytes (0 when absent).
         digest: u64,
     },
     /// A consistent user snapshot: the cut LSN plus reconstruction

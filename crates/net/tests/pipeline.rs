@@ -37,24 +37,33 @@ fn wire_responses_arrive_out_of_order_and_carry_their_ids() {
     let _guard = ctxpref_faults::exclusive();
     let server = spawn_server();
 
-    // Stall exactly the first dispatched job: its response must then
-    // trail every other in-flight response onto the wire.
+    // Stall request 10's job: it is sent alone, and the others follow
+    // only once its job has reached the stall site (hit 1), so no other
+    // job can take the stall whichever worker runs it. Its response
+    // must then trail every other in-flight response onto the wire.
     let plan = FaultPlan::builder(0)
         .delay_at(NET_CONN_DELAY, &[1], Duration::from_millis(400))
         .build();
-    let _plan = ctxpref_faults::install(plan);
+    let _plan = ctxpref_faults::install(Arc::clone(&plan));
 
     let mut stream = TcpStream::connect(server.local_addr()).expect("dial");
     stream
         .set_read_timeout(Some(Duration::from_secs(5)))
         .expect("read timeout");
     let ids = [10u64, 11, 12, 13];
-    for id in ids {
+    let started = Instant::now();
+    for (i, id) in ids.into_iter().enumerate() {
         write_frame(&mut stream, &encode_request(id, &Request::Ping)).expect("write frame");
+        while i == 0 && plan.hit_count(NET_CONN_DELAY) == 0 {
+            assert!(
+                started.elapsed() < Duration::from_secs(5),
+                "request 10 never dispatched"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
     }
 
     let mut arrival = Vec::new();
-    let started = Instant::now();
     for _ in 0..ids.len() {
         let payload = read_frame(&mut stream)
             .expect("read frame")

@@ -1,45 +1,38 @@
 //! Anti-entropy digests.
 //!
-//! A shard's digest is FNV-1a 64 over its users in sorted order — each
-//! user's name followed by every preference serialized in the storage
-//! crate's token dialect (the same dialect the WAL logs and snapshots
-//! save, so anything that round-trips identically digests identically).
-//! Two nodes whose shard digests match hold byte-equal shard contents;
-//! a mismatch marks the shard for resync.
+//! A digest is the frame checksum over the op bytes that rebuild the
+//! users it covers ([`crate::snapshot_ops`]: each user's `AddUser`,
+//! then one `InsertPreference` per preference), users in sorted order.
+//! Those are the bytes the WAL logs and migration ships, so anything
+//! that round-trips identically digests identically: two nodes whose
+//! shard digests match hold equal shard contents, and a mismatch marks
+//! the shard for resync.
 
-use ctxpref_context::ContextEnvironment;
+use ctxpref_bytes::frame_checksum;
 use ctxpref_profile::Profile;
-use ctxpref_relation::Relation;
-use ctxpref_storage::pref_tokens;
 use ctxpref_wal::DurableDb;
 
-fn fnv_update(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+use crate::migrate::snapshot_ops;
 
-/// Digest one stripe's users (already sorted by
-/// `ShardedMultiUserDb::stripe_users`).
-pub fn stripe_digest(env: &ContextEnvironment, rel: &Relation, users: &[(String, Profile)]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+/// Digest users given as borrowed `(name, profile)` pairs, already
+/// sorted by name (as `ShardedMultiUserDb::stripe_users` returns them).
+pub fn stripe_digest<'a>(users: impl IntoIterator<Item = (&'a str, &'a Profile)>) -> u64 {
+    let mut bytes = Vec::new();
     for (name, profile) in users {
-        h = fnv_update(h, name.as_bytes());
-        h = fnv_update(h, &[0]);
-        for pref in profile.preferences() {
-            h = fnv_update(h, pref_tokens(pref, env, rel).as_bytes());
-            h = fnv_update(h, &[1]);
+        for op in snapshot_ops(name, profile) {
+            bytes.extend_from_slice(&op);
         }
     }
-    h
+    frame_checksum(&bytes)
 }
 
 /// Every shard's digest for one node, in shard order.
 pub fn node_digests(db: &DurableDb) -> Vec<u64> {
     let core = db.db();
     (0..db.num_shards())
-        .map(|ix| stripe_digest(core.env(), core.relation(), &core.stripe_users(ix)))
+        .map(|ix| {
+            let users = core.stripe_users(ix);
+            stripe_digest(users.iter().map(|(name, profile)| (name.as_str(), profile)))
+        })
         .collect()
 }

@@ -43,22 +43,11 @@ pub fn load_epoch(dir: &Path) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::path::PathBuf;
-
-    fn tempdir() -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "ctxpref-repl-epoch-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
+    use ctxpref_testkit::TempDir;
 
     #[test]
     fn epoch_round_trips_and_defaults_to_zero() {
-        let dir = tempdir();
+        let dir = TempDir::new("repl-epoch");
         assert_eq!(load_epoch(&dir), 0);
         save_epoch(&dir, 7).unwrap();
         assert_eq!(load_epoch(&dir), 7);

@@ -20,7 +20,8 @@
 //! * `node` — [`ReplNode`]: one participant; symmetric `handle`
 //!   services shipping, catch-up pulls, and anti-entropy alike, with
 //!   the epoch fence applied before anything else.
-//! * `digest` — canonical per-shard FNV digests for anti-entropy.
+//! * `digest` — canonical per-shard digests for anti-entropy: the
+//!   frame checksum over the shard's snapshot-op bytes.
 //! * `migrate` — the per-user snapshot + catch-up primitives that
 //!   the routing tier composes into live migration between clusters.
 //! * `transport` — in-process delivery between nodes, threaded through

@@ -12,8 +12,8 @@ use ctxpref_profile::Profile;
 /// A node's identity within one replication cluster (its index).
 pub type NodeId = usize;
 
-/// One shipped log record: the primary-assigned LSN and the framed
-/// payload bytes (the same text-line dialect the WAL itself stores).
+/// One shipped log record: the primary-assigned LSN and the record's
+/// op bytes (the same `WalOp` encoding the WAL itself stores).
 pub type ShippedRecord = (u64, Vec<u8>);
 
 /// What a replication message asks the receiver to do.
@@ -91,7 +91,8 @@ pub enum Reply {
     },
     /// Per-shard anti-entropy digests.
     Digests {
-        /// FNV-1a digest per shard, canonical across nodes.
+        /// The digest per shard ([`crate::stripe_digest`]), canonical
+        /// across nodes.
         digests: Vec<u64>,
     },
     /// The divergent shard was replaced and checkpointed.

@@ -16,7 +16,7 @@
 //!   breaker ([`Breaker`]) that fails fast while a cluster is down.
 //! * [`Router::migrate_user`] — live migration: consistent snapshot,
 //!   WAL-suffix catch-up, a brief per-user write fence at cut-over,
-//!   FNV digest verification across the move, then the routing flip —
+//!   profile digest verification across the move, then the routing flip —
 //!   with abort/rollback at every pre-flip step and epoch fencing so
 //!   a deposed driver can never clobber a newer migration. The chaos
 //!   suite (`tests/chaos.rs`) drives migrations under injected
@@ -33,4 +33,4 @@ pub use error::RouterError;
 pub use health::{Breaker, BreakerConfig, BreakerState};
 pub use migrate::MigrationReport;
 pub use router::{Router, RouterConfig};
-pub use table::{fnv1a, RoutingTable};
+pub use table::RoutingTable;

@@ -18,7 +18,7 @@
 //!    one user get the typed, retry-able `migrating` refusal (never a
 //!    hang, and crucially *pre-apply*, so a refused write was never
 //!    acked). The driver drains the remaining suffix up to the fenced
-//!    LSN, verifies the FNV **digest** of both sides' profiles match,
+//!    LSN, verifies the **digest** of both sides' profiles match,
 //!    flips the routing table, activates the destination, and only
 //!    then tells the source to drop its copy (leaving a `moved`
 //!    tombstone for stale clients). The flip commits *before* the

@@ -12,25 +12,15 @@
 
 use std::collections::HashMap;
 
-/// FNV-1a over `bytes` — the same digest family the WAL frames and
-/// anti-entropy stripes use, chosen here for determinism across runs
-/// and platforms (the ring must not move between restarts).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// A ring point for `bytes`: FNV-1a pushed through a 64-bit avalanche
-/// finalizer. Raw FNV of short keys that differ only in their last
-/// characters clusters into narrow bands (the trailing bytes see too
-/// few multiplies), which makes a consistent-hash ring wildly
-/// unbalanced; the finalizer spreads those bands over the full space.
+/// A ring point for `bytes`: FNV-1a (deterministic across runs and
+/// platforms, so the ring never moves between restarts) pushed through
+/// a 64-bit avalanche finalizer. Raw FNV of short keys that differ
+/// only in their last characters clusters into narrow bands (the
+/// trailing bytes see too few multiplies), which makes a
+/// consistent-hash ring wildly unbalanced; the finalizer spreads those
+/// bands over the full space.
 fn ring_point(bytes: &[u8]) -> u64 {
-    let mut x = fnv1a(bytes);
+    let mut x = ctxpref_bytes::fnv1a64(bytes);
     x ^= x >> 33;
     x = x.wrapping_mul(0xff51_afd7_ed55_8ccd);
     x ^= x >> 33;

@@ -340,7 +340,7 @@ pub struct RouteInfo {
 }
 
 /// A consistent per-user export used by the migration driver: the
-/// cut's coordinates plus an FNV digest of the profile at the cut.
+/// cut's coordinates plus a digest of the profile at the cut.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UserExport {
     /// Whether the user exists on this side.
@@ -349,24 +349,25 @@ pub struct UserExport {
     pub shard: u64,
     /// The shard's last applied LSN at the cut.
     pub last_lsn: u64,
-    /// FNV digest of the profile at the cut (0 when absent).
+    /// Digest of the profile at the cut — the frame checksum over its
+    /// snapshot-op bytes (`ctxpref_replication::user_digest`; 0 when
+    /// absent).
     pub digest: u64,
 }
 
 impl CtxPrefService {
     /// A consistent per-user export for the migration driver: whether
     /// the user exists, their WAL shard, the shard's last applied LSN
-    /// at the cut, and an FNV digest of the profile at the cut. Taken
+    /// at the cut, and a digest of the profile at the cut. Taken
     /// under the user's shard mutex, so the digest and the LSN agree
     /// exactly. Requires durability (migration replays the WAL).
     pub fn migrate_export(&self, user: &str) -> Result<UserExport, ServiceError> {
         let d = self.durable_db()?;
         let cut = d.user_cut(user);
-        let core = d.db();
         let digest = cut
             .profile
             .as_ref()
-            .map(|p| ctxpref_replication::user_digest(core.env(), core.relation(), user, p))
+            .map(|p| ctxpref_replication::user_digest(user, p))
             .unwrap_or(0);
         Ok(UserExport {
             present: cut.profile.is_some(),
@@ -387,8 +388,7 @@ impl CtxPrefService {
         let profile = cut
             .profile
             .ok_or_else(|| ServiceError::Core(CoreError::NoSuchUser(user.to_string())))?;
-        let core = d.db();
-        let ops = ctxpref_replication::snapshot_ops(core.env(), core.relation(), user, &profile);
+        let ops = ctxpref_replication::snapshot_ops(user, &profile);
         Ok((cut.last_lsn, ops))
     }
 

@@ -47,11 +47,9 @@ mod writer;
 
 pub use error::StorageError;
 pub use escape::{escape, unescape};
-pub use reader::{
-    parse_pref_tokens, read_database, read_hierarchy, read_multi_user, read_profile, read_relation,
-};
+pub use reader::{read_database, read_hierarchy, read_multi_user, read_profile, read_relation};
 pub use writer::{
-    pref_tokens, write_database, write_hierarchy, write_multi_user, write_profile, write_relation,
+    write_database, write_hierarchy, write_multi_user, write_profile, write_relation,
 };
 
 use std::fs::File;
@@ -59,21 +57,11 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use ctxpref_bytes::fnv1a64;
 use ctxpref_core::{ContextualDb, MultiUserDb};
 
 /// Magic header of the format.
 pub const HEADER: &str = "ctxpref v1";
-
-/// FNV-1a 64 over raw bytes — the body checksum recorded in saved
-/// files and in write-ahead-log record frames.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// A temp path in the same directory as `path` (rename must not cross
 /// filesystems), unique per call so concurrent saves cannot clobber

@@ -348,18 +348,6 @@ fn parse_pref(
         .map_err(|e| StorageError::model(line, e))
 }
 
-/// Parse the token list of one serialized preference — a `pref` line
-/// minus the leading keyword — against an existing environment and
-/// relation. Inverse of [`crate::pref_tokens`]; the write-ahead log
-/// reuses this to decode mutation payloads.
-pub fn parse_pref_tokens(
-    tokens: &[&str],
-    env: &ContextEnvironment,
-    rel: &Relation,
-) -> Result<ContextualPreference, StorageError> {
-    parse_pref(0, tokens, env, rel)
-}
-
 /// Read one standalone profile section (starting at its `profile` line)
 /// against an existing environment and relation.
 pub fn read_profile(

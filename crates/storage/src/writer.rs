@@ -86,9 +86,7 @@ pub fn write_relation(w: &mut impl Write, rel: &Relation) -> Result<(), StorageE
 /// the leading keyword): `<score> <attr> <op> <value>` followed by the
 /// descriptor's structural clauses (`eq` / `in` / `range` with value
 /// names, so arbitrary names round-trip without quoting rules).
-/// Inverse of [`crate::parse_pref_tokens`]; the write-ahead log reuses
-/// this to encode mutation payloads.
-pub fn pref_tokens(
+fn pref_tokens(
     pref: &ctxpref_profile::ContextualPreference,
     env: &ctxpref_context::ContextEnvironment,
     rel: &Relation,

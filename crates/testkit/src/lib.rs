@@ -20,7 +20,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use ctxpref_core::ShardedMultiUserDb;
-use ctxpref_storage::{pref_tokens, write_multi_user};
+use ctxpref_storage::write_multi_user;
 use ctxpref_wal::WalOp;
 use ctxpref_workload::reference::{tiny_env, tiny_relation};
 
@@ -42,6 +42,14 @@ impl TempDir {
 
     /// The directory.
     pub fn path(&self) -> &Path {
+        &self.0
+    }
+}
+
+/// A `TempDir` is the directory: `&dir` passes as a `&Path`.
+impl std::ops::Deref for TempDir {
+    type Target = Path;
+    fn deref(&self) -> &Path {
         &self.0
     }
 }
@@ -130,11 +138,7 @@ pub fn effect_visible(db: &ShardedMultiUserDb, op: &WalOp) -> bool {
             let Ok(profile) = db.profile(user) else {
                 return false;
             };
-            let want = pref_tokens(pref, db.env(), db.relation());
-            profile
-                .preferences()
-                .iter()
-                .any(|p| pref_tokens(p, db.env(), db.relation()) == want)
+            profile.preferences().contains(pref)
         }
         other => panic!("effect_visible: {other:?} is not an add"),
     }

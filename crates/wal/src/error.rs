@@ -26,6 +26,14 @@ pub enum WalError {
         /// What exactly was wrong.
         reason: String,
     },
+    /// A segment or manifest written in another format version — an
+    /// older build's text records — which this build does not read.
+    Version {
+        /// The refused file.
+        path: PathBuf,
+        /// The format mark it carries.
+        found: String,
+    },
     /// The manifest file is missing, unparsable, or fails its checksum.
     Manifest {
         /// What exactly was wrong.
@@ -93,6 +101,11 @@ impl fmt::Display for WalError {
                     path.display()
                 )
             }
+            Self::Version { path, found } => write!(
+                f,
+                "{} is format {found:?}, which this build does not read",
+                path.display()
+            ),
             Self::Manifest { reason } => write!(f, "bad wal manifest: {reason}"),
             Self::LsnGap {
                 shard,

@@ -4,10 +4,11 @@
 //!
 //! The durability story, bottom to top:
 //!
-//! * `record` — framed log records: `[len | lsn | checksum | payload]`
-//!   with an FNV-1a 64 checksum over the whole frame, and [`WalOp`],
-//!   the logged mutation vocabulary (text payloads in the `ctxpref v1`
-//!   token dialect).
+//! * `record` — log records, each one frame of the wire's byte format
+//!   (`ctxpref_bytes`: `[len | checksum | payload]`, the frame
+//!   checksum over length and payload) whose payload is `lsn ‖ op`,
+//!   and [`WalOp`], the logged mutation vocabulary: one `vocabulary!`
+//!   table, preferences travelling as ids.
 //! * [`segment`] — per-shard segment files (`shard-<i>/seg-<n>.wal`)
 //!   and the recovery scan with its torn-tail rule: damage at the very
 //!   end of a shard's last segment is a crash signature and is
@@ -19,7 +20,8 @@
 //!   [`SyncPolicy::GroupCommit`] batched flushes, plus size-triggered
 //!   segment rotation.
 //! * `manifest` — the atomically-swapped [`Manifest`] naming the
-//!   current checkpoint generation and each shard's replay bounds.
+//!   current checkpoint generation and each shard's replay bounds: a
+//!   version line and one frame.
 //! * `durable` — [`DurableDb`]: log-first mutations over the sharded
 //!   core, background-checkpointable ([`DurableDb::checkpoint`]
 //!   snapshots stripe-by-stripe under the matching WAL shard mutex,

@@ -1,9 +1,12 @@
 //! The checkpoint manifest: the single source of truth for recovery.
 //!
-//! `MANIFEST` is a small checksummed text file naming the current
-//! checkpoint generation, its snapshot file, and — per WAL shard — the
-//! last LSN the checkpoint covers and the first segment that must
-//! still be replayed. It is replaced by an atomic write-temp +
+//! `MANIFEST` names the current checkpoint generation, its snapshot
+//! file, and — per WAL shard — the last LSN the checkpoint covers and
+//! the first segment that must still be replayed. It is a header line,
+//! `ctxwal manifest v2`, then one frame of the wire's byte format
+//! (`ctxpref_bytes`) whose payload is the [`Manifest`]'s `wire_struct!`
+//! fields; a manifest of another version is refused with
+//! [`WalError::Version`]. It is replaced by an atomic write-temp +
 //! fsync + rename, so a crash at any point of a checkpoint leaves
 //! either the old manifest or the new one governing recovery, never a
 //! half-written mix. Checkpoint files and segments are only deleted
@@ -14,15 +17,16 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use ctxpref_bytes::{open_frame, seal_frame, split_frame, wire_struct, Dec, Wire};
 use ctxpref_faults::sites;
-use ctxpref_storage::fnv1a64;
 
 use crate::error::WalError;
 
 /// The manifest's file name inside a durable directory.
 pub(crate) const MANIFEST_FILE: &str = "MANIFEST";
 
-const MANIFEST_HEADER: &str = "ctxwal manifest v1";
+/// The line every manifest opens with: the format and its version.
+const MANIFEST_HEADER: &[u8] = b"ctxwal manifest v2\n";
 
 /// The checkpoint snapshot file for generation `gen`.
 pub(crate) fn checkpoint_file_name(generation: u64) -> String {
@@ -53,6 +57,9 @@ pub struct Manifest {
     pub shards: Vec<ShardManifest>,
 }
 
+wire_struct! { ShardManifest { last_lsn: u64, first_live_segment: u64 } }
+wire_struct! { Manifest { generation: u64, checkpoint: String, shards: Vec<ShardManifest> } }
+
 impl Manifest {
     /// The manifest for a freshly bootstrapped directory: generation 0,
     /// empty-ish checkpoint, nothing replayed yet.
@@ -75,26 +82,16 @@ impl Manifest {
         dir.join(&self.checkpoint)
     }
 
-    fn body(&self) -> Vec<u8> {
-        let mut body = Vec::new();
-        let _ = writeln!(body, "generation {}", self.generation);
-        let _ = writeln!(body, "checkpoint {}", self.checkpoint);
-        let _ = writeln!(body, "shards {}", self.shards.len());
-        for (i, s) in self.shards.iter().enumerate() {
-            let _ = writeln!(body, "shard {i} {} {}", s.last_lsn, s.first_live_segment);
-        }
-        body
-    }
-
     /// Atomically replace `dir/MANIFEST` with this manifest. Fault
     /// site `manifest.swap` fires just before the rename — the moment a
     /// crash is most interesting, with both old and new files on disk.
     pub fn save(&self, dir: &Path) -> Result<(), WalError> {
-        let body = self.body();
-        let mut payload = Vec::with_capacity(body.len() + 64);
-        let _ = writeln!(payload, "{MANIFEST_HEADER}");
-        let _ = writeln!(payload, "checksum {:016x}", fnv1a64(&body));
-        payload.extend_from_slice(&body);
+        let mut payload = MANIFEST_HEADER.to_vec();
+        let at = open_frame(&mut payload);
+        self.put(&mut payload);
+        seal_frame(&mut payload, at).map_err(|e| WalError::Manifest {
+            reason: e.to_string(),
+        })?;
 
         let path = dir.join(MANIFEST_FILE);
         let tmp = temp_sibling(&path);
@@ -114,70 +111,29 @@ impl Manifest {
     /// Load and verify `dir/MANIFEST`.
     pub fn load(dir: &Path) -> Result<Self, WalError> {
         let bad = |reason: String| WalError::Manifest { reason };
-        let bytes = std::fs::read(dir.join(MANIFEST_FILE))
-            .map_err(|e| bad(format!("cannot read {MANIFEST_FILE}: {e}")))?;
-        let text =
-            std::str::from_utf8(&bytes).map_err(|_| bad("manifest is not utf-8".to_string()))?;
-        let mut lines = text.lines();
-        if lines.next() != Some(MANIFEST_HEADER) {
+        let path = dir.join(MANIFEST_FILE);
+        let bytes =
+            std::fs::read(&path).map_err(|e| bad(format!("cannot read {MANIFEST_FILE}: {e}")))?;
+        let Some(frame) = bytes.strip_prefix(MANIFEST_HEADER) else {
+            let line = bytes.split(|&b| b == b'\n').next().unwrap_or_default();
+            if line.starts_with(b"ctxwal manifest") {
+                return Err(WalError::Version {
+                    path,
+                    found: String::from_utf8_lossy(line).into_owned(),
+                });
+            }
             return Err(bad("missing manifest header".to_string()));
-        }
-        let sum_line = lines.next().unwrap_or_default();
-        let expected = sum_line
-            .strip_prefix("checksum ")
-            .ok_or_else(|| bad("missing checksum line".to_string()))?;
-        let body_start = text
-            .match_indices('\n')
-            .nth(1)
-            .map(|(i, _)| i + 1)
-            .ok_or_else(|| bad("truncated manifest".to_string()))?;
-        let actual = format!("{:016x}", fnv1a64(&bytes[body_start..]));
-        if expected.trim() != actual {
-            return Err(bad(format!(
-                "checksum mismatch: recorded {expected}, actual {actual}"
-            )));
-        }
-
-        let mut field = |prefix: &str| -> Result<String, WalError> {
-            let line = lines
-                .next()
-                .ok_or_else(|| bad(format!("missing {prefix} line")))?;
-            line.strip_prefix(prefix)
-                .and_then(|r| r.strip_prefix(' '))
-                .map(str::to_string)
-                .ok_or_else(|| bad(format!("expected {prefix} line, got {line:?}")))
         };
-        let generation = field("generation")?
-            .parse()
-            .map_err(|e| bad(format!("bad generation: {e}")))?;
-        let checkpoint = field("checkpoint")?;
-        let n: usize = field("shards")?
-            .parse()
-            .map_err(|e| bad(format!("bad shards: {e}")))?;
-        let mut shards = Vec::with_capacity(n);
-        for i in 0..n {
-            let line = field("shard")?;
-            let toks: Vec<&str> = line.split_whitespace().collect();
-            let parsed = match toks.as_slice() {
-                [ix, lsn, seg] => ix
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|ix| *ix == i)
-                    .and_then(|_| Some((lsn.parse().ok()?, seg.parse().ok()?))),
-                _ => None,
-            };
-            let (last_lsn, first_live_segment) =
-                parsed.ok_or_else(|| bad(format!("bad shard line {line:?}")))?;
-            shards.push(ShardManifest {
-                last_lsn,
-                first_live_segment,
-            });
+        let (payload, len) = split_frame(frame)
+            .map_err(|e| bad(e.to_string()))?
+            .ok_or_else(|| bad("truncated manifest".to_string()))?;
+        if len != frame.len() {
+            return Err(bad("bytes after the manifest frame".to_string()));
         }
-        Ok(Self {
-            generation,
-            checkpoint,
-            shards,
-        })
+        let mut dec = Dec::new(payload);
+        Self::get(&mut dec)
+            .and_then(|m| dec.expect_end().map(|()| m))
+            .map_err(|e| bad(e.to_string()))
     }
 }
 
@@ -197,6 +153,7 @@ fn temp_sibling(path: &Path) -> PathBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ctxpref_testkit::TempDir;
 
     fn sample() -> Manifest {
         Manifest {
@@ -217,7 +174,7 @@ mod tests {
 
     #[test]
     fn manifest_round_trips() {
-        let dir = tempdir();
+        let dir = TempDir::new("wal-manifest");
         let m = sample();
         m.save(&dir).unwrap();
         assert_eq!(Manifest::load(&dir).unwrap(), m);
@@ -225,7 +182,7 @@ mod tests {
 
     #[test]
     fn save_replaces_atomically() {
-        let dir = tempdir();
+        let dir = TempDir::new("wal-manifest");
         Manifest::bootstrap(2).save(&dir).unwrap();
         sample().save(&dir).unwrap();
         assert_eq!(Manifest::load(&dir).unwrap().generation, 4);
@@ -233,7 +190,7 @@ mod tests {
 
     #[test]
     fn corrupt_manifest_is_rejected() {
-        let dir = tempdir();
+        let dir = TempDir::new("wal-manifest");
         sample().save(&dir).unwrap();
         let path = dir.join(MANIFEST_FILE);
         let mut bytes = std::fs::read(&path).unwrap();
@@ -246,21 +203,10 @@ mod tests {
 
     #[test]
     fn missing_manifest_is_an_error() {
-        let dir = tempdir();
+        let dir = TempDir::new("wal-manifest");
         assert!(matches!(
             Manifest::load(&dir),
             Err(WalError::Manifest { .. })
         ));
-    }
-
-    fn tempdir() -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "ctxpref-wal-manifest-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
     }
 }

@@ -34,7 +34,7 @@ use ctxpref_faults::sites;
 use parking_lot::{Mutex, MutexGuard};
 
 use crate::error::WalError;
-use crate::record::frame;
+use crate::record::put_record;
 use crate::segment::{segment_header, segment_path, shard_dir, SEGMENT_HEADER};
 
 /// When appended records become durable.
@@ -108,6 +108,8 @@ struct ShardState {
     /// A rollback failed; the on-disk state is unknown and appends are
     /// refused until recovery.
     poisoned: bool,
+    /// The record being appended, framed in a buffer the shard keeps.
+    record: Vec<u8>,
 }
 
 /// The result of one append.
@@ -222,6 +224,7 @@ impl Wal {
                 pending: 0,
                 tail_dirty: false,
                 poisoned: false,
+                record: Vec::new(),
             }));
         }
         Ok(Self {
@@ -253,6 +256,7 @@ impl Wal {
                 pending: 0,
                 tail_dirty: false,
                 poisoned: false,
+                record: Vec::new(),
             }));
         }
         Ok(Self {
@@ -338,12 +342,12 @@ impl ShardGuard<'_> {
         self.state.seg_no
     }
 
-    /// Append one record and, under [`SyncPolicy::PerRecord`], fsync
-    /// it. On any error the log's logical state is unchanged: either
+    /// Append one record carrying the op bytes `op` and, under
+    /// [`SyncPolicy::PerRecord`], fsync it. On any error the log's logical state is unchanged: either
     /// the bytes are rolled back, or (for an injected torn write) they
     /// are left as a dirty tail that the next append truncates and a
     /// crash-recovery scan recognizes as torn.
-    pub fn append(&mut self, payload: &[u8]) -> Result<AppendAck, WalError> {
+    pub fn append(&mut self, op: &[u8]) -> Result<AppendAck, WalError> {
         let shard = self.shard;
         if ctxpref_faults::hit(sites::DISK_FULL).is_err() {
             // The volume is (injected-)full. Shed before touching the
@@ -368,21 +372,22 @@ impl ShardGuard<'_> {
             s.tail_dirty = false;
         }
         let lsn = s.next_lsn;
-        let bytes = frame(lsn, payload);
+        s.record.clear();
+        put_record(&mut s.record, lsn, op)?;
+        let len = s.record.len();
 
         ctxpref_faults::hit_io(sites::WAL_APPEND_WRITE)?;
-        let keep = ctxpref_faults::truncated_len(sites::WAL_APPEND_WRITE, bytes.len());
+        let keep = ctxpref_faults::truncated_len(sites::WAL_APPEND_WRITE, len);
         s.file.seek(SeekFrom::Start(s.pos))?;
-        let write = s.file.write_all(&bytes[..keep]);
-        if keep < bytes.len() {
+        let write = s.file.write_all(&s.record[..keep]);
+        if keep < len {
             // Injected torn write: the prefix stays on disk (that is
             // the point — recovery must cope with it), the logical log
             // does not advance, and the op is never applied.
             let _ = s.file.sync_data();
             s.tail_dirty = true;
             return Err(WalError::Io(std::io::Error::other(format!(
-                "injected torn append: {keep} of {} bytes persisted",
-                bytes.len()
+                "injected torn append: {keep} of {len} bytes persisted"
             ))));
         }
         if let Err(e) = write {
@@ -415,14 +420,14 @@ impl ShardGuard<'_> {
                     }
                     return Err(WalError::Io(e));
                 }
-                s.pos += bytes.len() as u64;
+                s.pos += len as u64;
                 s.synced_pos = s.pos;
                 s.next_lsn = lsn + 1;
                 s.synced_lsn = lsn;
                 true
             }
             SyncPolicy::GroupCommit { .. } => {
-                s.pos += bytes.len() as u64;
+                s.pos += len as u64;
                 s.next_lsn = lsn + 1;
                 s.pending += 1;
                 false
@@ -521,7 +526,7 @@ impl ShardGuard<'_> {
 
 /// Create segment `seg_no` of `shard`, write and fsync its header, and
 /// fsync the shard directory so the file itself survives a crash.
-fn new_segment(dir: &Path, shard: usize, seg_no: u64) -> Result<File, WalError> {
+pub(crate) fn new_segment(dir: &Path, shard: usize, seg_no: u64) -> Result<File, WalError> {
     let path = segment_path(dir, shard, seg_no);
     let mut file = OpenOptions::new()
         .read(true)
@@ -551,25 +556,14 @@ fn is_enospc(e: &std::io::Error) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::FRAME_HEADER;
     use crate::segment::{list_segments, scan_segment};
     use ctxpref_faults::FaultPlan;
-
-    fn tempdir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "ctxpref-wal-{tag}-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
+    use ctxpref_testkit::TempDir;
 
     #[test]
     fn per_record_appends_are_durable_and_replayable() {
         let _serial = ctxpref_faults::exclusive();
-        let dir = tempdir("per-record");
+        let dir = TempDir::new("wal-per-record");
         let wal = Wal::create(&dir, 2, WalOptions::default()).unwrap();
         let a1 = wal.shard(0).append(b"add u1").unwrap();
         let a2 = wal.shard(0).append(b"ins u1 x").unwrap();
@@ -586,7 +580,7 @@ mod tests {
     #[test]
     fn group_commit_buffers_until_flush() {
         let _serial = ctxpref_faults::exclusive();
-        let dir = tempdir("group-commit");
+        let dir = TempDir::new("wal-group-commit");
         let opts = WalOptions {
             sync: SyncPolicy::GroupCommit {
                 flush_interval: Duration::from_millis(5),
@@ -611,7 +605,7 @@ mod tests {
     #[test]
     fn segments_rotate_at_the_size_cap() {
         let _serial = ctxpref_faults::exclusive();
-        let dir = tempdir("rotate");
+        let dir = TempDir::new("wal-rotate");
         let opts = WalOptions {
             segment_max_bytes: 128,
             ..WalOptions::default()
@@ -638,7 +632,7 @@ mod tests {
     #[test]
     fn injected_sync_failure_rolls_the_record_back() {
         let _serial = ctxpref_faults::exclusive();
-        let dir = tempdir("sync-fail");
+        let dir = TempDir::new("wal-sync-fail");
         let wal = Wal::create(&dir, 1, WalOptions::default()).unwrap();
         wal.shard(0).append(b"keep me").unwrap();
         let len_before = std::fs::metadata(segment_path(&dir, 0, 1)).unwrap().len();
@@ -669,7 +663,7 @@ mod tests {
     #[test]
     fn injected_torn_write_leaves_a_recoverable_tail() {
         let _serial = ctxpref_faults::exclusive();
-        let dir = tempdir("torn");
+        let dir = TempDir::new("wal-torn");
         let wal = Wal::create(&dir, 1, WalOptions::default()).unwrap();
         wal.shard(0).append(b"keep me").unwrap();
 
@@ -701,7 +695,7 @@ mod tests {
     #[test]
     fn drop_unsynced_tail_loses_only_unflushed_records() {
         let _serial = ctxpref_faults::exclusive();
-        let dir = tempdir("power-cut");
+        let dir = TempDir::new("wal-power-cut");
         let opts = WalOptions {
             sync: SyncPolicy::GroupCommit {
                 flush_interval: Duration::from_millis(5),
@@ -721,7 +715,7 @@ mod tests {
     #[test]
     fn reopen_continues_the_lsn_sequence() {
         let _serial = ctxpref_faults::exclusive();
-        let dir = tempdir("reopen");
+        let dir = TempDir::new("wal-reopen");
         let opts = WalOptions::default();
         let wal = Wal::create(&dir, 1, opts).unwrap();
         wal.shard(0).append(b"one").unwrap();
@@ -759,12 +753,5 @@ mod tests {
 appends 11, group-commit batches 12, rotations 13
 shard 0: segment 1 (2 bytes), last lsn 3, synced lsn 4, pending 5
 shard 1: segment 6 (7 bytes), last lsn 8, synced lsn 9, pending 10 POISONED");
-    }
-
-    #[test]
-    fn frame_header_matches_layout() {
-        // Guards against someone "simplifying" the constants apart.
-        assert_eq!(FRAME_HEADER, 20);
-        assert_eq!(SEGMENT_HEADER, 24);
     }
 }

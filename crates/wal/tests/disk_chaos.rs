@@ -165,6 +165,45 @@ fn scrub_quarantines_bit_rot_and_heals() {
 }
 
 #[test]
+fn scrub_catches_a_sealed_segment_cut_at_a_frame_boundary_before_an_empty_append_segment() {
+    let _serial = ctxpref_faults::exclusive();
+    let tmp = TempDir::new("cut-at-boundary");
+    let opts = small_segments(SyncPolicy::PerRecord);
+    let durable = DurableDb::create(tmp.path(), empty_db(1), opts).unwrap();
+    // Append until a rotation leaves the append segment empty.
+    let mut i = 0;
+    while sealed_segments(&durable, 0).is_empty()
+        || durable.wal_status().shards[0].seg_bytes != SEGMENT_HEADER as u64
+    {
+        durable.add_user(&format!("user{i}")).unwrap();
+        i += 1;
+    }
+    let seg_no = *sealed_segments(&durable, 0).last().unwrap();
+    let path = ctxpref_wal::segment::segment_path(durable.dir(), 0, seg_no);
+    let records = |len: u64| {
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(&path)
+            .unwrap()
+            .set_len(len)
+            .unwrap();
+        ctxpref_wal::segment::scan_segment(&path, 0, seg_no, false).map(|s| s.records.len())
+    };
+    // Cut the last record off whole: every frame left checks out.
+    let whole = std::fs::metadata(&path).unwrap().len();
+    let kept = records(whole).unwrap();
+    let cut = (SEGMENT_HEADER as u64..whole)
+        .rev()
+        .find(|&len| records(len).is_ok_and(|n| n == kept - 1))
+        .unwrap();
+    records(cut).unwrap();
+
+    let report = durable.scrub().unwrap();
+    assert_eq!(report.quarantined.len(), 1, "{report:?}");
+    assert!(report.healed, "{report:?}");
+}
+
+#[test]
 fn scrub_treats_read_errors_as_transient() {
     let _serial = ctxpref_faults::exclusive();
     let tmp = TempDir::new("read-err");

@@ -82,7 +82,7 @@ fn apply_replicated_applies_duplicates_and_gaps() {
     };
     let shard = primary.db().shard_of("alice");
     let ack = primary.apply(op.clone()).unwrap();
-    let payload = op.encode(primary.db().env(), primary.db().relation());
+    let payload = op.encode();
 
     // First delivery applies.
     let r = replica.apply_replicated(shard, ack.lsn, &payload).unwrap();
@@ -167,10 +167,12 @@ fn snapshot_install_round_trips_and_survives_recovery() {
     // primary's watermark.
     assert_eq!(replica.db().user_count(), 10);
     assert!(replica.db().profile("stale-user").is_err());
+    let probe = WalOp::AddUser {
+        user: "probe".to_string(),
+    }
+    .encode();
     for (shard, &lsn) in lsns.iter().enumerate() {
-        let got = replica
-            .apply_replicated(shard, lsn + 7, b"add probe")
-            .unwrap();
+        let got = replica.apply_replicated(shard, lsn + 7, &probe).unwrap();
         assert_eq!(got, ReplApply::Gap { expected: lsn + 1 });
     }
 
@@ -191,7 +193,7 @@ fn resync_shard_discards_a_divergent_suffix() {
             user: format!("u{i}"),
         };
         a.apply(op.clone()).unwrap();
-        let payload = op.encode(a.db().env(), a.db().relation());
+        let payload = op.encode();
         b.apply_replicated(0, (i + 1) as u64, &payload).unwrap();
     }
     // `b` diverges: two extra users the (new) primary never saw.
@@ -209,7 +211,7 @@ fn resync_shard_discards_a_divergent_suffix() {
     let op = WalOp::AddUser {
         user: "u3".to_string(),
     };
-    let payload = op.encode(a.db().env(), a.db().relation());
+    let payload = op.encode();
     assert!(matches!(
         b.apply_replicated(0, 4, &payload).unwrap(),
         ReplApply::Applied { .. }

@@ -18,7 +18,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::reference::POI_TYPES;
-use crate::Zipf;
+use crate::{deterministic_score, Zipf};
 
 /// Number of preferences in the paper's real profile.
 pub const REAL_PROFILE_SIZE: usize = 522;
@@ -106,18 +106,6 @@ pub fn real_profile(env: &ContextEnvironment, seed: u64) -> Profile {
         profile.insert_unchecked(pref);
     }
     profile
-}
-
-/// A score in [0.05, 0.95] derived from a state/clause fingerprint —
-/// identical (state, clause) pairs always score identically, so
-/// generated profiles can never contain Definition-6 conflicts.
-fn deterministic_score(key: &[u32]) -> f64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &k in key {
-        h ^= u64::from(k).wrapping_add(0x9e37_79b9_7f4a_7c15);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    0.05 + (h % 91) as f64 / 100.0
 }
 
 #[cfg(test)]

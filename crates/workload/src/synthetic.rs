@@ -15,7 +15,7 @@ use ctxpref_relation::AttrId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::Zipf;
+use crate::{deterministic_score, Zipf};
 
 /// Distribution of the context values of one parameter across
 /// generated preferences.
@@ -157,15 +157,6 @@ impl SyntheticSpec {
         }
         profile
     }
-}
-
-fn deterministic_score(key: &[u32]) -> f64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &k in key {
-        h ^= u64::from(k).wrapping_add(0x9e37_79b9_7f4a_7c15);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    0.05 + (h % 91) as f64 / 100.0
 }
 
 /// Draw `k` query states from the states actually stored in `profile`

@@ -33,6 +33,9 @@
 //!   isolation, admission control, and the degradation ladder.
 //! * [`wal`] — per-shard write-ahead logging, checkpoint manifests,
 //!   and crash recovery for the serving core.
+//! * [`bytes`] — the one byte format below the API: the field codec,
+//!   its table macros, the checksummed frame and FNV-1a, shared by
+//!   the wire, the WAL, replication and the manifest.
 //! * [`net`] — the TCP serving layer: checksummed wire frames and a
 //!   socket server/client pair in front of the service.
 //! * [`router`] — the user-partitioned routing tier: consistent
@@ -46,6 +49,7 @@
 //! `examples/query_storm.rs` for the serving layer under injected
 //! faults.
 
+pub use ctxpref_bytes as bytes;
 pub use ctxpref_context as context;
 pub use ctxpref_core as core;
 pub use ctxpref_faults as faults;
