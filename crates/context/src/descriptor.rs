@@ -1,4 +1,3 @@
-use std::collections::BTreeMap;
 use std::fmt;
 
 use ctxpref_hierarchy::Hierarchy;
@@ -64,9 +63,15 @@ impl ParameterDescriptor {
 /// denotes — is computed by [`ContextDescriptor::states`] as the
 /// Cartesian product of per-parameter value sets, `{all}` for absent
 /// parameters.
+///
+/// The clauses are one exactly sized slice, sorted by parameter with one
+/// entry per parameter: a descriptor is a pointer and a length, and its
+/// clauses take one allocation of exactly their size. Build one in a
+/// single step with [`ContextDescriptor::from_clauses`]; each
+/// [`ContextDescriptor::with`] re-sizes the slice.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ContextDescriptor {
-    clauses: BTreeMap<ParamId, ParameterDescriptor>,
+    clauses: Box<[(ParamId, ParameterDescriptor)]>,
 }
 
 impl ContextDescriptor {
@@ -76,11 +81,48 @@ impl ContextDescriptor {
         Self::default()
     }
 
-    /// Add / replace the clause for one parameter (builder style).
+    /// A descriptor from clauses in any order, as if each were added in
+    /// turn with [`with`](Self::with): a later clause for a parameter
+    /// replaces an earlier one.
+    ///
+    /// The descriptor keeps `clauses`' own allocation, re-sized only when
+    /// it has spare capacity or names a parameter twice: fill a `Vec`
+    /// made with the capacity the clauses need.
+    pub fn from_clauses(mut clauses: Vec<(ParamId, ParameterDescriptor)>) -> Self {
+        // Stable, so the clauses of one parameter keep their order; a
+        // slice this short sorts in place.
+        clauses.sort_by_key(|&(p, _)| p);
+        // `dedup_by` keeps the first clause of a run: carry each later
+        // one into that slot before it drops the earlier.
+        clauses.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                std::mem::swap(later, kept);
+            }
+            same
+        });
+        Self {
+            clauses: clauses.into_boxed_slice(),
+        }
+    }
+
+    /// Add / replace the clause for one parameter (builder style). An
+    /// added clause re-sizes the slice, one reallocation per call: code
+    /// that builds many descriptors uses
+    /// [`from_clauses`](Self::from_clauses).
     #[must_use]
-    pub fn with(mut self, param: ParamId, pd: ParameterDescriptor) -> Self {
-        self.clauses.insert(param, pd);
-        self
+    pub fn with(self, param: ParamId, pd: ParameterDescriptor) -> Self {
+        let mut clauses = Vec::from(self.clauses);
+        match clauses.binary_search_by_key(&param, |&(p, _)| p) {
+            Ok(i) => clauses[i].1 = pd,
+            Err(i) => {
+                clauses.reserve_exact(1);
+                clauses.insert(i, (param, pd));
+            }
+        }
+        Self {
+            clauses: clauses.into_boxed_slice(),
+        }
     }
 
     /// Convenience: `param = value`, both resolved by name.
@@ -111,12 +153,15 @@ impl ContextDescriptor {
 
     /// The clause for one parameter, if present.
     pub fn clause(&self, param: ParamId) -> Option<&ParameterDescriptor> {
-        self.clauses.get(&param)
+        self.clauses
+            .binary_search_by_key(&param, |&(p, _)| p)
+            .ok()
+            .map(|i| &self.clauses[i].1)
     }
 
     /// Iterate over `(param, descriptor)` clauses in parameter order.
     pub fn clauses(&self) -> impl Iterator<Item = (ParamId, &ParameterDescriptor)> {
-        self.clauses.iter().map(|(&p, pd)| (p, pd))
+        self.clauses.iter().map(|(p, pd)| (*p, pd))
     }
 
     /// Per-parameter value sets: `Context(cod(Ci))` for constrained
@@ -125,7 +170,7 @@ impl ContextDescriptor {
     pub fn value_sets(&self, env: &ContextEnvironment) -> Result<Vec<Vec<CtxValue>>, ContextError> {
         let mut sets = Vec::with_capacity(env.len());
         for (p, h) in env.iter() {
-            match self.clauses.get(&p) {
+            match self.clause(p) {
                 Some(pd) => sets.push(pd.values(p, h)?),
                 None => sets.push(vec![h.all_value()]),
             }
@@ -179,15 +224,17 @@ impl ContextDescriptor {
 
 /// The descriptor pinning every parameter of `state` that is not `all`:
 /// how a query's implicit current context is written as a descriptor.
+/// The pinned parameters are counted first, so the clauses take one
+/// allocation of exactly their size.
 pub fn descriptor_of_state(env: &ContextEnvironment, state: &ContextState) -> ContextDescriptor {
-    let mut cod = ContextDescriptor::empty();
-    for (p, h) in env.iter() {
-        let v = state.value(p);
-        if v != h.all_value() {
-            cod = cod.with(p, ParameterDescriptor::Eq(v));
-        }
-    }
-    cod
+    let pinned = || {
+        env.iter()
+            .map(|(p, h)| (p, state.value(p), h.all_value()))
+            .filter(|&(_, v, all)| v != all)
+    };
+    let mut clauses = Vec::with_capacity(pinned().count());
+    clauses.extend(pinned().map(|(p, v, _)| (p, ParameterDescriptor::Eq(v))));
+    ContextDescriptor::from_clauses(clauses)
 }
 
 fn cartesian(sets: &[Vec<CtxValue>], current: &mut Vec<CtxValue>, out: &mut Vec<ContextState>) {

@@ -18,13 +18,14 @@
 //! ```
 
 use crate::descriptor::{ContextDescriptor, ExtendedContextDescriptor, ParameterDescriptor};
-use crate::env::ContextEnvironment;
+use crate::env::{ContextEnvironment, ParamId};
 use crate::error::ContextError;
 use crate::state::CtxValue;
 
-#[derive(Debug, Clone, PartialEq)]
-enum Tok {
-    Word(String),
+/// A token; words borrow the source text, so lexing allocates nothing.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Tok<'a> {
+    Word(&'a str),
     Eq,
     Comma,
     LBrace,
@@ -36,6 +37,7 @@ enum Tok {
     Star,
 }
 
+#[derive(Clone)]
 struct Lexer<'a> {
     src: &'a str,
     pos: usize,
@@ -53,7 +55,7 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    fn next_tok(&mut self) -> Result<Option<(usize, Tok)>, ContextError> {
+    fn next_tok(&mut self) -> Result<Option<(usize, Tok<'a>)>, ContextError> {
         let bytes = self.src.as_bytes();
         while self.pos < bytes.len() && bytes[self.pos].is_ascii_whitespace() {
             self.pos += 1;
@@ -64,10 +66,7 @@ impl<'a> Lexer<'a> {
         let start = self.pos;
         let rest = &self.src[self.pos..];
         // Unicode connectives.
-        for (sym, tok) in [
-            ("∧", Tok::Word("and".into())),
-            ("∨", Tok::Word("or".into())),
-        ] {
+        for (sym, tok) in [("∧", Tok::Word("and")), ("∨", Tok::Word("or"))] {
             if let Some(r) = rest.strip_prefix(sym) {
                 self.pos += rest.len() - r.len();
                 return Ok(Some((start, tok)));
@@ -99,7 +98,7 @@ impl<'a> Lexer<'a> {
             if end >= bytes.len() {
                 return Err(self.error("unterminated quoted value"));
             }
-            let word = self.src[self.pos + 1..end].to_string();
+            let word = &self.src[self.pos + 1..end];
             self.pos = end + 1;
             return Ok(Some((start, Tok::Word(word))));
         }
@@ -123,7 +122,7 @@ impl<'a> Lexer<'a> {
                     1
                 };
             }
-            let word = self.src[self.pos..end].to_string();
+            let word = &self.src[self.pos..end];
             self.pos = end;
             return Ok(Some((start, Tok::Word(word))));
         }
@@ -134,34 +133,38 @@ impl<'a> Lexer<'a> {
     }
 }
 
+/// A recursive-descent parser with one token of lookahead, pulled from
+/// the lexer as it goes.
 struct Parser<'a> {
     env: &'a ContextEnvironment,
-    toks: Vec<(usize, Tok)>,
-    i: usize,
+    lex: Lexer<'a>,
+    /// The next token and where it starts; `None` at the end of input.
+    next: Option<(usize, Tok<'a>)>,
     len: usize,
 }
 
 impl<'a> Parser<'a> {
-    fn new(env: &'a ContextEnvironment, src: &str) -> Result<Self, ContextError> {
+    fn new(env: &'a ContextEnvironment, src: &'a str) -> Result<Self, ContextError> {
+        // Lex the whole input first, so a lexical error anywhere is
+        // reported ahead of any grammar error.
+        let mut check = Lexer::new(src);
+        while check.next_tok()?.is_some() {}
         let mut lex = Lexer::new(src);
-        let mut toks = Vec::new();
-        while let Some(t) = lex.next_tok()? {
-            toks.push(t);
-        }
+        let next = lex.next_tok()?;
         Ok(Self {
             env,
-            toks,
-            i: 0,
+            lex,
+            next,
             len: src.len(),
         })
     }
 
-    fn peek(&self) -> Option<&Tok> {
-        self.toks.get(self.i).map(|(_, t)| t)
+    fn peek(&self) -> Option<Tok<'a>> {
+        self.next.map(|(_, t)| t)
     }
 
     fn pos(&self) -> usize {
-        self.toks.get(self.i).map(|(p, _)| *p).unwrap_or(self.len)
+        self.next.map_or(self.len, |(p, _)| p)
     }
 
     fn error(&self, message: impl Into<String>) -> ContextError {
@@ -171,16 +174,14 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn bump(&mut self) -> Option<Tok> {
-        let t = self.toks.get(self.i).map(|(_, t)| t.clone());
-        self.i += 1;
-        t
+    fn advance(&mut self) -> Result<(), ContextError> {
+        self.next = self.lex.next_tok()?;
+        Ok(())
     }
 
-    fn expect(&mut self, tok: Tok, what: &str) -> Result<(), ContextError> {
-        if self.peek() == Some(&tok) {
-            self.i += 1;
-            Ok(())
+    fn expect(&mut self, tok: Tok<'_>, what: &str) -> Result<(), ContextError> {
+        if self.peek() == Some(tok) {
+            self.advance()
         } else {
             Err(self.error(format!("expected {what}")))
         }
@@ -190,95 +191,111 @@ impl<'a> Parser<'a> {
         matches!(self.peek(), Some(Tok::Word(w)) if w.eq_ignore_ascii_case(kw))
     }
 
-    fn word(&mut self, what: &str) -> Result<String, ContextError> {
-        match self.bump() {
-            Some(Tok::Word(w)) => Ok(w),
-            _ => {
-                self.i = self.i.saturating_sub(1);
-                Err(self.error(format!("expected {what}")))
+    fn word(&mut self, what: &str) -> Result<&'a str, ContextError> {
+        match self.peek() {
+            Some(Tok::Word(w)) => {
+                self.advance()?;
+                Ok(w)
             }
+            _ => Err(self.error(format!("expected {what}"))),
         }
     }
 
-    fn value(&mut self, param: &str) -> Result<CtxValue, ContextError> {
+    fn value(&mut self, p: ParamId, param: &str) -> Result<CtxValue, ContextError> {
         let name = self.word("a value name")?;
-        let p = self.env.require_param(param)?;
         self.env
             .hierarchy(p)
-            .lookup(&name)
+            .lookup(name)
             .ok_or_else(|| ContextError::UnknownValue {
                 param: param.to_string(),
-                value: name,
+                value: name.to_string(),
             })
     }
 
-    fn clause(&mut self, cod: ContextDescriptor) -> Result<ContextDescriptor, ContextError> {
+    fn clause(&mut self) -> Result<(ParamId, ParameterDescriptor), ContextError> {
         let param = self.word("a context parameter name")?;
-        let p = self.env.require_param(&param)?;
-        if self.peek() == Some(&Tok::Eq) {
-            self.i += 1;
-            let v = self.value(&param)?;
-            return Ok(cod.with(p, ParameterDescriptor::Eq(v)));
+        let p = self.env.require_param(param)?;
+        if self.peek() == Some(Tok::Eq) {
+            self.advance()?;
+            return Ok((p, ParameterDescriptor::Eq(self.value(p, param)?)));
         }
-        if self.is_keyword("in") {
-            self.i += 1;
-            match self.bump() {
-                Some(Tok::LBrace) => {
-                    let mut vs = vec![self.value(&param)?];
-                    while self.peek() == Some(&Tok::Comma) {
-                        self.i += 1;
-                        vs.push(self.value(&param)?);
-                    }
-                    self.expect(Tok::RBrace, "`}`")?;
-                    Ok(cod.with(p, ParameterDescriptor::In(vs)))
+        if !self.is_keyword("in") {
+            return Err(self.error("expected `=` or `in`"));
+        }
+        self.advance()?;
+        match self.peek() {
+            Some(Tok::LBrace) => {
+                self.advance()?;
+                let mut vs = vec![self.value(p, param)?];
+                while self.peek() == Some(Tok::Comma) {
+                    self.advance()?;
+                    vs.push(self.value(p, param)?);
                 }
-                Some(Tok::LBracket) => {
-                    let from = self.value(&param)?;
-                    self.expect(Tok::Comma, "`,`")?;
-                    let to = self.value(&param)?;
-                    self.expect(Tok::RBracket, "`]`")?;
-                    Ok(cod.with(p, ParameterDescriptor::Range(from, to)))
-                }
-                _ => {
-                    self.i = self.i.saturating_sub(1);
-                    Err(self.error("expected `{` or `[` after `in`"))
-                }
+                self.expect(Tok::RBrace, "`}`")?;
+                Ok((p, ParameterDescriptor::In(vs)))
             }
-        } else {
-            Err(self.error("expected `=` or `in`"))
+            Some(Tok::LBracket) => {
+                self.advance()?;
+                let from = self.value(p, param)?;
+                self.expect(Tok::Comma, "`,`")?;
+                let to = self.value(p, param)?;
+                self.expect(Tok::RBracket, "`]`")?;
+                Ok((p, ParameterDescriptor::Range(from, to)))
+            }
+            _ => Err(self.error("expected `{` or `[` after `in`")),
+        }
+    }
+
+    /// How many clauses the conjunction at the next token holds: one
+    /// more than its `and`s before `or`, `)` or the end of input. Exact
+    /// unless a value is named `and` or `or`; only a capacity.
+    fn clause_count(&self) -> usize {
+        let mut lex = self.lex.clone();
+        let mut tok = self.peek();
+        let mut n = 1;
+        loop {
+            match tok {
+                None | Some(Tok::RParen) => return n,
+                Some(Tok::Word(w)) if w.eq_ignore_ascii_case("or") => return n,
+                Some(Tok::Word(w)) if w.eq_ignore_ascii_case("and") => n += 1,
+                _ => {}
+            }
+            tok = lex.next_tok().ok().flatten().map(|(_, t)| t);
         }
     }
 
     fn conjunction(&mut self) -> Result<ContextDescriptor, ContextError> {
-        if self.peek() == Some(&Tok::Star) {
-            self.i += 1;
+        if self.peek() == Some(Tok::Star) {
+            self.advance()?;
             return Ok(ContextDescriptor::empty());
         }
-        let parenthesized = self.peek() == Some(&Tok::LParen);
+        let parenthesized = self.peek() == Some(Tok::LParen);
         if parenthesized {
-            self.i += 1;
+            self.advance()?;
             // A parenthesized empty descriptor: `( * )`.
-            if self.peek() == Some(&Tok::Star) {
-                self.i += 1;
+            if self.peek() == Some(Tok::Star) {
+                self.advance()?;
                 self.expect(Tok::RParen, "`)`")?;
                 return Ok(ContextDescriptor::empty());
             }
         }
-        let mut cod = self.clause(ContextDescriptor::empty())?;
+        // Sized up front, so the descriptor is built in one allocation.
+        let mut clauses = Vec::with_capacity(self.clause_count());
+        clauses.push(self.clause()?);
         while self.is_keyword("and") {
-            self.i += 1;
-            cod = self.clause(cod)?;
+            self.advance()?;
+            clauses.push(self.clause()?);
         }
         if parenthesized {
             self.expect(Tok::RParen, "`)`")?;
         }
-        Ok(cod)
+        Ok(ContextDescriptor::from_clauses(clauses))
     }
 
     fn extended(&mut self) -> Result<ExtendedContextDescriptor, ContextError> {
         let mut out = ExtendedContextDescriptor::new().or(self.conjunction()?);
         while self.is_keyword("or") {
-            self.i += 1;
+            self.advance()?;
             out = out.or(self.conjunction()?);
         }
         if self.peek().is_some() {

@@ -1,8 +1,8 @@
 use std::sync::Arc;
 
 use ctxpref_context::{
-    descriptor_of_state, parse_descriptor, parse_extended_descriptor, ContextEnvironment,
-    ContextState, DistanceKind, ExtendedContextDescriptor,
+    parse_descriptor, parse_extended_descriptor, ContextEnvironment, ContextState, DistanceKind,
+    ExtendedContextDescriptor,
 };
 use ctxpref_profile::{
     AttributeClause, ContextualPreference, IndexedProfile, ParamOrder, Profile, ProfileTree,
@@ -10,7 +10,7 @@ use ctxpref_profile::{
 };
 use ctxpref_qcache::{CacheStats, ContextQueryTree};
 use ctxpref_relation::{CompareOp, RankedResults, Relation, ScoreCombiner, Value};
-use ctxpref_resolve::{rank_cs, RankedQuery, StateResolution, TieBreak};
+use ctxpref_resolve::{rank_cs, rank_cs_state, RankedQuery, StateResolution, TieBreak};
 
 use crate::error::CoreError;
 
@@ -341,8 +341,16 @@ impl ContextualDb {
                 }
             }
         }
-        let ecod: ExtendedContextDescriptor = descriptor_of_state(&self.env, state).into();
-        let answer = self.run(&ecod, opts)?;
+        let q = rank_cs_state(
+            self.indexed.tree(),
+            &self.relation,
+            state,
+            opts.distance,
+            opts.tie,
+            opts.combiner,
+            opts.top_k.filter(|&k| k > 0),
+        );
+        let answer = QueryAnswer::resolved(q);
         if cacheable {
             if let Some(cache) = &self.cache {
                 cache.insert(state, Arc::clone(&answer.results));

@@ -14,15 +14,13 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use ctxpref_context::{
-    descriptor_of_state, ContextEnvironment, ContextState, ExtendedContextDescriptor,
-};
+use ctxpref_context::{ContextEnvironment, ContextState, ExtendedContextDescriptor};
 use ctxpref_profile::{
     ContextualPreference, IndexedProfile, ParamOrder, Profile, ProfileTree, TreeStats,
 };
 use ctxpref_qcache::ContextQueryTree;
 use ctxpref_relation::{CompareOp, RankedResults, Relation, Value};
-use ctxpref_resolve::{rank_cs, rank_cs_parallel, rank_cs_topk};
+use ctxpref_resolve::{rank_cs_parallel, rank_cs_state};
 use ctxpref_views::{Change, ViewCatalog, ViewOpts, ViewStats};
 
 use crate::db::{preference_from_parts, QueryAnswer, QueryOptions};
@@ -397,16 +395,16 @@ impl MultiUserDb {
                 from_cache: true,
             });
         }
-        let ecod: ExtendedContextDescriptor = descriptor_of_state(&self.env, state).into();
         let d = self.defaults;
-        let q = rank_cs(
+        let q = rank_cs_state(
             slot.indexed.tree(),
             &self.relation,
-            &ecod,
+            state,
             d.distance,
             d.tie,
             d.combiner,
-        )?;
+            None,
+        );
         let answer = QueryAnswer::resolved(q);
         if let Some(cache) = &slot.cache {
             cache.insert(state, Arc::clone(&answer.results));
@@ -432,16 +430,15 @@ impl MultiUserDb {
         if let Some(results) = slot.views.serve(tree, &self.relation, &opts, state, k) {
             return Ok((view_answer(results), true));
         }
-        let ecod: ExtendedContextDescriptor = descriptor_of_state(&self.env, state).into();
-        let q = rank_cs_topk(
+        let q = rank_cs_state(
             tree,
             &self.relation,
-            &ecod,
+            state,
             d.distance,
             d.tie,
             d.combiner,
-            k,
-        )?;
+            (k > 0).then_some(k),
+        );
         Ok((QueryAnswer::resolved(q), false))
     }
 

@@ -300,7 +300,9 @@ impl ProfileTree {
     }
 
     /// Walk the path of `state`, creating nodes/cells as needed; returns
-    /// the leaf.
+    /// the leaf. A new node or leaf is made for the one cell or entry
+    /// about to go in (most hold one for good) and grows from there as
+    /// any `Vec` does.
     fn ensure_path(&mut self, state: &ContextState) -> LeafId {
         let mut node = 0usize;
         for level in 0..self.depth() {
@@ -318,7 +320,7 @@ impl ProfileTree {
                         match self.free_leaves.pop() {
                             Some(i) => i,
                             None => {
-                                self.leaves.push(Vec::new());
+                                self.leaves.push(Vec::with_capacity(1));
                                 (self.leaves.len() - 1) as u32
                             }
                         }
@@ -326,7 +328,9 @@ impl ProfileTree {
                         match self.free_nodes.pop() {
                             Some(i) => i,
                             None => {
-                                self.nodes.push(Node::default());
+                                self.nodes.push(Node {
+                                    cells: Vec::with_capacity(1),
+                                });
                                 (self.nodes.len() - 1) as u32
                             }
                         }

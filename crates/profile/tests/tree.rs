@@ -331,3 +331,11 @@ fn order_length_is_validated() {
 fn a_leaf_entry_stays_forty_bytes() {
     assert_eq!(std::mem::size_of::<LeafEntry>(), 40);
 }
+
+/// A preference is its descriptor's slice pointer and length, its
+/// clause and its score: the clauses live in one allocation of their
+/// own.
+#[test]
+fn a_preference_stays_within_sixty_four_bytes() {
+    assert!(std::mem::size_of::<ContextualPreference>() <= 64);
+}

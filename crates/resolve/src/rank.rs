@@ -1,4 +1,4 @@
-use ctxpref_context::{DistanceKind, ExtendedContextDescriptor};
+use ctxpref_context::{ContextState, DistanceKind, ExtendedContextDescriptor};
 use ctxpref_profile::ProfileError;
 use ctxpref_relation::{RankedResults, Relation, ScoreCombiner, ScoredTuple};
 
@@ -72,6 +72,35 @@ pub fn rank_cs<S: PreferenceStore + ?Sized>(
         results: rank_selected(store, relation, &resolutions, combiner, None),
         resolutions,
     })
+}
+
+/// `Rank_CS` for one context state, such as a query's current context,
+/// without writing the state as a descriptor first:
+/// [`ContextResolver::resolve_state`], then [`rank_selected`] with
+/// `limit`. The answer is [`rank_cs`]'s (`limit = None`) or
+/// [`rank_cs_topk`]'s (`limit = Some(k)`) for the descriptor pinning
+/// `state`'s values other than `all`. `state` must belong to `store`'s
+/// environment.
+pub fn rank_cs_state<S: PreferenceStore + ?Sized>(
+    store: &S,
+    relation: &Relation,
+    state: &ContextState,
+    kind: DistanceKind,
+    tie: TieBreak,
+    combiner: ScoreCombiner,
+    limit: Option<usize>,
+) -> RankedQuery {
+    let resolution = ContextResolver::new(store, kind, tie).resolve_state(state);
+    RankedQuery {
+        results: rank_selected(
+            store,
+            relation,
+            std::slice::from_ref(&resolution),
+            combiner,
+            limit,
+        ),
+        resolutions: vec![resolution],
+    }
 }
 
 /// The ranking half of `Rank_CS`: score the tuples that the selected
@@ -561,6 +590,55 @@ mod topk_tests {
                     fast.results.entries(),
                     "seed {seed} k {k}"
                 );
+            }
+        }
+    }
+
+    /// A single-state query resolves the state as it is: the same
+    /// answer and resolution trace as ranking the descriptor that pins
+    /// its values, for every extended state under three option sets.
+    #[test]
+    fn state_ranking_equals_descriptor_ranking() {
+        let env = env3();
+        let rel = relation(120);
+        let values = |p: u16| env.hierarchy(ctxpref_context::ParamId(p)).value_count() as u32;
+        for seed in 0..8u64 {
+            let p = profile(&env, seed);
+            let tree =
+                ProfileTree::from_profile(&p, ParamOrder::by_ascending_domain(&env)).unwrap();
+            for (a, b) in (0..values(0)).flat_map(|a| (0..values(1)).map(move |b| (a, b))) {
+                let state = ctxpref_context::ContextState::new(
+                    &env,
+                    vec![ctxpref_hierarchy::ValueId(a), ctxpref_hierarchy::ValueId(b)],
+                )
+                .unwrap();
+                let ecod: ExtendedContextDescriptor =
+                    ctxpref_context::descriptor_of_state(&env, &state).into();
+                for (kind, tie, combiner) in [
+                    (DistanceKind::Hierarchy, TieBreak::All, ScoreCombiner::Max),
+                    (DistanceKind::Jaccard, TieBreak::First, ScoreCombiner::Max),
+                    (DistanceKind::Hierarchy, TieBreak::First, ScoreCombiner::Avg),
+                ] {
+                    for k in [0usize, 1, 3] {
+                        let limit = (k > 0).then_some(k);
+                        let fast = rank_cs_state(&tree, &rel, &state, kind, tie, combiner, limit);
+                        let slow =
+                            rank_cs_topk(&tree, &rel, &ecod, kind, tie, combiner, k).unwrap();
+                        let what = format!("seed {seed}, state {state:?}, k {k}");
+                        assert_eq!(fast.results, slow.results, "{what}");
+                        let [x] = &fast.resolutions[..] else {
+                            panic!("{what}: one resolution per state");
+                        };
+                        let [y] = &slow.resolutions[..] else {
+                            panic!("{what}: one state per pinning descriptor");
+                        };
+                        assert_eq!(x.query_state, y.query_state, "{what}");
+                        assert_eq!(x.outcome, y.outcome, "{what}");
+                        assert_eq!(x.selected, y.selected, "{what}");
+                        assert_eq!(x.candidate_count, y.candidate_count, "{what}");
+                        assert_eq!(x.cells, y.cells, "{what}");
+                    }
+                }
             }
         }
     }

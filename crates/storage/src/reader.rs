@@ -279,7 +279,9 @@ fn parse_pref(
     let op = parse_op(line, toks[2])?;
     let value = parse_value(line, toks[3])?;
 
-    let mut cod = ContextDescriptor::empty();
+    // A clause spends at least three tokens (name, kind, value), an
+    // `eq` clause exactly three: an all-`eq` descriptor fills this.
+    let mut clauses = Vec::with_capacity((toks.len() - 4) / 3);
     let mut i = 4;
     while i < toks.len() {
         let pname = untoken(line, toks[i])?;
@@ -342,8 +344,9 @@ fn parse_pref(
                 ))
             }
         };
-        cod = cod.with(p, pd);
+        clauses.push((p, pd));
     }
+    let cod = ContextDescriptor::from_clauses(clauses);
     ContextualPreference::new(cod, AttributeClause::new(attr, op, value), score)
         .map_err(|e| StorageError::model(line, e))
 }

@@ -231,7 +231,7 @@ const OPS: [CompareOp; 6] = [
 
 /// A preference: its descriptor's clause count and clauses, the
 /// attribute clause (`AttrId`, operator, value), then the score's bits.
-/// Decoding builds it through `ContextDescriptor::with` and
+/// Decoding builds it through `ContextDescriptor::from_clauses` and
 /// `ContextualPreference::new`, as the text reader does; the ids are
 /// checked against a database by [`WalOp::decode`].
 impl Via<ContextualPreference> for Ids {
@@ -251,12 +251,12 @@ impl Via<ContextualPreference> for Ids {
 
     fn get_via(dec: &mut Dec<'_>) -> Result<ContextualPreference, DecodeError> {
         // A clause is at least its param, its kind and one value id.
-        let clauses = dec.checked_count(3)?;
-        let mut descriptor = ContextDescriptor::empty();
-        for _ in 0..clauses {
-            let param = ParamId(u16::get(dec)?);
-            descriptor = descriptor.with(param, Ids::get_via(dec)?);
+        let count = dec.checked_count(3)?;
+        let mut clauses = Vec::with_capacity(count);
+        for _ in 0..count {
+            clauses.push((ParamId(u16::get(dec)?), Ids::get_via(dec)?));
         }
+        let descriptor = ContextDescriptor::from_clauses(clauses);
         let attr = AttrId(u16::get(dec)?);
         let at = dec.pos();
         let tag = dec.u8()?;

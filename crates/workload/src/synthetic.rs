@@ -102,13 +102,14 @@ impl SyntheticSpec {
             .collect();
         let mut profile = Profile::new(env.clone());
         for _ in 0..self.num_prefs {
-            let mut cod = ContextDescriptor::empty();
+            let mut clauses = Vec::with_capacity(env.len());
             let mut key: Vec<u32> = Vec::with_capacity(env.len() + 1);
             for ((p, h), z) in env.iter().zip(&samplers) {
                 let v = h.domain(h.detailed_level())[z.sample(&mut rng)];
-                cod = cod.with(p, ParameterDescriptor::Eq(v));
+                clauses.push((p, ParameterDescriptor::Eq(v)));
                 key.push(v.0);
             }
+            let cod = ContextDescriptor::from_clauses(clauses);
             let cv = rng.random_range(0..self.clause_values.max(1)) as u32;
             key.push(cv);
             let clause = AttributeClause::eq(AttrId(0), format!("v{cv}").into());
@@ -136,7 +137,7 @@ impl SyntheticSpec {
             .collect();
         let mut profile = Profile::new(env.clone());
         for _ in 0..self.num_prefs {
-            let mut cod = ContextDescriptor::empty();
+            let mut clauses = Vec::with_capacity(env.len());
             let mut key: Vec<u32> = Vec::with_capacity(env.len() + 1);
             for ((p, h), z) in env.iter().zip(&samplers) {
                 let mut v = h.domain(h.detailed_level())[z.sample(&mut rng)];
@@ -144,9 +145,10 @@ impl SyntheticSpec {
                     let target = rng.random_range(0..h.level_count()) as u8;
                     v = h.anc(v, LevelId(target)).unwrap_or(v);
                 }
-                cod = cod.with(p, ParameterDescriptor::Eq(v));
+                clauses.push((p, ParameterDescriptor::Eq(v)));
                 key.push(v.0);
             }
+            let cod = ContextDescriptor::from_clauses(clauses);
             let cv = rng.random_range(0..self.clause_values.max(1)) as u32;
             key.push(cv);
             let clause = AttributeClause::eq(AttrId(0), format!("v{cv}").into());

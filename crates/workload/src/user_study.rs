@@ -281,16 +281,18 @@ fn to_profile(env: &ContextEnvironment, map: &HashMap<PrefKey, f64>, rel: &Relat
     let mut entries: Vec<(&PrefKey, &f64)> = map.iter().collect();
     entries.sort_by_key(|(k, _)| **k);
     for (key, &score) in entries {
-        let mut cod = ContextDescriptor::empty();
-        if let Some(w) = key.weather {
-            cod = cod.with(wth_p, ParameterDescriptor::Eq(w));
-        }
-        if let Some(c) = key.company {
-            cod = cod.with(ppl_p, ParameterDescriptor::Eq(c));
-        }
-        if let Some(city) = key.city {
-            cod = cod.with(loc_p, ParameterDescriptor::Eq(city));
-        }
+        let pinned = [
+            (wth_p, key.weather),
+            (ppl_p, key.company),
+            (loc_p, key.city),
+        ];
+        let mut clauses = Vec::with_capacity(pinned.iter().filter(|(_, v)| v.is_some()).count());
+        clauses.extend(
+            pinned
+                .into_iter()
+                .filter_map(|(p, v)| Some((p, ParameterDescriptor::Eq(v?)))),
+        );
+        let cod = ContextDescriptor::from_clauses(clauses);
         let clause = AttributeClause::eq(ty_attr, POI_TYPES[key.ty].into());
         profile.insert_unchecked(ContextualPreference::new(cod, clause, score).unwrap());
     }
