@@ -69,7 +69,7 @@ impl ParameterDescriptor {
 /// clauses take one allocation of exactly their size. Build one in a
 /// single step with [`ContextDescriptor::from_clauses`]; each
 /// [`ContextDescriptor::with`] re-sizes the slice.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct ContextDescriptor {
     clauses: Box<[(ParamId, ParameterDescriptor)]>,
 }

@@ -6,13 +6,21 @@
 //! shape: a single context environment and relation, with per-user
 //! profiles, profile trees, query caches and materialized views.
 //!
+//! A user's profile and tree are one copy-on-write
+//! `Arc<IndexedProfile>`. Users registered with equal profiles — the
+//! study's users all start from one of twelve defaults — share one
+//! index until they edit it, and a snapshot shares every user's index
+//! with the live database: an edit copies only the index it changes.
+//!
 //! Every verb of the multi-user core is defined here, once. The
 //! concurrent serving core, [`crate::ShardedMultiUserDb`], is an array
 //! of locked `MultiUserDb` stripes sharing one relation, so the two
 //! cannot answer differently.
 
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::hash::{Hash, Hasher};
+use std::sync::{Arc, Weak};
 
 use ctxpref_context::{ContextEnvironment, ContextState, ExtendedContextDescriptor};
 use ctxpref_profile::{
@@ -59,42 +67,22 @@ fn view_answer(results: RankedResults) -> QueryAnswer {
     }
 }
 
-/// Per-user state: the profile with its tree index, an optional query
-/// cache, and the materialized top-k view catalog.
+/// Per-user state: the profile with its tree index (shared with other
+/// users and snapshots until an edit copies it, see the module docs),
+/// an optional query cache, and the materialized top-k view catalog.
 #[derive(Debug)]
 struct UserSlot {
-    indexed: IndexedProfile,
+    indexed: Arc<IndexedProfile>,
     cache: Option<ContextQueryTree>,
     views: ViewCatalog,
 }
 
 impl UserSlot {
-    fn new(
-        profile: Profile,
-        order: &ParamOrder,
-        env: &ContextEnvironment,
-        cache_capacity: usize,
-    ) -> Result<Self, CoreError> {
-        Ok(Self {
-            indexed: IndexedProfile::new(profile, order.clone())?,
+    fn new(indexed: Arc<IndexedProfile>, env: &ContextEnvironment, cache_capacity: usize) -> Self {
+        Self {
+            indexed,
             cache: new_cache(env, cache_capacity),
             views: ViewCatalog::new(VIEW_CAPACITY),
-        })
-    }
-
-    /// A deep copy with a fresh (empty) cache — used by snapshots; cached
-    /// rankings are derived data and need not survive a snapshot. View
-    /// pins are carried into the copy, their rankings are not: a copied
-    /// view is rebuilt lazily.
-    fn clone_for_snapshot(&self, env: &ContextEnvironment, cache_capacity: usize) -> Self {
-        let views = ViewCatalog::new(VIEW_CAPACITY);
-        for state in self.views.pinned_states() {
-            views.pin(state);
-        }
-        Self {
-            indexed: self.indexed.clone(),
-            cache: new_cache(env, cache_capacity),
-            views,
         }
     }
 
@@ -125,6 +113,13 @@ fn slot_mut<'a>(
         .ok_or_else(|| CoreError::NoSuchUser(user.to_string()))
 }
 
+/// The key under which an index of `prefs` is filed for sharing.
+fn share_key(prefs: &[ContextualPreference]) -> u64 {
+    let mut h = DefaultHasher::new();
+    prefs.hash(&mut h);
+    h.finish()
+}
+
 /// A multi-user contextual preference database: one environment and
 /// relation, many user profiles.
 #[derive(Debug)]
@@ -135,6 +130,9 @@ pub struct MultiUserDb {
     cache_capacity: usize,
     defaults: QueryOptions,
     users: HashMap<String, UserSlot>,
+    /// The index last registered for each profile hash, so a user
+    /// registered with an equal profile shares it.
+    shared: HashMap<u64, Weak<IndexedProfile>>,
 }
 
 impl MultiUserDb {
@@ -150,6 +148,7 @@ impl MultiUserDb {
             cache_capacity,
             defaults: QueryOptions::default(),
             users: HashMap::new(),
+            shared: HashMap::new(),
         }
     }
 
@@ -164,14 +163,20 @@ impl MultiUserDb {
             cache_capacity: self.cache_capacity,
             defaults: self.defaults,
             users: HashMap::new(),
+            shared: HashMap::new(),
         }
     }
 
     /// Deal the users out over `n` databases like this one: each user
     /// moves, with their tree, cache and views, to database
-    /// `pick(name)`.
+    /// `pick(name)`. Each part gets a copy of the sharing table.
     pub(crate) fn split(self, n: usize, pick: impl Fn(&str) -> usize) -> Vec<Self> {
-        let mut parts: Vec<Self> = (0..n).map(|_| self.empty_like()).collect();
+        let mut parts: Vec<Self> = (0..n)
+            .map(|_| Self {
+                shared: self.shared.clone(),
+                ..self.empty_like()
+            })
+            .collect();
         for (name, slot) in self.users {
             parts[pick(&name)].users.insert(name, slot);
         }
@@ -182,22 +187,28 @@ impl MultiUserDb {
     /// [`Self::split`]).
     pub(crate) fn merge(&mut self, other: Self) {
         self.users.extend(other.users);
+        self.shared.extend(other.shared);
     }
 
-    /// Copy every user into `snap`, with empty query caches and
-    /// unmaterialized views (view pins are carried).
+    /// Copy every user into `snap` by sharing their index, with empty
+    /// query caches and unmaterialized views (view pins are carried). A
+    /// later edit copies the index it changes, so `snap` keeps the state
+    /// at this call.
     pub(crate) fn snapshot_into(&self, snap: &mut Self) {
         for (name, slot) in &self.users {
-            let copy = slot.clone_for_snapshot(&self.env, self.cache_capacity);
+            let copy = UserSlot::new(Arc::clone(&slot.indexed), &self.env, self.cache_capacity);
+            for state in slot.views.pinned_states() {
+                copy.views.pin(state);
+            }
             snap.users.insert(name.clone(), copy);
         }
     }
 
-    /// Every user with their profile, in arbitrary order.
-    pub(crate) fn profiles(&self) -> impl Iterator<Item = (&str, &Profile)> {
+    /// Every user with their index, in arbitrary order.
+    pub(crate) fn indexes(&self) -> impl Iterator<Item = (&str, &Arc<IndexedProfile>)> {
         self.users
             .iter()
-            .map(|(name, s)| (name.as_str(), s.indexed.profile()))
+            .map(|(name, s)| (name.as_str(), &s.indexed))
     }
 
     /// The relation, as the handle every copy of this database shares.
@@ -248,21 +259,39 @@ impl MultiUserDb {
     }
 
     /// Register a user with an initial profile — e.g. one of the twelve
-    /// demographic default profiles of the user study.
+    /// demographic default profiles of the user study. A user whose
+    /// preferences equal, in order, those of an index registered here
+    /// shares that index.
     pub fn add_user_with_profile(&mut self, name: &str, profile: Profile) -> Result<(), CoreError> {
         if self.users.contains_key(name) {
             return Err(CoreError::DuplicateUser(name.to_string()));
         }
-        let slot = UserSlot::new(profile, &self.order, &self.env, self.cache_capacity)?;
+        let indexed = self.shared_index(profile)?;
+        let slot = UserSlot::new(indexed, &self.env, self.cache_capacity);
         self.users.insert(name.to_string(), slot);
         Ok(())
+    }
+
+    /// The live index filed under `profile`'s hash when its preferences
+    /// equal `profile`'s, else a new index, filed in place of the entry.
+    fn shared_index(&mut self, profile: Profile) -> Result<Arc<IndexedProfile>, CoreError> {
+        let key = share_key(profile.preferences());
+        let filed = self.shared.get(&key).and_then(Weak::upgrade);
+        if let Some(indexed) = filed {
+            if indexed.profile().preferences() == profile.preferences() {
+                return Ok(indexed);
+            }
+        }
+        let indexed = Arc::new(IndexedProfile::new(profile, self.order.clone())?);
+        self.shared.insert(key, Arc::downgrade(&indexed));
+        Ok(indexed)
     }
 
     /// Remove a user and return their profile.
     pub fn remove_user(&mut self, name: &str) -> Result<Profile, CoreError> {
         self.users
             .remove(name)
-            .map(|slot| slot.indexed.into_profile())
+            .map(|slot| Arc::unwrap_or_clone(slot.indexed).into_profile())
             .ok_or_else(|| CoreError::NoSuchUser(name.to_string()))
     }
 
@@ -270,6 +299,11 @@ impl MultiUserDb {
         self.users
             .get(name)
             .ok_or_else(|| CoreError::NoSuchUser(name.to_string()))
+    }
+
+    /// A user's index, as the pointer the database holds.
+    pub(crate) fn index(&self, user: &str) -> Result<&Arc<IndexedProfile>, CoreError> {
+        Ok(&self.slot(user)?.indexed)
     }
 
     /// A user's profile.
@@ -296,7 +330,7 @@ impl MultiUserDb {
         pref: ContextualPreference,
     ) -> Result<(), CoreError> {
         let slot = slot_mut(&mut self.users, user)?;
-        slot.indexed.insert(pref)?;
+        Arc::make_mut(&mut slot.indexed).insert(pref)?;
         let pref = slot
             .indexed
             .profile()
@@ -338,7 +372,7 @@ impl MultiUserDb {
         index: usize,
     ) -> Result<ContextualPreference, CoreError> {
         let slot = slot_mut(&mut self.users, user)?;
-        let removed = slot.indexed.remove(index)?;
+        let removed = Arc::make_mut(&mut slot.indexed).remove(index)?;
         slot.publish(&self.relation, self.defaults, Change::Remove(&removed));
         Ok(removed)
     }
@@ -352,8 +386,8 @@ impl MultiUserDb {
         score: f64,
     ) -> Result<(), CoreError> {
         let slot = slot_mut(&mut self.users, user)?;
-        if let Some(old_score) = slot.indexed.rescore(index, score)? {
-            let pref = &slot.indexed.profile().preferences()[index];
+        if let Some(old_score) = Arc::make_mut(&mut slot.indexed).rescore(index, score)? {
+            let pref = slot.indexed.preference(index).expect("just re-scored");
             let change = Change::Rescore { pref, old_score };
             slot.publish(&self.relation, self.defaults, change);
         }

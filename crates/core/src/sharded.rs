@@ -25,15 +25,16 @@
 //!   lock, so a read in flight can never cache an answer computed under
 //!   options that a concurrent change has already replaced;
 //! * a save works from [`ShardedMultiUserDb::snapshot`], which holds
-//!   each stripe's read lock only long enough to clone that stripe's
-//!   users (the relation is shared, not copied) — never across I/O.
+//!   each stripe's read lock only long enough to copy the pointers to
+//!   that stripe's users' copy-on-write indexes (the relation is shared
+//!   too) — never across I/O, and never for a deep copy.
 //!
 //! `from_db` / `into_db` convert losslessly in both directions.
 
 use std::sync::Arc;
 
 use ctxpref_context::{ContextEnvironment, ContextState, ExtendedContextDescriptor};
-use ctxpref_profile::{ContextualPreference, Profile, ProfileTree, TreeStats};
+use ctxpref_profile::{ContextualPreference, IndexedProfile, Profile, ProfileTree, TreeStats};
 use ctxpref_qcache::CacheStats;
 use ctxpref_relation::{Relation, Value};
 use ctxpref_views::ViewStats;
@@ -105,9 +106,11 @@ impl ShardedMultiUserDb {
     }
 
     /// A point-in-time copy as a plain [`MultiUserDb`] (fresh, empty
-    /// query caches — cached rankings are derived data). Each stripe's
-    /// read lock is held only while cloning that stripe's users, so a
-    /// long save never blocks writers for the duration of the I/O.
+    /// query caches — cached rankings are derived data). The copy shares
+    /// every user's index with this database; an edit made later copies
+    /// the index it changes, so the copy keeps the state at the cut.
+    /// Each stripe's read lock is held only while copying that stripe's
+    /// pointers, so a long save never blocks writers for the I/O.
     pub fn snapshot(&self) -> MultiUserDb {
         let mut snap = self.snapshot_begin();
         for ix in 0..self.stripes.len() {
@@ -120,15 +123,15 @@ impl ShardedMultiUserDb {
     /// this database's environment, relation and options. Feed it
     /// stripes via [`Self::snapshot_stripe`] — external coordinators
     /// (e.g. a write-ahead-log checkpointer) can interleave their own
-    /// per-stripe bookkeeping between clones so that each stripe's copy
+    /// per-stripe bookkeeping between stripes so that each stripe's copy
     /// is consistent with a per-stripe cut point, without ever
     /// quiescing the whole database.
     pub fn snapshot_begin(&self) -> MultiUserDb {
         self.stripes[0].read().empty_like()
     }
 
-    /// Clone stripe `ix`'s users into `snap`, holding that stripe's read
-    /// lock only for the duration of the clone.
+    /// Copy stripe `ix`'s users into `snap` by sharing their indexes,
+    /// holding that stripe's read lock only for the pointer copies.
     ///
     /// # Panics
     ///
@@ -217,14 +220,21 @@ impl ShardedMultiUserDb {
     }
 
     /// A user's profile (an owned clone — the user lives behind the
-    /// stripe lock, so references cannot escape it).
+    /// stripe lock, so references cannot escape it). The clone is made
+    /// after the lock is released.
     pub fn profile(&self, user: &str) -> Result<Profile, CoreError> {
-        self.read_user_shard(user).profile(user).cloned()
+        Ok(self.index(user)?.profile().clone())
     }
 
-    /// A user's profile tree (owned clone, for display and explanation).
+    /// A user's profile tree (owned clone, for display and explanation),
+    /// made after the lock is released.
     pub fn tree(&self, user: &str) -> Result<ProfileTree, CoreError> {
-        self.read_user_shard(user).tree(user).cloned()
+        Ok(self.index(user)?.tree().clone())
+    }
+
+    /// A user's index, taken under their stripe's read lock.
+    fn index(&self, user: &str) -> Result<Arc<IndexedProfile>, CoreError> {
+        self.read_user_shard(user).index(user).cloned()
     }
 
     /// A user's profile-tree statistics.
@@ -395,30 +405,47 @@ impl ShardedMultiUserDb {
         self.stripe(user).try_write()
     }
 
-    /// Stripe `ix`'s users and profiles, sorted by name. The stripe's
-    /// read lock is held only for the clone. Replication uses this both
-    /// to digest a stripe (the sort makes the digest canonical) and to
-    /// ship a divergent stripe's contents for resync.
+    /// Stripe `ix`'s users and their indexes, sorted by name. The
+    /// stripe's read lock is held only to copy the names and pointers;
+    /// an edit made later copies the index it changes, so the returned
+    /// indexes keep the state at the call. Replication digests a stripe
+    /// from these without copying a profile (the sort makes the digest
+    /// canonical).
     ///
     /// # Panics
     ///
     /// If `ix >= self.num_shards()`.
-    pub fn stripe_users(&self, ix: usize) -> Vec<(String, Profile)> {
+    pub fn stripe_indexes(&self, ix: usize) -> Vec<(String, Arc<IndexedProfile>)> {
         let stripe = self.stripes[ix].read();
-        let mut users: Vec<(String, Profile)> = stripe
-            .profiles()
-            .map(|(name, profile)| (name.to_string(), profile.clone()))
+        let mut users: Vec<(String, Arc<IndexedProfile>)> = stripe
+            .indexes()
+            .map(|(name, indexed)| (name.to_string(), Arc::clone(indexed)))
             .collect();
         drop(stripe);
         users.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         users
     }
 
+    /// Stripe `ix`'s users and profiles, sorted by name: the profiles of
+    /// [`Self::stripe_indexes`], cloned after the lock is released.
+    /// Replication ships a divergent stripe's contents with these.
+    ///
+    /// # Panics
+    ///
+    /// If `ix >= self.num_shards()`.
+    pub fn stripe_users(&self, ix: usize) -> Vec<(String, Profile)> {
+        let users = self.stripe_indexes(ix).into_iter();
+        users
+            .map(|(name, indexed)| (name, indexed.profile().clone()))
+            .collect()
+    }
+
     /// Replace stripe `ix`'s entire contents with `users`, rebuilding
-    /// each user's tree and cache from their profile. Users that hash
-    /// to a different stripe are rejected before anything is replaced,
-    /// so the fold invariant (stripe == FNV(user) % shards) cannot be
-    /// broken. This is the anti-entropy resync path: the new stripe is
+    /// each user's tree and cache from their profile (users with equal
+    /// profiles share one tree, as in `add_user_with_profile`). Users
+    /// that hash to a different stripe are rejected before anything is
+    /// replaced, so the fold invariant (stripe == FNV(user) % shards)
+    /// cannot be broken. This is the anti-entropy resync path: the new stripe is
     /// built outside every lock and swapped in under the stripe's write
     /// lock, so readers see either the old stripe or the new one, never
     /// a mix.

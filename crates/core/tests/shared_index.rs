@@ -1,0 +1,389 @@
+//! Users share one copy-on-write index, and an edit copies only its own.
+//!
+//! Twelve users start from three profiles, so each index is shared four
+//! ways; seeded histories of inserts, re-scores and removals — refused
+//! ones included — then run on a sharded database, with a snapshot
+//! taken between steps. After every step each user's answers, profile,
+//! tree paths, `TreeStats` and contributor counts must equal a rebuild
+//! from a per-user model, users who have not edited must still share,
+//! and every snapshot must still hold the profiles of its cut.
+
+use std::collections::hash_map::DefaultHasher;
+use std::hash::{Hash, Hasher};
+
+use ctxpref_context::{ContextEnvironment, ContextState};
+use ctxpref_core::{preference_from_parts, MultiUserDb, ShardedMultiUserDb};
+use ctxpref_hierarchy::{Hierarchy, HierarchyBuilder};
+use ctxpref_profile::{ContextualPreference, IndexedProfile, ParamOrder, Profile, ProfileTree};
+use ctxpref_relation::{AttrType, CompareOp, Relation, Schema};
+use proptest::test_runner::TestRng;
+
+fn env() -> ContextEnvironment {
+    let mut w = HierarchyBuilder::new("weather", &["Conditions", "Char"]);
+    w.add("Char", "bad", None).unwrap();
+    w.add("Char", "good", None).unwrap();
+    w.add_leaves("bad", &["cold"]).unwrap();
+    w.add_leaves("good", &["warm", "hot"]).unwrap();
+    ContextEnvironment::new(vec![
+        w.build().unwrap(),
+        Hierarchy::flat("company", &["friends", "family"]).unwrap(),
+    ])
+    .unwrap()
+}
+
+fn relation() -> Relation {
+    let schema = Schema::new(&[("name", AttrType::Str), ("type", AttrType::Str)]).unwrap();
+    let mut rel = Relation::new("poi", schema);
+    for (name, ty) in [
+        ("Acropolis", "monument"),
+        ("Benaki", "museum"),
+        ("Plaka Taverna", "restaurant"),
+        ("Lycabettus", "monument"),
+    ] {
+        rel.insert(vec![name.into(), ty.into()]).unwrap();
+    }
+    rel
+}
+
+/// Overlapping descriptors, so edits share entries and conflict often.
+const DESCRIPTORS: [&str; 6] = [
+    "weather = warm",
+    "weather in {warm, hot}",
+    "weather = good",
+    "company = friends",
+    "weather = cold and company = family",
+    "*",
+];
+const TYPES: [&str; 3] = ["monument", "museum", "restaurant"];
+const SCORES: [f64; 3] = [0.3, 0.6, 0.9];
+
+fn pref(
+    env: &ContextEnvironment,
+    rel: &Relation,
+    d: &str,
+    ty: &str,
+    s: f64,
+) -> ContextualPreference {
+    preference_from_parts(env, rel, d, "type", CompareOp::Eq, ty.into(), s).unwrap()
+}
+
+fn random_pref(
+    env: &ContextEnvironment,
+    rel: &Relation,
+    rng: &mut TestRng,
+) -> ContextualPreference {
+    let d = DESCRIPTORS[rng.below(DESCRIPTORS.len())];
+    let ty = TYPES[rng.below(TYPES.len())];
+    pref(env, rel, d, ty, SCORES[rng.below(SCORES.len())])
+}
+
+/// The three profiles the users start from.
+fn base_profiles(env: &ContextEnvironment, rel: &Relation) -> Vec<Profile> {
+    let specs: [&[(&str, &str, f64)]; 3] = [
+        &[("weather = warm", "museum", 0.9), ("*", "monument", 0.3)],
+        &[
+            ("company = friends", "restaurant", 0.6),
+            ("weather = good", "monument", 0.9),
+            ("weather = cold and company = family", "museum", 0.6),
+        ],
+        &[],
+    ];
+    specs
+        .iter()
+        .map(|prefs| {
+            let mut profile = Profile::new(env.clone());
+            for &(d, ty, s) in *prefs {
+                profile.insert(pref(env, rel, d, ty, s)).unwrap();
+            }
+            profile
+        })
+        .collect()
+}
+
+fn states(env: &ContextEnvironment) -> Vec<ContextState> {
+    [
+        ["warm", "friends"],
+        ["cold", "family"],
+        ["hot", "all"],
+        ["all", "all"],
+    ]
+    .iter()
+    .map(|s| ContextState::parse(env, s).unwrap())
+    .collect()
+}
+
+/// The tree's stored paths with their entries, in an order no edit
+/// history can change.
+fn paths(tree: &ProfileTree) -> Vec<(ContextState, Vec<String>)> {
+    let mut out: Vec<_> = tree
+        .paths()
+        .into_iter()
+        .map(|(state, entries)| {
+            let mut es: Vec<String> = entries
+                .iter()
+                .map(|e| format!("{:?}@{}", e.clause, e.score.to_bits()))
+                .collect();
+            es.sort();
+            (state, es)
+        })
+        .collect();
+    out.sort();
+    out
+}
+
+fn key(p: &impl Hash) -> u64 {
+    let mut h = DefaultHasher::new();
+    p.hash(&mut h);
+    h.finish()
+}
+
+/// `user`'s tree in `db` and in `rebuilt` (where `user` is alone) are
+/// alike, and so are their answers under every test state.
+fn assert_like_rebuild(
+    db: &MultiUserDb,
+    user: &str,
+    rebuilt: &MultiUserDb,
+    states: &[ContextState],
+    at: &str,
+) {
+    let (live, fresh) = (db.tree(user).unwrap(), rebuilt.tree(user).unwrap());
+    assert_eq!(paths(live), paths(fresh), "{at}: paths of {user}");
+    assert_eq!(live.stats(), fresh.stats(), "{at}: stats of {user}");
+    assert_eq!(
+        live.contributor_counts(),
+        fresh.contributor_counts(),
+        "{at}: contributor counts of {user}"
+    );
+    for state in states {
+        let (got, want) = (
+            db.query_state(user, state).unwrap(),
+            rebuilt.query_state(user, state).unwrap(),
+        );
+        assert_eq!(
+            got.results.entries(),
+            want.results.entries(),
+            "{at}: {user} {state:?}"
+        );
+        for k in [1, 3] {
+            let (got, _) = db.query_state_topk(user, state, k).unwrap();
+            let (want, _) = rebuilt.query_state_topk(user, state, k).unwrap();
+            let (got, want) = (got.results.entries(), want.results.entries());
+            assert_eq!(got, want, "{at}: {user} {state:?} top-{k}");
+        }
+    }
+}
+
+/// A database holding only `user`, built afresh from `profile`.
+fn rebuild(user: &str, profile: Profile, env: &ContextEnvironment, rel: &Relation) -> MultiUserDb {
+    let mut db = MultiUserDb::new(env.clone(), rel.clone(), 0);
+    db.add_user_with_profile(user, profile).unwrap();
+    let order = ParamOrder::by_ascending_domain(env);
+    let tree = ProfileTree::from_profile(db.profile(user).unwrap(), order).unwrap();
+    assert_eq!(paths(db.tree(user).unwrap()), paths(&tree));
+    db
+}
+
+#[test]
+fn equal_profiles_share_one_index_until_an_edit() {
+    let (env, rel) = (env(), relation());
+    let bases = base_profiles(&env, &rel);
+    let mut db = MultiUserDb::new(env.clone(), rel.clone(), 8);
+    for u in 0..12 {
+        db.add_user_with_profile(&format!("u{u}"), bases[u % 3].clone())
+            .unwrap();
+    }
+    let shares =
+        |db: &MultiUserDb, a: &str, b: &str| std::ptr::eq(db.tree(a).unwrap(), db.tree(b).unwrap());
+    for u in 0..12 {
+        for v in 0..12 {
+            let (a, b) = (format!("u{u}"), format!("u{v}"));
+            assert_eq!(shares(&db, &a, &b), u % 3 == v % 3, "u{u} and u{v}");
+        }
+    }
+    // Every empty profile shares one index, `add_user`'s included.
+    db.add_user("empty").unwrap();
+    assert!(shares(&db, "empty", "u2"));
+
+    // The same preferences in another order make another profile.
+    let mut reversed = Profile::new(env.clone());
+    for p in bases[1].preferences().iter().rev() {
+        reversed.insert(p.clone()).unwrap();
+    }
+    db.add_user_with_profile("reversed", reversed).unwrap();
+    assert!(!shares(&db, "reversed", "u1"));
+    assert_eq!(
+        db.tree("reversed").unwrap().stats(),
+        db.tree("u1").unwrap().stats()
+    );
+
+    // An edit copies the editor's index only.
+    let warm = ContextState::parse(&env, &["warm", "friends"]).unwrap();
+    let before = db.query_state("u4", &warm).unwrap();
+    db.insert_preference("u1", pref(&env, &rel, "*", "restaurant", 0.3))
+        .unwrap();
+    assert!(!shares(&db, "u1", "u4"));
+    assert!(shares(&db, "u4", "u7") && shares(&db, "u7", "u10"));
+    assert_eq!(db.profile("u1").unwrap().len(), 4);
+    assert_eq!(db.profile("u4").unwrap().len(), 3);
+    let after = db.query_state("u4", &warm).unwrap();
+    assert_eq!(before.results.entries(), after.results.entries());
+
+    // Removing a sharer hands back the profile and leaves the others.
+    let profile = db.remove_user("u4").unwrap();
+    assert_eq!(profile.preferences(), bases[1].preferences());
+    assert!(shares(&db, "u7", "u10"));
+
+    // Once every holder is gone, the profile is indexed afresh.
+    for u in [0, 3, 6, 9] {
+        db.remove_user(&format!("u{u}")).unwrap();
+    }
+    db.add_user_with_profile("again", bases[0].clone()).unwrap();
+    assert_eq!(
+        paths(db.tree("again").unwrap()),
+        paths(
+            &ProfileTree::from_profile(&bases[0], ParamOrder::by_ascending_domain(&env)).unwrap()
+        )
+    );
+}
+
+#[test]
+fn equal_preferences_hash_equal() {
+    let (env, rel) = (env(), relation());
+    let zero = pref(&env, &rel, "weather = warm", "museum", 0.0);
+    let negative_zero = pref(&env, &rel, "weather = warm", "museum", -0.0);
+    assert_eq!(zero, negative_zero);
+    assert_eq!(key(&zero), key(&negative_zero));
+    // Clauses are stored by parameter, whatever order they were written in.
+    let (a, b) = (
+        pref(
+            &env,
+            &rel,
+            "weather = warm and company = friends",
+            "monument",
+            0.6,
+        ),
+        pref(
+            &env,
+            &rel,
+            "company = friends and weather = warm",
+            "monument",
+            0.6,
+        ),
+    );
+    assert_eq!(a, b);
+    assert_eq!(key(&a), key(&b));
+    assert_ne!(
+        key(&zero),
+        key(&pref(&env, &rel, "weather = warm", "museum", 0.3))
+    );
+
+    // Profiles built from either zero are one profile, and share.
+    let mut db = MultiUserDb::new(env.clone(), rel.clone(), 0);
+    for (name, p) in [("a", zero), ("b", negative_zero)] {
+        let mut profile = Profile::new(env.clone());
+        profile.insert(p).unwrap();
+        db.add_user_with_profile(name, profile).unwrap();
+    }
+    assert!(std::ptr::eq(db.tree("a").unwrap(), db.tree("b").unwrap()));
+}
+
+#[test]
+fn seeded_histories_keep_users_and_snapshots_apart() {
+    let (env, rel) = (env(), relation());
+    let bases = base_profiles(&env, &rel);
+    let states = states(&env);
+    let order = ParamOrder::by_ascending_domain(&env);
+    let users: Vec<String> = (0..12).map(|u| format!("u{u}")).collect();
+    let (mut refused, mut snapshots_checked) = (0, 0);
+    for seed in 0..8u64 {
+        let mut rng = TestRng::from_seed(seed);
+        let mut plain = MultiUserDb::new(env.clone(), rel.clone(), 8);
+        let mut models = Vec::new();
+        for (u, name) in users.iter().enumerate() {
+            plain
+                .add_user_with_profile(name, bases[u % 3].clone())
+                .unwrap();
+            models.push(IndexedProfile::new(bases[u % 3].clone(), order.clone()).unwrap());
+        }
+        let db = ShardedMultiUserDb::from_db(plain, 4);
+        let mut edited = [false; 12];
+        let mut snapshots: Vec<(MultiUserDb, Vec<Profile>)> = Vec::new();
+        for step in 0..60 {
+            let at = format!("seed {seed}, step {step}");
+            if step % 7 == 0 {
+                let snap = db.snapshot();
+                for name in &users {
+                    let live = db.read_user_shard(name);
+                    let (a, b) = (snap.tree(name).unwrap(), live.tree(name).unwrap());
+                    assert!(std::ptr::eq(a, b), "{at}: the snapshot copied {name}");
+                }
+                let cut = models.iter().map(|m| m.profile().clone()).collect();
+                snapshots.push((snap, cut));
+            }
+            let u = rng.below(users.len());
+            let (name, model) = (&users[u], &mut models[u]);
+            let len = model.profile().len();
+            let (got, want) = match rng.below(3) {
+                0 => {
+                    let p = random_pref(&env, &rel, &mut rng);
+                    (
+                        db.insert_preference(name, p.clone()).is_ok(),
+                        model.insert(p).is_ok(),
+                    )
+                }
+                1 => {
+                    let (i, s) = (rng.below(len + 1), SCORES[rng.below(SCORES.len())]);
+                    let got = db.update_preference_score(name, i, s).is_ok();
+                    (got, model.rescore(i, s).is_ok())
+                }
+                _ => {
+                    let i = rng.below(len + 1);
+                    (
+                        db.remove_preference(name, i).is_ok(),
+                        model.remove(i).is_ok(),
+                    )
+                }
+            };
+            assert_eq!(got, want, "{at}: verdict for {name}");
+            refused += usize::from(!got);
+            edited[u] = true;
+
+            let plain = db.snapshot();
+            for (v, other) in users.iter().enumerate() {
+                assert_eq!(
+                    db.profile(other).unwrap().preferences(),
+                    models[v].profile().preferences(),
+                    "{at}: profile of {other}"
+                );
+                let rebuilt = rebuild(other, models[v].profile().clone(), &env, &rel);
+                assert_like_rebuild(&plain, other, &rebuilt, &states, &at);
+            }
+            // Users who never edited still share their base's index.
+            for a in 0..12 {
+                for b in (a + 1..12).filter(|b| b % 3 == a % 3) {
+                    if !edited[a] && !edited[b] {
+                        let (x, y) = (&users[a], &users[b]);
+                        assert!(
+                            std::ptr::eq(plain.tree(x).unwrap(), plain.tree(y).unwrap()),
+                            "{at}: {x} and {y} stopped sharing"
+                        );
+                    }
+                }
+            }
+        }
+        for (snap, cut) in &snapshots {
+            for (name, profile) in users.iter().zip(cut) {
+                assert_eq!(
+                    snap.profile(name).unwrap().preferences(),
+                    profile.preferences(),
+                    "seed {seed}: a snapshot lost the profile of {name} at its cut"
+                );
+                let rebuilt = rebuild(name, profile.clone(), &env, &rel);
+                assert_like_rebuild(snap, name, &rebuilt, &states, &format!("seed {seed}"));
+                snapshots_checked += 1;
+            }
+        }
+    }
+    assert!(refused > 0, "no history refused an edit");
+    assert!(snapshots_checked > 0);
+}

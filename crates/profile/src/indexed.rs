@@ -1,3 +1,5 @@
+use std::sync::{Arc, OnceLock};
+
 use crate::error::ProfileError;
 use crate::ordering::ParamOrder;
 use crate::preference::ContextualPreference;
@@ -22,10 +24,46 @@ use crate::tree::ProfileTree;
 /// The profile is a multiset: an exact duplicate is appended to the
 /// profile (and removed again by its index) but adds only a contributor
 /// to the tree, never an entry.
-#[derive(Debug, Clone)]
+///
+/// A clone copies the tree and shares the profile. While the profile is
+/// shared, a re-score is kept beside it rather than copying every
+/// preference — it changes no descriptor or clause — and the re-scored
+/// profile is built on the first call to [`profile`](Self::profile)
+/// that needs it. An insert or a removal copies the profile once.
+#[derive(Debug)]
 pub struct IndexedProfile {
-    profile: Profile,
+    /// The profile as of the last insert or removal, shared with the
+    /// clones of this index.
+    base: Arc<Profile>,
+    /// Re-scores made while `base` was shared: each re-scored
+    /// preference with its index in `base`, at most one per index.
+    rescored: Vec<(usize, ContextualPreference)>,
+    /// `base` with `rescored` applied, once asked for.
+    current: OnceLock<Profile>,
     tree: ProfileTree,
+}
+
+impl Clone for IndexedProfile {
+    fn clone(&self) -> Self {
+        Self {
+            base: Arc::clone(&self.base),
+            rescored: self.rescored.clone(),
+            current: OnceLock::new(),
+            tree: self.tree.clone(),
+        }
+    }
+}
+
+/// The preference at `index` of `base` with `rescored` applied.
+fn preference_at<'a>(
+    base: &'a Profile,
+    rescored: &'a [(usize, ContextualPreference)],
+    index: usize,
+) -> Option<&'a ContextualPreference> {
+    match rescored.iter().find(|(i, _)| *i == index) {
+        Some((_, pref)) => Some(pref),
+        None => base.preferences().get(index),
+    }
 }
 
 impl IndexedProfile {
@@ -33,12 +71,46 @@ impl IndexedProfile {
     /// conflict (Definition 6).
     pub fn new(profile: Profile, order: ParamOrder) -> Result<Self, ProfileError> {
         let tree = ProfileTree::from_profile(&profile, order)?;
-        Ok(Self { profile, tree })
+        Ok(Self {
+            base: Arc::new(profile),
+            rescored: Vec::new(),
+            current: OnceLock::new(),
+            tree,
+        })
     }
 
     /// The logical profile.
     pub fn profile(&self) -> &Profile {
-        &self.profile
+        if self.rescored.is_empty() {
+            return &self.base;
+        }
+        self.current.get_or_init(|| {
+            let mut profile = Profile::clone(&self.base);
+            for (index, pref) in &self.rescored {
+                profile.replace(*index, pref.clone());
+            }
+            profile
+        })
+    }
+
+    /// The preference at `index`, as [`profile`](Self::profile) lists
+    /// it, without building a re-scored profile.
+    pub fn preference(&self, index: usize) -> Option<&ContextualPreference> {
+        preference_at(&self.base, &self.rescored, index)
+    }
+
+    /// The profile to edit in place: copied if it is shared, with the
+    /// re-scores kept beside it applied.
+    fn profile_mut(&mut self) -> &mut Profile {
+        if let Some(current) = self.current.take() {
+            self.base = Arc::new(current);
+            self.rescored.clear();
+        }
+        let profile = Arc::make_mut(&mut self.base);
+        for (index, pref) in self.rescored.drain(..) {
+            profile.replace(index, pref);
+        }
+        profile
     }
 
     /// The profile tree index.
@@ -47,15 +119,16 @@ impl IndexedProfile {
     }
 
     /// Give up the index, keeping the profile.
-    pub fn into_profile(self) -> Profile {
-        self.profile
+    pub fn into_profile(mut self) -> Profile {
+        self.profile_mut();
+        Arc::unwrap_or_clone(self.base)
     }
 
     /// Append `pref`; refused if it conflicts with a stored preference,
     /// which the tree detects with one root-to-leaf walk per state.
     pub fn insert(&mut self, pref: ContextualPreference) -> Result<(), ProfileError> {
         self.tree.insert(&pref)?;
-        self.profile.insert_unchecked(pref);
+        self.profile_mut().insert_unchecked(pref);
         Ok(())
     }
 
@@ -63,23 +136,17 @@ impl IndexedProfile {
     /// [`Profile::preferences`]), pruning the tree paths it alone
     /// contributed.
     pub fn remove(&mut self, index: usize) -> Result<ContextualPreference, ProfileError> {
-        let gone = self
-            .profile
-            .preferences()
-            .get(index)
+        let gone = preference_at(&self.base, &self.rescored, index)
             .ok_or(ProfileError::NoSuchPreference(index))?;
         self.tree.remove(gone)?;
-        Ok(self.profile.remove(index))
+        Ok(self.profile_mut().remove(index))
     }
 
     /// Re-score the preference at `index`, refused if another
     /// preference shares one of its entries (Definition 6). Returns the
     /// old score, or `None` when the preference already had `score`.
     pub fn rescore(&mut self, index: usize, score: f64) -> Result<Option<f64>, ProfileError> {
-        let old = self
-            .profile
-            .preferences()
-            .get(index)
+        let old = preference_at(&self.base, &self.rescored, index)
             .ok_or(ProfileError::NoSuchPreference(index))?;
         let old_score = old.score();
         if old_score == score {
@@ -87,7 +154,15 @@ impl IndexedProfile {
         }
         let updated = old.with_score(score)?;
         self.tree.rescore(old, score)?;
-        self.profile.replace(index, updated);
+        if Arc::get_mut(&mut self.base).is_some() {
+            self.profile_mut().replace(index, updated);
+        } else {
+            self.current.take();
+            match self.rescored.iter_mut().find(|(i, _)| *i == index) {
+                Some(kept) => kept.1 = updated,
+                None => self.rescored.push((index, updated)),
+            }
+        }
         Ok(Some(old_score))
     }
 }

@@ -1,4 +1,5 @@
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 use ctxpref_context::{ContextDescriptor, ContextEnvironment};
 use ctxpref_relation::{AttrId, CompareOp, Predicate, Schema, Value};
@@ -8,7 +9,7 @@ use crate::error::ProfileError;
 /// An attribute clause `A θ a` of Definition 5. The paper's exposition
 /// simplifies to a single clause of the form `A = a`; the full operator
 /// set `θ ∈ {=, <, >, ≤, ≥, ≠}` of the definition is supported.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct AttributeClause {
     /// The attribute the clause constrains.
     pub attr: AttrId,
@@ -126,6 +127,16 @@ impl ContextualPreference {
             return Ok(false);
         }
         Ok(self.descriptor.overlaps(&other.descriptor, env)?)
+    }
+}
+
+/// The score hashes by its bits. That agrees with `==` because
+/// [`ContextualPreference::new`] stores `-0.0` as `0.0` and refuses NaN.
+impl Hash for ContextualPreference {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.descriptor.hash(state);
+        self.clause.hash(state);
+        self.score.to_bits().hash(state);
     }
 }
 

@@ -614,13 +614,14 @@ impl ProfileTree {
     }
 }
 
-#[cfg(test)]
 impl ProfileTree {
     /// Every stored entry with its contributor count, keyed by what it
     /// means rather than where it sits, so trees built by different
     /// edit histories compare equal. Checks that each recorded count
-    /// names an entry and is above one.
-    pub(crate) fn contributor_counts(&self) -> Vec<(ContextState, String, u32)> {
+    /// names an entry and is above one. A test hook: it panics when the
+    /// counts are inconsistent.
+    #[doc(hidden)]
+    pub fn contributor_counts(&self) -> Vec<(ContextState, String, u32)> {
         for (&(leaf, pos), &n) in &self.shared {
             assert!(n > 1, "a count of {n} is recorded");
             assert!(

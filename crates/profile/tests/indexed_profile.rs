@@ -6,7 +6,10 @@
 //! checked after every step: the tree's paths and `TreeStats` must equal
 //! `ProfileTree::from_profile` of the profile, and a refused edit must
 //! change neither the profile nor the tree. Every re-score verdict is
-//! also held to Definition 6 over the whole profile.
+//! also held to Definition 6 over the whole profile. Clones taken along
+//! the way share the profile, so later re-scores are kept beside it:
+//! each clone must keep what it held, and the edited index must list the
+//! same preferences through `preference` as through `profile`.
 
 use ctxpref_context::{parse_descriptor, ContextEnvironment};
 use ctxpref_hierarchy::{Hierarchy, HierarchyBuilder};
@@ -64,10 +67,17 @@ fn fingerprint(tree: &ProfileTree) -> Vec<String> {
     out
 }
 
+/// The preferences as `preference` lists them, which builds no
+/// re-scored profile.
+fn listed(indexed: &IndexedProfile) -> Vec<ContextualPreference> {
+    (0..)
+        .map_while(|i| indexed.preference(i).cloned())
+        .collect()
+}
+
 fn snapshot(indexed: &IndexedProfile) -> (Vec<ContextualPreference>, Vec<String>, TreeStats) {
     let tree = indexed.tree();
-    let prefs = indexed.profile().preferences().to_vec();
-    (prefs, fingerprint(tree), tree.stats())
+    (listed(indexed), fingerprint(tree), tree.stats())
 }
 
 /// What the histories exercised, so the checks cannot pass vacuously.
@@ -137,6 +147,8 @@ struct Seen {
     refused_inserts: usize,
     refused_rescores: usize,
     rescores: usize,
+    /// Re-scores made while a clone shared the profile.
+    shared_rescores: usize,
 }
 
 #[test]
@@ -147,8 +159,14 @@ fn edits_keep_the_tree_equal_to_a_rebuild() {
     for seed in 0..64u64 {
         let mut rng = TestRng::from_seed(seed);
         let mut indexed = IndexedProfile::new(Profile::new(env.clone()), order.clone()).unwrap();
+        let mut kept = Vec::new();
+        let mut shared = false;
         for step in 0..150 {
             let before = snapshot(&indexed);
+            if step % 25 == 10 {
+                kept.push((indexed.clone(), before.clone()));
+                shared = true;
+            }
             let len = before.0.len();
             let pick = |rng: &mut TestRng, n: usize| rng.below(n);
             let result = match pick(&mut rng, 10) {
@@ -163,12 +181,14 @@ fn edits_keep_the_tree_equal_to_a_rebuild() {
                     let r = indexed.insert(pref);
                     seen.duplicates += usize::from(duplicate && r.is_ok());
                     seen.refused_inserts += usize::from(r.is_err());
+                    shared &= r.is_err();
                     r
                 }
                 4 if len > 0 => {
                     // An exact duplicate of a stored preference.
                     let r = indexed.insert(before.0[pick(&mut rng, len)].clone());
                     seen.duplicates += usize::from(r.is_ok());
+                    shared &= r.is_err();
                     r
                 }
                 4..7 => {
@@ -186,7 +206,9 @@ fn edits_keep_the_tree_equal_to_a_rebuild() {
                         });
                         seen.shared_removals += usize::from(shared);
                     }
-                    indexed.remove(index).map(|_| ())
+                    let r = indexed.remove(index).map(|_| ());
+                    shared &= r.is_err();
+                    r
                 }
                 _ => {
                     let index = pick(&mut rng, len + 1);
@@ -194,6 +216,7 @@ fn edits_keep_the_tree_equal_to_a_rebuild() {
                     let r = indexed.rescore(index, score);
                     check_rescore_verdict(&env, &before.0, index, score, &r);
                     seen.rescores += usize::from(matches!(r, Ok(Some(_))));
+                    seen.shared_rescores += usize::from(shared && matches!(r, Ok(Some(_))));
                     seen.refused_rescores += usize::from(r.is_err());
                     r.map(|_| ())
                 }
@@ -205,21 +228,49 @@ fn edits_keep_the_tree_equal_to_a_rebuild() {
                     "a refused edit changed something (seed {seed}, step {step})"
                 );
             }
-            let rebuilt = ProfileTree::from_profile(indexed.profile(), order.clone())
+            let mut profile = Profile::new(env.clone());
+            for pref in &after.0 {
+                profile.insert_unchecked(pref.clone());
+            }
+            let rebuilt = ProfileTree::from_profile(&profile, order.clone())
                 .expect("an indexed profile never holds a conflict");
             assert_eq!(
                 (&after.1, after.2),
                 (&fingerprint(&rebuilt), rebuilt.stats()),
                 "tree drifted from its profile (seed {seed}, step {step}): {result:?}"
             );
+            // Now and then the profile itself, which applies what a
+            // shared profile keeps beside it.
+            if step % 3 == 0 {
+                assert_eq!(
+                    indexed.profile().preferences(),
+                    &after.0[..],
+                    "seed {seed}, step {step}"
+                );
+            }
         }
+        for (clone, held) in &kept {
+            assert_eq!(
+                &snapshot(clone),
+                held,
+                "seed {seed}: an edit reached a clone"
+            );
+            assert_eq!(clone.profile().preferences(), &held.0[..], "seed {seed}");
+        }
+        let last = listed(&indexed);
+        assert_eq!(
+            indexed.into_profile().preferences(),
+            &last[..],
+            "seed {seed}"
+        );
     }
     assert!(
         seen.duplicates > 0
             && seen.shared_removals > 0
             && seen.refused_inserts > 0
             && seen.refused_rescores > 0
-            && seen.rescores > 0,
+            && seen.rescores > 0
+            && seen.shared_rescores > 0,
         "the histories missed a case: {seen:?}"
     );
 }

@@ -15,7 +15,7 @@ use ctxpref_wal::DurableDb;
 use crate::migrate::snapshot_ops;
 
 /// Digest users given as borrowed `(name, profile)` pairs, already
-/// sorted by name (as `ShardedMultiUserDb::stripe_users` returns them).
+/// sorted by name (as `ShardedMultiUserDb::stripe_indexes` returns them).
 pub fn stripe_digest<'a>(users: impl IntoIterator<Item = (&'a str, &'a Profile)>) -> u64 {
     let mut bytes = Vec::new();
     for (name, profile) in users {
@@ -31,8 +31,12 @@ pub fn node_digests(db: &DurableDb) -> Vec<u64> {
     let core = db.db();
     (0..db.num_shards())
         .map(|ix| {
-            let users = core.stripe_users(ix);
-            stripe_digest(users.iter().map(|(name, profile)| (name.as_str(), profile)))
+            let users = core.stripe_indexes(ix);
+            stripe_digest(
+                users
+                    .iter()
+                    .map(|(name, idx)| (name.as_str(), idx.profile())),
+            )
         })
         .collect()
 }

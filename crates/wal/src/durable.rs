@@ -26,7 +26,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use ctxpref_core::ShardedMultiUserDb;
-use ctxpref_profile::Profile;
+use ctxpref_profile::{IndexedProfile, Profile};
 use ctxpref_storage::{load_multi_user, save_multi_user};
 use parking_lot::Mutex;
 
@@ -413,19 +413,27 @@ impl DurableDb {
     }
 
     /// A consistent per-shard cut for replica bootstrap: each stripe's
-    /// users plus the last LSN that stripe had applied at the moment it
-    /// was cloned. Holding a shard's WAL mutex stalls mutations to the
-    /// matching stripe (the durable layer logs and applies under that
-    /// mutex), so each `(stripe contents, last LSN)` pair is exact.
+    /// users plus the last LSN that stripe had applied at the cut.
+    /// Holding a shard's WAL mutex stalls mutations to the matching
+    /// stripe (the durable layer logs and applies under that mutex), so
+    /// each `(stripe contents, last LSN)` pair is exact. The mutex is
+    /// held only to copy the stripe's index pointers; the profiles are
+    /// cloned once every lock is released.
     pub fn snapshot_with_lsns(&self) -> (Vec<Vec<(String, Profile)>>, Vec<u64>) {
-        let mut stripes = Vec::with_capacity(self.wal.num_shards());
+        let mut cuts = Vec::with_capacity(self.wal.num_shards());
         let mut lsns = Vec::with_capacity(self.wal.num_shards());
         for ix in 0..self.wal.num_shards() {
             let guard = self.wal.shard(ix);
             lsns.push(guard.next_lsn() - 1);
-            stripes.push(self.db.stripe_users(ix));
+            cuts.push(self.db.stripe_indexes(ix));
         }
-        (stripes, lsns)
+        let profiles = |users: Vec<(String, Arc<IndexedProfile>)>| {
+            let users = users.into_iter();
+            users
+                .map(|(name, idx)| (name, idx.profile().clone()))
+                .collect()
+        };
+        (cuts.into_iter().map(profiles).collect(), lsns)
     }
 
     /// A consistent per-user cut for live migration: the user's profile

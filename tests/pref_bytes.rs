@@ -3,10 +3,12 @@
 //!
 //! A counting global allocator measures an `IndexedProfile` (the logical
 //! profile plus its profile tree) on the paper's §5.2 synthetic shape,
-//! and the allocations it takes to build one context descriptor through
-//! each production constructor. The paper's own byte model
-//! (`TreeStats::total_bytes`) is about 23 B per preference; this counts
-//! what the structs really hold. `--nocapture` prints the figure.
+//! the allocations it takes to build one context descriptor through
+//! each production constructor, and what a user of the §5.1 study costs
+//! a `MultiUserDb` when users start from shared default profiles. The
+//! paper's own byte model (`TreeStats::total_bytes`) is about 23 B per
+//! preference; this counts what the structs really hold. `--nocapture`
+//! prints the figures.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
@@ -14,9 +16,11 @@ use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
 use ctxpref::context::{
     descriptor_of_state, parse_descriptor, ContextState, ParamId, ParameterDescriptor,
 };
-use ctxpref::profile::{IndexedProfile, ParamOrder};
-use ctxpref::workload::reference::poi_env;
+use ctxpref::core::MultiUserDb;
+use ctxpref::profile::{IndexedProfile, ParamOrder, Profile};
+use ctxpref::workload::reference::{poi_env, poi_relation};
 use ctxpref::workload::synthetic::{SyntheticSpec, ValueDist};
+use ctxpref::workload::user_study::{all_demographics, default_profile};
 
 /// Counts every allocation and reallocation, and the bytes live.
 struct CountingAlloc;
@@ -75,6 +79,10 @@ fn measured<R>(f: impl FnOnce() -> R) -> (R, usize, isize) {
 /// Live bytes per preference the profile and its tree may hold.
 const MAX_BYTES_PER_PREF: f64 = 300.0;
 
+/// Live bytes a user registered with a default profile may hold: their
+/// slot, cache and view catalog, with the profile's index shared.
+const MAX_BYTES_PER_USER: f64 = 2048.0;
+
 // One test, so nothing else allocates while it measures.
 #[test]
 fn a_preference_costs_what_it_stores() {
@@ -118,4 +126,29 @@ fn a_preference_costs_what_it_stores() {
     );
     assert_eq!(parsed, of_state);
     assert_eq!(parsed.clause_count(), 3);
+
+    // (c) The benchmark's `hot_topk` users: 2,000 users over the twelve
+    // default profiles of the §5.1 study, with a query cache of 16.
+    let relation = poi_relation(&env, 2007, 8);
+    let defaults: Vec<Profile> = all_demographics()
+        .into_iter()
+        .map(|d| default_profile(&env, &relation, d))
+        .collect();
+    let users = 2_000;
+    let (db, _, live) = measured(|| {
+        let mut db = MultiUserDb::new(env.clone(), relation, 16);
+        for u in 0..users {
+            let profile = defaults[u % defaults.len()].clone();
+            db.add_user_with_profile(&format!("user{u}"), profile)
+                .expect("default profiles are conflict-free");
+        }
+        db
+    });
+    assert_eq!(db.user_count(), users);
+    let per_user = live as f64 / users as f64;
+    println!("live heap per user: {per_user:.1} B over {users} users");
+    assert!(
+        per_user <= MAX_BYTES_PER_USER,
+        "a user holds {per_user:.1} B, over {MAX_BYTES_PER_USER} B"
+    );
 }
