@@ -2,7 +2,8 @@
 //! with one [`Response`]. The service's workers run it for the server,
 //! with the budget and tier the envelope carried, except what the
 //! reactor answers on its own thread through [`answer_now`] — sheds,
-//! view hits and direct-path preference edits; [`serve_request`] runs
+//! view hits, and direct-path or group-commit logged preference edits
+//! on a free stripe and WAL shard; [`serve_request`] runs
 //! the same code in process, for a caller that holds the service
 //! itself.
 //!
@@ -159,10 +160,12 @@ fn view_hit(
 }
 
 /// Apply an `InsertPref`, `UpdateScore` or `RemovePref` through the
-/// service's verbs that never wait (`CtxPrefService::try_*`) and answer
-/// it as the blocking verb would, with a panic contained and answered
-/// typed. `None` for any other verb, or an edit the service hands back
-/// unapplied.
+/// service's verbs that never wait (`CtxPrefService::try_*`), which on
+/// a group-commit durable service log it first, and answer it as the
+/// blocking verb would, with a panic contained and answered typed.
+/// `None` for any other verb, or an edit the service hands back
+/// unapplied: on a replicated or per-record logged service, under a
+/// fault plan, or with its stripe or WAL shard held.
 fn edit_now(service: &CtxPrefService, id: u64, req: &Request) -> Option<Framed> {
     let answered = catch_unwind(AssertUnwindSafe(|| match req {
         Request::InsertPref {

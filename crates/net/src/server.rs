@@ -14,16 +14,18 @@
 //!   is free and whose answer a current materialized view holds
 //!   ([`CtxPrefService::view_hit`]), and an `InsertPref`,
 //!   `UpdateScore` or `RemovePref` on a service that writes directly
-//!   to memory, applied only if the user's stripe write lock is free
+//!   to memory or logs under group commit, applied only if the user's
+//!   stripe write lock — and a logged edit's WAL shard mutex — is free
 //!   this instant ([`CtxPrefService::try_update_preference_score`] and
-//!   its two siblings). It answers neither under an installed fault
-//!   plan. Admission runs on the reactor before anything is queued.
+//!   its two siblings). The reactor never waits on a lock and never
+//!   fsyncs. It answers neither under an installed fault plan.
+//!   Admission runs on the reactor before anything is queued.
 //! * **The service's workers** run everything else
 //!   ([`CtxPrefService::spawn`]) through dispatch (`dispatch.rs`) —
-//!   logged and replicated writes, user adds and removals, batches,
-//!   migration and admin verbs, and whatever the reactor handed back —
-//!   and hand the reactor a finished frame over a queue and a waker;
-//!   the reactor queues it for the socket as it is.
+//!   replicated and per-record logged writes, user adds and removals,
+//!   batches, migration and admin verbs, and whatever the reactor
+//!   handed back — and hand the reactor a finished frame over a queue
+//!   and a waker; the reactor queues it for the socket as it is.
 //!
 //! Either way a response is framed once, where it is produced: the
 //! payload is encoded in place behind the frame header, and a ranked
@@ -593,8 +595,9 @@ impl Reactor {
                 }
             };
             // Answered here if it can be without waiting — a shed, a
-            // view hit, a direct-path preference edit — so it takes no
-            // thread hop; otherwise it queues with its admission ticket.
+            // view hit, a preference edit on a free stripe — so it
+            // takes no thread hop; otherwise it queues with its
+            // admission ticket.
             let admitted = match answer_now(&self.shared.service, &wire) {
                 Ok(frame) => {
                     self.enqueue_frame(token, frame);

@@ -2,13 +2,15 @@
 //! the workers. A `TopK` whose answer a current materialized view holds
 //! is answered on the thread that decoded it, so it needs no free
 //! worker, while a read whose shard is busy still waits for one. So is
-//! a direct-path preference edit whose stripe is free; an edit on a
-//! held stripe, a logged or replicated write, a user removal and a
-//! batch frame wait for a worker. Under an installed fault plan the
-//! reactor answers nothing itself, so every request passes the
-//! workers' fault sites. And answers the reactor queues count against
-//! the pipeline cap: a peer that sends without reading is stopped by
-//! TCP, whoever answers.
+//! a preference edit whose stripe is free, on a service that writes
+//! directly to memory or logs under group commit; the logged edit is
+//! on the log when its answer arrives, so it survives a restart. An
+//! edit on a held stripe, a per-record logged or a replicated write, a
+//! user removal and a batch frame wait for a worker. Under an
+//! installed fault plan the reactor answers nothing itself, so every
+//! request passes the workers' fault sites. And answers the reactor
+//! queues count against the pipeline cap: a peer that sends without
+//! reading is stopped by TCP, whoever answers.
 
 use std::io::{ErrorKind, Write};
 use std::net::TcpStream;
@@ -354,12 +356,44 @@ fn a_rescore_waits_for_the_worker(service: CtxPrefService) {
 }
 
 #[test]
-fn a_logged_write_runs_on_a_worker() {
+fn a_group_commit_logged_rescore_on_a_free_stripe_needs_no_worker() {
     let _serial = ctxpref_faults::exclusive();
-    let tmp = TempDir::new("logged");
+    let tmp = TempDir::new("group-commit");
     let dcfg = DurabilityConfig::new(tmp.path())
         .group_commit(Duration::from_secs(3600))
         .scrub_every(None);
+    let service =
+        CtxPrefService::new_durable(poi_db(), service_cfg(1), dcfg.clone()).expect("durable");
+    let (service, server) = serve(service, NetServerConfig::default());
+    let mut c = client(&server);
+    let (held, free) = two_shards(&service);
+    for user in [&held, &free] {
+        seed(&mut c, user);
+    }
+    let parked = park_the_worker(&service, &server, &held);
+    // The reactor logs and applies a re-score on the free stripe, whose
+    // WAL shard is free too (shards follow stripes).
+    assert_eq!(
+        c.request(&rescore(&free, 0.55)).expect("rescore"),
+        Response::Ok
+    );
+    assert_eq!(first_score(&service, &free), 0.55);
+    let _ = parked.release();
+    drop(c);
+    server.shutdown();
+    let service = Arc::try_unwrap(service)
+        .unwrap_or_else(|_| panic!("a queued request still holds the service"));
+    drop(service.shutdown());
+    // It was logged: the recovered service has it.
+    let (recovered, _) = CtxPrefService::recover(service_cfg(1), dcfg).expect("recover");
+    assert_eq!(first_score(&recovered, &free), 0.55);
+}
+
+#[test]
+fn a_per_record_logged_rescore_waits_for_the_worker() {
+    let _serial = ctxpref_faults::exclusive();
+    let tmp = TempDir::new("per-record");
+    let dcfg = DurabilityConfig::new(tmp.path()).scrub_every(None);
     let service = CtxPrefService::new_durable(poi_db(), service_cfg(1), dcfg).expect("durable");
     a_rescore_waits_for_the_worker(service);
 }

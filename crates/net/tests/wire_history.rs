@@ -7,17 +7,23 @@
 //! connection, take turns; each step is answered before the next is
 //! sent. Every answer must be row-identical to what a per-user
 //! `ContextualDb` replay of the same history says; a refusal must be a
-//! refusal there too. Each history runs twice: with no fault plan, so
-//! the reactor applies direct-path edits and answers view hits itself,
-//! and under an empty `FaultPlan`, so every request runs on a worker.
-//! The two runs must answer identically — except for which rung
-//! answered a read inside a pipelined burst, since the reads of one
-//! burst may run concurrently and warm each other's caches.
+//! refusal there too. Each history runs three times: with no fault
+//! plan, so the reactor applies direct-path edits and answers view hits
+//! itself; under an empty `FaultPlan`, so every request runs on a
+//! worker; and on a group-commit durable service, where the reactor
+//! logs and applies the edits whose WAL shard and stripe are free and
+//! hands the rest to a worker (a flusher taking the shard's mutex
+//! every millisecond makes both happen). The three runs must answer
+//! identically — except for which rung answered a read inside a
+//! pipelined burst, since the reads of one burst may run concurrently
+//! and warm each other's caches. After the logged run the directory is
+//! recovered, and every user's profile must equal the replay's.
 //!
 //! Seeds come from `CTXPREF_FUZZ_SEEDS=start..end` (default `0..8`); a
 //! failing seed prints the command that replays it alone.
 
 use std::collections::BTreeMap;
+use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -28,7 +34,8 @@ use ctxpref_net::{
     NetClient, NetClientConfig, NetError, NetServer, NetServerConfig, Request, Response,
 };
 use ctxpref_relation::{Relation, Value};
-use ctxpref_service::{CtxPrefService, ServiceConfig};
+use ctxpref_service::{CtxPrefService, DurabilityConfig, ServiceConfig};
+use ctxpref_testkit::TempDir;
 use ctxpref_workload::reference::{poi_env, poi_relation, POI_TYPES};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -185,15 +192,41 @@ fn seen(response: Response) -> Seen {
     }
 }
 
-/// Run `steps` one at a time through a fresh server, under an empty
-/// fault plan when `planned`.
-fn serve_history(seed: u64, steps: &[Step], planned: bool) -> Vec<Seen> {
+/// How a history's server is run.
+#[derive(Debug, Clone, Copy)]
+enum Arm<'a> {
+    /// In memory, with no fault plan: the reactor answers what it can.
+    Direct,
+    /// In memory, under an empty fault plan: every request on a worker.
+    Planned,
+    /// Logged under group commit to a fresh durable directory, with no
+    /// fault plan.
+    Logged(&'a Path),
+}
+
+/// The logged arm's durability: group commit with a flusher that takes
+/// each WAL shard's mutex every millisecond, so the reactor finds some
+/// shards held.
+fn durability(dir: &Path) -> DurabilityConfig {
+    DurabilityConfig::new(dir)
+        .group_commit(Duration::from_millis(1))
+        .scrub_every(None)
+}
+
+/// Run `steps` one at a time through a fresh server run as `arm` says.
+fn serve_history(seed: u64, steps: &[Step], arm: Arm<'_>) -> Vec<Seen> {
     let env = poi_env();
     let db = MultiUserDb::new(env.clone(), poi_relation(&env, 2007, 5), 8);
-    let service = Arc::new(CtxPrefService::new(db, ServiceConfig::default()));
+    let cfg = ServiceConfig::default();
+    let service = Arc::new(match arm {
+        Arm::Logged(dir) => CtxPrefService::new_durable(db, cfg, durability(dir))
+            .expect("a fresh durable directory"),
+        Arm::Direct | Arm::Planned => CtxPrefService::new(db, cfg),
+    });
     let server =
         NetServer::bind("127.0.0.1:0", service, NetServerConfig::default()).expect("bind loopback");
-    let _plan = planned.then(|| ctxpref_faults::install(FaultPlan::builder(seed).build()));
+    let _plan = matches!(arm, Arm::Planned)
+        .then(|| ctxpref_faults::install(FaultPlan::builder(seed).build()));
     let addr = server.local_addr().to_string();
     let mut clients = [0, 1].map(|_| NetClient::connect(addr.clone(), NetClientConfig::default()));
     let answers = steps
@@ -312,6 +345,33 @@ impl Oracle {
         })
     }
 
+    /// `Ok` when the durable directory `dir`, recovered, holds exactly
+    /// the replay's users with the replay's profiles.
+    fn recovered_alike(&self, dir: &Path) -> Result<(), String> {
+        let (service, _) = CtxPrefService::recover(ServiceConfig::default(), durability(dir))
+            .map_err(|e| format!("recovery failed: {e}"))?;
+        service.with_db(|db| {
+            let users = db.users_sorted();
+            if !users.iter().eq(self.users.keys()) {
+                return Err(format!(
+                    "recovered users {users:?}, replay {:?}",
+                    self.users.keys()
+                ));
+            }
+            for (user, replay) in &self.users {
+                let profile = db.profile(user).map_err(|e| e.to_string())?;
+                if profile.preferences() != replay.profile().preferences() {
+                    return Err(format!(
+                        "{user} recovered {:?}\n  replay {:?}",
+                        profile.preferences(),
+                        replay.profile().preferences()
+                    ));
+                }
+            }
+            Ok(())
+        })
+    }
+
     /// A preference edit on an existing user; `None` when the user is
     /// unknown.
     fn edit(&mut self, req: &Request) -> Option<Expect> {
@@ -407,8 +467,10 @@ impl Tally {
 /// names the first disagreement.
 fn check_seed(seed: u64, tally: &mut Tally) -> Result<(), String> {
     let steps = history(seed);
-    let direct = serve_history(seed, &steps, false);
-    let planned = serve_history(seed, &steps, true);
+    let direct = serve_history(seed, &steps, Arm::Direct);
+    let planned = serve_history(seed, &steps, Arm::Planned);
+    let dir = TempDir::new("wire-history");
+    let logged = serve_history(seed, &steps, Arm::Logged(dir.path()));
     let mut oracle = Oracle::new();
     for (at, step) in steps.iter().enumerate() {
         let expect = oracle.step(step);
@@ -418,19 +480,21 @@ fn check_seed(seed: u64, tally: &mut Tally) -> Result<(), String> {
                 direct[at]
             ));
         }
-        let alike = match step {
-            Step::One(..) => planned[at] == direct[at],
-            Step::Burst(..) => planned[at].unstepped() == direct[at].unstepped(),
-        };
-        if !alike {
-            return Err(format!(
-                "step {at}: {step:?}\n  no plan:    {:?}\n  empty plan: {:?}",
-                direct[at], planned[at]
-            ));
+        for (arm, other) in [("empty plan", &planned[at]), ("logged", &logged[at])] {
+            let alike = match step {
+                Step::One(..) => *other == direct[at],
+                Step::Burst(..) => other.unstepped() == direct[at].unstepped(),
+            };
+            if !alike {
+                return Err(format!(
+                    "step {at}: {step:?}\n  no plan: {:?}\n  {arm}: {other:?}",
+                    direct[at]
+                ));
+            }
         }
         tally.count(at, step, &direct[at]);
     }
-    Ok(())
+    oracle.recovered_alike(dir.path())
 }
 
 #[test]
@@ -448,8 +512,8 @@ fn every_wire_answer_matches_a_contextual_db_replay() {
         }
     }
     println!(
-        "{} histories of {OPS} steps, each answered alike with and without a plan \
-         and by ContextualDb: {tally:?}",
+        "{} histories of {OPS} steps, each answered alike with and without a plan, \
+         logged, and by ContextualDb, and recovered alike: {tally:?}",
         seeds.count()
     );
 }

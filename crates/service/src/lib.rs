@@ -42,9 +42,11 @@
 //!   The write hands back what it displaced, so a removal returns the
 //!   value the log applied, not one read beside it. A front-end's
 //!   reactor edits preferences through `try_` twins of the verbs that
-//!   never wait: on the direct path, with no fault plan installed and
-//!   the user's stripe free, they apply the edit on the calling thread;
-//!   otherwise they hand it back for the blocking verb.
+//!   never wait: with no fault plan installed and the user's stripe
+//!   free, on the direct path — and on the logged path under group
+//!   commit with the user's WAL shard free too — they apply (and log)
+//!   the edit on the calling thread; otherwise they hand it back for
+//!   the blocking verb.
 //!
 //! Failure modes are driven deterministically in tests by the
 //! `ctxpref-faults` plan (see the chaos suite under `tests/`, and the

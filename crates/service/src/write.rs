@@ -24,7 +24,7 @@ use crate::stats::Counters;
 /// How a mutation reaches the serving core — chosen once, by the
 /// constructor, and never changed. [`CtxPrefService::write`] is the
 /// only code that acts on the choice, apart from the preference edits
-/// that never wait, which run only on the direct path
+/// that never wait, which run on the direct and logged paths
 /// (`CtxPrefService::edit`); everything else that looks at it is
 /// inspection (stats, scrub, status).
 pub(crate) enum WritePath {
@@ -72,9 +72,10 @@ enum Take {
     /// Wait for it, on whichever write path the service has: the
     /// blocking verbs.
     Wait,
-    /// Never wait: apply only on the direct path with no fault plan
-    /// installed, and only if the stripe is free this instant — the
-    /// `try_` verbs.
+    /// Never wait: apply only with no fault plan installed, on the
+    /// direct path if the stripe is free this instant, on the logged
+    /// path if `DurableDb::try_apply` takes it — the `try_` verbs. A
+    /// replicated write is always handed back.
     IfFree,
 }
 
@@ -253,13 +254,16 @@ impl CtxPrefService {
     }
 
     /// [`Self::insert_preference_eq`] for a caller that must never wait
-    /// — a front-end's reactor. `None` hands the edit back unapplied,
-    /// to be run with the blocking verb: when the service does not
-    /// write directly to memory (a logged or replicated write holds its
-    /// WAL shard's mutex), under an installed fault plan (the edit runs
-    /// where the fault sites are), or while the user's stripe is read-
-    /// or write-locked. Otherwise the edit applies here, under the same
-    /// migration guard as the blocking verb, and answers as it would.
+    /// or fsync — a front-end's reactor. `None` hands the edit back
+    /// unapplied, to be run with the blocking verb: on a replicated
+    /// service, under an installed fault plan (the edit runs where the
+    /// fault sites are), while the user's stripe is read- or
+    /// write-locked, and on a logged service also under per-record
+    /// sync, while the user's WAL shard is held, or when the record
+    /// would fill its segment ([`DurableDb::try_apply`]). Otherwise the
+    /// edit is logged (on a logged service) and applied here, under the
+    /// same migration guard as the blocking verb, and answers as it
+    /// would.
     ///
     /// The value comes in its textual form, as a wire request carries
     /// it, and is built only once the edit is known to run here.
@@ -391,16 +395,21 @@ impl CtxPrefService {
         make: impl FnOnce(&ShardedMultiUserDb) -> Result<WalOp, ServiceError>,
     ) -> Result<Option<Displaced>, ServiceError> {
         if take == Take::IfFree
-            && (!matches!(self.path, WritePath::Direct) || ctxpref_faults::current().is_some())
+            && (matches!(self.path, WritePath::Replicated(_))
+                || ctxpref_faults::current().is_some())
         {
             return Ok(None);
         }
         let _guard = self.migrations.write_guard(user)?;
         let core = self.core();
         let op = make(&core)?;
-        Ok(Some(match take {
-            Take::Wait => self.write(op)?,
-            Take::IfFree => match core.try_write_user_shard(user) {
+        Ok(Some(match (take, &self.path) {
+            (Take::Wait, _) => self.write(op)?,
+            (Take::IfFree, WritePath::Logged(durable)) => match durable.try_apply(op) {
+                Some(ack) => ack?.displaced,
+                None => return Ok(None),
+            },
+            (Take::IfFree, _) => match core.try_write_user_shard(user) {
                 Some(mut stripe) => op.apply_to(&mut stripe)?,
                 None => return Ok(None),
             },

@@ -25,7 +25,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use ctxpref_core::ShardedMultiUserDb;
+use ctxpref_core::{ShardedMultiUserDb, UserShardWrite};
 use ctxpref_profile::{IndexedProfile, Profile};
 use ctxpref_storage::{load_multi_user, save_multi_user};
 use parking_lot::Mutex;
@@ -37,7 +37,7 @@ use crate::scrub::{quarantine_has_shard, quarantine_segment};
 use crate::segment::{
     list_segments, scan_segment, segment_path, shard_dir, ScannedRecord, SEGMENT_HEADER,
 };
-use crate::wal::{new_segment, ShardPosition, Wal, WalOptions, WalStatus, WalTotals};
+use crate::wal::{new_segment, ShardGuard, ShardPosition, Wal, WalOptions, WalStatus, WalTotals};
 
 /// The exclusive-ownership lock file inside a durable directory.
 ///
@@ -300,13 +300,45 @@ impl DurableDb {
     /// rejection is deterministic in the db state, which is itself
     /// determined by the log prefix.
     pub fn apply(&self, op: WalOp) -> Result<Ack, DurableError> {
-        let shard = self.db.shard_of(op.user());
         let payload = op.encode();
-        let mut guard = self.wal.shard(shard);
-        let ack = guard.append(&payload)?;
-        let displaced = op.apply(&self.db)?;
+        let wal = self.wal.shard(self.db.shard_of(op.user()));
+        self.log_then_apply(op, &payload, wal, |db, user| db.write_user_shard(user))
+    }
+
+    /// [`Self::apply`] for a caller that must never wait or fsync, such
+    /// as a reactor. `None`, with nothing appended, under per-record
+    /// sync, while the op's WAL shard or stripe is held, or when the
+    /// record would fill the segment (a rotation fsyncs). Otherwise it
+    /// takes both locks, WAL shard first, then appends and applies.
+    pub fn try_apply(&self, op: WalOp) -> Option<Result<Ack, DurableError>> {
+        if self.wal.options().sync.is_per_record() {
+            return None;
+        }
+        let payload = op.encode();
+        let wal = self.wal.try_shard(self.db.shard_of(op.user()))?;
+        if !wal.fits(&payload) {
+            return None;
+        }
+        let stripe = self.db.try_write_user_shard(op.user())?;
+        Some(self.log_then_apply(op, &payload, wal, |_, _| stripe))
+    }
+
+    /// The body of [`Self::apply`] and [`Self::try_apply`]: append
+    /// `payload` under `wal`, then apply `op` to the stripe `stripe`
+    /// hands over. `apply` takes the stripe only after the append, so a
+    /// per-record fsync never holds readers off it.
+    fn log_then_apply<'a>(
+        &'a self,
+        op: WalOp,
+        payload: &[u8],
+        mut wal: ShardGuard<'_>,
+        stripe: impl FnOnce(&'a ShardedMultiUserDb, &str) -> UserShardWrite<'a>,
+    ) -> Result<Ack, DurableError> {
+        let ack = wal.append(payload)?;
+        let mut stripe = stripe(&self.db, op.user());
+        let displaced = op.apply_to(&mut stripe)?;
         Ok(Ack {
-            shard,
+            shard: wal.shard(),
             lsn: ack.lsn,
             durable: ack.durable,
             displaced,
@@ -759,3 +791,6 @@ fn reseat_shard(
         next_lsn,
     })
 }
+
+#[cfg(test)]
+mod tests;
