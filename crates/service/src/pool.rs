@@ -1,14 +1,16 @@
-//! The service's one worker pool: the job type it runs, the loop each
-//! worker runs, and the body every ranked read runs on a worker.
+//! The service's one worker pool: the job type it runs, the queue the
+//! workers take jobs from, the loop each worker runs, and the body every
+//! ranked read runs on a worker.
 
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use ctxpref_context::ContextState;
 use ctxpref_core::ShardedMultiUserDb;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 
 use crate::admission::{record_shed, Admission, Admitted};
 use crate::error::ServiceError;
@@ -31,11 +33,65 @@ pub(crate) struct Read<'a> {
     pub(crate) requested: Duration,
 }
 
-pub(crate) fn worker_loop(receiver: &Mutex<mpsc::Receiver<Job>>) {
-    loop {
-        // Hold the receiver lock only while picking up a job.
-        let job = { receiver.lock().recv() };
-        let Ok(job) = job else { return };
+/// The jobs waiting for a worker, in arrival order, and whether the
+/// service has closed the queue. One push wakes one waiting worker, so
+/// a job costs one wake-up. (A std `Condvar`: the vendored
+/// `parking_lot` one only waits with a timeout.)
+#[derive(Default)]
+pub(crate) struct JobQueue {
+    state: Mutex<(VecDeque<Job>, bool)>,
+    ready: Condvar,
+}
+
+impl JobQueue {
+    /// The queue's state. No code panics while holding the lock, and
+    /// every update leaves the state whole, so a poisoned lock is
+    /// still sound to use.
+    fn lock(&self) -> MutexGuard<'_, (VecDeque<Job>, bool)> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Queue `job` for one worker, or hand it back once the queue is
+    /// closed.
+    pub(crate) fn push(&self, job: Job) -> Result<(), Job> {
+        let mut state = self.lock();
+        if state.1 {
+            return Err(job);
+        }
+        state.0.push_back(job);
+        drop(state);
+        self.ready.notify_one();
+        Ok(())
+    }
+
+    /// Close the queue: later pushes are refused, and each worker exits
+    /// once the jobs already queued have run.
+    pub(crate) fn close(&self) {
+        self.lock().1 = true;
+        self.ready.notify_all();
+    }
+
+    /// The next job, waiting for one; `None` once the queue is closed
+    /// and empty.
+    fn pop(&self) -> Option<Job> {
+        let mut state = self.lock();
+        loop {
+            if let Some(job) = state.0.pop_front() {
+                return Some(job);
+            }
+            if state.1 {
+                return None;
+            }
+            state = self
+                .ready
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+}
+
+pub(crate) fn worker_loop(queue: &JobQueue) {
+    while let Some(job) = queue.pop() {
         // Outer containment: a panicking job never takes its worker
         // with it. (A ranked read contains its own panics and reports
         // them typed; this catches whatever else a job runs.)
