@@ -23,10 +23,12 @@
 //!   current checkpoint generation and each shard's replay bounds: a
 //!   version line and one frame.
 //! * `durable` — [`DurableDb`]: log-first mutations over the sharded
-//!   core, background-checkpointable ([`DurableDb::checkpoint`]
-//!   snapshots stripe-by-stripe under the matching WAL shard mutex,
-//!   rotates segments, swaps the manifest, and garbage-collects), and
-//!   [`DurableDb::recover`] = checkpoint + replay.
+//!   core ([`DurableDb::apply`], and [`DurableDb::try_apply`] for a
+//!   caller that must never wait or fsync), background-checkpointable
+//!   ([`DurableDb::checkpoint`] snapshots stripe-by-stripe under the
+//!   matching WAL shard mutex, rotates segments, swaps the manifest,
+//!   and garbage-collects), and [`DurableDb::recover`] = checkpoint +
+//!   replay.
 //!
 //! Fault sites (`wal.append.write`, `wal.append.sync`, `wal.rotate`,
 //! `manifest.swap`, plus the storage crate's `storage.save.*`) are

@@ -26,7 +26,7 @@
 
 use ctxpref_bytes::{
     bad_tag, open_frame, put_uv, seal_frame, vocabulary, Dec, DecodeError, DecodeKind, Le64, Put,
-    Via, Wire,
+    Via, Wire, FRAME_HEADER,
 };
 use ctxpref_context::{ContextDescriptor, ContextEnvironment, ParamId, ParameterDescriptor};
 use ctxpref_core::{CoreError, MultiUserDb, ShardedMultiUserDb};
@@ -45,6 +45,13 @@ pub(crate) fn put_record(out: &mut Vec<u8>, lsn: u64, op: &[u8]) -> Result<(), W
     seal_frame(out, at).map_err(|e| WalError::Payload {
         reason: e.to_string(),
     })
+}
+
+/// The length of the record [`put_record`] frames for `lsn` and op
+/// bytes `op_len` long: the frame header, the LSN varint, the op.
+pub(crate) fn record_len(lsn: u64, op_len: usize) -> usize {
+    let lsn_len = (u64::BITS - lsn.leading_zeros()).div_ceil(7).max(1);
+    FRAME_HEADER + lsn_len as usize + op_len
 }
 
 /// A verified record payload's LSN and op bytes.
@@ -353,6 +360,17 @@ impl Via<Value> for Ids {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn record_len_is_the_framed_length() {
+        for lsn in [0, 1, 127, 128, 16_383, 16_384, u64::MAX] {
+            for op in [&b""[..], b"op", &[7; 300]] {
+                let mut out = Vec::new();
+                put_record(&mut out, lsn, op).expect("small record");
+                assert_eq!(record_len(lsn, op.len()), out.len(), "lsn {lsn}");
+            }
+        }
+    }
 
     #[test]
     fn operators_travel_as_their_index_in_ops() {
