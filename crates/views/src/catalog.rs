@@ -6,10 +6,15 @@
 //! ranked answer materialized and maintains it **incrementally**:
 //!
 //! * Every view stores a *selection signature* — the interned set of
-//!   stored context states its resolution selected. After a mutation
-//!   the signature is recomputed with a cheap resolver walk (no
-//!   relation scan); only if the selected set changed does the view
-//!   pay a targeted rebuild.
+//!   stored context states its resolution selected. Resolution reads
+//!   only the stored states that equal or cover the view's state
+//!   (§4.4, `Search_CS`), so a selection can move only when such a
+//!   state appears or goes. A re-score never does that; an insert or
+//!   removal does it only when one of the preference's own states
+//!   covers the view's state. Only then is the signature recomputed
+//!   with a resolver walk (no relation scan), and only if the selected
+//!   set changed does the view pay a targeted rebuild. Every other
+//!   view keeps its stored signature.
 //! * With an unchanged signature, an insert or score-raise is a
 //!   *patch*: the mutation's σ-selection is merged into the view's
 //!   bounded ranking (top-`k_max` heap region plus an overflow
@@ -391,7 +396,8 @@ impl ViewCatalog {
         opts: &ViewOpts,
         change: Change<'_>,
     ) {
-        let mut inner = self.inner.write();
+        let mut guard = self.inner.write();
+        let inner = &mut *guard;
         inner.epoch += 1;
         if inner.views.is_empty() {
             return;
@@ -403,52 +409,48 @@ impl ViewCatalog {
             return;
         }
         let epoch = inner.epoch;
-        let pref = match change {
-            Change::Insert(p) | Change::Remove(p) | Change::Rescore { pref: p, .. } => p,
+        let (pref, moves_states) = match change {
+            Change::Insert(p) | Change::Remove(p) => (p, true),
+            Change::Rescore { pref: p, .. } => (p, false),
         };
-        // The stored states the mutated preference touches. A view
-        // whose (unchanged) selection avoids them all is untouched; a
-        // *new* closer state can steal any selection, which is what
-        // the per-view signature walk below detects.
+        // The stored states the mutated preference touches. A view's
+        // selection is drawn only from the stored states that equal or
+        // cover its state, so a write moves it only by adding or
+        // dropping one of those: an insert or removal one of whose
+        // states covers the view's state. Only such a view pays the
+        // signature walk; a re-score moves no selection. When the
+        // states cannot be enumerated, every view walks.
         let touched: Option<Vec<ContextState>> = pref.descriptor().states(store.env()).ok();
-        let ids: Vec<StateId> = inner
-            .views
-            .iter()
-            .filter(|(_, v)| v.content.is_some())
-            .map(|(id, _)| *id)
-            .collect();
+        let touched_ids: Option<Vec<StateId>> = touched.as_ref().map(|states| {
+            states
+                .iter()
+                .filter_map(|s| inner.table.lookup(s))
+                .collect()
+        });
+        let Inner { table, views, .. } = inner;
+        let rebuild = |content: &mut Content, state: &ContextState, table: &mut StateTable| {
+            *content = build_content(store, relation, opts, state, content.k_max, epoch, table);
+            self.rebuilds.fetch_add(1, Ordering::Relaxed);
+        };
         // σ of the mutated clause, computed once and shared by views.
         let mut sigma_cache: Option<Vec<usize>> = None;
-        for id in ids {
-            let view_state = inner.views[&id].state.clone();
-            let signature = selection_signature(store, opts, &view_state, &mut inner.table);
-            let touched_ids: Option<Vec<Option<StateId>>> = touched
-                .as_ref()
-                .map(|states| states.iter().map(|s| inner.table.lookup(s)).collect());
-            let Some(content) = inner.views.get_mut(&id).and_then(|v| v.content.as_mut()) else {
+        for view in views.values_mut() {
+            let Some(content) = view.content.as_mut() else {
                 continue;
             };
-            if content.signature != signature {
-                let k_max = content.k_max;
-                let fresh = build_content(
-                    store,
-                    relation,
-                    opts,
-                    &view_state,
-                    k_max,
-                    epoch,
-                    &mut inner.table,
-                );
-                self.rebuilds.fetch_add(1, Ordering::Relaxed);
-                inner.views.get_mut(&id).expect("present").content = Some(fresh);
+            let state = &view.state;
+            let walk = moves_states
+                && touched
+                    .as_ref()
+                    .is_none_or(|states| states.iter().any(|s| s.covers(state, store.env())));
+            if walk && selection_signature(store, opts, state, table) != content.signature {
+                rebuild(content, state, table);
                 continue;
             }
-            // Signature unchanged: does the mutation's descriptor even
+            // Selection unchanged: does the mutation's descriptor even
             // intersect the selected states?
             let intersects = match &touched_ids {
-                Some(ids) => ids
-                    .iter()
-                    .any(|s| s.is_some_and(|sid| signature.contains(&sid))),
+                Some(ids) => ids.iter().any(|id| content.signature.contains(id)),
                 None => true, // unparseable descriptor: treat as affected
             };
             if !intersects {
@@ -482,43 +484,57 @@ impl ViewCatalog {
                     self.patches.fetch_add(1, Ordering::Relaxed);
                     content.epoch = epoch;
                     if content.ranked.len() > content.cap * GROWTH_FACTOR {
-                        let k_max = content.k_max;
-                        let fresh = build_content(
-                            store,
-                            relation,
-                            opts,
-                            &view_state,
-                            k_max,
-                            epoch,
-                            &mut inner.table,
-                        );
-                        self.rebuilds.fetch_add(1, Ordering::Relaxed);
-                        inner.views.get_mut(&id).expect("present").content = Some(fresh);
+                        rebuild(content, state, table);
                     }
                 }
                 Patch::Untouched => {
                     content.epoch = epoch;
                 }
-                Patch::Underflow => {
-                    // A retained tuple may have lost its dominating
-                    // contributor: the heap cannot be refilled from
-                    // local knowledge — targeted rebuild of this one
-                    // view.
-                    let k_max = content.k_max;
-                    let fresh = build_content(
-                        store,
-                        relation,
-                        opts,
-                        &view_state,
-                        k_max,
-                        epoch,
-                        &mut inner.table,
-                    );
-                    self.rebuilds.fetch_add(1, Ordering::Relaxed);
-                    inner.views.get_mut(&id).expect("present").content = Some(fresh);
-                }
+                // A retained tuple may have lost its dominating
+                // contributor: the heap cannot be refilled from local
+                // knowledge — targeted rebuild of this one view.
+                Patch::Underflow => rebuild(content, state, table),
             }
         }
+    }
+
+    /// Check every current materialized view against a fresh
+    /// resolution over `store` and `relation` under the options the
+    /// catalog was built with, returning the states of the views that
+    /// disagree, sorted. A view disagrees when its selection signature
+    /// differs, when its retained prefix differs from the fresh
+    /// ranking's tuple by tuple or by score bits, or when it breaks the
+    /// floor rule: an incomplete prefix must hold at least `k_max` rows
+    /// with every fresh row past it scoring below its floor, and a
+    /// complete one the whole ranking. Content from another epoch is
+    /// never served and is not checked. Takes the write lock (a fresh
+    /// resolution interns the states it selects) and pays a full
+    /// resolution and ranking per view, so it is a check, not a
+    /// serving step.
+    pub fn verify<P: PreferenceStore>(&self, store: &P, relation: &Relation) -> Vec<ContextState> {
+        let mut guard = self.inner.write();
+        let Inner {
+            table,
+            views,
+            opts,
+            epoch,
+            ..
+        } = &mut *guard;
+        let Some(opts) = opts.as_ref() else {
+            return Vec::new();
+        };
+        let mut bad: Vec<ContextState> = views
+            .values()
+            .filter_map(|v| Some((v, v.content.as_ref()?)))
+            .filter(|(_, c)| c.epoch == *epoch)
+            .filter(|(v, c)| {
+                let (signature, full) = fresh_ranking(store, relation, opts, &v.state, table);
+                !agrees(c, &signature, &full)
+            })
+            .map(|(v, _)| v.state.clone())
+            .collect();
+        bad.sort();
+        bad
     }
 
     /// Drop every materialized ranking (registrations and pins stay).
@@ -658,8 +674,29 @@ fn signature_of(res: &StateResolution, table: &mut StateTable) -> Vec<StateId> {
     sig
 }
 
-/// Materialize one view: resolve, rank the selected leaves' clauses
-/// (exactly as `Rank_CS` does for one state), and retain the top
+/// A fresh resolution of `state`: its selection signature and the full
+/// ranking of the selected leaves' clauses (exactly as `Rank_CS` ranks
+/// one state).
+fn fresh_ranking<P: PreferenceStore>(
+    store: &P,
+    relation: &Relation,
+    opts: &ViewOpts,
+    state: &ContextState,
+    table: &mut StateTable,
+) -> (Vec<StateId>, RankedResults) {
+    let resolver = ContextResolver::new(store, opts.distance, opts.tie);
+    let res = resolver.resolve_state(state);
+    let full = rank_selected(
+        store,
+        relation,
+        std::slice::from_ref(&res),
+        opts.combiner,
+        None,
+    );
+    (signature_of(&res, table), full)
+}
+
+/// Materialize one view: rank it afresh and retain the top
 /// `k_max + ledger` prefix with all ties at the cut.
 fn build_content<P: PreferenceStore>(
     store: &P,
@@ -670,25 +707,43 @@ fn build_content<P: PreferenceStore>(
     epoch: u64,
     table: &mut StateTable,
 ) -> Content {
-    let resolver = ContextResolver::new(store, opts.distance, opts.tie);
-    let res = resolver.resolve_state(state);
-    let sig = signature_of(&res, table);
-    let full = rank_selected(
-        store,
-        relation,
-        std::slice::from_ref(&res),
-        opts.combiner,
-        None,
-    );
+    let (signature, full) = fresh_ranking(store, relation, opts, state, table);
     let cap = k_max + k_max.max(8);
     let retained = full.top_k_with_ties(cap);
     let complete = retained.len() == full.len();
     Content {
-        signature: sig,
+        signature,
         ranked: retained.to_vec(),
         complete,
         k_max,
         cap,
         epoch,
     }
+}
+
+/// Whether `content` agrees with a fresh ranking of its state: the
+/// same signature, a retained prefix equal to the fresh ranking's
+/// prefix tuple by tuple (scores compared by bits), and the floor
+/// rule. An incomplete prefix holds at least `k_max` rows and every
+/// fresh row past it scores strictly below its floor; a complete one
+/// holds the whole ranking. An incomplete prefix that happens to hold
+/// the whole ranking is legal (removals below the floor shrink the
+/// ranking without touching the prefix).
+fn agrees(content: &Content, signature: &[StateId], full: &RankedResults) -> bool {
+    let fresh = full.entries();
+    let ranked = &content.ranked;
+    let prefix_matches = ranked.len() <= fresh.len()
+        && ranked
+            .iter()
+            .zip(fresh)
+            .all(|(a, b)| a.tuple_index == b.tuple_index && a.score.to_bits() == b.score.to_bits());
+    let floor_holds = if content.complete {
+        ranked.len() == fresh.len()
+    } else {
+        ranked.len() >= content.k_max
+            && fresh
+                .get(ranked.len())
+                .is_none_or(|next| next.score < content.floor())
+    };
+    content.signature == signature && prefix_matches && floor_holds
 }

@@ -3,8 +3,12 @@
 //! bit-identically to full recomputation. Every `serve` hit is checked
 //! against a fresh `rank_cs` + `top_k_with_ties(k)` oracle — same
 //! rows, same scores, same order — for k ∈ {1, 3, 10}, under
-//! single-state and multi-state preference descriptors, across
-//! inserts, removals, and score updates in both directions.
+//! exact, coarser and two-state preference descriptors, across
+//! inserts, removals, and score updates in both directions, in every
+//! arm of {Hierarchy, Jaccard} × {TieBreak::All, TieBreak::First}.
+//! After every step `ViewCatalog::verify` must find each materialized
+//! view equal to a fresh build, so a stale view is caught the moment
+//! it goes stale, not only when a query happens to hit it.
 
 use ctxpref_context::{
     ContextDescriptor, ContextEnvironment, ContextState, DistanceKind, ExtendedContextDescriptor,
@@ -34,17 +38,27 @@ fn relation(n: usize) -> Relation {
     rel
 }
 
-fn opts() -> ViewOpts {
+/// The four option arms: {Hierarchy, Jaccard} × {All, First}.
+fn opts(arm: u8) -> ViewOpts {
     ViewOpts {
-        distance: DistanceKind::Hierarchy,
-        tie: TieBreak::All,
+        distance: if arm & 1 == 0 {
+            DistanceKind::Hierarchy
+        } else {
+            DistanceKind::Jaccard
+        },
+        tie: if arm & 2 == 0 {
+            TieBreak::All
+        } else {
+            TieBreak::First
+        },
         combiner: ScoreCombiner::Max,
     }
 }
 
 /// A random preference. `wide` drops one parameter from the
-/// descriptor, making it cover every state of that parameter — the
-/// multi-state descriptor case.
+/// descriptor, making it cover every state of that parameter; the
+/// first parameter is sometimes named at its middle level (a coarser
+/// covering state) or as a two-value set (a two-state descriptor).
 fn random_pref(env: &ContextEnvironment, x: u64) -> ContextualPreference {
     let ha = env.hierarchy(ParamId(0));
     let hb = env.hierarchy(ParamId(1));
@@ -52,10 +66,15 @@ fn random_pref(env: &ContextEnvironment, x: u64) -> ContextualPreference {
     let db = hb.domain(hb.detailed_level());
     let va = da[(x >> 8) as usize % da.len()];
     let vb = db[(x >> 20) as usize % db.len()];
+    let pa = match (x >> 48) % 4 {
+        0 => ParameterDescriptor::Eq(ha.parent(va).expect("detailed value has a parent")),
+        1 => ParameterDescriptor::In(vec![va, da[(x >> 52) as usize % da.len()]]),
+        _ => ParameterDescriptor::Eq(va),
+    };
     let mut cod = ContextDescriptor::empty();
     let wide = (x >> 30) % 4;
     if wide != 0 {
-        cod = cod.with(ParamId(0), ParameterDescriptor::Eq(va));
+        cod = cod.with(ParamId(0), pa);
     }
     if wide != 1 {
         cod = cod.with(ParamId(1), ParameterDescriptor::Eq(vb));
@@ -109,28 +128,22 @@ fn oracle(
     env: &ContextEnvironment,
     tree: &ProfileTree,
     rel: &Relation,
+    opts: &ViewOpts,
     state: &ContextState,
     k: usize,
 ) -> Vec<ctxpref_relation::ScoredTuple> {
     let ecod = descriptor_of(env, state);
-    let q = rank_cs(
-        tree,
-        rel,
-        &ecod,
-        DistanceKind::Hierarchy,
-        TieBreak::All,
-        ScoreCombiner::Max,
-    )
-    .unwrap();
+    let q = rank_cs(tree, rel, &ecod, opts.distance, opts.tie, opts.combiner).unwrap();
     q.results.top_k_with_ties(k).to_vec()
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(40))]
+    #![proptest_config(ProptestConfig::with_cases(512))]
 
     #[test]
     fn incremental_views_match_full_recompute(
         seed in any::<u64>(),
+        arm in 0u8..4,
         tuples in 10usize..80,
         ops in proptest::collection::vec(op_strategy(), 20..120),
     ) {
@@ -146,7 +159,7 @@ proptest! {
         }
         let mut tree = ProfileTree::from_profile(&profile, order.clone()).unwrap();
         let catalog = ViewCatalog::new(8);
-        let opts = opts();
+        let opts = opts(arm);
         let mut served = 0u64;
         let mut queried = false;
 
@@ -199,16 +212,18 @@ proptest! {
                     // threshold so the view path actually serves.
                     for _ in 0..=MATERIALIZE_AFTER {
                         if let Some(got) = catalog.serve(&tree, &rel, &opts, &state, k) {
-                            let want = oracle(&env, &tree, &rel, &state, k);
+                            let want = oracle(&env, &tree, &rel, &opts, &state, k);
                             prop_assert_eq!(
                                 got.entries(), want.as_slice(),
-                                "view diverged from recompute: state {} k {}", s, k
+                                "view diverged from recompute: state {} k {} opts {:?}", s, k, opts
                             );
                             served += 1;
                         }
                     }
                 }
             }
+            let stale = catalog.verify(&tree, &rel);
+            prop_assert!(stale.is_empty(), "views disagree with a fresh build: {:?} opts {:?}", stale, opts);
         }
         // Each query op repeats past the materialization threshold, so
         // any query at all must have been served from a view at least
