@@ -3,7 +3,9 @@
 //!
 //! A [`Cluster`] owns the full membership view (which nodes exist,
 //! which are live, who is primary) plus the sender-side replication
-//! cursors — per replica, per shard, the next LSN that replica needs.
+//! cursors — per replica, per shard, the `(epoch, lsn)` [`LogPos`] its
+//! log ends at. Shipping, quorum acks, promotion and anti-entropy all
+//! bring a shard up to date through one function, `catch_up`.
 //! Everything a node learns from a peer travels in process, through
 //! the transport's `repl.*` fault gauntlet, so the chaos suite's
 //! injected partitions, drops, delays, and duplicates reach every peer
@@ -15,16 +17,16 @@
 //! * **Quorum acks survive failover.** A [`AckMode::Quorum`] write is
 //!   acknowledged only once a majority of the *configured* cluster
 //!   holds it durably. Promotion refuses to proceed without reaching a
-//!   majority, and the candidate pulls every reachable peer's log
-//!   suffix before serving — the two majorities intersect, so every
-//!   acked write reaches the new primary.
+//!   majority, and the candidate pulls each shard from the reachable
+//!   log with the highest last `(epoch, lsn)` before serving — the two
+//!   majorities intersect, so every acked write reaches the new primary.
 //! * **Epochs are fenced and monotonic.** Every promotion mints
 //!   `max(reachable epochs) + 1`, persisted on the candidate before it
 //!   serves. A deposed primary's shipments are rejected by any peer
 //!   that saw the newer epoch, and the rejection demotes it.
-//! * **Anti-entropy converges.** Divergent suffixes a deposed primary
-//!   applied but never replicated are detected by per-shard digest
-//!   comparison and discarded by shard resync.
+//! * **Divergent suffixes are discarded.** A deposed primary's unacked
+//!   records sit at `(epoch, lsn)` positions no later log holds, so
+//!   catch-up resyncs the shard instead of shipping on top of them.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -34,8 +36,8 @@ use ctxpref_core::ShardedMultiUserDb;
 use ctxpref_wal::{Ack, DurableDb, ScrubReport, WalError, WalOp};
 use parking_lot::Mutex;
 
-use crate::error::ReplicationError;
-use crate::message::{Envelope, Message, NodeId, Reply};
+use crate::error::{ReplicationError, TransportError};
+use crate::message::{Envelope, LogPos, Message, NodeId, Reply};
 use crate::node::ReplNode;
 use crate::status::{AckMode, ClusterConfig, ClusterStatus, NodeStatus};
 use crate::transport::InProcessTransport;
@@ -45,19 +47,12 @@ mod failover;
 /// Hook invoked on role changes: `(node, epoch)`.
 pub type RoleHook = Box<dyn Fn(NodeId, u64) + Send + Sync>;
 
-enum Ship {
-    /// The replica accepted records (or a snapshot); cursor updated.
-    Advanced,
-    /// The replica already has everything the sender's log holds.
-    CaughtUp,
-}
-
 struct ClusterState {
     nodes: Vec<Option<Arc<ReplNode>>>,
     primary: Option<NodeId>,
-    /// Per replica: the next LSN each shard needs (sender-side view);
-    /// absent entries are re-learned by heartbeat before shipping.
-    cursors: HashMap<NodeId, Vec<u64>>,
+    /// Per receiving node: where each shard's log ends (sender-side
+    /// view); absent entries are re-learned by heartbeat before shipping.
+    cursors: HashMap<NodeId, Vec<LogPos>>,
     /// Consecutive ticks each replica failed to reach the primary.
     missed: Vec<u32>,
     promotions: Vec<(u64, NodeId)>,
@@ -95,7 +90,7 @@ impl Cluster {
         for id in 0..config.nodes {
             let dir = root.join(format!("node-{id}"));
             let db = Arc::new(DurableDb::create(&dir, make_core(), config.wal)?);
-            let node = Arc::new(ReplNode::new(id, &dir, db, 1, id == 0));
+            let node = Arc::new(ReplNode::new(id, &dir, db, 1, id == 0)?);
             transport.register(Arc::clone(&node));
             dirs.push(dir);
             nodes.push(Some(node));
@@ -204,11 +199,11 @@ impl Cluster {
         let node = loop {
             match ReplNode::recover(id, &self.dirs[id], self.config.wal) {
                 Ok(node) => break node,
-                Err(WalError::Locked { .. }) if attempt < 50 => {
+                Err(ReplicationError::Wal(WalError::Locked { .. })) if attempt < 50 => {
                     attempt += 1;
                     std::thread::sleep(std::time::Duration::from_millis(2));
                 }
-                Err(e) => return Err(e.into()),
+                Err(e) => return Err(e),
             }
         };
         let node = Arc::new(node);
@@ -233,7 +228,7 @@ impl Cluster {
                 .and_then(|n| n.clone())
                 .ok_or(ReplicationError::NodeDown { node: id })?
         };
-        let report = node.scrub()?;
+        let report = node.db().scrub()?;
         let mut st = self.state.lock();
         st.scrub_passes += 1;
         st.scrub_quarantined += report.quarantined.len() as u64;
@@ -273,6 +268,8 @@ impl Cluster {
             return Err(ReplicationError::NotPrimary { node: id });
         }
         let ack = node.db().apply(op)?;
+        // The write moved this node's log: a cached position is stale.
+        st.cursors.remove(&id);
         if self.config.ack_mode == AckMode::Async {
             return Ok(ack);
         }
@@ -288,7 +285,9 @@ impl Cluster {
             if other == id || st.nodes[other].is_none() {
                 continue;
             }
-            match self.ship_until(st, &node, other, ack.shard, ack.lsn) {
+            // Under the cluster lock the write is the shard's last
+            // record, so a replica caught up on the shard holds it.
+            match self.catch_up(st, &node, other, ack.shard, node.epoch()) {
                 Ok(true) => acked += 1,
                 Ok(false) => {}
                 Err(ReplicationError::Fenced { epoch }) => {
@@ -304,135 +303,85 @@ impl Cluster {
         Ok(ack)
     }
 
-    /// Ship `shard` from `from` to replica `to` until the replica's
-    /// cursor passes `lsn`, with bounded retries against injected
-    /// drops. `Ok(true)` means the replica durably holds `lsn`.
-    fn ship_until(
+    /// Bring node `to`'s `shard` up to `from`'s, in envelopes stamped
+    /// `stamp`; `Ok(true)` once `to` durably ends where `from` does. The
+    /// only code that reads a shard's log to ship it. Each of at most
+    /// 64 steps (lost messages are retried; a down link ends the call)
+    /// takes `to`'s last `(epoch, lsn)`, cached or learned by heartbeat.
+    /// If it lies on `from`'s log (Raft's log-matching check), the
+    /// records after it ship, naming the position they follow. If not —
+    /// a deposed primary's unacked suffix, or records `from` has
+    /// checkpointed away — the whole shard ships as a
+    /// [`Message::Resync`], which re-seats it, backward if need be.
+    fn catch_up(
         &self,
         st: &mut ClusterState,
-        from: &Arc<ReplNode>,
+        from: &ReplNode,
         to: NodeId,
         shard: usize,
-        lsn: u64,
+        stamp: u64,
     ) -> Result<bool, ReplicationError> {
-        for _ in 0..16 {
-            match self.ensure_cursor(st, from, to) {
-                Ok(true) => {}
-                Ok(false) => continue,
-                Err(e) => return Err(e),
-            }
-            let cursor = st.cursors.get(&to).map(|c| c[shard]).unwrap_or(1);
-            if cursor > lsn {
+        let head = from.positions()[shard];
+        let envelope = |msg| Envelope::new(from.id(), stamp, msg);
+        for _ in 0..64 {
+            let Some(pos) = st.cursors.get(&to).map(|cursor| cursor[shard]) else {
+                if let Some(Reply::Beat { positions, .. }) =
+                    delivered(self.beat(from.id(), stamp, to))?
+                {
+                    st.cursors.insert(to, positions);
+                }
+                continue;
+            };
+            if pos == head {
                 return Ok(true);
             }
-            match self.ship_once(st, from, to, shard) {
-                Ok(Ship::Advanced) => {}
-                Ok(Ship::CaughtUp) => {}
-                Err(e @ ReplicationError::Fenced { .. }) => return Err(e),
-                Err(_) => {}
+            let mut records = None;
+            if pos.lsn <= head.lsn && from.position_at(shard, pos.lsn) == pos {
+                let db = from.db();
+                records = db.read_shard_from(shard, pos.lsn + 1, self.config.batch_max)?;
             }
-        }
-        Ok(st.cursors.get(&to).map(|c| c[shard] > lsn).unwrap_or(false))
-    }
-
-    /// Learn replica `to`'s per-shard positions by heartbeat if no
-    /// cursor vector is cached. `Ok` reports whether a cursor now
-    /// exists; a [`Reply::Fenced`] probe answer surfaces as an error —
-    /// the sender was deposed and must not keep shipping.
-    fn ensure_cursor(
-        &self,
-        st: &mut ClusterState,
-        from: &Arc<ReplNode>,
-        to: NodeId,
-    ) -> Result<bool, ReplicationError> {
-        if st.cursors.contains_key(&to) {
-            return Ok(true);
-        }
-        let env = Envelope {
-            from: from.id(),
-            epoch: from.epoch(),
-            msg: Message::Heartbeat,
-        };
-        match self.transport.send(to, env) {
-            Ok(Reply::Beat { applied, .. }) => {
-                st.cursors
-                    .insert(to, applied.iter().map(|l| l + 1).collect());
-                Ok(true)
-            }
-            Ok(Reply::Fenced { current }) => Err(ReplicationError::Fenced { epoch: current }),
-            _ => Ok(false),
-        }
-    }
-
-    /// One shipping step for `(to, shard)`: read a batch at the cursor
-    /// from `from`'s log and push it; fall back to a full snapshot when
-    /// the cursor's continuation has been checkpointed away.
-    fn ship_once(
-        &self,
-        st: &mut ClusterState,
-        from: &Arc<ReplNode>,
-        to: NodeId,
-        shard: usize,
-    ) -> Result<Ship, ReplicationError> {
-        let cursor = st.cursors.get(&to).map(|c| c[shard]).unwrap_or(1);
-        let batch = from
-            .db()
-            .read_shard_from(shard, cursor, self.config.batch_max)?;
-        let msg = match batch {
-            None => {
-                // The tail below `cursor` was garbage-collected into a
-                // checkpoint: ship the whole snapshot instead.
-                let (stripes, lsns) = from.db().snapshot_with_lsns();
-                let env = Envelope {
-                    from: from.id(),
-                    epoch: from.epoch(),
-                    msg: Message::Snapshot {
-                        stripes,
-                        lsns: lsns.clone(),
-                    },
-                };
-                return match self.transport.send(to, env)? {
-                    Reply::SnapshotInstalled => {
-                        st.cursors.insert(to, lsns.iter().map(|l| l + 1).collect());
-                        Ok(Ship::Advanced)
+            let msg = match records {
+                // The tail is still being appended: not visible yet.
+                Some(records) if records.is_empty() => return Ok(false),
+                Some(records) => Message::Records {
+                    shard,
+                    prev: pos,
+                    epochs: from.epoch_pairs(shard, records.last().map_or(0, |r| r.lsn)),
+                    records: records.into_iter().map(|r| (r.lsn, r.payload)).collect(),
+                },
+                None => {
+                    let (users, last_lsn) = from.db().shard_cut(shard);
+                    let epochs = from.epoch_pairs(shard, last_lsn);
+                    Message::Resync {
+                        shard,
+                        users,
+                        last_lsn,
+                        epochs,
                     }
-                    Reply::Fenced { current } => Err(ReplicationError::Fenced { epoch: current }),
-                    Reply::Failed { reason } => Err(ReplicationError::Peer { reason }),
-                    other => Err(ReplicationError::Peer {
-                        reason: format!("unexpected snapshot reply {other:?}"),
-                    }),
-                };
-            }
-            Some(records) if records.is_empty() => return Ok(Ship::CaughtUp),
-            Some(records) => Message::Records {
-                shard,
-                records: records.into_iter().map(|r| (r.lsn, r.payload)).collect(),
-            },
-        };
-        let env = Envelope {
-            from: from.id(),
-            epoch: from.epoch(),
-            msg,
-        };
-        match self.transport.send(to, env)? {
-            Reply::Progress { next_lsn } => {
-                if let Some(c) = st.cursors.get_mut(&to) {
-                    c[shard] = next_lsn;
                 }
-                Ok(Ship::Advanced)
+            };
+            if let Some(Reply::Progress { last }) =
+                delivered(self.transport.send(to, envelope(msg)))?
+            {
+                if let Some(cursor) = st.cursors.get_mut(&to) {
+                    cursor[shard] = last;
+                }
             }
-            Reply::Fenced { current } => Err(ReplicationError::Fenced { epoch: current }),
-            Reply::Failed { reason } => Err(ReplicationError::Peer { reason }),
-            other => Err(ReplicationError::Peer {
-                reason: format!("unexpected records reply {other:?}"),
-            }),
         }
+        Ok(false)
+    }
+
+    /// A heartbeat from `from`, stamped `epoch`, to `to`.
+    fn beat(&self, from: NodeId, epoch: u64, to: NodeId) -> Result<Reply, TransportError> {
+        self.transport
+            .send(to, Envelope::new(from, epoch, Message::Heartbeat))
     }
 
     /// A peer with a higher epoch rejected `node`'s traffic: adopt the
     /// epoch, demote, and stop routing writes to it.
     fn fence_primary(&self, st: &mut ClusterState, node: &Arc<ReplNode>, epoch: u64) {
-        node.adopt_epoch(epoch);
+        // Demote even if the epoch cannot be persisted (then unpublished).
+        let _ = node.adopt_epoch(epoch);
         node.demote();
         if st.primary == Some(node.id()) {
             st.primary = None;
@@ -460,28 +409,12 @@ impl Cluster {
             if other == p || st.nodes[other].is_none() {
                 continue;
             }
-            match self.ensure_cursor(st, &node, other) {
-                Ok(true) => {}
-                Ok(false) => continue,
-                Err(ReplicationError::Fenced { epoch }) => {
+            for shard in 0..self.config.shards {
+                if let Err(ReplicationError::Fenced { epoch }) =
+                    self.catch_up(st, &node, other, shard, node.epoch())
+                {
                     self.fence_primary(st, &node, epoch);
                     return Ok(true);
-                }
-                Err(_) => continue,
-            }
-            for shard in 0..self.config.shards {
-                // Bounded: a replica being written to concurrently
-                // would otherwise chase the tail forever.
-                for _ in 0..64 {
-                    match self.ship_once(st, &node, other, shard) {
-                        Ok(Ship::Advanced) => {}
-                        Ok(Ship::CaughtUp) => break,
-                        Err(ReplicationError::Fenced { epoch }) => {
-                            self.fence_primary(st, &node, epoch);
-                            return Ok(true);
-                        }
-                        Err(_) => break,
-                    }
                 }
             }
         }
@@ -491,6 +424,11 @@ impl Cluster {
     /// A point-in-time view: roles, epochs, lag, promotion history.
     pub fn status(&self) -> ClusterStatus {
         let st = self.state.lock();
+        let lsns: Vec<Vec<u64>> = st
+            .nodes
+            .iter()
+            .map(|n| n.as_ref().map_or(Vec::new(), |n| n.applied_lsns()))
+            .collect();
         let nodes: Vec<NodeStatus> = (0..self.config.nodes)
             .map(|id| match &st.nodes[id] {
                 Some(node) => NodeStatus {
@@ -498,16 +436,12 @@ impl Cluster {
                     live: true,
                     is_primary: node.is_primary(),
                     epoch: node.epoch(),
-                    applied: node.applied_lsns().iter().sum(),
+                    applied: lsns[id].iter().sum(),
                     rescued_shards: node.rescued_shards(),
                 },
                 None => NodeStatus {
                     id,
-                    live: false,
-                    is_primary: false,
-                    epoch: 0,
-                    applied: 0,
-                    rescued_shards: 0,
+                    ..NodeStatus::default()
                 },
             })
             .collect();
@@ -517,18 +451,10 @@ impl Cluster {
             .map(|n| n.epoch)
             .max()
             .unwrap_or(0);
-        let max_lag = match st.primary {
-            Some(p) if st.nodes[p].is_some() => {
-                let head = nodes[p].applied;
-                nodes
-                    .iter()
-                    .filter(|n| n.live && n.id != p)
-                    .map(|n| head.saturating_sub(n.applied))
-                    .max()
-                    .unwrap_or(0)
-            }
-            _ => 0,
-        };
+        // Per shard: being ahead on one shard hides no lag on another.
+        let head = st.primary.map_or(&[][..], |p| &lsns[p]);
+        let lag = |l: &Vec<u64>| head.iter().zip(l).map(|(h, r)| h.saturating_sub(*r)).max();
+        let max_lag = lsns.iter().filter_map(lag).max().unwrap_or(0);
         ClusterStatus {
             primary: st.primary,
             epoch,
@@ -538,6 +464,17 @@ impl Cluster {
             scrub_passes: st.scrub_passes,
             scrub_quarantined: st.scrub_quarantined,
         }
+    }
+}
+
+/// A catch-up send's reply, `None` for a lost message (retried), or
+/// what ends the catch-up: a fence, or a link that is down.
+fn delivered(sent: Result<Reply, TransportError>) -> Result<Option<Reply>, ReplicationError> {
+    match sent {
+        Ok(Reply::Fenced { current }) => Err(ReplicationError::Fenced { epoch: current }),
+        Ok(reply) => Ok(Some(reply)),
+        Err(TransportError::Dropped) => Ok(None),
+        Err(e) => Err(e.into()),
     }
 }
 

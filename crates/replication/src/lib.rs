@@ -12,14 +12,15 @@
 //! The layers, bottom to top:
 //!
 //! * `message` — the wire vocabulary: epoch-stamped [`Envelope`]s
-//!   carrying record batches, snapshots, heartbeats, digests, and
-//!   resyncs; [`Reply`] closes the loop with cursor progress.
-//! * `epoch` — the fencing term, persisted per node like the
-//!   checkpoint manifest, so deposed primaries stay deposed across
+//!   carrying record batches, heartbeats, digests, and one-shard
+//!   resyncs; [`Reply`] closes the loop with the receiver's [`LogPos`],
+//!   the `(epoch, lsn)` its shard's log ends at.
+//! * `epoch` — the fencing term and which epoch wrote which LSNs,
+//!   persisted per node, so deposed primaries stay deposed across
 //!   crashes.
 //! * `node` — [`ReplNode`]: one participant; symmetric `handle`
-//!   services shipping, catch-up pulls, and anti-entropy alike, with
-//!   the epoch fence applied before anything else.
+//!   services shipping, catch-up pulls, and resyncs alike, with the
+//!   epoch fence applied before anything else.
 //! * `digest` — canonical per-shard digests for anti-entropy: the
 //!   frame checksum over the shard's snapshot-op bytes.
 //! * `migrate` — the per-user snapshot + catch-up primitives that
@@ -30,10 +31,10 @@
 //!   delay, and duplicate deterministically. Every node of a cluster
 //!   lives in one address space; there is no socket transport.
 //! * `cluster` — [`Cluster`]: membership, cursors, quorum writes,
-//!   heartbeat failure detection, majority-guarded promotion with
-//!   pre-serve catch-up, and digest-driven anti-entropy; its config
-//!   and reporting types ([`ClusterConfig`], [`ClusterStatus`], …)
-//!   live in the private `status` module.
+//!   heartbeat failure detection, majority-guarded promotion, and
+//!   anti-entropy, all over one catch-up path; its config and
+//!   reporting types ([`ClusterConfig`], [`ClusterStatus`], …) live in
+//!   the private `status` module.
 //!
 //! The replication chaos suite (`tests/chaos.rs`) drives all of it
 //! across a seed matrix and asserts: acked quorum writes survive
@@ -52,9 +53,9 @@ mod transport;
 
 pub use cluster::{Cluster, RoleHook};
 pub use digest::{node_digests, stripe_digest};
-pub use epoch::{load_epoch, save_epoch, EPOCH_FILE};
+pub use epoch::{load_epoch, save_epoch, EPOCH_FILE, EPOCH_TABLE_FILE};
 pub use error::{ReplicationError, TransportError};
-pub use message::{Envelope, Message, NodeId, Reply, ShippedRecord};
+pub use message::{Envelope, LogPos, Message, NodeId, Reply, ShippedRecord};
 pub use migrate::{snapshot_ops, user_cut, user_digest, user_suffix, UserSuffix};
 pub use node::ReplNode;
 pub use status::{AckMode, ClusterConfig, ClusterStatus, NodeStatus, TickReport};

@@ -16,29 +16,38 @@ pub type NodeId = usize;
 /// op bytes (the same `WalOp` encoding the WAL itself stores).
 pub type ShippedRecord = (u64, Vec<u8>);
 
+/// A position in one shard's log: a record's LSN and the epoch that
+/// wrote it (`(0, 0)` for an empty log). Ordered by epoch first, the
+/// order promotion ranks logs by.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
+pub struct LogPos {
+    /// The epoch that wrote the record at `lsn`.
+    pub epoch: u64,
+    /// The LSN.
+    pub lsn: u64,
+}
+
 /// What a replication message asks the receiver to do.
 #[derive(Debug, Clone)]
 pub enum Message {
-    /// Apply these records to one shard, in LSN order.
+    /// Apply these records to one shard. The receiver refuses the
+    /// batch unless its own last position on the shard is `prev`.
     Records {
         /// The WAL shard (== core stripe) the records belong to.
         shard: usize,
-        /// The records, contiguous and ascending by LSN.
+        /// The position the batch follows.
+        prev: LogPos,
+        /// The records, contiguous and ascending from `prev.lsn + 1`.
         records: Vec<ShippedRecord>,
+        /// The sender's epoch pairs for the shard, up to the last record.
+        epochs: Vec<(u64, u64)>,
     },
-    /// Install a full snapshot: per-stripe users plus the LSN watermark
-    /// each stripe was cut at (bootstrap / lagging-replica catch-up).
-    Snapshot {
-        /// Users per stripe, indexed like the receiver's shards.
-        stripes: Vec<Vec<(String, Profile)>>,
-        /// Per-shard watermark LSNs.
-        lsns: Vec<u64>,
-    },
-    /// Liveness probe; the reply carries the receiver's applied LSNs.
+    /// Liveness probe; the reply carries the receiver's log positions.
     Heartbeat,
     /// Ask for the receiver's per-shard anti-entropy digests.
     DigestRequest,
-    /// Replace one divergent shard outright (anti-entropy repair).
+    /// Replace one shard outright: the catch-up for a diverged or
+    /// checkpointed-away tail.
     Resync {
         /// The shard to replace.
         shard: usize,
@@ -46,16 +55,9 @@ pub enum Message {
         users: Vec<(String, Profile)>,
         /// The LSN the shard's sequence continues after.
         last_lsn: u64,
+        /// The sender's epoch table pairs for the shard up to `last_lsn`.
+        epochs: Vec<(u64, u64)>,
     },
-}
-
-impl Message {
-    /// Whether this is a heartbeat (they pass through their own
-    /// fault site so the failure detector can be exercised without
-    /// touching data traffic).
-    pub fn is_heartbeat(&self) -> bool {
-        matches!(self, Self::Heartbeat)
-    }
 }
 
 /// A message plus its routing and fencing metadata.
@@ -69,25 +71,28 @@ pub struct Envelope {
     pub msg: Message,
 }
 
+impl Envelope {
+    /// `msg` from node `from`, stamped with `epoch`.
+    pub fn new(from: NodeId, epoch: u64, msg: Message) -> Self {
+        Self { from, epoch, msg }
+    }
+}
+
 /// What the receiver did with a message.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Reply {
-    /// Records were applied (duplicates skipped); the shard now needs
-    /// `next_lsn` next. A `next_lsn` at or below the batch's first LSN
-    /// means nothing applied — the sender's cursor must move there
-    /// (or fall back to a snapshot if its log no longer has it).
+    /// Records or a resync were handled; the shard's log now ends at
+    /// `last`. A refused batch reports the position it did not follow.
     Progress {
-        /// The LSN the receiving shard needs next.
-        next_lsn: u64,
+        /// The receiving shard's last position.
+        last: LogPos,
     },
-    /// The snapshot was installed and checkpointed.
-    SnapshotInstalled,
     /// Heartbeat acknowledgement.
     Beat {
         /// The receiver's epoch.
         epoch: u64,
-        /// The receiver's last applied LSN per shard.
-        applied: Vec<u64>,
+        /// The receiver's last position per shard.
+        positions: Vec<LogPos>,
     },
     /// Per-shard anti-entropy digests.
     Digests {
@@ -95,8 +100,6 @@ pub enum Reply {
         /// across nodes.
         digests: Vec<u64>,
     },
-    /// The divergent shard was replaced and checkpointed.
-    Resynced,
     /// The sender's epoch is stale: it was deposed. The sender must
     /// adopt `current` and demote itself.
     Fenced {

@@ -56,7 +56,7 @@ impl ClusterConfig {
 }
 
 /// A role/liveness snapshot of one node.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct NodeStatus {
     /// The node.
     pub id: NodeId,
@@ -85,8 +85,9 @@ pub struct ClusterStatus {
     pub promotions: Vec<(u64, NodeId)>,
     /// Per-node status.
     pub nodes: Vec<NodeStatus>,
-    /// How far the laggiest live replica trails the primary, in
-    /// applied records (0 with no primary or no live replica).
+    /// How far the laggiest live replica trails the primary on its
+    /// laggiest shard, in records (0 with no primary or no live
+    /// replica).
     pub max_lag: u64,
     /// Scrub passes completed through
     /// [`Cluster::scrub_node`](crate::Cluster::scrub_node).

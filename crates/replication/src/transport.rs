@@ -18,7 +18,7 @@ use ctxpref_faults::sites::{
 use parking_lot::{Mutex, RwLock};
 
 use crate::error::TransportError;
-use crate::message::{Envelope, NodeId, Reply};
+use crate::message::{Envelope, Message, NodeId, Reply};
 use crate::node::ReplNode;
 
 /// In-process transport: a registry of live nodes plus an explicit
@@ -76,7 +76,7 @@ impl InProcessTransport {
         }
         // 2. Loss, on a site split by traffic class so plans can starve
         //    the failure detector without losing data (or vice versa).
-        let drop_site = if env.msg.is_heartbeat() {
+        let drop_site = if matches!(env.msg, Message::Heartbeat) {
             REPL_HEARTBEAT_DROP
         } else {
             REPL_SEND_DROP

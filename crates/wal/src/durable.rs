@@ -26,7 +26,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use ctxpref_core::{ShardedMultiUserDb, UserShardWrite};
-use ctxpref_profile::{IndexedProfile, Profile};
+use ctxpref_profile::Profile;
 use ctxpref_storage::{load_multi_user, save_multi_user};
 use parking_lot::Mutex;
 
@@ -169,7 +169,7 @@ pub enum ReplApply {
     /// The shard already has this LSN — a network duplicate, dropped.
     Duplicate,
     /// The record skips ahead of the shard's sequence; the sender must
-    /// rewind its cursor to `expected` (or fall back to a snapshot).
+    /// rewind its cursor to `expected` (or fall back to a resync).
     Gap {
         /// The LSN this shard needs next.
         expected: u64,
@@ -444,28 +444,15 @@ impl DurableDb {
         self.repl_apply_rejects.load(Ordering::Relaxed)
     }
 
-    /// A consistent per-shard cut for replica bootstrap: each stripe's
-    /// users plus the last LSN that stripe had applied at the cut.
-    /// Holding a shard's WAL mutex stalls mutations to the matching
-    /// stripe (the durable layer logs and applies under that mutex), so
-    /// each `(stripe contents, last LSN)` pair is exact. The mutex is
-    /// held only to copy the stripe's index pointers; the profiles are
-    /// cloned once every lock is released.
-    pub fn snapshot_with_lsns(&self) -> (Vec<Vec<(String, Profile)>>, Vec<u64>) {
-        let mut cuts = Vec::with_capacity(self.wal.num_shards());
-        let mut lsns = Vec::with_capacity(self.wal.num_shards());
-        for ix in 0..self.wal.num_shards() {
-            let guard = self.wal.shard(ix);
-            lsns.push(guard.next_lsn() - 1);
-            cuts.push(self.db.stripe_indexes(ix));
-        }
-        let profiles = |users: Vec<(String, Arc<IndexedProfile>)>| {
-            let users = users.into_iter();
-            users
-                .map(|(name, idx)| (name, idx.profile().clone()))
-                .collect()
-        };
-        (cuts.into_iter().map(profiles).collect(), lsns)
+    /// A consistent cut of one shard for a replication resync: its
+    /// stripe's users and its last LSN, read under the shard's WAL mutex
+    /// (the profiles are cloned once the mutex is released).
+    pub fn shard_cut(&self, shard: usize) -> (Vec<(String, Profile)>, u64) {
+        let guard = self.wal.shard(shard);
+        let (users, last_lsn) = (self.db.stripe_indexes(shard), guard.next_lsn() - 1);
+        drop(guard);
+        let users = users.into_iter().map(|(n, idx)| (n, idx.profile().clone()));
+        (users.collect(), last_lsn)
     }
 
     /// A consistent per-user cut for live migration: the user's profile
@@ -491,7 +478,7 @@ impl DurableDb {
     /// Read up to `max` records of `shard` with LSN ≥ `from_lsn` from
     /// the live segments, in LSN order. `Ok(None)` means the tail below
     /// `from_lsn`'s continuation has been garbage-collected into a
-    /// checkpoint — the caller must fall back to snapshot catch-up.
+    /// checkpoint — the caller must fall back to a [`Self::shard_cut`].
     /// Holds the checkpoint lock so GC cannot delete segments mid-scan;
     /// a record currently being appended is seen either fully or as a
     /// torn tail that is simply not shipped yet.
@@ -535,12 +522,12 @@ impl DurableDb {
         Ok(Some(out))
     }
 
-    /// Anti-entropy repair: replace one stripe's contents and re-seat
+    /// Replication resync: replace one stripe's contents and re-seat
     /// its WAL shard so the sequence continues at `last_lsn + 1`
-    /// (forward for a lagging shard, backward to discard a deposed
-    /// primary's divergent suffix). The change only becomes durable at
-    /// the closing checkpoint; a crash before it recovers the
-    /// pre-resync state, which replication then repairs again.
+    /// (forward past a checkpointed-away tail, backward to discard a
+    /// deposed primary's divergent suffix). The change only becomes
+    /// durable at the closing checkpoint; a crash before it recovers
+    /// the pre-resync state, which replication then repairs again.
     pub fn resync_shard(
         &self,
         shard: usize,
@@ -552,28 +539,6 @@ impl DurableDb {
             self.db.replace_stripe(shard, users)?;
             guard.rotate().map_err(DurableError::Wal)?;
             guard.set_next_lsn(last_lsn + 1);
-        }
-        self.checkpoint().map_err(DurableError::Wal)?;
-        Ok(())
-    }
-
-    /// Bootstrap catch-up: install a full snapshot shipped by a primary
-    /// (per-stripe users plus the LSN watermark each stripe was cut
-    /// at), replacing everything this db held. Durable only once the
-    /// closing checkpoint's manifest swap lands; a crash before that
-    /// recovers the pre-install state.
-    pub fn install_stripes(
-        &self,
-        stripes: Vec<Vec<(String, Profile)>>,
-        lsns: &[u64],
-    ) -> Result<(), DurableError> {
-        assert_eq!(stripes.len(), self.wal.num_shards());
-        assert_eq!(lsns.len(), self.wal.num_shards());
-        for (ix, users) in stripes.into_iter().enumerate() {
-            let mut guard = self.wal.shard(ix);
-            self.db.replace_stripe(ix, users)?;
-            guard.rotate().map_err(DurableError::Wal)?;
-            guard.set_next_lsn(lsns[ix] + 1);
         }
         self.checkpoint().map_err(DurableError::Wal)?;
         Ok(())

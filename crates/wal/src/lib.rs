@@ -47,7 +47,7 @@ pub use durable::{
     Ack, CheckpointReport, DurableDb, RecoveryReport, ReplApply, UserCut, LOCK_FILE,
 };
 pub use error::{DurableError, WalError};
-pub use manifest::{Manifest, ShardManifest};
+pub use manifest::{swap_file, Manifest, ShardManifest};
 pub use record::{Displaced, WalOp};
 pub use scrub::{QuarantinedFile, ScrubReport, QUARANTINE_DIR};
 pub use segment::ScannedRecord;

@@ -93,18 +93,9 @@ impl Manifest {
             reason: e.to_string(),
         })?;
 
-        let path = dir.join(MANIFEST_FILE);
-        let tmp = temp_sibling(&path);
-        let mut f = File::create(&tmp)?;
-        f.write_all(&payload)?;
-        f.sync_all()?;
-        drop(f);
-        ctxpref_faults::hit_io(sites::MANIFEST_SWAP)?;
-        std::fs::rename(&tmp, &path)?;
-        // Make the rename itself durable (directory entry update).
-        if let Ok(d) = File::open(dir) {
-            let _ = d.sync_all();
-        }
+        swap_file(dir, MANIFEST_FILE, &payload, || {
+            ctxpref_faults::hit_io(sites::MANIFEST_SWAP)
+        })?;
         Ok(())
     }
 
@@ -137,17 +128,28 @@ impl Manifest {
     }
 }
 
-/// A unique temp path next to `path` (rename must not cross
-/// filesystems).
-fn temp_sibling(path: &Path) -> PathBuf {
+/// Atomically replace `dir/name` with `bytes`: fsync a temp file beside
+/// it (a rename must not cross filesystems), run `before_swap` (a fault
+/// site), rename it over the target, and fsync the directory.
+pub fn swap_file(
+    dir: &Path,
+    name: &str,
+    bytes: &[u8],
+    before_swap: impl FnOnce() -> std::io::Result<()>,
+) -> std::io::Result<()> {
     static COUNTER: AtomicU64 = AtomicU64::new(0);
     let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-    let mut name = path
-        .file_name()
-        .map(|f| f.to_os_string())
-        .unwrap_or_default();
-    name.push(format!(".tmp.{}.{n}", std::process::id()));
-    path.with_file_name(name)
+    let tmp = dir.join(format!("{name}.tmp.{}.{n}", std::process::id()));
+    let mut f = File::create(&tmp)?;
+    f.write_all(bytes)?;
+    f.sync_all()?;
+    drop(f);
+    before_swap()?;
+    std::fs::rename(&tmp, dir.join(name))?;
+    if let Ok(d) = File::open(dir) {
+        let _ = d.sync_all();
+    }
+    Ok(())
 }
 
 #[cfg(test)]

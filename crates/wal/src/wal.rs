@@ -522,7 +522,7 @@ impl ShardGuard<'_> {
     /// Force the shard's LSN sequence to continue at `next_lsn`. Only
     /// meaningful immediately after a [`Self::rotate`], when the
     /// current segment is empty: replication uses it to re-seat a shard
-    /// at a shipped snapshot's watermark (forward for a lagging
+    /// at a resync's watermark (forward for a lagging
     /// replica, backward to discard a deposed primary's divergent
     /// suffix). The caller must follow up with a checkpoint so the
     /// manifest's replay bounds match the forced sequence.

@@ -150,75 +150,66 @@ fn read_shard_from_reports_gc_of_the_requested_tail() {
 }
 
 #[test]
-fn snapshot_install_round_trips_and_survives_recovery() {
-    let dir = tempdir("install");
-    let primary = create(&dir.join("p"), 3);
+fn resync_shard_discards_a_divergent_suffix() {
+    let dir = tempdir("resync");
+    let a = create(&dir.join("a"), 3);
+    let b = create(&dir.join("b"), 3);
     for i in 0..10 {
-        primary.add_user(&format!("u{i}")).unwrap();
+        let op = WalOp::AddUser {
+            user: format!("u{i}"),
+        };
+        let ack = a.apply(op.clone()).unwrap();
+        b.apply_replicated(ack.shard, ack.lsn, &op.encode())
+            .unwrap();
     }
-    let (stripes, lsns) = primary.snapshot_with_lsns();
+    // `b` diverges: two extra users the (new) primary never saw.
+    b.add_user("deposed-1").unwrap();
+    b.add_user("deposed-2").unwrap();
+    assert_eq!(b.db().user_count(), 12);
+    let diverged = b.db().shard_of("deposed-1");
 
-    let replica_dir = dir.join("r");
-    let replica = create(&replica_dir, 3);
-    replica.add_user("stale-user").unwrap();
-    replica.install_stripes(stripes, &lsns).unwrap();
-
-    // Contents replaced, stale state gone, LSN cursors at the
-    // primary's watermark.
-    assert_eq!(replica.db().user_count(), 10);
-    assert!(replica.db().profile("stale-user").is_err());
+    // Every shard of `b` is re-seated at `a`'s cut: contents and
+    // watermark. The diverged shard's sequence moves backward.
+    let mut lsns = Vec::new();
+    for shard in 0..3 {
+        let (users, lsn) = a.shard_cut(shard);
+        let names = |users: &[(String, _)]| users.iter().map(|u| u.0.clone()).collect::<Vec<_>>();
+        assert_eq!(names(&users), names(&a.db().stripe_users(shard)));
+        if shard == diverged {
+            assert!(b.wal_status().shards[shard].last_lsn > lsn);
+        }
+        b.resync_shard(shard, users, lsn).unwrap();
+        lsns.push(lsn);
+    }
+    assert_eq!(b.db().user_count(), 10);
+    assert!(b.db().profile("deposed-1").is_err());
     let probe = WalOp::AddUser {
         user: "probe".to_string(),
     }
     .encode();
     for (shard, &lsn) in lsns.iter().enumerate() {
-        let got = replica.apply_replicated(shard, lsn + 7, &probe).unwrap();
+        let got = b.apply_replicated(shard, lsn + 7, &probe).unwrap();
         assert_eq!(got, ReplApply::Gap { expected: lsn + 1 });
     }
 
-    // The install is durable: a crash (drop) and recovery keeps it.
-    drop(replica);
-    let (recovered, _) = DurableDb::recover(&replica_dir, WalOptions::default()).unwrap();
-    assert_eq!(recovered.db().user_count(), 10);
-    assert!(recovered.db().profile("u3").is_ok());
-}
-
-#[test]
-fn resync_shard_discards_a_divergent_suffix() {
-    let dir = tempdir("resync");
-    let a = create(&dir.join("a"), 1);
-    let b = create(&dir.join("b"), 1);
-    for i in 0..3 {
-        let op = WalOp::AddUser {
-            user: format!("u{i}"),
-        };
-        a.apply(op.clone()).unwrap();
-        let payload = op.encode();
-        b.apply_replicated(0, (i + 1) as u64, &payload).unwrap();
-    }
-    // `b` diverges: two extra users the (new) primary never saw.
-    b.add_user("deposed-1").unwrap();
-    b.add_user("deposed-2").unwrap();
-    assert_eq!(b.db().user_count(), 5);
-
-    // Anti-entropy re-seats shard 0 of `b` at `a`'s state + watermark.
-    b.resync_shard(0, a.db().stripe_users(0), 3).unwrap();
-    assert_eq!(b.db().user_count(), 3);
-    assert!(b.db().profile("deposed-1").is_err());
-
-    // The sequence moved backward: LSN 4 is accepted again, and the
-    // resync survives recovery.
-    let op = WalOp::AddUser {
-        user: "u3".to_string(),
-    };
-    let payload = op.encode();
+    // The diverged shard accepts the primary's next LSN again, and the
+    // resync survives a crash (drop) and recovery.
+    let user = (10..)
+        .map(|i| format!("u{i}"))
+        .find(|u| a.db().shard_of(u) == diverged)
+        .unwrap();
+    let op = WalOp::AddUser { user: user.clone() };
+    let ack = a.apply(op.clone()).unwrap();
+    assert_eq!(ack.lsn, lsns[diverged] + 1);
     assert!(matches!(
-        b.apply_replicated(0, 4, &payload).unwrap(),
+        b.apply_replicated(diverged, ack.lsn, &op.encode()).unwrap(),
         ReplApply::Applied { .. }
     ));
     let b_dir = dir.join("b");
     drop(b);
     let (recovered, _) = DurableDb::recover(&b_dir, WalOptions::default()).unwrap();
-    assert_eq!(recovered.db().user_count(), 4);
+    assert_eq!(recovered.db().user_count(), 11);
+    assert!(recovered.db().profile("u3").is_ok());
+    assert!(recovered.db().profile(&user).is_ok());
     assert!(recovered.db().profile("deposed-2").is_err());
 }
