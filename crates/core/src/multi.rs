@@ -141,6 +141,16 @@ impl MultiUserDb {
     /// user (0 disables caching).
     pub fn new(env: ContextEnvironment, relation: Relation, cache_capacity: usize) -> Self {
         let order = ParamOrder::by_ascending_domain(&env);
+        Self::with_order(env, relation, order, cache_capacity)
+    }
+
+    /// [`Self::new`] with the profile trees' parameter order given.
+    pub fn with_order(
+        env: ContextEnvironment,
+        relation: Relation,
+        order: ParamOrder,
+        cache_capacity: usize,
+    ) -> Self {
         Self {
             env,
             relation: Arc::new(relation),
@@ -239,6 +249,11 @@ impl MultiUserDb {
     /// True iff `user` is registered.
     pub fn has_user(&self, user: &str) -> bool {
         self.users.contains_key(user)
+    }
+
+    /// The parameter order of every user's profile tree.
+    pub fn order(&self) -> &ParamOrder {
+        &self.order
     }
 
     /// Per-user cache capacity (0 = caching disabled).

@@ -1,18 +1,18 @@
 //! Anti-entropy digests.
 //!
 //! A digest is the frame checksum over the op bytes that rebuild the
-//! users it covers ([`crate::snapshot_ops`]: each user's `AddUser`,
-//! then one `InsertPreference` per preference), users in sorted order.
-//! Those are the bytes the WAL logs and migration ships, so anything
+//! users it covers (`ctxpref_wal::snapshot::snapshot_ops`: each user's
+//! `AddUser`, then one `InsertPreference` per preference), users in
+//! sorted order. Those are the bytes the WAL logs, migration ships and
+//! a checkpoint's user frames hold, so anything
 //! that round-trips identically digests identically: two nodes whose
 //! shard digests match hold equal shard contents, and a mismatch marks
 //! the shard for resync.
 
 use ctxpref_bytes::frame_checksum;
 use ctxpref_profile::Profile;
+use ctxpref_wal::snapshot::snapshot_ops;
 use ctxpref_wal::DurableDb;
-
-use crate::migrate::snapshot_ops;
 
 /// Digest users given as borrowed `(name, profile)` pairs, already
 /// sorted by name (as `ShardedMultiUserDb::stripe_indexes` returns them).

@@ -9,7 +9,7 @@
 
 use std::path::Path;
 
-use ctxpref_wal::swap_file;
+use ctxpref_wal::{swap_file, SwapSites};
 
 use crate::error::ReplicationError;
 use crate::message::LogPos;
@@ -84,7 +84,7 @@ pub(crate) fn load_table(dir: &Path, shards: usize) -> Result<EpochTable, Replic
 }
 
 fn write_atomically(dir: &Path, name: &str, text: String) -> Result<(), ReplicationError> {
-    swap_file(dir, name, text.as_bytes(), || Ok(())).map_err(|e| file_error(dir, name, e))
+    swap_file(dir, name, text.as_bytes(), SwapSites::NONE).map_err(|e| file_error(dir, name, e))
 }
 
 fn read(dir: &Path, name: &str) -> Result<Option<String>, ReplicationError> {

@@ -56,6 +56,6 @@ pub use digest::{node_digests, stripe_digest};
 pub use epoch::{load_epoch, save_epoch, EPOCH_FILE, EPOCH_TABLE_FILE};
 pub use error::{ReplicationError, TransportError};
 pub use message::{Envelope, LogPos, Message, NodeId, Reply, ShippedRecord};
-pub use migrate::{snapshot_ops, user_cut, user_digest, user_suffix, UserSuffix};
+pub use migrate::{user_cut, user_digest, user_suffix, UserSuffix};
 pub use node::ReplNode;
 pub use status::{AckMode, ClusterConfig, ClusterStatus, NodeStatus, TickReport};

@@ -9,8 +9,9 @@
 //! * [`user_cut`] — a consistent `(profile, shard, last_lsn)` triple
 //!   taken under the user's WAL-shard mutex, so the WAL suffix
 //!   strictly after `last_lsn` is exactly what the snapshot misses.
-//! * [`snapshot_ops`] — the profile rendered as ordinary WAL-op bytes
-//!   (`AddUser` + one `InsertPreference` per preference). The
+//! * `ctxpref_wal::snapshot::snapshot_ops` — the profile rendered as
+//!   ordinary WAL-op bytes (`AddUser` + one `InsertPreference` per
+//!   preference), as a checkpoint's user frame holds them. The
 //!   destination applies them through its own normal write path and
 //!   its own LSN space; nothing about the source's LSNs leaks into it.
 //! * [`user_suffix`] — the catch-up cursor: the shard's records after
@@ -44,25 +45,6 @@ pub struct UserSuffix {
 /// A consistent per-user cut of `db` (see [`DurableDb::user_cut`]).
 pub fn user_cut(db: &DurableDb, user: &str) -> UserCut {
     db.user_cut(user)
-}
-
-/// Render a profile as the WAL-op bytes that reconstruct it: one
-/// `AddUser` plus one `InsertPreference` per preference, in profile
-/// order. Ids travel, not names, so the destination decodes them
-/// against its *own* environment and relation, which therefore must
-/// match the source's — the same precondition replication itself has.
-pub fn snapshot_ops(user: &str, profile: &Profile) -> Vec<Vec<u8>> {
-    let mut ops = Vec::with_capacity(1 + profile.preferences().len());
-    ops.push(
-        WalOp::AddUser {
-            user: user.to_string(),
-        }
-        .encode(),
-    );
-    for pref in profile.preferences() {
-        ops.push(WalOp::encode_insert(user, pref));
-    }
-    ops
 }
 
 /// Read one page of `user`'s WAL suffix: up to `max` records of
@@ -110,6 +92,7 @@ mod tests {
     use super::*;
     use ctxpref_core::ShardedMultiUserDb;
     use ctxpref_testkit::TempDir;
+    use ctxpref_wal::snapshot::snapshot_ops;
     use ctxpref_wal::WalOptions;
     use ctxpref_workload::reference::{tiny_env, tiny_relation};
     use std::sync::Arc;

@@ -4,7 +4,6 @@ use std::time::Duration;
 
 use ctxpref_core::CoreError;
 use ctxpref_replication::ReplicationError;
-use ctxpref_storage::StorageError;
 use ctxpref_wal::{DurableError, WalError};
 
 /// Typed errors of the serving layer. Every request that does not
@@ -37,8 +36,9 @@ pub enum ServiceError {
     },
     /// A database-level error (unknown user, conflicting preference, …).
     Core(CoreError),
-    /// A storage error that survived the retry policy.
-    Storage(StorageError),
+    /// A snapshot save or load error that survived the retry policy
+    /// (see `ctxpref_wal::snapshot`).
+    Storage(WalError),
     /// A write-ahead-log error: the mutation was rolled back and not
     /// applied (see `ctxpref-wal` for the rollback guarantees).
     Wal(WalError),
@@ -131,12 +131,6 @@ impl Error for ServiceError {
 impl From<CoreError> for ServiceError {
     fn from(e: CoreError) -> Self {
         Self::Core(e)
-    }
-}
-
-impl From<StorageError> for ServiceError {
-    fn from(e: StorageError) -> Self {
-        Self::Storage(e)
     }
 }
 

@@ -388,7 +388,7 @@ impl CtxPrefService {
         let profile = cut
             .profile
             .ok_or_else(|| ServiceError::Core(CoreError::NoSuchUser(user.to_string())))?;
-        let ops = ctxpref_replication::snapshot_ops(user, &profile);
+        let ops = ctxpref_wal::snapshot::snapshot_ops(user, &profile);
         Ok((cut.last_lsn, ops))
     }
 

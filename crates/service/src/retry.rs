@@ -1,9 +1,9 @@
-//! Retry-with-backoff around the storage layer's loads and saves.
+//! Retry-with-backoff around snapshot loads and saves.
 
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
-use ctxpref_storage::StorageError;
+use ctxpref_wal::WalError;
 
 use crate::config::RetryPolicy;
 use crate::error::ServiceError;
@@ -13,13 +13,13 @@ use crate::stats::Counters;
 /// `base_backoff · 2ⁿ⁻¹` between attempts, but never sleeping past
 /// `deadline` (measured from entry): when the next backoff would cross
 /// it, give up with [`ServiceError::DeadlineExceeded`] instead. Only
-/// I/O errors are considered transient; parse/model/corruption errors
+/// I/O errors are considered transient; version and corruption errors
 /// fail immediately.
 pub(crate) fn retry_storage<T>(
     policy: &RetryPolicy,
     deadline: Duration,
     counters: &Counters,
-    mut op: impl FnMut() -> Result<T, StorageError>,
+    mut op: impl FnMut() -> Result<T, WalError>,
 ) -> Result<T, ServiceError> {
     let started = Instant::now();
     let mut attempt = 0u32;
@@ -27,7 +27,7 @@ pub(crate) fn retry_storage<T>(
         attempt += 1;
         match op() {
             Ok(v) => return Ok(v),
-            Err(StorageError::Io(_)) if attempt < policy.max_attempts => {
+            Err(WalError::Io(_)) if attempt < policy.max_attempts => {
                 let backoff = policy.base_backoff * 2u32.pow(attempt - 1);
                 if started.elapsed() + backoff >= deadline {
                     counters.deadline_exceeded.fetch_add(1, Ordering::Relaxed);

@@ -55,7 +55,7 @@ use crate::write::WritePath;
 /// * **Retrying storage** — [`Self::save`] and [`Self::open`] retry
 ///   transient I/O failures with exponential backoff capped by the
 ///   configured storage deadline; writes are atomic and checksummed
-///   (see `ctxpref-storage`).
+///   (see `ctxpref_wal::snapshot`).
 /// * **Sharded core** — the database is a [`ShardedMultiUserDb`]: user
 ///   slots are striped over per-shard `RwLock`s, so one user's profile
 ///   edit (or a long snapshot) never blocks queries for users on other
@@ -246,7 +246,7 @@ impl CtxPrefService {
     pub fn open(path: impl AsRef<Path>, cfg: ServiceConfig) -> Result<Self, ServiceError> {
         let counters = Counters::default();
         let db = retry_storage(&cfg.retry, cfg.storage_deadline, &counters, || {
-            ctxpref_storage::load_multi_user(&path)
+            ctxpref_wal::snapshot::load_multi_user(&path)
         })?;
         let service = Self::new(db, cfg);
         service.counters.storage_retries.fetch_add(
@@ -662,7 +662,7 @@ impl CtxPrefService {
             &self.cfg.retry,
             self.cfg.storage_deadline,
             &self.counters,
-            || ctxpref_storage::save_multi_user(&path, &snapshot),
+            || ctxpref_wal::snapshot::save_multi_user(&path, &snapshot),
         )
     }
 

@@ -259,7 +259,7 @@ fn storm_of_mixed_faults_upholds_the_service_guarantees() {
     // Guarantee 4: whatever the partial-write faults did, the snapshot
     // file either loads intact or fails cleanly — never a panic.
     let load = catch_unwind(AssertUnwindSafe(|| {
-        ctxpref_storage::load_multi_user(&save_path)
+        ctxpref_wal::snapshot::load_multi_user(&save_path)
     }));
     let load = load.expect("loading a chaos-era snapshot must not panic");
     if saves_succeeded.load(Ordering::Relaxed) > 0 {
@@ -269,7 +269,7 @@ fn storm_of_mixed_faults_upholds_the_service_guarantees() {
         assert_eq!(db.user_count(), USERS);
     } else if let Err(e) = load {
         // No save survived: any residue must fail with a typed error.
-        let _typed: ctxpref_storage::StorageError = e;
+        let _typed: ctxpref_wal::WalError = e;
     }
     assert!(
         saves_succeeded.load(Ordering::Relaxed) + saves_failed.load(Ordering::Relaxed) == 30,
@@ -286,7 +286,7 @@ fn storm_of_mixed_faults_upholds_the_service_guarantees() {
     ));
     service.save(&save_path).unwrap();
     assert_eq!(
-        ctxpref_storage::load_multi_user(&save_path)
+        ctxpref_wal::snapshot::load_multi_user(&save_path)
             .unwrap()
             .user_count(),
         USERS

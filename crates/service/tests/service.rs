@@ -13,6 +13,7 @@ use ctxpref_context::ContextState;
 use ctxpref_core::MultiUserDb;
 use ctxpref_faults::FaultPlan;
 use ctxpref_service::{CtxPrefService, LadderStep, ServiceConfig, ServiceError};
+use ctxpref_wal::WalError;
 use ctxpref_workload::reference::{poi_env, poi_relation};
 use ctxpref_workload::user_study::{all_demographics, default_profile};
 
@@ -231,6 +232,28 @@ fn corrupt_files_are_not_retried() {
         }
         other => panic!("expected Storage(Corrupt), got {:?}", other.map(|_| ())),
     }
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn v1_text_files_are_refused_by_version_without_retry() {
+    let _serial = ctxpref_faults::exclusive();
+    let dir = std::env::temp_dir();
+    let path = dir.join(format!("ctxpref-service-v1-{}.db", std::process::id()));
+    std::fs::write(
+        &path,
+        "ctxpref v1\nchecksum 0123456789abcdef\nhierarchy w\n",
+    )
+    .unwrap();
+    // An empty plan injects nothing and counts every pass of a site.
+    let plan = FaultPlan::builder(1).build();
+    match plan.run(|| CtxPrefService::open(&path, ServiceConfig::default())) {
+        Err(ServiceError::Storage(WalError::Version { found, .. })) => {
+            assert_eq!(found, "ctxpref v1")
+        }
+        other => panic!("expected Storage(Version), got {:?}", other.map(|_| ())),
+    }
+    assert_eq!(plan.hit_count("storage.load.open"), 1, "loaded once");
     let _ = std::fs::remove_file(&path);
 }
 

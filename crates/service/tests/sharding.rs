@@ -221,7 +221,7 @@ fn saves_do_not_block_queries() {
         });
     });
     assert!(path.exists());
-    let reopened = ctxpref_storage::load_multi_user(&path).unwrap();
+    let reopened = ctxpref_wal::snapshot::load_multi_user(&path).unwrap();
     assert_eq!(reopened.user_count(), n);
     let _ = std::fs::remove_file(&path);
 }

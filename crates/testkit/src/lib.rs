@@ -8,7 +8,7 @@
 //! * [`Model`] — the acked-state oracle: the paper's state (§3: each
 //!   user's profile is its set of contextual preferences) rebuilt by
 //!   replaying the applied [`WalOp`]s, compared to a database byte for
-//!   byte through the storage serialization.
+//!   byte through the snapshot encoding.
 //! * [`effect_visible`] — whether one acked add's effect shows in a
 //!   database, for the suites whose workloads only ever add.
 //!
@@ -20,8 +20,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use ctxpref_core::ShardedMultiUserDb;
-use ctxpref_storage::write_multi_user;
-use ctxpref_wal::WalOp;
+use ctxpref_wal::{snapshot, WalOp};
 use ctxpref_workload::reference::{tiny_env, tiny_relation};
 
 /// A fresh directory under the system temp dir; removed on drop.
@@ -104,9 +103,7 @@ impl Model {
     /// error names both sizes.
     pub fn matches(&self, db: &ShardedMultiUserDb) -> Result<(), String> {
         let bytes = |db: &ShardedMultiUserDb| {
-            let mut out = Vec::new();
-            write_multi_user(&mut out, &db.snapshot()).map_err(|e| format!("serialize: {e}"))?;
-            Ok::<_, String>(out)
+            snapshot::encode_multi_user(&db.snapshot()).map_err(|e| format!("serialize: {e}"))
         };
         let (want, got) = (bytes(&self.0)?, bytes(db)?);
         if want == got {

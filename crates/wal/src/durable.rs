@@ -7,7 +7,7 @@
 //!
 //! ```text
 //! MANIFEST              — checksummed recovery root (atomic swap)
-//! checkpoint-<gen>.db   — snapshot in the `ctxpref v1` save format
+//! checkpoint-<gen>.db   — snapshot in the save format (`ctxpref v2` frames)
 //! shard-<i>/seg-*.wal   — that shard's segmented log (`CTXWAL02`)
 //! ```
 //!
@@ -27,7 +27,6 @@ use std::sync::Arc;
 
 use ctxpref_core::{ShardedMultiUserDb, UserShardWrite};
 use ctxpref_profile::Profile;
-use ctxpref_storage::{load_multi_user, save_multi_user};
 use parking_lot::Mutex;
 
 use crate::error::{DurableError, WalError};
@@ -37,6 +36,7 @@ use crate::scrub::{quarantine_has_shard, quarantine_segment};
 use crate::segment::{
     list_segments, scan_segment, segment_path, shard_dir, ScannedRecord, SEGMENT_HEADER,
 };
+use crate::snapshot::{load_multi_user, save_multi_user};
 use crate::wal::{new_segment, ShardGuard, ShardPosition, Wal, WalOptions, WalStatus, WalTotals};
 
 /// The exclusive-ownership lock file inside a durable directory.

@@ -9,7 +9,6 @@ use std::time::Duration;
 use ctxpref_context::ContextDescriptor;
 use ctxpref_core::ShardedMultiUserDb;
 use ctxpref_profile::{AttributeClause, ContextualPreference};
-use ctxpref_storage::write_multi_user;
 use ctxpref_testkit::TempDir;
 use ctxpref_workload::reference::{tiny_env, tiny_relation};
 use rand::rngs::StdRng;
@@ -166,9 +165,7 @@ fn random_op(rng: &mut StdRng) -> WalOp {
 
 /// The bytes of `db`'s whole state, in the save format.
 fn state(db: &ShardedMultiUserDb) -> Vec<u8> {
-    let mut out = Vec::new();
-    write_multi_user(&mut out, &db.snapshot()).expect("serialize");
-    out
+    crate::snapshot::encode_multi_user(&db.snapshot()).expect("serialize")
 }
 
 /// An ack as the caller sees it: result, shard, LSN and what it

@@ -5,29 +5,26 @@ use std::fmt;
 use std::path::PathBuf;
 
 use ctxpref_core::CoreError;
-use ctxpref_storage::StorageError;
 
 /// Typed errors of the write-ahead log and its recovery path.
 #[derive(Debug)]
 pub enum WalError {
-    /// An I/O error from the log or manifest files.
+    /// An I/O error from the log, manifest or snapshot files.
     Io(std::io::Error),
-    /// A storage-layer error from the checkpoint snapshot (save or load).
-    Storage(StorageError),
-    /// Mid-log corruption: a record failed its checksum (or was
-    /// otherwise malformed) *with valid data following it*, so this is
-    /// bitrot or tampering, not a torn tail, and recovery refuses to
-    /// guess.
+    /// Damage that is not a torn tail: a segment record that failed its
+    /// checksum (or was otherwise malformed) *with valid data following
+    /// it*, or any damage in a snapshot, so bitrot or tampering, and
+    /// recovery refuses to guess.
     Corrupt {
-        /// The corrupt segment file.
+        /// The corrupt segment or snapshot file.
         path: PathBuf,
-        /// Byte offset of the bad record within the segment.
+        /// Byte offset of the bad record or frame within the file.
         offset: u64,
         /// What exactly was wrong.
         reason: String,
     },
-    /// A segment or manifest written in another format version — an
-    /// older build's text records — which this build does not read.
+    /// A segment, manifest or snapshot written in another format
+    /// version (an older build's text) which this build does not read.
     Version {
         /// The refused file.
         path: PathBuf,
@@ -89,17 +86,12 @@ impl fmt::Display for WalError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Self::Io(e) => write!(f, "wal i/o error: {e}"),
-            Self::Storage(e) => write!(f, "checkpoint storage error: {e}"),
             Self::Corrupt {
                 path,
                 offset,
                 reason,
             } => {
-                write!(
-                    f,
-                    "corrupt wal record in {} at offset {offset}: {reason}",
-                    path.display()
-                )
+                write!(f, "corrupt {} at offset {offset}: {reason}", path.display())
             }
             Self::Version { path, found } => write!(
                 f,
@@ -154,7 +146,6 @@ impl Error for WalError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             Self::Io(e) => Some(e),
-            Self::Storage(e) => Some(e),
             _ => None,
         }
     }
@@ -163,12 +154,6 @@ impl Error for WalError {
 impl From<std::io::Error> for WalError {
     fn from(e: std::io::Error) -> Self {
         Self::Io(e)
-    }
-}
-
-impl From<StorageError> for WalError {
-    fn from(e: StorageError) -> Self {
-        Self::Storage(e)
     }
 }
 

@@ -21,7 +21,11 @@
 //!   segment rotation.
 //! * `manifest` — the atomically-swapped [`Manifest`] naming the
 //!   current checkpoint generation and each shard's replay bounds: a
-//!   version line and one frame.
+//!   version line and one frame. Every file swap goes through its
+//!   [`swap_file`].
+//! * [`snapshot`] — a whole database at rest, a checkpoint or a save:
+//!   a magic line, a header frame, then one frame per user holding the
+//!   ops that rebuild the user.
 //! * `durable` — [`DurableDb`]: log-first mutations over the sharded
 //!   core ([`DurableDb::apply`], and [`DurableDb::try_apply`] for a
 //!   caller that must never wait or fsync), background-checkpointable
@@ -31,9 +35,10 @@
 //!   replay.
 //!
 //! Fault sites (`wal.append.write`, `wal.append.sync`, `wal.rotate`,
-//! `manifest.swap`, plus the storage crate's `storage.save.*`) are
-//! threaded through [`ctxpref_faults`]; with no plan installed they
-//! cost one atomic load.
+//! `wal.read`, `wal.scrub`, `manifest.swap`, `checkpoint.read`, and a
+//! snapshot's `storage.save.{open,write,sync,rename}` and
+//! `storage.load.{open,read}`) are threaded through [`ctxpref_faults`];
+//! with no plan installed they cost one atomic load.
 
 mod durable;
 mod error;
@@ -41,13 +46,14 @@ mod manifest;
 mod record;
 pub mod scrub;
 pub mod segment;
+pub mod snapshot;
 mod wal;
 
 pub use durable::{
     Ack, CheckpointReport, DurableDb, RecoveryReport, ReplApply, UserCut, LOCK_FILE,
 };
 pub use error::{DurableError, WalError};
-pub use manifest::{swap_file, Manifest, ShardManifest};
+pub use manifest::{swap_file, Manifest, ShardManifest, SwapSites};
 pub use record::{Displaced, WalOp};
 pub use scrub::{QuarantinedFile, ScrubReport, QUARANTINE_DIR};
 pub use segment::ScannedRecord;

@@ -82,9 +82,8 @@ impl Manifest {
         dir.join(&self.checkpoint)
     }
 
-    /// Atomically replace `dir/MANIFEST` with this manifest. Fault
-    /// site `manifest.swap` fires just before the rename — the moment a
-    /// crash is most interesting, with both old and new files on disk.
+    /// Atomically replace `dir/MANIFEST` with this manifest, passing
+    /// fault site `manifest.swap` ([`SwapSites::MANIFEST`]).
     pub fn save(&self, dir: &Path) -> Result<(), WalError> {
         let mut payload = MANIFEST_HEADER.to_vec();
         let at = open_frame(&mut payload);
@@ -93,9 +92,7 @@ impl Manifest {
             reason: e.to_string(),
         })?;
 
-        swap_file(dir, MANIFEST_FILE, &payload, || {
-            ctxpref_faults::hit_io(sites::MANIFEST_SWAP)
-        })?;
+        swap_file(dir, MANIFEST_FILE, &payload, SwapSites::MANIFEST)?;
         Ok(())
     }
 
@@ -128,23 +125,80 @@ impl Manifest {
     }
 }
 
-/// Atomically replace `dir/name` with `bytes`: fsync a temp file beside
-/// it (a rename must not cross filesystems), run `before_swap` (a fault
-/// site), rename it over the target, and fsync the directory.
-pub fn swap_file(
-    dir: &Path,
-    name: &str,
-    bytes: &[u8],
-    before_swap: impl FnOnce() -> std::io::Result<()>,
-) -> std::io::Result<()> {
+/// The fault sites a [`swap_file`] passes, one per step, `None` where
+/// a step passes none: before it creates the temp file, as it writes it
+/// (a truncation fault persists only a prefix and fails the swap, like
+/// a crash mid-write), before it syncs it, and before the rename.
+#[derive(Debug, Clone, Copy)]
+pub struct SwapSites {
+    /// Before the temp file is created.
+    pub open: Option<&'static str>,
+    /// The write, which honours truncation faults.
+    pub write: Option<&'static str>,
+    /// Before the temp file is synced.
+    pub sync: Option<&'static str>,
+    /// Before the rename over the target.
+    pub rename: Option<&'static str>,
+}
+
+impl SwapSites {
+    /// No fault site.
+    pub const NONE: Self = Self {
+        open: None,
+        write: None,
+        sync: None,
+        rename: None,
+    };
+
+    /// A manifest swap: `manifest.swap` just before the rename, the
+    /// moment a crash is most interesting, with both files on disk.
+    pub const MANIFEST: Self = Self {
+        rename: Some(sites::MANIFEST_SWAP),
+        ..Self::NONE
+    };
+
+    /// A snapshot save: `storage.save.{open,write,sync,rename}`.
+    pub const SAVE: Self = Self {
+        open: Some(sites::STORAGE_SAVE_OPEN),
+        write: Some(sites::STORAGE_SAVE_WRITE),
+        sync: Some(sites::STORAGE_SAVE_SYNC),
+        rename: Some(sites::STORAGE_SAVE_RENAME),
+    };
+}
+
+/// Pass fault site `site`, if there is one.
+fn pass(site: Option<&str>) -> std::io::Result<()> {
+    site.map_or(Ok(()), ctxpref_faults::hit_io)
+}
+
+/// Atomically replace `dir/name` with `bytes`: write and fsync a temp
+/// file beside it (a rename must not cross filesystems), rename it over
+/// the target, and fsync the directory so the rename is durable too. A
+/// failure at any step leaves the target as it was. `sites` names the
+/// fault sites each step passes.
+pub fn swap_file(dir: &Path, name: &str, bytes: &[u8], sites: SwapSites) -> std::io::Result<()> {
     static COUNTER: AtomicU64 = AtomicU64::new(0);
     let n = COUNTER.fetch_add(1, Ordering::Relaxed);
     let tmp = dir.join(format!("{name}.tmp.{}.{n}", std::process::id()));
+    pass(sites.open)?;
     let mut f = File::create(&tmp)?;
-    f.write_all(bytes)?;
+    let keep = sites.write.map_or(bytes.len(), |site| {
+        ctxpref_faults::truncated_len(site, bytes.len())
+    });
+    f.write_all(&bytes[..keep])?;
+    if keep < bytes.len() {
+        // An injected crash mid-write: the temp file keeps the prefix,
+        // the target is untouched.
+        let _ = f.sync_all();
+        return Err(std::io::Error::other(format!(
+            "injected partial write: {keep} of {} bytes persisted",
+            bytes.len()
+        )));
+    }
+    pass(sites.sync)?;
     f.sync_all()?;
     drop(f);
-    before_swap()?;
+    pass(sites.rename)?;
     std::fs::rename(&tmp, dir.join(name))?;
     if let Ok(d) = File::open(dir) {
         let _ = d.sync_all();

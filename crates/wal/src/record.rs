@@ -22,7 +22,8 @@
 //!
 //! The same op bytes travel everywhere an op does: in segments, in
 //! replication's shipped records, in migration's snapshot and catch-up
-//! pages, and under the anti-entropy digests.
+//! pages, under the anti-entropy digests, and in a snapshot's user
+//! frames (checkpoints and saves, see [`crate::snapshot`]).
 
 use ctxpref_bytes::{
     bad_tag, open_frame, put_uv, seal_frame, vocabulary, Dec, DecodeError, DecodeKind, Le64, Put,
@@ -160,11 +161,21 @@ impl WalOp {
         env: &ContextEnvironment,
         rel: &Relation,
     ) -> Result<Self, WalError> {
-        let bad = |reason: String| WalError::Payload { reason };
         let mut dec = Dec::new(payload);
-        let op = Self::get(&mut dec)
-            .and_then(|op| dec.expect_end().map(|()| op))
-            .map_err(|e| bad(e.to_string()))?;
+        let op = Self::decode_from(&mut dec, env, rel)?;
+        dec.expect_end().map_err(payload_error)?;
+        Ok(op)
+    }
+
+    /// [`Self::decode`] for the op at `dec`'s position, one of several
+    /// back to back (a snapshot's user frame).
+    pub(crate) fn decode_from(
+        dec: &mut Dec<'_>,
+        env: &ContextEnvironment,
+        rel: &Relation,
+    ) -> Result<Self, WalError> {
+        let bad = |reason: String| WalError::Payload { reason };
+        let op = Self::get(dec).map_err(payload_error)?;
         let Self::InsertPreference { pref, .. } = &op else {
             return Ok(op);
         };
@@ -222,9 +233,16 @@ impl WalOp {
     }
 }
 
+fn payload_error(e: DecodeError) -> WalError {
+    WalError::Payload {
+        reason: e.to_string(),
+    }
+}
+
 /// A preference and its parts as ids, tags and raw bits: the stand-in
-/// through which [`WalOp`]'s table carries types of other crates.
-struct Ids;
+/// through which [`WalOp`]'s table (and a snapshot's relation) carries
+/// types of other crates.
+pub(crate) struct Ids;
 
 /// The operators in tag order: an operator travels as its index here.
 const OPS: [CompareOp; 6] = [

@@ -8,9 +8,10 @@
 //! the append path) and the current checkpoint snapshot, re-verifying
 //! what recovery would check: a `CTXWAL02` segment's header and every
 //! record's frame checksum (the wire's frame, `ctxpref_bytes`), and
-//! the snapshot's body checksum. A file that fails verification is
-//! moved — not deleted — into `quarantine/`, preserving the evidence,
-//! and the damage is reported as a typed [`ScrubReport`]. A transient read error is *not* corruption: the
+//! the snapshot's frames, loaded as recovery loads them. A file that
+//! fails verification is moved — not deleted — into `quarantine/`,
+//! preserving the evidence, and the damage is reported as a typed
+//! [`ScrubReport`]. A transient read error is *not* corruption: the
 //! file is skipped, counted, and retried on the next pass.
 //!
 //! Layout mirrors the live directory so a quarantined file's origin is
@@ -30,12 +31,12 @@
 use std::path::{Path, PathBuf};
 
 use ctxpref_faults::sites;
-use ctxpref_storage::load_multi_user;
 
 use crate::durable::DurableDb;
 use crate::error::WalError;
 use crate::manifest::Manifest;
 use crate::segment::{list_segments, scan_segment, segment_path, shard_dir};
+use crate::snapshot::load_multi_user;
 
 /// Directory (inside the durable dir) holding files the scrubber
 /// pulled out of service.

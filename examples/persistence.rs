@@ -1,12 +1,13 @@
-//! Persisting and restoring a contextual preference database with the
-//! `ctxpref v1` text format.
+//! Persisting and restoring a contextual preference database as a
+//! snapshot: the `ctxpref v2` magic line, then checksummed frames.
 //!
 //! ```text
 //! cargo run --example persistence
 //! ```
 
+use ctxpref::bytes::split_frame;
 use ctxpref::prelude::*;
-use ctxpref::storage::{load_database, save_database, write_database};
+use ctxpref::wal::snapshot::{load_database, save_database, MAGIC};
 use ctxpref::workload::reference::{poi_env, poi_relation};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -31,19 +32,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         0.9,
     )?;
 
-    // Peek at the format.
-    let mut buf = Vec::new();
-    write_database(&mut buf, &db)?;
-    let text = String::from_utf8(buf)?;
-    println!("--- first lines of the serialized database ---");
-    for line in text.lines().take(12) {
-        println!("{line}");
-    }
-    println!("… ({} lines total)\n", text.lines().count());
-
-    // Save to disk and restore.
+    // Save to disk, count the frames, and restore.
     let path = std::env::temp_dir().join("ctxpref_example.ctxpref");
     save_database(&path, &db)?;
+    let bytes = std::fs::read(&path)?;
+    let (mut rest, mut frames) = (&bytes[MAGIC.len()..], 0);
+    while let Some((_, len)) = split_frame(rest)? {
+        rest = &rest[len..];
+        frames += 1;
+    }
+    println!(
+        "saved {} bytes: the magic line, then {frames} frames (the header, one per user)\n",
+        bytes.len()
+    );
     let restored = load_database(&path)?;
     println!(
         "restored from {}: {} tuples, {} preferences, cache capacity {}",

@@ -146,7 +146,7 @@ fn main() {
         "snapshots under write faults: {} succeeded, {} failed cleanly; final file {}",
         save_ok.load(Ordering::Relaxed),
         save_err.load(Ordering::Relaxed),
-        match ctxpref::storage::load_multi_user(&save_path) {
+        match ctxpref::wal::snapshot::load_multi_user(&save_path) {
             Ok(db) => format!("loads intact ({} users)", db.user_count()),
             Err(e) => format!("fails cleanly ({e})"),
         }

@@ -197,7 +197,8 @@ impl Repl {
         if path.is_empty() {
             return Err("usage: open <path>".to_string());
         }
-        let db = open_any(path)?;
+        let db = ctxpref::wal::snapshot::load_multi_user(path)
+            .map_err(|e| format!("failed to load {path}: {e}"))?;
         let (pois, users) = (db.relation().len(), db.user_count());
         let prefs = db.profile(USER).map(|p| p.len()).unwrap_or(0);
         self.install(db);
@@ -984,22 +985,6 @@ fn render_ladder(db: &ShardedMultiUserDb, answer: &ServiceAnswer) -> String {
         out.push_str(&format!("[degraded answer: {}{via}]\n", answer.step));
     }
     out
-}
-
-/// Open a saved database: the multi-user format first, then the
-/// single-user format (wrapped as user `me`) for older files.
-fn open_any(path: &str) -> Result<MultiUserDb, String> {
-    match ctxpref::storage::load_multi_user(path) {
-        Ok(db) => Ok(db),
-        Err(multi_err) => {
-            let single = ctxpref::storage::load_database(path)
-                .map_err(|_| format!("failed to load {path}: {multi_err}"))?;
-            let mut db = MultiUserDb::new(single.env().clone(), single.relation().clone(), 64);
-            db.add_user_with_profile(USER, single.profile().clone())
-                .map_err(|e| e.to_string())?;
-            Ok(db)
-        }
-    }
 }
 
 /// `help`: the local commands, then the verb table (every line of it

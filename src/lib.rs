@@ -24,18 +24,17 @@
 //! * [`qualitative`] — the qualitative extension of Section 6:
 //!   contextual binary priorities with winnow / iterated-winnow
 //!   operators.
-//! * [`storage`] — versioned text persistence for hierarchies,
-//!   relations, profiles, and whole databases.
 //! * [`workload`] — the points-of-interest reference database, default
 //!   profiles, and synthetic workload generators.
 //! * [`core`] — the high-level [`core::ContextualDb`] façade.
 //! * [`service`] — the fault-tolerant serving layer: deadlines, panic
 //!   isolation, admission control, and the degradation ladder.
 //! * [`wal`] — per-shard write-ahead logging, checkpoint manifests,
-//!   and crash recovery for the serving core.
+//!   and crash recovery for the serving core, plus snapshots
+//!   ([`wal::snapshot`]): whole databases saved as framed bytes.
 //! * [`bytes`] — the one byte format below the API: the field codec,
 //!   its table macros, the checksummed frame and FNV-1a, shared by
-//!   the wire, the WAL, replication and the manifest.
+//!   the wire, the WAL, replication, the manifest and snapshots.
 //! * [`net`] — the TCP serving layer: checksummed wire frames and a
 //!   socket server/client pair in front of the service.
 //! * [`router`] — the user-partitioned routing tier: consistent
@@ -63,7 +62,6 @@ pub use ctxpref_replication as replication;
 pub use ctxpref_resolve as resolve;
 pub use ctxpref_router as router;
 pub use ctxpref_service as service;
-pub use ctxpref_storage as storage;
 pub use ctxpref_views as views;
 pub use ctxpref_wal as wal;
 pub use ctxpref_workload as workload;

@@ -4,13 +4,15 @@
 
 use std::error::Error;
 
+use ctxpref::bytes::{open_frame, seal_frame, split_frame, FRAME_HEADER};
 use ctxpref::context::{parse_descriptor, ContextError};
 use ctxpref::core::{ContextualDb, CoreError};
 use ctxpref::hierarchy::{Hierarchy, HierarchyBuilder, HierarchyError};
 use ctxpref::prelude::*;
 use ctxpref::profile::ProfileError;
 use ctxpref::relation::{AttrType, RelationError};
-use ctxpref::storage::StorageError;
+use ctxpref::wal::snapshot::{load_database, save_database, MAGIC};
+use ctxpref::wal::WalError;
 use ctxpref::workload::reference::reference_env;
 
 #[test]
@@ -133,17 +135,43 @@ fn invalid_scores_are_rejected_with_value() {
 }
 
 #[test]
-fn storage_errors_carry_line_numbers() {
-    let bad = "ctxpref v1\nhierarchy h\nlevels L\nv L a -\nend\nrelation r\nattr x int\nt i:notanint\nend\norder h\nprofile\nend\n";
-    let e = ctxpref::storage::read_database(bad.as_bytes()).unwrap_err();
+fn snapshot_errors_name_the_frame() {
+    let env = ContextEnvironment::new(vec![Hierarchy::flat("h", &["a"]).unwrap()]).unwrap();
+    let mut rel = Relation::new("r", Schema::new(&[("x", AttrType::Int)]).unwrap());
+    rel.insert(vec![Value::Int(7)]).unwrap();
+    let db = ContextualDb::builder()
+        .env(env)
+        .relation(rel)
+        .build()
+        .unwrap();
+    let path = std::env::temp_dir().join(format!("ctxpref-errors-{}.db", std::process::id()));
+    save_database(&path, &db).unwrap();
+
+    // Retype the tuple's int as a float under a valid checksum: the
+    // header frame verifies, and the relation refuses the value.
+    let bytes = std::fs::read(&path).unwrap();
+    let (magic, frames) = bytes.split_at(MAGIC.len());
+    let (header, len) = split_frame(frames).unwrap().unwrap();
+    let int_seven = [1, 7, 0, 0, 0, 0, 0, 0, 0];
+    let at = header.windows(9).position(|w| w == int_seven).unwrap();
+    let mut mistyped = magic.to_vec();
+    let frame = open_frame(&mut mistyped);
+    mistyped.extend_from_slice(header);
+    mistyped[frame + FRAME_HEADER + at] = 2;
+    seal_frame(&mut mistyped, frame).unwrap();
+    mistyped.extend_from_slice(&frames[len..]);
+    std::fs::write(&path, &mistyped).unwrap();
+
+    let e = load_database(&path).unwrap_err();
+    std::fs::remove_file(&path).unwrap();
     match &e {
-        StorageError::Syntax { line, message } => {
-            assert_eq!(*line, 8);
-            assert!(message.contains("notanint"), "{message}");
+        WalError::Corrupt { offset, reason, .. } => {
+            assert_eq!(*offset, MAGIC.len() as u64);
+            assert!(reason.starts_with("header frame: tuple 0: "), "{reason}");
         }
-        other => panic!("expected Syntax, got {other:?}"),
+        other => panic!("expected Corrupt, got {other:?}"),
     }
-    assert!(e.to_string().contains("line 8"), "{e}");
+    assert!(e.to_string().contains("header frame"), "{e}");
 }
 
 #[test]
@@ -163,6 +191,6 @@ fn every_error_type_is_std_error() {
     assert_error::<RelationError>();
     assert_error::<ProfileError>();
     assert_error::<CoreError>();
-    assert_error::<StorageError>();
+    assert_error::<WalError>();
     assert_error::<ctxpref::qualitative::QualitativeError>();
 }

@@ -5,7 +5,7 @@ use ctxpref::context::ContextState;
 use ctxpref::core::ContextualDb;
 use ctxpref::hierarchy::lattice::LatticeBuilder;
 use ctxpref::relation::{AttrType, Relation, Schema};
-use ctxpref::storage::{read_database, write_database};
+use ctxpref::wal::snapshot::{load_database, save_database};
 
 fn week_lattice() -> ctxpref::hierarchy::LatticeHierarchy {
     let mut b = LatticeBuilder::new("time");
@@ -98,9 +98,10 @@ fn lattice_derived_database_round_trips_through_storage() {
     )
     .unwrap();
 
-    let mut buf = Vec::new();
-    write_database(&mut buf, &db).unwrap();
-    let restored = read_database(&buf[..]).unwrap();
+    let path = std::env::temp_dir().join(format!("ctxpref-lattice-{}.db", std::process::id()));
+    save_database(&path, &db).unwrap();
+    let restored = load_database(&path).unwrap();
+    std::fs::remove_file(&path).unwrap();
 
     for slot in ["mon_morning", "tue_evening", "sun_morning", "sat_evening"] {
         let state = ContextState::parse(&env, &[slot, slot]).unwrap();
