@@ -31,6 +31,9 @@
 //! | [`replication`] | async vs quorum acks, failover keeps acked writes |
 //! | [`scrub`] | background scrub overhead on the append path |
 //! | [`storm`] | open-loop overload storm under a fault timeline |
+//!
+//! The `ledger` binary compares two revisions on the standing
+//! benchmark in alternating pairs and prints a verdict per metric.
 
 pub mod complexity;
 pub mod dag_exp;

@@ -2,17 +2,19 @@
 //! with one [`Response`]. The service's workers run it for the server,
 //! with the budget and tier the envelope carried, except what the
 //! reactor answers on its own thread through [`answer_now`] — sheds,
-//! view hits, and direct-path or group-commit logged preference edits
-//! on a free stripe and WAL shard; [`serve_request`] runs
-//! the same code in process, for a caller that holds the service
-//! itself.
+//! view hits, the other `Query`/`TopK` reads while no job is queued,
+//! and direct-path or group-commit logged preference edits on a free
+//! stripe and WAL shard; [`serve_request`] runs the same code in
+//! process, for a caller that holds the service itself.
 //!
 //! Each verb is one line: the service call, a `.map(..)` where its value
 //! needs a wire shape, and [`reply`], which turns the value into its
 //! response through the `reply!` table in `proto.rs` and a failure into
 //! its typed refusal ([`err_of`]). Only the ranked reads do more: they
-//! parse the state, clamp the deadline, run inline on the calling
-//! thread ([`CtxPrefService::query_admitted`]) and render rows.
+//! parse the state and clamp the deadline ([`ranked_read`]), run on the
+//! calling thread ([`CtxPrefService::query_admitted`] on a worker,
+//! [`CtxPrefService::view_hit`] or [`CtxPrefService::try_query`] on the
+//! reactor) and render rows.
 //!
 //! What the server sends is a finished frame ([`serve_frame`]). A
 //! ranked answer has one renderer, [`answer_frame`], which encodes its
@@ -96,10 +98,8 @@ pub(crate) fn dispatch_frame(
         Request::Query { attr, k, .. }
         | Request::TopK { attr, k, .. }
         | Request::QueryDescriptor { attr, k, .. } => {
-            match ranked(service, cfg, req, budget_ms, tier, admitted) {
-                Ok(answer) => answer_frame(service, id, &answer, attr, *k),
-                Err(e) => codec::response_frame(id, &err_of(&e)),
-            }
+            let answer = ranked(service, cfg, req, budget_ms, tier, admitted);
+            ranked_frame(service, id, &answer, attr, *k)
         }
         _ => codec::response_frame(
             id,
@@ -111,13 +111,14 @@ pub(crate) fn dispatch_frame(
 /// The reactor's one question per decoded request: can it be answered
 /// now, on the calling thread, without waiting? It answers, as the
 /// response frame under the request's id, a ranked read that admission
-/// sheds, an admitted `TopK` a current materialized view holds
-/// ([`view_hit`]), and a preference edit the service applies without
-/// waiting ([`edit_now`]). Anything else is handed back for a worker to
-/// run, with the admission ticket a ranked read was issued (`None` for
-/// every other verb).
+/// sheds, an admitted `Query` or `TopK` the service runs without
+/// waiting ([`read_now`]), and a preference edit the service applies
+/// without waiting ([`edit_now`]). Anything else is handed back for a
+/// worker to run, with the admission ticket a ranked read was issued
+/// (`None` for every other verb).
 pub(crate) fn answer_now(
     service: &CtxPrefService,
+    cfg: &NetServerConfig,
     wire: &WireRequest,
 ) -> Result<Framed, Option<Admitted>> {
     let (id, req) = (wire.id, &wire.req);
@@ -125,38 +126,42 @@ pub(crate) fn answer_now(
         return edit_now(service, id, req).ok_or(None);
     }
     match service.admit(wire.tier) {
-        Ok(ticket) => view_hit(service, id, req, ticket).map_err(Some),
+        Ok(ticket) => read_now(service, cfg, wire, ticket).map_err(Some),
         Err(e) => Ok(codec::response_frame(id, &err_of(&e))),
     }
 }
 
-/// Answer an admitted `TopK` from a current materialized view
-/// ([`CtxPrefService::view_hit`]). Anything else — another verb, a
-/// state that does not parse, a miss, a busy shard, a panic before the
-/// view answered — hands the ticket back.
-fn view_hit(
+/// Answer an admitted `Query` or `TopK` on the calling thread: a
+/// `TopK` from a current materialized view
+/// ([`CtxPrefService::view_hit`]), else either verb through the ladder
+/// when no job is queued and the user's stripe is free
+/// ([`CtxPrefService::try_query`]), at the deadline a worker would
+/// enforce. Anything else — a state that does not parse, a busy pool
+/// or shard, a fault plan, a panic before the read ran — hands the
+/// ticket back.
+fn read_now(
     service: &CtxPrefService,
-    id: u64,
-    req: &Request,
+    cfg: &NetServerConfig,
+    wire: &WireRequest,
     admitted: Admitted,
 ) -> Result<Framed, Admitted> {
-    let Request::TopK {
-        user,
-        attr,
-        k,
-        state,
-        ..
-    } = req
-    else {
+    let (Request::Query { attr, k, .. } | Request::TopK { attr, k, .. }) = &wire.req else {
         return Err(admitted);
     };
-    let Ok(Ok(state)) = catch_unwind(AssertUnwindSafe(|| parse_state(service, state))) else {
+    let Ok(Ok(read)) = catch_unwind(AssertUnwindSafe(|| {
+        ranked_read(service, cfg, &wire.req, wire.budget_ms)
+    })) else {
         return Err(admitted);
     };
-    let answer = service.view_hit(admitted, user, &state, *k)?;
-    Ok(contained_frame(id, || {
-        answer_frame(service, id, &answer, attr, *k)
-    }))
+    let admitted = match read.topk {
+        Some(top) => match service.view_hit(admitted, read.user, &read.state, top) {
+            Ok(answer) => return Ok(ranked_frame(service, wire.id, &Ok(answer), attr, *k)),
+            Err(admitted) => admitted,
+        },
+        None => admitted,
+    };
+    let answer = service.try_query(admitted, read.user, &read.state, read.topk, read.deadline)?;
+    Ok(ranked_frame(service, wire.id, &answer, attr, *k))
 }
 
 /// Apply an `InsertPref`, `UpdateScore` or `RemovePref` through the
@@ -269,10 +274,7 @@ fn dispatch_inner(
 }
 
 /// Run a ranked read (`Query`, `TopK` or `QueryDescriptor`) inline on
-/// the calling thread. The enforced deadline is the *tightest* of the
-/// request's own ask, the propagated remaining budget, and the server's
-/// cap — a hop-decremented budget wins over a generous per-request
-/// deadline.
+/// the calling thread.
 fn ranked(
     service: &CtxPrefService,
     cfg: &NetServerConfig,
@@ -281,6 +283,43 @@ fn ranked(
     tier: Priority,
     admitted: Option<Admitted>,
 ) -> Result<ServiceAnswer, ServiceError> {
+    if let Request::QueryDescriptor {
+        user, descriptor, ..
+    } = req
+    {
+        return explore(service, user, descriptor);
+    }
+    let read = ranked_read(service, cfg, req, budget_ms)?;
+    service.query_admitted(
+        admitted,
+        tier,
+        read.user,
+        &read.state,
+        read.topk,
+        read.deadline,
+    )
+}
+
+/// A `Query` or `TopK` as the service runs it.
+struct RankedRead<'a> {
+    user: &'a str,
+    state: ContextState,
+    /// `Some(k)` for a `TopK`, which pushes `k` down so only the best
+    /// rows are evaluated; the two verbs differ only in this.
+    topk: Option<usize>,
+    deadline: Duration,
+}
+
+/// Parse a `Query` or `TopK`'s state and clamp its deadline. The
+/// enforced deadline is the *tightest* of the request's own ask, the
+/// propagated remaining budget, and the server's cap — a
+/// hop-decremented budget wins over a generous per-request deadline.
+fn ranked_read<'a>(
+    service: &CtxPrefService,
+    cfg: &NetServerConfig,
+    req: &'a Request,
+    budget_ms: u64,
+) -> Result<RankedRead<'a>, ServiceError> {
     let (user, k, deadline_ms, state) = match req {
         Request::Query {
             user,
@@ -296,21 +335,18 @@ fn ranked(
             state,
             ..
         } => (user, k, deadline_ms, state),
-        Request::QueryDescriptor {
-            user, descriptor, ..
-        } => return explore(service, user, descriptor),
-        _ => unreachable!("only a ranked verb is run as a ranked read"),
+        _ => unreachable!("only a Query or a TopK is run as a ranked read"),
     };
     let mut deadline_ms = (*deadline_ms).max(1);
     if budget_ms > 0 {
         deadline_ms = deadline_ms.min(budget_ms);
     }
-    let deadline = Duration::from_millis(deadline_ms).min(cfg.max_deadline);
-    let state = parse_state(service, state)?;
-    // The two ranked verbs differ only in `topk`: `TopK` pushes `k`
-    // down so only the best rows are evaluated.
-    let topk = matches!(req, Request::TopK { .. }).then_some(*k);
-    service.query_admitted(admitted, tier, user, &state, topk, deadline)
+    Ok(RankedRead {
+        user,
+        state: parse_state(service, state)?,
+        topk: matches!(req, Request::TopK { .. }).then_some(*k),
+        deadline: Duration::from_millis(deadline_ms).min(cfg.max_deadline),
+    })
 }
 
 /// The exploratory library path: a hypothetical context, not a
@@ -489,6 +525,21 @@ fn parse_state(service: &CtxPrefService, state: &[String]) -> Result<ContextStat
     service
         .with_db(|db| ContextState::parse(db.env(), &names))
         .map_err(|e| CoreError::Context(e).into())
+}
+
+/// A ranked read's outcome as its frame: the answer through
+/// [`answer_frame`], a refusal typed.
+fn ranked_frame(
+    service: &CtxPrefService,
+    id: u64,
+    answer: &Result<ServiceAnswer, ServiceError>,
+    attr: &str,
+    k: usize,
+) -> Framed {
+    contained_frame(id, || match answer {
+        Ok(answer) => answer_frame(service, id, answer, attr, k),
+        Err(e) => codec::response_frame(id, &err_of(e)),
+    })
 }
 
 /// The one renderer of a served ranked read: its response frame under

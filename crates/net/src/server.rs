@@ -12,20 +12,29 @@
 //!   (typed, under its id), a `Query`/`TopK` that admission sheds (a
 //!   typed [`Response::Busy`]), an admitted `TopK` whose user's shard
 //!   is free and whose answer a current materialized view holds
-//!   ([`CtxPrefService::view_hit`]), and an `InsertPref`,
+//!   ([`CtxPrefService::view_hit`]), any other admitted `Query`/`TopK`
+//!   while no job is queued for the workers and the user's shard is
+//!   free, ranked through the same ladder a worker runs
+//!   ([`CtxPrefService::try_query`]; with a job queued the read waits
+//!   its turn, so it never jumps the queue), and an `InsertPref`,
 //!   `UpdateScore` or `RemovePref` on a service that writes directly
 //!   to memory or logs under group commit, applied only if the user's
 //!   stripe write lock — and a logged edit's WAL shard mutex — is free
 //!   this instant ([`CtxPrefService::try_update_preference_score`] and
 //!   its two siblings). The reactor never waits on a lock and never
-//!   fsyncs. It answers neither under an installed fault plan.
-//!   Admission runs on the reactor before anything is queued.
+//!   fsyncs. It answers none of these under an installed fault plan.
+//!   Admission runs on the reactor before anything is queued. A read
+//!   the reactor ranks never queued, so it feeds the sojourn shedder
+//!   no sample; and a pipelined burst of cold reads on an idle pool is
+//!   ranked one after another on the reactor rather than spread over
+//!   the workers.
 //! * **The service's workers** run everything else
 //!   ([`CtxPrefService::spawn`]) through dispatch (`dispatch.rs`) —
 //!   replicated and per-record logged writes, user adds and removals,
-//!   batches, migration and admin verbs, and whatever the reactor
-//!   handed back — and hand the reactor a finished frame over a queue
-//!   and a waker; the reactor queues it for the socket as it is.
+//!   `QueryDescriptor` reads, batches, migration and admin verbs, and
+//!   whatever the reactor handed back — and hand the reactor a
+//!   finished frame over a queue and a waker; the reactor queues it
+//!   for the socket as it is.
 //!
 //! Either way a response is framed once, where it is produced: the
 //! payload is encoded in place behind the frame header, and a ranked
@@ -52,13 +61,13 @@
 //!   [`NetServerConfig::read_timeout`], or output unwritable for
 //!   [`NetServerConfig::write_timeout`]) is closed by the reactor's
 //!   sweep; the client-requested query deadline is clamped to
-//!   [`NetServerConfig::max_deadline`] before it reaches
-//!   [`CtxPrefService::query_admitted`].
+//!   [`NetServerConfig::max_deadline`] before it reaches the service,
+//!   on the reactor or on a worker.
 //! * **Panic isolation** — dispatch runs under `catch_unwind` on the
 //!   service's workers, and what the reactor answers contains its own
 //!   (a panicking view probe hands its read to a worker, a panicking
-//!   edit answers typed); a panicking request answers with a typed
-//!   error.
+//!   ranked read or edit answers typed); a panicking request answers
+//!   with a typed error.
 //! * **Graceful drain** — [`NetServer::shutdown`] stops accepting,
 //!   lets in-flight requests finish (bounded by the drain timeout),
 //!   waits until every request it queued on the service has run, and
@@ -595,10 +604,10 @@ impl Reactor {
                 }
             };
             // Answered here if it can be without waiting — a shed, a
-            // view hit, a preference edit on a free stripe — so it
-            // takes no thread hop; otherwise it queues with its
-            // admission ticket.
-            let admitted = match answer_now(&self.shared.service, &wire) {
+            // view hit, a ranked read while no job is queued, a
+            // preference edit on a free stripe — so it takes no thread
+            // hop; otherwise it queues with its admission ticket.
+            let admitted = match answer_now(&self.shared.service, &self.shared.cfg, &wire) {
                 Ok(frame) => {
                     self.enqueue_frame(token, frame);
                     continue;

@@ -2,7 +2,9 @@
 //! the workers. A `TopK` whose answer a current materialized view holds
 //! is answered on the thread that decoded it, so it needs no free
 //! worker, while a read whose shard is busy still waits for one. So is
-//! a preference edit whose stripe is free, on a service that writes
+//! a `Query` or `TopK` no view holds, while no job is queued for the
+//! workers: a read queued behind another waits its turn. So is a
+//! preference edit whose stripe is free, on a service that writes
 //! directly to memory or logs under group commit; the logged edit is
 //! on the log when its answer arrives, so it survives a restart. An
 //! edit on a held stripe, a per-record logged or a replicated write, a
@@ -23,8 +25,8 @@ use ctxpref_core::MultiUserDb;
 use ctxpref_faults::sites::{NET_CONN_DELAY, SVC_WORKER_DEQUEUE};
 use ctxpref_faults::FaultPlan;
 use ctxpref_net::{
-    encode_frame, encode_request, NetClient, NetClientConfig, NetError, NetServer, NetServerConfig,
-    RemoteAnswer, Request, Response,
+    encode_frame, encode_request, serve_request, NetClient, NetClientConfig, NetError, NetServer,
+    NetServerConfig, RemoteAnswer, Request, Response,
 };
 use ctxpref_service::{CtxPrefService, DurabilityConfig, ReplicatedConfig, ServiceConfig};
 use ctxpref_testkit::TempDir;
@@ -279,6 +281,11 @@ impl Pending {
     fn answer_after(self, parked: Parked) -> Response {
         // The parked read's own outcome is not under test here.
         let (_, released) = parked.release();
+        self.answered_after(released)
+    }
+
+    /// The answer, which must have come only after `released`.
+    fn answered_after(self, released: Instant) -> Response {
         let (answer, arrived) = self.sender.join().expect("sender");
         assert!(
             arrived > released,
@@ -287,6 +294,105 @@ impl Pending {
         );
         answer.expect("answered")
     }
+}
+
+fn query(user: &str) -> Request {
+    Request::ranked(false, user, "name", K, DEADLINE, &STATE)
+}
+
+/// The service's only worker, parked inside a job of the test's own
+/// that reads `held` while a holder thread keeps its shard quiesced.
+/// Unlike [`park_the_worker`], it returns once the job runs, so nothing
+/// is queued behind it yet. Send on the returned sender to release the
+/// shard, then join the holder.
+fn park_in_a_job(service: &Arc<CtxPrefService>, held: &str) -> (mpsc::Sender<()>, JoinHandle<()>) {
+    let (locked_tx, locked) = mpsc::channel();
+    let (release, release_rx) = mpsc::channel::<()>();
+    let holder = {
+        let (service, held) = (Arc::clone(service), held.to_string());
+        std::thread::spawn(move || {
+            service.with_db(|db| {
+                let _shard = db.quiesce_user(&held);
+                locked_tx.send(()).expect("signal locked");
+                release_rx.recv().expect("release");
+            });
+        })
+    };
+    locked.recv().expect("shard held");
+    let (running_tx, running) = mpsc::channel();
+    let job = {
+        let (service, read) = (Arc::clone(service), query(held));
+        move |_| {
+            running_tx.send(()).expect("signal running");
+            serve_request(&service, &read);
+        }
+    };
+    service.spawn(None, job).expect("queue the parking job");
+    running.recv().expect("the parking job runs");
+    (release, holder)
+}
+
+#[test]
+fn a_cold_read_needs_no_worker_while_no_job_is_queued() {
+    let _serial = ctxpref_faults::exclusive();
+    let (service, server) = server(1, NetServerConfig::default());
+    let mut c = client(&server);
+    let (held, free) = two_shards(&service);
+    for user in [&held, &free] {
+        seed(&mut c, user);
+    }
+    let (release, holder) = park_in_a_job(&service, &held);
+
+    // The only worker is parked and nothing is queued: the reactor
+    // ranks a read no view holds, for a user on a free stripe, itself.
+    let cold = c.query(&free, "name", K, DEADLINE, &STATE).expect("query");
+    assert_eq!(cold.step, "exact");
+
+    // A read of the held user cannot take its stripe, so it queues for
+    // the worker; and with a job queued, a read of the free user waits
+    // its turn behind it.
+    let held_read = send_while_parked(&server, query(&held));
+    let free_read = send_while_parked(&server, query(&free));
+    let released = Instant::now();
+    release.send(()).expect("release the shard");
+    holder.join().expect("holder");
+    let answer = held_read.answered_after(released);
+    assert!(
+        matches!(answer, Response::Answer(_)),
+        "the held read answered {answer:?}"
+    );
+    let Response::Answer(answer) = free_read.answered_after(released) else {
+        panic!("the queued read was refused");
+    };
+    assert_eq!(answer.rows, cold.rows);
+    assert_eq!(service.in_flight(), 0);
+    drop(c);
+    server.shutdown();
+}
+
+#[test]
+fn under_a_fault_plan_a_cold_read_passes_the_worker_fault_sites() {
+    let _serial = ctxpref_faults::exclusive();
+    let (service, server) = server(1, NetServerConfig::default());
+    let mut c = client(&server);
+    let (held, free) = two_shards(&service);
+    for user in [&held, &free] {
+        seed(&mut c, user);
+    }
+    let plan = FaultPlan::builder(43).build();
+    let _plan = ctxpref_faults::install(Arc::clone(&plan));
+    let before = plan.hit_count(SVC_WORKER_DEQUEUE);
+    let parked = park_the_worker(&service, &server, &held);
+    let Response::Answer(answer) = send_while_parked(&server, query(&free)).answer_after(parked)
+    else {
+        panic!("the cold read was refused");
+    };
+    assert_eq!(answer.step, "exact");
+    // The parked read and the cold one each passed the dequeue site.
+    assert_eq!(plan.hit_count(SVC_WORKER_DEQUEUE) - before, 2);
+    assert_eq!(service.in_flight(), 0);
+    drop(c);
+    server.shutdown();
 }
 
 #[test]

@@ -8,9 +8,9 @@
 //! sent. Every answer must be row-identical to what a per-user
 //! `ContextualDb` replay of the same history says; a refusal must be a
 //! refusal there too. Each history runs three times: with no fault
-//! plan, so the reactor applies direct-path edits and answers view hits
-//! itself; under an empty `FaultPlan`, so every request runs on a
-//! worker; and on a group-commit durable service, where the reactor
+//! plan, so the reactor applies direct-path edits, answers view hits
+//! and ranks cold reads itself while no job is queued; under an empty
+//! `FaultPlan`, so every request runs on a worker; and on a group-commit durable service, where the reactor
 //! logs and applies the edits whose WAL shard and stripe are free and
 //! hands the rest to a worker (a flusher taking the shard's mutex
 //! every millisecond makes both happen). The three runs must answer

@@ -1,11 +1,11 @@
 //! The service's one worker pool: the job type it runs, the queue the
 //! workers take jobs from, the loop each worker runs, and the body every
-//! ranked read runs on a worker.
+//! ranked read runs, on a worker or on a caller that never waits.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, TryLockError};
 use std::time::{Duration, Instant};
 
 use ctxpref_context::ContextState;
@@ -31,6 +31,18 @@ pub(crate) struct Read<'a> {
     /// a full-ranking query.
     pub(crate) topk: Option<usize>,
     pub(crate) requested: Duration,
+}
+
+/// How a ranked read takes the core slot and its user's stripe.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Locking {
+    /// A worker's read: it waits for both locks, and its queue dwell
+    /// feeds the sojourn controller.
+    Wait,
+    /// A read on a thread that must never wait: a lock that is not
+    /// free this instant hands the read back unrun. It never queued,
+    /// so it feeds no sojourn sample.
+    Try,
 }
 
 /// The jobs waiting for a worker, in arrival order, and whether the
@@ -62,6 +74,16 @@ impl JobQueue {
         drop(state);
         self.ready.notify_one();
         Ok(())
+    }
+
+    /// Whether no job waits for a worker, judged without waiting: a
+    /// queue whose lock is held this instant counts as busy.
+    pub(crate) fn is_idle(&self) -> bool {
+        match self.state.try_lock() {
+            Ok(state) => state.0.is_empty(),
+            Err(TryLockError::Poisoned(state)) => state.into_inner().0.is_empty(),
+            Err(TryLockError::WouldBlock) => false,
+        }
     }
 
     /// Close the queue: later pushes are refused, and each worker exits
@@ -99,11 +121,13 @@ pub(crate) fn worker_loop(queue: &JobQueue) {
     }
 }
 
-/// The one body every ranked read runs on a worker, in-process or from
-/// the network: sojourn observed from admission, the cancel and expiry
-/// drops, the dequeue fault site, the shard lock, the post-lock
-/// re-check and the ladder. Counts every deadline miss it detects,
-/// unless an in-process caller already counted it.
+/// The one body every ranked read runs, on a worker or inline: the
+/// sojourn observed from admission (a worker's read only), the cancel
+/// and expiry drops, the dequeue fault site, the shard lock, the
+/// post-lock re-check and the ladder. Counts every deadline miss it
+/// detects, unless an in-process caller already counted it. `None`
+/// only under [`Locking::Try`], when the core slot or the user's stripe
+/// is not free: nothing ran and nothing was counted.
 pub(crate) fn execute_read(
     slot: &RwLock<Arc<ShardedMultiUserDb>>,
     counters: &Counters,
@@ -111,7 +135,8 @@ pub(crate) fn execute_read(
     admitted: &Admitted,
     read: &Read<'_>,
     cancelled: Option<&AtomicBool>,
-) -> Result<ServiceAnswer, ServiceError> {
+    locking: Locking,
+) -> Option<Result<ServiceAnswer, ServiceError>> {
     let missed = || ServiceError::DeadlineExceeded {
         deadline: read.requested,
     };
@@ -124,22 +149,27 @@ pub(crate) fn execute_read(
     };
     // Resolve the serving core per read: the slot is re-pointed when a
     // replicated service's local node recovers from a crash.
-    let db = Arc::clone(&slot.read());
-    // Feed the admission controller the read's queue dwell — the signal
-    // the sojourn shedder runs on.
-    admission.observe(admitted.at.elapsed());
+    let db = match locking {
+        Locking::Wait => Arc::clone(&slot.read()),
+        Locking::Try => Arc::clone(&*slot.try_read()?),
+    };
+    if locking == Locking::Wait {
+        // Feed the admission controller the read's queue dwell — the
+        // signal the sojourn shedder runs on.
+        admission.observe(admitted.at.elapsed());
+    }
     if cancelled.is_some_and(|c| c.load(Ordering::Acquire)) {
         // The in-process caller already gave up and counted the miss.
         counters.cancelled.fetch_add(1, Ordering::Relaxed);
-        return Err(missed());
+        return Some(Err(missed()));
     }
     let deadline = admitted.at + read.requested;
     if Instant::now() >= deadline {
-        // Expired while queued: counted and dropped, never executed —
+        // Expired before it ran: counted and dropped, never executed —
         // dead work would only deepen the overload.
         count_miss();
         record_shed(counters, &counters.shed_expired, admitted.tier);
-        return Err(missed());
+        return Some(Err(missed()));
     }
     // Fault site: an injected delay stalls the worker here, growing
     // queue sojourn deterministically for the overload tests and
@@ -153,7 +183,10 @@ pub(crate) fn execute_read(
         // Acquire only the user's shard, and account the wait: the time
         // to get the lock is the serving core's contention.
         let lock_started = Instant::now();
-        let shard = db.read_user_shard(read.user);
+        let shard = match locking {
+            Locking::Wait => db.read_user_shard(read.user),
+            Locking::Try => db.try_read_user_shard(read.user)?,
+        };
         let waited = lock_started.elapsed();
         counters
             .lock_wait_micros
@@ -164,23 +197,23 @@ pub(crate) fn execute_read(
         // waste the shard's read capacity.
         if Instant::now() >= deadline {
             counters.deadline_after_lock.fetch_add(1, Ordering::Relaxed);
-            return Err(missed());
+            return Some(Err(missed()));
         }
-        run_ladder(
+        Some(run_ladder(
             &shard,
             read.user,
             read.state,
             read.topk,
             deadline,
             read.requested,
-        )
+        ))
     }))
     .unwrap_or_else(|payload| {
-        Err(ServiceError::QueryPanicked {
+        Some(Err(ServiceError::QueryPanicked {
             message: panic_text(payload),
-        })
+        }))
     });
-    if let Err(ServiceError::DeadlineExceeded { .. }) = result {
+    if let Some(Err(ServiceError::DeadlineExceeded { .. })) = result {
         count_miss();
     }
     result

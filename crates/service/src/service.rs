@@ -17,7 +17,7 @@ use crate::config::{DurabilityConfig, ReplicatedConfig, ServiceConfig};
 use crate::error::ServiceError;
 use crate::ladder::{LadderStep, ServiceAnswer};
 use crate::migrate::MigrationTable;
-use crate::pool::{execute_read, worker_loop, Job, JobQueue, Read};
+use crate::pool::{execute_read, worker_loop, Job, JobQueue, Locking, Read};
 use crate::retry::retry_storage;
 use crate::stats::Counters;
 use crate::tier::Priority;
@@ -30,7 +30,8 @@ use crate::write::WritePath;
 /// (the network server) queues whole requests with [`Self::spawn`] —
 /// all but what it answers on its own thread through the entries that
 /// never wait: the top-k reads a current view holds
-/// ([`Self::view_hit`]) and the preference edits on a free stripe
+/// ([`Self::view_hit`]), the other ranked reads while no job is queued
+/// ([`Self::try_query`]) and the preference edits on a free stripe
 /// ([`Self::try_insert_preference_eq`],
 /// [`Self::try_update_preference_score`],
 /// [`Self::try_remove_preference`]), applied directly or, under group
@@ -428,16 +429,67 @@ impl CtxPrefService {
             topk,
             requested: deadline,
         };
+        self.run_read(&admitted, &read, Locking::Wait)
+            .expect("a read that waits for its locks runs")
+    }
+
+    /// Run an admitted ranked read on the calling thread without
+    /// waiting — a front-end's reactor calls it for a read no view
+    /// holds ([`Self::view_hit`]), to spare the read the hop to a
+    /// worker and back. The read runs the body a worker runs for
+    /// [`Self::query_admitted`] (expiry drop, post-lock deadline
+    /// re-check, ladder, panic containment, deadline-miss count), but
+    /// takes the core and the user's stripe only if they are free this
+    /// instant, and feeds no sojourn sample (it never queued). It hands
+    /// the ticket back, unrun, under an installed fault plan (every
+    /// read then runs where its fault sites are), while any job is
+    /// queued for the workers (the read would jump that queue, and a
+    /// backlog is for the sojourn controller to see), and when the core
+    /// slot or the stripe is held; the read then queues with
+    /// [`Self::spawn`]. Otherwise it answers as the blocking verb
+    /// would, refusals included.
+    pub fn try_query(
+        &self,
+        admitted: Admitted,
+        user: &str,
+        state: &ContextState,
+        topk: Option<usize>,
+        deadline: Duration,
+    ) -> Result<Result<ServiceAnswer, ServiceError>, Admitted> {
+        if ctxpref_faults::current().is_some() || !self.queue.is_idle() {
+            return Err(admitted);
+        }
+        let read = Read {
+            user,
+            state,
+            topk,
+            requested: deadline,
+        };
+        match self.run_read(&admitted, &read, Locking::Try) {
+            Some(result) => Ok(result),
+            None => Err(admitted),
+        }
+    }
+
+    /// Run a ranked read on the calling thread and count its outcome;
+    /// `None` if it did not run (see [`execute_read`]).
+    fn run_read(
+        &self,
+        admitted: &Admitted,
+        read: &Read<'_>,
+        locking: Locking,
+    ) -> Option<Result<ServiceAnswer, ServiceError>> {
         let result = execute_read(
             &self.db,
             &self.counters,
             &self.admission,
-            &admitted,
-            &read,
+            admitted,
+            read,
             None,
-        );
+            locking,
+        )?;
         self.record(&result);
-        result
+        Some(result)
     }
 
     /// Admit one ranked read at `tier`: the two admission gates, in
@@ -500,7 +552,16 @@ impl CtxPrefService {
                 topk,
                 requested: deadline,
             };
-            let result = execute_read(&db, &counters, &admission, &admitted, &read, Some(&flag));
+            let result = execute_read(
+                &db,
+                &counters,
+                &admission,
+                &admitted,
+                &read,
+                Some(&flag),
+                Locking::Wait,
+            )
+            .expect("a read that waits for its locks runs");
             let _ = reply.try_send(result);
         }))?;
         // Wait only the budget that remains: admission and enqueue

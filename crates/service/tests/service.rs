@@ -7,12 +7,15 @@
 //! `ctxpref_faults::exclusive()`, including those that install no plan
 //! but expect an undegraded answer.
 
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use ctxpref_context::ContextState;
 use ctxpref_core::MultiUserDb;
 use ctxpref_faults::FaultPlan;
-use ctxpref_service::{CtxPrefService, LadderStep, ServiceConfig, ServiceError};
+use ctxpref_service::{
+    CtxPrefService, LadderStep, Priority, ServiceAnswer, ServiceConfig, ServiceError,
+};
 use ctxpref_wal::WalError;
 use ctxpref_workload::reference::{poi_env, poi_relation};
 use ctxpref_workload::user_study::{all_demographics, default_profile};
@@ -328,6 +331,123 @@ fn edits_that_never_wait_hand_back_what_they_cannot_apply_now() {
         assert!(service.try_remove_preference("user0", 0).is_none());
     });
     assert_eq!(scores(), before);
+}
+
+/// `try_query` with a fresh interactive ticket and a 2 s deadline:
+/// the answer, or `None` if it handed the ticket back.
+fn try_query(
+    service: &CtxPrefService,
+    user: &str,
+    s: &ContextState,
+    topk: Option<usize>,
+) -> Option<Result<ServiceAnswer, ServiceError>> {
+    let ticket = service.admit(Priority::Interactive).unwrap();
+    service
+        .try_query(ticket, user, s, topk, Duration::from_secs(2))
+        .ok()
+}
+
+#[test]
+fn a_read_that_never_waits_answers_as_a_worker_would() {
+    let _serial = ctxpref_faults::exclusive();
+    let now = CtxPrefService::new(study_db(2, 8), ServiceConfig::default());
+    let queued = CtxPrefService::new(study_db(2, 8), ServiceConfig::default());
+    let s = state(&now, &["Plaka", "warm", "friends"]);
+    // The same history on both services: full rankings (exact, then
+    // cached) and top-k reads (exact until a view materializes), plus
+    // a refusal.
+    let reads = [None, None, Some(3), Some(3), Some(3), Some(3)];
+    let mut steps = Vec::new();
+    for (i, topk) in reads.into_iter().enumerate() {
+        let before = now.stats().served_exact;
+        let inline = try_query(&now, "user0", &s, topk)
+            .expect("nothing queued, nothing held")
+            .unwrap();
+        let worker = queued
+            .query_admitted(
+                None,
+                Priority::Interactive,
+                "user0",
+                &s,
+                topk,
+                Duration::from_secs(2),
+            )
+            .unwrap();
+        assert_eq!(inline.step, worker.step, "read {i}");
+        assert_eq!(
+            inline.answer.results.entries(),
+            worker.answer.results.entries(),
+            "read {i}"
+        );
+        let exact = u64::from(inline.step == LadderStep::Exact);
+        assert_eq!(now.stats().served_exact - before, exact, "read {i}");
+        assert_eq!(now.in_flight(), 0);
+        steps.push(inline.step);
+    }
+    for step in [LadderStep::Exact, LadderStep::Cached, LadderStep::View] {
+        assert!(steps.contains(&step), "{step} never answered: {steps:?}");
+    }
+    assert!(matches!(
+        try_query(&now, "ghost", &s, None),
+        Some(Err(ServiceError::Core(_)))
+    ));
+    assert_eq!(now.in_flight(), 0);
+}
+
+#[test]
+fn a_read_that_never_waits_hands_back_what_it_cannot_run_now() {
+    let _serial = ctxpref_faults::exclusive();
+    let cfg = ServiceConfig {
+        workers: 1,
+        ..ServiceConfig::default()
+    };
+    let service = CtxPrefService::new(study_db(2, 8), cfg);
+    let s = state(&service, &["Plaka", "warm", "friends"]);
+    let counted = |service: &CtxPrefService| {
+        let stats = service.stats();
+        (stats.served_exact, stats.served_cached, stats.errors)
+    };
+    let before = counted(&service);
+
+    // Under an installed fault plan: every read runs on a worker.
+    let plan = FaultPlan::builder(11).build();
+    assert!(plan
+        .run(|| try_query(&service, "user0", &s, None))
+        .is_none());
+
+    // With the user's stripe held.
+    service.with_db(|db| {
+        let _held = db.quiesce_user("user0");
+        assert!(try_query(&service, "user0", &s, Some(3)).is_none());
+    });
+
+    // With a job queued behind the parked worker — but not while the
+    // worker is merely busy.
+    let (started_tx, started) = mpsc::channel();
+    let (release, parked) = mpsc::channel::<()>();
+    service
+        .spawn(None, move |_| {
+            started_tx.send(()).unwrap();
+            parked.recv().unwrap();
+        })
+        .unwrap();
+    started.recv().unwrap();
+    assert!(try_query(&service, "user1", &s, None).is_some());
+    let (ran_tx, ran) = mpsc::channel();
+    service
+        .spawn(None, move |_| ran_tx.send(()).unwrap())
+        .unwrap();
+    assert!(try_query(&service, "user0", &s, None).is_none());
+    release.send(()).unwrap();
+    ran.recv().unwrap();
+
+    // Handed back means unrun: only the busy-worker read counted.
+    assert_eq!(counted(&service).0 - before.0, 1);
+    assert_eq!(
+        (counted(&service).1, counted(&service).2),
+        (before.1, before.2)
+    );
+    assert_eq!(service.in_flight(), 0);
 }
 
 #[test]
