@@ -643,9 +643,14 @@ impl CtxPrefService {
         Ok(self.core().view_stats(user)?)
     }
 
-    /// A human-readable view-catalog report: aggregate counters first,
-    /// then one line per user with materialized views (their pinned
-    /// states listed). Served by the `views-status` wire verb.
+    /// A human-readable view-catalog report. The aggregate line counts
+    /// each catalog once, however many users share it, plus the
+    /// counters of catalogs that forks and removals retired. Then one
+    /// line per user with materialized or pinned views: that user's own
+    /// hits and pins (their pinned states listed), how many of the
+    /// states they asked about or pinned are materialized, and the
+    /// patches and rebuilds of the catalog they hold, which every user
+    /// sharing it prints alike. Served by the `views-status` wire verb.
     pub fn views_status(&self) -> String {
         let core = self.core();
         let totals = core.views_totals();

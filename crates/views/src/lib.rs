@@ -1,4 +1,4 @@
-//! Materialized per-(user, context-state) top-k views with
+//! Materialized per-(profile, context-state) top-k views with
 //! incremental maintenance, plus the context-state intern table that
 //! lets the resolution hot path key everything by dense ids instead
 //! of allocated state values.
@@ -13,7 +13,8 @@
 #![warn(missing_docs)]
 
 mod catalog;
+mod content;
 mod intern;
 
-pub use catalog::{Change, ViewCatalog, ViewOpts, ViewStats, MATERIALIZE_AFTER};
+pub use catalog::{Change, Seat, ViewCatalog, ViewOpts, ViewStats, MATERIALIZE_AFTER};
 pub use intern::{StateId, StateTable};

@@ -18,9 +18,10 @@
 //!   cell-access accounting.
 //! * [`qcache`] — the context query tree: caching contextual query
 //!   results keyed by context state.
-//! * [`views`] — materialized per-(user, context-state) top-k
-//!   rankings with incremental maintenance, interned state tokens,
-//!   and pinning for hot states.
+//! * [`views`] — materialized per-(profile, context-state) top-k
+//!   rankings with incremental maintenance, shared by the users of a
+//!   profile and forked copy-on-write on an edit, interned state
+//!   tokens, and pinning for hot states.
 //! * [`qualitative`] — the qualitative extension of Section 6:
 //!   contextual binary priorities with winnow / iterated-winnow
 //!   operators.

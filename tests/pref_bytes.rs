@@ -5,10 +5,11 @@
 //! profile plus its profile tree) on the paper's §5.2 synthetic shape,
 //! the allocations it takes to build one context descriptor through
 //! each production constructor, and what a user of the §5.1 study costs
-//! a `MultiUserDb` when users start from shared default profiles. The
-//! paper's own byte model (`TreeStats::total_bytes`) is about 23 B per
-//! preference; this counts what the structs really hold. `--nocapture`
-//! prints the figures.
+//! a `MultiUserDb` when users start from shared default profiles, before
+//! and after they warm their top-k views (which users with equal
+//! profiles share). The paper's own byte model (`TreeStats::total_bytes`)
+//! is about 23 B per preference; this counts what the structs really
+//! hold. `--nocapture` prints the figures.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
@@ -80,8 +81,15 @@ fn measured<R>(f: impl FnOnce() -> R) -> (R, usize, isize) {
 const MAX_BYTES_PER_PREF: f64 = 300.0;
 
 /// Live bytes a user registered with a default profile may hold: their
-/// slot, cache and view catalog, with the profile's index shared.
+/// slot, cache and view seat, with the profile's index and views shared.
 const MAX_BYTES_PER_USER: f64 = 2048.0;
+
+/// Live view bytes a user may hold once their eight states are warm:
+/// their seat, and their share of the catalogs of the default profiles.
+const MAX_VIEW_BYTES_PER_USER: f64 = 1536.0;
+
+/// The states each `hot_topk` user keeps asking about.
+const STATES_PER_USER: usize = 8;
 
 // One test, so nothing else allocates while it measures.
 #[test]
@@ -150,5 +158,74 @@ fn a_preference_costs_what_it_stores() {
     assert!(
         per_user <= MAX_BYTES_PER_USER,
         "a user holds {per_user:.1} B, over {MAX_BYTES_PER_USER} B"
+    );
+
+    // (d) Their views: each user asks top-10 twice for each of its eight
+    // states, `(u·7 + j·31) % 240` of the 240 detailed states, as
+    // `hot_topk`'s warm-up does.
+    let mut db = db;
+    let detailed = |p: u16| {
+        let h = env.hierarchy(ParamId(p));
+        h.domain(h.detailed_level()).to_vec()
+    };
+    let mut states = Vec::new();
+    for &l in &detailed(0) {
+        for &t in &detailed(1) {
+            for &c in &detailed(2) {
+                states.push(ContextState::from_values_unchecked(vec![l, t, c]));
+            }
+        }
+    }
+    assert_eq!(states.len(), 240);
+    let state_of = |u: usize, j: usize| &states[(u * 7 + j * 31) % states.len()];
+    let ((), _, warm) = measured(|| {
+        for _ in 0..2 {
+            for u in 0..users {
+                for j in 0..STATES_PER_USER {
+                    let name = format!("user{u}");
+                    db.query_state_topk(&name, state_of(u, j), 10).unwrap();
+                }
+            }
+        }
+    });
+    let views = db.views_totals();
+    let per_user = warm as f64 / users as f64;
+    println!(
+        "live view heap per user: {per_user:.1} B over {users} users, {} views",
+        views.materialized_views
+    );
+    assert!(
+        per_user <= MAX_VIEW_BYTES_PER_USER,
+        "a warm user's views hold {per_user:.1} B, over {MAX_VIEW_BYTES_PER_USER} B"
+    );
+
+    // Every other user re-scores a preference once, forking their views;
+    // the copies of their indexes are not view heap and are taken out.
+    let order = ParamOrder::by_ascending_domain(&env);
+    let index_bytes: Vec<isize> = defaults
+        .iter()
+        .map(|p| {
+            let indexed = IndexedProfile::new(p.clone(), order.clone()).unwrap();
+            measured(|| indexed.clone()).2
+        })
+        .collect();
+    let (copied, _, edits) = measured(|| {
+        let mut copied = 0;
+        for u in (0..users).step_by(2) {
+            let profile = &defaults[u % defaults.len()];
+            let rescored = (0..profile.len()).find(|&i| {
+                let score = profile.preferences()[i].score() * 0.9;
+                db.update_preference_score(&format!("user{u}"), i, score)
+                    .is_ok()
+            });
+            assert!(rescored.is_some(), "user{u} re-scored nothing");
+            copied += index_bytes[u % defaults.len()];
+        }
+        copied
+    });
+    let per_user = (warm + edits - copied) as f64 / users as f64;
+    println!(
+        "live view heap per user after every other user re-scores once: {per_user:.1} B, {} views",
+        db.views_totals().materialized_views
     );
 }
