@@ -11,9 +11,9 @@
 //! derived from it. Users registered with equal profiles — the study's
 //! users all start from one of twelve defaults — share that pair until
 //! they edit: they serve, materialize and count misses in one catalog.
-//! A user's first edit forks the pair, and the forked catalog carries
-//! only the views that user asked about or pinned, their rankings
-//! shared copy-on-write. A snapshot shares every user's index with the
+//! A user's first edit that changes their profile forks the pair, and
+//! the fork's catalog carries only the views that user asked about or
+//! pinned, their rankings shared copy-on-write. A snapshot shares every user's index with the
 //! live database, but not its views: an edit copies only the index it
 //! changes, and a checkpoint never forks a catalog.
 //!
@@ -29,7 +29,7 @@ use std::sync::{Arc, Weak};
 
 use ctxpref_context::{ContextEnvironment, ContextState, ExtendedContextDescriptor};
 use ctxpref_profile::{
-    ContextualPreference, IndexedProfile, ParamOrder, Profile, ProfileTree, TreeStats,
+    ContextualPreference, IndexedProfile, ParamOrder, Profile, ProfileError, ProfileTree, TreeStats,
 };
 use ctxpref_qcache::ContextQueryTree;
 use ctxpref_relation::{CompareOp, RankedResults, Relation, Value};
@@ -118,14 +118,6 @@ impl UserSlot {
         }
     }
 
-    /// The user's index, to edit in place: [`own`] has made the pair
-    /// theirs alone, and a snapshot still holding the index makes this
-    /// copy it.
-    fn index_mut(&mut self) -> &mut IndexedProfile {
-        let derived = Arc::get_mut(&mut self.derived).expect("`own` made the pair exclusive");
-        Arc::make_mut(&mut derived.indexed)
-    }
-
     /// The tail of every mutation, once the edit has applied: cached
     /// rankings are stale, and the views patch themselves from the
     /// change.
@@ -153,17 +145,18 @@ fn slot_mut<'a>(
         .ok_or_else(|| CoreError::NoSuchUser(user.to_string()))
 }
 
-/// `user`'s slot with a pair no other user holds and no sharing entry
-/// names, so an edit can change it in place. A pair only sharing
-/// entries still name is taken back from them; a pair other users hold
-/// is forked: the user keeps the index (an edit copies it while the old
-/// pair holds it) and gets a catalog carrying the views they asked
-/// about or pinned.
-fn own<'a>(
+/// Run `apply` on `user`'s index; it returns `Some` when the edit
+/// changed something, and only then does the pair become the user's
+/// alone. An index the user alone holds (a pair only sharing entries
+/// name is taken back from them first) is edited in place. Otherwise a
+/// copy is edited and replaces it, and a pair other users hold forks:
+/// the user gets a catalog carrying the views they asked about or pinned.
+fn edit<'a, R>(
     users: &'a mut HashMap<String, UserSlot>,
     sharing: &mut Sharing,
     user: &str,
-) -> Result<&'a mut UserSlot, CoreError> {
+    apply: impl FnOnce(&mut IndexedProfile) -> Result<Option<R>, ProfileError>,
+) -> Result<Option<(&'a mut UserSlot, R)>, CoreError> {
     let derived = &slot_mut(users, user)?.derived;
     if Arc::strong_count(derived) == 1 && Arc::weak_count(derived) > 0 {
         let (name, mut slot) = users.remove_entry(user).expect("looked up above");
@@ -171,16 +164,27 @@ fn own<'a>(
         users.insert(name, slot);
     }
     let slot = slot_mut(users, user)?;
-    if Arc::get_mut(&mut slot.derived).is_none() {
-        let forked = Derived {
-            indexed: Arc::clone(&slot.derived.indexed),
-            views: slot.derived.views.fork(&slot.seat),
-            filed: None,
-        };
-        let parent = std::mem::replace(&mut slot.derived, Arc::new(forked));
-        sharing.retire(parent);
+    let own = Arc::get_mut(&mut slot.derived).and_then(|d| Arc::get_mut(&mut d.indexed));
+    if let Some(index) = own {
+        return Ok(apply(index)?.map(|out| (slot, out)));
     }
-    Ok(slot)
+    let mut index = IndexedProfile::clone(&slot.derived.indexed);
+    let Some(out) = apply(&mut index)? else {
+        return Ok(None);
+    };
+    let index = Arc::new(index);
+    if let Some(derived) = Arc::get_mut(&mut slot.derived) {
+        derived.indexed = index;
+    } else {
+        let views = slot.derived.views.fork(&slot.seat);
+        let forked = Arc::new(Derived {
+            indexed: index,
+            views,
+            filed: None,
+        });
+        sharing.retire(std::mem::replace(&mut slot.derived, forked));
+    }
+    Ok(Some((slot, out)))
 }
 
 /// The key under which an index of `prefs` is filed for sharing.
@@ -559,8 +563,8 @@ impl MultiUserDb {
         user: &str,
         pref: ContextualPreference,
     ) -> Result<(), CoreError> {
-        let slot = own(&mut self.users, &mut self.sharing, user)?;
-        slot.index_mut().insert(pref)?;
+        let insert = |ix: &mut IndexedProfile| ix.insert(pref).map(Some);
+        let (slot, ()) = edit(&mut self.users, &mut self.sharing, user, insert)?.expect("changed");
         let pref = slot
             .derived
             .indexed
@@ -602,8 +606,9 @@ impl MultiUserDb {
         user: &str,
         index: usize,
     ) -> Result<ContextualPreference, CoreError> {
-        let slot = own(&mut self.users, &mut self.sharing, user)?;
-        let removed = slot.index_mut().remove(index)?;
+        let remove = |ix: &mut IndexedProfile| ix.remove(index).map(Some);
+        let (slot, removed) =
+            edit(&mut self.users, &mut self.sharing, user, remove)?.expect("changed");
         slot.publish(&self.relation, self.defaults, Change::Remove(&removed));
         Ok(removed)
     }
@@ -616,13 +621,9 @@ impl MultiUserDb {
         index: usize,
         score: f64,
     ) -> Result<(), CoreError> {
-        let slot = own(&mut self.users, &mut self.sharing, user)?;
-        if let Some(old_score) = slot.index_mut().rescore(index, score)? {
-            let pref = slot
-                .derived
-                .indexed
-                .preference(index)
-                .expect("just re-scored");
+        let rescore = |ix: &mut IndexedProfile| ix.rescore(index, score);
+        if let Some((slot, old_score)) = edit(&mut self.users, &mut self.sharing, user, rescore)? {
+            let pref = slot.derived.indexed.preference(index).expect("re-scored");
             let change = Change::Rescore { pref, old_score };
             slot.publish(&self.relation, self.defaults, change);
         }

@@ -536,6 +536,46 @@ fn equal_profiles_share_one_catalog_and_an_edit_forks_one() {
     }
 }
 
+/// An edit that changes nothing forks nothing: a refused conflicting
+/// insert, a removal at a bad index and a re-score to the score already
+/// held leave both sharers on one index and one catalog, and the view
+/// totals where they were.
+#[test]
+fn edits_that_change_nothing_fork_nothing() {
+    let (env, rel) = (env(), relation());
+    let base = &base_profiles(&env, &rel)[0];
+    let mut db = MultiUserDb::new(env.clone(), rel.clone(), 0);
+    for name in ["a", "b"] {
+        db.add_user_with_profile(name, base.clone()).unwrap();
+    }
+    // `a` materializes a view, so a fork would carry one.
+    let warm = &states(&env)[0];
+    for _ in 0..2 {
+        db.query_state_topk("a", warm, 3).unwrap();
+    }
+    let held = |db: &MultiUserDb, user| {
+        let catalog = db.view_catalog(user).unwrap() as *const ViewCatalog;
+        (catalog, db.tree(user).unwrap() as *const ProfileTree)
+    };
+    let pair = held(&db, "a");
+    assert_eq!(held(&db, "b"), pair);
+    let totals = db.views_totals();
+    let unchanged = |db: &MultiUserDb, edit: &str| {
+        assert_eq!(held(db, "a"), pair, "{edit} moved a");
+        assert_eq!(held(db, "b"), pair, "{edit} moved b");
+        assert_eq!(db.views_totals(), totals, "{edit}");
+    };
+
+    // Profile 0 already scores museums 0.9 when the weather is warm.
+    let conflicting = pref(&env, &rel, "weather = warm", "museum", 0.3);
+    assert!(db.insert_preference("a", conflicting).is_err());
+    unchanged(&db, "a refused insert");
+    assert!(db.remove_preference("a", base.len()).is_err());
+    unchanged(&db, "a removal at a bad index");
+    db.update_preference_score("a", 0, 0.9).unwrap();
+    unchanged(&db, "a re-score to the same score");
+}
+
 /// Users registered one by one on a sharded database share as they
 /// would in one database, whichever stripes they land on: every answer,
 /// every view flag and the view totals agree, through an edit and a
