@@ -5,8 +5,8 @@
 //! faults — drops, delays, duplicates, injected partitions — and
 //! scripted control-plane violence: explicit partitions, primary
 //! kills, replica crashes and restarts, checkpoints that force the
-//! snapshot catch-up path. When the dust settles the network heals,
-//! crashed nodes restart, and the suite asserts:
+//! per-shard resync (`Cluster::catch_up`). When the dust settles the
+//! network heals, crashed nodes restart, and the suite asserts:
 //!
 //! 1. **Zero acked-write loss** (quorum seeds): every op the cluster
 //!    acknowledged is present in the final primary's state.
@@ -359,11 +359,18 @@ fn quorum_write_requires_a_majority() {
     cfg.shards = SHARDS;
     let cluster = Cluster::new(tmp.path(), cfg, make_core).unwrap();
 
-    cluster
-        .write(WalOp::AddUser {
+    // Every node healthy: the ack waits for a ship to each replica (an
+    // empty plan counts the sends), and leaves none of them behind.
+    let plan = FaultPlan::builder(0).build();
+    plan.run(|| {
+        cluster.write(WalOp::AddUser {
             user: "alice".into(),
         })
-        .unwrap();
+    })
+    .unwrap();
+    let sends = plan.hit_count(REPL_SEND_DELAY);
+    assert!(sends >= 2, "{sends} send(s) for two replicas");
+    assert_eq!(cluster.status().max_lag, 0);
     // One replica down: 2 of 3 still ack.
     cluster.crash_node(2);
     cluster
@@ -585,6 +592,10 @@ fn replica_crash_mid_catchup_does_not_double_apply() {
     let cluster = Cluster::new(tmp.path(), cfg, make_core).unwrap();
 
     // One user, many inserts: a double-apply would inflate the count.
+    // Async acks wait for no ship: under an empty plan, which counts the
+    // sends, the writes make none and the replicas trail until the pump.
+    let plan = FaultPlan::builder(0).build();
+    let counting = ctxpref_faults::install(Arc::clone(&plan));
     cluster
         .write(WalOp::AddUser {
             user: "counted".into(),
@@ -594,6 +605,9 @@ fn replica_crash_mid_catchup_does_not_double_apply() {
     for _ in 0..40 {
         cluster.write(workload.next_op()).unwrap();
     }
+    drop(counting);
+    assert_eq!(plan.hit_count(REPL_SEND_DELAY), 0);
+    assert!(cluster.status().max_lag > 0);
     cluster.pump().unwrap();
 
     // Mid-catch-up crash: the replica drops with unsynced state, then
@@ -623,7 +637,7 @@ fn replica_crash_mid_catchup_does_not_double_apply() {
 }
 
 /// A replica that falls behind the primary's checkpoint GC catches up
-/// via snapshot install instead of record shipping.
+/// through a per-shard resync instead of record shipping.
 #[test]
 fn gc_lagged_replica_catches_up_by_snapshot() {
     let _serial = ctxpref_faults::exclusive();
@@ -649,7 +663,7 @@ fn gc_lagged_replica_catches_up_by_snapshot() {
     assert_eq!(
         node_digests(&cluster.primary_db().unwrap()),
         node_digests(&cluster.db_of(2).unwrap()),
-        "snapshot catch-up must reproduce the primary exactly"
+        "the per-shard resync must reproduce the primary exactly"
     );
     // And the replica keeps taking normal record shipping afterwards.
     cluster

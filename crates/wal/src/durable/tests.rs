@@ -1,13 +1,14 @@
 //! [`DurableDb::try_apply`]: when it hands an op back, and that what it
 //! does take is logged and applied exactly as [`DurableDb::apply`]
-//! would.
+//! would. And [`DurableDb::scrub`] never holds up an append.
 
 use std::path::Path;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use ctxpref_context::ContextDescriptor;
 use ctxpref_core::ShardedMultiUserDb;
+use ctxpref_faults::{sites, FaultPlan};
 use ctxpref_profile::{AttributeClause, ContextualPreference};
 use ctxpref_testkit::TempDir;
 use ctxpref_workload::reference::{tiny_env, tiny_relation};
@@ -221,4 +222,42 @@ fn a_seeded_mix_of_try_apply_and_apply_acks_and_recovers_as_apply_alone() {
         let (recovered, _) = DurableDb::recover(&b, opts).expect("recover");
         assert_eq!(state(recovered.db()), live, "seed {seed}: recovery");
     }
+}
+
+/// A scrub pass takes no shard lock: with its first segment check
+/// stalled for two seconds, an append to the same shard returns inside
+/// the stall, and the pass still verifies the sealed segments clean.
+#[test]
+fn an_append_returns_while_a_scrub_pass_is_stalled() {
+    const STALL: Duration = Duration::from_secs(2);
+    let _serial = ctxpref_faults::exclusive();
+    let dir = TempDir::new("scrub-stall");
+    let db = durable(&dir, 1, group_commit(256));
+    while db.wal_totals().rotations < 2 {
+        db.apply(insert("ann", "alpha", 0.5)).expect("apply");
+    }
+    let plan = FaultPlan::builder(0)
+        .delay_at(sites::WAL_SCRUB, &[1], STALL)
+        .build();
+    let _plan = ctxpref_faults::install(Arc::clone(&plan));
+    let started = Instant::now();
+    std::thread::scope(|scope| {
+        let pass = scope.spawn(|| db.scrub().expect("scrub"));
+        while plan.hit_count(sites::WAL_SCRUB) == 0 {
+            assert!(
+                started.elapsed() < STALL,
+                "the pass never reached a segment"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        db.apply(insert("ann", "beta", 0.5)).expect("append");
+        let appended = started.elapsed();
+        assert!(
+            appended < STALL,
+            "the append waited {appended:?} for the scrub"
+        );
+        let report = pass.join().expect("scrub thread");
+        assert!(report.segments_verified > 0, "{report:?}");
+        assert!(report.quarantined.is_empty(), "{report:?}");
+    });
 }

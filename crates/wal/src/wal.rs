@@ -577,6 +577,8 @@ fn is_enospc(e: &std::io::Error) -> bool {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use crate::segment::{list_segments, scan_segment};
     use ctxpref_faults::FaultPlan;
@@ -610,18 +612,47 @@ mod tests {
             ..WalOptions::default()
         };
         let wal = Wal::create(&dir, 1, opts).unwrap();
+        // An empty plan counts the fsyncs: the appends take none, the
+        // flush one for all four.
+        let plan = FaultPlan::builder(0).build();
+        let _plan = ctxpref_faults::install(Arc::clone(&plan));
         for i in 0..4 {
             let ack = wal.shard(0).append(format!("op {i}").as_bytes()).unwrap();
             assert!(!ack.durable);
         }
+        assert_eq!(plan.hit_count(sites::WAL_APPEND_SYNC), 0);
         assert_eq!(wal.status().shards[0].pending, 4);
         assert_eq!(wal.status().shards[0].synced_lsn, 0);
         assert_eq!(wal.shard(0).flush().unwrap(), 4);
+        assert_eq!(plan.hit_count(sites::WAL_APPEND_SYNC), 1);
         assert_eq!(wal.totals().batches, 1);
         assert_eq!(wal.status().shards[0].synced_lsn, 4);
         // A second flush with nothing pending is a free no-op.
         assert_eq!(wal.shard(0).flush().unwrap(), 0);
+        assert_eq!(plan.hit_count(sites::WAL_APPEND_SYNC), 1);
         assert_eq!(wal.totals().batches, 1);
+    }
+
+    /// The per-record twin of `group_commit_buffers_until_flush`: every
+    /// append fsyncs before it returns, so each ack is durable and no
+    /// batch is left for a flush.
+    #[test]
+    fn per_record_syncs_inside_every_append() {
+        let _serial = ctxpref_faults::exclusive();
+        let dir = TempDir::new("wal-per-record-sync");
+        let wal = Wal::create(&dir, 1, WalOptions::default()).unwrap();
+        let plan = FaultPlan::builder(0).build();
+        let _plan = ctxpref_faults::install(Arc::clone(&plan));
+        for i in 1..=4 {
+            let ack = wal.shard(0).append(format!("op {i}").as_bytes()).unwrap();
+            assert!(ack.durable);
+            assert_eq!(plan.hit_count(sites::WAL_APPEND_SYNC), i);
+        }
+        assert_eq!(wal.status().shards[0].pending, 0);
+        assert_eq!(wal.status().shards[0].synced_lsn, 4);
+        assert_eq!(wal.shard(0).flush().unwrap(), 0);
+        assert_eq!(plan.hit_count(sites::WAL_APPEND_SYNC), 4);
+        assert_eq!(wal.totals().batches, 0);
     }
 
     #[test]
