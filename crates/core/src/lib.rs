@@ -41,6 +41,7 @@ mod db;
 mod error;
 mod multi;
 mod sharded;
+mod sharing;
 
 pub use db::{preference_from_parts, ContextualDb, ContextualDbBuilder, QueryAnswer, QueryOptions};
 pub use error::CoreError;
