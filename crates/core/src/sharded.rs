@@ -367,8 +367,8 @@ impl ShardedMultiUserDb {
         self.read_user_shard(user).query_state_topk(user, state, k)
     }
 
-    /// Query one user's profile with an explicit extended descriptor;
-    /// multi-state descriptors fan `Rank_CS` out across the states.
+    /// Query one user's profile with an explicit extended descriptor
+    /// (see [`MultiUserDb::query`]).
     pub fn query(
         &self,
         user: &str,

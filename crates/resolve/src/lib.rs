@@ -34,8 +34,6 @@ mod store;
 
 pub use explain::explain_resolution;
 pub use matching::minimal_covering;
-pub use rank::{
-    rank_cs, rank_cs_parallel, rank_cs_state, rank_cs_topk, rank_selected, RankedQuery,
-};
+pub use rank::{rank_cs, rank_cs_state, rank_cs_topk, rank_selected, RankedQuery};
 pub use resolver::{ContextResolver, MatchOutcome, StateResolution, TieBreak};
 pub use store::PreferenceStore;

@@ -170,62 +170,6 @@ pub fn rank_selected<S: PreferenceStore + ?Sized>(
     RankedResults::from_sorted(ranked)
 }
 
-/// `Rank_CS` parallelized across the query's context states: each
-/// state's resolution is independent, so the states of an exploratory
-/// (disjunctive) descriptor fan out over up to `max_threads` scoped
-/// threads and the resolutions are ranked together with `combiner`
-/// exactly as [`rank_cs`] would. Single-state queries (and
-/// `max_threads < 2`) run serially — the result is identical either way.
-pub fn rank_cs_parallel<S: PreferenceStore + Sync + ?Sized>(
-    store: &S,
-    relation: &Relation,
-    ecod: &ExtendedContextDescriptor,
-    kind: DistanceKind,
-    tie: TieBreak,
-    combiner: ScoreCombiner,
-    max_threads: usize,
-) -> Result<RankedQuery, ProfileError> {
-    let states = ecod.states(store.env())?;
-    if states.len() < 2 || max_threads < 2 {
-        return rank_cs(store, relation, ecod, kind, tie, combiner);
-    }
-    let resolver = ContextResolver::new(store, kind, tie);
-    let threads = max_threads.min(states.len());
-    // Strided assignment: thread t takes states t, t+threads, … — then
-    // resolutions are stitched back in state order so the ranking is
-    // bit-identical to the serial one.
-    let mut per_state: Vec<Option<StateResolution>> = (0..states.len()).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for t in 0..threads {
-            let states = &states;
-            let resolver = &resolver;
-            handles.push(scope.spawn(move || {
-                states
-                    .iter()
-                    .enumerate()
-                    .skip(t)
-                    .step_by(threads)
-                    .map(|(i, state)| (i, resolver.resolve_state(state)))
-                    .collect::<Vec<_>>()
-            }));
-        }
-        for handle in handles {
-            for (i, res) in handle.join().expect("rank_cs worker panicked") {
-                per_state[i] = Some(res);
-            }
-        }
-    });
-    let resolutions: Vec<StateResolution> = per_state
-        .into_iter()
-        .map(|slot| slot.expect("every state resolved"))
-        .collect();
-    Ok(RankedQuery {
-        results: rank_selected(store, relation, &resolutions, combiner, None),
-        resolutions,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,7 +1,7 @@
 //! Property test for `Rank_CS`'s ranking walk: on random relations,
-//! profiles and queries, `rank_cs`, `rank_cs_topk`, `rank_cs_parallel`
-//! and the one-state ranking a view build makes (`rank_selected` over a
-//! single resolution) must equal, bit for bit, a reference that scans
+//! profiles and queries, `rank_cs`, `rank_cs_topk` and the one-state
+//! ranking a view build makes (`rank_selected` over a single
+//! resolution) must equal, bit for bit, a reference that scans
 //! the relation for every selected entry and merges the scored tuples
 //! with `RankedResults::from_scores`.
 //!
@@ -26,8 +26,7 @@ use ctxpref_relation::{
     AttrId, AttrType, CompareOp, RankedResults, Relation, Schema, ScoreCombiner, ScoredTuple, Value,
 };
 use ctxpref_resolve::{
-    rank_cs, rank_cs_parallel, rank_cs_topk, rank_selected, PreferenceStore, StateResolution,
-    TieBreak,
+    rank_cs, rank_cs_topk, rank_selected, PreferenceStore, StateResolution, TieBreak,
 };
 use proptest::prelude::*;
 
@@ -153,12 +152,11 @@ fn bits(entries: &[ScoredTuple]) -> Vec<(usize, u64)> {
         .collect()
 }
 
-fn check<S: PreferenceStore + Sync>(
+fn check<S: PreferenceStore>(
     store: &S,
     rel: &Relation,
     ecod: &ExtendedContextDescriptor,
     k: usize,
-    threads: usize,
 ) {
     let (kind, tie) = (DistanceKind::Hierarchy, TieBreak::All);
     for combiner in [ScoreCombiner::Max, ScoreCombiner::Min, ScoreCombiner::Avg] {
@@ -186,9 +184,6 @@ fn check<S: PreferenceStore + Sync>(
         let unbounded = rank_cs_topk(store, rel, ecod, kind, tie, combiner, 0).unwrap();
         prop_assert_eq!(bits(unbounded.results.entries()), bits(want.entries()));
 
-        let parallel = rank_cs_parallel(store, rel, ecod, kind, tie, combiner, threads).unwrap();
-        prop_assert_eq!(bits(parallel.results.entries()), bits(want.entries()));
-
         // A view build ranks one state's resolution on its own.
         for res in &full.resolutions {
             let one = std::slice::from_ref(res);
@@ -209,7 +204,6 @@ proptest! {
         prefs in 0usize..60,
         states in 1usize..4,
         k in 1usize..=30,
-        threads in 2usize..5,
     ) {
         let env = env();
         let mut rng = Lcg(seed);
@@ -217,9 +211,9 @@ proptest! {
         let p = profile(&env, &mut rng, prefs);
         let ecod = query(&env, &mut rng, states);
         let tree = ProfileTree::from_profile(&p, ParamOrder::by_ascending_domain(&env)).unwrap();
-        check(&tree, &rel, &ecod, k, threads);
+        check(&tree, &rel, &ecod, k);
         let serial = SerialStore::from_profile(&p).unwrap();
-        check(&serial, &rel, &ecod, k, threads);
+        check(&serial, &rel, &ecod, k);
     }
 }
 
@@ -274,5 +268,5 @@ fn equal_score_run_with_overlapping_selections() {
     );
     let top1 = rank_cs_topk(&tree, &rel, &ecod, kind, tie, max, 1).unwrap();
     assert_eq!(top1.results.entries(), &full.results.entries()[..4]);
-    check(&tree, &rel, &ecod, 5, 2);
+    check(&tree, &rel, &ecod, 5);
 }

@@ -11,7 +11,7 @@ use ctxpref_context::{
 use ctxpref_hierarchy::Hierarchy;
 use ctxpref_profile::{AttributeClause, ContextualPreference, ParamOrder, Profile, ProfileTree};
 use ctxpref_relation::{AttrId, AttrType, Relation, Schema, ScoreCombiner};
-use ctxpref_resolve::{rank_cs, rank_cs_parallel, rank_cs_topk, TieBreak};
+use ctxpref_resolve::{rank_cs, rank_cs_topk, TieBreak};
 use proptest::prelude::*;
 
 fn env() -> ContextEnvironment {
@@ -109,43 +109,5 @@ proptest! {
         );
         // The resolution trace is shared machinery; it must agree too.
         prop_assert_eq!(full.resolutions.len(), fast.resolutions.len());
-    }
-
-    /// The parallel Rank_CS must be bit-identical to the serial one on
-    /// multi-state (exploratory) queries, for every combiner.
-    #[test]
-    fn parallel_rank_matches_serial(
-        seed in any::<u64>(),
-        prefs in 5usize..60,
-        tuples in 10usize..100,
-        threads in 2usize..6,
-    ) {
-        let env = env();
-        let rel = relation(tuples);
-        let p = profile(&env, seed, prefs);
-        let tree = ProfileTree::from_profile(&p, ParamOrder::by_ascending_domain(&env)).unwrap();
-        // A disjunction over parameter `b`'s domain → 5 context states.
-        let hb = env.hierarchy(ParamId(1));
-        let states: Vec<ContextDescriptor> = hb
-            .domain(hb.detailed_level())
-            .iter()
-            .map(|&v| ContextDescriptor::empty().with(ParamId(1), ParameterDescriptor::Eq(v)))
-            .collect();
-        let ecod = ExtendedContextDescriptor::from_disjuncts(states);
-        for combiner in [ScoreCombiner::Max, ScoreCombiner::Avg] {
-            let serial = rank_cs(
-                &tree, &rel, &ecod, DistanceKind::Hierarchy, TieBreak::All, combiner,
-            ).unwrap();
-            let parallel = rank_cs_parallel(
-                &tree, &rel, &ecod, DistanceKind::Hierarchy, TieBreak::All, combiner, threads,
-            ).unwrap();
-            prop_assert_eq!(&serial.results, &parallel.results);
-            prop_assert_eq!(serial.resolutions.len(), parallel.resolutions.len());
-            for (a, b) in serial.resolutions.iter().zip(parallel.resolutions.iter()) {
-                prop_assert_eq!(&a.query_state, &b.query_state);
-                prop_assert_eq!(a.outcome, b.outcome);
-                prop_assert_eq!(a.selected.len(), b.selected.len());
-            }
-        }
     }
 }
