@@ -568,12 +568,27 @@ fn edits_that_change_nothing_fork_nothing() {
 
     // Profile 0 already scores museums 0.9 when the weather is warm.
     let conflicting = pref(&env, &rel, "weather = warm", "museum", 0.3);
-    assert!(db.insert_preference("a", conflicting).is_err());
+    assert!(db.insert_preference("a", conflicting.clone()).is_err());
     unchanged(&db, "a refused insert");
     assert!(db.remove_preference("a", base.len()).is_err());
     unchanged(&db, "a removal at a bad index");
     db.update_preference_score("a", 0, 0.9).unwrap();
     unchanged(&db, "a re-score to the same score");
+
+    // A pair `a` holds alone stays filed through each no-op edit: a user
+    // registered afterwards with `a`'s profile shares `a`'s index.
+    let edits = ["a refused insert", "a removal at a bad index", "a re-score"];
+    for (i, edit) in edits.into_iter().enumerate() {
+        let mut db = MultiUserDb::new(env.clone(), rel.clone(), 0);
+        db.add_user_with_profile("a", base.clone()).unwrap();
+        match i {
+            0 => assert!(db.insert_preference("a", conflicting.clone()).is_err()),
+            1 => assert!(db.remove_preference("a", base.len()).is_err()),
+            _ => db.update_preference_score("a", 0, 0.9).unwrap(),
+        }
+        db.add_user_with_profile("later", base.clone()).unwrap();
+        assert_eq!(held(&db, "later").1, held(&db, "a").1, "{edit} unfiled a");
+    }
 }
 
 /// Users registered one by one on a sharded database share as they
