@@ -90,7 +90,7 @@ impl Cluster {
         for id in 0..config.nodes {
             let dir = root.join(format!("node-{id}"));
             let db = Arc::new(DurableDb::create(&dir, make_core(), config.wal)?);
-            let node = Arc::new(ReplNode::new(id, &dir, db, 1, id == 0)?);
+            let node = Arc::new(ReplNode::new(id, db, 1, id == 0)?);
             transport.register(Arc::clone(&node));
             dirs.push(dir);
             nodes.push(Some(node));

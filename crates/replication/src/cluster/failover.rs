@@ -99,8 +99,8 @@ impl Cluster {
     ///    adopt it, durably, or the promotion is refused. The next
     ///    promotion's majority meets this one, so it mints a higher
     ///    epoch, and a stale primary outside it cannot gather acks.
-    /// 4. Persist the epoch table on the candidate (or refuse) and flip
-    ///    it to primary.
+    /// 4. Persist the candidate's epoch pairs (or refuse) and flip it
+    ///    to primary.
     fn promote_locked(&self, st: &mut ClusterState, id: NodeId) -> Result<u64, ReplicationError> {
         let candidate = st.nodes[id]
             .clone()

@@ -2,7 +2,6 @@
 
 use std::error::Error;
 use std::fmt;
-use std::path::PathBuf;
 
 use ctxpref_wal::{DurableError, WalError};
 
@@ -78,14 +77,6 @@ pub enum ReplicationError {
         /// The peer's reported cause.
         reason: String,
     },
-    /// A node's `EPOCH` or `EPOCHS` file could not be read, parsed or
-    /// persisted: the node must neither start nor be promoted.
-    EpochFile {
-        /// The file.
-        path: PathBuf,
-        /// What went wrong.
-        reason: String,
-    },
     /// The durable layer failed beneath replication.
     Durable(DurableError),
     /// The log/manifest layer failed beneath replication.
@@ -116,7 +107,6 @@ impl fmt::Display for ReplicationError {
                 )
             }
             Self::Peer { reason } => write!(f, "peer failed: {reason}"),
-            Self::EpochFile { path, reason } => write!(f, "{}: {reason}", path.display()),
             Self::Durable(e) => write!(f, "{e}"),
             Self::Wal(e) => write!(f, "{e}"),
             Self::Transport(e) => write!(f, "transport: {e}"),

@@ -15,9 +15,9 @@
 //!   carrying record batches, heartbeats, digests, and one-shard
 //!   resyncs; [`Reply`] closes the loop with the receiver's [`LogPos`],
 //!   the `(epoch, lsn)` its shard's log ends at.
-//! * `epoch` — the fencing term and which epoch wrote which LSNs,
-//!   persisted per node, so deposed primaries stay deposed across
-//!   crashes.
+//! * `epoch` — which epoch wrote which LSNs: lookups in the pairs
+//!   each node's checkpoint manifest persists beside its fencing term,
+//!   so deposed primaries stay deposed across crashes.
 //! * `node` — [`ReplNode`]: one participant; symmetric `handle`
 //!   services shipping, catch-up pulls, and resyncs alike, with the
 //!   epoch fence applied before anything else.
@@ -53,7 +53,6 @@ mod transport;
 
 pub use cluster::{Cluster, RoleHook};
 pub use digest::{node_digests, stripe_digest};
-pub use epoch::{load_epoch, save_epoch, EPOCH_FILE, EPOCH_TABLE_FILE};
 pub use error::{ReplicationError, TransportError};
 pub use message::{Envelope, LogPos, Message, NodeId, Reply, ShippedRecord};
 pub use migrate::{user_cut, user_digest, user_suffix, UserSuffix};

@@ -55,7 +55,7 @@ pub enum Message {
         users: Vec<(String, Profile)>,
         /// The LSN the shard's sequence continues after.
         last_lsn: u64,
-        /// The sender's epoch table pairs for the shard up to `last_lsn`.
+        /// The sender's epoch pairs for the shard up to `last_lsn`.
         epochs: Vec<(u64, u64)>,
     },
 }

@@ -1,5 +1,4 @@
-//! One replication participant: a [`DurableDb`] plus its fencing
-//! epoch, its per-shard epoch table, and its role.
+//! One replication participant: a [`DurableDb`] plus its role.
 //!
 //! A node is symmetric — the same `handle` services a replica applying
 //! shipped records, a new primary pulling catch-up records from a peer
@@ -7,11 +6,13 @@
 //! gates the *client* write path (the cluster routes writes to the
 //! node it believes is primary; a deposed primary's shipments are
 //! fenced by epoch, not by role). A batch applies only on top of the
-//! [`LogPos`] it names; the epoch table changes in memory only once it
-//! is on disk, before a batch's records and after a resync's checkpoint.
+//! [`LogPos`] it names. The fencing epoch and each shard's epoch pairs
+//! live in the durable directory's manifest, which the [`DurableDb`]
+//! alone writes: a batch's pairs are on disk before its records, and a
+//! resync's pairs land in the same manifest swap as its contents.
 
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::path::Path;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use ctxpref_profile::Profile;
@@ -19,7 +20,7 @@ use ctxpref_wal::{DurableDb, ReplApply, WalOptions};
 use parking_lot::Mutex;
 
 use crate::digest::node_digests;
-use crate::epoch::{load_epoch, load_table, log_pos, prefix, save_epoch, save_table, EpochTable};
+use crate::epoch::{log_pos, prefix};
 use crate::error::ReplicationError;
 use crate::message::{Envelope, LogPos, Message, NodeId, Reply, ShippedRecord};
 
@@ -27,12 +28,11 @@ use crate::message::{Envelope, LogPos, Message, NodeId, Reply, ShippedRecord};
 #[derive(Debug)]
 pub struct ReplNode {
     id: NodeId,
-    dir: PathBuf,
     db: Arc<DurableDb>,
-    /// Highest epoch this node has seen (persisted in `EPOCH`).
-    epoch: AtomicU64,
-    /// Which epoch wrote which LSNs, per shard (persisted in `EPOCHS`).
-    epochs: Mutex<EpochTable>,
+    /// Held while a batch, a resync or a promotion changes a shard's
+    /// records and pairs, and while positions are read, so no reader
+    /// pairs one moment's LSN with another moment's pairs.
+    log_lock: Mutex<()>,
     /// Whether this node currently believes it is the primary.
     primary: AtomicBool,
     /// WAL shards this node's recovery rescued via quarantine (a scrub
@@ -48,18 +48,15 @@ impl ReplNode {
     /// epoch state cannot be persisted.
     pub fn new(
         id: NodeId,
-        dir: &Path,
         db: Arc<DurableDb>,
         epoch: u64,
         primary: bool,
     ) -> Result<Self, ReplicationError> {
-        save_epoch(dir, epoch)?;
+        db.set_epoch(epoch)?;
         let node = Self {
             id,
-            dir: dir.to_path_buf(),
-            epoch: AtomicU64::new(epoch),
-            epochs: Mutex::new(vec![Vec::new(); db.num_shards()]),
             db,
+            log_lock: Mutex::new(()),
             primary: AtomicBool::new(false),
             rescued_shards: 0,
         };
@@ -69,19 +66,17 @@ impl ReplNode {
         Ok(node)
     }
 
-    /// Recover node `id` from its durable directory; the persisted
-    /// epoch and epoch table come back with it, so a deposed primary
-    /// restarts already knowing it was deposed. A garbled epoch file
-    /// is an error. Restarts always come back as replicas — a node
-    /// must be re-promoted (with a fresh epoch) to serve writes.
+    /// Recover node `id` from its durable directory; the epoch and the
+    /// epoch pairs come back with its manifest, so a deposed primary
+    /// restarts already knowing it was deposed. Restarts always come
+    /// back as replicas — a node must be re-promoted (with a fresh
+    /// epoch) to serve writes.
     pub fn recover(id: NodeId, dir: &Path, opts: WalOptions) -> Result<Self, ReplicationError> {
         let (db, report) = DurableDb::recover(dir, opts)?;
         Ok(Self {
             id,
-            dir: dir.to_path_buf(),
-            epoch: AtomicU64::new(load_epoch(dir)?),
-            epochs: Mutex::new(load_table(dir, db.num_shards())?),
             db: Arc::new(db),
+            log_lock: Mutex::new(()),
             primary: AtomicBool::new(false),
             rescued_shards: report.rescued_shards,
         })
@@ -99,7 +94,7 @@ impl ReplNode {
 
     /// The node's current epoch.
     pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
+        self.db.epoch()
     }
 
     /// Whether the node currently believes it is primary.
@@ -116,15 +111,15 @@ impl ReplNode {
     }
 
     /// Promote at `epoch`: persist the epoch, start it at every
-    /// shard's next LSN in the epoch table, then accept writes. Refuses,
-    /// and stays a replica, if either cannot be persisted.
+    /// shard's next LSN in the shard's pairs, then accept writes.
+    /// Refuses, and stays a replica, if either cannot be persisted.
     pub fn promote(&self, epoch: u64) -> Result<(), ReplicationError> {
         self.adopt_epoch(epoch)?;
-        let mut table = self.epochs.lock();
+        let _log = self.log_lock.lock();
         for (shard, lsn) in self.applied_lsns().into_iter().enumerate() {
-            let mut pairs = prefix(&table[shard], lsn);
+            let mut pairs = prefix(&self.db.epoch_pairs(shard), lsn);
             pairs.push((epoch, lsn + 1));
-            self.set_epochs(&mut table, shard, pairs)?;
+            self.db.set_epoch_pairs(shard, pairs)?;
         }
         self.primary.store(true, Ordering::Release);
         Ok(())
@@ -138,11 +133,7 @@ impl ReplNode {
     /// Adopt a higher epoch: persist first, then publish. A failed
     /// persist publishes nothing.
     pub fn adopt_epoch(&self, epoch: u64) -> Result<(), ReplicationError> {
-        if epoch > self.epoch.load(Ordering::Acquire) {
-            save_epoch(&self.dir, epoch)?;
-            self.epoch.store(epoch, Ordering::Release);
-        }
-        Ok(())
+        Ok(self.db.set_epoch(epoch)?)
     }
 
     /// Last applied LSN per shard.
@@ -157,38 +148,30 @@ impl ReplNode {
 
     /// Each shard's last position (what the heartbeat reply carries).
     pub(crate) fn positions(&self) -> Vec<LogPos> {
-        let table = self.epochs.lock();
-        let lsns = self.applied_lsns().into_iter().zip(table.iter());
-        lsns.map(|(lsn, pairs)| log_pos(pairs, lsn)).collect()
+        let _log = self.log_lock.lock();
+        let shards = self.db.manifest().shards;
+        let lsns = self.applied_lsns().into_iter().zip(shards);
+        lsns.map(|(lsn, s)| log_pos(&s.epochs, lsn)).collect()
     }
 
     /// `shard`'s position at `lsn`: the record there and the epoch
     /// that wrote it, which only the same log holds (Raft's
     /// log-matching property).
     pub(crate) fn position_at(&self, shard: usize, lsn: u64) -> LogPos {
-        log_pos(&self.epochs.lock()[shard], lsn)
+        let _log = self.log_lock.lock();
+        log_pos(&self.db.epoch_pairs(shard), lsn)
     }
 
     /// `shard`'s epoch pairs up to `last_lsn`: what a batch or a resync
     /// ending there carries.
     pub(crate) fn epoch_pairs(&self, shard: usize, last_lsn: u64) -> Vec<(u64, u64)> {
-        prefix(&self.epochs.lock()[shard], last_lsn)
+        let _log = self.log_lock.lock();
+        prefix(&self.db.epoch_pairs(shard), last_lsn)
     }
 
-    /// Set `shard`'s epoch pairs, on disk first.
-    fn set_epochs(
-        &self,
-        table: &mut EpochTable,
-        shard: usize,
-        pairs: Vec<(u64, u64)>,
-    ) -> Result<(), ReplicationError> {
-        if table[shard] != pairs {
-            let mut next = table.clone();
-            next[shard] = pairs;
-            save_table(&self.dir, &next)?;
-            *table = next;
-        }
-        Ok(())
+    /// `shard`'s last position; the caller holds `log_lock`.
+    fn last_position(&self, shard: usize) -> LogPos {
+        log_pos(&self.db.epoch_pairs(shard), self.applied_lsns()[shard])
     }
 
     /// Service one incoming message, applying the epoch fence first:
@@ -245,14 +228,14 @@ impl ReplNode {
         records: &[ShippedRecord],
         epochs: &[(u64, u64)],
     ) -> Result<LogPos, ReplicationError> {
-        let mut table = self.epochs.lock();
-        let last = log_pos(&table[shard], self.applied_lsns()[shard]);
+        let _log = self.log_lock.lock();
+        let last = self.last_position(shard);
         if last != prev {
             // Not a continuation of this log (a stale cursor, or a
             // duplicate delivery): apply nothing, say where it ends.
             return Ok(last);
         }
-        self.set_epochs(&mut table, shard, epochs.to_vec())?;
+        self.db.set_epoch_pairs(shard, epochs.to_vec())?;
         let mut needs_flush = false;
         for (lsn, payload) in records {
             match self.db.apply_replicated(shard, *lsn, payload)? {
@@ -266,7 +249,7 @@ impl ReplNode {
             // property quorum acks count on.
             self.db.flush()?;
         }
-        Ok(log_pos(&table[shard], self.applied_lsns()[shard]))
+        Ok(self.last_position(shard))
     }
 
     fn resync(
@@ -276,9 +259,9 @@ impl ReplNode {
         last_lsn: u64,
         epochs: &[(u64, u64)],
     ) -> Result<LogPos, ReplicationError> {
-        let mut table = self.epochs.lock();
-        self.db.resync_shard(shard, users.to_vec(), last_lsn)?;
-        self.set_epochs(&mut table, shard, epochs.to_vec())?;
-        Ok(log_pos(&table[shard], last_lsn))
+        let _log = self.log_lock.lock();
+        self.db
+            .resync_shard(shard, users.to_vec(), last_lsn, epochs.to_vec())?;
+        Ok(log_pos(&self.db.epoch_pairs(shard), last_lsn))
     }
 }

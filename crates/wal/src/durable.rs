@@ -6,7 +6,7 @@
 //! order. The on-disk layout under the durable directory:
 //!
 //! ```text
-//! MANIFEST              — checksummed recovery root (atomic swap)
+//! MANIFEST              — checksummed recovery root, epochs included (atomic swap)
 //! checkpoint-<gen>.db   — snapshot in the save format (`ctxpref v2` frames)
 //! shard-<i>/seg-*.wal   — that shard's segmented log (`CTXWAL02`)
 //! ```
@@ -131,6 +131,10 @@ pub struct DurableDb {
     pub(crate) dir: PathBuf,
     db: Arc<ShardedMultiUserDb>,
     pub(crate) wal: Wal,
+    /// The published manifest, and the one home of the fencing epoch
+    /// and the epoch pairs. Its lock is held across every manifest
+    /// write, from the clone to the publish (see
+    /// [`DurableDb::write_manifest`]).
     pub(crate) manifest: Mutex<Manifest>,
     /// Serializes checkpoints (the shard loop must not interleave with
     /// another checkpoint's rotations).
@@ -235,7 +239,7 @@ impl DurableDb {
         };
         let mut positions = Vec::with_capacity(num_shards);
         for (shard, bounds) in manifest.shards.iter().enumerate() {
-            let pos = replay_shard(dir, shard, *bounds, &db, &mut report)?;
+            let pos = replay_shard(dir, shard, bounds, &db, &mut report)?;
             report.shard_lsns[shard] = pos.next_lsn - 1;
             positions.push(pos);
         }
@@ -271,9 +275,49 @@ impl DurableDb {
         &self.dir
     }
 
-    /// The current manifest (checkpoint generation and replay bounds).
+    /// The current manifest (checkpoint generation, epochs and replay
+    /// bounds).
     pub fn manifest(&self) -> Manifest {
         self.manifest.lock().clone()
+    }
+
+    /// The highest replication epoch this node has seen, as persisted.
+    pub fn epoch(&self) -> u64 {
+        self.manifest.lock().epoch
+    }
+
+    /// `shard`'s `(epoch, first_lsn)` pairs, as persisted.
+    pub fn epoch_pairs(&self, shard: usize) -> Vec<(u64, u64)> {
+        self.manifest.lock().shards[shard].epochs.clone()
+    }
+
+    /// Raise the persisted epoch to `epoch`; a lower or equal one
+    /// changes nothing. Published only once the manifest holding it is
+    /// on disk.
+    pub fn set_epoch(&self, epoch: u64) -> Result<(), WalError> {
+        self.write_manifest(|m| m.epoch = m.epoch.max(epoch))
+    }
+
+    /// Replace `shard`'s epoch pairs. Published only once the manifest
+    /// holding them is on disk.
+    pub fn set_epoch_pairs(&self, shard: usize, pairs: Vec<(u64, u64)>) -> Result<(), WalError> {
+        self.write_manifest(|m| m.shards[shard].epochs = pairs)
+    }
+
+    /// The one path of every manifest write: under the manifest's lock,
+    /// clone the published manifest, `change` it, swap it onto disk,
+    /// then publish it. Writers are serialized, so none drops another's
+    /// change, and a failed swap publishes nothing. A change that leaves
+    /// the manifest as it was writes nothing.
+    fn write_manifest(&self, change: impl FnOnce(&mut Manifest)) -> Result<(), WalError> {
+        let mut published = self.manifest.lock();
+        let mut next = published.clone();
+        change(&mut next);
+        if next != *published {
+            next.save(&self.dir)?;
+            *published = next;
+        }
+        Ok(())
     }
 
     /// Point-in-time WAL status.
@@ -525,14 +569,17 @@ impl DurableDb {
     /// Replication resync: replace one stripe's contents and re-seat
     /// its WAL shard so the sequence continues at `last_lsn + 1`
     /// (forward past a checkpointed-away tail, backward to discard a
-    /// deposed primary's divergent suffix). The change only becomes
-    /// durable at the closing checkpoint; a crash before it recovers
-    /// the pre-resync state, which replication then repairs again.
+    /// deposed primary's divergent suffix), with `pairs` as its epoch
+    /// pairs. Contents and pairs become durable together, in the
+    /// closing checkpoint's manifest swap; a crash before it recovers
+    /// the pre-resync state of both, which replication then repairs
+    /// again.
     pub fn resync_shard(
         &self,
         shard: usize,
         users: Vec<(String, Profile)>,
         last_lsn: u64,
+        pairs: Vec<(u64, u64)>,
     ) -> Result<(), DurableError> {
         {
             let mut guard = self.wal.shard(shard);
@@ -540,7 +587,8 @@ impl DurableDb {
             guard.rotate().map_err(DurableError::Wal)?;
             guard.set_next_lsn(last_lsn + 1);
         }
-        self.checkpoint().map_err(DurableError::Wal)?;
+        let set_pairs = |m: &mut Manifest| m.shards[shard].epochs = pairs;
+        self.checkpoint_and(set_pairs).map_err(DurableError::Wal)?;
         Ok(())
     }
 
@@ -559,35 +607,44 @@ impl DurableDb {
     /// old manifest governing recovery; the stale files it still
     /// references are untouched by construction.
     pub fn checkpoint(&self) -> Result<CheckpointReport, WalError> {
+        self.checkpoint_and(|_| {})
+    }
+
+    /// [`Self::checkpoint`], making `change` to the manifest in the
+    /// same swap. The snapshot is written before the manifest's lock
+    /// is taken.
+    fn checkpoint_and(
+        &self,
+        change: impl FnOnce(&mut Manifest),
+    ) -> Result<CheckpointReport, WalError> {
         let _one_at_a_time = self.checkpoint_lock.lock();
         let generation = self.manifest.lock().generation + 1;
 
         let mut snapshot = self.db.snapshot_begin();
-        let mut shards = Vec::with_capacity(self.wal.num_shards());
+        let mut bounds = Vec::with_capacity(self.wal.num_shards());
         for ix in 0..self.wal.num_shards() {
             let mut guard = self.wal.shard(ix);
             guard.flush()?;
             let last_lsn = guard.next_lsn() - 1;
             let first_live_segment = guard.rotate()?;
             self.db.snapshot_stripe(ix, &mut snapshot);
-            shards.push(ShardManifest {
-                last_lsn,
-                first_live_segment,
-            });
+            bounds.push((last_lsn, first_live_segment));
         }
         let users = snapshot.user_count();
 
         let checkpoint = checkpoint_file_name(generation);
         save_multi_user(self.dir.join(&checkpoint), &snapshot)?;
-        let manifest = Manifest {
-            generation,
-            checkpoint,
-            shards,
-        };
-        manifest.save(&self.dir)?;
-        *self.manifest.lock() = manifest.clone();
+        self.write_manifest(|m| {
+            m.generation = generation;
+            m.checkpoint = checkpoint;
+            for (shard, (last_lsn, first_live_segment)) in m.shards.iter_mut().zip(bounds) {
+                shard.last_lsn = last_lsn;
+                shard.first_live_segment = first_live_segment;
+            }
+            change(m);
+        })?;
 
-        self.collect_garbage(&manifest);
+        self.collect_garbage(&self.manifest());
         Ok(CheckpointReport { generation, users })
     }
 
@@ -619,7 +676,7 @@ impl DurableDb {
 fn replay_shard(
     dir: &Path,
     shard: usize,
-    bounds: ShardManifest,
+    bounds: &ShardManifest,
     db: &ShardedMultiUserDb,
     report: &mut RecoveryReport,
 ) -> Result<ShardPosition, WalError> {

@@ -1,16 +1,19 @@
-//! The checkpoint manifest: the single source of truth for recovery.
+//! The checkpoint manifest: a durable directory's one recovery record.
 //!
 //! `MANIFEST` names the current checkpoint generation, its snapshot
-//! file, and — per WAL shard — the last LSN the checkpoint covers and
-//! the first segment that must still be replayed. It is a header line,
-//! `ctxwal manifest v2`, then one frame of the wire's byte format
-//! (`ctxpref_bytes`) whose payload is the [`Manifest`]'s `wire_struct!`
-//! fields; a manifest of another version is refused with
-//! [`WalError::Version`]. It is replaced by an atomic write-temp +
-//! fsync + rename, so a crash at any point of a checkpoint leaves
-//! either the old manifest or the new one governing recovery, never a
-//! half-written mix. Checkpoint files and segments are only deleted
-//! *after* the manifest that stops referencing them is durable.
+//! file and the highest replication (fencing) epoch the node has seen,
+//! and per WAL shard the last LSN the checkpoint covers, the first
+//! segment that must still be replayed and which epoch wrote which of
+//! the shard's LSNs. It is a header line, `ctxwal manifest v3`, then
+//! one frame of the wire's byte format (`ctxpref_bytes`) whose payload
+//! is the [`Manifest`]'s `wire_struct!` fields; a manifest of another
+//! version is refused with [`WalError::Version`]. It is replaced by an
+//! atomic write-temp + fsync + rename, so a crash at any point of a
+//! checkpoint or an epoch change leaves either the old manifest or the
+//! new one governing recovery, never a half-written mix: a resync's
+//! contents and its epochs land in one swap. Checkpoint files and
+//! segments are only deleted *after* the manifest that stops
+//! referencing them is durable.
 
 use std::fs::File;
 use std::io::Write;
@@ -26,15 +29,15 @@ use crate::error::WalError;
 pub(crate) const MANIFEST_FILE: &str = "MANIFEST";
 
 /// The line every manifest opens with: the format and its version.
-const MANIFEST_HEADER: &[u8] = b"ctxwal manifest v2\n";
+const MANIFEST_HEADER: &[u8] = b"ctxwal manifest v3\n";
 
 /// The checkpoint snapshot file for generation `gen`.
 pub(crate) fn checkpoint_file_name(generation: u64) -> String {
     format!("checkpoint-{generation}.db")
 }
 
-/// Per-shard recovery bounds recorded in the manifest.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Per-shard recovery bounds and epochs recorded in the manifest.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardManifest {
     /// Highest LSN captured by the checkpoint snapshot; replay skips
     /// records at or below it.
@@ -42,10 +45,14 @@ pub struct ShardManifest {
     /// First segment that may hold records above [`Self::last_lsn`];
     /// earlier segments are garbage.
     pub first_live_segment: u64,
+    /// `(epoch, first_lsn)` pairs ascending in both: `epoch` wrote the
+    /// records from `first_lsn` up to the next pair's (Kafka KIP-101's
+    /// leader-epoch cache). Empty on a node that never replicated.
+    pub epochs: Vec<(u64, u64)>,
 }
 
-/// The durable recovery root: checkpoint generation plus per-shard
-/// replay bounds.
+/// The durable recovery root: checkpoint generation, fencing epoch and
+/// per-shard replay bounds.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Manifest {
     /// Monotonic checkpoint generation, bumped on every swap.
@@ -53,24 +60,29 @@ pub struct Manifest {
     /// File name (relative to the durable directory) of the checkpoint
     /// snapshot.
     pub checkpoint: String,
-    /// Replay bounds, indexed by WAL shard.
+    /// The highest replication epoch this node has seen, so a deposed
+    /// primary restarts knowing it was deposed; 0 if it never saw one.
+    pub epoch: u64,
+    /// Replay bounds and epochs, indexed by WAL shard.
     pub shards: Vec<ShardManifest>,
 }
 
-wire_struct! { ShardManifest { last_lsn: u64, first_live_segment: u64 } }
-wire_struct! { Manifest { generation: u64, checkpoint: String, shards: Vec<ShardManifest> } }
+wire_struct! { ShardManifest { last_lsn: u64, first_live_segment: u64, epochs: Vec<(u64, u64)> } }
+wire_struct! { Manifest { generation: u64, checkpoint: String, epoch: u64, shards: Vec<ShardManifest> } }
 
 impl Manifest {
     /// The manifest for a freshly bootstrapped directory: generation 0,
-    /// empty-ish checkpoint, nothing replayed yet.
+    /// empty-ish checkpoint, epoch 0, nothing replayed yet.
     pub fn bootstrap(num_shards: usize) -> Self {
         Self {
             generation: 0,
             checkpoint: checkpoint_file_name(0),
+            epoch: 0,
             shards: vec![
                 ShardManifest {
                     last_lsn: 0,
-                    first_live_segment: 1
+                    first_live_segment: 1,
+                    epochs: Vec::new(),
                 };
                 num_shards
             ],
@@ -215,14 +227,18 @@ mod tests {
         Manifest {
             generation: 4,
             checkpoint: checkpoint_file_name(4),
+            epoch: 5,
             shards: vec![
                 ShardManifest {
                     last_lsn: 17,
                     first_live_segment: 3,
+                    // Epoch 1 wrote 1..=10, epoch 3 11..=14, epoch 5 from 15.
+                    epochs: vec![(1, 1), (3, 11), (5, 15)],
                 },
                 ShardManifest {
                     last_lsn: 0,
                     first_live_segment: 1,
+                    epochs: Vec::new(),
                 },
             ],
         }
@@ -239,9 +255,12 @@ mod tests {
     #[test]
     fn save_replaces_atomically() {
         let dir = TempDir::new("wal-manifest");
-        Manifest::bootstrap(2).save(&dir).unwrap();
+        let bootstrap = Manifest::bootstrap(2);
+        assert_eq!(bootstrap.epoch, 0, "a node that never saw a promotion");
+        bootstrap.save(&dir).unwrap();
+        assert_eq!(Manifest::load(&dir).unwrap(), bootstrap);
         sample().save(&dir).unwrap();
-        assert_eq!(Manifest::load(&dir).unwrap().generation, 4);
+        assert_eq!(Manifest::load(&dir).unwrap(), sample());
     }
 
     #[test]

@@ -74,27 +74,31 @@ fn a_manifest_is_its_header_line_then_one_frame() {
     let manifest = Manifest {
         generation: 4,
         checkpoint: "checkpoint-4.db".into(),
+        epoch: 5,
         shards: vec![
             ShardManifest {
                 last_lsn: 17,
                 first_live_segment: 3,
+                epochs: vec![(1, 1), (3, 11), (5, 15)],
             },
             ShardManifest {
                 last_lsn: 300,
                 first_live_segment: 1,
+                epochs: Vec::new(),
             },
         ],
     };
     manifest.save(dir.path()).unwrap();
     let bytes = std::fs::read(dir.path().join("MANIFEST")).unwrap();
-    // `ctxwal manifest v2\n`, then one frame: length 23, checksum,
-    // generation 4, the checkpoint's name, 2 shards of (last LSN, first
-    // live segment).
+    // `ctxwal manifest v3\n`, then one frame: length 32, checksum,
+    // generation 4, the checkpoint's name, epoch 5, 2 shards of (last
+    // LSN, first live segment, (epoch, first LSN) pairs).
     assert_eq!(
         hex(&bytes),
-        "63 74 78 77 61 6c 20 6d 61 6e 69 66 65 73 74 20 76 32 0a \
-         17 00 00 00 c7 12 46 b3 98 f8 9c 7e \
-         04 0f 63 68 65 63 6b 70 6f 69 6e 74 2d 34 2e 64 62 02 11 03 ac 02 01"
+        "63 74 78 77 61 6c 20 6d 61 6e 69 66 65 73 74 20 76 33 0a \
+         20 00 00 00 3b 87 b5 73 10 ab 55 c0 \
+         04 0f 63 68 65 63 6b 70 6f 69 6e 74 2d 34 2e 64 62 05 02 \
+         11 03 03 01 01 03 0b 05 0f ac 02 01 00"
     );
     assert_eq!(Manifest::load(dir.path()).unwrap(), manifest);
 }
@@ -117,17 +121,27 @@ fn durable_dir(tag: &str) -> TempDir {
 fn a_version_1_manifest_is_refused_typed() {
     let _serial = ctxpref_faults::exclusive();
     let dir = durable_dir("wal-format-v1-manifest");
-    let v1 = "ctxwal manifest v1\nchecksum 9d8ee5d7a4ed3a65\ngeneration 0\n\
-              checkpoint checkpoint-0.db\nshards 1\nshard 0 0 1\n";
-    std::fs::write(dir.path().join("MANIFEST"), v1).unwrap();
-    for err in [
-        Manifest::load(dir.path()).unwrap_err(),
-        DurableDb::recover(dir.path(), WalOptions::default()).unwrap_err(),
-    ] {
-        assert!(
-            matches!(&err, WalError::Version { found, .. } if found == "ctxwal manifest v1"),
-            "{err}"
-        );
+    let v1 = b"ctxwal manifest v1\nchecksum 9d8ee5d7a4ed3a65\ngeneration 0\n\
+               checkpoint checkpoint-0.db\nshards 1\nshard 0 0 1\n"
+        .to_vec();
+    // Version 2: the same frame as version 3 but with no epoch and no
+    // epoch pairs (generation 0, `checkpoint-0.db`, one shard at (0, 1)).
+    let mut v2 = b"ctxwal manifest v2\n".to_vec();
+    let at = ctxpref_bytes::open_frame(&mut v2);
+    v2.extend_from_slice(b"\x00\x0fcheckpoint-0.db\x01\x00\x01");
+    ctxpref_bytes::seal_frame(&mut v2, at).unwrap();
+    for (version, bytes) in [("v1", v1), ("v2", v2)] {
+        std::fs::write(dir.path().join("MANIFEST"), bytes).unwrap();
+        for err in [
+            Manifest::load(dir.path()).unwrap_err(),
+            DurableDb::recover(dir.path(), WalOptions::default()).unwrap_err(),
+        ] {
+            let want = format!("ctxwal manifest {version}");
+            assert!(
+                matches!(&err, WalError::Version { found, .. } if *found == want),
+                "{err}"
+            );
+        }
     }
 }
 

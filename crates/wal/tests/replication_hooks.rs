@@ -178,7 +178,8 @@ fn resync_shard_discards_a_divergent_suffix() {
         if shard == diverged {
             assert!(b.wal_status().shards[shard].last_lsn > lsn);
         }
-        b.resync_shard(shard, users, lsn).unwrap();
+        b.resync_shard(shard, users, lsn, vec![(1, 1), (2, lsn + 1)])
+            .unwrap();
         lsns.push(lsn);
     }
     assert_eq!(b.db().user_count(), 10);
@@ -212,4 +213,8 @@ fn resync_shard_discards_a_divergent_suffix() {
     assert!(recovered.db().profile("u3").is_ok());
     assert!(recovered.db().profile(&user).is_ok());
     assert!(recovered.db().profile("deposed-2").is_err());
+    for (shard, &lsn) in lsns.iter().enumerate() {
+        let pairs = &recovered.manifest().shards[shard].epochs;
+        assert_eq!(pairs, &[(1, 1), (2, lsn + 1)], "shard {shard}");
+    }
 }
