@@ -47,5 +47,5 @@ pub use db::{preference_from_parts, ContextualDb, ContextualDbBuilder, QueryAnsw
 pub use error::CoreError;
 pub use multi::MultiUserDb;
 pub use sharded::{
-    ShardQuiesceGuard, ShardedMultiUserDb, UserShardRead, UserShardWrite, DEFAULT_SHARDS,
+    ShardQuiesceGuard, ShardedMultiUserDb, Stripe, UserShardRead, UserShardWrite, DEFAULT_SHARDS,
 };

@@ -440,26 +440,23 @@ impl ShardedMultiUserDb {
             .collect()
     }
 
-    /// Replace stripe `ix`'s entire contents with `users`, rebuilding
-    /// each user's tree and cache from their profile (users with equal
-    /// profiles, on this stripe or another, share one tree and catalog,
-    /// as in `add_user_with_profile`), while the replaced users leave
-    /// the catalogs they shared. Users
-    /// that hash to a different stripe are rejected before anything is
-    /// replaced, so the fold invariant (stripe == FNV(user) % shards)
-    /// cannot be broken. This is the anti-entropy resync path: the new stripe is
-    /// built outside every lock and swapped in under the stripe's write
-    /// lock, so readers see either the old stripe or the new one, never
-    /// a mix.
+    /// Build a replacement for stripe `ix` holding exactly `users`,
+    /// each user's tree and cache rebuilt from their profile (users with
+    /// equal profiles, on this stripe or another, share one tree and
+    /// catalog, as in `add_user_with_profile`). This is the fallible
+    /// half of the anti-entropy resync: it runs outside every lock and
+    /// changes nothing a reader sees, and users that hash to a different
+    /// stripe are rejected, so the fold invariant (stripe == FNV(user) %
+    /// shards) cannot be broken. [`Self::install_stripe`] swaps it in.
     ///
     /// # Panics
     ///
     /// If `ix >= self.num_shards()`.
-    pub fn replace_stripe(
+    pub fn build_stripe(
         &self,
         ix: usize,
         users: Vec<(String, Profile)>,
-    ) -> Result<(), CoreError> {
+    ) -> Result<Stripe, CoreError> {
         let mut fresh = self.stripes[ix].read().empty_joined();
         for (name, profile) in users {
             if shard_index(&name, self.stripes.len()) != ix {
@@ -469,8 +466,15 @@ impl ShardedMultiUserDb {
             }
             fresh.add_user_with_profile(&name, profile)?;
         }
-        self.stripes[ix].write().replace_users(fresh);
-        Ok(())
+        Ok(Stripe { ix, users: fresh })
+    }
+
+    /// Swap a stripe built by [`Self::build_stripe`] in under the
+    /// stripe's write lock, so readers see either the old stripe or the
+    /// new one, never a mix; the replaced users leave the catalogs they
+    /// shared. It cannot fail.
+    pub fn install_stripe(&self, stripe: Stripe) {
+        self.stripes[stripe.ix].write().replace_users(stripe.users);
     }
 
     /// Hold `user`'s stripe write lock until the returned guard drops,
@@ -481,6 +485,22 @@ impl ShardedMultiUserDb {
         ShardQuiesceGuard {
             _guard: self.write_user_shard(user),
         }
+    }
+}
+
+/// A stripe's replacement contents, built by
+/// [`ShardedMultiUserDb::build_stripe`] and not yet installed.
+#[derive(Debug)]
+pub struct Stripe {
+    ix: usize,
+    users: MultiUserDb,
+}
+
+impl Stripe {
+    /// Copy the stripe's users into `snap` by sharing their indexes, as
+    /// [`ShardedMultiUserDb::snapshot_stripe`] does for a live stripe.
+    pub fn snapshot_into(&self, snap: &mut MultiUserDb) {
+        self.users.snapshot_into(snap);
     }
 }
 

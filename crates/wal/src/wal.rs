@@ -524,8 +524,9 @@ impl ShardGuard<'_> {
     /// current segment is empty: replication uses it to re-seat a shard
     /// at a resync's watermark (forward for a lagging
     /// replica, backward to discard a deposed primary's divergent
-    /// suffix). The caller must follow up with a checkpoint so the
-    /// manifest's replay bounds match the forced sequence.
+    /// suffix). The manifest's replay bounds must already match the
+    /// forced sequence: a resync swaps in the checkpoint that says so
+    /// before it calls this.
     pub fn set_next_lsn(&mut self, next_lsn: u64) {
         let s = &mut *self.state;
         s.next_lsn = next_lsn;
