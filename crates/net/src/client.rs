@@ -271,12 +271,8 @@ impl NetClient {
         }
     }
 
-    /// One backoff sleep: linear in the attempt number, plus a
+    /// One backoff delay: linear in the attempt number, plus a
     /// deterministic random fan-out bounded by the configured jitter.
-    fn backoff_sleep(&mut self, attempt: u32) {
-        std::thread::sleep(self.backoff_delay(attempt));
-    }
-
     fn backoff_delay(&mut self, attempt: u32) -> Duration {
         let mut delay = self.cfg.backoff * attempt;
         let ceiling = self.cfg.jitter.as_nanos().min(u128::from(u64::MAX)) as u64;
@@ -286,10 +282,10 @@ impl NetClient {
         delay
     }
 
-    /// Sleep before retrying a busy refusal: the server's hint when it
-    /// gave one, the linear backoff otherwise — clamped so the sleep
-    /// never outlives the caller's remaining budget.
-    fn busy_sleep(&mut self, attempt: u32, hint: Duration, deadline: Option<Instant>) {
+    /// Sleep before a retry: the server's hint when a busy refusal gave
+    /// one, the linear backoff otherwise — clamped so the sleep never
+    /// outlives the caller's remaining budget.
+    fn retry_sleep(&mut self, attempt: u32, hint: Duration, deadline: Option<Instant>) {
         let mut delay = if hint.is_zero() {
             self.backoff_delay(attempt)
         } else {
@@ -327,74 +323,23 @@ impl NetClient {
         budget: Option<Duration>,
         tier: Priority,
     ) -> Result<Response, NetError> {
-        let deadline = budget.map(|b| Instant::now() + b);
-        let idempotent = req.is_idempotent();
-        let attempt_budget = if idempotent {
-            self.cfg.attempts.max(1)
-        } else {
-            1
-        };
-        let busy_budget = if idempotent {
-            self.cfg.busy_attempts.max(1)
-        } else {
-            1
-        };
-        // Busy refusals and transport failures spend separate budgets:
-        // a server that was briefly saturated and then lost the
-        // connection still gets its full transport retry allowance.
-        let mut attempt = 0;
-        let mut busy_attempt = 0;
-        loop {
-            let budget_ms = match deadline {
-                None => 0,
-                Some(d) => {
-                    let remaining = d.saturating_duration_since(Instant::now());
-                    if remaining.is_zero() {
-                        return Err(NetError::BudgetExhausted {
-                            budget: budget.unwrap_or_default(),
-                        });
-                    }
-                    (remaining.as_millis() as u64).max(1)
-                }
-            };
-            match self.exchange(req, budget_ms, tier) {
+        self.retrying(req.is_idempotent(), budget, |client, budget_ms| {
+            match client.exchange(req, budget_ms, tier)? {
                 // The server answered but had no capacity — for this
                 // request or, at admission, for the connection.
-                Ok(Response::Busy {
+                Response::Busy {
                     limit,
                     retry_after_ms,
-                }) => {
-                    let retry_after = Duration::from_millis(retry_after_ms);
-                    busy_attempt += 1;
-                    if busy_attempt >= busy_budget {
-                        return Err(NetError::ServerBusy { limit, retry_after });
-                    }
-                    self.busy_sleep(busy_attempt, retry_after, deadline);
-                }
+                } => Err(NetError::ServerBusy {
+                    limit,
+                    retry_after: Duration::from_millis(retry_after_ms),
+                }),
                 // Any other decoded response is an answer, even a
                 // refusal: the server made a decision, so no retry.
-                Ok(Response::Err { kind, message }) => {
-                    return Err(NetError::Remote { kind, message })
-                }
-                Ok(resp) => return Ok(resp),
-                Err(e @ (NetError::Io(_) | NetError::Frame(_))) => {
-                    attempt += 1;
-                    if attempt >= attempt_budget {
-                        return if attempt == 1 {
-                            Err(e)
-                        } else {
-                            Err(NetError::RetriesExhausted {
-                                attempts: attempt,
-                                last: e.to_string(),
-                            })
-                        };
-                    }
-                    self.busy_sleep(attempt, Duration::ZERO, deadline);
-                }
-                // Protocol confusion is not transient; surface it.
-                Err(e) => return Err(e),
+                Response::Err { kind, message } => Err(NetError::Remote { kind, message }),
+                resp => Ok(resp),
             }
-        }
+        })
     }
 
     /// Ship every request down the socket before reading a single
@@ -411,43 +356,70 @@ impl NetClient {
             return Ok(Vec::new());
         }
         let idempotent = reqs.iter().all(Request::is_idempotent);
-        let budget = if idempotent {
-            self.cfg.attempts.max(1)
+        self.retrying(idempotent, None, |client, _| client.pipeline_once(reqs))
+    }
+
+    /// The one retry loop of [`Self::request_enveloped`] and
+    /// [`Self::pipeline`]: run `attempt` with the budget that remains
+    /// (in the envelope's milliseconds, 0 when there is none) until it
+    /// answers. A typed [`NetError::ServerBusy`] is retried under
+    /// [`NetClientConfig::busy_attempts`], sleeping the server's hint;
+    /// a transport failure under [`NetClientConfig::attempts`], sleeping
+    /// the linear backoff. The two budgets are separate: a server that
+    /// was briefly saturated and then lost the connection still gets
+    /// its full transport retry allowance. Neither is spent unless
+    /// `idempotent`, and every sleep ends where the budget does.
+    fn retrying<T>(
+        &mut self,
+        idempotent: bool,
+        budget: Option<Duration>,
+        mut attempt: impl FnMut(&mut Self, u64) -> Result<T, NetError>,
+    ) -> Result<T, NetError> {
+        let deadline = budget.map(|b| Instant::now() + b);
+        let (tries, busy_tries) = if idempotent {
+            (self.cfg.attempts.max(1), self.cfg.busy_attempts.max(1))
         } else {
-            1
+            (1, 1)
         };
-        let busy_budget = if idempotent {
-            self.cfg.busy_attempts.max(1)
-        } else {
-            1
-        };
-        let mut attempt = 0;
-        let mut busy_attempt = 0;
+        let (mut tried, mut busy_tried) = (0, 0);
         loop {
-            match self.pipeline_once(reqs) {
-                Ok(resps) => return Ok(resps),
+            let budget_ms = match deadline {
+                None => 0,
+                Some(d) => {
+                    let remaining = d.saturating_duration_since(Instant::now());
+                    if remaining.is_zero() {
+                        return Err(NetError::BudgetExhausted {
+                            budget: budget.unwrap_or_default(),
+                        });
+                    }
+                    (remaining.as_millis() as u64).max(1)
+                }
+            };
+            match attempt(self, budget_ms) {
                 Err(NetError::ServerBusy { limit, retry_after }) => {
-                    busy_attempt += 1;
-                    if busy_attempt >= busy_budget {
+                    busy_tried += 1;
+                    if busy_tried >= busy_tries {
                         return Err(NetError::ServerBusy { limit, retry_after });
                     }
-                    self.busy_sleep(busy_attempt, retry_after, None);
+                    self.retry_sleep(busy_tried, retry_after, deadline);
                 }
                 Err(e @ (NetError::Io(_) | NetError::Frame(_))) => {
-                    attempt += 1;
-                    if attempt >= budget {
-                        return if attempt == 1 {
+                    tried += 1;
+                    if tried >= tries {
+                        return if tried == 1 {
                             Err(e)
                         } else {
                             Err(NetError::RetriesExhausted {
-                                attempts: attempt,
+                                attempts: tried,
                                 last: e.to_string(),
                             })
                         };
                     }
-                    self.backoff_sleep(attempt);
+                    self.retry_sleep(tried, Duration::ZERO, deadline);
                 }
-                Err(e) => return Err(e),
+                // An answer, a refusal, or protocol confusion, which is
+                // not transient.
+                done => return done,
             }
         }
     }
