@@ -1,20 +1,25 @@
 //! Dispatch: one [`Request`] executed against the service and answered
 //! with one [`Response`]. The service's workers run it for the server,
 //! with the budget and tier the envelope carried, except what the
-//! reactor answers on its own thread through [`answer_now`] — sheds,
-//! view hits, the other `Query`/`TopK` reads while no job is queued,
-//! and direct-path or group-commit logged preference edits on a free
-//! stripe and WAL shard; [`serve_request`] runs the same code in
-//! process, for a caller that holds the service itself.
+//! reactor answers on its own thread through [`answer_now`], which asks
+//! the service its two questions that never wait: sheds and the
+//! `Query`/`TopK` reads [`CtxPrefService::try_read`] runs (a view hit,
+//! or any ranked read while no job is queued), and the preference edits
+//! [`CtxPrefService::try_edit`] applies (direct-path or group-commit
+//! logged, on a free stripe and WAL shard). [`serve_request`] runs the
+//! same code in process, for a caller that holds the service itself.
 //!
 //! Each verb is one line: the service call, a `.map(..)` where its value
 //! needs a wire shape, and [`reply`], which turns the value into its
 //! response through the `reply!` table in `proto.rs` and a failure into
-//! its typed refusal ([`err_of`]). Only the ranked reads do more: they
-//! parse the state and clamp the deadline ([`ranked_read`]), run on the
-//! calling thread ([`CtxPrefService::query_admitted`] on a worker,
-//! [`CtxPrefService::view_hit`] or [`CtxPrefService::try_query`] on the
-//! reactor) and render rows.
+//! its typed refusal ([`err_of`]). The three preference edits are taken
+//! apart in one place ([`edit_of`]) into the service's [`Edit`]; a
+//! worker applies them with [`CtxPrefService::edit_batch`], one alone or
+//! a batch frame whose items all edit one user, under one migration
+//! guard. The ranked reads parse the state and clamp the deadline
+//! ([`ranked_read`]), run on the calling thread
+//! ([`CtxPrefService::query_admitted`] on a worker,
+//! [`CtxPrefService::try_read`] on the reactor) and render rows.
 //!
 //! What the server sends is a finished frame ([`serve_frame`]). A
 //! ranked answer has one renderer, [`answer_frame`], which encodes its
@@ -30,7 +35,8 @@ use ctxpref_bytes::{Seq, Shown};
 use ctxpref_context::ContextState;
 use ctxpref_core::CoreError;
 use ctxpref_service::{
-    Admitted, CtxPrefService, LadderStep, Priority, ReplicationError, ServiceAnswer, ServiceError,
+    Admitted, CtxPrefService, Edit, LadderStep, Priority, ReplicationError, ServiceAnswer,
+    ServiceError,
 };
 
 use crate::codec::{self, Name, WireRequest};
@@ -110,88 +116,101 @@ pub(crate) fn dispatch_frame(
 
 /// The reactor's one question per decoded request: can it be answered
 /// now, on the calling thread, without waiting? It answers, as the
-/// response frame under the request's id, a ranked read that admission
-/// sheds, an admitted `Query` or `TopK` the service runs without
-/// waiting ([`read_now`]), and a preference edit the service applies
-/// without waiting ([`edit_now`]). Anything else is handed back for a
-/// worker to run, with the admission ticket a ranked read was issued
-/// (`None` for every other verb).
+/// response frame under the request's id, a `Query` or `TopK` that
+/// admission sheds or that the service runs without waiting
+/// ([`CtxPrefService::try_read`]), and a preference edit the service
+/// applies without waiting ([`CtxPrefService::try_edit`]), with a panic
+/// contained and answered typed. Anything else — a state that does not
+/// parse, a read or an edit the service hands back, any other verb — is
+/// handed back for a worker to run, with the admission ticket a ranked
+/// read was issued (`None` for every other verb).
 pub(crate) fn answer_now(
     service: &CtxPrefService,
     cfg: &NetServerConfig,
     wire: &WireRequest,
 ) -> Result<Framed, Option<Admitted>> {
     let (id, req) = (wire.id, &wire.req);
-    if !matches!(req, Request::Query { .. } | Request::TopK { .. }) {
-        return edit_now(service, id, req).ok_or(None);
-    }
-    match service.admit(wire.tier) {
-        Ok(ticket) => read_now(service, cfg, wire, ticket).map_err(Some),
-        Err(e) => Ok(codec::response_frame(id, &err_of(&e))),
+    match req {
+        Request::Query { attr, k, .. } | Request::TopK { attr, k, .. } => {
+            let ticket = match service.admit(wire.tier) {
+                Ok(ticket) => ticket,
+                Err(e) => return Ok(codec::response_frame(id, &err_of(&e))),
+            };
+            let parsed = catch_unwind(AssertUnwindSafe(|| {
+                ranked_read(service, cfg, req, wire.budget_ms)
+            }));
+            let Ok(Ok(read)) = parsed else {
+                return Err(Some(ticket));
+            };
+            let answer = service.try_read(ticket, read.user, &read.state, read.topk, read.deadline);
+            Ok(ranked_frame(service, id, &answer.map_err(Some)?, attr, *k))
+        }
+        _ => {
+            let (user, edit) = edit_of(req).ok_or(None)?;
+            let edited = catch_unwind(AssertUnwindSafe(|| service.try_edit(user, edit)));
+            let response = match edited {
+                Ok(None) => return Err(None),
+                Ok(Some(Ok(removed))) => edited_reply(removed.map(|p| p.score())),
+                Ok(Some(Err(e))) => err_of(&e),
+                Err(_) => panicked(),
+            };
+            Ok(codec::response_frame(id, &response))
+        }
     }
 }
 
-/// Answer an admitted `Query` or `TopK` on the calling thread: a
-/// `TopK` from a current materialized view
-/// ([`CtxPrefService::view_hit`]), else either verb through the ladder
-/// when no job is queued and the user's stripe is free
-/// ([`CtxPrefService::try_query`]), at the deadline a worker would
-/// enforce. Anything else — a state that does not parse, a busy pool
-/// or shard, a fault plan, a panic before the read ran — hands the
-/// ticket back.
-fn read_now(
-    service: &CtxPrefService,
-    cfg: &NetServerConfig,
-    wire: &WireRequest,
-    admitted: Admitted,
-) -> Result<Framed, Admitted> {
-    let (Request::Query { attr, k, .. } | Request::TopK { attr, k, .. }) = &wire.req else {
-        return Err(admitted);
-    };
-    let Ok(Ok(read)) = catch_unwind(AssertUnwindSafe(|| {
-        ranked_read(service, cfg, &wire.req, wire.budget_ms)
-    })) else {
-        return Err(admitted);
-    };
-    let admitted = match read.topk {
-        Some(top) => match service.view_hit(admitted, read.user, &read.state, top) {
-            Ok(answer) => return Ok(ranked_frame(service, wire.id, &Ok(answer), attr, *k)),
-            Err(admitted) => admitted,
-        },
-        None => admitted,
-    };
-    let answer = service.try_query(admitted, read.user, &read.state, read.topk, read.deadline)?;
-    Ok(ranked_frame(service, wire.id, &answer, attr, *k))
-}
-
-/// Apply an `InsertPref`, `UpdateScore` or `RemovePref` through the
-/// service's verbs that never wait (`CtxPrefService::try_*`), which on
-/// a group-commit durable service log it first, and answer it as the
-/// blocking verb would, with a panic contained and answered typed.
-/// `None` for any other verb, or an edit the service hands back
-/// unapplied: on a replicated or per-record logged service, under a
-/// fault plan, or with its stripe or WAL shard held.
-fn edit_now(service: &CtxPrefService, id: u64, req: &Request) -> Option<Framed> {
-    let answered = catch_unwind(AssertUnwindSafe(|| match req {
+/// The preference edit a request asks for, and whose: the one place
+/// the three edit verbs are taken apart. `None` for any other verb.
+fn edit_of(req: &Request) -> Option<(&str, Edit<'_>)> {
+    Some(match req {
         Request::InsertPref {
             user,
             descriptor,
             attr,
             value,
             score,
-        } => service
-            .try_insert_preference_eq(user, descriptor, attr, value, *score)
-            .map(reply),
-        Request::RemovePref { user, index } => service
-            .try_remove_preference(user, *index)
-            .map(|removed| reply(removed.map(|p| p.score()))),
-        Request::UpdateScore { user, index, score } => service
-            .try_update_preference_score(user, *index, *score)
-            .map(reply),
-        _ => None,
-    }));
-    let response = answered.unwrap_or_else(|_| Some(panicked()))?;
-    Some(codec::response_frame(id, &response))
+        } => (
+            user,
+            Edit::Insert {
+                descriptor,
+                attr,
+                value,
+                score: *score,
+            },
+        ),
+        Request::RemovePref { user, index } => (user, Edit::Remove { index: *index }),
+        Request::UpdateScore { user, index, score } => (
+            user,
+            Edit::Rescore {
+                index: *index,
+                score: *score,
+            },
+        ),
+        _ => return None,
+    })
+}
+
+/// An applied edit's response: the score a removal took out, an
+/// acknowledgement for an insert or a re-score.
+fn edited_reply(removed: Option<f64>) -> Response {
+    removed.map_or(Response::Ok, Response::from)
+}
+
+/// Apply one user's `edits` through the service's batch entry, waiting
+/// for locks: each landed edit's response goes to `answer`, then a
+/// failure's typed refusal after the prefix that landed.
+fn edit_batch<'e>(
+    service: &CtxPrefService,
+    user: &str,
+    edits: impl IntoIterator<Item = Edit<'e>>,
+    mut answer: impl FnMut(Response),
+) {
+    let landed = service.edit_batch(user, edits, |removed| {
+        answer(edited_reply(removed.map(|p| p.score())));
+    });
+    if let Err(e) = landed {
+        answer(err_of(&e));
+    }
 }
 
 /// Run `serve` with panics contained: a panic answers typed.
@@ -228,24 +247,11 @@ fn dispatch_inner(
         Request::ViewsStatus => service.views_status().into(),
         Request::AddUser { user } => reply(service.add_user(user)),
         Request::RemoveUser { user } => reply(service.remove_user(user).map(drop)),
-        Request::InsertPref {
-            user,
-            descriptor,
-            attr,
-            value,
-            score,
-        } => reply(service.insert_preference_eq(
-            user,
-            descriptor,
-            attr,
-            value.as_str().into(),
-            *score,
-        )),
-        Request::RemovePref { user, index } => {
-            reply(service.remove_preference(user, *index).map(|p| p.score()))
-        }
-        Request::UpdateScore { user, index, score } => {
-            reply(service.update_preference_score(user, *index, *score))
+        Request::InsertPref { .. } | Request::RemovePref { .. } | Request::UpdateScore { .. } => {
+            let (user, edit) = edit_of(req).expect("an edit verb is an edit");
+            let mut response = Response::Ok;
+            edit_batch(service, user, [edit], |answered| response = answered);
+            response
         }
         Request::Checkpoint => reply(service.checkpoint().map(|report| {
             format!(
@@ -409,20 +415,11 @@ fn dispatch_batch(
     tier: Priority,
 ) -> Response {
     let mut responses = Vec::with_capacity(requests.len());
-    // Homogeneous insert batches take the service's bulk verb: one
-    // routing/guard acquisition for the whole batch instead of one
-    // per preference.
-    if let Some(bulk) = as_bulk_insert(requests) {
-        let (user, items) = bulk;
-        match service.insert_preferences_eq_bulk(user, &items) {
-            Ok(applied) => {
-                responses.resize(applied, Response::Ok);
-            }
-            Err(bulk_err) => {
-                responses.resize(bulk_err.applied, Response::Ok);
-                responses.push(err_of(&bulk_err.error));
-            }
-        }
+    // A batch of one user's edits takes the service's batch entry: one
+    // migration guard for the whole batch instead of one per edit.
+    if let Some(user) = one_user(requests) {
+        let edits = requests.iter().filter_map(edit_of).map(|(_, edit)| edit);
+        edit_batch(service, user, edits, |answered| responses.push(answered));
         return Response::Batch { responses };
     }
     for sub in requests {
@@ -446,34 +443,11 @@ fn dispatch_batch(
     Response::Batch { responses }
 }
 
-/// If every item inserts a preference for one user, extract the bulk
-/// shape the service's batched verb takes.
-#[allow(clippy::type_complexity)]
-fn as_bulk_insert(requests: &[Request]) -> Option<(&str, Vec<(&str, &str, &str, f64)>)> {
-    if requests.is_empty() {
-        return None;
-    }
-    let mut items = Vec::with_capacity(requests.len());
-    let mut batch_user: Option<&str> = None;
-    for sub in requests {
-        let Request::InsertPref {
-            user,
-            descriptor,
-            attr,
-            value,
-            score,
-        } = sub
-        else {
-            return None;
-        };
-        match batch_user {
-            None => batch_user = Some(user),
-            Some(u) if u == user => {}
-            Some(_) => return None,
-        }
-        items.push((descriptor.as_str(), attr.as_str(), value.as_str(), *score));
-    }
-    batch_user.map(|u| (u, items))
+/// The user every item of `requests` edits, if they all edit one.
+fn one_user(requests: &[Request]) -> Option<&str> {
+    let (user, _) = edit_of(requests.first()?)?;
+    let same = |req| edit_of(req).is_some_and(|(other, _)| other == user);
+    requests.iter().all(same).then_some(user)
 }
 
 /// Execute one migration step. Every step is idempotent (guarded by

@@ -40,13 +40,15 @@
 //!     (`ctxpref-replication`).
 //!
 //!   The write hands back what it displaced, so a removal returns the
-//!   value the log applied, not one read beside it. A front-end's
-//!   reactor edits preferences through `try_` twins of the verbs that
-//!   never wait: with no fault plan installed and the user's stripe
-//!   free, on the direct path — and on the logged path under group
-//!   commit with the user's WAL shard free too — they apply (and log)
-//!   the edit on the calling thread; otherwise they hand it back for
-//!   the blocking verb.
+//!   value the log applied, not one read beside it. A client edit is
+//!   one [`Edit`] (insert, re-score, remove). A front-end's reactor
+//!   applies it with [`CtxPrefService::try_edit`], which never waits:
+//!   with no fault plan installed and the user's stripe free, on the
+//!   direct path — and on the logged path under group commit with the
+//!   user's WAL shard free too — it applies (and logs) the edit on the
+//!   calling thread; otherwise it hands it back for
+//!   [`CtxPrefService::edit_batch`], which waits, and serves a batch
+//!   of one user's edits under one migration guard.
 //!
 //! Failure modes are driven deterministically in tests by the
 //! `ctxpref-faults` plan (see the chaos suite under `tests/`, and the
@@ -94,7 +96,7 @@ pub use migrate::{MigrationEntry, MigrationPhase, RouteInfo, UserExport};
 pub use service::CtxPrefService;
 pub use stats::ServiceStats;
 pub use tier::Priority;
-pub use write::{BulkError, ScrubStatus};
+pub use write::{Edit, ScrubStatus};
 
 // Durability and replication vocabulary re-exported so service
 // consumers need not depend on the lower crates directly.

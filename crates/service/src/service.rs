@@ -28,14 +28,12 @@ use crate::write::WritePath;
 /// Every request runs on one fixed pool of worker threads: in-process
 /// callers queue their reads and wait for the answer, and a front-end
 /// (the network server) queues whole requests with [`Self::spawn`] —
-/// all but what it answers on its own thread through the entries that
-/// never wait: the top-k reads a current view holds
-/// ([`Self::view_hit`]), the other ranked reads while no job is queued
-/// ([`Self::try_query`]) and the preference edits on a free stripe
-/// ([`Self::try_insert_preference_eq`],
-/// [`Self::try_update_preference_score`],
-/// [`Self::try_remove_preference`]), applied directly or, under group
-/// commit, logged and applied when the user's WAL shard is free too.
+/// all but what it answers on its own thread through the two entries
+/// that never wait: [`Self::try_read`] (a top-k read a current view
+/// holds, else any ranked read while no job is queued) and
+/// [`Self::try_edit`] (an [`crate::Edit`] on a free stripe, applied
+/// directly or, under group commit, logged and applied when the user's
+/// WAL shard is free too).
 ///
 /// * **Deadlines & cancellation** — every query carries a deadline and
 ///   is never executed past it: a worker drops it at dequeue, after the
@@ -357,52 +355,6 @@ impl CtxPrefService {
         self.enqueue(Box::new(move || job(admitted)))
     }
 
-    /// Answer an admitted top-`k` read from a current materialized
-    /// view on the calling thread, without waiting — a front-end's
-    /// reactor calls it before queueing the read. It only answers when
-    /// the user's shard is free and a view holds the answer: it never
-    /// blocks on a shard lock, passes no fault site, materializes
-    /// nothing and records no miss, and a panic inside it is
-    /// contained. (The user's view catalog is read-locked as on any
-    /// hit, so it can wait out a worker's concurrent build of that
-    /// user's view: bounded compute, never I/O or a fault site.) A hit
-    /// counts as [`LadderStep::View`] and feeds no
-    /// sojourn sample (it never queued). Anything else — a miss, a
-    /// contended shard, an installed fault plan — hands the ticket back
-    /// so the read queues with [`Self::spawn`].
-    pub fn view_hit(
-        &self,
-        admitted: Admitted,
-        user: &str,
-        state: &ContextState,
-        k: usize,
-    ) -> Result<ServiceAnswer, Admitted> {
-        // Under a plan every read runs where its fault sites are.
-        if ctxpref_faults::current().is_some() {
-            return Err(admitted);
-        }
-        let started = Instant::now();
-        let probe = || {
-            let core = Arc::clone(&*self.db.try_read()?);
-            let shard = core.try_read_user_shard(user)?;
-            shard.view_hit(user, state, k)
-        };
-        match catch_unwind(AssertUnwindSafe(probe)) {
-            Ok(Some(answer)) => {
-                let answer = ServiceAnswer {
-                    answer,
-                    step: LadderStep::View,
-                    fallbacks: Vec::new(),
-                    resolved_state: None,
-                    elapsed: started.elapsed(),
-                };
-                self.counters.served_view.fetch_add(1, Ordering::Relaxed);
-                Ok(answer)
-            }
-            Ok(None) | Err(_) => Err(admitted),
-        }
-    }
-
     /// Run a ranked read on the calling thread — from inside a job on
     /// the service's workers, so that no worker waits on the pool.
     /// `admitted` is the ticket [`Self::admit`] issued for this read;
@@ -434,21 +386,31 @@ impl CtxPrefService {
     }
 
     /// Run an admitted ranked read on the calling thread without
-    /// waiting — a front-end's reactor calls it for a read no view
-    /// holds ([`Self::view_hit`]), to spare the read the hop to a
-    /// worker and back. The read runs the body a worker runs for
-    /// [`Self::query_admitted`] (expiry drop, post-lock deadline
-    /// re-check, ladder, panic containment, deadline-miss count), but
-    /// takes the core and the user's stripe only if they are free this
-    /// instant, and feeds no sojourn sample (it never queued). It hands
-    /// the ticket back, unrun, under an installed fault plan (every
-    /// read then runs where its fault sites are), while any job is
-    /// queued for the workers (the read would jump that queue, and a
-    /// backlog is for the sojourn controller to see), and when the core
-    /// slot or the stripe is held; the read then queues with
-    /// [`Self::spawn`]. Otherwise it answers as the blocking verb
-    /// would, refusals included.
-    pub fn try_query(
+    /// waiting — a front-end's reactor calls it before queueing the
+    /// read, to spare it the hop to a worker and back. In order:
+    ///
+    /// * a top-`k` read probes a current materialized view, whatever
+    ///   the queue holds. The probe never blocks on a shard lock,
+    ///   passes no fault site, materializes nothing and records no
+    ///   miss, and a panic inside it is contained. (The user's view
+    ///   catalog is read-locked as on any hit, so it can wait out a
+    ///   worker's concurrent build of that user's view: bounded
+    ///   compute, never I/O or a fault site.) A hit counts as
+    ///   [`LadderStep::View`];
+    /// * any read is then ranked under the body a worker runs for
+    ///   [`Self::query_admitted`] (expiry drop, post-lock deadline
+    ///   re-check, ladder, panic containment, deadline-miss count),
+    ///   but only while no job is queued for the workers (the read
+    ///   would jump that queue, and a backlog is for the sojourn
+    ///   controller to see) and only if the core slot and the user's
+    ///   stripe are free this instant. It answers as the blocking verb
+    ///   would, refusals included.
+    ///
+    /// Neither feeds a sojourn sample (the read never queued). An
+    /// installed fault plan (every read then runs where its fault
+    /// sites are), a held lock or a queued job hands the ticket back,
+    /// unrun, and the read queues with [`Self::spawn`].
+    pub fn try_read(
         &self,
         admitted: Admitted,
         user: &str,
@@ -456,7 +418,28 @@ impl CtxPrefService {
         topk: Option<usize>,
         deadline: Duration,
     ) -> Result<Result<ServiceAnswer, ServiceError>, Admitted> {
-        if ctxpref_faults::current().is_some() || !self.queue.is_idle() {
+        if ctxpref_faults::current().is_some() {
+            return Err(admitted);
+        }
+        if let Some(k) = topk {
+            let started = Instant::now();
+            let probe = || {
+                let core = Arc::clone(&*self.db.try_read()?);
+                let shard = core.try_read_user_shard(user)?;
+                shard.view_hit(user, state, k)
+            };
+            if let Ok(Some(answer)) = catch_unwind(AssertUnwindSafe(probe)) {
+                self.counters.served_view.fetch_add(1, Ordering::Relaxed);
+                return Ok(Ok(ServiceAnswer {
+                    answer,
+                    step: LadderStep::View,
+                    fallbacks: Vec::new(),
+                    resolved_state: None,
+                    elapsed: started.elapsed(),
+                }));
+            }
+        }
+        if !self.queue.is_idle() {
             return Err(admitted);
         }
         let read = Read {

@@ -25,7 +25,7 @@ use crate::stats::Counters;
 /// constructor, and never changed. [`CtxPrefService::write`] is the
 /// only code that acts on the choice, apart from the preference edits
 /// that never wait, which run on the direct and logged paths
-/// (`CtxPrefService::edit`); everything else that looks at it is
+/// (`CtxPrefService::apply`); everything else that looks at it is
 /// inspection (stats, scrub, status).
 pub(crate) enum WritePath {
     /// Applied straight to the in-memory core ([`CtxPrefService::new`]).
@@ -38,44 +38,63 @@ pub(crate) enum WritePath {
     Replicated(Arc<Cluster>),
 }
 
-/// The failure of a bulk mutation: how many items of the batch were
-/// applied before the failure, plus the failure itself. The prefix is
-/// durably applied — a caller resumes after `applied`, it does not
-/// replay the whole batch.
-#[derive(Debug)]
-pub struct BulkError {
-    /// Items applied before the failure.
-    pub applied: usize,
-    /// The first item failure.
-    pub error: ServiceError,
+/// One client edit of one user's preferences, in the textual form a
+/// wire request carries: the paper's insert, re-score and delete
+/// (§5.1). An insert's value stays text until the edit is known to
+/// run.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Edit<'a> {
+    /// Insert the equality preference `descriptor :: attr = value` at
+    /// `score`.
+    Insert {
+        /// The context descriptor, in the CLI's textual syntax.
+        descriptor: &'a str,
+        /// The attribute the preference constrains.
+        attr: &'a str,
+        /// The value it must equal.
+        value: &'a str,
+        /// The preference's score.
+        score: f64,
+    },
+    /// Re-score the preference at `index`.
+    Rescore {
+        /// The preference's position in the profile.
+        index: usize,
+        /// Its new score.
+        score: f64,
+    },
+    /// Remove the preference at `index`.
+    Remove {
+        /// The preference's position in the profile.
+        index: usize,
+    },
 }
 
-impl std::fmt::Display for BulkError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "bulk write failed after {} item(s): {}",
-            self.applied, self.error
-        )
-    }
-}
-
-impl std::error::Error for BulkError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        Some(&self.error)
+impl Edit<'_> {
+    /// The op that applies this edit to `user`, validated against the
+    /// serving core.
+    fn op(self, core: &ShardedMultiUserDb, user: &str) -> Result<WalOp, ServiceError> {
+        let user = user.to_string();
+        Ok(match self {
+            Edit::Insert {
+                descriptor,
+                attr,
+                value,
+                score,
+            } => return insert_op(core, user, descriptor, attr, value.into(), score),
+            Edit::Rescore { index, score } => WalOp::UpdateScore { user, index, score },
+            Edit::Remove { index } => WalOp::RemovePreference { user, index },
+        })
     }
 }
 
 /// How a client preference edit takes its user's stripe lock.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Take {
-    /// Wait for it, on whichever write path the service has: the
-    /// blocking verbs.
+    /// Wait for it, on whichever write path the service has.
     Wait,
-    /// Never wait: apply only with no fault plan installed, on the
-    /// direct path if the stripe is free this instant, on the logged
-    /// path if `DurableDb::try_apply` takes it — the `try_` verbs. A
-    /// replicated write is always handed back.
+    /// Never wait: apply on the direct path if the stripe is free this
+    /// instant, on the logged path if `DurableDb::try_apply` takes it.
     IfFree,
 }
 
@@ -85,7 +104,7 @@ enum Take {
 /// applied.
 fn insert_op(
     core: &ShardedMultiUserDb,
-    user: &str,
+    user: String,
     descriptor: &str,
     attr: &str,
     value: ctxpref_relation::Value,
@@ -100,18 +119,15 @@ fn insert_op(
         value,
         score,
     )?;
-    Ok(WalOp::InsertPreference {
-        user: user.to_string(),
-        pref,
-    })
+    Ok(WalOp::InsertPreference { user, pref })
 }
 
-/// What a preference removal applied by [`CtxPrefService::edit`] took
-/// out.
-fn removed(displaced: Option<Displaced>) -> ContextualPreference {
+/// What an applied edit took out: the preference a removal displaced,
+/// `None` for an insert or a re-score.
+fn removed(displaced: Displaced) -> Option<ContextualPreference> {
     match displaced {
-        Some(Displaced::Preference(pref)) => pref,
-        other => unreachable!("a preference removal displaced {other:?}"),
+        Displaced::Preference(pref) => Some(pref),
+        _ => None,
     }
 }
 
@@ -247,69 +263,8 @@ impl CtxPrefService {
         value: ctxpref_relation::Value,
         score: f64,
     ) -> Result<(), ServiceError> {
-        self.edit(Take::Wait, user, |core| {
-            insert_op(core, user, descriptor, attr, value, score)
-        })?;
-        Ok(())
-    }
-
-    /// [`Self::insert_preference_eq`] for a caller that must never wait
-    /// or fsync — a front-end's reactor. `None` hands the edit back
-    /// unapplied, to be run with the blocking verb: on a replicated
-    /// service, under an installed fault plan (the edit runs where the
-    /// fault sites are), while the user's stripe is read- or
-    /// write-locked, and on a logged service also under per-record
-    /// sync, while the user's WAL shard is held, or when the record
-    /// would fill its segment ([`DurableDb::try_apply`]). Otherwise the
-    /// edit is logged (on a logged service) and applied here, under the
-    /// same migration guard as the blocking verb, and answers as it
-    /// would.
-    ///
-    /// The value comes in its textual form, as a wire request carries
-    /// it, and is built only once the edit is known to run here.
-    pub fn try_insert_preference_eq(
-        &self,
-        user: &str,
-        descriptor: &str,
-        attr: &str,
-        value: &str,
-        score: f64,
-    ) -> Option<Result<(), ServiceError>> {
-        self.edit(Take::IfFree, user, |core| {
-            insert_op(core, user, descriptor, attr, value.into(), score)
-        })
-        .transpose()
-        .map(|done| done.map(drop))
-    }
-
-    /// Insert several equality preferences for one user under a single
-    /// migration write guard — the batched-mutation verb behind the
-    /// wire protocol's batch frames. Items apply in order and the
-    /// batch stops at the first failure: the error reports how many
-    /// items landed, so a caller can resume after the prefix instead
-    /// of replaying (and double-applying) it.
-    ///
-    /// Each item is `(descriptor, attr, value, score)` in the same
-    /// textual form [`Self::insert_preference_eq`] takes.
-    pub fn insert_preferences_eq_bulk(
-        &self,
-        user: &str,
-        items: &[(&str, &str, &str, f64)],
-    ) -> Result<usize, BulkError> {
-        let _guard = self
-            .migrations
-            .write_guard(user)
-            .map_err(|error| BulkError { applied: 0, error })?;
-        let insert = |&(descriptor, attr, value, score): &(&str, &str, &str, f64)| {
-            let op = insert_op(&self.core(), user, descriptor, attr, value.into(), score)?;
-            self.write(op)
-        };
-        let mut applied = 0;
-        for item in items {
-            insert(item).map_err(|error| BulkError { applied, error })?;
-            applied += 1;
-        }
-        Ok(applied)
+        let insert = |core: &_| insert_op(core, user.to_string(), descriptor, attr, value, score);
+        self.edit(Take::Wait, user, insert).map(drop)
     }
 
     /// Remove one user's preference by index, returning the preference
@@ -319,31 +274,12 @@ impl CtxPrefService {
         user: &str,
         index: usize,
     ) -> Result<ContextualPreference, ServiceError> {
-        let displaced = self.edit(Take::Wait, user, |_| {
-            Ok(WalOp::RemovePreference {
-                user: user.to_string(),
-                index,
-            })
-        })?;
-        Ok(removed(displaced))
-    }
-
-    /// [`Self::remove_preference`] for a caller that must never wait:
-    /// `None` hands it back unapplied, as
-    /// [`Self::try_insert_preference_eq`] does.
-    pub fn try_remove_preference(
-        &self,
-        user: &str,
-        index: usize,
-    ) -> Option<Result<ContextualPreference, ServiceError>> {
-        self.edit(Take::IfFree, user, |_| {
-            Ok(WalOp::RemovePreference {
-                user: user.to_string(),
-                index,
-            })
-        })
-        .transpose()
-        .map(|done| done.map(|displaced| removed(Some(displaced))))
+        match self.edit(Take::Wait, user, |core| {
+            Edit::Remove { index }.op(core, user)
+        })? {
+            Some(Displaced::Preference(pref)) => Ok(pref),
+            other => unreachable!("a preference removal displaced {other:?}"),
+        }
     }
 
     /// Update the score of one user's preference by index.
@@ -353,54 +289,78 @@ impl CtxPrefService {
         index: usize,
         score: f64,
     ) -> Result<(), ServiceError> {
-        self.edit(Take::Wait, user, |_| {
-            Ok(WalOp::UpdateScore {
-                user: user.to_string(),
-                index,
-                score,
-            })
-        })?;
+        let rescore = |core: &_| Edit::Rescore { index, score }.op(core, user);
+        self.edit(Take::Wait, user, rescore).map(drop)
+    }
+
+    /// Apply `edit` to `user` for a caller that must never wait or
+    /// fsync — a front-end's reactor — answering as the blocking verbs
+    /// would, with the preference a removal took out. `None` hands the
+    /// edit back unapplied, to be run with [`Self::edit_batch`]: on a
+    /// replicated service, under an installed fault plan (the edit runs
+    /// where the fault sites are), while the user's stripe is read- or
+    /// write-locked, and on a logged service also under per-record
+    /// sync, while the user's WAL shard is held, or when the record
+    /// would fill its segment ([`DurableDb::try_apply`]). Otherwise the
+    /// edit is logged (on a logged service) and applied here, under the
+    /// same migration guard as the blocking verbs.
+    pub fn try_edit(
+        &self,
+        user: &str,
+        edit: Edit<'_>,
+    ) -> Option<Result<Option<ContextualPreference>, ServiceError>> {
+        if self.is_replicated() || ctxpref_faults::current().is_some() {
+            return None;
+        }
+        let edited = self.edit(Take::IfFree, user, |core| edit.op(core, user));
+        edited.transpose().map(|done| done.map(removed))
+    }
+
+    /// Apply `edits` to `user` in order, waiting for locks, under one
+    /// migration write guard: the entry behind the wire's edit
+    /// requests, one alone or a batch frame's worth. Each applied
+    /// edit's outcome (the preference a removal took out) goes to
+    /// `applied` as it lands. The first failure stops the batch and is
+    /// returned, so the calls `applied` received are the prefix that
+    /// landed: a caller resumes after it instead of replaying (and
+    /// double-applying) it.
+    pub fn edit_batch<'e>(
+        &self,
+        user: &str,
+        edits: impl IntoIterator<Item = Edit<'e>>,
+        mut applied: impl FnMut(Option<ContextualPreference>),
+    ) -> Result<(), ServiceError> {
+        let _guard = self.migrations.write_guard(user)?;
+        for edit in edits {
+            let displaced = self.apply(Take::Wait, user, |core| edit.op(core, user))?;
+            applied(displaced.and_then(removed));
+        }
         Ok(())
     }
 
-    /// [`Self::update_preference_score`] for a caller that must never
-    /// wait: `None` hands it back unapplied, as
-    /// [`Self::try_insert_preference_eq`] does.
-    pub fn try_update_preference_score(
-        &self,
-        user: &str,
-        index: usize,
-        score: f64,
-    ) -> Option<Result<(), ServiceError>> {
-        self.edit(Take::IfFree, user, |_| {
-            Ok(WalOp::UpdateScore {
-                user: user.to_string(),
-                index,
-                score,
-            })
-        })
-        .transpose()
-        .map(|done| done.map(drop))
-    }
-
-    /// The one body of a client preference edit, blocking or not: the
-    /// migration fence's write guard, the op `make` builds against the
-    /// serving core, and the write, taking the user's stripe as `take`
-    /// says. `Ok(None)` means nothing was applied, which only
-    /// [`Take::IfFree`] answers.
+    /// A single client preference edit: [`Self::apply`] under the
+    /// migration fence's write guard.
     fn edit(
         &self,
         take: Take,
         user: &str,
         make: impl FnOnce(&ShardedMultiUserDb) -> Result<WalOp, ServiceError>,
     ) -> Result<Option<Displaced>, ServiceError> {
-        if take == Take::IfFree
-            && (matches!(self.path, WritePath::Replicated(_))
-                || ctxpref_faults::current().is_some())
-        {
-            return Ok(None);
-        }
         let _guard = self.migrations.write_guard(user)?;
+        self.apply(take, user, make)
+    }
+
+    /// The one body of a client preference edit, blocking or not, run
+    /// under the caller's migration guard: the op `make` builds against
+    /// the serving core, and the write, taking the user's stripe as
+    /// `take` says. `Ok(None)` means nothing was applied, which only
+    /// [`Take::IfFree`] answers.
+    fn apply(
+        &self,
+        take: Take,
+        user: &str,
+        make: impl FnOnce(&ShardedMultiUserDb) -> Result<WalOp, ServiceError>,
+    ) -> Result<Option<Displaced>, ServiceError> {
         let core = self.core();
         let op = make(&core)?;
         Ok(Some(match (take, &self.path) {
