@@ -25,7 +25,7 @@ pub fn put_uv(out: &mut Vec<u8>, mut v: u64) {
 
 /// Append a length-delimited byte run: its length, then the bytes.
 #[inline]
-fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
+pub(crate) fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
     put_uv(out, b.len() as u64);
     out.extend_from_slice(b);
 }
@@ -148,6 +148,23 @@ impl<'a> Dec<'a> {
         Ok(run)
     }
 
+    /// A length-delimited UTF-8 text, borrowed from the payload.
+    #[inline]
+    pub(crate) fn str(&mut self) -> Result<&'a str, DecodeError> {
+        let start = self.pos;
+        let raw = self.bytes()?;
+        std::str::from_utf8(raw).map_err(|_| DecodeError {
+            offset: start,
+            kind: DecodeKind::BadUtf8,
+        })
+    }
+
+    /// The bytes read since offset `start`.
+    #[inline]
+    pub(crate) fn since(&self, start: usize) -> &'a [u8] {
+        &self.buf[start..self.pos]
+    }
+
     /// Fail with `TrailingBytes` unless every byte was read.
     #[inline]
     pub fn expect_end(&self) -> Result<(), DecodeError> {
@@ -252,12 +269,7 @@ impl Wire for String {
     }
     #[inline]
     fn get(dec: &mut Dec<'_>) -> Result<Self, DecodeError> {
-        let start = dec.pos;
-        let raw = dec.bytes()?;
-        String::from_utf8(raw.to_vec()).map_err(|_| DecodeError {
-            offset: start,
-            kind: DecodeKind::BadUtf8,
-        })
+        dec.str().map(str::to_owned)
     }
 }
 
@@ -522,12 +534,82 @@ macro_rules! wire_struct {
 /// [`Via`] stand-in `W`). The compiler holds each table to its enum: a
 /// missing variant or field does not build, and neither does a tag used
 /// twice.
+///
+/// A `lends L` clause makes the enum `L<'a>` a
+/// [`LentMessage`](crate::LentMessage) of the kind, covering each line
+/// marked `lent` (whose fields have no `as`): its variant of the same
+/// name holds each field's [`Lend`](crate::Lend) form, and its encoder,
+/// decoder and conversions both ways come from those lines.
 #[macro_export]
 macro_rules! vocabulary {
+    // The `lends` clause, one line at a time: the lines marked `lent`
+    // are collected, then the lent kind's impl is generated from them.
+    (@lent [] $($lines:tt)*) => {};
+    (@lent [$lent:ident $kind:ident $tags:ident]
+        [$(($tag:literal $variant:ident $($field:ident)*))*]) => {
+        impl<'a> $crate::LentMessage<'a> for $lent<'a> {
+            type Owned = $kind;
+
+            fn tag(&self) -> u8 {
+                match self {
+                    $($lent::$variant { .. } => $tags::$variant as u8,)*
+                }
+            }
+
+            fn put_body(&self, out: &mut Vec<u8>) {
+                match *self {
+                    $($lent::$variant { $($field),* } => {
+                        $($crate::Lend::put_lent($field, out);)*
+                    })*
+                }
+            }
+
+            fn get_lent(
+                dec: &mut $crate::Dec<'a>,
+                tag: u8,
+            ) -> Result<Option<Self>, $crate::DecodeError> {
+                Ok(Some(match tag {
+                    $($tag => $lent::$variant {
+                        $($field: $crate::Lend::get_lent(dec)?),*
+                    },)*
+                    _ => return Ok(None),
+                }))
+            }
+
+            fn owned(&self) -> $kind {
+                match *self {
+                    $($lent::$variant { $($field),* } => $kind::$variant {
+                        $($field: $crate::Lend::owned($field)),*
+                    },)*
+                }
+            }
+
+            fn lend(owned: &'a $kind) -> Option<Self> {
+                Some(match owned {
+                    $($kind::$variant { $($field),* } => $lent::$variant {
+                        $($field: $crate::Lend::lend($field)),*
+                    },)*
+                    _ => return None,
+                })
+            }
+        }
+    };
+    (@lent [$($head:tt)*] [$($done:tt)*]
+        $tag:literal => $variant:ident { $($field:ident),* } lent, $($rest:tt)*) => {
+        $crate::vocabulary!(@lent [$($head)*] [$($done)* ($tag $variant $($field)*)] $($rest)*);
+    };
+    (@lent [$($head:tt)*] [$($done:tt)*] $tag:literal => $variant:ident, $($rest:tt)*) => {
+        $crate::vocabulary!(@lent [$($head)*] [$($done)*] $($rest)*);
+    };
+    (@lent [$($head:tt)*] [$($done:tt)*]
+        $tag:literal => $variant:ident $body:tt, $($rest:tt)*) => {
+        $crate::vocabulary!(@lent [$($head)*] [$($done)*] $($rest)*);
+    };
     (
-        $kind:ident, tags $tags:ident, $what:literal $(, batch $batch:ident)?;
+        $kind:ident, tags $tags:ident, $what:literal
+            $(, batch $batch:ident)? $(, lends $lent:ident)?;
         $($tag:literal => $variant:ident
-            $({ $($field:ident $(as $via:ident)?),* })? $(($inner:ident))?,)*
+            $({ $($field:ident $(as $via:ident)?),* })? $(($inner:ident))? $($mark:ident)?,)*
     ) => {
         /// The tag byte of each variant.
         #[repr(u8)]
@@ -569,6 +651,9 @@ macro_rules! vocabulary {
                 })
             }
         }
+
+        $crate::vocabulary!(@lent [$($lent $kind $tags)?] []
+            $($tag => $variant $({ $($field $(as $via)?),* })? $(($inner))? $($mark)?,)*);
     };
 }
 

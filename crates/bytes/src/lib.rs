@@ -8,7 +8,9 @@
 //! * the field codec — varints, length-delimited strings, IEEE-754
 //!   scores — with its two table macros, [`wire_struct!`] for structs
 //!   and [`vocabulary!`] for tagged enums, each generating a type's
-//!   encoder and its bounds-checked decoder from one list;
+//!   encoder and its bounds-checked decoder from one list, and a
+//!   table's lent kind ([`LentMessage`]), read from a payload without
+//!   copying its texts;
 //! * the frame — `[u32 len | u64 checksum | payload]` with its
 //!   word-at-a-time checksum ([`frame_checksum`]), built in place
 //!   ([`open_frame`]/[`seal_frame`]) and verified where it landed
@@ -26,6 +28,7 @@
 mod codec;
 mod error;
 mod frame;
+mod lent;
 
 pub use codec::{bad_tag, put_uv, Dec, Le64, Message, Put, Seq, Shown, Via, Wire};
 pub use error::{DecodeError, DecodeKind, FrameError};
@@ -33,6 +36,7 @@ pub use frame::{
     decode_header, encode_frame, frame_checksum, frame_header, open_frame, seal_frame, split_frame,
     verify, FRAME_HEADER, MAX_FRAME_PAYLOAD,
 };
+pub use lent::{Lend, LentMessage, TokenIter, Tokens};
 
 /// The FNV-1a 64 offset basis.
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;

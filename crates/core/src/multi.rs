@@ -30,7 +30,7 @@ use ctxpref_profile::{
     ContextualPreference, IndexedProfile, ParamOrder, Profile, ProfileTree, TreeStats,
 };
 use ctxpref_qcache::ContextQueryTree;
-use ctxpref_relation::{CompareOp, RankedResults, Relation, Value};
+use ctxpref_relation::{CompareOp, RankedResults, Relation, ScoredTuple, Value};
 use ctxpref_resolve::{rank_cs, rank_cs_state};
 use ctxpref_views::{Change, Seat, ViewCatalog, ViewOpts, ViewStats};
 
@@ -531,9 +531,25 @@ impl MultiUserDb {
     /// current materialized view holds it, else `None` — no miss is
     /// recorded and nothing is materialized.
     pub fn view_hit(&self, user: &str, state: &ContextState, k: usize) -> Option<QueryAnswer> {
+        self.view_hit_with(user, state, k, |_, rows| {
+            view_answer(RankedResults::from_sorted(rows.to_vec()))
+        })
+    }
+
+    /// [`Self::view_hit`], with the hit's rows lent to `render`, beside
+    /// the relation they index, while the view is read-locked: no copy
+    /// of them and no owned answer.
+    pub fn view_hit_with<R>(
+        &self,
+        user: &str,
+        state: &ContextState,
+        k: usize,
+        render: impl FnOnce(&Relation, &[ScoredTuple]) -> R,
+    ) -> Option<R> {
         let slot = self.users.get(user)?;
-        let hit = (slot.derived.views).hit_for(&slot.seat, &view_opts(self.defaults), state, k);
-        hit.map(view_answer)
+        let opts = view_opts(self.defaults);
+        let relation = &self.relation;
+        (slot.derived.views).hit_for(&slot.seat, &opts, state, k, |rows| render(relation, rows))
     }
 
     /// Register and pin a materialized top-k view of `(user, state)`:

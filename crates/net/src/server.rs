@@ -36,6 +36,15 @@
 //!   finished frame over a queue and a waker; the reactor queues it
 //!   for the socket as it is.
 //!
+//! The reactor reads a request without copying it: a verb it may
+//! answer (`Query`, `TopK` and the three preference edits) is decoded as
+//! a [`crate::RequestRef`] lent from the payload the frame decoder
+//! lends, and only a request handed to a worker is made owned, then. A
+//! view hit is answered in one pass: the service probes the view and
+//! renders its rows straight into the response frame while the view is
+//! read-locked, so the hit allocates the state it parsed and the frame,
+//! and nothing else.
+//!
 //! Either way a response is framed once, where it is produced: the
 //! payload is encoded in place behind the frame header, and a ranked
 //! answer's rows go from the relation straight into it.
@@ -85,13 +94,14 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use ctxpref_bytes::LentMessage;
 use ctxpref_faults::sites::{
     NET_ACCEPT, NET_CONN_DELAY, NET_CONN_DROP, NET_FRAME_READ, NET_FRAME_WRITE,
 };
 use ctxpref_faults::{hit, hit_io};
 use ctxpref_service::{Admitted, CtxPrefService};
 
-use crate::codec::{self, WireRequest};
+use crate::codec::{self, Body, WireRequest};
 use crate::dispatch::{answer_now, dispatch_frame, err_of};
 use crate::frame::{FrameDecoder, Framed};
 use crate::proto::Response;
@@ -545,8 +555,8 @@ impl Reactor {
                 );
                 return false;
             }
-            let wire = match codec::decode_request(payload) {
-                Ok(wire) => wire,
+            let (envelope, body) = match codec::decode_lent(payload) {
+                Ok(decoded) => decoded,
                 Err(e) => {
                     // The body was malformed but the header may still
                     // name the request — answer typed under its id so
@@ -560,16 +570,29 @@ impl Reactor {
                     continue;
                 }
             };
-            // Answered here if it can be without waiting — a shed, a
+            // A verb the reactor may answer is lent from the payload and
+            // answered here if it can be without waiting — a shed, a
             // view hit, a ranked read while no job is queued, a
             // preference edit on a free stripe — so it takes no thread
-            // hop; otherwise it queues with its admission ticket.
-            let admitted = match answer_now(&self.shared.service, &self.shared.cfg, &wire) {
-                Ok(frame) => {
-                    self.enqueue_frame(token, frame);
-                    continue;
+            // hop and no copy; otherwise it is made owned only now, and
+            // queues with its admission ticket.
+            let (req, admitted) = match body {
+                Body::Lent(req) => {
+                    match answer_now(&self.shared.service, &self.shared.cfg, envelope, req) {
+                        Ok(frame) => {
+                            self.enqueue_frame(token, frame);
+                            continue;
+                        }
+                        Err(admitted) => (req.owned(), admitted),
+                    }
                 }
-                Err(admitted) => admitted,
+                Body::Owned(req) => (req, None),
+            };
+            let wire = WireRequest {
+                id: envelope.id,
+                budget_ms: envelope.budget_ms,
+                tier: envelope.tier,
+                req,
             };
             let id = wire.id;
             let shared = Arc::clone(&self.shared);

@@ -1,56 +1,32 @@
-//! The server's borrowed answer encoding against the owned one: for
-//! random rankings over a relation whose row attribute is a string, an
-//! integer or a float, the frame `answer_frame` builds straight from
-//! the relation must equal, byte for byte,
-//! `encode_frame(&encode_response(id, &Response::Answer(owned)))` for
-//! the `RemoteAnswer` an in-process caller would own — and decode back
-//! to it. That owned answer is built here with `to_string`, apart from
-//! the codec, as the oracle: `serve_request` itself decodes this frame.
+//! The server's answer frames as a worker sends them, reached through
+//! `serve_frame`: a served `Query` or `TopK` over a relation whose row
+//! attribute is a string, an integer or a float is rendered straight
+//! from the relation, and its frame must equal, byte for byte,
+//! `encode_frame(&encode_response(id, &resp))` of the response it
+//! decodes to, whose rows must be the service's own ranking rendered
+//! with `to_string`, apart from the codec, as the oracle. An attribute
+//! the schema lacks answers typed.
 //!
-//! The generator aims at the encoding's edges: a coarse score grid
-//! holding both `-0.0` and `0.0`, so ties at the `k` cut are common;
-//! `k = 0` and empty rankings; every ladder rung, with and without a
-//! resolved state, and zero to two fallbacks; row names of 0 and of
-//! more than 127 bytes (a two-byte length), non-ASCII text, and numbers
-//! whose rendering is longer than 127 bytes.
+//! The renderer's edges — every ladder rung, resolved states,
+//! fallbacks, ties at the `k` cut, and a view hit's rows lent from the
+//! view — are the crate's unit tests (`dispatch::tests`), which build
+//! arbitrary served answers.
 
-use std::sync::{Arc, OnceLock};
-use std::time::Duration;
+use std::sync::OnceLock;
 
-use ctxpref_context::ContextState;
-use ctxpref_core::{MultiUserDb, QueryAnswer};
+use ctxpref_core::MultiUserDb;
 use ctxpref_net::{
-    answer_frame, decode_response, encode_frame, encode_response, read_frame, AnswerRow,
-    RemoteAnswer, Response, WireFallback,
+    decode_response, encode_frame, encode_response, read_frame, serve_frame, serve_request,
+    AnswerRow, Request, Response,
 };
-use ctxpref_relation::{AttrType, RankedResults, Relation, Schema, ScoreCombiner, ScoredTuple};
-use ctxpref_service::{CtxPrefService, Fallback, LadderStep, ServiceAnswer, ServiceConfig};
+use ctxpref_relation::{AttrType, Relation, Schema};
+use ctxpref_service::{CtxPrefService, ServiceConfig};
 use ctxpref_workload::reference::poi_env;
-use proptest::prelude::*;
 
 /// One row attribute of each type the answer renders differently.
 const ATTRS: [&str; 3] = ["name", "n", "x"];
 const TUPLES: usize = 48;
-const SCORES: [f64; 6] = [-0.0, 0.0, 0.25, 0.5, 0.75, 1.0];
-const STEPS: [LadderStep; 5] = [
-    LadderStep::View,
-    LadderStep::Cached,
-    LadderStep::Exact,
-    LadderStep::NearestState,
-    LadderStep::DefaultAnswer,
-];
-
-struct Lcg(u64);
-
-impl Lcg {
-    fn below(&mut self, n: usize) -> usize {
-        self.0 = self
-            .0
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        (self.0 >> 33) as usize % n
-    }
-}
+const STATE: [&str; 3] = ["Plaka", "warm", "friends"];
 
 /// A relation whose values cover the renderings' edges: an empty and a
 /// 200-byte name, non-ASCII names, `i64::MIN`, and floats whose
@@ -74,140 +50,107 @@ fn relation() -> Relation {
     rel
 }
 
+/// A service whose user `u` prefers, under [`STATE`], rows named by
+/// an empty, a long and a non-ASCII name, two of them tied.
 fn service() -> &'static CtxPrefService {
     static SERVICE: OnceLock<CtxPrefService> = OnceLock::new();
     SERVICE.get_or_init(|| {
         let db = MultiUserDb::new(poi_env(), relation(), 0);
-        CtxPrefService::new(db, ServiceConfig::default())
+        let service = CtxPrefService::new(db, ServiceConfig::default());
+        service.add_user("u").unwrap();
+        let long = "x".repeat(200);
+        for (value, score) in [("", 0.9), (long.as_str(), 0.5), ("Πλάκα", 0.5)] {
+            let insert = Request::InsertPref {
+                user: "u".into(),
+                descriptor: "accompanying_people = friends".into(),
+                attr: "name".into(),
+                value: value.into(),
+                score,
+            };
+            assert_eq!(serve_request(&service, &insert), Response::Ok);
+        }
+        service
     })
 }
 
-/// A random served answer: a ranking of up to `TUPLES` scored tuples
-/// (possibly none) on the score grid, a rung, a resolved state or none,
-/// and zero to two fallbacks.
-fn served(rng: &mut Lcg) -> ServiceAnswer {
-    let env = service().with_db(|db| db.env().clone());
-    let raw: Vec<ScoredTuple> = (0..rng.below(TUPLES + 1))
-        .map(|_| ScoredTuple {
-            tuple_index: rng.below(TUPLES),
-            score: SCORES[rng.below(SCORES.len())],
-        })
-        .collect();
-    let results = RankedResults::from_scores(raw, ScoreCombiner::Max);
-    let resolved_state = (rng.below(2) == 0).then(|| {
-        let values = env
-            .iter()
-            .map(|(_, h)| {
-                let edom: Vec<_> = h.edom().collect();
-                edom[rng.below(edom.len())]
-            })
-            .collect();
-        ContextState::new(&env, values).unwrap()
-    });
-    let fallbacks = (0..rng.below(3))
-        .map(|i| Fallback {
-            step: STEPS[rng.below(STEPS.len())],
-            reason: format!("panic: injected — fallback {i}"),
-        })
-        .collect();
-    ServiceAnswer {
-        answer: QueryAnswer {
-            results: Arc::new(results),
-            resolutions: Vec::new(),
-            from_cache: false,
-        },
-        step: STEPS[rng.below(STEPS.len())],
-        fallbacks,
-        resolved_state,
-        elapsed: Duration::from_micros(rng.below(1 << 20) as u64),
+fn ranked(top_k: bool, attr: &str, k: usize) -> Request {
+    let state = STATE.iter().map(|s| s.to_string()).collect();
+    let (user, attr, deadline_ms) = ("u".to_string(), attr.to_string(), 2_000);
+    if top_k {
+        Request::TopK {
+            user,
+            attr,
+            k,
+            deadline_ms,
+            state,
+        }
+    } else {
+        Request::Query {
+            user,
+            attr,
+            k,
+            deadline_ms,
+            state,
+        }
     }
 }
 
-/// What an in-process caller owns of `answer`: every text rendered with
-/// `to_string`, independently of the encoder.
-fn owned(answer: &ServiceAnswer, attr: &str, k: usize) -> RemoteAnswer {
-    service().with_db(|db| {
+/// `u`'s top `k` rows under [`STATE`] rendered by `attr` with
+/// `to_string`, from the service's own ranking.
+fn oracle_rows(attr: &str, k: usize) -> Vec<AnswerRow> {
+    let svc = service();
+    let state = svc.with_db(|db| ctxpref_context::ContextState::parse(db.env(), &STATE).unwrap());
+    let answer = svc.query_state("u", &state).unwrap();
+    svc.with_db(|db| {
         let rel = db.relation();
         let a = rel.schema().attr(attr).unwrap();
-        RemoteAnswer {
-            step: answer.step.to_string(),
-            elapsed_us: answer.elapsed.as_micros() as u64,
-            resolved_state: answer
-                .resolved_state
-                .as_ref()
-                .map(|s| s.display(db.env()).to_string()),
-            fallbacks: answer
-                .fallbacks
-                .iter()
-                .map(|fb| WireFallback {
-                    step: fb.step.to_string(),
-                    reason: fb.reason.clone(),
-                })
-                .collect(),
-            rows: answer
-                .answer
-                .results
-                .top_k_with_ties(k)
-                .iter()
-                .map(|e| AnswerRow {
-                    name: rel.tuple(e.tuple_index).value(a).to_string(),
-                    score: e.score,
-                })
-                .collect(),
-        }
+        (answer.answer.results.top_k_with_ties(k).iter())
+            .map(|e| AnswerRow {
+                name: rel.tuple(e.tuple_index).value(a).to_string(),
+                score: e.score,
+            })
+            .collect()
     })
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    #[test]
-    fn the_direct_frame_is_the_owned_answers_frame(
-        seed in any::<u64>(),
-        id in any::<u64>(),
-        attr in 0usize..3,
-        k in 0usize..=TUPLES + 2,
-    ) {
-        let mut rng = Lcg(seed);
-        let answer = served(&mut rng);
-        let attr = ATTRS[attr];
-        let want = Response::Answer(owned(&answer, attr, k));
-        let frame = answer_frame(service(), id, &answer, attr, k).unwrap();
-        prop_assert_eq!(&frame, &encode_frame(&encode_response(id, &want)).unwrap());
-        let payload = read_frame(&mut &frame[..]).unwrap().unwrap();
-        let back = decode_response(&payload).unwrap();
-        prop_assert_eq!(back.id, id);
-        prop_assert_eq!(back.resp, want);
-    }
 }
 
 #[test]
-fn the_generator_reaches_the_edges() {
-    let mut rng = Lcg(7);
-    let (mut empty, mut tied_cut, mut with_state, mut two_fallbacks) = (0, 0, 0, 0);
-    for _ in 0..256 {
-        let answer = served(&mut rng);
-        let entries = answer.answer.results.entries();
-        empty += usize::from(entries.is_empty());
-        tied_cut += usize::from(answer.answer.results.top_k_with_ties(3).len() > 3);
-        with_state += usize::from(answer.resolved_state.is_some());
-        two_fallbacks += usize::from(answer.fallbacks.len() == 2);
+fn a_served_frame_is_the_frame_of_the_answer_it_carries() {
+    let mut id = 1;
+    let mut rows_seen = 0;
+    for top_k in [false, true] {
+        for attr in ATTRS {
+            for k in [0, 1, 2, 5, TUPLES + 2] {
+                id += 1;
+                let frame = serve_frame(service(), id, &ranked(top_k, attr, k)).unwrap();
+                let payload = read_frame(&mut &frame[..]).unwrap().unwrap();
+                let back = decode_response(&payload).unwrap();
+                assert_eq!(back.id, id);
+                assert_eq!(
+                    frame,
+                    encode_frame(&encode_response(id, &back.resp)).unwrap()
+                );
+                let Response::Answer(answer) = back.resp else {
+                    panic!("not an answer: {:?}", back.resp);
+                };
+                assert_eq!(answer.rows, oracle_rows(attr, k), "{attr} k={k}");
+                rows_seen += answer.rows.len();
+            }
+        }
     }
-    assert!(empty > 0 && tied_cut > 0 && with_state > 0 && two_fallbacks > 0);
-    // A rendered float past 127 bytes takes the two-byte length.
-    assert!(1e300f64.to_string().len() > 127);
+    assert!(rows_seen > 0, "no rows were served");
 }
 
 #[test]
 fn an_attribute_the_schema_lacks_answers_typed() {
-    let answer = served(&mut Lcg(3));
-    let frame = answer_frame(service(), 9, &answer, "no_such_attr", 5).unwrap();
-    let payload = read_frame(&mut &frame[..]).unwrap().unwrap();
-    let back = decode_response(&payload).unwrap();
-    assert_eq!(back.id, 9);
-    assert!(
-        matches!(&back.resp, Response::Err { kind, .. } if kind == "core"),
-        "{:?}",
-        back.resp
-    );
+    for top_k in [false, true] {
+        let frame = serve_frame(service(), 9, &ranked(top_k, "no_such_attr", 5)).unwrap();
+        let payload = read_frame(&mut &frame[..]).unwrap().unwrap();
+        let back = decode_response(&payload).unwrap();
+        assert_eq!(back.id, 9);
+        assert!(
+            matches!(&back.resp, Response::Err { kind, .. } if kind == "core"),
+            "{:?}",
+            back.resp
+        );
+    }
 }

@@ -27,6 +27,7 @@ use ctxpref_context::ContextState;
 use ctxpref_core::{CoreError, QueryAnswer, UserShardRead};
 use ctxpref_relation::{RankedResults, Relation, ScoredTuple};
 
+use crate::admission::Admitted;
 use crate::error::ServiceError;
 
 /// Which rung of the degradation ladder produced an answer.
@@ -98,6 +99,35 @@ impl ServiceAnswer {
     pub fn is_degraded(&self) -> bool {
         self.step > LadderStep::Exact
     }
+}
+
+/// A view hit as [`CtxPrefService::try_read_with`] lends it to its
+/// renderer, while the view is read-locked.
+///
+/// [`CtxPrefService::try_read_with`]: crate::CtxPrefService::try_read_with
+#[derive(Debug, Clone, Copy)]
+pub struct ViewHit<'a> {
+    /// The relation the rows index.
+    pub relation: &'a Relation,
+    /// The top-`k` rows, ties included, borrowed from the view's
+    /// ranking.
+    pub rows: &'a [ScoredTuple],
+    /// Time spent serving the read, up to the render.
+    pub elapsed: Duration,
+}
+
+/// What [`CtxPrefService::try_read_with`] did with a read.
+///
+/// [`CtxPrefService::try_read_with`]: crate::CtxPrefService::try_read_with
+#[derive(Debug)]
+pub enum TryRead<R> {
+    /// A current view held the answer: what the renderer made of it.
+    View(R),
+    /// Ranked on the calling thread: the answer or the refusal the
+    /// blocking verb would give.
+    Ran(Result<ServiceAnswer, ServiceError>),
+    /// Not run: the ticket back, for the read to queue.
+    Queue(Admitted),
 }
 
 /// Ancestor states of `state`, nearest first: each round lifts every

@@ -68,7 +68,7 @@ use parking_lot::{Mutex, RwLock};
 
 use ctxpref_context::{ContextState, DistanceKind};
 use ctxpref_profile::ContextualPreference;
-use ctxpref_relation::{RankedResults, Relation, ScoreCombiner};
+use ctxpref_relation::{RankedResults, Relation, ScoreCombiner, ScoredTuple};
 use ctxpref_resolve::{PreferenceStore, TieBreak};
 
 use crate::content::{
@@ -387,7 +387,8 @@ impl ViewCatalog {
         state: &ContextState,
         k: usize,
     ) -> Option<RankedResults> {
-        if let Some(result) = self.hit_as(seat, opts, state, k) {
+        let copied = |rows: &[ScoredTuple]| RankedResults::from_sorted(rows.to_vec());
+        if let Some(result) = self.hit_as(seat, opts, state, k, copied) {
             return Some(result);
         }
         if !opts.supports_views() || k == 0 {
@@ -400,30 +401,32 @@ impl ViewCatalog {
         self.note_miss(seat, store, relation, opts, state, k)
     }
 
-    /// The hit path alone, under the catalog's read lock:
-    /// `top_k_with_ties(k)` for `state` when a view built under `opts`
-    /// is current at this epoch and deep enough for `k`, counted as a
-    /// hit of `seat`. A miss records nothing and
-    /// materializes nothing, so a caller that cannot afford
-    /// [`Self::serve_for`]'s miss path may probe and leave the miss to a
-    /// later `serve_for`.
-    pub fn hit_for(
+    /// The hit path alone: when a view of `state` built under `opts` is
+    /// current at this epoch and deep enough for `k`, its
+    /// `top_k_with_ties(k)` rows lent to `render` under the catalog's
+    /// read lock, no copy made, and counted as a hit of `seat`. A miss
+    /// records nothing and materializes nothing, so a caller that
+    /// cannot afford [`Self::serve_for`]'s miss path may probe and leave
+    /// the miss to a later `serve_for`.
+    pub fn hit_for<R>(
         &self,
         seat: &Seat,
         opts: &ViewOpts,
         state: &ContextState,
         k: usize,
-    ) -> Option<RankedResults> {
-        self.hit_as(Some(seat), opts, state, k)
+        render: impl FnOnce(&[ScoredTuple]) -> R,
+    ) -> Option<R> {
+        self.hit_as(Some(seat), opts, state, k, render)
     }
 
-    fn hit_as(
+    fn hit_as<R>(
         &self,
         seat: Option<&Seat>,
         opts: &ViewOpts,
         state: &ContextState,
         k: usize,
-    ) -> Option<RankedResults> {
+        render: impl FnOnce(&[ScoredTuple]) -> R,
+    ) -> Option<R> {
         if !opts.supports_views() || k == 0 {
             return None;
         }
@@ -436,7 +439,7 @@ impl ViewCatalog {
         if view.epoch != inner.epoch || !(content.complete || k <= content.k_max) {
             return None;
         }
-        let result = RankedResults::from_sorted(top_k_with_ties(&content.ranked, k).to_vec());
+        let result = render(top_k_with_ties(&content.ranked, k));
         // A hit stamps the current tick without advancing it, and writes
         // the stamp only when it moved: sharers hitting one view on
         // other cores then leave its cache line alone. Views hit since
