@@ -13,7 +13,10 @@
 //!   [`ExtendedContextDescriptor`] — the descriptor language of
 //!   Definitions 1–4 and 8 (`Ci = v`, `Ci ∈ {…}`, `Ci ∈ [v1, vm]`,
 //!   conjunctions, and disjunctions of conjunctions), together with
-//!   their expansion `Context(cod)` into finite sets of states.
+//!   their expansion `Context(cod)` into finite sets of states. A
+//!   descriptor packs its clauses into one slice of 4-byte words and
+//!   lends each as a [`ClauseRef`]; a [`DescriptorBuilder`] makes one
+//!   in a single allocation.
 //! * The [`ContextState::covers`] partial order (Definition 10) and the
 //!   two state similarity measures of Section 4.3: the hierarchy
 //!   distance (Definition 15) and the Jaccard distance (Definition 17),
@@ -39,6 +42,7 @@
 //! assert_eq!(states.len(), 2); // (warm, friends), (warm, family)
 //! ```
 
+mod clause;
 mod descriptor;
 mod distance;
 mod env;
@@ -48,9 +52,8 @@ mod state;
 #[cfg(test)]
 pub(crate) mod testutil;
 
-pub use descriptor::{
-    descriptor_of_state, ContextDescriptor, ExtendedContextDescriptor, ParameterDescriptor,
-};
+pub use clause::{ClauseRef, DescriptorBuilder, ParameterDescriptor};
+pub use descriptor::{descriptor_of_state, ContextDescriptor, ExtendedContextDescriptor};
 pub use distance::{hierarchy_state_dist, jaccard_state_dist, DistanceKind};
 pub use env::{ContextEnvironment, ParamId};
 pub use error::ContextError;

@@ -17,7 +17,8 @@
 //!                   | "in" "[" value "," value "]" )
 //! ```
 
-use crate::descriptor::{ContextDescriptor, ExtendedContextDescriptor, ParameterDescriptor};
+use crate::clause::{ClauseRef, DescriptorBuilder};
+use crate::descriptor::{ContextDescriptor, ExtendedContextDescriptor};
 use crate::env::{ContextEnvironment, ParamId};
 use crate::error::ContextError;
 use crate::state::CtxValue;
@@ -212,12 +213,14 @@ impl<'a> Parser<'a> {
             })
     }
 
-    fn clause(&mut self) -> Result<(ParamId, ParameterDescriptor), ContextError> {
+    /// Parse one clause into `out`.
+    fn clause(&mut self, out: &mut DescriptorBuilder) -> Result<(), ContextError> {
         let param = self.word("a context parameter name")?;
         let p = self.env.require_param(param)?;
         if self.peek() == Some(Tok::Eq) {
             self.advance()?;
-            return Ok((p, ParameterDescriptor::Eq(self.value(p, param)?)));
+            out.push(p, ClauseRef::Eq(self.value(p, param)?));
+            return Ok(());
         }
         if !self.is_keyword("in") {
             return Err(self.error("expected `=` or `in`"));
@@ -232,7 +235,7 @@ impl<'a> Parser<'a> {
                     vs.push(self.value(p, param)?);
                 }
                 self.expect(Tok::RBrace, "`}`")?;
-                Ok((p, ParameterDescriptor::In(vs)))
+                out.push(p, ClauseRef::In(&vs));
             }
             Some(Tok::LBracket) => {
                 self.advance()?;
@@ -240,10 +243,11 @@ impl<'a> Parser<'a> {
                 self.expect(Tok::Comma, "`,`")?;
                 let to = self.value(p, param)?;
                 self.expect(Tok::RBracket, "`]`")?;
-                Ok((p, ParameterDescriptor::Range(from, to)))
+                out.push(p, ClauseRef::Range(from, to));
             }
-            _ => Err(self.error("expected `{` or `[` after `in`")),
+            _ => return Err(self.error("expected `{` or `[` after `in`")),
         }
+        Ok(())
     }
 
     /// How many clauses the conjunction at the next token holds: one
@@ -279,17 +283,18 @@ impl<'a> Parser<'a> {
                 return Ok(ContextDescriptor::empty());
             }
         }
-        // Sized up front, so the descriptor is built in one allocation.
-        let mut clauses = Vec::with_capacity(self.clause_count());
-        clauses.push(self.clause()?);
+        // Sized up front, so a descriptor of `=` clauses is built in one
+        // allocation.
+        let mut clauses = DescriptorBuilder::with_capacity(self.clause_count());
+        self.clause(&mut clauses)?;
         while self.is_keyword("and") {
             self.advance()?;
-            clauses.push(self.clause()?);
+            self.clause(&mut clauses)?;
         }
         if parenthesized {
             self.expect(Tok::RParen, "`)`")?;
         }
-        Ok(ContextDescriptor::from_clauses(clauses))
+        Ok(clauses.build())
     }
 
     fn extended(&mut self) -> Result<ExtendedContextDescriptor, ContextError> {

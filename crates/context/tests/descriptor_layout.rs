@@ -115,13 +115,19 @@ proptest! {
         );
 
         // Ascending parameters, one clause each, exactly the map's.
-        let listed: Vec<_> = built.clauses().map(|(p, pd)| (p, pd.clone())).collect();
+        let listed: Vec<_> = built
+            .clauses()
+            .map(|(p, pd)| (p, ParameterDescriptor::from(pd)))
+            .collect();
         prop_assert!(listed.windows(2).all(|w| w[0].0 < w[1].0));
         prop_assert_eq!(&listed, &expected);
         prop_assert_eq!(built.clause_count(), map.len());
         prop_assert_eq!(built.is_empty(), map.is_empty());
         for (p, _) in env.iter() {
-            prop_assert_eq!(built.clause(p), map.get(&p));
+            prop_assert_eq!(
+                built.clause(p).map(ParameterDescriptor::from).as_ref(),
+                map.get(&p)
+            );
         }
 
         // Definition 4, state for state and in the same order.

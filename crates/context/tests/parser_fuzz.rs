@@ -29,8 +29,9 @@ fn render(env: &ContextEnvironment, cod: &ContextDescriptor) -> String {
     }
     let mut parts = Vec::new();
     for (p, pd) in cod.clauses() {
+        let pd = ParameterDescriptor::from(pd);
         let h = env.hierarchy(p);
-        let part = match pd {
+        let part = match &pd {
             ParameterDescriptor::Eq(v) => format!("{} = {}", h.name(), h.value_name(*v)),
             ParameterDescriptor::In(vs) => format!(
                 "{} in {{{}}}",

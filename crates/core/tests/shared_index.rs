@@ -160,8 +160,8 @@ fn assert_like_rebuild(
     assert_eq!(paths(live), paths(fresh), "{at}: paths of {user}");
     assert_eq!(live.stats(), fresh.stats(), "{at}: stats of {user}");
     assert_eq!(
-        live.contributor_counts(),
-        fresh.contributor_counts(),
+        live.contributor_counts().unwrap(),
+        fresh.contributor_counts().unwrap(),
         "{at}: contributor counts of {user}"
     );
     for state in states {

@@ -19,8 +19,9 @@ use std::collections::HashMap;
 use ctxpref_context::{ContextEnvironment, ContextState, CtxValue, DistanceKind};
 
 use crate::access::AccessCounter;
+use crate::leaf::{Leaf, LeafEntry};
 use crate::ordering::ParamOrder;
-use crate::tree::{Candidate, Cell, LeafEntry, LeafId, Node, ProfileTree, TreeStats};
+use crate::tree::{Candidate, Cell, LeafId, Node, ProfileTree, TreeStats};
 
 /// A hash-consed, immutable profile tree: same contents and lookup
 /// behaviour as the [`ProfileTree`] it was compressed from, with
@@ -79,7 +80,7 @@ fn node(cells: &[(u32, u32)]) -> Node {
 
 struct DagBuilder {
     nodes: Vec<Node>,
-    leaves: Vec<Vec<LeafEntry>>,
+    leaves: Vec<Leaf>,
     node_index: HashMap<Vec<(u32, u32)>, u32>,
     leaf_index: HashMap<Vec<(String, u64)>, u32>,
 }
@@ -124,7 +125,7 @@ impl DagBuilder {
             return id;
         }
         let id = self.leaves.len() as u32;
-        self.leaves.push(entries.to_vec());
+        self.leaves.push(Leaf::from(entries));
         self.leaf_index.insert(key, id);
         id
     }

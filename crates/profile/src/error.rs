@@ -31,6 +31,19 @@ pub enum ProfileError {
     EnvironmentMismatch,
     /// A preference index out of bounds.
     NoSuchPreference(usize),
+    /// A profile tree records a contributor count it cannot hold: a
+    /// count of one or less (an entry of one contributor has no
+    /// record), or a count for a position past its leaf's entries.
+    ContributorCount {
+        /// The leaf's arena slot.
+        leaf: u32,
+        /// The entry's position in the leaf.
+        position: u32,
+        /// The recorded count.
+        count: u32,
+        /// How many entries the leaf holds.
+        entries: usize,
+    },
 }
 
 impl fmt::Display for ProfileError {
@@ -54,6 +67,26 @@ impl fmt::Display for ProfileError {
                 write!(f, "objects belong to different context environments")
             }
             Self::NoSuchPreference(i) => write!(f, "no preference at index {i}"),
+            Self::ContributorCount {
+                leaf,
+                position,
+                count,
+                entries,
+            } if *count <= 1 => write!(
+                f,
+                "leaf {leaf} records a contributor count of {count} for entry {position} \
+                 of {entries}; only counts above one are recorded"
+            ),
+            Self::ContributorCount {
+                leaf,
+                position,
+                count,
+                entries,
+            } => write!(
+                f,
+                "leaf {leaf} records a contributor count of {count} for entry {position}, \
+                 which outlives it: the leaf holds {entries} entries"
+            ),
         }
     }
 }

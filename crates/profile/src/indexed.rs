@@ -242,11 +242,11 @@ mod tests {
                         .rescore(rng.below(len + 1), [0.4, 0.8][rng.below(2)])
                         .map(|_| ()),
                 };
-                let counts = indexed.tree().contributor_counts();
+                let counts = indexed.tree().contributor_counts().unwrap();
                 let rebuilt = ProfileTree::from_profile(indexed.profile(), order.clone()).unwrap();
                 assert_eq!(
                     counts,
-                    rebuilt.contributor_counts(),
+                    rebuilt.contributor_counts().unwrap(),
                     "seed {seed}, step {step}"
                 );
                 assert_eq!(
@@ -255,7 +255,7 @@ mod tests {
                     "seed {seed}, step {step}"
                 );
                 let reordered = indexed.tree().reorder(other_order.clone()).unwrap();
-                assert_eq!(reordered.contributor_counts(), counts);
+                assert_eq!(reordered.contributor_counts().unwrap(), counts);
                 shared += counts.iter().filter(|(_, _, n)| *n > 1).count();
             }
         }

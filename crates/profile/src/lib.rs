@@ -33,6 +33,7 @@ mod access;
 mod dag;
 mod error;
 mod indexed;
+mod leaf;
 mod ordering;
 mod preference;
 mod profile;
@@ -43,11 +44,12 @@ pub use access::AccessCounter;
 pub use dag::CompressedProfileTree;
 pub use error::ProfileError;
 pub use indexed::IndexedProfile;
+pub use leaf::LeafEntry;
 pub use ordering::ParamOrder;
 pub use preference::{AttributeClause, ContextualPreference};
 pub use profile::Profile;
 pub use serial::{SerialRecord, SerialStore};
-pub use tree::{Candidate, LeafEntry, LeafId, ProfileTree, TreeStats};
+pub use tree::{Candidate, LeafId, ProfileTree, TreeStats};
 
 /// Byte cost of one `[key, pointer]` cell of an internal profile-tree
 /// node: a 4-byte interned value key plus a 4-byte child pointer. The

@@ -2,9 +2,10 @@ use ctxpref_context::{ContextEnvironment, ContextState, DistanceKind};
 
 use crate::access::AccessCounter;
 use crate::error::ProfileError;
+use crate::leaf::LeafEntry;
 use crate::preference::ContextualPreference;
 use crate::profile::Profile;
-use crate::tree::{Candidate, LeafEntry, LeafId};
+use crate::tree::{Candidate, LeafId};
 use crate::{LEAF_ENTRY_BYTES, SERIAL_VALUE_BYTES};
 
 /// One serially stored preference state: the expanded context state

@@ -40,6 +40,15 @@ pub enum RelationError {
         /// The supplied value's type.
         got: AttrType,
     },
+    /// Text that spells no value of its attribute's type.
+    UnparsableValue {
+        /// The attribute the text was given for.
+        attr: String,
+        /// The schema's type.
+        expected: AttrType,
+        /// The text.
+        text: String,
+    },
 }
 
 impl fmt::Display for RelationError {
@@ -57,6 +66,11 @@ impl fmt::Display for RelationError {
             } => {
                 write!(f, "attribute {attr:?} expects {expected}, got {got}")
             }
+            Self::UnparsableValue {
+                attr,
+                expected,
+                text,
+            } => write!(f, "attribute {attr:?} expects {expected}, got {text:?}"),
         }
     }
 }
@@ -106,6 +120,17 @@ impl Schema {
     pub fn require_attr(&self, name: &str) -> Result<AttrId, RelationError> {
         self.attr(name)
             .ok_or_else(|| RelationError::UnknownAttr(name.to_string()))
+    }
+
+    /// The value `text` spells for the attribute `name`, typed by the
+    /// schema: how a preference clause given as text is typed.
+    pub fn parse_value(&self, name: &str, text: &str) -> Result<Value, RelationError> {
+        let expected = self.attr_type(self.require_attr(name)?);
+        Value::parse(expected, text).ok_or_else(|| RelationError::UnparsableValue {
+            attr: name.to_string(),
+            expected,
+            text: text.to_string(),
+        })
     }
 
     /// Name of an attribute.

@@ -63,6 +63,17 @@ impl Value {
         }
     }
 
+    /// The value of type `ty` that `text` spells as [`fmt::Display`]
+    /// prints it; `None` when `text` spells no value of that type.
+    pub fn parse(ty: AttrType, text: &str) -> Option<Self> {
+        match ty {
+            AttrType::Int => text.parse().ok().map(Self::Int),
+            AttrType::Float => text.parse().ok().map(Self::Float),
+            AttrType::Str => Some(Self::str(text)),
+            AttrType::Bool => text.parse().ok().map(Self::Bool),
+        }
+    }
+
     /// The type of the value.
     pub fn attr_type(&self) -> AttrType {
         match self {
@@ -174,6 +185,21 @@ mod tests {
         assert_eq!(Value::from("x").attr_type(), AttrType::Str);
         assert_eq!(Value::from(true).attr_type(), AttrType::Bool);
         assert_eq!(Value::from(String::from("y")), Value::str("y"));
+    }
+
+    #[test]
+    fn parse_types_text_as_display_prints_it() {
+        for v in [
+            Value::Int(-42),
+            Value::Float(2.5),
+            Value::str("x y"),
+            Value::Bool(true),
+        ] {
+            assert_eq!(Value::parse(v.attr_type(), &v.to_string()), Some(v));
+        }
+        assert_eq!(Value::parse(AttrType::Int, "forty-two"), None);
+        assert_eq!(Value::parse(AttrType::Float, ""), None);
+        assert_eq!(Value::parse(AttrType::Bool, "yes"), None);
     }
 
     #[test]

@@ -6,7 +6,7 @@ use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
-use ctxpref_core::{preference_from_parts, ShardedMultiUserDb};
+use ctxpref_core::{preference_from_parts, CoreError, ShardedMultiUserDb};
 use ctxpref_profile::{ContextualPreference, Profile};
 use ctxpref_relation::CompareOp;
 use ctxpref_replication::{Cluster, ClusterStatus, NodeId, ReplicationError, RoleHook, TickReport};
@@ -41,7 +41,7 @@ pub(crate) enum WritePath {
 /// One client edit of one user's preferences, in the textual form a
 /// wire request carries: the paper's insert, re-score and delete
 /// (§5.1). An insert's value stays text until the edit is known to
-/// run.
+/// run, and is then typed by its attribute's schema type.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Edit<'a> {
     /// Insert the equality preference `descriptor :: attr = value` at
@@ -72,7 +72,8 @@ pub enum Edit<'a> {
 
 impl Edit<'_> {
     /// The op that applies this edit to `user`, validated against the
-    /// serving core.
+    /// serving core. An insert's value is refused typed when it spells
+    /// no value of its attribute's type.
     fn op(self, core: &ShardedMultiUserDb, user: &str) -> Result<WalOp, ServiceError> {
         let user = user.to_string();
         Ok(match self {
@@ -81,7 +82,12 @@ impl Edit<'_> {
                 attr,
                 value,
                 score,
-            } => return insert_op(core, user, descriptor, attr, value.into(), score),
+            } => {
+                let value = (core.relation().schema())
+                    .parse_value(attr, value)
+                    .map_err(CoreError::from)?;
+                return insert_op(core, user, descriptor, attr, value, score);
+            }
             Edit::Rescore { index, score } => WalOp::UpdateScore { user, index, score },
             Edit::Remove { index } => WalOp::RemovePreference { user, index },
         })

@@ -10,7 +10,7 @@
 //! human-like skew (people mostly file preferences about a handful of
 //! places and times).
 
-use ctxpref_context::{ContextDescriptor, ContextEnvironment, ParameterDescriptor};
+use ctxpref_context::{ClauseRef, ContextEnvironment, DescriptorBuilder};
 use ctxpref_hierarchy::{Hierarchy, HierarchyBuilder};
 use ctxpref_profile::{AttributeClause, ContextualPreference, Profile};
 use ctxpref_relation::AttrId;
@@ -86,15 +86,15 @@ pub fn real_profile(env: &ContextEnvironment, seed: u64) -> Profile {
 
     let mut seen = std::collections::HashSet::new();
     while profile.len() < REAL_PROFILE_SIZE {
-        let mut clauses = Vec::with_capacity(samplers.len());
+        let mut clauses = DescriptorBuilder::with_capacity(samplers.len());
         let mut key: Vec<u32> = Vec::with_capacity(env.len() + 1);
         for (p, z) in &samplers {
             let h = env.hierarchy(*p);
             let v = h.domain(h.detailed_level())[z.sample(&mut rng)];
-            clauses.push((*p, ParameterDescriptor::Eq(v)));
+            clauses.push(*p, ClauseRef::Eq(v));
             key.push(v.0);
         }
-        let cod = ContextDescriptor::from_clauses(clauses);
+        let cod = clauses.build();
         let ty = rng.random_range(0..POI_TYPES.len());
         key.push(ty as u32);
         if !seen.insert(key.clone()) {

@@ -6,9 +6,7 @@
 //! Zipf distribution (α = 1.5, with Figure 6 right sweeping α for one
 //! parameter). Queries mix values from different hierarchy levels.
 
-use ctxpref_context::{
-    ContextDescriptor, ContextEnvironment, ContextState, CtxValue, ParameterDescriptor,
-};
+use ctxpref_context::{ClauseRef, ContextEnvironment, ContextState, CtxValue, DescriptorBuilder};
 use ctxpref_hierarchy::{Hierarchy, LevelId};
 use ctxpref_profile::{AttributeClause, ContextualPreference, Profile};
 use ctxpref_relation::AttrId;
@@ -102,14 +100,14 @@ impl SyntheticSpec {
             .collect();
         let mut profile = Profile::new(env.clone());
         for _ in 0..self.num_prefs {
-            let mut clauses = Vec::with_capacity(env.len());
+            let mut clauses = DescriptorBuilder::with_capacity(env.len());
             let mut key: Vec<u32> = Vec::with_capacity(env.len() + 1);
             for ((p, h), z) in env.iter().zip(&samplers) {
                 let v = h.domain(h.detailed_level())[z.sample(&mut rng)];
-                clauses.push((p, ParameterDescriptor::Eq(v)));
+                clauses.push(p, ClauseRef::Eq(v));
                 key.push(v.0);
             }
-            let cod = ContextDescriptor::from_clauses(clauses);
+            let cod = clauses.build();
             let cv = rng.random_range(0..self.clause_values.max(1)) as u32;
             key.push(cv);
             let clause = AttributeClause::eq(AttrId(0), format!("v{cv}").into());
@@ -137,7 +135,7 @@ impl SyntheticSpec {
             .collect();
         let mut profile = Profile::new(env.clone());
         for _ in 0..self.num_prefs {
-            let mut clauses = Vec::with_capacity(env.len());
+            let mut clauses = DescriptorBuilder::with_capacity(env.len());
             let mut key: Vec<u32> = Vec::with_capacity(env.len() + 1);
             for ((p, h), z) in env.iter().zip(&samplers) {
                 let mut v = h.domain(h.detailed_level())[z.sample(&mut rng)];
@@ -145,10 +143,10 @@ impl SyntheticSpec {
                     let target = rng.random_range(0..h.level_count()) as u8;
                     v = h.anc(v, LevelId(target)).unwrap_or(v);
                 }
-                clauses.push((p, ParameterDescriptor::Eq(v)));
+                clauses.push(p, ClauseRef::Eq(v));
                 key.push(v.0);
             }
-            let cod = ContextDescriptor::from_clauses(clauses);
+            let cod = clauses.build();
             let cv = rng.random_range(0..self.clause_values.max(1)) as u32;
             key.push(cv);
             let clause = AttributeClause::eq(AttrId(0), format!("v{cv}").into());

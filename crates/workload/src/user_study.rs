@@ -27,8 +27,7 @@
 use std::collections::HashMap;
 
 use ctxpref_context::{
-    ContextDescriptor, ContextEnvironment, ContextState, CtxValue, DistanceKind,
-    ParameterDescriptor,
+    ClauseRef, ContextEnvironment, ContextState, CtxValue, DescriptorBuilder, DistanceKind,
 };
 use ctxpref_profile::{AttributeClause, ContextualPreference, ParamOrder, Profile, ProfileTree};
 use ctxpref_relation::{RankedResults, Relation, ScoreCombiner, ScoredTuple};
@@ -286,13 +285,14 @@ fn to_profile(env: &ContextEnvironment, map: &HashMap<PrefKey, f64>, rel: &Relat
             (ppl_p, key.company),
             (loc_p, key.city),
         ];
-        let mut clauses = Vec::with_capacity(pinned.iter().filter(|(_, v)| v.is_some()).count());
-        clauses.extend(
-            pinned
-                .into_iter()
-                .filter_map(|(p, v)| Some((p, ParameterDescriptor::Eq(v?)))),
-        );
-        let cod = ContextDescriptor::from_clauses(clauses);
+        let mut clauses =
+            DescriptorBuilder::with_capacity(pinned.iter().filter(|(_, v)| v.is_some()).count());
+        for (p, v) in pinned {
+            if let Some(v) = v {
+                clauses.push(p, ClauseRef::Eq(v));
+            }
+        }
+        let cod = clauses.build();
         let clause = AttributeClause::eq(ty_attr, POI_TYPES[key.ty].into());
         profile.insert_unchecked(ContextualPreference::new(cod, clause, score).unwrap());
     }

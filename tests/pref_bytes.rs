@@ -14,9 +14,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
 
-use ctxpref::context::{
-    descriptor_of_state, parse_descriptor, ContextState, ParamId, ParameterDescriptor,
-};
+use ctxpref::context::{descriptor_of_state, parse_descriptor, ContextState, ParamId};
 use ctxpref::core::MultiUserDb;
 use ctxpref::profile::{IndexedProfile, ParamOrder, Profile};
 use ctxpref::workload::reference::{poi_env, poi_relation};
@@ -78,7 +76,7 @@ fn measured<R>(f: impl FnOnce() -> R) -> (R, usize, isize) {
 }
 
 /// Live bytes per preference the profile and its tree may hold.
-const MAX_BYTES_PER_PREF: f64 = 300.0;
+const MAX_BYTES_PER_PREF: f64 = 200.0;
 
 /// Live bytes a user registered with a default profile may hold: their
 /// slot, cache and view seat, with the profile's index and views shared.
@@ -116,18 +114,18 @@ fn a_preference_costs_what_it_stores() {
     );
 
     // (b) A 3-clause all-`Eq` descriptor takes one allocation of exactly
-    // its clauses, through the parser and from a state.
+    // its packed clauses, 8 B each, through the parser and from a state.
     let env = poi_env();
-    let exact = 3 * std::mem::size_of::<(ParamId, ParameterDescriptor)>() as isize;
+    let exact = 24;
     let state = ContextState::parse(&env, &["Plaka", "warm", "friends"]).unwrap();
     let text = "location = Plaka and temperature = warm and accompanying_people = friends";
     let (parsed, allocs, live) = measured(|| parse_descriptor(&env, text).unwrap());
     println!("parse_descriptor: {allocs} allocation(s), {live} B");
-    assert!(allocs <= 1, "parse_descriptor made {allocs} allocations");
+    assert_eq!(allocs, 1, "parse_descriptor made {allocs} allocations");
     assert_eq!(live, exact, "parse_descriptor's clauses are exactly sized");
     let (of_state, allocs, live) = measured(|| descriptor_of_state(&env, &state));
     println!("descriptor_of_state: {allocs} allocation(s), {live} B");
-    assert!(allocs <= 1, "descriptor_of_state made {allocs} allocations");
+    assert_eq!(allocs, 1, "descriptor_of_state made {allocs} allocations");
     assert_eq!(
         live, exact,
         "descriptor_of_state's clauses are exactly sized"
