@@ -15,7 +15,11 @@ use ctxpref_resolve::{rank_cs, rank_cs_state, RankedQuery, StateResolution, TieB
 use crate::error::CoreError;
 
 /// Per-query knobs with the paper's defaults: hierarchy distance,
-/// all tied candidates, max score combining.
+/// all tied candidates, max score combining. `use_cache` and `top_k`
+/// are [`ContextualDb`]'s only: the multi-user cores
+/// ([`crate::MultiUserDb`], [`crate::ShardedMultiUserDb`]) read neither,
+/// since their cache is on whenever their `cache_capacity` is non-zero
+/// and `k` comes with each top-k request.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct QueryOptions {
     /// State distance used to pick among covering candidates.
@@ -24,14 +28,15 @@ pub struct QueryOptions {
     pub tie: TieBreak,
     /// Duplicate-tuple score combining policy.
     pub combiner: ScoreCombiner,
-    /// Consult / fill the context query tree (single-state queries
-    /// only). Defaults to `false`; the builder's `cache_capacity` must
-    /// also be non-zero.
+    /// [`ContextualDb`] only: consult / fill the context query tree
+    /// (single-state queries only). Defaults to `false`; the builder's
+    /// `cache_capacity` must also be non-zero.
     pub use_cache: bool,
-    /// When set (and the combiner is `Max`), rank with early
-    /// termination: evaluate preference entries best-score-first and
-    /// stop once the top `k` tuples (ties included) cannot change. The
-    /// answer then contains only those tuples.
+    /// [`ContextualDb`] only: when set (and the combiner is `Max`),
+    /// rank with early termination: evaluate preference entries
+    /// best-score-first and stop once the top `k` tuples (ties
+    /// included) cannot change. The answer then contains only those
+    /// tuples.
     pub top_k: Option<usize>,
 }
 

@@ -449,9 +449,11 @@ impl MultiUserDb {
         self.defaults
     }
 
-    /// Replace the query options used for every query on this database.
-    /// Caches and view contents are invalidated: both were computed
-    /// under the old options.
+    /// Replace the query options used for every query on this database
+    /// (of which it reads `distance`, `tie` and `combiner`; `use_cache`
+    /// and `top_k` are [`crate::ContextualDb`]'s only). Caches and view
+    /// contents are invalidated: both were computed under the old
+    /// options.
     pub fn set_query_defaults(&mut self, options: QueryOptions) {
         self.defaults = options;
         for slot in self.users.values_mut() {
@@ -527,18 +529,11 @@ impl MultiUserDb {
         Ok((QueryAnswer::resolved(q), false))
     }
 
-    /// The view-hit probe: `user`'s top-`k` answer under `state` when a
-    /// current materialized view holds it, else `None` — no miss is
+    /// The view-hit probe: when a current materialized view holds
+    /// `user`'s top-`k` answer under `state`, its rows lent to `render`,
+    /// beside the relation they index, while the view is read-locked (no
+    /// copy of them and no owned answer); else `None`. No miss is
     /// recorded and nothing is materialized.
-    pub fn view_hit(&self, user: &str, state: &ContextState, k: usize) -> Option<QueryAnswer> {
-        self.view_hit_with(user, state, k, |_, rows| {
-            view_answer(RankedResults::from_sorted(rows.to_vec()))
-        })
-    }
-
-    /// [`Self::view_hit`], with the hit's rows lent to `render`, beside
-    /// the relation they index, while the view is read-locked: no copy
-    /// of them and no owned answer.
     pub fn view_hit_with<R>(
         &self,
         user: &str,

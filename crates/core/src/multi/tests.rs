@@ -15,6 +15,16 @@ fn setup() -> MultiUserDb {
     MultiUserDb::new(env, rel, 8)
 }
 
+/// `user`'s top-`k` rows under `state` when a current view holds them.
+fn view_hit(
+    db: &MultiUserDb,
+    user: &str,
+    state: &ContextState,
+    k: usize,
+) -> Option<Vec<ScoredTuple>> {
+    db.view_hit_with(user, state, k, |_, rows| rows.to_vec())
+}
+
 fn pref(db: &MultiUserDb, cod: &str, ty: &str, score: f64) -> ContextualPreference {
     ContextualPreference::new(
         parse_descriptor(db.env(), cod).unwrap(),
@@ -186,9 +196,11 @@ fn hot_views_are_evicted_lru_and_never_pinned_on_their_own() {
     // The first state, still being hit, and the states asked last are
     // the ones kept.
     let (old, recent) = states[1..].split_at(VIEW_CAPACITY);
-    assert!(db.view_hit("alice", &states[0], 1).is_some());
-    assert!(recent.iter().all(|s| db.view_hit("alice", s, 1).is_some()));
-    assert!(old.iter().all(|s| db.view_hit("alice", s, 1).is_none()));
+    assert!(view_hit(&db, "alice", &states[0], 1).is_some());
+    assert!(recent
+        .iter()
+        .all(|s| view_hit(&db, "alice", s, 1).is_some()));
+    assert!(old.iter().all(|s| view_hit(&db, "alice", s, 1).is_none()));
 }
 
 #[test]
@@ -210,8 +222,8 @@ fn a_shared_catalog_holds_view_capacity_per_sharer_and_every_pin() {
     assert_eq!(shared.len(), 2 * VIEW_CAPACITY + 1, "{stats:?}");
     assert_eq!(stats.materialized_views, 2 * VIEW_CAPACITY as u64 + 1);
     assert_eq!(stats.pinned_views, 1, "{stats:?}");
-    assert!(db.view_hit("alice", &states[0], 1).is_some());
-    assert!(db.view_hit("alice", &states[1], 1).is_none());
+    assert!(view_hit(&db, "alice", &states[0], 1).is_some());
+    assert!(view_hit(&db, "alice", &states[1], 1).is_none());
     // Bob goes with his pin and his share: the next materialization
     // evicts down to one share.
     db.remove_user("bob").unwrap();
@@ -236,7 +248,7 @@ fn a_sole_holders_first_edit_keeps_their_catalog() {
     db.update_preference_score("alice", 0, 0.7).unwrap();
     assert!(std::ptr::eq(before, db.view_catalog("alice").unwrap()));
     assert!(db.sharing.filed.lock().pairs.is_empty());
-    assert!(db.view_hit("alice", &states[0], 1).is_some());
+    assert!(view_hit(&db, "alice", &states[0], 1).is_some());
     assert_eq!(db.views_totals().view_misses, 2);
 }
 

@@ -193,9 +193,11 @@ impl ShardedMultiUserDb {
         self.stripes[0].read().query_defaults()
     }
 
-    /// Replace the query options; every user's cache and materialized
-    /// view contents are invalidated (both were computed under the old
-    /// options). Each stripe changes under its write lock, so it waits
+    /// Replace the query options (of which the core reads `distance`,
+    /// `tie` and `combiner`; `use_cache` and `top_k` are
+    /// [`crate::ContextualDb`]'s only); every user's cache and
+    /// materialized view contents are invalidated (both were computed
+    /// under the old options). Each stripe changes under its write lock, so it waits
     /// for the reads in flight there.
     pub fn set_query_defaults(&self, options: QueryOptions) {
         for stripe in self.stripes.iter() {

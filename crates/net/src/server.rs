@@ -11,7 +11,7 @@
 //!   connection-level refusals below, a body that fails to decode
 //!   (typed, under its id), a `Query`/`TopK` that admission sheds (a
 //!   typed [`Response::Busy`]), and what the service's two entries that
-//!   never wait take on. [`CtxPrefService::try_read`] answers an
+//!   never wait take on. [`CtxPrefService::try_read_with`] answers an
 //!   admitted `TopK` whose user's shard is free and whose answer a
 //!   current materialized view holds, and then any admitted
 //!   `Query`/`TopK` while no job is queued for the workers and the

@@ -508,9 +508,10 @@ fn a_per_record_logged_rescore_waits_for_the_worker() {
 fn a_replicated_write_runs_on_a_worker() {
     let _serial = ctxpref_faults::exclusive();
     let tmp = TempDir::new("replicated");
-    let rcfg = ReplicatedConfig::new(tmp.path(), 3)
+    let dcfg = DurabilityConfig::new(tmp.path())
         .group_commit(Duration::from_secs(3600))
         .scrub_every(None);
+    let rcfg = ReplicatedConfig::new(dcfg, 3);
     let service =
         CtxPrefService::new_replicated(poi_db(), service_cfg(1), rcfg).expect("replicated");
     a_rescore_waits_for_the_worker(service);

@@ -33,7 +33,7 @@ use ctxpref_faults::FaultPlan;
 use ctxpref_net::{
     NetClient, NetClientConfig, NetError, NetServer, NetServerConfig, Request, Response,
 };
-use ctxpref_relation::{Relation, Value};
+use ctxpref_relation::Relation;
 use ctxpref_service::{CtxPrefService, DurabilityConfig, ServiceConfig};
 use ctxpref_testkit::TempDir;
 use ctxpref_workload::reference::{poi_env, poi_relation, POI_TYPES};
@@ -383,11 +383,17 @@ impl Oracle {
                 attr,
                 value,
                 score,
-            } => self
-                .users
-                .get_mut(user)?
-                .insert_preference_eq(descriptor, attr, Value::str(value), *score)
-                .map_or_else(refused, |()| Expect::Ok),
+            } => {
+                let db = self.users.get_mut(user)?;
+                // Typed as the server types it: by the attribute's
+                // schema type, text that spells no value refused.
+                match self.relation.schema().parse_value(attr, value) {
+                    Ok(value) => db
+                        .insert_preference_eq(descriptor, attr, value, *score)
+                        .map_or_else(refused, |()| Expect::Ok),
+                    Err(_) => Expect::Refused,
+                }
+            }
             Request::UpdateScore { user, index, score } => self
                 .users
                 .get_mut(user)?
@@ -463,14 +469,15 @@ impl Tally {
     }
 }
 
-/// Run one seed's history both ways and check every answer; the error
-/// names the first disagreement.
-fn check_seed(seed: u64, tally: &mut Tally) -> Result<(), String> {
-    let steps = history(seed);
-    let direct = serve_history(seed, &steps, Arm::Direct);
-    let planned = serve_history(seed, &steps, Arm::Planned);
-    let dir = TempDir::new("wire-history");
-    let logged = serve_history(seed, &steps, Arm::Logged(dir.path()));
+/// Check every answer to `steps`: the reactor arm's (`direct`) against
+/// a replay, and each of the `others` arms' against `direct`. Hands back
+/// the replay; the error names the first disagreement.
+fn check_answers(
+    steps: &[Step],
+    direct: &[Seen],
+    others: &[(&str, &[Seen])],
+    tally: &mut Tally,
+) -> Result<Oracle, String> {
     let mut oracle = Oracle::new();
     for (at, step) in steps.iter().enumerate() {
         let expect = oracle.step(step);
@@ -480,7 +487,7 @@ fn check_seed(seed: u64, tally: &mut Tally) -> Result<(), String> {
                 direct[at]
             ));
         }
-        for (arm, other) in [("empty plan", &planned[at]), ("logged", &logged[at])] {
+        for (arm, other) in others.iter().map(|(arm, seen)| (arm, &seen[at])) {
             let alike = match step {
                 Step::One(..) => *other == direct[at],
                 Step::Burst(..) => other.unstepped() == direct[at].unstepped(),
@@ -494,7 +501,19 @@ fn check_seed(seed: u64, tally: &mut Tally) -> Result<(), String> {
         }
         tally.count(at, step, &direct[at]);
     }
-    oracle.recovered_alike(dir.path())
+    Ok(oracle)
+}
+
+/// Run one seed's history three ways and check every answer, then the
+/// logged run's recovered directory.
+fn check_seed(seed: u64, tally: &mut Tally) -> Result<(), String> {
+    let steps = history(seed);
+    let direct = serve_history(seed, &steps, Arm::Direct);
+    let planned = serve_history(seed, &steps, Arm::Planned);
+    let dir = TempDir::new("wire-history");
+    let logged = serve_history(seed, &steps, Arm::Logged(dir.path()));
+    let others: [(&str, &[Seen]); 2] = [("empty plan", &planned), ("logged", &logged)];
+    check_answers(&steps, &direct, &others, tally)?.recovered_alike(dir.path())
 }
 
 #[test]
@@ -516,4 +535,41 @@ fn every_wire_answer_matches_a_contextual_db_replay() {
          logged, and by ContextualDb, and recovered alike: {tally:?}",
         seeds.count()
     );
+}
+
+/// Inserts on the `Int` attribute `pid`, one spelling a tuple's pid and
+/// one spelling no integer, answered by the reactor and by the workers
+/// alike and as the replay types them: the first selects its tuple, the
+/// second is refused.
+#[test]
+fn typed_inserts_match_the_replay() {
+    let _serial = ctxpref_faults::exclusive();
+    let env = poi_env();
+    let relation = poi_relation(&env, 2007, 5);
+    let pid = relation.schema().attr("pid").expect("pid attribute");
+    let insert = |value: &str| Request::InsertPref {
+        user: "ann".to_string(),
+        descriptor: "location = Plaka".to_string(),
+        attr: "pid".to_string(),
+        value: value.to_string(),
+        score: 0.9,
+    };
+    let steps = [
+        Request::AddUser {
+            user: "ann".to_string(),
+        },
+        insert(&relation.tuple(5).value(pid).to_string()),
+        Request::ranked(true, "ann", "name", K, DEADLINE, &STATES[0]),
+        insert("forty-two"),
+        Request::ranked(false, "ann", "name", K, DEADLINE, &STATES[0]),
+    ]
+    .map(|request| Step::One(0, request));
+    let direct = serve_history(0, &steps, Arm::Direct);
+    let planned = serve_history(0, &steps, Arm::Planned);
+    let mut tally = Tally::default();
+    if let Err(violation) = check_answers(&steps, &direct, &[("empty plan", &planned)], &mut tally)
+    {
+        panic!("{violation}");
+    }
+    assert_eq!((tally.applied, tally.refused, tally.ranked), (2, 1, 2));
 }

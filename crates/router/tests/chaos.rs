@@ -37,7 +37,7 @@ use ctxpref_faults::FaultPlan;
 use ctxpref_net::{NetClientConfig, NetServer, NetServerConfig};
 use ctxpref_profile::{AttributeClause, ContextualPreference};
 use ctxpref_router::{Router, RouterConfig, RouterError};
-use ctxpref_service::{CtxPrefService, ReplicatedConfig, ServiceConfig};
+use ctxpref_service::{CtxPrefService, DurabilityConfig, ReplicatedConfig, ServiceConfig};
 use ctxpref_testkit::{effect_visible, seeds, TempDir};
 use ctxpref_wal::WalOp;
 use ctxpref_workload::reference::{tiny_env, tiny_relation};
@@ -61,14 +61,14 @@ fn chaos_cluster(dir: &std::path::Path, seed: u64) -> (Arc<CtxPrefService>, NetS
         shards: 4,
         ..ServiceConfig::default()
     };
-    let mut rcfg = ReplicatedConfig::new(dir, NODES);
-    rcfg.segment_max_bytes = 512;
+    let mut rcfg = ReplicatedConfig::new(DurabilityConfig::new(dir), NODES);
+    rcfg.durability.segment_max_bytes = 512;
     rcfg.heartbeat_threshold = 2;
     if !seed.is_multiple_of(2) {
         rcfg = rcfg.async_acks();
     }
     if !(seed / 2).is_multiple_of(2) {
-        rcfg = rcfg.group_commit(Duration::from_millis(5));
+        rcfg.durability = rcfg.durability.group_commit(Duration::from_millis(5));
     }
     let service =
         Arc::new(CtxPrefService::new_replicated(db, cfg, rcfg).expect("replicated service"));

@@ -70,7 +70,10 @@ impl Default for ServiceConfig {
 
 /// Configuration of the service's durability layer (separate from
 /// [`ServiceConfig`], which stays `Copy`): where the write-ahead log
-/// and checkpoints live, and how eagerly they reach the disk.
+/// and checkpoints live, and how eagerly they reach the disk. A
+/// replicated service runs every node by one of these
+/// ([`ReplicatedConfig::durability`]), and its background checkpoints,
+/// flushes and scrubs then cover every live node.
 #[derive(Debug, Clone)]
 pub struct DurabilityConfig {
     /// The durable directory (manifest, checkpoints, per-shard logs).
@@ -126,13 +129,14 @@ impl DurabilityConfig {
 
 /// Configuration of the service's replication layer: how many nodes,
 /// when writes are acknowledged, and how eagerly the control plane
-/// ticks. Built on top of the same durability knobs as
-/// [`DurabilityConfig`] — every node is a full durable database.
+/// ticks. Every node is a full durable database run by the one
+/// [`DurabilityConfig`]: its WAL options, and the background
+/// checkpointer, flusher and scrubber each live node gets.
 #[derive(Debug, Clone)]
 pub struct ReplicatedConfig {
-    /// Root directory; node `i` gets the durable directory
-    /// `<dir>/node-<i>`.
-    pub dir: PathBuf,
+    /// Every node's durability. Its `dir` is the cluster's root: node
+    /// `i` gets the durable directory `<dir>/node-<i>`.
+    pub durability: DurabilityConfig,
     /// Total nodes in the cluster (one primary, the rest replicas).
     /// Majorities for quorum acks and promotion are computed against
     /// this, so 3 tolerates one failure, 5 tolerates two.
@@ -141,10 +145,6 @@ pub struct ReplicatedConfig {
     /// fast, may lose acked writes on failover) or [`AckMode::Quorum`]
     /// (majority-durable, failover-safe).
     pub ack_mode: AckMode,
-    /// Fsync policy for every node's WAL.
-    pub sync: SyncPolicy,
-    /// Rotate a shard's WAL segment past this many bytes.
-    pub segment_max_bytes: u64,
     /// Whether the background tick promotes a replica automatically
     /// once the primary misses enough heartbeats.
     pub auto_failover: bool,
@@ -155,26 +155,20 @@ pub struct ReplicatedConfig {
     /// records, probe the primary, fail over). `None` = no background
     /// thread; drive [`crate::CtxPrefService::tick_replication`] manually.
     pub tick_interval: Option<Duration>,
-    /// Run a background scrub pass over every live node this often
-    /// (`None` = only when [`crate::CtxPrefService::scrub`] is called).
-    pub scrub_interval: Option<Duration>,
 }
 
 impl ReplicatedConfig {
-    /// A quorum-acked `nodes`-node cluster under `dir` with the
-    /// conservative defaults: fsync per record, 1 MiB segments,
-    /// auto-failover after 3 missed beats, a 25 ms background tick.
-    pub fn new(dir: impl Into<PathBuf>, nodes: usize) -> Self {
+    /// A quorum-acked `nodes`-node cluster, each node durable per
+    /// `durability`, with auto-failover after 3 missed beats and a
+    /// 25 ms background tick.
+    pub fn new(durability: DurabilityConfig, nodes: usize) -> Self {
         Self {
-            dir: dir.into(),
+            durability,
             nodes,
             ack_mode: AckMode::Quorum,
-            sync: SyncPolicy::PerRecord,
-            segment_max_bytes: 1 << 20,
             auto_failover: true,
             heartbeat_threshold: 3,
             tick_interval: Some(Duration::from_millis(25)),
-            scrub_interval: Some(Duration::from_secs(300)),
         }
     }
 
@@ -184,27 +178,12 @@ impl ReplicatedConfig {
         self
     }
 
-    /// Set (or disable, with `None`) the background scrub interval.
-    pub fn scrub_every(mut self, interval: Option<Duration>) -> Self {
-        self.scrub_interval = interval;
-        self
-    }
-
-    /// Switch to group commit with the given flush interval.
-    pub fn group_commit(mut self, flush_interval: Duration) -> Self {
-        self.sync = SyncPolicy::GroupCommit { flush_interval };
-        self
-    }
-
     pub(crate) fn cluster_config(&self, shards: usize) -> ClusterConfig {
         ClusterConfig {
             nodes: self.nodes,
             shards,
             ack_mode: self.ack_mode,
-            wal: WalOptions {
-                sync: self.sync,
-                segment_max_bytes: self.segment_max_bytes,
-            },
+            wal: self.durability.wal_options(),
             batch_max: 64,
             heartbeat_threshold: self.heartbeat_threshold,
             auto_failover: self.auto_failover,

@@ -6,8 +6,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use ctxpref_context::ContextState;
-use ctxpref_core::{MultiUserDb, QueryAnswer, ShardedMultiUserDb};
-use ctxpref_relation::RankedResults;
+use ctxpref_core::{MultiUserDb, ShardedMultiUserDb};
 use ctxpref_replication::Cluster;
 use ctxpref_wal::{DurableDb, RecoveryReport, WalOp};
 use parking_lot::RwLock;
@@ -128,8 +127,8 @@ impl CtxPrefService {
             Arc::clone(&db),
             dcfg.wal_options(),
         )?);
-        let mut service = Self::new_arc(db, cfg, WritePath::Logged(Arc::clone(&durable)));
-        service.attach_durability(&durable, &dcfg);
+        let mut service = Self::new_arc(db, cfg, WritePath::Logged(durable));
+        service.start_upkeep(&dcfg, None);
         Ok(service)
     }
 
@@ -143,14 +142,10 @@ impl CtxPrefService {
     ) -> Result<(Self, RecoveryReport), ServiceError> {
         let (durable, report) = DurableDb::recover(&dcfg.dir, dcfg.wal_options())?;
         let durable = Arc::new(durable);
-        let mut service = Self::new_arc(
-            Arc::clone(durable.db()),
-            cfg,
-            WritePath::Logged(Arc::clone(&durable)),
-        );
+        let mut service = Self::new_arc(Arc::clone(durable.db()), cfg, WritePath::Logged(durable));
         service.recovered_lsn = report.recovered_lsn();
         service.recovered_rescued_shards = report.rescued_shards;
-        service.attach_durability(&durable, &dcfg);
+        service.start_upkeep(&dcfg, None);
         Ok((service, report))
     }
 
@@ -188,9 +183,12 @@ impl CtxPrefService {
     }
 
     /// Serve `db` replicated across `rcfg.nodes` primary/replica nodes
-    /// under `rcfg.dir`. Every node is a full durable database (WAL,
-    /// checkpoints, recovery); `db`'s initial contents are seeded
-    /// through the replicated write path so all nodes start identical.
+    /// under `rcfg.durability.dir`. Every node is a full durable
+    /// database (WAL, checkpoints, recovery) run by `rcfg.durability`,
+    /// each live one checkpointed, flushed and scrubbed in the
+    /// background as a logged service is; `db`'s initial contents are
+    /// seeded through the replicated write path so all nodes start
+    /// identical.
     ///
     /// Queries are served from node 0's core — the service's local
     /// node — while mutations route through the cluster's current
@@ -207,7 +205,7 @@ impl CtxPrefService {
         let cache = db.cache_capacity();
         let shards = cfg.shards.max(1);
         let cluster = Arc::new(
-            Cluster::new(&rcfg.dir, rcfg.cluster_config(shards), || {
+            Cluster::new(&rcfg.durability.dir, rcfg.cluster_config(shards), || {
                 Arc::new(ShardedMultiUserDb::new(
                     env.clone(),
                     rel.clone(),
@@ -232,12 +230,9 @@ impl CtxPrefService {
             }
         }
         let local = cluster.db_of(0).expect("node 0 exists at bootstrap");
-        let mut service = Self::new_arc(
-            Arc::clone(local.db()),
-            cfg,
-            WritePath::Replicated(Arc::clone(&cluster)),
-        );
-        service.attach_replication(&cluster, &rcfg);
+        let mut service =
+            Self::new_arc(Arc::clone(local.db()), cfg, WritePath::Replicated(cluster));
+        service.start_upkeep(&rcfg.durability, rcfg.tick_interval);
         Ok(service)
     }
 
@@ -384,35 +379,6 @@ impl CtxPrefService {
         };
         self.run_read(&admitted, &read, Locking::Wait)
             .expect("a read that waits for its locks runs")
-    }
-
-    /// [`Self::try_read_with`], a view hit answered as an owned
-    /// [`ServiceAnswer`]: the read as a worker would answer it, or the
-    /// ticket back.
-    pub fn try_read(
-        &self,
-        admitted: Admitted,
-        user: &str,
-        state: &ContextState,
-        topk: Option<usize>,
-        deadline: Duration,
-    ) -> Result<Result<ServiceAnswer, ServiceError>, Admitted> {
-        let owned = |hit: ViewHit<'_>| ServiceAnswer {
-            answer: QueryAnswer {
-                results: Arc::new(RankedResults::from_sorted(hit.rows.to_vec())),
-                resolutions: Vec::new(),
-                from_cache: false,
-            },
-            step: LadderStep::View,
-            fallbacks: Vec::new(),
-            resolved_state: None,
-            elapsed: hit.elapsed,
-        };
-        match self.try_read_with(admitted, user, state, topk, deadline, owned) {
-            TryRead::View(answer) => Ok(Ok(answer)),
-            TryRead::Ran(result) => Ok(result),
-            TryRead::Queue(admitted) => Err(admitted),
-        }
     }
 
     /// Run an admitted ranked read on the calling thread without
@@ -651,7 +617,9 @@ impl CtxPrefService {
         }
     }
 
-    /// Replace the query options used by every query on the database.
+    /// Replace the query options used by every query on the database
+    /// (`use_cache` and `top_k` are `ContextualDb`'s only, and have no
+    /// effect here).
     pub fn set_query_defaults(&self, options: ctxpref_core::QueryOptions) {
         self.core().set_query_defaults(options);
     }
@@ -706,10 +674,10 @@ impl CtxPrefService {
             drop(stop);
             let _ = handle.join();
         }
-        if let Ok(d) = self.durable_db() {
-            // Best-effort: make pending group-commit records durable on
-            // a clean shutdown, in whichever log the write path owns.
-            let _ = d.flush();
+        // Best-effort: make pending group-commit records durable on a
+        // clean shutdown, in every log the write path lands in.
+        for durable in self.path.durables() {
+            let _ = durable.flush();
         }
         self.queue.close(); // the workers finish what is queued, then stop
         for w in self.workers.drain(..) {

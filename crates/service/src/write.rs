@@ -16,7 +16,7 @@ use ctxpref_wal::{
 
 use parking_lot::RwLock;
 
-use crate::config::{DurabilityConfig, ReplicatedConfig};
+use crate::config::DurabilityConfig;
 use crate::error::ServiceError;
 use crate::service::CtxPrefService;
 use crate::stats::Counters;
@@ -27,6 +27,7 @@ use crate::stats::Counters;
 /// that never wait, which run on the direct and logged paths
 /// (`CtxPrefService::apply`); everything else that looks at it is
 /// inspection (stats, scrub, status).
+#[derive(Clone)]
 pub(crate) enum WritePath {
     /// Applied straight to the in-memory core ([`CtxPrefService::new`]).
     Direct,
@@ -36,6 +37,28 @@ pub(crate) enum WritePath {
     /// Logged and applied by the cluster's current primary, then
     /// shipped to its replicas ([`CtxPrefService::new_replicated`]).
     Replicated(Arc<Cluster>),
+}
+
+impl WritePath {
+    /// The durable databases this path's writes land in, each resolved
+    /// only when the iteration reaches it: the logged service's one, or
+    /// every live node of the cluster through [`Cluster::db_of`] (a
+    /// crashed node is skipped; its recovery covers it at restart).
+    /// Callers hold each handle for one job at a time and keep none, so
+    /// a crashed node's old [`DurableDb`] never holds its directory
+    /// `LOCK` against [`Cluster::restart_node`], which retries only
+    /// briefly.
+    pub(crate) fn durables(&self) -> impl Iterator<Item = Arc<DurableDb>> + '_ {
+        let (logged, cluster) = match self {
+            WritePath::Direct => (None, None),
+            WritePath::Logged(durable) => (Some(Arc::clone(durable)), None),
+            WritePath::Replicated(cluster) => (None, Some(cluster)),
+        };
+        let nodes = cluster
+            .into_iter()
+            .flat_map(|c| (0..c.config().nodes).filter_map(|id| c.db_of(id)));
+        logged.into_iter().chain(nodes)
+    }
 }
 
 /// One client edit of one user's preferences, in the textual form a
@@ -491,32 +514,20 @@ impl CtxPrefService {
     /// skipped — quarantine-aware recovery covers them at restart) and
     /// the per-node reports are merged. Never blocks the append path.
     pub fn scrub(&self) -> Result<ScrubReport, ServiceError> {
-        match &self.path {
-            WritePath::Direct => Err(ServiceError::NotDurable),
-            WritePath::Logged(durable) => {
-                let report = durable.scrub()?;
-                record_scrub(&self.counters, &report);
-                Ok(report)
-            }
-            WritePath::Replicated(c) => {
-                let mut merged = ScrubReport::default();
-                for id in 0..c.config().nodes {
-                    match c.scrub_node(id) {
-                        Ok(report) => {
-                            record_scrub(&self.counters, &report);
-                            merged.segments_verified += report.segments_verified;
-                            merged.checkpoints_verified += report.checkpoints_verified;
-                            merged.read_errors += report.read_errors;
-                            merged.quarantined.extend(report.quarantined);
-                            merged.healed |= report.healed;
-                        }
-                        Err(ReplicationError::NodeDown { .. }) => {}
-                        Err(e) => return Err(e.into()),
-                    }
-                }
-                Ok(merged)
-            }
+        if !self.is_durable() {
+            return Err(ServiceError::NotDurable);
         }
+        let mut merged = ScrubReport::default();
+        for durable in self.path.durables() {
+            let report = durable.scrub()?;
+            record_scrub(&self.counters, &report);
+            merged.segments_verified += report.segments_verified;
+            merged.checkpoints_verified += report.checkpoints_verified;
+            merged.read_errors += report.read_errors;
+            merged.quarantined.extend(report.quarantined);
+            merged.healed |= report.healed;
+        }
+        Ok(merged)
     }
 
     /// The self-healing storage counters — scrub passes, quarantined
@@ -585,11 +596,15 @@ impl CtxPrefService {
         self.maintenance.push((stop, handle));
     }
 
-    /// Start the background upkeep of a replicated write path: the
-    /// control-plane tick, a flusher when group commit is configured,
-    /// and the scrubber (each only when configured).
-    pub(crate) fn attach_replication(&mut self, cluster: &Arc<Cluster>, rcfg: &ReplicatedConfig) {
-        if let Some(interval) = rcfg.tick_interval {
+    /// Start every background upkeep job of a durable write path, all
+    /// from its one [`DurabilityConfig`]: a checkpointer, a flusher
+    /// under group commit and a scrubber (each only when configured),
+    /// plus, on a replicated path, the control-plane tick every `tick`.
+    /// Each beat of the first three runs its job on every database
+    /// [`WritePath::durables`] resolves at that beat, one at a time, a
+    /// panic on one contained so that it costs the others nothing.
+    pub(crate) fn start_upkeep(&mut self, dcfg: &DurabilityConfig, tick: Option<Duration>) {
+        if let (WritePath::Replicated(cluster), Some(interval)) = (&self.path, tick) {
             let cluster = Arc::clone(cluster);
             let slot = Arc::clone(&self.db);
             self.every("ctxpref-repl-tick", interval, false, move || {
@@ -597,57 +612,36 @@ impl CtxPrefService {
                 follow_local_node(&slot, &cluster);
             });
         }
-        if let SyncPolicy::GroupCommit { flush_interval } = rcfg.sync {
-            let cluster = Arc::clone(cluster);
-            self.every("ctxpref-repl-flusher", flush_interval, false, move || {
-                if let Some(db) = cluster.primary_db() {
-                    let _ = db.flush();
+        let (path, counters) = (self.path.clone(), Arc::clone(&self.counters));
+        let each = |job: fn(&DurableDb, &Counters)| {
+            let (path, counters) = (path.clone(), Arc::clone(&counters));
+            move || {
+                for durable in path.durables() {
+                    let _ = catch_unwind(AssertUnwindSafe(|| job(&durable, &counters)));
                 }
-            });
-        }
-        if let Some(interval) = rcfg.scrub_interval {
-            let cluster = Arc::clone(cluster);
-            let counters = Arc::clone(&self.counters);
-            self.every("ctxpref-scrubber", interval, true, move || {
-                for id in 0..cluster.config().nodes {
-                    // Contained per node: one node's failing pass must
-                    // not cost the others theirs.
-                    let outcome = catch_unwind(AssertUnwindSafe(|| cluster.scrub_node(id)));
-                    if let Ok(Ok(report)) = outcome {
-                        record_scrub(&counters, &report);
-                    }
-                }
-            });
-        }
-    }
-
-    /// Start the background upkeep of a logged write path: a
-    /// checkpointer, a flusher when group commit is configured, and the
-    /// scrubber (each only when configured).
-    pub(crate) fn attach_durability(&mut self, durable: &Arc<DurableDb>, dcfg: &DurabilityConfig) {
+            }
+        };
         if let Some(interval) = dcfg.checkpoint_interval {
-            let db = Arc::clone(durable);
-            let counters = Arc::clone(&self.counters);
-            self.every("ctxpref-checkpointer", interval, true, move || {
-                if db.checkpoint().is_ok() {
+            let checkpoint = each(|durable, counters| {
+                if durable.checkpoint().is_ok() {
                     counters.checkpoints.fetch_add(1, Ordering::Relaxed);
                 }
             });
+            self.every("ctxpref-checkpointer", interval, true, checkpoint);
         }
         if let SyncPolicy::GroupCommit { flush_interval } = dcfg.sync {
-            let db = Arc::clone(durable);
-            self.every("ctxpref-wal-flusher", flush_interval, false, move || {
-                let _ = db.flush();
+            let flush = each(|durable, _| {
+                let _ = durable.flush();
             });
+            self.every("ctxpref-wal-flusher", flush_interval, false, flush);
         }
         if let Some(interval) = dcfg.scrub_interval {
-            let db = Arc::clone(durable);
-            let counters = Arc::clone(&self.counters);
-            self.every("ctxpref-scrubber", interval, true, move || {
-                if let Ok(report) = db.scrub() {
-                    record_scrub(&counters, &report);
+            let scrub = each(|durable, counters| {
+                if let Ok(report) = durable.scrub() {
+                    record_scrub(counters, &report);
                 }
             });
+            self.every("ctxpref-scrubber", interval, true, scrub);
         }
     }
 }

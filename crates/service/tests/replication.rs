@@ -11,11 +11,12 @@ use std::time::{Duration, Instant};
 
 use ctxpref_context::ContextState;
 use ctxpref_core::MultiUserDb;
-use ctxpref_replication::node_digests;
+use ctxpref_replication::{node_digests, Cluster};
 use ctxpref_service::{
     CtxPrefService, DurabilityConfig, ReplicatedConfig, ServiceConfig, ServiceError, SyncPolicy,
 };
 use ctxpref_testkit::TempDir;
+use ctxpref_wal::segment::list_segments;
 use ctxpref_workload::reference::{poi_env, poi_relation};
 
 fn study_db() -> MultiUserDb {
@@ -40,7 +41,7 @@ fn small_cfg() -> ServiceConfig {
 fn manual_rcfg(dir: &std::path::Path, nodes: usize) -> ReplicatedConfig {
     ReplicatedConfig {
         tick_interval: None,
-        ..ReplicatedConfig::new(dir, nodes)
+        ..ReplicatedConfig::new(DurabilityConfig::new(dir), nodes)
     }
 }
 
@@ -182,13 +183,16 @@ fn plain_service_refuses_replication_operations() {
 #[test]
 fn background_tick_drains_lag_under_async_group_commit() {
     let tmp = TempDir::new("bg-tick");
+    let dcfg = DurabilityConfig::new(tmp.path()).group_commit(Duration::from_millis(2));
     let rcfg = ReplicatedConfig {
         tick_interval: Some(Duration::from_millis(5)),
-        ..ReplicatedConfig::new(tmp.path(), 3)
+        ..ReplicatedConfig::new(dcfg, 3)
     }
-    .async_acks()
-    .group_commit(Duration::from_millis(2));
-    assert!(matches!(rcfg.sync, SyncPolicy::GroupCommit { .. }));
+    .async_acks();
+    assert!(matches!(
+        rcfg.durability.sync,
+        SyncPolicy::GroupCommit { .. }
+    ));
     let service = CtxPrefService::new_replicated(study_db(), small_cfg(), rcfg)
         .expect("creating the replicated service");
     for i in 0..20 {
@@ -248,16 +252,97 @@ fn replicated_scrub_covers_every_live_node() {
     assert_eq!(service.scrub_status().unwrap().passes, 5);
 }
 
+/// The segment files of each of `node`'s WAL shards, or `None` while
+/// the node is down.
+fn segments_per_shard(cluster: &Cluster, node: usize) -> Option<Vec<usize>> {
+    let db = cluster.db_of(node)?;
+    let shards = db.wal_status().shards.len();
+    let count = |shard| {
+        list_segments(db.dir(), shard)
+            .expect("listing segments")
+            .len()
+    };
+    Some((0..shards).map(count).collect())
+}
+
+/// `node`'s checkpoint generation (it must be live).
+fn generation(cluster: &Cluster, node: usize) -> u64 {
+    cluster
+        .db_of(node)
+        .expect("node is live")
+        .manifest()
+        .generation
+}
+
+#[test]
+fn every_live_node_is_checkpointed_in_the_background() {
+    const WRITES: usize = 1500;
+    const CRASH_AT: usize = 500;
+    const RESTART_AT: usize = 600;
+    // Without background checkpoints a shard's log reaches more than 90
+    // segments of 256 B by the end of the run; each checkpoint seals the
+    // live segment and collects every older one.
+    const MAX_SEGMENTS: usize = 12;
+    let tmp = TempDir::new("bg-checkpoint");
+    let mut rcfg = manual_rcfg(tmp.path(), 3);
+    rcfg.durability.segment_max_bytes = 256;
+    rcfg.durability.checkpoint_interval = Some(Duration::from_millis(10));
+    rcfg.durability.scrub_interval = Some(Duration::from_millis(25));
+    let service = CtxPrefService::new_replicated(study_db(), small_cfg(), rcfg)
+        .expect("creating the replicated service");
+    let cluster = Arc::clone(service.cluster().expect("replicated service"));
+    let mut most = 0;
+    let mut restarted_at_generation = None;
+    for i in 0..WRITES {
+        let user = format!("user{i}");
+        service.add_user(&user).unwrap();
+        service
+            .insert_preference_eq(&user, "*", "name", format!("v{i}").into(), 0.5)
+            .unwrap();
+        match i {
+            // A replica: the quorum of the other two keeps acking.
+            CRASH_AT => cluster.crash_node(2),
+            RESTART_AT => cluster
+                .restart_node(2)
+                .expect("a crashed node restarts while the upkeep runs"),
+            // The write before shipped the restarted node its log back.
+            _ if i == RESTART_AT + 1 => restarted_at_generation = Some(generation(&cluster, 2)),
+            _ => {}
+        }
+        for node in 0..3 {
+            if let Some(segments) = segments_per_shard(&cluster, node) {
+                most = most.max(segments.into_iter().max().unwrap_or(0));
+                assert!(
+                    most <= MAX_SEGMENTS,
+                    "node {node} holds {most} segments in one shard after {i} writes"
+                );
+            }
+        }
+    }
+    let restarted_at = restarted_at_generation.expect("node 2 restarted");
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while generation(&cluster, 2) <= restarted_at {
+        assert!(
+            Instant::now() < deadline,
+            "the restarted node was never checkpointed (generation {restarted_at})"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    println!("at most {most} segment(s) in any shard of any live node");
+}
+
 /// Async acks over group commit with a flush interval no test outlives
 /// and no background threads: records stay pending until something
 /// flushes them explicitly.
 fn unflushed_rcfg(dir: &std::path::Path) -> ReplicatedConfig {
-    ReplicatedConfig {
+    let mut rcfg = manual_rcfg(dir, 2).async_acks();
+    rcfg.durability = DurabilityConfig {
+        checkpoint_interval: None,
         scrub_interval: None,
-        ..manual_rcfg(dir, 2)
+        ..rcfg.durability
     }
-    .async_acks()
-    .group_commit(Duration::from_secs(3600))
+    .group_commit(Duration::from_secs(3600));
+    rcfg
 }
 
 #[test]

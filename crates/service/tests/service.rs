@@ -7,14 +7,16 @@
 //! `ctxpref_faults::exclusive()`, including those that install no plan
 //! but expect an undegraded answer.
 
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use ctxpref_context::ContextState;
-use ctxpref_core::MultiUserDb;
+use ctxpref_core::{MultiUserDb, QueryAnswer};
 use ctxpref_faults::FaultPlan;
+use ctxpref_relation::RankedResults;
 use ctxpref_service::{
     CtxPrefService, Edit, LadderStep, Priority, ServiceAnswer, ServiceConfig, ServiceError,
+    TryRead, ViewHit,
 };
 use ctxpref_wal::WalError;
 use ctxpref_workload::reference::{poi_env, poi_relation};
@@ -377,8 +379,9 @@ fn a_batch_of_one_users_edits_stops_at_the_first_failure() {
     );
 }
 
-/// `try_read` with a fresh interactive ticket and a 2 s deadline:
-/// the answer, or `None` if it handed the ticket back.
+/// `try_read_with` with a fresh interactive ticket and a 2 s deadline,
+/// a view hit answered as an owned answer: the answer, or `None` if it
+/// handed the ticket back.
 fn try_read(
     service: &CtxPrefService,
     user: &str,
@@ -386,9 +389,22 @@ fn try_read(
     topk: Option<usize>,
 ) -> Option<Result<ServiceAnswer, ServiceError>> {
     let ticket = service.admit(Priority::Interactive).unwrap();
-    service
-        .try_read(ticket, user, s, topk, Duration::from_secs(2))
-        .ok()
+    let owned = |hit: ViewHit<'_>| ServiceAnswer {
+        answer: QueryAnswer {
+            results: Arc::new(RankedResults::from_sorted(hit.rows.to_vec())),
+            resolutions: Vec::new(),
+            from_cache: false,
+        },
+        step: LadderStep::View,
+        fallbacks: Vec::new(),
+        resolved_state: None,
+        elapsed: hit.elapsed,
+    };
+    match service.try_read_with(ticket, user, s, topk, Duration::from_secs(2), owned) {
+        TryRead::View(answer) => Some(Ok(answer)),
+        TryRead::Ran(result) => Some(result),
+        TryRead::Queue(_) => None,
+    }
 }
 
 #[test]

@@ -58,10 +58,7 @@ impl Repl {
             server: None,
             router: None,
             current: None,
-            options: QueryOptions {
-                use_cache: true,
-                ..QueryOptions::default()
-            },
+            options: QueryOptions::default(),
             top_k: 10,
             deadline: ServiceConfig::default().default_deadline,
         }
@@ -275,7 +272,7 @@ impl Repl {
         let db = service.shutdown();
         let rcfg = ReplicatedConfig {
             ack_mode: ack,
-            ..ReplicatedConfig::new(dir, nodes)
+            ..ReplicatedConfig::new(DurabilityConfig::new(dir), nodes)
         };
         let service = CtxPrefService::new_replicated(db, ServiceConfig::default(), rcfg)
             .map_err(|e| format!("{e} (database dropped — reload it)"))?;
