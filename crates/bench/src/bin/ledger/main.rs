@@ -3,7 +3,8 @@
 //! ```text
 //! cargo run --release -p ctxpref-bench --bin ledger -- \
 //!     compare <parent-rev> <change-rev> [--workload W]... [--pairs N]
-//!     [--seed S] [--pr N] [--work-dir DIR] [-- BENCHMARK-ARGS...]
+//!     [--max-pairs CAP] [--seed S] [--pr N] [--work-dir DIR]
+//!     [-- BENCHMARK-ARGS...]
 //! ```
 //!
 //! `compare` checks each revision out in turn as a `git worktree` at
@@ -17,8 +18,12 @@
 //! side's executable, with the declared program arguments, `--workload
 //! W --seed S` (default: every declared workload, 10 pairs, seed 2007)
 //! and any arguments after `--`, from the worktree. Pairs alternate
-//! which side runs first: odd pairs run the parent first. The last JSON
-//! line of each run is its result. The tool then prints one table row
+//! which side runs first: odd pairs run the parent first. With
+//! `--max-pairs CAP` a workload whose pairs leave some gated metric
+//! "unresolved" takes one more pair at a time, until every gated metric
+//! resolves or it has run CAP pairs ([`takes_another_pair`]), so each
+//! workload runs the pairs it needs; the rules that give the verdicts
+//! do not change. The last JSON line of each run is its result. The tool then prints one table row
 //! per workload ([`report`]): for each end-to-end metric, the parent
 //! and change medians, the change in the median, the parent's
 //! interquartile range as a share of its median, the pairs the change
@@ -26,8 +31,8 @@
 //! the parent's `BENCHMARK.json`). The raw
 //! whole-run means `e2e.read_mean_us` and `e2e.write_mean_us` sit next
 //! to the read and write percentiles, ungated. With `--pr N` every raw
-//! run and verdict is written to `BENCH_PR<N>.json` at the top of the
-//! checkout. The worktree is removed when the tool exits (a killed run
+//! run and verdict, and the pairs each workload ran, is written to
+//! `BENCH_PR<N>.json` at the top of the checkout. The worktree is removed when the tool exits (a killed run
 //! leaves it for `git worktree prune`); the build directories stay, so
 //! a re-run rebuilds only what changed.
 //!
@@ -43,9 +48,9 @@ use std::process::{Command, ExitCode, Stdio};
 use std::time::Instant;
 
 use json::Json;
-use verdict::Better;
+use verdict::{Better, Comparison, Verdict};
 
-const USAGE: &str = "usage: ledger compare <parent-rev> <change-rev> [--workload W]... [--pairs N] [--seed S] [--pr N] [--work-dir DIR] [-- BENCHMARK-ARGS...]";
+const USAGE: &str = "usage: ledger compare <parent-rev> <change-rev> [--workload W]... [--pairs N] [--max-pairs CAP] [--seed S] [--pr N] [--work-dir DIR] [-- BENCHMARK-ARGS...]";
 
 const DEFAULT_PAIRS: usize = 10;
 const DEFAULT_SEED: u64 = 2007;
@@ -56,6 +61,8 @@ struct Args {
     change: String,
     workloads: Vec<String>,
     pairs: usize,
+    /// Pairs a workload may grow to while a gated metric is unresolved.
+    max_pairs: Option<usize>,
     seed: u64,
     pr: Option<u32>,
     work_dir: Option<PathBuf>,
@@ -74,6 +81,7 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
         change: String::new(),
         workloads: Vec::new(),
         pairs: DEFAULT_PAIRS,
+        max_pairs: None,
         seed: DEFAULT_SEED,
         pr: None,
         work_dir: None,
@@ -83,13 +91,9 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
         let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} needs a value"));
         match arg.as_str() {
             "--workload" => parsed.workloads.push(value("--workload")?.clone()),
-            "--pairs" => {
-                parsed.pairs = value("--pairs")?
-                    .parse()
-                    .map_err(|e| format!("--pairs: {e}"))?;
-                if parsed.pairs == 0 {
-                    return Err("--pairs must be at least 1".to_string());
-                }
+            "--pairs" => parsed.pairs = pair_count("--pairs", value("--pairs")?)?,
+            "--max-pairs" => {
+                parsed.max_pairs = Some(pair_count("--max-pairs", value("--max-pairs")?)?)
             }
             "--seed" => {
                 parsed.seed = value("--seed")?
@@ -110,6 +114,39 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
     parsed.parent = parent;
     parsed.change = change;
     Ok(parsed)
+}
+
+/// A pair count given to `flag`: a whole number of at least 1.
+fn pair_count(flag: &str, text: &str) -> Result<usize, String> {
+    match text.parse() {
+        Ok(0) => Err(format!("{flag} must be at least 1")),
+        Ok(n) => Ok(n),
+        Err(e) => Err(format!("{flag}: {e}")),
+    }
+}
+
+impl Args {
+    /// The most pairs a workload may run.
+    fn cap(&self) -> usize {
+        self.pairs.max(self.max_pairs.unwrap_or(0))
+    }
+}
+
+/// The stopping rule: whether a workload whose pairs so far ran `runs`
+/// takes one more. It does until it has run `base` pairs; past that,
+/// only while some gated metric is "unresolved" and fewer than `cap`
+/// pairs ran. A metric no pair reported resolves nothing and keeps
+/// nothing running.
+fn takes_another_pair(gated: &[Gated], runs: &[Run], base: usize, cap: usize) -> bool {
+    let ran = runs.iter().map(|r| r.pair).max().unwrap_or(0);
+    if ran < base {
+        return true;
+    }
+    ran < cap
+        && gated.iter().any(|m| {
+            Comparison::of(&report::pairs_of(runs, &m.name), m.better, m.bound)
+                .is_some_and(|c| c.verdict == Verdict::Unresolved)
+        })
 }
 
 /// One end-to-end metric `BENCHMARK.json` gates.
@@ -445,8 +482,11 @@ fn compare(args: &Args) -> Result<bool, String> {
     let mut all_correct = true;
     let mut report = Vec::new();
     for workload in &workloads {
+        let (base, cap) = (args.pairs, args.cap());
         let mut runs = Vec::new();
-        for pair in 1..=args.pairs {
+        let mut pair = 0;
+        while takes_another_pair(&gated, &runs, base, cap) {
+            pair += 1;
             for (position, &s) in order(pair).iter().enumerate() {
                 let run = run_once(
                     &sides[s],
@@ -463,8 +503,8 @@ fn compare(args: &Args) -> Result<bool, String> {
                 };
                 all_correct &= matches!(&run.outcome, Ok(r) if r.correct);
                 eprintln!(
-                    "[{workload} pair {pair}/{}] {} {status} ({:.1} s)",
-                    args.pairs, run.side, run.seconds
+                    "[{workload} pair {pair} of {base}, up to {cap}] {} {status} ({:.1} s)",
+                    run.side, run.seconds
                 );
                 runs.push(run);
             }
@@ -473,8 +513,12 @@ fn compare(args: &Args) -> Result<bool, String> {
     }
     drop(worktree);
 
+    let extended = match args.max_pairs {
+        Some(cap) => format!(", more while a gated metric is unresolved, up to {cap}"),
+        None => String::new(),
+    };
     println!(
-        "parent {} · change {} · seed {} · {} pair(s) per workload{}",
+        "parent {} · change {} · seed {} · {} pair(s) per workload{extended}{}",
         sides[0].sha,
         sides[1].sha,
         args.seed,
@@ -622,6 +666,84 @@ mod tests {
         ] {
             assert!(parse_args(&strings(bad)).is_err(), "{bad:?} parsed");
         }
+    }
+
+    #[test]
+    fn parses_a_cap_on_added_pairs() {
+        let args = parse_args(&strings(&[
+            "compare",
+            "a",
+            "b",
+            "--pairs",
+            "10",
+            "--max-pairs",
+            "24",
+        ]))
+        .unwrap();
+        assert_eq!((args.pairs, args.max_pairs, args.cap()), (10, Some(24), 24));
+        // Without a cap, or with one below `--pairs`, no workload runs
+        // past `--pairs`.
+        let args = parse_args(&strings(&["compare", "a", "b", "--pairs", "12"])).unwrap();
+        assert_eq!(args.cap(), 12);
+        let args = parse_args(&strings(&["compare", "a", "b", "--max-pairs", "4"])).unwrap();
+        assert_eq!(args.cap(), DEFAULT_PAIRS);
+        for bad in [
+            &["compare", "a", "b", "--max-pairs", "0"][..],
+            &["compare", "a", "b", "--max-pairs", "x"],
+            &["compare", "a", "b", "--max-pairs"],
+        ] {
+            assert!(parse_args(&strings(bad)).is_err(), "{bad:?} parsed");
+        }
+    }
+
+    /// Runs of one metric: pair `i` (from 1) has `parent[i - 1]` and
+    /// `change[i - 1]`.
+    fn runs_of(metric: &str, parent: &[f64], change: &[f64]) -> Vec<Run> {
+        let run = |pair: usize, side: &'static str, value: f64| Run {
+            pair,
+            side,
+            order: 1,
+            seconds: 1.0,
+            outcome: Ok(RunResult {
+                correct: true,
+                metrics: vec![(metric.to_string(), value)],
+                ..RunResult::default()
+            }),
+        };
+        (parent.iter().zip(change).enumerate())
+            .flat_map(|(i, (&p, &c))| [run(i + 1, "parent", p), run(i + 1, "change", c)])
+            .collect()
+    }
+
+    #[test]
+    fn pairs_are_added_only_while_a_gated_metric_is_unresolved() {
+        let gated = [Gated {
+            name: "write_p50_us".to_string(),
+            better: Better::Lower,
+            bound: 0.15,
+        }];
+        // Tight on both sides: resolved ("unchanged") at 5 pairs.
+        let tight = runs_of("write_p50_us", &[10.0, 10.1, 9.9, 10.0, 10.05], &[10.0; 5]);
+        assert!(!takes_another_pair(&gated, &tight, 5, 20));
+        // Below the base count a workload always takes another pair.
+        assert!(takes_another_pair(&gated, &tight[..6], 5, 20));
+        assert!(takes_another_pair(&gated, &[], 1, 1));
+        // Spread wider than the bound: unresolved, so pairs are added
+        // up to the cap, and not past it.
+        let wide = [10.0, 14.0, 10.0, 14.0, 12.0];
+        let spread = runs_of("write_p50_us", &wide, &wide);
+        assert!(takes_another_pair(&gated, &spread, 5, 20));
+        assert!(!takes_another_pair(&gated, &spread, 5, 5));
+        let capped: Vec<f64> = wide.iter().cycle().take(20).copied().collect();
+        assert!(!takes_another_pair(
+            &gated,
+            &runs_of("write_p50_us", &capped, &capped),
+            5,
+            20
+        ));
+        // A metric no run reported keeps nothing running.
+        let other = runs_of("read_p50_us", &wide, &wide);
+        assert!(!takes_another_pair(&gated, &other, 5, 20));
     }
 
     #[test]

@@ -30,7 +30,7 @@ fn columns(gated: &[Gated]) -> Vec<Column<'_>> {
 
 /// The `(parent, change)` values of `metric` in every pair where both
 /// runs reported it.
-fn pairs_of(runs: &[Run], metric: &str) -> Vec<(f64, f64)> {
+pub(crate) fn pairs_of(runs: &[Run], metric: &str) -> Vec<(f64, f64)> {
     let value = |pair: usize, side: &str| {
         runs.iter()
             .find(|r| r.pair == pair && r.side == side)
@@ -149,6 +149,9 @@ pub(crate) fn ledger_json(
     let _ = writeln!(out, "  \"change\": {},", json::quote(&sides[1].sha));
     let _ = writeln!(out, "  \"seed\": {},", args.seed);
     let _ = writeln!(out, "  \"pairs\": {},", args.pairs);
+    if let Some(cap) = args.max_pairs {
+        let _ = writeln!(out, "  \"max_pairs\": {cap},");
+    }
     let _ = writeln!(
         out,
         "  \"command\": {},",
@@ -158,7 +161,12 @@ pub(crate) fn ledger_json(
     out.push_str("  \"workloads\": [");
     for (w, (workload, runs)) in report.iter().enumerate() {
         out.push_str(if w == 0 { "\n" } else { ",\n" });
-        let _ = writeln!(out, "    {{\"workload\": {},", json::quote(workload));
+        let pairs = runs.iter().map(|r| r.pair).max().unwrap_or(0);
+        let _ = writeln!(
+            out,
+            "    {{\"workload\": {}, \"pairs\": {pairs},",
+            json::quote(workload)
+        );
         out.push_str("     \"verdicts\": {");
         let mut first = true;
         for metric in gated {
@@ -243,6 +251,50 @@ mod tests {
         assert_eq!(at("e2e.read_mean_us"), at("read_p90_us") + 1);
         assert_eq!(at("e2e.write_mean_us"), at("write_p50_us") + 1);
         assert_eq!(names.len(), declared.gated.len() + 2);
+    }
+
+    #[test]
+    fn the_ledger_file_records_the_pairs_each_workload_ran() {
+        let args = crate::parse_args(
+            &["compare", "p", "c", "--pairs", "5", "--max-pairs", "7"].map(String::from),
+        )
+        .unwrap();
+        let side = |label| Side {
+            label,
+            sha: label.to_string(),
+            declared: declaration(include_str!("../../../../../BENCHMARK.json")).unwrap(),
+            executable: "bench".into(),
+            program_args: Vec::new(),
+        };
+        let run = |pair, side| Run {
+            pair,
+            side,
+            order: 1,
+            seconds: 1.0,
+            outcome: Err("not run".to_string()),
+        };
+        let runs = |pairs| {
+            (1..=pairs)
+                .flat_map(|p| [run(p, "parent"), run(p, "change")])
+                .collect()
+        };
+        let report = [("a".to_string(), runs(5)), ("b".to_string(), runs(7))];
+        let sides = [side("parent"), side("change")];
+        let text = ledger_json(&args, &sides, &sides[0].declared.gated, &report);
+        let parsed = json::Json::parse(&text).unwrap();
+        assert_eq!(parsed.get("pairs").and_then(json::Json::as_f64), Some(5.0));
+        assert_eq!(
+            parsed.get("max_pairs").and_then(json::Json::as_f64),
+            Some(7.0)
+        );
+        let workloads = parsed
+            .get("workloads")
+            .and_then(json::Json::as_array)
+            .unwrap();
+        let pairs: Vec<_> = (workloads.iter())
+            .map(|w| w.get("pairs").and_then(json::Json::as_f64))
+            .collect();
+        assert_eq!(pairs, [Some(5.0), Some(7.0)]);
     }
 
     #[test]

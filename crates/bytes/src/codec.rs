@@ -537,16 +537,21 @@ macro_rules! wire_struct {
 ///
 /// A `lends L` clause makes the enum `L<'a>` a
 /// [`LentMessage`](crate::LentMessage) of the kind, covering each line
-/// marked `lent` (whose fields have no `as`): its variant of the same
-/// name holds each field's [`Lend`](crate::Lend) form, and its encoder,
-/// decoder and conversions both ways come from those lines.
+/// marked `lent`: its variant of the same name holds each field's
+/// [`Lend`](crate::Lend) form, and its encoder, decoder and conversions
+/// both ways come from those lines. A field that travels `as` a
+/// stand-in is lent as a reference to its owned form, written through
+/// the stand-in and cloned to make it owned; a payload cannot lend one,
+/// so the decoder reads no line that has such a field.
 #[macro_export]
 macro_rules! vocabulary {
     // The `lends` clause, one line at a time: the lines marked `lent`
-    // are collected, then the lent kind's impl is generated from them.
+    // are collected, those a payload can lend a second time, then the
+    // lent kind's impl is generated from them.
     (@lent [] $($lines:tt)*) => {};
     (@lent [$lent:ident $kind:ident $tags:ident]
-        [$(($tag:literal $variant:ident $($field:ident)*))*]) => {
+        [$(($rtag:literal $rvariant:ident $($rfield:ident)*))*]
+        [$(($tag:literal $variant:ident $(($field:ident $($via:ident)?))*))*]) => {
         impl<'a> $crate::LentMessage<'a> for $lent<'a> {
             type Owned = $kind;
 
@@ -559,7 +564,7 @@ macro_rules! vocabulary {
             fn put_body(&self, out: &mut Vec<u8>) {
                 match *self {
                     $($lent::$variant { $($field),* } => {
-                        $($crate::Lend::put_lent($field, out);)*
+                        $($crate::field!(put_lent out, $field $(as $via)?);)*
                     })*
                 }
             }
@@ -569,8 +574,8 @@ macro_rules! vocabulary {
                 tag: u8,
             ) -> Result<Option<Self>, $crate::DecodeError> {
                 Ok(Some(match tag {
-                    $($tag => $lent::$variant {
-                        $($field: $crate::Lend::get_lent(dec)?),*
+                    $($rtag => $lent::$rvariant {
+                        $($rfield: $crate::Lend::get_lent(dec)?),*
                     },)*
                     _ => return Ok(None),
                 }))
@@ -579,7 +584,7 @@ macro_rules! vocabulary {
             fn owned(&self) -> $kind {
                 match *self {
                     $($lent::$variant { $($field),* } => $kind::$variant {
-                        $($field: $crate::Lend::owned($field)),*
+                        $($field: $crate::field!(owned $field $(as $via)?)),*
                     },)*
                 }
             }
@@ -587,23 +592,32 @@ macro_rules! vocabulary {
             fn lend(owned: &'a $kind) -> Option<Self> {
                 Some(match owned {
                     $($kind::$variant { $($field),* } => $lent::$variant {
-                        $($field: $crate::Lend::lend($field)),*
+                        $($field: $crate::field!(lend $field $(as $via)?)),*
                     },)*
                     _ => return None,
                 })
             }
         }
     };
-    (@lent [$($head:tt)*] [$($done:tt)*]
+    (@lent [$($head:tt)*] [$($read:tt)*] [$($done:tt)*]
         $tag:literal => $variant:ident { $($field:ident),* } lent, $($rest:tt)*) => {
-        $crate::vocabulary!(@lent [$($head)*] [$($done)* ($tag $variant $($field)*)] $($rest)*);
+        $crate::vocabulary!(@lent [$($head)*]
+            [$($read)* ($tag $variant $($field)*)]
+            [$($done)* ($tag $variant $(($field))*)] $($rest)*);
     };
-    (@lent [$($head:tt)*] [$($done:tt)*] $tag:literal => $variant:ident, $($rest:tt)*) => {
-        $crate::vocabulary!(@lent [$($head)*] [$($done)*] $($rest)*);
+    (@lent [$($head:tt)*] [$($read:tt)*] [$($done:tt)*]
+        $tag:literal => $variant:ident { $($field:ident $(as $via:ident)?),* } lent,
+        $($rest:tt)*) => {
+        $crate::vocabulary!(@lent [$($head)*] [$($read)*]
+            [$($done)* ($tag $variant $(($field $($via)?))*)] $($rest)*);
     };
-    (@lent [$($head:tt)*] [$($done:tt)*]
+    (@lent [$($head:tt)*] [$($read:tt)*] [$($done:tt)*]
+        $tag:literal => $variant:ident, $($rest:tt)*) => {
+        $crate::vocabulary!(@lent [$($head)*] [$($read)*] [$($done)*] $($rest)*);
+    };
+    (@lent [$($head:tt)*] [$($read:tt)*] [$($done:tt)*]
         $tag:literal => $variant:ident $body:tt, $($rest:tt)*) => {
-        $crate::vocabulary!(@lent [$($head)*] [$($done)*] $($rest)*);
+        $crate::vocabulary!(@lent [$($head)*] [$($read)*] [$($done)*] $($rest)*);
     };
     (
         $kind:ident, tags $tags:ident, $what:literal
@@ -652,13 +666,13 @@ macro_rules! vocabulary {
             }
         }
 
-        $crate::vocabulary!(@lent [$($lent $kind $tags)?] []
+        $crate::vocabulary!(@lent [$($lent $kind $tags)?] [] []
             $($tag => $variant $({ $($field $(as $via)?),* })? $(($inner))? $($mark)?,)*);
     };
 }
 
 /// One field of a `vocabulary!` line, written or read as its own
-/// type or `as` the named stand-in.
+/// type or `as` the named stand-in, owned or lent.
 #[doc(hidden)]
 #[macro_export]
 macro_rules! field {
@@ -673,5 +687,23 @@ macro_rules! field {
     };
     (get $dec:ident, $f:ident as $via:ident) => {
         <$via as $crate::Via<_>>::get_via($dec)?
+    };
+    (put_lent $out:ident, $f:ident) => {
+        $crate::Lend::put_lent($f, $out)
+    };
+    (put_lent $out:ident, $f:ident as $via:ident) => {
+        <$via as $crate::Via<_>>::put_via($f, $out)
+    };
+    (owned $f:ident) => {
+        $crate::Lend::owned($f)
+    };
+    (owned $f:ident as $via:ident) => {
+        ::core::clone::Clone::clone($f)
+    };
+    (lend $f:ident) => {
+        $crate::Lend::lend($f)
+    };
+    (lend $f:ident as $via:ident) => {
+        $f
     };
 }

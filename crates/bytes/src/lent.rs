@@ -22,7 +22,9 @@ pub trait LentMessage<'a>: Sized {
     /// Append the variant's fields, as its owned form would.
     fn put_body(&self, out: &mut Vec<u8>);
     /// The body of the variant tagged `tag`, lent from the payload;
-    /// `None` (nothing read) for a tag this kind does not lend.
+    /// `None` (nothing read) for a tag this kind does not lend, or
+    /// lends only from an owned value (a variant with a field that
+    /// travels `as` a stand-in).
     fn get_lent(dec: &mut Dec<'a>, tag: u8) -> Result<Option<Self>, DecodeError>;
     /// The owned message.
     fn owned(&self) -> Self::Owned;

@@ -70,34 +70,10 @@ impl ClauseRef<'_> {
     /// `Context(c)` of Definition 2: the finite set of values the
     /// clause denotes, deduplicated, in first-mention order.
     pub fn values(self, param: ParamId, h: &Hierarchy) -> Result<Vec<CtxValue>, ContextError> {
-        let check = |v: CtxValue| -> Result<CtxValue, ContextError> {
-            if v.index() >= h.value_count() {
-                Err(ContextError::ForeignValue { param })
-            } else {
-                Ok(v)
-            }
-        };
-        match self {
-            Self::Eq(v) => Ok(vec![check(v)?]),
-            Self::In(vs) => {
-                if vs.is_empty() {
-                    return Err(ContextError::EmptyValueSet { param });
-                }
-                let mut out = Vec::with_capacity(vs.len());
-                for &v in vs {
-                    let v = check(v)?;
-                    if !out.contains(&v) {
-                        out.push(v);
-                    }
-                }
-                Ok(out)
-            }
-            Self::Range(from, to) => {
-                let (from, to) = (check(from)?, check(to)?);
-                h.range_values(from, to)
-                    .ok_or(ContextError::RangeLevelMismatch { param })
-            }
-        }
+        let mut single = h.all_value();
+        Ok(lend_set(Some(self), param, h, &mut single)?
+            .iter()
+            .collect())
     }
 
     /// The words the clause takes in a descriptor.
@@ -108,6 +84,84 @@ impl ClauseRef<'_> {
             Self::Range(..) => 3,
         }
     }
+}
+
+/// One parameter's value set, `Context(c)` of Definition 2, lent from
+/// where its values are held: a clause's packed words, the domain of
+/// the parameter's hierarchy, or one value the caller keeps. An `In`
+/// clause lends its values as written, so a value may repeat there;
+/// its later mentions are skipped.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct LentSet<'s> {
+    values: &'s [CtxValue],
+    /// Whether `values` may repeat (an `In` clause's).
+    repeats: bool,
+}
+
+impl<'s> LentSet<'s> {
+    /// The set's values, each once, in first-mention order.
+    pub(crate) fn iter(self) -> impl Iterator<Item = CtxValue> + 's {
+        let Self { values, repeats } = self;
+        (values.iter().enumerate())
+            .filter(move |&(i, v)| !repeats || !values[..i].contains(v))
+            .map(|(_, &v)| v)
+    }
+
+    /// How many values the set holds.
+    pub(crate) fn len(self) -> usize {
+        match self.repeats {
+            true => self.iter().count(),
+            false => self.values.len(),
+        }
+    }
+}
+
+/// The value set `clause` denotes for `param`, or `{all}` when the
+/// parameter has no clause, checked as [`ClauseRef::values`] checks it:
+/// an empty `In`, a value foreign to `h` (the first, in the order
+/// written) or a range across levels is refused. An `Eq` clause's value
+/// and `all` are lent from `single`, which this sets; a range is lent
+/// from its level's domain.
+pub(crate) fn lend_set<'s>(
+    clause: Option<ClauseRef<'s>>,
+    param: ParamId,
+    h: &'s Hierarchy,
+    single: &'s mut CtxValue,
+) -> Result<LentSet<'s>, ContextError> {
+    let check = |v: CtxValue| match v.index() < h.value_count() {
+        true => Ok(v),
+        false => Err(ContextError::ForeignValue { param }),
+    };
+    let (values, repeats) = match clause {
+        None => {
+            *single = h.all_value();
+            (std::slice::from_ref(&*single), false)
+        }
+        Some(ClauseRef::Eq(v)) => {
+            *single = check(v)?;
+            (std::slice::from_ref(&*single), false)
+        }
+        Some(ClauseRef::In(vs)) => {
+            if vs.is_empty() {
+                return Err(ContextError::EmptyValueSet { param });
+            }
+            for &v in vs {
+                check(v)?;
+            }
+            (vs, true)
+        }
+        Some(ClauseRef::Range(from, to)) => {
+            let (from, to) = (check(from)?, check(to)?);
+            let level = h.level_of(from);
+            if h.level_of(to) != level {
+                return Err(ContextError::RangeLevelMismatch { param });
+            }
+            let (a, b) = (h.pos_in_level(from) as usize, h.pos_in_level(to) as usize);
+            let domain = h.domain(level);
+            (if a <= b { &domain[a..=b] } else { &[][..] }, false)
+        }
+    };
+    Ok(LentSet { values, repeats })
 }
 
 // A clause's kind, in bits 16 and up of its header word.

@@ -1,19 +1,28 @@
+use std::convert::Infallible;
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::ops::ControlFlow;
 
-use crate::clause::{clauses_of, ClauseRef, DescriptorBuilder, ParameterDescriptor};
+use ctxpref_hierarchy::ValueId;
+
+use crate::clause::{clauses_of, lend_set, ClauseRef, DescriptorBuilder, ParameterDescriptor};
 use crate::env::{ContextEnvironment, ParamId};
 use crate::error::ContextError;
 use crate::state::{ContextState, CtxValue};
+
+/// Most parameters an environment may have for
+/// [`ContextDescriptor::for_each_state`] to walk it without allocating.
+pub const STACK_PARAMS: usize = 8;
 
 /// A composite context descriptor (Definition 3): a conjunction of
 /// parameter descriptors with at most one per parameter. Parameters
 /// without a descriptor are implicitly `Ci = all`.
 ///
 /// `Context(cod)` (Definition 4) — the set of states a descriptor
-/// denotes — is computed by [`ContextDescriptor::states`] as the
-/// Cartesian product of per-parameter value sets, `{all}` for absent
-/// parameters.
+/// denotes — is the Cartesian product of per-parameter value sets,
+/// `{all}` for absent parameters. [`ContextDescriptor::for_each_state`]
+/// walks it in place, allocating nothing, and
+/// [`ContextDescriptor::states`] collects that walk.
 ///
 /// The clauses are packed, in ascending parameter order with one per
 /// parameter, into one exactly sized slice of 4-byte words: a header
@@ -111,32 +120,91 @@ impl ContextDescriptor {
     pub fn value_sets(&self, env: &ContextEnvironment) -> Result<Vec<Vec<CtxValue>>, ContextError> {
         let mut sets = Vec::with_capacity(env.len());
         for (p, h) in env.iter() {
-            match self.clause(p) {
-                Some(clause) => sets.push(clause.values(p, h)?),
-                None => sets.push(vec![h.all_value()]),
-            }
+            let mut single = h.all_value();
+            sets.push(
+                lend_set(self.clause(p), p, h, &mut single)?
+                    .iter()
+                    .collect(),
+            );
         }
         Ok(sets)
     }
 
     /// Number of states the descriptor denotes, without materializing
-    /// them.
+    /// them. Refused as [`states`](Self::states) is, and allocates
+    /// nothing.
     pub fn state_count(&self, env: &ContextEnvironment) -> Result<u128, ContextError> {
-        Ok(self
-            .value_sets(env)?
-            .iter()
-            .fold(1u128, |acc, s| acc.saturating_mul(s.len() as u128)))
+        let mut count = 1u128;
+        for (p, h) in env.iter() {
+            let mut single = h.all_value();
+            let set = lend_set(self.clause(p), p, h, &mut single)?;
+            count = count.saturating_mul(set.len() as u128);
+        }
+        Ok(count)
     }
 
     /// `Context(cod)` of Definition 4: every state the descriptor
-    /// denotes, as the Cartesian product of the per-parameter sets.
+    /// denotes, as the Cartesian product of the per-parameter sets —
+    /// [`for_each_state`](Self::for_each_state)'s walk, collected.
     pub fn states(&self, env: &ContextEnvironment) -> Result<Vec<ContextState>, ContextError> {
-        let sets = self.value_sets(env)?;
-        let total: usize = sets.iter().map(Vec::len).product();
-        let mut out = Vec::with_capacity(total);
-        let mut current = Vec::with_capacity(sets.len());
-        cartesian(&sets, &mut current, &mut out);
+        let count = self.state_count(env)?;
+        let mut out = Vec::with_capacity(usize::try_from(count).unwrap_or(usize::MAX));
+        self.for_each_state(env, |state| {
+            out.push(ContextState::from_values_unchecked(state.to_vec()));
+            ControlFlow::<Infallible>::Continue(())
+        })?;
         Ok(out)
+    }
+
+    /// `Context(cod)` walked in place: `visit` sees each state
+    /// [`states`](Self::states) lists, in the same order, as its values
+    /// in parameter order, until it breaks, and the walk answers how it
+    /// ended. The descriptor is checked before any state is visited, so
+    /// a refused descriptor is refused with the error `states` gives
+    /// and visits nothing. Each parameter's set is lent from the
+    /// descriptor's words or its hierarchy and the state is kept on the
+    /// stack, so the walk allocates nothing for an environment of up to
+    /// [`STACK_PARAMS`] parameters, and one buffer for a wider one.
+    pub fn for_each_state<B>(
+        &self,
+        env: &ContextEnvironment,
+        mut visit: impl FnMut(&[CtxValue]) -> ControlFlow<B>,
+    ) -> Result<ControlFlow<B>, ContextError> {
+        self.state_count(env)?;
+        let mut stack = [ValueId(0); STACK_PARAMS];
+        let mut wide = Vec::new();
+        let state = match env.len() {
+            n if n <= STACK_PARAMS => &mut stack[..n],
+            n => {
+                wide.resize(n, ValueId(0));
+                &mut wide[..]
+            }
+        };
+        self.descend(env, state, 0, &mut visit)
+    }
+
+    /// The walk from parameter `depth` on, the values before it fixed
+    /// in `state`: an odometer whose last parameter turns fastest.
+    fn descend<B>(
+        &self,
+        env: &ContextEnvironment,
+        state: &mut [CtxValue],
+        depth: usize,
+        visit: &mut impl FnMut(&[CtxValue]) -> ControlFlow<B>,
+    ) -> Result<ControlFlow<B>, ContextError> {
+        if depth == state.len() {
+            return Ok(visit(state));
+        }
+        let p = ParamId(depth as u16);
+        let h = env.hierarchy(p);
+        let mut single = h.all_value();
+        for v in lend_set(self.clause(p), p, h, &mut single)?.iter() {
+            state[depth] = v;
+            if let ControlFlow::Break(b) = self.descend(env, state, depth + 1, visit)? {
+                return Ok(ControlFlow::Break(b));
+            }
+        }
+        Ok(ControlFlow::Continue(()))
     }
 
     /// Do the contexts of two descriptors share at least one state?
@@ -206,18 +274,6 @@ pub fn descriptor_of_state(env: &ContextEnvironment, state: &ContextState) -> Co
         builder.push(p, ClauseRef::Eq(v));
     }
     builder.build()
-}
-
-fn cartesian(sets: &[Vec<CtxValue>], current: &mut Vec<CtxValue>, out: &mut Vec<ContextState>) {
-    if current.len() == sets.len() {
-        out.push(ContextState::from_values_unchecked(current.clone()));
-        return;
-    }
-    for &v in &sets[current.len()] {
-        current.push(v);
-        cartesian(sets, current, out);
-        current.pop();
-    }
 }
 
 struct DescriptorDisplay<'a> {

@@ -53,9 +53,11 @@ mod state;
 pub(crate) mod testutil;
 
 pub use clause::{ClauseRef, DescriptorBuilder, ParameterDescriptor};
-pub use descriptor::{descriptor_of_state, ContextDescriptor, ExtendedContextDescriptor};
+pub use descriptor::{
+    descriptor_of_state, ContextDescriptor, ExtendedContextDescriptor, STACK_PARAMS,
+};
 pub use distance::{hierarchy_state_dist, jaccard_state_dist, DistanceKind};
 pub use env::{ContextEnvironment, ParamId};
 pub use error::ContextError;
 pub use parse::{parse_descriptor, parse_extended_descriptor};
-pub use state::{set_covers, ContextState, CtxValue};
+pub use state::{set_covers, values_cover, ContextState, CtxValue};

@@ -1,4 +1,6 @@
+use std::borrow::Borrow;
 use std::fmt;
+use std::ops::Deref;
 
 use ctxpref_hierarchy::{LevelId, ValueId};
 
@@ -133,12 +135,7 @@ impl ContextState {
     /// This is a partial order (Theorem 1); reflexivity, antisymmetry
     /// and transitivity are exercised by property tests.
     pub fn covers(&self, other: &ContextState, env: &ContextEnvironment) -> bool {
-        debug_assert_eq!(self.len(), other.len());
-        self.values
-            .iter()
-            .zip(other.values.iter())
-            .enumerate()
-            .all(|(i, (&a, &b))| env.hierarchy(ParamId(i as u16)).is_ancestor_or_self(a, b))
+        values_cover(&self.values, &other.values, env)
     }
 
     /// Replace one value, producing a new state.
@@ -154,6 +151,34 @@ impl ContextState {
     pub fn display<'a>(&'a self, env: &'a ContextEnvironment) -> impl fmt::Display + 'a {
         StateDisplay { state: self, env }
     }
+}
+
+/// A state is its values, in parameter order, as a `String` is its
+/// text: where a `&[CtxValue]` is asked for, a `&ContextState` will do.
+impl Deref for ContextState {
+    type Target = [CtxValue];
+
+    fn deref(&self) -> &[CtxValue] {
+        &self.values
+    }
+}
+
+/// A state hashes and compares as its values, so a table keyed by
+/// states can be probed with a slice of values, such as the one
+/// [`ContextDescriptor::for_each_state`](crate::ContextDescriptor::for_each_state)
+/// lends.
+impl Borrow<[CtxValue]> for ContextState {
+    fn borrow(&self) -> &[CtxValue] {
+        &self.values
+    }
+}
+
+/// [`ContextState::covers`] over two states' values, in parameter
+/// order: whether `sup` covers `sub`.
+pub fn values_cover(sup: &[CtxValue], sub: &[CtxValue], env: &ContextEnvironment) -> bool {
+    debug_assert_eq!(sup.len(), sub.len());
+    (sup.iter().zip(sub).enumerate())
+        .all(|(i, (&a, &b))| env.hierarchy(ParamId(i as u16)).is_ancestor_or_self(a, b))
 }
 
 /// Does a set of states cover another set (Definition 11)? `sup` covers

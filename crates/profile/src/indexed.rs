@@ -2,7 +2,7 @@ use std::sync::{Arc, OnceLock};
 
 use crate::error::ProfileError;
 use crate::ordering::ParamOrder;
-use crate::preference::ContextualPreference;
+use crate::preference::{checked_score, ContextualPreference};
 use crate::profile::Profile;
 use crate::tree::ProfileTree;
 
@@ -152,15 +152,19 @@ impl IndexedProfile {
         if old_score == score {
             return Ok(None);
         }
-        let updated = old.with_score(score)?;
+        let score = checked_score(score)?;
         self.tree.rescore(old, score)?;
         if Arc::get_mut(&mut self.base).is_some() {
-            self.profile_mut().replace(index, updated);
+            self.profile_mut().update_score(index, score)?;
         } else {
             self.current.take();
             match self.rescored.iter_mut().find(|(i, _)| *i == index) {
-                Some(kept) => kept.1 = updated,
-                None => self.rescored.push((index, updated)),
+                Some(kept) => kept.1.set_score(score)?,
+                None => {
+                    let mut updated = self.base.preferences()[index].clone();
+                    updated.set_score(score)?;
+                    self.rescored.push((index, updated));
+                }
             }
         }
         Ok(Some(old_score))

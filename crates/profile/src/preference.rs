@@ -75,6 +75,15 @@ pub struct ContextualPreference {
     score: f64,
 }
 
+/// An interest score as a preference stores it: refused unless in
+/// `[0, 1]`, and `-0.0` as `0.0`.
+pub(crate) fn checked_score(score: f64) -> Result<f64, ProfileError> {
+    match (0.0..=1.0).contains(&score) {
+        true => Ok(score + 0.0),
+        false => Err(ProfileError::InvalidScore(score)),
+    }
+}
+
 impl ContextualPreference {
     /// Build a preference, validating the interest score. `-0.0` is
     /// stored as `0.0`: the two compare equal (so they never conflict),
@@ -85,13 +94,10 @@ impl ContextualPreference {
         clause: AttributeClause,
         score: f64,
     ) -> Result<Self, ProfileError> {
-        if !(0.0..=1.0).contains(&score) || score.is_nan() {
-            return Err(ProfileError::InvalidScore(score));
-        }
         Ok(Self {
             descriptor,
             clause,
-            score: score + 0.0,
+            score: checked_score(score)?,
         })
     }
 
@@ -113,6 +119,12 @@ impl ContextualPreference {
     /// Replace the score (used when a user updates a preference).
     pub fn with_score(&self, score: f64) -> Result<Self, ProfileError> {
         Self::new(self.descriptor.clone(), self.clause.clone(), score)
+    }
+
+    /// Replace the score in place, checked as [`Self::new`] checks it.
+    pub(crate) fn set_score(&mut self, score: f64) -> Result<(), ProfileError> {
+        self.score = checked_score(score)?;
+        Ok(())
     }
 
     /// The conflict test of Definition 6: two preferences conflict iff

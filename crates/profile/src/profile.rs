@@ -101,9 +101,7 @@ impl Profile {
     /// Update the interest score of the preference at `index`. Score
     /// updates never conflict: the old preference is replaced.
     pub fn update_score(&mut self, index: usize, score: f64) -> Result<(), ProfileError> {
-        let updated = self.prefs[index].with_score(score)?;
-        self.prefs[index] = updated;
-        Ok(())
+        self.prefs[index].set_score(score)
     }
 
     /// Replace the preference at `index` with one its caller has

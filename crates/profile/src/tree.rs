@@ -1,7 +1,9 @@
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::fmt;
+use std::ops::ControlFlow;
 
-use ctxpref_context::{ContextEnvironment, ContextState, CtxValue, DistanceKind};
+use ctxpref_context::{ContextEnvironment, ContextState, CtxValue, DistanceKind, STACK_PARAMS};
 
 use crate::access::AccessCounter;
 use crate::error::ProfileError;
@@ -200,37 +202,47 @@ impl ProfileTree {
     /// `(state, clause, score)` adds a contributor to the stored entry
     /// instead of a second entry.
     pub fn insert(&mut self, pref: &ContextualPreference) -> Result<(), ProfileError> {
-        let states = pref.descriptor().states(&self.env)?;
+        // The environment is two shared pointers: a copy lets the walk
+        // borrow it while the tree changes.
+        let env = self.env.clone();
+        let (clause, score) = (pref.clause(), pref.score());
         // Phase 1: detect conflicts without mutating.
-        for state in &states {
-            if let Some(leaf) = self.locate_leaf(state) {
-                for entry in self.leaf(leaf) {
-                    if entry.clause == *pref.clause() && entry.score != pref.score() {
-                        return Err(ProfileError::Conflict {
-                            state: state.clone(),
-                            existing_score: entry.score,
-                            new_score: pref.score(),
-                        });
-                    }
-                }
+        let conflict = pref.descriptor().for_each_state(&env, |state| {
+            let entries = self
+                .locate_leaf(state)
+                .map_or(&[][..], |leaf| self.leaf(leaf));
+            match entries
+                .iter()
+                .find(|e| e.clause == *clause && e.score != score)
+            {
+                Some(entry) => ControlFlow::Break(ProfileError::Conflict {
+                    state: ContextState::from_values_unchecked(state.to_vec()),
+                    existing_score: entry.score,
+                    new_score: score,
+                }),
+                None => ControlFlow::Continue(()),
             }
+        })?;
+        if let ControlFlow::Break(conflict) = conflict {
+            return Err(conflict);
         }
         // Phase 2: insert paths.
-        for state in &states {
+        pref.descriptor().for_each_state(&env, |state| {
             let leaf = self.ensure_path(state);
             let entries = &mut self.leaves[leaf.index()];
             match entries
                 .entries()
                 .iter()
-                .position(|e| e.clause == *pref.clause() && e.score == pref.score())
+                .position(|e| e.clause == *clause && e.score == score)
             {
                 Some(pos) => *self.shared.entry((leaf.0, pos as u32)).or_insert(1) += 1,
                 None => entries.push(LeafEntry {
-                    clause: pref.clause().clone(),
-                    score: pref.score(),
+                    clause: clause.clone(),
+                    score,
                 }),
             }
-        }
+            ControlFlow::<Infallible>::Continue(())
+        })?;
         Ok(())
     }
 
@@ -238,10 +250,12 @@ impl ProfileTree {
     /// states, dropping an entry (and pruning emptied nodes) when `pref`
     /// was its last contributor. `pref` must have been inserted.
     pub(crate) fn remove(&mut self, pref: &ContextualPreference) -> Result<(), ProfileError> {
-        for state in pref.descriptor().states(&self.env)? {
-            let found = self.remove_state_entry(&state, pref.clause(), pref.score());
+        let env = self.env.clone();
+        pref.descriptor().for_each_state(&env, |state| {
+            let found = self.remove_state_entry(state, pref.clause(), pref.score());
             debug_assert!(found, "the tree indexes every state of its preferences");
-        }
+            ControlFlow::<Infallible>::Continue(())
+        })?;
         Ok(())
     }
 
@@ -254,36 +268,39 @@ impl ProfileTree {
         pref: &ContextualPreference,
         score: f64,
     ) -> Result<(), ProfileError> {
-        let states = pref.descriptor().states(&self.env)?;
-        for state in &states {
-            let Some(leaf) = self.locate_leaf(state) else {
-                continue;
-            };
-            let shared = self
-                .leaf(leaf)
-                .iter()
-                .position(|e| e.clause == *pref.clause())
-                .is_some_and(|pos| self.shared.contains_key(&(leaf.0, pos as u32)));
-            if shared {
-                return Err(ProfileError::Conflict {
-                    state: state.clone(),
+        let env = self.env.clone();
+        let shared = pref.descriptor().for_each_state(&env, |state| {
+            let shared = self.locate_leaf(state).is_some_and(|leaf| {
+                self.leaf(leaf)
+                    .iter()
+                    .position(|e| e.clause == *pref.clause())
+                    .is_some_and(|pos| self.shared.contains_key(&(leaf.0, pos as u32)))
+            });
+            match shared {
+                true => ControlFlow::Break(ProfileError::Conflict {
+                    state: ContextState::from_values_unchecked(state.to_vec()),
                     existing_score: pref.score(),
                     new_score: score,
-                });
+                }),
+                false => ControlFlow::Continue(()),
             }
+        })?;
+        if let ControlFlow::Break(conflict) = shared {
+            return Err(conflict);
         }
-        for state in &states {
+        pref.descriptor().for_each_state(&env, |state| {
             let found = self.update_state_entry(state, pref.clause(), score);
             debug_assert!(found, "the tree indexes every state of its preferences");
-        }
+            ControlFlow::<Infallible>::Continue(())
+        })?;
         Ok(())
     }
 
     /// Walk the path of `state`, returning its leaf if fully present.
-    fn locate_leaf(&self, state: &ContextState) -> Option<LeafId> {
+    fn locate_leaf(&self, state: &[CtxValue]) -> Option<LeafId> {
         let mut node = 0usize;
         for level in 0..self.depth() {
-            let key = state.value(self.order.param_at(level));
+            let key = state[self.order.param_at(level).index()];
             let cell = self.nodes[node].cells.iter().find(|c| c.key == key)?;
             if level + 1 == self.depth() {
                 return Some(LeafId(cell.child));
@@ -297,10 +314,10 @@ impl ProfileTree {
     /// the leaf. A new node is made for the one cell about to go in
     /// (most hold one for good) and grows from there as any `Vec` does;
     /// a new leaf is empty and allocates nothing.
-    fn ensure_path(&mut self, state: &ContextState) -> LeafId {
+    fn ensure_path(&mut self, state: &[CtxValue]) -> LeafId {
         let mut node = 0usize;
         for level in 0..self.depth() {
-            let key = state.value(self.order.param_at(level));
+            let key = state[self.order.param_at(level).index()];
             let bottom = level + 1 == self.depth();
             let existing = self.nodes[node]
                 .cells
@@ -521,22 +538,32 @@ impl ProfileTree {
     /// existed.
     fn remove_state_entry(
         &mut self,
-        state: &ContextState,
+        state: &[CtxValue],
         clause: &AttributeClause,
         score: f64,
     ) -> bool {
-        // Record the path root → bottom as (node, cell position).
-        let mut path: Vec<(usize, usize)> = Vec::with_capacity(self.depth());
+        // Record the path root → bottom as (node, cell position), on
+        // the stack unless the tree is deeper than any walk keeps there.
+        let depth = self.depth();
+        let mut stack = [(0usize, 0usize); STACK_PARAMS];
+        let mut deep = Vec::new();
+        let path = match depth {
+            d if d <= STACK_PARAMS => &mut stack[..d],
+            d => {
+                deep.resize(d, (0, 0));
+                &mut deep[..]
+            }
+        };
         let mut node = 0usize;
         let mut leaf = None;
-        for level in 0..self.depth() {
-            let key = state.value(self.order.param_at(level));
+        for level in 0..depth {
+            let key = state[self.order.param_at(level).index()];
             let Some(pos) = self.nodes[node].cells.iter().position(|c| c.key == key) else {
                 return false;
             };
             let child = self.nodes[node].cells[pos].child;
-            path.push((node, pos));
-            if level + 1 == self.depth() {
+            path[level] = (node, pos);
+            if level + 1 == depth {
                 leaf = Some(child);
             } else {
                 node = child as usize;
@@ -591,7 +618,7 @@ impl ProfileTree {
     /// entry was found.
     pub fn update_state_entry(
         &mut self,
-        state: &ContextState,
+        state: &[CtxValue],
         clause: &AttributeClause,
         score: f64,
     ) -> bool {

@@ -33,7 +33,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use ctxpref_core::ShardedMultiUserDb;
-use ctxpref_wal::{Ack, DurableDb, ScrubReport, WalError, WalOp};
+use ctxpref_wal::{Ack, DurableDb, LoggedOp, ScrubReport, WalError};
 use parking_lot::Mutex;
 
 use crate::error::{ReplicationError, TransportError};
@@ -238,7 +238,7 @@ impl Cluster {
     /// Apply one logged operation through the current primary,
     /// honouring the configured [`AckMode`]. The ack carries what the
     /// primary's log displaced when it applied the op.
-    pub fn write(&self, op: WalOp) -> Result<Ack, ReplicationError> {
+    pub fn write(&self, op: impl LoggedOp) -> Result<Ack, ReplicationError> {
         let mut st = self.state.lock();
         let Some(p) = st.primary else {
             return Err(ReplicationError::NoPrimary);
@@ -250,7 +250,7 @@ impl Cluster {
     /// split-brain probe. A node that no longer believes it is primary
     /// refuses; a deposed one that still believes is fenced by the
     /// first peer it ships to (under quorum acks) and demotes.
-    pub fn write_via(&self, id: NodeId, op: WalOp) -> Result<Ack, ReplicationError> {
+    pub fn write_via(&self, id: NodeId, op: impl LoggedOp) -> Result<Ack, ReplicationError> {
         let mut st = self.state.lock();
         self.write_via_locked(&mut st, id, op)
     }
@@ -259,7 +259,7 @@ impl Cluster {
         &self,
         st: &mut ClusterState,
         id: NodeId,
-        op: WalOp,
+        op: impl LoggedOp,
     ) -> Result<Ack, ReplicationError> {
         let node = st.nodes[id]
             .clone()

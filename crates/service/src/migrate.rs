@@ -23,11 +23,13 @@
 //! by design: a crash aborts the migration, and every step is
 //! restartable from scratch.
 
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::time::{Duration, Instant};
 
 use ctxpref_core::CoreError;
-use ctxpref_wal::WalOp;
+use ctxpref_wal::{WalOp, WalOpRef};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use crate::error::ServiceError;
@@ -77,8 +79,18 @@ pub struct MigrationEntry {
 struct Inner {
     entries: HashMap<String, MigrationEntry>,
     /// Client writes that passed the gate and have not finished their
-    /// append + ack yet.
-    in_flight: HashMap<String, usize>,
+    /// append + ack yet, counted per [`slot`] of their user, so that a
+    /// write registers without copying its user's name. Users whose
+    /// names share a slot share a count: a fence on one of them waits
+    /// for the other's writes too, which only makes it wait longer.
+    in_flight: HashMap<u64, usize>,
+}
+
+/// The slot of `user` in [`Inner::in_flight`].
+fn slot(user: &str) -> u64 {
+    let mut hasher = DefaultHasher::new();
+    user.hash(&mut hasher);
+    hasher.finish()
 }
 
 /// The per-service migration table.
@@ -101,10 +113,11 @@ pub(crate) struct WriteGuard<'a> {
 impl Drop for WriteGuard<'_> {
     fn drop(&mut self) {
         let mut inner = self.table.inner.lock();
-        if let Some(n) = inner.in_flight.get_mut(self.user) {
+        let slot = slot(self.user);
+        if let Some(n) = inner.in_flight.get_mut(&slot) {
             *n -= 1;
             if *n == 0 {
-                inner.in_flight.remove(self.user);
+                inner.in_flight.remove(&slot);
                 self.table.drained.notify_all();
             }
         }
@@ -126,7 +139,7 @@ impl MigrationTable {
                 user: user.to_string(),
             });
         }
-        *inner.in_flight.entry(user.to_string()).or_insert(0) += 1;
+        *inner.in_flight.entry(slot(user)).or_insert(0) += 1;
         Ok(WriteGuard { table: self, user })
     }
 
@@ -136,7 +149,8 @@ impl MigrationTable {
     /// before the entry landed.
     fn drain(&self, mut inner: MutexGuard<'_, Inner>, user: &str) -> Result<(), ServiceError> {
         let deadline = Instant::now() + DRAIN_WAIT;
-        while inner.in_flight.contains_key(user) {
+        let slot = slot(user);
+        while inner.in_flight.contains_key(&slot) {
             let timeout = deadline.saturating_duration_since(Instant::now());
             if timeout.is_zero() {
                 return Err(ServiceError::DeadlineExceeded {
@@ -145,7 +159,7 @@ impl MigrationTable {
             }
             let (reacquired, result) = self.drained.wait_timeout(inner, timeout);
             inner = reacquired;
-            if result.timed_out() && inner.in_flight.contains_key(user) {
+            if result.timed_out() && inner.in_flight.contains_key(&slot) {
                 return Err(ServiceError::DeadlineExceeded {
                     deadline: DRAIN_WAIT,
                 });
@@ -423,9 +437,7 @@ impl CtxPrefService {
     /// write path but past the fence (the caller's entry already blocks
     /// client writes). A user that is not here is not an error.
     fn drop_user(&self, user: &str) -> Result<(), ServiceError> {
-        match self.write(WalOp::RemoveUser {
-            user: user.to_string(),
-        }) {
+        match self.write(WalOpRef::RemoveUser { user }) {
             Ok(_) | Err(ServiceError::Core(_)) => Ok(()),
             Err(other) => Err(other),
         }

@@ -6,12 +6,12 @@ use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
-use ctxpref_core::{preference_from_parts, CoreError, ShardedMultiUserDb};
+use ctxpref_core::{preference_from_parts, CoreError, MultiUserDb, ShardedMultiUserDb};
 use ctxpref_profile::{ContextualPreference, Profile};
 use ctxpref_relation::CompareOp;
 use ctxpref_replication::{Cluster, ClusterStatus, NodeId, ReplicationError, RoleHook, TickReport};
 use ctxpref_wal::{
-    CheckpointReport, Displaced, DurableDb, ScrubReport, SyncPolicy, WalOp, WalStatus,
+    CheckpointReport, Displaced, DurableDb, LoggedOp, ScrubReport, SyncPolicy, WalOpRef, WalStatus,
 };
 
 use parking_lot::RwLock;
@@ -93,13 +93,13 @@ pub enum Edit<'a> {
     },
 }
 
-impl Edit<'_> {
-    /// The op that applies this edit to `user`, validated against the
-    /// serving core. An insert's value is refused typed when it spells
-    /// no value of its attribute's type.
-    fn op(self, core: &ShardedMultiUserDb, user: &str) -> Result<WalOp, ServiceError> {
-        let user = user.to_string();
-        Ok(match self {
+impl<'a> Edit<'a> {
+    /// This edit of `user` made ready against the serving core, its
+    /// record lent from `user` and the request's texts. An insert's
+    /// value is refused typed when it spells no value of its
+    /// attribute's type.
+    fn ready(self, core: &ShardedMultiUserDb, user: &'a str) -> Result<Ready<'a>, ServiceError> {
+        Ok(Ready::Lent(match self {
             Edit::Insert {
                 descriptor,
                 attr,
@@ -111,9 +111,45 @@ impl Edit<'_> {
                     .map_err(CoreError::from)?;
                 return insert_op(core, user, descriptor, attr, value, score);
             }
-            Edit::Rescore { index, score } => WalOp::UpdateScore { user, index, score },
-            Edit::Remove { index } => WalOp::RemovePreference { user, index },
-        })
+            Edit::Rescore { index, score } => WalOpRef::UpdateScore { user, index, score },
+            Edit::Remove { index } => WalOpRef::RemovePreference { user, index },
+        }))
+    }
+}
+
+/// A client edit made ready to log and apply. Its record is lent from
+/// the caller's parts; an insert holds the preference it built, which
+/// its record lends and its apply moves into the profile.
+enum Ready<'a> {
+    Insert {
+        user: &'a str,
+        pref: ContextualPreference,
+    },
+    Lent(WalOpRef<'a>),
+}
+
+impl LoggedOp for Ready<'_> {
+    fn user(&self) -> &str {
+        match self {
+            Ready::Insert { user, .. } => user,
+            Ready::Lent(op) => op.user(),
+        }
+    }
+
+    fn put_op(&self, out: &mut Vec<u8>) {
+        match self {
+            Ready::Insert { user, pref } => WalOpRef::InsertPreference { user, pref }.put_op(out),
+            Ready::Lent(op) => op.put_op(out),
+        }
+    }
+
+    fn apply_to(self, db: &mut MultiUserDb) -> Result<Displaced, CoreError> {
+        match self {
+            Ready::Insert { user, pref } => db
+                .insert_preference(user, pref)
+                .map(|()| Displaced::Nothing),
+            Ready::Lent(op) => op.apply_to(db),
+        }
     }
 }
 
@@ -128,17 +164,17 @@ enum Take {
 }
 
 /// The insert of an equality preference from its textual parts,
-/// validated against the live environment and schema. The value is
-/// built before the write so that it can be logged before it is
+/// validated against the live environment and schema. The preference
+/// is built before the write so that it can be logged before it is
 /// applied.
-fn insert_op(
+fn insert_op<'a>(
     core: &ShardedMultiUserDb,
-    user: String,
+    user: &'a str,
     descriptor: &str,
     attr: &str,
     value: ctxpref_relation::Value,
     score: f64,
-) -> Result<WalOp, ServiceError> {
+) -> Result<Ready<'a>, ServiceError> {
     let pref = preference_from_parts(
         core.env(),
         core.relation(),
@@ -148,7 +184,7 @@ fn insert_op(
         value,
         score,
     )?;
-    Ok(WalOp::InsertPreference { user, pref })
+    Ok(Ready::Insert { user, pref })
 }
 
 /// What an applied edit took out: the preference a removal displaced,
@@ -219,7 +255,7 @@ impl CtxPrefService {
     /// what the op displaced, read by the same call that applied it —
     /// under the WAL shard mutex on the logged and replicated paths —
     /// so concurrent removals can never report the same value twice.
-    pub(crate) fn write(&self, op: WalOp) -> Result<Displaced, ServiceError> {
+    pub(crate) fn write(&self, op: impl LoggedOp) -> Result<Displaced, ServiceError> {
         Ok(match &self.path {
             WritePath::Direct => op.apply(&self.core())?,
             WritePath::Logged(durable) => durable.apply(op)?.displaced,
@@ -228,14 +264,13 @@ impl CtxPrefService {
     }
 
     /// Register a user with an empty profile. Like every mutation
-    /// below it is one [`WalOp`] down the write path the service was
-    /// built with: applied directly, logged first, or routed through
-    /// the cluster's current primary honouring the configured ack mode.
+    /// below it is one op, lent from its caller ([`WalOpRef`]), down
+    /// the write path the service was built with: applied directly,
+    /// logged first, or routed through the cluster's current primary
+    /// honouring the configured ack mode.
     pub fn add_user(&self, name: &str) -> Result<(), ServiceError> {
         let _guard = self.migrations.write_guard(name)?;
-        self.write(WalOp::AddUser {
-            user: name.to_string(),
-        })?;
+        self.write(WalOpRef::AddUser { user: name })?;
         Ok(())
     }
 
@@ -245,14 +280,9 @@ impl CtxPrefService {
     /// exactly as a log replay reconstructs it).
     pub fn add_user_with_profile(&self, name: &str, profile: Profile) -> Result<(), ServiceError> {
         let _guard = self.migrations.write_guard(name)?;
-        self.write(WalOp::AddUser {
-            user: name.to_string(),
-        })?;
+        self.write(WalOpRef::AddUser { user: name })?;
         for pref in profile.preferences() {
-            self.write(WalOp::InsertPreference {
-                user: name.to_string(),
-                pref: pref.clone(),
-            })?;
+            self.write(WalOpRef::InsertPreference { user: name, pref })?;
         }
         Ok(())
     }
@@ -260,9 +290,7 @@ impl CtxPrefService {
     /// Remove a user, returning the profile the removal took out.
     pub fn remove_user(&self, name: &str) -> Result<Profile, ServiceError> {
         let _guard = self.migrations.write_guard(name)?;
-        match self.write(WalOp::RemoveUser {
-            user: name.to_string(),
-        })? {
+        match self.write(WalOpRef::RemoveUser { user: name })? {
             Displaced::Profile(profile) => Ok(profile),
             other => unreachable!("a user removal displaced {other:?}"),
         }
@@ -275,10 +303,7 @@ impl CtxPrefService {
         pref: ContextualPreference,
     ) -> Result<(), ServiceError> {
         let _guard = self.migrations.write_guard(user)?;
-        self.write(WalOp::InsertPreference {
-            user: user.to_string(),
-            pref,
-        })?;
+        self.write(Ready::Insert { user, pref })?;
         Ok(())
     }
 
@@ -292,7 +317,7 @@ impl CtxPrefService {
         value: ctxpref_relation::Value,
         score: f64,
     ) -> Result<(), ServiceError> {
-        let insert = |core: &_| insert_op(core, user.to_string(), descriptor, attr, value, score);
+        let insert = |core: &_| insert_op(core, user, descriptor, attr, value, score);
         self.edit(Take::Wait, user, insert).map(drop)
     }
 
@@ -304,7 +329,7 @@ impl CtxPrefService {
         index: usize,
     ) -> Result<ContextualPreference, ServiceError> {
         match self.edit(Take::Wait, user, |core| {
-            Edit::Remove { index }.op(core, user)
+            Edit::Remove { index }.ready(core, user)
         })? {
             Some(Displaced::Preference(pref)) => Ok(pref),
             other => unreachable!("a preference removal displaced {other:?}"),
@@ -318,7 +343,7 @@ impl CtxPrefService {
         index: usize,
         score: f64,
     ) -> Result<(), ServiceError> {
-        let rescore = |core: &_| Edit::Rescore { index, score }.op(core, user);
+        let rescore = |core: &_| Edit::Rescore { index, score }.ready(core, user);
         self.edit(Take::Wait, user, rescore).map(drop)
     }
 
@@ -341,7 +366,7 @@ impl CtxPrefService {
         if self.is_replicated() || ctxpref_faults::current().is_some() {
             return None;
         }
-        let edited = self.edit(Take::IfFree, user, |core| edit.op(core, user));
+        let edited = self.edit(Take::IfFree, user, |core| edit.ready(core, user));
         edited.transpose().map(|done| done.map(removed))
     }
 
@@ -361,7 +386,7 @@ impl CtxPrefService {
     ) -> Result<(), ServiceError> {
         let _guard = self.migrations.write_guard(user)?;
         for edit in edits {
-            let displaced = self.apply(Take::Wait, user, |core| edit.op(core, user))?;
+            let displaced = self.apply(Take::Wait, user, |core| edit.ready(core, user))?;
             applied(displaced.and_then(removed));
         }
         Ok(())
@@ -369,26 +394,26 @@ impl CtxPrefService {
 
     /// A single client preference edit: [`Self::apply`] under the
     /// migration fence's write guard.
-    fn edit(
+    fn edit<'a>(
         &self,
         take: Take,
-        user: &str,
-        make: impl FnOnce(&ShardedMultiUserDb) -> Result<WalOp, ServiceError>,
+        user: &'a str,
+        make: impl FnOnce(&ShardedMultiUserDb) -> Result<Ready<'a>, ServiceError>,
     ) -> Result<Option<Displaced>, ServiceError> {
         let _guard = self.migrations.write_guard(user)?;
         self.apply(take, user, make)
     }
 
     /// The one body of a client preference edit, blocking or not, run
-    /// under the caller's migration guard: the op `make` builds against
-    /// the serving core, and the write, taking the user's stripe as
-    /// `take` says. `Ok(None)` means nothing was applied, which only
-    /// [`Take::IfFree`] answers.
-    fn apply(
+    /// under the caller's migration guard: the edit `make` readies
+    /// against the serving core, and the write, taking the user's
+    /// stripe as `take` says. `Ok(None)` means nothing was applied,
+    /// which only [`Take::IfFree`] answers.
+    fn apply<'a>(
         &self,
         take: Take,
         user: &str,
-        make: impl FnOnce(&ShardedMultiUserDb) -> Result<WalOp, ServiceError>,
+        make: impl FnOnce(&ShardedMultiUserDb) -> Result<Ready<'a>, ServiceError>,
     ) -> Result<Option<Displaced>, ServiceError> {
         let core = self.core();
         let op = make(&core)?;

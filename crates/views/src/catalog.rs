@@ -67,21 +67,18 @@ use std::sync::Arc;
 use parking_lot::{Mutex, RwLock};
 
 use ctxpref_context::{ContextState, DistanceKind};
-use ctxpref_profile::ContextualPreference;
 use ctxpref_relation::{RankedResults, Relation, ScoreCombiner, ScoredTuple};
 use ctxpref_resolve::{PreferenceStore, TieBreak};
 
-use crate::content::{
-    agrees, build_content, dominates, patch_raise, selection_signature, top_k_with_ties, Content,
-    Patch,
-};
+use crate::content::{agrees, build_content, top_k_with_ties, Content};
 use crate::intern::{StateId, StateTable};
+
+mod mutation;
+
+pub use mutation::Change;
 
 /// Requests a state must receive before it is materialized.
 pub const MATERIALIZE_AFTER: u64 = 2;
-/// Growth bound: a patched ranking may hold at most this many times
-/// its build capacity before the view is rebuilt compactly.
-const GROWTH_FACTOR: usize = 2;
 
 /// The resolution options a view is materialized under. Views answer
 /// only for the exact options they were built with (and only the
@@ -103,23 +100,6 @@ impl ViewOpts {
     pub fn supports_views(&self) -> bool {
         matches!(self.combiner, ScoreCombiner::Max)
     }
-}
-
-/// One preference mutation, as reported to [`ViewCatalog::on_mutation`].
-#[derive(Debug, Clone, Copy)]
-pub enum Change<'a> {
-    /// `pref` was inserted.
-    Insert(&'a ContextualPreference),
-    /// `pref` was removed.
-    Remove(&'a ContextualPreference),
-    /// `pref` (carrying the new score) replaced the same preference at
-    /// `old_score`.
-    Rescore {
-        /// The preference, already carrying its new score.
-        pref: &'a ContextualPreference,
-        /// The score it had before the mutation.
-        old_score: f64,
-    },
 }
 
 /// Monotonic view-serving counters plus current gauges.
@@ -583,120 +563,6 @@ impl ViewCatalog {
         let fork = Self::with_parts(carried, Arc::clone(&self.table), self.capacity, tick);
         fork.sharers.store(1, Ordering::Relaxed);
         fork
-    }
-
-    /// Maintain every materialized view across one preference
-    /// mutation. Called with the store/relation *after* the mutation
-    /// applied.
-    pub fn on_mutation<P: PreferenceStore>(
-        &self,
-        store: &P,
-        relation: &Relation,
-        opts: &ViewOpts,
-        change: Change<'_>,
-    ) {
-        let mut guard = self.inner.write();
-        let inner = &mut *guard;
-        inner.epoch += 1;
-        if inner.views.is_empty() {
-            return;
-        }
-        if inner.opts.as_ref() != Some(opts) || !opts.supports_views() {
-            for v in inner.views.values_mut() {
-                v.content = None;
-            }
-            return;
-        }
-        let epoch = inner.epoch;
-        let (pref, moves_states) = match change {
-            Change::Insert(p) | Change::Remove(p) => (p, true),
-            Change::Rescore { pref: p, .. } => (p, false),
-        };
-        // The stored states the mutated preference touches. A view's
-        // selection is drawn only from the stored states that equal or
-        // cover its state, so a write moves it only by adding or
-        // dropping one of those: an insert or removal one of whose
-        // states covers the view's state. Only such a view pays the
-        // signature walk; a re-score moves no selection. When the
-        // states cannot be enumerated, every view walks.
-        let touched: Option<Vec<ContextState>> = pref.descriptor().states(store.env()).ok();
-        let touched_ids: Option<Vec<StateId>> = touched.as_ref().map(|states| {
-            let table = self.table.read();
-            states.iter().filter_map(|s| table.lookup(s)).collect()
-        });
-        let table = &*self.table;
-        let rebuild = |content: &mut Arc<Content>, state: &ContextState| {
-            *content = Arc::new(build_content(
-                store,
-                relation,
-                opts,
-                state,
-                content.k_max,
-                table,
-            ));
-            self.rebuilds.fetch_add(1, Ordering::Relaxed);
-        };
-        // σ of the mutated clause, computed once and shared by views.
-        let mut sigma_cache: Option<Vec<usize>> = None;
-        for (state, view) in inner.views.iter_mut() {
-            let Some(content) = view.content.as_mut() else {
-                continue;
-            };
-            // Every outcome below leaves the content valid at `epoch`.
-            view.epoch = epoch;
-            let walk = moves_states
-                && touched
-                    .as_ref()
-                    .is_none_or(|states| states.iter().any(|s| s.covers(state, store.env())));
-            if walk && selection_signature(store, opts, state, table) != content.signature {
-                rebuild(content, state);
-                continue;
-            }
-            // Selection unchanged: does the mutation's descriptor even
-            // intersect the selected states?
-            let intersects = match &touched_ids {
-                Some(ids) => ids.iter().any(|id| content.signature.contains(id)),
-                None => true, // unparseable descriptor: treat as affected
-            };
-            if !intersects {
-                continue;
-            }
-            let sigma = sigma_cache
-                .get_or_insert_with(|| relation.select(&pref.clause().predicate()).collect());
-            let outcome = match change {
-                Change::Insert(p) => patch_raise(content, sigma, p.score()),
-                Change::Rescore { pref: p, old_score } if p.score() > old_score => {
-                    patch_raise(content, sigma, p.score())
-                }
-                Change::Rescore { old_score, .. } => {
-                    if dominates(content, sigma, old_score) {
-                        Patch::Underflow
-                    } else {
-                        Patch::Untouched
-                    }
-                }
-                Change::Remove(p) => {
-                    if dominates(content, sigma, p.score()) {
-                        Patch::Underflow
-                    } else {
-                        Patch::Untouched
-                    }
-                }
-            };
-            match outcome {
-                Patch::Patched => {
-                    self.patches.fetch_add(1, Ordering::Relaxed);
-                    if content.ranked.len() > content.cap * GROWTH_FACTOR {
-                        rebuild(content, state);
-                    }
-                }
-                Patch::Untouched => {}
-                // A retained tuple may have lost its dominating
-                // contributor: the heap cannot be refilled from local
-                // knowledge — targeted rebuild of this one view.
-                Patch::Underflow => rebuild(content, state),
-            }
-        }
     }
 
     /// Check every current materialized view against a fresh

@@ -11,7 +11,7 @@
 
 use std::collections::HashMap;
 
-use ctxpref_context::ContextState;
+use ctxpref_context::{ContextState, CtxValue};
 
 /// A dense interned id for a [`ContextState`] within one
 /// [`StateTable`].
@@ -52,8 +52,9 @@ impl StateTable {
         id
     }
 
-    /// The id of `state` if it has been interned, without allocating.
-    pub fn lookup(&self, state: &ContextState) -> Option<StateId> {
+    /// The id of the state of `state`'s values if it has been interned,
+    /// without allocating.
+    pub fn lookup(&self, state: &[CtxValue]) -> Option<StateId> {
         self.ids.get(state).copied()
     }
 

@@ -31,7 +31,7 @@ use parking_lot::Mutex;
 
 use crate::error::{DurableError, WalError};
 use crate::manifest::{checkpoint_file_name, Manifest};
-use crate::record::{Displaced, WalOp};
+use crate::record::{Displaced, LoggedOp, WalOp, WalOpRef};
 use crate::segment::{list_segments, scan_segment, segment_path, ScannedRecord};
 use crate::snapshot::{load_multi_user, save_multi_user};
 use crate::wal::{ShardGuard, Wal, WalOptions, WalStatus, WalTotals};
@@ -341,10 +341,10 @@ impl DurableDb {
     /// it stays on the log — replay rejects it identically, because
     /// rejection is deterministic in the db state, which is itself
     /// determined by the log prefix.
-    pub fn apply(&self, op: WalOp) -> Result<Ack, DurableError> {
-        let payload = op.encode();
-        let wal = self.wal.shard(self.db.shard_of(op.user()));
-        self.log_then_apply(op, &payload, wal, |db, user| db.write_user_shard(user))
+    pub fn apply(&self, op: impl LoggedOp) -> Result<Ack, DurableError> {
+        let mut wal = self.wal.shard(self.db.shard_of(op.user()));
+        wal.stage(|out| op.put_op(out))?;
+        self.log_then_apply(op, wal, |db, user| db.write_user_shard(user))
     }
 
     /// [`Self::apply`] for a caller that must never wait or fsync, such
@@ -352,31 +352,30 @@ impl DurableDb {
     /// sync, while the op's WAL shard or stripe is held, or when the
     /// record would fill the segment (a rotation fsyncs). Otherwise it
     /// takes both locks, WAL shard first, then appends and applies.
-    pub fn try_apply(&self, op: WalOp) -> Option<Result<Ack, DurableError>> {
+    pub fn try_apply(&self, op: impl LoggedOp) -> Option<Result<Ack, DurableError>> {
         if self.wal.options().sync.is_per_record() {
             return None;
         }
-        let payload = op.encode();
-        let wal = self.wal.try_shard(self.db.shard_of(op.user()))?;
-        if !wal.fits(&payload) {
+        let mut wal = self.wal.try_shard(self.db.shard_of(op.user()))?;
+        // A record that cannot be framed is refused by `apply`.
+        if wal.stage(|out| op.put_op(out)).is_err() || !wal.staged_fits() {
             return None;
         }
         let stripe = self.db.try_write_user_shard(op.user())?;
-        Some(self.log_then_apply(op, &payload, wal, |_, _| stripe))
+        Some(self.log_then_apply(op, wal, |_, _| stripe))
     }
 
-    /// The body of [`Self::apply`] and [`Self::try_apply`]: append
-    /// `payload` under `wal`, then apply `op` to the stripe `stripe`
-    /// hands over. `apply` takes the stripe only after the append, so a
-    /// per-record fsync never holds readers off it.
+    /// The body of [`Self::apply`] and [`Self::try_apply`]: append the
+    /// record staged under `wal`, then apply `op` to the stripe
+    /// `stripe` hands over. `apply` takes the stripe only after the
+    /// append, so a per-record fsync never holds readers off it.
     fn log_then_apply<'a>(
         &'a self,
-        op: WalOp,
-        payload: &[u8],
+        op: impl LoggedOp,
         mut wal: ShardGuard<'_>,
         stripe: impl FnOnce(&'a ShardedMultiUserDb, &str) -> UserShardWrite<'a>,
     ) -> Result<Ack, DurableError> {
-        let ack = wal.append(payload)?;
+        let ack = wal.append_staged()?;
         let mut stripe = stripe(&self.db, op.user());
         let displaced = op.apply_to(&mut stripe)?;
         Ok(Ack {
@@ -389,16 +388,12 @@ impl DurableDb {
 
     /// Durably register a user with an empty profile.
     pub fn add_user(&self, user: &str) -> Result<Ack, DurableError> {
-        self.apply(WalOp::AddUser {
-            user: user.to_string(),
-        })
+        self.apply(WalOpRef::AddUser { user })
     }
 
     /// Durably remove a user; the ack carries their profile.
     pub fn remove_user(&self, user: &str) -> Result<Ack, DurableError> {
-        self.apply(WalOp::RemoveUser {
-            user: user.to_string(),
-        })
+        self.apply(WalOpRef::RemoveUser { user })
     }
 
     /// Durably insert a preference.
@@ -407,18 +402,12 @@ impl DurableDb {
         user: &str,
         pref: ctxpref_profile::ContextualPreference,
     ) -> Result<Ack, DurableError> {
-        self.apply(WalOp::InsertPreference {
-            user: user.to_string(),
-            pref,
-        })
+        self.apply(WalOpRef::InsertPreference { user, pref: &pref })
     }
 
     /// Durably remove the preference at `index`; the ack carries it.
     pub fn remove_preference(&self, user: &str, index: usize) -> Result<Ack, DurableError> {
-        self.apply(WalOp::RemovePreference {
-            user: user.to_string(),
-            index,
-        })
+        self.apply(WalOpRef::RemovePreference { user, index })
     }
 
     /// Durably re-score the preference at `index`.
@@ -428,11 +417,7 @@ impl DurableDb {
         index: usize,
         score: f64,
     ) -> Result<Ack, DurableError> {
-        self.apply(WalOp::UpdateScore {
-            user: user.to_string(),
-            index,
-            score,
-        })
+        self.apply(WalOpRef::UpdateScore { user, index, score })
     }
 
     /// Number of WAL shards (== core stripes).

@@ -8,7 +8,9 @@
 //!   (`ctxpref_bytes`: `[len | checksum | payload]`, the frame
 //!   checksum over length and payload) whose payload is `lsn ‖ op`,
 //!   and [`WalOp`], the logged mutation vocabulary: one `vocabulary!`
-//!   table, preferences travelling as ids.
+//!   table, preferences travelling as ids. The live write path logs a
+//!   [`WalOpRef`] lent from its caller's parts, which writes the same
+//!   bytes; an owned op is decoded for replay, shipping and resync.
 //! * [`segment`] — per-shard segment files (`shard-<i>/seg-<n>.wal`)
 //!   and the recovery scan with its torn-tail rule: damage at the very
 //!   end of a shard's last segment is a crash signature and is
@@ -54,7 +56,7 @@ pub use durable::{
 };
 pub use error::{DurableError, WalError};
 pub use manifest::{swap_file, Manifest, ShardManifest, SwapSites};
-pub use record::{Displaced, WalOp};
+pub use record::{Displaced, LoggedOp, WalOp, WalOpRef};
 pub use scrub::{QuarantinedFile, ScrubReport, QUARANTINE_DIR};
 pub use segment::ScannedRecord;
 pub use wal::{AppendAck, ShardWalStatus, SyncPolicy, Wal, WalOptions, WalStatus, WalTotals};

@@ -26,8 +26,8 @@
 //! frames (checkpoints and saves, see [`crate::snapshot`]).
 
 use ctxpref_bytes::{
-    bad_tag, open_frame, put_uv, seal_frame, vocabulary, Dec, DecodeError, DecodeKind, Le64, Put,
-    Via, Wire, FRAME_HEADER,
+    bad_tag, open_frame, put_uv, seal_frame, vocabulary, Dec, DecodeError, DecodeKind, Le64,
+    LentMessage, Put, Via, Wire,
 };
 use ctxpref_context::{ClauseRef, ContextEnvironment, DescriptorBuilder, ParamId};
 use ctxpref_core::{CoreError, MultiUserDb, ShardedMultiUserDb};
@@ -37,22 +37,19 @@ use ctxpref_relation::{AttrId, CompareOp, Relation, Value};
 
 use crate::error::WalError;
 
-/// Append the record carrying `lsn` and the encoded `op` to `out`, as
-/// one frame built in place.
-pub(crate) fn put_record(out: &mut Vec<u8>, lsn: u64, op: &[u8]) -> Result<(), WalError> {
+/// Append the record carrying `lsn` and the op bytes `put` writes to
+/// `out`, as one frame built in place.
+pub(crate) fn put_record(
+    out: &mut Vec<u8>,
+    lsn: u64,
+    put: impl FnOnce(&mut Vec<u8>),
+) -> Result<(), WalError> {
     let at = open_frame(out);
     put_uv(out, lsn);
-    out.extend_from_slice(op);
+    put(out);
     seal_frame(out, at).map_err(|e| WalError::Payload {
         reason: e.to_string(),
     })
-}
-
-/// The length of the record [`put_record`] frames for `lsn` and op
-/// bytes `op_len` long: the frame header, the LSN varint, the op.
-pub(crate) fn record_len(lsn: u64, op_len: usize) -> usize {
-    let lsn_len = (u64::BITS - lsn.leading_zeros()).div_ceil(7).max(1);
-    FRAME_HEADER + lsn_len as usize + op_len
 }
 
 /// A verified record payload's LSN and op bytes.
@@ -101,12 +98,130 @@ pub enum WalOp {
 }
 
 vocabulary! {
-    WalOp, tags WalTag, "wal op";
-    1 => AddUser { user },
-    2 => RemoveUser { user },
-    3 => InsertPreference { user, pref as Ids },
-    4 => RemovePreference { user, index },
-    5 => UpdateScore { user, index, score },
+    WalOp, tags WalTag, "wal op", lends WalOpRef;
+    1 => AddUser { user } lent,
+    2 => RemoveUser { user } lent,
+    3 => InsertPreference { user, pref as Ids } lent,
+    4 => RemovePreference { user, index } lent,
+    5 => UpdateScore { user, index, score } lent,
+}
+
+/// A [`WalOp`] lent from its caller's parts: the user name and an
+/// insert's preference are borrowed, not copied. It writes the owned
+/// op's bytes (the table above generates both), so the live write path
+/// logs and applies one without making a [`WalOp`]; an owned op is
+/// made only where a record is decoded (replay, shipping, resync).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum WalOpRef<'a> {
+    /// A [`WalOp::AddUser`], lent.
+    AddUser {
+        /// The user name.
+        user: &'a str,
+    },
+    /// A [`WalOp::RemoveUser`], lent.
+    RemoveUser {
+        /// The user name.
+        user: &'a str,
+    },
+    /// A [`WalOp::InsertPreference`], lent. Applying it inserts a copy
+    /// of `pref`.
+    InsertPreference {
+        /// The user name.
+        user: &'a str,
+        /// The preference to insert.
+        pref: &'a ContextualPreference,
+    },
+    /// A [`WalOp::RemovePreference`], lent.
+    RemovePreference {
+        /// The user name.
+        user: &'a str,
+        /// Position in the profile's preference list.
+        index: usize,
+    },
+    /// A [`WalOp::UpdateScore`], lent.
+    UpdateScore {
+        /// The user name.
+        user: &'a str,
+        /// Position in the profile's preference list.
+        index: usize,
+        /// The new interest score.
+        score: f64,
+    },
+}
+
+/// An op the durable layer logs and applies: the owned [`WalOp`] a
+/// record decodes to, or the [`WalOpRef`] a caller lends, which writes
+/// the same bytes.
+pub trait LoggedOp {
+    /// The user the op targets: the WAL shards by it.
+    fn user(&self) -> &str;
+    /// Append the op bytes a record carries: the op's tag, then its
+    /// fields.
+    fn put_op(&self, out: &mut Vec<u8>);
+    /// Apply to the database holding the op's user (see
+    /// [`WalOp::apply_to`]).
+    fn apply_to(self, db: &mut MultiUserDb) -> Result<Displaced, CoreError>;
+    /// Apply to the serving core, waiting for the user's stripe (see
+    /// [`WalOp::apply`]).
+    fn apply(self, db: &ShardedMultiUserDb) -> Result<Displaced, CoreError>
+    where
+        Self: Sized,
+    {
+        let mut stripe = db.write_user_shard(self.user());
+        self.apply_to(&mut stripe)
+    }
+}
+
+impl LoggedOp for WalOp {
+    fn user(&self) -> &str {
+        WalOp::user(self)
+    }
+    fn put_op(&self, out: &mut Vec<u8>) {
+        self.put(out);
+    }
+    fn apply_to(self, db: &mut MultiUserDb) -> Result<Displaced, CoreError> {
+        WalOp::apply_to(self, db)
+    }
+}
+
+impl WalOpRef<'_> {
+    /// The op bytes, as [`WalOp::encode`] gives them for the owned op.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(64);
+        self.put_op(&mut out);
+        out
+    }
+}
+
+impl LoggedOp for WalOpRef<'_> {
+    fn user(&self) -> &str {
+        match *self {
+            Self::AddUser { user }
+            | Self::RemoveUser { user }
+            | Self::InsertPreference { user, .. }
+            | Self::RemovePreference { user, .. }
+            | Self::UpdateScore { user, .. } => user,
+        }
+    }
+    fn put_op(&self, out: &mut Vec<u8>) {
+        out.push(LentMessage::tag(self));
+        LentMessage::put_body(self, out);
+    }
+    fn apply_to(self, db: &mut MultiUserDb) -> Result<Displaced, CoreError> {
+        match self {
+            Self::AddUser { user } => db.add_user(user).map(|()| Displaced::Nothing),
+            Self::RemoveUser { user } => db.remove_user(user).map(Displaced::Profile),
+            Self::InsertPreference { user, pref } => db
+                .insert_preference(user, pref.clone())
+                .map(|()| Displaced::Nothing),
+            Self::RemovePreference { user, index } => {
+                db.remove_preference(user, index).map(Displaced::Preference)
+            }
+            Self::UpdateScore { user, index, score } => db
+                .update_preference_score(user, index, score)
+                .map(|()| Displaced::Nothing),
+        }
+    }
 }
 
 /// What applying a [`WalOp`] took out of the database — read by the
@@ -146,11 +261,7 @@ impl WalOp {
     /// The op bytes of inserting `pref` for `user`, written from
     /// borrowed parts: what [`Self::encode`] gives for the owned op.
     pub fn encode_insert(user: &str, pref: &ContextualPreference) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64);
-        out.push(WalTag::InsertPreference as u8);
-        user.put_into(&mut out);
-        Ids::put_via(pref, &mut out);
-        out
+        WalOpRef::InsertPreference { user, pref }.encode()
     }
 
     /// Decode op bytes produced by [`Self::encode`], checking every id
@@ -218,17 +329,12 @@ impl WalOp {
     /// is rejected identically on replay.
     pub fn apply_to(self, db: &mut MultiUserDb) -> Result<Displaced, CoreError> {
         match self {
-            Self::AddUser { user } => db.add_user(&user).map(|()| Displaced::Nothing),
-            Self::RemoveUser { user } => db.remove_user(&user).map(Displaced::Profile),
             Self::InsertPreference { user, pref } => db
                 .insert_preference(&user, pref)
                 .map(|()| Displaced::Nothing),
-            Self::RemovePreference { user, index } => db
-                .remove_preference(&user, index)
-                .map(Displaced::Preference),
-            Self::UpdateScore { user, index, score } => db
-                .update_preference_score(&user, index, score)
-                .map(|()| Displaced::Nothing),
+            other => WalOpRef::lend(&other)
+                .expect("every op is lent")
+                .apply_to(db),
         }
     }
 }
@@ -389,12 +495,44 @@ mod tests {
     use super::*;
 
     #[test]
-    fn record_len_is_the_framed_length() {
-        for lsn in [0, 1, 127, 128, 16_383, 16_384, u64::MAX] {
-            for op in [&b""[..], b"op", &[7; 300]] {
-                let mut out = Vec::new();
-                put_record(&mut out, lsn, op).expect("small record");
-                assert_eq!(record_len(lsn, op.len()), out.len(), "lsn {lsn}");
+    fn a_lent_op_writes_the_owned_op_and_lends_it_back() {
+        let pref = ContextualPreference::new(
+            ctxpref_context::ContextDescriptor::empty(),
+            AttributeClause::eq(AttrId(1), "museum".into()),
+            0.5,
+        )
+        .unwrap();
+        let user = "ann".to_string();
+        let ops = [
+            WalOp::AddUser { user: user.clone() },
+            WalOp::RemoveUser { user: user.clone() },
+            WalOp::InsertPreference {
+                user: user.clone(),
+                pref,
+            },
+            WalOp::RemovePreference {
+                user: user.clone(),
+                index: 3,
+            },
+            WalOp::UpdateScore {
+                user,
+                index: 3,
+                score: 0.25,
+            },
+        ];
+        for op in ops {
+            let lent = WalOpRef::lend(&op).expect("every op is lent");
+            let mut bytes = Vec::new();
+            lent.put_op(&mut bytes);
+            assert_eq!(bytes, op.encode(), "{op:?}");
+            assert_eq!(LoggedOp::user(&lent), op.user());
+            assert_eq!(lent.owned(), op);
+            // A payload lends every op but an insert, whose preference
+            // must be built.
+            let mut dec = Dec::new(&bytes[1..]);
+            match WalOpRef::get_lent(&mut dec, bytes[0]).unwrap() {
+                Some(read) => assert_eq!(read, lent),
+                None => assert_eq!(bytes[0], WalTag::InsertPreference as u8),
             }
         }
     }

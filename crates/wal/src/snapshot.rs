@@ -45,7 +45,7 @@ use ctxpref_relation::{AttrType, Relation, Schema, Value};
 
 use crate::error::WalError;
 use crate::manifest::{swap_file, SwapSites};
-use crate::record::{Ids, WalOp};
+use crate::record::{Ids, WalOp, WalOpRef};
 
 /// The line every snapshot opens with: the format and its version.
 pub const MAGIC: &[u8] = b"ctxpref v2\n";
@@ -221,12 +221,7 @@ impl RelationFrame {
 /// which must match the sender's.
 pub fn snapshot_ops(user: &str, profile: &Profile) -> Vec<Vec<u8>> {
     let mut ops = Vec::with_capacity(1 + profile.preferences().len());
-    ops.push(
-        WalOp::AddUser {
-            user: user.to_string(),
-        }
-        .encode(),
-    );
+    ops.push(WalOpRef::AddUser { user }.encode());
     for pref in profile.preferences() {
         ops.push(WalOp::encode_insert(user, pref));
     }

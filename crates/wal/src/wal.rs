@@ -35,7 +35,7 @@ use ctxpref_faults::sites;
 use parking_lot::{Mutex, MutexGuard};
 
 use crate::error::WalError;
-use crate::record::{put_record, record_len};
+use crate::record::put_record;
 use crate::segment::{segment_header, segment_path, shard_dir, SEGMENT_HEADER};
 
 /// When appended records become durable.
@@ -358,19 +358,38 @@ impl ShardGuard<'_> {
         self.state.seg_no
     }
 
-    /// Whether the record of the op bytes `op` fits below
-    /// `segment_max_bytes`: appending it would not rotate the segment.
-    pub(crate) fn fits(&self, op: &[u8]) -> bool {
-        let len = record_len(self.state.next_lsn, op.len()) as u64;
-        self.state.pos + len < self.wal.opts.segment_max_bytes
+    /// Frame the record of the next LSN in the buffer the shard keeps,
+    /// its op bytes written there by `put`: what [`Self::append_staged`]
+    /// appends. Under the guard, so the buffer is reused from one
+    /// record to the next and a record allocates nothing once it has
+    /// grown to fit.
+    pub(crate) fn stage(&mut self, put: impl FnOnce(&mut Vec<u8>)) -> Result<(), WalError> {
+        let s = &mut *self.state;
+        s.record.clear();
+        put_record(&mut s.record, s.next_lsn, put)
+    }
+
+    /// Whether the staged record fits below `segment_max_bytes`:
+    /// appending it would not rotate the segment.
+    pub(crate) fn staged_fits(&self) -> bool {
+        self.state.pos + (self.state.record.len() as u64) < self.wal.opts.segment_max_bytes
     }
 
     /// Append one record carrying the op bytes `op` and, under
-    /// [`SyncPolicy::PerRecord`], fsync it. On any error the log's logical state is unchanged: either
-    /// the bytes are rolled back, or (for an injected torn write) they
-    /// are left as a dirty tail that the next append truncates and a
-    /// crash-recovery scan recognizes as torn.
+    /// [`SyncPolicy::PerRecord`], fsync it: [`Self::stage`], then
+    /// [`Self::append_staged`].
     pub fn append(&mut self, op: &[u8]) -> Result<AppendAck, WalError> {
+        self.stage(|out| out.extend_from_slice(op))?;
+        self.append_staged()
+    }
+
+    /// Append the record [`Self::stage`] framed and, under
+    /// [`SyncPolicy::PerRecord`], fsync it. On any error the log's
+    /// logical state is unchanged: either the bytes are rolled back, or
+    /// (for an injected torn write) they are left as a dirty tail that
+    /// the next append truncates and a crash-recovery scan recognizes
+    /// as torn.
+    pub(crate) fn append_staged(&mut self) -> Result<AppendAck, WalError> {
         let shard = self.shard;
         if ctxpref_faults::hit(sites::DISK_FULL).is_err() {
             // The volume is (injected-)full. Shed before touching the
@@ -395,8 +414,6 @@ impl ShardGuard<'_> {
             s.tail_dirty = false;
         }
         let lsn = s.next_lsn;
-        s.record.clear();
-        put_record(&mut s.record, lsn, op)?;
         let len = s.record.len();
 
         ctxpref_faults::hit_io(sites::WAL_APPEND_WRITE)?;
