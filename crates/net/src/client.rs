@@ -67,7 +67,9 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 use crate::codec;
 use crate::error::{NetError, ProtoError};
 use crate::frame::{read_frame_buffered, write_frames, FrameDecoder};
-use crate::proto::{not_the_reply, Outgoing, RemoteAnswer, Request, RequestRef, Response};
+use crate::proto::{
+    not_the_reply, Checkpointed, Outgoing, RemoteAnswer, Request, RequestRef, Response,
+};
 
 /// Tuning knobs of [`NetClient`].
 #[derive(Debug, Clone, Copy)]
@@ -661,8 +663,9 @@ impl NetClient {
             .try_into()
     }
 
-    /// Force a checkpoint on the server; returns its report, rendered.
-    pub fn checkpoint(&mut self) -> Result<String, NetError> {
+    /// Force a checkpoint on every live node of the server; returns
+    /// each node's new generation.
+    pub fn checkpoint(&mut self) -> Result<Checkpointed, NetError> {
         self.call(&Request::Checkpoint)
     }
 

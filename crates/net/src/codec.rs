@@ -170,6 +170,8 @@ vocabulary! {
     18 => ScrubInfo {
         passes, quarantined, read_errors, heals, rescued_shards, disk_full_sheds, rotate_failures
     },
+    19 => Checkpointed { nodes },
+    20 => Flushed { nodes },
 }
 
 // ---------------------------------------------------------------------------

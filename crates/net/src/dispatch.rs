@@ -49,7 +49,7 @@ use ctxpref_context::{ContextEnvironment, ContextError, ContextState};
 use ctxpref_core::CoreError;
 use ctxpref_relation::{Relation, ScoredTuple};
 use ctxpref_service::{
-    Admitted, CtxPrefService, Edit, Fallback, LadderStep, Priority, ReplicationError,
+    Admitted, CtxPrefService, Edit, Fallback, LadderStep, NodeId, Priority, ReplicationError,
     ServiceAnswer, ServiceError, TryRead, ViewHit,
 };
 
@@ -57,7 +57,8 @@ use crate::codec::{self, Envelope, Name};
 use crate::error::FrameError;
 use crate::frame::{Framed, FRAME_HEADER};
 use crate::proto::{
-    AnswerRow, MigrateAction, RemoteAnswer, Request, RequestRef, Response, WireFallback,
+    AnswerRow, Checkpointed, Flushed, MigrateAction, RemoteAnswer, Request, RequestRef, Response,
+    WireFallback,
 };
 use crate::server::NetServerConfig;
 
@@ -282,18 +283,23 @@ fn dispatch_inner(
             edit_batch(service, user, [edit], |answered| response = answered);
             response
         }
-        Request::Checkpoint => reply(service.checkpoint().map(|report| {
-            format!(
-                "checkpoint generation {} written ({} user(s))",
-                report.generation, report.users
-            )
-        })),
+        Request::Checkpoint => reply(
+            service
+                .checkpoint()
+                .map(|nodes| Checkpointed(per_node(nodes, |report| report.generation))),
+        ),
         Request::FlushWal => reply(
             service
                 .flush_wal()
-                .map(|n| format!("flushed {n} pending record(s)")),
+                .map(|nodes| Flushed(per_node(nodes, |n| n))),
         ),
-        Request::WalStatus => reply(service.wal_status().map(|s| s.to_string())),
+        Request::WalStatus => reply(service.wal_status().map(|nodes| {
+            let blocks: Vec<String> = nodes
+                .iter()
+                .map(|(id, s)| format!("node {id}: {s}"))
+                .collect();
+            blocks.join("\n")
+        })),
         Request::ReplStatus => reply(service.replication_status().map(|s| s.to_string())),
         Request::Stats => service.stats().to_string().into(),
         Request::Scrub => reply(service.scrub()),
@@ -422,6 +428,14 @@ fn owned(frame: Framed) -> Response {
             message,
         },
     }
+}
+
+/// Per-node answers as the wire carries them: `(node, figure)` pairs.
+fn per_node<T>(nodes: Vec<(NodeId, T)>, figure: impl Fn(T) -> u64) -> Vec<(u64, u64)> {
+    nodes
+        .into_iter()
+        .map(|(id, answer)| (id as u64, figure(answer)))
+        .collect()
 }
 
 /// A service call's outcome as its response: the value through the

@@ -80,6 +80,7 @@ pub use frame::{
     MAX_FRAME_PAYLOAD,
 };
 pub use proto::{
-    AnswerRow, MigrateAction, Outgoing, RemoteAnswer, Request, RequestRef, Response, WireFallback,
+    AnswerRow, Checkpointed, Flushed, MigrateAction, Outgoing, RemoteAnswer, Request, RequestRef,
+    Response, WireFallback,
 };
 pub use server::{NetServer, NetServerConfig};

@@ -117,11 +117,12 @@ pub enum Request {
         /// The new interest score.
         score: f64,
     },
-    /// Take a checkpoint now (durable services only).
+    /// Take a checkpoint now on every live node (durable services
+    /// only).
     Checkpoint,
-    /// Flush the write-ahead log (durable services only).
+    /// Flush every live node's write-ahead log (durable services only).
     FlushWal,
-    /// Per-shard WAL positions and counters.
+    /// Each live node's per-shard WAL positions and counters.
     WalStatus,
     /// Replication roles, epochs, lag, promotion history.
     ReplStatus,
@@ -428,8 +429,8 @@ pub enum Response {
     },
     /// A served answer, with its degradation-ladder provenance.
     Answer(RemoteAnswer),
-    /// A rendered status/report body (checkpoint, WAL status,
-    /// replication status, stats).
+    /// A rendered status/report body (WAL status, replication status,
+    /// stats).
     Text {
         /// The rendered body.
         body: String,
@@ -537,6 +538,16 @@ pub enum Response {
         /// Live migration entries (fences, imports, tombstones).
         migrations: u64,
     },
+    /// What a [`Request::Checkpoint`] did on each live node.
+    Checkpointed {
+        /// `(node, generation written)`, one pair per live node.
+        nodes: Vec<(u64, u64)>,
+    },
+    /// What a [`Request::FlushWal`] did on each live node.
+    Flushed {
+        /// `(node, records made durable)`, one pair per live node.
+        nodes: Vec<(u64, u64)>,
+    },
     /// The answers of a [`Request::Batch`], one per item in request
     /// order. Execution stops at the first failure: the last element
     /// is then the item's error, and shorter-than-requested length
@@ -546,6 +557,16 @@ pub enum Response {
         responses: Vec<Response>,
     },
 }
+
+/// Each live node's new checkpoint generation, as `(node, generation)`
+/// pairs: the reply to [`Request::Checkpoint`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Checkpointed(pub Vec<(u64, u64)>);
+
+/// How many pending records each live node's flush made durable, as
+/// `(node, records)` pairs: the reply to [`Request::FlushWal`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Flushed(pub Vec<(u64, u64)>);
 
 /// What a response that is not the awaited reply means: a typed
 /// refusal (`Err`, `NotPrimary`, `Migrating`) is [`NetError::Remote`],
@@ -604,6 +625,8 @@ reply! {
     String: (Response::Text { body }) <=> (body);
     RemoteAnswer: (Response::Answer(answer)) <=> (answer);
     Vec<Response>: (Response::Batch { responses }) <=> (responses);
+    Checkpointed: (Response::Checkpointed { nodes }) <=> (Checkpointed(nodes));
+    Flushed: (Response::Flushed { nodes }) <=> (Flushed(nodes));
     RouteInfo: (Response::RouteInfo { has_primary, epoch, users, migrations })
         <=> (RouteInfo { has_primary, epoch, users, migrations });
     ScrubStatus: (Response::ScrubInfo {

@@ -271,6 +271,15 @@ fn all_responses_roundtrip() {
         rotate_failures: 0,
     }
     .pinned("c204120709010301020400");
+    // (node, figure) pairs: a count, then each pair's two varints.
+    Response::Checkpointed {
+        nodes: vec![(0, 1), (1, 3), (2, 300)],
+    }
+    .pinned("c2041307030001010302ac02");
+    Response::Flushed {
+        nodes: vec![(0, 2), (1, 0)],
+    }
+    .pinned("c20414070200020100");
 }
 
 #[test]

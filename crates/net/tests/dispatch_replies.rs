@@ -262,18 +262,30 @@ fn script(durable: bool) -> Vec<(Request, Expect)> {
             Request::Checkpoint,
             durable_only(
                 durable,
-                Reply(text("checkpoint generation 1 written (2 user(s))".into())),
+                Reply(Response::Checkpointed {
+                    nodes: vec![(0, 1)],
+                }),
             ),
         ),
         (
             Request::FlushWal,
-            durable_only(durable, Reply(text("flushed 0 pending record(s)".into()))),
+            durable_only(
+                durable,
+                Reply(Response::Flushed {
+                    nodes: vec![(0, 0)],
+                }),
+            ),
         ),
         (
             Request::WalStatus,
             durable_only(
                 durable,
-                Computed(|s| text(s.wal_status().expect("durable").to_string())),
+                Computed(|s| {
+                    let [(0, status)] = &s.wal_status().expect("durable")[..] else {
+                        panic!("a logged service is node 0 alone");
+                    };
+                    text(format!("node 0: {status}"))
+                }),
             ),
         ),
         (Request::ReplStatus, Refused("not-replicated")),

@@ -344,6 +344,12 @@ fn binary_response_corpus() -> Vec<Vec<u8>> {
         Response::Text {
             body: "appends 12\nshard 0: done\n".into(),
         },
+        Response::Checkpointed {
+            nodes: vec![(0, 4), (1, 4), (2, 300)],
+        },
+        Response::Flushed {
+            nodes: vec![(0, 17), (2, 0)],
+        },
     ];
     responses
         .into_iter()

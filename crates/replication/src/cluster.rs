@@ -56,10 +56,6 @@ struct ClusterState {
     /// Consecutive ticks each replica failed to reach the primary.
     missed: Vec<u32>,
     promotions: Vec<(u64, NodeId)>,
-    /// Scrub passes completed through [`Cluster::scrub_node`].
-    scrub_passes: u64,
-    /// Files those passes quarantined, cluster-wide.
-    scrub_quarantined: u64,
 }
 
 /// A primary/replica group whose nodes all live in this process and
@@ -105,8 +101,6 @@ impl Cluster {
                 cursors: HashMap::new(),
                 missed: vec![0; config.nodes],
                 promotions: vec![(1, 0)],
-                scrub_passes: 0,
-                scrub_quarantined: 0,
             }),
             on_promotion: Mutex::new(None),
             on_demotion: Mutex::new(None),
@@ -215,24 +209,15 @@ impl Cluster {
 
     /// Run one scrub pass on node `id`'s durable directory. The
     /// cluster lock is **not** held during the scan — scrubbing a
-    /// replica never stalls writes or shipping; only the counter
-    /// update re-takes it. A quarantined-and-healed node keeps
-    /// serving; a quarantine whose heal failed is repaired on the next
-    /// restart (recovery consults quarantine, then shipping and
-    /// anti-entropy re-fetch the lost suffix from a healthy peer).
+    /// replica never stalls writes or shipping. A quarantined-and-healed
+    /// node keeps serving; a quarantine whose heal failed is repaired
+    /// on the next restart (recovery consults quarantine, then shipping
+    /// and anti-entropy re-fetch the lost suffix from a healthy peer).
     pub fn scrub_node(&self, id: NodeId) -> Result<ScrubReport, ReplicationError> {
-        let node = {
-            let st = self.state.lock();
-            st.nodes
-                .get(id)
-                .and_then(|n| n.clone())
-                .ok_or(ReplicationError::NodeDown { node: id })?
-        };
-        let report = node.db().scrub()?;
-        let mut st = self.state.lock();
-        st.scrub_passes += 1;
-        st.scrub_quarantined += report.quarantined.len() as u64;
-        Ok(report)
+        let db = self
+            .db_of(id)
+            .ok_or(ReplicationError::NodeDown { node: id })?;
+        Ok(db.scrub()?)
     }
 
     /// Apply one logged operation through the current primary,
@@ -461,8 +446,6 @@ impl Cluster {
             promotions: st.promotions.clone(),
             nodes,
             max_lag,
-            scrub_passes: st.scrub_passes,
-            scrub_quarantined: st.scrub_quarantined,
         }
     }
 }

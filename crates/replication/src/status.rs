@@ -89,11 +89,6 @@ pub struct ClusterStatus {
     /// laggiest shard, in records (0 with no primary or no live
     /// replica).
     pub max_lag: u64,
-    /// Scrub passes completed through
-    /// [`Cluster::scrub_node`](crate::Cluster::scrub_node).
-    pub scrub_passes: u64,
-    /// Files those passes quarantined, cluster-wide.
-    pub scrub_quarantined: u64,
 }
 
 /// The operator's rendering (`repl-status`, local and remote): the

@@ -676,9 +676,7 @@ impl CtxPrefService {
         }
         // Best-effort: make pending group-commit records durable on a
         // clean shutdown, in every log the write path lands in.
-        for durable in self.path.durables() {
-            let _ = durable.flush();
-        }
+        let _ = self.flush_wal();
         self.queue.close(); // the workers finish what is queued, then stop
         for w in self.workers.drain(..) {
             let _ = w.join();

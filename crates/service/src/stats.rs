@@ -55,7 +55,8 @@ ctxpref_faults::counters! {
         /// Requests whose deadline expired *while waiting for the shard
         /// lock* (caught by the re-check after it, so no query ran).
         deadline_after_lock,
-        /// Checkpoints taken (manual and background) since start.
+        /// Checkpoints taken (manual and background) since start, one
+        /// per node checkpointed.
         checkpoints,
         /// Scrub passes completed (manual and background) since start.
         scrub_passes,

@@ -9,7 +9,7 @@ use std::time::Duration;
 use ctxpref_core::{preference_from_parts, CoreError, MultiUserDb, ShardedMultiUserDb};
 use ctxpref_profile::{ContextualPreference, Profile};
 use ctxpref_relation::CompareOp;
-use ctxpref_replication::{Cluster, ClusterStatus, NodeId, ReplicationError, RoleHook, TickReport};
+use ctxpref_replication::{Cluster, ClusterStatus, NodeId, ReplicationError, TickReport};
 use ctxpref_wal::{
     CheckpointReport, Displaced, DurableDb, LoggedOp, ScrubReport, SyncPolicy, WalOpRef, WalStatus,
 };
@@ -40,24 +40,50 @@ pub(crate) enum WritePath {
 }
 
 impl WritePath {
-    /// The durable databases this path's writes land in, each resolved
-    /// only when the iteration reaches it: the logged service's one, or
-    /// every live node of the cluster through [`Cluster::db_of`] (a
-    /// crashed node is skipped; its recovery covers it at restart).
-    /// Callers hold each handle for one job at a time and keep none, so
-    /// a crashed node's old [`DurableDb`] never holds its directory
-    /// `LOCK` against [`Cluster::restart_node`], which retries only
-    /// briefly.
-    pub(crate) fn durables(&self) -> impl Iterator<Item = Arc<DurableDb>> + '_ {
+    /// The durable databases this path's writes land in, each with its
+    /// node id and resolved only when the iteration reaches it: the
+    /// logged service's one as node 0, or every live node of the
+    /// cluster through [`Cluster::db_of`] (a crashed node is skipped;
+    /// its recovery covers it at restart).
+    fn durables(&self) -> impl Iterator<Item = (NodeId, Arc<DurableDb>)> + '_ {
         let (logged, cluster) = match self {
             WritePath::Direct => (None, None),
-            WritePath::Logged(durable) => (Some(Arc::clone(durable)), None),
+            WritePath::Logged(durable) => (Some((0, Arc::clone(durable))), None),
             WritePath::Replicated(cluster) => (None, Some(cluster)),
         };
         let nodes = cluster
             .into_iter()
-            .flat_map(|c| (0..c.config().nodes).filter_map(|id| c.db_of(id)));
+            .flat_map(|c| (0..c.config().nodes).filter_map(|id| Some((id, c.db_of(id)?))));
         logged.into_iter().chain(nodes)
+    }
+
+    /// Run `job` on each database [`Self::durables`] resolves, one at a
+    /// time, and answer every node's result: the one loop of the
+    /// maintenance verbs and the upkeep. A failing node costs the others
+    /// nothing; the first error returns once every live node was tried.
+    /// A direct path refuses with [`ServiceError::NotDurable`], a cluster
+    /// with no live node with [`ReplicationError::NoPrimary`]. No handle
+    /// outlives its job, so a crashed node's old [`DurableDb`] never
+    /// holds its `LOCK` against [`Cluster::restart_node`].
+    pub(crate) fn each_node<T>(
+        &self,
+        mut job: impl FnMut(&DurableDb) -> Result<T, ServiceError>,
+    ) -> Result<Vec<(NodeId, T)>, ServiceError> {
+        if matches!(self, WritePath::Direct) {
+            return Err(ServiceError::NotDurable);
+        }
+        let (mut answers, mut failed) = (Vec::new(), None);
+        for (id, durable) in self.durables() {
+            match job(&durable) {
+                Ok(answer) => answers.push((id, answer)),
+                Err(e) => drop(failed.get_or_insert(e)),
+            }
+        }
+        match failed {
+            Some(e) => Err(e),
+            None if answers.is_empty() => Err(ReplicationError::NoPrimary.into()),
+            None => Ok(answers),
+        }
     }
 }
 
@@ -196,8 +222,20 @@ fn removed(displaced: Displaced) -> Option<ContextualPreference> {
     }
 }
 
-/// Fold one scrub pass's outcome into the service counters.
-pub(crate) fn record_scrub(counters: &Counters, report: &ScrubReport) {
+/// One node's checkpoint, counted: the one place a checkpoint, manual
+/// or background, reaches the service counters.
+fn checkpoint_node(
+    durable: &DurableDb,
+    counters: &Counters,
+) -> Result<CheckpointReport, ServiceError> {
+    let report = durable.checkpoint()?;
+    counters.checkpoints.fetch_add(1, Ordering::Relaxed);
+    Ok(report)
+}
+
+/// One node's scrub pass, its outcome folded into the service counters.
+fn scrub_node(durable: &DurableDb, counters: &Counters) -> Result<ScrubReport, ServiceError> {
+    let report = durable.scrub()?;
     counters.scrub_passes.fetch_add(1, Ordering::Relaxed);
     counters
         .scrub_quarantined
@@ -208,6 +246,12 @@ pub(crate) fn record_scrub(counters: &Counters, report: &ScrubReport) {
     if report.healed {
         counters.scrub_heals.fetch_add(1, Ordering::Relaxed);
     }
+    Ok(report)
+}
+
+/// One node's group-commit flush: how many records became durable.
+fn flush_node(durable: &DurableDb, _: &Counters) -> Result<u64, ServiceError> {
+    Ok(durable.flush()?)
 }
 
 /// Re-point the serving slot at the cluster's current local node. A
@@ -507,45 +551,27 @@ impl CtxPrefService {
         Ok(resynced)
     }
 
-    /// Install a hook fired when a node is promoted to primary.
-    pub fn set_promotion_hook(&self, hook: RoleHook) -> Result<(), ServiceError> {
-        let c = self.cluster().ok_or(ServiceError::NotReplicated)?;
-        c.set_promotion_hook(hook);
-        Ok(())
+    /// Take a checkpoint now on every live node: snapshot the database
+    /// next to the log, rotate the per-shard segments, atomically swap
+    /// the manifest, and garbage-collect old generations. Answers each
+    /// node's report (a logged service is node 0); a node that fails
+    /// leaves the others checkpointed and its error is returned.
+    pub fn checkpoint(&self) -> Result<Vec<(NodeId, CheckpointReport)>, ServiceError> {
+        self.path
+            .each_node(|durable| checkpoint_node(durable, &self.counters))
     }
 
-    /// Install a hook fired when an acting primary is demoted.
-    pub fn set_demotion_hook(&self, hook: RoleHook) -> Result<(), ServiceError> {
-        let c = self.cluster().ok_or(ServiceError::NotReplicated)?;
-        c.set_demotion_hook(hook);
-        Ok(())
-    }
-
-    /// Take a checkpoint now: snapshot the database next to the log,
-    /// rotate the per-shard segments, atomically swap the manifest, and
-    /// garbage-collect old generations. Fails with
-    /// [`ServiceError::NotDurable`] on a non-durable service.
-    pub fn checkpoint(&self) -> Result<CheckpointReport, ServiceError> {
-        let durable = self.durable_db()?;
-        let report = durable.checkpoint()?;
-        self.counters.checkpoints.fetch_add(1, Ordering::Relaxed);
-        Ok(report)
-    }
-
-    /// Run one scrub pass now: verify every sealed WAL segment and the
-    /// checkpoint snapshot at rest, quarantine what fails its checksum,
-    /// and heal the directory with a fresh checkpoint. On a replicated
-    /// service every **live** node is scrubbed (crashed nodes are
-    /// skipped — quarantine-aware recovery covers them at restart) and
-    /// the per-node reports are merged. Never blocks the append path.
+    /// Run one scrub pass now on every live node: verify every sealed
+    /// WAL segment and the checkpoint snapshot at rest, quarantine what
+    /// fails its checksum, and heal the directory with a fresh
+    /// checkpoint. The per-node reports are merged. Never blocks the
+    /// append path.
     pub fn scrub(&self) -> Result<ScrubReport, ServiceError> {
-        if !self.is_durable() {
-            return Err(ServiceError::NotDurable);
-        }
+        let reports = self
+            .path
+            .each_node(|durable| scrub_node(durable, &self.counters))?;
         let mut merged = ScrubReport::default();
-        for durable in self.path.durables() {
-            let report = durable.scrub()?;
-            record_scrub(&self.counters, &report);
+        for (_, report) in reports {
             merged.segments_verified += report.segments_verified;
             merged.checkpoints_verified += report.checkpoints_verified;
             merged.read_errors += report.read_errors;
@@ -575,18 +601,17 @@ impl CtxPrefService {
         })
     }
 
-    /// Fsync all pending group-commit WAL records, returning how many
-    /// became durable.
-    pub fn flush_wal(&self) -> Result<u64, ServiceError> {
-        let durable = self.durable_db()?;
-        Ok(durable.flush()?)
+    /// Fsync every live node's pending group-commit WAL records,
+    /// answering how many became durable on each.
+    pub fn flush_wal(&self) -> Result<Vec<(NodeId, u64)>, ServiceError> {
+        self.path
+            .each_node(|durable| flush_node(durable, &self.counters))
     }
 
-    /// Per-shard WAL positions plus append/batch/rotation totals (the
-    /// primary's, on a replicated service).
-    pub fn wal_status(&self) -> Result<WalStatus, ServiceError> {
-        let durable = self.durable_db()?;
-        Ok(durable.wal_status())
+    /// Every live node's per-shard WAL positions plus its
+    /// append/batch/rotation totals.
+    pub fn wal_status(&self) -> Result<Vec<(NodeId, WalStatus)>, ServiceError> {
+        self.path.each_node(|durable| Ok(durable.wal_status()))
     }
 
     /// Run `tick` on a background thread named `name` every `interval`
@@ -625,9 +650,8 @@ impl CtxPrefService {
     /// from its one [`DurabilityConfig`]: a checkpointer, a flusher
     /// under group commit and a scrubber (each only when configured),
     /// plus, on a replicated path, the control-plane tick every `tick`.
-    /// Each beat of the first three runs its job on every database
-    /// [`WritePath::durables`] resolves at that beat, one at a time, a
-    /// panic on one contained so that it costs the others nothing.
+    /// Each beat of the first three runs its verb's per-node body on
+    /// every live node ([`Self::upkeep_beat`]).
     pub(crate) fn start_upkeep(&mut self, dcfg: &DurabilityConfig, tick: Option<Duration>) {
         if let (WritePath::Replicated(cluster), Some(interval)) = (&self.path, tick) {
             let cluster = Arc::clone(cluster);
@@ -637,36 +661,33 @@ impl CtxPrefService {
                 follow_local_node(&slot, &cluster);
             });
         }
-        let (path, counters) = (self.path.clone(), Arc::clone(&self.counters));
-        let each = |job: fn(&DurableDb, &Counters)| {
-            let (path, counters) = (path.clone(), Arc::clone(&counters));
-            move || {
-                for durable in path.durables() {
-                    let _ = catch_unwind(AssertUnwindSafe(|| job(&durable, &counters)));
-                }
-            }
-        };
         if let Some(interval) = dcfg.checkpoint_interval {
-            let checkpoint = each(|durable, counters| {
-                if durable.checkpoint().is_ok() {
-                    counters.checkpoints.fetch_add(1, Ordering::Relaxed);
-                }
-            });
+            let checkpoint = self.upkeep_beat(checkpoint_node);
             self.every("ctxpref-checkpointer", interval, true, checkpoint);
         }
         if let SyncPolicy::GroupCommit { flush_interval } = dcfg.sync {
-            let flush = each(|durable, _| {
-                let _ = durable.flush();
-            });
+            let flush = self.upkeep_beat(flush_node);
             self.every("ctxpref-wal-flusher", flush_interval, false, flush);
         }
         if let Some(interval) = dcfg.scrub_interval {
-            let scrub = each(|durable, counters| {
-                if let Ok(report) = durable.scrub() {
-                    record_scrub(counters, &report);
-                }
-            });
+            let scrub = self.upkeep_beat(scrub_node);
             self.every("ctxpref-scrubber", interval, true, scrub);
+        }
+    }
+
+    /// One background beat of an upkeep `job`: the verb's own per-node
+    /// body through [`WritePath::each_node`], a panic on one node
+    /// contained so that it costs the others nothing.
+    fn upkeep_beat<T: 'static>(
+        &self,
+        job: fn(&DurableDb, &Counters) -> Result<T, ServiceError>,
+    ) -> impl FnMut() + Send + 'static {
+        let (path, counters) = (self.path.clone(), Arc::clone(&self.counters));
+        move || {
+            let _ = path.each_node(|durable| {
+                let _ = catch_unwind(AssertUnwindSafe(|| job(durable, &counters)));
+                Ok(())
+            });
         }
     }
 }

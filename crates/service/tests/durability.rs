@@ -34,6 +34,14 @@ fn manual_dcfg(dir: &std::path::Path) -> DurabilityConfig {
     }
 }
 
+/// A logged service's answer to a per-node verb: node 0's, alone.
+fn node0<T>(mut nodes: Vec<(usize, T)>) -> T {
+    assert_eq!(nodes.len(), 1, "a logged service has one node");
+    let (id, answer) = nodes.remove(0);
+    assert_eq!(id, 0, "a logged service is node 0");
+    answer
+}
+
 #[test]
 fn durable_service_survives_a_kill_without_checkpoint() {
     let tmp = TempDir::new("kill");
@@ -68,7 +76,7 @@ fn durable_service_survives_a_kill_without_checkpoint() {
     let stats = service.stats();
     assert_eq!(stats.wal.appends, 6, "six mutations, six log records");
     assert_eq!(stats.recovered_lsn, 0, "fresh directory: nothing recovered");
-    let status = service.wal_status().unwrap();
+    let status = node0(service.wal_status().unwrap());
     assert_eq!(status.totals.appends, 6);
     drop(service); // Kill: no checkpoint was ever taken.
 
@@ -109,7 +117,7 @@ fn manual_checkpoint_truncates_replay() {
         .expect("creating the durable service");
     service.add_user("alice").unwrap();
     service.add_user("bob").unwrap();
-    let report = service.checkpoint().unwrap();
+    let report = node0(service.checkpoint().unwrap());
     assert_eq!(report.generation, 1);
     assert_eq!(service.stats().checkpoints, 1);
     service.add_user("carol").unwrap();
@@ -134,11 +142,15 @@ fn group_commit_flush_is_reported() {
     service.add_user("alice").unwrap();
     service.add_user("bob").unwrap();
     assert_eq!(
-        service.flush_wal().unwrap(),
+        node0(service.flush_wal().unwrap()),
         2,
         "both pending records flushed"
     );
-    assert_eq!(service.flush_wal().unwrap(), 0, "nothing left to flush");
+    assert_eq!(
+        node0(service.flush_wal().unwrap()),
+        0,
+        "nothing left to flush"
+    );
     assert!(service.stats().wal.batches >= 1);
 }
 
@@ -208,7 +220,7 @@ fn sync_policy_is_observable_in_acks() {
     };
     let service = CtxPrefService::new_durable(study_db(), small_cfg(), dcfg).unwrap();
     service.add_user("alice").unwrap();
-    let status = service.wal_status().unwrap();
+    let status = node0(service.wal_status().unwrap());
     assert!(
         status.shards.iter().all(|s| s.pending == 0),
         "per-record leaves nothing pending"

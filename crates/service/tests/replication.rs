@@ -11,9 +11,11 @@ use std::time::{Duration, Instant};
 
 use ctxpref_context::ContextState;
 use ctxpref_core::MultiUserDb;
+use ctxpref_faults::{sites, FaultPlan};
 use ctxpref_replication::{node_digests, Cluster};
 use ctxpref_service::{
     CtxPrefService, DurabilityConfig, ReplicatedConfig, ServiceConfig, ServiceError, SyncPolicy,
+    WalStatus,
 };
 use ctxpref_testkit::TempDir;
 use ctxpref_wal::segment::list_segments;
@@ -56,6 +58,7 @@ fn all_digests(service: &CtxPrefService) -> Vec<(usize, Vec<u64>)> {
 
 #[test]
 fn replicated_service_seeds_serves_and_replicates() {
+    let _serial = ctxpref_faults::exclusive();
     let tmp = TempDir::new("basic");
     let service =
         CtxPrefService::new_replicated(study_db(), small_cfg(), manual_rcfg(tmp.path(), 3))
@@ -104,6 +107,7 @@ fn replicated_service_seeds_serves_and_replicates() {
 
 #[test]
 fn primary_crash_fails_over_and_rejoins() {
+    let _serial = ctxpref_faults::exclusive();
     let tmp = TempDir::new("failover");
     let service =
         CtxPrefService::new_replicated(study_db(), small_cfg(), manual_rcfg(tmp.path(), 3))
@@ -182,6 +186,7 @@ fn plain_service_refuses_replication_operations() {
 
 #[test]
 fn background_tick_drains_lag_under_async_group_commit() {
+    let _serial = ctxpref_faults::exclusive();
     let tmp = TempDir::new("bg-tick");
     let dcfg = DurabilityConfig::new(tmp.path()).group_commit(Duration::from_millis(2));
     let rcfg = ReplicatedConfig {
@@ -222,6 +227,7 @@ fn background_tick_drains_lag_under_async_group_commit() {
 
 #[test]
 fn replicated_scrub_covers_every_live_node() {
+    let _serial = ctxpref_faults::exclusive();
     let tmp = TempDir::new("scrub");
     let service =
         CtxPrefService::new_replicated(study_db(), small_cfg(), manual_rcfg(tmp.path(), 3))
@@ -276,6 +282,7 @@ fn generation(cluster: &Cluster, node: usize) -> u64 {
 
 #[test]
 fn every_live_node_is_checkpointed_in_the_background() {
+    let _serial = ctxpref_faults::exclusive();
     const WRITES: usize = 1500;
     const CRASH_AT: usize = 500;
     const RESTART_AT: usize = 600;
@@ -334,8 +341,8 @@ fn every_live_node_is_checkpointed_in_the_background() {
 /// Async acks over group commit with a flush interval no test outlives
 /// and no background threads: records stay pending until something
 /// flushes them explicitly.
-fn unflushed_rcfg(dir: &std::path::Path) -> ReplicatedConfig {
-    let mut rcfg = manual_rcfg(dir, 2).async_acks();
+fn unflushed_rcfg(dir: &std::path::Path, nodes: usize) -> ReplicatedConfig {
+    let mut rcfg = manual_rcfg(dir, nodes).async_acks();
     rcfg.durability = DurabilityConfig {
         checkpoint_interval: None,
         scrub_interval: None,
@@ -347,9 +354,10 @@ fn unflushed_rcfg(dir: &std::path::Path) -> ReplicatedConfig {
 
 #[test]
 fn clean_shutdown_flushes_the_replicated_primarys_log() {
+    let _serial = ctxpref_faults::exclusive();
     let tmp = TempDir::new("shutdown-flush");
     let service =
-        CtxPrefService::new_replicated(study_db(), small_cfg(), unflushed_rcfg(tmp.path()))
+        CtxPrefService::new_replicated(study_db(), small_cfg(), unflushed_rcfg(tmp.path(), 2))
             .expect("creating the replicated service");
     for i in 0..8 {
         service.add_user(&format!("user{i}")).unwrap();
@@ -368,6 +376,91 @@ fn clean_shutdown_flushes_the_replicated_primarys_log() {
         0,
         "a clean shutdown left records unsynced"
     );
+}
+
+/// The node ids a per-node answer names, in order.
+fn ids<T>(nodes: &[(usize, T)]) -> Vec<usize> {
+    nodes.iter().map(|(id, _)| *id).collect()
+}
+
+/// Every node's checkpoint generation, as far as `nodes` (all live).
+fn generations(cluster: &Cluster, nodes: usize) -> Vec<u64> {
+    (0..nodes).map(|node| generation(cluster, node)).collect()
+}
+
+#[test]
+fn checkpoint_answers_every_live_node() {
+    let _serial = ctxpref_faults::exclusive();
+    let tmp = TempDir::new("checkpoint-every-node");
+    let service =
+        CtxPrefService::new_replicated(study_db(), small_cfg(), unflushed_rcfg(tmp.path(), 3))
+            .expect("creating the replicated service");
+    let cluster = Arc::clone(service.cluster().expect("replicated service"));
+    service.add_user("carol").unwrap();
+
+    let before = generations(&cluster, 3);
+    let checkpoints = service.checkpoint().unwrap();
+    assert_eq!(ids(&checkpoints), [0, 1, 2]);
+    for (node, report) in &checkpoints {
+        assert!(
+            report.generation > before[*node],
+            "node {node} not checkpointed"
+        );
+        assert_eq!(report.generation, generation(&cluster, *node));
+    }
+    assert_eq!(service.stats().checkpoints, 3, "one count per node");
+
+    // A crashed node is skipped, and no verb keeps its old handle: it
+    // restarts while the others answer.
+    cluster.crash_node(2);
+    assert_eq!(ids(&service.checkpoint().unwrap()), [0, 1]);
+    cluster.restart_node(2).expect("the crashed node restarts");
+
+    // Node 0's manifest swap is the verb's first: it fails, and the
+    // other two nodes are still checkpointed before the error returns.
+    let before = generations(&cluster, 3);
+    let plan = FaultPlan::builder(52)
+        .fail_at(sites::MANIFEST_SWAP, &[1])
+        .build();
+    let failed = plan.run(|| service.checkpoint());
+    assert!(failed.is_err(), "the failed swap is the verb's error");
+    let after = generations(&cluster, 3);
+    assert_eq!(after[0], before[0], "node 0's checkpoint did not land");
+    assert!(
+        after[1] > before[1] && after[2] > before[2],
+        "{before:?} → {after:?}"
+    );
+    assert_eq!(service.stats().checkpoints, 3 + 2 + 2);
+}
+
+#[test]
+fn flush_leaves_no_node_pending() {
+    let _serial = ctxpref_faults::exclusive();
+    let tmp = TempDir::new("flush-every-node");
+    let service =
+        CtxPrefService::new_replicated(study_db(), small_cfg(), unflushed_rcfg(tmp.path(), 3))
+            .expect("creating the replicated service");
+    // Replicas sync what they are shipped, so only a primary's own
+    // appends wait: write through node 0, then through node 1.
+    for i in 0..8 {
+        service.add_user(&format!("user{i}")).unwrap();
+        if i == 3 {
+            service.promote(1).unwrap();
+        }
+    }
+    let pending = || -> Vec<(usize, u64)> {
+        let status = service.wal_status().unwrap();
+        let pending =
+            |(id, s): &(usize, WalStatus)| (*id, s.shards.iter().map(|s| s.pending).sum());
+        status.iter().map(pending).collect()
+    };
+    let waiting = pending();
+    assert_eq!(ids(&waiting), [0, 1, 2]);
+    assert!(waiting[0].1 > 0 && waiting[1].1 > 0, "{waiting:?}");
+
+    let flushed = service.flush_wal().unwrap();
+    assert_eq!(flushed, waiting, "each node flushes what it held");
+    assert_eq!(pending(), [(0, 0), (1, 0), (2, 0)]);
 }
 
 /// Two threads race 100 removals each at index 0 of one user's profile:
@@ -437,6 +530,7 @@ fn removals_return_what_they_removed(service: CtxPrefService) {
 
 #[test]
 fn removals_return_what_they_removed_on_every_write_path() {
+    let _serial = ctxpref_faults::exclusive();
     removals_return_what_they_removed(CtxPrefService::new(study_db(), small_cfg()));
 
     let tmp = TempDir::new("displaced-logged");
@@ -452,7 +546,7 @@ fn removals_return_what_they_removed_on_every_write_path() {
 
     let tmp = TempDir::new("displaced-replicated");
     removals_return_what_they_removed(
-        CtxPrefService::new_replicated(study_db(), small_cfg(), unflushed_rcfg(tmp.path()))
+        CtxPrefService::new_replicated(study_db(), small_cfg(), unflushed_rcfg(tmp.path(), 2))
             .unwrap(),
     );
 }

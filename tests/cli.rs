@@ -320,3 +320,37 @@ fn local_and_remote_print_the_same() {
         );
     }
 }
+
+#[test]
+fn replicated_checkpoint_answers_every_node() {
+    let dir = std::env::temp_dir().join(format!("ctxpref_cli_repl_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let script = format!(
+        "load demo\n\
+         replicate {d} 3\n\
+         promote 1\n\
+         checkpoint\n\
+         quit\n",
+        d = dir.display()
+    );
+    let (stdout, stderr) = run_script(&script);
+    assert!(stderr.is_empty(), "stderr: {stderr}");
+    let written: Vec<&str> = stdout
+        .lines()
+        .filter(|l| l.contains("checkpoint generation"))
+        .collect();
+    assert_eq!(
+        written,
+        [
+            "node 0: checkpoint generation 1 written",
+            "node 1: checkpoint generation 1 written",
+            "node 2: checkpoint generation 1 written",
+        ],
+        "{stdout}"
+    );
+    for node in 0..3 {
+        let checkpoint = dir.join(format!("node-{node}")).join("checkpoint-1.db");
+        assert!(checkpoint.exists(), "{} is missing", checkpoint.display());
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
