@@ -65,7 +65,7 @@ impl WritePath {
     /// with no live node with [`ReplicationError::NoPrimary`]. No handle
     /// outlives its job, so a crashed node's old [`DurableDb`] never
     /// holds its `LOCK` against [`Cluster::restart_node`].
-    pub(crate) fn each_node<T>(
+    fn each_node<T>(
         &self,
         mut job: impl FnMut(&DurableDb) -> Result<T, ServiceError>,
     ) -> Result<Vec<(NodeId, T)>, ServiceError> {
