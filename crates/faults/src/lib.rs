@@ -24,7 +24,12 @@
 //! assert!(injected > 20 && injected < 80);
 //! ```
 //!
-//! [`counters!`] is how each layer of the serving stack declares its counters.
+//! [`counters!`] is how each layer of the serving stack declares its
+//! counters, and [`clock`] is where every layer reads time and waits: a
+//! plan built with [`FaultPlanBuilder::manual_clock`] makes that time
+//! stand still until the test advances it.
+
+pub mod clock;
 
 use std::collections::HashMap;
 use std::error::Error;
@@ -32,6 +37,8 @@ use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, RwLock};
 use std::time::Duration;
+
+use clock::ManualClock;
 
 /// The registry of named fault sites threaded through the workspace.
 ///
@@ -394,6 +401,7 @@ pub struct FaultPlan {
     seed: u64,
     rules: Vec<Rule>,
     state: Mutex<PlanState>,
+    clock: Option<Arc<ManualClock>>,
 }
 
 /// Builder for [`FaultPlan`].
@@ -401,6 +409,7 @@ pub struct FaultPlan {
 pub struct FaultPlanBuilder {
     seed: u64,
     rules: Vec<Rule>,
+    manual_clock: bool,
 }
 
 impl FaultPlanBuilder {
@@ -498,12 +507,23 @@ impl FaultPlanBuilder {
         self
     }
 
+    /// Give the plan a manual clock: while it is installed, [`clock`]
+    /// reads a time that stands still until the test calls
+    /// [`FaultPlan::advance`], and every sleep and timed wait (delay
+    /// faults included) waits on that time.
+    #[must_use]
+    pub fn manual_clock(mut self) -> Self {
+        self.manual_clock = true;
+        self
+    }
+
     /// Finish the plan.
     pub fn build(self) -> Arc<FaultPlan> {
         Arc::new(FaultPlan {
             seed: self.seed,
             rules: self.rules,
             state: Mutex::default(),
+            clock: self.manual_clock.then(|| Arc::new(ManualClock::new())),
         })
     }
 }
@@ -515,6 +535,7 @@ impl FaultPlan {
         FaultPlanBuilder {
             seed,
             rules: Vec::new(),
+            manual_clock: false,
         }
     }
 
@@ -602,14 +623,18 @@ impl Drop for PlanGuard {
     fn drop(&mut self) {
         let mut slot = global().write().unwrap_or_else(|e| e.into_inner());
         ACTIVE.store(self.previous.is_some(), Ordering::Release);
+        let manual = self.previous.as_ref().is_some_and(|p| p.clock.is_some());
+        clock::MANUAL.store(manual, Ordering::Relaxed);
         *slot = self.previous.take();
     }
 }
 
-/// Install `plan` as the process-wide fault plan until the returned
-/// guard drops. Nested installs restore the outer plan.
+/// Install `plan` as the process-wide fault plan, and its manual clock
+/// as the process's clock if it has one, until the returned guard
+/// drops. Nested installs restore the outer plan.
 pub fn install(plan: Arc<FaultPlan>) -> PlanGuard {
     let mut slot = global().write().unwrap_or_else(|e| e.into_inner());
+    clock::MANUAL.store(plan.clock.is_some(), Ordering::Relaxed);
     let previous = slot.replace(plan);
     ACTIVE.store(true, Ordering::Release);
     PlanGuard { previous }
@@ -641,7 +666,7 @@ pub fn hit(site: &str) -> Result<(), InjectedFault> {
     match plan.decide(site) {
         None => Ok(()),
         Some((FaultKind::Delay, d, _, _)) => {
-            std::thread::sleep(d);
+            clock::sleep(d);
             Ok(())
         }
         Some((FaultKind::Panic, _, _, hit)) => {
@@ -670,7 +695,7 @@ pub fn truncated_len(site: &str, full_len: usize) -> usize {
     match plan.decide(site) {
         Some((FaultKind::Truncate, _, keep, _)) => ((full_len as f64) * keep).floor() as usize,
         Some((FaultKind::Delay, d, _, _)) => {
-            std::thread::sleep(d);
+            clock::sleep(d);
             full_len
         }
         _ => full_len,
