@@ -61,6 +61,7 @@
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
+use ctxpref_faults::clock;
 use ctxpref_service::{Priority, ScrubStatus};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -288,15 +289,12 @@ impl NetClient {
     /// one, the linear backoff otherwise — clamped so the sleep never
     /// outlives the caller's remaining budget.
     fn retry_sleep(&mut self, attempt: u32, hint: Duration, deadline: Option<Instant>) {
-        let mut delay = if hint.is_zero() {
+        let delay = if hint.is_zero() {
             self.backoff_delay(attempt)
         } else {
             hint
         };
-        if let Some(d) = deadline {
-            delay = delay.min(d.saturating_duration_since(Instant::now()));
-        }
-        std::thread::sleep(delay);
+        clock::sleep_within(delay, deadline);
     }
 
     /// Send `req`, reconnecting and retrying (idempotent requests
@@ -389,7 +387,7 @@ impl NetClient {
         budget: Option<Duration>,
         mut attempt: impl FnMut(&mut Self, u64) -> Result<T, NetError>,
     ) -> Result<T, NetError> {
-        let deadline = budget.map(|b| Instant::now() + b);
+        let deadline = budget.map(|b| clock::now() + b);
         let (tries, busy_tries) = if idempotent {
             (self.cfg.attempts.max(1), self.cfg.busy_attempts.max(1))
         } else {
@@ -400,7 +398,7 @@ impl NetClient {
             let budget_ms = match deadline {
                 None => 0,
                 Some(d) => {
-                    let remaining = d.saturating_duration_since(Instant::now());
+                    let remaining = clock::remaining(d);
                     if remaining.is_zero() {
                         return Err(NetError::BudgetExhausted {
                             budget: budget.unwrap_or_default(),

@@ -42,11 +42,12 @@
 //! batch get the owned [`Response::Answer`] by decoding the same frame.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use ctxpref_bytes::{LentMessage, Put, Seq, Shown, Tokens};
 use ctxpref_context::{ContextEnvironment, ContextError, ContextState};
 use ctxpref_core::CoreError;
+use ctxpref_faults::clock;
 use ctxpref_relation::{Relation, ScoredTuple};
 use ctxpref_service::{
     Admitted, CtxPrefService, Edit, Fallback, LadderStep, NodeId, Priority, ReplicationError,
@@ -399,7 +400,7 @@ fn explore(
     user: &str,
     descriptor: &str,
 ) -> Result<ServiceAnswer, ServiceError> {
-    let started = Instant::now();
+    let started = clock::now();
     let answer = service.with_db(|db| {
         let ecod = ctxpref_context::parse_extended_descriptor(db.env(), descriptor)
             .map_err(CoreError::Context)?;
@@ -410,7 +411,7 @@ fn explore(
         step: LadderStep::Exact,
         fallbacks: Vec::new(),
         resolved_state: None,
-        elapsed: started.elapsed(),
+        elapsed: clock::elapsed(started),
     })
 }
 

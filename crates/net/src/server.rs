@@ -98,7 +98,7 @@ use ctxpref_bytes::LentMessage;
 use ctxpref_faults::sites::{
     NET_ACCEPT, NET_CONN_DELAY, NET_CONN_DROP, NET_FRAME_READ, NET_FRAME_WRITE,
 };
-use ctxpref_faults::{hit, hit_io};
+use ctxpref_faults::{clock, hit, hit_io};
 use ctxpref_service::{Admitted, CtxPrefService};
 
 use crate::codec::{self, Body, WireRequest};
@@ -254,7 +254,7 @@ impl NetServer {
         // out: were a job to drop the last service handle, the service
         // would stop from inside its own worker and join itself.
         while Arc::strong_count(&self.shared) > 1 {
-            std::thread::sleep(Duration::from_millis(1));
+            clock::sleep(Duration::from_millis(1));
         }
     }
 }
@@ -312,7 +312,7 @@ impl Reactor {
         }
 
         let mut events = Vec::with_capacity(1024);
-        let mut last_sweep = Instant::now();
+        let mut last_sweep = clock::now();
         loop {
             events.clear();
             // A bounded tick so idle sweeps and the shutdown flag are
@@ -344,7 +344,7 @@ impl Reactor {
 
             self.drain_completions();
 
-            let now = Instant::now();
+            let now = clock::now();
             if now.duration_since(last_sweep) >= Duration::from_millis(500) {
                 last_sweep = now;
                 self.sweep_idle(now);
@@ -443,7 +443,7 @@ impl Reactor {
                 out: VecDeque::new(),
                 out_pos: 0,
                 in_flight: 0,
-                last_activity: Instant::now(),
+                last_activity: clock::now(),
                 write_stalled_since: None,
                 closing: false,
                 registered: Interest::READABLE,
@@ -480,7 +480,7 @@ impl Reactor {
                     return;
                 }
                 Ok(n) => {
-                    conn.last_activity = Instant::now();
+                    conn.last_activity = clock::now();
                     conn.decoder.extend(&buf[..n]);
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
@@ -705,7 +705,7 @@ impl Reactor {
                     return;
                 }
                 Ok(mut n) => {
-                    conn.last_activity = Instant::now();
+                    conn.last_activity = clock::now();
                     conn.write_stalled_since = None;
                     while n > 0 {
                         let Some(front) = conn.out.front() else { break };
@@ -721,7 +721,7 @@ impl Reactor {
                     }
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    conn.write_stalled_since.get_or_insert_with(Instant::now);
+                    conn.write_stalled_since.get_or_insert_with(clock::now);
                     break;
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
