@@ -5,6 +5,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use ctxpref_faults::clock;
 use ctxpref_net::{
     NetClient, NetClientConfig, NetError, Outgoing, Priority, RemoteAnswer, Request, RequestRef,
     Response,
@@ -226,7 +227,7 @@ impl Router {
         let mut saw_busy: Option<(usize, Duration)> = None;
         for i in 0..n {
             let idx = (start + i) % n;
-            let remaining = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+            let remaining = deadline.map(clock::remaining);
             let client = self.client(&shared.endpoints[cluster][idx]);
             match client.send(req, remaining, tier) {
                 Ok(Response::NotPrimary) => {
@@ -324,7 +325,7 @@ impl Router {
         budget: Option<Duration>,
         tier: Priority,
     ) -> Result<Response, RouterError> {
-        let deadline = budget.map(|b| Instant::now() + b);
+        let deadline = budget.map(|b| clock::now() + b);
         let retries = self.shared.cfg.transient_retries;
         let backoff = self.shared.cfg.transient_backoff;
         let mut attempt = 0u32;
@@ -348,17 +349,11 @@ impl Router {
                 }
                 resp => return Ok(resp),
             }
-            let mut sleep = backoff * attempt.min(8);
-            if let Some(d) = deadline {
-                let remaining = d.saturating_duration_since(Instant::now());
-                if remaining.is_zero() {
-                    return Err(RouterError::Net(NetError::BudgetExhausted {
-                        budget: budget.unwrap_or_default(),
-                    }));
-                }
-                sleep = sleep.min(remaining);
+            if !clock::sleep_within(backoff * attempt.min(8), deadline) {
+                return Err(RouterError::Net(NetError::BudgetExhausted {
+                    budget: budget.unwrap_or_default(),
+                }));
             }
-            std::thread::sleep(sleep);
         }
     }
 
