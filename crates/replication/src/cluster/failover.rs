@@ -164,21 +164,10 @@ impl Cluster {
         }
         // 4. Serve.
         candidate.promote(epoch)?;
-        let old = st.primary.take();
         st.primary = Some(id);
         st.promotions.push((epoch, id));
         st.cursors.clear();
         st.missed.iter_mut().for_each(|m| *m = 0);
-        if let Some(old_id) = old {
-            if old_id != id {
-                if let Some(hook) = self.on_demotion.lock().as_ref() {
-                    hook(old_id, epoch);
-                }
-            }
-        }
-        if let Some(hook) = self.on_promotion.lock().as_ref() {
-            hook(id, epoch);
-        }
         Ok(epoch)
     }
 

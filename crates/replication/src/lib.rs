@@ -51,7 +51,7 @@ mod node;
 mod status;
 mod transport;
 
-pub use cluster::{Cluster, RoleHook};
+pub use cluster::Cluster;
 pub use digest::{node_digests, stripe_digest};
 pub use error::{ReplicationError, TransportError};
 pub use message::{Envelope, LogPos, Message, NodeId, Reply, ShippedRecord};

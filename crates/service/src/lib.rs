@@ -102,7 +102,7 @@ pub use write::{Edit, ScrubStatus};
 // Durability and replication vocabulary re-exported so service
 // consumers need not depend on the lower crates directly.
 pub use ctxpref_replication::{
-    AckMode, Cluster, ClusterStatus, NodeId, NodeStatus, ReplicationError, RoleHook, TickReport,
+    AckMode, Cluster, ClusterStatus, NodeId, NodeStatus, ReplicationError, TickReport,
 };
 pub use ctxpref_wal::{
     CheckpointReport, QuarantinedFile, RecoveryReport, ScrubReport, SyncPolicy, WalStatus,
