@@ -2,6 +2,8 @@ use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use ctxpref_faults::clock;
+
 use crate::stats::Counters;
 use crate::tier::Priority;
 
@@ -57,7 +59,7 @@ impl Admission {
         Self {
             target: target.max(Duration::from_micros(1)),
             interval: interval.max(Duration::from_micros(1)),
-            base: Instant::now(),
+            base: clock::now(),
             above_since: AtomicU64::new(0),
             last_observe: AtomicU64::new(0),
             last_sojourn: AtomicU64::new(0),
@@ -67,7 +69,7 @@ impl Admission {
 
     fn micros_now(&self) -> u64 {
         // Saturate at 1 so 0 stays the "not above target" sentinel.
-        (self.base.elapsed().as_micros() as u64).max(1)
+        (clock::elapsed(self.base).as_micros() as u64).max(1)
     }
 
     /// Feed one dequeued job's queue dwell into the controller.

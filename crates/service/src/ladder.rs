@@ -25,6 +25,7 @@ use std::time::{Duration, Instant};
 
 use ctxpref_context::ContextState;
 use ctxpref_core::{CoreError, QueryAnswer, UserShardRead};
+use ctxpref_faults::clock;
 use ctxpref_relation::{RankedResults, Relation, ScoredTuple};
 
 use crate::admission::Admitted;
@@ -212,7 +213,7 @@ pub(crate) fn run_ladder(
     deadline: Instant,
     requested_deadline: Duration,
 ) -> Result<ServiceAnswer, ServiceError> {
-    let started = Instant::now();
+    let started = clock::now();
     // An unknown user is a request error, not a fault to degrade around.
     if !shard.has_user(user) {
         return Err(ServiceError::Core(CoreError::NoSuchUser(user.to_string())));
@@ -254,7 +255,7 @@ pub(crate) fn run_ladder(
                 step,
                 fallbacks,
                 resolved_state: None,
-                elapsed: started.elapsed(),
+                elapsed: clock::elapsed(started),
             });
         }
         Err(reason) => fallbacks.push(Fallback {
@@ -265,7 +266,7 @@ pub(crate) fn run_ladder(
 
     // Rung 3: nearest ancestor state that still resolves.
     for lifted in lifted_states(shard, state) {
-        if Instant::now() >= deadline {
+        if clock::now() >= deadline {
             return Err(ServiceError::DeadlineExceeded {
                 deadline: requested_deadline,
             });
@@ -277,7 +278,7 @@ pub(crate) fn run_ladder(
                     step: LadderStep::NearestState,
                     fallbacks,
                     resolved_state: Some(lifted),
-                    elapsed: started.elapsed(),
+                    elapsed: clock::elapsed(started),
                 });
             }
             Err(reason) => {
@@ -297,7 +298,7 @@ pub(crate) fn run_ladder(
         step: LadderStep::DefaultAnswer,
         fallbacks,
         resolved_state: None,
-        elapsed: started.elapsed(),
+        elapsed: clock::elapsed(started),
     })
 }
 

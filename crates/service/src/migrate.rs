@@ -26,11 +26,13 @@
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::time::{Duration, Instant};
+use std::sync::Condvar;
+use std::time::Duration;
 
 use ctxpref_core::CoreError;
+use ctxpref_faults::clock;
 use ctxpref_wal::{WalOp, WalOpRef};
-use parking_lot::{Condvar, Mutex, MutexGuard};
+use parking_lot::{Mutex, MutexGuard};
 
 use crate::error::ServiceError;
 use crate::service::CtxPrefService;
@@ -148,18 +150,12 @@ impl MigrationTable {
     /// join; the wait only covers stragglers that passed the gate
     /// before the entry landed.
     fn drain(&self, mut inner: MutexGuard<'_, Inner>, user: &str) -> Result<(), ServiceError> {
-        let deadline = Instant::now() + DRAIN_WAIT;
+        let deadline = clock::now() + DRAIN_WAIT;
         let slot = slot(user);
         while inner.in_flight.contains_key(&slot) {
-            let timeout = deadline.saturating_duration_since(Instant::now());
-            if timeout.is_zero() {
-                return Err(ServiceError::DeadlineExceeded {
-                    deadline: DRAIN_WAIT,
-                });
-            }
-            let (reacquired, result) = self.drained.wait_timeout(inner, timeout);
+            let (reacquired, timed_out) = clock::wait_until(&self.drained, inner, deadline);
             inner = reacquired;
-            if result.timed_out() && inner.in_flight.contains_key(&slot) {
+            if timed_out && inner.in_flight.contains_key(&slot) {
                 return Err(ServiceError::DeadlineExceeded {
                     deadline: DRAIN_WAIT,
                 });
@@ -569,6 +565,7 @@ impl CtxPrefService {
 #[cfg(test)]
 mod tests {
     use std::sync::Arc;
+    use std::time::Instant;
 
     use super::*;
 

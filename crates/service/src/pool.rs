@@ -6,10 +6,11 @@ use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, TryLockError};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use ctxpref_context::ContextState;
 use ctxpref_core::ShardedMultiUserDb;
+use ctxpref_faults::clock;
 use parking_lot::RwLock;
 
 use crate::admission::{record_shed, Admission, Admitted};
@@ -47,8 +48,7 @@ pub(crate) enum Locking {
 
 /// The jobs waiting for a worker, in arrival order, and whether the
 /// service has closed the queue. One push wakes one waiting worker, so
-/// a job costs one wake-up. (A std `Condvar`: the vendored
-/// `parking_lot` one only waits with a timeout.)
+/// a job costs one wake-up.
 #[derive(Default)]
 pub(crate) struct JobQueue {
     state: Mutex<(VecDeque<Job>, bool)>,
@@ -156,7 +156,7 @@ pub(crate) fn execute_read(
     if locking == Locking::Wait {
         // Feed the admission controller the read's queue dwell — the
         // signal the sojourn shedder runs on.
-        admission.observe(admitted.at.elapsed());
+        admission.observe(clock::elapsed(admitted.at));
     }
     if cancelled.is_some_and(|c| c.load(Ordering::Acquire)) {
         // The in-process caller already gave up and counted the miss.
@@ -164,7 +164,7 @@ pub(crate) fn execute_read(
         return Some(Err(missed()));
     }
     let deadline = admitted.at + read.requested;
-    if Instant::now() >= deadline {
+    if clock::now() >= deadline {
         // Expired before it ran: counted and dropped, never executed —
         // dead work would only deepen the overload.
         count_miss();
@@ -182,12 +182,12 @@ pub(crate) fn execute_read(
     let result = catch_unwind(AssertUnwindSafe(|| {
         // Acquire only the user's shard, and account the wait: the time
         // to get the lock is the serving core's contention.
-        let lock_started = Instant::now();
+        let lock_started = clock::now();
         let shard = match locking {
             Locking::Wait => db.read_user_shard(read.user),
             Locking::Try => db.try_read_user_shard(read.user)?,
         };
-        let waited = lock_started.elapsed();
+        let waited = clock::elapsed(lock_started);
         counters
             .lock_wait_micros
             .fetch_add(waited.as_micros() as u64, Ordering::Relaxed);
@@ -195,7 +195,7 @@ pub(crate) fn execute_read(
         // acquisition may have consumed the whole budget, and running
         // the ladder for a caller that already timed out would only
         // waste the shard's read capacity.
-        if Instant::now() >= deadline {
+        if clock::now() >= deadline {
             counters.deadline_after_lock.fetch_add(1, Ordering::Relaxed);
             return Some(Err(missed()));
         }

@@ -1,8 +1,9 @@
 //! Retry-with-backoff around snapshot loads and saves.
 
 use std::sync::atomic::Ordering;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
+use ctxpref_faults::clock;
 use ctxpref_wal::WalError;
 
 use crate::config::RetryPolicy;
@@ -21,7 +22,7 @@ pub(crate) fn retry_storage<T>(
     counters: &Counters,
     mut op: impl FnMut() -> Result<T, WalError>,
 ) -> Result<T, ServiceError> {
-    let started = Instant::now();
+    let started = clock::now();
     let mut attempt = 0u32;
     loop {
         attempt += 1;
@@ -29,12 +30,12 @@ pub(crate) fn retry_storage<T>(
             Ok(v) => return Ok(v),
             Err(WalError::Io(_)) if attempt < policy.max_attempts => {
                 let backoff = policy.base_backoff * 2u32.pow(attempt - 1);
-                if started.elapsed() + backoff >= deadline {
+                if clock::elapsed(started) + backoff >= deadline {
                     counters.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
                     return Err(ServiceError::DeadlineExceeded { deadline });
                 }
                 counters.storage_retries.fetch_add(1, Ordering::Relaxed);
-                std::thread::sleep(backoff);
+                clock::sleep(backoff);
             }
             Err(e) => return Err(ServiceError::Storage(e)),
         }

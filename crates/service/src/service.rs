@@ -3,10 +3,11 @@ use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use ctxpref_context::ContextState;
 use ctxpref_core::{MultiUserDb, ShardedMultiUserDb};
+use ctxpref_faults::clock;
 use ctxpref_replication::Cluster;
 use ctxpref_wal::{DurableDb, RecoveryReport, WalOp};
 use parking_lot::RwLock;
@@ -422,12 +423,12 @@ impl CtxPrefService {
             return TryRead::Queue(admitted);
         }
         if let Some(k) = topk {
-            let started = Instant::now();
+            let started = clock::now();
             let probe = || {
                 let core = self.db.try_read()?;
                 let shard = core.try_read_user_shard(user)?;
                 shard.view_hit_with(user, state, k, |relation, rows| {
-                    let elapsed = started.elapsed();
+                    let elapsed = clock::elapsed(started);
                     render_view(ViewHit {
                         relation,
                         rows,
@@ -493,7 +494,7 @@ impl CtxPrefService {
             return Ok(Admitted {
                 in_flight: Arc::clone(&self.in_flight),
                 tier,
-                at: Instant::now(),
+                at: clock::now(),
             });
         } else {
             self.in_flight.fetch_sub(1, Ordering::AcqRel);
@@ -552,7 +553,7 @@ impl CtxPrefService {
         // already consumed part of the requested deadline, and waiting
         // the full duration here would let the caller overstay the
         // instant the workers enforce.
-        match response.recv_timeout(expires.saturating_duration_since(Instant::now())) {
+        match clock::recv_until(&response, expires) {
             Ok(result) => {
                 self.record(&result);
                 result
@@ -669,7 +670,7 @@ impl CtxPrefService {
     fn stop(&mut self) {
         self.shutting_down.store(true, Ordering::Release);
         // Maintenance first: dropping a stop sender disconnects that
-        // thread's recv_timeout loop.
+        // thread's timed receive.
         for (stop, handle) in self.maintenance.drain(..) {
             drop(stop);
             let _ = handle.join();

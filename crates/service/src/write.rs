@@ -7,6 +7,7 @@ use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use ctxpref_core::{preference_from_parts, CoreError, MultiUserDb, ShardedMultiUserDb};
+use ctxpref_faults::clock;
 use ctxpref_profile::{ContextualPreference, Profile};
 use ctxpref_relation::CompareOp;
 use ctxpref_replication::{Cluster, ClusterStatus, NodeId, ReplicationError, TickReport};
@@ -633,9 +634,11 @@ impl CtxPrefService {
         let handle = std::thread::Builder::new()
             .name(name.to_string())
             .spawn(move || {
-                // recv_timeout disconnects when the service drops its
-                // stop sender — that is the shutdown signal.
-                while let Err(mpsc::RecvTimeoutError::Timeout) = stopped.recv_timeout(interval) {
+                // The receive disconnects when the service drops its stop
+                // sender — that is the shutdown signal.
+                while let Err(mpsc::RecvTimeoutError::Timeout) =
+                    clock::recv_until(&stopped, clock::now() + interval)
+                {
                     if yields_under_pressure && admission.pressure() >= 1 {
                         continue;
                     }
