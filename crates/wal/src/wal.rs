@@ -553,10 +553,9 @@ impl ShardGuard<'_> {
 
     /// Simulate losing everything the OS had not fsynced: truncate the
     /// on-disk segment to the synced prefix. Only meaningful under
-    /// group commit; the crash-recovery fuzz uses it to model a power
-    /// cut rather than a process kill.
-    #[doc(hidden)]
-    pub fn drop_unsynced_tail(&mut self) -> Result<(), WalError> {
+    /// group commit; [`crate::DurableDb::drop_unsynced_tails`] runs it on
+    /// every shard to model a power cut rather than a process kill.
+    pub(crate) fn drop_unsynced_tail(&mut self) -> Result<(), WalError> {
         let s = &mut *self.state;
         s.file.set_len(s.synced_pos)?;
         s.file.sync_data()?;
