@@ -1,6 +1,7 @@
 //! Interactive shell for the context-aware preference database — the
 //! equivalent of the paper's prototype used in the Section 5.1 user
-//! study, served through the fault-tolerant [`CtxPrefService`] layer
+//! study, served through the fault-tolerant
+//! [`CtxPrefService`](ctxpref::service::CtxPrefService) layer
 //! (deadlines, panic isolation, degradation ladder).
 //!
 //! ```text

@@ -8,8 +8,9 @@ use crate::USER;
 /// A verb that means the same thing against the loaded database and
 /// over `remote <addr>`: its usage (the name is the first word), its
 /// `help` text, and how its arguments parse into the one [`Request`]
-/// that [`serve_request`] serves locally, [`NetClient::request`]
-/// remotely, and [`render`] prints either way.
+/// that [`serve_request`](ctxpref::net::serve_request) serves locally,
+/// [`NetClient::request`](ctxpref::net::NetClient::request) remotely,
+/// and [`render`] prints either way.
 pub(crate) struct Verb(
     &'static str,
     &'static str,
